@@ -152,6 +152,7 @@ type auditor struct {
 	cluster *gpu.Cluster
 	quantum simclock.Duration
 	rep     AuditReport
+	owners  *placement.Owners // the engine's device-owner table, shared with placement validation
 
 	// Per-round scratch, reset by beginRound.
 	round   int
@@ -160,11 +161,12 @@ type auditor struct {
 	busyGen map[gpu.Generation]float64
 }
 
-func newAuditor(mode AuditMode, cluster *gpu.Cluster, quantum simclock.Duration) *auditor {
+func newAuditor(mode AuditMode, cluster *gpu.Cluster, quantum simclock.Duration, owners *placement.Owners) *auditor {
 	return &auditor{
 		mode:    mode,
 		cluster: cluster,
 		quantum: quantum,
+		owners:  owners,
 		rep:     AuditReport{Mode: mode, Counts: make(map[string]int)},
 		busyGen: make(map[gpu.Generation]float64),
 	}
@@ -205,37 +207,40 @@ func (a *auditor) beginRound(round int, now simclock.Time, caps map[gpu.Generati
 
 // checkAssignment audits the concrete device placement of one round:
 // gang integrity, capacity, double placement, and failed servers.
-func (a *auditor) checkAssignment(asg placement.Assignment, active map[job.ID]*job.Job, down, quarantined map[gpu.ServerID]bool) {
+// placed is the round's execute list — the assignment in job-ID order,
+// each entry an index into jobs — so violations come out in a
+// deterministic order, and the whole check is O(placed devices) with
+// no hashing (unless servers are out) and no allocation.
+func (a *auditor) checkAssignment(placed []placedJob, jobs []*job.Job, down, quarantined map[gpu.ServerID]bool) {
 	if !a.on() {
 		return
 	}
-	used := make(map[gpu.DeviceID]job.ID, len(asg))
-	width := make(map[gpu.Generation]int)
-	for id, devs := range asg {
-		j := active[id]
-		if j == nil {
-			a.violate(InvGang, "job %d placed but not active", id)
-			continue
-		}
-		a.rep.Checks++
+	a.owners.Begin()
+	serversOut := len(down) > 0 || len(quarantined) > 0
+	var width [gpu.NumGenerations]int
+	for _, p := range placed {
+		j, devs := jobs[p.pos], p.devs
+		id := j.ID
+		a.rep.Checks += 1 + len(devs)
 		if len(devs) != j.Gang {
 			a.violate(InvGang, "job %d holds %d devices, gang is %d", id, len(devs), j.Gang)
 		}
-		var gen gpu.Generation
-		if len(devs) > 0 {
-			gen = a.cluster.Device(devs[0]).Gen
-			width[gen] += len(devs)
+		if len(devs) == 0 {
+			continue
 		}
+		gen := a.cluster.Device(devs[0]).Gen
+		width[gen] += len(devs)
 		for _, d := range devs {
 			dev := a.cluster.Device(d)
-			a.rep.Checks++
 			if dev.Gen != gen {
 				a.violate(InvGang, "job %d spans generations %v and %v", id, gen, dev.Gen)
 			}
-			if prev, dup := used[d]; dup {
+			if prev, dup := a.owners.Claim(d, id); dup {
 				a.violate(InvDoublePlace, "device %d held by jobs %d and %d", d, prev, id)
 			}
-			used[d] = id
+			if !serversOut {
+				continue
+			}
 			if down[dev.Server] {
 				a.violate(InvDownServer, "job %d placed on failed server %d (device %d)", id, dev.Server, d)
 			}
@@ -243,14 +248,17 @@ func (a *auditor) checkAssignment(asg placement.Assignment, active map[job.ID]*j
 				a.violate(InvQuarantine, "job %d placed on quarantined server %d (device %d)", id, dev.Server, d)
 			}
 		}
-		if len(devs) > 0 && !j.Perf.FitsOn(gen) {
+		if !j.Perf.FitsOn(gen) {
 			a.violate(InvGang, "job %d (%s) placed on unusable generation %v", id, j.Perf.Model, gen)
 		}
 	}
 	for g, w := range width {
+		if w == 0 {
+			continue
+		}
 		a.rep.Checks++
-		if w > a.caps[g] {
-			a.violate(InvCapacity, "%d GPUs placed on %v, capacity %d", w, g, a.caps[g])
+		if gen := gpu.Generation(g); w > a.caps[gen] {
+			a.violate(InvCapacity, "%d GPUs placed on %v, capacity %d", w, gen, a.caps[gen])
 		}
 	}
 }

@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/placement"
 	"repro/internal/workload"
 )
 
 // mkAuditor builds a strict auditor over a small cluster with one
 // active gang-1 job, returning both plus the job's device assignment.
-func mkAuditor(t *testing.T) (*auditor, map[job.ID]*job.Job, []gpu.DeviceID) {
+func mkAuditor(t *testing.T) (*auditor, []*job.Job, []gpu.DeviceID) {
 	t.Helper()
 	cl := gpu.MustNew(gpu.Spec{Gen: gpu.K80, Servers: 2, GPUsPerSrv: 2})
 	specs := workload.BatchJobs("u", workload.DefaultZoo().MustGet("vae"), 1, 1, 1)
@@ -19,28 +20,24 @@ func mkAuditor(t *testing.T) (*auditor, map[job.ID]*job.Job, []gpu.DeviceID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := newAuditor(AuditStrict, cl, 360)
+	a := newAuditor(AuditStrict, cl, 360, placement.NewOwners(cl))
 	a.beginRound(1, 0, map[gpu.Generation]int{gpu.K80: 4}, nil)
-	return a, map[job.ID]*job.Job{j.ID: j}, cl.Server(0).Devices
+	return a, []*job.Job{j}, cl.Server(0).Devices
 }
 
 func TestAuditQuarantineInvariant(t *testing.T) {
-	a, active, devs := mkAuditor(t)
-	var id job.ID
-	for i := range active {
-		id = i
-	}
-	asg := map[job.ID][]gpu.DeviceID{id: devs[:1]}
+	a, jobs, devs := mkAuditor(t)
+	placed := []placedJob{{pos: 0, devs: devs[:1]}}
 
 	// Placement on a healthy, unquarantined server is clean.
-	a.checkAssignment(asg, active, nil, nil)
+	a.checkAssignment(placed, jobs, nil, nil)
 	if n := a.rep.Counts[InvQuarantine]; n != 0 {
 		t.Fatalf("clean placement flagged: %d quarantine violations", n)
 	}
 
 	// The same placement with the server quarantined must violate
 	// InvQuarantine — and only it (the server is not down).
-	a.checkAssignment(asg, active, nil, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, jobs, nil, map[gpu.ServerID]bool{0: true})
 	if n := a.rep.Counts[InvQuarantine]; n != 1 {
 		t.Errorf("quarantined-server placement: %d violations, want 1", n)
 	}
@@ -50,7 +47,7 @@ func TestAuditQuarantineInvariant(t *testing.T) {
 
 	// Down and quarantined are independent invariants: both fire when
 	// both states hold.
-	a.checkAssignment(asg, active, map[gpu.ServerID]bool{0: true}, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, jobs, map[gpu.ServerID]bool{0: true}, map[gpu.ServerID]bool{0: true})
 	if a.rep.Counts[InvQuarantine] != 2 || a.rep.Counts[InvDownServer] != 1 {
 		t.Errorf("down+quarantined: got quarantine=%d down=%d, want 2 and 1",
 			a.rep.Counts[InvQuarantine], a.rep.Counts[InvDownServer])

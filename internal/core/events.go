@@ -89,22 +89,3 @@ func (e *eventCursor) forEachPendingUser(fn func(job.UserID)) {
 		fn(e.specs[i].User)
 	}
 }
-
-// insertSortedID inserts id into the sorted slice, keeping it sorted.
-func insertSortedID(ids []job.ID, id job.ID) []job.ID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-// removeSortedID removes id from the sorted slice (no-op when
-// absent).
-func removeSortedID(ids []job.ID, id job.ID) []job.ID {
-	i := sort.Search(len(ids), func(k int) bool { return ids[k] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return ids
-	}
-	return append(ids[:i], ids[i+1:]...)
-}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fairshare"
@@ -95,6 +97,20 @@ type FairPolicy struct {
 	// rounds repeat the previous round's tickets/demand/capacity, so
 	// the solve — and its map churn — amortizes away.
 	waterfill *fairshare.AllocationSolver
+
+	// Decide's scratch, kept across rounds and cleared, never rebuilt.
+	jobByID   map[job.ID]*job.Job //gflint:noretain the round's runnable jobs, for resolving a selected ID
+	scheduled map[job.ID]bool     //gflint:noretain jobs already scheduled this round
+	candBuf   []stride.Candidate  //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
+	serveBuf  []userCredit        //gflint:noretain pass 1's most-credit-first user order
+	prefBuf   []gpu.Generation    //gflint:noretain one user's generation preference
+}
+
+// userCredit is a user's total credit, snapshotted as the serve-order
+// sort key.
+type userCredit struct {
+	user   job.UserID
+	credit float64
 }
 
 type chargeInfo struct {
@@ -137,6 +153,8 @@ func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
 		lastMig:   make(map[job.ID]int),
 		pending:   make(map[job.ID]chargeInfo),
 		waterfill: fairshare.NewAllocationSolver(),
+		jobByID:   make(map[job.ID]*job.Job),
+		scheduled: make(map[job.ID]bool),
 	}, nil
 }
 
@@ -162,6 +180,10 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	byUser := groupByUser(st.Jobs)
 	users := sortedUsers(byUser)
 	caps := st.CapacityByGen()
+	clear(p.jobByID)
+	for _, j := range st.Jobs {
+		p.jobByID[j.ID] = j
+	}
 
 	// 1. Fair share.
 	st.Obs.PhaseStart(obs.PhaseWaterfill)
@@ -206,11 +228,12 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	}
 	st.Obs.PhaseEnd(obs.PhaseWaterfill)
 
-	// 2. Trading.
+	// 2. Trading. The value vectors also order each user's generation
+	// preference in pass 1, so they are computed once, trading or not.
+	vals := p.userValues(st, byUser)
 	var trades []trade.Trade
 	if p.cfg.EnableTrading {
 		st.Obs.PhaseStart(obs.PhaseTrade)
-		vals := p.userValues(st, byUser)
 		adjusted, log, err := trade.Run(alloc, vals, demand, p.cfg.Trade)
 		if err == nil {
 			alloc = adjusted
@@ -245,12 +268,13 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	p.noMigrate = st.MigrationDisabled
 	p.pinned = st.Pinned
 	jobTickets := fairshare.JobTickets(tickets, jobsPer)
-	remaining := make(map[gpu.Generation]int, len(caps))
+	var remaining [gpu.NumGenerations]int
 	for g, c := range caps {
 		remaining[g] = c
 	}
-	scheduled := make(map[job.ID]bool)
-	var run []placement.Request
+	scheduled := p.scheduled
+	clear(scheduled)
+	run := make([]placement.Request, 0, len(st.Jobs))
 
 	schedule := func(u job.UserID, j *job.Job, g gpu.Generation, viaCredit bool) {
 		scheduled[j.ID] = true
@@ -285,21 +309,33 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// Users are served most-credit-first: when capacity is scarce the
 	// user who has been shorted longest wins, so synchronized credit
 	// cycles cannot starve whoever happens to sort last.
-	serveOrder := make([]job.UserID, len(users))
-	copy(serveOrder, users)
-	sort.SliceStable(serveOrder, func(i, k int) bool {
-		ci, ck := p.credit[serveOrder[i]].Total(), p.credit[serveOrder[k]].Total()
-		if ci != ck {
-			return ci > ck
+	serveOrder := p.serveBuf[:0]
+	for _, u := range users {
+		serveOrder = append(serveOrder, userCredit{user: u, credit: p.credit[u].Total()})
+	}
+	p.serveBuf = serveOrder
+	slices.SortFunc(serveOrder, func(a, b userCredit) int {
+		switch {
+		case a.credit > b.credit:
+			return -1
+		case a.credit < b.credit:
+			return 1
+		default:
+			return cmp.Compare(a.user, b.user)
 		}
-		return serveOrder[i] < serveOrder[k]
 	})
-	for _, u := range serveOrder {
-		sched := p.schedFor(u)
-		pref := p.genPreference(st, byUser[u], caps)
-		for _, id := range sched.Order(candidates(byUser[u], jobTickets[u])) {
-			j := findJob(byUser[u], id)
-			g, ok := p.pickGen(j, st.PrevGen, pref, remaining, true)
+	gens := gensDesc(caps)
+	for _, su := range serveOrder {
+		u := su.user
+		pref := p.genPreference(gens, vals[u])
+		cands := p.candBuf[:0]
+		for _, j := range byUser[u] {
+			cands = append(cands, stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: jobTickets[u]})
+		}
+		p.candBuf = cands
+		for _, id := range p.schedFor(u).Order(cands) {
+			j := p.jobByID[id]
+			g, ok := p.pickGen(j, st.PrevGen, pref, &remaining, true)
 			if ok {
 				schedule(u, j, g, true)
 			}
@@ -309,12 +345,11 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// Pass 2 — work-conserving backfill of leftover capacity, charged
 	// against a global stride so no user freeloads persistently. The
 	// cooldown still applies: backfill must not cause thrash either.
-	for _, g := range gensDesc(caps) {
+	for _, g := range gens {
 		if remaining[g] <= 0 {
 			continue
 		}
-		var cands []stride.Candidate
-		var pool []*job.Job
+		cands := p.candBuf[:0]
 		for _, u := range users {
 			for _, j := range byUser[u] {
 				if scheduled[j.ID] || !j.Perf.FitsOn(g) {
@@ -327,14 +362,14 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 					continue
 				}
 				cands = append(cands, stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: jobTickets[u]})
-				pool = append(pool, j)
 			}
 		}
+		p.candBuf = cands
 		if len(cands) == 0 {
 			continue
 		}
 		for _, id := range p.backfill.Select(cands, remaining[g]) {
-			j := findJob(pool, id)
+			j := p.jobByID[id]
 			schedule(j.User, j, g, false)
 		}
 	}
@@ -347,7 +382,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 // user's preferred generations, each requiring the job to fit,
 // sufficient credit (when viaCredit), remaining capacity, and the
 // migration cooldown for generation changes.
-func (p *FairPolicy) pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining map[gpu.Generation]int, viaCredit bool) (gpu.Generation, bool) {
+func (p *FairPolicy) pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining *[gpu.NumGenerations]int, viaCredit bool) (gpu.Generation, bool) {
 	try := func(g gpu.Generation) bool {
 		if !j.Perf.FitsOn(g) || remaining[g] < j.Gang {
 			return false
@@ -416,7 +451,7 @@ func (p *FairPolicy) Executed(rep *ExecReport) {
 			}
 		}
 	}
-	p.pending = make(map[job.ID]chargeInfo)
+	clear(p.pending)
 }
 
 // JobFinished implements Policy.
@@ -499,25 +534,24 @@ func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]*job.Job
 }
 
 // genPreference orders generations for a user: profiled value per GPU
-// descending (run where your jobs gain most), newest first on ties.
-func (p *FairPolicy) genPreference(st *RoundState, js []*job.Job, caps map[gpu.Generation]int) []gpu.Generation {
-	gens := gensDesc(caps)
-	if len(js) == 0 {
-		return gens
-	}
-	vals := p.userValues(st, map[job.UserID][]*job.Job{js[0].User: js})
-	v, ok := vals[js[0].User]
-	if !ok {
-		return gens
-	}
-	sort.SliceStable(gens, func(i, k int) bool {
-		vi, vk := v[gens[i]], v[gens[k]]
-		if vi != vk {
-			return vi > vk
+// (the user's userValues vector) descending — run where your jobs gain
+// most — newest first on ties. gens is the round's gensDesc; the
+// result is the policy's scratch, good until the next call.
+//
+//gflint:noretain
+func (p *FairPolicy) genPreference(gens []gpu.Generation, v [gpu.NumGenerations]float64) []gpu.Generation {
+	pref := append(p.prefBuf[:0], gens...)
+	p.prefBuf = pref
+	slices.SortFunc(pref, func(a, b gpu.Generation) int {
+		if v[a] != v[b] {
+			if v[a] > v[b] {
+				return -1
+			}
+			return 1
 		}
-		return gens[i] > gens[k]
+		return cmp.Compare(b, a)
 	})
-	return gens
+	return pref
 }
 
 func groupByUser(jobs []*job.Job) map[job.UserID][]*job.Job {
@@ -545,21 +579,4 @@ func gensDesc(caps map[gpu.Generation]int) []gpu.Generation {
 	}
 	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	return gens
-}
-
-func candidates(js []*job.Job, tickets float64) []stride.Candidate {
-	out := make([]stride.Candidate, len(js))
-	for i, j := range js {
-		out[i] = stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: tickets}
-	}
-	return out
-}
-
-func findJob(js []*job.Job, id job.ID) *job.Job {
-	for _, j := range js {
-		if j.ID == id {
-			return j
-		}
-	}
-	panic(fmt.Sprintf("core: selected job %d not in candidate pool", id))
 }

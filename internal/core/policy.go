@@ -29,9 +29,10 @@ type RoundState struct {
 	Cluster *gpu.Cluster
 
 	// Jobs lists all runnable (arrived, unfinished) jobs in ID order.
-	// Policies must not mutate them, and must not retain the slice
-	// past Decide — the engine reuses its backing array every round.
-	//gflint:noretain backing array reused by the engine every round
+	// Policies must not mutate them or the slice, and must not retain
+	// the slice past Decide — it is the engine's own live list, which
+	// it compacts in place when jobs retire.
+	//gflint:noretain the engine's live list, compacted in place every round
 	Jobs []*job.Job
 
 	// Tickets are the per-user fair-share weights.
@@ -74,11 +75,20 @@ type RoundState struct {
 	// methods are nil-safe, so policies may call it unconditionally to
 	// time sub-phases (waterfill, trade) and explain their choices.
 	Obs *obs.Observer
+
+	// caps is the round's CapacityByGen result, set by the engine once
+	// it has computed it so the policy's call does not recompute it.
+	caps map[gpu.Generation]int
 }
 
 // CapacityByGen returns per-generation GPU counts net of failed
-// servers — the capacity policies must plan against.
+// servers — the capacity policies must plan against. Callers must not
+// mutate the result: the engine plans and audits the round against
+// the same map.
 func (st *RoundState) CapacityByGen() map[gpu.Generation]int {
+	if st.caps != nil {
+		return st.caps
+	}
 	caps := st.Cluster.CapacityByGen()
 	seen := make(map[gpu.ServerID]bool, len(st.Down)+len(st.Quarantined))
 	subtract := func(m map[gpu.ServerID]bool) {
@@ -134,8 +144,11 @@ type RanInfo struct {
 
 // ExecReport tells the policy what actually happened in the round
 // (jobs can lose time to migration or finish early, and fragmentation
-// can leave a requested job unplaced).
+// can leave a requested job unplaced). Policies must not retain the
+// report or its Ran map past Executed — the engine clears and refills
+// the same map every round.
 type ExecReport struct {
+	//gflint:noretain cleared and refilled by the engine every round
 	Ran      map[job.ID]RanInfo
 	Unplaced []job.ID
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fairshare"
@@ -382,14 +384,14 @@ type Sim struct {
 
 	evq      *eventCursor // arrivals and ticket changes, time-ordered
 	active   map[job.ID]*job.Job
-	finished []*job.Job
+	finished []*job.Job // in retirement order; result() sorts by finish time
 
-	// activeIDs mirrors s.active's key set in sorted order, maintained
-	// on admission and retirement. Every ID-ordered walk in the round
-	// loop (crash draws, RoundState.Jobs, the retirement sweep, the
-	// execute order) reads it instead of rebuilding and re-sorting the
-	// map's keys — same iteration order, no per-round sort.
-	activeIDs []job.ID
+	// jobs is s.active's values in job-ID order, inserted on admission
+	// and compacted by the retirement sweep. It is the round's
+	// RoundState.Jobs, and every ID-ordered walk in the round loop
+	// (crash draws, the execute order, the retirement sweep) reads it;
+	// a job's per-round state is its index here, not a map entry.
+	jobs []*job.Job //gflint:noretain compacted in place every round
 
 	// Incremental-engine state (nil under EngineRescan).
 	incremental bool
@@ -397,11 +399,16 @@ type Sim struct {
 	idxUnavail  map[gpu.ServerID]bool // unavail set currently applied to pidx
 	fairSolver  *fairshare.Solver     // dirty-set water-filler for the fairness reference
 
+	// owners is the one device-owner table behind placement validation
+	// and the auditor's double-placement check.
+	owners *placement.Owners
+
 	// Per-round scratch reused across rounds (contents die at round end).
-	jobsBuf   []*job.Job //gflint:noretain per-round scratch
-	placedBuf []job.ID   //gflint:noretain per-round scratch
-	retireBuf []job.ID   //gflint:noretain per-round scratch
-	pinBuf    []job.ID   //gflint:noretain per-round scratch
+	placedBuf    []placedJob     //gflint:noretain per-round scratch
+	migFailedBuf []job.ID        //gflint:noretain per-round scratch
+	pinBuf       []job.ID        //gflint:noretain per-round scratch
+	seenBuf      map[job.ID]bool //gflint:noretain checkDecision's duplicate set, cleared per round
+	execRep      ExecReport      //gflint:noretain the report handed to Policy.Executed; Ran is cleared per round
 
 	prev    placement.Assignment
 	prevGen map[job.ID]gpu.Generation
@@ -439,6 +446,13 @@ type Sim struct {
 	quarTrips   int
 }
 
+// placedJob is one entry of the round's execute list: a placed job as
+// its index into Sim.jobs, with the devices it holds.
+type placedJob struct {
+	pos  int
+	devs []gpu.DeviceID
+}
+
 // New builds a simulation for a policy. The config is validated.
 func New(cfg Config, policy Policy) (*Sim, error) {
 	if policy == nil {
@@ -452,6 +466,7 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
+	owners := placement.NewOwners(cfg.Cluster)
 	s := &Sim{
 		cfg:       cfg,
 		clock:     simclock.New(),
@@ -470,7 +485,10 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 		busyByGen: make(map[gpu.Generation]float64),
 		capByGen:  make(map[gpu.Generation]float64),
 		down:      make(map[gpu.ServerID]bool),
-		aud:       newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum),
+		owners:    owners,
+		seenBuf:   make(map[job.ID]bool),
+		execRep:   ExecReport{Ran: make(map[job.ID]RanInfo)},
+		aud:       newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
 		obs:       cfg.Obs,
 	}
 	// Satellite of the fault model: the declared failure list is
@@ -588,7 +606,8 @@ func (s *Sim) admitArrivals() {
 			panic(fmt.Sprintf("core: validated spec rejected: %v", err)) // unreachable
 		}
 		s.active[j.ID] = j
-		s.activeIDs = insertSortedID(s.activeIDs, j.ID)
+		at, _ := slices.BinarySearchFunc(s.jobs, j.ID, func(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) })
+		s.jobs = slices.Insert(s.jobs, at, j)
 		if s.fairSolver != nil {
 			s.fairSolver.AddDemand(j.User, float64(j.Gang))
 		}
@@ -632,15 +651,14 @@ func (s *Sim) runRound() error {
 	if s.faultsOn {
 		faultLoss = make(map[job.UserID]float64)
 		roundOcc = make(map[job.UserID]float64)
-		for _, id := range s.activeIDs {
-			j := s.active[id]
+		for _, j := range s.jobs {
 			if j.Finished() || !j.RanLastQuantum() {
 				continue
 			}
 			if s.finj.CrashNow() {
 				lost := j.Crash()
 				s.crashes++
-				s.log.Add(now, trace.KindJobCrash, id, j.User,
+				s.log.Add(now, trace.KindJobCrash, j.ID, j.User,
 					fmt.Sprintf("lostMB=%.1f crashes=%d", lost, j.Crashes()))
 				s.obs.NoteFault("job-crash")
 			}
@@ -671,15 +689,11 @@ func (s *Sim) runRound() error {
 		}
 	}
 
-	s.jobsBuf = s.jobsBuf[:0]
-	for _, id := range s.activeIDs {
-		s.jobsBuf = append(s.jobsBuf, s.active[id])
-	}
 	st := &RoundState{
 		Now:     now,
 		Quantum: s.cfg.Quantum,
 		Cluster: s.cfg.Cluster,
-		Jobs:    s.jobsBuf,
+		Jobs:    s.jobs,
 		Tickets: s.tickets,
 		Prof:    s.prof,
 		PrevGen: s.prevGen,
@@ -692,6 +706,7 @@ func (s *Sim) runRound() error {
 		Obs:               s.obs,
 	}
 	capNow := st.CapacityByGen()
+	st.caps = capNow // the policy's CapacityByGen call reuses it
 	s.aud.beginRound(s.rounds, now, capNow, s.tickets)
 	if s.cfg.AuditDrillRound == s.rounds && s.aud.on() {
 		s.aud.violate(InvDrill, "operator-requested audit drill")
@@ -758,16 +773,43 @@ func (s *Sim) runRound() error {
 		res = placement.Place(s.cfg.Cluster, s.prev, dec.Run,
 			placement.Options{AllowMigration: !s.cfg.DisableMigration, Down: unavail, Pinned: pinned})
 	}
-	if err := placement.Validate(s.cfg.Cluster, res.Assignment); err != nil {
-		return fmt.Errorf("core: round %d: %w", s.rounds, err)
+	// The round's execute list, in job-ID order, not assignment-map
+	// order: executeJob consumes draws from the shared profiling RNG, so
+	// the processing order decides which job sees which noise sample.
+	// Map iteration order varies between processes and would make runs
+	// with the same seed diverge. s.jobs is already sorted; filtering it
+	// against the assignment yields the same order a fresh sort would.
+	// Each job's devices are validated on the way, so the first
+	// violation reported is the lowest job ID's.
+	placed := s.placedBuf[:0]
+	s.owners.Begin()
+	for i, j := range s.jobs {
+		devs, ok := res.Assignment[j.ID]
+		if !ok {
+			continue
+		}
+		if err := s.owners.ValidateJob(j.ID, devs); err != nil {
+			return fmt.Errorf("core: round %d: %w", s.rounds, err)
+		}
+		placed = append(placed, placedJob{pos: i, devs: devs})
+	}
+	s.placedBuf = placed
+	if len(placed) != len(res.Assignment) {
+		for id := range res.Assignment {
+			if s.active[id] == nil {
+				return fmt.Errorf("core: placement returned unknown job %d", id)
+			}
+		}
 	}
 	s.obs.PhaseEnd(obs.PhasePlacement)
 
 	// Migration-failure injection: each migration attempt may fail —
 	// the job pays the copy cost on its reserved target devices but
 	// stays put, retrying later under capped exponential backoff. Draws
-	// happen in res.Migrated order, which placement emits sorted.
-	migFailedNow := make(map[job.ID]bool)
+	// happen in res.Migrated order, which placement emits sorted — so
+	// migFailed comes out sorted too.
+	s.obs.PhaseStart(obs.PhaseMigrate)
+	migFailed := s.migFailedBuf[:0]
 	if s.finj != nil && len(res.Migrated) > 0 {
 		kept := res.Migrated[:0]
 		for _, id := range res.Migrated {
@@ -799,7 +841,7 @@ func (s *Sim) runRound() error {
 			s.migFailures++
 			backoff := faults.Backoff(s.fcfg, s.migFails[id])
 			s.pinnedUntil[id] = s.rounds + backoff
-			migFailedNow[id] = true
+			migFailed = append(migFailed, id)
 			delete(res.Assignment, id)
 			res.Unplaced = append(res.Unplaced, id)
 			s.log.Add(now, trace.KindMigFail, id, j.User,
@@ -807,63 +849,46 @@ func (s *Sim) runRound() error {
 			s.obs.NoteFault("migration-fail")
 		}
 		res.Migrated = kept
-		sort.Slice(res.Unplaced, func(i, j int) bool { return res.Unplaced[i] < res.Unplaced[j] })
+		slices.Sort(res.Unplaced)
+		placed = slices.DeleteFunc(placed, func(p placedJob) bool { // the failed movers do not run
+			_, failed := slices.BinarySearch(migFailed, s.jobs[p.pos].ID)
+			return failed
+		})
 	}
-
-	s.obs.PhaseStart(obs.PhaseAudit)
-	s.aud.checkAssignment(res.Assignment, s.active, down, quar)
-	s.obs.PhaseEnd(obs.PhaseAudit)
-
-	s.obs.PhaseStart(obs.PhaseMigrate)
-	migrated := make(map[job.ID]bool, len(res.Migrated))
-	for _, id := range res.Migrated {
-		migrated[id] = true
-	}
+	s.migFailedBuf = migFailed
 	s.obs.PhaseEnd(obs.PhaseMigrate)
 	s.obs.NoteUnplaced(len(res.Unplaced))
 
-	rep := &ExecReport{Ran: make(map[job.ID]RanInfo, len(res.Assignment)), Unplaced: res.Unplaced}
-	ranThisRound := make(map[job.ID]bool, len(res.Assignment))
-	// Execute in job-ID order, not assignment-map order: executeJob
-	// consumes draws from the shared profiling RNG, so the processing
-	// order decides which job sees which noise sample. Map iteration
-	// order varies between processes and would make runs with the same
-	// seed diverge. activeIDs is already sorted; filtering it against
-	// the assignment yields the same order a fresh sort would.
-	placed := s.placedBuf[:0]
-	for _, id := range s.activeIDs {
-		if _, ok := res.Assignment[id]; ok {
-			placed = append(placed, id)
-		}
-	}
-	s.placedBuf = placed
-	if len(placed) != len(res.Assignment) {
-		for id := range res.Assignment {
-			if s.active[id] == nil {
-				return fmt.Errorf("core: placement returned unknown job %d", id)
-			}
-		}
-	}
+	s.obs.PhaseStart(obs.PhaseAudit)
+	s.aud.checkAssignment(placed, s.jobs, down, quar)
+	s.obs.PhaseEnd(obs.PhaseAudit)
+
+	rep := &s.execRep
+	clear(rep.Ran)
+	rep.Unplaced = res.Unplaced
 	s.obs.PhaseStart(obs.PhaseExecute)
-	for _, id := range placed {
-		devs := res.Assignment[id]
-		j := s.active[id]
+	for _, p := range placed {
+		j, devs := s.jobs[p.pos], p.devs
+		id := j.ID
 		gen := s.cfg.Cluster.Device(devs[0]).Gen
+		_, migrated := slices.BinarySearch(res.Migrated, id)
 		if s.obs != nil {
 			fromGen := ""
-			if prev, ok := s.prevGen[id]; ok && migrated[id] {
+			if prev, ok := s.prevGen[id]; ok && migrated {
 				fromGen = prev.String()
 			}
-			ints := make([]int, len(devs))
+			ints := make([]int, len(devs)) // retained by the observer's decision ring
 			for i, d := range devs {
 				ints[i] = int(d)
 			}
 			s.obs.RecordPlacement(int64(id), string(j.User), gen.String(),
-				j.Gang, ints, migrated[id], fromGen)
+				j.Gang, ints, migrated, fromGen)
 		}
-		info := s.executeJob(j, gen, devs, migrated[id])
+		info := s.executeJob(j, gen, devs, migrated)
 		rep.Ran[id] = info
-		ranThisRound[id] = true
+		if s.faultsOn {
+			roundOcc[j.User] += float64(info.Gang) * info.OccupiedSecs
+		}
 		s.prevGen[id] = gen
 	}
 	s.obs.PhaseEnd(obs.PhaseExecute)
@@ -877,10 +902,19 @@ func (s *Sim) runRound() error {
 	// ones. Walk jobs in ID order, not map order: retirement appends
 	// finish events to the trace, and map iteration would let two jobs
 	// finishing in the same round swap log positions between runs.
-	// Iterate a snapshot — retirement mutates activeIDs itself.
-	s.retireBuf = append(s.retireBuf[:0], s.activeIDs...)
-	for _, id := range s.retireBuf {
-		j := s.active[id]
+	// The sweep compacts s.jobs in place behind itself, and merges the
+	// round's assignment into s.prev, next round's stability baseline:
+	// a job that ran takes its new devices, a job that went unplaced
+	// keeps its old ones (its checkpoint state lives on that server, and
+	// the no-migration mode pins it there), a finished job drops out.
+	live := s.jobs[:0]
+	nextPlaced := 0
+	for i, j := range s.jobs {
+		id := j.ID
+		ran := nextPlaced < len(placed) && placed[nextPlaced].pos == i
+		if ran {
+			nextPlaced++
+		}
 		if j.Finished() {
 			s.finished = append(s.finished, j)
 			s.log.Add(j.FinishTime(), trace.KindFinish, id, j.User,
@@ -889,7 +923,6 @@ func (s *Sim) runRound() error {
 			s.policy.JobFinished(id)
 			s.prof.Remove(id)
 			delete(s.active, id)
-			s.activeIDs = removeSortedID(s.activeIDs, id)
 			if s.fairSolver != nil {
 				s.fairSolver.AddDemand(j.User, -float64(j.Gang))
 			}
@@ -902,7 +935,10 @@ func (s *Sim) runRound() error {
 			}
 			continue
 		}
-		ran := ranThisRound[id]
+		live = append(live, j)
+		if ran {
+			s.prev[id] = placed[nextPlaced-1].devs
+		}
 		if j.State() == job.Running && !ran {
 			j.SetRunning(false)
 			if s.faultsOn {
@@ -912,13 +948,13 @@ func (s *Sim) runRound() error {
 				s.lastCkpt[id] = now
 			}
 		}
-		if s.faultsOn && !ran && !migFailedNow[id] {
+		if s.faultsOn && !ran {
 			// A job stranded because its servers are down or quarantined
 			// loses the whole quantum of occupied share to the fault —
 			// that shortfall becomes its user's compensation debt.
 			// (Failed migrations were already charged above.)
-			if devs, ok := s.prev[id]; ok {
-				for _, d := range devs {
+			if _, migFailedNow := slices.BinarySearch(migFailed, id); !migFailedNow {
+				for _, d := range s.prev[id] {
 					if unavail[s.cfg.Cluster.Device(d).Server] {
 						faultLoss[j.User] += float64(j.Gang) * s.cfg.Quantum
 						break
@@ -928,25 +964,8 @@ func (s *Sim) runRound() error {
 		}
 		j.NoteQuantum(ran)
 	}
-	sort.Slice(s.finished, func(i, j int) bool {
-		if s.finished[i].FinishTime() != s.finished[j].FinishTime() {
-			return s.finished[i].FinishTime() < s.finished[j].FinishTime()
-		}
-		return s.finished[i].ID < s.finished[j].ID
-	})
-
-	// Next round's stability baseline: the latest placement of every
-	// still-active job. Jobs that went unplaced this round keep their
-	// old placement — their checkpoint state lives on that server, and
-	// the no-migration mode pins them to it. The retirement sweep above
-	// already dropped finished jobs from s.prev, so merging the round's
-	// assignment in place (skipping jobs that finished this quantum)
-	// completes the update without rebuilding the map.
-	for id, devs := range res.Assignment {
-		if _, alive := s.active[id]; alive {
-			s.prev[id] = devs
-		}
-	}
+	clear(s.jobs[len(live):]) // drop the retired jobs' pointers
+	s.jobs = live
 
 	s.policy.Executed(rep)
 	if s.faultsOn {
@@ -955,11 +974,6 @@ func (s *Sim) runRound() error {
 		// other jobs soaked up their full water-filled share lost nothing
 		// in the fairness currency, and compensating the per-job loss
 		// anyway would push them above the reference.
-		for _, id := range placed {
-			if info, ok := rep.Ran[id]; ok {
-				roundOcc[info.User] += float64(info.Gang) * info.OccupiedSecs
-			}
-		}
 		for _, u := range job.SortedUsers(faultLoss) {
 			shortfall := roundFair[u] - roundOcc[u]
 			if shortfall < 0 {
@@ -1312,8 +1326,9 @@ func sortedJobIDsInt(m map[job.ID]int, buf []job.ID) []job.ID {
 // no duplicates, per-generation gang totals within capacity, and
 // every job placed on a generation it fits.
 func (s *Sim) checkDecision(dec Decision, caps map[gpu.Generation]int) error {
-	seen := make(map[job.ID]bool, len(dec.Run))
-	width := make(map[gpu.Generation]int)
+	seen := s.seenBuf
+	clear(seen)
+	var width [gpu.NumGenerations]int
 	for _, r := range dec.Run {
 		if r.Job == nil {
 			return fmt.Errorf("core: policy returned nil job")
@@ -1332,8 +1347,8 @@ func (s *Sim) checkDecision(dec Decision, caps map[gpu.Generation]int) error {
 		width[r.Gen] += r.Job.Gang
 	}
 	for g, w := range width {
-		if w > caps[g] {
-			return fmt.Errorf("core: policy overcommitted %v: %d > %d", g, w, caps[g])
+		if gen := gpu.Generation(g); w > caps[gen] {
+			return fmt.Errorf("core: policy overcommitted %v: %d > %d", gen, w, caps[gen])
 		}
 	}
 	return nil
@@ -1377,6 +1392,14 @@ func (s *Sim) computeSLO() metrics.SLO {
 }
 
 func (s *Sim) result() *Result {
+	// Completion order: nothing reads s.finished before this point, so
+	// it is sorted once here, not after every round's retirements.
+	sort.Slice(s.finished, func(i, j int) bool {
+		if s.finished[i].FinishTime() != s.finished[j].FinishTime() {
+			return s.finished[i].FinishTime() < s.finished[j].FinishTime()
+		}
+		return s.finished[i].ID < s.finished[j].ID
+	})
 	var busy, capTotal float64
 	utilByGen := make(map[gpu.Generation]metrics.Utilization, len(s.capByGen))
 	for _, g := range gpu.Generations() {

@@ -382,6 +382,7 @@ type Central struct {
 
 	agents  []agentInfo // sorted by name; fixed after WaitForAgents
 	cluster *gpu.Cluster
+	owners  *placement.Owners // device-owner table behind each round's placement validation
 	// serverOf maps cluster ServerID → agent index.
 	serverOf map[gpu.ServerID]int
 
@@ -657,6 +658,7 @@ func (c *Central) buildCluster() error {
 		return err
 	}
 	c.cluster = cluster
+	c.owners = placement.NewOwners(cluster)
 	for i, srv := range cluster.Servers() {
 		c.serverOf[srv.ID] = i
 	}
@@ -1030,7 +1032,7 @@ func (c *Central) runRound(round int) error {
 	}
 	o.PhaseStart(obs.PhasePlacement)
 	res := placement.Place(c.cluster, c.prev, dec.Run, placement.Options{AllowMigration: true, Down: down})
-	if err := placement.Validate(c.cluster, res.Assignment); err != nil {
+	if err := c.owners.Validate(res.Assignment); err != nil {
 		return err
 	}
 	o.PhaseEnd(obs.PhasePlacement)

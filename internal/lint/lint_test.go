@@ -323,8 +323,8 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			file:    "internal/placement/index.go",
 			pkg:     "./internal/placement",
 			check:   "scratchalias",
-			old:     "idx.spanOut = out[:0]\n\tsorted := make([]gpu.DeviceID, len(out))\n\tcopy(sorted, out)\n\tsort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })\n\treturn sorted",
-			new:     "idx.spanOut = out[:0]\n\tsort.Slice(out, func(i, j int) bool { return out[i] < out[j] })\n\treturn out",
+			old:     "idx.spanOut = out[:0]\n\treturn sortedCopy(out)",
+			new:     "idx.spanOut = out[:0]\n\tslices.Sort(out)\n\treturn out",
 			flagged: "\treturn out",
 		},
 	}

@@ -22,7 +22,7 @@ package placement
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/gpu"
 )
@@ -196,16 +196,6 @@ func (idx *Index) restoreBaseline() {
 	idx.taken = idx.taken[:0]
 }
 
-// allFreeIdx reports whether every listed device is free.
-func (idx *Index) allFreeIdx(devs []gpu.DeviceID) bool {
-	for _, d := range devs {
-		if !idx.freeDev[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // PlaceIndexed is Place driven by the index instead of a cluster
 // scan. Server availability comes from the index (SetAvail), so
 // Options.Down is ignored — the caller must have synced fault state
@@ -217,23 +207,15 @@ func PlaceIndexed(idx *Index, prev Assignment, reqs []Request, opt Options) Resu
 	res := Result{Assignment: make(Assignment, len(reqs))}
 	defer idx.restoreBaseline()
 
-	// Deterministic processing order: gang desc, then job ID.
-	if cap(idx.order) < len(reqs) {
-		idx.order = make([]Request, 0, len(reqs)*2)
-	}
-	order := append(idx.order[:0], reqs...)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Job.Gang != order[j].Job.Gang {
-			return order[i].Job.Gang > order[j].Job.Gang
-		}
-		return order[i].Job.ID < order[j].Job.ID
-	})
+	idx.order = append(idx.order[:0], reqs...)
+	order := idx.order
+	slices.SortFunc(order, byGangThenID)
 
 	// Phase 1 — stability.
 	pending := order[:0]
 	for _, r := range order {
 		devs, ok := prev[r.Job.ID]
-		if ok && len(devs) == r.Job.Gang && devicesOnGen(c, devs, r.Gen) && idx.allFreeIdx(devs) {
+		if ok && len(devs) == r.Job.Gang && devicesOnGen(c, devs, r.Gen) && allFree(idx.freeDev, devs) {
 			for _, d := range devs {
 				idx.take(d)
 			}
@@ -263,8 +245,8 @@ func PlaceIndexed(idx *Index, prev Assignment, reqs []Request, opt Options) Resu
 			res.Migrated = append(res.Migrated, r.Job.ID)
 		}
 	}
-	sort.Slice(res.Migrated, func(i, j int) bool { return res.Migrated[i] < res.Migrated[j] })
-	sort.Slice(res.Unplaced, func(i, j int) bool { return res.Unplaced[i] < res.Unplaced[j] })
+	slices.Sort(res.Migrated)
+	slices.Sort(res.Unplaced)
 	return res
 }
 
@@ -277,16 +259,8 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 		return nil
 	}
 
-	// Previous servers of the job, ascending (device IDs are dense per
-	// server, so sorted devices yield non-decreasing server IDs).
-	prevSrvs := idx.prevSrvs[:0]
-	for _, d := range prevDevs {
-		sid := c.Device(d).Server
-		if len(prevSrvs) == 0 || prevSrvs[len(prevSrvs)-1] != sid {
-			prevSrvs = append(prevSrvs, sid)
-		}
-	}
-	idx.prevSrvs = prevSrvs
+	idx.prevSrvs = appendServers(c, idx.prevSrvs[:0], prevDevs)
+	prevSrvs := idx.prevSrvs
 
 	// Single-server best fit. A previous server always beats a
 	// non-previous one; among previous servers it is fewest-free then
@@ -339,10 +313,7 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 		})
 	}
 	idx.spanOut = out[:0]
-	sorted := make([]gpu.DeviceID, len(out))
-	copy(sorted, out)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+	return sortedCopy(out)
 }
 
 // takeFrom collects server sid's n lowest-ID free devices. With a nil

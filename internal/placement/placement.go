@@ -8,8 +8,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -74,21 +75,18 @@ type Result struct {
 // in any order — big gangs are placed first internally.
 func Place(c *gpu.Cluster, prev Assignment, reqs []Request, opt Options) Result {
 	res := Result{Assignment: make(Assignment, len(reqs))}
-	free := make(map[gpu.DeviceID]bool, c.NumDevices())
-	for i := 0; i < c.NumDevices(); i++ {
-		id := gpu.DeviceID(i)
-		free[id] = !opt.Down[c.Device(id).Server]
+	free := make([]bool, c.NumDevices()) // by DeviceID
+	for _, srv := range c.Servers() {
+		if opt.Down[srv.ID] {
+			continue
+		}
+		for _, d := range srv.Devices {
+			free[d] = true
+		}
 	}
 
-	// Deterministic processing order: gang desc, then job ID.
-	order := make([]Request, len(reqs))
-	copy(order, reqs)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].Job.Gang != order[j].Job.Gang {
-			return order[i].Job.Gang > order[j].Job.Gang
-		}
-		return order[i].Job.ID < order[j].Job.ID
-	})
+	order := slices.Clone(reqs)
+	slices.SortFunc(order, byGangThenID)
 
 	// Phase 1 — stability: keep jobs exactly where they were when the
 	// previous devices still match the requested generation and gang.
@@ -123,18 +121,27 @@ func Place(c *gpu.Cluster, prev Assignment, reqs []Request, opt Options) Result 
 			res.Migrated = append(res.Migrated, r.Job.ID)
 		}
 	}
-	sort.Slice(res.Migrated, func(i, j int) bool { return res.Migrated[i] < res.Migrated[j] })
-	sort.Slice(res.Unplaced, func(i, j int) bool { return res.Unplaced[i] < res.Unplaced[j] })
+	slices.Sort(res.Migrated)
+	slices.Sort(res.Unplaced)
 	return res
+}
+
+// byGangThenID is the deterministic processing order of a round's
+// requests: gang descending, then job ID.
+func byGangThenID(a, b Request) int {
+	if a.Job.Gang != b.Job.Gang {
+		return cmp.Compare(b.Job.Gang, a.Job.Gang)
+	}
+	return cmp.Compare(a.Job.ID, b.Job.ID)
 }
 
 // findDevices picks gang devices of the requested generation:
 // best-fit on a single server if possible (preferring the job's
 // previous server, then fullest-fitting server), otherwise spanning
 // the fewest servers, most-free first.
-func findDevices(c *gpu.Cluster, free map[gpu.DeviceID]bool, r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID {
+func findDevices(c *gpu.Cluster, free []bool, r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID {
 	gang := r.Job.Gang
-	prevServers := serverSet(c, prevDevs)
+	prevServers := appendServers(c, nil, prevDevs)
 
 	type srvFree struct {
 		id   gpu.ServerID
@@ -172,7 +179,7 @@ func findDevices(c *gpu.Cluster, free map[gpu.DeviceID]bool, r Request, prevDevs
 			continue
 		}
 		bi, si := servers[best], s
-		biPrev, siPrev := prevServers[bi.id], prevServers[si.id]
+		biPrev, siPrev := slices.Contains(prevServers, bi.id), slices.Contains(prevServers, si.id)
 		switch {
 		case siPrev && !biPrev:
 			best = i
@@ -190,11 +197,11 @@ func findDevices(c *gpu.Cluster, free map[gpu.DeviceID]bool, r Request, prevDevs
 
 	// Spanning: greedily take from the most-free servers so the gang
 	// touches as few machines as possible.
-	sort.Slice(servers, func(i, j int) bool {
-		if len(servers[i].devs) != len(servers[j].devs) {
-			return len(servers[i].devs) > len(servers[j].devs)
+	slices.SortFunc(servers, func(a, b srvFree) int {
+		if len(a.devs) != len(b.devs) {
+			return cmp.Compare(len(b.devs), len(a.devs))
 		}
-		return servers[i].id < servers[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	var out []gpu.DeviceID
 	need := gang
@@ -214,32 +221,95 @@ func findDevices(c *gpu.Cluster, free map[gpu.DeviceID]bool, r Request, prevDevs
 
 // ServersUsed returns how many distinct servers a device set spans.
 func ServersUsed(c *gpu.Cluster, devs []gpu.DeviceID) int {
-	return len(serverSet(c, devs))
+	var buf [8]gpu.ServerID
+	return len(appendServers(c, buf[:0], devs))
+}
+
+// Owners is the device-owner table behind Validate and the engine
+// auditor's double-placement check: which job claimed each device
+// during the current pass. DeviceIDs are dense, so the table is two
+// slices indexed by DeviceID, and a pass opens by bumping the epoch
+// instead of clearing: an entry counts only while its stamp equals the
+// current epoch. An engine keeps one table for every pass it makes, so
+// checking a round costs O(placed devices) with no hashing and no
+// allocation. Not safe for concurrent use.
+type Owners struct {
+	c     *gpu.Cluster
+	epoch uint32
+	stamp []uint32 //gflint:noretain by DeviceID: epoch of the device's last claim
+	owner []job.ID //gflint:noretain by DeviceID: the claimant, valid while stamp == epoch
+}
+
+// NewOwners sizes an owner table for the cluster.
+func NewOwners(c *gpu.Cluster) *Owners {
+	return &Owners{
+		c:     c,
+		stamp: make([]uint32, c.NumDevices()),
+		owner: make([]job.ID, c.NumDevices()),
+	}
+}
+
+// Begin opens a new pass: every earlier claim is forgotten.
+func (o *Owners) Begin() {
+	o.epoch++
+	if o.epoch == 0 { // wrapped: stale stamps could collide with reused epochs
+		clear(o.stamp)
+		o.epoch = 1
+	}
+}
+
+// Claim records job id as the holder of device d in the current pass
+// and returns the holder it displaced, if the pass had one. d must be
+// a device of the cluster.
+func (o *Owners) Claim(d gpu.DeviceID, id job.ID) (prev job.ID, dup bool) {
+	if o.stamp[d] == o.epoch {
+		prev, dup = o.owner[d], true
+	}
+	o.stamp[d], o.owner[d] = o.epoch, id
+	return prev, dup
 }
 
 // Validate checks assignment invariants against the cluster: no
 // device assigned twice and every job's devices sharing one
-// generation. It returns the first violation.
+// generation. It returns the first violation. Callers that validate
+// every round keep an Owners and use its methods instead.
 func Validate(c *gpu.Cluster, a Assignment) error {
-	used := make(map[gpu.DeviceID]job.ID)
+	return NewOwners(c).Validate(a)
+}
+
+// Validate is the package-level Validate run as one pass over the
+// table.
+func (o *Owners) Validate(a Assignment) error {
+	o.Begin()
 	for id, devs := range a {
-		if len(devs) == 0 {
-			return fmt.Errorf("placement: job %d assigned zero devices", id)
+		if err := o.ValidateJob(id, devs); err != nil {
+			return err
 		}
-		for _, d := range devs {
-			if int(d) < 0 || int(d) >= c.NumDevices() {
-				return fmt.Errorf("placement: job %d holds unknown device %d", id, d)
-			}
+	}
+	return nil
+}
+
+// ValidateJob is one job's share of Validate within the current pass:
+// the job holds at least one device, all of them known and of one
+// generation, and none claimed earlier in the pass. A caller with its
+// own ordered view of an assignment (the engine walks jobs by ID)
+// calls Begin once and then this per job.
+func (o *Owners) ValidateJob(id job.ID, devs []gpu.DeviceID) error {
+	if len(devs) == 0 {
+		return fmt.Errorf("placement: job %d assigned zero devices", id)
+	}
+	for _, d := range devs {
+		if int(d) < 0 || int(d) >= o.c.NumDevices() {
+			return fmt.Errorf("placement: job %d holds unknown device %d", id, d)
 		}
-		gen := c.Device(devs[0]).Gen
-		for _, d := range devs {
-			if c.Device(d).Gen != gen {
-				return fmt.Errorf("placement: job %d mixes generations", id)
-			}
-			if prev, dup := used[d]; dup {
-				return fmt.Errorf("placement: device %d assigned to jobs %d and %d", d, prev, id)
-			}
-			used[d] = id
+	}
+	gen := o.c.Device(devs[0]).Gen
+	for _, d := range devs {
+		if o.c.Device(d).Gen != gen {
+			return fmt.Errorf("placement: job %d mixes generations", id)
+		}
+		if prev, dup := o.Claim(d, id); dup {
+			return fmt.Errorf("placement: device %d assigned to jobs %d and %d", d, prev, id)
 		}
 	}
 	return nil
@@ -269,7 +339,7 @@ func devicesOnGen(c *gpu.Cluster, devs []gpu.DeviceID, g gpu.Generation) bool {
 	return true
 }
 
-func allFree(free map[gpu.DeviceID]bool, devs []gpu.DeviceID) bool {
+func allFree(free []bool, devs []gpu.DeviceID) bool {
 	for _, d := range devs {
 		if !free[d] {
 			return false
@@ -278,36 +348,46 @@ func allFree(free map[gpu.DeviceID]bool, devs []gpu.DeviceID) bool {
 	return true
 }
 
-func take(free map[gpu.DeviceID]bool, devs []gpu.DeviceID) {
+func take(free []bool, devs []gpu.DeviceID) {
 	for _, d := range devs {
 		free[d] = false
 	}
 }
 
-func serverSet(c *gpu.Cluster, devs []gpu.DeviceID) map[gpu.ServerID]bool {
-	m := make(map[gpu.ServerID]bool, len(devs))
+// appendServers appends the distinct servers of devs to dst in
+// ascending order. Device IDs are dense per server, so the sorted
+// slices an Assignment holds are already grouped by ascending server
+// and cost one pass; any other order is sorted afterwards.
+func appendServers(c *gpu.Cluster, dst []gpu.ServerID, devs []gpu.DeviceID) []gpu.ServerID {
+	base := len(dst)
+	ascending := true
 	for _, d := range devs {
-		m[c.Device(d).Server] = true
+		sid := c.Device(d).Server
+		if n := len(dst); n > base {
+			if dst[n-1] == sid {
+				continue
+			}
+			if dst[n-1] > sid {
+				ascending = false
+			}
+		}
+		dst = append(dst, sid)
 	}
-	return m
+	if !ascending {
+		slices.Sort(dst[base:])
+		dst = dst[:base+len(slices.Compact(dst[base:]))]
+	}
+	return dst
 }
 
+// sameServers reports whether two device sets span the same servers.
 func sameServers(c *gpu.Cluster, a, b []gpu.DeviceID) bool {
-	sa, sb := serverSet(c, a), serverSet(c, b)
-	if len(sa) != len(sb) {
-		return false
-	}
-	for s := range sa {
-		if !sb[s] {
-			return false
-		}
-	}
-	return true
+	var bufA, bufB [8]gpu.ServerID
+	return slices.Equal(appendServers(c, bufA[:0], a), appendServers(c, bufB[:0], b))
 }
 
 func sortedCopy(devs []gpu.DeviceID) []gpu.DeviceID {
-	out := make([]gpu.DeviceID, len(devs))
-	copy(out, devs)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(devs)
+	slices.Sort(out)
 	return out
 }

@@ -26,8 +26,9 @@
 package stride
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -68,6 +69,17 @@ type Candidate struct {
 type Scheduler struct {
 	mode Mode
 	pass map[job.ID]float64
+	keys []ranked //gflint:noretain scratch of rank, overwritten by the next Order or Select
+}
+
+// ranked is one candidate's sort key. The pass value is snapshotted
+// when the candidate registers, so ordering compares plain fields and
+// looks nothing up.
+type ranked struct {
+	pass  float64
+	gang  int
+	id    job.ID
+	joins bool // unknown until this call: joins at the minimum pass
 }
 
 // New returns an empty scheduler in the given mode.
@@ -104,35 +116,34 @@ func (s *Scheduler) Select(cands []Candidate, capacity int) []job.ID {
 	if capacity <= 0 || len(cands) == 0 {
 		return nil
 	}
-	order := s.Order(cands)
-	gangOf := make(map[job.ID]int, len(cands))
-	for _, c := range cands {
-		gangOf[c.ID] = c.Gang
-	}
-
-	var selected []job.ID
+	keys := s.rank(cands)
+	n := 0
 	remaining := capacity
-	for _, id := range order {
+	for _, k := range keys {
 		if remaining == 0 {
 			break
 		}
-		if gangOf[id] > remaining {
+		if k.gang > remaining {
 			if s.mode == NaiveBlocking {
 				break
 			}
 			continue
 		}
-		selected = append(selected, id)
-		remaining -= gangOf[id]
+		keys[n] = k
+		n++
+		remaining -= k.gang
 	}
-	sort.Slice(selected, func(i, j int) bool {
-		gi, gj := gangOf[selected[i]], gangOf[selected[j]]
-		if gi != gj {
-			return gi > gj
+	if n == 0 {
+		return nil
+	}
+	selected := keys[:n]
+	slices.SortFunc(selected, func(a, b ranked) int {
+		if a.gang != b.gang {
+			return cmp.Compare(b.gang, a.gang)
 		}
-		return selected[i] < selected[j]
+		return cmp.Compare(a.id, b.id)
 	})
-	return selected
+	return rankedIDs(selected)
 }
 
 // Order registers candidates (applying the same join rule as Select)
@@ -144,40 +155,59 @@ func (s *Scheduler) Order(cands []Candidate) []job.ID {
 	if len(cands) == 0 {
 		return nil
 	}
-	minPass := 0.0
-	found := false
+	return rankedIDs(s.rank(cands))
+}
+
+// rank registers the candidates — unknown ones join at the minimum
+// pass among the known — and returns the schedulable ones (positive
+// gang and tickets) in priority order. The result is the scheduler's
+// scratch, overwritten by the next call.
+//
+//gflint:noretain
+func (s *Scheduler) rank(cands []Candidate) []ranked {
+	keys := s.keys[:0]
+	minPass, found := 0.0, false
 	for _, c := range cands {
-		if p, ok := s.pass[c.ID]; ok {
-			if !found || p < minPass {
-				minPass = p
-				found = true
-			}
+		p, ok := s.pass[c.ID]
+		if ok && (!found || p < minPass) {
+			minPass, found = p, true
 		}
+		keys = append(keys, ranked{pass: p, gang: c.Gang, id: c.ID, joins: !ok})
 	}
-	for _, c := range cands {
-		if _, ok := s.pass[c.ID]; !ok {
-			s.pass[c.ID] = minPass
+	n := 0
+	for i, c := range cands {
+		k := keys[i]
+		if k.joins {
+			k.pass = minPass
+			s.pass[k.id] = minPass
 		}
-	}
-	order := make([]Candidate, 0, len(cands))
-	for _, c := range cands {
 		if c.Gang > 0 && c.Tickets > 0 {
-			order = append(order, c)
+			keys[n] = k
+			n++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		pi, pj := s.pass[order[i].ID], s.pass[order[j].ID]
-		if pi != pj {
-			return pi < pj
+	s.keys = keys
+	keys = keys[:n]
+	slices.SortFunc(keys, func(a, b ranked) int {
+		switch {
+		case a.pass != b.pass:
+			if a.pass < b.pass {
+				return -1
+			}
+			return 1
+		case a.gang != b.gang:
+			return cmp.Compare(b.gang, a.gang)
+		default:
+			return cmp.Compare(a.id, b.id)
 		}
-		if order[i].Gang != order[j].Gang {
-			return order[i].Gang > order[j].Gang
-		}
-		return order[i].ID < order[j].ID
 	})
-	ids := make([]job.ID, len(order))
-	for i, c := range order {
-		ids[i] = c.ID
+	return keys
+}
+
+func rankedIDs(keys []ranked) []job.ID {
+	ids := make([]job.ID, len(keys))
+	for i, k := range keys {
+		ids[i] = k.id
 	}
 	return ids
 }
