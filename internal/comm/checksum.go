@@ -1,47 +1,141 @@
 package comm
 
 import (
-	"encoding/gob"
 	"fmt"
-	"hash/fnv"
-	"io"
+	"math"
+	"slices"
 	"sync"
+
+	"repro/internal/obs/span"
 )
 
-// encodeMessage gob-encodes m (as an interface value, so the concrete
-// type must be registered) into w.
-func encodeMessage(w io.Writer, m Message) error {
-	if m == nil {
-		return fmt.Errorf("comm: nil message")
+// sum64 is an inlined FNV-64a state (hash/fnv's New64a allocates). The
+// methods feed it the canonical field encoding Checksum is defined
+// over: integers and float bits as eight little-endian bytes, strings
+// and slices prefixed with their length so adjacent fields cannot
+// trade bytes.
+type sum64 uint64
+
+const (
+	fnvOffset64 sum64 = 14695981039346656037
+	fnvPrime64  sum64 = 1099511628211
+)
+
+func (h sum64) u64(v uint64) sum64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ sum64(byte(v))) * fnvPrime64
+		v >>= 8
 	}
-	return gob.NewEncoder(w).Encode(&m)
+	return h
 }
 
-// Checksum returns the FNV-64a hash of m's gob encoding. Gob encoding
-// of the registered protocol structs is deterministic (a fresh
-// encoder always emits the same type preamble for the same concrete
-// type), so sender and receiver compute identical sums for identical
-// payloads. Messages gob cannot encode (unregistered test doubles,
-// nil) return an error; callers treat them as unsealable.
+func (h sum64) int(v int) sum64 { return h.u64(uint64(int64(v))) }
+
+func (h sum64) bool(v bool) sum64 {
+	if v {
+		return h.u64(1)
+	}
+	return h.u64(0)
+}
+
+// f64 hashes the IEEE bits, with -0 folded into +0: gob omits zero
+// struct fields by value, so a negative zero arrives as a positive one.
+func (h sum64) f64(v float64) sum64 {
+	if v == 0 {
+		return h.u64(0)
+	}
+	return h.u64(math.Float64bits(v))
+}
+
+func (h sum64) str(s string) sum64 {
+	h = h.int(len(s))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ sum64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func (h sum64) assignment(a *JobAssignment) sum64 {
+	h = h.u64(uint64(a.JobID)).str(a.User).str(a.Model).int(a.Gang).int(len(a.LocalGPUs))
+	for _, g := range a.LocalGPUs {
+		h = h.int(g)
+	}
+	return h.f64(a.DoneMB).f64(a.TotalMB).f64(a.GangRate).f64(a.Overhead).f64(a.Shard)
+}
+
+func (h sum64) progress(p *JobProgress) sum64 {
+	return h.u64(uint64(p.JobID)).f64(p.DoneMB).bool(p.Finished).f64(p.UsedSecs)
+}
+
+func (h sum64) span(s *span.Span) sum64 {
+	return h.u64(s.Trace).u64(uint64(s.ID)).u64(uint64(s.Parent)).str(s.Name).str(s.Proc).
+		int(s.Round).f64(s.SimAt).u64(uint64(s.StartNs)).u64(uint64(s.DurNs))
+}
+
+// Checksum returns a canonical FNV-64a hash over the fields of a
+// protocol message: a type tag, then every field in declaration order
+// (see sum64 for the encoding). It allocates nothing, and it is
+// invariant under a gob/TCP round trip — a nil slice and an empty one
+// hash alike, as do -0 and +0. Sender and receiver compute identical
+// sums for identical payloads as long as both run the same build; a
+// field added to a message must be added here (the reflection test in
+// checksum_test.go fails otherwise). Any other payload type
+// (unregistered test doubles, nil) returns an error; callers treat it
+// as unsealable.
 func Checksum(m Message) (uint64, error) {
-	h := fnv.New64a()
-	if err := encodeMessage(h, m); err != nil {
+	h := fnvOffset64
+	switch m := m.(type) {
+	case Register:
+		h = h.u64(1).str(m.Agent).int(m.Gen).int(m.GPUs)
+	case RegisterAck:
+		h = h.u64(2).bool(m.OK).str(m.Reason)
+	case RoundPlan:
+		h = h.u64(3).int(m.Round).f64(m.Quantum).int(len(m.Jobs))
+		for i := range m.Jobs {
+			h = h.assignment(&m.Jobs[i])
+		}
+		h = h.int(m.Epoch).int(m.Lease).int(m.AckRound).u64(m.Trace).u64(m.Span)
+	case RoundReport:
+		h = h.u64(4).str(m.Agent).int(m.Round).int(len(m.Jobs))
+		for i := range m.Jobs {
+			h = h.progress(&m.Jobs[i])
+		}
+		h = h.int(m.Epoch).int(len(m.Spans))
+		for i := range m.Spans {
+			h = h.span(&m.Spans[i])
+		}
+	case Shutdown:
+		h = h.u64(5)
+	default:
+		return 0, fmt.Errorf("comm: no checksum for message type %T", m)
+	}
+	return uint64(h), nil
+}
+
+// nonzero maps a zero hash to one: Sum 0 is reserved for "unsealed".
+func nonzero(sum uint64) uint64 {
+	if sum == 0 {
+		return 1
+	}
+	return sum
+}
+
+// sealSum is the value Seal stamps for a payload and Verify compares.
+func sealSum(m Message) (uint64, error) {
+	sum, err := Checksum(m)
+	if err != nil {
 		return 0, err
 	}
-	return h.Sum64(), nil
+	return nonzero(sum), nil
 }
 
-// Seal stamps e.Sum with the payload checksum. Zero is reserved to
-// mean "unsealed", so a (vanishingly unlikely) zero hash is mapped to
-// one. Sealing an unencodable payload returns the envelope unchanged
-// along with the error.
+// Seal stamps e.Sum with the payload checksum (a vanishingly unlikely
+// zero hash becomes one, see nonzero). Sealing a payload Checksum does
+// not cover returns the envelope unchanged along with the error.
 func Seal(e Envelope) (Envelope, error) {
-	sum, err := Checksum(e.Msg)
+	sum, err := sealSum(e.Msg)
 	if err != nil {
 		return e, err
-	}
-	if sum == 0 {
-		sum = 1
 	}
 	e.Sum = sum
 	return e, nil
@@ -51,19 +145,13 @@ func Seal(e Envelope) (Envelope, error) {
 // Unsealed envelopes (Sum 0) pass: sealing is opt-in, so raw
 // Transport.Send callers and old peers keep working. A sealed
 // envelope whose payload no longer hashes to Sum — corruption in
-// flight — fails, as does one whose payload became unencodable.
+// flight — fails, as does one whose payload is no protocol message.
 func Verify(e Envelope) bool {
 	if e.Sum == 0 {
 		return true
 	}
-	sum, err := Checksum(e.Msg)
-	if err != nil {
-		return false
-	}
-	if sum == 0 {
-		sum = 1
-	}
-	return sum == e.Sum
+	sum, err := sealSum(e.Msg)
+	return err == nil && sum == e.Sum
 }
 
 // Dedup detects redelivered sequenced envelopes per peer. Memory is
@@ -77,10 +165,69 @@ type Dedup struct {
 	peers  map[string]*peerSeen
 }
 
+// seqRun is a run of consecutive sequence numbers, both ends included.
+type seqRun struct{ lo, hi uint64 }
+
+// peerSeen is one peer's seen-set: everything up to floor, plus the
+// runs above it. A sender numbers its messages consecutively, so
+// in-order delivery keeps one run and grows nothing; a reordered
+// message opens a run that closes when the gap fills, a sequence
+// number the sender burnt on a failed send leaves one until the floor
+// passes it.
 type peerSeen struct {
-	seen  map[uint64]bool
-	max   uint64
-	floor uint64 // every seq <= floor counts as seen
+	runs  []seqRun // disjoint, ascending, never adjacent
+	n     int      // sequence numbers held in runs
+	floor uint64   // every seq <= floor counts as seen
+}
+
+// add records seq and reports whether it was already there.
+func (p *peerSeen) add(seq uint64) bool {
+	if seq <= p.floor {
+		return true
+	}
+	// i is the first run that starts above seq, so only run i-1 can
+	// hold seq and only runs i-1 and i can touch it.
+	i, _ := slices.BinarySearchFunc(p.runs, seq, func(r seqRun, seq uint64) int {
+		if r.lo > seq {
+			return 1
+		}
+		return -1
+	})
+	if i > 0 && seq <= p.runs[i-1].hi {
+		return true
+	}
+	below := i > 0 && p.runs[i-1].hi+1 == seq
+	above := i < len(p.runs) && seq+1 == p.runs[i].lo
+	switch {
+	case below && above:
+		p.runs[i-1].hi = p.runs[i].hi
+		p.runs = slices.Delete(p.runs, i, i+1)
+	case below:
+		p.runs[i-1].hi = seq
+	case above:
+		p.runs[i].lo = seq
+	default:
+		p.runs = slices.Insert(p.runs, i, seqRun{seq, seq})
+	}
+	p.n++
+	return false
+}
+
+// pruneTo raises the floor, forgetting the runs it swallows.
+func (p *peerSeen) pruneTo(floor uint64) {
+	p.floor = floor
+	k := 0
+	for k < len(p.runs) && p.runs[k].hi <= floor {
+		k++
+	}
+	p.runs = slices.Delete(p.runs, 0, k)
+	if len(p.runs) > 0 && p.runs[0].lo <= floor {
+		p.runs[0].lo = floor + 1
+	}
+	p.n = 0
+	for _, r := range p.runs {
+		p.n += int(r.hi - r.lo + 1)
+	}
 }
 
 // NewDedup builds a Dedup with a 4096-sequence window per peer.
@@ -98,27 +245,16 @@ func (d *Dedup) Duplicate(from string, seq uint64) bool {
 	defer d.mu.Unlock()
 	p := d.peers[from]
 	if p == nil {
-		p = &peerSeen{seen: make(map[uint64]bool)}
+		p = &peerSeen{}
 		d.peers[from] = p
 	}
-	if seq <= p.floor || p.seen[seq] {
+	if p.add(seq) {
 		return true
 	}
-	p.seen[seq] = true
-	if seq > p.max {
-		p.max = seq
-	}
-	if len(p.seen) > d.window {
-		floor := uint64(0)
-		if p.max > uint64(d.window/2) {
-			floor = p.max - uint64(d.window/2)
-		}
-		p.floor = floor
-		for s := range p.seen {
-			if s <= floor {
-				delete(p.seen, s)
-			}
-		}
+	if p.n > d.window {
+		// More than a window of distinct numbers puts the maximum
+		// above the window, so the subtraction cannot wrap.
+		p.pruneTo(p.runs[len(p.runs)-1].hi - uint64(d.window/2))
 	}
 	return false
 }

@@ -27,11 +27,11 @@ type Message interface{}
 //     duplicated or replayed delivery is detected and dropped. Zero
 //     means "unsequenced" — raw Transport.Send callers and old peers
 //     keep working, they just opt out of duplicate detection.
-//   - Sum is a checksum over the gob encoding of Msg (see Seal).
-//     Receivers call Verify before acting on a message, so payload
-//     corruption on the wire is detected and counted, never applied.
-//     Zero means "unsealed" and passes verification for the same
-//     backward-compatibility reason.
+//   - Sum is a checksum over the fields of Msg (see Checksum and
+//     Seal), independent of the wire encoding. Receivers call Verify
+//     before acting on a message, so payload corruption on the wire is
+//     detected and counted, never applied. Zero means "unsealed" and
+//     passes verification for the same backward-compatibility reason.
 type Envelope struct {
 	From string
 	Seq  uint64

@@ -100,8 +100,8 @@ func (r *Retrier) delay(n int) time.Duration {
 // checksum. Both happen once, before the first attempt, so every
 // retry of one logical send carries the same Seq — a retry that races
 // a slow first delivery is detected as a duplicate at the receiver,
-// never applied twice. Payloads gob cannot encode travel unsealed
-// (Sum 0), exactly like a raw Transport.Send.
+// never applied twice. Payloads that are not protocol messages (no
+// Checksum) travel unsealed (Sum 0), exactly like a raw Transport.Send.
 func (r *Retrier) Send(tr Transport, to string, e Envelope) error {
 	if e.Seq == 0 {
 		r.mu.Lock()

@@ -395,9 +395,8 @@ type Sim struct {
 
 	// Incremental-engine state (nil under EngineRescan).
 	incremental bool
-	pidx        *placement.Index      // free-capacity index owned by placement
-	idxUnavail  map[gpu.ServerID]bool // unavail set currently applied to pidx
-	fairSolver  *fairshare.Solver     // dirty-set water-filler for the fairness reference
+	pidx        *placement.Index  // free-capacity index owned by placement
+	fairSolver  *fairshare.Solver // dirty-set water-filler for the fairness reference
 
 	// owners is the one device-owner table behind placement validation
 	// and the auditor's double-placement check.
@@ -526,7 +525,6 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 	s.incremental = cfg.Engine == EngineIncremental
 	if s.incremental {
 		s.pidx = placement.NewIndex(cfg.Cluster)
-		s.idxUnavail = make(map[gpu.ServerID]bool)
 		s.fairSolver = fairshare.NewSolver()
 		for _, u := range job.SortedUsers(s.tickets) {
 			s.fairSolver.SetTickets(u, s.tickets[u])
@@ -764,9 +762,9 @@ func (s *Sim) runRound() error {
 	s.obs.PhaseStart(obs.PhasePlacement)
 	var res placement.Result
 	if s.incremental {
-		// The index carries availability as baseline state; feed it the
-		// delta against last round instead of passing the full down set.
-		s.syncIndexAvail(unavail)
+		// The index carries availability as baseline state and takes
+		// the delta against last round out of the full set itself.
+		s.pidx.SyncUnavail(unavail)
 		res = placement.PlaceIndexed(s.pidx, s.prev, dec.Run,
 			placement.Options{AllowMigration: !s.cfg.DisableMigration, Pinned: pinned})
 	} else {
@@ -994,24 +992,6 @@ func (s *Sim) runRound() error {
 	s.publishShares()
 	s.obs.EndRound(len(s.active), s.evq.pendingCount())
 	return err
-}
-
-// syncIndexAvail brings the placement index's baseline availability in
-// line with the round's unavailable-server set, flipping only the
-// servers whose state changed since last round.
-func (s *Sim) syncIndexAvail(unavail map[gpu.ServerID]bool) {
-	for sid := range s.idxUnavail {
-		if !unavail[sid] {
-			s.pidx.SetAvail(sid, true)
-			delete(s.idxUnavail, sid)
-		}
-	}
-	for sid := range unavail {
-		if !s.idxUnavail[sid] {
-			s.pidx.SetAvail(sid, false)
-			s.idxUnavail[sid] = true
-		}
-	}
 }
 
 // settleCompensation closes the round's failure-compensation books:

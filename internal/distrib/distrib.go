@@ -11,8 +11,10 @@
 package distrib
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -215,7 +217,8 @@ func (a *Agent) sendBacklog() error {
 // the agent's spans parent under the central round root and ride back
 // on the report.
 func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
-	rep := comm.RoundReport{Agent: a.tr.Name(), Round: plan.Round, Epoch: plan.Epoch}
+	rep := comm.RoundReport{Agent: a.tr.Name(), Round: plan.Round, Epoch: plan.Epoch,
+		Jobs: make([]comm.JobProgress, 0, len(plan.Jobs))}
 	var execSpan span.ID
 	traced := plan.Trace != 0
 	if traced {
@@ -380,23 +383,40 @@ type Central struct {
 	policy core.Policy
 	prof   *profiler.Profiler
 
-	agents  []agentInfo // sorted by name; fixed after WaitForAgents
-	cluster *gpu.Cluster
-	owners  *placement.Owners // device-owner table behind each round's placement validation
-	// serverOf maps cluster ServerID → agent index.
-	serverOf map[gpu.ServerID]int
+	// agents is sorted by name and fixed after WaitForAgents. Every
+	// agent contributes one server and gpu.New numbers servers in spec
+	// order, so agent i's server is ServerID(i): per-agent state below
+	// is a slice by that index, agentIdx resolves a name off the wire
+	// (while agents register it holds their arrival positions).
+	agents   []agentInfo
+	agentIdx map[string]int
+	cluster  *gpu.Cluster
+	pidx     *placement.Index  // free-capacity index; down agents reach it as deltas
+	owners   *placement.Owners // device-owner table behind each round's placement validation
+	probeGen gpu.Generation    // first generation present: the "profiled yet?" key
 
 	retry *comm.Retrier
 
 	now      simclock.Time
 	rounds   int // scheduling rounds executed (idle quanta excluded)
 	timeouts int
-	missed   map[string]int // consecutive missed reports per agent
+	missed   []int // by agent index: consecutive missed reports (write through setMissed)
+	nMissed  int   // agents with missed > 0; zero lets a round skip all failure bookkeeping
 	pending  []job.Spec
 	active   map[job.ID]*job.Job
+	jobs     []*job.Job //gflint:noretain active's values in job-ID order: RoundState.Jobs and every ordered walk
 	done     []*job.Job
 	prev     placement.Assignment
 	prevGen  map[job.ID]gpu.Generation
+
+	// Per-round tables, kept and cleared so a zero-fault round
+	// allocates only what it hands away (the assignment, the plan
+	// payloads, lease-window entries).
+	down    map[gpu.ServerID]bool //gflint:noretain this round's suspected-dead servers
+	planned []plannedJob          //gflint:noretain this round's placed jobs in job-ID order
+	byAgent [][]shard             //gflint:noretain by agent index: the slices of planned its plan carries
+	want    []bool                //gflint:noretain by agent index: report still awaited
+	execRep core.ExecReport       // Ran is cleared and refilled every round
 
 	usage map[job.UserID]float64
 
@@ -426,6 +446,43 @@ type plannedEntry struct {
 	gen  gpu.Generation
 	gang int
 	frac float64
+}
+
+// plannedJob is one placed job's record for the round, built right
+// after placement in job-ID order. Everything a round needs to know
+// about a running job — where, at what cost, what its agents reported —
+// is a field here, reached by position, not a map entry keyed by ID.
+type plannedJob struct {
+	j        *job.Job
+	devs     []gpu.DeviceID
+	gen      gpu.Generation
+	migrated bool
+	overhead simclock.Duration // resume or migration cost shipped in the plan
+	baseDone float64           // j.DoneMB() when the plan was built
+	// prog is the shards' reported progress merged (mergeShards);
+	// reported says at least one shard's report arrived.
+	prog     comm.JobProgress
+	reported bool
+	// gone marks a job a late report retired between planning and
+	// apply: its round still ran on the agents but there is no record
+	// left to charge.
+	gone bool
+}
+
+// shard is the part of one planned job that runs on one agent:
+// devs[lo:hi] of the record, all on that agent's server.
+type shard struct {
+	rec    int32 // index into Central.planned
+	lo, hi int32
+	// frac is the shard's share of the gang. It weights the shard's
+	// reported useful seconds when merging (every shard spans the same
+	// wall quantum, so an unweighted sum would multiply a gang's useful
+	// time by its server count).
+	frac float64
+	// prog is what the agent reported for the shard, kept as received
+	// until every report is in (got says one arrived).
+	prog comm.JobProgress
+	got  bool
 }
 
 type agentInfo struct {
@@ -466,9 +523,8 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 		tr:       tr,
 		policy:   policy,
 		prof:     prof,
-		serverOf: make(map[gpu.ServerID]int),
+		agentIdx: make(map[string]int),
 		active:   make(map[job.ID]*job.Job),
-		missed:   make(map[string]int),
 		prev:     placement.Assignment{},
 		prevGen:  make(map[job.ID]gpu.Generation),
 		usage:    make(map[job.UserID]float64),
@@ -562,17 +618,29 @@ func (c *Central) fenced(rep comm.RoundReport) bool {
 	return true
 }
 
-// noteAlive records proof of life from an agent: its miss counter
+// setMissed writes agent ai's consecutive-miss counter, keeping
+// nMissed in step.
+func (c *Central) setMissed(ai, n int) {
+	switch was := c.missed[ai]; {
+	case was == 0 && n > 0:
+		c.nMissed++
+	case was > 0 && n == 0:
+		c.nMissed--
+	}
+	c.missed[ai] = n
+}
+
+// noteAlive records proof of life from agent ai: its miss counter
 // resets, and if it had been cut off long enough to be suspected the
 // recovery is a partition heal.
-func (c *Central) noteAlive(agent string) {
-	if c.missed[agent] >= suspectThreshold {
+func (c *Central) noteAlive(ai int) {
+	if c.missed[ai] >= suspectThreshold {
 		c.cfg.Obs.NoteProtocol("partition_heal")
 		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.now, trace.KindPartitionHeal, 0, "", agent)
+			c.cfg.Trace.Add(c.now, trace.KindPartitionHeal, 0, "", c.agents[ai].name)
 		}
 	}
-	c.missed[agent] = 0
+	c.setMissed(ai, 0)
 }
 
 // WaitForAgents blocks until n distinct agents registered (or
@@ -601,7 +669,7 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 				c.ackRegister(reg.Agent, false, "invalid inventory")
 				continue
 			}
-			if i := c.agentIndex(reg.Agent); i >= 0 {
+			if i, known := c.agentIdx[reg.Agent]; known {
 				if c.agents[i].gen == g && c.agents[i].gpus == reg.GPUs {
 					// Retried registration: already recorded, one ack
 					// below covers it.
@@ -612,6 +680,7 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 				}
 				continue
 			}
+			c.agentIdx[reg.Agent] = len(c.agents)
 			c.agents = append(c.agents, agentInfo{name: reg.Agent, gen: g, gpus: reg.GPUs})
 			c.cfg.Obs.NoteProtocol("register_received")
 		case <-deadline:
@@ -623,10 +692,11 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	}
 	// Reject jobs that can never be placed on the registered
 	// inventory (a gang needs one generation with enough GPUs).
+	gens := c.cluster.GensPresent()
 	for i := range c.pending {
 		sp := &c.pending[i]
 		placeable := false
-		for _, g := range c.cluster.GensPresent() {
+		for _, g := range gens {
 			if sp.Perf.FitsOn(g) && sp.Gang <= c.cluster.Capacity(g) {
 				placeable = true
 				break
@@ -646,33 +716,29 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 }
 
 // buildCluster derives deterministic server IDs from the registered
-// agents: sort by name, one server each.
+// agents — sort by name, one server each, so agent i's server is
+// ServerID(i) — and sizes everything indexed by agent or device.
 func (c *Central) buildCluster() error {
 	sort.Slice(c.agents, func(i, j int) bool { return c.agents[i].name < c.agents[j].name })
 	specs := make([]gpu.Spec, len(c.agents))
 	for i, a := range c.agents {
 		specs[i] = gpu.Spec{Gen: a.gen, Servers: 1, GPUsPerSrv: a.gpus}
+		c.agentIdx[a.name] = i
 	}
 	cluster, err := gpu.New(specs...)
 	if err != nil {
 		return err
 	}
 	c.cluster = cluster
+	c.pidx = placement.NewIndex(cluster)
 	c.owners = placement.NewOwners(cluster)
-	for i, srv := range cluster.Servers() {
-		c.serverOf[srv.ID] = i
-	}
+	c.probeGen = cluster.GensPresent()[0]
+	c.missed = make([]int, len(c.agents))
+	c.down = make(map[gpu.ServerID]bool)
+	c.byAgent = make([][]shard, len(c.agents))
+	c.want = make([]bool, len(c.agents))
+	c.execRep.Ran = make(map[job.ID]core.RanInfo)
 	return nil
-}
-
-// agentIndex returns the index of the named agent, or -1.
-func (c *Central) agentIndex(name string) int {
-	for i, a := range c.agents {
-		if a.name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // ackRegister answers a Register best-effort (the agent re-registers
@@ -689,9 +755,9 @@ func (c *Central) ackRegister(agent string, ok bool, reason string) {
 // the rejoin was accepted.
 func (c *Central) handleRejoin(reg comm.Register) bool {
 	g := gpu.Generation(reg.Gen)
-	i := c.agentIndex(reg.Agent)
+	i, known := c.agentIdx[reg.Agent]
 	switch {
-	case i < 0:
+	case !known:
 		c.ackRegister(reg.Agent, false, fmt.Sprintf(
 			"unknown agent %q: the inventory is fixed after startup", reg.Agent))
 	case c.agents[i].gen != g || c.agents[i].gpus != reg.GPUs:
@@ -699,7 +765,7 @@ func (c *Central) handleRejoin(reg comm.Register) bool {
 			"inventory mismatch: %q registered %d× %v, rejoined with %d× %v",
 			reg.Agent, c.agents[i].gpus, c.agents[i].gen, reg.GPUs, g))
 	default:
-		c.missed[reg.Agent] = 0
+		c.setMissed(i, 0)
 		c.ackRegister(reg.Agent, true, "")
 		c.cfg.Obs.NoteProtocol("rejoin_accepted")
 		return true
@@ -762,7 +828,9 @@ func (c *Central) reconcileLate(round int) {
 		return reps[i].Agent < reps[k].Agent
 	})
 	for _, rep := range reps {
-		c.noteAlive(rep.Agent)
+		if ai, known := c.agentIdx[rep.Agent]; known {
+			c.noteAlive(ai)
+		}
 		if c.cfg.LeaseRounds <= 0 {
 			continue
 		}
@@ -825,8 +893,21 @@ func (c *Central) reconcileLate(round int) {
 	}
 }
 
-// finishJob retires a finished job from every scheduler structure.
+// finishJob retires a job a late report finished, between rounds'
+// sweeps: retire, plus the sorted list entry the sweep would compact.
 func (c *Central) finishJob(id job.ID, j *job.Job) {
+	c.retire(id, j)
+	if i, ok := slices.BinarySearchFunc(c.jobs, id, func(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) }); ok {
+		c.jobs = slices.Delete(c.jobs, i, i+1)
+	}
+}
+
+// byJobID orders Central.jobs.
+func byJobID(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
+
+// retire removes a finished job from every scheduler structure but
+// c.jobs, which the caller compacts.
+func (c *Central) retire(id job.ID, j *job.Job) {
 	c.done = append(c.done, j)
 	c.policy.JobFinished(id)
 	c.prof.Remove(id)
@@ -924,8 +1005,13 @@ func (c *Central) admit() error {
 			return fmt.Errorf("distrib: admitting job %d: %w", c.pending[0].ID, err)
 		}
 		c.active[j.ID] = j
+		c.jobs = append(c.jobs, j)
 		n++
 		c.pending = c.pending[1:]
+	}
+	if n > 0 {
+		// Arrival order is not ID order; one sort per admitting round.
+		slices.SortFunc(c.jobs, byJobID)
 	}
 	c.cfg.Obs.NoteAdmitted(n)
 	return nil
@@ -935,19 +1021,18 @@ func (c *Central) admit() error {
 // one job in the most recent round's assignment. The chaos harness
 // uses it to aim a kill at a server that actually has work.
 func (c *Central) BusyAgents() []string {
-	busy := make(map[int]bool)
+	busy := make([]bool, len(c.agents))
 	for _, devs := range c.prev {
 		for _, d := range devs {
-			busy[c.serverOf[c.cluster.Device(d).Server]] = true
+			busy[c.cluster.Device(d).Server] = true
 		}
 	}
 	var names []string
-	for i, a := range c.agents {
+	for i, a := range c.agents { // sorted by name
 		if busy[i] {
 			names = append(names, a.name)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 
@@ -965,31 +1050,83 @@ func (c *Central) downThreshold() int { return suspectThreshold + c.cfg.LeaseRou
 // agent crosses the down threshold its lease has expired from the
 // central's point of view: the agent (if alive) parks at its next
 // plan, and its jobs become placeable elsewhere.
-func (c *Central) noteMiss(name string) {
-	c.missed[name]++
+func (c *Central) noteMiss(ai int) {
+	c.setMissed(ai, c.missed[ai]+1)
 	c.timeouts++
-	if c.cfg.LeaseRounds > 0 && c.missed[name] == c.downThreshold() {
+	if c.cfg.LeaseRounds > 0 && c.missed[ai] == c.downThreshold() {
 		c.cfg.Obs.NoteProtocol("lease_expired")
 		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.now, trace.KindLeaseExpire, 0, "", name)
+			c.cfg.Trace.Add(c.now, trace.KindLeaseExpire, 0, "", c.agents[ai].name)
 		}
 	}
 }
 
 // downServers returns servers whose agents are currently suspected
-// dead (failure detection by missed round reports).
+// dead (failure detection by missed round reports). The set is the
+// central's own, cleared and refilled per call; with no agent missing
+// a report it comes back empty without a look at the inventory.
+//
+//gflint:noretain
 func (c *Central) downServers() map[gpu.ServerID]bool {
-	down := make(map[gpu.ServerID]bool)
-	for i, a := range c.agents {
-		if c.missed[a.name] >= c.downThreshold() {
-			for sid, ai := range c.serverOf {
-				if ai == i {
-					down[sid] = true
-				}
-			}
+	clear(c.down)
+	if c.nMissed == 0 {
+		return c.down
+	}
+	thr := c.downThreshold()
+	for ai, m := range c.missed {
+		if m >= thr {
+			c.down[gpu.ServerID(ai)] = true
 		}
 	}
-	return down
+	return c.down
+}
+
+// shardOf finds job id among the shards of agent ai's plan this round,
+// nil when the plan did not carry it. An agent hosts at most one shard
+// per local GPU, so it is a short scan.
+func (c *Central) shardOf(ai int, id int64) *shard {
+	for k := range c.byAgent[ai] {
+		if sh := &c.byAgent[ai][k]; int64(c.planned[sh.rec].j.ID) == id {
+			return sh
+		}
+	}
+	return nil
+}
+
+// mergeShards folds the round's shard reports into their jobs' records.
+// It walks agents in index order, so a multi-server gang's shards merge
+// in server order whatever order their reports arrived in, and the
+// float sums below — and with them the next round's plans — repeat from
+// run to run.
+func (c *Central) mergeShards() {
+	for _, shards := range c.byAgent {
+		for k := range shards {
+			sh := &shards[k]
+			if !sh.got {
+				continue
+			}
+			r := &c.planned[sh.rec]
+			p := sh.prog
+			// Weight the shard's useful seconds by its share of the
+			// gang so the merged value measures gang-time (frac is 1
+			// for single-server jobs).
+			p.UsedSecs *= sh.frac
+			if !r.reported {
+				r.prog, r.reported = p, true
+				continue
+			}
+			// Multi-server gang: each shard reports progress at its
+			// fraction of the gang rate over the same base, so
+			// increments add (and the gang finishes when the summed
+			// progress reaches the total).
+			r.prog.DoneMB += p.DoneMB - r.baseDone
+			if r.prog.DoneMB >= r.j.TotalMB-1e-6 {
+				r.prog.DoneMB = r.j.TotalMB
+				r.prog.Finished = true
+			}
+			r.prog.UsedSecs += p.UsedSecs
+		}
+	}
 }
 
 func (c *Central) runRound(round int) error {
@@ -1005,13 +1142,8 @@ func (c *Central) runRound(round int) error {
 	ctr := o.Tracer()
 	ctrace := ctr.Trace()
 	croot := uint64(ctr.Root())
-	jobs := make([]*job.Job, 0, len(c.active))
-	for _, j := range c.active {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
-	for _, j := range jobs {
-		if c.prof.Samples(j.ID, c.cluster.GensPresent()[0]) == 0 {
+	for _, j := range c.jobs {
+		if c.prof.Samples(j.ID, c.probeGen) == 0 {
 			c.prof.ProbeAll(j)
 		}
 	}
@@ -1019,7 +1151,7 @@ func (c *Central) runRound(round int) error {
 	down := c.downServers()
 	st := &core.RoundState{
 		Now: c.now, Quantum: c.cfg.Quantum, Cluster: c.cluster,
-		Jobs: jobs, Tickets: c.cfg.Tickets, Prof: c.prof, PrevGen: c.prevGen,
+		Jobs: c.jobs, Tickets: c.cfg.Tickets, Prof: c.prof, PrevGen: c.prevGen,
 		Down: down,
 		Obs:  o,
 	}
@@ -1031,143 +1163,147 @@ func (c *Central) runRound(round int) error {
 			t.FastGPUs, t.SlowGPUs, t.Price)
 	}
 	o.PhaseStart(obs.PhasePlacement)
-	res := placement.Place(c.cluster, c.prev, dec.Run, placement.Options{AllowMigration: true, Down: down})
-	if err := c.owners.Validate(res.Assignment); err != nil {
-		return err
+	// The index carries availability as baseline state; agents that
+	// went down or came back since last round reach it as a delta.
+	c.pidx.SyncUnavail(down)
+	res := placement.PlaceIndexed(c.pidx, c.prev, dec.Run, placement.Options{AllowMigration: true})
+	// The round's records, in job-ID order (c.jobs is sorted; filtering
+	// it against the assignment keeps the order). Each job is validated
+	// on the way and split into one shard per server it touches: device
+	// IDs are dense per server and devs ascending, so a server's
+	// devices are one run.
+	planned := c.planned[:0]
+	for ai := range c.byAgent {
+		c.byAgent[ai] = c.byAgent[ai][:0]
+	}
+	c.owners.Begin()
+	nShards, nDevs := 0, 0
+	for _, j := range c.jobs {
+		devs, ok := res.Assignment[j.ID]
+		if !ok {
+			continue
+		}
+		if err := c.owners.ValidateJob(j.ID, devs); err != nil {
+			return err
+		}
+		r := plannedJob{j: j, devs: devs, gen: c.cluster.Device(devs[0]).Gen, baseDone: j.DoneMB()}
+		_, r.migrated = slices.BinarySearch(res.Migrated, j.ID)
+		switch {
+		case r.migrated:
+			r.overhead = c.cfg.Costs.MigrationCost(j.Perf)
+			j.NoteMigration()
+		case !j.RanLastQuantum():
+			r.overhead = c.cfg.Costs.ResumeCost()
+		}
+		for lo := 0; lo < len(devs); {
+			sid := c.cluster.Device(devs[lo]).Server
+			hi := lo + 1
+			for hi < len(devs) && c.cluster.Device(devs[hi]).Server == sid {
+				hi++
+			}
+			c.byAgent[sid] = append(c.byAgent[sid], shard{
+				rec: int32(len(planned)), lo: int32(lo), hi: int32(hi),
+				frac: float64(hi-lo) / float64(len(devs)),
+			})
+			nShards++
+			lo = hi
+		}
+		nDevs += len(devs)
+		planned = append(planned, r)
+	}
+	c.planned = planned
+	if len(planned) != len(res.Assignment) {
+		return fmt.Errorf("distrib: round %d: placement returned %d jobs, %d of them active",
+			round, len(res.Assignment), len(planned))
 	}
 	o.PhaseEnd(obs.PhasePlacement)
-	migrated := make(map[job.ID]bool)
-	for _, id := range res.Migrated {
-		migrated[id] = true
-	}
 	o.NoteUnplaced(len(res.Unplaced))
 	if o != nil {
-		for _, id := range job.SortedIDs(res.Assignment) {
-			devs := res.Assignment[id]
-			j := c.active[id]
-			if j == nil {
-				continue
-			}
-			gen := c.cluster.Device(devs[0]).Gen
-			ds := make([]int, len(devs))
-			for i, d := range devs {
+		for i := range planned {
+			r := &planned[i]
+			ds := make([]int, len(r.devs))
+			for i, d := range r.devs {
 				ds[i] = int(d)
 			}
 			fromGen := ""
-			if migrated[id] {
-				if pg, ok := c.prevGen[id]; ok {
+			if r.migrated {
+				if pg, ok := c.prevGen[r.j.ID]; ok {
 					fromGen = pg.String()
 				}
 			}
-			o.RecordPlacement(int64(id), string(j.User), gen.String(), j.Gang, ds, migrated[id], fromGen)
+			o.RecordPlacement(int64(r.j.ID), string(r.j.User), r.gen.String(), r.j.Gang, ds, r.migrated, fromGen)
 		}
 	}
 
-	// Build per-agent plans.
+	// Build and ship per-agent plans, in agent order with each plan's
+	// jobs in ID order, so one seed puts the same bytes on the wire
+	// every run (and drops/retries reproduce). The payloads are handed
+	// to the transport, so they are fresh every round: two arrays,
+	// carved per plan and per shard. Multi-server gangs run at the full
+	// rate split across agents proportional to local GPUs (the span
+	// penalty is folded into overhead here for simplicity).
+	//
+	// A plan that cannot be delivered even after retries means the
+	// agent is unreachable right now: rather than aborting the run (or
+	// stalling the round on a timeout the agent can never answer), it
+	// is charged as a missed report immediately and the round proceeds
+	// without it.
 	o.PhaseStart(obs.PhaseDispatch)
-	plans := make(map[int]*comm.RoundPlan)
-	genOf := make(map[job.ID]gpu.Generation)
-	gangOf := make(map[job.ID]int)
-	baseDone := make(map[job.ID]float64)
-	// shardFrac[id][agent] is the fraction of the job's gang that
-	// runs on that agent's server, used to weight the shard's
-	// reported useful seconds when merging (each shard spans the same
-	// wall quantum, so summing unweighted would multiply a gang's
-	// useful time by its server count).
-	shardFrac := make(map[job.ID]map[string]float64)
-	for id, devs := range res.Assignment {
-		j := c.active[id]
-		gen := c.cluster.Device(devs[0]).Gen
-		genOf[id] = gen
-		gangOf[id] = j.Gang
-		baseDone[id] = j.DoneMB()
-		var overhead simclock.Duration
-		switch {
-		case migrated[id]:
-			overhead = c.cfg.Costs.MigrationCost(j.Perf)
-			j.NoteMigration()
-		case !j.RanLastQuantum():
-			overhead = c.cfg.Costs.ResumeCost()
+	assignBuf := make([]comm.JobAssignment, nShards)
+	localBuf := make([]int, nDevs)
+	clear(c.want)
+	nWant := 0
+	for ai, shards := range c.byAgent {
+		if len(shards) == 0 {
+			continue
 		}
-		// Group the job's devices by server; each agent gets its local
-		// slice. Multi-server gangs run at the full rate split across
-		// agents proportional to local GPUs (the span penalty is
-		// folded into overhead here for simplicity).
-		byServer := make(map[gpu.ServerID][]int)
-		for _, d := range devs {
-			dev := c.cluster.Device(d)
-			srv := c.cluster.Server(dev.Server)
-			local := 0
-			for li, sd := range srv.Devices {
-				if sd == d {
-					local = li
-				}
-			}
-			byServer[dev.Server] = append(byServer[dev.Server], local)
+		name := c.agents[ai].name
+		first := c.cluster.Server(gpu.ServerID(ai)).Devices[0]
+		plan := comm.RoundPlan{
+			Round: round, Quantum: c.cfg.Quantum, Trace: ctrace, Span: croot,
+			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[name],
+			Jobs: assignBuf[:len(shards):len(shards)],
 		}
-		gangRate := j.GangRate(gen)
-		for sid, locals := range byServer {
-			ai := c.serverOf[sid]
-			plan := plans[ai]
-			if plan == nil {
-				plan = &comm.RoundPlan{Round: round, Quantum: c.cfg.Quantum, Trace: ctrace, Span: croot}
-				plans[ai] = plan
+		assignBuf = assignBuf[len(shards):]
+		for k, sh := range shards {
+			r := &planned[sh.rec]
+			devs := r.devs[sh.lo:sh.hi]
+			locals := localBuf[:len(devs):len(devs)]
+			localBuf = localBuf[len(devs):]
+			for i, d := range devs {
+				locals[i] = int(d - first)
 			}
-			frac := float64(len(locals)) / float64(len(devs))
-			if shardFrac[id] == nil {
-				shardFrac[id] = make(map[string]float64, 1)
-			}
-			shardFrac[id][c.agents[ai].name] = frac
 			if c.cfg.LeaseRounds > 0 {
 				// Retain what this agent was asked to run so a report
 				// arriving after the collect deadline can still be
 				// verified and charged (see reconcileLate).
-				name := c.agents[ai].name
 				if c.plannedWin[round] == nil {
 					c.plannedWin[round] = make(map[string]map[job.ID]plannedEntry)
 				}
 				if c.plannedWin[round][name] == nil {
 					c.plannedWin[round][name] = make(map[job.ID]plannedEntry)
 				}
-				c.plannedWin[round][name][id] = plannedEntry{gen: gen, gang: j.Gang, frac: frac}
+				c.plannedWin[round][name][r.j.ID] = plannedEntry{gen: r.gen, gang: r.j.Gang, frac: sh.frac}
 			}
-			plan.Jobs = append(plan.Jobs, comm.JobAssignment{
-				JobID: int64(id), User: string(j.User), Model: j.Perf.Model,
-				Gang: len(locals), LocalGPUs: locals, Shard: frac,
-				DoneMB: j.DoneMB(), TotalMB: j.TotalMB,
-				GangRate: gangRate * frac,
-				Overhead: overhead,
-			})
+			plan.Jobs[k] = comm.JobAssignment{
+				JobID: int64(r.j.ID), User: string(r.j.User), Model: r.j.Perf.Model,
+				Gang: len(devs), LocalGPUs: locals, Shard: sh.frac,
+				DoneMB: r.baseDone, TotalMB: r.j.TotalMB,
+				GangRate: r.j.GangRate(r.gen) * sh.frac,
+				Overhead: r.overhead,
+			}
 		}
-	}
-
-	// Ship plans and collect reports. A plan that cannot be
-	// delivered even after retries means the agent is unreachable
-	// right now: rather than aborting the run (or stalling the round
-	// on a timeout the agent can never answer), it is charged as a
-	// missed report immediately and the round proceeds without it.
-	want := make(map[string]bool)
-	ais := make([]int, 0, len(plans))
-	for ai := range plans {
-		ais = append(ais, ai)
-	}
-	sort.Ints(ais) // deterministic send order (drops/retries reproduce)
-	for _, ai := range ais {
-		plan := plans[ai]
-		name := c.agents[ai].name
-		plan.Epoch = c.epoch
-		plan.Lease = c.cfg.LeaseRounds
-		plan.AckRound = c.appliedRound[name]
-		if err := c.retry.Send(c.tr, name, comm.Envelope{From: c.tr.Name(), Msg: *plan}); err != nil {
+		if err := c.retry.Send(c.tr, name, comm.Envelope{From: c.tr.Name(), Msg: plan}); err != nil {
 			if c.cfg.StrictReports {
 				return fmt.Errorf("distrib: round %d: plan for %q undeliverable: %w", round, name, err)
 			}
 			o.NoteProtocol("plan_send_failed")
-			c.noteMiss(name)
+			c.noteMiss(ai)
 			continue
 		}
 		o.NoteProtocol("plan_sent")
-		want[name] = true
+		c.want[ai] = true
+		nWant++
 	}
 	if c.timeouts > c.cfg.MaxAgentTimeouts {
 		return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
@@ -1179,7 +1315,7 @@ func (c *Central) runRound(round int) error {
 		// does not depend on the agent still hosting work. Probes are
 		// best-effort: no reply expected, failures charge nothing.
 		for i, a := range c.agents {
-			if c.missed[a.name] == 0 || plans[i] != nil {
+			if c.missed[i] == 0 || len(c.byAgent[i]) > 0 {
 				continue
 			}
 			probe := comm.RoundPlan{
@@ -1220,10 +1356,9 @@ func (c *Central) runRound(round int) error {
 	}
 	o.PhaseEnd(obs.PhaseDispatch)
 	o.PhaseStart(obs.PhaseCollect)
-	progress := make(map[job.ID]comm.JobProgress)
 	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
 	deadline := time.After(c.collectDeadline())
-	for len(want) > 0 {
+	for nWant > 0 {
 		select {
 		case env, ok := <-c.tr.Recv():
 			if !ok {
@@ -1248,15 +1383,19 @@ func (c *Central) runRound(round int) error {
 				c.lateQ = append(c.lateQ, rep)
 				continue
 			}
-			if rep.Round != round || !want[rep.Agent] {
+			ai, known := c.agentIdx[rep.Agent]
+			if !known {
+				continue // not in the inventory
+			}
+			c.noteAlive(ai)
+			if rep.Round != round || !c.want[ai] {
 				// Same-round traffic outside the want set — a probe
 				// answer or a replayed copy of a report already
 				// accepted. Proof of life, nothing to apply.
-				c.noteAlive(rep.Agent)
 				continue
 			}
-			delete(want, rep.Agent)
-			c.noteAlive(rep.Agent)
+			c.want[ai] = false
+			nWant--
 			o.NoteProtocol("report_received")
 			if c.cfg.LeaseRounds > 0 {
 				// The on-time apply below counts this (agent, round);
@@ -1272,49 +1411,30 @@ func (c *Central) runRound(round int) error {
 			}
 			ctr.Inject(rep.Spans)
 			for _, p := range rep.Jobs {
-				id := job.ID(p.JobID)
-				// Weight this shard's useful seconds by its share of
-				// the gang so the merged value measures gang-time
-				// (frac is 1 for single-server jobs).
-				p.UsedSecs *= shardFrac[id][rep.Agent]
-				prev, seen := progress[id]
-				if !seen {
-					progress[id] = p
-					continue
+				// Progress for a job this agent's plan did not carry
+				// has nothing to be charged against and is dropped.
+				if sh := c.shardOf(ai, p.JobID); sh != nil {
+					sh.prog, sh.got = p, true
 				}
-				// Multi-server gang: each shard reports progress at
-				// its fraction of the gang rate over the same base, so
-				// increments add (and the gang finishes when the
-				// summed progress reaches the total).
-				prev.DoneMB += p.DoneMB - baseDone[id]
-				if prev.DoneMB >= c.active[id].TotalMB-1e-6 {
-					prev.DoneMB = c.active[id].TotalMB
-					prev.Finished = true
-				}
-				prev.UsedSecs += p.UsedSecs
-				progress[id] = prev
 			}
 		case <-deadline:
 			if c.cfg.StrictReports {
-				return fmt.Errorf("distrib: round %d: %d agents did not report", round, len(want))
+				return fmt.Errorf("distrib: round %d: %d agents did not report", round, nWant)
 			}
 			// Straggler cutoff: the round proceeds without the late
 			// agents. Their jobs are charged as misses now; with
 			// leases their reports reconcile idempotently when they
 			// arrive.
-			names := make([]string, 0, len(want))
-			for name := range want {
-				names = append(names, name)
+			for ai, waiting := range c.want { // agent order is name order
+				if waiting {
+					o.NoteProtocol("report_timeout")
+					c.noteMiss(ai)
+				}
 			}
-			sort.Strings(names)
-			for _, name := range names {
-				o.NoteProtocol("report_timeout")
-				c.noteMiss(name)
-			}
+			nWant = 0
 			if c.timeouts > c.cfg.MaxAgentTimeouts {
 				return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 			}
-			want = map[string]bool{}
 		}
 	}
 
@@ -1326,20 +1446,25 @@ func (c *Central) runRound(round int) error {
 	c.reconcileLate(round)
 
 	// Apply reports, exactly as the paper's central scheduler updates
-	// its view from server heartbeats.
-	o.PhaseStart(obs.PhaseApply)
-	rep := &core.ExecReport{Ran: make(map[job.ID]core.RanInfo)}
-	ranThisRound := make(map[job.ID]bool)
-	// Sorted order keeps the per-user usage sums and the profiler's
+	// its view from server heartbeats. Record order is job-ID order,
+	// which keeps the per-user usage sums and the profiler's
 	// noise-sample consumption identical across runs of one seed.
-	for _, id := range job.SortedIDs(progress) {
-		p := progress[id]
-		j := c.active[id]
-		if j == nil {
+	o.PhaseStart(obs.PhaseApply)
+	c.mergeShards()
+	rep := &c.execRep
+	clear(rep.Ran)
+	for i := range planned {
+		r := &planned[i]
+		j := r.j
+		if j.Finished() {
+			r.gone = true // the reconcile just above retired it
 			continue
 		}
-		gen := genOf[id]
-		gang := float64(gangOf[id])
+		if !r.reported {
+			continue
+		}
+		p := r.prog
+		gang := float64(j.Gang)
 		if c.cfg.LeaseRounds > 0 && p.DoneMB < j.DoneMB() {
 			// A reconciled late report already advanced this job past
 			// the reported checkpoint (the plan was built from a stale
@@ -1347,54 +1472,66 @@ func (c *Central) runRound(round int) error {
 			// just never moves backwards.
 			p.DoneMB = j.DoneMB()
 		}
-		j.ApplyReport(p.DoneMB, gen, gang*p.UsedSecs, p.Finished, c.now.Add(c.cfg.Quantum))
+		j.ApplyReport(p.DoneMB, r.gen, gang*p.UsedSecs, p.Finished, c.now.Add(c.cfg.Quantum))
 		c.usage[j.User] += gang * c.cfg.Quantum
-		c.lastApplied[id] = round
-		ranThisRound[id] = true
-		rep.Ran[id] = core.RanInfo{
-			User: j.User, Gen: gen, Gang: gangOf[id],
+		c.lastApplied[j.ID] = round
+		rep.Ran[j.ID] = core.RanInfo{
+			User: j.User, Gen: r.gen, Gang: j.Gang,
 			OccupiedSecs: c.cfg.Quantum, UsefulSecs: p.UsedSecs,
-			Migrated: migrated[id], Finished: p.Finished,
+			Migrated: r.migrated, Finished: p.Finished,
 		}
 		if !p.Finished {
-			c.prof.Observe(j, gen)
+			c.prof.Observe(j, r.gen)
 		}
 	}
 	rep.Unplaced = res.Unplaced
 	c.policy.Executed(rep)
 
-	newPrev := placement.Assignment{}
-	for _, id := range job.SortedIDs(res.Assignment) {
-		devs := res.Assignment[id]
-		j := c.active[id]
-		if j == nil {
-			continue
+	// This round's assignment, less the jobs that are done, is next
+	// round's prev (placement returns a fresh map every call).
+	c.prev = res.Assignment
+	for i := range planned {
+		r := &planned[i]
+		switch id := r.j.ID; {
+		case r.gone:
+			delete(c.prev, id)
+		case r.j.Finished():
+			c.retire(id, r.j) // drops it from c.prev too
+		default:
+			c.prevGen[id] = r.gen
 		}
-		if j.Finished() {
-			c.finishJob(id, j)
-			continue
-		}
-		newPrev[id] = devs
-		c.prevGen[id] = genOf[id]
 	}
-	for id, j := range c.active {
-		if j.State() == job.Running && !ranThisRound[id] {
+	// One walk over the sorted job list compacts the finished jobs out
+	// and tells every other job whether it ran (a merge against the
+	// records, which are in the same order).
+	kept := c.jobs[:0]
+	k := 0
+	for _, j := range c.jobs {
+		if j.Finished() {
+			continue
+		}
+		for k < len(planned) && planned[k].j.ID < j.ID {
+			k++
+		}
+		ran := k < len(planned) && planned[k].j == j && planned[k].reported
+		if j.State() == job.Running && !ran {
 			j.SetRunning(false)
 		}
-		if !j.Finished() && ranThisRound[id] && j.State() != job.Running {
+		if ran && j.State() != job.Running {
 			j.SetRunning(true)
 		}
-		j.NoteQuantum(ranThisRound[id])
+		j.NoteQuantum(ran)
+		kept = append(kept, j)
 	}
-	c.prev = newPrev
+	c.jobs = kept
 	o.PhaseEnd(obs.PhaseApply)
 	c.publishShares()
 	o.SetEpoch(c.epoch)
 	deg := 0
-	if c.cfg.LeaseRounds > 0 {
+	if c.cfg.LeaseRounds > 0 && c.nMissed > 0 {
 		thr := c.downThreshold()
-		for _, a := range c.agents {
-			if m := c.missed[a.name]; m > 0 && m < thr {
+		for _, m := range c.missed {
+			if m > 0 && m < thr {
 				deg++
 			}
 		}

@@ -16,7 +16,7 @@ import (
 var zoo = workload.DefaultZoo()
 
 // startAgents launches n agents of the given generations on the hub.
-func startAgents(t *testing.T, hub *comm.Hub, gens []gpu.Generation, gpus int) []chan error {
+func startAgents(t testing.TB, hub *comm.Hub, gens []gpu.Generation, gpus int) []chan error {
 	t.Helper()
 	var waits []chan error
 	for i, g := range gens {

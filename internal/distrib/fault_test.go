@@ -241,7 +241,7 @@ func TestRejoinReconciliation(t *testing.T) {
 	}
 	drainAcks(t, agentTr) // registration ack
 
-	c.missed["agent-0"] = suspectThreshold // the agent went silent, server marked down
+	c.setMissed(0, suspectThreshold) // the agent went silent, server marked down
 	if len(c.downServers()) != 1 {
 		t.Fatal("suspected agent's server not marked down")
 	}
@@ -250,9 +250,9 @@ func TestRejoinReconciliation(t *testing.T) {
 	if !c.handleRejoin(comm.Register{Agent: "agent-0", Gen: int(gpu.K80), GPUs: 4}) {
 		t.Error("matching rejoin rejected")
 	}
-	if c.missed["agent-0"] != 0 || len(c.downServers()) != 0 {
-		t.Errorf("rejoin did not reset failure state: missed=%d down=%d",
-			c.missed["agent-0"], len(c.downServers()))
+	if c.missed[0] != 0 || c.nMissed != 0 || len(c.downServers()) != 0 {
+		t.Errorf("rejoin did not reset failure state: missed=%d (%d agents) down=%d",
+			c.missed[0], c.nMissed, len(c.downServers()))
 	}
 	if ack := recvAck(t, agentTr); !ack.OK {
 		t.Errorf("matching rejoin acked with %+v", ack)

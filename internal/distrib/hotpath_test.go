@@ -1,0 +1,119 @@
+package distrib
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/comm"
+	"repro/internal/core"
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/workload"
+)
+
+// hubDeployment is the gfperf dist-hub shape in-package: a central and
+// `agents` in-process 4-GPU agents (K80/P100/V100 in turn) on one hub,
+// `users` users × `jobsPerUser` jobs far longer than any run here, all
+// arrived at time zero, trading on. stop closes every endpoint.
+func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, stop func()) {
+	tb.Helper()
+	names := zoo.Names()
+	var us []workload.UserSpec
+	for i := 0; i < users; i++ {
+		us = append(us, workload.UserSpec{
+			User: job.UserID(fmt.Sprintf("user%04d", i+1)), NumJobs: jobsPerUser, MeanK80Hours: 20000,
+			Models: []string{names[i%len(names)], names[(i+3)%len(names)]},
+		})
+	}
+	specs, err := workload.Generate(zoo, workload.Config{Seed: 42, Users: us, MaxK80Hours: 1e6})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hub := comm.NewHub()
+	ctr, err := hub.Attach("central")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gens := make([]gpu.Generation, agents)
+	for i := range gens {
+		gens[i] = []gpu.Generation{gpu.K80, gpu.P100, gpu.V100}[i%3]
+	}
+	waits := startAgents(tb, hub, gens, 4)
+	c, err = NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{EnableTrading: true}),
+		CentralConfig{Specs: specs, Quantum: 360})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.WaitForAgents(agents, 30*time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	return c, func() {
+		c.ShutdownAgents()
+		for _, w := range waits {
+			if err := <-w; err != nil {
+				tb.Errorf("agent exited with %v", err)
+			}
+		}
+	}
+}
+
+// TestCentralSteadyStateAllocCeiling pins the dense-scratch rule
+// (DESIGN.md §8) on the distributed round: 64 agents, 256 GPUs all
+// busy, no faults. What a round may allocate is what it hands away —
+// the assignment map, two payload arrays, one boxed plan, one boxed
+// report and its job list per agent — plus the policy's per-job
+// decision. That measures 509 mallocs a round, the same on every run
+// (central and agents together: the count is process-wide). The
+// gob-backed checksum (≈140 mallocs a message) and the per-round map
+// set this replaced cost 12,750 a round at this shape, so the ceiling
+// has 2× headroom and still sits 12× below either coming back.
+func TestCentralSteadyStateAllocCeiling(t *testing.T) {
+	c, stop := hubDeployment(t, 64, 4, 128)
+	defer stop()
+	// Scratch tables reach their size and the profiler has probed
+	// every job within a few rounds.
+	if _, err := c.Steps(12); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.Steps(rounds); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRound := float64(after.Mallocs-before.Mallocs) / rounds
+
+	placedGPUs := 0
+	for _, info := range c.execRep.Ran {
+		placedGPUs += info.Gang
+	}
+	if placedGPUs != 256 || c.timeouts != 0 {
+		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", placedGPUs, c.timeouts)
+	}
+	const ceiling = 1100
+	t.Logf("steady-state distributed round: %.0f mallocs", perRound)
+	if perRound > ceiling {
+		t.Errorf("steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
+	}
+}
+
+// BenchmarkDistHubRound is the gfperf dist-hub workload (256 agents ×
+// 4 GPUs, 8 users × 256 long jobs, 120 rounds) as a `go test -bench`
+// target for profiling.
+func BenchmarkDistHubRound(b *testing.B) {
+	const rounds = 120
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, stop := hubDeployment(b, 256, 8, 256)
+		b.StartTimer()
+		if _, err := c.Steps(rounds); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		stop()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*rounds), "ms/round")
+}

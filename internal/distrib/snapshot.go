@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -60,24 +60,22 @@ func (c *Central) Snapshot() *State {
 		Epoch:      c.epoch,
 		Now:        c.now,
 		Timeouts:   c.timeouts,
-		Missed:     make(map[string]int, len(c.missed)),
+		Missed:     make(map[string]int, c.nMissed),
 		Pending:    append([]job.Spec(nil), c.pending...),
 		Prev:       make(map[job.ID][]gpu.DeviceID, len(c.prev)),
 		PrevGen:    make(map[job.ID]gpu.Generation, len(c.prevGen)),
 		Usage:      make(map[job.UserID]float64, len(c.usage)),
 		Tickets:    make(map[job.UserID]float64, len(c.cfg.Tickets)),
 	}
-	for _, a := range c.agents {
+	for i, a := range c.agents {
 		st.Agents = append(st.Agents, AgentState{Name: a.name, Gen: int(a.gen), GPUs: a.gpus})
+		if c.missed[i] > 0 {
+			st.Missed[a.name] = c.missed[i]
+		}
 	}
-	for name, n := range c.missed {
-		st.Missed[name] = n
-	}
-	for _, j := range c.active {
+	for _, j := range c.jobs { // job-ID order: deterministic file contents
 		st.Active = append(st.Active, j.Checkpoint())
 	}
-	// Deterministic file contents: active is a map, so order it.
-	sort.Slice(st.Active, func(i, k int) bool { return st.Active[i].Spec.ID < st.Active[k].Spec.ID })
 	for _, j := range c.done {
 		st.Done = append(st.Done, j.Checkpoint())
 	}
@@ -198,9 +196,8 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		tr:       tr,
 		policy:   policy,
 		prof:     prof,
-		serverOf: make(map[gpu.ServerID]int),
+		agentIdx: make(map[string]int, len(st.Agents)),
 		active:   make(map[job.ID]*job.Job),
-		missed:   make(map[string]int, len(st.Missed)),
 		prev:     placement.Assignment{},
 		prevGen:  make(map[job.ID]gpu.Generation, len(st.PrevGen)),
 		usage:    make(map[job.UserID]float64, len(st.Usage)),
@@ -219,19 +216,21 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		if a.Name == "" || !g.Valid() || a.GPUs <= 0 {
 			return nil, fmt.Errorf("distrib: snapshot agent %q has invalid inventory", a.Name)
 		}
-		if c.agentIndex(a.Name) >= 0 {
+		if _, dup := c.agentIdx[a.Name]; dup {
 			return nil, fmt.Errorf("distrib: snapshot agent %q duplicated", a.Name)
 		}
+		c.agentIdx[a.Name] = len(c.agents)
 		c.agents = append(c.agents, agentInfo{name: a.Name, gen: g, gpus: a.GPUs})
 	}
 	if err := c.buildCluster(); err != nil {
 		return nil, err
 	}
 	for name, n := range st.Missed {
-		if c.agentIndex(name) < 0 {
+		ai, known := c.agentIdx[name]
+		if !known {
 			return nil, fmt.Errorf("distrib: snapshot misses unknown agent %q", name)
 		}
-		c.missed[name] = n
+		c.setMissed(ai, n)
 	}
 	c.pending = append([]job.Spec(nil), st.Pending...)
 	for i := range c.pending {
@@ -239,6 +238,7 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 			return nil, fmt.Errorf("distrib: snapshot pending: %w", err)
 		}
 	}
+	jobs := make([]*job.Job, 0, len(st.Active))
 	for _, cp := range st.Active {
 		j, err := job.FromCheckpoint(cp)
 		if err != nil {
@@ -247,8 +247,14 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		if j.Finished() {
 			return nil, fmt.Errorf("distrib: snapshot lists finished job %d as active", j.ID)
 		}
+		if c.active[j.ID] != nil {
+			return nil, fmt.Errorf("distrib: snapshot lists job %d as active twice", j.ID)
+		}
 		c.active[j.ID] = j
+		jobs = append(jobs, j)
 	}
+	slices.SortFunc(jobs, byJobID)
+	c.jobs = jobs
 	for _, cp := range st.Done {
 		j, err := job.FromCheckpoint(cp)
 		if err != nil {
@@ -263,7 +269,10 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		if c.active[id] == nil {
 			continue // job finished or lost between snapshot and crash
 		}
-		c.prev[id] = append([]gpu.DeviceID(nil), devs...)
+		// Sorted, as placement leaves them: the round loop splits a
+		// job's devices into per-server runs.
+		c.prev[id] = slices.Clone(devs)
+		slices.Sort(c.prev[id])
 	}
 	for id, g := range st.PrevGen {
 		if c.active[id] == nil {

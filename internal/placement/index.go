@@ -69,8 +69,8 @@ func (b *serverBitset) forEach(fn func(gpu.ServerID) bool) {
 // takes devices while computing a round's assignment and releases
 // them all before returning, so between calls the index always sits
 // at baseline. Server availability (down or quarantined) is flipped
-// at baseline via SetAvail — the caller owns the diffing (the engine
-// calls SetAvail only for servers whose fault state changed).
+// at baseline by SyncUnavail, which takes the round's whole
+// unavailable set and touches only the servers whose state changed.
 //
 // An Index is owned by one engine instance and is not safe for
 // concurrent use.
@@ -87,6 +87,10 @@ type Index struct {
 	// of free devices on available servers of gen.
 	buckets   [gpu.NumGenerations][]*serverBitset
 	totalFree [gpu.NumGenerations]int
+
+	// unavail lists the servers currently marked unavailable, so
+	// SyncUnavail finds the ones to bring back without a server scan.
+	unavail []gpu.ServerID
 
 	// Scratch reused across PlaceIndexed calls.
 	taken    []gpu.DeviceID //gflint:noretain devices taken this call, for the baseline restore
@@ -130,13 +134,35 @@ func NewIndex(c *gpu.Cluster) *Index {
 	return idx
 }
 
-// SetAvail flips one server's availability. Must be called at
-// baseline (between PlaceIndexed calls), so an available server is
-// always fully free. No-op when the state already matches.
-func (idx *Index) SetAvail(id gpu.ServerID, avail bool) {
-	if idx.avail[id] == avail {
-		return
+// SyncUnavail makes the servers marked true in set the index's
+// unavailable servers — what Options.Down is to Place — flipping only
+// those whose state differs from the last call. Must be called at
+// baseline (between PlaceIndexed calls). Cost is O(previous set + new
+// set); an empty set on a fully available index costs nothing.
+func (idx *Index) SyncUnavail(set map[gpu.ServerID]bool) {
+	kept := idx.unavail[:0]
+	for _, sid := range idx.unavail {
+		if set[sid] {
+			kept = append(kept, sid)
+		} else {
+			idx.setAvail(sid, true)
+		}
 	}
+	idx.unavail = kept
+	for sid, un := range set {
+		if un && idx.avail[sid] {
+			idx.setAvail(sid, false)
+			idx.unavail = append(idx.unavail, sid)
+		}
+	}
+	if len(idx.unavail) > len(kept) {
+		slices.Sort(idx.unavail) // map order must not leak into the index's state
+	}
+}
+
+// setAvail flips one server's availability at baseline, so an
+// available server is always fully free.
+func (idx *Index) setAvail(id gpu.ServerID, avail bool) {
 	srv := idx.c.Server(id)
 	n := len(srv.Devices)
 	idx.avail[id] = avail
@@ -197,7 +223,7 @@ func (idx *Index) restoreBaseline() {
 }
 
 // PlaceIndexed is Place driven by the index instead of a cluster
-// scan. Server availability comes from the index (SetAvail), so
+// scan. Server availability comes from the index (SyncUnavail), so
 // Options.Down is ignored — the caller must have synced fault state
 // into the index. Returned device slices for jobs that kept their
 // previous devices ALIAS the prev slices (no copy); Place's output

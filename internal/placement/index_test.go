@@ -40,24 +40,16 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 		}
 
 		prev := Assignment{}
-		unavail := map[gpu.ServerID]bool{}
+		var unavail map[gpu.ServerID]bool
 		for round := 0; round < 8; round++ {
-			// Churn availability and sync the index by diffing.
-			next := map[gpu.ServerID]bool{}
+			// Churn availability; the index diffs against last round.
+			unavail = map[gpu.ServerID]bool{}
 			for _, srv := range c.Servers() {
 				if rng.Float64() < 0.15 {
-					next[srv.ID] = true
+					unavail[srv.ID] = true
 				}
 			}
-			for sid := range unavail {
-				if !next[sid] {
-					idx.SetAvail(sid, true)
-				}
-			}
-			for sid := range next {
-				idx.SetAvail(sid, false)
-			}
-			unavail = next
+			idx.SyncUnavail(unavail)
 
 			var reqs []Request
 			pinned := map[job.ID]bool{}
@@ -102,6 +94,86 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 					delete(prev, id)
 				}
 			}
+		}
+	}
+}
+
+// TestSyncUnavailMatchesPlaceDown: SyncUnavail is to PlaceIndexed what
+// Options.Down is to Place. Random sequences of down-sets on a
+// mixed-generation cluster — servers going down, staying down, coming
+// back, the set handed over nil, empty, repeated, or with explicit
+// false entries — must place exactly as the rescan does, with prev fed
+// forward unchurned so jobs are pushed off dying servers and the
+// index's own list of unavailable servers never drifts from the set.
+func TestSyncUnavailMatchesPlaceDown(t *testing.T) {
+	for trial := 0; trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		c, err := gpu.New(
+			gpu.Spec{Gen: gpu.K80, Servers: 3 + rng.Intn(4), GPUsPerSrv: 4},
+			gpu.Spec{Gen: gpu.P100, Servers: 2 + rng.Intn(3), GPUsPerSrv: 2 + rng.Intn(3)},
+			gpu.Spec{Gen: gpu.V100, Servers: 2 + rng.Intn(3), GPUsPerSrv: 8},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens := c.GensPresent()
+		idx := NewIndex(c)
+		var reqs []Request
+		for i := 0; i < 14; i++ {
+			j := &job.Job{Spec: job.Spec{ID: job.ID(i + 1), Gang: 1 + rng.Intn(5)}}
+			reqs = append(reqs, Request{Job: j, Gen: gens[rng.Intn(len(gens))]})
+		}
+		prev := Assignment{}
+		var set map[gpu.ServerID]bool
+		for round := 0; round < 12; round++ {
+			switch rng.Intn(5) {
+			case 0: // everything back; nil and empty must mean the same
+				set = nil
+				if rng.Intn(2) == 0 {
+					set = map[gpu.ServerID]bool{}
+				}
+			case 1: // same set again: a no-op for the index
+			default:
+				next := map[gpu.ServerID]bool{}
+				for _, srv := range c.Servers() {
+					switch {
+					case set[srv.ID] && rng.Float64() < 0.5: // stays down
+						next[srv.ID] = true
+					case rng.Float64() < 0.2: // goes down
+						next[srv.ID] = true
+					case rng.Float64() < 0.1: // named, but up
+						next[srv.ID] = false
+					}
+				}
+				set = next
+			}
+			idx.SyncUnavail(set)
+			down := 0
+			for _, un := range set {
+				if un {
+					down++
+				}
+			}
+			if len(idx.unavail) != down {
+				t.Fatalf("trial %d round %d: index lists %v unavailable, set is %v", trial, round, idx.unavail, set)
+			}
+
+			opt := Options{AllowMigration: true, Down: set}
+			want := Place(c, prev, reqs, opt)
+			got := PlaceIndexed(idx, prev, reqs, opt)
+			if !assignEqual(want.Assignment, got.Assignment) ||
+				!idsEqual(want.Migrated, got.Migrated) || !idsEqual(want.Unplaced, got.Unplaced) {
+				t.Fatalf("trial %d round %d (down %v): indexed placement diverged\nscan: %v\nidx:  %v",
+					trial, round, set, render(want), render(got))
+			}
+			for id, devs := range got.Assignment {
+				for _, d := range devs {
+					if set[c.Device(d).Server] {
+						t.Fatalf("trial %d round %d: job %d placed on down server %d", trial, round, id, c.Device(d).Server)
+					}
+				}
+			}
+			prev = got.Assignment
 		}
 	}
 }
