@@ -26,8 +26,6 @@ func main() {
 		quick     = flag.Bool("quick", false, "shorter horizons")
 		seed      = flag.Int64("seed", 42, "deterministic seed")
 		list      = flag.Bool("list", false, "list experiments and exit")
-		obsBench  = flag.Bool("obs-bench", false, "benchmark the round loop with instrumentation off vs on and write BENCH_obs.json")
-		obsOut    = flag.String("obs-bench-out", "BENCH_obs.json", "output path for -obs-bench")
 		ledger    = flag.Bool("ledger", false, "measure the round loop at 1k/10k/100k GPUs (spans off vs on) and print the benchmark ledger")
 		ledgerOut = flag.String("ledger-out", "BENCH_core.json", "committed ledger path for -ledger -check/-update")
 		check     = flag.Bool("check", false, "with -ledger: gate fresh measurements against the committed ledger; exit 1 on regression")
@@ -39,14 +37,6 @@ func main() {
 
 	if *ledger {
 		if err := ledgerMain(*ledgerOut, *seed, *update, *check, *tol, *allocCap); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *obsBench {
-		if err := runObsBench(*obsOut, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -187,7 +187,7 @@ func runCentral(args []string) {
 			fatal(err)
 		}
 		fmt.Printf("restored snapshot from round %d; waiting for %d agents to rejoin...\n",
-			st.SavedRound, *agents)
+			st.Engine.Rounds, *agents)
 		if err := central.WaitForRejoin(*agents, wait); err != nil {
 			fatal(err)
 		}

@@ -55,14 +55,8 @@ func main() {
 		auditDrill = flag.Int("audit-drill", 0, "inject a synthetic audit violation at this round to exercise the flight-dump path (0 = off)")
 		spansOut   = flag.String("spans-out", "", "write the final rounds' spans as Chrome trace_event JSON (open in Perfetto / chrome://tracing)")
 		spansCap   = flag.Int("spans-cap", 0, "span ring capacity (0 = default 8192)")
-		engineStr  = flag.String("engine", "", "round-loop engine: incremental (default) or rescan (legacy oracle; byte-identical output)")
 	)
 	flag.Parse()
-
-	engine, err := core.ParseEngineMode(*engineStr)
-	if err != nil {
-		fatal(err)
-	}
 
 	// Observability never touches stdout: the report must stay
 	// byte-identical with and without -http/-flight/-spans-out
@@ -143,7 +137,6 @@ func main() {
 		Obs:              observer,
 		Flight:           rec,
 		AuditDrillRound:  *auditDrill,
-		Engine:           engine,
 	}, policy)
 	if err != nil {
 		fatal(err)

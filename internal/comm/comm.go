@@ -80,8 +80,8 @@ type JobAssignment struct {
 	// minibatches done and total. The agent is stateless across
 	// migrations — exactly Gandiva's checkpoint semantics.
 	DoneMB, TotalMB float64
-	GangRate        float64 // whole-gang minibatches/sec on this agent's generation
-	Overhead        float64 // seconds lost to resume/migration this quantum
+	GangRate        float64 // whole-gang minibatches/sec on this agent's generation (every shard of a gang is sent the whole gang's)
+	Overhead        float64 // seconds of the quantum without progress: resume or migration cost, cross-server span penalty, a degraded server
 
 	// Shard is the fraction of the job's gang running on this agent
 	// (1 for single-server jobs). Degraded-mode agents only trust

@@ -145,7 +145,7 @@ func (r *AuditReport) Summary() string {
 }
 
 // auditor is the engine's always-on invariant checker. It is fed by
-// runRound (placement, tickets, capacity) and executeJob (per-job
+// runRound (placement, tickets, capacity) and settle (per-job
 // accounting) and verifies conservation at every round boundary.
 type auditor struct {
 	mode    AuditMode
@@ -207,19 +207,19 @@ func (a *auditor) beginRound(round int, now simclock.Time, caps map[gpu.Generati
 
 // checkAssignment audits the concrete device placement of one round:
 // gang integrity, capacity, double placement, and failed servers.
-// placed is the round's execute list — the assignment in job-ID order,
-// each entry an index into jobs — so violations come out in a
-// deterministic order, and the whole check is O(placed devices) with
-// no hashing (unless servers are out) and no allocation.
-func (a *auditor) checkAssignment(placed []placedJob, jobs []*job.Job, down, quarantined map[gpu.ServerID]bool) {
+// placed is the round's execute list — the assignment in job-ID order
+// — so violations come out in a deterministic order, and the whole
+// check is O(placed devices) with no hashing (unless servers are out)
+// and no allocation.
+func (a *auditor) checkAssignment(placed []Quantum, down, quarantined map[gpu.ServerID]bool) {
 	if !a.on() {
 		return
 	}
 	a.owners.Begin()
 	serversOut := len(down) > 0 || len(quarantined) > 0
 	var width [gpu.NumGenerations]int
-	for _, p := range placed {
-		j, devs := jobs[p.pos], p.devs
+	for i := range placed {
+		j, devs := placed[i].Job, placed[i].Devs
 		id := j.ID
 		a.rep.Checks += 1 + len(devs)
 		if len(devs) != j.Gang {
@@ -263,30 +263,29 @@ func (a *auditor) checkAssignment(placed []placedJob, jobs []*job.Job, down, qua
 	}
 }
 
-// noteExec audits one job's execution accounting and accrues the
-// round's per-generation busy time for the conservation check.
-func (a *auditor) noteExec(j *job.Job, gen gpu.Generation, info RanInfo) {
+// checkExec audits one quantum's execution accounting.
+func (a *auditor) checkExec(id job.ID, info RanInfo) {
 	if !a.on() {
 		return
 	}
 	const tol = 1e-6
 	a.rep.Checks++
 	if info.OccupiedSecs > a.quantum+tol {
-		a.violate(InvUsefulBound, "job %d occupied %v s > quantum %v s", j.ID, info.OccupiedSecs, a.quantum)
+		a.violate(InvUsefulBound, "job %d occupied %v s > quantum %v s", id, info.OccupiedSecs, a.quantum)
 	}
 	if info.UsefulSecs > info.OccupiedSecs+tol {
-		a.violate(InvUsefulBound, "job %d useful %v s > occupied %v s", j.ID, info.UsefulSecs, info.OccupiedSecs)
+		a.violate(InvUsefulBound, "job %d useful %v s > occupied %v s", id, info.UsefulSecs, info.OccupiedSecs)
 	}
 	if info.UsefulSecs < 0 || info.OccupiedSecs < 0 {
-		a.violate(InvUsefulBound, "job %d negative accounting: useful %v, occupied %v", j.ID, info.UsefulSecs, info.OccupiedSecs)
+		a.violate(InvUsefulBound, "job %d negative accounting: useful %v, occupied %v", id, info.UsefulSecs, info.OccupiedSecs)
 	}
-	a.busyGen[gen] += float64(j.Gang) * info.OccupiedSecs
 }
 
-// noteFaultCharge accrues occupied GPU-seconds charged outside
-// executeJob (a failed migration attempt holds its reserved target
-// devices for the attempt's duration) so conservation stays exact.
-func (a *auditor) noteFaultCharge(gen gpu.Generation, gangSecs float64) {
+// noteBusy accrues occupied GPU-seconds charged to this round — a
+// settled quantum, or a failed migration attempt holding its reserved
+// target devices — for the conservation check. A quantum answered after
+// its round closed is not this round's time and is not noted.
+func (a *auditor) noteBusy(gen gpu.Generation, gangSecs float64) {
 	if !a.on() {
 		return
 	}

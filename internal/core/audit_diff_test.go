@@ -118,7 +118,7 @@ func TestCheckAssignmentMatchesMapReference(t *testing.T) {
 				gpu.K80: slices.Clone(c.DevicesOf(gpu.K80)), gpu.V100: slices.Clone(c.DevicesOf(gpu.V100)),
 			}
 			asg := placement.Assignment{}
-			var placed []placedJob
+			var placed []Quantum
 			for pos, j := range jobs {
 				if rng.Intn(5) == 0 {
 					continue // not placed this round
@@ -146,7 +146,7 @@ func TestCheckAssignmentMatchesMapReference(t *testing.T) {
 					rng.Shuffle(len(devs), func(i, k int) { devs[i], devs[k] = devs[k], devs[i] })
 				}
 				asg[j.ID] = devs
-				placed = append(placed, placedJob{pos: pos, devs: devs})
+				placed = append(placed, Quantum{Job: j, Devs: devs, pos: pos})
 			}
 			caps := c.CapacityByGen()
 			if rng.Intn(4) == 0 {
@@ -165,7 +165,7 @@ func TestCheckAssignmentMatchesMapReference(t *testing.T) {
 			a.rep.Violations = a.rep.Violations[:0] // keep every round under the recording cap
 			a.beginRound(round, 0, caps, nil)
 			before := a.rep.Checks
-			a.checkAssignment(placed, jobs, down, quar)
+			a.checkAssignment(placed, down, quar)
 			var got []auditFinding
 			for _, v := range a.rep.Violations {
 				got = append(got, auditFinding{v.Invariant, v.Detail})

@@ -27,17 +27,17 @@ func mkAuditor(t *testing.T) (*auditor, []*job.Job, []gpu.DeviceID) {
 
 func TestAuditQuarantineInvariant(t *testing.T) {
 	a, jobs, devs := mkAuditor(t)
-	placed := []placedJob{{pos: 0, devs: devs[:1]}}
+	placed := []Quantum{{Job: jobs[0], Devs: devs[:1]}}
 
 	// Placement on a healthy, unquarantined server is clean.
-	a.checkAssignment(placed, jobs, nil, nil)
+	a.checkAssignment(placed, nil, nil)
 	if n := a.rep.Counts[InvQuarantine]; n != 0 {
 		t.Fatalf("clean placement flagged: %d quarantine violations", n)
 	}
 
 	// The same placement with the server quarantined must violate
 	// InvQuarantine — and only it (the server is not down).
-	a.checkAssignment(placed, jobs, nil, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, nil, map[gpu.ServerID]bool{0: true})
 	if n := a.rep.Counts[InvQuarantine]; n != 1 {
 		t.Errorf("quarantined-server placement: %d violations, want 1", n)
 	}
@@ -47,7 +47,7 @@ func TestAuditQuarantineInvariant(t *testing.T) {
 
 	// Down and quarantined are independent invariants: both fire when
 	// both states hold.
-	a.checkAssignment(placed, jobs, map[gpu.ServerID]bool{0: true}, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, map[gpu.ServerID]bool{0: true}, map[gpu.ServerID]bool{0: true})
 	if a.rep.Counts[InvQuarantine] != 2 || a.rep.Counts[InvDownServer] != 1 {
 		t.Errorf("down+quarantined: got quarantine=%d down=%d, want 2 and 1",
 			a.rep.Counts[InvQuarantine], a.rep.Counts[InvDownServer])

@@ -1,0 +1,156 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/profiler"
+	"repro/internal/simclock"
+)
+
+// Checkpoint is the engine state a restarted coordinator resumes from:
+// the clock, the event streams not yet consumed, every job's record,
+// where jobs last ran, tickets, and the usage books. Job records carry
+// the same checkpoint the wire protocol ships to agents, so a restored
+// engine re-dispatches from exactly the progress it had acknowledged.
+// What is rebuilt instead of saved: the policy's round-to-round credit,
+// the profiler's estimates (jobs are probed again), the trace log,
+// timeline and audit report (they restart empty), and the fault model's
+// books (no caller that checkpoints runs with Config.Faults yet).
+type Checkpoint struct {
+	Now           simclock.Time             `json:"now"`
+	Rounds        int                       `json:"rounds"`
+	Pending       []job.Spec                `json:"pending,omitempty"`
+	TicketChanges []TicketChange            `json:"ticket_changes,omitempty"`
+	Active        []job.Checkpoint          `json:"active,omitempty"`
+	Done          []job.Checkpoint          `json:"done,omitempty"`
+	Prev          map[job.ID][]gpu.DeviceID `json:"prev,omitempty"`
+	Tickets       map[job.UserID]float64    `json:"tickets,omitempty"`
+
+	Usage      map[job.UserID]map[gpu.Generation]float64 `json:"usage,omitempty"`
+	Useful     map[job.UserID]float64                    `json:"useful,omitempty"`
+	FairUsage  map[job.UserID]float64                    `json:"fair_usage,omitempty"`
+	Throughput map[job.UserID]float64                    `json:"throughput,omitempty"`
+	Busy       map[gpu.Generation]float64                `json:"busy,omitempty"`
+	Capacity   map[gpu.Generation]float64                `json:"capacity,omitempty"`
+	Migrations int                                       `json:"migrations,omitempty"`
+	Trades     int                                       `json:"trades,omitempty"`
+}
+
+// Checkpoint captures the engine's state. Call between rounds.
+func (s *Sim) Checkpoint() *Checkpoint {
+	cp := &Checkpoint{
+		Now:           s.clock.Now(),
+		Rounds:        s.rounds,
+		Pending:       slices.Clone(s.evq.specs[s.evq.nextSpec:]),
+		TicketChanges: slices.Clone(s.evq.changes[s.evq.nextChange:]),
+		Prev:          make(map[job.ID][]gpu.DeviceID, len(s.prev)),
+		Tickets:       maps.Clone(s.tickets),
+		Usage:         make(map[job.UserID]map[gpu.Generation]float64, len(s.usage)),
+		Useful:        maps.Clone(s.useful),
+		FairUsage:     maps.Clone(s.fairUsage),
+		Throughput:    maps.Clone(s.mbByUser),
+		Busy:          maps.Clone(s.busyByGen),
+		Capacity:      maps.Clone(s.capByGen),
+		Migrations:    s.migrations,
+		Trades:        s.trades,
+	}
+	for _, j := range s.jobs { // job-ID order: deterministic file contents
+		cp.Active = append(cp.Active, j.Checkpoint())
+	}
+	for _, j := range s.finished {
+		cp.Done = append(cp.Done, j.Checkpoint())
+	}
+	for id, devs := range s.prev {
+		cp.Prev[id] = slices.Clone(devs)
+	}
+	for u, byGen := range s.usage {
+		cp.Usage[u] = maps.Clone(byGen)
+	}
+	return cp
+}
+
+// Restore rebuilds an engine from a checkpoint. cfg supplies what a
+// checkpoint does not hold — cluster, quantum, costs, audit mode,
+// instrumentation; its Specs, Tickets and TicketChanges are replaced by
+// the checkpoint's, and the whole is validated as New validates it (a
+// job listed twice, or one the cluster cannot place, is an error).
+func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, cp *Checkpoint) (*Sim, error) {
+	if cp == nil {
+		return nil, fmt.Errorf("core: nil checkpoint")
+	}
+	cfg.Specs = slices.Clone(cp.Pending)
+	for _, jc := range cp.Active {
+		cfg.Specs = append(cfg.Specs, jc.Spec)
+	}
+	for _, jc := range cp.Done {
+		cfg.Specs = append(cfg.Specs, jc.Spec)
+	}
+	cfg.Tickets, cfg.TicketChanges = cp.Tickets, cp.TicketChanges
+	s, err := NewWithExecutor(cfg, policy, exec, prof)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if cp.Now < 0 || cp.Rounds < 0 {
+		return nil, fmt.Errorf("core: checkpoint at round %d, t=%v", cp.Rounds, cp.Now)
+	}
+	s.clock.RunUntil(cp.Now)
+	s.rounds = cp.Rounds
+	s.evq = newEventCursor(cp.Pending, cp.TicketChanges)
+	for _, jc := range cp.Active {
+		j, err := job.FromCheckpoint(jc)
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint active: %w", err)
+		}
+		if j.Finished() {
+			return nil, fmt.Errorf("core: checkpoint lists finished job %d as active", j.ID)
+		}
+		s.admit(j)
+	}
+	for _, jc := range cp.Done {
+		j, err := job.FromCheckpoint(jc)
+		if err != nil {
+			return nil, fmt.Errorf("core: checkpoint done: %w", err)
+		}
+		if !j.Finished() {
+			return nil, fmt.Errorf("core: checkpoint lists unfinished job %d as done", j.ID)
+		}
+		s.finished = append(s.finished, j)
+	}
+	for id, devs := range cp.Prev {
+		if s.active[id] == nil {
+			continue // finished or lost between checkpoint and crash
+		}
+		for _, d := range devs {
+			if int(d) < 0 || int(d) >= cfg.Cluster.NumDevices() {
+				return nil, fmt.Errorf("core: checkpoint places job %d on unknown device %d", id, d)
+			}
+		}
+		if len(devs) == 0 {
+			continue
+		}
+		// Sorted, as placement leaves them; the generation a job last ran
+		// on is its devices'.
+		s.prev[id] = slices.Clone(devs)
+		slices.Sort(s.prev[id])
+		s.prevGen[id] = cfg.Cluster.Device(devs[0]).Gen
+	}
+	for u, byGen := range cp.Usage {
+		for g, v := range byGen {
+			if !g.Valid() || v < 0 {
+				return nil, fmt.Errorf("core: checkpoint usage for %q on %v is %v", u, g, v)
+			}
+			s.addUsage(u, g, v)
+		}
+	}
+	maps.Copy(s.useful, cp.Useful)
+	maps.Copy(s.fairUsage, cp.FairUsage)
+	maps.Copy(s.mbByUser, cp.Throughput)
+	maps.Copy(s.busyByGen, cp.Busy)
+	maps.Copy(s.capByGen, cp.Capacity)
+	s.migrations, s.trades = cp.Migrations, cp.Trades
+	return s, nil
+}

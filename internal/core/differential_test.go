@@ -1,4 +1,4 @@
-package sweep
+package core_test
 
 import (
 	"fmt"
@@ -7,15 +7,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 )
 
 // TestDifferentialEngines is the engine equivalence harness: every
 // (config, policy, seed) point of the checked-in scenario grids runs
-// through both the incremental and the rescan engine, with the strict
-// auditor on, and the two canonical SHA-256 digests must be equal.
-// The digest covers the full observable output — trace counters,
-// fault counters, and per-user occupancy/fair/useful/deficit — so any
-// divergence in the incremental indices shows up here.
+// on the engine and on the test-only from-scratch reference model
+// (core's export_test.go), with the strict auditor on, and the two
+// canonical SHA-256 digests must be equal. The digest covers the full
+// observable output — trace counters, fault counters, and per-user
+// occupancy/fair/useful/deficit — so any divergence in the maintained
+// placement index or water-fill solver shows up here.
 func TestDifferentialEngines(t *testing.T) {
 	type point struct {
 		label  string
@@ -30,7 +32,7 @@ func TestDifferentialEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := LoadGrid(f)
+	grid, err := sweep.LoadGrid(f)
 	_ = f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -72,38 +74,36 @@ func TestDifferentialEngines(t *testing.T) {
 		pt := pt
 		t.Run(pt.label, func(t *testing.T) {
 			t.Parallel()
-			digests := make(map[string]string, 2)
-			for _, engine := range []string{"incremental", "rescan"} {
-				sc := pt.sc
-				sc.Policy = pt.policy
-				sc.Seed = pt.seed
-				sc.Engine = engine
-				digests[engine] = runScenarioDigest(t, sc)
-			}
-			if digests["incremental"] != digests["rescan"] {
-				t.Errorf("engine digests diverge:\n  incremental %s\n  rescan      %s",
-					digests["incremental"], digests["rescan"])
+			sc := pt.sc
+			sc.Policy = pt.policy
+			sc.Seed = pt.seed
+			engine, reference := runScenarioDigest(t, sc, false), runScenarioDigest(t, sc, true)
+			if engine != reference {
+				t.Errorf("digests diverge:\n  engine    %s\n  reference %s", engine, reference)
 			}
 		})
 	}
 }
 
 // runScenarioDigest builds and runs one scenario to its horizon (the
-// strict auditor is the config default) and returns the canonical
-// digest of the result.
-func runScenarioDigest(t *testing.T, sc scenario.Scenario) string {
+// strict auditor is the config default), on the from-scratch reference
+// when asked, and returns the canonical digest of the result.
+func runScenarioDigest(t *testing.T, sc scenario.Scenario, reference bool) string {
 	t.Helper()
 	cfg, policy, horizon, err := sc.Build()
 	if err != nil {
-		t.Fatalf("build (%s): %v", sc.Engine, err)
+		t.Fatalf("build: %v", err)
 	}
 	sim, err := core.New(cfg, policy)
 	if err != nil {
-		t.Fatalf("new (%s): %v", sc.Engine, err)
+		t.Fatalf("new: %v", err)
+	}
+	if reference {
+		sim.UseFromScratchReference()
 	}
 	res, err := sim.Run(horizon)
 	if err != nil {
-		t.Fatalf("run (%s): %v", sc.Engine, err)
+		t.Fatalf("run (reference=%v): %v", reference, err)
 	}
 	return core.CanonicalDigest(res)
 }

@@ -404,30 +404,31 @@ func FuzzEngineAudit(f *testing.F) {
 			Faults:        fc,
 			Audit:         AuditStrict,
 		}
-		// Differential: the same recipe runs through both engines; each
-		// must pass the strict auditor AND both must produce the same
-		// canonical digest, so the fuzzer hunts for inputs where the
-		// incremental indices diverge from the rescan oracle.
-		digests := make(map[EngineMode]string, 2)
-		for _, mode := range []EngineMode{EngineIncremental, EngineRescan} {
-			cfg := cfg
-			cfg.Engine = mode
+		// Differential: the same recipe runs on the engine and on the
+		// from-scratch reference; each must pass the strict auditor AND
+		// both must produce the same canonical digest, so the fuzzer hunts
+		// for inputs where the maintained index or solver diverges from
+		// the reference.
+		var digests [2]string
+		for i, reference := range []bool{false, true} {
 			sim, err := New(cfg, MustNewFairPolicy(FairConfig{EnableTrading: trading}))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if reference {
+				sim.UseFromScratchReference()
+			}
 			res, err := sim.Run(simclock.Time(16 * simclock.Hour))
 			if err != nil {
-				t.Fatalf("strict audit failed (%v): %v", mode, err)
+				t.Fatalf("strict audit failed (reference=%v): %v", reference, err)
 			}
 			if res.Audit == nil || !res.Audit.Clean() {
-				t.Fatalf("audit not clean (%v): %s", mode, res.Audit.Summary())
+				t.Fatalf("audit not clean (reference=%v): %s", reference, res.Audit.Summary())
 			}
-			digests[mode] = CanonicalDigest(res)
+			digests[i] = CanonicalDigest(res)
 		}
-		if digests[EngineIncremental] != digests[EngineRescan] {
-			t.Fatalf("engine digests diverge:\n  incremental %s\n  rescan      %s",
-				digests[EngineIncremental], digests[EngineRescan])
+		if digests[0] != digests[1] {
+			t.Fatalf("digests diverge:\n  engine    %s\n  reference %s", digests[0], digests[1])
 		}
 	})
 }

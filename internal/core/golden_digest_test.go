@@ -18,8 +18,9 @@ import (
 // assertions fires, the engine's deterministic output changed; that
 // is a correctness regression, not a test to update casually.
 //
-// Both engine modes are asserted against the SAME golden: the
-// incremental engine's whole point is byte-identical output.
+// The engine and the test-only from-scratch reference are asserted
+// against the SAME golden: the maintained index and solver exist only
+// to produce byte-identical output faster.
 const (
 	goldenChurnDigest  = "d12f3ac598033a27647f5e3233ba8c54eec1e1400ff9d22a1bc4f065736b7cb2"
 	goldenFaultyDigest = "3a74983626660aba115e722bd53c4960e6db2aa3017321b52d7edf251da19325"
@@ -59,7 +60,7 @@ func goldenSpecs(t *testing.T, seed int64) []job.Spec {
 	return specs
 }
 
-func goldenChurnConfig(t *testing.T, engine EngineMode) Config {
+func goldenChurnConfig(t *testing.T) Config {
 	return Config{
 		Cluster: goldenCluster(t),
 		Specs:   goldenSpecs(t, 1234),
@@ -69,12 +70,11 @@ func goldenChurnConfig(t *testing.T, engine EngineMode) Config {
 			{User: "bob", At: simclock.Time(4 * simclock.Hour), Tickets: 3},
 			{User: "alice", At: simclock.Time(8 * simclock.Hour), Tickets: 0.5},
 		},
-		Engine: engine,
-		Seed:   1234,
+		Seed: 1234,
 	}
 }
 
-func goldenFaultyConfig(t *testing.T, engine EngineMode) Config {
+func goldenFaultyConfig(t *testing.T) Config {
 	return Config{
 		Cluster: goldenCluster(t),
 		Specs:   goldenSpecs(t, 99),
@@ -97,16 +97,20 @@ func goldenFaultyConfig(t *testing.T, engine EngineMode) Config {
 			QuarantineWindowHours:  2,
 			QuarantineCooloffHours: 2,
 		},
-		Engine: engine,
-		Seed:   99,
+		Seed: 99,
 	}
 }
 
-func runGolden(t *testing.T, cfg Config, trading bool) string {
+// runGolden runs cfg on the engine, or — reference set — on the
+// from-scratch reference model (see UseFromScratchReference).
+func runGolden(t *testing.T, cfg Config, trading, reference bool) string {
 	t.Helper()
 	sim, err := New(cfg, MustNewFairPolicy(FairConfig{EnableTrading: trading}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reference {
+		sim.UseFromScratchReference()
 	}
 	res, err := sim.Run(simclock.Time(16 * simclock.Hour))
 	if err != nil {
@@ -116,17 +120,17 @@ func runGolden(t *testing.T, cfg Config, trading bool) string {
 }
 
 func TestGoldenDigestChurn(t *testing.T) {
-	for _, mode := range []EngineMode{EngineIncremental, EngineRescan} {
-		if got := runGolden(t, goldenChurnConfig(t, mode), true); got != goldenChurnDigest {
-			t.Errorf("engine=%v churn digest = %s, want %s", mode, got, goldenChurnDigest)
+	for _, reference := range []bool{false, true} {
+		if got := runGolden(t, goldenChurnConfig(t), true, reference); got != goldenChurnDigest {
+			t.Errorf("reference=%v churn digest = %s, want %s", reference, got, goldenChurnDigest)
 		}
 	}
 }
 
 func TestGoldenDigestFaulty(t *testing.T) {
-	for _, mode := range []EngineMode{EngineIncremental, EngineRescan} {
-		if got := runGolden(t, goldenFaultyConfig(t, mode), false); got != goldenFaultyDigest {
-			t.Errorf("engine=%v faulty digest = %s, want %s", mode, got, goldenFaultyDigest)
+	for _, reference := range []bool{false, true} {
+		if got := runGolden(t, goldenFaultyConfig(t), false, reference); got != goldenFaultyDigest {
+			t.Errorf("reference=%v faulty digest = %s, want %s", reference, got, goldenFaultyDigest)
 		}
 	}
 }

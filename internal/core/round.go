@@ -1,0 +1,640 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+
+	"repro/internal/faults"
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/placement"
+	"repro/internal/simclock"
+	"repro/internal/trace"
+)
+
+// round is one quantum's working state, handed from phase to phase of
+// runRound. The engine keeps one and resets it every round.
+type round struct {
+	now simclock.Time
+
+	// Servers out this round: down is physically failed or unreachable,
+	// quar quarantined, unavail their union (what placement excludes).
+	down, quar, unavail map[gpu.ServerID]bool
+	pinned              map[job.ID]bool        // jobs in migration-failure backoff
+	deficit             map[job.UserID]float64 // compensation debt as of the round start
+	caps                map[gpu.Generation]int // capacity net of unavail
+	res                 placement.Result       // this round's placement
+	repaid              map[job.UserID]float64 // the decision's declared repayments
+	fair, loss, occ     map[job.UserID]float64 // fault model only: reference entitlement, fault loss, occupied
+}
+
+// runRound executes one scheduling quantum, phase by phase: events and
+// faults, the fairness reference, decide, place, migrate, execute,
+// retire, settle. Only the execute phase knows there is an executor.
+func (s *Sim) runRound() error {
+	s.rounds++
+	rd := &s.rd
+	*rd = round{now: s.clock.Now()}
+	s.obs.BeginRound(s.rounds, float64(rd.now))
+
+	st := s.beginRound(rd)
+	s.fairReference(rd)
+	reqs, err := s.decide(rd, st)
+	if err != nil {
+		return err
+	}
+	if err := s.placeRound(rd, reqs); err != nil {
+		return err
+	}
+	s.failMigrations(rd)
+	qs := s.quanta
+
+	s.obs.PhaseStart(obs.PhaseAudit)
+	s.aud.checkAssignment(qs, rd.down, rd.quar)
+	s.obs.PhaseEnd(obs.PhaseAudit)
+
+	if err := s.execute(rd, qs); err != nil {
+		return err
+	}
+	// Capacity accounting for utilization, net of failed servers.
+	for g, c := range rd.caps {
+		s.capByGen[g] += float64(c) * s.cfg.Quantum
+	}
+	s.retire(rd, qs)
+	s.policy.Executed(&s.execRep)
+	if s.faultsOn {
+		s.settleCompensation(rd)
+	}
+	s.obs.PhaseStart(obs.PhaseAudit)
+	err = s.aud.endRound()
+	s.obs.PhaseEnd(obs.PhaseAudit)
+	s.publishShares()
+	s.obs.EndRound(len(s.active), s.evq.pendingCount())
+	return err
+}
+
+// beginRound applies the events due — ticket changes, fault
+// transitions, job crashes, backoff expiry — and assembles what the
+// policy sees.
+//
+//gflint:noretain
+func (s *Sim) beginRound(rd *round) *RoundState {
+	now := rd.now
+	s.evq.popTicketsDue(now, func(tc TicketChange) {
+		s.tickets[tc.User] = tc.Tickets
+		s.fairSolver.SetTickets(tc.User, tc.Tickets)
+	})
+	s.obs.PhaseStart(obs.PhaseFaultSweep)
+	rd.down = s.updateFaultState(now)
+	rd.quar = s.breaker.Set()
+	s.obs.PhaseEnd(obs.PhaseFaultSweep)
+	s.obs.SetQuarantined(s.breaker.Count())
+	// Servers unusable this round: physically down or quarantined.
+	rd.unavail = rd.down
+	if len(rd.quar) > 0 {
+		rd.unavail = make(map[gpu.ServerID]bool, len(rd.down)+len(rd.quar))
+		for sid := range rd.down {
+			rd.unavail[sid] = true
+		}
+		for sid := range rd.quar {
+			rd.unavail[sid] = true
+		}
+	}
+
+	// Job crash-restart draws, in job-ID order: the injector consumes
+	// one draw per job that held GPUs last quantum, so the visiting
+	// order is part of the seed contract.
+	if s.faultsOn {
+		rd.loss = make(map[job.UserID]float64)
+		rd.occ = make(map[job.UserID]float64)
+		for _, j := range s.jobs {
+			if j.Finished() || !j.RanLastQuantum() {
+				continue
+			}
+			if s.finj.CrashNow() {
+				lost := j.Crash()
+				s.crashes++
+				s.log.Add(now, trace.KindJobCrash, j.ID, j.User,
+					fmt.Sprintf("lostMB=%.1f crashes=%d", lost, j.Crashes()))
+				s.obs.NoteFault("job-crash")
+			}
+		}
+	}
+
+	// The policy sees the deficit as of the round start; losses accrued
+	// this round become visible (and repayable) next round.
+	if len(s.compDeficit) > 0 {
+		rd.deficit = make(map[job.UserID]float64, len(s.compDeficit))
+		for u, d := range s.compDeficit {
+			rd.deficit[u] = d
+		}
+	}
+
+	// Migration-failure backoff pinning, expiring lapsed entries.
+	if len(s.pinnedUntil) > 0 {
+		rd.pinned = make(map[job.ID]bool, len(s.pinnedUntil))
+		s.pinBuf = sortedJobIDsInt(s.pinnedUntil, s.pinBuf)
+		for _, id := range s.pinBuf {
+			if s.rounds > s.pinnedUntil[id] {
+				delete(s.pinnedUntil, id)
+				continue
+			}
+			rd.pinned[id] = true
+		}
+	}
+
+	st := &RoundState{
+		Now:     now,
+		Quantum: s.cfg.Quantum,
+		Cluster: s.cfg.Cluster,
+		Jobs:    s.jobs,
+		Tickets: s.tickets,
+		Prof:    s.prof,
+		PrevGen: s.prevGen,
+
+		MigrationDisabled: s.cfg.DisableMigration,
+		Down:              rd.down,
+		Quarantined:       rd.quar,
+		Pinned:            rd.pinned,
+		Deficit:           rd.deficit,
+		Obs:               s.obs,
+	}
+	rd.caps = st.CapacityByGen()
+	st.caps = rd.caps // the policy's CapacityByGen call reuses it
+	s.aud.beginRound(s.rounds, now, rd.caps, s.tickets)
+	if s.cfg.AuditDrillRound == s.rounds && s.aud.on() {
+		s.aud.violate(InvDrill, "operator-requested audit drill")
+	}
+	return st
+}
+
+// fairReference integrates the policy-independent fairness reference
+// for this round, water-filled over the capacity actually available
+// (failed servers excluded).
+func (s *Sim) fairReference(rd *round) {
+	s.obs.PhaseStart(obs.PhaseWaterfill)
+	availTotal := 0.0
+	for _, g := range gpu.Generations() {
+		availTotal += float64(rd.caps[g])
+	}
+	shares := s.shares(availTotal)
+	if s.faultsOn {
+		rd.fair = make(map[job.UserID]float64, len(shares))
+	}
+	for u, sh := range shares {
+		s.fairUsage[u] += sh * s.cfg.Quantum
+		if rd.fair != nil {
+			rd.fair[u] = sh * s.cfg.Quantum
+		}
+	}
+	s.obs.PhaseEnd(obs.PhaseWaterfill)
+}
+
+// solveShares is the maintained water-fill. Demand was kept exact at
+// admission and retirement and tickets at change-application time; only
+// capacity can still have moved. The solver re-solves only when
+// something really changed — most rounds return the memoized result.
+//
+//gflint:noretain
+func (s *Sim) solveShares(capacity float64) map[job.UserID]float64 {
+	s.fairSolver.SetCapacity(capacity)
+	return s.fairSolver.Shares()
+}
+
+// decide asks the policy for the round's requests and holds it to its
+// contract.
+func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
+	s.obs.PhaseStart(obs.PhaseDecide)
+	dec := s.policy.Decide(st)
+	if err := s.checkDecision(dec, rd.caps); err != nil {
+		return nil, err
+	}
+	s.obs.PhaseEnd(obs.PhaseDecide)
+	rd.repaid = dec.Repaid
+	s.trades += len(dec.Trades)
+	for _, tr := range dec.Trades {
+		s.log.Add(rd.now, trace.KindTrade, 0, tr.Buyer,
+			fmt.Sprintf("seller=%s fast=%v slow=%v dFast=%.2f dSlow=%.2f price=%.2f",
+				tr.Seller, tr.Fast, tr.Slow, tr.FastGPUs, tr.SlowGPUs, tr.Price))
+		s.obs.NoteTrade(string(tr.Buyer), string(tr.Seller),
+			tr.Fast.String(), tr.Slow.String(), tr.FastGPUs, tr.SlowGPUs, tr.Price)
+	}
+	return dec.Run, nil
+}
+
+// placeIndexed is the maintained placement: the index carries
+// availability as baseline state and takes the delta against last
+// round out of the full set itself.
+func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result {
+	s.pidx.SyncUnavail(unavail)
+	return placement.PlaceIndexed(s.pidx, s.prev, reqs, opts)
+}
+
+// placeRound assigns devices and builds the round's execute list,
+// s.quanta, in job-ID order, not assignment-map order: settling a quantum consumes
+// draws from the shared profiling RNG, so the processing order decides
+// which job sees which noise sample. Map iteration order varies between
+// processes and would make runs with the same seed diverge. s.jobs is
+// already sorted; filtering it against the assignment yields the same
+// order a fresh sort would. Each job's devices are validated on the
+// way, so the first violation reported is the lowest job ID's.
+func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
+	s.obs.PhaseStart(obs.PhasePlacement)
+	rd.res = s.place(rd.unavail, reqs,
+		placement.Options{AllowMigration: !s.cfg.DisableMigration, Pinned: rd.pinned})
+	qs := s.quanta[:0]
+	s.owners.Begin()
+	for i, j := range s.jobs {
+		devs, ok := rd.res.Assignment[j.ID]
+		if !ok {
+			continue
+		}
+		if err := s.owners.ValidateJob(j.ID, devs); err != nil {
+			return fmt.Errorf("core: round %d: %w", s.rounds, err)
+		}
+		qs = append(qs, Quantum{Job: j, Devs: devs, pos: i})
+	}
+	s.quanta = qs
+	if len(qs) != len(rd.res.Assignment) {
+		for id := range rd.res.Assignment {
+			if s.active[id] == nil {
+				return fmt.Errorf("core: placement returned unknown job %d", id)
+			}
+		}
+	}
+	s.obs.PhaseEnd(obs.PhasePlacement)
+	return nil
+}
+
+// failMigrations injects migration failures: each migration attempt may
+// fail — the job pays the copy cost on its reserved target devices but
+// stays put, retrying later under capped exponential backoff. Draws
+// happen in res.Migrated order, which placement emits sorted — so
+// s.migFailedBuf, the round's failed movers, comes out sorted too. They
+// leave the execute list.
+func (s *Sim) failMigrations(rd *round) {
+	s.obs.PhaseStart(obs.PhaseMigrate)
+	res := &rd.res
+	migFailed := s.migFailedBuf[:0]
+	if s.finj != nil && len(res.Migrated) > 0 {
+		kept := res.Migrated[:0]
+		for _, id := range res.Migrated {
+			if !s.finj.MigrationFails() {
+				kept = append(kept, id)
+				delete(s.migFails, id)
+				delete(s.pinnedUntil, id)
+				continue
+			}
+			j := s.active[id]
+			devs := res.Assignment[id]
+			gen := s.cfg.Cluster.Device(devs[0]).Gen
+			gang := float64(j.Gang)
+			cost := s.cfg.Costs.MigrationCost(j.Perf)
+			if cost > s.cfg.Quantum {
+				cost = s.cfg.Quantum
+			}
+			// The attempt held its reserved target devices for the
+			// checkpoint copy: occupied time is charged, no progress made,
+			// and the rest of the quantum is lost to the fault.
+			j.AddOverhead(cost)
+			s.addUsage(j.User, gen, gang*cost)
+			s.busyByGen[gen] += gang * cost
+			s.tl.Add(rd.now, j.User, gang*cost)
+			s.aud.noteBusy(gen, gang*cost)
+			rd.occ[j.User] += gang * cost
+			rd.loss[j.User] += gang * (s.cfg.Quantum - cost)
+			s.migFails[id]++
+			s.migFailures++
+			backoff := faults.Backoff(s.fcfg, s.migFails[id])
+			s.pinnedUntil[id] = s.rounds + backoff
+			migFailed = append(migFailed, id)
+			delete(res.Assignment, id)
+			res.Unplaced = append(res.Unplaced, id)
+			s.log.Add(rd.now, trace.KindMigFail, id, j.User,
+				fmt.Sprintf("attempt=%d backoff=%d cost=%.0fs", s.migFails[id], backoff, cost))
+			s.obs.NoteFault("migration-fail")
+		}
+		res.Migrated = kept
+		slices.Sort(res.Unplaced)
+		s.quanta = slices.DeleteFunc(s.quanta, func(q Quantum) bool { // the failed movers do not run
+			_, failed := slices.BinarySearch(migFailed, q.Job.ID)
+			return failed
+		})
+	}
+	s.migFailedBuf = migFailed
+	s.obs.PhaseEnd(obs.PhaseMigrate)
+	s.obs.NoteUnplaced(len(res.Unplaced))
+}
+
+// retire does the quantum bookkeeping on every active job, then retires
+// finished ones. It walks jobs in ID order, not map order: retirement
+// appends finish events to the trace, and map iteration would let two
+// jobs finishing in the same round swap log positions between runs.
+// The sweep compacts s.jobs in place behind itself, and merges the
+// round's assignment into s.prev, next round's stability baseline: a
+// job that was dispatched takes its new devices (its checkpoint went
+// there, answered or not), a job that went unplaced keeps its old ones
+// (its checkpoint state lives on that server, and the no-migration mode
+// pins it there), a finished job drops out.
+func (s *Sim) retire(rd *round, qs []Quantum) {
+	live := s.jobs[:0]
+	next := 0
+	for i, j := range s.jobs {
+		id := j.ID
+		var q *Quantum
+		if next < len(qs) && qs[next].pos == i {
+			q = &qs[next]
+			next++
+		}
+		if j.Finished() {
+			s.retireJob(j)
+			continue
+		}
+		live = append(live, j)
+		// A job placement kept in place holds prev's own slice (same
+		// devices, same generation): only a placed-anew job is written.
+		if q != nil {
+			if old := s.prev[id]; len(old) == 0 || &old[0] != &q.Devs[0] {
+				s.prev[id] = q.Devs
+				s.prevGen[id] = q.Gen
+			}
+		}
+		// ran: the quantum was placed and its executor answered for it.
+		ran := q != nil && q.Answered
+		if j.State() == job.Running && !ran {
+			j.SetRunning(false)
+			if s.faultsOn {
+				// Suspension serializes the job (Gandiva's suspend is
+				// checkpoint-based), so its progress becomes durable.
+				j.NoteCheckpoint()
+				s.lastCkpt[id] = rd.now
+			}
+		}
+		if s.faultsOn && !ran {
+			// A job stranded because its servers are down or quarantined
+			// loses the whole quantum of occupied share to the fault —
+			// that shortfall becomes its user's compensation debt.
+			// (Failed migrations were already charged above.)
+			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, id); !migFailedNow {
+				for _, d := range s.prev[id] {
+					if rd.unavail[s.cfg.Cluster.Device(d).Server] {
+						rd.loss[j.User] += float64(j.Gang) * s.cfg.Quantum
+						break
+					}
+				}
+			}
+		}
+		j.NoteQuantum(ran)
+	}
+	clear(s.jobs[len(live):]) // drop the retired jobs' pointers
+	s.jobs = live
+}
+
+// retireJob removes a finished job from every engine structure but
+// s.jobs, which the caller compacts.
+func (s *Sim) retireJob(j *job.Job) {
+	id := j.ID
+	s.finished = append(s.finished, j)
+	s.log.Add(j.FinishTime(), trace.KindFinish, id, j.User,
+		fmt.Sprintf("jct=%.0fs migrations=%d", j.JCT(), j.Migrations()))
+	s.obs.NoteFinish()
+	s.policy.JobFinished(id)
+	s.prof.Remove(id)
+	delete(s.active, id)
+	s.fairSolver.AddDemand(j.User, -float64(j.Gang))
+	delete(s.prev, id)
+	delete(s.prevGen, id)
+	if s.faultsOn {
+		delete(s.migFails, id)
+		delete(s.pinnedUntil, id)
+		delete(s.lastCkpt, id)
+	}
+}
+
+// settleCompensation closes the round's failure-compensation books:
+// each user's raw fault loss is capped at their share shortfall,
+// repayments drain the debt, this round's fault losses add to it, the
+// auditor checks the arithmetic, and users who have fully departed are
+// forgiven. Gauges are refreshed last.
+//
+// Repayment is recognized by materialization, not by grant: when the
+// policy participates in compensation (Decision.Repaid non-nil), a
+// debtor's occupied time beyond their fair reference this round drains
+// the debt, capped at what is owed. Grants flow through the policy's
+// credit accounting and surface as excess occupancy over the following
+// rounds, so recognizing the excess — rather than the grant — keeps a
+// deficit alive when placement could not realize the grant
+// (fragmentation, pinned jobs) and retires it exactly as fast as the
+// user actually catches up.
+func (s *Sim) settleCompensation(rd *round) {
+	lost, repaid, fair, occ := rd.loss, rd.repaid, rd.fair, rd.occ
+	// Cap each user's raw fault loss at their actual share shortfall
+	// this round (fair entitlement minus occupied time). A user whose
+	// other jobs soaked up their full water-filled share lost nothing
+	// in the fairness currency, and compensating the per-job loss
+	// anyway would push them above the reference.
+	for _, u := range job.SortedUsers(lost) {
+		shortfall := fair[u] - occ[u]
+		if shortfall < 0 {
+			shortfall = 0
+		}
+		if lost[u] > shortfall {
+			lost[u] = shortfall
+		}
+		if lost[u] <= 0 {
+			delete(lost, u)
+		}
+	}
+	users := make(map[job.UserID]float64, len(s.compDeficit)+len(lost)+len(repaid))
+	for u := range s.compDeficit {
+		users[u] = 0
+	}
+	for u := range lost {
+		users[u] = 0
+	}
+	for u := range repaid {
+		users[u] = 0
+	}
+	if len(users) == 0 {
+		return
+	}
+	sorted := job.SortedUsers(users)
+	before := make(map[job.UserID]float64, len(sorted))
+	clamped := make(map[job.UserID]float64, len(sorted))
+	after := make(map[job.UserID]float64, len(sorted))
+	for _, u := range sorted {
+		b := s.compDeficit[u]
+		before[u] = b
+		var r float64
+		if repaid != nil && b > 0 {
+			if r = occ[u] - fair[u]; r < 0 {
+				r = 0
+			}
+			if r > b {
+				r = b
+			}
+		}
+		clamped[u] = r
+		d := b + lost[u] - r
+		if d <= 1e-9 {
+			d = 0
+		}
+		after[u] = d
+		if d == 0 {
+			delete(s.compDeficit, u)
+		} else {
+			s.compDeficit[u] = d
+		}
+		s.compRepaid += r
+		s.obs.SetCompDeficit(string(u), d)
+		s.obs.NoteRepaid(r)
+	}
+	s.aud.checkCompensation(sorted, before, lost, clamped, after)
+	// Forgive debt of users with no jobs left in the system — there is
+	// no demand to repay into, and carrying the deficit forever would
+	// poison the monotone-drain invariant for reappearing user names.
+	if len(s.compDeficit) == 0 {
+		return
+	}
+	present := make(map[job.UserID]bool, len(s.active))
+	for _, j := range s.active {
+		present[j.User] = true
+	}
+	s.evq.forEachPendingUser(func(u job.UserID) { present[u] = true })
+	for _, u := range job.SortedUsers(s.compDeficit) {
+		if !present[u] {
+			delete(s.compDeficit, u)
+			s.obs.SetCompDeficit(string(u), 0)
+		}
+	}
+}
+
+// publishShares refreshes the per-user share gauges (observed vs
+// water-filled entitlement fractions). No-op when uninstrumented.
+func (s *Sim) publishShares() {
+	if s.obs == nil {
+		return
+	}
+	var usedTotal, fairTotal float64
+	used := make(map[job.UserID]float64, len(s.usage))
+	for u, byGen := range s.usage {
+		for _, g := range gpu.Generations() {
+			used[u] += byGen[g]
+		}
+	}
+	for _, u := range job.SortedUsers(used) {
+		usedTotal += used[u]
+	}
+	for _, u := range job.SortedUsers(s.fairUsage) {
+		fairTotal += s.fairUsage[u]
+	}
+	for _, u := range job.SortedUsers(used) {
+		uf, ff := 0.0, 0.0
+		if usedTotal > 0 {
+			uf = used[u] / usedTotal
+		}
+		if fairTotal > 0 {
+			ff = s.fairUsage[u] / fairTotal
+		}
+		s.obs.SetShare(string(u), uf, ff)
+	}
+}
+
+func (s *Sim) addUsage(u job.UserID, g gpu.Generation, amount float64) {
+	m := s.usage[u]
+	if m == nil {
+		m = make(map[gpu.Generation]float64)
+		s.usage[u] = m
+	}
+	m[g] += amount
+}
+
+// updateFaultState advances the compiled fault timeline to now,
+// maintains the sampled down set incrementally, feeds the quarantine
+// breaker, and logs every transition. It returns the round's down set
+// — sampled outages plus the servers the executor cannot reach — as a
+// copy: RoundState and placement must not alias mutable state.
+func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
+	// Release expired quarantines before noting new failures so a
+	// server can be re-observed the round it is freed.
+	for _, sid := range s.breaker.ExpireStep(now) {
+		s.log.Add(now, trace.KindUnquarantine, 0, "", fmt.Sprintf("server=%d", sid))
+	}
+	for _, tr := range s.fsweep.Advance(now) {
+		if tr.Slow {
+			if tr.Factor < 1 {
+				s.log.Add(now, trace.KindDegrade, 0, "", fmt.Sprintf("server=%d factor=%.2f", tr.Server, tr.Factor))
+				s.obs.NoteFault("degrade")
+			} else {
+				s.log.Add(now, trace.KindDegradeEnd, 0, "", fmt.Sprintf("server=%d", tr.Server))
+			}
+			continue
+		}
+		if tr.Down {
+			s.down[tr.Server] = true
+			s.log.Add(now, trace.KindFailure, 0, "", fmt.Sprintf("server=%d", tr.Server))
+			s.obs.NoteFault("server-down")
+			if s.breaker.NoteFailure(tr.Server, now) {
+				s.quarTrips++
+				s.log.Add(now, trace.KindQuarantine, 0, "", fmt.Sprintf("server=%d", tr.Server))
+				s.obs.NoteFault("quarantine")
+			}
+		} else {
+			delete(s.down, tr.Server)
+			s.log.Add(now, trace.KindRecovery, 0, "", fmt.Sprintf("server=%d", tr.Server))
+		}
+	}
+	down := make(map[gpu.ServerID]bool, len(s.down)+len(s.unreachable))
+	for sid := range s.down {
+		down[sid] = true
+	}
+	for sid := range s.unreachable {
+		down[sid] = true
+	}
+	return down
+}
+
+// sortedJobIDsInt collects m's keys sorted ascending into buf
+// (reused; contents overwritten).
+func sortedJobIDsInt(m map[job.ID]int, buf []job.ID) []job.ID {
+	ids := buf[:0]
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// checkDecision enforces the policy contract: known runnable jobs,
+// no duplicates, per-generation gang totals within capacity, and
+// every job placed on a generation it fits.
+func (s *Sim) checkDecision(dec Decision, caps map[gpu.Generation]int) error {
+	seen := s.seenBuf
+	clear(seen)
+	var width [gpu.NumGenerations]int
+	for _, r := range dec.Run {
+		if r.Job == nil {
+			return fmt.Errorf("core: policy returned nil job")
+		}
+		j, ok := s.active[r.Job.ID]
+		if !ok || j != r.Job {
+			return fmt.Errorf("core: policy scheduled unknown job %d", r.Job.ID)
+		}
+		if seen[r.Job.ID] {
+			return fmt.Errorf("core: policy scheduled job %d twice", r.Job.ID)
+		}
+		seen[r.Job.ID] = true
+		if !r.Job.Perf.FitsOn(r.Gen) {
+			return fmt.Errorf("core: policy put job %d on unusable generation %v", r.Job.ID, r.Gen)
+		}
+		width[r.Gen] += r.Job.Gang
+	}
+	for g, w := range width {
+		if gen := gpu.Generation(g); w > caps[gen] {
+			return fmt.Errorf("core: policy overcommitted %v: %d > %d", gen, w, caps[gen])
+		}
+	}
+	return nil
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/migrate"
 	"repro/internal/netchaos"
 	"repro/internal/obs"
 	"repro/internal/simclock"
@@ -38,9 +39,12 @@ type ChaosConfig struct {
 	Seed int64
 
 	// Workload shape: Users users × JobsPerUser single-GPU jobs each,
-	// every job sized to JobQuanta scheduling quanta of useful work
-	// plus half a quantum of slack (so fault overheads never push a
-	// job into an extra round and usage totals stay comparable).
+	// every job sized to JobQuanta scheduling quanta of useful work.
+	// Keep JobQuanta × Quantum a whole number of seconds (the defaults
+	// and NetChaosConfig do): with the zoo's integral K80 rates every
+	// charge is then a whole number of GPU-seconds, per-user sums are
+	// exact in any order, and "usage identical to the baseline" is a
+	// theorem about the protocol, not a coincidence of rounding.
 	// Defaults: 2 users × 2 jobs of 4.5 quanta.
 	Users       int
 	JobsPerUser int
@@ -223,19 +227,33 @@ func (t *delaySend) Send(to string, e comm.Envelope) error {
 }
 
 // chaosSpecs builds the shared workload: identical single-GPU jobs
-// per user, each sized to JobQuanta quanta of useful K80 time.
+// per user, each sized to JobQuanta quanta of useful K80 time (in
+// seconds, not through BatchJobs' hours: see ChaosConfig.JobQuanta).
 func chaosSpecs(cfg ChaosConfig) ([]job.Spec, error) {
 	zoo := workload.DefaultZoo()
 	models := []string{"lstm", "gru", "vae", "resnet50"}
-	hours := cfg.JobQuanta * float64(cfg.Quantum) / simclock.Hour
 	var specs []job.Spec
 	for u := 0; u < cfg.Users; u++ {
 		user := job.UserID(fmt.Sprintf("user%02d", u+1))
 		perf := zoo.MustGet(models[u%len(models)])
-		specs = append(specs, workload.BatchJobs(user, perf, cfg.JobsPerUser, 1, hours)...)
+		batch := workload.BatchJobs(user, perf, cfg.JobsPerUser, 1, 1)
+		for i := range batch {
+			batch[i].TotalMB = perf.RatePerGPU[gpu.K80] * (cfg.JobQuanta * cfg.Quantum)
+		}
+		specs = append(specs, batch...)
 	}
 	return workload.AssignIDs(specs)
 }
+
+// chaosCosts makes control operations free in the harness. The engine
+// charges a job its work plus its overheads (core's arithmetic: a
+// finishing job releases its GPUs mid-quantum), so every resume or
+// migration a fault forces would show in the books; with free
+// operations a user's usage is exactly the work credited to them, and
+// its identity to the undisturbed baseline says what the matrix is
+// there to say: under every fault, each executed round is counted
+// once and none is lost.
+var chaosCosts = migrate.CostModel{CheckpointMBps: math.Inf(1), CrossServerEff: 1}
 
 // fastRetry keeps chaos runs quick: tight backoff, deterministic.
 func fastRetry(seed int64) comm.RetryPolicy {
@@ -276,9 +294,9 @@ func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, maxDelay 
 	return ca, nil
 }
 
-// runUndisturbed executes the baseline: same workload and cluster, no
-// faults.
-func runUndisturbed(cfg ChaosConfig, specs []job.Spec) (*Summary, error) {
+// runUndisturbed executes the baseline: same workload, cluster and
+// central configuration, no faults.
+func runUndisturbed(cfg ChaosConfig, ccfg CentralConfig) (*Summary, error) {
 	hub := comm.NewHub()
 	ctr, err := hub.Attach("central")
 	if err != nil {
@@ -290,14 +308,7 @@ func runUndisturbed(cfg ChaosConfig, specs []job.Spec) (*Summary, error) {
 			return nil, err
 		}
 	}
-	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
-		Specs:           specs,
-		Quantum:         cfg.Quantum,
-		ReportTimeout:   cfg.ReportTimeout,
-		CollectDeadline: cfg.CollectDeadline,
-		LeaseRounds:     cfg.LeaseRounds,
-		Retry:           fastRetry(cfg.Seed),
-	})
+	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -329,9 +340,10 @@ func waitAgent(a *chaosAgent) error {
 // RunChaos executes the baseline and the faulted run and verifies the
 // invariants the distributed runtime promises under churn: the
 // faulted run terminates, every job finishes, per-user useful service
-// never exceeds occupied service, and — because job sizing leaves
-// fault overheads inside each job's slack — per-user occupied usage
-// is byte-identical to the undisturbed run's.
+// never exceeds occupied service, and — control operations being free
+// in the harness (chaosCosts), so that usage is exactly the work
+// credited — per-user occupied usage is byte-identical to the
+// undisturbed run's.
 func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SnapshotAtRound > 0 && cfg.SnapshotDir == "" {
@@ -341,13 +353,24 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := runUndisturbed(cfg, specs)
+	ccfg := CentralConfig{
+		Specs:           specs,
+		Quantum:         cfg.Quantum,
+		Costs:           chaosCosts,
+		ReportTimeout:   cfg.ReportTimeout,
+		CollectDeadline: cfg.CollectDeadline,
+		LeaseRounds:     cfg.LeaseRounds,
+		Retry:           fastRetry(cfg.Seed),
+	}
+	baseline, err := runUndisturbed(cfg, ccfg)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: baseline run: %w", err)
 	}
 	if baseline.Unfinished != 0 {
 		return nil, fmt.Errorf("distrib: baseline left %d jobs unfinished", baseline.Unfinished)
 	}
+	// The faulted run's central also snapshots and is instrumented.
+	ccfg.SnapshotDir, ccfg.Obs = cfg.SnapshotDir, cfg.Obs
 
 	out := &ChaosSummary{Baseline: baseline}
 
@@ -381,16 +404,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 		}
 		agents[name] = a
 	}
-	ccfg := CentralConfig{
-		Specs:           specs,
-		Quantum:         cfg.Quantum,
-		ReportTimeout:   cfg.ReportTimeout,
-		CollectDeadline: cfg.CollectDeadline,
-		LeaseRounds:     cfg.LeaseRounds,
-		Retry:           fastRetry(cfg.Seed),
-		SnapshotDir:     cfg.SnapshotDir,
-		Obs:             cfg.Obs,
-	}
 	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
 	if err != nil {
 		return nil, err
@@ -412,11 +425,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 		if inj != nil {
 			// The round about to execute: fault windows switch and
 			// delayed messages release ahead of its traffic.
-			inj.Advance(central.rounds + 1)
+			inj.Advance(central.eng.Rounds() + 1)
 		}
 		sum, err := central.Steps(1)
 		if err != nil {
-			return nil, fmt.Errorf("distrib: faulted run, round %d: %w", sum.Rounds, err)
+			return nil, fmt.Errorf("distrib: faulted run, round %d: %w", central.eng.Rounds(), err)
 		}
 		faulted = sum
 		if sum.Unfinished == 0 {
@@ -456,7 +469,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 			}
 			restored = true
 			out.Events = append(out.Events,
-				fmt.Sprintf("round %d: central crashed, restored from snapshot at round %d", round, st.SavedRound))
+				fmt.Sprintf("round %d: central crashed, restored from snapshot at round %d", round, st.Engine.Rounds))
 		}
 	}
 	if inj != nil {
@@ -521,9 +534,10 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 //
 // Shape: 2 users × 3 single-GPU jobs on 3 agents × 2 GPUs — every
 // agent stays busy, so placement is static and the books depend only
-// on how many rounds each job is charged. Jobs are sized to 4.2
-// quanta (5 charged rounds each; the 0.8-quantum slack absorbs resume
-// overheads), and the lease of 4 rounds covers the longest outage.
+// on how many rounds each job is charged. Jobs are sized to 4.25
+// quanta (four whole charged rounds and a quarter: the finishing
+// arithmetic is on the books too), and the lease of 4 rounds covers the
+// longest outage.
 //
 // The schedule, by agent (round windows are half-open):
 //   - agent-0: its reports are duplicated (rounds 1–2, dedup must
@@ -544,7 +558,7 @@ func NetChaosConfig(seed int64, snapshotDir string) ChaosConfig {
 		Seed:            seed,
 		Users:           2,
 		JobsPerUser:     3,
-		JobQuanta:       4.2,
+		JobQuanta:       4.25,
 		Agents:          3,
 		GPUsPerAgent:    2,
 		ReportTimeout:   250 * time.Millisecond,

@@ -3,18 +3,16 @@
 // agent per server executing its slice of the plan, connected by the
 // comm transports (in-memory for tests, TCP for real processes).
 //
-// The central scheduler reuses the exact same policy and placement
-// code the simulation core runs — distribution only changes who
-// executes a quantum and how the results travel back. Job state
-// crosses the wire on every (re)placement (checkpoint semantics), so
-// agents are stateless and migration falls out of the protocol.
+// The central scheduler runs the simulation core's round engine itself
+// (core.Sim) — distribution only changes who executes a quantum and how
+// the results travel back, which is the engine's executor seam. Job
+// state crosses the wire on every (re)placement (checkpoint semantics),
+// so agents are stateless and migration falls out of the protocol.
 package distrib
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -25,7 +23,6 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/placement"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -245,20 +242,7 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 				done = ld
 			}
 		}
-		used := useful
-		finished := false
-		if as.GangRate > 0 {
-			need := (as.TotalMB - done) / as.GangRate
-			if need <= useful {
-				used = need
-				finished = true
-				done = as.TotalMB
-			} else {
-				done += as.GangRate * useful
-			}
-		} else {
-			used = 0
-		}
+		done, used, finished := job.Progress(done, as.TotalMB, as.GangRate, useful)
 		if plan.Lease > 0 && wholeJob {
 			if a.local == nil {
 				a.local = make(map[int64]float64)
@@ -375,13 +359,21 @@ type CentralConfig struct {
 	Trace *trace.Log
 }
 
-// Central is the coordinator. It reuses core.FairPolicy (or any
-// core.Policy) for decisions and placement for device assignment.
+// Central is the coordinator: the round engine (core.Sim — admission,
+// the policy's decision and its validation, placement, the cost
+// arithmetic, the usage books, retirement, the auditor), the remote
+// executor that carries the engine's quanta out on the agents, and the
+// epoch/lease/dedup protocol that keeps that exactly-once over a faulty
+// network. It keeps no job, usage or placement state of its own.
 type Central struct {
 	cfg    CentralConfig
 	tr     comm.Transport
 	policy core.Policy
-	prof   *profiler.Profiler
+
+	// ecfg is the engine's configuration, complete but for the cluster:
+	// the registered agents define that, and eng is built then.
+	ecfg core.Config
+	eng  *core.Sim
 
 	// agents is sorted by name and fixed after WaitForAgents. Every
 	// agent contributes one server and gpu.New numbers servers in spec
@@ -390,44 +382,29 @@ type Central struct {
 	// (while agents register it holds their arrival positions).
 	agents   []agentInfo
 	agentIdx map[string]int
-	cluster  *gpu.Cluster
-	pidx     *placement.Index  // free-capacity index; down agents reach it as deltas
-	owners   *placement.Owners // device-owner table behind each round's placement validation
-	probeGen gpu.Generation    // first generation present: the "profiled yet?" key
 
 	retry *comm.Retrier
 
-	now      simclock.Time
-	rounds   int // scheduling rounds executed (idle quanta excluded)
 	timeouts int
 	missed   []int // by agent index: consecutive missed reports (write through setMissed)
 	nMissed  int   // agents with missed > 0; zero lets a round skip all failure bookkeeping
-	pending  []job.Spec
-	active   map[job.ID]*job.Job
-	jobs     []*job.Job //gflint:noretain active's values in job-ID order: RoundState.Jobs and every ordered walk
-	done     []*job.Job
-	prev     placement.Assignment
-	prevGen  map[job.ID]gpu.Generation
 
 	// Per-round tables, kept and cleared so a zero-fault round
-	// allocates only what it hands away (the assignment, the plan
-	// payloads, lease-window entries).
-	down    map[gpu.ServerID]bool //gflint:noretain this round's suspected-dead servers
-	planned []plannedJob          //gflint:noretain this round's placed jobs in job-ID order
-	byAgent [][]shard             //gflint:noretain by agent index: the slices of planned its plan carries
+	// allocates only what it hands away (the plan payloads,
+	// lease-window entries).
+	down    map[gpu.ServerID]bool //gflint:noretain suspected-dead servers, the engine's unreachable set
+	quanta  []core.Quantum        //gflint:noretain the engine's quanta while Execute runs
+	byAgent [][]shard             //gflint:noretain by agent index: the slices of the quanta its plan carries
 	want    []bool                //gflint:noretain by agent index: report still awaited
-	execRep core.ExecReport       // Ran is cleared and refilled every round
-
-	usage map[job.UserID]float64
 
 	// Partition-tolerance state. epoch fences central incarnations
 	// (fresh = 1, restored = snapshot+1); dedup drops duplicate
 	// envelope deliveries; the rest implements idempotent late-report
 	// reconciliation: lastApplied is the newest round counted per
-	// job, appliedRound the newest round counted per agent (the
-	// plans' cumulative AckRound), appliedSet the per-(agent, round)
-	// idempotency record, plannedWin the retained window of what each
-	// agent was asked to run (what a late report may be charged
+	// unfinished job, appliedRound the newest round counted per agent
+	// (the plans' cumulative AckRound), appliedSet the per-(agent,
+	// round) idempotency record, plannedWin the retained window of what
+	// each agent was asked to run (what a late report may be charged
 	// against), and lateQ the late reports awaiting reconciliation.
 	epoch        int
 	dedup        *comm.Dedup
@@ -438,51 +415,23 @@ type Central struct {
 	lateQ        []comm.RoundReport
 }
 
-// plannedEntry is what the central recorded about one job's
-// assignment to one agent in one round, retained for LeaseRounds
-// rounds so a late report can be verified and charged exactly as the
-// on-time report would have been.
+// plannedEntry is what the central retains about one job's assignment
+// to one agent in one round, for LeaseRounds rounds: the engine's
+// granted quantum, so a late report can be verified and settled exactly
+// as the on-time report would have been, and the agent's share of the
+// gang.
 type plannedEntry struct {
-	gen  gpu.Generation
-	gang int
+	q    core.Quantum
 	frac float64
 }
 
-// plannedJob is one placed job's record for the round, built right
-// after placement in job-ID order. Everything a round needs to know
-// about a running job — where, at what cost, what its agents reported —
-// is a field here, reached by position, not a map entry keyed by ID.
-type plannedJob struct {
-	j        *job.Job
-	devs     []gpu.DeviceID
-	gen      gpu.Generation
-	migrated bool
-	overhead simclock.Duration // resume or migration cost shipped in the plan
-	baseDone float64           // j.DoneMB() when the plan was built
-	// prog is the shards' reported progress merged (mergeShards);
-	// reported says at least one shard's report arrived.
-	prog     comm.JobProgress
-	reported bool
-	// gone marks a job a late report retired between planning and
-	// apply: its round still ran on the agents but there is no record
-	// left to charge.
-	gone bool
-}
-
-// shard is the part of one planned job that runs on one agent:
-// devs[lo:hi] of the record, all on that agent's server.
+// shard is the part of one quantum that runs on one agent: Devs[lo:hi]
+// of it, all on that agent's server.
 type shard struct {
-	rec    int32 // index into Central.planned
+	rec    int32 // index into the round's quanta
 	lo, hi int32
-	// frac is the shard's share of the gang. It weights the shard's
-	// reported useful seconds when merging (every shard spans the same
-	// wall quantum, so an unweighted sum would multiply a gang's useful
-	// time by its server count).
-	frac float64
-	// prog is what the agent reported for the shard, kept as received
-	// until every report is in (got says one arrived).
-	prog comm.JobProgress
-	got  bool
+	frac   float64 // the shard's share of the gang
+	got    bool    // the agent reported it
 }
 
 type agentInfo struct {
@@ -491,7 +440,9 @@ type agentInfo struct {
 	gpus int
 }
 
-// NewCentral builds the coordinator. Call WaitForAgents before Run.
+// NewCentral builds the coordinator. Call WaitForAgents before Run: the
+// engine, and with it the validation of the workload against the
+// inventory, comes into being when the agents have registered.
 func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Central, error) {
 	if tr == nil || policy == nil {
 		return nil, fmt.Errorf("distrib: nil transport or policy")
@@ -499,11 +450,17 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("distrib: no jobs")
 	}
+	c := newCentral(tr, policy, cfg, 1)
+	c.ecfg.Specs, c.ecfg.Tickets = cfg.Specs, cfg.Tickets
+	return c, nil
+}
+
+// newCentral is the part of construction a fresh and a restored central
+// share: operational defaults, the engine configuration less its
+// workload and cluster, and the protocol state of incarnation epoch.
+func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch int) *Central {
 	if cfg.Quantum == 0 {
-		cfg.Quantum = 360
-	}
-	if (cfg.Costs == migrate.CostModel{}) {
-		cfg.Costs = migrate.Default()
+		cfg.Quantum = 360 // the engine's default; plans carry it
 	}
 	if cfg.ReportTimeout == 0 {
 		cfg.ReportTimeout = 5 * time.Second
@@ -511,51 +468,29 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 	if cfg.MaxAgentTimeouts == 0 {
 		cfg.MaxAgentTimeouts = 50
 	}
-	if cfg.Tickets == nil {
-		cfg.Tickets = map[job.UserID]float64{}
-	}
-	prof, err := profiler.New(0.25, 0, 1) // noiseless: agents report true rates
-	if err != nil {
-		return nil, err
-	}
 	c := &Central{
-		cfg:      cfg,
-		tr:       tr,
-		policy:   policy,
-		prof:     prof,
-		agentIdx: make(map[string]int),
-		active:   make(map[job.ID]*job.Job),
-		prev:     placement.Assignment{},
-		prevGen:  make(map[job.ID]gpu.Generation),
-		usage:    make(map[job.UserID]float64),
-		epoch:    1,
+		cfg:          cfg,
+		tr:           tr,
+		policy:       policy,
+		ecfg:         core.Config{Quantum: cfg.Quantum, Costs: cfg.Costs, Obs: cfg.Obs, TraceCap: traceCap},
+		agentIdx:     make(map[string]int),
+		epoch:        epoch,
+		dedup:        comm.NewDedup(),
+		lastApplied:  make(map[job.ID]int),
+		appliedRound: make(map[string]int),
+		appliedSet:   make(map[string]map[int]bool),
+		plannedWin:   make(map[int]map[string]map[job.ID]plannedEntry),
 	}
-	c.initProtocol()
+	cfg.Obs.SetEpoch(epoch)
 	c.retry = c.newRetrier()
-	c.pending = make([]job.Spec, len(cfg.Specs))
-	copy(c.pending, cfg.Specs)
-	sort.SliceStable(c.pending, func(i, j int) bool { return c.pending[i].Arrival < c.pending[j].Arrival })
-	for i := range c.pending {
-		if err := c.pending[i].Validate(); err != nil {
-			return nil, err
-		}
-		if _, ok := cfg.Tickets[c.pending[i].User]; !ok {
-			cfg.Tickets[c.pending[i].User] = 1
-		}
-	}
-	return c, nil
+	return c
 }
 
-// initProtocol builds the partition-tolerance state for a fresh or
-// restored central. Call after c.epoch is set.
-func (c *Central) initProtocol() {
-	c.dedup = comm.NewDedup()
-	c.lastApplied = make(map[job.ID]int)
-	c.appliedRound = make(map[string]int)
-	c.appliedSet = make(map[string]map[int]bool)
-	c.plannedWin = make(map[int]map[string]map[job.ID]plannedEntry)
-	c.cfg.Obs.SetEpoch(c.epoch)
-}
+// traceCap bounds the engine's event log to its most recent events. A
+// coordinator runs for as long as its cluster does, so nothing it keeps
+// may grow with the round count; a saturated cluster logs a hundred
+// migrations a round.
+const traceCap = 1 << 13
 
 // collectDeadline is the straggler cutoff for the collect phase.
 func (c *Central) collectDeadline() time.Duration {
@@ -612,7 +547,7 @@ func (c *Central) fenced(rep comm.RoundReport) bool {
 	}
 	c.cfg.Obs.NoteProtocol("fence_reject")
 	if c.cfg.Trace != nil {
-		c.cfg.Trace.Add(c.now, trace.KindFenceReject, 0, "",
+		c.cfg.Trace.Add(c.eng.Now(), trace.KindFenceReject, 0, "",
 			fmt.Sprintf("report round %d epoch %d from %s (epoch now %d)", rep.Round, rep.Epoch, rep.Agent, c.epoch))
 	}
 	return true
@@ -637,17 +572,21 @@ func (c *Central) noteAlive(ai int) {
 	if c.missed[ai] >= suspectThreshold {
 		c.cfg.Obs.NoteProtocol("partition_heal")
 		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.now, trace.KindPartitionHeal, 0, "", c.agents[ai].name)
+			c.cfg.Trace.Add(c.eng.Now(), trace.KindPartitionHeal, 0, "", c.agents[ai].name)
 		}
 	}
 	c.setMissed(ai, 0)
 }
 
 // WaitForAgents blocks until n distinct agents registered (or
-// timeout), builds the cluster inventory from their announcements,
-// and acks each. A retried registration for an already-known name is
-// idempotent when the inventory matches and rejected when it does
-// not, so duplicate Register messages cannot corrupt the inventory.
+// timeout), builds the cluster inventory from their announcements and
+// the engine on it, and acks each. The engine validates the workload
+// against the inventory as core.New does — duplicate job IDs, a job
+// that fits no registered generation, a gang larger than every one —
+// and that error is returned. A retried registration for an
+// already-known name is idempotent when the inventory matches and
+// rejected when it does not, so duplicate Register messages cannot
+// corrupt the inventory.
 func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	//gflint:ignore wallclock registration deadline on a real transport, not simulated time
 	deadline := time.After(timeout)
@@ -687,25 +626,8 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 			return fmt.Errorf("distrib: only %d of %d agents registered", len(c.agents), n)
 		}
 	}
-	if err := c.buildCluster(); err != nil {
+	if err := c.buildEngine(nil); err != nil {
 		return err
-	}
-	// Reject jobs that can never be placed on the registered
-	// inventory (a gang needs one generation with enough GPUs).
-	gens := c.cluster.GensPresent()
-	for i := range c.pending {
-		sp := &c.pending[i]
-		placeable := false
-		for _, g := range gens {
-			if sp.Perf.FitsOn(g) && sp.Gang <= c.cluster.Capacity(g) {
-				placeable = true
-				break
-			}
-		}
-		if !placeable {
-			return fmt.Errorf("distrib: job %d (gang %d, %s) fits no registered generation",
-				sp.ID, sp.Gang, sp.Perf.Model)
-		}
 	}
 	for _, a := range c.agents {
 		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: comm.RegisterAck{OK: true}}); err != nil {
@@ -715,10 +637,12 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	return nil
 }
 
-// buildCluster derives deterministic server IDs from the registered
+// buildEngine derives deterministic server IDs from the registered
 // agents — sort by name, one server each, so agent i's server is
-// ServerID(i) — and sizes everything indexed by agent or device.
-func (c *Central) buildCluster() error {
+// ServerID(i) — sizes everything indexed by agent, and builds the
+// engine on that cluster: fresh, or from a checkpoint when restoring.
+// The engine's profiler is noiseless: agents report true rates.
+func (c *Central) buildEngine(cp *core.Checkpoint) error {
 	sort.Slice(c.agents, func(i, j int) bool { return c.agents[i].name < c.agents[j].name })
 	specs := make([]gpu.Spec, len(c.agents))
 	for i, a := range c.agents {
@@ -729,16 +653,21 @@ func (c *Central) buildCluster() error {
 	if err != nil {
 		return err
 	}
-	c.cluster = cluster
-	c.pidx = placement.NewIndex(cluster)
-	c.owners = placement.NewOwners(cluster)
-	c.probeGen = cluster.GensPresent()[0]
+	c.ecfg.Cluster = cluster
 	c.missed = make([]int, len(c.agents))
 	c.down = make(map[gpu.ServerID]bool)
 	c.byAgent = make([][]shard, len(c.agents))
 	c.want = make([]bool, len(c.agents))
-	c.execRep.Ran = make(map[job.ID]core.RanInfo)
-	return nil
+	prof, err := profiler.New(0.25, 0, 1)
+	if err != nil {
+		return err
+	}
+	if cp != nil {
+		c.eng, err = core.Restore(c.ecfg, c.policy, (*remoteExecutor)(c), prof, cp)
+	} else {
+		c.eng, err = core.NewWithExecutor(c.ecfg, c.policy, (*remoteExecutor)(c), prof)
+	}
+	return err
 }
 
 // ackRegister answers a Register best-effort (the agent re-registers
@@ -853,12 +782,12 @@ func (c *Central) reconcileLate(round int) {
 			pe, ok := planned[id]
 			if !ok || pe.frac < 1 {
 				// Not planned here, or a cross-server shard: a shard's
-				// progress only means something merged with its
+				// progress only means something together with its
 				// siblings in the same round, which is gone.
 				continue
 			}
-			j := c.active[id]
-			if j == nil || j.Finished() {
+			j := pe.q.Job
+			if j.Finished() {
 				continue
 			}
 			if c.lastApplied[id] >= rep.Round {
@@ -867,24 +796,15 @@ func (c *Central) reconcileLate(round int) {
 			if p.DoneMB < j.DoneMB()-1e-6 {
 				continue // stale progress; applying would move the job backwards
 			}
-			// Charge exactly as the on-time report would have been:
-			// the round's end time is in the past relative to c.now,
-			// but usage and progress are time-independent.
-			j.ApplyReport(p.DoneMB, pe.gen, float64(pe.gang)*p.UsedSecs, p.Finished, c.now)
-			c.usage[j.User] += float64(pe.gang) * c.cfg.Quantum
-			c.lastApplied[id] = rep.Round
-			if j.Finished() {
-				c.finishJob(id, j)
-			}
+			// Settled by the engine exactly as the on-time answer would
+			// have been: the quantum is the one it granted that round.
+			q := pe.q
+			q.Answered, q.DoneMB, q.UsedSecs, q.Finished = true, p.DoneMB, p.UsedSecs, p.Finished
+			c.eng.ApplyLate(&q)
+			c.noteApplied(id, rep.Round, j.Finished())
 			applied = true
 		}
-		if c.appliedSet[rep.Agent] == nil {
-			c.appliedSet[rep.Agent] = make(map[int]bool)
-		}
-		c.appliedSet[rep.Agent][rep.Round] = true
-		if rep.Round > c.appliedRound[rep.Agent] {
-			c.appliedRound[rep.Agent] = rep.Round
-		}
+		c.markApplied(rep.Agent, rep.Round)
 		if applied {
 			c.cfg.Obs.NoteProtocol("late_report_applied")
 		} else {
@@ -893,29 +813,28 @@ func (c *Central) reconcileLate(round int) {
 	}
 }
 
-// finishJob retires a job a late report finished, between rounds'
-// sweeps: retire, plus the sorted list entry the sweep would compact.
-func (c *Central) finishJob(id job.ID, j *job.Job) {
-	c.retire(id, j)
-	if i, ok := slices.BinarySearchFunc(c.jobs, id, func(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) }); ok {
-		c.jobs = slices.Delete(c.jobs, i, i+1)
+// markApplied records that agent's report for round has been counted,
+// so backlog replays of the same round are never applied again, and
+// advances the agent's cumulative ack.
+func (c *Central) markApplied(agent string, round int) {
+	if c.appliedSet[agent] == nil {
+		c.appliedSet[agent] = make(map[int]bool)
+	}
+	c.appliedSet[agent][round] = true
+	if round > c.appliedRound[agent] {
+		c.appliedRound[agent] = round
 	}
 }
 
-// byJobID orders Central.jobs.
-func byJobID(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) }
-
-// retire removes a finished job from every scheduler structure but
-// c.jobs, which the caller compacts.
-func (c *Central) retire(id job.ID, j *job.Job) {
-	c.done = append(c.done, j)
-	c.policy.JobFinished(id)
-	c.prof.Remove(id)
-	delete(c.active, id)
-	delete(c.prevGen, id)
-	delete(c.prev, id)
-	delete(c.lastApplied, id)
-	c.cfg.Obs.NoteFinish()
+// noteApplied records that round's answer for job id goes to the
+// engine: no older round may be counted for it again. A finished job
+// needs no record — nothing is ever applied to it.
+func (c *Central) noteApplied(id job.ID, round int, finished bool) {
+	if finished {
+		delete(c.lastApplied, id)
+	} else {
+		c.lastApplied[id] = round
+	}
 }
 
 // Summary reports the distributed run's outcome.
@@ -932,7 +851,7 @@ type Summary struct {
 	MissedReports int
 }
 
-// Run executes up to maxRounds scheduling quanta (stopping early when
+// Run executes up to maxRounds scheduling rounds (stopping early when
 // all jobs finish) and shuts the agents down.
 func (c *Central) Run(maxRounds int) (*Summary, error) {
 	sum, err := c.Steps(maxRounds)
@@ -943,31 +862,33 @@ func (c *Central) Run(maxRounds int) (*Summary, error) {
 	return sum, nil
 }
 
-// Steps advances the schedule by up to maxSteps quanta without
-// shutting the agents down, so a supervisor (the chaos harness, an
-// operator console) can interleave scheduling with control actions.
+// Steps advances the schedule by up to maxSteps scheduling rounds
+// without shutting the agents down, so a supervisor (the chaos harness,
+// an operator console) can interleave scheduling with control actions.
 // It stops early when every job has finished. The returned summary
-// reflects progress so far.
+// reflects progress so far. Between the engine's rounds the protocol
+// does its own work: control traffic, late reports, the failure
+// detector's verdicts, snapshots.
 func (c *Central) Steps(maxSteps int) (*Summary, error) {
-	if c.cluster == nil {
+	if c.eng == nil {
 		return nil, fmt.Errorf("distrib: WaitForAgents first")
 	}
 	for step := 0; step < maxSteps; step++ {
-		if err := c.admit(); err != nil {
+		c.drainControl()
+		// Reconcile before the engine plans so plans carry the freshest
+		// checkpoint (a healed agent's backlog may have advanced jobs
+		// past what the central charged so far).
+		c.reconcileLate(c.eng.Rounds() + 1)
+		c.eng.SetUnreachable(c.downServers())
+		ran, err := c.eng.Step(simclock.Forever)
+		if err != nil {
 			return nil, err
 		}
-		if len(c.active) == 0 {
-			if len(c.pending) == 0 {
-				break
-			}
-			c.now = c.now.Add(c.cfg.Quantum)
-			continue
+		if !ran {
+			break
 		}
-		if err := c.runRound(c.rounds + 1); err != nil {
-			return nil, err
-		}
-		c.rounds++
-		c.now = c.now.Add(c.cfg.Quantum)
+		c.cfg.Obs.SetEpoch(c.epoch)
+		c.cfg.Obs.SetDegradedAgents(c.degradedAgents())
 		if err := c.maybeSnapshot(); err != nil {
 			return nil, err
 		}
@@ -983,38 +904,15 @@ func (c *Central) ShutdownAgents() {
 }
 
 func (c *Central) summary() *Summary {
-	sort.Slice(c.done, func(i, j int) bool { return c.done[i].FinishTime() < c.done[j].FinishTime() })
+	res := c.eng.Result()
 	return &Summary{
-		Rounds:         c.rounds,
-		Finished:       c.done,
-		Unfinished:     len(c.active) + len(c.pending),
-		UsageByUser:    c.usage,
-		VirtualSeconds: simclock.Duration(c.now),
+		Rounds:         res.Rounds,
+		Finished:       res.Finished,
+		Unfinished:     res.Unfinished,
+		UsageByUser:    res.TotalUsageByUser(),
+		VirtualSeconds: simclock.Duration(res.End),
 		MissedReports:  c.timeouts,
 	}
-}
-
-// admit moves arrived specs into the active set. Specs are validated
-// at construction, so a job that fails to build here is a hard error
-// — silently dropping it would lose the job without trace.
-func (c *Central) admit() error {
-	n := 0
-	for len(c.pending) > 0 && c.pending[0].Arrival <= c.now {
-		j, err := job.New(c.pending[0])
-		if err != nil {
-			return fmt.Errorf("distrib: admitting job %d: %w", c.pending[0].ID, err)
-		}
-		c.active[j.ID] = j
-		c.jobs = append(c.jobs, j)
-		n++
-		c.pending = c.pending[1:]
-	}
-	if n > 0 {
-		// Arrival order is not ID order; one sort per admitting round.
-		slices.SortFunc(c.jobs, byJobID)
-	}
-	c.cfg.Obs.NoteAdmitted(n)
-	return nil
 }
 
 // BusyAgents returns the names (sorted) of agents hosting at least
@@ -1022,9 +920,9 @@ func (c *Central) admit() error {
 // uses it to aim a kill at a server that actually has work.
 func (c *Central) BusyAgents() []string {
 	busy := make([]bool, len(c.agents))
-	for _, devs := range c.prev {
+	for _, devs := range c.eng.Placement() {
 		for _, d := range devs {
-			busy[c.cluster.Device(d).Server] = true
+			busy[c.ecfg.Cluster.Device(d).Server] = true
 		}
 	}
 	var names []string
@@ -1056,7 +954,7 @@ func (c *Central) noteMiss(ai int) {
 	if c.cfg.LeaseRounds > 0 && c.missed[ai] == c.downThreshold() {
 		c.cfg.Obs.NoteProtocol("lease_expired")
 		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.now, trace.KindLeaseExpire, 0, "", c.agents[ai].name)
+			c.cfg.Trace.Add(c.eng.Now(), trace.KindLeaseExpire, 0, "", c.agents[ai].name)
 		}
 	}
 }
@@ -1081,167 +979,93 @@ func (c *Central) downServers() map[gpu.ServerID]bool {
 	return c.down
 }
 
+// degradedAgents counts agents unheard-from but still covered by their
+// lease.
+func (c *Central) degradedAgents() int {
+	deg := 0
+	if c.cfg.LeaseRounds > 0 && c.nMissed > 0 {
+		thr := c.downThreshold()
+		for _, m := range c.missed {
+			if m > 0 && m < thr {
+				deg++
+			}
+		}
+	}
+	return deg
+}
+
 // shardOf finds job id among the shards of agent ai's plan this round,
 // nil when the plan did not carry it. An agent hosts at most one shard
 // per local GPU, so it is a short scan.
 func (c *Central) shardOf(ai int, id int64) *shard {
 	for k := range c.byAgent[ai] {
-		if sh := &c.byAgent[ai][k]; int64(c.planned[sh.rec].j.ID) == id {
+		if sh := &c.byAgent[ai][k]; int64(c.quanta[sh.rec].Job.ID) == id {
 			return sh
 		}
 	}
 	return nil
 }
 
-// mergeShards folds the round's shard reports into their jobs' records.
-// It walks agents in index order, so a multi-server gang's shards merge
-// in server order whatever order their reports arrived in, and the
-// float sums below — and with them the next round's plans — repeat from
-// run to run.
-func (c *Central) mergeShards() {
+// mergeShards closes the round's answers. A gang trains only if every
+// server it spans does, so a quantum is answered when all its shards
+// reported (each computed the whole gang's progress from the same plan
+// fields; the collect loop kept the first server's copy).
+func (c *Central) mergeShards(round int) {
+	qs := c.quanta
+	for i := range qs {
+		// A late report reconciled since dispatch may have finished the
+		// job: its round still ran on the agents but there is nothing
+		// left to charge.
+		qs[i].Answered = !qs[i].Job.Finished()
+	}
 	for _, shards := range c.byAgent {
-		for k := range shards {
-			sh := &shards[k]
+		for _, sh := range shards {
 			if !sh.got {
-				continue
+				qs[sh.rec].Answered = false
 			}
-			r := &c.planned[sh.rec]
-			p := sh.prog
-			// Weight the shard's useful seconds by its share of the
-			// gang so the merged value measures gang-time (frac is 1
-			// for single-server jobs).
-			p.UsedSecs *= sh.frac
-			if !r.reported {
-				r.prog, r.reported = p, true
-				continue
-			}
-			// Multi-server gang: each shard reports progress at its
-			// fraction of the gang rate over the same base, so
-			// increments add (and the gang finishes when the summed
-			// progress reaches the total).
-			r.prog.DoneMB += p.DoneMB - r.baseDone
-			if r.prog.DoneMB >= r.j.TotalMB-1e-6 {
-				r.prog.DoneMB = r.j.TotalMB
-				r.prog.Finished = true
-			}
-			r.prog.UsedSecs += p.UsedSecs
+		}
+	}
+	for i := range qs {
+		if q := &qs[i]; q.Answered {
+			// Or advanced it past the reported checkpoint (the plan was
+			// built from a stale base). The round still ran and is still
+			// charged; progress just never moves backwards.
+			q.DoneMB = max(q.DoneMB, q.Job.DoneMB())
+			c.noteApplied(q.Job.ID, round, q.Finished)
 		}
 	}
 }
 
-func (c *Central) runRound(round int) error {
+// remoteExecutor is the Central as the engine's executor: dispatch the
+// round's quanta to the agents as plans, collect their reports,
+// reconcile what arrived late, and hand back the answers. It touches no
+// books: the engine settles every answer.
+type remoteExecutor Central
+
+// Execute implements core.Executor.
+func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
+	c := (*Central)(r)
 	o := c.cfg.Obs
-	c.drainControl()
-	// Reconcile before planning so plans carry the freshest checkpoint
-	// (a healed agent's backlog may have advanced jobs past what the
-	// central charged so far).
-	c.reconcileLate(round)
-	o.BeginRound(round, float64(c.now))
+	c.quanta = qs
+	defer func() { c.quanta = nil }()
 	// Trace context shipped in every plan so agent spans join this
 	// round's trace (both zero when tracing is off).
 	ctr := o.Tracer()
 	ctrace := ctr.Trace()
 	croot := uint64(ctr.Root())
-	for _, j := range c.jobs {
-		if c.prof.Samples(j.ID, c.probeGen) == 0 {
-			c.prof.ProbeAll(j)
-		}
-	}
-
-	down := c.downServers()
-	st := &core.RoundState{
-		Now: c.now, Quantum: c.cfg.Quantum, Cluster: c.cluster,
-		Jobs: c.jobs, Tickets: c.cfg.Tickets, Prof: c.prof, PrevGen: c.prevGen,
-		Down: down,
-		Obs:  o,
-	}
-	o.PhaseStart(obs.PhaseDecide)
-	dec := c.policy.Decide(st)
-	o.PhaseEnd(obs.PhaseDecide)
-	for _, t := range dec.Trades {
-		o.NoteTrade(string(t.Buyer), string(t.Seller), t.Fast.String(), t.Slow.String(),
-			t.FastGPUs, t.SlowGPUs, t.Price)
-	}
-	o.PhaseStart(obs.PhasePlacement)
-	// The index carries availability as baseline state; agents that
-	// went down or came back since last round reach it as a delta.
-	c.pidx.SyncUnavail(down)
-	res := placement.PlaceIndexed(c.pidx, c.prev, dec.Run, placement.Options{AllowMigration: true})
-	// The round's records, in job-ID order (c.jobs is sorted; filtering
-	// it against the assignment keeps the order). Each job is validated
-	// on the way and split into one shard per server it touches: device
-	// IDs are dense per server and devs ascending, so a server's
-	// devices are one run.
-	planned := c.planned[:0]
-	for ai := range c.byAgent {
-		c.byAgent[ai] = c.byAgent[ai][:0]
-	}
-	c.owners.Begin()
-	nShards, nDevs := 0, 0
-	for _, j := range c.jobs {
-		devs, ok := res.Assignment[j.ID]
-		if !ok {
-			continue
-		}
-		if err := c.owners.ValidateJob(j.ID, devs); err != nil {
-			return err
-		}
-		r := plannedJob{j: j, devs: devs, gen: c.cluster.Device(devs[0]).Gen, baseDone: j.DoneMB()}
-		_, r.migrated = slices.BinarySearch(res.Migrated, j.ID)
-		switch {
-		case r.migrated:
-			r.overhead = c.cfg.Costs.MigrationCost(j.Perf)
-			j.NoteMigration()
-		case !j.RanLastQuantum():
-			r.overhead = c.cfg.Costs.ResumeCost()
-		}
-		for lo := 0; lo < len(devs); {
-			sid := c.cluster.Device(devs[lo]).Server
-			hi := lo + 1
-			for hi < len(devs) && c.cluster.Device(devs[hi]).Server == sid {
-				hi++
-			}
-			c.byAgent[sid] = append(c.byAgent[sid], shard{
-				rec: int32(len(planned)), lo: int32(lo), hi: int32(hi),
-				frac: float64(hi-lo) / float64(len(devs)),
-			})
-			nShards++
-			lo = hi
-		}
-		nDevs += len(devs)
-		planned = append(planned, r)
-	}
-	c.planned = planned
-	if len(planned) != len(res.Assignment) {
-		return fmt.Errorf("distrib: round %d: placement returned %d jobs, %d of them active",
-			round, len(res.Assignment), len(planned))
-	}
-	o.PhaseEnd(obs.PhasePlacement)
-	o.NoteUnplaced(len(res.Unplaced))
-	if o != nil {
-		for i := range planned {
-			r := &planned[i]
-			ds := make([]int, len(r.devs))
-			for i, d := range r.devs {
-				ds[i] = int(d)
-			}
-			fromGen := ""
-			if r.migrated {
-				if pg, ok := c.prevGen[r.j.ID]; ok {
-					fromGen = pg.String()
-				}
-			}
-			o.RecordPlacement(int64(r.j.ID), string(r.j.User), r.gen.String(), r.j.Gang, ds, r.migrated, fromGen)
-		}
-	}
+	cluster := c.ecfg.Cluster
 
 	// Build and ship per-agent plans, in agent order with each plan's
 	// jobs in ID order, so one seed puts the same bytes on the wire
-	// every run (and drops/retries reproduce). The payloads are handed
-	// to the transport, so they are fresh every round: two arrays,
-	// carved per plan and per shard. Multi-server gangs run at the full
-	// rate split across agents proportional to local GPUs (the span
-	// penalty is folded into overhead here for simplicity).
+	// every run (and drops/retries reproduce). Each quantum is split
+	// into one shard per server it touches: device IDs are dense per
+	// server and Devs ascending, so a server's devices are one run. The
+	// payloads are handed to the transport, so they are fresh every
+	// round: two arrays, carved per plan and per shard. Every shard of a
+	// gang is sent the whole gang's rate and checkpoint, and the time
+	// the engine granted: Overhead is the quantum less Avail, so resume
+	// or migration cost, span penalty and degradation all reach the
+	// agent as seconds without progress.
 	//
 	// A plan that cannot be delivered even after retries means the
 	// agent is unreachable right now: rather than aborting the run (or
@@ -1249,6 +1073,27 @@ func (c *Central) runRound(round int) error {
 	// is charged as a missed report immediately and the round proceeds
 	// without it.
 	o.PhaseStart(obs.PhaseDispatch)
+	for ai := range c.byAgent {
+		c.byAgent[ai] = c.byAgent[ai][:0]
+	}
+	nShards, nDevs := 0, 0
+	for i := range qs {
+		devs := qs[i].Devs
+		for lo := 0; lo < len(devs); {
+			sid := cluster.Device(devs[lo]).Server
+			hi := lo + 1
+			for hi < len(devs) && cluster.Device(devs[hi]).Server == sid {
+				hi++
+			}
+			c.byAgent[sid] = append(c.byAgent[sid], shard{
+				rec: int32(i), lo: int32(lo), hi: int32(hi),
+				frac: float64(hi-lo) / float64(len(devs)),
+			})
+			nShards++
+			lo = hi
+		}
+		nDevs += len(devs)
+	}
 	assignBuf := make([]comm.JobAssignment, nShards)
 	localBuf := make([]int, nDevs)
 	clear(c.want)
@@ -1258,7 +1103,7 @@ func (c *Central) runRound(round int) error {
 			continue
 		}
 		name := c.agents[ai].name
-		first := c.cluster.Server(gpu.ServerID(ai)).Devices[0]
+		first := cluster.Server(gpu.ServerID(ai)).Devices[0]
 		plan := comm.RoundPlan{
 			Round: round, Quantum: c.cfg.Quantum, Trace: ctrace, Span: croot,
 			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[name],
@@ -1266,8 +1111,9 @@ func (c *Central) runRound(round int) error {
 		}
 		assignBuf = assignBuf[len(shards):]
 		for k, sh := range shards {
-			r := &planned[sh.rec]
-			devs := r.devs[sh.lo:sh.hi]
+			q := &qs[sh.rec]
+			j := q.Job
+			devs := q.Devs[sh.lo:sh.hi]
 			locals := localBuf[:len(devs):len(devs)]
 			localBuf = localBuf[len(devs):]
 			for i, d := range devs {
@@ -1283,14 +1129,14 @@ func (c *Central) runRound(round int) error {
 				if c.plannedWin[round][name] == nil {
 					c.plannedWin[round][name] = make(map[job.ID]plannedEntry)
 				}
-				c.plannedWin[round][name][r.j.ID] = plannedEntry{gen: r.gen, gang: r.j.Gang, frac: sh.frac}
+				c.plannedWin[round][name][j.ID] = plannedEntry{q: *q, frac: sh.frac}
 			}
 			plan.Jobs[k] = comm.JobAssignment{
-				JobID: int64(r.j.ID), User: string(r.j.User), Model: r.j.Perf.Model,
+				JobID: int64(j.ID), User: string(j.User), Model: j.Perf.Model,
 				Gang: len(devs), LocalGPUs: locals, Shard: sh.frac,
-				DoneMB: r.baseDone, TotalMB: r.j.TotalMB,
-				GangRate: r.j.GangRate(r.gen) * sh.frac,
-				Overhead: r.overhead,
+				DoneMB: j.DoneMB(), TotalMB: j.TotalMB,
+				GangRate: j.GangRate(q.Gen),
+				Overhead: c.cfg.Quantum - q.Avail,
 			}
 		}
 		if err := c.retry.Send(c.tr, name, comm.Envelope{From: c.tr.Name(), Msg: plan}); err != nil {
@@ -1309,52 +1155,10 @@ func (c *Central) runRound(round int) error {
 		return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 	}
 	if c.cfg.LeaseRounds > 0 {
-		// Probe degraded agents that got no assignment: an empty plan
-		// paces a cut-off agent's protocol (ack, lease bookkeeping) and
-		// gives a healed report path something to answer, so recovery
-		// does not depend on the agent still hosting work. Probes are
-		// best-effort: no reply expected, failures charge nothing.
-		for i, a := range c.agents {
-			if c.missed[i] == 0 || len(c.byAgent[i]) > 0 {
-				continue
-			}
-			probe := comm.RoundPlan{
-				Round: round, Quantum: c.cfg.Quantum,
-				Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[a.name],
-			}
-			if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: probe}); err != nil {
-				o.NoteProtocol("probe_send_failed")
-				continue
-			}
-			o.NoteProtocol("probe_sent")
-		}
-		// The reconciliation window slides: plans and applied-round
-		// records older than the lease can never be charged again.
-		floor := round - 1 - c.cfg.LeaseRounds
-		old := make([]int, 0, len(c.plannedWin))
-		for r := range c.plannedWin {
-			if r <= floor {
-				old = append(old, r)
-			}
-		}
-		sort.Ints(old)
-		for _, r := range old {
-			delete(c.plannedWin, r)
-		}
-		for _, a := range c.agents {
-			rounds := make([]int, 0, len(c.appliedSet[a.name]))
-			for r := range c.appliedSet[a.name] {
-				if r <= floor {
-					rounds = append(rounds, r)
-				}
-			}
-			sort.Ints(rounds)
-			for _, r := range rounds {
-				delete(c.appliedSet[a.name], r)
-			}
-		}
+		c.probeAndSlide(round)
 	}
 	o.PhaseEnd(obs.PhaseDispatch)
+
 	o.PhaseStart(obs.PhaseCollect)
 	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
 	deadline := time.After(c.collectDeadline())
@@ -1398,23 +1202,20 @@ func (c *Central) runRound(round int) error {
 			nWant--
 			o.NoteProtocol("report_received")
 			if c.cfg.LeaseRounds > 0 {
-				// The on-time apply below counts this (agent, round);
-				// record that so backlog replays of the same round are
-				// never applied again, and the agent's ack advances.
-				if c.appliedSet[rep.Agent] == nil {
-					c.appliedSet[rep.Agent] = make(map[int]bool)
-				}
-				c.appliedSet[rep.Agent][round] = true
-				if round > c.appliedRound[rep.Agent] {
-					c.appliedRound[rep.Agent] = round
-				}
+				c.markApplied(rep.Agent, round) // counted on time
 			}
 			ctr.Inject(rep.Spans)
 			for _, p := range rep.Jobs {
 				// Progress for a job this agent's plan did not carry
 				// has nothing to be charged against and is dropped.
-				if sh := c.shardOf(ai, p.JobID); sh != nil {
-					sh.prog, sh.got = p, true
+				sh := c.shardOf(ai, p.JobID)
+				if sh == nil || sh.got {
+					continue
+				}
+				sh.got = true
+				if sh.lo == 0 { // the gang's first server answers for it
+					q := &qs[sh.rec]
+					q.DoneMB, q.UsedSecs, q.Finished = p.DoneMB, p.UsedSecs, p.Finished
 				}
 			}
 		case <-deadline:
@@ -1437,132 +1238,55 @@ func (c *Central) runRound(round int) error {
 			}
 		}
 	}
-
 	o.PhaseEnd(obs.PhaseCollect)
+
 	// Backlog that rode in with this round's reports reconciles before
-	// apply: an agent whose round-r report was delayed sends rounds
-	// r and r+1 together, and r must be charged first so r+1's apply
-	// sees monotone progress and both rounds count exactly once.
-	c.reconcileLate(round)
-
-	// Apply reports, exactly as the paper's central scheduler updates
-	// its view from server heartbeats. Record order is job-ID order,
-	// which keeps the per-user usage sums and the profiler's
-	// noise-sample consumption identical across runs of one seed.
+	// the answers go back: an agent whose round-r report was delayed
+	// sends rounds r and r+1 together, and r must be settled first so
+	// r+1's answer sees monotone progress and both rounds count exactly
+	// once.
 	o.PhaseStart(obs.PhaseApply)
-	c.mergeShards()
-	rep := &c.execRep
-	clear(rep.Ran)
-	for i := range planned {
-		r := &planned[i]
-		j := r.j
-		if j.Finished() {
-			r.gone = true // the reconcile just above retired it
-			continue
-		}
-		if !r.reported {
-			continue
-		}
-		p := r.prog
-		gang := float64(j.Gang)
-		if c.cfg.LeaseRounds > 0 && p.DoneMB < j.DoneMB() {
-			// A reconciled late report already advanced this job past
-			// the reported checkpoint (the plan was built from a stale
-			// base). The round still ran and is still charged; progress
-			// just never moves backwards.
-			p.DoneMB = j.DoneMB()
-		}
-		j.ApplyReport(p.DoneMB, r.gen, gang*p.UsedSecs, p.Finished, c.now.Add(c.cfg.Quantum))
-		c.usage[j.User] += gang * c.cfg.Quantum
-		c.lastApplied[j.ID] = round
-		rep.Ran[j.ID] = core.RanInfo{
-			User: j.User, Gen: r.gen, Gang: j.Gang,
-			OccupiedSecs: c.cfg.Quantum, UsefulSecs: p.UsedSecs,
-			Migrated: r.migrated, Finished: p.Finished,
-		}
-		if !p.Finished {
-			c.prof.Observe(j, r.gen)
-		}
-	}
-	rep.Unplaced = res.Unplaced
-	c.policy.Executed(rep)
-
-	// This round's assignment, less the jobs that are done, is next
-	// round's prev (placement returns a fresh map every call).
-	c.prev = res.Assignment
-	for i := range planned {
-		r := &planned[i]
-		switch id := r.j.ID; {
-		case r.gone:
-			delete(c.prev, id)
-		case r.j.Finished():
-			c.retire(id, r.j) // drops it from c.prev too
-		default:
-			c.prevGen[id] = r.gen
-		}
-	}
-	// One walk over the sorted job list compacts the finished jobs out
-	// and tells every other job whether it ran (a merge against the
-	// records, which are in the same order).
-	kept := c.jobs[:0]
-	k := 0
-	for _, j := range c.jobs {
-		if j.Finished() {
-			continue
-		}
-		for k < len(planned) && planned[k].j.ID < j.ID {
-			k++
-		}
-		ran := k < len(planned) && planned[k].j == j && planned[k].reported
-		if j.State() == job.Running && !ran {
-			j.SetRunning(false)
-		}
-		if ran && j.State() != job.Running {
-			j.SetRunning(true)
-		}
-		j.NoteQuantum(ran)
-		kept = append(kept, j)
-	}
-	c.jobs = kept
+	c.reconcileLate(round)
+	c.mergeShards(round)
 	o.PhaseEnd(obs.PhaseApply)
-	c.publishShares()
-	o.SetEpoch(c.epoch)
-	deg := 0
-	if c.cfg.LeaseRounds > 0 && c.nMissed > 0 {
-		thr := c.downThreshold()
-		for _, m := range c.missed {
-			if m > 0 && m < thr {
-				deg++
-			}
-		}
-	}
-	o.SetDegradedAgents(deg)
-	o.EndRound(len(c.active), len(c.pending))
 	return nil
 }
 
-// publishShares exports per-user usage and fair-share fractions to
-// the observer's gauges. No-op when uninstrumented.
-func (c *Central) publishShares() {
-	if c.cfg.Obs == nil {
-		return
-	}
-	var totalUse, totalTickets float64
-	for _, u := range job.SortedUsers(c.usage) {
-		totalUse += c.usage[u]
-	}
-	for _, u := range job.SortedUsers(c.cfg.Tickets) {
-		totalTickets += c.cfg.Tickets[u]
-	}
-	for _, user := range job.SortedUsers(c.cfg.Tickets) {
-		useFrac := 0.0
-		if totalUse > 0 {
-			useFrac = c.usage[user] / totalUse
+// probeAndSlide is the lease protocol's share of dispatch: it probes
+// degraded agents that got no assignment and slides the reconciliation
+// window.
+func (c *Central) probeAndSlide(round int) {
+	// An empty plan paces a cut-off agent's protocol (ack, lease
+	// bookkeeping) and gives a healed report path something to answer,
+	// so recovery does not depend on the agent still hosting work.
+	// Probes are best-effort: no reply expected, failures charge nothing.
+	for i, a := range c.agents {
+		if c.missed[i] == 0 || len(c.byAgent[i]) > 0 {
+			continue
 		}
-		fairFrac := 0.0
-		if totalTickets > 0 {
-			fairFrac = c.cfg.Tickets[user] / totalTickets
+		probe := comm.RoundPlan{
+			Round: round, Quantum: c.cfg.Quantum,
+			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[a.name],
 		}
-		c.cfg.Obs.SetShare(string(user), useFrac, fairFrac)
+		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: probe}); err != nil {
+			c.cfg.Obs.NoteProtocol("probe_send_failed")
+			continue
+		}
+		c.cfg.Obs.NoteProtocol("probe_sent")
+	}
+	// The reconciliation window slides: plans and applied-round
+	// records older than the lease can never be charged again.
+	floor := round - 1 - c.cfg.LeaseRounds
+	for r := range c.plannedWin {
+		if r <= floor {
+			delete(c.plannedWin, r)
+		}
+	}
+	for _, rounds := range c.appliedSet {
+		for r := range rounds {
+			if r <= floor {
+				delete(rounds, r)
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // `agents` in-process 4-GPU agents (K80/P100/V100 in turn) on one hub,
 // `users` users × `jobsPerUser` jobs far longer than any run here, all
 // arrived at time zero, trading on. stop closes every endpoint.
-func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, stop func()) {
+func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, ran *ranGPUs, stop func()) {
 	tb.Helper()
 	names := zoo.Names()
 	var us []workload.UserSpec
@@ -41,15 +41,15 @@ func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, s
 		gens[i] = []gpu.Generation{gpu.K80, gpu.P100, gpu.V100}[i%3]
 	}
 	waits := startAgents(tb, hub, gens, 4)
-	c, err = NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{EnableTrading: true}),
-		CentralConfig{Specs: specs, Quantum: 360})
+	ran = &ranGPUs{Policy: core.MustNewFairPolicy(core.FairConfig{EnableTrading: true})}
+	c, err = NewCentral(ctr, ran, CentralConfig{Specs: specs, Quantum: 360})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if err := c.WaitForAgents(agents, 30*time.Second); err != nil {
 		tb.Fatal(err)
 	}
-	return c, func() {
+	return c, ran, func() {
 		c.ShutdownAgents()
 		for _, w := range waits {
 			if err := <-w; err != nil {
@@ -57,6 +57,20 @@ func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, s
 			}
 		}
 	}
+}
+
+// ranGPUs counts the GPUs the last round's executed jobs held.
+type ranGPUs struct {
+	core.Policy
+	n int
+}
+
+func (p *ranGPUs) Executed(rep *core.ExecReport) {
+	p.n = 0
+	for _, info := range rep.Ran {
+		p.n += info.Gang
+	}
+	p.Policy.Executed(rep)
 }
 
 // TestCentralSteadyStateAllocCeiling pins the dense-scratch rule
@@ -70,7 +84,7 @@ func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, s
 // set this replaced cost 12,750 a round at this shape, so the ceiling
 // has 2× headroom and still sits 12× below either coming back.
 func TestCentralSteadyStateAllocCeiling(t *testing.T) {
-	c, stop := hubDeployment(t, 64, 4, 128)
+	c, ran, stop := hubDeployment(t, 64, 4, 128)
 	defer stop()
 	// Scratch tables reach their size and the profiler has probed
 	// every job within a few rounds.
@@ -86,12 +100,8 @@ func TestCentralSteadyStateAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRound := float64(after.Mallocs-before.Mallocs) / rounds
 
-	placedGPUs := 0
-	for _, info := range c.execRep.Ran {
-		placedGPUs += info.Gang
-	}
-	if placedGPUs != 256 || c.timeouts != 0 {
-		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", placedGPUs, c.timeouts)
+	if ran.n != 256 || c.timeouts != 0 {
+		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", ran.n, c.timeouts)
 	}
 	const ceiling = 1100
 	t.Logf("steady-state distributed round: %.0f mallocs", perRound)
@@ -107,7 +117,7 @@ func BenchmarkDistHubRound(b *testing.B) {
 	const rounds = 120
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, stop := hubDeployment(b, 256, 8, 256)
+		c, _, stop := hubDeployment(b, 256, 8, 256)
 		b.StartTimer()
 		if _, err := c.Steps(rounds); err != nil {
 			b.Fatal(err)

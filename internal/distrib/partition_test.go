@@ -11,10 +11,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
+
+// resumeSecs is the default cost model's resume overhead: with the
+// engine's arithmetic a job's occupied time is its work plus these.
+var resumeSecs = migrate.Default().ResumeSecs
 
 // oneJobSpecs builds a single single-GPU job sized to quanta quanta
 // of useful K80 time.
@@ -130,9 +135,10 @@ func TestReplayedReportCountedOnce(t *testing.T) {
 	if len(sum.Finished) != 1 {
 		t.Fatalf("finished %d jobs, want 1", len(sum.Finished))
 	}
-	// 2.2 quanta of work = exactly 3 charged rounds. Any double-count
-	// from the duplicated or replayed deliveries would show up here.
-	if got, want := sum.UsageByUser["alice"], 3*360.0; math.Abs(got-want) > 1e-9 {
+	// Occupied time is the work (2.2 quanta, over three rounds) plus the
+	// one resume the first round pays. Any double-count from the
+	// duplicated or replayed deliveries would add a round's charge.
+	if got, want := sum.UsageByUser["alice"], 2.2*360+resumeSecs; math.Abs(got-want) > 1e-6 {
 		t.Errorf("usage %v, want %v (each round charged exactly once)", got, want)
 	}
 	// Duplicates of rounds 1 and 2 are drained (and dropped) at the
@@ -442,8 +448,10 @@ func TestStragglerCutoffReconcilesLateReport(t *testing.T) {
 	}
 	// Rounds 1 (late), 2 and 3 each charged once: the withheld report
 	// was reconciled, not lost and not double-counted, and the work it
-	// carried was never redone (the agent trusted local progress).
-	if got, want := sum.UsageByUser["alice"], 3*360.0; math.Abs(got-want) > 1e-9 {
+	// carried was never redone (the agent trusted local progress). The
+	// job pays two resumes: round 2 was planned before round 1's answer
+	// was known, so the central took it for suspended.
+	if got, want := sum.UsageByUser["alice"], 2.2*360+2*resumeSecs; math.Abs(got-want) > 1e-6 {
 		t.Errorf("usage %v, want %v", got, want)
 	}
 	if n := ob.ProtocolEvents("report_timeout"); n != 1 {
@@ -542,11 +550,11 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 	if len(sum.Finished) != 2 {
 		t.Fatalf("finished %d jobs, want 2", len(sum.Finished))
 	}
-	// Both jobs get their exact 3 charged rounds; the cut-off job just
-	// starts one round later. Duplicated plans and reports changed
-	// nothing (dedup dropped them).
+	// Both jobs are charged exactly their work and one resume; the
+	// cut-off job just starts one round later. Duplicated plans and
+	// reports changed nothing (dedup dropped them).
 	for _, u := range []job.UserID{"alice", "bob"} {
-		if got, want := sum.UsageByUser[u], 3*360.0; math.Abs(got-want) > 1e-9 {
+		if got, want := sum.UsageByUser[u], 2.2*360+resumeSecs; math.Abs(got-want) > 1e-6 {
 			t.Errorf("usage[%s] = %v, want %v", u, got, want)
 		}
 	}

@@ -14,12 +14,15 @@ import (
 	"repro/internal/workload"
 )
 
-// decisionTap keeps what the central is about to place: the policy's
-// requests and the down set it was shown.
+// decisionTap keeps what the engine is about to place — the policy's
+// requests and the down set it was shown — and what it then reports
+// having executed.
 type decisionTap struct {
 	core.Policy
-	run  []placement.Request
-	down map[gpu.ServerID]bool
+	run      []placement.Request
+	down     map[gpu.ServerID]bool
+	ran      map[job.ID]core.RanInfo
+	unplaced []job.ID
 }
 
 func (p *decisionTap) Decide(st *core.RoundState) core.Decision {
@@ -29,11 +32,20 @@ func (p *decisionTap) Decide(st *core.RoundState) core.Decision {
 	return dec
 }
 
-// TestCentralPlacementMatchesPlaceReference: the central places
-// through the free-capacity index, fed agent failures as deltas. Round
-// by round — through an agent dying, being suspected, its jobs moving
-// off, and its rejoin — what it placed must be what the rescanning
-// placement.Place computes from the same prev, requests and down set.
+func (p *decisionTap) Executed(rep *core.ExecReport) {
+	p.ran = maps.Clone(rep.Ran)
+	p.unplaced = slices.Clone(rep.Unplaced)
+	p.Policy.Executed(rep)
+}
+
+// TestCentralPlacementMatchesPlaceReference: the central's engine
+// places through the free-capacity index, fed agent failures (the
+// failure detector's unreachable set) as deltas. Round by round —
+// through an agent dying, being suspected, its jobs moving off, and its
+// rejoin — where the engine put each job must be where the rescanning
+// placement.Place puts it from the same prev, requests and down set.
+// The engine is observed from outside: its placement table before and
+// after the round, and the policy's view of the round either side.
 func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	hub := comm.NewHub()
 	ep, err := hub.Attach("central")
@@ -73,39 +85,48 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	victimSrv := gpu.ServerID(victimIdx)
 
 	// step runs one round and checks it against the reference.
+	cluster := c.ecfg.Cluster
 	step := func() (usedVictim bool) {
 		t.Helper()
-		prev := c.prev.Clone()
-		before := c.rounds
+		prev := c.eng.Placement().Clone()
+		before := c.eng.Rounds()
 		if _, err := c.Steps(1); err != nil {
 			t.Fatal(err)
 		}
-		if c.rounds != before+1 {
+		round := c.eng.Rounds()
+		if round != before+1 {
 			t.Fatalf("round %d did not run", before+1)
 		}
-		want := placement.Place(c.cluster, prev, tap.run, placement.Options{AllowMigration: true, Down: tap.down})
-		got := placement.Assignment{}
-		var migrated []job.ID
-		for _, r := range c.planned {
-			got[r.j.ID] = r.devs
-			if r.migrated {
-				migrated = append(migrated, r.j.ID)
-			}
-			for _, d := range r.devs {
-				usedVictim = usedVictim || c.cluster.Device(d).Server == victimSrv
-			}
-		}
-		if len(got) != len(want.Assignment) {
-			t.Fatalf("round %d: placed %d jobs, reference %d", c.rounds, len(got), len(want.Assignment))
-		}
+		want := placement.Place(cluster, prev, tap.run, placement.Options{AllowMigration: true, Down: tap.down})
+		// No job here finishes, so after the round the engine's table
+		// holds this round's devices for every job it placed.
+		got := c.eng.Placement()
 		for id, devs := range want.Assignment {
 			if !slices.Equal(got[id], devs) {
-				t.Fatalf("round %d (down %v): job %d on %v, reference %v", c.rounds, tap.down, id, got[id], devs)
+				t.Fatalf("round %d (down %v): job %d on %v, reference %v", round, tap.down, id, got[id], devs)
+			}
+			for _, d := range devs {
+				usedVictim = usedVictim || cluster.Device(d).Server == victimSrv
 			}
 		}
-		if !slices.Equal(migrated, want.Migrated) || !slices.Equal(c.execRep.Unplaced, want.Unplaced) {
-			t.Fatalf("round %d: migrated %v unplaced %v, reference %v %v",
-				c.rounds, migrated, c.execRep.Unplaced, want.Migrated, want.Unplaced)
+		// A job the reference leaves out keeps the devices it had.
+		for id, devs := range got {
+			if _, placed := want.Assignment[id]; !placed && !slices.Equal(devs, prev[id]) {
+				t.Fatalf("round %d: job %d moved to %v though the reference does not place it", round, id, devs)
+			}
+		}
+		// Every placed job whose agents answered ran, migrated exactly
+		// when the reference says so; nothing else ran.
+		for id, info := range tap.ran {
+			if _, placed := want.Assignment[id]; !placed {
+				t.Fatalf("round %d: job %d ran, the reference does not place it", round, id)
+			}
+			if _, moved := slices.BinarySearch(want.Migrated, id); moved != info.Migrated {
+				t.Fatalf("round %d: job %d migrated=%v, reference %v", round, id, info.Migrated, moved)
+			}
+		}
+		if !slices.Equal(tap.unplaced, want.Unplaced) {
+			t.Fatalf("round %d: unplaced %v, reference %v", round, tap.unplaced, want.Unplaced)
 		}
 		return usedVictim
 	}
@@ -125,7 +146,7 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 		if tap.down[victimSrv] {
 			sawDown = true
 			if usedNow {
-				t.Fatalf("round %d placed on the down server", c.rounds)
+				t.Fatalf("round %d placed on the down server", c.eng.Rounds())
 			}
 		}
 	}

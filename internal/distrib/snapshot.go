@@ -5,17 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/job"
-	"repro/internal/migrate"
-	"repro/internal/placement"
-	"repro/internal/profiler"
-	"repro/internal/simclock"
 )
 
 // SnapshotFile is the state file's name inside CentralConfig.SnapshotDir.
@@ -29,67 +23,35 @@ type AgentState struct {
 }
 
 // State is the serializable form of the central scheduler: everything
-// needed to resume a run after a coordinator crash. Job records carry
-// the same checkpoint the wire protocol ships to agents, so a
-// restored central re-dispatches from exactly the progress it had
-// acknowledged — agents stay stateless either way.
+// needed to resume a run after a coordinator crash — the inventory and
+// failure detector, which are the central's own, and the engine's
+// checkpoint (jobs, placement, tickets, usage books), which only the
+// engine reads and writes.
 type State struct {
-	SavedRound int `json:"saved_round"`
 	// Epoch is the central incarnation that wrote the snapshot; a
 	// restore resumes at Epoch+1 so agents can fence the dead
 	// incarnation's straggling messages.
-	Epoch    int                       `json:"epoch,omitempty"`
-	Now      simclock.Time             `json:"now"`
-	Timeouts int                       `json:"timeouts"`
-	Agents   []AgentState              `json:"agents"`
-	Missed   map[string]int            `json:"missed,omitempty"`
-	Pending  []job.Spec                `json:"pending,omitempty"`
-	Active   []job.Checkpoint          `json:"active,omitempty"`
-	Done     []job.Checkpoint          `json:"done,omitempty"`
-	Prev     map[job.ID][]gpu.DeviceID `json:"prev,omitempty"`
-	PrevGen  map[job.ID]gpu.Generation `json:"prev_gen,omitempty"`
-	Usage    map[job.UserID]float64    `json:"usage,omitempty"`
-	Tickets  map[job.UserID]float64    `json:"tickets,omitempty"`
+	Epoch    int              `json:"epoch,omitempty"`
+	Timeouts int              `json:"timeouts"`
+	Agents   []AgentState     `json:"agents"`
+	Missed   map[string]int   `json:"missed,omitempty"`
+	Engine   *core.Checkpoint `json:"engine"`
 }
 
 // Snapshot captures the scheduler's current state. Call between
 // rounds (Run snapshots automatically when SnapshotDir is set).
 func (c *Central) Snapshot() *State {
 	st := &State{
-		SavedRound: c.rounds,
-		Epoch:      c.epoch,
-		Now:        c.now,
-		Timeouts:   c.timeouts,
-		Missed:     make(map[string]int, c.nMissed),
-		Pending:    append([]job.Spec(nil), c.pending...),
-		Prev:       make(map[job.ID][]gpu.DeviceID, len(c.prev)),
-		PrevGen:    make(map[job.ID]gpu.Generation, len(c.prevGen)),
-		Usage:      make(map[job.UserID]float64, len(c.usage)),
-		Tickets:    make(map[job.UserID]float64, len(c.cfg.Tickets)),
+		Epoch:    c.epoch,
+		Timeouts: c.timeouts,
+		Missed:   make(map[string]int, c.nMissed),
+		Engine:   c.eng.Checkpoint(),
 	}
 	for i, a := range c.agents {
 		st.Agents = append(st.Agents, AgentState{Name: a.name, Gen: int(a.gen), GPUs: a.gpus})
 		if c.missed[i] > 0 {
 			st.Missed[a.name] = c.missed[i]
 		}
-	}
-	for _, j := range c.jobs { // job-ID order: deterministic file contents
-		st.Active = append(st.Active, j.Checkpoint())
-	}
-	for _, j := range c.done {
-		st.Done = append(st.Done, j.Checkpoint())
-	}
-	for id, devs := range c.prev {
-		st.Prev[id] = append([]gpu.DeviceID(nil), devs...)
-	}
-	for id, g := range c.prevGen {
-		st.PrevGen[id] = g
-	}
-	for u, s := range c.usage {
-		st.Usage[u] = s
-	}
-	for u, t := range c.cfg.Tickets {
-		st.Tickets[u] = t
 	}
 	return st
 }
@@ -130,11 +92,11 @@ func (c *Central) maybeSnapshot() error {
 	if every <= 0 {
 		every = 1
 	}
-	if c.rounds%every != 0 {
+	if c.eng.Rounds()%every != 0 {
 		return nil
 	}
 	if err := c.SaveSnapshot(c.cfg.SnapshotDir); err != nil {
-		return fmt.Errorf("distrib: snapshot after round %d: %w", c.rounds, err)
+		return fmt.Errorf("distrib: snapshot after round %d: %w", c.eng.Rounds(), err)
 	}
 	c.cfg.Obs.NoteProtocol("snapshot_saved")
 	return nil
@@ -154,11 +116,12 @@ func LoadSnapshot(dir string) (*State, error) {
 }
 
 // RestoreCentral rebuilds a coordinator from a snapshot: inventory,
-// job records, per-user usage and failure-detector state all resume
-// where the crashed coordinator stopped. The policy is fresh (its
-// round-to-round credit state is recomputed as scheduling resumes);
-// cfg supplies operational knobs (timeouts, retry, snapshot dir) and
-// its Specs/Tickets are ignored in favor of the snapshot's.
+// failure-detector state and — through core.Restore — job records,
+// placement, tickets and the usage books all resume where the crashed
+// coordinator stopped. The policy is fresh (its round-to-round credit
+// state is recomputed as scheduling resumes); cfg supplies operational
+// knobs (timeouts, retry, snapshot dir) and its Specs/Tickets are
+// ignored in favor of the snapshot's.
 //
 // Over the in-memory hub a restored central can resume immediately on
 // the surviving transport. Over TCP the old process's connections
@@ -168,49 +131,14 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 	if tr == nil || policy == nil {
 		return nil, fmt.Errorf("distrib: nil transport or policy")
 	}
-	if st == nil || len(st.Agents) == 0 {
-		return nil, fmt.Errorf("distrib: snapshot has no agents")
+	if st == nil || len(st.Agents) == 0 || st.Engine == nil {
+		return nil, fmt.Errorf("distrib: snapshot has no agents or no engine state")
 	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = 360
-	}
-	if (cfg.Costs == migrate.CostModel{}) {
-		cfg.Costs = migrate.Default()
-	}
-	if cfg.ReportTimeout == 0 {
-		cfg.ReportTimeout = 5 * time.Second
-	}
-	if cfg.MaxAgentTimeouts == 0 {
-		cfg.MaxAgentTimeouts = 50
-	}
-	cfg.Tickets = make(map[job.UserID]float64, len(st.Tickets))
-	for u, t := range st.Tickets {
-		cfg.Tickets[u] = t
-	}
-	prof, err := profiler.New(0.25, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	c := &Central{
-		cfg:      cfg,
-		tr:       tr,
-		policy:   policy,
-		prof:     prof,
-		agentIdx: make(map[string]int, len(st.Agents)),
-		active:   make(map[job.ID]*job.Job),
-		prev:     placement.Assignment{},
-		prevGen:  make(map[job.ID]gpu.Generation, len(st.PrevGen)),
-		usage:    make(map[job.UserID]float64, len(st.Usage)),
-		now:      st.Now,
-		rounds:   st.SavedRound,
-		timeouts: st.Timeouts,
-		// A legacy snapshot (Epoch 0) restores as epoch 1, same as a
-		// fresh central; any newer snapshot bumps past its writer so
-		// the dead incarnation's traffic is fenced on both sides.
-		epoch: st.Epoch + 1,
-	}
-	c.initProtocol()
-	c.retry = c.newRetrier()
+	// A legacy snapshot (Epoch 0) restores as epoch 1, same as a fresh
+	// central; any newer snapshot bumps past its writer so the dead
+	// incarnation's traffic is fenced on both sides.
+	c := newCentral(tr, policy, cfg, st.Epoch+1)
+	c.timeouts = st.Timeouts
 	for _, a := range st.Agents {
 		g := gpu.Generation(a.Gen)
 		if a.Name == "" || !g.Valid() || a.GPUs <= 0 {
@@ -222,8 +150,8 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		c.agentIdx[a.Name] = len(c.agents)
 		c.agents = append(c.agents, agentInfo{name: a.Name, gen: g, gpus: a.GPUs})
 	}
-	if err := c.buildCluster(); err != nil {
-		return nil, err
+	if err := c.buildEngine(st.Engine); err != nil {
+		return nil, fmt.Errorf("distrib: snapshot: %w", err)
 	}
 	for name, n := range st.Missed {
 		ai, known := c.agentIdx[name]
@@ -231,60 +159,6 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 			return nil, fmt.Errorf("distrib: snapshot misses unknown agent %q", name)
 		}
 		c.setMissed(ai, n)
-	}
-	c.pending = append([]job.Spec(nil), st.Pending...)
-	for i := range c.pending {
-		if err := c.pending[i].Validate(); err != nil {
-			return nil, fmt.Errorf("distrib: snapshot pending: %w", err)
-		}
-	}
-	jobs := make([]*job.Job, 0, len(st.Active))
-	for _, cp := range st.Active {
-		j, err := job.FromCheckpoint(cp)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: snapshot active: %w", err)
-		}
-		if j.Finished() {
-			return nil, fmt.Errorf("distrib: snapshot lists finished job %d as active", j.ID)
-		}
-		if c.active[j.ID] != nil {
-			return nil, fmt.Errorf("distrib: snapshot lists job %d as active twice", j.ID)
-		}
-		c.active[j.ID] = j
-		jobs = append(jobs, j)
-	}
-	slices.SortFunc(jobs, byJobID)
-	c.jobs = jobs
-	for _, cp := range st.Done {
-		j, err := job.FromCheckpoint(cp)
-		if err != nil {
-			return nil, fmt.Errorf("distrib: snapshot done: %w", err)
-		}
-		if !j.Finished() {
-			return nil, fmt.Errorf("distrib: snapshot lists unfinished job %d as done", j.ID)
-		}
-		c.done = append(c.done, j)
-	}
-	for id, devs := range st.Prev {
-		if c.active[id] == nil {
-			continue // job finished or lost between snapshot and crash
-		}
-		// Sorted, as placement leaves them: the round loop splits a
-		// job's devices into per-server runs.
-		c.prev[id] = slices.Clone(devs)
-		slices.Sort(c.prev[id])
-	}
-	for id, g := range st.PrevGen {
-		if c.active[id] == nil {
-			continue
-		}
-		c.prevGen[id] = g
-	}
-	for u, s := range st.Usage {
-		if s < 0 {
-			return nil, fmt.Errorf("distrib: snapshot usage for %q negative", u)
-		}
-		c.usage[u] = s
 	}
 	cfg.Obs.NoteProtocol("restored")
 	return c, nil
@@ -294,7 +168,7 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 // re-register (TCP agents reconnect after a central restart), acking
 // each through the rejoin reconciliation.
 func (c *Central) WaitForRejoin(n int, timeout time.Duration) error {
-	if c.cluster == nil {
+	if c.eng == nil {
 		return fmt.Errorf("distrib: no inventory to rejoin")
 	}
 	if n > len(c.agents) {

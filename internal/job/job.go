@@ -254,12 +254,29 @@ func (j *Job) GangRate(g gpu.Generation) float64 {
 	return j.Perf.RatePerGPU[g] * float64(j.Gang) * j.Perf.GangEff(j.Gang)
 }
 
+// Progress is the arithmetic of one quantum of training: from doneMB of
+// totalMB minibatches, at rate minibatches a second, for up to dur
+// seconds. It returns the progress afterwards, the seconds actually
+// consumed (less than dur only when the job completes mid-quantum) and
+// whether it completed. Every executor of a quantum — the simulated one
+// and the agents of the distributed runtime — computes it here; a
+// nonpositive rate (a plan no scheduler should send) makes no progress.
+func Progress(doneMB, totalMB, rate float64, dur simclock.Duration) (float64, simclock.Duration, bool) {
+	if rate <= 0 {
+		return doneMB, 0, false
+	}
+	if need := (totalMB - doneMB) / rate; need <= dur {
+		return totalMB, need, true
+	}
+	return doneMB + rate*dur, dur, false
+}
+
 // Advance runs the gang on generation g for up to dur seconds of
-// useful compute. It returns the duration actually consumed (less than
-// dur only when the job completes mid-quantum) and whether the job
-// finished. now is the virtual time at the start of the useful period,
-// used to stamp the finish time. Calling Advance on a generation the
-// job does not fit panics: the placement layer must never do that.
+// useful compute: Progress, applied to the job. It returns the duration
+// actually consumed and whether the job finished. now is the virtual
+// time at the start of the useful period, used to stamp the finish
+// time. Calling Advance on a generation the job does not fit panics:
+// the placement layer must never do that.
 func (j *Job) Advance(g gpu.Generation, dur simclock.Duration, now simclock.Time) (used simclock.Duration, finished bool) {
 	if j.state == Done {
 		panic(fmt.Sprintf("job %d: Advance on done job", j.ID))
@@ -271,27 +288,15 @@ func (j *Job) Advance(g gpu.Generation, dur simclock.Duration, now simclock.Time
 	if rate <= 0 {
 		panic(fmt.Sprintf("job %d (%s): advanced on unusable generation %v", j.ID, j.Perf.Model, g))
 	}
-	need := (j.TotalMB - j.doneMB) / rate
-	used = dur
-	if need <= dur {
-		used = need
-		finished = true
-	}
-	j.doneMB += rate * used
-	j.gpuSecs[g] += float64(j.Gang) * used
-	if finished {
-		j.doneMB = j.TotalMB
-		j.state = Done
-		j.finish = now.Add(used)
-	}
+	doneMB, used, finished := Progress(j.doneMB, j.TotalMB, rate, dur)
+	j.ApplyReport(doneMB, g, float64(j.Gang)*used, finished, now.Add(used))
 	return used, finished
 }
 
-// ApplyReport overwrites progress from a remote agent's round report
-// (the distributed mode, where execution happens on server agents and
-// the central scheduler's job records mirror their reports). Progress
-// must be monotone and within TotalMB; violations panic because they
-// mean a corrupted or replayed report.
+// ApplyReport overwrites progress with what an executor reported for a
+// quantum (Progress, computed in the engine's own process or on a
+// server agent). Progress must be monotone and within TotalMB;
+// violations panic because they mean a corrupted or replayed report.
 func (j *Job) ApplyReport(doneMB float64, g gpu.Generation, gpuSecs float64, finished bool, at simclock.Time) {
 	if j.state == Done {
 		panic(fmt.Sprintf("job %d: ApplyReport on done job", j.ID))

@@ -283,11 +283,11 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 		{
 			// Retaining the fairshare solver's cached map beyond the
 			// round — the noretain result contract on Shares.
-			file:    "internal/core/sim.go",
+			file:    "internal/core/round.go",
 			pkg:     "./internal/core",
 			check:   "retain",
-			old:     "shares = s.fairSolver.Shares()",
-			new:     "shares = s.fairSolver.Shares()\n\t\tgo func() { _ = len(shares) }()",
+			old:     "return s.fairSolver.Shares()",
+			new:     "shares := s.fairSolver.Shares()\n\tgo func() { _ = len(shares) }()\n\treturn shares",
 			flagged: "go func() { _ = len(shares) }()",
 		},
 		{

@@ -68,12 +68,6 @@ type Scenario struct {
 	// compensation (gandiva-fair only) — the ablation where GPU time
 	// lost to faults is never repaid.
 	DisableCompensation bool `json:"disable_compensation,omitempty"`
-
-	// Engine selects the round-loop implementation: "incremental"
-	// (default) or "rescan" (the legacy full-rescan loop, kept for
-	// differential testing). Both produce byte-identical output for
-	// the same scenario and seed.
-	Engine string `json:"engine,omitempty"`
 }
 
 // ClusterSpec is one group of identical servers.
@@ -204,10 +198,6 @@ func (s *Scenario) Build() (core.Config, core.Policy, simclock.Time, error) {
 		return zero, nil, 0, err
 	}
 
-	engine, err := core.ParseEngineMode(s.Engine)
-	if err != nil {
-		return zero, nil, 0, fmt.Errorf("scenario: %w", err)
-	}
 	cfg := core.Config{
 		Cluster:          cluster,
 		Specs:            specs,
@@ -215,7 +205,6 @@ func (s *Scenario) Build() (core.Config, core.Policy, simclock.Time, error) {
 		Seed:             s.Seed,
 		DisableMigration: s.DisableMigration,
 		Faults:           s.Faults.toConfig(),
-		Engine:           engine,
 	}
 	if len(s.Tickets) > 0 {
 		cfg.Tickets = make(map[job.UserID]float64, len(s.Tickets))

@@ -140,6 +140,12 @@ func TestLoadErrors(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	// The engine knob is gone: a scenario file that still selects one
+	// must be refused by name, not run on whatever engine there is.
+	_, err := Load(strings.NewReader(`{"horizon_hours": 1, "users": [{"name":"u","jobs":1}], "engine": "rescan"}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Errorf(`scenario with "engine": got %v, want the unknown-field error`, err)
+	}
 }
 
 func TestBuildErrors(t *testing.T) {
