@@ -147,7 +147,7 @@ func runCentral(args []string) {
 			if rec != nil {
 				opt.Flight = rec
 			}
-			_, bound, err := obs.ServeOpts(*httpAddr, observer, opt)
+			_, bound, err := obs.Serve(*httpAddr, observer, opt)
 			if err != nil {
 				fatal(err)
 			}

@@ -64,14 +64,13 @@ func summarize(path string, d *flight.Dump) {
 			n, d.Rounds[0].Round, d.Rounds[n-1].Round, d.RoundsDropped)
 	}
 	for _, r := range d.Rounds {
-		faults := 0
+		events := map[string]int{} // by kind: fault, net, protocol
 		for _, e := range r.Events {
-			if e.Kind == "fault" {
-				faults++
-			}
+			events[e.Kind]++
 		}
-		fmt.Printf("  round %-5d t=%-10.0f decisions=%-3d trades=%-3d faults=%-2d spans=%-3d users=%d\n",
-			r.Round, r.SimAt, len(r.Decisions), len(r.Trades), faults, len(r.Spans), len(r.Shares))
+		fmt.Printf("  round %-5d t=%-10.0f decisions=%-3d trades=%-3d faults=%-2d net=%-2d protocol=%-3d spans=%-3d users=%d\n",
+			r.Round, r.SimAt, len(r.Decisions), len(r.Trades),
+			events["fault"], events["net"], events["protocol"], len(r.Spans), len(r.Shares))
 	}
 }
 

@@ -70,9 +70,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	})
 
-	if *scenarioIn != "" {
-		runScenario(*scenarioIn, *traceOut, *traceCap, observer, rec, *auditDrill)
+	// run simulates cfg under the command line's trace and
+	// observability options and prints the report.
+	run := func(cfg core.Config, policy core.Policy, horizon simclock.Time, users []job.UserID) {
+		cfg.TraceCap, cfg.Obs, cfg.Flight, cfg.AuditDrillRound = *traceCap, observer, rec, *auditDrill
+		sim, err := core.New(cfg, policy)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := sim.Run(horizon)
+		if err != nil {
+			fatal(err)
+		}
+		report(res, users)
+		reportPhases(res)
+		if *traceOut != "" {
+			if err := writeTrace(res, *traceOut); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("\nevent trace (%d events) written to %s\n", res.Log.Len(), *traceOut)
+		}
 		writeSpans(tracer, *spansOut)
+	}
+
+	if *scenarioIn != "" {
+		cfg, policy, horizon := loadScenario(*scenarioIn)
+		run(cfg, policy, horizon, usersOf(cfg.Specs))
 		return
 	}
 
@@ -107,14 +130,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		userIDs = userIDs[:0]
-		seen := map[job.UserID]bool{}
-		for _, sp := range specs {
-			if !seen[sp.User] {
-				seen[sp.User] = true
-				userIDs = append(userIDs, sp.User)
-			}
-		}
+		userIDs = usersOf(specs)
 	} else {
 		var err error
 		specs, err = workload.Generate(zoo, workload.Config{Seed: *seed, Users: userSpecs})
@@ -127,34 +143,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sim, err := core.New(core.Config{
+	run(core.Config{
 		Cluster:          cluster,
 		Specs:            specs,
 		Quantum:          *quantum,
 		Seed:             *seed,
 		DisableMigration: *noMigrate,
-		TraceCap:         *traceCap,
-		Obs:              observer,
-		Flight:           rec,
-		AuditDrillRound:  *auditDrill,
-	}, policy)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := sim.Run(simclock.Time(*hours * simclock.Hour))
-	if err != nil {
-		fatal(err)
-	}
-	report(res, userIDs)
-	reportPhases(res)
-
-	if *traceOut != "" {
-		if err := writeTrace(res, *traceOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nevent trace (%d events) written to %s\n", res.Log.Len(), *traceOut)
-	}
-	writeSpans(tracer, *spansOut)
+	}, policy, simclock.Time(*hours*simclock.Hour), userIDs)
 }
 
 // obsFlags bundles the observability command-line surface.
@@ -196,7 +191,7 @@ func startObs(f obsFlags) (*obs.Observer, *span.Tracer, *flight.Recorder) {
 		if rec != nil {
 			opt.Flight = rec
 		}
-		_, bound, err := obs.ServeOpts(f.addr, o, opt)
+		_, bound, err := obs.Serve(f.addr, o, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -233,8 +228,8 @@ func writeSpans(tr *span.Tracer, path string) {
 		len(tr.Spans()), tr.Dropped(), path)
 }
 
-// runScenario executes a JSON scenario file end to end.
-func runScenario(path, traceOut string, traceCap int, observer *obs.Observer, rec *flight.Recorder, auditDrill int) {
+// loadScenario builds the simulation a JSON scenario file describes.
+func loadScenario(path string) (core.Config, core.Policy, simclock.Time) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
@@ -248,34 +243,20 @@ func runScenario(path, traceOut string, traceCap int, observer *obs.Observer, re
 	if err != nil {
 		fatal(err)
 	}
-	cfg.TraceCap = traceCap
-	cfg.Obs = observer
-	cfg.Flight = rec
-	cfg.AuditDrillRound = auditDrill
-	sim, err := core.New(cfg, policy)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := sim.Run(horizon)
-	if err != nil {
-		fatal(err)
-	}
+	return cfg, policy, horizon
+}
+
+// usersOf lists the users of a workload in order of first appearance.
+func usersOf(specs []job.Spec) []job.UserID {
 	var users []job.UserID
 	seen := map[job.UserID]bool{}
-	for _, sp := range cfg.Specs {
+	for _, sp := range specs {
 		if !seen[sp.User] {
 			seen[sp.User] = true
 			users = append(users, sp.User)
 		}
 	}
-	report(res, users)
-	reportPhases(res)
-	if traceOut != "" {
-		if err := writeTrace(res, traceOut); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nevent trace (%d events) written to %s\n", res.Log.Len(), traceOut)
-	}
+	return users
 }
 
 func parseCluster(s string) (*gpu.Cluster, error) {

@@ -11,49 +11,52 @@ import (
 	"repro/internal/trace"
 )
 
-// faultLog builds a log exercising every fault-model kind plus
-// non-ASCII user and detail strings (quarantine reasons quote server
-// names, which are user-controlled).
-func faultLog() *trace.Log {
-	var l trace.Log
-	l.Add(360, trace.KindRound, 0, "", "round 1")
-	l.Add(720.5, trace.KindJobCrash, 3, "alice", "rollback to ckpt@700")
-	l.Add(1080, trace.KindMigFail, 3, "alice", "dest busy")
-	l.Add(1440, trace.KindQuarantine, 0, "", "server k80-02: 3 crashes")
-	l.Add(1800, trace.KindDegrade, 0, "", "server v100-01 at 0.5×")
-	l.Add(2160.25, trace.KindDegradeEnd, 0, "", "server v100-01 recovered")
-	l.Add(2520, trace.KindUnquarantine, 0, "", "server k80-02 cool-off expired")
-	l.Add(2880, trace.KindFinish, 7, "böb", "模型 finished ✓")
-	return &l
+// faultLog is an exported trace exercising every fault-model and
+// partition kind plus non-ASCII user and detail strings (agent and
+// model names are user-controlled).
+func faultLog() []trace.Event {
+	return []trace.Event{
+		{At: 360, Kind: trace.KindArrival, Job: 3, User: "alice", Detail: "model=模型 gang=1"},
+		{At: 720.5, Kind: trace.KindJobCrash, Job: 3, User: "alice", Detail: "lostMB=12.5 crashes=1"},
+		{At: 1080, Kind: trace.KindMigFail, Job: 3, User: "alice", Detail: "attempt=1 backoff=2 cost=30s"},
+		{At: 1440, Kind: trace.KindQuarantine, Detail: "server=2"},
+		{At: 1800, Kind: trace.KindDegrade, Detail: "server=5 factor=0.50"},
+		{At: 2160.25, Kind: trace.KindDegradeEnd, Detail: "server=5"},
+		{At: 2520, Kind: trace.KindUnquarantine, Detail: "server=2"},
+		{At: 2520, Kind: trace.KindLeaseExpire, Detail: "agent=k80-02 «rack, 3»"},
+		{At: 2880, Kind: trace.KindPartitionHeal, Detail: "agent=k80-02 «rack, 3»"},
+		{At: 2880, Kind: trace.KindFenceReject, Detail: "agent=k80-02 «rack, 3» round=7 epoch=1"},
+		{At: 2880, Kind: trace.KindFinish, Job: 7, User: "böb", Detail: "jct=2520s migrations=0 ✓"},
+	}
 }
 
 func TestEventRoundTripCSV(t *testing.T) {
 	l := faultLog()
 	var buf bytes.Buffer
-	if err := l.WriteCSV(&buf); err != nil {
+	if err := trace.WriteCSV(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	got, err := trace.ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, l.Events()) {
-		t.Errorf("CSV round trip mismatch:\n got %+v\nwant %+v", got, l.Events())
+	if !reflect.DeepEqual(got, l) {
+		t.Errorf("CSV round trip mismatch:\n got %+v\nwant %+v", got, l)
 	}
 }
 
 func TestEventRoundTripJSON(t *testing.T) {
 	l := faultLog()
 	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
+	if err := trace.WriteJSON(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	got, err := trace.ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, l.Events()) {
-		t.Errorf("JSON round trip mismatch:\n got %+v\nwant %+v", got, l.Events())
+	if !reflect.DeepEqual(got, l) {
+		t.Errorf("JSON round trip mismatch:\n got %+v\nwant %+v", got, l)
 	}
 }
 
@@ -103,8 +106,8 @@ func TestSummarizeEventsFiles(t *testing.T) {
 		name  string
 		write func(f *os.File) error
 	}{
-		{"events.csv", func(f *os.File) error { return l.WriteCSV(f) }},
-		{"events.json", func(f *os.File) error { return l.WriteJSON(f) }},
+		{"events.csv", func(f *os.File) error { return trace.WriteCSV(f, l) }},
+		{"events.json", func(f *os.File) error { return trace.WriteJSON(f, l) }},
 	} {
 		path := filepath.Join(dir, tc.name)
 		f, err := os.Create(path)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 // Checkpoint is the engine state a restarted coordinator resumes from:
@@ -55,8 +56,8 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		Throughput:    maps.Clone(s.mbByUser),
 		Busy:          maps.Clone(s.busyByGen),
 		Capacity:      maps.Clone(s.capByGen),
-		Migrations:    s.migrations,
-		Trades:        s.trades,
+		Migrations:    s.recorded[trace.KindMigration],
+		Trades:        s.recorded[trace.KindTrade],
 	}
 	for _, j := range s.jobs { // job-ID order: deterministic file contents
 		cp.Active = append(cp.Active, j.Checkpoint())
@@ -151,6 +152,6 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	maps.Copy(s.mbByUser, cp.Throughput)
 	maps.Copy(s.busyByGen, cp.Busy)
 	maps.Copy(s.capByGen, cp.Capacity)
-	s.migrations, s.trades = cp.Migrations, cp.Trades
+	s.recorded[trace.KindMigration], s.recorded[trace.KindTrade] = cp.Migrations, cp.Trades
 	return s, nil
 }

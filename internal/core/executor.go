@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"strconv"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -71,6 +70,7 @@ func (LocalExecutor) Execute(_ int, qs []Quantum) error {
 // quantum, let the executor carry the quanta out, settle the answers.
 func (s *Sim) execute(rd *round, qs []Quantum) error {
 	s.obs.PhaseStart(obs.PhaseExecute)
+	s.robs.sortChoices()
 	for i := range qs {
 		s.grant(&qs[i], rd)
 	}
@@ -109,17 +109,14 @@ func (s *Sim) grant(q *Quantum, rd *round) {
 	q.Gen = s.cfg.Cluster.Device(q.Devs[0]).Gen
 	q.Start = rd.now
 	_, q.Migrated = slices.BinarySearch(rd.res.Migrated, j.ID)
-	if s.obs != nil {
-		fromGen := ""
-		if prev, ok := s.prevGen[j.ID]; ok && q.Migrated {
-			fromGen = prev.String()
+	if s.robs != nil {
+		why := s.robs.reasonFor(j.ID)
+		d := trace.Record{At: rd.now, Kind: trace.KindDecision, Job: j.ID, User: j.User,
+			Gen: q.Gen, N: int32(j.Gang), Devs: q.Devs, Name: why.reason, X: why.before, Y: why.after}
+		if q.Migrated {
+			d.M, d.From = 1, s.prevGen[j.ID]
 		}
-		ints := make([]int, len(q.Devs)) // retained by the observer's decision ring
-		for i, d := range q.Devs {
-			ints[i] = int(d)
-		}
-		s.obs.RecordPlacement(int64(j.ID), string(j.User), q.Gen.String(),
-			j.Gang, ints, q.Migrated, fromGen)
+		s.emit(d)
 	}
 	switch {
 	case q.Migrated:
@@ -154,12 +151,8 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 	j, gen, now, quantum := q.Job, q.Gen, q.Start, s.cfg.Quantum
 	if q.Migrated {
 		j.NoteMigration()
-		s.migrations++
-		// "to=%v cost=%.0fs", without fmt's boxing: a saturated cluster
-		// logs one of these per migration per round.
-		var cost [24]byte
-		s.log.Add(now, trace.KindMigration, j.ID, j.User, "to="+gen.String()+" cost="+
-			string(strconv.AppendFloat(cost[:0], s.cfg.Costs.MigrationCost(j.Perf), 'f', 0, 64))+"s")
+		s.emit(trace.Record{At: now, Kind: trace.KindMigration, Job: j.ID, User: j.User,
+			Gen: gen, X: s.cfg.Costs.MigrationCost(j.Perf)})
 	}
 	j.AddOverhead(q.Overhead)
 	if lost := (quantum - q.Overhead) * (1 - q.Eff); lost > 0 {
@@ -169,7 +162,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 		if j.State() != job.Running {
 			j.SetRunning(true)
 			if !j.RanLastQuantum() && j.DoneMB() == 0 {
-				s.log.Add(now, trace.KindStart, j.ID, j.User, "gen="+gen.String())
+				s.emit(trace.Record{At: now, Kind: trace.KindStart, Job: j.ID, User: j.User, Gen: gen})
 			}
 		}
 		j.NoteFirstRun(now)

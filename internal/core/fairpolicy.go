@@ -280,14 +280,13 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		scheduled[j.ID] = true
 		remaining[g] -= j.Gang
 		if viaCredit {
-			if st.Obs != nil {
-				before := p.credit[u][g]
-				st.Obs.NoteChoice(int64(j.ID), "credit", before, before-float64(j.Gang))
-			}
-			p.credit[u][g] -= float64(j.Gang)
+			cr := p.credit[u]
+			c := cr[g]
+			st.Obs.Explain(j.ID, "credit", c, c-float64(j.Gang))
+			cr[g] = c - float64(j.Gang)
 		} else if st.Obs != nil {
 			c := p.credit[u][g]
-			st.Obs.NoteChoice(int64(j.ID), "backfill", c, c)
+			st.Obs.Explain(j.ID, "backfill", c, c)
 		}
 		if prev, ok := st.PrevGen[j.ID]; ok && prev != g {
 			p.lastMig[j.ID] = p.round

@@ -15,7 +15,6 @@ package core
 import (
 	"repro/internal/gpu"
 	"repro/internal/job"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
@@ -71,10 +70,10 @@ type RoundState struct {
 	// Decision.Repaid.
 	Deficit map[job.UserID]float64
 
-	// Obs is the engine's observer — nil when uninstrumented. All its
-	// methods are nil-safe, so policies may call it unconditionally to
-	// time sub-phases (waterfill, trade) and explain their choices.
-	Obs *obs.Observer
+	// Obs is the round's instrumentation — nil when uninstrumented. All
+	// its methods are nil-safe, so policies may call it unconditionally
+	// to time sub-phases (waterfill, trade) and explain their choices.
+	Obs *RoundObs
 
 	// caps is the round's CapacityByGen result, set by the engine once
 	// it has computed it so the policy's call does not recompute it.

@@ -30,15 +30,28 @@ type round struct {
 	fair, loss, occ     map[job.UserID]float64 // fault model only: reference entitlement, fault loss, occupied
 }
 
-// runRound executes one scheduling quantum, phase by phase: events and
-// faults, the fairness reference, decide, place, migrate, execute,
-// retire, settle. Only the execute phase knows there is an executor.
+// runRound executes one scheduling quantum and closes it on every path:
+// a round that fails still flushes the events it got to and ends its
+// open phases, so the flight dump of a failed run ends with the round
+// that failed.
 func (s *Sim) runRound() error {
 	s.rounds++
 	rd := &s.rd
 	*rd = round{now: s.clock.Now()}
 	s.obs.BeginRound(s.rounds, float64(rd.now))
+	s.robs.begin()
+	err := s.runPhases(rd)
+	s.obs.EndRound(obs.Round{
+		Events: s.flush(), Shares: s.shareSamples(),
+		Active: len(s.active), Pending: s.evq.pendingCount(),
+	})
+	return err
+}
 
+// runPhases is the round, phase by phase: events and faults, the
+// fairness reference, decide, place, migrate, execute, retire, settle.
+// Only the execute phase knows there is an executor.
+func (s *Sim) runPhases(rd *round) error {
 	st := s.beginRound(rd)
 	s.fairReference(rd)
 	reqs, err := s.decide(rd, st)
@@ -70,8 +83,6 @@ func (s *Sim) runRound() error {
 	s.obs.PhaseStart(obs.PhaseAudit)
 	err = s.aud.endRound()
 	s.obs.PhaseEnd(obs.PhaseAudit)
-	s.publishShares()
-	s.obs.EndRound(len(s.active), s.evq.pendingCount())
 	return err
 }
 
@@ -90,7 +101,6 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	rd.down = s.updateFaultState(now)
 	rd.quar = s.breaker.Set()
 	s.obs.PhaseEnd(obs.PhaseFaultSweep)
-	s.obs.SetQuarantined(s.breaker.Count())
 	// Servers unusable this round: physically down or quarantined.
 	rd.unavail = rd.down
 	if len(rd.quar) > 0 {
@@ -115,10 +125,8 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 			}
 			if s.finj.CrashNow() {
 				lost := j.Crash()
-				s.crashes++
-				s.log.Add(now, trace.KindJobCrash, j.ID, j.User,
-					fmt.Sprintf("lostMB=%.1f crashes=%d", lost, j.Crashes()))
-				s.obs.NoteFault("job-crash")
+				s.emit(trace.Record{At: now, Kind: trace.KindJobCrash, Job: j.ID, User: j.User,
+					X: lost, N: int32(j.Crashes())})
 			}
 		}
 	}
@@ -159,7 +167,7 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		Quarantined:       rd.quar,
 		Pinned:            rd.pinned,
 		Deficit:           rd.deficit,
-		Obs:               s.obs,
+		Obs:               s.robs,
 	}
 	rd.caps = st.CapacityByGen()
 	st.caps = rd.caps // the policy's CapacityByGen call reuses it
@@ -213,13 +221,9 @@ func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
 	}
 	s.obs.PhaseEnd(obs.PhaseDecide)
 	rd.repaid = dec.Repaid
-	s.trades += len(dec.Trades)
 	for _, tr := range dec.Trades {
-		s.log.Add(rd.now, trace.KindTrade, 0, tr.Buyer,
-			fmt.Sprintf("seller=%s fast=%v slow=%v dFast=%.2f dSlow=%.2f price=%.2f",
-				tr.Seller, tr.Fast, tr.Slow, tr.FastGPUs, tr.SlowGPUs, tr.Price))
-		s.obs.NoteTrade(string(tr.Buyer), string(tr.Seller),
-			tr.Fast.String(), tr.Slow.String(), tr.FastGPUs, tr.SlowGPUs, tr.Price)
+		s.emit(trace.Record{At: rd.now, Kind: trace.KindTrade, User: tr.Buyer, Name: string(tr.Seller),
+			Gen: tr.Fast, From: tr.Slow, X: tr.FastGPUs, Y: tr.SlowGPUs, Z: tr.Price})
 	}
 	return dec.Run, nil
 }
@@ -306,15 +310,13 @@ func (s *Sim) failMigrations(rd *round) {
 			rd.occ[j.User] += gang * cost
 			rd.loss[j.User] += gang * (s.cfg.Quantum - cost)
 			s.migFails[id]++
-			s.migFailures++
 			backoff := faults.Backoff(s.fcfg, s.migFails[id])
 			s.pinnedUntil[id] = s.rounds + backoff
 			migFailed = append(migFailed, id)
 			delete(res.Assignment, id)
 			res.Unplaced = append(res.Unplaced, id)
-			s.log.Add(rd.now, trace.KindMigFail, id, j.User,
-				fmt.Sprintf("attempt=%d backoff=%d cost=%.0fs", s.migFails[id], backoff, cost))
-			s.obs.NoteFault("migration-fail")
+			s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: id, User: j.User,
+				N: int32(s.migFails[id]), M: int32(backoff), X: cost})
 		}
 		res.Migrated = kept
 		slices.Sort(res.Unplaced)
@@ -325,7 +327,9 @@ func (s *Sim) failMigrations(rd *round) {
 	}
 	s.migFailedBuf = migFailed
 	s.obs.PhaseEnd(obs.PhaseMigrate)
-	s.obs.NoteUnplaced(len(res.Unplaced))
+	if n := len(res.Unplaced); n > 0 {
+		s.emit(trace.Record{At: rd.now, Kind: trace.KindUnplaced, N: int32(n)})
+	}
 }
 
 // retire does the quantum bookkeeping on every active job, then retires
@@ -397,9 +401,8 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 func (s *Sim) retireJob(j *job.Job) {
 	id := j.ID
 	s.finished = append(s.finished, j)
-	s.log.Add(j.FinishTime(), trace.KindFinish, id, j.User,
-		fmt.Sprintf("jct=%.0fs migrations=%d", j.JCT(), j.Migrations()))
-	s.obs.NoteFinish()
+	s.emit(trace.Record{At: j.FinishTime(), Kind: trace.KindFinish, Job: id, User: j.User,
+		X: j.JCT(), N: int32(j.Migrations())})
 	s.policy.JobFinished(id)
 	s.prof.Remove(id)
 	delete(s.active, id)
@@ -488,8 +491,7 @@ func (s *Sim) settleCompensation(rd *round) {
 			s.compDeficit[u] = d
 		}
 		s.compRepaid += r
-		s.obs.SetCompDeficit(string(u), d)
-		s.obs.NoteRepaid(r)
+		s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: u, X: d, Y: r})
 	}
 	s.aud.checkCompensation(sorted, before, lost, clamped, after)
 	// Forgive debt of users with no jobs left in the system — there is
@@ -506,40 +508,46 @@ func (s *Sim) settleCompensation(rd *round) {
 	for _, u := range job.SortedUsers(s.compDeficit) {
 		if !present[u] {
 			delete(s.compDeficit, u)
-			s.obs.SetCompDeficit(string(u), 0)
+			s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: u})
 		}
 	}
 }
 
-// publishShares refreshes the per-user share gauges (observed vs
-// water-filled entitlement fractions). No-op when uninstrumented.
-func (s *Sim) publishShares() {
+// shareSamples is the round's per-user share sample for the observer:
+// observed and water-filled entitlement fractions of every user with
+// usage, sorted by user. The slice is reused every round; nil when
+// uninstrumented.
+//
+//gflint:noretain
+func (s *Sim) shareSamples() []obs.ShareSample {
 	if s.obs == nil {
-		return
+		return nil
 	}
 	var usedTotal, fairTotal float64
-	used := make(map[job.UserID]float64, len(s.usage))
-	for u, byGen := range s.usage {
-		for _, g := range gpu.Generations() {
-			used[u] += byGen[g]
-		}
-	}
-	for _, u := range job.SortedUsers(used) {
-		usedTotal += used[u]
-	}
-	for _, u := range job.SortedUsers(s.fairUsage) {
+	out := s.shareBuf[:0]
+	for _, u := range s.users {
 		fairTotal += s.fairUsage[u]
+		byGen, ok := s.usage[u]
+		if !ok {
+			continue
+		}
+		used := 0.0
+		for _, g := range gpu.Generations() {
+			used += byGen[g]
+		}
+		usedTotal += used
+		out = append(out, obs.ShareSample{User: string(u), Usage: used, Fair: s.fairUsage[u]})
 	}
-	for _, u := range job.SortedUsers(used) {
-		uf, ff := 0.0, 0.0
+	for i := range out { // a zero total means every term of it is zero already
 		if usedTotal > 0 {
-			uf = used[u] / usedTotal
+			out[i].Usage /= usedTotal
 		}
 		if fairTotal > 0 {
-			ff = s.fairUsage[u] / fairTotal
+			out[i].Fair /= fairTotal
 		}
-		s.obs.SetShare(string(u), uf, ff)
 	}
+	s.shareBuf = out
+	return out
 }
 
 func (s *Sim) addUsage(u job.UserID, g gpu.Generation, amount float64) {
@@ -553,37 +561,33 @@ func (s *Sim) addUsage(u job.UserID, g gpu.Generation, amount float64) {
 
 // updateFaultState advances the compiled fault timeline to now,
 // maintains the sampled down set incrementally, feeds the quarantine
-// breaker, and logs every transition. It returns the round's down set
+// breaker, and records every transition. It returns the round's down set
 // — sampled outages plus the servers the executor cannot reach — as a
 // copy: RoundState and placement must not alias mutable state.
 func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
+	server := func(kind trace.Kind, sid gpu.ServerID) {
+		s.emit(trace.Record{At: now, Kind: kind, N: int32(sid)})
+	}
 	// Release expired quarantines before noting new failures so a
 	// server can be re-observed the round it is freed.
 	for _, sid := range s.breaker.ExpireStep(now) {
-		s.log.Add(now, trace.KindUnquarantine, 0, "", fmt.Sprintf("server=%d", sid))
+		server(trace.KindUnquarantine, sid)
 	}
 	for _, tr := range s.fsweep.Advance(now) {
-		if tr.Slow {
-			if tr.Factor < 1 {
-				s.log.Add(now, trace.KindDegrade, 0, "", fmt.Sprintf("server=%d factor=%.2f", tr.Server, tr.Factor))
-				s.obs.NoteFault("degrade")
-			} else {
-				s.log.Add(now, trace.KindDegradeEnd, 0, "", fmt.Sprintf("server=%d", tr.Server))
-			}
-			continue
-		}
-		if tr.Down {
+		switch {
+		case tr.Slow && tr.Factor < 1:
+			s.emit(trace.Record{At: now, Kind: trace.KindDegrade, N: int32(tr.Server), X: tr.Factor})
+		case tr.Slow:
+			server(trace.KindDegradeEnd, tr.Server)
+		case tr.Down:
 			s.down[tr.Server] = true
-			s.log.Add(now, trace.KindFailure, 0, "", fmt.Sprintf("server=%d", tr.Server))
-			s.obs.NoteFault("server-down")
+			server(trace.KindFailure, tr.Server)
 			if s.breaker.NoteFailure(tr.Server, now) {
-				s.quarTrips++
-				s.log.Add(now, trace.KindQuarantine, 0, "", fmt.Sprintf("server=%d", tr.Server))
-				s.obs.NoteFault("quarantine")
+				server(trace.KindQuarantine, tr.Server)
 			}
-		} else {
+		default:
 			delete(s.down, tr.Server)
-			s.log.Add(now, trace.KindRecovery, 0, "", fmt.Sprintf("server=%d", tr.Server))
+			server(trace.KindRecovery, tr.Server)
 		}
 	}
 	down := make(map[gpu.ServerID]bool, len(s.down)+len(s.unreachable))

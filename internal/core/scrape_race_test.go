@@ -40,7 +40,7 @@ func TestScrapeWhileEngineSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(obs.HandlerOpts(o, obs.MuxOptions{Flight: rec}))
+	srv := httptest.NewServer(obs.Handler(o, obs.MuxOptions{Flight: rec}))
 	defer srv.Close()
 
 	done := make(chan struct{})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/fairshare"
 	"repro/internal/faults"
@@ -376,7 +375,8 @@ type Sim struct {
 	policy  Policy
 	exec    Executor
 	prof    *profiler.Profiler
-	log     *trace.Log
+	log     *trace.Log     // the run's event log, a sink of ev
+	ev      []trace.Record //gflint:noretain the event stream's buffer (stream.go): flushed at round close, then reused; sinks copy
 	tl      *metrics.Timeline
 	tickets map[job.UserID]float64
 
@@ -422,17 +422,19 @@ type Sim struct {
 	prev    placement.Assignment
 	prevGen map[job.ID]gpu.Generation
 
-	usage      map[job.UserID]map[gpu.Generation]float64
-	useful     map[job.UserID]float64
-	fairUsage  map[job.UserID]float64
-	mbByUser   map[job.UserID]float64
-	busyByGen  map[gpu.Generation]float64
-	capByGen   map[gpu.Generation]float64
-	migrations int
-	trades     int
-	rounds     int
-	aud        *auditor
-	obs        *obs.Observer // nil when uninstrumented
+	usage     map[job.UserID]map[gpu.Generation]float64
+	useful    map[job.UserID]float64
+	fairUsage map[job.UserID]float64
+	mbByUser  map[job.UserID]float64
+	busyByGen map[gpu.Generation]float64
+	capByGen  map[gpu.Generation]float64
+	recorded  map[trace.Kind]int // how often each kind was emitted
+	rounds    int
+	aud       *auditor
+	obs       *obs.Observer     // nil when uninstrumented
+	robs      *RoundObs         // the policy's handle on obs; nil with it
+	users     []job.UserID      // every user of the workload, sorted
+	shareBuf  []obs.ShareSample //gflint:noretain shareSamples' result, reused every round
 
 	// Fault-model state. The timeline/sweep pair always exists (the
 	// declared Failures list is compiled into it at New); everything
@@ -452,9 +454,6 @@ type Sim struct {
 	lastCkpt    map[job.ID]simclock.Time // last durable checkpoint time
 	compDeficit map[job.UserID]float64   // occupied GPU-seconds owed per user
 	compRepaid  float64                  // total GPU-seconds repaid
-	crashes     int
-	migFailures int
-	quarTrips   int
 }
 
 // New builds a simulation for a policy: the engine with the simulated
@@ -503,6 +502,7 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		mbByUser:   make(map[job.UserID]float64),
 		busyByGen:  make(map[gpu.Generation]float64),
 		capByGen:   make(map[gpu.Generation]float64),
+		recorded:   make(map[trace.Kind]int),
 		down:       make(map[gpu.ServerID]bool),
 		owners:     owners,
 		seenBuf:    make(map[job.ID]bool),
@@ -529,6 +529,9 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	if cfg.TraceCap > 0 {
 		s.log.SetCap(cfg.TraceCap)
 	}
+	if cfg.Obs != nil {
+		s.robs = &RoundObs{o: cfg.Obs}
+	}
 	// The nil check matters: SetSink takes an interface, and wrapping
 	// a typed-nil *Recorder would defeat the sink == nil fast path.
 	if cfg.Flight != nil {
@@ -543,7 +546,8 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 			s.tickets[u] = 1
 		}
 	}
-	for _, u := range job.SortedUsers(s.tickets) {
+	s.users = job.SortedUsers(s.tickets)
+	for _, u := range s.users {
 		s.fairSolver.SetTickets(u, s.tickets[u])
 	}
 	return s, nil
@@ -628,19 +632,15 @@ func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
 }
 
 func (s *Sim) admitArrivals() {
-	now := s.clock.Now()
-	n := 0
-	s.evq.popArrivalsDue(now, func(spec job.Spec) {
+	s.evq.popArrivalsDue(s.clock.Now(), func(spec job.Spec) {
 		j, err := job.New(spec)
 		if err != nil {
 			panic(fmt.Sprintf("core: validated spec rejected: %v", err)) // unreachable
 		}
 		s.admit(j)
-		n++
-		s.log.Add(spec.Arrival, trace.KindArrival, j.ID, j.User,
-			"model="+spec.Perf.Model+" gang="+strconv.Itoa(spec.Gang))
+		s.emit(trace.Record{At: spec.Arrival, Kind: trace.KindArrival, Job: j.ID, User: j.User,
+			Name: spec.Perf.Model, N: int32(spec.Gang)})
 	})
-	s.obs.NoteAdmitted(n)
 }
 
 // admit enters a job into the active set, the sorted job list and the
@@ -732,6 +732,7 @@ func (s *Sim) computeSLO() metrics.SLO {
 // and what a caller driving Step reads between rounds. Its maps are the
 // engine's own books, not copies.
 func (s *Sim) Result() *Result {
+	s.obs.Emit(s.flush()...) // what was recorded since the last round closed
 	// Completion order: nothing else reads s.finished's order, so it is
 	// sorted here, not after every round's retirements.
 	sort.Slice(s.finished, func(i, j int) bool {
@@ -768,11 +769,11 @@ func (s *Sim) Result() *Result {
 		ThroughputByUser:     s.mbByUser,
 		Utilization:          metrics.Utilization{BusyGPUSeconds: busy, CapacityGPUSeconds: capTotal},
 		UtilByGen:            utilByGen,
-		Migrations:           s.migrations,
-		TradeCount:           s.trades,
-		Crashes:              s.crashes,
-		MigrationFailures:    s.migFailures,
-		Quarantines:          s.quarTrips,
+		Migrations:           s.recorded[trace.KindMigration],
+		TradeCount:           s.recorded[trace.KindTrade],
+		Crashes:              s.recorded[trace.KindJobCrash],
+		MigrationFailures:    s.recorded[trace.KindMigFail],
+		Quarantines:          s.recorded[trace.KindQuarantine],
 		CompDeficitByUser:    s.resultDeficit(),
 		CompRepaidGPUSeconds: s.compRepaid,
 		Timeline:             s.tl,

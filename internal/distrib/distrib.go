@@ -70,13 +70,19 @@ type Agent struct {
 // default: every observer method is nil-safe).
 func (a *Agent) SetObserver(o *obs.Observer) { a.obs = o }
 
+// note records one protocol event of the agent's. Agents run beside the
+// engine, not inside it, so theirs go to the observer directly.
+func (a *Agent) note(event string) {
+	a.obs.Emit(trace.Record{Kind: trace.KindProtocol, Name: event})
+}
+
 // SetRetry replaces the default send retry/backoff policy.
 func (a *Agent) SetRetry(pol comm.RetryPolicy) { a.retry = a.newRetrier(pol) }
 
 func (a *Agent) newRetrier(pol comm.RetryPolicy) *comm.Retrier {
 	user := pol.OnRetry
 	pol.OnRetry = func(n int, err error) {
-		a.obs.NoteProtocol("send_retry")
+		a.note("send_retry")
 		if user != nil {
 			user(n, err)
 		}
@@ -110,14 +116,14 @@ func (a *Agent) Run() error {
 	if err != nil {
 		return err
 	}
-	a.obs.NoteProtocol("register_sent")
+	a.note("register_sent")
 	for env := range a.tr.Recv() {
 		if !comm.Verify(env) {
-			a.obs.NoteProtocol("corrupt_detected")
+			a.note("corrupt_detected")
 			continue
 		}
 		if a.dedup.Duplicate(env.From, env.Seq) {
-			a.obs.NoteProtocol("dup_dropped")
+			a.note("dup_dropped")
 			continue
 		}
 		switch m := env.Msg.(type) {
@@ -130,7 +136,7 @@ func (a *Agent) Run() error {
 				if m.Epoch < a.epoch {
 					// A plan from a dead central incarnation: acting on
 					// it would split-brain the cluster.
-					a.obs.NoteProtocol("fence_reject")
+					a.note("fence_reject")
 					continue
 				}
 				if m.Epoch > a.epoch {
@@ -145,11 +151,11 @@ func (a *Agent) Run() error {
 				if m.Round <= a.lastRound {
 					// Duplicate or reordered plan for a round already
 					// executed; running it again would double work.
-					a.obs.NoteProtocol("stale_plan_dropped")
+					a.note("stale_plan_dropped")
 					continue
 				}
 			}
-			a.obs.NoteProtocol("plan_received")
+			a.note("plan_received")
 			a.pruneAcked(m.AckRound)
 			if m.Lease > 0 && len(a.backlog) > 0 && a.backlog[0].Round <= m.Round-m.Lease {
 				// Lease expired: the oldest unacknowledged round has
@@ -159,7 +165,7 @@ func (a *Agent) Run() error {
 				// central's view.
 				a.local = nil
 				a.backlog = nil
-				a.obs.NoteProtocol("lease_expired")
+				a.note("lease_expired")
 			}
 			rep := a.execute(m)
 			a.lastRound = m.Round
@@ -170,15 +176,15 @@ func (a *Agent) Run() error {
 					// keep executing plans (they may still arrive on an
 					// asymmetric partition) and keep buffering; the
 					// central reconciles the backlog on heal.
-					a.obs.NoteProtocol("report_send_failed")
+					a.note("report_send_failed")
 					continue
 				}
-				a.obs.NoteProtocol("report_sent")
+				a.note("report_sent")
 			} else {
 				if err := a.retry.Send(a.tr, a.central, comm.Envelope{From: a.tr.Name(), Msg: rep}); err != nil {
 					return err
 				}
-				a.obs.NoteProtocol("report_sent")
+				a.note("report_sent")
 			}
 		case comm.Shutdown:
 			return nil
@@ -352,11 +358,6 @@ type CentralConfig struct {
 	// for the central scheduler. Nil disables instrumentation at zero
 	// cost (all observer methods are nil-safe).
 	Obs *obs.Observer
-
-	// Trace, when non-nil, records protocol lifecycle events
-	// (lease-expiry, partition-heal, fence-reject) at simulated
-	// timestamps.
-	Trace *trace.Log
 }
 
 // Central is the coordinator: the round engine (core.Sim — admission,
@@ -481,9 +482,25 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 		appliedSet:   make(map[string]map[int]bool),
 		plannedWin:   make(map[int]map[string]map[job.ID]plannedEntry),
 	}
-	cfg.Obs.SetEpoch(epoch)
+	c.emit(trace.Record{Kind: trace.KindEpoch, N: int32(epoch)})
 	c.retry = c.newRetrier()
 	return c
+}
+
+// emit records one occurrence of the protocol's in the engine's event
+// stream — or, before the agents have registered and the engine exists,
+// with the observer directly.
+func (c *Central) emit(r trace.Record) {
+	if c.eng == nil {
+		c.cfg.Obs.Emit(r)
+		return
+	}
+	c.eng.Emit(r)
+}
+
+// note records one protocol event that only the observer counts.
+func (c *Central) note(event string) {
+	c.emit(trace.Record{Kind: trace.KindProtocol, Name: event})
 }
 
 // traceCap bounds the engine's event log to its most recent events. A
@@ -509,7 +526,7 @@ func (c *Central) newRetrier() *comm.Retrier {
 	pol.SeqBase = uint64(c.epoch) << 32
 	user := pol.OnRetry
 	pol.OnRetry = func(n int, err error) {
-		c.cfg.Obs.NoteProtocol("send_retry")
+		c.note("send_retry")
 		if user != nil {
 			user(n, err)
 		}
@@ -525,7 +542,7 @@ func (c *Central) newRetrier() *comm.Retrier {
 // history (registration itself is idempotent upstream).
 func (c *Central) accept(env comm.Envelope) bool {
 	if !comm.Verify(env) {
-		c.cfg.Obs.NoteProtocol("corrupt_detected")
+		c.note("corrupt_detected")
 		return false
 	}
 	if _, isReg := env.Msg.(comm.Register); isReg {
@@ -533,7 +550,7 @@ func (c *Central) accept(env comm.Envelope) bool {
 		return true
 	}
 	if c.dedup.Duplicate(env.From, env.Seq) {
-		c.cfg.Obs.NoteProtocol("dup_dropped")
+		c.note("dup_dropped")
 		return false
 	}
 	return true
@@ -545,11 +562,7 @@ func (c *Central) fenced(rep comm.RoundReport) bool {
 	if rep.Epoch == 0 || rep.Epoch == c.epoch {
 		return false
 	}
-	c.cfg.Obs.NoteProtocol("fence_reject")
-	if c.cfg.Trace != nil {
-		c.cfg.Trace.Add(c.eng.Now(), trace.KindFenceReject, 0, "",
-			fmt.Sprintf("report round %d epoch %d from %s (epoch now %d)", rep.Round, rep.Epoch, rep.Agent, c.epoch))
-	}
+	c.emit(trace.Record{Kind: trace.KindFenceReject, Name: rep.Agent, N: int32(rep.Round), M: int32(rep.Epoch)})
 	return true
 }
 
@@ -570,10 +583,7 @@ func (c *Central) setMissed(ai, n int) {
 // recovery is a partition heal.
 func (c *Central) noteAlive(ai int) {
 	if c.missed[ai] >= suspectThreshold {
-		c.cfg.Obs.NoteProtocol("partition_heal")
-		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.eng.Now(), trace.KindPartitionHeal, 0, "", c.agents[ai].name)
-		}
+		c.emit(trace.Record{Kind: trace.KindPartitionHeal, Name: c.agents[ai].name})
 	}
 	c.setMissed(ai, 0)
 }
@@ -612,7 +622,7 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 				if c.agents[i].gen == g && c.agents[i].gpus == reg.GPUs {
 					// Retried registration: already recorded, one ack
 					// below covers it.
-					c.cfg.Obs.NoteProtocol("register_duplicate")
+					c.note("register_duplicate")
 				} else {
 					c.ackRegister(reg.Agent, false, fmt.Sprintf(
 						"agent %q already registered with %d× %v", reg.Agent, c.agents[i].gpus, c.agents[i].gen))
@@ -621,7 +631,7 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 			}
 			c.agentIdx[reg.Agent] = len(c.agents)
 			c.agents = append(c.agents, agentInfo{name: reg.Agent, gen: g, gpus: reg.GPUs})
-			c.cfg.Obs.NoteProtocol("register_received")
+			c.note("register_received")
 		case <-deadline:
 			return fmt.Errorf("distrib: only %d of %d agents registered", len(c.agents), n)
 		}
@@ -696,10 +706,10 @@ func (c *Central) handleRejoin(reg comm.Register) bool {
 	default:
 		c.setMissed(i, 0)
 		c.ackRegister(reg.Agent, true, "")
-		c.cfg.Obs.NoteProtocol("rejoin_accepted")
+		c.note("rejoin_accepted")
 		return true
 	}
-	c.cfg.Obs.NoteProtocol("rejoin_rejected")
+	c.note("rejoin_rejected")
 	return false
 }
 
@@ -769,7 +779,7 @@ func (c *Central) reconcileLate(round int) {
 		if c.appliedSet[rep.Agent][rep.Round] {
 			// Backlog replay of a round already counted: the
 			// idempotency record absorbs it.
-			c.cfg.Obs.NoteProtocol("late_report_dropped")
+			c.note("late_report_dropped")
 			continue
 		}
 		planned := c.plannedWin[rep.Round][rep.Agent]
@@ -806,9 +816,9 @@ func (c *Central) reconcileLate(round int) {
 		}
 		c.markApplied(rep.Agent, rep.Round)
 		if applied {
-			c.cfg.Obs.NoteProtocol("late_report_applied")
+			c.note("late_report_applied")
 		} else {
-			c.cfg.Obs.NoteProtocol("late_report_dropped")
+			c.note("late_report_dropped")
 		}
 	}
 }
@@ -887,8 +897,7 @@ func (c *Central) Steps(maxSteps int) (*Summary, error) {
 		if !ran {
 			break
 		}
-		c.cfg.Obs.SetEpoch(c.epoch)
-		c.cfg.Obs.SetDegradedAgents(c.degradedAgents())
+		c.emit(trace.Record{Kind: trace.KindDegraded, N: int32(c.degradedAgents())})
 		if err := c.maybeSnapshot(); err != nil {
 			return nil, err
 		}
@@ -952,10 +961,7 @@ func (c *Central) noteMiss(ai int) {
 	c.setMissed(ai, c.missed[ai]+1)
 	c.timeouts++
 	if c.cfg.LeaseRounds > 0 && c.missed[ai] == c.downThreshold() {
-		c.cfg.Obs.NoteProtocol("lease_expired")
-		if c.cfg.Trace != nil {
-			c.cfg.Trace.Add(c.eng.Now(), trace.KindLeaseExpire, 0, "", c.agents[ai].name)
-		}
+		c.emit(trace.Record{Kind: trace.KindLeaseExpire, Name: c.agents[ai].name})
 	}
 }
 
@@ -1143,11 +1149,11 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			if c.cfg.StrictReports {
 				return fmt.Errorf("distrib: round %d: plan for %q undeliverable: %w", round, name, err)
 			}
-			o.NoteProtocol("plan_send_failed")
+			c.note("plan_send_failed")
 			c.noteMiss(ai)
 			continue
 		}
-		o.NoteProtocol("plan_sent")
+		c.note("plan_sent")
 		c.want[ai] = true
 		nWant++
 	}
@@ -1200,7 +1206,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			}
 			c.want[ai] = false
 			nWant--
-			o.NoteProtocol("report_received")
+			c.note("report_received")
 			if c.cfg.LeaseRounds > 0 {
 				c.markApplied(rep.Agent, round) // counted on time
 			}
@@ -1228,7 +1234,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			// arrive.
 			for ai, waiting := range c.want { // agent order is name order
 				if waiting {
-					o.NoteProtocol("report_timeout")
+					c.note("report_timeout")
 					c.noteMiss(ai)
 				}
 			}
@@ -1269,10 +1275,10 @@ func (c *Central) probeAndSlide(round int) {
 			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[a.name],
 		}
 		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: probe}); err != nil {
-			c.cfg.Obs.NoteProtocol("probe_send_failed")
+			c.note("probe_send_failed")
 			continue
 		}
-		c.cfg.Obs.NoteProtocol("probe_sent")
+		c.note("probe_sent")
 	}
 	// The reconciliation window slides: plans and applied-round
 	// records older than the lease can never be charged again.

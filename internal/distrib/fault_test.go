@@ -248,6 +248,7 @@ func TestRejoinReconciliation(t *testing.T) {
 		t.Errorf("stranger rejoin acked with %+v", ack)
 	}
 
+	c.summary() // no round ran: reading the result flushes the engine's stream to the observer
 	var sb strings.Builder
 	_ = o.Registry().WritePrometheus(&sb) // strings.Builder writes cannot fail
 	for _, want := range []string{

@@ -14,6 +14,7 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -144,13 +145,13 @@ func TestReplayedReportCountedOnce(t *testing.T) {
 	// Duplicates of rounds 1 and 2 are drained (and dropped) at the
 	// next round's start; the final round's duplicate arrives after
 	// the run is over, so only two are observable.
-	if n := ob.ProtocolEvents("dup_dropped"); n < 2 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "dup_dropped"); n < 2 {
 		t.Errorf("dup_dropped = %v, want one per drained duplicate delivery (>= 2)", n)
 	}
-	if n := ob.ProtocolEvents("late_report_dropped"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_dropped"); n != 1 {
 		t.Errorf("late_report_dropped = %v, want exactly 1 (the cross-round replay)", n)
 	}
-	if n := ob.ProtocolEvents("late_report_applied"); n != 0 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_applied"); n != 0 {
 		t.Errorf("late_report_applied = %v, want 0 (the replayed round was already counted)", n)
 	}
 }
@@ -224,10 +225,10 @@ func TestAgentFencesStaleEpochPlan(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := ob.ProtocolEvents("fence_reject"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 1 {
 		t.Errorf("fence_reject = %v, want 1", n)
 	}
-	if n := ob.ProtocolEvents("stale_plan_dropped"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "stale_plan_dropped"); n != 1 {
 		t.Errorf("stale_plan_dropped = %v, want 1", n)
 	}
 }
@@ -264,7 +265,7 @@ func TestCentralFencesStaleEpochReport(t *testing.T) {
 	if !c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 2}) {
 		t.Error("pre-restore epoch report not fenced")
 	}
-	if n := ob.ProtocolEvents("fence_reject"); n != 2 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 2 {
 		t.Errorf("fence_reject = %v, want 2", n)
 	}
 }
@@ -341,7 +342,7 @@ func TestLeaseExpiryParksAtCheckpoint(t *testing.T) {
 		t.Errorf("post-park DoneMB = %v, want %v (resynced to the plan checkpoint)",
 			r5.Jobs[0].DoneMB, r1.Jobs[0].DoneMB)
 	}
-	if n := ob.ProtocolEvents("lease_expired"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "lease_expired"); n != 1 {
 		t.Errorf("lease_expired = %v, want 1", n)
 	}
 
@@ -454,10 +455,10 @@ func TestStragglerCutoffReconcilesLateReport(t *testing.T) {
 	if got, want := sum.UsageByUser["alice"], 2.2*360+2*resumeSecs; math.Abs(got-want) > 1e-6 {
 		t.Errorf("usage %v, want %v", got, want)
 	}
-	if n := ob.ProtocolEvents("report_timeout"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "report_timeout"); n != 1 {
 		t.Errorf("report_timeout = %v, want 1 (the straggler cutoff)", n)
 	}
-	if n := ob.ProtocolEvents("late_report_applied"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_applied"); n != 1 {
 		t.Errorf("late_report_applied = %v, want 1", n)
 	}
 }
@@ -490,18 +491,18 @@ func (w *planWire) Send(to string, e comm.Envelope) error {
 	return w.Transport.Send(to, e) // the wire duplicates everything it carries
 }
 
-// TestUndeliverablePlanImmediateMiss: when a plan exhausts its send
-// retries the central charges the miss immediately — it does not
-// burn the collect deadline waiting for a report that can never come
-// — and the duplicated deliveries on the healthy links never
-// double-apply anywhere.
-func TestUndeliverablePlanImmediateMiss(t *testing.T) {
-	hub := comm.NewHub()
+// startBehindPlanWire registers two one-GPU agents, a job of the given
+// length each, with a central whose planWire fails the first `fails`
+// plan sends to agent-1. The returned wait is for after the agents are
+// shut down.
+func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Central, hub *comm.Hub, ob *obs.Observer, wait func()) {
+	t.Helper()
+	hub = comm.NewHub()
 	central, err := hub.Attach("central")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := obs.New()
+	ob = obs.New()
 	var waits []chan error
 	for i := 0; i < 2; i++ {
 		tr, err := hub.Attach(fmt.Sprintf("agent-%d", i))
@@ -518,16 +519,15 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 		waits = append(waits, done)
 	}
 
-	specs := append(oneJobSpecs(t, "alice", 2.2), oneJobSpecs(t, "bob", 2.2)...)
+	specs := append(oneJobSpecs(t, "alice", quanta), oneJobSpecs(t, "bob", quanta)...)
 	specs, err = workload.AssignIDs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All three attempts of one round-1 plan fail: an immediate miss.
-	wire := &planWire{Transport: central, failTo: "agent-1", fails: 3}
-	c, err := NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
+	wire := &planWire{Transport: central, failTo: "agent-1", fails: fails}
+	c, err = NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: specs, Quantum: 360,
-		LeaseRounds: 3, CollectDeadline: 2 * time.Second, Obs: ob,
+		LeaseRounds: lease, CollectDeadline: 2 * time.Second, Obs: ob,
 		Retry: comm.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 7},
 	})
 	if err != nil {
@@ -536,17 +536,31 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 	if err := c.WaitForAgents(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	return c, hub, ob, func() {
+		t.Helper()
+		for _, w := range waits {
+			if err := <-w; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestUndeliverablePlanImmediateMiss: when a plan exhausts its send
+// retries the central charges the miss immediately — it does not
+// burn the collect deadline waiting for a report that can never come
+// — and the duplicated deliveries on the healthy links never
+// double-apply anywhere.
+func TestUndeliverablePlanImmediateMiss(t *testing.T) {
+	// All three attempts of one round-1 plan fail: an immediate miss.
+	c, _, ob, wait := startBehindPlanWire(t, 2.2, 3, 3)
 	start := time.Now()
 	sum, err := c.Run(10)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range waits {
-		if err := <-w; err != nil {
-			t.Fatal(err)
-		}
-	}
+	wait()
 	if len(sum.Finished) != 2 {
 		t.Fatalf("finished %d jobs, want 2", len(sum.Finished))
 	}
@@ -558,22 +572,72 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 			t.Errorf("usage[%s] = %v, want %v", u, got, want)
 		}
 	}
-	if n := ob.ProtocolEvents("plan_send_failed"); n != 1 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "plan_send_failed"); n != 1 {
 		t.Errorf("plan_send_failed = %v, want 1", n)
 	}
-	if n := ob.ProtocolEvents("send_retry"); n < 2 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "send_retry"); n < 2 {
 		t.Errorf("send_retry = %v, want >= 2 (the failed plan's retries)", n)
 	}
 	// The miss was immediate: no collect deadline was burned waiting
 	// for the unreachable agent (the deadline is 2 s per round; the
 	// whole run must finish well under one such wait).
-	if n := ob.ProtocolEvents("report_timeout"); n != 0 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "report_timeout"); n != 0 {
 		t.Errorf("report_timeout = %v, want 0 (miss charged at send time)", n)
 	}
 	if elapsed > time.Second {
 		t.Errorf("run took %v; an undeliverable plan must not wait out the collect deadline", elapsed)
 	}
-	if n := ob.ProtocolEvents("dup_dropped"); n == 0 {
+	if n := ob.Registry().Value("gf_protocol_events_total", "dup_dropped"); n == 0 {
 		t.Error("dup_dropped = 0, want > 0 (every delivery was duplicated)")
+	}
+}
+
+// TestPartitionLifecycleReachesTheTrace: the coordinator's partition
+// events are occurrences of the engine's one stream, so they land in
+// the run's event log. A report sealed by a dead central epoch is
+// fenced; plans to agent-1 fail until its one-round lease is spent
+// (three straight misses); then a probe gets through and its answer,
+// whichever round it arrives in, heals the partition.
+func TestPartitionLifecycleReachesTheTrace(t *testing.T) {
+	c, hub, ob, wait := startBehindPlanWire(t, 1e6, 9, 1)
+	ghost, err := hub.Attach("ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := comm.Seal(comm.Envelope{From: "ghost", Seq: 1,
+		Msg: comm.RoundReport{Agent: "agent-0", Round: 1, Epoch: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ghost.Send("central", stale); err != nil {
+		t.Fatal(err)
+	}
+	log := c.eng.Result().Log
+	for deadline := time.Now().Add(10 * time.Second); len(log.Filter(trace.KindPartitionHeal)) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("agent-1 never healed")
+		}
+		if _, err := c.Steps(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.ShutdownAgents()
+	wait()
+	for _, want := range []trace.Event{
+		{Kind: trace.KindLeaseExpire, Detail: "agent=agent-1"},
+		{Kind: trace.KindPartitionHeal, Detail: "agent=agent-1"},
+		{Kind: trace.KindFenceReject, Detail: "agent=agent-0 round=1 epoch=7"},
+	} {
+		evs := log.Filter(want.Kind)
+		if len(evs) != 1 || evs[0].Detail != want.Detail {
+			t.Errorf("%s in the coordinator's log: %+v, want one with detail %q", want.Kind, evs, want.Detail)
+		}
+	}
+	// One record, every sink: the same occurrences are on the counters
+	// (which the agents share: a parked agent counts its own expiry).
+	for _, ev := range []string{"lease_expired", "partition_heal", "fence_reject"} {
+		if n := ob.Registry().Value("gf_protocol_events_total", ev); n < 1 {
+			t.Errorf("gf_protocol_events_total{event=%q} = %v, want >= 1", ev, n)
+		}
 	}
 }

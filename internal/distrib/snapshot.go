@@ -98,7 +98,7 @@ func (c *Central) maybeSnapshot() error {
 	if err := c.SaveSnapshot(c.cfg.SnapshotDir); err != nil {
 		return fmt.Errorf("distrib: snapshot after round %d: %w", c.eng.Rounds(), err)
 	}
-	c.cfg.Obs.NoteProtocol("snapshot_saved")
+	c.note("snapshot_saved")
 	return nil
 }
 
@@ -160,7 +160,7 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 		}
 		c.setMissed(ai, n)
 	}
-	cfg.Obs.NoteProtocol("restored")
+	c.note("restored")
 	return c, nil
 }
 

@@ -32,6 +32,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Kind names one disturbance.
@@ -142,14 +143,6 @@ func New(cfg Config) *Injector {
 	return in
 }
 
-// SetObserver attaches (or replaces) the observer counting injected
-// faults.
-func (in *Injector) SetObserver(o *obs.Observer) {
-	in.mu.Lock()
-	in.obs = o
-	in.mu.Unlock()
-}
-
 // Wrap returns tr with this injector spliced into its Send path.
 // Recv, Name and Close pass through.
 func (in *Injector) Wrap(tr comm.Transport) comm.Transport {
@@ -212,13 +205,6 @@ func (in *Injector) Stats() map[Kind]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Fired returns one kind's firing count.
-func (in *Injector) Fired(k Kind) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.counts[k]
 }
 
 func matches(pat, name string) bool { return pat == "*" || pat == name }
@@ -309,63 +295,52 @@ func (in *Injector) send(tr comm.Transport, to string, e comm.Envelope) error {
 	}
 	from := tr.Name()
 	in.mu.Lock()
-	cf := in.pick(from, to, e)
 	var kind Kind
-	if cf != nil {
+	if cf := in.pick(from, to, e); cf != nil {
 		kind = cf.f.Kind
 	}
-	o := in.obs
+	link := from + "\x00" + to
+	var prev *held // goes out behind whatever this call sends
 	switch kind {
-	case OneWay, Partition:
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		return fmt.Errorf("netchaos: link %s→%s partitioned", from, to)
-	case Drop:
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		return nil
+	case Drop, Dup, Corrupt, OneWay, Partition: // nothing to hold back
 	case Delay:
 		in.delayed = append(in.delayed, held{tr: tr, to: to, env: e})
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		return nil
 	case Reorder:
-		link := from + "\x00" + to
-		prev := in.reorder[link]
+		// The message held before goes out now, behind every message
+		// sent since it was held — that is the reorder.
+		prev = in.reorder[link]
 		in.reorder[link] = &held{tr: tr, to: to, env: e}
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		if prev != nil {
-			// The previously held message goes out now, behind every
-			// message sent since it was held — that is the reorder.
-			return tr.Send(prev.to, prev.env)
-		}
-		return nil
-	case Corrupt:
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		e.Msg = corrupt(e.Msg)
-		return tr.Send(to, e)
-	case Dup:
-		in.mu.Unlock()
-		o.NoteNet(string(kind))
-		if err := tr.Send(to, e); err != nil {
-			return err
-		}
-		return tr.Send(to, e)
 	default:
 		// No fault: a reordered predecessor on this link still goes
 		// out behind this message.
-		link := from + "\x00" + to
-		prev := in.reorder[link]
+		kind = ""
+		prev = in.reorder[link]
 		delete(in.reorder, link)
-		in.mu.Unlock()
+	}
+	in.mu.Unlock()
+	if kind != "" {
+		in.obs.Emit(trace.Record{Kind: trace.KindNet, Name: string(kind)})
+	}
+	sends := 1
+	switch kind {
+	case OneWay, Partition:
+		return fmt.Errorf("netchaos: link %s→%s partitioned", from, to)
+	case Drop, Delay:
+		return nil
+	case Reorder:
+		sends = 0
+	case Corrupt:
+		e.Msg = corrupt(e.Msg)
+	case Dup:
+		sends = 2
+	}
+	for ; sends > 0; sends-- {
 		if err := tr.Send(to, e); err != nil {
 			return err
 		}
-		if prev != nil {
-			return tr.Send(prev.to, prev.env)
-		}
-		return nil
 	}
+	if prev != nil {
+		return tr.Send(prev.to, prev.env)
+	}
+	return nil
 }

@@ -60,8 +60,8 @@ func TestDropOnlyInsideWindow(t *testing.T) {
 			t.Error("round-2 message delivered despite drop window")
 		}
 	}
-	if in.Fired(Drop) != 1 {
-		t.Errorf("drop fired %d times, want 1", in.Fired(Drop))
+	if in.Stats()[Drop] != 1 {
+		t.Errorf("drop fired %d times, want 1", in.Stats()[Drop])
 	}
 }
 
@@ -255,10 +255,10 @@ func TestFirstArmedFaultWinsAndMaxCaps(t *testing.T) {
 	if err := tr.Send("central", rep(1, 2)); err != nil {
 		t.Fatal(err) // drop capped out; dup takes over
 	}
-	if got := in.Fired(Drop); got != 1 {
+	if got := in.Stats()[Drop]; got != 1 {
 		t.Errorf("drop fired %d, want 1 (Max respected)", got)
 	}
-	if got := in.Fired(Dup); got != 1 {
+	if got := in.Stats()[Dup]; got != 1 {
 		t.Errorf("dup fired %d, want 1", got)
 	}
 	if len(s.got) != 2 {

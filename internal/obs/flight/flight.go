@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // DefaultRounds is the ring depth when New is given n <= 0.
@@ -48,13 +49,9 @@ type Dump struct {
 // them out on demand. All methods are safe for concurrent use and
 // nil-safe, so wiring is flag-free.
 type Recorder struct {
-	mu      sync.Mutex
-	path    string
-	cap     int
-	ring    []obs.RoundSnapshot
-	next    int
-	dropped uint64
-	dumps   int
+	mu     sync.Mutex
+	path   string
+	rounds ring.Ring[obs.RoundSnapshot]
 }
 
 // New builds a Recorder keeping the last n rounds (DefaultRounds
@@ -66,7 +63,9 @@ func New(n int, path string) *Recorder {
 	if path == "" {
 		path = "flight.json"
 	}
-	return &Recorder{path: path, cap: n}
+	r := &Recorder{path: path}
+	r.rounds.SetCap(n)
+	return r
 }
 
 // Path returns the dump destination ("" for nil).
@@ -83,14 +82,8 @@ func (r *Recorder) RecordRound(s obs.RoundSnapshot) {
 		return
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ring) < r.cap {
-		r.ring = append(r.ring, s)
-		return
-	}
-	r.ring[r.next] = s
-	r.next = (r.next + 1) % r.cap
-	r.dropped++
+	r.rounds.Push(s)
+	r.mu.Unlock()
 }
 
 // Rounds returns the retained snapshots oldest-first.
@@ -100,26 +93,7 @@ func (r *Recorder) Rounds() []obs.RoundSnapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.roundsLocked()
-}
-
-func (r *Recorder) roundsLocked() []obs.RoundSnapshot {
-	out := make([]obs.RoundSnapshot, 0, len(r.ring))
-	if len(r.ring) < r.cap {
-		return append(out, r.ring...)
-	}
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
-}
-
-// Dumps returns how many times the recorder has written its file.
-func (r *Recorder) Dumps() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dumps
+	return r.rounds.Slice()
 }
 
 // Dump writes the current window to the recorder's path atomically
@@ -135,18 +109,12 @@ func (r *Recorder) Dump(reason, detail string) error {
 		Reason:        reason,
 		Detail:        detail,
 		WrittenAt:     time.Now().UTC().Format(time.RFC3339Nano),
-		RoundsDropped: r.dropped,
-		Rounds:        r.roundsLocked(),
+		RoundsDropped: r.rounds.Dropped(),
+		Rounds:        r.rounds.Slice(),
 	}
-	if d.Rounds == nil {
-		d.Rounds = []obs.RoundSnapshot{}
-	}
-	path := r.path
-	r.dumps++
 	r.mu.Unlock()
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".flight-*.json")
+	tmp, err := os.CreateTemp(filepath.Dir(r.path), ".flight-*.json")
 	if err != nil {
 		return fmt.Errorf("flight: %w", err)
 	}
@@ -161,7 +129,7 @@ func (r *Recorder) Dump(reason, detail string) error {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("flight: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), r.path); err != nil {
 		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("flight: %w", err)
 	}
@@ -182,10 +150,9 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	rounds := r.Rounds()
-	if rounds == nil {
-		rounds = []obs.RoundSnapshot{}
-	}
+	r.mu.Lock()
+	rounds, dropped := r.rounds.Slice(), r.rounds.Dropped()
+	r.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -194,13 +161,7 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		Path          string              `json:"path"`
 		RoundsDropped uint64              `json:"rounds_dropped"`
 		Rounds        []obs.RoundSnapshot `json:"rounds"`
-	}{r.Path(), r.droppedNow(), rounds})
-}
-
-func (r *Recorder) droppedNow() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	}{r.path, dropped, rounds})
 }
 
 // ReadDump parses a flight dump file, for tooling and tests.

@@ -5,10 +5,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 func snap(round int) obs.RoundSnapshot {
@@ -64,9 +67,6 @@ func TestDumpAtomicAndParseable(t *testing.T) {
 			t.Fatalf("leftover file %s", e.Name())
 		}
 	}
-	if r.Dumps() != 1 {
-		t.Fatalf("dumps = %d", r.Dumps())
-	}
 }
 
 func TestEmptyDump(t *testing.T) {
@@ -89,7 +89,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if err := r.Dump("manual", ""); err != nil {
 		t.Fatal(err)
 	}
-	if r.Rounds() != nil || r.Dumps() != 0 || r.Path() != "" {
+	if r.Rounds() != nil || r.Path() != "" {
 		t.Fatal("nil recorder leaked state")
 	}
 }
@@ -98,11 +98,16 @@ func TestObserverSinkIntegration(t *testing.T) {
 	r := New(4, filepath.Join(t.TempDir(), "flight.json"))
 	o := obs.New()
 	o.SetSink(r)
+	o.Emit(trace.Record{Kind: trace.KindNet, Name: "drop"}) // between rounds: joins the next snapshot
 	o.BeginRound(0, 0)
-	o.NoteFault("jobcrash")
-	o.SetShare("bob", 0.4, 0.5)
-	o.RecordPlacement(1, "bob", "V100", 1, []int{0}, false, "")
-	o.EndRound(1, 0)
+	o.EndRound(obs.Round{
+		Active: 1,
+		Events: []trace.Record{
+			{Kind: trace.KindJobCrash, Job: 1, User: "bob"},
+			{Kind: trace.KindDecision, Job: 1, User: "bob", Gen: gpu.V100, N: 1, Devs: []gpu.DeviceID{0}, Name: "policy"},
+		},
+		Shares: []obs.ShareSample{{User: "bob", Usage: 0.4, Fair: 0.5}},
+	})
 
 	rounds := r.Rounds()
 	if len(rounds) != 1 {
@@ -112,8 +117,9 @@ func TestObserverSinkIntegration(t *testing.T) {
 	if len(got.Decisions) != 1 || got.Decisions[0].User != "bob" {
 		t.Fatalf("decisions = %+v", got.Decisions)
 	}
-	if len(got.Events) != 1 || got.Events[0].Name != "jobcrash" {
-		t.Fatalf("events = %+v", got.Events)
+	want := []obs.RoundEvent{{Kind: "net", Name: "drop"}, {Kind: "fault", Name: "job-crash"}}
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Fatalf("events = %+v, want %+v", got.Events, want)
 	}
 	if len(got.Shares) != 1 || got.Shares[0].User != "bob" {
 		t.Fatalf("shares = %+v", got.Shares)
@@ -173,4 +179,36 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 	if _, err := ReadDump(path); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzReadDump feeds ReadDump arbitrary file contents: an error is
+// fine, a panic is not. Seeded with a dump holding every event class.
+func FuzzReadDump(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	r := New(4, seed)
+	s := snap(1)
+	s.Events = []obs.RoundEvent{{Kind: "fault", Name: "job-crash"}, {Kind: "net", Name: "drop"}, {Kind: "protocol", Name: "plan_sent"}}
+	s.Decisions = []obs.Decision{{Round: 1, Job: 1, User: "alice", Gen: "V100", Gang: 1, Devices: []int{0}, Reason: "credit", Migrated: true, FromGen: "K80"}}
+	s.Trades = []obs.TradeEvent{{Round: 1, Buyer: "alice", Seller: "bob", Fast: "V100", Slow: "K80", Price: 1.5}}
+	s.Phases = map[string]float64{"decide": 1e-4}
+	r.RecordRound(s)
+	if err := r.Dump("manual", ""); err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add([]byte(`{"rounds":[{"round":"x"}]}`))
+	f.Add([]byte(`{"rounds":null,"rounds_dropped":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "flight.json")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := ReadDump(path); err == nil && d == nil {
+			t.Error("ReadDump returned neither a dump nor an error")
+		}
+	})
 }

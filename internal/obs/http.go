@@ -20,18 +20,13 @@ type MuxOptions struct {
 	Flight http.Handler
 }
 
-// Handler serves the introspection surface for one Observer:
+// Handler serves the introspection surface for one Observer, plus the
+// optional surfaces (pprof, flight recorder) opt enables:
 //
 //	/metrics     Prometheus text exposition
 //	/healthz     liveness ("ok")
 //	/debug/sched recent explained decisions + phase timings as JSON
-func Handler(o *Observer) http.Handler {
-	return HandlerOpts(o, MuxOptions{})
-}
-
-// HandlerOpts is Handler with optional surfaces (pprof, flight
-// recorder) enabled per MuxOptions.
-func HandlerOpts(o *Observer, opt MuxOptions) http.Handler {
+func Handler(o *Observer, opt MuxOptions) http.Handler {
 	mux := http.NewServeMux()
 	if opt.PProf {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -71,17 +66,12 @@ func HandlerOpts(o *Observer, opt MuxOptions) http.Handler {
 // Serve starts the introspection server on addr (e.g. ":9090" or
 // "127.0.0.1:0") in a background goroutine and returns the server
 // and the bound address. Callers own shutdown via srv.Close.
-func Serve(addr string, o *Observer) (*http.Server, string, error) {
-	return ServeOpts(addr, o, MuxOptions{})
-}
-
-// ServeOpts is Serve with optional surfaces per MuxOptions.
-func ServeOpts(addr string, o *Observer, opt MuxOptions) (*http.Server, string, error) {
+func Serve(addr string, o *Observer, opt MuxOptions) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("obs: %w", err)
 	}
-	srv := &http.Server{Handler: HandlerOpts(o, opt)}
+	srv := &http.Server{Handler: Handler(o, opt)}
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

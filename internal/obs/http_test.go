@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/gpu"
+	"repro/internal/trace"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) {
@@ -28,10 +31,9 @@ func TestEndpoints(t *testing.T) {
 	o.BeginRound(1, 360)
 	o.PhaseStart(PhaseDecide)
 	o.PhaseEnd(PhaseDecide)
-	o.RecordPlacement(5, "alice", "V100", 1, []int{2}, false, "")
-	o.EndRound(1, 0)
+	o.EndRound(Round{Active: 1, Events: []trace.Record{decision(5, "alice", gpu.V100, 2)}})
 
-	srv := httptest.NewServer(Handler(o))
+	srv := httptest.NewServer(Handler(o, MuxOptions{}))
 	defer srv.Close()
 
 	code, body, _ := get(t, srv, "/healthz")
@@ -74,7 +76,7 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestMetricsWithNilObserver(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil))
+	srv := httptest.NewServer(Handler(nil, MuxOptions{}))
 	defer srv.Close()
 	code, _, _ := get(t, srv, "/metrics")
 	if code != http.StatusServiceUnavailable {
@@ -92,7 +94,7 @@ func TestMetricsWithNilObserver(t *testing.T) {
 
 func TestServe(t *testing.T) {
 	o := New()
-	srv, addr, err := Serve("127.0.0.1:0", o)
+	srv, addr, err := Serve("127.0.0.1:0", o, MuxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

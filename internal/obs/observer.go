@@ -3,11 +3,14 @@ package obs
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs/span"
+	"repro/internal/ring"
+	"repro/internal/trace"
 )
 
 // Phase names one segment of a scheduling round. The simulation core
@@ -56,8 +59,7 @@ type Decision struct {
 	User  string  `json:"user"`
 	Gen   string  `json:"gen"`
 	Gang  int     `json:"gang"`
-	// Devices are the concrete device IDs the gang was placed on
-	// (absent in contexts that only know the generation).
+	// Devices are the concrete device IDs the gang was placed on.
 	Devices []int `json:"devices,omitempty"`
 
 	// Reason is how the slot was funded: "credit" (fair-share deficit
@@ -88,9 +90,11 @@ type TradeEvent struct {
 	Price    float64 `json:"price"`
 }
 
-// RoundEvent is one discrete event the Observer saw during a round:
-// an injected fault ("fault") or a distributed-protocol event
-// ("protocol").
+// RoundEvent is one discrete event of a round as the flight recorder
+// keeps it: an injected fault ("fault": server-down, job-crash,
+// migration-fail, quarantine, degrade), an injected network fault
+// ("net": drop, dup, reorder, delay, corrupt, oneway, partition) or a
+// distributed-protocol event ("protocol").
 type RoundEvent struct {
 	Kind string `json:"kind"`
 	Name string `json:"name"`
@@ -138,21 +142,26 @@ type Snapshot struct {
 	TradesRecorded    uint64             `json:"trades_recorded"`
 }
 
-// choiceNote is the policy-side half of a decision explanation,
-// buffered until the engine knows the concrete devices.
-type choiceNote struct {
-	reason       string
-	creditBefore float64
-	creditAfter  float64
+// Round is what the engine hands over when a round closes: the round's
+// event stream and its end-of-round samples. Both slices are the
+// engine's reused buffers; the Observer copies what it keeps.
+type Round struct {
+	Events []trace.Record //gflint:noretain
+	Shares []ShareSample  //gflint:noretain sorted by user
+	// Active and Pending count admitted-unfinished and not-yet-arrived
+	// jobs.
+	Active, Pending int
 }
 
-// DefaultRingSize bounds the decision and trade rings.
+// DefaultRingSize bounds the decision and trade views.
 const DefaultRingSize = 256
 
-// Observer bundles a metrics registry, the per-round phase profiler,
-// and the explained-decision ring. The zero value is not usable; use
-// New. A nil *Observer is valid everywhere and does nothing, so
-// instrumented code needs no flag checks.
+// Observer is the live sink of the engine's event stream: it turns
+// each round's records into the gf_* metrics, the /debug/sched view of
+// recent decisions and trades, and the flight recorder's per-round
+// snapshot, and it profiles the round's phases. The zero value is not
+// usable; use New. A nil *Observer is valid everywhere and does
+// nothing, so instrumented code needs no flag checks.
 type Observer struct {
 	reg *Registry
 	now func() time.Time
@@ -168,8 +177,6 @@ type Observer struct {
 	jobsPending    *Gauge
 	simTime        *Gauge
 	phaseHist      map[Phase]*Histogram
-	shareUsage     *GaugeVec
-	shareFair      *GaugeVec
 	protoEvents    *CounterVec
 	faultEvents    *CounterVec
 	netFaults      map[string]*Counter
@@ -189,7 +196,6 @@ type Observer struct {
 	building    map[Phase]float64 // this round's per-phase seconds
 	lastRound   map[Phase]float64
 	totals      map[Phase]float64
-	pendingWhy  map[int64]choiceNote
 
 	// Span tracing and the per-round sink (flight recorder). The
 	// tracer pointer is set once before the run starts and read-only
@@ -198,31 +204,16 @@ type Observer struct {
 	sink       RoundSink
 	phaseSpans map[Phase]span.ID
 
-	// Per-round accumulation for the sink, reset at BeginRound and
-	// flushed at EndRound. Only populated while sink != nil.
-	curDecisions []Decision
-	curTrades    []TradeEvent
-	curEvents    []RoundEvent
-	curShares    map[string]ShareSample
-
-	decRing  []Decision
-	decNext  int
-	decSeen  uint64
-	trRing   []TradeEvent
-	trNext   int
-	trSeen   uint64
-	ringSize int
+	decisions ring.Ring[Decision]
+	trades    ring.Ring[TradeEvent]
+	shares    []ShareSample // the last round's, rendered at scrape time
+	// next is the sink's snapshot under construction: what Emit saw
+	// since the last round closed, completed by EndRound.
+	next RoundSnapshot
 }
 
-// New builds an Observer with DefaultRingSize.
-func New() *Observer { return NewSized(DefaultRingSize) }
-
-// NewSized builds an Observer whose decision/trade rings keep the
-// last ringSize entries (minimum 1).
-func NewSized(ringSize int) *Observer {
-	if ringSize < 1 {
-		ringSize = 1
-	}
+// New builds an Observer.
+func New() *Observer {
 	reg := NewRegistry()
 	o := &Observer{
 		reg:         reg,
@@ -232,11 +223,10 @@ func NewSized(ringSize int) *Observer {
 		building:    make(map[Phase]float64),
 		lastRound:   make(map[Phase]float64),
 		totals:      make(map[Phase]float64),
-		pendingWhy:  make(map[int64]choiceNote),
 		phaseSpans:  make(map[Phase]span.ID),
-		curShares:   make(map[string]ShareSample),
-		ringSize:    ringSize,
 	}
+	o.decisions.SetCap(DefaultRingSize)
+	o.trades.SetCap(DefaultRingSize)
 	o.roundsTotal = reg.Counter("gf_rounds_total", "Scheduling rounds completed.").With()
 	o.admittedTotal = reg.Counter("gf_jobs_admitted_total", "Jobs admitted into the active set.").With()
 	o.decisionsTotal = reg.Counter("gf_decisions_total", "Job placement decisions recorded.").With()
@@ -252,10 +242,12 @@ func NewSized(ringSize int) *Observer {
 	for _, p := range AllPhases {
 		o.phaseHist[p] = hist.With(string(p))
 	}
-	o.shareUsage = reg.Gauge("gf_user_usage_fraction",
-		"User's fraction of total occupied GPU-seconds so far.", "user")
-	o.shareFair = reg.Gauge("gf_user_fair_fraction",
-		"User's fraction under the water-filled fair reference.", "user")
+	reg.SampledGauge("gf_user_usage_fraction",
+		"User's fraction of total occupied GPU-seconds so far.", "user",
+		o.sampleShares(func(s ShareSample) float64 { return s.Usage }))
+	reg.SampledGauge("gf_user_fair_fraction",
+		"User's fraction under the water-filled fair reference.", "user",
+		o.sampleShares(func(s ShareSample) float64 { return s.Fair }))
 	o.protoEvents = reg.Counter("gf_protocol_events_total",
 		"Distributed-protocol events by type.", "event")
 	o.faultEvents = reg.Counter("gf_faults_injected_total",
@@ -289,6 +281,18 @@ func NewSized(ringSize int) *Observer {
 		"Build metadata; value is always 1.", "goversion", "revision")
 	bi.With(runtime.Version(), vcsRevision()).Set(1)
 	return o
+}
+
+// sampleShares is a share gauge family's scrape-time source: the last
+// round's samples, one value of each.
+func (o *Observer) sampleShares(val func(ShareSample) float64) func(emit func(string, float64)) {
+	return func(emit func(string, float64)) {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		for _, s := range o.shares {
+			emit(s.User, val(s))
+		}
+	}
 }
 
 // vcsRevision extracts the VCS commit the binary was built from
@@ -345,24 +349,22 @@ func (o *Observer) SetSLO(rhoByUser map[string]float64, jctByQ map[string]float6
 	if o == nil {
 		return
 	}
-	users := make([]string, 0, len(rhoByUser))
-	for u := range rhoByUser {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
-		o.sloRho.With(u).Set(rhoByUser[u])
-	}
-	qs := make([]string, 0, len(jctByQ))
-	for q := range jctByQ {
-		qs = append(qs, q)
-	}
-	sort.Strings(qs)
-	for _, q := range qs {
-		o.sloJCT.With(q).Set(jctByQ[q])
-	}
+	setAll(o.sloRho, rhoByUser)
+	setAll(o.sloJCT, jctByQ)
 	if makespan >= 0 {
 		o.sloMakespan.Set(makespan)
+	}
+}
+
+// setAll sets one series of v per entry of m, in label order.
+func setAll(v *GaugeVec, m map[string]float64) {
+	labels := make([]string, 0, len(m))
+	for l := range m {
+		labels = append(labels, l)
+	}
+	sort.Strings(labels)
+	for _, l := range labels {
+		v.With(l).Set(m[l])
 	}
 }
 
@@ -374,8 +376,7 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// BeginRound opens a round at the given simulated time. Explanation
-// notes left by jobs that were never placed are discarded here.
+// BeginRound opens a round at the given simulated time.
 func (o *Observer) BeginRound(round int, simNow float64) {
 	if o == nil {
 		return
@@ -383,16 +384,7 @@ func (o *Observer) BeginRound(round int, simNow float64) {
 	o.mu.Lock()
 	o.curRound = round
 	o.curAt = simNow
-	if len(o.pendingWhy) > 0 {
-		o.pendingWhy = make(map[int64]choiceNote)
-	}
-	tracer, sink := o.tracer, o.sink
-	if sink != nil {
-		o.curDecisions = nil
-		o.curTrades = nil
-		o.curEvents = nil
-		o.curShares = make(map[string]ShareSample)
-	}
+	tracer := o.tracer
 	o.mu.Unlock()
 	tracer.BeginRound(round, simNow)
 	o.simTime.Set(simNow)
@@ -420,6 +412,11 @@ func (o *Observer) PhaseEnd(p Phase) {
 	}
 	t := o.now()
 	o.mu.Lock()
+	o.endPhase(p, t)
+	o.mu.Unlock()
+}
+
+func (o *Observer) endPhase(p Phase, t time.Time) {
 	if start, ok := o.phaseStarts[p]; ok {
 		o.building[p] += t.Sub(start).Seconds()
 		delete(o.phaseStarts, p)
@@ -428,55 +425,48 @@ func (o *Observer) PhaseEnd(p Phase) {
 		o.tracer.End(id)
 		delete(o.phaseSpans, p)
 	}
-	o.mu.Unlock()
 }
 
-// EndRound closes the round: each phase touched this round gets one
-// histogram observation, totals roll up, and job gauges refresh.
-func (o *Observer) EndRound(active, pending int) {
+// EndRound closes the round: its events reach every sink in one pass
+// under one lock, each phase touched gets one histogram observation,
+// totals roll up, and the gauges refresh. A phase still open — the
+// round failed inside it — is ended here, so the failing round's
+// snapshot is complete.
+func (o *Observer) EndRound(r Round) {
 	if o == nil {
 		return
 	}
+	t := o.now()
 	o.mu.Lock()
+	for _, p := range AllPhases { // a no-op for all but a failed round's open ones
+		o.endPhase(p, t)
+	}
 	built := o.building
 	o.building = make(map[Phase]float64, len(built))
 	o.lastRound = built
-	phases := make([]Phase, 0, len(built))
 	for p, secs := range built {
 		o.totals[p] += secs
-		phases = append(phases, p)
 	}
+	o.consume(r.Events)
+	o.shares = append(o.shares[:0], r.Shares...)
 	tracer, sink := o.tracer, o.sink
-	var snap RoundSnapshot
+	snap := o.next
+	o.next = RoundSnapshot{}
 	if sink != nil {
-		snap = RoundSnapshot{
-			Round:     o.curRound,
-			SimAt:     o.curAt,
-			Phases:    make(map[string]float64, len(built)),
-			Decisions: o.curDecisions,
-			Trades:    o.curTrades,
-			Events:    o.curEvents,
-			Shares:    sortedShares(o.curShares),
-		}
-		for p, secs := range built {
-			snap.Phases[string(p)] = secs
-		}
-		o.curDecisions = nil
-		o.curTrades = nil
-		o.curEvents = nil
-		o.curShares = make(map[string]ShareSample)
+		snap.Round, snap.SimAt = o.curRound, o.curAt
+		snap.Phases = seconds(built)
+		snap.Shares = append([]ShareSample(nil), r.Shares...)
 	}
 	o.mu.Unlock()
 	tracer.EndRound()
-	sort.Slice(phases, func(i, j int) bool { return phases[i] < phases[j] })
-	for _, p := range phases {
-		if h := o.phaseHist[p]; h != nil {
-			h.Observe(built[p])
+	for _, p := range AllPhases {
+		if secs, touched := built[p]; touched {
+			o.phaseHist[p].Observe(secs)
 		}
 	}
 	o.roundsTotal.Inc()
-	o.jobsActive.Set(float64(active))
-	o.jobsPending.Set(float64(pending))
+	o.jobsActive.Set(float64(r.Active))
+	o.jobsPending.Set(float64(r.Pending))
 	if sink != nil {
 		if tracer != nil {
 			snap.Spans = tracer.RoundSpans(snap.Round)
@@ -485,257 +475,141 @@ func (o *Observer) EndRound(active, pending int) {
 	}
 }
 
-// sortedShares linearizes the per-round share map by user.
-func sortedShares(m map[string]ShareSample) []ShareSample {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]ShareSample, 0, len(m))
-	for _, s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
-// NoteChoice records the policy-side explanation for scheduling one
-// job this round; the engine later completes it with the concrete
-// devices via RecordPlacement.
-func (o *Observer) NoteChoice(job int64, reason string, creditBefore, creditAfter float64) {
-	if o == nil {
+// Emit feeds records from outside a round — an agent's or the network
+// fault injector's, from any goroutine, or the engine's between rounds
+// — to the same sinks; with a flight recorder attached they join the
+// next round's snapshot.
+//
+//gflint:noretain recs
+func (o *Observer) Emit(recs ...trace.Record) {
+	if o == nil || len(recs) == 0 {
 		return
 	}
 	o.mu.Lock()
-	o.pendingWhy[job] = choiceNote{reason: reason, creditBefore: creditBefore, creditAfter: creditAfter}
+	o.consume(recs)
 	o.mu.Unlock()
 }
 
-// RecordPlacement finalizes one job's decision for the round,
-// merging any policy explanation noted earlier. fromGen is the
-// generation the job migrated off ("" when not migrated).
-func (o *Observer) RecordPlacement(job int64, user, gen string, gang int, devices []int, migrated bool, fromGen string) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	d := Decision{
-		Round: o.curRound, At: o.curAt,
-		Job: job, User: user, Gen: gen, Gang: gang,
-		Devices: devices, Reason: "policy",
-		Migrated: migrated, FromGen: fromGen,
-	}
-	if note, ok := o.pendingWhy[job]; ok {
-		d.Reason = note.reason
-		d.CreditBefore = note.creditBefore
-		d.CreditAfter = note.creditAfter
-		delete(o.pendingWhy, job)
-	}
-	if len(o.decRing) < o.ringSize {
-		o.decRing = append(o.decRing, d)
-	} else {
-		o.decRing[o.decNext] = d
-	}
-	o.decNext = (o.decNext + 1) % o.ringSize
-	o.decSeen++
+// consume is the stream's one interpreter: every counter, the decision
+// and trade views and, with a sink attached, the snapshot's decisions,
+// trades and events derive from this pass. The caller holds o.mu.
+//
+// Only decisions that outlive the call are materialized — all of them
+// for a sink, else the newest that fit the view — and their device
+// lists share one block.
+func (o *Observer) consume(recs []trace.Record) {
+	keep := o.decisions.Cap()
 	if o.sink != nil {
-		o.curDecisions = append(o.curDecisions, d)
+		keep = len(recs)
 	}
-	o.mu.Unlock()
-	o.decisionsTotal.Inc()
-	if migrated {
-		o.migrationsTot.Inc()
+	var nDec, nKept, nDevs int
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Kind != trace.KindDecision {
+			continue
+		}
+		if nDec++; nDec <= keep {
+			nKept++
+			nDevs += len(recs[i].Devs)
+		}
 	}
-}
+	skip := nDec - nKept
+	devs := make([]int, 0, nDevs)
+	if o.sink != nil && nKept > 0 {
+		o.next.Decisions = slices.Grow(o.next.Decisions, nKept)
+	}
 
-// NoteTrade records one executed resource trade.
-func (o *Observer) NoteTrade(buyer, seller, fast, slow string, fastGPUs, slowGPUs, price float64) {
-	if o == nil {
-		return
+	for i := range recs {
+		e := &recs[i]
+		var class, name string
+		switch e.Kind {
+		case trace.KindArrival:
+			o.admittedTotal.Inc()
+		case trace.KindFinish:
+			o.finishedTotal.Inc()
+		case trace.KindMigration:
+			o.migrationsTot.Inc()
+		case trace.KindUnplaced:
+			o.unplacedTotal.Add(float64(e.N))
+		case trace.KindDecision:
+			o.decisionsTotal.Inc()
+			if skip > 0 {
+				skip--
+				break
+			}
+			d := Decision{
+				Round: o.curRound, At: float64(e.At),
+				Job: int64(e.Job), User: string(e.User), Gen: e.Gen.String(), Gang: int(e.N),
+				Reason: e.Name, CreditBefore: e.X, CreditAfter: e.Y,
+			}
+			if e.M != 0 {
+				d.Migrated, d.FromGen = true, e.From.String()
+			}
+			at := len(devs)
+			for _, dev := range e.Devs {
+				devs = append(devs, int(dev))
+			}
+			d.Devices = devs[at:len(devs):len(devs)]
+			o.decisions.Push(d)
+			if o.sink != nil {
+				o.next.Decisions = append(o.next.Decisions, d)
+			}
+		case trace.KindTrade:
+			o.tradesTotal.Inc()
+			t := TradeEvent{
+				Round: o.curRound, At: float64(e.At),
+				Buyer: string(e.User), Seller: e.Name, Fast: e.Gen.String(), Slow: e.From.String(),
+				FastGPUs: e.X, SlowGPUs: e.Y, Price: e.Z,
+			}
+			o.trades.Push(t)
+			if o.sink != nil {
+				o.next.Trades = append(o.next.Trades, t)
+			}
+		case trace.KindFailure:
+			class, name = "fault", "server-down"
+		case trace.KindJobCrash:
+			class, name = "fault", "job-crash"
+		case trace.KindMigFail:
+			class, name = "fault", "migration-fail"
+		case trace.KindDegrade:
+			class, name = "fault", "degrade"
+		case trace.KindQuarantine:
+			class, name = "fault", "quarantine"
+			o.quarServers.Add(1)
+		case trace.KindUnquarantine:
+			o.quarServers.Add(-1)
+		case trace.KindComp:
+			o.compDeficit.With(string(e.User)).Set(e.X)
+			o.compRepaid.Add(e.Y)
+		case trace.KindLeaseExpire:
+			class, name = "protocol", "lease_expired"
+		case trace.KindPartitionHeal:
+			class, name = "protocol", "partition_heal"
+		case trace.KindFenceReject:
+			class, name = "protocol", "fence_reject"
+		case trace.KindProtocol:
+			class, name = "protocol", e.Name
+		case trace.KindNet:
+			if c := o.netFaults[e.Name]; c != nil { // unknown kinds are ignored
+				class, name = "net", e.Name
+				c.Inc()
+			}
+		case trace.KindEpoch:
+			o.epochGauge.Set(float64(e.N))
+		case trace.KindDegraded:
+			o.agentsDegraded.Set(float64(e.N))
+		}
+		switch class {
+		case "":
+			continue
+		case "fault":
+			o.faultEvents.With(name).Inc()
+		case "protocol":
+			o.protoEvents.With(name).Inc()
+		}
+		if o.sink != nil {
+			o.next.Events = append(o.next.Events, RoundEvent{Kind: class, Name: name})
+		}
 	}
-	o.mu.Lock()
-	t := TradeEvent{
-		Round: o.curRound, At: o.curAt,
-		Buyer: buyer, Seller: seller, Fast: fast, Slow: slow,
-		FastGPUs: fastGPUs, SlowGPUs: slowGPUs, Price: price,
-	}
-	if len(o.trRing) < o.ringSize {
-		o.trRing = append(o.trRing, t)
-	} else {
-		o.trRing[o.trNext] = t
-	}
-	o.trNext = (o.trNext + 1) % o.ringSize
-	o.trSeen++
-	if o.sink != nil {
-		o.curTrades = append(o.curTrades, t)
-	}
-	o.mu.Unlock()
-	o.tradesTotal.Inc()
-}
-
-// NoteAdmitted counts jobs admitted into the active set.
-func (o *Observer) NoteAdmitted(n int) {
-	if o == nil || n <= 0 {
-		return
-	}
-	o.admittedTotal.Add(float64(n))
-}
-
-// NoteFinish counts one completed job.
-func (o *Observer) NoteFinish() {
-	if o == nil {
-		return
-	}
-	o.finishedTotal.Inc()
-}
-
-// NoteUnplaced counts jobs the placer could not fit this round.
-func (o *Observer) NoteUnplaced(n int) {
-	if o == nil || n <= 0 {
-		return
-	}
-	o.unplacedTotal.Add(float64(n))
-}
-
-// SetShare publishes one user's observed and entitled usage
-// fractions.
-func (o *Observer) SetShare(user string, usageFrac, fairFrac float64) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.sink != nil {
-		o.curShares[user] = ShareSample{User: user, Usage: usageFrac, Fair: fairFrac}
-	}
-	o.mu.Unlock()
-	o.shareUsage.With(user).Set(usageFrac)
-	o.shareFair.With(user).Set(fairFrac)
-}
-
-// NoteProtocol counts one distributed-protocol event (plan_sent,
-// report_received, report_timeout, register, ...).
-func (o *Observer) NoteProtocol(event string) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.sink != nil {
-		o.curEvents = append(o.curEvents, RoundEvent{Kind: "protocol", Name: event})
-	}
-	o.mu.Unlock()
-	o.protoEvents.With(event).Inc()
-}
-
-// NoteFault counts one injected fault event of the given kind.
-func (o *Observer) NoteFault(kind string) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.sink != nil {
-		o.curEvents = append(o.curEvents, RoundEvent{Kind: "fault", Name: kind})
-	}
-	o.mu.Unlock()
-	o.faultEvents.With(kind).Inc()
-}
-
-// NoteNet counts one injected network fault by kind (drop, dup,
-// reorder, delay, corrupt, oneway, partition). Unknown kinds are
-// ignored.
-func (o *Observer) NoteNet(kind string) {
-	if o == nil {
-		return
-	}
-	c := o.netFaults[kind]
-	if c == nil {
-		return
-	}
-	o.mu.Lock()
-	if o.sink != nil {
-		o.curEvents = append(o.curEvents, RoundEvent{Kind: "net", Name: kind})
-	}
-	o.mu.Unlock()
-	c.Inc()
-}
-
-// SetEpoch publishes the central scheduler's current epoch.
-func (o *Observer) SetEpoch(e int) {
-	if o == nil {
-		return
-	}
-	o.epochGauge.Set(float64(e))
-}
-
-// SetDegradedAgents publishes how many agents are currently
-// unheard-from but still covered by their lease.
-func (o *Observer) SetDegradedAgents(n int) {
-	if o == nil {
-		return
-	}
-	o.agentsDegraded.Set(float64(n))
-}
-
-// Epoch returns the published central epoch (0 for a nil Observer or
-// before any SetEpoch).
-func (o *Observer) Epoch() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.epochGauge.Value()
-}
-
-// DegradedAgents returns the published degraded-agent count.
-func (o *Observer) DegradedAgents() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.agentsDegraded.Value()
-}
-
-// ProtocolEvents returns the current count of one protocol event
-// (NoteProtocol's counter), for harness assertions. Zero for a nil
-// Observer.
-func (o *Observer) ProtocolEvents(event string) float64 {
-	if o == nil {
-		return 0
-	}
-	return o.protoEvents.With(event).Value()
-}
-
-// NetFaults returns the current count of one injected network fault
-// kind. Zero for a nil Observer or unknown kind.
-func (o *Observer) NetFaults(kind string) float64 {
-	if o == nil {
-		return 0
-	}
-	c := o.netFaults[kind]
-	if c == nil {
-		return 0
-	}
-	return c.Value()
-}
-
-// SetQuarantined publishes the current quarantined-server count.
-func (o *Observer) SetQuarantined(n int) {
-	if o == nil {
-		return
-	}
-	o.quarServers.Set(float64(n))
-}
-
-// SetCompDeficit publishes one user's outstanding compensation debt.
-func (o *Observer) SetCompDeficit(user string, secs float64) {
-	if o == nil {
-		return
-	}
-	o.compDeficit.With(user).Set(secs)
-}
-
-// NoteRepaid accumulates repaid compensation GPU-seconds.
-func (o *Observer) NoteRepaid(secs float64) {
-	if o == nil || secs <= 0 {
-		return
-	}
-	o.compRepaid.Add(secs)
 }
 
 // PhaseTotals returns cumulative seconds per phase (phases never
@@ -746,8 +620,13 @@ func (o *Observer) PhaseTotals() map[string]float64 {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make(map[string]float64, len(o.totals))
-	for p, s := range o.totals {
+	return seconds(o.totals)
+}
+
+// seconds copies a per-phase table under its exported key type.
+func seconds(m map[Phase]float64) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for p, s := range m {
 		out[string(p)] = s
 	}
 	return out
@@ -761,32 +640,15 @@ func (o *Observer) Snapshot() Snapshot {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	snap := Snapshot{
+	return Snapshot{
 		Round:             o.curRound,
 		SimTimeSeconds:    o.curAt,
-		PhaseTotals:       make(map[string]float64, len(o.totals)),
-		LastRound:         make(map[string]float64, len(o.lastRound)),
-		Decisions:         ringSlice(o.decRing, o.decNext, o.ringSize),
-		Trades:            ringSlice(o.trRing, o.trNext, o.ringSize),
-		DecisionsRecorded: o.decSeen,
-		TradesRecorded:    o.trSeen,
+		Rounds:            o.roundsTotal.Value(),
+		PhaseTotals:       seconds(o.totals),
+		LastRound:         seconds(o.lastRound),
+		Decisions:         o.decisions.Slice(),
+		Trades:            o.trades.Slice(),
+		DecisionsRecorded: uint64(o.decisionsTotal.Value()),
+		TradesRecorded:    uint64(o.tradesTotal.Value()),
 	}
-	snap.Rounds = o.roundsTotal.Value()
-	for p, s := range o.totals {
-		snap.PhaseTotals[string(p)] = s
-	}
-	for p, s := range o.lastRound {
-		snap.LastRound[string(p)] = s
-	}
-	return snap
-}
-
-// ringSlice linearizes a ring into oldest-first order.
-func ringSlice[T any](ring []T, next, size int) []T {
-	out := make([]T, 0, len(ring))
-	if len(ring) < size {
-		return append(out, ring...)
-	}
-	out = append(out, ring[next:]...)
-	return append(out, ring[:next]...)
 }

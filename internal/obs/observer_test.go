@@ -5,7 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/trace"
 )
+
+// decision is one placement-decision record as the engine writes it.
+func decision(id job.ID, user job.UserID, gen gpu.Generation, devs ...gpu.DeviceID) trace.Record {
+	return trace.Record{Kind: trace.KindDecision, Job: id, User: user, Gen: gen,
+		N: int32(len(devs)), Devs: devs, Name: "policy"}
+}
 
 // TestNilObserverIsSafe exercises every instrumentation entry point
 // on a nil receiver — the disabled path used by uninstrumented runs.
@@ -14,14 +24,8 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.BeginRound(1, 0)
 	o.PhaseStart(PhaseDecide)
 	o.PhaseEnd(PhaseDecide)
-	o.NoteChoice(1, "credit", 2, 1)
-	o.RecordPlacement(1, "u", "V100", 1, []int{0}, true, "K80")
-	o.NoteTrade("a", "b", "V100", "K80", 1, 2, 1.5)
-	o.NoteFinish()
-	o.NoteUnplaced(3)
-	o.SetShare("u", 0.5, 0.5)
-	o.NoteProtocol("plan_sent")
-	o.EndRound(0, 0)
+	o.Emit(trace.Record{Kind: trace.KindProtocol, Name: "plan_sent"})
+	o.EndRound(Round{Events: []trace.Record{decision(1, "u", gpu.V100, 0)}})
 	if o.Registry() != nil {
 		t.Error("nil observer returned a registry")
 	}
@@ -49,7 +53,7 @@ func TestPhaseProfiling(t *testing.T) {
 	o.PhaseEnd(PhaseAudit)
 	o.PhaseStart(PhaseAudit)
 	o.PhaseEnd(PhaseAudit)
-	o.EndRound(4, 2)
+	o.EndRound(Round{Active: 4, Pending: 2})
 
 	totals := o.PhaseTotals()
 	if d := totals[string(PhaseDecide)]; d < 0.0009 || d > 0.0011 {
@@ -92,60 +96,62 @@ func TestPhaseHistogramsPreRegistered(t *testing.T) {
 	}
 }
 
-func TestDecisionRingMergesPolicyNotes(t *testing.T) {
-	o := NewSized(3)
+func TestDecisionViewFromRecords(t *testing.T) {
+	o := New()
 	o.BeginRound(7, 2520)
-	o.NoteChoice(42, "credit", 3.5, 1.5)
-	o.RecordPlacement(42, "alice", "V100", 2, []int{4, 5}, true, "K80")
-	o.RecordPlacement(43, "bob", "K80", 1, []int{0}, false, "")
+	migrated := decision(42, "alice", gpu.V100, 4, 5)
+	migrated.At, migrated.Name, migrated.X, migrated.Y = 2520, "credit", 3.5, 1.5
+	migrated.M, migrated.From = 1, gpu.K80
+	o.EndRound(Round{Events: []trace.Record{migrated, decision(43, "bob", gpu.K80, 0)}})
 
 	snap := o.Snapshot()
 	if len(snap.Decisions) != 2 {
 		t.Fatalf("decisions = %d", len(snap.Decisions))
 	}
 	d := snap.Decisions[0]
-	if d.Round != 7 || d.Job != 42 || d.Reason != "credit" ||
+	if d.Round != 7 || d.At != 2520 || d.Job != 42 || d.Gang != 2 || d.Reason != "credit" ||
 		d.CreditBefore != 3.5 || d.CreditAfter != 1.5 ||
-		!d.Migrated || d.FromGen != "K80" || len(d.Devices) != 2 {
-		t.Errorf("merged decision = %+v", d)
+		!d.Migrated || d.FromGen != "K80" || len(d.Devices) != 2 || d.Devices[1] != 5 {
+		t.Errorf("decision = %+v", d)
 	}
-	if snap.Decisions[1].Reason != "policy" {
-		t.Errorf("unexplained decision reason = %q, want policy", snap.Decisions[1].Reason)
+	if d := snap.Decisions[1]; d.Reason != "policy" || d.Migrated || d.FromGen != "" {
+		t.Errorf("unexplained, unmoved decision = %+v", d)
 	}
 
-	// Overflow keeps the newest entries, oldest-first.
-	o.RecordPlacement(44, "c", "K80", 1, nil, false, "")
-	o.RecordPlacement(45, "d", "K80", 1, nil, false, "")
+	// Overflow keeps the newest entries, oldest-first, and only those
+	// are materialized — but every decision is counted.
+	o.BeginRound(8, 2880)
+	burst := make([]trace.Record, DefaultRingSize+40)
+	for i := range burst {
+		burst[i] = decision(job.ID(100+i), "c", gpu.K80, gpu.DeviceID(i))
+	}
+	o.EndRound(Round{Events: burst})
 	snap = o.Snapshot()
-	if len(snap.Decisions) != 3 || snap.Decisions[0].Job != 43 || snap.Decisions[2].Job != 45 {
-		t.Errorf("ring overflow wrong: %+v", snap.Decisions)
+	last := snap.Decisions[len(snap.Decisions)-1]
+	if len(snap.Decisions) != DefaultRingSize || snap.Decisions[0].Job != 140 ||
+		last.Job != int64(100+len(burst)-1) || last.Devices[0] != len(burst)-1 {
+		t.Errorf("view overflow wrong: %d decisions, %+v .. %+v", len(snap.Decisions), snap.Decisions[0], last)
 	}
-	if snap.DecisionsRecorded != 4 {
-		t.Errorf("recorded = %d, want 4", snap.DecisionsRecorded)
-	}
-}
-
-func TestStaleChoiceNotesDroppedAtRoundStart(t *testing.T) {
-	o := New()
-	o.BeginRound(1, 0)
-	o.NoteChoice(9, "credit", 1, 0) // job 9 ends up unplaced
-	o.BeginRound(2, 360)
-	o.RecordPlacement(9, "u", "K80", 1, nil, false, "")
-	if d := o.Snapshot().Decisions[0]; d.Reason != "policy" {
-		t.Errorf("stale note survived round boundary: %+v", d)
+	if want := uint64(2 + len(burst)); snap.DecisionsRecorded != want {
+		t.Errorf("recorded = %d, want %d", snap.DecisionsRecorded, want)
 	}
 }
 
-func TestTradeRingAndCounters(t *testing.T) {
+func TestTradeViewAndCounters(t *testing.T) {
 	o := New()
 	o.BeginRound(3, 1080)
-	o.NoteTrade("fastuser", "slowuser", "V100", "K80", 2, 3.1, 1.55)
-	o.NoteFinish()
-	o.NoteUnplaced(2)
-	o.SetShare("fastuser", 0.6, 0.5)
+	o.EndRound(Round{
+		Events: []trace.Record{
+			{At: 1080, Kind: trace.KindTrade, User: "fastuser", Name: "slowuser", Gen: gpu.V100, From: gpu.K80, X: 2, Y: 3.1, Z: 1.55},
+			{Kind: trace.KindFinish, Job: 1, User: "fastuser"},
+			{Kind: trace.KindUnplaced, N: 2},
+		},
+		Shares: []ShareSample{{User: "fastuser", Usage: 0.6, Fair: 0.5}},
+	})
 
 	snap := o.Snapshot()
-	if len(snap.Trades) != 1 || snap.Trades[0].Buyer != "fastuser" || snap.Trades[0].Price != 1.55 {
+	if len(snap.Trades) != 1 || snap.Trades[0].Buyer != "fastuser" || snap.Trades[0].Slow != "K80" ||
+		snap.Trades[0].Price != 1.55 || snap.TradesRecorded != 1 {
 		t.Errorf("trades = %+v", snap.Trades)
 	}
 	var b strings.Builder
@@ -161,6 +167,24 @@ func TestTradeRingAndCounters(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
+	}
+	if v := o.Registry().Value("gf_unplaced_total"); v != 2 {
+		t.Errorf("Value(gf_unplaced_total) = %v, want 2", v)
+	}
+}
+
+// TestEndRoundClosesOpenPhases: a round that fails inside a phase still
+// closes it — time accounted, nothing left open for the next round.
+func TestEndRoundClosesOpenPhases(t *testing.T) {
+	o := New()
+	o.BeginRound(1, 0)
+	o.PhaseStart(PhaseDecide)
+	o.EndRound(Round{})
+	if _, ok := o.PhaseTotals()[string(PhaseDecide)]; !ok {
+		t.Error("open phase lost at EndRound")
+	}
+	if len(o.phaseStarts) != 0 {
+		t.Errorf("phases still open after EndRound: %v", o.phaseStarts)
 	}
 }
 
@@ -182,15 +206,15 @@ func TestConcurrentScrape(t *testing.T) {
 			o.BeginRound(i, float64(i))
 			o.PhaseStart(PhaseExecute)
 			o.PhaseEnd(PhaseExecute)
-			o.RecordPlacement(int64(i), "u", "K80", 1, []int{0}, false, "")
-			o.NoteProtocol("dup_dropped")
-			o.NoteNet("drop")
-			o.NoteNet("dup")
-			o.NoteNet("reorder")
-			o.NoteNet("corrupt")
-			o.SetEpoch(1 + i%3)
-			o.SetDegradedAgents(i % 2)
-			o.EndRound(1, 0)
+			for _, name := range []string{"drop", "dup", "reorder", "corrupt"} {
+				o.Emit(trace.Record{Kind: trace.KindNet, Name: name})
+			}
+			o.EndRound(Round{Active: 1, Events: []trace.Record{
+				decision(job.ID(i), "u", gpu.K80, 0),
+				{Kind: trace.KindProtocol, Name: "dup_dropped"},
+				{Kind: trace.KindEpoch, N: int32(1 + i%3)},
+				{Kind: trace.KindDegraded, N: int32(i % 2)},
+			}, Shares: []ShareSample{{User: "u", Usage: 1, Fair: 1}}})
 		}
 	}()
 	var last string

@@ -1,16 +1,18 @@
 // Package obs is the live-observability core: a dependency-free
 // metrics registry with Prometheus text exposition, a per-round phase
-// profiler, a bounded ring of explained scheduling decisions, and an
+// profiler, and the Observer — the sink that turns the engine's event
+// stream (internal/trace) into metrics, the /debug/sched view of
+// recent decisions and the flight recorder's snapshots — behind an
 // opt-in HTTP introspection surface (/metrics, /healthz,
 // /debug/sched).
 //
-// The package deliberately imports nothing from the rest of the
-// repository — instrumented packages (core, distrib) hand it plain
-// ints and strings — so it can sit below every layer without cycles.
-// All Observer methods are nil-receiver safe: an uninstrumented run
-// passes a nil *Observer and pays only a nil check per call site,
-// and instrumentation never feeds back into simulation state, so a
-// fixed-seed run is byte-identical with observability on or off.
+// The package imports only the stream's record type and its leaf
+// dependencies, so it sits below every instrumented layer without
+// cycles. All Observer methods are nil-receiver safe: an
+// uninstrumented run passes a nil *Observer and pays only a nil check
+// per call site, and instrumentation never feeds back into simulation
+// state, so a fixed-seed run is byte-identical with observability on
+// or off.
 package obs
 
 import (
@@ -57,6 +59,10 @@ type family struct {
 
 	mu     sync.Mutex
 	series map[string]*series
+
+	// sample, when set, is the family's only source of series: it
+	// reports them at scrape time, in label-value order.
+	sample func(emit func(labelVal string, v float64))
 }
 
 type series struct {
@@ -168,6 +174,35 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return &HistogramVec{r.family(name, help, histogramType, buckets, labels)}
 }
 
+// SampledGauge registers a single-label gauge family whose series are
+// not stored but sampled at scrape time: sample reports each (label
+// value, value) pair, in label-value order, from state its owner
+// refreshes wholesale — one slice a round instead of a series lookup
+// per label value.
+func (r *Registry) SampledGauge(name, help, label string, sample func(emit func(labelVal string, v float64))) {
+	r.family(name, help, gaugeType, nil, []string{label}).sample = sample
+}
+
+// Value reads one stored counter or gauge series by family name and
+// label values, for tests and harness assertions; 0 when absent.
+func (r *Registry) Value(name string, labelVals ...string) float64 {
+	r.mu.Lock()
+	f := r.families[name]
+	r.mu.Unlock()
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	s := f.series[strings.Join(labelVals, "\x00")]
+	f.mu.Unlock()
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.val
+}
+
 // Counter is one counter series.
 type Counter struct{ s *series }
 
@@ -224,13 +259,6 @@ func (g *Gauge) Add(d float64) {
 	g.s.mu.Lock()
 	g.s.val += d
 	g.s.mu.Unlock()
-}
-
-// Value reads the gauge (for tests).
-func (g *Gauge) Value() float64 {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.val
 }
 
 // Observe records one sample.
@@ -301,6 +329,15 @@ func (f *family) render(b *strings.Builder) {
 		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	}
 	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
+	if f.sample != nil {
+		f.sample(func(lv string, v float64) {
+			b.WriteString(f.name)
+			writeLabels(b, f.labels, []string{lv}, "", "")
+			b.WriteByte(' ')
+			b.WriteString(formatFloat(v))
+			b.WriteByte('\n')
+		})
+	}
 	for _, s := range srs {
 		s.mu.Lock()
 		switch f.typ {

@@ -1,4 +1,4 @@
-// Package span is a dependency-free tracing substrate for the
+// Package span is a leaf tracing substrate for the
 // scheduler's round loop. One logical scheduling round is one trace;
 // every phase inside it — whether executed by the in-process engine
 // or by a remote agent — is a span with a parent link, the simulated
@@ -11,11 +11,12 @@
 //     collide and a fixed-seed run produces the same ID sequence
 //     every time. Timestamps are wall-clock and therefore vary, but
 //     they are observe-only: nothing in the scheduler reads them.
-//  2. Zero dependencies: the package imports only the standard
-//     library, so internal/comm can carry spans across the wire
-//     without an import cycle.
-//  3. Bounded memory: the tracer keeps a ring of the last Cap spans
-//     and counts what it dropped.
+//  2. No dependencies on the scheduler: the package imports only the
+//     standard library and the repository's ring container, so
+//     internal/comm can carry spans across the wire without an import
+//     cycle.
+//  3. Bounded memory: the tracer keeps a ring (internal/ring) of the
+//     last Cap spans and counts what it dropped.
 //
 // Export formats: WriteJSON emits the retained spans as a JSON array;
 // WriteChromeTrace emits Chrome trace_event JSON loadable in Perfetto
@@ -31,6 +32,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // ID identifies one span. The high 32 bits are an FNV-1a hash of the
@@ -66,15 +69,12 @@ type Span struct {
 // methods are safe for concurrent use, and every method is nil-safe
 // so instrumented code needs no enablement checks.
 type Tracer struct {
-	mu      sync.Mutex
-	proc    string
-	procID  uint32
-	seq     uint32
-	cap     int
-	ring    []Span
-	next    int
-	dropped uint64
-	open    map[ID]int // open span ID → ring index (while not evicted)
+	mu     sync.Mutex
+	proc   string
+	procID uint32
+	seq    uint32
+	spans  ring.Ring[Span]
+	open   map[ID]uint64 // open span ID → how many spans were pushed before it
 
 	// Current round context.
 	trace uint64
@@ -97,14 +97,15 @@ func New(proc string, cap int) *Tracer {
 		cap = DefaultCap
 	}
 	now := time.Now()
-	return &Tracer{
+	t := &Tracer{
 		proc:      proc,
 		procID:    hashProc(proc),
-		cap:       cap,
-		open:      make(map[ID]int),
+		open:      make(map[ID]uint64),
 		epoch:     now,
 		epochMono: now,
 	}
+	t.spans.SetCap(cap)
+	return t
 }
 
 func hashProc(proc string) uint32 {
@@ -138,38 +139,20 @@ func (t *Tracer) nextID() ID {
 	return ID(uint64(t.procID)<<32 | uint64(t.seq))
 }
 
-// push appends a span to the ring, evicting the oldest when full.
-func (t *Tracer) push(s Span) int {
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, s)
-		return len(t.ring) - 1
-	}
-	evicted := t.ring[t.next]
-	if evicted.DurNs >= 0 {
-		t.dropped++
-	} else {
-		// Evicting a still-open span: forget it so End becomes a
-		// no-op rather than closing an unrelated slot.
-		delete(t.open, evicted.ID)
-		t.dropped++
-	}
-	idx := t.next
-	t.ring[idx] = s
-	t.next = (t.next + 1) % t.cap
-	return idx
-}
-
 // begin opens a span under the lock and returns its ID.
 func (t *Tracer) begin(trace uint64, name string, parent ID, round int, simAt float64) ID {
 	id := t.nextID()
-	idx := t.push(Span{
+	t.open[id] = uint64(t.spans.Len()) + t.spans.Dropped()
+	t.spans.Push(Span{
 		Trace: trace, ID: id, Parent: parent, Name: name,
 		Proc: t.proc, Round: round, SimAt: simAt,
 		StartNs: t.nowNs(), DurNs: -1,
 	})
-	t.open[id] = idx
 	return id
 }
+
+// rootName names a round's root span.
+const rootName = "round"
 
 // BeginRound opens the root span of a new round-scoped trace. The
 // trace ID is round+1 in every process, which is what stitches the
@@ -183,7 +166,7 @@ func (t *Tracer) BeginRound(round int, simAt float64) ID {
 	t.trace = uint64(round) + 1
 	t.round = round
 	t.simAt = simAt
-	t.root = t.begin(t.trace, "round", 0, round, simAt)
+	t.root = t.begin(t.trace, rootName, 0, round, simAt)
 	return t.root
 }
 
@@ -231,12 +214,13 @@ func (t *Tracer) End(id ID) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idx, ok := t.open[id]
-	if !ok {
-		return
-	}
+	n, ok := t.open[id]
 	delete(t.open, id)
-	t.ring[idx].DurNs = t.nowNs() - t.ring[idx].StartNs
+	if !ok || n < t.spans.Dropped() {
+		return // unknown, or evicted while open
+	}
+	s := t.spans.At(int(n - t.spans.Dropped()))
+	s.DurNs = t.nowNs() - s.StartNs
 }
 
 // EndRound closes the current round root span.
@@ -281,7 +265,7 @@ func (t *Tracer) Inject(spans []Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range spans {
-		t.push(s)
+		t.spans.Push(s)
 	}
 }
 
@@ -292,7 +276,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.spans.Dropped()
 }
 
 // Spans returns the retained spans oldest-first. Nil tracer → nil.
@@ -302,16 +286,7 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spansLocked()
-}
-
-func (t *Tracer) spansLocked() []Span {
-	out := make([]Span, 0, len(t.ring))
-	if len(t.ring) < t.cap {
-		return append(out, t.ring...)
-	}
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
+	return t.spans.Slice()
 }
 
 // RoundSpans returns the retained spans belonging to one round
@@ -321,10 +296,21 @@ func (t *Tracer) RoundSpans(round int) []Span {
 		return nil
 	}
 	want := uint64(round) + 1
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Nothing of a round precedes its root span: look no further back
+	// (a closed round's spans are the ring's newest few, not all of it).
+	from := t.spans.Len()
+	for from > 0 {
+		from--
+		if s := t.spans.At(from); s.Trace == want && s.Parent == 0 && s.Name == rootName {
+			break
+		}
+	}
 	var out []Span
-	for _, s := range t.Spans() {
-		if s.Trace == want {
-			out = append(out, s)
+	for i := from; i < t.spans.Len(); i++ {
+		if s := t.spans.At(i); s.Trace == want {
+			out = append(out, *s)
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
-// Package trace records simulation events and exports them as CSV or
-// JSON for offline analysis (the figures in EXPERIMENTS.md are
-// regenerated from these streams).
+// Package trace defines the scheduler's event stream — the one typed
+// record every occurrence of a round is written as — and its exported
+// form: the event log a run returns, written as CSV or JSON for offline
+// analysis (the figures in EXPERIMENTS.md are regenerated from these).
 package trace
 
 import (
@@ -8,23 +9,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
+	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
 
 // Kind classifies an event.
 type Kind string
 
-// Event kinds emitted by the simulation core.
+// Event kinds the engine logs: they make up a run's exported trace.
 const (
 	KindArrival   Kind = "arrival"
 	KindStart     Kind = "start"
 	KindFinish    Kind = "finish"
 	KindMigration Kind = "migration"
 	KindTrade     Kind = "trade"
-	KindRound     Kind = "round"
 	KindFailure   Kind = "failure"
 	KindRecovery  Kind = "recovery"
 
@@ -36,13 +39,102 @@ const (
 	KindDegrade      Kind = "degrade"      // server entered degraded (slowed) state
 	KindDegradeEnd   Kind = "degrade-end"  // server back to full speed
 
-	// Partition-tolerance events (see internal/distrib).
+	// Partition-tolerance events of the distributed coordinator.
 	KindLeaseExpire   Kind = "lease-expire"   // cut-off agent's lease ran out; it parks
 	KindPartitionHeal Kind = "partition-heal" // suspected agent reached the central again
-	KindFenceReject   Kind = "fence-reject"   // message from a dead central epoch rejected
+	KindFenceReject   Kind = "fence-reject"   // report from a dead central epoch rejected
 )
 
-// Event is one timestamped record.
+// Kinds only a live observer consumes: recorded in the same stream when
+// one is attached, never logged (see Kind.Logged).
+const (
+	KindDecision Kind = "decision" // one job placed: where, and how the policy funded it
+	KindUnplaced Kind = "unplaced" // scheduled jobs the round's placement could not fit
+	KindComp     Kind = "comp"     // a user's failure-compensation books settled
+	KindProtocol Kind = "protocol" // distributed-protocol event, by Name
+	KindNet      Kind = "net"      // injected network fault, by Name
+	KindEpoch    Kind = "epoch"    // the coordinator's incarnation number
+	KindDegraded Kind = "degraded" // agents unheard-from but inside their lease
+)
+
+// logged lists the kinds of a run's exported trace; the log stores a
+// record's kind as its index here.
+var logged = [...]Kind{
+	KindArrival, KindStart, KindFinish, KindMigration, KindTrade, KindFailure, KindRecovery,
+	KindJobCrash, KindMigFail, KindQuarantine, KindUnquarantine, KindDegrade, KindDegradeEnd,
+	KindLeaseExpire, KindPartitionHeal, KindFenceReject,
+}
+
+// Logged reports whether the kind belongs to a run's exported trace.
+func (k Kind) Logged() bool { return slices.Index(logged[:], k) >= 0 }
+
+// Record is one occurrence as it is recorded: a fixed-size value whose
+// strings and device list alias their sources, so writing one allocates
+// nothing. Text is rendered from it on export (Detail), not before.
+// Which payload fields a kind fills:
+//
+//	arrival        Name model, N gang
+//	start          Gen
+//	finish         X completion time (s), N migrations so far
+//	migration      Gen destination, X cost (s)
+//	trade          User buyer, Name seller, Gen fast, From slow, X fast GPUs, Y slow GPUs, Z price
+//	jobcrash       X progress lost (MB), N crashes so far
+//	migfail        N attempt, M backoff (rounds), X cost (s)
+//	failure, recovery, quarantine, unquarantine, degrade-end: N server
+//	degrade        N server, X slowdown factor
+//	lease-expire, partition-heal: Name agent
+//	fence-reject   Name agent, N the report's round, M its epoch
+//	decision       Gen, From (the generation last run on), N gang, M 1 if migrated,
+//	               Name reason, X and Y the user's credit before and after, Devs
+//	unplaced       N jobs
+//	comp           X deficit now (GPU-s), Y repaid this round (GPU-s)
+//	protocol, net  Name event
+//	epoch, degraded: N
+type Record struct {
+	At      simclock.Time
+	Kind    Kind
+	Job     job.ID
+	User    job.UserID
+	Name    string
+	Gen     gpu.Generation
+	From    gpu.Generation
+	N, M    int32
+	X, Y, Z float64
+	Devs    []gpu.DeviceID
+}
+
+// Detail renders the record's payload as the exported trace's detail
+// column.
+func (r *Record) Detail() string {
+	switch r.Kind {
+	case KindArrival:
+		return "model=" + r.Name + " gang=" + strconv.Itoa(int(r.N))
+	case KindStart:
+		return "gen=" + r.Gen.String()
+	case KindFinish:
+		return fmt.Sprintf("jct=%.0fs migrations=%d", r.X, r.N)
+	case KindMigration:
+		return fmt.Sprintf("to=%v cost=%.0fs", r.Gen, r.X)
+	case KindTrade:
+		return fmt.Sprintf("seller=%s fast=%v slow=%v dFast=%.2f dSlow=%.2f price=%.2f",
+			r.Name, r.Gen, r.From, r.X, r.Y, r.Z)
+	case KindJobCrash:
+		return fmt.Sprintf("lostMB=%.1f crashes=%d", r.X, r.N)
+	case KindMigFail:
+		return fmt.Sprintf("attempt=%d backoff=%d cost=%.0fs", r.N, r.M, r.X)
+	case KindFailure, KindRecovery, KindQuarantine, KindUnquarantine, KindDegradeEnd:
+		return fmt.Sprintf("server=%d", r.N)
+	case KindDegrade:
+		return fmt.Sprintf("server=%d factor=%.2f", r.N, r.X)
+	case KindLeaseExpire, KindPartitionHeal:
+		return "agent=" + r.Name
+	case KindFenceReject:
+		return fmt.Sprintf("agent=%s round=%d epoch=%d", r.Name, r.N, r.M)
+	}
+	return ""
+}
+
+// Event is one exported row: a record with its payload rendered.
 type Event struct {
 	At     simclock.Time `json:"at"`
 	Kind   Kind          `json:"kind"`
@@ -51,92 +143,87 @@ type Event struct {
 	Detail string        `json:"detail,omitempty"`
 }
 
-// Log is an append-only event stream. Not safe for concurrent use.
+// Log is a run's event trace: the logged kinds of the stream, in
+// order. Not safe for concurrent use.
 //
-// By default the log grows without bound. SetCap turns it into a
-// ring over the most recent events so unbounded-horizon runs and
-// long sweeps keep memory flat; Dropped reports how many events the
-// ring has discarded.
-type Log struct {
-	events []Event
-	max    int // 0 = unbounded
-	start  int // ring head when max > 0 and the ring is full
-	drops  int
+// By default the log grows without bound. SetCap turns it into a ring
+// over the most recent events so unbounded-horizon runs and long sweeps
+// keep memory flat; Dropped reports how many events the ring discarded.
+type Log struct{ recs ring.Ring[entry] }
+
+// entry is a logged Record as the log holds it — most of what a long
+// run or a sweep's worth of results retains: no Devs (no logged kind
+// has any), the kind as an index into logged, the small fields narrow.
+type entry struct {
+	at        simclock.Time
+	job       job.ID
+	user      job.UserID
+	name      string
+	x, y, z   float64
+	n, m      int32
+	kind      uint8
+	gen, from int8
 }
 
-// SetCap bounds the log to the most recent n events (ring
-// semantics). n <= 0 removes the bound. If more than n events are
-// already recorded, the oldest are dropped immediately.
-func (l *Log) SetCap(n int) {
-	l.events = l.Events() // linearize any existing ring
-	l.start = 0
-	if n <= 0 {
-		l.max = 0
-		return
-	}
-	l.max = n
-	if over := len(l.events) - n; over > 0 {
-		kept := make([]Event, n)
-		copy(kept, l.events[over:])
-		l.events = kept
-		l.drops += over
-	}
+func (e *entry) event() Event {
+	r := Record{At: e.at, Kind: logged[e.kind], Job: e.job, User: e.user, Name: e.name,
+		Gen: gpu.Generation(e.gen), From: gpu.Generation(e.from), N: e.n, M: e.m, X: e.x, Y: e.y, Z: e.z}
+	return Event{At: r.At, Kind: r.Kind, Job: r.Job, User: r.User, Detail: r.Detail()}
 }
 
-// Cap returns the configured bound (0 = unbounded).
-func (l *Log) Cap() int { return l.max }
+// SetCap bounds the log to the most recent n events (n <= 0 removes
+// the bound), dropping the oldest at once if more are held.
+func (l *Log) SetCap(n int) { l.recs.SetCap(n) }
 
 // Dropped returns how many events the cap has discarded.
-func (l *Log) Dropped() int { return l.drops }
-
-// Append adds an event, evicting the oldest when capped and full.
-func (l *Log) Append(e Event) {
-	if l.max > 0 && len(l.events) == l.max {
-		l.events[l.start] = e
-		l.start = (l.start + 1) % l.max
-		l.drops++
-		return
-	}
-	l.events = append(l.events, e)
-}
-
-// Add is a convenience constructor-append.
-func (l *Log) Add(at simclock.Time, kind Kind, j job.ID, u job.UserID, detail string) {
-	l.Append(Event{At: at, Kind: kind, Job: j, User: u, Detail: detail})
-}
-
-// Events returns the recorded stream oldest-first. Callers must not
-// mutate.
-func (l *Log) Events() []Event {
-	if l.start == 0 {
-		return l.events
-	}
-	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.start:]...)
-	return append(out, l.events[:l.start]...)
-}
+func (l *Log) Dropped() int { return int(l.recs.Dropped()) }
 
 // Len returns the event count.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int { return l.recs.Len() }
 
-// Filter returns events of one kind.
+// Append copies the logged kinds among rs into the log, evicting the
+// oldest when capped and full.
+//
+//gflint:noretain rs
+func (l *Log) Append(rs ...Record) {
+	for i := range rs {
+		r := &rs[i]
+		if k := slices.Index(logged[:], r.Kind); k >= 0 {
+			l.recs.Push(entry{at: r.At, job: r.Job, user: r.User, name: r.Name, x: r.X, y: r.Y, z: r.Z,
+				n: r.N, m: r.M, kind: uint8(k), gen: int8(r.Gen), from: int8(r.From)})
+		}
+	}
+}
+
+// Events renders the log oldest-first.
+func (l *Log) Events() []Event { return l.Filter("") }
+
+// Filter renders the events of one kind (of every kind for "").
 func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
+	out := []Event{}
+	for i := 0; i < l.recs.Len(); i++ {
+		if e := l.recs.At(i); kind == "" || logged[e.kind] == kind {
+			out = append(out, e.event())
 		}
 	}
 	return out
 }
 
-// WriteCSV emits the stream with a header row.
-func (l *Log) WriteCSV(w io.Writer) error {
+// WriteCSV emits the log with a header row.
+func (l *Log) WriteCSV(w io.Writer) error { return WriteCSV(w, l.Events()) }
+
+// WriteJSON emits the log as a JSON array (an empty log emits []).
+func (l *Log) WriteJSON(w io.Writer) error { return WriteJSON(w, l.Events()) }
+
+var csvHeader = []string{"at_seconds", "kind", "job", "user", "detail"}
+
+// WriteCSV emits events with a header row.
+func WriteCSV(w io.Writer, events []Event) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_seconds", "kind", "job", "user", "detail"}); err != nil {
+	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	for _, e := range l.Events() {
+	for _, e := range events {
 		rec := []string{
 			strconv.FormatFloat(float64(e.At), 'f', 3, 64),
 			string(e.Kind),
@@ -152,9 +239,8 @@ func (l *Log) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSON emits the stream as a JSON array (empty logs emit []).
-func (l *Log) WriteJSON(w io.Writer) error {
-	events := l.Events()
+// WriteJSON emits events as a JSON array (nil emits []).
+func WriteJSON(w io.Writer, events []Event) error {
 	if events == nil {
 		events = []Event{}
 	}
@@ -171,13 +257,12 @@ func (l *Log) WriteJSON(w io.Writer) error {
 // loudly instead of half-parsing.
 func ReadCSV(r io.Reader) ([]Event, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = 5
+	cr.FieldsPerRecord = len(csvHeader)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
-	want := []string{"at_seconds", "kind", "job", "user", "detail"}
-	for i, col := range want {
+	for i, col := range csvHeader {
 		if header[i] != col {
 			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i, header[i], col)
 		}

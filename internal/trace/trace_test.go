@@ -5,20 +5,51 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/simclock"
 )
 
 func fixture() *Log {
 	l := &Log{}
-	l.Add(0, KindArrival, 1, "alice", "")
-	l.Add(60, KindStart, 1, "alice", "gen=V100")
-	l.Add(120, KindMigration, 1, "alice", "K80->V100")
-	l.Add(3600.5, KindFinish, 1, "alice", "")
+	l.Append(
+		Record{At: 0, Kind: KindArrival, Job: 1, User: "alice", Name: "vae", N: 2},
+		Record{At: 60, Kind: KindStart, Job: 1, User: "alice", Gen: gpu.V100},
+		Record{At: 120, Kind: KindMigration, Job: 1, User: "alice", Gen: gpu.K80, X: 35.4},
+		Record{At: 3600.5, Kind: KindFinish, Job: 1, User: "alice", X: 3600.5, N: 1},
+	)
 	return l
+}
+
+// everyKind is one record of every kind with every payload field the
+// kind uses set, and the detail it must render: the exported trace's
+// text is pinned here, kind by kind.
+var everyKind = []struct {
+	rec    Record
+	detail string
+}{
+	{Record{Kind: KindArrival, Job: 1, User: "u", Name: "resnet50", N: 4}, "model=resnet50 gang=4"},
+	{Record{Kind: KindStart, Job: 1, User: "u", Gen: gpu.P100}, "gen=P100"},
+	{Record{Kind: KindFinish, Job: 1, User: "u", X: 7199.6, N: 3}, "jct=7200s migrations=3"},
+	{Record{Kind: KindMigration, Job: 1, User: "u", Gen: gpu.V100, X: 41.5}, "to=V100 cost=42s"},
+	{Record{Kind: KindTrade, User: "buyer", Name: "seller", Gen: gpu.V100, From: gpu.K80, X: 1, Y: 2.345, Z: 2.5},
+		"seller=seller fast=V100 slow=K80 dFast=1.00 dSlow=2.35 price=2.50"},
+	{Record{Kind: KindFailure, N: 7}, "server=7"},
+	{Record{Kind: KindRecovery, N: 7}, "server=7"},
+	{Record{Kind: KindJobCrash, Job: 1, User: "u", X: 12.34, N: 2}, "lostMB=12.3 crashes=2"},
+	{Record{Kind: KindMigFail, Job: 1, User: "u", N: 3, M: 8, X: 30}, "attempt=3 backoff=8 cost=30s"},
+	{Record{Kind: KindQuarantine, N: 2}, "server=2"},
+	{Record{Kind: KindUnquarantine, N: 2}, "server=2"},
+	{Record{Kind: KindDegrade, N: 5, X: 0.5}, "server=5 factor=0.50"},
+	{Record{Kind: KindDegradeEnd, N: 5}, "server=5"},
+	{Record{Kind: KindLeaseExpire, Name: "k80-0"}, "agent=k80-0"},
+	{Record{Kind: KindPartitionHeal, Name: "k80-0"}, "agent=k80-0"},
+	{Record{Kind: KindFenceReject, Name: "k80-0", N: 9, M: 1}, "agent=k80-0 round=9 epoch=1"},
 }
 
 func TestAppendAndFilter(t *testing.T) {
@@ -27,7 +58,7 @@ func TestAppendAndFilter(t *testing.T) {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	mig := l.Filter(KindMigration)
-	if len(mig) != 1 || mig[0].Detail != "K80->V100" {
+	if len(mig) != 1 || mig[0].Detail != "to=K80 cost=35s" {
 		t.Fatalf("Filter = %+v", mig)
 	}
 	if len(l.Filter(KindTrade)) != 0 {
@@ -84,20 +115,30 @@ func TestEmptyLog(t *testing.T) {
 }
 
 func TestEventKindsComplete(t *testing.T) {
-	kinds := []Kind{
-		KindArrival, KindStart, KindFinish, KindMigration,
-		KindTrade, KindRound, KindFailure, KindRecovery,
-		KindJobCrash, KindMigFail, KindQuarantine, KindUnquarantine,
-		KindDegrade, KindDegradeEnd,
-	}
 	l := &Log{}
-	for i, k := range kinds {
-		l.Add(simclock.Time(i), k, 1, "u", "")
+	for i, k := range everyKind {
+		k.rec.At = simclock.Time(i)
+		l.Append(k.rec)
 	}
-	for _, k := range kinds {
-		if len(l.Filter(k)) != 1 {
-			t.Errorf("kind %s not round-tripped through Filter", k)
+	if l.Len() != len(everyKind) {
+		t.Fatalf("logged %d of %d kinds", l.Len(), len(everyKind))
+	}
+	for _, k := range everyKind {
+		if len(l.Filter(k.rec.Kind)) != 1 {
+			t.Errorf("kind %s not round-tripped through Filter", k.rec.Kind)
 		}
+	}
+}
+
+// TestObserverKindsNotLogged: the kinds only a live observer consumes
+// travel in the same stream but never reach a run's exported trace.
+func TestObserverKindsNotLogged(t *testing.T) {
+	l := &Log{}
+	for _, k := range []Kind{KindDecision, KindUnplaced, KindComp, KindProtocol, KindNet, KindEpoch, KindDegraded} {
+		l.Append(Record{Kind: k, Name: "x", Devs: []gpu.DeviceID{1}})
+	}
+	if l.Len() != 0 {
+		t.Errorf("log kept %d observer-only records: %+v", l.Len(), l.Events())
 	}
 }
 
@@ -142,49 +183,33 @@ func TestWriteErrorsPropagate(t *testing.T) {
 	}
 }
 
-// TestExportRoundTripsEveryKind pushes one event of every Kind through
-// both exporters and back.
+// TestExportRoundTripsEveryKind pushes one record of every logged kind
+// through both exporters and back, pinning each kind's rendered detail.
 func TestExportRoundTripsEveryKind(t *testing.T) {
-	kinds := []Kind{
-		KindArrival, KindStart, KindFinish, KindMigration,
-		KindTrade, KindRound, KindFailure, KindRecovery,
-		KindJobCrash, KindMigFail, KindQuarantine, KindUnquarantine,
-		KindDegrade, KindDegradeEnd,
-	}
 	l := &Log{}
-	for i, k := range kinds {
-		l.Add(simclock.Time(i)*100, k, job.ID(int64(i+1)), "user-x", "d="+string(k))
+	for i, k := range everyKind {
+		k.rec.At = simclock.Time(i) * 100
+		l.Append(k.rec)
+	}
+	want := l.Events()
+	for i, k := range everyKind {
+		if want[i].Detail != k.detail {
+			t.Errorf("%s detail = %q, want %q", k.rec.Kind, want[i].Detail, k.detail)
+		}
 	}
 
-	var cbuf bytes.Buffer
+	var cbuf, jbuf bytes.Buffer
 	if err := l.WriteCSV(&cbuf); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := csv.NewReader(&cbuf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	if got, err := ReadCSV(&cbuf); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("CSV round trip (err %v):\n got %+v\nwant %+v", err, got, want)
 	}
-	if len(rows) != len(kinds)+1 {
-		t.Fatalf("%d CSV rows, want header+%d", len(rows), len(kinds))
-	}
-	for i, k := range kinds {
-		if rows[i+1][1] != string(k) || rows[i+1][4] != "d="+string(k) {
-			t.Errorf("CSV row %d = %v, want kind %s", i+1, rows[i+1], k)
-		}
-	}
-
-	var jbuf bytes.Buffer
 	if err := l.WriteJSON(&jbuf); err != nil {
 		t.Fatal(err)
 	}
-	var events []Event
-	if err := json.Unmarshal(jbuf.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range kinds {
-		if events[i].Kind != k || events[i].Job != job.ID(int64(i+1)) {
-			t.Errorf("JSON event %d = %+v, want kind %s", i, events[i], k)
-		}
+	if got, err := ReadJSON(&jbuf); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("JSON round trip (err %v):\n got %+v\nwant %+v", err, got, want)
 	}
 }
 
@@ -217,13 +242,13 @@ func TestNonASCIIDetail(t *testing.T) {
 newline`,
 		"emoji ⚡🤝 trade",
 	}
-	l := &Log{}
+	var rows0 []Event
 	for i, d := range details {
-		l.Add(simclock.Time(i), KindTrade, 1, "пользователь", d)
+		rows0 = append(rows0, Event{At: simclock.Time(i), Kind: KindTrade, Job: 1, User: "пользователь", Detail: d})
 	}
 
 	var cbuf bytes.Buffer
-	if err := l.WriteCSV(&cbuf); err != nil {
+	if err := WriteCSV(&cbuf, rows0); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&cbuf).ReadAll()
@@ -240,7 +265,7 @@ newline`,
 	}
 
 	var jbuf bytes.Buffer
-	if err := l.WriteJSON(&jbuf); err != nil {
+	if err := WriteJSON(&jbuf, rows0); err != nil {
 		t.Fatal(err)
 	}
 	var events []Event
@@ -259,11 +284,8 @@ newline`,
 func TestSetCapRingSemantics(t *testing.T) {
 	l := &Log{}
 	l.SetCap(3)
-	if l.Cap() != 3 {
-		t.Fatalf("Cap = %d", l.Cap())
-	}
 	for i := 0; i < 7; i++ {
-		l.Add(simclock.Time(i), KindRound, job.ID(int64(i)), "u", "")
+		l.Append(Record{At: simclock.Time(i), Kind: KindStart, Job: job.ID(int64(i)), User: "u"})
 	}
 	if l.Len() != 3 || l.Dropped() != 4 {
 		t.Fatalf("Len=%d Dropped=%d, want 3/4", l.Len(), l.Dropped())
@@ -287,7 +309,7 @@ func TestSetCapRingSemantics(t *testing.T) {
 	// Late SetCap trims the oldest immediately.
 	l2 := &Log{}
 	for i := 0; i < 5; i++ {
-		l2.Add(simclock.Time(i), KindRound, job.ID(int64(i)), "u", "")
+		l2.Append(Record{At: simclock.Time(i), Kind: KindStart, Job: job.ID(int64(i)), User: "u"})
 	}
 	l2.SetCap(2)
 	if l2.Len() != 2 || l2.Dropped() != 3 {
@@ -300,9 +322,42 @@ func TestSetCapRingSemantics(t *testing.T) {
 	// Unbounding keeps contents and stops evicting.
 	l2.SetCap(0)
 	for i := 5; i < 10; i++ {
-		l2.Add(simclock.Time(i), KindRound, job.ID(int64(i)), "u", "")
+		l2.Append(Record{At: simclock.Time(i), Kind: KindStart, Job: job.ID(int64(i)), User: "u"})
 	}
 	if l2.Len() != 7 || l2.Dropped() != 3 {
 		t.Errorf("after unbound: Len=%d Dropped=%d, want 7/3", l2.Len(), l2.Dropped())
 	}
+}
+
+// FuzzReadTrace feeds both decoders arbitrary bytes: an error is fine,
+// a panic is not, and whatever decodes must survive re-export. Seeded
+// with an export of every kind.
+func FuzzReadTrace(f *testing.F) {
+	l := &Log{}
+	for _, k := range everyKind {
+		l.Append(k.rec)
+	}
+	var cbuf, jbuf bytes.Buffer
+	if err := l.WriteCSV(&cbuf); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.WriteJSON(&jbuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cbuf.Bytes())
+	f.Add(jbuf.Bytes())
+	f.Add([]byte("at_seconds,kind,job,user,detail\nNaN,,-1,\"\",\n"))
+	f.Add([]byte(`[{"at":1e999}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if events, err := ReadCSV(bytes.NewReader(data)); err == nil {
+			if err := WriteCSV(io.Discard, events); err != nil {
+				t.Errorf("decoded CSV does not re-export: %v", err)
+			}
+		}
+		if events, err := ReadJSON(bytes.NewReader(data)); err == nil {
+			if err := WriteJSON(io.Discard, events); err != nil {
+				t.Errorf("decoded JSON does not re-export: %v", err)
+			}
+		}
+	})
 }
