@@ -22,26 +22,12 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "", "comma-separated experiment IDs (empty = all)")
-		quick     = flag.Bool("quick", false, "shorter horizons")
-		seed      = flag.Int64("seed", 42, "deterministic seed")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		ledger    = flag.Bool("ledger", false, "measure the round loop at 1k/10k/100k GPUs (spans off vs on) and print the benchmark ledger")
-		ledgerOut = flag.String("ledger-out", "BENCH_core.json", "committed ledger path for -ledger -check/-update")
-		check     = flag.Bool("check", false, "with -ledger: gate fresh measurements against the committed ledger; exit 1 on regression")
-		update    = flag.Bool("update", false, "with -ledger: rewrite the committed ledger from fresh measurements")
-		tol       = flag.Float64("tol", 0.15, "with -ledger -check: tolerated fractional regression")
-		allocCap  = flag.Float64("alloc-cap", 0, "with -ledger -check: absolute ceiling on base allocs/round at the largest-GPU row (0 disables)")
+		expFlag = flag.String("exp", "", "comma-separated experiment IDs (empty = all)")
+		quick   = flag.Bool("quick", false, "shorter horizons")
+		seed    = flag.Int64("seed", 42, "deterministic seed")
+		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
-
-	if *ledger {
-		if err := ledgerMain(*ledgerOut, *seed, *update, *check, *tol, *allocCap); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

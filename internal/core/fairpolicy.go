@@ -11,6 +11,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/profiler"
 	"repro/internal/stride"
 	"repro/internal/trade"
 )
@@ -79,47 +80,60 @@ type FairConfig struct {
 type FairPolicy struct {
 	cfg FairConfig
 
-	userSched map[job.UserID]*stride.Scheduler
-	backfill  *stride.Scheduler
-	credit    map[job.UserID]fairshare.Entitlement
-	jobUser   map[job.ID]job.UserID
+	// users holds one record per user with runnable jobs and jobs one
+	// per runnable job. Decide groups the round's jobs into them; an
+	// idle user's record is dropped there, a finished job's by
+	// JobFinished.
+	users    map[job.UserID]*userState
+	jobs     map[job.ID]*jobState
+	jobBlock []jobState // records not yet handed out (see jobState)
+	backfill *stride.Scheduler
 
 	round     int
 	noMigrate bool            // engine refuses migrations this run
 	pinned    map[job.ID]bool // jobs in migration-failure backoff this round
-	lastMig   map[job.ID]int  // round of the job's last generation change
-
-	// pending maps jobs scheduled this round to their charging info,
-	// consumed by Executed.
-	pending map[job.ID]chargeInfo
-
-	// waterfill memoizes the non-debt water-fill across rounds: most
-	// rounds repeat the previous round's tickets/demand/capacity, so
-	// the solve — and its map churn — amortizes away.
-	waterfill *fairshare.AllocationSolver
 
 	// Decide's scratch, kept across rounds and cleared, never rebuilt.
-	jobByID   map[job.ID]*job.Job //gflint:noretain the round's runnable jobs, for resolving a selected ID
-	scheduled map[job.ID]bool     //gflint:noretain jobs already scheduled this round
-	candBuf   []stride.Candidate  //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
-	serveBuf  []userCredit        //gflint:noretain pass 1's most-credit-first user order
-	prefBuf   []gpu.Generation    //gflint:noretain one user's generation preference
+	active  []*userState           //gflint:noretain the round's users; in pass 1's serve order once sorted
+	granted []*jobState            //gflint:noretain the round's grants in grant order, consumed by Executed
+	demand  map[job.UserID]float64 //gflint:noretain per-user runnable gang width, as fairshare and trade take it
+	vals    trade.Values           //gflint:noretain the profiled users' value vectors, as trade.Run takes them
+	candBuf []stride.Candidate     //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
+	prefBuf []gpu.Generation       //gflint:noretain one user's generation preference
 }
 
-// userCredit is a user's total credit, snapshotted as the serve-order
-// sort key.
-type userCredit struct {
-	user   job.UserID
-	credit float64
+// userState is what the policy holds for one user with runnable jobs:
+// the books that live as long as the user stays active, and the
+// round's view of their jobs.
+type userState struct {
+	id     job.UserID
+	credit fairshare.Entitlement // per-generation deficit credit
+	sched  *stride.Scheduler     // pass order among the user's own jobs
+
+	// The round's, set by Decide.
+	round      int                         // the round jobs was grouped in
+	jobs       []*jobState                 // runnable jobs, in ID order
+	jobTickets float64                     // the user's tickets split over those jobs; 0 without tickets
+	vals       [gpu.NumGenerations]float64 // profiled value per GPU; zero when unprofiled
+	serveKey   float64                     // total credit when the serve order was drawn
 }
 
-type chargeInfo struct {
-	user       job.UserID
-	gen        gpu.Generation
-	gang       int
-	jobTickets float64
-	viaCredit  bool
+// jobState is what the policy holds for one runnable job. Records are
+// handed out of blocks of jobBlockSize — a first round that meets ten
+// thousand jobs makes a few hundred allocations, not ten thousand — and
+// a block is collected once every job in it has finished.
+type jobState struct {
+	user    *userState
+	job     *job.Job
+	lastMig int // round of the job's last generation change
+
+	// The round's grant, read back by Executed.
+	gen       gpu.Generation
+	granted   bool
+	viaCredit bool // funded from credit (refundable), not backfilled
 }
+
+const jobBlockSize = 64
 
 // NewFairPolicy constructs the policy.
 func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
@@ -145,16 +159,12 @@ func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
 		return nil, err
 	}
 	return &FairPolicy{
-		cfg:       cfg,
-		userSched: make(map[job.UserID]*stride.Scheduler),
-		backfill:  stride.New(stride.GangAware),
-		credit:    make(map[job.UserID]fairshare.Entitlement),
-		jobUser:   make(map[job.ID]job.UserID),
-		lastMig:   make(map[job.ID]int),
-		pending:   make(map[job.ID]chargeInfo),
-		waterfill: fairshare.NewAllocationSolver(),
-		jobByID:   make(map[job.ID]*job.Job),
-		scheduled: make(map[job.ID]bool),
+		cfg:      cfg,
+		users:    make(map[job.UserID]*userState),
+		jobs:     make(map[job.ID]*jobState),
+		backfill: stride.New(stride.GangAware),
+		demand:   make(map[job.UserID]float64),
+		vals:     make(trade.Values),
 	}, nil
 }
 
@@ -177,32 +187,33 @@ func (p *FairPolicy) Name() string {
 
 // Decide implements Policy.
 func (p *FairPolicy) Decide(st *RoundState) Decision {
-	byUser := groupByUser(st.Jobs)
-	users := sortedUsers(byUser)
+	p.round++
+	p.noMigrate = st.MigrationDisabled
+	p.pinned = st.Pinned
+	p.group(st.Jobs)
 	caps := st.CapacityByGen()
-	clear(p.jobByID)
-	for _, j := range st.Jobs {
-		p.jobByID[j.ID] = j
-	}
 
 	// 1. Fair share.
 	st.Obs.PhaseStart(obs.PhaseWaterfill)
 	tickets := st.Tickets
 	if p.cfg.Hierarchy != nil {
-		tickets = p.cfg.Hierarchy.Flatten(users)
-	}
-	demand := make(map[job.UserID]float64, len(byUser))
-	jobsPer := make(map[job.UserID]int, len(byUser))
-	for u, js := range byUser {
-		for _, j := range js {
-			demand[u] += float64(j.Gang)
+		ids := make([]job.UserID, len(p.active))
+		for i, us := range p.active {
+			ids[i] = us.id
 		}
-		jobsPer[u] = len(js)
+		tickets = p.cfg.Hierarchy.Flatten(ids)
 	}
-	// Solve is memoized (fairshare.AllocationSolver); the result is
-	// shared storage, but every consumer below either reads it or
-	// replaces the local variable (trade.Run clones), never mutates.
-	alloc := p.waterfill.Solve(tickets, demand, caps)
+	demand := p.demand
+	clear(demand)
+	for _, us := range p.active {
+		gpus := 0
+		for _, js := range us.jobs {
+			gpus += js.job.Gang
+		}
+		demand[us.id] = float64(gpus)
+		us.jobTickets = fairshare.PerJobTickets(tickets[us.id], len(us.jobs))
+	}
+	alloc := fairshare.ComputeAllocation(tickets, demand, caps)
 	// Failure compensation: repay users' fault deficits off the top
 	// of the water-fill, before surplus redistribution, so GPU time
 	// lost to faults is restored instead of diluted away.
@@ -230,72 +241,63 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 
 	// 2. Trading. The value vectors also order each user's generation
 	// preference in pass 1, so they are computed once, trading or not.
-	vals := p.userValues(st, byUser)
+	clear(p.vals)
+	present := st.Cluster.GensPresent()
+	for _, us := range p.active {
+		var profiled bool
+		if us.vals, profiled = p.userValues(st.Prof, present, us.jobs); profiled {
+			p.vals[us.id] = us.vals
+		}
+	}
 	var trades []trade.Trade
 	if p.cfg.EnableTrading {
 		st.Obs.PhaseStart(obs.PhaseTrade)
-		adjusted, log, err := trade.Run(alloc, vals, demand, p.cfg.Trade)
-		if err == nil {
-			alloc = adjusted
-			trades = log
+		if adjusted, log, err := trade.Run(alloc, p.vals, demand, p.cfg.Trade); err == nil {
+			alloc, trades = adjusted, log
 		}
 		st.Obs.PhaseEnd(obs.PhaseTrade)
 	}
 
-	// 3. Accrue credits; drop departed users; cap per generation.
-	for u := range p.credit {
-		if _, active := byUser[u]; !active {
-			delete(p.credit, u)
-			delete(p.userSched, u)
-		}
+	// 3. Accrue credits, capped per generation. A generation the round
+	// lacks (all its servers out) accrues nothing and keeps its credit.
+	var remaining [gpu.NumGenerations]int
+	for g, c := range caps {
+		remaining[g] = c
 	}
-	for _, u := range users {
-		c := p.credit[u]
-		if c == nil {
-			c = fairshare.Entitlement{}
-			p.credit[u] = c
+	for _, us := range p.active {
+		e, ok := alloc[us.id]
+		if !ok {
+			continue
 		}
-		for g, e := range alloc[u] {
-			c[g] += e
-			if limit := float64(caps[g]); c[g] > limit {
-				c[g] = limit
+		for g, c := range remaining {
+			if c == 0 {
+				continue
+			}
+			us.credit[g] += e[g]
+			if limit := float64(c); us.credit[g] > limit {
+				us.credit[g] = limit
 			}
 		}
 	}
 
 	// 4. Selection.
-	p.round++
-	p.noMigrate = st.MigrationDisabled
-	p.pinned = st.Pinned
-	jobTickets := fairshare.JobTickets(tickets, jobsPer)
-	var remaining [gpu.NumGenerations]int
-	for g, c := range caps {
-		remaining[g] = c
-	}
-	scheduled := p.scheduled
-	clear(scheduled)
+	p.granted = p.granted[:0]
 	run := make([]placement.Request, 0, len(st.Jobs))
-
-	schedule := func(u job.UserID, j *job.Job, g gpu.Generation, viaCredit bool) {
-		scheduled[j.ID] = true
+	schedule := func(js *jobState, g gpu.Generation, viaCredit bool) {
+		j, us := js.job, js.user
+		js.granted, js.gen, js.viaCredit = true, g, viaCredit
 		remaining[g] -= j.Gang
+		c := us.credit[g]
 		if viaCredit {
-			cr := p.credit[u]
-			c := cr[g]
 			st.Obs.Explain(j.ID, "credit", c, c-float64(j.Gang))
-			cr[g] = c - float64(j.Gang)
-		} else if st.Obs != nil {
-			c := p.credit[u][g]
+			us.credit[g] = c - float64(j.Gang)
+		} else {
 			st.Obs.Explain(j.ID, "backfill", c, c)
 		}
 		if prev, ok := st.PrevGen[j.ID]; ok && prev != g {
-			p.lastMig[j.ID] = p.round
+			js.lastMig = p.round
 		}
-		p.jobUser[j.ID] = u
-		p.pending[j.ID] = chargeInfo{
-			user: u, gen: g, gang: j.Gang,
-			jobTickets: jobTickets[u], viaCredit: viaCredit,
-		}
+		p.granted = append(p.granted, js)
 		run = append(run, placement.Request{Job: j, Gen: g})
 	}
 
@@ -308,35 +310,31 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// Users are served most-credit-first: when capacity is scarce the
 	// user who has been shorted longest wins, so synchronized credit
 	// cycles cannot starve whoever happens to sort last.
-	serveOrder := p.serveBuf[:0]
-	for _, u := range users {
-		serveOrder = append(serveOrder, userCredit{user: u, credit: p.credit[u].Total()})
+	for _, us := range p.active {
+		us.serveKey = us.credit.Total()
 	}
-	p.serveBuf = serveOrder
-	slices.SortFunc(serveOrder, func(a, b userCredit) int {
+	slices.SortFunc(p.active, func(a, b *userState) int {
 		switch {
-		case a.credit > b.credit:
+		case a.serveKey > b.serveKey:
 			return -1
-		case a.credit < b.credit:
+		case a.serveKey < b.serveKey:
 			return 1
 		default:
-			return cmp.Compare(a.user, b.user)
+			return cmp.Compare(a.id, b.id)
 		}
 	})
 	gens := gensDesc(caps)
-	for _, su := range serveOrder {
-		u := su.user
-		pref := p.genPreference(gens, vals[u])
+	for _, us := range p.active {
+		pref := p.genPreference(gens, us.vals)
 		cands := p.candBuf[:0]
-		for _, j := range byUser[u] {
-			cands = append(cands, stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: jobTickets[u]})
+		for _, js := range us.jobs {
+			cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets})
 		}
 		p.candBuf = cands
-		for _, id := range p.schedFor(u).Order(cands) {
-			j := p.jobByID[id]
-			g, ok := p.pickGen(j, st.PrevGen, pref, &remaining, true)
-			if ok {
-				schedule(u, j, g, true)
+		for _, id := range us.sched.Order(cands) {
+			js := p.jobs[id]
+			if g, ok := p.pickGen(js, st.PrevGen, pref, &remaining); ok {
+				schedule(js, g, true)
 			}
 		}
 	}
@@ -344,23 +342,22 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// Pass 2 — work-conserving backfill of leftover capacity, charged
 	// against a global stride so no user freeloads persistently. The
 	// cooldown still applies: backfill must not cause thrash either.
+	// Select orders its candidates itself, so the order they are
+	// offered in does not matter.
 	for _, g := range gens {
 		if remaining[g] <= 0 {
 			continue
 		}
 		cands := p.candBuf[:0]
-		for _, u := range users {
-			for _, j := range byUser[u] {
-				if scheduled[j.ID] || !j.Perf.FitsOn(g) {
-					continue
-				}
+		for _, us := range p.active {
+			for _, js := range us.jobs {
 				// Backfill uses a short cooldown: moving an otherwise
 				// idle job onto idle capacity is a one-way move, not
 				// thrash, so only back-to-back flapping is blocked.
-				if !p.genAllowedWithin(j, st.PrevGen, g, backfillCooldown) {
+				if js.granted || !js.job.Perf.FitsOn(g) || !p.genAllowed(js, st.PrevGen, g, backfillCooldown) {
 					continue
 				}
-				cands = append(cands, stride.Candidate{ID: j.ID, Gang: j.Gang, Tickets: jobTickets[u]})
+				cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets})
 			}
 		}
 		p.candBuf = cands
@@ -368,31 +365,66 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 			continue
 		}
 		for _, id := range p.backfill.Select(cands, remaining[g]) {
-			j := p.jobByID[id]
-			schedule(j.User, j, g, false)
+			schedule(p.jobs[id], g, false)
 		}
 	}
 
 	return Decision{Run: run, Trades: trades, Repaid: repaid}
 }
 
-// pickGen chooses the generation to fund a job from. Preference
-// order: the job's previous generation (no migration), then the
-// user's preferred generations, each requiring the job to fit,
-// sufficient credit (when viaCredit), remaining capacity, and the
-// migration cooldown for generation changes.
-func (p *FairPolicy) pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining *[gpu.NumGenerations]int, viaCredit bool) (gpu.Generation, bool) {
+// group sorts the round's runnable jobs into their records, made on
+// first sight, and their users' job lists; p.active lists the users
+// that have any. A user left with none loses their books.
+func (p *FairPolicy) group(jobs []*job.Job) {
+	p.active = p.active[:0]
+	for _, j := range jobs {
+		js := p.jobs[j.ID]
+		if js == nil {
+			js = p.newJobState(j)
+		}
+		js.granted = false
+		us := js.user
+		if us.round != p.round {
+			us.round = p.round
+			us.jobs = us.jobs[:0]
+			p.active = append(p.active, us)
+		}
+		us.jobs = append(us.jobs, js)
+	}
+	for id, us := range p.users {
+		if us.round != p.round {
+			delete(p.users, id)
+		}
+	}
+}
+
+func (p *FairPolicy) newJobState(j *job.Job) *jobState {
+	if len(p.jobBlock) == 0 {
+		p.jobBlock = make([]jobState, jobBlockSize)
+	}
+	js := &p.jobBlock[0]
+	p.jobBlock = p.jobBlock[1:]
+	us := p.users[j.User]
+	if us == nil {
+		us = &userState{id: j.User, sched: stride.New(stride.GangAware)}
+		p.users[j.User] = us
+	}
+	js.user, js.job = us, j
+	p.jobs[j.ID] = js
+	return js
+}
+
+// pickGen chooses the generation to fund a job from its user's credit.
+// Preference order: the job's previous generation (no migration), then
+// the user's preferred generations, each requiring the job to fit,
+// sufficient credit, remaining capacity, and the migration cooldown for
+// generation changes.
+func (p *FairPolicy) pickGen(js *jobState, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining *[gpu.NumGenerations]int) (gpu.Generation, bool) {
+	j := js.job
 	try := func(g gpu.Generation) bool {
-		if !j.Perf.FitsOn(g) || remaining[g] < j.Gang {
-			return false
-		}
-		if viaCredit {
-			c := p.credit[j.User]
-			if c == nil || c[g] < float64(j.Gang)-1e-9 {
-				return false
-			}
-		}
-		return p.genAllowed(j, prevGen, g)
+		return j.Perf.FitsOn(g) && remaining[g] >= j.Gang &&
+			js.user.credit[g] >= float64(j.Gang)-1e-9 &&
+			p.genAllowed(js, prevGen, g, p.cfg.MigrationCooldown)
 	}
 	if prev, ok := prevGen[j.ID]; ok && try(prev) {
 		return prev, true
@@ -412,124 +444,102 @@ const backfillCooldown = 2
 // genAllowed enforces the migration cooldown: a job may change
 // generation only if it has not changed within the last cooldown
 // rounds.
-func (p *FairPolicy) genAllowed(j *job.Job, prevGen map[job.ID]gpu.Generation, g gpu.Generation) bool {
-	return p.genAllowedWithin(j, prevGen, g, p.cfg.MigrationCooldown)
-}
-
-func (p *FairPolicy) genAllowedWithin(j *job.Job, prevGen map[job.ID]gpu.Generation, g gpu.Generation, cooldown int) bool {
-	prev, ok := prevGen[j.ID]
+func (p *FairPolicy) genAllowed(js *jobState, prevGen map[job.ID]gpu.Generation, g gpu.Generation, cooldown int) bool {
+	prev, ok := prevGen[js.job.ID]
 	if !ok || prev == g {
 		return true
 	}
-	if p.noMigrate || p.pinned[j.ID] {
+	if p.noMigrate || p.pinned[js.job.ID] {
 		return false
 	}
-	return p.round-p.lastMig[j.ID] >= cooldown
+	return p.round-js.lastMig >= cooldown
 }
 
 // Executed implements Policy: charge stride pass for what actually
 // ran and refund credits for capacity not consumed (unplaced jobs,
-// early finishers).
+// early finishers). Grants are settled in the order Decide made them:
+// two refunds into one credit are a float sum, and its order must not
+// vary between runs.
 func (p *FairPolicy) Executed(rep *ExecReport) {
-	for id, ci := range p.pending {
+	for _, js := range p.granted {
+		if !js.granted {
+			continue // finished since Decide: its books are gone
+		}
+		id, gang, us := js.job.ID, float64(js.job.Gang), js.user
 		info, ran := rep.Ran[id]
 		if !ran {
 			// Fragmentation left it unplaced: full refund.
-			if ci.viaCredit {
-				p.refund(ci, float64(ci.gang))
+			if js.viaCredit {
+				us.credit[js.gen] += gang
 			}
 			continue
 		}
-		res := float64(ci.gang) * info.OccupiedSecs
-		if ci.jobTickets > 0 {
-			if s := p.userSched[ci.user]; s != nil && s.Has(id) {
-				s.Charge(id, res, ci.jobTickets)
+		if us.jobTickets > 0 {
+			res := gang * info.OccupiedSecs
+			if us.sched.Has(id) {
+				us.sched.Charge(id, res, us.jobTickets)
 			}
 			if p.backfill.Has(id) {
-				p.backfill.Charge(id, res, ci.jobTickets)
+				p.backfill.Charge(id, res, us.jobTickets)
 			}
 		}
 	}
-	clear(p.pending)
+	p.granted = p.granted[:0]
 }
 
 // JobFinished implements Policy.
 func (p *FairPolicy) JobFinished(id job.ID) {
-	if u, ok := p.jobUser[id]; ok {
-		if s := p.userSched[u]; s != nil {
-			s.Remove(id)
-		}
-		delete(p.jobUser, id)
+	if js := p.jobs[id]; js != nil {
+		js.user.sched.Remove(id)
+		js.granted = false
+		delete(p.jobs, id)
 	}
 	p.backfill.Remove(id)
-	delete(p.pending, id)
-	delete(p.lastMig, id)
 }
 
 // Credit exposes a user's current deficit credits (for tests and
 // debugging).
 func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	return p.credit[u].Clone()
+	if us := p.users[u]; us != nil {
+		return us.credit
+	}
+	return fairshare.Entitlement{}
 }
 
-func (p *FairPolicy) refund(ci chargeInfo, amount float64) {
-	c := p.credit[ci.user]
-	if c == nil {
-		return
-	}
-	c[ci.gen] += amount
-}
-
-func (p *FairPolicy) schedFor(u job.UserID) *stride.Scheduler {
-	s := p.userSched[u]
-	if s == nil {
-		s = stride.New(stride.GangAware)
-		p.userSched[u] = s
-	}
-	return s
-}
-
-// userValues builds the trading value vectors: gang-weighted speedup
-// of each generation over the oldest generation the job has an
-// estimate on, across the user's runnable jobs.
-func (p *FairPolicy) userValues(st *RoundState, byUser map[job.UserID][]*job.Job) trade.Values {
-	gens := st.Cluster.GensPresent()
-	vals := make(trade.Values, len(byUser))
-	for u, js := range byUser {
-		var num, den [gpu.NumGenerations]float64
-		for _, j := range js {
-			base := gpu.Generation(-1)
-			var baseRate float64
-			for _, g := range gens {
-				if r, ok := st.Prof.Rate(j.ID, g); ok && st.Prof.Samples(j.ID, g) >= p.cfg.MinSamples {
-					base, baseRate = g, r
-					break
-				}
-			}
-			if base < 0 || baseRate <= 0 {
-				continue
-			}
-			w := float64(j.Gang)
-			for _, g := range gens {
-				if r, ok := st.Prof.Rate(j.ID, g); ok && st.Prof.Samples(j.ID, g) >= p.cfg.MinSamples {
-					num[g] += w * r / baseRate
-					den[g] += w
-				}
+// userValues builds one user's trading value vector: gang-weighted
+// speedup of each generation over the oldest generation the job has an
+// estimate on, across the user's runnable jobs. profiled is false when
+// no job has an estimate yet.
+func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64, profiled bool) {
+	var num, den [gpu.NumGenerations]float64
+	for _, js := range jobs {
+		j := js.job
+		base := gpu.Generation(-1)
+		var baseRate float64
+		for _, g := range gens {
+			if r, ok := prof.Rate(j.ID, g); ok && prof.Samples(j.ID, g) >= p.cfg.MinSamples {
+				base, baseRate = g, r
+				break
 			}
 		}
-		var v [gpu.NumGenerations]float64
-		any := false
-		for g := range v {
-			if den[g] > 0 {
-				v[g] = num[g] / den[g]
-				any = true
+		if base < 0 || baseRate <= 0 {
+			continue
+		}
+		w := float64(j.Gang)
+		for _, g := range gens {
+			if r, ok := prof.Rate(j.ID, g); ok && prof.Samples(j.ID, g) >= p.cfg.MinSamples {
+				num[g] += w * r / baseRate
+				den[g] += w
 			}
 		}
-		if any {
-			vals[u] = v
+	}
+	for g := range v {
+		if den[g] > 0 {
+			v[g] = num[g] / den[g]
+			profiled = true
 		}
 	}
-	return vals
+	return v, profiled
 }
 
 // genPreference orders generations for a user: profiled value per GPU
@@ -551,23 +561,6 @@ func (p *FairPolicy) genPreference(gens []gpu.Generation, v [gpu.NumGenerations]
 		return cmp.Compare(b, a)
 	})
 	return pref
-}
-
-func groupByUser(jobs []*job.Job) map[job.UserID][]*job.Job {
-	m := make(map[job.UserID][]*job.Job)
-	for _, j := range jobs {
-		m[j.User] = append(m[j.User], j)
-	}
-	return m
-}
-
-func sortedUsers(m map[job.UserID][]*job.Job) []job.UserID {
-	users := make([]job.UserID, 0, len(m))
-	for u := range m {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	return users
 }
 
 // gensDesc returns the present generations newest first.

@@ -1,0 +1,53 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/profiler"
+	"repro/internal/workload"
+)
+
+// TestRefundOrderIsGrantOrder pins Executed's settlement order. Two
+// credit-funded jobs of one user on one generation both go unplaced, so
+// both refunds land in one credit — a float sum, whose order must not
+// vary between runs. Decide's own funding cannot leave a credit that
+// tells the orders apart (it subtracted the same widths from a larger
+// number, so adding them back is exact either way), so the test plants
+// one that does between Decide and Executed: the property is that
+// Executed walks the grants in the order Decide made them, whatever the
+// credit holds. Settling in map order, as Executed did when its grants
+// lived in a map, leaves differing bits about every other run.
+func TestRefundOrderIsGrantOrder(t *testing.T) {
+	const wide, narrow = 8, 2
+	credit := 1.9096094509685468 // a variable: constant arithmetic would not round
+	if (credit+wide)+narrow == (credit+narrow)+wide {
+		t.Fatal("fixture lost its teeth: both refund orders round alike")
+	}
+	cluster := gpu.MustNew(gpu.Spec{Gen: gpu.K80, Servers: 4, GPUsPerSrv: 4})
+	perf := workload.DefaultZoo().MustGet("vae")
+	for i := 0; i < 200; i++ {
+		p := MustNewFairPolicy(FairConfig{})
+		jobs := []*job.Job{
+			job.MustNew(job.Spec{ID: 1, User: "u", Perf: perf, Gang: narrow, TotalMB: 1e9}),
+			job.MustNew(job.Spec{ID: 2, User: "u", Perf: perf, Gang: wide, TotalMB: 1e9}),
+		}
+		dec := p.Decide(&RoundState{
+			Quantum: 360, Cluster: cluster, Jobs: jobs,
+			Tickets: map[job.UserID]float64{"u": 1}, Prof: profiler.MustNew(0.25, 0, 1),
+		})
+		// Equal pass, so the wider gang is granted first; the user's whole
+		// share (their demand, 10 GPUs) funds both from credit.
+		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.jobs[1].viaCredit || !p.jobs[2].viaCredit {
+			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
+		}
+		p.users["u"].credit[gpu.K80] = credit
+		p.Executed(&ExecReport{Ran: map[job.ID]RanInfo{}}) // fragmentation placed neither
+		want := (credit + wide) + narrow
+		if got := p.Credit("u")[gpu.K80]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("policy %d: credit after refunds %.17g, want grant order's %.17g", i, got, want)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/fairshare"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -95,7 +96,6 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	now := rd.now
 	s.evq.popTicketsDue(now, func(tc TicketChange) {
 		s.tickets[tc.User] = tc.Tickets
-		s.fairSolver.SetTickets(tc.User, tc.Tickets)
 	})
 	s.obs.PhaseStart(obs.PhaseFaultSweep)
 	rd.down = s.updateFaultState(now)
@@ -187,7 +187,7 @@ func (s *Sim) fairReference(rd *round) {
 	for _, g := range gpu.Generations() {
 		availTotal += float64(rd.caps[g])
 	}
-	shares := s.shares(availTotal)
+	shares := fairshare.Compute(s.tickets, s.demand, availTotal)
 	if s.faultsOn {
 		rd.fair = make(map[job.UserID]float64, len(shares))
 	}
@@ -198,17 +198,6 @@ func (s *Sim) fairReference(rd *round) {
 		}
 	}
 	s.obs.PhaseEnd(obs.PhaseWaterfill)
-}
-
-// solveShares is the maintained water-fill. Demand was kept exact at
-// admission and retirement and tickets at change-application time; only
-// capacity can still have moved. The solver re-solves only when
-// something really changed — most rounds return the memoized result.
-//
-//gflint:noretain
-func (s *Sim) solveShares(capacity float64) map[job.UserID]float64 {
-	s.fairSolver.SetCapacity(capacity)
-	return s.fairSolver.Shares()
 }
 
 // decide asks the policy for the round's requests and holds it to its
@@ -406,7 +395,7 @@ func (s *Sim) retireJob(j *job.Job) {
 	s.policy.JobFinished(id)
 	s.prof.Remove(id)
 	delete(s.active, id)
-	s.fairSolver.AddDemand(j.User, -float64(j.Gang))
+	s.demand[j.User] -= float64(j.Gang)
 	delete(s.prev, id)
 	delete(s.prevGen, id)
 	if s.faultsOn {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/fairshare"
 	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -391,16 +390,18 @@ type Sim struct {
 	// a job's per-round state is its index here, not a map entry.
 	jobs []*job.Job //gflint:noretain compacted in place every round
 
-	pidx       *placement.Index  // free-capacity index owned by placement
-	fairSolver *fairshare.Solver // dirty-set water-filler for the fairness reference
+	pidx *placement.Index // free-capacity index owned by placement
 
-	// place and shares are the round's two maintained mechanisms, the
-	// index and the solver above. They are fields so that the tests'
-	// export_test.go can run a round on the from-scratch reference
-	// (placement.Place, fairshare.Compute) the maintained ones must
-	// match byte for byte; nothing else assigns them.
-	place  func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result
-	shares func(capacity float64) map[job.UserID]float64
+	// place is the round's one maintained mechanism, the index above. It
+	// is a field so that the tests' export_test.go can run a round on the
+	// from-scratch reference (placement.Place) the index must match byte
+	// for byte; nothing else assigns it.
+	place func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result
+
+	// demand is each user's runnable gang width, the fairness reference's
+	// input: += at admission, −= at retirement. Gang widths are integers,
+	// so the sums are exact and a departed user's is exactly zero.
+	demand map[job.UserID]float64
 
 	// owners is the one device-owner table behind placement validation
 	// and the auditor's double-placement check.
@@ -483,34 +484,34 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	cfg = cfg.withDefaults()
 	owners := placement.NewOwners(cfg.Cluster)
 	s := &Sim{
-		cfg:        cfg,
-		clock:      simclock.New(),
-		policy:     policy,
-		exec:       exec,
-		prof:       prof,
-		log:        &trace.Log{},
-		tl:         metrics.NewTimeline(cfg.TimelineWindow),
-		tickets:    make(map[job.UserID]float64),
-		active:     make(map[job.ID]*job.Job),
-		pidx:       placement.NewIndex(cfg.Cluster),
-		fairSolver: fairshare.NewSolver(),
-		prev:       placement.Assignment{},
-		prevGen:    make(map[job.ID]gpu.Generation),
-		usage:      make(map[job.UserID]map[gpu.Generation]float64),
-		useful:     make(map[job.UserID]float64),
-		fairUsage:  make(map[job.UserID]float64),
-		mbByUser:   make(map[job.UserID]float64),
-		busyByGen:  make(map[gpu.Generation]float64),
-		capByGen:   make(map[gpu.Generation]float64),
-		recorded:   make(map[trace.Kind]int),
-		down:       make(map[gpu.ServerID]bool),
-		owners:     owners,
-		seenBuf:    make(map[job.ID]bool),
-		execRep:    ExecReport{Ran: make(map[job.ID]RanInfo)},
-		aud:        newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
-		obs:        cfg.Obs,
+		cfg:       cfg,
+		clock:     simclock.New(),
+		policy:    policy,
+		exec:      exec,
+		prof:      prof,
+		log:       &trace.Log{},
+		tl:        metrics.NewTimeline(cfg.TimelineWindow),
+		tickets:   make(map[job.UserID]float64),
+		active:    make(map[job.ID]*job.Job),
+		pidx:      placement.NewIndex(cfg.Cluster),
+		demand:    make(map[job.UserID]float64),
+		prev:      placement.Assignment{},
+		prevGen:   make(map[job.ID]gpu.Generation),
+		usage:     make(map[job.UserID]map[gpu.Generation]float64),
+		useful:    make(map[job.UserID]float64),
+		fairUsage: make(map[job.UserID]float64),
+		mbByUser:  make(map[job.UserID]float64),
+		busyByGen: make(map[gpu.Generation]float64),
+		capByGen:  make(map[gpu.Generation]float64),
+		recorded:  make(map[trace.Kind]int),
+		down:      make(map[gpu.ServerID]bool),
+		owners:    owners,
+		seenBuf:   make(map[job.ID]bool),
+		execRep:   ExecReport{Ran: make(map[job.ID]RanInfo)},
+		aud:       newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
+		obs:       cfg.Obs,
 	}
-	s.place, s.shares = s.placeIndexed, s.solveShares
+	s.place = s.placeIndexed
 	// Satellite of the fault model: the declared failure list is
 	// compiled once into sorted per-server intervals instead of being
 	// rescanned every quantum (see faults.Timeline).
@@ -547,9 +548,6 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		}
 	}
 	s.users = job.SortedUsers(s.tickets)
-	for _, u := range s.users {
-		s.fairSolver.SetTickets(u, s.tickets[u])
-	}
 	return s, nil
 }
 
@@ -649,7 +647,7 @@ func (s *Sim) admit(j *job.Job) {
 	s.active[j.ID] = j
 	at, _ := slices.BinarySearchFunc(s.jobs, j.ID, func(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) })
 	s.jobs = slices.Insert(s.jobs, at, j)
-	s.fairSolver.AddDemand(j.User, float64(j.Gang))
+	s.demand[j.User] += float64(j.Gang)
 }
 
 // declaredOutages converts the config's declared failure list into

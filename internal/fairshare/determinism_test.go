@@ -40,16 +40,6 @@ func repeatable[K comparable](t *testing.T, name string, fn func() map[K]float64
 	}
 }
 
-func TestSplitByGenRepeatable(t *testing.T) {
-	capacities := make(map[gpu.Generation]int)
-	for i, g := range gpu.Generations() {
-		capacities[g] = 3*i + 1
-	}
-	repeatable(t, "SplitByGen", func() map[gpu.Generation]float64 {
-		return SplitByGen(math.Pi, capacities)
-	})
-}
-
 func TestComputeAllocationRepeatable(t *testing.T) {
 	tickets := adversarialByUser(40)
 	demand := adversarialByUser(40)

@@ -87,76 +87,58 @@ func Compute(tickets, demand map[job.UserID]float64, capacity float64) map[job.U
 	return shares
 }
 
-// SplitByGen apportions a user's total share across GPU generations in
-// proportion to cluster capacity — the heterogeneity-blind entitlement
-// the trading mechanism then improves upon. capacities maps each
-// present generation to its GPU count.
-func SplitByGen(total float64, capacities map[gpu.Generation]int) map[gpu.Generation]float64 {
-	out := make(map[gpu.Generation]float64, len(capacities))
-	var sum float64
-	for _, g := range gpu.Generations() {
-		sum += float64(capacities[g])
-	}
-	if sum <= eps || total <= eps {
-		return out
-	}
-	for g, c := range capacities {
-		out[g] = total * float64(c) / sum
-	}
-	return out
-}
-
 // Entitlement is a user's per-generation fair share for one scheduling
-// round, in (fractional) GPUs.
-type Entitlement map[gpu.Generation]float64
+// round, in (fractional) GPUs, indexed by gpu.Generation. A generation
+// the cluster lacks holds zero.
+type Entitlement [gpu.NumGenerations]float64
 
-// Total sums the entitlement across generations. Generations are
-// visited in fixed order so the float rounding is identical across
-// processes regardless of map layout.
+// Total sums the entitlement across generations, oldest first.
 func (e Entitlement) Total() float64 {
 	var s float64
-	for _, g := range gpu.Generations() {
-		s += e[g]
+	for _, v := range e {
+		s += v
 	}
 	return s
 }
 
-// Clone deep-copies the entitlement.
-func (e Entitlement) Clone() Entitlement {
-	out := make(Entitlement, len(e))
-	for g, v := range e {
-		out[g] = v
+// SplitByGen apportions a user's total share across GPU generations in
+// proportion to cluster capacity — the heterogeneity-blind entitlement
+// the trading mechanism then improves upon. capacities maps each
+// present generation to its GPU count.
+func SplitByGen(total float64, capacities map[gpu.Generation]int) Entitlement {
+	var out Entitlement
+	sum := totalCapacity(capacities)
+	if sum <= eps || total <= eps {
+		return out
+	}
+	for g := range out {
+		out[g] = total * float64(capacities[gpu.Generation(g)]) / sum
 	}
 	return out
+}
+
+// totalCapacity is the cluster's GPU count. GPU counts are integers, so
+// the sum is exact whatever order the map yields them in.
+func totalCapacity(capacities map[gpu.Generation]int) float64 {
+	n := 0
+	for _, c := range capacities {
+		n += c
+	}
+	return float64(n)
 }
 
 // Allocation is the full per-user entitlement map for one round.
+// Entitlements are values: maps.Clone copies an Allocation whole.
 type Allocation map[job.UserID]Entitlement
-
-// Clone deep-copies the allocation.
-func (a Allocation) Clone() Allocation {
-	out := make(Allocation, len(a))
-	for u, e := range a {
-		out[u] = e.Clone()
-	}
-	return out
-}
 
 // TotalByGen sums entitlements per generation across users. Users are
 // visited in sorted order so the float rounding is identical across
 // processes regardless of map layout.
-func (a Allocation) TotalByGen() map[gpu.Generation]float64 {
-	users := make([]job.UserID, 0, len(a))
-	for u := range a {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	out := make(map[gpu.Generation]float64)
-	for _, u := range users {
-		for _, g := range gpu.Generations() {
-			if v, ok := a[u][g]; ok {
-				out[g] += v
-			}
+func (a Allocation) TotalByGen() Entitlement {
+	var out Entitlement
+	for _, u := range job.SortedUsers(a) {
+		for g, v := range a[u] {
+			out[g] += v
 		}
 	}
 	return out
@@ -168,11 +150,7 @@ func (a Allocation) TotalByGen() map[gpu.Generation]float64 {
 //
 // demand[u] is the user's total runnable gang width in GPUs.
 func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int) Allocation {
-	var total float64
-	for _, g := range gpu.Generations() {
-		total += float64(capacities[g])
-	}
-	shares := Compute(tickets, demand, total)
+	shares := Compute(tickets, demand, totalCapacity(capacities))
 	alloc := make(Allocation, len(shares))
 	for u, s := range shares {
 		alloc[u] = SplitByGen(s, capacities)
@@ -196,10 +174,7 @@ func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gp
 // repayment, so counting it would drain debt without restoring the
 // user's cumulative position.
 func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int, debt map[job.UserID]float64, maxRepayFrac float64) (Allocation, map[job.UserID]float64) {
-	var total float64
-	for _, g := range gpu.Generations() {
-		total += float64(capacities[g])
-	}
+	total := totalCapacity(capacities)
 	base := Compute(tickets, demand, total)
 
 	// Demand-capped repayment targets, scaled down to the budget if
@@ -277,8 +252,8 @@ func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacitie
 func (a Allocation) Validate(demand map[job.UserID]float64, capacities map[gpu.Generation]int) error {
 	const slack = 1e-6
 	for g, tot := range a.TotalByGen() {
-		if tot > float64(capacities[g])+slack {
-			return fmt.Errorf("fairshare: generation %v over-allocated: %v > %d", g, tot, capacities[g])
+		if gen := gpu.Generation(g); tot > float64(capacities[gen])+slack {
+			return fmt.Errorf("fairshare: generation %v over-allocated: %v > %d", gen, tot, capacities[gen])
 		}
 	}
 	for u, e := range a {
@@ -287,28 +262,34 @@ func (a Allocation) Validate(demand map[job.UserID]float64, capacities map[gpu.G
 		}
 		for g, v := range e {
 			if v < -slack {
-				return fmt.Errorf("fairshare: user %s negative share on %v: %v", u, g, v)
+				return fmt.Errorf("fairshare: user %s negative share on %v: %v", u, gpu.Generation(g), v)
 			}
 		}
 	}
 	return nil
 }
 
-// JobTickets splits a user's tickets equally among their runnable
+// PerJobTickets splits a user's tickets equally among their n runnable
 // jobs, so a user cannot increase their share by splitting work into
-// more jobs (the paper's two-level ticket hierarchy). jobsPerUser maps
-// user → number of runnable jobs.
+// more jobs (the paper's two-level ticket hierarchy). A user without
+// tickets or jobs yields zero.
+func PerJobTickets(tickets float64, n int) float64 {
+	if n <= 0 || tickets <= eps {
+		return 0
+	}
+	return tickets / float64(n)
+}
+
+// JobTickets is PerJobTickets over maps: jobsPerUser maps user → number
+// of runnable jobs, and users who yield zero are left out. Like
+// AllocationSolver it has no production caller, only cmd/gfperf's
+// stride probe.
 func JobTickets(tickets map[job.UserID]float64, jobsPerUser map[job.UserID]int) map[job.UserID]float64 {
 	out := make(map[job.UserID]float64, len(jobsPerUser))
 	for u, n := range jobsPerUser {
-		if n <= 0 {
-			continue
+		if t := PerJobTickets(tickets[u], n); t > 0 {
+			out[u] = t
 		}
-		t := tickets[u]
-		if t <= eps {
-			continue
-		}
-		out[u] = t / float64(n)
 	}
 	return out
 }

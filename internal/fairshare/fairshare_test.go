@@ -147,11 +147,11 @@ func TestSplitByGen(t *testing.T) {
 	if !almost(e[gpu.K80], 8) || !almost(e[gpu.V100], 2) {
 		t.Errorf("split = %v, want K80:8 V100:2", e)
 	}
-	if len(SplitByGen(0, caps)) != 0 {
-		t.Error("zero total split nonempty")
+	if SplitByGen(0, caps) != (Entitlement{}) {
+		t.Error("zero total split nonzero")
 	}
-	if len(SplitByGen(5, nil)) != 0 {
-		t.Error("nil capacities split nonempty")
+	if SplitByGen(5, nil) != (Entitlement{}) {
+		t.Error("nil capacities split nonzero")
 	}
 }
 
@@ -189,15 +189,6 @@ func TestAllocationValidateCatchesViolations(t *testing.T) {
 	neg := Allocation{"a": {gpu.K80: -1}}
 	if neg.Validate(dm, caps) == nil {
 		t.Error("negative allocation validated")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := Allocation{"a": {gpu.K80: 1, gpu.V100: 2}}
-	b := a.Clone()
-	b["a"][gpu.K80] = 99
-	if a["a"][gpu.K80] != 1 {
-		t.Error("Clone shares storage")
 	}
 }
 

@@ -1,19 +1,3 @@
-// Dirty-set water-filling: incremental front-ends over Compute and
-// ComputeAllocation that re-solve only when an input actually changed
-// since the last solve, and return the memoized result otherwise.
-//
-// Why memoization rather than a partial re-solve: the water level
-// couples every active user — raising one user's demand can lower
-// everyone else's surplus redistribution — so a numerically sound
-// "re-solve only the dirty users" does not exist; any change to the
-// dirty set's inputs can move every share. What IS sound is exact
-// change tracking: demands are sums of integer gang widths held in
-// float64 (exact arithmetic), tickets and capacities are compared
-// bitwise, so "nothing changed" is decidable exactly, and the cached
-// result is byte-identical to what a fresh solve would produce. At
-// production scale (long-running jobs, rare arrivals) most rounds are
-// clean, so the full solve — and all its map allocation — amortizes
-// away.
 package fairshare
 
 import (
@@ -21,140 +5,15 @@ import (
 	"repro/internal/job"
 )
 
-// Solver memoizes Compute for the engine's fairness reference. The
-// caller owns the change feed: AddDemand with exact gang-width deltas
-// as jobs arrive and retire, SetTickets on operator reconfiguration,
-// SetCapacity every round (a no-op when unchanged). Shares returns the
-// cached result when no input changed since the last call; the map is
-// shared storage and must be treated read-only.
-type Solver struct {
-	tickets  map[job.UserID]float64
-	demand   map[job.UserID]float64
-	capacity float64
-
-	// clean snapshots the value each dirty key had when the cache was
-	// last valid; a key whose current value drifted back (a finish and
-	// an arrival of equal width in one round) is not really dirty.
-	cleanDemand  map[job.UserID]float64
-	cleanTickets map[job.UserID]float64
-	capDirty     bool
-
-	shares map[job.UserID]float64 //gflint:noretain solver cache, rewritten on re-solve
-	valid  bool
-
-	solves, reuses int // statistics, exposed for tests and benchmarks
-}
-
-// NewSolver returns an empty solver: no users, zero capacity.
-func NewSolver() *Solver {
-	return &Solver{
-		tickets:      make(map[job.UserID]float64),
-		demand:       make(map[job.UserID]float64),
-		cleanDemand:  make(map[job.UserID]float64),
-		cleanTickets: make(map[job.UserID]float64),
-	}
-}
-
-// AddDemand adjusts user u's demand by delta GPUs (positive on
-// arrival, negative on retirement). Demands are integer gang sums, so
-// the float arithmetic is exact and a zero demand is exactly zero.
-func (s *Solver) AddDemand(u job.UserID, delta float64) {
-	if delta == 0 {
-		return
-	}
-	old := s.demand[u]
-	if s.valid {
-		if _, seen := s.cleanDemand[u]; !seen {
-			s.cleanDemand[u] = old
-		}
-	}
-	nw := old + delta
-	if nw == 0 {
-		delete(s.demand, u)
-	} else {
-		s.demand[u] = nw
-	}
-}
-
-// SetTickets sets user u's ticket weight.
-func (s *Solver) SetTickets(u job.UserID, t float64) {
-	old, had := s.tickets[u]
-	if had && old == t {
-		return
-	}
-	if s.valid {
-		if _, seen := s.cleanTickets[u]; !seen {
-			s.cleanTickets[u] = old
-		}
-	}
-	s.tickets[u] = t
-}
-
-// SetCapacity sets the round's total available capacity.
-func (s *Solver) SetCapacity(c float64) {
-	if c == s.capacity {
-		return
-	}
-	s.capacity = c
-	s.capDirty = true
-}
-
-// dirty reports whether any input really differs from the cached
-// solve's inputs, clearing snapshot entries that drifted back.
-func (s *Solver) dirty() bool {
-	if !s.valid || s.capDirty {
-		return true
-	}
-	for u, was := range s.cleanDemand {
-		if s.demand[u] != was {
-			return true
-		}
-	}
-	for u, was := range s.cleanTickets {
-		if s.tickets[u] != was {
-			return true
-		}
-	}
-	return false
-}
-
-// Shares returns the water-fill of the current inputs, re-solving
-// only when an input changed since the last call. The returned map is
-// the solver's cache: read-only, valid until the next Shares call
-// after a change.
-//
-//gflint:noretain
-func (s *Solver) Shares() map[job.UserID]float64 {
-	if s.dirty() {
-		s.shares = Compute(s.tickets, s.demand, s.capacity)
-		s.valid = true
-		s.solves++
-	} else {
-		s.reuses++
-	}
-	s.capDirty = false
-	for u := range s.cleanDemand {
-		delete(s.cleanDemand, u)
-	}
-	for u := range s.cleanTickets {
-		delete(s.cleanTickets, u)
-	}
-	return s.shares
-}
-
-// Stats reports (full solves, cache reuses) since construction.
-func (s *Solver) Stats() (solves, reuses int) { return s.solves, s.reuses }
-
 // AllocationSolver memoizes ComputeAllocation for policies that
 // rebuild their inputs from scratch each round: Solve diffs the given
 // tickets/demand/capacities against the previous round's and returns
 // the cached Allocation when nothing changed. The returned Allocation
-// is shared storage: callers must not mutate it (trade.Run clones its
-// input, so the trading path is safe).
+// is shared storage: callers must not mutate it.
 //
-// The debt path (ComputeAllocationWithDebt) is deliberately not
-// memoized: debt rounds follow fault events, are rare, and their
-// inputs (the deficit drain) change every round by construction.
+// No production code calls it: only cmd/gfperf's
+// fairshare.alloc_resolve_us_per_call probe holds it, until the next
+// benchmark-only PR drops both (ROADMAP item 6c).
 type AllocationSolver struct {
 	tickets map[job.UserID]float64
 	demand  map[job.UserID]float64

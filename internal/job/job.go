@@ -393,16 +393,6 @@ func (j *Job) StandaloneTime(g gpu.Generation) simclock.Duration {
 	return j.TotalMB / rate
 }
 
-// RemainingTime estimates seconds to completion at full gang speed on
-// generation g; +Inf if the job cannot run there.
-func (j *Job) RemainingTime(g gpu.Generation) simclock.Duration {
-	rate := j.GangRate(g)
-	if rate <= 0 {
-		return simclock.Duration(simclock.Forever)
-	}
-	return (j.TotalMB - j.doneMB) / rate
-}
-
 // AttainedService returns total useful gang-GPU-seconds across all
 // generations (the quantity Tiresias prioritizes by).
 func (j *Job) AttainedService() float64 {

@@ -215,19 +215,6 @@ func TestStateTransitionsAndPreemptions(t *testing.T) {
 	}
 }
 
-func TestRemainingTime(t *testing.T) {
-	j := MustNew(specFixture(perfFixture()))
-	if r := j.RemainingTime(gpu.K80); math.Abs(r-1000/1.8) > 1e-9 {
-		t.Errorf("RemainingTime = %v", r)
-	}
-	p := perfFixture()
-	p.RatePerGPU[gpu.P100] = 0
-	j2 := MustNew(Spec{ID: 9, User: "a", Perf: p, Gang: 1, TotalMB: 10})
-	if r := j2.RemainingTime(gpu.P100); !math.IsInf(r, 1) && r != simclock.Duration(simclock.Forever) {
-		t.Errorf("RemainingTime on unusable gen = %v, want Forever", r)
-	}
-}
-
 func TestQuantumNotes(t *testing.T) {
 	j := MustNew(specFixture(perfFixture()))
 	if j.RanLastQuantum() {

@@ -235,14 +235,13 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 	root := repoRoot(t)
 	muts := []mutation{
 		{
-			file:  "internal/fairshare/fairshare.go",
-			pkg:   "./internal/fairshare",
-			check: "maprange",
-			old:   "for _, g := range gpu.Generations() {\n\t\tsum += float64(capacities[g])\n\t}",
-			new:   "for _, c := range capacities {\n\t\tsum += float64(c)\n\t}",
-			// int-valued RHS converted to float64 accumulates into a
-			// float: order-sensitive again.
-			flagged: "sum += float64(c)",
+			// TotalByGen summing users in map order instead of sorted.
+			file:    "internal/fairshare/fairshare.go",
+			pkg:     "./internal/fairshare",
+			check:   "maprange",
+			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {",
+			new:     "for _, e := range a {\n\t\tfor g, v := range e {",
+			flagged: "out[g] += v",
 		},
 		{
 			file:    "internal/fairshare/fairshare.go",
@@ -266,9 +265,9 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			file:    "internal/fairshare/fairshare.go",
 			pkg:     "./internal/fairshare",
 			check:   "floatsum",
-			old:     "for _, g := range gpu.Generations() {\n\t\tsum += float64(capacities[g])\n\t}",
-			new:     "var coll []float64\n\tfor _, cv := range capacities {\n\t\tcoll = append(coll, float64(cv))\n\t}\n\tfor _, cv := range coll {\n\t\tsum += cv\n\t}",
-			flagged: "sum += cv",
+			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {\n\t\t\tout[g] += v\n\t\t}\n\t}",
+			new:     "var coll []float64\n\tfor _, e := range a {\n\t\tcoll = append(coll, e[0])\n\t}\n\tfor _, cv := range coll {\n\t\tout[0] += cv\n\t}",
+			flagged: "out[0] += cv",
 		},
 		{
 			// Deleting trade.Run's defensive clone returns the caller's
@@ -276,18 +275,18 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			file:    "internal/trade/trade.go",
 			pkg:     "./internal/trade",
 			check:   "retain",
-			old:     "out := alloc.Clone()",
-			new:     "out := alloc",
+			old:     "out := maps.Clone(alloc)",
+			new:     "_ = maps.Clone[fairshare.Allocation] // keep the import\n\tout := alloc",
 			flagged: "return out, log, nil",
 		},
 		{
-			// Retaining the fairshare solver's cached map beyond the
-			// round — the noretain result contract on Shares.
+			// Retaining the reused share-sample buffer beyond the round
+			// — the noretain result contract on shareSamples.
 			file:    "internal/core/round.go",
 			pkg:     "./internal/core",
 			check:   "retain",
-			old:     "return s.fairSolver.Shares()",
-			new:     "shares := s.fairSolver.Shares()\n\tgo func() { _ = len(shares) }()\n\treturn shares",
+			old:     "err := s.runPhases(rd)\n",
+			new:     "err := s.runPhases(rd)\n\tshares := s.shareSamples()\n\tgo func() { _ = len(shares) }()\n",
 			flagged: "go func() { _ = len(shares) }()",
 		},
 		{

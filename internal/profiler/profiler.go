@@ -127,33 +127,6 @@ func (p *Profiler) Speedup(id job.ID, fast, slow gpu.Generation) (float64, bool)
 	return rf / rs, true
 }
 
-// UserSpeedup aggregates a user's speedup of fast over slow across
-// their runnable jobs, weighted by gang width (a user's marginal
-// utility for a fast GPU is what their next GPU-hour would be spent
-// on). Jobs lacking estimates on either generation are skipped; ok is
-// false when no job contributes.
-func (p *Profiler) UserSpeedup(jobs []*job.Job, fast, slow gpu.Generation) (speedup float64, ok bool) {
-	var num, den float64
-	for _, j := range jobs {
-		s, have := p.Speedup(j.ID, fast, slow)
-		if !have {
-			continue
-		}
-		w := float64(j.Gang)
-		num += w * s
-		den += w
-	}
-	if den == 0 {
-		return 0, false
-	}
-	return num / den, true
-}
-
-// Known reports whether the job has at least one observation on g.
-func (p *Profiler) Known(id job.ID, g gpu.Generation) bool {
-	return p.Samples(id, g) > 0
-}
-
 // Remove forgets a finished job.
 func (p *Profiler) Remove(id job.ID) { delete(p.recs, id) }
 

@@ -48,8 +48,8 @@ func TestUnknownQueries(t *testing.T) {
 	if _, ok := p.Rate(99, gpu.K80); ok {
 		t.Error("Rate for unknown job ok=true")
 	}
-	if p.Known(99, gpu.K80) {
-		t.Error("Known for unknown job")
+	if p.Samples(99, gpu.K80) != 0 {
+		t.Error("Samples for unknown job")
 	}
 	j := testJob("vae", 1)
 	p.Observe(j, gpu.K80)
@@ -82,7 +82,7 @@ func TestProbeAllAndSpeedup(t *testing.T) {
 	j := testJob("resnext50", 5)
 	p.ProbeAll(j)
 	for _, g := range gpu.Generations() {
-		if !p.Known(5, g) {
+		if p.Samples(5, g) == 0 {
 			t.Errorf("generation %v not probed", g)
 		}
 	}
@@ -102,10 +102,10 @@ func TestProbeAllSkipsUnusableGenerations(t *testing.T) {
 	j := job.MustNew(job.Spec{ID: 6, User: "u", Perf: perf, Gang: 1, TotalMB: 10})
 	p := MustNew(0.3, 0, 1)
 	p.ProbeAll(j)
-	if !p.Known(6, gpu.P40) {
+	if p.Samples(6, gpu.P40) == 0 {
 		t.Error("P40 not probed")
 	}
-	if p.Known(6, gpu.V100) {
+	if p.Samples(6, gpu.V100) != 0 {
 		t.Error("V100 probed despite memory misfit")
 	}
 }
@@ -123,34 +123,6 @@ func TestObserveUnusablePanics(t *testing.T) {
 	p.Observe(j, gpu.V100)
 }
 
-func TestUserSpeedupWeighting(t *testing.T) {
-	z := workload.DefaultZoo()
-	p := MustNew(0.3, 0, 1)
-	// vae (low V100 speedup ≈1.22) gang 1; resnext50 (≈4.46) gang 3.
-	j1 := job.MustNew(job.Spec{ID: 1, User: "u", Perf: z.MustGet("vae"), Gang: 1, TotalMB: 10})
-	j2 := job.MustNew(job.Spec{ID: 2, User: "u", Perf: z.MustGet("resnext50"), Gang: 3, TotalMB: 10})
-	p.ProbeAll(j1)
-	p.ProbeAll(j2)
-	s, ok := p.UserSpeedup([]*job.Job{j1, j2}, gpu.V100, gpu.K80)
-	if !ok {
-		t.Fatal("UserSpeedup unavailable")
-	}
-	s1 := j1.Perf.Speedup(gpu.V100, gpu.K80)
-	s2 := j2.Perf.Speedup(gpu.V100, gpu.K80)
-	want := (1*s1 + 3*s2) / 4
-	if math.Abs(s-want) > 1e-9 {
-		t.Fatalf("UserSpeedup = %v, want gang-weighted %v", s, want)
-	}
-	// No observations → not ok.
-	j3 := job.MustNew(job.Spec{ID: 3, User: "u", Perf: z.MustGet("lstm"), Gang: 1, TotalMB: 10})
-	if _, ok := p.UserSpeedup([]*job.Job{j3}, gpu.V100, gpu.K80); ok {
-		t.Error("UserSpeedup ok with no observed jobs")
-	}
-	if _, ok := p.UserSpeedup(nil, gpu.V100, gpu.K80); ok {
-		t.Error("UserSpeedup ok with no jobs")
-	}
-}
-
 func TestRemove(t *testing.T) {
 	p := MustNew(0.3, 0, 1)
 	j := testJob("gru", 8)
@@ -159,7 +131,7 @@ func TestRemove(t *testing.T) {
 		t.Fatalf("Len = %d", p.Len())
 	}
 	p.Remove(8)
-	if p.Len() != 0 || p.Known(8, gpu.K80) {
+	if p.Len() != 0 || p.Samples(8, gpu.K80) != 0 {
 		t.Error("Remove did not clear the record")
 	}
 	p.Remove(8) // no-op

@@ -1,13 +1,12 @@
-// Package simclock provides a deterministic discrete-event simulation
-// clock. All time in the simulator is virtual: events are callbacks
-// scheduled at absolute virtual times and executed in (time, insertion)
-// order. Nothing in this package is safe for concurrent use; the
-// simulation is single-threaded by design so that runs are
-// bit-reproducible.
+// Package simclock provides the simulation's virtual time: the Time and
+// Duration types and a clock the round engine advances quantum by
+// quantum. All time in the simulator is virtual. What happens when
+// lives in core's event cursor, not here. Nothing in this package is
+// safe for concurrent use; the simulation is single-threaded by design
+// so that runs are bit-reproducible.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -26,7 +25,7 @@ const (
 	Day    Duration = 86400
 )
 
-// Forever is a time later than any event a simulation will schedule.
+// Forever is a time later than any a simulation reaches.
 const Forever Time = Time(math.MaxFloat64)
 
 // Add returns t shifted forward by d.
@@ -44,173 +43,20 @@ func (t Time) String() string {
 	return fmt.Sprintf("%dh%02dm%04.1fs", h, m, s)
 }
 
-// Event is a scheduled callback. The zero Event is meaningless; events
-// are created by Clock.At and Clock.After and may be cancelled.
-type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 once popped or cancelled
-	cancelled bool
-}
-
-// At returns the virtual time the event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether Cancel was called on the event before it ran.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-// Clock is a discrete-event simulation clock. The zero value is not
-// usable; call New.
+// Clock is the simulation's clock. It only moves forward.
 type Clock struct {
-	now  Time
-	heap eventHeap
-	seq  uint64
-
-	// executed counts events that have run, for diagnostics.
-	executed uint64
+	now Time
 }
 
-// New returns a clock at time zero with no pending events.
+// New returns a clock at time zero.
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Pending returns the number of scheduled (non-cancelled) events.
-func (c *Clock) Pending() int {
-	n := 0
-	for _, e := range c.heap {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
-
-// Executed returns the number of events that have fired so far.
-func (c *Clock) Executed() uint64 { return c.executed }
-
-// At schedules fn to run at virtual time t. Scheduling in the past
-// (t < Now) panics: it would silently reorder causality.
-func (c *Clock) At(t Time, fn func()) *Event {
-	if t < c.now {
-		panic(fmt.Sprintf("simclock: schedule at %v before now %v", t, c.now))
-	}
-	if fn == nil {
-		panic("simclock: nil event func")
-	}
-	c.seq++
-	e := &Event{at: t, seq: c.seq, fn: fn}
-	heap.Push(&c.heap, e)
-	return e
-}
-
-// After schedules fn to run d seconds from now. Negative d panics.
-func (c *Clock) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %v", d))
-	}
-	return c.At(c.now.Add(d), fn)
-}
-
-// Cancel prevents a pending event from firing. Cancelling an event that
-// already fired or was already cancelled is a no-op.
-func (c *Clock) Cancel(e *Event) {
-	if e == nil || e.cancelled || e.index < 0 {
-		if e != nil {
-			e.cancelled = true
-		}
-		return
-	}
-	e.cancelled = true
-	heap.Remove(&c.heap, e.index)
-	e.index = -1
-}
-
-// Step runs the earliest pending event, advancing the clock to its
-// time. It returns false when no events remain.
-func (c *Clock) Step() bool {
-	for len(c.heap) > 0 {
-		e := heap.Pop(&c.heap).(*Event)
-		if e.cancelled {
-			continue
-		}
-		c.now = e.at
-		c.executed++
-		e.fn()
-		return true
-	}
-	return false
-}
-
-// Run executes events until none remain.
-func (c *Clock) Run() {
-	for c.Step() {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled exactly at t do run.
+// RunUntil advances the clock to t; a t already past leaves it alone.
 func (c *Clock) RunUntil(t Time) {
-	for {
-		next, ok := c.peek()
-		if !ok || next.at > t {
-			break
-		}
-		c.Step()
-	}
 	if t > c.now {
 		c.now = t
 	}
-}
-
-func (c *Clock) peek() (*Event, bool) {
-	for len(c.heap) > 0 {
-		e := c.heap[0]
-		if e.cancelled {
-			heap.Pop(&c.heap)
-			continue
-		}
-		return e, true
-	}
-	return nil, false
-}
-
-// NextEventTime returns the time of the earliest pending event, or
-// Forever if none is scheduled.
-func (c *Clock) NextEventTime() Time {
-	if e, ok := c.peek(); ok {
-		return e.at
-	}
-	return Forever
 }

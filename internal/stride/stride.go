@@ -232,26 +232,3 @@ func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
 // Remove forgets a job (finished or cancelled). Removing an unknown
 // job is a no-op.
 func (s *Scheduler) Remove(id job.ID) { delete(s.pass, id) }
-
-// Rebase shifts all pass values so the minimum becomes zero,
-// preventing unbounded float growth in very long simulations. Pass
-// ordering (the only thing selection uses) is unchanged.
-func (s *Scheduler) Rebase() {
-	if len(s.pass) == 0 {
-		return
-	}
-	min := 0.0
-	first := true
-	for _, p := range s.pass {
-		if first || p < min {
-			min = p
-			first = false
-		}
-	}
-	if min == 0 {
-		return
-	}
-	for id := range s.pass {
-		s.pass[id] -= min
-	}
-}

@@ -389,19 +389,6 @@ func TestPropertyTicketConvergence(t *testing.T) {
 	}
 }
 
-func TestRebasePreservesOrder(t *testing.T) {
-	s := New(GangAware)
-	s.pass[1] = 1000
-	s.pass[2] = 1500
-	s.pass[3] = 1200
-	s.Rebase()
-	if s.Pass(1) != 0 || s.Pass(2) != 500 || s.Pass(3) != 200 {
-		t.Errorf("Rebase gave %v %v %v", s.Pass(1), s.Pass(2), s.Pass(3))
-	}
-	s2 := New(GangAware)
-	s2.Rebase() // empty: no-op
-}
-
 // Property: over random candidate sets, Select never overcommits
 // capacity, never selects a job twice, and in gang-aware mode leaves
 // no selectable job behind (maximal fill w.r.t. pass order).

@@ -8,10 +8,11 @@ import (
 	"repro/internal/gpu"
 )
 
-// TestValueOfRepeatable guards the fixed-order fix in ValueOf: the
-// entitlement values span magnitudes, so summing Σ_g E(g)·v(g) in map
-// order would round differently between calls — and trades trigger on
-// strict value comparisons, so a single ULP can flip a decision.
+// TestValueOfRepeatable guards ValueOf's fixed summation order: the
+// entitlement values span magnitudes, so summing Σ_g E(g)·v(g) in a
+// varying order would round differently between calls — and trades
+// trigger on strict value comparisons, so a single ULP can flip a
+// decision.
 func TestValueOfRepeatable(t *testing.T) {
 	e := fairshare.Entitlement{}
 	var v [gpu.NumGenerations]float64

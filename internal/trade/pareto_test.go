@@ -2,6 +2,7 @@ package trade
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func TestTradingIsParetoImproving(t *testing.T) {
 				v[g] = 1 + rng.Float64()*5
 			}
 			vals[u] = v
-			e := make(fairshare.Entitlement)
+			var e fairshare.Entitlement
 			for _, g := range gpu.Generations() {
 				if rng.Intn(4) == 0 {
 					continue // no entitlement on this generation
@@ -55,7 +56,7 @@ func TestTradingIsParetoImproving(t *testing.T) {
 			dm = nil // all users backlogged: bound disabled
 		}
 
-		before := alloc.Clone()
+		before := maps.Clone(alloc)
 		beforeByGen := alloc.TotalByGen()
 		out, log, err := Run(alloc, vals, dm, Config{Policy: policy})
 		if err != nil {

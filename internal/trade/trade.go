@@ -20,6 +20,7 @@ package trade
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 
@@ -133,7 +134,7 @@ func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64
 		return nil, nil, err
 	}
 	cfg = cfg.withDefaults()
-	out := alloc.Clone()
+	out := maps.Clone(alloc)
 	var log []Trade
 
 	pairs := genPairs()
@@ -199,57 +200,87 @@ func speedupOn(vals Values, u job.UserID, fast, slow gpu.Generation) (float64, b
 	return v[fast] / v[slow], true
 }
 
-// bestTrade finds the most profitable single trade on one generation
-// pair: buyer = max-speedup user holding slow currency, seller =
-// min-speedup user holding fast entitlement.
-func bestTrade(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, fast, slow gpu.Generation, cfg Config) (Trade, bool) {
-	type cand struct {
-		u job.UserID
-		s float64
+// cand is one user's speedup on a generation pair.
+type cand struct {
+	u job.UserID
+	s float64
+}
+
+// before orders candidates for one side of a trade: buyers by speedup
+// descending (sign +1), sellers ascending (sign -1), ties by user ID. It
+// is a total order, so the best candidates are the same whatever order
+// the allocation map yields its users in.
+func (c cand) before(d cand, sign float64) bool {
+	if c.s != d.s {
+		return sign*c.s > sign*d.s
 	}
-	var buyers, sellers []cand
+	return c.u < d.u
+}
+
+// best2 keeps the first two candidates of one side under before.
+type best2 struct {
+	c [2]cand
+	n int
+}
+
+func (b *best2) offer(c cand, sign float64) {
+	switch {
+	case b.n < 2:
+		b.c[b.n] = c
+		b.n++
+	case c.before(b.c[1], sign):
+		b.c[1] = c
+	default:
+		return
+	}
+	if b.n == 2 && b.c[1].before(b.c[0], sign) {
+		b.c[0], b.c[1] = b.c[1], b.c[0]
+	}
+}
+
+// pickPair finds one generation pair's trading partners: buyer = the
+// max-speedup user holding slow currency, seller = the min-speedup
+// user holding fast entitlement. One pass keeps each side's best two,
+// the runner-up for when the extreme buyer and seller are one user.
+func pickPair(alloc fairshare.Allocation, vals Values, fast, slow gpu.Generation) (b, s cand, ok bool) {
+	var buyers, sellers best2
 	for u, e := range alloc {
-		s, ok := speedupOn(vals, u, fast, slow)
+		sp, ok := speedupOn(vals, u, fast, slow)
 		if !ok {
 			continue
 		}
 		if e[slow] > eps {
-			buyers = append(buyers, cand{u, s})
+			buyers.offer(cand{u, sp}, +1)
 		}
 		if e[fast] > eps {
-			sellers = append(sellers, cand{u, s})
+			sellers.offer(cand{u, sp}, -1)
 		}
 	}
-	if len(buyers) == 0 || len(sellers) == 0 {
-		return Trade{}, false
+	if buyers.n == 0 || sellers.n == 0 {
+		return b, s, false
 	}
-	// Deterministic extremes: ties broken by user ID.
-	sort.Slice(buyers, func(i, j int) bool {
-		if buyers[i].s != buyers[j].s {
-			return buyers[i].s > buyers[j].s
-		}
-		return buyers[i].u < buyers[j].u
-	})
-	sort.Slice(sellers, func(i, j int) bool {
-		if sellers[i].s != sellers[j].s {
-			return sellers[i].s < sellers[j].s
-		}
-		return sellers[i].u < sellers[j].u
-	})
-	b, s := buyers[0], sellers[0]
+	b, s = buyers.c[0], sellers.c[0]
 	if b.u == s.u {
 		// The extreme buyer and seller are the same user; try the
 		// next-best on either side.
-		if len(buyers) > 1 && (len(sellers) == 1 || buyers[1].s/s.s >= b.s/sellers[1].s) {
-			b = buyers[1]
-		} else if len(sellers) > 1 {
-			s = sellers[1]
+		if buyers.n > 1 && (sellers.n == 1 || buyers.c[1].s/s.s >= b.s/sellers.c[1].s) {
+			b = buyers.c[1]
+		} else if sellers.n > 1 {
+			s = sellers.c[1]
 		} else {
-			return Trade{}, false
+			return b, s, false
 		}
-		if b.u == s.u {
-			return Trade{}, false
-		}
+	}
+	return b, s, true
+}
+
+// bestTrade finds the most profitable single trade on one generation
+// pair: pickPair's partners, at a price strictly between their
+// speedups, sized by what each holds and can use.
+func bestTrade(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, fast, slow gpu.Generation, cfg Config) (Trade, bool) {
+	b, s, ok := pickPair(alloc, vals, fast, slow)
+	if !ok {
+		return Trade{}, false
 	}
 	if b.s/s.s < cfg.MinRatio {
 		return Trade{}, false
@@ -310,13 +341,14 @@ func apply(alloc fairshare.Allocation, t Trade) {
 	eb[t.Slow] -= t.SlowGPUs
 	es[t.Slow] += t.SlowGPUs
 	// Clamp the tiny negatives floating point can leave behind.
-	for _, e := range []fairshare.Entitlement{eb, es} {
+	for _, e := range []*fairshare.Entitlement{&eb, &es} {
 		for g, v := range e {
 			if v < 0 && v > -1e-6 {
 				e[g] = 0
 			}
 		}
 	}
+	alloc[t.Buyer], alloc[t.Seller] = eb, es
 }
 
 // ValueOf computes a user's throughput-valued allocation Σ_g E(g)·v(g)
@@ -324,7 +356,7 @@ func apply(alloc fairshare.Allocation, t Trade) {
 // increase for both parties.
 func ValueOf(e fairshare.Entitlement, v [gpu.NumGenerations]float64) float64 {
 	var sum float64
-	for _, g := range gpu.Generations() {
+	for g := range e {
 		sum += e[g] * v[g]
 	}
 	return sum

@@ -1,8 +1,10 @@
 package trade
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/fairshare"
@@ -33,7 +35,7 @@ func valueVec(k80, p40, p100, v100 float64) [gpu.NumGenerations]float64 {
 	return v
 }
 
-func genTotals(a fairshare.Allocation) map[gpu.Generation]float64 {
+func genTotals(a fairshare.Allocation) fairshare.Entitlement {
 	return a.TotalByGen()
 }
 
@@ -395,6 +397,94 @@ func TestPropertyParetoAndConservation(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// pickPairSorted is the specification pickPair's one pass must match:
+// every candidate collected, each side fully sorted (speedup, then
+// user ID), the heads taken, the runners-up when the heads are one
+// user. how names the branch taken; "none" means no pair.
+func pickPairSorted(alloc fairshare.Allocation, vals Values, fast, slow gpu.Generation) (b, s cand, how string) {
+	var buyers, sellers []cand
+	for u, e := range alloc {
+		sp, ok := speedupOn(vals, u, fast, slow)
+		if !ok {
+			continue
+		}
+		if e[slow] > eps {
+			buyers = append(buyers, cand{u, sp})
+		}
+		if e[fast] > eps {
+			sellers = append(sellers, cand{u, sp})
+		}
+	}
+	if len(buyers) == 0 || len(sellers) == 0 {
+		return b, s, "none"
+	}
+	sort.Slice(buyers, func(i, j int) bool {
+		if buyers[i].s != buyers[j].s {
+			return buyers[i].s > buyers[j].s
+		}
+		return buyers[i].u < buyers[j].u
+	})
+	sort.Slice(sellers, func(i, j int) bool {
+		if sellers[i].s != sellers[j].s {
+			return sellers[i].s < sellers[j].s
+		}
+		return sellers[i].u < sellers[j].u
+	})
+	b, s = buyers[0], sellers[0]
+	if b.u != s.u {
+		return b, s, "heads"
+	}
+	if len(buyers) > 1 && (len(sellers) == 1 || buyers[1].s/s.s >= b.s/sellers[1].s) {
+		return buyers[1], s, "second buyer"
+	}
+	if len(sellers) > 1 {
+		return b, sellers[1], "second seller"
+	}
+	return b, s, "none"
+}
+
+// Property: with many users sharing a few distinct speedups — so ties
+// decide nearly every comparison and the best buyer is often the best
+// seller too — pickPair's one pass over the map returns exactly the
+// pair the sorted lists would, whatever order the map yields.
+func TestPickPairMatchesSortedSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	speedups := []float64{1.5, 2, 2, 3} // few distinct values, one doubled
+	branches := map[string]int{}
+	for trial := 0; trial < 2000; trial++ {
+		alloc := fairshare.Allocation{}
+		vals := Values{}
+		for i, n := 0, 1+rng.Intn(12); i < n; i++ {
+			u := job.UserID(fmt.Sprintf("u%02d", rng.Intn(40)))
+			var e fairshare.Entitlement
+			if rng.Intn(4) > 0 {
+				e[gpu.K80] = float64(1 + rng.Intn(3))
+			}
+			if rng.Intn(4) > 0 {
+				e[gpu.V100] = float64(1 + rng.Intn(3))
+			}
+			alloc[u] = e
+			if rng.Intn(8) > 0 { // a few users unprofiled
+				vals[u] = valueVec(1, 0, 0, speedups[rng.Intn(len(speedups))])
+			}
+		}
+		wb, ws, how := pickPairSorted(alloc, vals, gpu.V100, gpu.K80)
+		branches[how]++
+		for rep := 0; rep < 4; rep++ { // fresh map iteration orders
+			b, s, ok := pickPair(alloc, vals, gpu.V100, gpu.K80)
+			if ok != (how != "none") || (ok && (b != wb || s != ws)) {
+				t.Fatalf("trial %d: one pass picked %+v/%+v ok=%v, sorted lists (%s) %+v/%+v\nalloc %v\nvals %v",
+					trial, b, s, ok, how, wb, ws, alloc, vals)
+			}
+		}
+	}
+	for _, how := range []string{"none", "heads", "second buyer", "second seller"} {
+		if branches[how] < 20 {
+			t.Errorf("inputs too tame: branch %q taken %d times of 2000 (%v)", how, branches[how], branches)
 		}
 	}
 }

@@ -250,7 +250,7 @@ func TestBatchJobsAndAssignIDs(t *testing.T) {
 	}
 	// Standalone runtime check: gang 2 resnet50 for 1 K80-hour.
 	j := job.MustNew(specs[0])
-	if r := j.RemainingTime(gpu.K80); math.Abs(r-simclock.Hour) > 1e-6 {
+	if r := j.StandaloneTime(gpu.K80); math.Abs(r-simclock.Hour) > 1e-6 {
 		t.Errorf("standalone runtime %v, want 1h", r)
 	}
 }
