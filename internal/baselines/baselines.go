@@ -45,7 +45,7 @@ func fill(ordered []*job.Job, st *core.RoundState) []placement.Request {
 
 	var run []placement.Request
 	for _, j := range ordered {
-		g, ok := pickGen(j, st.PrevGen, gens, remaining)
+		g, ok := pickGen(j, gens, remaining)
 		if !ok {
 			continue
 		}
@@ -55,8 +55,8 @@ func fill(ordered []*job.Job, st *core.RoundState) []placement.Request {
 	return run
 }
 
-func pickGen(j *job.Job, prevGen map[job.ID]gpu.Generation, gens []gpu.Generation, remaining map[gpu.Generation]int) (gpu.Generation, bool) {
-	if prev, ok := prevGen[j.ID]; ok && j.Perf.FitsOn(prev) && remaining[prev] >= j.Gang {
+func pickGen(j *job.Job, gens []gpu.Generation, remaining map[gpu.Generation]int) (gpu.Generation, bool) {
+	if prev, ok := j.LastGen(); ok && j.Perf.FitsOn(prev) && remaining[prev] >= j.Gang {
 		return prev, true
 	}
 	for _, g := range gens {
@@ -288,7 +288,7 @@ func (s *StaticQuota) Decide(st *core.RoundState) core.Decision {
 		})
 		remaining := quota[u]
 		for _, j := range js {
-			g, ok := pickGen(j, st.PrevGen, gens, remaining)
+			g, ok := pickGen(j, gens, remaining)
 			if !ok {
 				continue
 			}

@@ -158,7 +158,7 @@ type auditor struct {
 	round   int
 	now     simclock.Time
 	caps    map[gpu.Generation]int
-	busyGen map[gpu.Generation]float64
+	busyGen [gpu.NumGenerations]float64
 }
 
 func newAuditor(mode AuditMode, cluster *gpu.Cluster, quantum simclock.Duration, owners *placement.Owners) *auditor {
@@ -168,7 +168,6 @@ func newAuditor(mode AuditMode, cluster *gpu.Cluster, quantum simclock.Duration,
 		quantum: quantum,
 		owners:  owners,
 		rep:     AuditReport{Mode: mode, Counts: make(map[string]int)},
-		busyGen: make(map[gpu.Generation]float64),
 	}
 }
 
@@ -193,15 +192,21 @@ func (a *auditor) beginRound(round int, now simclock.Time, caps map[gpu.Generati
 	a.round = round
 	a.now = now
 	a.caps = caps
-	for g := range a.busyGen {
-		delete(a.busyGen, g)
-	}
+	a.busyGen = [gpu.NumGenerations]float64{}
 	a.rep.Rounds++
-	for u, t := range tickets {
-		a.rep.Checks++
-		if t < 0 {
-			a.violate(InvTickets, "user %s has %v tickets", u, t)
+	a.rep.Checks += len(tickets)
+	for _, t := range tickets {
+		if t >= 0 {
+			continue
 		}
+		// Recorded in user order, not map order: which violation is the
+		// round's first must not vary between runs.
+		for _, u := range job.SortedUsers(tickets) {
+			if t := tickets[u]; t < 0 {
+				a.violate(InvTickets, "user %s has %v tickets", u, t)
+			}
+		}
+		break
 	}
 }
 
@@ -292,36 +297,33 @@ func (a *auditor) noteBusy(gen gpu.Generation, gangSecs float64) {
 	a.busyGen[gen] += gangSecs
 }
 
-// checkCompensation audits one round of failure-compensation
-// accounting per user: repayment is non-negative, never exceeds the
-// deficit the policy was shown, and the deficit evolves exactly as
-// before + lost − repaid ≥ 0. Together these make the deficit
-// monotonically drain while the user is active and no new losses
-// accrue. users must be sorted (deterministic violation order).
-func (a *auditor) checkCompensation(users []job.UserID, before, lost, repaid, after map[job.UserID]float64) {
+// checkCompensation audits one user's round of failure-compensation
+// accounting: repayment is non-negative, never exceeds the deficit the
+// policy was shown, and the deficit evolves exactly as before + lost −
+// repaid ≥ 0. Together these make the deficit monotonically drain while
+// the user is active and no new losses accrue. The engine calls it in
+// user order (deterministic violation order).
+func (a *auditor) checkCompensation(u job.UserID, b, l, r, aft float64) {
 	if !a.on() {
 		return
 	}
 	const tol = 1e-6
-	for _, u := range users {
-		a.rep.Checks++
-		b, l, r, aft := before[u], lost[u], repaid[u], after[u]
-		if r < -tol {
-			a.violate(InvCompensation, "user %s repaid negative %v GPU-s", u, r)
-		}
-		if r > b+tol*(1+b) {
-			a.violate(InvCompensation, "user %s repaid %v GPU-s exceeds deficit %v", u, r, b)
-		}
-		want := b + l - r
-		if want < 0 {
-			want = 0
-		}
-		if diff := aft - want; diff > tol*(1+want) || diff < -tol*(1+want) {
-			a.violate(InvCompensation, "user %s deficit %v, want %v (= %v + %v − %v)", u, aft, want, b, l, r)
-		}
-		if aft < -tol {
-			a.violate(InvCompensation, "user %s negative deficit %v", u, aft)
-		}
+	a.rep.Checks++
+	if r < -tol {
+		a.violate(InvCompensation, "user %s repaid negative %v GPU-s", u, r)
+	}
+	if r > b+tol*(1+b) {
+		a.violate(InvCompensation, "user %s repaid %v GPU-s exceeds deficit %v", u, r, b)
+	}
+	want := b + l - r
+	if want < 0 {
+		want = 0
+	}
+	if diff := aft - want; diff > tol*(1+want) || diff < -tol*(1+want) {
+		a.violate(InvCompensation, "user %s deficit %v, want %v (= %v + %v − %v)", u, aft, want, b, l, r)
+	}
+	if aft < -tol {
+		a.violate(InvCompensation, "user %s negative deficit %v", u, aft)
 	}
 }
 
@@ -331,11 +333,15 @@ func (a *auditor) endRound() error {
 	if !a.on() {
 		return nil
 	}
-	for g, busy := range a.busyGen {
+	for g, busy := range a.busyGen { // generation order: the first violation is the same every run
+		if busy == 0 {
+			continue
+		}
 		a.rep.Checks++
-		bound := float64(a.caps[g]) * a.quantum
+		gen := gpu.Generation(g)
+		bound := float64(a.caps[gen]) * a.quantum
 		if busy > bound+1e-6*(1+bound) {
-			a.violate(InvConservation, "%v charged %v GPU-s, capacity %v GPU-s", g, busy, bound)
+			a.violate(InvConservation, "%v charged %v GPU-s, capacity %v GPU-s", gen, busy, bound)
 		}
 	}
 	if a.mode == AuditStrict && len(a.rep.Violations) > 0 {

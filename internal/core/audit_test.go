@@ -55,7 +55,6 @@ func TestAuditQuarantineInvariant(t *testing.T) {
 }
 
 func TestAuditCompensationInvariant(t *testing.T) {
-	users := []job.UserID{"u"}
 	cases := []struct {
 		name                      string
 		before, lost, repaid, aft float64
@@ -71,11 +70,7 @@ func TestAuditCompensationInvariant(t *testing.T) {
 	}
 	for _, tc := range cases {
 		a, _, _ := mkAuditor(t)
-		a.checkCompensation(users,
-			map[job.UserID]float64{"u": tc.before},
-			map[job.UserID]float64{"u": tc.lost},
-			map[job.UserID]float64{"u": tc.repaid},
-			map[job.UserID]float64{"u": tc.aft})
+		a.checkCompensation("u", tc.before, tc.lost, tc.repaid, tc.aft)
 		if got := a.rep.Counts[InvCompensation]; got != tc.violations {
 			t.Errorf("%s: %d violations, want %d", tc.name, got, tc.violations)
 		}
@@ -86,28 +81,53 @@ func TestAuditCompensationMonotoneDrain(t *testing.T) {
 	// While a user is active and accrues no new losses, the deficit
 	// must never rise: a round claiming it did is a violation.
 	a, _, _ := mkAuditor(t)
-	users := []job.UserID{"u"}
 	deficit := 1000.0
 	for round := 0; round < 5; round++ {
 		repaid := 150.0
 		after := deficit - repaid
-		a.checkCompensation(users,
-			map[job.UserID]float64{"u": deficit},
-			nil,
-			map[job.UserID]float64{"u": repaid},
-			map[job.UserID]float64{"u": after})
+		a.checkCompensation("u", deficit, 0, repaid, after)
 		deficit = after
 	}
 	if n := a.rep.Counts[InvCompensation]; n != 0 {
 		t.Fatalf("monotone drain flagged: %d violations", n)
 	}
 	// A deficit that grows without a loss must be flagged.
-	a.checkCompensation(users,
-		map[job.UserID]float64{"u": deficit},
-		nil,
-		nil,
-		map[job.UserID]float64{"u": deficit + 1})
+	a.checkCompensation("u", deficit, 0, 0, deficit+1)
 	if n := a.rep.Counts[InvCompensation]; n != 1 {
 		t.Fatalf("spontaneous deficit growth not flagged (violations=%d)", n)
+	}
+}
+
+// TestAuditFirstViolationIsDeterministic: a strict run aborts with the
+// round's first violation, so which one is first must not depend on map
+// order. Two generations over-charged in one round — and two users with
+// negative tickets — must name the same generation, and the same user,
+// in every one of 200 fresh auditors.
+func TestAuditFirstViolationIsDeterministic(t *testing.T) {
+	cl := gpu.MustNew(
+		gpu.Spec{Gen: gpu.K80, Servers: 1, GPUsPerSrv: 2},
+		gpu.Spec{Gen: gpu.V100, Servers: 1, GPUsPerSrv: 2},
+	)
+	caps := map[gpu.Generation]int{gpu.K80: 2, gpu.V100: 2}
+	firstOf := func(tickets map[job.UserID]float64) map[string]int {
+		seen := map[string]int{}
+		for i := 0; i < 200; i++ {
+			a := newAuditor(AuditStrict, cl, 360, placement.NewOwners(cl))
+			a.beginRound(1, 0, caps, tickets)
+			a.noteBusy(gpu.V100, 3*360)
+			a.noteBusy(gpu.K80, 3*360)
+			err := a.endRound()
+			if err == nil {
+				t.Fatal("over-charged round passed the audit")
+			}
+			seen[err.Error()]++
+		}
+		return seen
+	}
+	if seen := firstOf(nil); len(seen) != 1 {
+		t.Errorf("conservation: the aborting violation varies between runs: %v", seen)
+	}
+	if seen := firstOf(map[job.UserID]float64{"zed": -1, "amy": -2, "bob": 1, "kim": -3}); len(seen) != 1 {
+		t.Errorf("tickets: the aborting violation varies between runs: %v", seen)
 	}
 }

@@ -35,8 +35,8 @@ type Checkpoint struct {
 	Useful     map[job.UserID]float64                    `json:"useful,omitempty"`
 	FairUsage  map[job.UserID]float64                    `json:"fair_usage,omitempty"`
 	Throughput map[job.UserID]float64                    `json:"throughput,omitempty"`
-	Busy       map[gpu.Generation]float64                `json:"busy,omitempty"`
-	Capacity   map[gpu.Generation]float64                `json:"capacity,omitempty"`
+	Busy       [gpu.NumGenerations]float64               `json:"busy"`
+	Capacity   [gpu.NumGenerations]float64               `json:"capacity"`
 	Migrations int                                       `json:"migrations,omitempty"`
 	Trades     int                                       `json:"trades,omitempty"`
 }
@@ -54,8 +54,8 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		Useful:        maps.Clone(s.useful),
 		FairUsage:     maps.Clone(s.fairUsage),
 		Throughput:    maps.Clone(s.mbByUser),
-		Busy:          maps.Clone(s.busyByGen),
-		Capacity:      maps.Clone(s.capByGen),
+		Busy:          s.busyByGen,
+		Capacity:      s.capByGen,
 		Migrations:    s.recorded[trace.KindMigration],
 		Trades:        s.recorded[trace.KindTrade],
 	}
@@ -120,6 +120,9 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 			return nil, fmt.Errorf("core: checkpoint lists unfinished job %d as done", j.ID)
 		}
 		s.finished = append(s.finished, j)
+		if s.faultsOn {
+			s.compOf[j.User].jobs-- // New counted its spec as still to run
+		}
 	}
 	for id, devs := range cp.Prev {
 		if s.active[id] == nil {
@@ -137,7 +140,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		// on is its devices'.
 		s.prev[id] = slices.Clone(devs)
 		slices.Sort(s.prev[id])
-		s.prevGen[id] = cfg.Cluster.Device(devs[0]).Gen
+		s.active[id].NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
 	}
 	for u, byGen := range cp.Usage {
 		for g, v := range byGen {
@@ -150,8 +153,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	maps.Copy(s.useful, cp.Useful)
 	maps.Copy(s.fairUsage, cp.FairUsage)
 	maps.Copy(s.mbByUser, cp.Throughput)
-	maps.Copy(s.busyByGen, cp.Busy)
-	maps.Copy(s.capByGen, cp.Capacity)
+	s.busyByGen, s.capByGen = cp.Busy, cp.Capacity
 	s.recorded[trace.KindMigration], s.recorded[trace.KindTrade] = cp.Migrations, cp.Trades
 	return s, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -115,5 +117,61 @@ func TestZeroCapacityFreezesBooks(t *testing.T) {
 			t.Errorf("blackout drained debt: repaid %v -> %v (comp=%v)",
 				pre.CompRepaidGPUSeconds, post.CompRepaidGPUSeconds, !fc.DisableCompensation)
 		}
+	}
+}
+
+// TestCompensationRoundBytesIndependentOfJobs pins the compensation
+// books as per-user records: with a debt open — a server down for good,
+// its jobs stranded there by the no-migration mode, compensation off so
+// nothing is ever repaid — settling a round costs the same whether a
+// user has ten jobs waiting or a hundred. Ten users on one 80-GPU
+// generation, gang-4 jobs that never finish, so 19 jobs are scheduled a
+// round at either size; what a waiting job may cost per round is its
+// slot in the decision's request buffer and in the stride orders. That
+// measures 43 B per additional job; the presence map the forgiveness
+// check used to build, sized by active jobs, made it 111 B.
+func TestCompensationRoundBytesIndependentOfJobs(t *testing.T) {
+	perRound := func(jobsPerUser int) float64 {
+		var specs []job.Spec
+		for u := 0; u < 10; u++ {
+			specs = append(specs, workload.BatchJobs(job.UserID(fmt.Sprintf("user%02d", u)), zoo.MustGet("lstm"), jobsPerUser, 4, 1e6)...)
+		}
+		specs, _ = workload.AssignIDs(specs)
+		s, err := New(Config{
+			Cluster: k80Cluster(20, 4), Specs: specs, Seed: 3,
+			DisableMigration: true,
+			Faults:           &faults.Config{},
+			Failures:         []Failure{{Server: 0, At: simclock.Time(simclock.Hour), Duration: 1e9}},
+		}, MustNewFairPolicy(FairConfig{DisableCompensation: true}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			s.admitArrivals()
+			if err := s.runRound(); err != nil {
+				t.Fatal(err)
+			}
+			s.clock.RunUntil(s.clock.Now().Add(s.cfg.Quantum))
+		}
+		for i := 0; i < 40; i++ {
+			step()
+		}
+		if len(s.resultDeficit()) == 0 {
+			t.Fatalf("%d jobs a user: no debt open after 40 rounds, the books are not exercised", jobsPerUser)
+		}
+		const rounds = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	few, many := perRound(10), perRound(100)
+	perJob := (many - few) / (10 * (100 - 10))
+	t.Logf("faulty round with a debt open: %.0f B at 100 jobs, %.0f B at 1,000: %.1f B per additional job", few, many, perJob)
+	if perJob > 64 {
+		t.Errorf("a waiting job costs %.1f B a round, ceiling 64", perJob)
 	}
 }

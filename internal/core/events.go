@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/simclock"
@@ -15,7 +15,7 @@ import (
 // streams are known ahead of time and never receive out-of-order
 // inserts. Fault transitions, the third external stream, live in
 // faults.Sweep, which keeps its own sorted boundary list (see
-// Sweep.NextAt); the three cursors together mean a round's event
+// Sweep.Advance); the three cursors together mean a round's event
 // processing never scans a whole stream.
 //
 // Idle-quantum skipping (Sim.Run) deliberately wakes only for the
@@ -43,11 +43,9 @@ func newEventCursor(specs []job.Spec, changes []TicketChange) *eventCursor {
 		changes: make([]TicketChange, len(changes)),
 	}
 	copy(e.specs, specs)
-	sort.SliceStable(e.specs, func(i, j int) bool {
-		return e.specs[i].Arrival < e.specs[j].Arrival
-	})
+	slices.SortStableFunc(e.specs, func(a, b job.Spec) int { return a.Arrival.Compare(b.Arrival) })
 	copy(e.changes, changes)
-	sort.SliceStable(e.changes, func(i, j int) bool { return e.changes[i].At < e.changes[j].At })
+	slices.SortStableFunc(e.changes, func(a, b TicketChange) int { return a.At.Compare(b.At) })
 	return e
 }
 
@@ -80,12 +78,4 @@ func (e *eventCursor) popTicketsDue(now simclock.Time, fn func(TicketChange)) {
 // pendingCount is the number of jobs not yet admitted.
 func (e *eventCursor) pendingCount() int {
 	return len(e.specs) - e.nextSpec
-}
-
-// forEachPendingUser visits the user of every unadmitted job (with
-// repeats), for departure-forgiveness presence checks.
-func (e *eventCursor) forEachPendingUser(fn func(job.UserID)) {
-	for i := e.nextSpec; i < len(e.specs); i++ {
-		fn(e.specs[i].User)
-	}
 }

@@ -95,7 +95,7 @@ func (s *Sim) execute(rd *round, qs []Quantum) error {
 		info := s.settle(q, false)
 		rep.Ran[q.Job.ID] = info
 		if s.faultsOn {
-			rd.occ[q.Job.User] += float64(info.Gang) * info.OccupiedSecs
+			s.compOf[q.Job.User].occ += float64(info.Gang) * info.OccupiedSecs
 		}
 	}
 	s.obs.PhaseEnd(obs.PhaseExecute)
@@ -114,7 +114,8 @@ func (s *Sim) grant(q *Quantum, rd *round) {
 		d := trace.Record{At: rd.now, Kind: trace.KindDecision, Job: j.ID, User: j.User,
 			Gen: q.Gen, N: int32(j.Gang), Devs: q.Devs, Name: why.reason, X: why.before, Y: why.after}
 		if q.Migrated {
-			d.M, d.From = 1, s.prevGen[j.ID]
+			d.M = 1
+			d.From, _ = j.LastGen()
 		}
 		s.emit(d)
 	}
@@ -175,8 +176,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 	if s.faultsOn && q.Migrated {
 		// Migration serializes a checkpoint of the pre-move progress;
 		// note it before advancing so a later crash rolls back to here.
-		j.NoteCheckpoint()
-		s.lastCkpt[j.ID] = now
+		j.NoteCheckpoint(now)
 	}
 
 	used, finished := q.UsedSecs, q.Finished
@@ -196,13 +196,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 	if s.faultsOn && !finished {
 		// Periodic checkpointing: crash-restart loses at most
 		// CheckpointSecs of progress once the first interval elapses.
-		end := now.Add(quantum)
-		if last, ok := s.lastCkpt[j.ID]; !ok {
-			s.lastCkpt[j.ID] = now
-		} else if end.Sub(last) >= s.fcfg.CheckpointSecs {
-			j.NoteCheckpoint()
-			s.lastCkpt[j.ID] = end
-		}
+		j.PeriodicCheckpoint(now, now.Add(quantum), s.fcfg.CheckpointSecs)
 	}
 
 	s.addUsage(j.User, gen, gang*occupied)

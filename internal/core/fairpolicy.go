@@ -90,8 +90,7 @@ type FairPolicy struct {
 	backfill *stride.Scheduler
 
 	round     int
-	noMigrate bool            // engine refuses migrations this run
-	pinned    map[job.ID]bool // jobs in migration-failure backoff this round
+	noMigrate bool // engine refuses migrations this run
 
 	// Decide's scratch, kept across rounds and cleared, never rebuilt.
 	active  []*userState           //gflint:noretain the round's users; in pass 1's serve order once sorted
@@ -189,7 +188,6 @@ func (p *FairPolicy) Name() string {
 func (p *FairPolicy) Decide(st *RoundState) Decision {
 	p.round++
 	p.noMigrate = st.MigrationDisabled
-	p.pinned = st.Pinned
 	p.group(st.Jobs)
 	caps := st.CapacityByGen()
 
@@ -294,7 +292,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		} else {
 			st.Obs.Explain(j.ID, "backfill", c, c)
 		}
-		if prev, ok := st.PrevGen[j.ID]; ok && prev != g {
+		if prev, ok := j.LastGen(); ok && prev != g {
 			js.lastMig = p.round
 		}
 		p.granted = append(p.granted, js)
@@ -333,7 +331,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		p.candBuf = cands
 		for _, id := range us.sched.Order(cands) {
 			js := p.jobs[id]
-			if g, ok := p.pickGen(js, st.PrevGen, pref, &remaining); ok {
+			if g, ok := p.pickGen(js, pref, &remaining); ok {
 				schedule(js, g, true)
 			}
 		}
@@ -354,7 +352,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 				// Backfill uses a short cooldown: moving an otherwise
 				// idle job onto idle capacity is a one-way move, not
 				// thrash, so only back-to-back flapping is blocked.
-				if js.granted || !js.job.Perf.FitsOn(g) || !p.genAllowed(js, st.PrevGen, g, backfillCooldown) {
+				if js.granted || !js.job.Perf.FitsOn(g) || !p.genAllowed(js, g, backfillCooldown) {
 					continue
 				}
 				cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets})
@@ -419,14 +417,14 @@ func (p *FairPolicy) newJobState(j *job.Job) *jobState {
 // the user's preferred generations, each requiring the job to fit,
 // sufficient credit, remaining capacity, and the migration cooldown for
 // generation changes.
-func (p *FairPolicy) pickGen(js *jobState, prevGen map[job.ID]gpu.Generation, pref []gpu.Generation, remaining *[gpu.NumGenerations]int) (gpu.Generation, bool) {
+func (p *FairPolicy) pickGen(js *jobState, pref []gpu.Generation, remaining *[gpu.NumGenerations]int) (gpu.Generation, bool) {
 	j := js.job
 	try := func(g gpu.Generation) bool {
 		return j.Perf.FitsOn(g) && remaining[g] >= j.Gang &&
 			js.user.credit[g] >= float64(j.Gang)-1e-9 &&
-			p.genAllowed(js, prevGen, g, p.cfg.MigrationCooldown)
+			p.genAllowed(js, g, p.cfg.MigrationCooldown)
 	}
-	if prev, ok := prevGen[j.ID]; ok && try(prev) {
+	if prev, ok := j.LastGen(); ok && try(prev) {
 		return prev, true
 	}
 	for _, g := range pref {
@@ -444,12 +442,12 @@ const backfillCooldown = 2
 // genAllowed enforces the migration cooldown: a job may change
 // generation only if it has not changed within the last cooldown
 // rounds.
-func (p *FairPolicy) genAllowed(js *jobState, prevGen map[job.ID]gpu.Generation, g gpu.Generation, cooldown int) bool {
-	prev, ok := prevGen[js.job.ID]
+func (p *FairPolicy) genAllowed(js *jobState, g gpu.Generation, cooldown int) bool {
+	prev, ok := js.job.LastGen()
 	if !ok || prev == g {
 		return true
 	}
-	if p.noMigrate || p.pinned[js.job.ID] {
+	if p.noMigrate || js.job.Pinned() {
 		return false
 	}
 	return p.round-js.lastMig >= cooldown

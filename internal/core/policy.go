@@ -30,7 +30,11 @@ type RoundState struct {
 	// Jobs lists all runnable (arrived, unfinished) jobs in ID order.
 	// Policies must not mutate them or the slice, and must not retain
 	// the slice past Decide — it is the engine's own live list, which
-	// it compacts in place when jobs retire.
+	// it compacts in place when jobs retire. What a migration-aware
+	// decision needs to know about a job is on the job: LastGen is the
+	// generation it last ran on, and while Pinned (migration-failure
+	// backoff) the engine will refuse to move it, so policies should
+	// only fund it there.
 	//gflint:noretain the engine's live list, compacted in place every round
 	Jobs []*job.Job
 
@@ -39,10 +43,6 @@ type RoundState struct {
 
 	// Prof exposes profiled throughput estimates.
 	Prof *profiler.Profiler
-
-	// PrevGen maps each job to the generation it last ran on (absent
-	// for never-run jobs) — for migration-aware decisions.
-	PrevGen map[job.ID]gpu.Generation
 
 	// MigrationDisabled tells policies the engine will refuse to move
 	// previously-run jobs, so they should not request generation
@@ -58,11 +58,6 @@ type RoundState struct {
 	// cool-off). Disjoint concern from Down — a server can be in
 	// either or both; CapacityByGen subtracts the union once.
 	Quarantined map[gpu.ServerID]bool
-
-	// Pinned marks jobs in migration-failure backoff: the engine will
-	// refuse to move them this round, so policies should only fund
-	// them on their previous generation.
-	Pinned map[job.ID]bool
 
 	// Deficit is each user's outstanding failure-compensation debt in
 	// occupied GPU-seconds (GPU time lost to faults, not yet repaid).

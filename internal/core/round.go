@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/fairshare"
 	"repro/internal/faults"
@@ -23,12 +22,10 @@ type round struct {
 	// Servers out this round: down is physically failed or unreachable,
 	// quar quarantined, unavail their union (what placement excludes).
 	down, quar, unavail map[gpu.ServerID]bool
-	pinned              map[job.ID]bool        // jobs in migration-failure backoff
 	deficit             map[job.UserID]float64 // compensation debt as of the round start
 	caps                map[gpu.Generation]int // capacity net of unavail
 	res                 placement.Result       // this round's placement
 	repaid              map[job.UserID]float64 // the decision's declared repayments
-	fair, loss, occ     map[job.UserID]float64 // fault model only: reference entitlement, fault loss, occupied
 }
 
 // runRound executes one scheduling quantum and closes it on every path:
@@ -88,7 +85,7 @@ func (s *Sim) runPhases(rd *round) error {
 }
 
 // beginRound applies the events due — ticket changes, fault
-// transitions, job crashes, backoff expiry — and assembles what the
+// transitions, backoff expiry, job crashes — and assembles what the
 // policy sees.
 //
 //gflint:noretain
@@ -115,11 +112,11 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 
 	// Job crash-restart draws, in job-ID order: the injector consumes
 	// one draw per job that held GPUs last quantum, so the visiting
-	// order is part of the seed contract.
+	// order is part of the seed contract. The same walk lapses the
+	// migration-failure pins that have run out.
 	if s.faultsOn {
-		rd.loss = make(map[job.UserID]float64)
-		rd.occ = make(map[job.UserID]float64)
 		for _, j := range s.jobs {
+			j.RefreshPin(s.rounds)
 			if j.Finished() || !j.RanLastQuantum() {
 				continue
 			}
@@ -129,27 +126,18 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 					X: lost, N: int32(j.Crashes())})
 			}
 		}
-	}
-
-	// The policy sees the deficit as of the round start; losses accrued
-	// this round become visible (and repayable) next round.
-	if len(s.compDeficit) > 0 {
-		rd.deficit = make(map[job.UserID]float64, len(s.compDeficit))
-		for u, d := range s.compDeficit {
-			rd.deficit[u] = d
+		// The books open on a new round. The policy sees the debt as of
+		// the round start; losses accrued this round become visible (and
+		// repayable) next round.
+		if s.compOpen > 0 {
+			rd.deficit = make(map[job.UserID]float64, s.compOpen)
 		}
-	}
-
-	// Migration-failure backoff pinning, expiring lapsed entries.
-	if len(s.pinnedUntil) > 0 {
-		rd.pinned = make(map[job.ID]bool, len(s.pinnedUntil))
-		s.pinBuf = sortedJobIDsInt(s.pinnedUntil, s.pinBuf)
-		for _, id := range s.pinBuf {
-			if s.rounds > s.pinnedUntil[id] {
-				delete(s.pinnedUntil, id)
-				continue
+		for i := range s.comp {
+			c := &s.comp[i]
+			c.loss, c.occ = 0, 0
+			if c.debt > 0 {
+				rd.deficit[c.user] = c.debt
 			}
-			rd.pinned[id] = true
 		}
 	}
 
@@ -160,12 +148,10 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		Jobs:    s.jobs,
 		Tickets: s.tickets,
 		Prof:    s.prof,
-		PrevGen: s.prevGen,
 
 		MigrationDisabled: s.cfg.DisableMigration,
 		Down:              rd.down,
 		Quarantined:       rd.quar,
-		Pinned:            rd.pinned,
 		Deficit:           rd.deficit,
 		Obs:               s.robs,
 	}
@@ -188,14 +174,11 @@ func (s *Sim) fairReference(rd *round) {
 		availTotal += float64(rd.caps[g])
 	}
 	shares := fairshare.Compute(s.tickets, s.demand, availTotal)
-	if s.faultsOn {
-		rd.fair = make(map[job.UserID]float64, len(shares))
-	}
 	for u, sh := range shares {
 		s.fairUsage[u] += sh * s.cfg.Quantum
-		if rd.fair != nil {
-			rd.fair[u] = sh * s.cfg.Quantum
-		}
+	}
+	for i := range s.comp {
+		s.comp[i].fair = shares[s.comp[i].user] * s.cfg.Quantum
 	}
 	s.obs.PhaseEnd(obs.PhaseWaterfill)
 }
@@ -236,7 +219,7 @@ func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Reque
 func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 	s.obs.PhaseStart(obs.PhasePlacement)
 	rd.res = s.place(rd.unavail, reqs,
-		placement.Options{AllowMigration: !s.cfg.DisableMigration, Pinned: rd.pinned})
+		placement.Options{AllowMigration: !s.cfg.DisableMigration})
 	qs := s.quanta[:0]
 	s.owners.Begin()
 	for i, j := range s.jobs {
@@ -274,13 +257,12 @@ func (s *Sim) failMigrations(rd *round) {
 	if s.finj != nil && len(res.Migrated) > 0 {
 		kept := res.Migrated[:0]
 		for _, id := range res.Migrated {
+			j := s.active[id]
 			if !s.finj.MigrationFails() {
 				kept = append(kept, id)
-				delete(s.migFails, id)
-				delete(s.pinnedUntil, id)
+				j.ClearMigrationFailures()
 				continue
 			}
-			j := s.active[id]
 			devs := res.Assignment[id]
 			gen := s.cfg.Cluster.Device(devs[0]).Gen
 			gang := float64(j.Gang)
@@ -296,16 +278,17 @@ func (s *Sim) failMigrations(rd *round) {
 			s.busyByGen[gen] += gang * cost
 			s.tl.Add(rd.now, j.User, gang*cost)
 			s.aud.noteBusy(gen, gang*cost)
-			rd.occ[j.User] += gang * cost
-			rd.loss[j.User] += gang * (s.cfg.Quantum - cost)
-			s.migFails[id]++
-			backoff := faults.Backoff(s.fcfg, s.migFails[id])
-			s.pinnedUntil[id] = s.rounds + backoff
+			books := s.compOf[j.User]
+			books.occ += gang * cost
+			books.loss += gang * (s.cfg.Quantum - cost)
+			fails := j.MigrationFailures() + 1
+			backoff := faults.Backoff(s.fcfg, fails)
+			j.NoteMigrationFailed(s.rounds + backoff)
 			migFailed = append(migFailed, id)
 			delete(res.Assignment, id)
 			res.Unplaced = append(res.Unplaced, id)
 			s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: id, User: j.User,
-				N: int32(s.migFails[id]), M: int32(backoff), X: cost})
+				N: int32(fails), M: int32(backoff), X: cost})
 		}
 		res.Migrated = kept
 		slices.Sort(res.Unplaced)
@@ -351,7 +334,7 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 		if q != nil {
 			if old := s.prev[id]; len(old) == 0 || &old[0] != &q.Devs[0] {
 				s.prev[id] = q.Devs
-				s.prevGen[id] = q.Gen
+				j.NoteDispatch(q.Gen)
 			}
 		}
 		// ran: the quantum was placed and its executor answered for it.
@@ -361,8 +344,7 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			if s.faultsOn {
 				// Suspension serializes the job (Gandiva's suspend is
 				// checkpoint-based), so its progress becomes durable.
-				j.NoteCheckpoint()
-				s.lastCkpt[id] = rd.now
+				j.NoteCheckpoint(rd.now)
 			}
 		}
 		if s.faultsOn && !ran {
@@ -373,7 +355,7 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, id); !migFailedNow {
 				for _, d := range s.prev[id] {
 					if rd.unavail[s.cfg.Cluster.Device(d).Server] {
-						rd.loss[j.User] += float64(j.Gang) * s.cfg.Quantum
+						s.compOf[j.User].loss += float64(j.Gang) * s.cfg.Quantum
 						break
 					}
 				}
@@ -397,19 +379,17 @@ func (s *Sim) retireJob(j *job.Job) {
 	delete(s.active, id)
 	s.demand[j.User] -= float64(j.Gang)
 	delete(s.prev, id)
-	delete(s.prevGen, id)
 	if s.faultsOn {
-		delete(s.migFails, id)
-		delete(s.pinnedUntil, id)
-		delete(s.lastCkpt, id)
+		s.compOf[j.User].jobs--
 	}
 }
 
-// settleCompensation closes the round's failure-compensation books:
-// each user's raw fault loss is capped at their share shortfall,
-// repayments drain the debt, this round's fault losses add to it, the
-// auditor checks the arithmetic, and users who have fully departed are
-// forgiven. Gauges are refreshed last.
+// settleCompensation closes the round's failure-compensation books, one
+// pass over the records in user order: each user's raw fault loss is
+// capped at their share shortfall, repayments drain the debt, this
+// round's fault losses add to it, the auditor checks the arithmetic, and
+// users who have fully departed are forgiven. A user with no debt, no
+// loss and no declared repayment is not on the round's books at all.
 //
 // Repayment is recognized by materialization, not by grant: when the
 // policy participates in compensation (Decision.Repaid non-nil), a
@@ -421,83 +401,44 @@ func (s *Sim) retireJob(j *job.Job) {
 // (fragmentation, pinned jobs) and retires it exactly as fast as the
 // user actually catches up.
 func (s *Sim) settleCompensation(rd *round) {
-	lost, repaid, fair, occ := rd.loss, rd.repaid, rd.fair, rd.occ
-	// Cap each user's raw fault loss at their actual share shortfall
-	// this round (fair entitlement minus occupied time). A user whose
-	// other jobs soaked up their full water-filled share lost nothing
-	// in the fairness currency, and compensating the per-job loss
-	// anyway would push them above the reference.
-	for _, u := range job.SortedUsers(lost) {
-		shortfall := fair[u] - occ[u]
-		if shortfall < 0 {
-			shortfall = 0
+	for i := range s.comp {
+		c := &s.comp[i]
+		// Cap the raw fault loss at the user's actual share shortfall this
+		// round (fair entitlement minus occupied time). A user whose
+		// other jobs soaked up their full water-filled share lost nothing
+		// in the fairness currency, and compensating the per-job loss
+		// anyway would push them above the reference.
+		lost := min(c.loss, max(c.fair-c.occ, 0))
+		_, declared := rd.repaid[c.user]
+		if c.debt == 0 && lost == 0 && !declared {
+			continue // nothing on this user's books this round
 		}
-		if lost[u] > shortfall {
-			lost[u] = shortfall
-		}
-		if lost[u] <= 0 {
-			delete(lost, u)
-		}
-	}
-	users := make(map[job.UserID]float64, len(s.compDeficit)+len(lost)+len(repaid))
-	for u := range s.compDeficit {
-		users[u] = 0
-	}
-	for u := range lost {
-		users[u] = 0
-	}
-	for u := range repaid {
-		users[u] = 0
-	}
-	if len(users) == 0 {
-		return
-	}
-	sorted := job.SortedUsers(users)
-	before := make(map[job.UserID]float64, len(sorted))
-	clamped := make(map[job.UserID]float64, len(sorted))
-	after := make(map[job.UserID]float64, len(sorted))
-	for _, u := range sorted {
-		b := s.compDeficit[u]
-		before[u] = b
+		before := c.debt
 		var r float64
-		if repaid != nil && b > 0 {
-			if r = occ[u] - fair[u]; r < 0 {
-				r = 0
-			}
-			if r > b {
-				r = b
-			}
+		if rd.repaid != nil && before > 0 {
+			r = min(max(c.occ-c.fair, 0), before)
 		}
-		clamped[u] = r
-		d := b + lost[u] - r
-		if d <= 1e-9 {
-			d = 0
-		}
-		after[u] = d
-		if d == 0 {
-			delete(s.compDeficit, u)
-		} else {
-			s.compDeficit[u] = d
+		c.debt = before + lost - r
+		if c.debt <= 1e-9 {
+			c.debt = 0
 		}
 		s.compRepaid += r
-		s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: u, X: d, Y: r})
+		s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: c.user, X: c.debt, Y: r})
+		s.aud.checkCompensation(c.user, before, lost, r, c.debt)
 	}
-	s.aud.checkCompensation(sorted, before, lost, clamped, after)
 	// Forgive debt of users with no jobs left in the system — there is
 	// no demand to repay into, and carrying the deficit forever would
 	// poison the monotone-drain invariant for reappearing user names.
-	if len(s.compDeficit) == 0 {
-		return
-	}
-	present := make(map[job.UserID]bool, len(s.active))
-	for _, j := range s.active {
-		present[j.User] = true
-	}
-	s.evq.forEachPendingUser(func(u job.UserID) { present[u] = true })
-	for _, u := range job.SortedUsers(s.compDeficit) {
-		if !present[u] {
-			delete(s.compDeficit, u)
-			s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: u})
+	// What stays owed is what the next round's policy is shown.
+	s.compOpen = 0
+	for i := range s.comp {
+		switch c := &s.comp[i]; {
+		case c.debt == 0:
+		case c.jobs > 0:
+			s.compOpen++
+		default:
+			c.debt = 0
+			s.emit(trace.Record{At: rd.now, Kind: trace.KindComp, User: c.user})
 		}
 	}
 }
@@ -587,17 +528,6 @@ func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
 		down[sid] = true
 	}
 	return down
-}
-
-// sortedJobIDsInt collects m's keys sorted ascending into buf
-// (reused; contents overwritten).
-func sortedJobIDsInt(m map[job.ID]int, buf []job.ID) []job.ID {
-	ids := buf[:0]
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // checkDecision enforces the policy contract: known runnable jobs,

@@ -159,25 +159,22 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: duplicate job ID %d", c.Specs[i].ID)
 		}
 		seen[c.Specs[i].ID] = true
-		fits := false
+		// A gang runs on devices of a single generation, so it must
+		// fit within some one generation it can use — total cluster
+		// size is not enough.
+		fits, placeable := false, false
 		for _, g := range c.Cluster.GensPresent() {
-			if c.Specs[i].Perf.FitsOn(g) {
-				fits = true
+			if !c.Specs[i].Perf.FitsOn(g) {
+				continue
+			}
+			fits = true
+			if c.Specs[i].Gang <= c.Cluster.Capacity(g) {
+				placeable = true
 				break
 			}
 		}
 		if !fits {
 			return fmt.Errorf("core: job %d fits no generation in the cluster", c.Specs[i].ID)
-		}
-		// A gang runs on devices of a single generation, so it must
-		// fit within some one generation it can use — total cluster
-		// size is not enough.
-		placeable := false
-		for _, g := range c.Cluster.GensPresent() {
-			if c.Specs[i].Perf.FitsOn(g) && c.Specs[i].Gang <= c.Cluster.Capacity(g) {
-				placeable = true
-				break
-			}
 		}
 		if !placeable {
 			return fmt.Errorf("core: job %d gang %d exceeds every usable generation's capacity",
@@ -411,7 +408,6 @@ type Sim struct {
 	rd           round           //gflint:noretain the running round's working state
 	quanta       []Quantum       //gflint:noretain the round's execute list
 	migFailedBuf []job.ID        //gflint:noretain per-round scratch: the round's failed movers, sorted
-	pinBuf       []job.ID        //gflint:noretain per-round scratch
 	seenBuf      map[job.ID]bool //gflint:noretain checkDecision's duplicate set, cleared per round
 	execRep      ExecReport      //gflint:noretain the report handed to Policy.Executed; Ran is cleared per round
 
@@ -420,15 +416,17 @@ type Sim struct {
 	// retirement to the round's sweep.
 	executing bool
 
-	prev    placement.Assignment
-	prevGen map[job.ID]gpu.Generation
+	// prev is where each unfinished job last held devices; the generation
+	// of those devices, like the rest of a job's round-to-round state
+	// (migration backoff, checkpoint clock), is on its job.Job.
+	prev placement.Assignment
 
 	usage     map[job.UserID]map[gpu.Generation]float64
 	useful    map[job.UserID]float64
 	fairUsage map[job.UserID]float64
 	mbByUser  map[job.UserID]float64
-	busyByGen map[gpu.Generation]float64
-	capByGen  map[gpu.Generation]float64
+	busyByGen [gpu.NumGenerations]float64
+	capByGen  [gpu.NumGenerations]float64
 	recorded  map[trace.Kind]int // how often each kind was emitted
 	rounds    int
 	aud       *auditor
@@ -450,11 +448,23 @@ type Sim struct {
 	finj        *faults.Injector
 	breaker     *faults.Breaker
 
-	migFails    map[job.ID]int           // consecutive failed migration attempts
-	pinnedUntil map[job.ID]int           // migration backoff: pinned while rounds ≤ value
-	lastCkpt    map[job.ID]simclock.Time // last durable checkpoint time
-	compDeficit map[job.UserID]float64   // occupied GPU-seconds owed per user
-	compRepaid  float64                  // total GPU-seconds repaid
+	// The failure-compensation books: one record per user of the
+	// workload, in user order, and the index from a user to theirs.
+	comp       []compBooks
+	compOf     map[job.UserID]*compBooks
+	compOpen   int     // records with debt on them
+	compRepaid float64 // total GPU-seconds repaid
+}
+
+// compBooks is one user's failure-compensation record.
+type compBooks struct {
+	user job.UserID
+	debt float64 // occupied GPU-seconds owed
+	jobs int     // jobs not yet finished, arrived or not; at zero the debt is forgiven
+
+	// The running round's: the fairness reference's share, the raw fault
+	// loss and the occupied time, all in GPU-seconds.
+	fair, loss, occ float64
 }
 
 // New builds a simulation for a policy: the engine with the simulated
@@ -496,13 +506,10 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		pidx:      placement.NewIndex(cfg.Cluster),
 		demand:    make(map[job.UserID]float64),
 		prev:      placement.Assignment{},
-		prevGen:   make(map[job.ID]gpu.Generation),
 		usage:     make(map[job.UserID]map[gpu.Generation]float64),
 		useful:    make(map[job.UserID]float64),
 		fairUsage: make(map[job.UserID]float64),
 		mbByUser:  make(map[job.UserID]float64),
-		busyByGen: make(map[gpu.Generation]float64),
-		capByGen:  make(map[gpu.Generation]float64),
 		recorded:  make(map[trace.Kind]int),
 		down:      make(map[gpu.ServerID]bool),
 		owners:    owners,
@@ -522,10 +529,6 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		s.fcfg = cfg.Faults.WithDefaults()
 		s.finj = faults.NewInjector(*cfg.Faults, cfg.Quantum, cfg.Seed)
 		s.breaker = faults.NewBreaker(*cfg.Faults)
-		s.migFails = make(map[job.ID]int)
-		s.pinnedUntil = make(map[job.ID]int)
-		s.lastCkpt = make(map[job.ID]simclock.Time)
-		s.compDeficit = make(map[job.UserID]float64)
 	}
 	if cfg.TraceCap > 0 {
 		s.log.SetCap(cfg.TraceCap)
@@ -548,6 +551,17 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		}
 	}
 	s.users = job.SortedUsers(s.tickets)
+	if s.faultsOn {
+		s.comp = make([]compBooks, len(s.users))
+		s.compOf = make(map[job.UserID]*compBooks, len(s.users))
+		for i, u := range s.users {
+			s.comp[i].user = u
+			s.compOf[u] = &s.comp[i]
+		}
+		for i := range cfg.Specs {
+			s.compOf[cfg.Specs[i].User].jobs++
+		}
+	}
 	return s, nil
 }
 
@@ -695,9 +709,11 @@ func (s *Sim) resultDeficit() map[job.UserID]float64 {
 	if !s.faultsOn {
 		return nil
 	}
-	out := make(map[job.UserID]float64, len(s.compDeficit))
-	for u, d := range s.compDeficit {
-		out[u] = d
+	out := make(map[job.UserID]float64, s.compOpen)
+	for i := range s.comp {
+		if c := &s.comp[i]; c.debt > 0 {
+			out[c.user] = c.debt
+		}
 	}
 	return out
 }
@@ -740,14 +756,13 @@ func (s *Sim) Result() *Result {
 		return s.finished[i].ID < s.finished[j].ID
 	})
 	var busy, capTotal float64
-	utilByGen := make(map[gpu.Generation]metrics.Utilization, len(s.capByGen))
-	for _, g := range gpu.Generations() {
-		c, ok := s.capByGen[g]
-		if !ok {
-			continue
+	utilByGen := make(map[gpu.Generation]metrics.Utilization, gpu.NumGenerations)
+	for g, c := range s.capByGen {
+		if c == 0 {
+			continue // never had capacity
 		}
 		b := s.busyByGen[g]
-		utilByGen[g] = metrics.Utilization{BusyGPUSeconds: b, CapacityGPUSeconds: c}
+		utilByGen[gpu.Generation(g)] = metrics.Utilization{BusyGPUSeconds: b, CapacityGPUSeconds: c}
 		busy += b
 		capTotal += c
 	}

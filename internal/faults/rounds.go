@@ -56,12 +56,3 @@ func (s *RoundSet) Active(r int) bool {
 
 // Empty reports whether no round is covered.
 func (s *RoundSet) Empty() bool { return len(s.spans) == 0 }
-
-// Bounds returns the first and one-past-last covered round (0,0 when
-// empty).
-func (s *RoundSet) Bounds() (from, to int) {
-	if len(s.spans) == 0 {
-		return 0, 0
-	}
-	return s.spans[0].From, s.spans[len(s.spans)-1].To
-}

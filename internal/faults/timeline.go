@@ -217,16 +217,6 @@ func NewSweep(tl *Timeline) *Sweep {
 	return sw
 }
 
-// NextAt returns the time of the next pending span boundary, or
-// ok=false when the schedule is exhausted. The engine's event cursor
-// uses it to reason about when fault state can next change.
-func (sw *Sweep) NextAt() (simclock.Time, bool) {
-	if sw.evIdx >= len(sw.boundaries) {
-		return 0, false
-	}
-	return sw.boundaries[sw.evIdx].at, true
-}
-
 // Transition describes one server changing state between two samples.
 type Transition struct {
 	Server gpu.ServerID

@@ -8,10 +8,7 @@
 // without synchronization.
 package gpu
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Generation identifies a GPU hardware generation. Order matters:
 // higher values are newer/faster generations, which the trading
@@ -122,6 +119,7 @@ type Cluster struct {
 	devices []Device // indexed by DeviceID
 	byGen   [numGenerations][]DeviceID
 	srvGen  [numGenerations][]ServerID
+	present []Generation // generations with at least one GPU, oldest first
 }
 
 // New builds a cluster from server specs. Device and server IDs are
@@ -150,6 +148,11 @@ func New(specs ...Spec) (*Cluster, error) {
 	}
 	if len(c.devices) == 0 {
 		return nil, fmt.Errorf("gpu: empty cluster")
+	}
+	for g, devs := range c.byGen {
+		if len(devs) > 0 {
+			c.present = append(c.present, Generation(g))
+		}
 	}
 	return c, nil
 }
@@ -231,24 +234,14 @@ func (c *Cluster) Capacity(g Generation) int {
 }
 
 // GensPresent returns the generations with at least one GPU, oldest
-// first.
-func (c *Cluster) GensPresent() []Generation {
-	var out []Generation
-	for _, g := range Generations() {
-		if len(c.byGen[g]) > 0 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
+// first. Callers must not mutate the returned slice.
+func (c *Cluster) GensPresent() []Generation { return c.present }
 
 // String summarizes the inventory, e.g.
 // "cluster{K80:48 P40:48 P100:56 V100:48 | 50 servers}".
 func (c *Cluster) String() string {
-	gens := c.GensPresent()
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
 	s := "cluster{"
-	for i, g := range gens {
+	for i, g := range c.present {
 		if i > 0 {
 			s += " "
 		}

@@ -26,6 +26,17 @@ type Checkpoint struct {
 	EverRan      bool
 	CkptMB       float64
 	Crashes      int
+
+	// Where the job last held devices, its periodic-checkpoint clock and
+	// its migration-failure backoff (see the accessors on Job). Whether
+	// the pin holds in a given round is not saved: the engine settles it
+	// at every round start.
+	Placed      bool
+	LastGen     gpu.Generation
+	CkptOpen    bool
+	CkptAt      simclock.Time
+	MigFails    int32
+	PinnedUntil int32
 }
 
 // Checkpoint captures the job's current state.
@@ -44,6 +55,12 @@ func (j *Job) Checkpoint() Checkpoint {
 		EverRan:      j.everRan,
 		CkptMB:       j.ckptMB,
 		Crashes:      j.crashes,
+		Placed:       j.placed,
+		LastGen:      gpu.Generation(j.lastGen),
+		CkptOpen:     j.ckptOpen,
+		CkptAt:       j.ckptAt,
+		MigFails:     j.migFails,
+		PinnedUntil:  j.pinnedUntil,
 	}
 }
 
@@ -81,19 +98,31 @@ func FromCheckpoint(cp Checkpoint) (*Job, error) {
 	if cp.Crashes < 0 {
 		return nil, fmt.Errorf("job %d: checkpoint with negative crash count", cp.Spec.ID)
 	}
+	if !cp.LastGen.Valid() {
+		return nil, fmt.Errorf("job %d: checkpoint last ran on invalid generation %d", cp.Spec.ID, cp.LastGen)
+	}
+	if cp.MigFails < 0 || cp.PinnedUntil < 0 {
+		return nil, fmt.Errorf("job %d: checkpoint with negative migration backoff", cp.Spec.ID)
+	}
 	return &Job{
-		Spec:       cp.Spec,
-		state:      cp.State,
-		doneMB:     cp.DoneMB,
-		finish:     cp.Finish,
-		gpuSecs:    cp.GPUSecs,
-		overheadS:  cp.OverheadSecs,
-		migrations: cp.Migrations,
-		preempts:   cp.Preemptions,
-		lastRan:    cp.LastRan,
-		firstRun:   cp.FirstRun,
-		everRan:    cp.EverRan,
-		ckptMB:     cp.CkptMB,
-		crashes:    cp.Crashes,
+		Spec:        cp.Spec,
+		state:       cp.State,
+		doneMB:      cp.DoneMB,
+		finish:      cp.Finish,
+		gpuSecs:     cp.GPUSecs,
+		overheadS:   cp.OverheadSecs,
+		migrations:  cp.Migrations,
+		preempts:    cp.Preemptions,
+		lastRan:     cp.LastRan,
+		firstRun:    cp.FirstRun,
+		everRan:     cp.EverRan,
+		ckptMB:      cp.CkptMB,
+		crashes:     cp.Crashes,
+		placed:      cp.Placed,
+		lastGen:     int8(cp.LastGen),
+		ckptOpen:    cp.CkptOpen,
+		ckptAt:      cp.CkptAt,
+		migFails:    int32(cp.MigFails),
+		pinnedUntil: int32(cp.PinnedUntil),
 	}, nil
 }

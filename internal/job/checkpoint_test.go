@@ -23,6 +23,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	j.AddOverhead(3)
 	j.NoteMigration()
 	j.NoteQuantum(true)
+	// The engine's round-to-round state: where it last ran, the
+	// checkpoint clock, a migration-failure backoff.
+	j.NoteDispatch(gpu.V100)
+	j.PeriodicCheckpoint(360, 720, 600) // opens the interval at 360
+	j.NoteMigrationFailed(9)
+	j.NoteMigrationFailed(12)
 
 	cp := j.Checkpoint()
 	// Through JSON, as the snapshot file stores it.
@@ -44,6 +50,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		r.Migrations() != j.Migrations() ||
 		r.RanLastQuantum() != j.RanLastQuantum() {
 		t.Errorf("restored job differs: %+v vs %+v", r, j)
+	}
+	if g, ok := r.LastGen(); !ok || g != gpu.V100 {
+		t.Errorf("last generation lost: %v %v", g, ok)
+	}
+	if r.MigrationFailures() != 2 {
+		t.Errorf("migration failures = %d, want 2", r.MigrationFailures())
+	}
+	// The pin itself is settled per round: it must still hold through
+	// round 12 on the restored job, and not after.
+	if r.RefreshPin(12); !r.Pinned() {
+		t.Error("restored job not pinned in its last backoff round")
+	}
+	if r.RefreshPin(13); r.Pinned() {
+		t.Error("restored job still pinned after its backoff")
+	}
+	// The checkpoint clock carries over: 960 − 360 ≥ 600 checkpoints now.
+	r.Advance(gpu.K80, 10, 720)
+	if r.PeriodicCheckpoint(720, 960, 600); r.CheckpointedMB() != r.DoneMB() {
+		t.Errorf("restored checkpoint clock lost: checkpointed %v of %v", r.CheckpointedMB(), r.DoneMB())
+	}
+	r, err = FromCheckpoint(back) // the checks above moved it
+	if err != nil {
+		t.Fatal(err)
 	}
 	if qd, ok := r.QueueDelay(); !ok || qd != 350 {
 		t.Errorf("queue delay lost: %v %v", qd, ok)
@@ -77,6 +106,8 @@ func TestCheckpointValidation(t *testing.T) {
 		"done too soon": func(c *Checkpoint) { c.State = Done; c.DoneMB = 5 },
 		"neg service":   func(c *Checkpoint) { c.GPUSecs[0] = -1 },
 		"neg overhead":  func(c *Checkpoint) { c.OverheadSecs = -1 },
+		"bad last gen":  func(c *Checkpoint) { c.LastGen = gpu.Generation(gpu.NumGenerations) },
+		"neg backoff":   func(c *Checkpoint) { c.PinnedUntil = -1 },
 		"nil perf":      func(c *Checkpoint) { c.Spec.Perf = nil },
 	} {
 		cp := base

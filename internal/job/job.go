@@ -174,14 +174,27 @@ type Job struct {
 	overheadS  float64                     // seconds of occupied-but-useless time (resume, migration)
 	migrations int
 	preempts   int
-	lastRan    bool // ran in previous quantum (for resume-overhead modeling)
 	firstRun   simclock.Time
+	lastRan    bool // ran in previous quantum (for resume-overhead modeling)
 	everRan    bool
 
-	// Fault-model state: progress as of the last durable checkpoint
-	// and how many times the job has crashed (see Crash).
-	ckptMB  float64
-	crashes int
+	// Where the job last held devices: the generation of its last
+	// dispatch (see NoteDispatch); placed is false until the first.
+	placed  bool
+	lastGen int8
+
+	// Fault-model state: progress as of the last durable checkpoint and
+	// when the interval to the next periodic one started, how many times
+	// the job has crashed (see Crash), and the migration-failure backoff
+	// (see NoteMigrationFailed): consecutive failed attempts and the
+	// last round of the pin they earned.
+	ckptOpen    bool
+	pinned      bool
+	migFails    int32
+	pinnedUntil int32
+	ckptAt      simclock.Time
+	ckptMB      float64
+	crashes     int
 }
 
 // New constructs a runtime job from a validated spec.
@@ -331,10 +344,57 @@ func (j *Job) AddOverhead(d simclock.Duration) {
 // NoteMigration counts one migration of this job.
 func (j *Job) NoteMigration() { j.migrations++ }
 
-// NoteCheckpoint records a durable checkpoint at the current progress.
-// The core calls it on suspend, on migration, and on the periodic
-// checkpoint interval; a later Crash rolls progress back to this point.
-func (j *Job) NoteCheckpoint() { j.ckptMB = j.doneMB }
+// NoteDispatch records the generation of the devices the job was just
+// dispatched to.
+func (j *Job) NoteDispatch(g gpu.Generation) { j.placed, j.lastGen = true, int8(g) }
+
+// LastGen returns the generation the job was last dispatched to — where
+// its checkpoint lives, so running anywhere else is a migration; ok is
+// false for a job that has never been dispatched.
+func (j *Job) LastGen() (g gpu.Generation, ok bool) { return gpu.Generation(j.lastGen), j.placed }
+
+// NoteMigrationFailed counts one more consecutive failed migration
+// attempt and pins the job through round until (its backoff).
+func (j *Job) NoteMigrationFailed(until int) {
+	j.migFails++
+	j.pinnedUntil = int32(until)
+}
+
+// MigrationFailures returns how many migration attempts have failed in
+// a row.
+func (j *Job) MigrationFailures() int { return int(j.migFails) }
+
+// ClearMigrationFailures ends the backoff: a migration went through.
+func (j *Job) ClearMigrationFailures() { j.migFails, j.pinnedUntil = 0, 0 }
+
+// RefreshPin settles, at the start of a round, whether the job's
+// backoff still holds.
+func (j *Job) RefreshPin(round int) { j.pinned = round <= int(j.pinnedUntil) }
+
+// Pinned reports whether the job is in migration-failure backoff this
+// round: it may keep its devices or wait, but not move.
+func (j *Job) Pinned() bool { return j.pinned }
+
+// NoteCheckpoint records a durable checkpoint at the current progress,
+// taken at time at: a later Crash rolls progress back to this point,
+// and the interval to the next periodic checkpoint starts over. The
+// core calls it on suspend and on migration.
+func (j *Job) NoteCheckpoint(at simclock.Time) {
+	j.ckptMB = j.doneMB
+	j.ckptOpen, j.ckptAt = true, at
+}
+
+// PeriodicCheckpoint is called for a quantum [start, end) the job
+// trained through: the first one starts the checkpoint interval, and
+// once every seconds have passed since the interval started the job
+// checkpoints at end — so a crash loses at most that much progress.
+func (j *Job) PeriodicCheckpoint(start, end simclock.Time, every simclock.Duration) {
+	if !j.ckptOpen {
+		j.ckptOpen, j.ckptAt = true, start
+	} else if end.Sub(j.ckptAt) >= every {
+		j.NoteCheckpoint(end)
+	}
+}
 
 // CheckpointedMB returns progress as of the last durable checkpoint.
 func (j *Job) CheckpointedMB() float64 { return j.ckptMB }

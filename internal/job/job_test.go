@@ -193,6 +193,55 @@ func TestOverheadAndMigrationAccounting(t *testing.T) {
 	j.AddOverhead(-1)
 }
 
+// A failed migration pins the job through the round its backoff names;
+// the engine settles the pin at each round start.
+func TestPinnedThroughLastBackoffRound(t *testing.T) {
+	j := MustNew(specFixture(perfFixture()))
+	if j.RefreshPin(1); j.Pinned() {
+		t.Fatal("fresh job pinned")
+	}
+	j.NoteMigrationFailed(4) // failed in round 2, backoff 2
+	for round, want := range map[int]bool{3: true, 4: true, 5: false, 6: false} {
+		if j.RefreshPin(round); j.Pinned() != want {
+			t.Errorf("round %d: Pinned = %v, want %v", round, j.Pinned(), want)
+		}
+	}
+	j.NoteMigrationFailed(9)
+	if j.MigrationFailures() != 2 {
+		t.Errorf("MigrationFailures = %d, want 2", j.MigrationFailures())
+	}
+	j.ClearMigrationFailures()
+	if j.RefreshPin(7); j.Pinned() || j.MigrationFailures() != 0 {
+		t.Errorf("after a migration went through: pinned %v, %d failures", j.Pinned(), j.MigrationFailures())
+	}
+}
+
+// The periodic checkpoint: the first quantum trained through opens the
+// interval, a checkpoint falls due once it has run its length, and any
+// other checkpoint (suspend, migration) restarts it.
+func TestPeriodicCheckpointClock(t *testing.T) {
+	j := MustNew(specFixture(perfFixture()))
+	step := func(start simclock.Time) {
+		j.Advance(gpu.K80, 1, start)
+		j.PeriodicCheckpoint(start, start.Add(360), 900)
+	}
+	step(0) // opens the interval at 0
+	step(360)
+	if j.CheckpointedMB() != 0 {
+		t.Fatalf("checkpointed %v before the interval elapsed", j.CheckpointedMB())
+	}
+	step(720) // 1080 − 0 ≥ 900: due
+	if j.CheckpointedMB() != j.DoneMB() {
+		t.Fatalf("no checkpoint when due: %v of %v", j.CheckpointedMB(), j.DoneMB())
+	}
+	at := j.DoneMB()
+	j.NoteCheckpoint(1200) // a suspend: the interval starts over
+	step(1440)
+	if j.CheckpointedMB() != at {
+		t.Errorf("checkpointed again %v s into a restarted interval", 1800-1200)
+	}
+}
+
 func TestStateTransitionsAndPreemptions(t *testing.T) {
 	j := MustNew(specFixture(perfFixture()))
 	if j.State() != Runnable {

@@ -21,7 +21,6 @@
 //     removed);
 //   - rngorder: seeded RNG draws from goroutines, sort comparators,
 //     or map-range bodies, which reorder the shared stream;
-//   - lockcopy: by-value copies of structs containing sync mutexes;
 //   - lockhold: locks held across blocking channel operations;
 //   - scratchalias: functions that reuse a scratch slice ([:0] on a
 //     field or global) and let an alias of it escape.
@@ -67,7 +66,6 @@ func Analyzers() []*Analyzer {
 		RetainAnalyzer,
 		FloatSumAnalyzer,
 		RngOrderAnalyzer,
-		LockCopyAnalyzer,
 		LockHoldAnalyzer,
 		ScratchAliasAnalyzer,
 	}

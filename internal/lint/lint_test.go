@@ -105,7 +105,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	for _, want := range []string{
 		"maprange", "wallclock", "globalrand", "errdrop", "directive",
-		"retain", "floatsum", "rngorder", "lockcopy", "lockhold", "scratchalias",
+		"retain", "floatsum", "rngorder", "lockhold", "scratchalias",
 	} {
 		if !checks[want] {
 			t.Errorf("corpus exercises no %s finding", want)
@@ -297,15 +297,6 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			old:     "return in.rng.Float64() < in.crashProb",
 			new:     "go func() { _ = in.rng.Float64() }()\n\treturn in.rng.Float64() < in.crashProb",
 			flagged: "go func() { _ = in.rng.Float64() }()",
-		},
-		{
-			// Copying the registry copies its mutex.
-			file:    "internal/obs/registry.go",
-			pkg:     "./internal/obs",
-			check:   "lockcopy",
-			old:     "r.mu.Lock()\n\tdefer r.mu.Unlock()",
-			new:     "r.mu.Lock()\n\tdefer r.mu.Unlock()\n\tcp := *r\n\t_ = cp",
-			flagged: "cp := *r",
 		},
 		{
 			// Parking on a channel with the registry lock held.

@@ -7,158 +7,6 @@ import (
 	"sort"
 )
 
-// LockCopyAnalyzer flags by-value copies of structs containing
-// sync.Mutex or sync.RWMutex: by-value parameters, results, and
-// receivers; assignments and returns of addressable lock-carrying
-// expressions; range value variables over slices of them; and
-// lock-carrying arguments passed by value. A copied mutex forks the
-// lock state — both copies think they own (or don't own) the lock —
-// which is exactly the hazard the retry paths about to grow more
-// concurrency cannot afford.
-var LockCopyAnalyzer = &Analyzer{
-	Name: "lockcopy",
-	Doc:  "by-value copies of structs containing sync.Mutex or sync.RWMutex (parameters, assignments, ranges, returns, call arguments)",
-	Run:  runLockCopy,
-}
-
-func runLockCopy(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.FuncDecl:
-				checkLockSignature(pass, v.Recv, v.Type)
-			case *ast.FuncLit:
-				checkLockSignature(pass, nil, v.Type)
-			case *ast.AssignStmt:
-				if len(v.Lhs) == len(v.Rhs) {
-					for _, rhs := range v.Rhs {
-						checkLockCopyExpr(pass, rhs, "assignment copies")
-					}
-				}
-			case *ast.RangeStmt:
-				if v.Value != nil {
-					if lock := lockIn(pass.TypeOf(v.Value)); lock != "" {
-						pass.Report(v.Value.Pos(),
-							"range value variable copies a struct containing %s each iteration; range over indices or pointers", lock)
-					}
-				}
-			case *ast.ReturnStmt:
-				for _, r := range v.Results {
-					checkLockCopyExpr(pass, r, "return copies")
-				}
-			case *ast.CallExpr:
-				// Conversions are CallExprs too; T(x) copies like a call.
-				for _, a := range v.Args {
-					checkLockCopyExpr(pass, a, "argument copies")
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkLockSignature flags by-value lock-carrying receivers,
-// parameters, and results in a function signature.
-func checkLockSignature(pass *Pass, recv *ast.FieldList, ftype *ast.FuncType) {
-	check := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypeOf(field.Type)
-			if lock := lockIn(t); lock != "" {
-				pass.Report(field.Type.Pos(),
-					"%s passes a struct containing %s by value; use a pointer", kind, lock)
-			}
-		}
-	}
-	check(recv, "receiver")
-	check(ftype.Params, "parameter")
-	check(ftype.Results, "result")
-}
-
-// checkLockCopyExpr flags an addressable lock-carrying expression used
-// where its value is copied. Composite literals and function results
-// are not addressable — those are first initializations, not copies of
-// a live lock.
-func checkLockCopyExpr(pass *Pass, e ast.Expr, what string) {
-	if !addressableExpr(pass, e) {
-		return
-	}
-	if lock := lockIn(pass.TypeOf(e)); lock != "" {
-		pass.Report(e.Pos(), "%s a struct containing %s; use a pointer", what, lock)
-	}
-}
-
-// lockIn reports the mutex type a value of t would copy, "" for none.
-// Pointers stop the search: copying a pointer shares the lock.
-func lockIn(t types.Type) string {
-	return lockInRec(t, make(map[types.Type]bool))
-}
-
-func lockInRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex":
-				return "sync." + obj.Name()
-			}
-		}
-		return lockInRec(named.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := lockInRec(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return lockInRec(u.Elem(), seen)
-	}
-	return ""
-}
-
-// addressableExpr approximates Go addressability: an existing variable
-// or a projection of one — the cases where reading the expression
-// copies a live value rather than initializing a new one.
-func addressableExpr(pass *Pass, e ast.Expr) bool {
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		_, ok := pass.ObjectOf(v).(*types.Var)
-		return ok
-	case *ast.SelectorExpr:
-		if sel, ok := pass.Pkg.Info.Selections[v]; ok {
-			if sel.Kind() != types.FieldVal {
-				return false
-			}
-			if _, isPtr := typeUnder(pass.TypeOf(v.X)).(*types.Pointer); isPtr {
-				return true
-			}
-			return addressableExpr(pass, v.X)
-		}
-		// package-qualified variable (pkg.Var)
-		_, ok := pass.ObjectOf(v.Sel).(*types.Var)
-		return ok
-	case *ast.IndexExpr:
-		switch typeUnder(pass.TypeOf(v.X)).(type) {
-		case *types.Slice, *types.Pointer:
-			return true
-		case *types.Array:
-			return addressableExpr(pass, v.X)
-		}
-		return false
-	case *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
 // LockHoldAnalyzer flags blocking channel operations — sends,
 // receives, selects without a default, ranges over channels — executed
 // while a sync mutex is held. A goroutine parked on a channel keeps

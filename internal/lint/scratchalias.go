@@ -97,8 +97,8 @@ func isZeroLenReslice(pass *Pass, se *ast.SliceExpr) bool {
 // outlives the call: the field object for x.f rooted at a receiver or
 // parameter (or anything unresolvable — conservatively long-lived), or
 // a package-level variable. Locals return nil — reslicing a local is
-// the caller-owned-buffer pattern (sortedJobIDsInt-style) and the
-// local's escape is its own function's concern.
+// the caller-owned-buffer pattern (fairshare.Compute's `active[:0]`)
+// and the local's escape is its own function's concern.
 func scratchStorageObj(pass *Pass, fd *ast.FuncDecl, x ast.Expr) types.Object {
 	switch v := ast.Unparen(x).(type) {
 	case *ast.SelectorExpr:

@@ -49,12 +49,6 @@ type guarded struct {
 	n  int
 }
 
-func lockcopyIgnored(g *guarded) {
-	//gflint:ignore lockcopy copy of a never-locked prototype
-	cp := *g
-	cp.n++
-}
-
 func lockholdIgnored(g *guarded, ch chan int) {
 	g.mu.Lock()
 	//gflint:ignore lockhold the peer never blocks in this fixture

@@ -1,40 +1,13 @@
-// Package lockfix exercises lockcopy (by-value copies of
-// mutex-bearing structs) and lockhold (blocking channel operations
+// Package lockfix exercises lockhold (blocking channel operations
 // with a lock held).
 package lockfix
 
 import "sync"
 
-// Counter carries a mutex; copying it forks the lock state.
+// Counter carries a mutex.
 type Counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// BadValueParam receives the lock by value.
-func BadValueParam(c Counter) int { return c.n }
-
-// BadValueReceiver copies the lock on every call.
-func (c Counter) BadValueReceiver() int { return c.n }
-
-// BadAssign copies a live lock into a local.
-func BadAssign(c *Counter) {
-	cp := *c
-	cp.n++
-}
-
-// BadRange copies the lock once per iteration.
-func BadRange(cs []Counter) int {
-	total := 0
-	for _, c := range cs {
-		total += c.n
-	}
-	return total
-}
-
-// BadArg passes a live lock by value.
-func BadArg(c *Counter) int {
-	return BadValueParam(*c)
 }
 
 // PointerOK shares the lock through a pointer everywhere.

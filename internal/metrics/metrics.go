@@ -134,20 +134,6 @@ func (t *Timeline) Add(at simclock.Time, u job.UserID, amount float64) {
 // buckets between active periods). Callers must not mutate.
 func (t *Timeline) Windows() []Window { return t.windows }
 
-// SharesOver returns each listed user's share fraction per window.
-func (t *Timeline) SharesOver(users []job.UserID) [][]float64 {
-	out := make([][]float64, len(t.windows))
-	for i, w := range t.windows {
-		fr := ShareFractions(w.ByUser)
-		row := make([]float64, len(users))
-		for j, u := range users {
-			row[j] = fr[u]
-		}
-		out[i] = row
-	}
-	return out
-}
-
 // Utilization is busy capacity over total capacity for some interval.
 type Utilization struct {
 	BusyGPUSeconds     float64

@@ -101,10 +101,6 @@ func TestTimeline(t *testing.T) {
 	if ws[2].Start != 7200 || ws[2].End != 10800 {
 		t.Errorf("window 2 bounds [%v, %v)", ws[2].Start, ws[2].End)
 	}
-	shares := tl.SharesOver([]job.UserID{"a", "b"})
-	if !almost(shares[0][0], 0.5) || !almost(shares[1][0], 1) || !almost(shares[2][1], 1) {
-		t.Errorf("shares = %v", shares)
-	}
 }
 
 func TestTimelinePanicsOnBadWidth(t *testing.T) {

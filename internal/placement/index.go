@@ -254,7 +254,7 @@ func PlaceIndexed(idx *Index, prev Assignment, reqs []Request, opt Options) Resu
 	// Phase 2 — place the rest.
 	for _, r := range pending {
 		prevDevs, ranBefore := prev[r.Job.ID]
-		if ranBefore && (!opt.AllowMigration || opt.Pinned[r.Job.ID]) {
+		if ranBefore && (!opt.AllowMigration || r.Job.Pinned()) {
 			res.Unplaced = append(res.Unplaced, r.Job.ID)
 			continue
 		}

@@ -41,7 +41,7 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 
 		prev := Assignment{}
 		var unavail map[gpu.ServerID]bool
-		for round := 0; round < 8; round++ {
+		for round := 1; round <= 8; round++ {
 			// Churn availability; the index diffs against last round.
 			unavail = map[gpu.ServerID]bool{}
 			for _, srv := range c.Servers() {
@@ -51,17 +51,19 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 			}
 			idx.SyncUnavail(unavail)
 
+			// Pins live on the job record: a failed migration pins through
+			// this round, the round-start refresh lapses last round's.
 			var reqs []Request
-			pinned := map[job.ID]bool{}
 			for _, j := range jobs {
 				if rng.Float64() < 0.8 {
 					reqs = append(reqs, Request{Job: j, Gen: gens[rng.Intn(len(gens))]})
 					if rng.Float64() < 0.1 {
-						pinned[j.ID] = true
+						j.NoteMigrationFailed(round)
 					}
 				}
+				j.RefreshPin(round)
 			}
-			opt := Options{AllowMigration: rng.Float64() < 0.8, Down: unavail, Pinned: pinned}
+			opt := Options{AllowMigration: rng.Float64() < 0.8, Down: unavail}
 
 			want := Place(c, prev, reqs, opt)
 			got := PlaceIndexed(idx, prev, reqs, opt)

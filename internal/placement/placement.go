@@ -44,19 +44,15 @@ type Options struct {
 	// a bigger gang). When false, a job that ran last round may only
 	// be placed on exactly its previous devices — the
 	// no-migration ablation, which strands capacity under
-	// fragmentation.
+	// fragmentation. A job that reports Pinned (migration-failure
+	// backoff) is held to that rule this round either way: it keeps its
+	// exact previous devices (phase-1 stability) or goes unplaced.
 	AllowMigration bool
 
 	// Down marks failed servers; their devices are unplaceable this
 	// round. A job whose previous devices are down is treated like
 	// any displaced job: migrated if allowed, stranded otherwise.
 	Down map[gpu.ServerID]bool
-
-	// Pinned marks jobs that may not migrate this round even when
-	// AllowMigration is set (migration-failure backoff): they either
-	// keep their exact previous devices (phase-1 stability) or go
-	// unplaced.
-	Pinned map[job.ID]bool
 }
 
 // Result reports the round's placement.
@@ -104,7 +100,7 @@ func Place(c *gpu.Cluster, prev Assignment, reqs []Request, opt Options) Result 
 	// Phase 2 — place the rest.
 	for _, r := range pending {
 		_, ranBefore := prev[r.Job.ID]
-		if ranBefore && (!opt.AllowMigration || opt.Pinned[r.Job.ID]) {
+		if ranBefore && (!opt.AllowMigration || r.Job.Pinned()) {
 			// Previous devices unusable (wrong generation, wrong
 			// count, or taken) and we may not move the job.
 			res.Unplaced = append(res.Unplaced, r.Job.ID)
@@ -313,21 +309,6 @@ func (o *Owners) ValidateJob(id job.ID, devs []gpu.DeviceID) error {
 		}
 	}
 	return nil
-}
-
-// BusyPerServer returns the number of busy GPUs on each server under
-// an assignment (servers with zero busy GPUs included).
-func BusyPerServer(c *gpu.Cluster, a Assignment) map[gpu.ServerID]int {
-	busy := make(map[gpu.ServerID]int, c.NumServers())
-	for _, srv := range c.Servers() {
-		busy[srv.ID] = 0
-	}
-	for _, devs := range a {
-		for _, d := range devs {
-			busy[c.Device(d).Server]++
-		}
-	}
-	return busy
 }
 
 func devicesOnGen(c *gpu.Cluster, devs []gpu.DeviceID, g gpu.Generation) bool {

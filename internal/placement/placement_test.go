@@ -228,23 +228,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestBusyPerServer(t *testing.T) {
-	c := smallCluster()
-	j := mkJob(1, 4)
-	res := Place(c, nil, []Request{{j, gpu.K80}}, opts())
-	busy := BusyPerServer(c, res.Assignment)
-	if len(busy) != c.NumServers() {
-		t.Fatalf("busy map has %d servers, want %d", len(busy), c.NumServers())
-	}
-	total := 0
-	for _, n := range busy {
-		total += n
-	}
-	if total != 4 {
-		t.Errorf("total busy %d, want 4", total)
-	}
-}
-
 // Property: with an unchanged request set, repeated placement is
 // perfectly stable — after round one, no job ever moves.
 func TestPropertyStability(t *testing.T) {

@@ -34,6 +34,18 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
+// Compare orders t against u by < alone: −1 before, +1 after, else 0 —
+// so a NaN is neither, exactly as a less-function sort by time sees it.
+func (t Time) Compare(u Time) int {
+	switch {
+	case t < u:
+		return -1
+	case u < t:
+		return 1
+	}
+	return 0
+}
+
 func (t Time) String() string {
 	s := float64(t)
 	h := int(s / 3600)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/simclock"
@@ -150,7 +150,7 @@ func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 		}
 	}
 
-	sort.SliceStable(specs, func(i, j int) bool { return specs[i].Arrival < specs[j].Arrival })
+	slices.SortStableFunc(specs, func(a, b job.Spec) int { return a.Arrival.Compare(b.Arrival) })
 	for i := range specs {
 		specs[i].ID = job.ID(i + 1)
 		if err := specs[i].Validate(); err != nil {
