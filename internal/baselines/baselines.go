@@ -184,8 +184,8 @@ func (g *GandivaRR) Decide(st *core.RoundState) core.Decision {
 
 // Executed implements core.Policy.
 func (g *GandivaRR) Executed(rep *core.ExecReport) {
-	for id := range rep.Ran {
-		g.served[id]++
+	for _, info := range rep.Ran {
+		g.served[info.Job]++
 	}
 }
 

@@ -48,7 +48,7 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		Rounds:        s.rounds,
 		Pending:       slices.Clone(s.evq.specs[s.evq.nextSpec:]),
 		TicketChanges: slices.Clone(s.evq.changes[s.evq.nextChange:]),
-		Prev:          make(map[job.ID][]gpu.DeviceID, len(s.prev)),
+		Prev:          make(map[job.ID][]gpu.DeviceID, len(s.jobs)),
 		Tickets:       maps.Clone(s.tickets),
 		Usage:         make(map[job.UserID]map[gpu.Generation]float64, len(s.usage)),
 		Useful:        maps.Clone(s.useful),
@@ -61,12 +61,12 @@ func (s *Sim) Checkpoint() *Checkpoint {
 	}
 	for _, j := range s.jobs { // job-ID order: deterministic file contents
 		cp.Active = append(cp.Active, j.Checkpoint())
+		if devs := j.Devices(); len(devs) > 0 {
+			cp.Prev[j.ID] = slices.Clone(devs)
+		}
 	}
 	for _, j := range s.finished {
 		cp.Done = append(cp.Done, j.Checkpoint())
-	}
-	for id, devs := range s.prev {
-		cp.Prev[id] = slices.Clone(devs)
 	}
 	for u, byGen := range s.usage {
 		cp.Usage[u] = maps.Clone(byGen)
@@ -136,10 +136,13 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		if len(devs) == 0 {
 			continue
 		}
-		// Sorted, as placement leaves them; the generation a job last ran
-		// on is its devices'.
-		s.prev[id] = slices.Clone(devs)
-		slices.Sort(s.prev[id])
+		// Sorted, as placement leaves them, and held by nobody: the new
+		// engine's index starts empty, so every job contends for its old
+		// place as Place's phase 1 would have it. The generation a job last
+		// ran on is its devices'.
+		last := slices.Clone(devs)
+		slices.Sort(last)
+		s.active[id].SetDevices(last, 0)
 		s.active[id].NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
 	}
 	for u, byGen := range cp.Usage {

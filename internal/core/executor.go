@@ -41,6 +41,7 @@ type Quantum struct {
 	Finished bool
 
 	pos int // index into Sim.jobs this round
+	req int // index of the job's request in the round's Decision.Run
 }
 
 // Executor carries out a round's placed quanta. It is the engine's only
@@ -84,8 +85,8 @@ func (s *Sim) execute(rd *round, qs []Quantum) error {
 	}
 
 	rep := &s.execRep
-	clear(rep.Ran)
-	rep.Unplaced = rd.res.Unplaced
+	rep.Ran = slices.Grow(rep.Ran[:0], len(qs))
+	rep.Unplaced = s.unplacedBuf
 	s.obs.PhaseStart(obs.PhaseExecute)
 	for i := range qs {
 		q := &qs[i]
@@ -93,7 +94,7 @@ func (s *Sim) execute(rd *round, qs []Quantum) error {
 			continue
 		}
 		info := s.settle(q, false)
-		rep.Ran[q.Job.ID] = info
+		rep.Ran = append(rep.Ran, info)
 		if s.faultsOn {
 			s.compOf[q.Job.User].occ += float64(info.Gang) * info.OccupiedSecs
 		}
@@ -108,7 +109,6 @@ func (s *Sim) grant(q *Quantum, rd *round) {
 	j, quantum := q.Job, s.cfg.Quantum
 	q.Gen = s.cfg.Cluster.Device(q.Devs[0]).Gen
 	q.Start = rd.now
-	_, q.Migrated = slices.BinarySearch(rd.res.Migrated, j.ID)
 	if s.robs != nil {
 		why := s.robs.reasonFor(j.ID)
 		d := trace.Record{At: rd.now, Kind: trace.KindDecision, Job: j.ID, User: j.User,
@@ -206,7 +206,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 	s.tl.Add(now, j.User, gang*occupied)
 
 	info := RanInfo{
-		User: j.User, Gen: gen, Gang: j.Gang,
+		Job: j.ID, Req: q.req, User: j.User, Gen: gen, Gang: j.Gang,
 		OccupiedSecs: occupied, UsefulSecs: used,
 		Migrated: q.Migrated, Finished: finished,
 	}
@@ -247,8 +247,16 @@ func (s *Sim) Rounds() int { return s.rounds }
 // Now returns the engine's virtual time.
 func (s *Sim) Now() simclock.Time { return s.clock.Now() }
 
-// Placement returns where each unfinished job last held devices. It is
-// the engine's own table: read it between rounds, never modify it.
-//
-//gflint:noretain
-func (s *Sim) Placement() placement.Assignment { return s.prev }
+// Placement returns where each unfinished job last held devices, as a
+// map built for the call from the jobs' records (job.Job.Devices): the
+// engine keeps no such table. The device slices are the records' own —
+// read them, never modify them.
+func (s *Sim) Placement() placement.Assignment {
+	a := make(placement.Assignment, len(s.jobs))
+	for _, j := range s.jobs {
+		if devs := j.Devices(); len(devs) > 0 {
+			a[j.ID] = devs
+		}
+	}
+	return a
+}

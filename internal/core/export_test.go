@@ -1,20 +1,45 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/gpu"
 	"repro/internal/placement"
 )
 
 // UseFromScratchReference swaps the round's maintained mechanism for
 // the from-scratch reference model: placement.Place rescans every
-// server instead of consulting the free-capacity index. The two are
-// contractually byte-identical — same trace, same per-user usage, same
+// server instead of consulting the persistent index, from a prev map
+// built out of the jobs' records, and its Result is restated as the
+// positional Round the engine reads (nothing is ever held: every job's
+// devices are only where it last ran). The two are contractually
+// byte-identical — same trace, same per-user usage, same
 // CanonicalDigest — which the golden digests, TestDifferentialEngines
 // and FuzzEngineAudit's differential arm hold the engine to. It exists
 // only in test builds. Call before Run.
-func (s *Sim) UseFromScratchReference() {
-	s.place = func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result {
-		opts.Down = unavail
-		return placement.Place(s.cfg.Cluster, s.prev, reqs, opts)
+func (s *Sim) UseFromScratchReference() { s.place = s.placeFromScratch }
+
+//gflint:noretain
+func (s *Sim) placeFromScratch(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round {
+	opts.Down = unavail
+	res := placement.Place(s.cfg.Cluster, s.Placement(), reqs, opts)
+	rd := &placement.Round{Marks: make([]placement.Mark, len(reqs))}
+	for i, r := range reqs {
+		devs, ok := res.Assignment[r.Job.ID]
+		if !ok {
+			continue // placement.Unplaced
+		}
+		last := r.Job.Devices()
+		rd.Marks[i] = placement.Placed
+		if _, moved := slices.BinarySearch(res.Migrated, r.Job.ID); moved {
+			rd.Marks[i] = placement.Moved
+			rd.Moved = append(rd.Moved, placement.Move{Job: r.Job, From: last})
+		} else if slices.Equal(devs, last) {
+			rd.Marks[i] = placement.Kept
+		}
+		r.Job.SetDevices(devs, 0)
 	}
+	slices.SortFunc(rd.Moved, func(a, b placement.Move) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
+	return rd
 }

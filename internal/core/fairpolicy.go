@@ -94,7 +94,8 @@ type FairPolicy struct {
 
 	// Decide's scratch, kept across rounds and cleared, never rebuilt.
 	active  []*userState           //gflint:noretain the round's users; in pass 1's serve order once sorted
-	granted []*jobState            //gflint:noretain the round's grants in grant order, consumed by Executed
+	granted []*jobState            //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
+	ranAt   []int32                //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
 	demand  map[job.UserID]float64 //gflint:noretain per-user runnable gang width, as fairshare and trade take it
 	vals    trade.Values           //gflint:noretain the profiled users' value vectors, as trade.Run takes them
 	candBuf []stride.Candidate     //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
@@ -459,13 +460,18 @@ func (p *FairPolicy) genAllowed(js *jobState, g gpu.Generation, cooldown int) bo
 // two refunds into one credit are a float sum, and its order must not
 // vary between runs.
 func (p *FairPolicy) Executed(rep *ExecReport) {
-	for _, js := range p.granted {
+	ranAt := slices.Grow(p.ranAt[:0], len(p.granted))[:len(p.granted)]
+	clear(ranAt)
+	for k := range rep.Ran {
+		ranAt[rep.Ran[k].Req] = int32(k) + 1
+	}
+	p.ranAt = ranAt
+	for i, js := range p.granted {
 		if !js.granted {
 			continue // finished since Decide: its books are gone
 		}
 		id, gang, us := js.job.ID, float64(js.job.Gang), js.user
-		info, ran := rep.Ran[id]
-		if !ran {
+		if ranAt[i] == 0 {
 			// Fragmentation left it unplaced: full refund.
 			if js.viaCredit {
 				us.credit[js.gen] += gang
@@ -473,7 +479,7 @@ func (p *FairPolicy) Executed(rep *ExecReport) {
 			continue
 		}
 		if us.jobTickets > 0 {
-			res := gang * info.OccupiedSecs
+			res := gang * rep.Ran[ranAt[i]-1].OccupiedSecs
 			if us.sched.Has(id) {
 				us.sched.Charge(id, res, us.jobTickets)
 			}

@@ -44,7 +44,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
 		}
 		p.users["u"].credit[gpu.K80] = credit
-		p.Executed(&ExecReport{Ran: map[job.ID]RanInfo{}}) // fragmentation placed neither
+		p.Executed(&ExecReport{}) // fragmentation placed neither
 		want := (credit + wide) + narrow
 		if got := p.Credit("u")[gpu.K80]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("policy %d: credit after refunds %.17g, want grant order's %.17g", i, got, want)

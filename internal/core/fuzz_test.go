@@ -327,6 +327,12 @@ func FuzzEngineAudit(f *testing.F) {
 	f.Add(uint8(99), uint8(2), uint8(3), uint8(1), uint8(12), uint8(3), uint8(0), uint8(0x06), false)
 	f.Add(uint8(13), uint8(2), uint8(2), uint8(6), uint8(6), uint8(1), uint8(0), uint8(0x0a), false)
 	f.Add(uint8(5), uint8(3), uint8(4), uint8(9), uint8(4), uint8(0), uint8(2), uint8(0x11), true)
+	// A crowded 12-GPU cluster under outages, quarantine and failing
+	// migrations: jobs sit rounds out and come back to find another job
+	// where they were, so the persistent placement settles contested
+	// keeps — three of them evict the holder — besides losing servers
+	// from under holders and taking failed movers back.
+	f.Add(uint8(21), uint8(1), uint8(2), uint8(11), uint8(11), uint8(4), uint8(0), uint8(0x07), true)
 	f.Fuzz(func(t *testing.T, seed, servers, gpus, jobsA, jobsB, nFail, nChange, faultBits uint8, trading bool) {
 		servers = 1 + servers%3
 		gpus = 1 + gpus%4

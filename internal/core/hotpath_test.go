@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/placement"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
@@ -69,11 +71,13 @@ func steadySim(t *testing.T, cfg Config) (s *Sim, step func()) {
 // TestSteadyStateRoundAllocCeiling pins the dense-scratch rule
 // (DESIGN.md §8) on a saturated 12,000-GPU cluster: a steady-state
 // round may allocate per scheduled job — the Decision's requests, the
-// placement Result's map, the stride orders — but nothing per device.
-// That measures ≈115 KiB for these 1,200 jobs; the per-device owner
-// maps, server sets and per-round job maps this replaced cost 2.1 MB a
-// round at the same shape, so the ceiling has nearly 3× headroom and still
-// sits 6× below any of them coming back.
+// stride orders — but nothing per device, and once placement keeps its
+// state not even a map entry per placed job. That measures ≈33 KiB for
+// these 1,200 jobs (≈114 KiB while every round built the placement
+// Result's map); the per-device owner maps, server sets and per-round
+// job maps before that cost 2.1 MB a round at the same shape, so the
+// ceiling has nearly 3× headroom and sits below the Result map coming
+// back.
 func TestSteadyStateRoundAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 12k-GPU cluster")
@@ -95,7 +99,7 @@ func TestSteadyStateRoundAllocCeiling(t *testing.T) {
 	if placedGPUs < 10_000 {
 		t.Fatalf("only %d GPUs hold jobs: the cluster is not saturated", placedGPUs)
 	}
-	const ceiling = 320 << 10
+	const ceiling = 96 << 10
 	t.Logf("steady-state round: %.0f B allocated, %d GPUs placed", perRound, placedGPUs)
 	if perRound > ceiling {
 		t.Errorf("steady-state round allocates %.0f B, ceiling %d B", perRound, ceiling)
@@ -133,7 +137,7 @@ func TestFairRoundAllocsPerUser(t *testing.T) {
 // included: nothing in the round may be per device or per server. The
 // maintained placement index is what keeps that true; the per-round
 // full rescans it replaced made ~620k allocations a round at this
-// shape, the engine now makes 142.
+// shape, the engine now makes 132.
 func TestRoundAllocCeilingAt100kGPUs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 100k-GPU cluster")
@@ -152,7 +156,7 @@ func TestRoundAllocCeilingAt100kGPUs(t *testing.T) {
 			Models: []string{names[i%len(names)], names[(i+3)%len(names)]},
 		}
 	}
-	const rounds, ceiling = 20, 170
+	const rounds, ceiling = 20, 160
 	best := math.Inf(1)
 	for rep := 0; rep < 3; rep++ { // the minimum: everything above the floor is the runtime's own
 		specs, err := workload.Generate(zoo, workload.Config{Seed: 42, Users: users})
@@ -182,11 +186,101 @@ func TestRoundAllocCeilingAt100kGPUs(t *testing.T) {
 	}
 }
 
+// replayPolicy is a policy that can be told to ask again for exactly
+// what it asked for last round, keeping the wrapped policy out of that
+// round altogether.
+type replayPolicy struct {
+	Policy
+	replay bool
+	last   []placement.Request
+}
+
+func (p *replayPolicy) Decide(st *RoundState) Decision {
+	if p.replay {
+		return Decision{Run: slices.Clone(p.last)}
+	}
+	dec := p.Policy.Decide(st)
+	p.last = slices.Clone(dec.Run)
+	return dec
+}
+
+func (p *replayPolicy) Executed(rep *ExecReport) {
+	if !p.replay {
+		p.Policy.Executed(rep)
+	}
+}
+
+// TestSteadyRoundTouchesOnlyChurn is the operation gate on the
+// persistent placement, at the gfperf gpu-scale shape (99,996 GPUs
+// saturated by 12,800 wide gangs under the full policy): the devices a
+// round takes and releases are bounded by the jobs whose placement
+// changed, not by the ≈100k devices placed. Changed is every request not
+// kept where it was plus every job dispatched last round and not asked
+// for again; each costs at most its gang once released and once taken.
+// A round that repeats the last one's requests touches no device at
+// all. The counts are deterministic.
+func TestSteadyRoundTouchesOnlyChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-GPU cluster")
+	}
+	policy := &replayPolicy{Policy: MustNewFairPolicy(FairConfig{EnableTrading: true})}
+	s, err := New(saturatedConfig(t, 8333, 16, 800), policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func() int {
+		takes, releases := s.pidx.DeviceOps()
+		return takes + releases
+	}
+	var ran []*job.Job // last round's dispatched jobs
+	for round := 1; round <= 14; round++ {
+		policy.replay = round%5 == 0
+		before := ops()
+		s.admitArrivals()
+		if err := s.runRound(); err != nil {
+			t.Fatal(err)
+		}
+		s.clock.RunUntil(s.clock.Now().Add(s.cfg.Quantum))
+		touched := ops() - before
+
+		changed, placed := 0, 0
+		for i, r := range policy.last {
+			if s.rd.placed.Marks[i] != placement.Kept {
+				changed += r.Job.Gang
+			}
+		}
+		for _, j := range ran {
+			if _, again := j.RequestAt(); !again {
+				changed += j.Gang
+			}
+		}
+		ran = ran[:0]
+		for i := range s.quanta {
+			ran = append(ran, s.quanta[i].Job)
+			placed += s.quanta[i].Job.Gang
+		}
+		t.Logf("round %d: %d devices placed, %d taken or released, %d on jobs that changed", round, placed, touched, changed)
+		switch {
+		case placed < 90_000:
+			t.Fatalf("round %d: only %d GPUs hold jobs: the cluster is not saturated", round, placed)
+		case policy.replay && (touched != 0 || changed != 0):
+			t.Errorf("round %d repeats the last one's requests and takes or releases %d devices (%d on changed jobs)", round, touched, changed)
+		case touched > 2*changed:
+			t.Errorf("round %d takes or releases %d devices, the jobs that changed hold %d", round, touched, changed)
+		case round > 1 && !policy.replay && (changed == 0 || changed > 2*placed/3):
+			t.Errorf("round %d: %d of %d placed devices are on jobs that changed: not the time-sliced steady state", round, changed, placed)
+		}
+	}
+}
+
 // BenchmarkRoundGPUScale is the gfperf gpu-scale workload (99,996 GPUs,
-// 12,800 wide gangs) as a `go test -bench` target for profiling.
+// 12,800 wide gangs) as a `go test -bench` target for profiling. Beside
+// the time it reports how many devices placement took or released per
+// round, which is deterministic.
 func BenchmarkRoundGPUScale(b *testing.B) {
 	cfg := saturatedConfig(b, 8333, 16, 800)
 	const rounds = 30
+	deviceOps := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := New(cfg, MustNewFairPolicy(FairConfig{EnableTrading: true}))
@@ -196,6 +290,9 @@ func BenchmarkRoundGPUScale(b *testing.B) {
 		if _, err := s.Run(simclock.Time(rounds * 360)); err != nil {
 			b.Fatal(err)
 		}
+		takes, releases := s.pidx.DeviceOps()
+		deviceOps += takes + releases
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*rounds), "ms/round")
+	b.ReportMetric(float64(deviceOps)/float64(b.N*rounds), "takes+releases/round")
 }

@@ -127,6 +127,8 @@ type Decision struct {
 
 // RanInfo describes one job's execution during a round.
 type RanInfo struct {
+	Job          job.ID
+	Req          int // index of the job's request in the round's Decision.Run
 	User         job.UserID
 	Gen          gpu.Generation
 	Gang         int
@@ -138,12 +140,14 @@ type RanInfo struct {
 
 // ExecReport tells the policy what actually happened in the round
 // (jobs can lose time to migration or finish early, and fragmentation
-// can leave a requested job unplaced). Policies must not retain the
-// report or its Ran map past Executed — the engine clears and refills
-// the same map every round.
+// can leave a requested job unplaced). Ran lists the jobs that ran, in
+// job-ID order; a requested job that is not in it did not run. Policies
+// must not retain the report or its slices past Executed — the engine
+// refills the same ones every round.
 type ExecReport struct {
-	//gflint:noretain cleared and refilled by the engine every round
-	Ran      map[job.ID]RanInfo
+	//gflint:noretain refilled by the engine every round
+	Ran []RanInfo
+	//gflint:noretain refilled by the engine every round
 	Unplaced []job.ID
 }
 

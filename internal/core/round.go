@@ -24,7 +24,7 @@ type round struct {
 	down, quar, unavail map[gpu.ServerID]bool
 	deficit             map[job.UserID]float64 // compensation debt as of the round start
 	caps                map[gpu.Generation]int // capacity net of unavail
-	res                 placement.Result       // this round's placement
+	placed              *placement.Round       // this round's placement, by request position
 	repaid              map[job.UserID]float64 // the decision's declared repayments
 }
 
@@ -110,22 +110,28 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		}
 	}
 
-	// Job crash-restart draws, in job-ID order: the injector consumes
-	// one draw per job that held GPUs last quantum, so the visiting
-	// order is part of the seed contract. The same walk lapses the
-	// migration-failure pins that have run out.
-	if s.faultsOn {
-		for _, j := range s.jobs {
-			j.RefreshPin(s.rounds)
-			if j.Finished() || !j.RanLastQuantum() {
-				continue
-			}
-			if s.finj.CrashNow() {
-				lost := j.Crash()
-				s.emit(trace.Record{At: now, Kind: trace.KindJobCrash, Job: j.ID, User: j.User,
-					X: lost, N: int32(j.Crashes())})
-			}
+	// Every runnable job is told where in the list it is this round,
+	// which is how checkDecision knows the engine's own records. With the
+	// fault model on, the same walk makes the job crash-restart draws, in
+	// job-ID order — the injector consumes one draw per job that held
+	// GPUs last quantum, so the visiting order is part of the seed
+	// contract — and lapses the migration-failure pins that have run out.
+	for i, j := range s.jobs {
+		j.BeginRound(i)
+		if !s.faultsOn {
+			continue
 		}
+		j.RefreshPin(s.rounds)
+		if j.Finished() || !j.RanLastQuantum() {
+			continue
+		}
+		if s.finj.CrashNow() {
+			lost := j.Crash()
+			s.emit(trace.Record{At: now, Kind: trace.KindJobCrash, Job: j.ID, User: j.User,
+				X: lost, N: int32(j.Crashes())})
+		}
+	}
+	if s.faultsOn {
 		// The books open on a new round. The policy sees the debt as of
 		// the round start; losses accrued this round become visible (and
 		// repayable) next round.
@@ -201,45 +207,47 @@ func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
 }
 
 // placeIndexed is the maintained placement: the index carries
-// availability as baseline state and takes the delta against last
-// round out of the full set itself.
-func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result {
+// availability and last round's holders as its state and takes the
+// delta against both out of the full sets itself.
+//
+//gflint:noretain
+func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round {
 	s.pidx.SyncUnavail(unavail)
-	return placement.PlaceIndexed(s.pidx, s.prev, reqs, opts)
+	return s.pidx.PlaceRound(reqs, opts)
 }
 
 // placeRound assigns devices and builds the round's execute list,
-// s.quanta, in job-ID order, not assignment-map order: settling a quantum consumes
-// draws from the shared profiling RNG, so the processing order decides
-// which job sees which noise sample. Map iteration order varies between
-// processes and would make runs with the same seed diverge. s.jobs is
-// already sorted; filtering it against the assignment yields the same
-// order a fresh sort would. Each job's devices are validated on the
-// way, so the first violation reported is the lowest job ID's.
+// s.quanta, in job-ID order, not request order: settling a quantum
+// consumes draws from the shared profiling RNG, so the processing order
+// decides which job sees which noise sample. s.jobs is already sorted,
+// and each of its jobs knows its request's position, so filtering it
+// against the round's marks yields the order a sort would — for the
+// requests that do not run, s.unplacedBuf, too. Each job's devices are
+// validated on the way, so the first violation reported is the lowest
+// job ID's.
 func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 	s.obs.PhaseStart(obs.PhasePlacement)
-	rd.res = s.place(rd.unavail, reqs,
+	rd.placed = s.place(rd.unavail, reqs,
 		placement.Options{AllowMigration: !s.cfg.DisableMigration})
-	qs := s.quanta[:0]
+	marks := rd.placed.Marks
+	qs, unplaced := slices.Grow(s.quanta[:0], len(reqs)), s.unplacedBuf[:0]
 	s.owners.Begin()
 	for i, j := range s.jobs {
-		devs, ok := rd.res.Assignment[j.ID]
+		at, ok := j.RequestAt()
 		if !ok {
 			continue
 		}
+		if marks[at] == placement.Unplaced {
+			unplaced = append(unplaced, j.ID)
+			continue
+		}
+		devs := j.Devices()
 		if err := s.owners.ValidateJob(j.ID, devs); err != nil {
 			return fmt.Errorf("core: round %d: %w", s.rounds, err)
 		}
-		qs = append(qs, Quantum{Job: j, Devs: devs, pos: i})
+		qs = append(qs, Quantum{Job: j, Devs: devs, Migrated: marks[at] == placement.Moved, pos: i, req: at})
 	}
-	s.quanta = qs
-	if len(qs) != len(rd.res.Assignment) {
-		for id := range rd.res.Assignment {
-			if s.active[id] == nil {
-				return fmt.Errorf("core: placement returned unknown job %d", id)
-			}
-		}
-	}
+	s.quanta, s.unplacedBuf = qs, unplaced
 	s.obs.PhaseEnd(obs.PhasePlacement)
 	return nil
 }
@@ -247,24 +255,21 @@ func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 // failMigrations injects migration failures: each migration attempt may
 // fail — the job pays the copy cost on its reserved target devices but
 // stays put, retrying later under capped exponential backoff. Draws
-// happen in res.Migrated order, which placement emits sorted — so
+// happen in job-ID order, the order placement lists the movers in — so
 // s.migFailedBuf, the round's failed movers, comes out sorted too. They
-// leave the execute list.
+// give the target devices back, are again last seen where they came
+// from, and leave the execute list.
 func (s *Sim) failMigrations(rd *round) {
 	s.obs.PhaseStart(obs.PhaseMigrate)
-	res := &rd.res
 	migFailed := s.migFailedBuf[:0]
-	if s.finj != nil && len(res.Migrated) > 0 {
-		kept := res.Migrated[:0]
-		for _, id := range res.Migrated {
-			j := s.active[id]
+	if s.finj != nil {
+		for _, m := range rd.placed.Moved {
+			j := m.Job
 			if !s.finj.MigrationFails() {
-				kept = append(kept, id)
 				j.ClearMigrationFailures()
 				continue
 			}
-			devs := res.Assignment[id]
-			gen := s.cfg.Cluster.Device(devs[0]).Gen
+			gen := s.cfg.Cluster.Device(j.Devices()[0]).Gen
 			gang := float64(j.Gang)
 			cost := s.cfg.Costs.MigrationCost(j.Perf)
 			if cost > s.cfg.Quantum {
@@ -284,22 +289,24 @@ func (s *Sim) failMigrations(rd *round) {
 			fails := j.MigrationFailures() + 1
 			backoff := faults.Backoff(s.fcfg, fails)
 			j.NoteMigrationFailed(s.rounds + backoff)
-			migFailed = append(migFailed, id)
-			delete(res.Assignment, id)
-			res.Unplaced = append(res.Unplaced, id)
-			s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: id, User: j.User,
+			migFailed = append(migFailed, j.ID)
+			s.pidx.Release(j)
+			j.SetDevices(m.From, 0)
+			s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: j.ID, User: j.User,
 				N: int32(fails), M: int32(backoff), X: cost})
 		}
-		res.Migrated = kept
-		slices.Sort(res.Unplaced)
-		s.quanta = slices.DeleteFunc(s.quanta, func(q Quantum) bool { // the failed movers do not run
-			_, failed := slices.BinarySearch(migFailed, q.Job.ID)
-			return failed
-		})
+		if len(migFailed) > 0 {
+			s.unplacedBuf = append(s.unplacedBuf, migFailed...)
+			slices.Sort(s.unplacedBuf)
+			s.quanta = slices.DeleteFunc(s.quanta, func(q Quantum) bool { // the failed movers do not run
+				_, failed := slices.BinarySearch(migFailed, q.Job.ID)
+				return failed
+			})
+		}
 	}
 	s.migFailedBuf = migFailed
 	s.obs.PhaseEnd(obs.PhaseMigrate)
-	if n := len(res.Unplaced); n > 0 {
+	if n := len(s.unplacedBuf); n > 0 {
 		s.emit(trace.Record{At: rd.now, Kind: trace.KindUnplaced, N: int32(n)})
 	}
 }
@@ -308,17 +315,17 @@ func (s *Sim) failMigrations(rd *round) {
 // finished ones. It walks jobs in ID order, not map order: retirement
 // appends finish events to the trace, and map iteration would let two
 // jobs finishing in the same round swap log positions between runs.
-// The sweep compacts s.jobs in place behind itself, and merges the
-// round's assignment into s.prev, next round's stability baseline: a
-// job that was dispatched takes its new devices (its checkpoint went
-// there, answered or not), a job that went unplaced keeps its old ones
-// (its checkpoint state lives on that server, and the no-migration mode
-// pins it there), a finished job drops out.
+// The sweep compacts s.jobs in place behind itself. Where each job last
+// held devices — next round's stability baseline — is already on its
+// record: placement put a dispatched job's new devices there (its
+// checkpoint went there, answered or not), a job that went unplaced
+// keeps its old ones (its checkpoint state lives on that server, and the
+// no-migration mode pins it there), and a finished job is never asked
+// for again, which is what makes the index give its devices back.
 func (s *Sim) retire(rd *round, qs []Quantum) {
 	live := s.jobs[:0]
 	next := 0
 	for i, j := range s.jobs {
-		id := j.ID
 		var q *Quantum
 		if next < len(qs) && qs[next].pos == i {
 			q = &qs[next]
@@ -329,13 +336,8 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			continue
 		}
 		live = append(live, j)
-		// A job placement kept in place holds prev's own slice (same
-		// devices, same generation): only a placed-anew job is written.
 		if q != nil {
-			if old := s.prev[id]; len(old) == 0 || &old[0] != &q.Devs[0] {
-				s.prev[id] = q.Devs
-				j.NoteDispatch(q.Gen)
-			}
+			j.NoteDispatch(q.Gen)
 		}
 		// ran: the quantum was placed and its executor answered for it.
 		ran := q != nil && q.Answered
@@ -352,8 +354,8 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			// loses the whole quantum of occupied share to the fault —
 			// that shortfall becomes its user's compensation debt.
 			// (Failed migrations were already charged above.)
-			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, id); !migFailedNow {
-				for _, d := range s.prev[id] {
+			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, j.ID); !migFailedNow {
+				for _, d := range j.Devices() {
 					if rd.unavail[s.cfg.Cluster.Device(d).Server] {
 						s.compOf[j.User].loss += float64(j.Gang) * s.cfg.Quantum
 						break
@@ -378,7 +380,6 @@ func (s *Sim) retireJob(j *job.Job) {
 	s.prof.Remove(id)
 	delete(s.active, id)
 	s.demand[j.User] -= float64(j.Gang)
-	delete(s.prev, id)
 	if s.faultsOn {
 		s.compOf[j.User].jobs--
 	}
@@ -532,23 +533,24 @@ func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
 
 // checkDecision enforces the policy contract: known runnable jobs,
 // no duplicates, per-generation gang totals within capacity, and
-// every job placed on a generation it fits.
+// every job placed on a generation it fits. Known is the very record
+// the round's job list has where the record says it is — a copy, another
+// engine's record or a retired one is not — and each accepted job is
+// told its position in dec.Run, which is also how a second request for
+// it shows.
 func (s *Sim) checkDecision(dec Decision, caps map[gpu.Generation]int) error {
-	seen := s.seenBuf
-	clear(seen)
 	var width [gpu.NumGenerations]int
-	for _, r := range dec.Run {
+	for i, r := range dec.Run {
 		if r.Job == nil {
 			return fmt.Errorf("core: policy returned nil job")
 		}
-		j, ok := s.active[r.Job.ID]
-		if !ok || j != r.Job {
+		if at := r.Job.ListAt(); at >= len(s.jobs) || s.jobs[at] != r.Job {
 			return fmt.Errorf("core: policy scheduled unknown job %d", r.Job.ID)
 		}
-		if seen[r.Job.ID] {
+		if _, again := r.Job.RequestAt(); again {
 			return fmt.Errorf("core: policy scheduled job %d twice", r.Job.ID)
 		}
-		seen[r.Job.ID] = true
+		r.Job.NoteRequest(i)
 		if !r.Job.Perf.FitsOn(r.Gen) {
 			return fmt.Errorf("core: policy put job %d on unusable generation %v", r.Job.ID, r.Gen)
 		}

@@ -387,13 +387,16 @@ type Sim struct {
 	// a job's per-round state is its index here, not a map entry.
 	jobs []*job.Job //gflint:noretain compacted in place every round
 
-	pidx *placement.Index // free-capacity index owned by placement
+	// pidx is the persistent placement index: free capacity, and the
+	// devices of every job last round dispatched, still taken in its name.
+	// Where a job holds or last held devices is on its job.Job.
+	pidx *placement.Index
 
 	// place is the round's one maintained mechanism, the index above. It
 	// is a field so that the tests' export_test.go can run a round on the
 	// from-scratch reference (placement.Place) the index must match byte
 	// for byte; nothing else assigns it.
-	place func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) placement.Result
+	place func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round
 
 	// demand is each user's runnable gang width, the fairness reference's
 	// input: += at admission, −= at retirement. Gang widths are integers,
@@ -405,21 +408,16 @@ type Sim struct {
 	owners *placement.Owners
 
 	// Per-round scratch reused across rounds (contents die at round end).
-	rd           round           //gflint:noretain the running round's working state
-	quanta       []Quantum       //gflint:noretain the round's execute list
-	migFailedBuf []job.ID        //gflint:noretain per-round scratch: the round's failed movers, sorted
-	seenBuf      map[job.ID]bool //gflint:noretain checkDecision's duplicate set, cleared per round
-	execRep      ExecReport      //gflint:noretain the report handed to Policy.Executed; Ran is cleared per round
+	rd           round      //gflint:noretain the running round's working state
+	quanta       []Quantum  //gflint:noretain the round's execute list
+	unplacedBuf  []job.ID   //gflint:noretain per-round scratch: the requests that do not run (unplaced, or a failed mover), sorted
+	migFailedBuf []job.ID   //gflint:noretain per-round scratch: the round's failed movers, sorted
+	execRep      ExecReport //gflint:noretain the report handed to Policy.Executed; Ran is refilled per round
 
 	// executing is set while the executor holds the round's quanta, which
 	// index s.jobs: a late answer that finishes a job then leaves the
 	// retirement to the round's sweep.
 	executing bool
-
-	// prev is where each unfinished job last held devices; the generation
-	// of those devices, like the rest of a job's round-to-round state
-	// (migration backoff, checkpoint clock), is on its job.Job.
-	prev placement.Assignment
 
 	usage     map[job.UserID]map[gpu.Generation]float64
 	useful    map[job.UserID]float64
@@ -505,7 +503,6 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		active:    make(map[job.ID]*job.Job),
 		pidx:      placement.NewIndex(cfg.Cluster),
 		demand:    make(map[job.UserID]float64),
-		prev:      placement.Assignment{},
 		usage:     make(map[job.UserID]map[gpu.Generation]float64),
 		useful:    make(map[job.UserID]float64),
 		fairUsage: make(map[job.UserID]float64),
@@ -513,8 +510,6 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		recorded:  make(map[trace.Kind]int),
 		down:      make(map[gpu.ServerID]bool),
 		owners:    owners,
-		seenBuf:   make(map[job.ID]bool),
-		execRep:   ExecReport{Ran: make(map[job.ID]RanInfo)},
 		aud:       newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
 		obs:       cfg.Obs,
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -304,13 +305,23 @@ func TestBadHorizon(t *testing.T) {
 
 // badPolicy lets tests drive the engine's decision validation.
 type badPolicy struct {
-	decide func(st *RoundState) Decision
+	decide   func(st *RoundState) Decision
+	executed func(*ExecReport) // optional
+	finished func(job.ID)      // optional
 }
 
 func (b *badPolicy) Name() string                   { return "bad" }
 func (b *badPolicy) Decide(st *RoundState) Decision { return b.decide(st) }
-func (b *badPolicy) Executed(*ExecReport)           {}
-func (b *badPolicy) JobFinished(job.ID)             {}
+func (b *badPolicy) Executed(rep *ExecReport) {
+	if b.executed != nil {
+		b.executed(rep)
+	}
+}
+func (b *badPolicy) JobFinished(id job.ID) {
+	if b.finished != nil {
+		b.finished(id)
+	}
+}
 
 func TestDecisionValidation(t *testing.T) {
 	specs := workload.BatchJobs("u", zoo.MustGet("vae"), 3, 1, 10)
@@ -346,6 +357,72 @@ func TestDecisionValidation(t *testing.T) {
 		}
 		if _, err := sim.Run(simclock.Time(simclock.Hour)); err == nil {
 			t.Errorf("%s decision accepted", name)
+		}
+	}
+}
+
+// TestDecisionRefusesRecordsNotTheEngines: a request must name one of
+// the engine's own live records. A copy of a runnable job (same ID,
+// another pointer), a record of another engine running the same
+// workload, and a job the engine has already retired are all "unknown",
+// whatever else is right about them — and are refused before a later
+// duplicate in the same decision is.
+func TestDecisionRefusesRecordsNotTheEngines(t *testing.T) {
+	specs := workload.BatchJobs("u", zoo.MustGet("vae"), 3, 1, 0.05)
+	specs = append(specs, workload.BatchJobs("u", zoo.MustGet("vae"), 1, 1, 50)...)
+	specs, _ = workload.AssignIDs(specs)
+	cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs, Seed: 10}
+	fair := func() Policy { return MustNewFairPolicy(FairConfig{}) }
+
+	other, err := New(cfg, fair())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Step(simclock.Time(simclock.Hour)); err != nil {
+		t.Fatal(err)
+	}
+
+	var retired *job.Job
+	cases := map[string]func(st *RoundState) (run []placement.Request, unknown *job.Job){
+		"copy": func(st *RoundState) ([]placement.Request, *job.Job) {
+			cp := *st.Jobs[0]
+			return []placement.Request{{Job: &cp, Gen: gpu.K80}}, &cp
+		},
+		"another engine's": func(st *RoundState) ([]placement.Request, *job.Job) {
+			return []placement.Request{{Job: other.jobs[0], Gen: gpu.K80}}, other.jobs[0]
+		},
+		"retired": func(st *RoundState) ([]placement.Request, *job.Job) {
+			return []placement.Request{{Job: retired, Gen: gpu.K80}}, retired
+		},
+		"unknown before duplicate": func(st *RoundState) ([]placement.Request, *job.Job) {
+			last := st.Jobs[len(st.Jobs)-1]
+			return []placement.Request{{Job: last, Gen: gpu.K80}, {Job: retired, Gen: gpu.K80}, {Job: last, Gen: gpu.K80}}, retired
+		},
+	}
+	for name, bad := range cases {
+		inner := fair()
+		var sim *Sim
+		var unknown *job.Job
+		policy := &badPolicy{executed: inner.Executed, finished: inner.JobFinished}
+		policy.decide = func(st *RoundState) Decision {
+			if len(sim.finished) == 0 {
+				return inner.Decide(st)
+			}
+			retired = sim.finished[0]
+			var run []placement.Request
+			run, unknown = bad(st)
+			return Decision{Run: run}
+		}
+		sim, err = New(cfg, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err := sim.Run(simclock.Time(4 * simclock.Hour))
+		if unknown == nil {
+			t.Fatalf("%s: the run ended before a job had retired", name)
+		}
+		if want := fmt.Sprintf("core: policy scheduled unknown job %d", unknown.ID); err == nil || err.Error() != want {
+			t.Errorf("%s job in Decision.Run: got %v, want %q", name, err, want)
 		}
 	}
 }

@@ -21,7 +21,7 @@ type decisionTap struct {
 	core.Policy
 	run      []placement.Request
 	down     map[gpu.ServerID]bool
-	ran      map[job.ID]core.RanInfo
+	ran      []core.RanInfo
 	unplaced []job.ID
 }
 
@@ -33,13 +33,13 @@ func (p *decisionTap) Decide(st *core.RoundState) core.Decision {
 }
 
 func (p *decisionTap) Executed(rep *core.ExecReport) {
-	p.ran = maps.Clone(rep.Ran)
+	p.ran = slices.Clone(rep.Ran)
 	p.unplaced = slices.Clone(rep.Unplaced)
 	p.Policy.Executed(rep)
 }
 
 // TestCentralPlacementMatchesPlaceReference: the central's engine
-// places through the free-capacity index, fed agent failures (the
+// places through the persistent index, fed agent failures (the
 // failure detector's unreachable set) as deltas. Round by round —
 // through an agent dying, being suspected, its jobs moving off, and its
 // rejoin — where the engine put each job must be where the rescanning
@@ -117,7 +117,8 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 		}
 		// Every placed job whose agents answered ran, migrated exactly
 		// when the reference says so; nothing else ran.
-		for id, info := range tap.ran {
+		for _, info := range tap.ran {
+			id := info.Job
 			if _, placed := want.Assignment[id]; !placed {
 				t.Fatalf("round %d: job %d ran, the reference does not place it", round, id)
 			}

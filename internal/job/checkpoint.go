@@ -48,13 +48,13 @@ func (j *Job) Checkpoint() Checkpoint {
 		Finish:       j.finish,
 		GPUSecs:      j.gpuSecs,
 		OverheadSecs: j.overheadS,
-		Migrations:   j.migrations,
-		Preemptions:  j.preempts,
+		Migrations:   int(j.migrations),
+		Preemptions:  int(j.preempts),
 		LastRan:      j.lastRan,
 		FirstRun:     j.firstRun,
 		EverRan:      j.everRan,
 		CkptMB:       j.ckptMB,
-		Crashes:      j.crashes,
+		Crashes:      int(j.crashes),
 		Placed:       j.placed,
 		LastGen:      gpu.Generation(j.lastGen),
 		CkptOpen:     j.ckptOpen,
@@ -111,13 +111,13 @@ func FromCheckpoint(cp Checkpoint) (*Job, error) {
 		finish:      cp.Finish,
 		gpuSecs:     cp.GPUSecs,
 		overheadS:   cp.OverheadSecs,
-		migrations:  cp.Migrations,
-		preempts:    cp.Preemptions,
+		migrations:  int32(cp.Migrations),
+		preempts:    int32(cp.Preemptions),
 		lastRan:     cp.LastRan,
 		firstRun:    cp.FirstRun,
 		everRan:     cp.EverRan,
 		ckptMB:      cp.CkptMB,
-		crashes:     cp.Crashes,
+		crashes:     int32(cp.Crashes),
 		placed:      cp.Placed,
 		lastGen:     int8(cp.LastGen),
 		ckptOpen:    cp.CkptOpen,

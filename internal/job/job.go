@@ -172,10 +172,11 @@ type Job struct {
 	// Accounting.
 	gpuSecs    [gpu.NumGenerations]float64 // gang-GPU-seconds of useful service per generation
 	overheadS  float64                     // seconds of occupied-but-useless time (resume, migration)
-	migrations int
-	preempts   int
 	firstRun   simclock.Time
-	lastRan    bool // ran in previous quantum (for resume-overhead modeling)
+	migrations int32
+	preempts   int32
+	crashes    int32 // see Crash
+	lastRan    bool  // ran in previous quantum (for resume-overhead modeling)
 	everRan    bool
 
 	// Where the job last held devices: the generation of its last
@@ -183,18 +184,28 @@ type Job struct {
 	placed  bool
 	lastGen int8
 
+	// The devices themselves (see Devices): sorted ascending, nil until
+	// the job is first placed; holdSlot is nonzero while the placement
+	// index still has them taken in the job's name.
+	devs     []gpu.DeviceID
+	holdSlot int32
+
+	// The engine's marks for the running round (see BeginRound): where
+	// the job is in the round's list of runnable jobs, and one past its
+	// position in the round's Decision.Run, 0 while it has none.
+	listAt int32
+	reqAt  int32
+
 	// Fault-model state: progress as of the last durable checkpoint and
-	// when the interval to the next periodic one started, how many times
-	// the job has crashed (see Crash), and the migration-failure backoff
-	// (see NoteMigrationFailed): consecutive failed attempts and the
-	// last round of the pin they earned.
+	// when the interval to the next periodic one started, and the
+	// migration-failure backoff (see NoteMigrationFailed): consecutive
+	// failed attempts and the last round of the pin they earned.
 	ckptOpen    bool
 	pinned      bool
 	migFails    int32
 	pinnedUntil int32
 	ckptAt      simclock.Time
 	ckptMB      float64
-	crashes     int
 }
 
 // New constructs a runtime job from a validated spec.
@@ -353,6 +364,43 @@ func (j *Job) NoteDispatch(g gpu.Generation) { j.placed, j.lastGen = true, int8(
 // false for a job that has never been dispatched.
 func (j *Job) LastGen() (g gpu.Generation, ok bool) { return gpu.Generation(j.lastGen), j.placed }
 
+// Devices returns where the job last held devices, sorted ascending:
+// the stability baseline of its next placement, and where its
+// checkpoint lives. Nil for a job that was never placed. The slice is
+// shared — placement hands out a fresh one whenever it moves a job and
+// nobody writes into one.
+func (j *Job) Devices() []gpu.DeviceID { return j.devs }
+
+// HoldSlot is the placement index's handle on the job while the index
+// still has Devices taken in its name (it ran there last round and
+// nothing has released them since); 0 when the devices are only where
+// the job used to be.
+func (j *Job) HoldSlot() int32 { return j.holdSlot }
+
+// SetDevices records where the job holds (slot nonzero) or last held
+// (slot 0) devices. Placement writes it when it moves a job; the engine
+// when it restores a checkpoint or takes back a failed migration.
+func (j *Job) SetDevices(devs []gpu.DeviceID, slot int32) { j.devs, j.holdSlot = devs, slot }
+
+// BeginRound opens a round on the job: it is at position at of the
+// engine's list of runnable jobs (RoundState.Jobs), and not requested
+// yet.
+func (j *Job) BeginRound(at int) { j.listAt, j.reqAt = int32(at), 0 }
+
+// ListAt returns the position BeginRound last recorded. It says where to
+// look, not that the job is there: the engine knows its own record by
+// finding this very pointer at that position — a copy, a record of
+// another engine or one it has retired is not.
+func (j *Job) ListAt() int { return int(j.listAt) }
+
+// NoteRequest records the job's position in the running round's
+// Decision.Run.
+func (j *Job) NoteRequest(at int) { j.reqAt = int32(at) + 1 }
+
+// RequestAt returns the job's position in the running round's
+// Decision.Run; ok is false when the round does not run it.
+func (j *Job) RequestAt() (at int, ok bool) { return int(j.reqAt) - 1, j.reqAt > 0 }
+
 // NoteMigrationFailed counts one more consecutive failed migration
 // attempt and pins the job through round until (its backoff).
 func (j *Job) NoteMigrationFailed(until int) {
@@ -417,7 +465,7 @@ func (j *Job) Crash() (lostMB float64) {
 }
 
 // Crashes returns how many times the job has crashed.
-func (j *Job) Crashes() int { return j.crashes }
+func (j *Job) Crashes() int { return int(j.crashes) }
 
 // DoneMB returns minibatches completed so far.
 func (j *Job) DoneMB() float64 { return j.doneMB }
@@ -475,11 +523,11 @@ func (j *Job) GPUSeconds(g gpu.Generation) float64 {
 func (j *Job) OverheadSeconds() float64 { return j.overheadS }
 
 // Migrations returns how many times the job was migrated.
-func (j *Job) Migrations() int { return j.migrations }
+func (j *Job) Migrations() int { return int(j.migrations) }
 
 // Preemptions returns how many times the job was suspended after
 // running.
-func (j *Job) Preemptions() int { return j.preempts }
+func (j *Job) Preemptions() int { return int(j.preempts) }
 
 func (j *Job) String() string {
 	return fmt.Sprintf("job %d[user=%s model=%s gang=%d %.0f%% %v]",

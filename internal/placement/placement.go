@@ -2,9 +2,10 @@
 // onto concrete GPUs. It prefers stability (a job keeps the devices
 // it ran on), packs gangs onto as few servers as possible, and
 // reports which jobs had to migrate (server set changed) so the core
-// can charge migration overhead. Placement is a pure function of the
+// can charge migration overhead. Place is a pure function of the
 // round's inputs — all state (what ran where) is passed in, which
-// keeps it trivially testable.
+// keeps it trivially testable — and the oracle for Index, which keeps
+// that state between rounds and must place exactly as Place does.
 package placement
 
 import (
