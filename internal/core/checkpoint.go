@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/gpu"
@@ -43,6 +44,7 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's state. Call between rounds.
 func (s *Sim) Checkpoint() *Checkpoint {
+	usage, useful, fair, mb := s.bookMaps()
 	cp := &Checkpoint{
 		Now:           s.clock.Now(),
 		Rounds:        s.rounds,
@@ -50,10 +52,10 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		TicketChanges: slices.Clone(s.evq.changes[s.evq.nextChange:]),
 		Prev:          make(map[job.ID][]gpu.DeviceID, len(s.jobs)),
 		Tickets:       maps.Clone(s.tickets),
-		Usage:         make(map[job.UserID]map[gpu.Generation]float64, len(s.usage)),
-		Useful:        maps.Clone(s.useful),
-		FairUsage:     maps.Clone(s.fairUsage),
-		Throughput:    maps.Clone(s.mbByUser),
+		Usage:         usage,
+		Useful:        useful,
+		FairUsage:     fair,
+		Throughput:    mb,
 		Busy:          s.busyByGen,
 		Capacity:      s.capByGen,
 		Migrations:    s.recorded[trace.KindMigration],
@@ -68,9 +70,6 @@ func (s *Sim) Checkpoint() *Checkpoint {
 	for _, j := range s.finished {
 		cp.Done = append(cp.Done, j.Checkpoint())
 	}
-	for u, byGen := range s.usage {
-		cp.Usage[u] = maps.Clone(byGen)
-	}
 	return cp
 }
 
@@ -78,7 +77,8 @@ func (s *Sim) Checkpoint() *Checkpoint {
 // checkpoint does not hold — cluster, quantum, costs, audit mode,
 // instrumentation; its Specs, Tickets and TicketChanges are replaced by
 // the checkpoint's, and the whole is validated as New validates it (a
-// job listed twice, or one the cluster cannot place, is an error).
+// job listed twice, or one the cluster cannot place, is an error), and
+// so are the usage books (see checkBooks).
 func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, cp *Checkpoint) (*Sim, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
@@ -97,6 +97,9 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	}
 	if cp.Now < 0 || cp.Rounds < 0 {
 		return nil, fmt.Errorf("core: checkpoint at round %d, t=%v", cp.Rounds, cp.Now)
+	}
+	if err := s.checkBooks(cp); err != nil {
+		return nil, err
 	}
 	s.clock.RunUntil(cp.Now)
 	s.rounds = cp.Rounds
@@ -121,7 +124,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		}
 		s.finished = append(s.finished, j)
 		if s.faultsOn {
-			s.compOf[j.User].jobs-- // New counted its spec as still to run
+			s.comp[s.userAt(j.User)].jobs-- // New counted its spec as still to run
 		}
 	}
 	for id, devs := range cp.Prev {
@@ -146,17 +149,66 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		s.active[id].NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
 	}
 	for u, byGen := range cp.Usage {
+		b := &s.books[s.userAt(u)]
 		for g, v := range byGen {
-			if !g.Valid() || v < 0 {
-				return nil, fmt.Errorf("core: checkpoint usage for %q on %v is %v", u, g, v)
-			}
-			s.addUsage(u, g, v)
+			b.addUsage(g, v)
 		}
 	}
-	maps.Copy(s.useful, cp.Useful)
-	maps.Copy(s.fairUsage, cp.FairUsage)
-	maps.Copy(s.mbByUser, cp.Throughput)
+	for u, v := range cp.Useful {
+		b := &s.books[s.userAt(u)]
+		b.useful = v
+		b.wrote |= wroteUseful
+	}
+	for u, v := range cp.FairUsage {
+		b := &s.books[s.userAt(u)]
+		b.fair = v
+		b.wrote |= wroteFair
+	}
+	for u, v := range cp.Throughput {
+		b := &s.books[s.userAt(u)]
+		b.mb = v
+		b.wrote |= wroteMB
+	}
 	s.busyByGen, s.capByGen = cp.Busy, cp.Capacity
 	s.recorded[trace.KindMigration], s.recorded[trace.KindTrade] = cp.Migrations, cp.Trades
 	return s, nil
+}
+
+// checkBooks refuses usage books no engine writes: an entry for a user
+// the checkpoint's jobs do not name, for a generation outside the model,
+// or a value that is negative, NaN or infinite. It runs before anything
+// is restored, and reports the first bad entry in user and generation
+// order.
+func (s *Sim) checkBooks(cp *Checkpoint) error {
+	bad := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
+	for _, u := range job.SortedUsers(cp.Usage) {
+		if s.userAt(u) < 0 {
+			return fmt.Errorf("core: checkpoint usage for unknown user %q", u)
+		}
+		byGen := cp.Usage[u]
+		gens := make([]gpu.Generation, 0, len(byGen))
+		for g := range byGen {
+			gens = append(gens, g)
+		}
+		slices.Sort(gens)
+		for _, g := range gens {
+			if v := byGen[g]; !g.Valid() || bad(v) {
+				return fmt.Errorf("core: checkpoint usage for %q on %v is %v", u, g, v)
+			}
+		}
+	}
+	for _, book := range []struct {
+		name string
+		m    map[job.UserID]float64
+	}{{"useful", cp.Useful}, {"fair usage", cp.FairUsage}, {"throughput", cp.Throughput}} {
+		for _, u := range job.SortedUsers(book.m) {
+			if s.userAt(u) < 0 {
+				return fmt.Errorf("core: checkpoint %s for unknown user %q", book.name, u)
+			}
+			if v := book.m[u]; bad(v) {
+				return fmt.Errorf("core: checkpoint %s for %q is %v", book.name, u, v)
+			}
+		}
+	}
+	return nil
 }

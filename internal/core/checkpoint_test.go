@@ -1,0 +1,76 @@
+package core
+
+import (
+	"maps"
+	"math"
+	"testing"
+
+	"repro/internal/gpu"
+	"repro/internal/job"
+	"repro/internal/profiler"
+	"repro/internal/simclock"
+	"repro/internal/workload"
+)
+
+// TestRestoreRefusesHostileBooks feeds Restore checkpoints whose usage
+// books no engine writes — a user the checkpoint's jobs do not name, a
+// generation outside the model, a negative, NaN or infinite value, in
+// each of the four books — and wants an error and no engine, where the
+// unspoilt checkpoint restores.
+func TestRestoreRefusesHostileBooks(t *testing.T) {
+	specs := append(workload.BatchJobs("a", zoo.MustGet("vae"), 2, 1, 1e3),
+		workload.BatchJobs("b", zoo.MustGet("lstm"), 2, 2, 1e3)...)
+	specs, _ = workload.AssignIDs(specs)
+	cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs, Seed: 5}
+	s, err := New(cfg, MustNewFairPolicy(FairConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Step(simclock.Time(simclock.Day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := s.Checkpoint()
+	if len(cp.Usage["a"]) == 0 || len(cp.Useful) != 2 || len(cp.FairUsage) != 2 || len(cp.Throughput) != 2 {
+		t.Fatalf("fixture: books not written for both users: %+v", cp)
+	}
+	restore := func(cp *Checkpoint) (*Sim, error) {
+		return Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+	}
+	if _, err := restore(cp); err != nil {
+		t.Fatalf("the unspoilt checkpoint: %v", err)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name  string
+		spoil func(cp *Checkpoint)
+	}{
+		{"usage of an unknown user", func(cp *Checkpoint) { cp.Usage["ghost"] = map[gpu.Generation]float64{gpu.K80: 1} }},
+		{"usage on an unknown generation", func(cp *Checkpoint) { cp.Usage["a"][gpu.Generation(gpu.NumGenerations)] = 1 }},
+		{"negative usage", func(cp *Checkpoint) { cp.Usage["a"][gpu.K80] = -1 }},
+		{"NaN usage", func(cp *Checkpoint) { cp.Usage["a"][gpu.K80] = nan }},
+		{"infinite usage", func(cp *Checkpoint) { cp.Usage["b"][gpu.K80] = inf }},
+		{"useful of an unknown user", func(cp *Checkpoint) { cp.Useful["ghost"] = 1 }},
+		{"negative useful", func(cp *Checkpoint) { cp.Useful["a"] = -1 }},
+		{"NaN useful", func(cp *Checkpoint) { cp.Useful["b"] = nan }},
+		{"fair usage of an unknown user", func(cp *Checkpoint) { cp.FairUsage["ghost"] = 1 }},
+		{"-Inf fair usage", func(cp *Checkpoint) { cp.FairUsage["a"] = -inf }},
+		{"infinite fair usage", func(cp *Checkpoint) { cp.FairUsage["b"] = inf }},
+		{"throughput of an unknown user", func(cp *Checkpoint) { cp.Throughput["ghost"] = 1 }},
+		{"NaN throughput", func(cp *Checkpoint) { cp.Throughput["a"] = nan }},
+		{"negative throughput", func(cp *Checkpoint) { cp.Throughput["b"] = -0.5 }},
+	}
+	for _, tc := range cases {
+		bad := *cp
+		bad.Usage = make(map[job.UserID]map[gpu.Generation]float64, len(cp.Usage))
+		for u, byGen := range cp.Usage {
+			bad.Usage[u] = maps.Clone(byGen)
+		}
+		bad.Useful, bad.FairUsage, bad.Throughput = maps.Clone(cp.Useful), maps.Clone(cp.FairUsage), maps.Clone(cp.Throughput)
+		tc.spoil(&bad)
+		if s, err := restore(&bad); err == nil || s != nil {
+			t.Errorf("%s: Restore returned engine %v, error %v; want an error and no engine", tc.name, s != nil, err)
+		}
+	}
+}

@@ -99,3 +99,29 @@ func TestQueueDelayNeverRan(t *testing.T) {
 		t.Errorf("QueueDelay = %v, %v; want 500, true", d, ok)
 	}
 }
+
+// TestThemisNIgnoresTicketChangeForUserWithoutJobs: Themis's ρ divides
+// by N, the number of users. A ticket change may name a user with no
+// jobs; that adds a ticket entry but no user, so every user's ρ must
+// come out bit for bit as without the change.
+func TestThemisNIgnoresTicketChangeForUserWithoutJobs(t *testing.T) {
+	specs := append(workload.BatchJobs("a", zoo.MustGet("vae"), 3, 1, 0.5),
+		workload.BatchJobs("b", zoo.MustGet("lstm"), 3, 2, 0.5)...)
+	specs, _ = workload.AssignIDs(specs)
+	cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs, Seed: 8}
+	until := simclock.Time(simclock.Day)
+	plain := runFair(t, cfg, FairConfig{}, until)
+	cfg.TicketChanges = []TicketChange{{At: simclock.Time(simclock.Hour), User: "ghost", Tickets: 4}}
+	ghost := runFair(t, cfg, FairConfig{}, until)
+	if len(plain.SLO.RhoByUser) != 2 {
+		t.Fatalf("fixture: ρ for %d users, want both finished", len(plain.SLO.RhoByUser))
+	}
+	if len(ghost.SLO.RhoByUser) != len(plain.SLO.RhoByUser) {
+		t.Fatalf("ρ for users %v with the change, %v without", ghost.SLO.RhoByUser, plain.SLO.RhoByUser)
+	}
+	for u, want := range plain.SLO.RhoByUser {
+		if got := ghost.SLO.RhoByUser[u]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("user %s: ρ %v with a ticket change for a user without jobs, %v without", u, got, want)
+		}
+	}
+}

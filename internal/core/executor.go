@@ -96,7 +96,7 @@ func (s *Sim) execute(rd *round, qs []Quantum) error {
 		info := s.settle(q, false)
 		rep.Ran = append(rep.Ran, info)
 		if s.faultsOn {
-			s.compOf[q.Job.User].occ += float64(info.Gang) * info.OccupiedSecs
+			s.comp[q.Job.UserAt()].occ += float64(info.Gang) * info.OccupiedSecs
 		}
 	}
 	s.obs.PhaseEnd(obs.PhaseExecute)
@@ -199,9 +199,11 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 		j.PeriodicCheckpoint(now, now.Add(quantum), s.fcfg.CheckpointSecs)
 	}
 
-	s.addUsage(j.User, gen, gang*occupied)
-	s.useful[j.User] += gang * used
-	s.mbByUser[j.User] += j.GangRate(gen) * used
+	b := &s.books[j.UserAt()]
+	b.addUsage(gen, gang*occupied)
+	b.useful += gang * used
+	b.mb += j.GangRate(gen) * used
+	b.wrote |= wroteUseful | wroteMB
 	s.busyByGen[gen] += gang * occupied
 	s.tl.Add(now, j.User, gang*occupied)
 

@@ -80,11 +80,12 @@ type FairConfig struct {
 type FairPolicy struct {
 	cfg FairConfig
 
-	// users holds one record per user with runnable jobs and jobs one
-	// per runnable job. Decide groups the round's jobs into them; an
-	// idle user's record is dropped there, a finished job's by
-	// JobFinished.
-	users    map[job.UserID]*userState
+	// users holds one record per user with runnable jobs, in user-ID
+	// order, and jobs one per runnable job. Decide groups the round's
+	// jobs into them; a user's record is inserted at first sight and
+	// dropped there when idle, a finished job's by JobFinished. Every
+	// per-user computation of a round walks users by position.
+	users    []*userState
 	jobs     map[job.ID]*jobState
 	jobBlock []jobState // records not yet handed out (see jobState)
 	backfill *stride.Scheduler
@@ -93,13 +94,29 @@ type FairPolicy struct {
 	noMigrate bool // engine refuses migrations this run
 
 	// Decide's scratch, kept across rounds and cleared, never rebuilt.
-	active  []*userState           //gflint:noretain the round's users; in pass 1's serve order once sorted
-	granted []*jobState            //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
-	ranAt   []int32                //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
-	demand  map[job.UserID]float64 //gflint:noretain per-user runnable gang width, as fairshare and trade take it
-	vals    trade.Values           //gflint:noretain the profiled users' value vectors, as trade.Run takes them
-	candBuf []stride.Candidate     //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
-	prefBuf []gpu.Generation       //gflint:noretain one user's generation preference
+	// fill and parties are by position in users.
+	active  []*userState       //gflint:noretain the round's users in pass 1's serve order
+	fill    waterFill          //gflint:noretain the round's water-fill
+	parties []trade.Party      //gflint:noretain the round's entitlements, value vectors and demands, as trade.Market takes them
+	granted []*jobState        //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
+	ranAt   []int32            //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
+	candBuf []stride.Candidate //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
+	prefBuf []gpu.Generation   //gflint:noretain one user's generation preference
+}
+
+// waterFill holds the fairshare kernels' inputs and outputs, one
+// element per user.
+type waterFill struct {
+	tickets, demand, shares []float64
+	debt, granted           []float64 // the repayment round's
+}
+
+// resize makes every slice n long, keeping the storage; debt is zeroed.
+func (f *waterFill) resize(n int) {
+	grow := func(s []float64) []float64 { return slices.Grow(s[:0], n)[:n] }
+	f.tickets, f.demand, f.shares = grow(f.tickets), grow(f.demand), grow(f.shares)
+	f.debt, f.granted = grow(f.debt), grow(f.granted)
+	clear(f.debt)
 }
 
 // userState is what the policy holds for one user with runnable jobs:
@@ -112,6 +129,7 @@ type userState struct {
 
 	// The round's, set by Decide.
 	round      int                         // the round jobs was grouped in
+	at         int                         // position in FairPolicy.users
 	jobs       []*jobState                 // runnable jobs, in ID order
 	jobTickets float64                     // the user's tickets split over those jobs; 0 without tickets
 	vals       [gpu.NumGenerations]float64 // profiled value per GPU; zero when unprofiled
@@ -160,11 +178,8 @@ func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
 	}
 	return &FairPolicy{
 		cfg:      cfg,
-		users:    make(map[job.UserID]*userState),
 		jobs:     make(map[job.ID]*jobState),
 		backfill: stride.New(stride.GangAware),
-		demand:   make(map[job.UserID]float64),
-		vals:     make(trade.Values),
 	}, nil
 }
 
@@ -191,83 +206,92 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	p.noMigrate = st.MigrationDisabled
 	p.group(st.Jobs)
 	caps := st.CapacityByGen()
+	capacity := fairshare.CapacityOf(caps)
 
-	// 1. Fair share.
+	// 1. Fair share, by position in p.users: user-ID order, the order
+	// every float of it is summed in.
 	st.Obs.PhaseStart(obs.PhaseWaterfill)
 	tickets := st.Tickets
 	if p.cfg.Hierarchy != nil {
-		ids := make([]job.UserID, len(p.active))
-		for i, us := range p.active {
+		ids := make([]job.UserID, len(p.users))
+		for i, us := range p.users {
 			ids[i] = us.id
 		}
 		tickets = p.cfg.Hierarchy.Flatten(ids)
 	}
-	demand := p.demand
-	clear(demand)
-	for _, us := range p.active {
+	f := &p.fill
+	f.resize(len(p.users))
+	for i, us := range p.users {
 		gpus := 0
 		for _, js := range us.jobs {
 			gpus += js.job.Gang
 		}
-		demand[us.id] = float64(gpus)
-		us.jobTickets = fairshare.PerJobTickets(tickets[us.id], len(us.jobs))
+		us.at = i
+		f.tickets[i], f.demand[i] = tickets[us.id], float64(gpus)
+		us.jobTickets = fairshare.PerJobTickets(f.tickets[i], len(us.jobs))
 	}
-	alloc := fairshare.ComputeAllocation(tickets, demand, caps)
 	// Failure compensation: repay users' fault deficits off the top
 	// of the water-fill, before surplus redistribution, so GPU time
 	// lost to faults is restored instead of diluted away.
-	var repaid map[job.UserID]float64
+	owed := false
 	if !p.cfg.DisableCompensation && len(st.Deficit) > 0 && st.Quantum > 0 {
-		debt := make(map[job.UserID]float64)
 		for u, d := range st.Deficit {
-			if d > 0 && demand[u] > 0 {
-				debt[u] = d / st.Quantum // GPU-seconds owed → GPUs this round
+			if i, ok := p.userAt(u); ok && d > 0 && f.demand[i] > 0 {
+				f.debt[i] = d / st.Quantum // GPU-seconds owed → GPUs this round
+				owed = true
 			}
 		}
-		if len(debt) > 0 {
-			withDebt, granted := fairshare.ComputeAllocationWithDebt(tickets, demand, caps, debt, p.cfg.CompMaxShare)
-			alloc = withDebt
-			// A non-nil map — even with zero grants — tells the engine
-			// the policy is compensating, so materialized catch-up may
-			// drain the deficit (see Sim.settleCompensation).
-			repaid = make(map[job.UserID]float64, len(granted))
-			for u, g := range granted {
-				repaid[u] = g * st.Quantum
+	}
+	var repaid map[job.UserID]float64
+	if owed {
+		// A non-nil map — even with zero grants — tells the engine the
+		// policy is compensating, so materialized catch-up may drain the
+		// deficit (see Sim.settleCompensation).
+		repaid = make(map[job.UserID]float64)
+		fairshare.WaterFillWithDebt(f.tickets, f.demand, f.debt, capacity.Total(), p.cfg.CompMaxShare, f.shares, f.granted)
+		for i, g := range f.granted {
+			if g > 0 {
+				repaid[p.users[i].id] = g * st.Quantum
 			}
 		}
+	} else {
+		fairshare.WaterFill(f.tickets, f.demand, capacity.Total(), f.shares)
 	}
 	st.Obs.PhaseEnd(obs.PhaseWaterfill)
 
 	// 2. Trading. The value vectors also order each user's generation
 	// preference in pass 1, so they are computed once, trading or not.
-	clear(p.vals)
+	// A user the water-fill did not reach holds nothing, so trades nothing.
+	p.parties = slices.Grow(p.parties[:0], len(p.users))[:len(p.users)]
 	present := st.Cluster.GensPresent()
-	for _, us := range p.active {
-		var profiled bool
-		if us.vals, profiled = p.userValues(st.Prof, present, us.jobs); profiled {
-			p.vals[us.id] = us.vals
+	for i, us := range p.users {
+		us.vals = p.userValues(st.Prof, present, us.jobs)
+		p.parties[i] = trade.Party{User: us.id, Values: us.vals, Demand: f.demand[i]}
+		if sh := f.shares[i]; sh != fairshare.Unreached {
+			p.parties[i].Share = capacity.Split(sh)
 		}
 	}
 	var trades []trade.Trade
 	if p.cfg.EnableTrading {
 		st.Obs.PhaseStart(obs.PhaseTrade)
-		if adjusted, log, err := trade.Run(alloc, p.vals, demand, p.cfg.Trade); err == nil {
-			alloc, trades = adjusted, log
+		if log, err := trade.Market(p.parties, p.cfg.Trade); err == nil {
+			trades = log
 		}
 		st.Obs.PhaseEnd(obs.PhaseTrade)
 	}
 
-	// 3. Accrue credits, capped per generation. A generation the round
-	// lacks (all its servers out) accrues nothing and keeps its credit.
+	// 3. Accrue credits, capped per generation, for the users the
+	// water-fill reached. A generation the round lacks (all its servers
+	// out) accrues nothing and keeps its credit.
 	var remaining [gpu.NumGenerations]int
 	for g, c := range caps {
 		remaining[g] = c
 	}
-	for _, us := range p.active {
-		e, ok := alloc[us.id]
-		if !ok {
+	for i, us := range p.users {
+		if f.shares[i] == fairshare.Unreached {
 			continue
 		}
+		e := &p.parties[i].Share
 		for g, c := range remaining {
 			if c == 0 {
 				continue
@@ -308,7 +332,9 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	//
 	// Users are served most-credit-first: when capacity is scarce the
 	// user who has been shorted longest wins, so synchronized credit
-	// cycles cannot starve whoever happens to sort last.
+	// cycles cannot starve whoever happens to sort last. Ties go by
+	// position, which is user-ID order.
+	p.active = append(p.active[:0], p.users...)
 	for _, us := range p.active {
 		us.serveKey = us.credit.Total()
 	}
@@ -319,7 +345,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		case a.serveKey < b.serveKey:
 			return 1
 		default:
-			return cmp.Compare(a.id, b.id)
+			return cmp.Compare(a.at, b.at)
 		}
 	})
 	gens := gensDesc(caps)
@@ -372,10 +398,9 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 }
 
 // group sorts the round's runnable jobs into their records, made on
-// first sight, and their users' job lists; p.active lists the users
-// that have any. A user left with none loses their books.
+// first sight, and their users' job lists; p.users is then exactly the
+// users that have any. A user left with none loses their books.
 func (p *FairPolicy) group(jobs []*job.Job) {
-	p.active = p.active[:0]
 	for _, j := range jobs {
 		js := p.jobs[j.ID]
 		if js == nil {
@@ -386,15 +411,10 @@ func (p *FairPolicy) group(jobs []*job.Job) {
 		if us.round != p.round {
 			us.round = p.round
 			us.jobs = us.jobs[:0]
-			p.active = append(p.active, us)
 		}
 		us.jobs = append(us.jobs, js)
 	}
-	for id, us := range p.users {
-		if us.round != p.round {
-			delete(p.users, id)
-		}
-	}
+	p.users = slices.DeleteFunc(p.users, func(us *userState) bool { return us.round != p.round })
 }
 
 func (p *FairPolicy) newJobState(j *job.Job) *jobState {
@@ -403,14 +423,19 @@ func (p *FairPolicy) newJobState(j *job.Job) *jobState {
 	}
 	js := &p.jobBlock[0]
 	p.jobBlock = p.jobBlock[1:]
-	us := p.users[j.User]
-	if us == nil {
-		us = &userState{id: j.User, sched: stride.New(stride.GangAware)}
-		p.users[j.User] = us
+	i, ok := p.userAt(j.User)
+	if !ok {
+		p.users = slices.Insert(p.users, i, &userState{id: j.User, sched: stride.New(stride.GangAware)})
 	}
-	js.user, js.job = us, j
+	js.user, js.job = p.users[i], j
 	p.jobs[j.ID] = js
 	return js
+}
+
+// userAt finds a user's record by binary search: its position in
+// p.users, or where it would go.
+func (p *FairPolicy) userAt(u job.UserID) (int, bool) {
+	return slices.BinarySearchFunc(p.users, u, func(us *userState, u job.UserID) int { return cmp.Compare(us.id, u) })
 }
 
 // pickGen chooses the generation to fund a job from its user's credit.
@@ -504,17 +529,17 @@ func (p *FairPolicy) JobFinished(id job.ID) {
 // Credit exposes a user's current deficit credits (for tests and
 // debugging).
 func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	if us := p.users[u]; us != nil {
-		return us.credit
+	if i, ok := p.userAt(u); ok {
+		return p.users[i].credit
 	}
 	return fairshare.Entitlement{}
 }
 
 // userValues builds one user's trading value vector: gang-weighted
 // speedup of each generation over the oldest generation the job has an
-// estimate on, across the user's runnable jobs. profiled is false when
-// no job has an estimate yet.
-func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64, profiled bool) {
+// estimate on, across the user's runnable jobs; all zero while no job
+// has an estimate, which trades nothing.
+func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64) {
 	var num, den [gpu.NumGenerations]float64
 	for _, js := range jobs {
 		j := js.job
@@ -540,10 +565,9 @@ func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, 
 	for g := range v {
 		if den[g] > 0 {
 			v[g] = num[g] / den[g]
-			profiled = true
 		}
 	}
-	return v, profiled
+	return v
 }
 
 // genPreference orders generations for a user: profiled value per GPU

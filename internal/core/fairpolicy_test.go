@@ -43,8 +43,8 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.jobs[1].viaCredit || !p.jobs[2].viaCredit {
 			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
 		}
-		p.users["u"].credit[gpu.K80] = credit
-		p.Executed(&ExecReport{}) // fragmentation placed neither
+		p.users[0].credit[gpu.K80] = credit // "u", the only user
+		p.Executed(&ExecReport{})           // fragmentation placed neither
 		want := (credit + wide) + narrow
 		if got := p.Credit("u")[gpu.K80]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("policy %d: credit after refunds %.17g, want grant order's %.17g", i, got, want)

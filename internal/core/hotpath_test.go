@@ -108,27 +108,44 @@ func TestSteadyStateRoundAllocCeiling(t *testing.T) {
 
 // TestFairRoundAllocsPerUser pins what a user costs the fairness
 // pipeline per round — water-fill, trade, credit, stride pick — at no
-// more than two allocations: the policy keeps one record per user and
-// per job and regroups them in place, so what is left per user is the
-// stride order's ID slice and the users' part of the water-fill's and
-// the trade's fresh maps. Ten times the users on ten times the cluster,
-// four never-finishing jobs each, trading on, steady state. It measures
-// 1.13; the policy's per-round maps and the per-user entitlement maps
-// this replaced cost 6.23. The counts are deterministic.
+// more than two allocations and a fixed number of bytes: the policy
+// keeps one record per user and per job and regroups them in place, and
+// the water-fill and the trade walk users by position over slices kept
+// between rounds. Ten times the users on ten times the cluster, four
+// never-finishing jobs each, trading on, steady state. It measures 1.13
+// allocations and 111 B per additional user, all of it per job (the
+// stride order's ID slice, the Decision's requests); the per-round
+// shares, allocation and trade maps this replaced cost 492 B, and the
+// policy's per-round maps before them 6.23 allocations. The counts are
+// deterministic; the byte ceiling is the measured value and a tenth.
 func TestFairRoundAllocsPerUser(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 21.6k-GPU cluster")
 	}
 	const few, many, jobsPerUser = 20, 200, 4
-	perRound := func(users int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	perRound := func(users int) (allocs, bytes float64) {
 		_, step := steadySim(t, saturatedConfig(t, users*9, users, jobsPerUser))
-		return testing.AllocsPerRun(8, step)
+		const rounds = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds
 	}
-	a, b := perRound(few), perRound(many)
-	perUser := (b - a) / (many - few)
-	t.Logf("allocations per round: %.0f at %d users, %.0f at %d: %.2f per additional user", a, few, b, many, perUser)
+	a, aBytes := perRound(few)
+	b, bBytes := perRound(many)
+	perUser, bytesPerUser := (b-a)/(many-few), (bBytes-aBytes)/(many-few)
+	t.Logf("per round: %.0f allocations, %.0f B at %d users; %.0f, %.0f B at %d: %.2f allocations, %.0f B per additional user",
+		a, aBytes, few, b, bBytes, many, perUser, bytesPerUser)
+	const bytesCeiling = 122
 	if perUser > 2 {
 		t.Errorf("a user costs %.2f allocations per round, ceiling 2", perUser)
+	}
+	if bytesPerUser > bytesCeiling {
+		t.Errorf("a user costs %.0f B per round, ceiling %d B", bytesPerUser, bytesCeiling)
 	}
 }
 

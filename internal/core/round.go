@@ -93,6 +93,9 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	now := rd.now
 	s.evq.popTicketsDue(now, func(tc TicketChange) {
 		s.tickets[tc.User] = tc.Tickets
+		if i := s.userAt(tc.User); i >= 0 {
+			s.userTickets[i] = tc.Tickets
+		}
 	})
 	s.obs.PhaseStart(obs.PhaseFaultSweep)
 	rd.down = s.updateFaultState(now)
@@ -172,19 +175,26 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 
 // fairReference integrates the policy-independent fairness reference
 // for this round, water-filled over the capacity actually available
-// (failed servers excluded).
+// (failed servers excluded). A user the fill does not reach is charged
+// nothing and, until it first does, has no fair-usage entry.
 func (s *Sim) fairReference(rd *round) {
 	s.obs.PhaseStart(obs.PhaseWaterfill)
 	availTotal := 0.0
-	for _, g := range gpu.Generations() {
-		availTotal += float64(rd.caps[g])
+	for g := range gpu.NumGenerations {
+		availTotal += float64(rd.caps[gpu.Generation(g)])
 	}
-	shares := fairshare.Compute(s.tickets, s.demand, availTotal)
-	for u, sh := range shares {
-		s.fairUsage[u] += sh * s.cfg.Quantum
+	fairshare.WaterFill(s.userTickets, s.demand, availTotal, s.shares)
+	for i, sh := range s.shares {
+		if sh == fairshare.Unreached {
+			s.shares[i] = 0
+			continue
+		}
+		b := &s.books[i]
+		b.fair += sh * s.cfg.Quantum
+		b.wrote |= wroteFair
 	}
 	for i := range s.comp {
-		s.comp[i].fair = shares[s.comp[i].user] * s.cfg.Quantum
+		s.comp[i].fair = s.shares[i] * s.cfg.Quantum
 	}
 	s.obs.PhaseEnd(obs.PhaseWaterfill)
 }
@@ -279,11 +289,11 @@ func (s *Sim) failMigrations(rd *round) {
 			// checkpoint copy: occupied time is charged, no progress made,
 			// and the rest of the quantum is lost to the fault.
 			j.AddOverhead(cost)
-			s.addUsage(j.User, gen, gang*cost)
+			s.books[j.UserAt()].addUsage(gen, gang*cost)
 			s.busyByGen[gen] += gang * cost
 			s.tl.Add(rd.now, j.User, gang*cost)
 			s.aud.noteBusy(gen, gang*cost)
-			books := s.compOf[j.User]
+			books := &s.comp[j.UserAt()]
 			books.occ += gang * cost
 			books.loss += gang * (s.cfg.Quantum - cost)
 			fails := j.MigrationFailures() + 1
@@ -357,7 +367,7 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, j.ID); !migFailedNow {
 				for _, d := range j.Devices() {
 					if rd.unavail[s.cfg.Cluster.Device(d).Server] {
-						s.compOf[j.User].loss += float64(j.Gang) * s.cfg.Quantum
+						s.comp[j.UserAt()].loss += float64(j.Gang) * s.cfg.Quantum
 						break
 					}
 				}
@@ -379,9 +389,9 @@ func (s *Sim) retireJob(j *job.Job) {
 	s.policy.JobFinished(id)
 	s.prof.Remove(id)
 	delete(s.active, id)
-	s.demand[j.User] -= float64(j.Gang)
+	s.demand[j.UserAt()] -= float64(j.Gang)
 	if s.faultsOn {
-		s.compOf[j.User].jobs--
+		s.comp[j.UserAt()].jobs--
 	}
 }
 
@@ -456,18 +466,18 @@ func (s *Sim) shareSamples() []obs.ShareSample {
 	}
 	var usedTotal, fairTotal float64
 	out := s.shareBuf[:0]
-	for _, u := range s.users {
-		fairTotal += s.fairUsage[u]
-		byGen, ok := s.usage[u]
-		if !ok {
+	for i, u := range s.users {
+		b := &s.books[i]
+		fairTotal += b.fair
+		if b.wrote&wroteUsage == 0 {
 			continue
 		}
 		used := 0.0
-		for _, g := range gpu.Generations() {
-			used += byGen[g]
+		for _, v := range b.usage {
+			used += v
 		}
 		usedTotal += used
-		out = append(out, obs.ShareSample{User: string(u), Usage: used, Fair: s.fairUsage[u]})
+		out = append(out, obs.ShareSample{User: string(u), Usage: used, Fair: b.fair})
 	}
 	for i := range out { // a zero total means every term of it is zero already
 		if usedTotal > 0 {
@@ -479,15 +489,6 @@ func (s *Sim) shareSamples() []obs.ShareSample {
 	}
 	s.shareBuf = out
 	return out
-}
-
-func (s *Sim) addUsage(u job.UserID, g gpu.Generation, amount float64) {
-	m := s.usage[u]
-	if m == nil {
-		m = make(map[gpu.Generation]float64)
-		s.usage[u] = m
-	}
-	m[g] += amount
 }
 
 // updateFaultState advances the compiled fault timeline to now,

@@ -398,10 +398,21 @@ type Sim struct {
 	// for byte; nothing else assigns it.
 	place func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round
 
-	// demand is each user's runnable gang width, the fairness reference's
-	// input: += at admission, −= at retirement. Gang widths are integers,
-	// so the sums are exact and a departed user's is exactly zero.
-	demand map[job.UserID]float64
+	// users is every user of the workload, sorted; a user's position here
+	// (job.Job.UserAt) is their index in every per-user table below.
+	// userTickets, demand and shares are the fairness reference's inputs
+	// and output: the users' entries of tickets, their runnable gang
+	// width (+= at admission, −= at retirement; gang widths are
+	// integers, so the sums are exact and a departed user's is exactly
+	// zero) and the round's water-filled share, 0 for a user the fill did
+	// not reach.
+	users       []job.UserID
+	userTickets []float64
+	demand      []float64
+	shares      []float64 //gflint:noretain fairReference's result, rewritten every round
+
+	// books is each user's usage, by position (see userBooks).
+	books []userBooks
 
 	// owners is the one device-owner table behind placement validation
 	// and the auditor's double-placement check.
@@ -419,10 +430,6 @@ type Sim struct {
 	// retirement to the round's sweep.
 	executing bool
 
-	usage     map[job.UserID]map[gpu.Generation]float64
-	useful    map[job.UserID]float64
-	fairUsage map[job.UserID]float64
-	mbByUser  map[job.UserID]float64
 	busyByGen [gpu.NumGenerations]float64
 	capByGen  [gpu.NumGenerations]float64
 	recorded  map[trace.Kind]int // how often each kind was emitted
@@ -430,7 +437,6 @@ type Sim struct {
 	aud       *auditor
 	obs       *obs.Observer     // nil when uninstrumented
 	robs      *RoundObs         // the policy's handle on obs; nil with it
-	users     []job.UserID      // every user of the workload, sorted
 	shareBuf  []obs.ShareSample //gflint:noretain shareSamples' result, reused every round
 
 	// Fault-model state. The timeline/sweep pair always exists (the
@@ -447,9 +453,8 @@ type Sim struct {
 	breaker     *faults.Breaker
 
 	// The failure-compensation books: one record per user of the
-	// workload, in user order, and the index from a user to theirs.
+	// workload, by position.
 	comp       []compBooks
-	compOf     map[job.UserID]*compBooks
 	compOpen   int     // records with debt on them
 	compRepaid float64 // total GPU-seconds repaid
 }
@@ -463,6 +468,32 @@ type compBooks struct {
 	// The running round's: the fairness reference's share, the raw fault
 	// loss and the occupied time, all in GPU-seconds.
 	fair, loss, occ float64
+}
+
+// userBooks is one user's usage books: occupied GPU-seconds per
+// generation (the fairness currency), useful gang-GPU-seconds, the
+// integrated fairness reference and minibatches completed. Result and
+// Checkpoint report them as maps keyed by user, and a map has a key only
+// where the engine ever wrote one — a user the water-fill has not yet
+// reached has no fair-usage entry, a generation a user never ran on no
+// usage entry — so wrote records which entries were written.
+type userBooks struct {
+	usage            [gpu.NumGenerations]float64
+	useful, fair, mb float64
+	wrote            uint8 // bit g: usage[g]; then wroteUseful, wroteFair, wroteMB
+}
+
+const (
+	wroteUseful uint8 = 1 << (gpu.NumGenerations + iota)
+	wroteFair
+	wroteMB
+	wroteUsage = wroteUseful - 1 // the usage bits
+)
+
+// addUsage charges occupied GPU-seconds on generation g.
+func (b *userBooks) addUsage(g gpu.Generation, amount float64) {
+	b.usage[g] += amount
+	b.wrote |= 1 << g
 }
 
 // New builds a simulation for a policy: the engine with the simulated
@@ -492,26 +523,21 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	cfg = cfg.withDefaults()
 	owners := placement.NewOwners(cfg.Cluster)
 	s := &Sim{
-		cfg:       cfg,
-		clock:     simclock.New(),
-		policy:    policy,
-		exec:      exec,
-		prof:      prof,
-		log:       &trace.Log{},
-		tl:        metrics.NewTimeline(cfg.TimelineWindow),
-		tickets:   make(map[job.UserID]float64),
-		active:    make(map[job.ID]*job.Job),
-		pidx:      placement.NewIndex(cfg.Cluster),
-		demand:    make(map[job.UserID]float64),
-		usage:     make(map[job.UserID]map[gpu.Generation]float64),
-		useful:    make(map[job.UserID]float64),
-		fairUsage: make(map[job.UserID]float64),
-		mbByUser:  make(map[job.UserID]float64),
-		recorded:  make(map[trace.Kind]int),
-		down:      make(map[gpu.ServerID]bool),
-		owners:    owners,
-		aud:       newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
-		obs:       cfg.Obs,
+		cfg:      cfg,
+		clock:    simclock.New(),
+		policy:   policy,
+		exec:     exec,
+		prof:     prof,
+		log:      &trace.Log{},
+		tl:       metrics.NewTimeline(cfg.TimelineWindow),
+		tickets:  make(map[job.UserID]float64),
+		active:   make(map[job.ID]*job.Job),
+		pidx:     placement.NewIndex(cfg.Cluster),
+		recorded: make(map[trace.Kind]int),
+		down:     make(map[gpu.ServerID]bool),
+		owners:   owners,
+		aud:      newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
+		obs:      cfg.Obs,
 	}
 	s.place = s.placeIndexed
 	// Satellite of the fault model: the declared failure list is
@@ -546,18 +572,32 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		}
 	}
 	s.users = job.SortedUsers(s.tickets)
+	n := len(s.users)
+	perUser := make([]float64, 3*n)
+	s.userTickets, s.demand, s.shares = perUser[:n], perUser[n:2*n], perUser[2*n:]
+	for i, u := range s.users {
+		s.userTickets[i] = s.tickets[u]
+	}
+	s.books = make([]userBooks, n)
 	if s.faultsOn {
-		s.comp = make([]compBooks, len(s.users))
-		s.compOf = make(map[job.UserID]*compBooks, len(s.users))
+		s.comp = make([]compBooks, n)
 		for i, u := range s.users {
 			s.comp[i].user = u
-			s.compOf[u] = &s.comp[i]
 		}
 		for i := range cfg.Specs {
-			s.compOf[cfg.Specs[i].User].jobs++
+			s.comp[s.userAt(cfg.Specs[i].User)].jobs++
 		}
 	}
 	return s, nil
+}
+
+// userAt returns a user's position in s.users, or -1 for a user the
+// workload does not have.
+func (s *Sim) userAt(u job.UserID) int {
+	if i, ok := slices.BinarySearch(s.users, u); ok {
+		return i
+	}
+	return -1
 }
 
 // Run simulates until the horizon or until every job finishes,
@@ -651,12 +691,13 @@ func (s *Sim) admitArrivals() {
 }
 
 // admit enters a job into the active set, the sorted job list and the
-// fairness reference's demand.
+// fairness reference's demand, and tells it where its user is.
 func (s *Sim) admit(j *job.Job) {
 	s.active[j.ID] = j
 	at, _ := slices.BinarySearchFunc(s.jobs, j.ID, func(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) })
 	s.jobs = slices.Insert(s.jobs, at, j)
-	s.demand[j.User] += float64(j.Gang)
+	j.NoteUser(s.userAt(j.User))
+	s.demand[j.UserAt()] += float64(j.Gang)
 }
 
 // declaredOutages converts the config's declared failure list into
@@ -716,7 +757,8 @@ func (s *Sim) resultDeficit() map[job.UserID]float64 {
 // computeSLO derives the run's fairness SLO bundle. A job's
 // standalone reference is its exclusive runtime on the fastest
 // generation present in the cluster that it can use; Themis's N is
-// the number of users the run was configured with.
+// the number of users of the workload — a ticket change naming a user
+// with no jobs adds no one.
 func (s *Sim) computeSLO() metrics.SLO {
 	runs := make([]metrics.JobRun, 0, len(s.finished))
 	for _, j := range s.finished {
@@ -734,12 +776,12 @@ func (s *Sim) computeSLO() metrics.SLO {
 			Finish: float64(j.FinishTime()), Standalone: best,
 		})
 	}
-	return metrics.ComputeSLO(runs, len(s.tickets))
+	return metrics.ComputeSLO(runs, len(s.users))
 }
 
 // Result reports the outcome so far: what Run returns at the horizon,
-// and what a caller driving Step reads between rounds. Its maps are the
-// engine's own books, not copies.
+// and what a caller driving Step reads between rounds. Its per-user maps
+// are built for the call from the engine's books.
 func (s *Sim) Result() *Result {
 	s.obs.Emit(s.flush()...) // what was recorded since the last round closed
 	// Completion order: nothing else reads s.finished's order, so it is
@@ -761,6 +803,7 @@ func (s *Sim) Result() *Result {
 		busy += b
 		capTotal += c
 	}
+	usage, useful, fair, mb := s.bookMaps()
 	slo := s.computeSLO()
 	if s.obs != nil {
 		s.obs.SetSLO(slo.RhoByUser, map[string]float64{
@@ -771,10 +814,10 @@ func (s *Sim) Result() *Result {
 		Policy:               s.policy.Name(),
 		Finished:             s.finished,
 		Unfinished:           len(s.active) + s.evq.pendingCount(),
-		UsageByUserGen:       s.usage,
-		UsefulByUser:         s.useful,
-		FairUsageByUser:      s.fairUsage,
-		ThroughputByUser:     s.mbByUser,
+		UsageByUserGen:       usage,
+		UsefulByUser:         useful,
+		FairUsageByUser:      fair,
+		ThroughputByUser:     mb,
 		Utilization:          metrics.Utilization{BusyGPUSeconds: busy, CapacityGPUSeconds: capTotal},
 		UtilByGen:            utilByGen,
 		Migrations:           s.recorded[trace.KindMigration],
@@ -792,4 +835,36 @@ func (s *Sim) Result() *Result {
 		Audit:                s.aud.report(),
 		PhaseTotalsSeconds:   s.obs.PhaseTotals(),
 	}
+}
+
+// bookMaps renders the usage books as the maps Result and Checkpoint
+// carry: a user, or a user and generation, has a key iff the engine ever
+// wrote that entry.
+func (s *Sim) bookMaps() (usage map[job.UserID]map[gpu.Generation]float64, useful, fair, mb map[job.UserID]float64) {
+	usage = make(map[job.UserID]map[gpu.Generation]float64)
+	useful = make(map[job.UserID]float64)
+	fair = make(map[job.UserID]float64)
+	mb = make(map[job.UserID]float64)
+	for i, u := range s.users {
+		b := &s.books[i]
+		if b.wrote&wroteUsage != 0 {
+			byGen := make(map[gpu.Generation]float64)
+			for g, v := range b.usage {
+				if b.wrote&(1<<g) != 0 {
+					byGen[gpu.Generation(g)] = v
+				}
+			}
+			usage[u] = byGen
+		}
+		if b.wrote&wroteUseful != 0 {
+			useful[u] = b.useful
+		}
+		if b.wrote&wroteFair != 0 {
+			fair[u] = b.fair
+		}
+		if b.wrote&wroteMB != 0 {
+			mb[u] = b.mb
+		}
+	}
+	return usage, useful, fair, mb
 }

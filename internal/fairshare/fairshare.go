@@ -9,7 +9,6 @@ package fairshare
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -18,71 +17,89 @@ import (
 // Epsilon below which shares and demands are treated as zero.
 const eps = 1e-9
 
-// Compute performs max–min water-filling: it divides capacity GPUs
-// among users in proportion to tickets, capping each user at their
-// demand and redistributing the surplus until either all capacity is
-// assigned or all demand is met. Users absent from tickets get weight
-// zero; users with zero demand get zero share.
-//
-// The returned shares are fractional GPUs (realized over time by
-// time-slicing). Invariants: 0 ≤ share[u] ≤ demand[u];
-// Σ share = min(capacity, Σ demand).
-func Compute(tickets, demand map[job.UserID]float64, capacity float64) map[job.UserID]float64 {
-	shares := make(map[job.UserID]float64, len(demand))
-	if capacity <= eps {
-		return shares
-	}
-	type user struct {
-		id job.UserID
-		t  float64
-		d  float64
-	}
-	var active []user
-	for id, d := range demand {
-		t := tickets[id]
-		if d > eps && t > eps {
-			active = append(active, user{id, t, d})
-		}
-	}
-	// Deterministic iteration order regardless of map layout.
-	sort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })
+// Unreached is the share WaterFill leaves for a user the fill gave
+// nothing: no tickets, no demand, or capacity used up before their turn.
+// The map forms leave such a user out of their result.
+const Unreached = -1.0
 
+// WaterFill performs max–min water-filling over users by position: user
+// i holds tickets[i] and demands demand[i] GPUs, and WaterFill writes
+// their share to shares[i], or Unreached. It divides capacity GPUs in
+// proportion to tickets, caps each user at their demand and
+// redistributes the surplus until either all capacity is assigned or
+// all demand is met. The three slices are equally long; it allocates
+// nothing.
+//
+// Every sum runs in position order, so the order is part of the result's
+// bits: callers keep their users in ID order, the order Compute sorts
+// them into. Invariants: 0 ≤ shares[i] ≤ demand[i] for a reached
+// user; Σ shares = min(capacity, Σ demand of users holding tickets).
+func WaterFill(tickets, demand []float64, capacity float64, shares []float64) {
+	for i := range shares {
+		shares[i] = Unreached
+	}
+	if capacity <= eps {
+		return
+	}
+	// A user is pending while they have tickets and demand and the fill
+	// has not reached them.
+	pending := func(i int) bool { return shares[i] == Unreached && demand[i] > eps && tickets[i] > eps }
 	remaining := capacity
 	used := 0.0
-	for len(active) > 0 && remaining > eps {
+	for remaining > eps {
 		var ticketSum float64
-		for _, u := range active {
-			ticketSum += u.t
+		n := 0
+		for i, t := range tickets {
+			if pending(i) {
+				ticketSum += t
+				n++
+			}
+		}
+		if n == 0 {
+			return
 		}
 		// Tentatively split remaining capacity by tickets; users whose
 		// demand caps below their slice are finalized at demand.
 		capped := false
-		next := active[:0]
-		for _, u := range active {
-			slice := remaining * u.t / ticketSum
-			if u.d <= slice+eps {
-				shares[u.id] += u.d
-				used += u.d
+		for i, t := range tickets {
+			if pending(i) && demand[i] <= remaining*t/ticketSum+eps {
+				shares[i] = demand[i]
+				used += demand[i]
 				capped = true
-			} else {
-				next = append(next, u)
 			}
 		}
 		if !capped {
 			// No one capped: everyone takes their proportional slice.
-			for _, u := range next {
-				shares[u.id] += remaining * u.t / ticketSum
+			for i, t := range tickets {
+				if pending(i) {
+					shares[i] = remaining * t / ticketSum
+				}
 			}
-			remaining = 0
-			break
+			return
 		}
-		// Recompute remaining after finalizing capped users. used is
-		// accumulated in the deterministic finalization order — summing
-		// the shares map here would make the float rounding (and hence
-		// the whole simulation trajectory) depend on map iteration
-		// order, which changes between processes.
+		// used is accumulated in finalization order, which is position
+		// order: summing the shares in any other order would round
+		// differently, and the whole simulation trajectory with it.
 		remaining = capacity - used
-		active = next
+	}
+}
+
+// Compute is WaterFill over maps: it returns the share of every user of
+// demand the fill reached. Users absent from tickets get weight zero.
+func Compute(tickets, demand map[job.UserID]float64, capacity float64) map[job.UserID]float64 {
+	users := job.SortedUsers(demand)
+	n := len(users)
+	buf := make([]float64, 3*n)
+	t, d, sh := buf[:n], buf[n:2*n], buf[2*n:]
+	for i, u := range users {
+		t[i], d[i] = tickets[u], demand[u]
+	}
+	WaterFill(t, d, capacity, sh)
+	shares := make(map[job.UserID]float64, n)
+	for i, u := range users {
+		if sh[i] != Unreached {
+			shares[u] = sh[i]
+		}
 	}
 	return shares
 }
@@ -101,30 +118,51 @@ func (e Entitlement) Total() float64 {
 	return s
 }
 
-// SplitByGen apportions a user's total share across GPU generations in
-// proportion to cluster capacity — the heterogeneity-blind entitlement
-// the trading mechanism then improves upon. capacities maps each
-// present generation to its GPU count.
-func SplitByGen(total float64, capacities map[gpu.Generation]int) Entitlement {
+// Capacity is a cluster's GPU count per generation, indexed like an
+// Entitlement, and the total: what splitting a share reads, converted
+// once a round instead of once a user.
+type Capacity struct {
+	gpus  [gpu.NumGenerations]float64
+	total float64
+}
+
+// CapacityOf converts a generation → GPU count map. GPU counts are
+// integers, so the total is exact whatever order the map yields them in.
+func CapacityOf(capacities map[gpu.Generation]int) Capacity {
+	var c Capacity
+	n := 0
+	for g, k := range capacities {
+		n += k
+		if g.Valid() {
+			c.gpus[g] = float64(k)
+		}
+	}
+	c.total = float64(n)
+	return c
+}
+
+// Total is the cluster's GPU count.
+func (c *Capacity) Total() float64 { return c.total }
+
+// Split apportions a user's total share across GPU generations in
+// proportion to capacity — the heterogeneity-blind entitlement the
+// trading mechanism then improves upon.
+func (c *Capacity) Split(total float64) Entitlement {
 	var out Entitlement
-	sum := totalCapacity(capacities)
-	if sum <= eps || total <= eps {
+	if c.total <= eps || total <= eps {
 		return out
 	}
 	for g := range out {
-		out[g] = total * float64(capacities[gpu.Generation(g)]) / sum
+		out[g] = total * c.gpus[g] / c.total
 	}
 	return out
 }
 
-// totalCapacity is the cluster's GPU count. GPU counts are integers, so
-// the sum is exact whatever order the map yields them in.
-func totalCapacity(capacities map[gpu.Generation]int) float64 {
-	n := 0
-	for _, c := range capacities {
-		n += c
-	}
-	return float64(n)
+// SplitByGen is Capacity.Split over a map: capacities maps each present
+// generation to its GPU count.
+func SplitByGen(total float64, capacities map[gpu.Generation]int) Entitlement {
+	c := CapacityOf(capacities)
+	return c.Split(total)
 }
 
 // Allocation is the full per-user entitlement map for one round.
@@ -144,58 +182,54 @@ func (a Allocation) TotalByGen() Entitlement {
 	return out
 }
 
-// ComputeAllocation runs the full fair-share pipeline for one round:
-// water-fill total cluster capacity by tickets and demand, then split
-// each user's share across generations by capacity proportion.
+// ComputeAllocation runs the full fair-share pipeline for one round over
+// maps: water-fill total cluster capacity by tickets and demand, then
+// split each user's share across generations by capacity proportion.
 //
 // demand[u] is the user's total runnable gang width in GPUs.
 func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int) Allocation {
-	shares := Compute(tickets, demand, totalCapacity(capacities))
+	c := CapacityOf(capacities)
+	shares := Compute(tickets, demand, c.Total())
 	alloc := make(Allocation, len(shares))
 	for u, s := range shares {
-		alloc[u] = SplitByGen(s, capacities)
+		alloc[u] = c.Split(s)
 	}
 	return alloc
 }
 
-// ComputeAllocationWithDebt is ComputeAllocation with failure
-// compensation: users owed debt GPUs (GPU-seconds lost to faults,
-// expressed in GPUs for this round) are repaid off the top — their
-// repayment is granted before the remaining capacity is water-filled
-// over the reduced demands — so surplus redistribution cannot starve a
-// user's catch-up. Repayment per round is bounded by
-// maxRepayFrac × capacity (≤ 0 disables repayment), and by each
-// debtor's own demand: a user cannot consume more than they ask for.
+// WaterFillWithDebt is WaterFill with failure compensation: users owed
+// debt[i] GPUs (GPU-seconds lost to faults, expressed in GPUs for this
+// round) are repaid off the top — their repayment is granted before the
+// remaining capacity is water-filled over the reduced demands — so
+// surplus redistribution cannot starve a user's catch-up. Repayment per
+// round is bounded by maxRepayFrac × capacity (≤ 0 disables repayment),
+// and by each debtor's own demand: a user cannot consume more than they
+// ask for. shares is written as WaterFill writes it.
 //
-// The second return value is the GPUs each debtor was granted beyond
-// their no-debt water-fill share — the marginal repayment the caller
-// should drain from the debt. Marginal accounting matters: capacity a
-// debtor would have received anyway is their ordinary share, not a
-// repayment, so counting it would drain debt without restoring the
-// user's cumulative position.
-func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int, debt map[job.UserID]float64, maxRepayFrac float64) (Allocation, map[job.UserID]float64) {
-	total := totalCapacity(capacities)
-	base := Compute(tickets, demand, total)
+// granted[i] is set to the GPUs user i was granted beyond their no-debt
+// water-fill share, 0 if none — the marginal repayment the caller should
+// drain from the debt. Marginal accounting matters: capacity a debtor
+// would have received anyway is their ordinary share, not a repayment,
+// so counting it would drain debt without restoring the user's
+// cumulative position. All five slices are equally long.
+func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, shares, granted []float64) {
+	n := len(demand)
+	scratch := make([]float64, 3*n)
+	base, target, reduced := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	WaterFill(tickets, demand, capacity, base)
 
-	// Demand-capped repayment targets, scaled down to the budget if
-	// the round's total debt exceeds it. Deterministic order: debtors
-	// sorted by ID.
-	debtors := make([]job.UserID, 0, len(debt))
-	for u := range debt {
-		debtors = append(debtors, u)
-	}
-	sort.Slice(debtors, func(i, j int) bool { return debtors[i] < debtors[j] })
-	target := make(map[job.UserID]float64, len(debtors))
+	// Demand-capped repayment targets, scaled down to the budget if the
+	// round's total debt exceeds it.
 	var want float64
-	for _, u := range debtors {
-		r := math.Min(debt[u], demand[u])
+	for i, d := range debt {
+		r := math.Min(d, demand[i])
 		if r <= eps {
 			continue
 		}
-		target[u] = r
+		target[i] = r
 		want += r
 	}
-	budget := maxRepayFrac * total
+	budget := maxRepayFrac * capacity
 	if budget < 0 {
 		budget = 0
 	}
@@ -204,43 +238,63 @@ func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacitie
 		if want > eps {
 			scale = budget / want
 		}
-		for _, u := range debtors {
-			target[u] *= scale
+		for i := range target {
+			target[i] *= scale
 		}
 		want = budget
 	}
 
 	// Off-the-top grants, then water-fill the rest over the reduced
 	// demands and remaining capacity.
-	reduced := make(map[job.UserID]float64, len(demand))
-	for u, d := range demand {
-		reduced[u] = d
+	for i, d := range demand {
+		reduced[i] = d - target[i]
 	}
-	for _, u := range debtors {
-		reduced[u] -= target[u]
-	}
-	rest := Compute(tickets, reduced, total-want)
-	shares := make(map[job.UserID]float64, len(rest))
-	for u, s := range rest {
-		shares[u] = s
-	}
-	granted := make(map[job.UserID]float64, len(target))
-	for _, u := range debtors {
-		t := target[u]
+	WaterFill(tickets, reduced, capacity-want, shares)
+	for i, t := range target {
+		granted[i] = 0
 		if t <= eps {
 			continue
 		}
-		shares[u] += t
-		// Never drain more debt than the grant itself, even if the
-		// two water-fills round apart.
-		if extra := math.Min(shares[u]-base[u], t); extra > eps {
-			granted[u] = extra
+		shares[i] = reachedShare(shares[i]) + t
+		// Never drain more debt than the grant itself, even if the two
+		// water-fills round apart.
+		if extra := math.Min(shares[i]-reachedShare(base[i]), t); extra > eps {
+			granted[i] = extra
 		}
 	}
+}
 
-	alloc := make(Allocation, len(shares))
-	for u, s := range shares {
-		alloc[u] = SplitByGen(s, capacities)
+// reachedShare reads a WaterFill share as GPUs: none for Unreached.
+func reachedShare(s float64) float64 {
+	if s == Unreached {
+		return 0
+	}
+	return s
+}
+
+// ComputeAllocationWithDebt is WaterFillWithDebt over maps, split
+// across generations as ComputeAllocation splits: it returns the
+// allocation of every user the fill reached or repaid, and the grant of
+// every user granted anything.
+func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int, debt map[job.UserID]float64, maxRepayFrac float64) (Allocation, map[job.UserID]float64) {
+	c := CapacityOf(capacities)
+	users := job.SortedUsers(demand)
+	n := len(users)
+	buf := make([]float64, 5*n)
+	t, d, db, sh, gr := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
+	for i, u := range users {
+		t[i], d[i], db[i] = tickets[u], demand[u], debt[u]
+	}
+	WaterFillWithDebt(t, d, db, c.Total(), maxRepayFrac, sh, gr)
+	alloc := make(Allocation, n)
+	granted := make(map[job.UserID]float64)
+	for i, u := range users {
+		if sh[i] != Unreached {
+			alloc[u] = c.Split(sh[i])
+		}
+		if gr[i] > 0 {
+			granted[u] = gr[i]
+		}
 	}
 	return alloc, granted
 }
@@ -248,7 +302,7 @@ func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacitie
 // Validate checks allocation invariants against capacity and demand:
 // per-generation totals within capacity and per-user totals within
 // demand (both up to floating-point slack). It returns the first
-// violation found.
+// violation found, generations oldest first, then users in ID order.
 func (a Allocation) Validate(demand map[job.UserID]float64, capacities map[gpu.Generation]int) error {
 	const slack = 1e-6
 	for g, tot := range a.TotalByGen() {
@@ -256,7 +310,8 @@ func (a Allocation) Validate(demand map[job.UserID]float64, capacities map[gpu.G
 			return fmt.Errorf("fairshare: generation %v over-allocated: %v > %d", gen, tot, capacities[gen])
 		}
 	}
-	for u, e := range a {
+	for _, u := range job.SortedUsers(a) {
+		e := a[u]
 		if t := e.Total(); t > demand[u]+slack {
 			return fmt.Errorf("fairshare: user %s over demand: %v > %v", u, t, demand[u])
 		}

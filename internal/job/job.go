@@ -101,8 +101,9 @@ func (p *Perf) GangEff(n int) float64 {
 	return p.ScalingEff
 }
 
-// State is a job's lifecycle state.
-type State int
+// State is a job's lifecycle state. It is one byte so that Job, which
+// packs its flags beside it, stays in its allocation size class.
+type State int8
 
 const (
 	// Runnable: arrived and waiting for (more) GPU time.
@@ -165,7 +166,6 @@ func (s *Spec) Validate() error {
 type Job struct {
 	Spec
 
-	state  State
 	doneMB float64
 	finish simclock.Time
 
@@ -190,11 +190,15 @@ type Job struct {
 	devs     []gpu.DeviceID
 	holdSlot int32
 
-	// The engine's marks for the running round (see BeginRound): where
-	// the job is in the round's list of runnable jobs, and one past its
-	// position in the round's Decision.Run, 0 while it has none.
+	// The engine's marks: for the running round (see BeginRound), where
+	// the job is in the round's list of runnable jobs and one past its
+	// position in the round's Decision.Run, 0 while it has none; and
+	// where its user is in the engine's user list (see NoteUser).
 	listAt int32
 	reqAt  int32
+	userAt int32
+
+	state State
 
 	// Fault-model state: progress as of the last durable checkpoint and
 	// when the interval to the next periodic one started, and the
@@ -392,6 +396,14 @@ func (j *Job) BeginRound(at int) { j.listAt, j.reqAt = int32(at), 0 }
 // finding this very pointer at that position — a copy, a record of
 // another engine or one it has retired is not.
 func (j *Job) ListAt() int { return int(j.listAt) }
+
+// NoteUser records where the job's user is in the engine's sorted list
+// of users, which is the index of the user's entry in every per-user
+// table the engine keeps. The engine sets it once, at admission.
+func (j *Job) NoteUser(at int) { j.userAt = int32(at) }
+
+// UserAt returns the position NoteUser recorded.
+func (j *Job) UserAt() int { return int(j.userAt) }
 
 // NoteRequest records the job's position in the running round's
 // Decision.Run.

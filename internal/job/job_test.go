@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/gpu"
 	"repro/internal/simclock"
@@ -320,5 +321,14 @@ func TestStringCoverage(t *testing.T) {
 		if st.String() == "" {
 			t.Errorf("State(%d).String empty", int(st))
 		}
+	}
+}
+
+// TestJobFitsItsSizeClass: the engine allocates one Job per job of the
+// workload, and every field it keeps on the record is packed so that
+// the record stays in the 208-byte allocation size class.
+func TestJobFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Job{}); size > 208 {
+		t.Errorf("job.Job is %d bytes, more than the 208-byte size class", size)
 	}
 }

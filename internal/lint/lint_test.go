@@ -244,12 +244,13 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "out[g] += v",
 		},
 		{
+			// Compute's users collected in map order instead of sorted.
 			file:    "internal/fairshare/fairshare.go",
 			pkg:     "./internal/fairshare",
 			check:   "maprange",
-			old:     "\t// Deterministic iteration order regardless of map layout.\n\tsort.Slice(active, func(i, j int) bool { return active[i].id < active[j].id })\n",
-			new:     "\t_ = sort.Slice // keep the import\n",
-			flagged: "active = append(active, user{id, t, d})",
+			old:     "users := job.SortedUsers(demand)\n",
+			new:     "users := make([]job.UserID, 0, len(demand))\n\tfor u := range demand {\n\t\tusers = append(users, u)\n\t}\n",
+			flagged: "users = append(users, u)",
 		},
 		{
 			file:    "internal/stride/classed.go",
@@ -270,13 +271,14 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "out[0] += cv",
 		},
 		{
-			// Deleting trade.Run's defensive clone returns the caller's
-			// annotated allocation — the noretain param contract.
+			// trade.Run writing the traded shares back into the caller's
+			// allocation instead of a fresh one returns the annotated
+			// parameter — the noretain param contract.
 			file:    "internal/trade/trade.go",
 			pkg:     "./internal/trade",
 			check:   "retain",
-			old:     "out := maps.Clone(alloc)",
-			new:     "_ = maps.Clone[fairshare.Allocation] // keep the import\n\tout := alloc",
+			old:     "out := make(fairshare.Allocation, len(parties))",
+			new:     "out := alloc",
 			flagged: "return out, log, nil",
 		},
 		{

@@ -20,7 +20,6 @@ package trade
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"sort"
 
@@ -104,6 +103,20 @@ func (c Config) Validate() error {
 // it (their entitlement is untouched, preserving their guarantee).
 type Values map[job.UserID][gpu.NumGenerations]float64
 
+// Party is one user at the trading table: the entitlement trading
+// rewrites, the profiled value vector it trades by (as in Values) and
+// the user's demand. Demand bounds the post-trade total entitlement: a
+// seller receives α > 1 slow GPUs per fast GPU given, which only
+// translates into throughput if the seller has runnable work for them,
+// so trades are capped at the growing side's spare demand (demand −
+// current total). +Inf means no bound (all users backlogged).
+type Party struct {
+	User   job.UserID
+	Share  fairshare.Entitlement
+	Values [gpu.NumGenerations]float64
+	Demand float64
+}
+
 // Trade records one executed exchange.
 type Trade struct {
 	Buyer, Seller job.UserID
@@ -117,37 +130,28 @@ type Trade struct {
 
 const eps = 1e-9
 
-// Run applies trading to a fair-share allocation and returns the
-// adjusted allocation plus the executed trade log. The input
-// allocation is not modified. Conservation holds per generation:
-// column sums of the output equal those of the input.
-//
-// demands bounds each user's post-trade total entitlement: a seller
-// receives α > 1 slow GPUs per fast GPU given, which only translates
-// into throughput if the seller has runnable work for them, so trades
-// are capped at the seller's spare demand (demand − current total).
-// A nil demands map disables the bound (all users backlogged).
-//
-//gflint:noretain alloc
-func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, cfg Config) (fairshare.Allocation, []Trade, error) {
+// Market applies trading to the parties' shares in place and returns
+// the executed trade log. Conservation holds per generation: column
+// sums of the shares after equal those before. Parties are in user-ID
+// order: where two users' speedups tie, the one placed first is picked.
+// It allocates nothing but the log, and nothing at all when no trade is
+// made.
+func Market(parties []Party, cfg Config) ([]Trade, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	out := maps.Clone(alloc)
 	var log []Trade
-
-	pairs := genPairs()
 	for pass := 0; pass < cfg.MaxPasses; pass++ {
 		traded := false
 		for _, pr := range pairs {
 			for {
-				tr, ok := bestTrade(out, vals, demands, pr.fast, pr.slow, cfg)
+				tr, ok := bestTrade(parties, pr.fast, pr.slow, cfg)
 				if !ok {
 					break
 				}
-				apply(out, tr)
-				log = append(log, tr)
+				apply(parties, tr)
+				log = append(log, tr.Trade)
 				traded = true
 			}
 		}
@@ -155,14 +159,44 @@ func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64
 			break
 		}
 	}
+	return log, nil
+}
+
+// Run is Market over maps: it applies trading to a fair-share
+// allocation and returns the adjusted allocation plus the trade log.
+// The input allocation is not modified. Users outside vals do not
+// trade; users outside a non-nil demands map have demand zero, and a
+// nil demands map disables the bound.
+//
+//gflint:noretain alloc
+func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, cfg Config) (fairshare.Allocation, []Trade, error) {
+	users := job.SortedUsers(alloc)
+	parties := make([]Party, len(users))
+	for i, u := range users {
+		demand := math.Inf(1)
+		if demands != nil {
+			demand = demands[u]
+		}
+		parties[i] = Party{User: u, Share: alloc[u], Values: vals[u], Demand: demand}
+	}
+	log, err := Market(parties, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make(fairshare.Allocation, len(parties))
+	for _, p := range parties {
+		out[p.User] = p.Share
+	}
 	return out, log, nil
 }
 
 type pair struct{ fast, slow gpu.Generation }
 
-// genPairs enumerates (fast, slow) generation pairs, widest
-// throughput gap first (newest vs oldest), so the most valuable
-// trades execute before entitlements are consumed by lesser ones.
+// pairs enumerates (fast, slow) generation pairs, widest throughput gap
+// first (newest vs oldest), so the most valuable trades execute before
+// entitlements are consumed by lesser ones.
+var pairs = genPairs()
+
 func genPairs() []pair {
 	gens := gpu.Generations()
 	var out []pair
@@ -187,34 +221,32 @@ func genPairs() []pair {
 	return out
 }
 
-// speedupOn returns user u's value ratio fast/slow, or ok=false if
+// speedupOn returns the party's value ratio fast/slow, or ok=false if
 // either side lacks an estimate.
-func speedupOn(vals Values, u job.UserID, fast, slow gpu.Generation) (float64, bool) {
-	v, ok := vals[u]
-	if !ok {
-		return 0, false
-	}
+func (p *Party) speedupOn(fast, slow gpu.Generation) (float64, bool) {
+	v := &p.Values
 	if v[fast] <= eps || v[slow] <= eps {
 		return 0, false
 	}
 	return v[fast] / v[slow], true
 }
 
-// cand is one user's speedup on a generation pair.
+// cand is one party's speedup on a generation pair; at is the party's
+// position.
 type cand struct {
-	u job.UserID
-	s float64
+	at int
+	s  float64
 }
 
 // before orders candidates for one side of a trade: buyers by speedup
-// descending (sign +1), sellers ascending (sign -1), ties by user ID. It
-// is a total order, so the best candidates are the same whatever order
-// the allocation map yields its users in.
+// descending (sign +1), sellers ascending (sign -1), ties by position,
+// which is user-ID order. It is a total order, so the best candidates do
+// not depend on the order they are offered in.
 func (c cand) before(d cand, sign float64) bool {
 	if c.s != d.s {
 		return sign*c.s > sign*d.s
 	}
-	return c.u < d.u
+	return c.at < d.at
 }
 
 // best2 keeps the first two candidates of one side under before.
@@ -239,29 +271,30 @@ func (b *best2) offer(c cand, sign float64) {
 }
 
 // pickPair finds one generation pair's trading partners: buyer = the
-// max-speedup user holding slow currency, seller = the min-speedup
-// user holding fast entitlement. One pass keeps each side's best two,
-// the runner-up for when the extreme buyer and seller are one user.
-func pickPair(alloc fairshare.Allocation, vals Values, fast, slow gpu.Generation) (b, s cand, ok bool) {
+// max-speedup party holding slow currency, seller = the min-speedup
+// party holding fast entitlement. One pass keeps each side's best two,
+// the runner-up for when the extreme buyer and seller are one party.
+func pickPair(parties []Party, fast, slow gpu.Generation) (b, s cand, ok bool) {
 	var buyers, sellers best2
-	for u, e := range alloc {
-		sp, ok := speedupOn(vals, u, fast, slow)
+	for i := range parties {
+		p := &parties[i]
+		sp, ok := p.speedupOn(fast, slow)
 		if !ok {
 			continue
 		}
-		if e[slow] > eps {
-			buyers.offer(cand{u, sp}, +1)
+		if p.Share[slow] > eps {
+			buyers.offer(cand{i, sp}, +1)
 		}
-		if e[fast] > eps {
-			sellers.offer(cand{u, sp}, -1)
+		if p.Share[fast] > eps {
+			sellers.offer(cand{i, sp}, -1)
 		}
 	}
 	if buyers.n == 0 || sellers.n == 0 {
 		return b, s, false
 	}
 	b, s = buyers.c[0], sellers.c[0]
-	if b.u == s.u {
-		// The extreme buyer and seller are the same user; try the
+	if b.at == s.at {
+		// The extreme buyer and seller are the same party; try the
 		// next-best on either side.
 		if buyers.n > 1 && (sellers.n == 1 || buyers.c[1].s/s.s >= b.s/sellers.c[1].s) {
 			b = buyers.c[1]
@@ -274,35 +307,43 @@ func pickPair(alloc fairshare.Allocation, vals Values, fast, slow gpu.Generation
 	return b, s, true
 }
 
+// found is one trade and where its two parties sit.
+type found struct {
+	Trade
+	buyer, seller int
+}
+
 // bestTrade finds the most profitable single trade on one generation
 // pair: pickPair's partners, at a price strictly between their
 // speedups, sized by what each holds and can use.
-func bestTrade(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, fast, slow gpu.Generation, cfg Config) (Trade, bool) {
-	b, s, ok := pickPair(alloc, vals, fast, slow)
+func bestTrade(parties []Party, fast, slow gpu.Generation, cfg Config) (found, bool) {
+	b, s, ok := pickPair(parties, fast, slow)
 	if !ok {
-		return Trade{}, false
+		return found{}, false
 	}
 	if b.s/s.s < cfg.MinRatio {
-		return Trade{}, false
+		return found{}, false
 	}
 	alpha := price(cfg.Policy, b.s, s.s)
 	if alpha <= s.s+eps || alpha >= b.s-eps {
-		return Trade{}, false
+		return found{}, false
 	}
+	buyer, seller := &parties[b.at], &parties[s.at]
 	// δ bounded by the seller's fast holding and the buyer's slow
 	// purse at rate α.
-	delta := math.Min(alloc[s.u][fast], alloc[b.u][slow]/alpha)
+	delta := math.Min(seller.Share[fast], buyer.Share[slow]/alpha)
 	// One side's total GPU count grows: the seller's by (α−1)·δ when
 	// α > 1, the buyer's by (1−α)·δ when α < 1 (possible only with
 	// non-monotone valuations). Cap δ at the growing side's spare
-	// demand so the gain is realizable as throughput.
-	if demands != nil && alpha != 1 {
-		grower := s.u
+	// demand so the gain is realizable as throughput; an unbounded
+	// demand caps nothing.
+	if alpha != 1 {
+		grower := seller
 		rate := alpha - 1
 		if alpha < 1 {
-			grower, rate = b.u, 1-alpha
+			grower, rate = buyer, 1-alpha
 		}
-		spare := demands[grower] - alloc[grower].Total()
+		spare := grower.Demand - grower.Share.Total()
 		if spare < 0 {
 			spare = 0
 		}
@@ -311,13 +352,13 @@ func bestTrade(alloc fairshare.Allocation, vals Values, demands map[job.UserID]f
 		}
 	}
 	if delta <= eps {
-		return Trade{}, false
+		return found{}, false
 	}
-	return Trade{
-		Buyer: b.u, Seller: s.u, Fast: fast, Slow: slow,
+	return found{Trade{
+		Buyer: buyer.User, Seller: seller.User, Fast: fast, Slow: slow,
 		FastGPUs: delta, SlowGPUs: alpha * delta, Price: alpha,
 		BuyerSpeedup: b.s, SellerSpeedup: s.s,
-	}, true
+	}, b.at, s.at}, true
 }
 
 func price(p PricePolicy, sb, ss float64) float64 {
@@ -334,21 +375,20 @@ func price(p PricePolicy, sb, ss float64) float64 {
 	}
 }
 
-func apply(alloc fairshare.Allocation, t Trade) {
-	eb, es := alloc[t.Buyer], alloc[t.Seller]
+func apply(parties []Party, t found) {
+	eb, es := &parties[t.buyer].Share, &parties[t.seller].Share
 	eb[t.Fast] += t.FastGPUs
 	es[t.Fast] -= t.FastGPUs
 	eb[t.Slow] -= t.SlowGPUs
 	es[t.Slow] += t.SlowGPUs
 	// Clamp the tiny negatives floating point can leave behind.
-	for _, e := range []*fairshare.Entitlement{&eb, &es} {
+	for _, e := range []*fairshare.Entitlement{eb, es} {
 		for g, v := range e {
 			if v < 0 && v > -1e-6 {
 				e[g] = 0
 			}
 		}
 	}
-	alloc[t.Buyer], alloc[t.Seller] = eb, es
 }
 
 // ValueOf computes a user's throughput-valued allocation Σ_g E(g)·v(g)

@@ -405,37 +405,38 @@ func TestPropertyParetoAndConservation(t *testing.T) {
 // every candidate collected, each side fully sorted (speedup, then
 // user ID), the heads taken, the runners-up when the heads are one
 // user. how names the branch taken; "none" means no pair.
-func pickPairSorted(alloc fairshare.Allocation, vals Values, fast, slow gpu.Generation) (b, s cand, how string) {
+func pickPairSorted(parties []Party, fast, slow gpu.Generation) (b, s cand, how string) {
 	var buyers, sellers []cand
-	for u, e := range alloc {
-		sp, ok := speedupOn(vals, u, fast, slow)
+	for i := range parties {
+		sp, ok := parties[i].speedupOn(fast, slow)
 		if !ok {
 			continue
 		}
-		if e[slow] > eps {
-			buyers = append(buyers, cand{u, sp})
+		if parties[i].Share[slow] > eps {
+			buyers = append(buyers, cand{i, sp})
 		}
-		if e[fast] > eps {
-			sellers = append(sellers, cand{u, sp})
+		if parties[i].Share[fast] > eps {
+			sellers = append(sellers, cand{i, sp})
 		}
 	}
 	if len(buyers) == 0 || len(sellers) == 0 {
 		return b, s, "none"
 	}
+	user := func(c cand) job.UserID { return parties[c.at].User }
 	sort.Slice(buyers, func(i, j int) bool {
 		if buyers[i].s != buyers[j].s {
 			return buyers[i].s > buyers[j].s
 		}
-		return buyers[i].u < buyers[j].u
+		return user(buyers[i]) < user(buyers[j])
 	})
 	sort.Slice(sellers, func(i, j int) bool {
 		if sellers[i].s != sellers[j].s {
 			return sellers[i].s < sellers[j].s
 		}
-		return sellers[i].u < sellers[j].u
+		return user(sellers[i]) < user(sellers[j])
 	})
 	b, s = buyers[0], sellers[0]
-	if b.u != s.u {
+	if b.at != s.at {
 		return b, s, "heads"
 	}
 	if len(buyers) > 1 && (len(sellers) == 1 || buyers[1].s/s.s >= b.s/sellers[1].s) {
@@ -449,8 +450,8 @@ func pickPairSorted(alloc fairshare.Allocation, vals Values, fast, slow gpu.Gene
 
 // Property: with many users sharing a few distinct speedups — so ties
 // decide nearly every comparison and the best buyer is often the best
-// seller too — pickPair's one pass over the map returns exactly the
-// pair the sorted lists would, whatever order the map yields.
+// seller too — pickPair's one pass over the parties in user-ID order
+// returns exactly the pair the lists sorted by speedup and user ID would.
 func TestPickPairMatchesSortedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	speedups := []float64{1.5, 2, 2, 3} // few distinct values, one doubled
@@ -472,14 +473,16 @@ func TestPickPairMatchesSortedSelection(t *testing.T) {
 				vals[u] = valueVec(1, 0, 0, speedups[rng.Intn(len(speedups))])
 			}
 		}
-		wb, ws, how := pickPairSorted(alloc, vals, gpu.V100, gpu.K80)
+		var parties []Party
+		for _, u := range job.SortedUsers(alloc) {
+			parties = append(parties, Party{User: u, Share: alloc[u], Values: vals[u], Demand: math.Inf(1)})
+		}
+		wb, ws, how := pickPairSorted(parties, gpu.V100, gpu.K80)
 		branches[how]++
-		for rep := 0; rep < 4; rep++ { // fresh map iteration orders
-			b, s, ok := pickPair(alloc, vals, gpu.V100, gpu.K80)
-			if ok != (how != "none") || (ok && (b != wb || s != ws)) {
-				t.Fatalf("trial %d: one pass picked %+v/%+v ok=%v, sorted lists (%s) %+v/%+v\nalloc %v\nvals %v",
-					trial, b, s, ok, how, wb, ws, alloc, vals)
-			}
+		b, s, ok := pickPair(parties, gpu.V100, gpu.K80)
+		if ok != (how != "none") || (ok && (b != wb || s != ws)) {
+			t.Fatalf("trial %d: one pass picked %+v/%+v ok=%v, sorted lists (%s) %+v/%+v\nalloc %v\nvals %v",
+				trial, b, s, ok, how, wb, ws, alloc, vals)
 		}
 	}
 	for _, how := range []string{"none", "heads", "second buyer", "second seller"} {
