@@ -114,7 +114,7 @@ func runCentral(args []string) {
 		snapEvery = fs.Int("snapshot-every", 1, "snapshot every N rounds (with -snapshot-dir)")
 		restore   = fs.Bool("restore", false, "resume from the snapshot in -snapshot-dir instead of a fresh workload")
 		leaseR    = fs.Int("lease-rounds", 0, "degraded-mode lease in rounds: cut-off agents keep executing and buffer reports for this long before parking (0 = legacy protocol)")
-		collectD  = fs.Duration("collect-deadline", 0, "straggler cutoff: proceed without agents that have not reported by this wall deadline (0 = use the report timeout)")
+		collectD  = fs.Duration("collect-deadline", 0, "straggler cutoff: proceed without agents that have not reported by this wall deadline (0 = 5s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		fatal(err)
@@ -167,12 +167,12 @@ func runCentral(args []string) {
 		fatal(err)
 	}
 	ccfg := distrib.CentralConfig{
-		Quantum:         *quantum,
-		Obs:             observer,
-		SnapshotDir:     *snapDir,
-		SnapshotEvery:   *snapEvery,
-		LeaseRounds:     *leaseR,
-		CollectDeadline: *collectD,
+		Quantum:       *quantum,
+		Obs:           observer,
+		SnapshotDir:   *snapDir,
+		SnapshotEvery: *snapEvery,
+		LeaseRounds:   *leaseR,
+		ReportTimeout: *collectD,
 	}
 	wait := time.Duration(*waitSecs) * time.Second
 

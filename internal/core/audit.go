@@ -214,14 +214,13 @@ func (a *auditor) beginRound(round int, now simclock.Time, caps map[gpu.Generati
 // gang integrity, capacity, double placement, and failed servers.
 // placed is the round's execute list — the assignment in job-ID order
 // — so violations come out in a deterministic order, and the whole
-// check is O(placed devices) with no hashing (unless servers are out)
-// and no allocation.
-func (a *auditor) checkAssignment(placed []Quantum, down, quarantined map[gpu.ServerID]bool) {
+// check is O(placed devices) with no hashing and no allocation.
+func (a *auditor) checkAssignment(placed []Quantum, down, quarantined *gpu.ServerSet) {
 	if !a.on() {
 		return
 	}
 	a.owners.Begin()
-	serversOut := len(down) > 0 || len(quarantined) > 0
+	serversOut := down.Len() > 0 || quarantined.Len() > 0
 	var width [gpu.NumGenerations]int
 	for i := range placed {
 		j, devs := placed[i].Job, placed[i].Devs
@@ -246,10 +245,10 @@ func (a *auditor) checkAssignment(placed []Quantum, down, quarantined map[gpu.Se
 			if !serversOut {
 				continue
 			}
-			if down[dev.Server] {
+			if down.Has(dev.Server) {
 				a.violate(InvDownServer, "job %d placed on failed server %d (device %d)", id, dev.Server, d)
 			}
-			if quarantined[dev.Server] {
+			if quarantined.Has(dev.Server) {
 				a.violate(InvQuarantine, "job %d placed on quarantined server %d (device %d)", id, dev.Server, d)
 			}
 		}

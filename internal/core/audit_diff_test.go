@@ -153,11 +153,16 @@ func TestCheckAssignmentMatchesMapReference(t *testing.T) {
 				caps[gpu.K80] = rng.Intn(caps[gpu.K80] + 1) // capacity lost to outages
 			}
 			var down, quar map[gpu.ServerID]bool
+			var downSet, quarSet gpu.ServerSet
 			if rng.Intn(3) == 0 {
-				down = map[gpu.ServerID]bool{gpu.ServerID(rng.Intn(c.NumServers())): true}
+				sid := gpu.ServerID(rng.Intn(c.NumServers()))
+				down = map[gpu.ServerID]bool{sid: true}
+				downSet.Add(sid)
 			}
 			if rng.Intn(3) == 0 {
-				quar = map[gpu.ServerID]bool{gpu.ServerID(rng.Intn(c.NumServers())): true}
+				sid := gpu.ServerID(rng.Intn(c.NumServers()))
+				quar = map[gpu.ServerID]bool{sid: true}
+				quarSet.Add(sid)
 			}
 
 			wantChecks, want := refCheckAssignment(c, asg, active, caps, down, quar)
@@ -165,7 +170,7 @@ func TestCheckAssignmentMatchesMapReference(t *testing.T) {
 			a.rep.Violations = a.rep.Violations[:0] // keep every round under the recording cap
 			a.beginRound(round, 0, caps, nil)
 			before := a.rep.Checks
-			a.checkAssignment(placed, down, quar)
+			a.checkAssignment(placed, &downSet, &quarSet)
 			var got []auditFinding
 			for _, v := range a.rep.Violations {
 				got = append(got, auditFinding{v.Invariant, v.Detail})

@@ -37,7 +37,7 @@ func TestAuditQuarantineInvariant(t *testing.T) {
 
 	// The same placement with the server quarantined must violate
 	// InvQuarantine — and only it (the server is not down).
-	a.checkAssignment(placed, nil, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, nil, servers(0))
 	if n := a.rep.Counts[InvQuarantine]; n != 1 {
 		t.Errorf("quarantined-server placement: %d violations, want 1", n)
 	}
@@ -47,7 +47,7 @@ func TestAuditQuarantineInvariant(t *testing.T) {
 
 	// Down and quarantined are independent invariants: both fire when
 	// both states hold.
-	a.checkAssignment(placed, map[gpu.ServerID]bool{0: true}, map[gpu.ServerID]bool{0: true})
+	a.checkAssignment(placed, servers(0), servers(0))
 	if a.rep.Counts[InvQuarantine] != 2 || a.rep.Counts[InvDownServer] != 1 {
 		t.Errorf("down+quarantined: got quarantine=%d down=%d, want 2 and 1",
 			a.rep.Counts[InvQuarantine], a.rep.Counts[InvDownServer])

@@ -127,13 +127,13 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 			s.comp[s.userAt(j.User)].jobs-- // New counted its spec as still to run
 		}
 	}
-	for id, devs := range cp.Prev {
-		if s.active[id] == nil {
-			continue // finished or lost between checkpoint and crash
-		}
+	// In job-ID order, so several bad entries report the lowest job's; an
+	// entry for a job no longer active (finished or lost) is ignored.
+	for _, j := range s.jobs {
+		devs := cp.Prev[j.ID]
 		for _, d := range devs {
 			if int(d) < 0 || int(d) >= cfg.Cluster.NumDevices() {
-				return nil, fmt.Errorf("core: checkpoint places job %d on unknown device %d", id, d)
+				return nil, fmt.Errorf("core: checkpoint places job %d on unknown device %d", j.ID, d)
 			}
 		}
 		if len(devs) == 0 {
@@ -145,8 +145,8 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		// ran on is its devices'.
 		last := slices.Clone(devs)
 		slices.Sort(last)
-		s.active[id].SetDevices(last, 0)
-		s.active[id].NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
+		j.SetDevices(last, 0)
+		j.NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
 	}
 	for u, byGen := range cp.Usage {
 		b := &s.books[s.userAt(u)]

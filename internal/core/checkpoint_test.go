@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"testing"
@@ -71,6 +72,33 @@ func TestRestoreRefusesHostileBooks(t *testing.T) {
 		tc.spoil(&bad)
 		if s, err := restore(&bad); err == nil || s != nil {
 			t.Errorf("%s: Restore returned engine %v, error %v; want an error and no engine", tc.name, s != nil, err)
+		}
+	}
+}
+
+// TestRestoreReportsLowestBadJob: a checkpoint that places two jobs on
+// devices the cluster does not have is refused with the lower job ID's
+// error, the same one on every call — Restore checks the placements in
+// job-ID order, not in the order a map hands them out.
+func TestRestoreReportsLowestBadJob(t *testing.T) {
+	specs, _ := workload.AssignIDs(workload.BatchJobs("a", zoo.MustGet("vae"), 4, 1, 1e3))
+	cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs, Seed: 5}
+	s, err := New(cfg, MustNewFairPolicy(FairConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(simclock.Time(simclock.Day)); err != nil {
+		t.Fatal(err)
+	}
+	cp := s.Checkpoint()
+	lo, hi := cp.Active[1].Spec.ID, cp.Active[3].Spec.ID
+	cp.Prev[hi] = []gpu.DeviceID{900}
+	cp.Prev[lo] = []gpu.DeviceID{0, 901}
+	want := fmt.Sprintf("core: checkpoint places job %d on unknown device 901", lo)
+	for i := 0; i < 50; i++ {
+		s, err := Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+		if s != nil || err == nil || err.Error() != want {
+			t.Fatalf("call %d: Restore returned engine %v, error %v; want no engine and %q", i, s != nil, err, want)
 		}
 	}
 }

@@ -240,8 +240,8 @@ func (s *Sim) ApplyLate(q *Quantum) {
 // carry a quantum out on (agents that stopped answering). From the next
 // round on they count as down — excluded from capacity and placement,
 // audited like a failed server — until a later call leaves them out.
-// The engine reads m at each round start and does not modify it.
-func (s *Sim) SetUnreachable(m map[gpu.ServerID]bool) { s.unreachable = m }
+// The engine reads set at each round start and does not modify it.
+func (s *Sim) SetUnreachable(set *gpu.ServerSet) { s.unreachable = set }
 
 // Rounds returns how many scheduling rounds have run.
 func (s *Sim) Rounds() int { return s.rounds }

@@ -21,7 +21,7 @@ import (
 func (s *Sim) UseFromScratchReference() { s.place = s.placeFromScratch }
 
 //gflint:noretain
-func (s *Sim) placeFromScratch(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round {
+func (s *Sim) placeFromScratch(unavail *gpu.ServerSet, reqs []placement.Request, opts placement.Options) *placement.Round {
 	opts.Down = unavail
 	res := placement.Place(s.cfg.Cluster, s.Placement(), reqs, opts)
 	rd := &placement.Round{Marks: make([]placement.Mark, len(reqs))}
@@ -42,4 +42,13 @@ func (s *Sim) placeFromScratch(unavail map[gpu.ServerID]bool, reqs []placement.R
 	}
 	slices.SortFunc(rd.Moved, func(a, b placement.Move) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
 	return rd
+}
+
+// servers is the set of the given servers.
+func servers(ids ...gpu.ServerID) *gpu.ServerSet {
+	var set gpu.ServerSet
+	for _, id := range ids {
+		set.Add(id)
+	}
+	return &set
 }

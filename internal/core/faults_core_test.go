@@ -301,14 +301,14 @@ func TestQuarantineAndDownCapacitySubtraction(t *testing.T) {
 	cl := k80Cluster(3, 4)
 	st := &RoundState{
 		Cluster:     cl,
-		Down:        map[gpu.ServerID]bool{0: true, 1: true},
-		Quarantined: map[gpu.ServerID]bool{1: true, 2: true},
+		Down:        servers(0, 1),
+		Quarantined: servers(1, 2),
 	}
 	caps := st.CapacityByGen()
 	if got := caps[gpu.K80]; got != 0 {
 		t.Errorf("all three servers out: capacity %d, want 0", got)
 	}
-	st.Quarantined = map[gpu.ServerID]bool{1: true}
+	st.Quarantined = servers(1)
 	if got := st.CapacityByGen()[gpu.K80]; got != 4 {
 		t.Errorf("two servers out: capacity %d, want 4", got)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/placement"
@@ -200,6 +201,62 @@ func TestRoundAllocCeilingAt100kGPUs(t *testing.T) {
 	t.Logf("100k-GPU round: %.1f allocations", best)
 	if best > ceiling {
 		t.Errorf("100k-GPU round makes %.1f allocations, ceiling %d", best, ceiling)
+	}
+}
+
+// holdPolicy runs every runnable job on K80 every round out of one
+// reused request slice, so a round under it allocates only what the
+// engine does.
+type holdPolicy struct{ run []placement.Request }
+
+func (p *holdPolicy) Name() string         { return "hold" }
+func (p *holdPolicy) Executed(*ExecReport) {}
+func (p *holdPolicy) JobFinished(job.ID)   {}
+func (p *holdPolicy) Decide(st *RoundState) Decision {
+	p.run = p.run[:0]
+	for _, j := range st.Jobs {
+		p.run = append(p.run, placement.Request{Job: j, Gen: gpu.K80})
+	}
+	//gflint:ignore scratchalias the engine is done with a round's requests when the round ends
+	return Decision{Run: p.run}
+}
+
+// TestServersOutRoundAllocs is the allocation gate on the server sets: a
+// steady round with one server down and quarantined, and another
+// quarantined after a short outage, spends no allocation on "which
+// servers are out" — the sweep's down set, the breaker's quarantined
+// set and the round's down and unavailable sets are bitsets kept in
+// place, and placement, capacity and the audit read them as they are.
+// What is left is the RoundState handed to the policy and the map
+// CapacityByGen returns (two allocations). The count is deterministic;
+// with the sets as maps it was 9: a fresh down map, the breaker's copy,
+// the unavailable union and CapacityByGen's seen map cost 6.
+func TestServersOutRoundAllocs(t *testing.T) {
+	specs, _ := workload.AssignIDs(workload.BatchJobs("u", zoo.MustGet("vae"), 4, 4, 1e4))
+	s, err := New(Config{
+		Cluster: k80Cluster(8, 4), Specs: specs, Seed: 1, Audit: AuditStrict,
+		Failures: []Failure{{Server: 0, At: 0, Duration: 1e9}, {Server: 1, At: 0, Duration: 500}},
+		Faults:   &faults.Config{QuarantineFailures: 1, QuarantineCooloffHours: 1e5},
+	}, &holdPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		s.admitArrivals()
+		if err := s.runRound(); err != nil {
+			t.Fatal(err)
+		}
+		s.clock.RunUntil(s.clock.Now().Add(s.cfg.Quantum))
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	if !s.rd.down.Has(0) || s.rd.down.Has(1) || !s.rd.quar.Has(0) || !s.rd.quar.Has(1) || len(s.quanta) != 4 {
+		t.Fatalf("not the steady state: down %d, quarantined %d, %d jobs placed", s.rd.down.Len(), s.rd.quar.Len(), len(s.quanta))
+	}
+	const want = 3
+	if got := testing.AllocsPerRun(20, step); got != want {
+		t.Errorf("a steady round with servers out makes %v allocations, want %d", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -75,19 +76,19 @@ type seamCheck struct {
 	t       *testing.T
 	s       *Sim
 	prev    placement.Assignment
-	unavail map[gpu.ServerID]bool
+	unavail gpu.ServerSet
 
 	tookHeld, pinnedOut int
 }
 
 //gflint:noretain
-func (k *seamCheck) place(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round {
+func (k *seamCheck) place(unavail *gpu.ServerSet, reqs []placement.Request, opts placement.Options) *placement.Round {
 	t, s := k.t, k.s
 	if got := s.Placement(); !assignmentsEqual(got, k.prev) {
 		t.Fatalf("round %d: the records say %v, the merge rule %v", s.rounds, got, k.prev)
 	}
-	for sid := range unavail {
-		if !k.unavail[sid] {
+	unavail.ForEach(func(sid gpu.ServerID) bool {
+		if !k.unavail.Has(sid) {
 			for _, d := range s.cfg.Cluster.Server(sid).Devices {
 				for _, j := range s.jobs {
 					if j.HoldSlot() != 0 && slices.Contains(j.Devices(), d) {
@@ -96,8 +97,9 @@ func (k *seamCheck) place(unavail map[gpu.ServerID]bool, reqs []placement.Reques
 				}
 			}
 		}
-	}
-	k.unavail = unavail
+		return true
+	})
+	k.unavail.CopyFrom(unavail)
 	ref := opts
 	ref.Down = unavail
 	want := placement.Place(s.cfg.Cluster, k.prev, reqs, ref)
@@ -221,7 +223,7 @@ func TestEngineDoorsMatchPlace(t *testing.T) {
 			}
 			exec.late = exec.late[:0]
 			for id := range chk.prev {
-				if s.active[id] == nil {
+				if _, active := slices.BinarySearchFunc(s.jobs, id, func(j *job.Job, id job.ID) int { return cmp.Compare(j.ID, id) }); !active {
 					delete(chk.prev, id)
 				}
 			}
@@ -231,7 +233,8 @@ func TestEngineDoorsMatchPlace(t *testing.T) {
 				if s, err = Restore(cfg, policy, exec, prof, cp); err != nil {
 					t.Fatal(err)
 				}
-				chk.s, chk.unavail = s, nil
+				chk.s = s
+				chk.unavail.Clear()
 				s.place = chk.place
 			}
 		}

@@ -49,15 +49,18 @@ type RoundState struct {
 	// changes (the no-migration ablation).
 	MigrationDisabled bool
 
-	// Down marks servers that are failed this round; their GPUs are
-	// unplaceable. Use CapacityByGen for the net capacity.
-	Down map[gpu.ServerID]bool
+	// Down holds the servers failed or unreachable this round; their
+	// GPUs are unplaceable. Use CapacityByGen for the net capacity.
+	//gflint:noretain the engine's set, rewritten in place every round
+	Down *gpu.ServerSet
 
-	// Quarantined marks healthy servers the quarantine circuit
+	// Quarantined holds the healthy servers the quarantine circuit
 	// breaker has excluded from placement and backfill (flaky-server
-	// cool-off). Disjoint concern from Down — a server can be in
-	// either or both; CapacityByGen subtracts the union once.
-	Quarantined map[gpu.ServerID]bool
+	// cool-off); nil without a fault model. Disjoint concern from Down —
+	// a server can be in either or both; CapacityByGen subtracts the
+	// union once.
+	//gflint:noretain the breaker's set, updated in place every round
+	Quarantined *gpu.ServerSet
 
 	// Deficit is each user's outstanding failure-compensation debt in
 	// occupied GPU-seconds (GPU time lost to faults, not yet repaid).
@@ -84,22 +87,21 @@ func (st *RoundState) CapacityByGen() map[gpu.Generation]int {
 		return st.caps
 	}
 	caps := st.Cluster.CapacityByGen()
-	seen := make(map[gpu.ServerID]bool, len(st.Down)+len(st.Quarantined))
-	subtract := func(m map[gpu.ServerID]bool) {
-		for sid, out := range m {
-			if !out || seen[sid] {
-				continue
-			}
-			seen[sid] = true
-			srv := st.Cluster.Server(sid)
-			caps[srv.Gen] -= srv.NumGPUs()
-			if caps[srv.Gen] <= 0 {
-				delete(caps, srv.Gen)
-			}
+	subtract := func(sid gpu.ServerID) bool {
+		srv := st.Cluster.Server(sid)
+		caps[srv.Gen] -= srv.NumGPUs()
+		if caps[srv.Gen] <= 0 {
+			delete(caps, srv.Gen)
 		}
+		return true
 	}
-	subtract(st.Down)
-	subtract(st.Quarantined)
+	st.Down.ForEach(subtract)
+	st.Quarantined.ForEach(func(sid gpu.ServerID) bool {
+		if !st.Down.Has(sid) {
+			subtract(sid)
+		}
+		return true
+	})
 	return caps
 }
 

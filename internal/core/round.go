@@ -21,11 +21,12 @@ type round struct {
 
 	// Servers out this round: down is physically failed or unreachable,
 	// quar quarantined, unavail their union (what placement excludes).
-	down, quar, unavail map[gpu.ServerID]bool
-	deficit             map[job.UserID]float64 // compensation debt as of the round start
-	caps                map[gpu.Generation]int // capacity net of unavail
-	placed              *placement.Round       // this round's placement, by request position
-	repaid              map[job.UserID]float64 // the decision's declared repayments
+	down, unavail gpu.ServerSet
+	quar          *gpu.ServerSet         //gflint:noretain the breaker's own set
+	deficit       map[job.UserID]float64 // compensation debt as of the round start
+	caps          map[gpu.Generation]int // capacity net of unavail
+	placed        *placement.Round       // this round's placement, by request position
+	repaid        map[job.UserID]float64 // the decision's declared repayments
 }
 
 // runRound executes one scheduling quantum and closes it on every path:
@@ -35,13 +36,13 @@ type round struct {
 func (s *Sim) runRound() error {
 	s.rounds++
 	rd := &s.rd
-	*rd = round{now: s.clock.Now()}
+	*rd = round{now: s.clock.Now(), down: rd.down, unavail: rd.unavail} // the sets keep their room
 	s.obs.BeginRound(s.rounds, float64(rd.now))
 	s.robs.begin()
 	err := s.runPhases(rd)
 	s.obs.EndRound(obs.Round{
 		Events: s.flush(), Shares: s.shareSamples(),
-		Active: len(s.active), Pending: s.evq.pendingCount(),
+		Active: len(s.jobs), Pending: s.evq.pendingCount(),
 	})
 	return err
 }
@@ -63,7 +64,7 @@ func (s *Sim) runPhases(rd *round) error {
 	qs := s.quanta
 
 	s.obs.PhaseStart(obs.PhaseAudit)
-	s.aud.checkAssignment(qs, rd.down, rd.quar)
+	s.aud.checkAssignment(qs, &rd.down, rd.quar)
 	s.obs.PhaseEnd(obs.PhaseAudit)
 
 	if err := s.execute(rd, qs); err != nil {
@@ -98,20 +99,14 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		}
 	})
 	s.obs.PhaseStart(obs.PhaseFaultSweep)
-	rd.down = s.updateFaultState(now)
+	s.updateFaultState(now)
+	rd.down.CopyFrom(s.fsweep.Down())
+	rd.down.Union(s.unreachable)
 	rd.quar = s.breaker.Set()
 	s.obs.PhaseEnd(obs.PhaseFaultSweep)
 	// Servers unusable this round: physically down or quarantined.
-	rd.unavail = rd.down
-	if len(rd.quar) > 0 {
-		rd.unavail = make(map[gpu.ServerID]bool, len(rd.down)+len(rd.quar))
-		for sid := range rd.down {
-			rd.unavail[sid] = true
-		}
-		for sid := range rd.quar {
-			rd.unavail[sid] = true
-		}
-	}
+	rd.unavail.CopyFrom(&rd.down)
+	rd.unavail.Union(rd.quar)
 
 	// Every runnable job is told where in the list it is this round,
 	// which is how checkDecision knows the engine's own records. With the
@@ -159,7 +154,7 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		Prof:    s.prof,
 
 		MigrationDisabled: s.cfg.DisableMigration,
-		Down:              rd.down,
+		Down:              &rd.down,
 		Quarantined:       rd.quar,
 		Deficit:           rd.deficit,
 		Obs:               s.robs,
@@ -221,7 +216,7 @@ func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
 // delta against both out of the full sets itself.
 //
 //gflint:noretain
-func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round {
+func (s *Sim) placeIndexed(unavail *gpu.ServerSet, reqs []placement.Request, opts placement.Options) *placement.Round {
 	s.pidx.SyncUnavail(unavail)
 	return s.pidx.PlaceRound(reqs, opts)
 }
@@ -237,7 +232,7 @@ func (s *Sim) placeIndexed(unavail map[gpu.ServerID]bool, reqs []placement.Reque
 // job ID's.
 func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 	s.obs.PhaseStart(obs.PhasePlacement)
-	rd.placed = s.place(rd.unavail, reqs,
+	rd.placed = s.place(&rd.unavail, reqs,
 		placement.Options{AllowMigration: !s.cfg.DisableMigration})
 	marks := rd.placed.Marks
 	qs, unplaced := slices.Grow(s.quanta[:0], len(reqs)), s.unplacedBuf[:0]
@@ -366,7 +361,7 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 			// (Failed migrations were already charged above.)
 			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, j.ID); !migFailedNow {
 				for _, d := range j.Devices() {
-					if rd.unavail[s.cfg.Cluster.Device(d).Server] {
+					if rd.unavail.Has(s.cfg.Cluster.Device(d).Server) {
 						s.comp[j.UserAt()].loss += float64(j.Gang) * s.cfg.Quantum
 						break
 					}
@@ -388,7 +383,6 @@ func (s *Sim) retireJob(j *job.Job) {
 		X: j.JCT(), N: int32(j.Migrations())})
 	s.policy.JobFinished(id)
 	s.prof.Remove(id)
-	delete(s.active, id)
 	s.demand[j.UserAt()] -= float64(j.Gang)
 	if s.faultsOn {
 		s.comp[j.UserAt()].jobs--
@@ -491,12 +485,10 @@ func (s *Sim) shareSamples() []obs.ShareSample {
 	return out
 }
 
-// updateFaultState advances the compiled fault timeline to now,
-// maintains the sampled down set incrementally, feeds the quarantine
-// breaker, and records every transition. It returns the round's down set
-// — sampled outages plus the servers the executor cannot reach — as a
-// copy: RoundState and placement must not alias mutable state.
-func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
+// updateFaultState advances the compiled fault timeline to now, which
+// keeps the sampled down set, feeds the quarantine breaker, and records
+// every transition.
+func (s *Sim) updateFaultState(now simclock.Time) {
 	server := func(kind trace.Kind, sid gpu.ServerID) {
 		s.emit(trace.Record{At: now, Kind: kind, N: int32(sid)})
 	}
@@ -512,24 +504,14 @@ func (s *Sim) updateFaultState(now simclock.Time) map[gpu.ServerID]bool {
 		case tr.Slow:
 			server(trace.KindDegradeEnd, tr.Server)
 		case tr.Down:
-			s.down[tr.Server] = true
 			server(trace.KindFailure, tr.Server)
 			if s.breaker.NoteFailure(tr.Server, now) {
 				server(trace.KindQuarantine, tr.Server)
 			}
 		default:
-			delete(s.down, tr.Server)
 			server(trace.KindRecovery, tr.Server)
 		}
 	}
-	down := make(map[gpu.ServerID]bool, len(s.down)+len(s.unreachable))
-	for sid := range s.down {
-		down[sid] = true
-	}
-	for sid := range s.unreachable {
-		down[sid] = true
-	}
-	return down
 }
 
 // checkDecision enforces the policy contract: known runnable jobs,

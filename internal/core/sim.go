@@ -377,10 +377,9 @@ type Sim struct {
 	tickets map[job.UserID]float64
 
 	evq      *eventCursor // arrivals and ticket changes, time-ordered
-	active   map[job.ID]*job.Job
-	finished []*job.Job // in retirement order; Result sorts by finish time
+	finished []*job.Job   // in retirement order; Result sorts by finish time
 
-	// jobs is s.active's values in job-ID order, inserted on admission
+	// jobs is the active jobs in job-ID order, inserted on admission
 	// and compacted by the retirement sweep. It is the round's
 	// RoundState.Jobs, and every ID-ordered walk in the round loop
 	// (crash draws, the execute order, the retirement sweep) reads it;
@@ -396,7 +395,7 @@ type Sim struct {
 	// is a field so that the tests' export_test.go can run a round on the
 	// from-scratch reference (placement.Place) the index must match byte
 	// for byte; nothing else assigns it.
-	place func(unavail map[gpu.ServerID]bool, reqs []placement.Request, opts placement.Options) *placement.Round
+	place func(unavail *gpu.ServerSet, reqs []placement.Request, opts placement.Options) *placement.Round
 
 	// users is every user of the workload, sorted; a user's position here
 	// (job.Job.UserAt) is their index in every per-user table below.
@@ -445,8 +444,7 @@ type Sim struct {
 	// executor's contribution: servers it cannot carry a quantum out on.
 	ftl         *faults.Timeline
 	fsweep      *faults.Sweep
-	down        map[gpu.ServerID]bool // current sampled down set
-	unreachable map[gpu.ServerID]bool
+	unreachable *gpu.ServerSet
 	faultsOn    bool
 	fcfg        faults.Config // defaults applied; valid when faultsOn
 	finj        *faults.Injector
@@ -531,10 +529,8 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		log:      &trace.Log{},
 		tl:       metrics.NewTimeline(cfg.TimelineWindow),
 		tickets:  make(map[job.UserID]float64),
-		active:   make(map[job.ID]*job.Job),
 		pidx:     placement.NewIndex(cfg.Cluster),
 		recorded: make(map[trace.Kind]int),
-		down:     make(map[gpu.ServerID]bool),
 		owners:   owners,
 		aud:      newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
 		obs:      cfg.Obs,
@@ -645,7 +641,7 @@ func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
 		}()
 	}
 	for s.clock.Now() < until {
-		if len(s.active) == 0 {
+		if len(s.jobs) == 0 {
 			// Fast-forward idle gaps to the next arrival, aligned to
 			// the quantum grid so rounds stay comparable. Waking only
 			// for arrivals is sound: with nothing active, ticket and
@@ -663,7 +659,7 @@ func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
 		s.obs.PhaseStart(obs.PhaseArrivals)
 		s.admitArrivals()
 		s.obs.PhaseEnd(obs.PhaseArrivals)
-		if len(s.active) == 0 {
+		if len(s.jobs) == 0 {
 			// The arrival is strictly inside the coming quantum: step
 			// one quantum and retry.
 			s.clock.RunUntil(s.clock.Now().Add(s.cfg.Quantum))
@@ -693,7 +689,6 @@ func (s *Sim) admitArrivals() {
 // admit enters a job into the active set, the sorted job list and the
 // fairness reference's demand, and tells it where its user is.
 func (s *Sim) admit(j *job.Job) {
-	s.active[j.ID] = j
 	at, _ := slices.BinarySearchFunc(s.jobs, j.ID, func(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) })
 	s.jobs = slices.Insert(s.jobs, at, j)
 	j.NoteUser(s.userAt(j.User))
@@ -813,7 +808,7 @@ func (s *Sim) Result() *Result {
 	return &Result{
 		Policy:               s.policy.Name(),
 		Finished:             s.finished,
-		Unfinished:           len(s.active) + s.evq.pendingCount(),
+		Unfinished:           len(s.jobs) + s.evq.pendingCount(),
 		UsageByUserGen:       usage,
 		UsefulByUser:         useful,
 		FairUsageByUser:      fair,

@@ -76,11 +76,9 @@ type ChaosConfig struct {
 	// nothing.
 	Net *netchaos.Config
 
-	// LeaseRounds and CollectDeadline configure the partition-tolerant
-	// protocol on both runs (see CentralConfig); zero values keep the
-	// legacy protocol.
-	LeaseRounds     int
-	CollectDeadline time.Duration
+	// LeaseRounds configures the partition-tolerant protocol on both
+	// runs (see CentralConfig); zero keeps the legacy protocol.
+	LeaseRounds int
 
 	// AllowUsageDrift tolerates per-user usage exceeding the baseline
 	// instead of demanding byte-identity. Arbitrary (e.g. fuzzed)
@@ -354,13 +352,12 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 		return nil, err
 	}
 	ccfg := CentralConfig{
-		Specs:           specs,
-		Quantum:         cfg.Quantum,
-		Costs:           chaosCosts,
-		ReportTimeout:   cfg.ReportTimeout,
-		CollectDeadline: cfg.CollectDeadline,
-		LeaseRounds:     cfg.LeaseRounds,
-		Retry:           fastRetry(cfg.Seed),
+		Specs:         specs,
+		Quantum:       cfg.Quantum,
+		Costs:         chaosCosts,
+		ReportTimeout: cfg.ReportTimeout,
+		LeaseRounds:   cfg.LeaseRounds,
+		Retry:         fastRetry(cfg.Seed),
 	}
 	baseline, err := runUndisturbed(cfg, ccfg)
 	if err != nil {
@@ -562,7 +559,6 @@ func NetChaosConfig(seed int64, snapshotDir string) ChaosConfig {
 		Agents:          3,
 		GPUsPerAgent:    2,
 		ReportTimeout:   250 * time.Millisecond,
-		CollectDeadline: 250 * time.Millisecond,
 		LeaseRounds:     4,
 		SnapshotAtRound: 5,
 		SnapshotDir:     snapshotDir,

@@ -305,16 +305,11 @@ type CentralConfig struct {
 	// overhead sent to agents.
 	Costs migrate.CostModel
 
-	// ReportTimeout bounds the wait for agent reports each round
-	// (default 5 s of wall time).
+	// ReportTimeout is the straggler cutoff (default 5 s of wall time):
+	// the collect phase proceeds without agents that have not reported
+	// by then, charges their jobs as misses, and (with LeaseRounds > 0)
+	// reconciles their late reports idempotently in a following round.
 	ReportTimeout time.Duration
-
-	// CollectDeadline, when positive, overrides ReportTimeout as the
-	// straggler cutoff: the collect phase proceeds without agents
-	// that have not reported by then, charges their jobs as misses,
-	// and (with LeaseRounds > 0) reconciles their late reports
-	// idempotently in a following round.
-	CollectDeadline time.Duration
 
 	// LeaseRounds enables lease-based degraded mode: every plan
 	// grants the agent a lease of this many rounds. An agent cut off
@@ -393,10 +388,10 @@ type Central struct {
 	// Per-round tables, kept and cleared so a zero-fault round
 	// allocates only what it hands away (the plan payloads,
 	// lease-window entries).
-	down    map[gpu.ServerID]bool //gflint:noretain suspected-dead servers, the engine's unreachable set
-	quanta  []core.Quantum        //gflint:noretain the engine's quanta while Execute runs
-	byAgent [][]shard             //gflint:noretain by agent index: the slices of the quanta its plan carries
-	want    []bool                //gflint:noretain by agent index: report still awaited
+	down    gpu.ServerSet  //gflint:noretain suspected-dead servers, the engine's unreachable set
+	quanta  []core.Quantum //gflint:noretain the engine's quanta while Execute runs
+	byAgent [][]shard      //gflint:noretain by agent index: the slices of the quanta its plan carries
+	want    []bool         //gflint:noretain by agent index: report still awaited
 
 	// Partition-tolerance state. epoch fences central incarnations
 	// (fresh = 1, restored = snapshot+1); dedup drops duplicate
@@ -508,14 +503,6 @@ func (c *Central) note(event string) {
 // may grow with the round count; a saturated cluster logs a hundred
 // migrations a round.
 const traceCap = 1 << 13
-
-// collectDeadline is the straggler cutoff for the collect phase.
-func (c *Central) collectDeadline() time.Duration {
-	if c.cfg.CollectDeadline > 0 {
-		return c.cfg.CollectDeadline
-	}
-	return c.cfg.ReportTimeout
-}
 
 // newRetrier builds the central's send retrier, instrumenting every
 // retry through the observer. The sequence space is epoch-salted so a
@@ -665,7 +652,6 @@ func (c *Central) buildEngine(cp *core.Checkpoint) error {
 	}
 	c.ecfg.Cluster = cluster
 	c.missed = make([]int, len(c.agents))
-	c.down = make(map[gpu.ServerID]bool)
 	c.byAgent = make([][]shard, len(c.agents))
 	c.want = make([]bool, len(c.agents))
 	prof, err := profiler.New(0.25, 0, 1)
@@ -971,18 +957,17 @@ func (c *Central) noteMiss(ai int) {
 // a report it comes back empty without a look at the inventory.
 //
 //gflint:noretain
-func (c *Central) downServers() map[gpu.ServerID]bool {
-	clear(c.down)
-	if c.nMissed == 0 {
-		return c.down
-	}
-	thr := c.downThreshold()
-	for ai, m := range c.missed {
-		if m >= thr {
-			c.down[gpu.ServerID(ai)] = true
+func (c *Central) downServers() *gpu.ServerSet {
+	c.down.Clear()
+	if c.nMissed > 0 {
+		thr := c.downThreshold()
+		for ai, m := range c.missed {
+			if m >= thr {
+				c.down.Add(gpu.ServerID(ai))
+			}
 		}
 	}
-	return c.down
+	return &c.down
 }
 
 // degradedAgents counts agents unheard-from but still covered by their
@@ -1167,7 +1152,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 
 	o.PhaseStart(obs.PhaseCollect)
 	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
-	deadline := time.After(c.collectDeadline())
+	deadline := time.After(c.cfg.ReportTimeout)
 	for nWant > 0 {
 		select {
 		case env, ok := <-c.tr.Recv():

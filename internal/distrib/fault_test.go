@@ -216,7 +216,7 @@ func TestRejoinReconciliation(t *testing.T) {
 	drainAcks(t, agentTr) // registration ack
 
 	c.setMissed(0, suspectThreshold) // the agent went silent, server marked down
-	if len(c.downServers()) != 1 {
+	if !c.downServers().Has(0) || c.downServers().Len() != 1 {
 		t.Fatal("suspected agent's server not marked down")
 	}
 
@@ -224,9 +224,9 @@ func TestRejoinReconciliation(t *testing.T) {
 	if !c.handleRejoin(comm.Register{Agent: "agent-0", Gen: int(gpu.K80), GPUs: 4}) {
 		t.Error("matching rejoin rejected")
 	}
-	if c.missed[0] != 0 || c.nMissed != 0 || len(c.downServers()) != 0 {
+	if c.missed[0] != 0 || c.nMissed != 0 || c.downServers().Len() != 0 {
 		t.Errorf("rejoin did not reset failure state: missed=%d (%d agents) down=%d",
-			c.missed[0], c.nMissed, len(c.downServers()))
+			c.missed[0], c.nMissed, c.downServers().Len())
 	}
 	if ack := recvAck(t, agentTr); !ack.OK {
 		t.Errorf("matching rejoin acked with %+v", ack)
@@ -428,5 +428,46 @@ func TestFailureDetectorSuspectRecover(t *testing.T) {
 	_ = o.Registry().WritePrometheus(&sb) // strings.Builder writes cannot fail
 	if !strings.Contains(sb.String(), `gf_protocol_events_total{event="rejoin_accepted"}`) {
 		t.Error("recovered agent's re-registration was not reconciled as a rejoin")
+	}
+}
+
+// TestRestoreCentralRefusesHostileSnapshot: snapshot values no central
+// writes — a negative epoch (the restored central would run unfenced),
+// negative timeouts (a larger MaxAgentTimeouts budget) or a negative
+// miss count (a slower failure detector) — are refused with an error
+// and no central, where the unspoilt snapshot restores.
+func TestRestoreCentralRefusesHostileSnapshot(t *testing.T) {
+	specs, _ := workload.AssignIDs(workload.BatchJobs("alice", zoo.MustGet("lstm"), 2, 1, 0.45))
+	snapshot := func() *State {
+		return &State{
+			Epoch: 3, Timeouts: 2,
+			Agents: []AgentState{{Name: "agent-0", Gen: int(gpu.K80), GPUs: 2}, {Name: "agent-1", Gen: int(gpu.K80), GPUs: 2}},
+			Missed: map[string]int{"agent-0": 1, "agent-1": 2},
+			Engine: &core.Checkpoint{Pending: specs},
+		}
+	}
+	restore := func(st *State) (*Central, error) {
+		central, err := comm.NewHub().Attach("central")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RestoreCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{Quantum: 360}, st)
+	}
+	if _, err := restore(snapshot()); err != nil {
+		t.Fatalf("the unspoilt snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(st *State)
+	}{
+		{"negative epoch", func(st *State) { st.Epoch = -1 }},
+		{"negative timeouts", func(st *State) { st.Timeouts = -7 }},
+		{"negative missed", func(st *State) { st.Missed["agent-1"] = -1 }},
+	} {
+		st := snapshot()
+		tc.spoil(st)
+		if c, err := restore(st); err == nil || c != nil {
+			t.Errorf("%s: RestoreCentral returned central %v, error %v; want an error and no central", tc.name, c != nil, err)
+		}
 	}
 }

@@ -72,7 +72,6 @@ func FuzzNetChaos(f *testing.F) {
 			Agents: 3, GPUsPerAgent: 2,
 			MaxRounds:       40,
 			ReportTimeout:   100 * time.Millisecond,
-			CollectDeadline: 100 * time.Millisecond,
 			LeaseRounds:     6,
 			AllowUsageDrift: true,
 			Net:             &netchaos.Config{Seed: seed, Faults: fs},

@@ -118,7 +118,7 @@ func TestReplayedReportCountedOnce(t *testing.T) {
 	ob := obs.New()
 	c, err := NewCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: oneJobSpecs(t, "alice", 2.2), Quantum: 360,
-		LeaseRounds: 2, CollectDeadline: 2 * time.Second, Obs: ob,
+		LeaseRounds: 2, ReportTimeout: 2 * time.Second, Obs: ob,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestStragglerCutoffReconcilesLateReport(t *testing.T) {
 	ob := obs.New()
 	c, err := NewCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: oneJobSpecs(t, "alice", 2.2), Quantum: 360,
-		LeaseRounds: 3, CollectDeadline: 150 * time.Millisecond, Obs: ob,
+		LeaseRounds: 3, ReportTimeout: 150 * time.Millisecond, Obs: ob,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +527,7 @@ func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Cen
 	wire := &planWire{Transport: central, failTo: "agent-1", fails: fails}
 	c, err = NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: specs, Quantum: 360,
-		LeaseRounds: lease, CollectDeadline: 2 * time.Second, Obs: ob,
+		LeaseRounds: lease, ReportTimeout: 2 * time.Second, Obs: ob,
 		Retry: comm.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 7},
 	})
 	if err != nil {

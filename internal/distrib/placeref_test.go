@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -20,7 +19,7 @@ import (
 type decisionTap struct {
 	core.Policy
 	run      []placement.Request
-	down     map[gpu.ServerID]bool
+	down     gpu.ServerSet
 	ran      []core.RanInfo
 	unplaced []job.ID
 }
@@ -28,7 +27,7 @@ type decisionTap struct {
 func (p *decisionTap) Decide(st *core.RoundState) core.Decision {
 	dec := p.Policy.Decide(st)
 	p.run = slices.Clone(dec.Run)
-	p.down = maps.Clone(st.Down)
+	p.down.CopyFrom(st.Down)
 	return dec
 }
 
@@ -97,13 +96,13 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 		if round != before+1 {
 			t.Fatalf("round %d did not run", before+1)
 		}
-		want := placement.Place(cluster, prev, tap.run, placement.Options{AllowMigration: true, Down: tap.down})
+		want := placement.Place(cluster, prev, tap.run, placement.Options{AllowMigration: true, Down: &tap.down})
 		// No job here finishes, so after the round the engine's table
 		// holds this round's devices for every job it placed.
 		got := c.eng.Placement()
 		for id, devs := range want.Assignment {
 			if !slices.Equal(got[id], devs) {
-				t.Fatalf("round %d (down %v): job %d on %v, reference %v", round, tap.down, id, got[id], devs)
+				t.Fatalf("round %d (victim down %v): job %d on %v, reference %v", round, tap.down.Has(victimSrv), id, got[id], devs)
 			}
 			for _, d := range devs {
 				usedVictim = usedVictim || cluster.Device(d).Server == victimSrv
@@ -144,7 +143,7 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	sawDown := false
 	for i := 0; i < suspectThreshold+3; i++ {
 		usedNow := step()
-		if tap.down[victimSrv] {
+		if tap.down.Has(victimSrv) {
 			sawDown = true
 			if usedNow {
 				t.Fatalf("round %d placed on the down server", c.eng.Rounds())
@@ -169,10 +168,10 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	back := false
 	for i := 0; i < 50 && !back; i++ {
 		usedNow := step()
-		back = c.missed[victimIdx] == 0 && len(tap.down) == 0 && usedNow
+		back = c.missed[victimIdx] == 0 && tap.down.Len() == 0 && usedNow
 	}
 	if !back {
-		t.Fatalf("rejoined agent's server not back in use (missed %d, down %v)", c.missed[victimIdx], tap.down)
+		t.Fatalf("rejoined agent's server not back in use (missed %d, %d servers down)", c.missed[victimIdx], tap.down.Len())
 	}
 	c.ShutdownAgents()
 	if err := <-done; err != nil {

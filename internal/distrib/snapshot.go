@@ -134,6 +134,15 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 	if st == nil || len(st.Agents) == 0 || st.Engine == nil {
 		return nil, fmt.Errorf("distrib: snapshot has no agents or no engine state")
 	}
+	// No central writes these, and each would weaken a guard: fencing,
+	// the timeout budget, the failure detector.
+	bad := st.Epoch < 0 || st.Timeouts < 0
+	for _, n := range st.Missed {
+		bad = bad || n < 0
+	}
+	if bad {
+		return nil, fmt.Errorf("distrib: snapshot has a negative epoch (%d), timeout count (%d) or miss count", st.Epoch, st.Timeouts)
+	}
 	// A legacy snapshot (Epoch 0) restores as epoch 1, same as a fresh
 	// central; any newer snapshot bumps past its writer so the dead
 	// incarnation's traffic is fenced on both sides.

@@ -1,8 +1,6 @@
 package faults
 
 import (
-	"sort"
-
 	"repro/internal/gpu"
 	"repro/internal/simclock"
 )
@@ -26,6 +24,7 @@ type Breaker struct {
 
 	history map[gpu.ServerID][]simclock.Time // recent failure times, ascending
 	until   map[gpu.ServerID]simclock.Time   // quarantined until, if present
+	quar    gpu.ServerSet                    // until's servers
 	trips   int
 }
 
@@ -64,6 +63,7 @@ func (b *Breaker) NoteFailure(sid gpu.ServerID, now simclock.Time) bool {
 	}
 	delete(b.history, sid)
 	b.until[sid] = now.Add(b.cooloff)
+	b.quar.Add(sid)
 	b.trips++
 	return true
 }
@@ -76,46 +76,26 @@ func (b *Breaker) ExpireStep(now simclock.Time) []gpu.ServerID {
 		return nil
 	}
 	var freed []gpu.ServerID
-	for sid, until := range b.until {
-		if until <= now {
+	b.quar.ForEach(func(sid gpu.ServerID) bool {
+		if b.until[sid] <= now {
 			freed = append(freed, sid)
+			delete(b.until, sid)
+			b.quar.Remove(sid)
 		}
-	}
-	sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
-	for _, sid := range freed {
-		delete(b.until, sid)
-	}
+		return true
+	})
 	return freed
 }
 
-// Quarantined reports whether sid is currently quarantined.
-func (b *Breaker) Quarantined(sid gpu.ServerID) bool {
+// Set returns the quarantined servers: the breaker's own set, updated in
+// place by NoteFailure and ExpireStep (nil for a nil breaker).
+//
+//gflint:noretain
+func (b *Breaker) Set() *gpu.ServerSet {
 	if b == nil {
-		return false
-	}
-	_, q := b.until[sid]
-	return q
-}
-
-// Set returns the current quarantine set as a fresh map (nil when
-// empty).
-func (b *Breaker) Set() map[gpu.ServerID]bool {
-	if b == nil || len(b.until) == 0 {
 		return nil
 	}
-	m := make(map[gpu.ServerID]bool, len(b.until))
-	for sid := range b.until {
-		m[sid] = true
-	}
-	return m
-}
-
-// Count returns the number of currently quarantined servers.
-func (b *Breaker) Count() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.until)
+	return &b.quar
 }
 
 // Trips returns the cumulative number of quarantine trips.

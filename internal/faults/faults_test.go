@@ -128,8 +128,8 @@ func TestSweepMatchesLookup(t *testing.T) {
 		sw.Advance(now)
 		for s := 0; s < 6; s++ {
 			sid := gpu.ServerID(s)
-			if sw.Down(sid) != tl.DownAt(sid, now) {
-				t.Fatalf("t=%v server %d: sweep down=%v lookup=%v", now, s, sw.Down(sid), tl.DownAt(sid, now))
+			if sw.Down().Has(sid) != tl.DownAt(sid, now) {
+				t.Fatalf("t=%v server %d: sweep down=%v lookup=%v", now, s, sw.Down().Has(sid), tl.DownAt(sid, now))
 			}
 			if sw.Factor(sid) != tl.FactorAt(sid, now) {
 				t.Fatalf("t=%v server %d: sweep factor=%v lookup=%v", now, s, sw.Factor(sid), tl.FactorAt(sid, now))
@@ -173,7 +173,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.NoteFailure(5, now.Add(120)) {
 		t.Fatal("did not trip on k-th failure within window")
 	}
-	if !b.Quarantined(5) || b.Count() != 1 || b.Trips() != 1 {
+	if !b.Set().Has(5) || b.Set().Len() != 1 || b.Trips() != 1 {
 		t.Fatal("quarantine state wrong after trip")
 	}
 	// Failures while quarantined are dropped.
@@ -188,7 +188,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if len(freed) != 1 || freed[0] != 5 {
 		t.Fatalf("ExpireStep = %v, want [5]", freed)
 	}
-	if b.Quarantined(5) || b.Count() != 0 {
+	if b.Set().Has(5) || b.Set().Len() != 0 {
 		t.Fatal("still quarantined after expiry")
 	}
 	// History cleared on trip: needs k fresh failures to trip again.
@@ -219,11 +219,11 @@ func TestBreakerDisabled(t *testing.T) {
 			t.Fatal("disabled breaker tripped")
 		}
 	}
-	if b.Set() != nil {
+	if b.Set().Len() != 0 {
 		t.Fatal("disabled breaker has quarantine set")
 	}
 	var nilB *Breaker
-	if nilB.Quarantined(0) || nilB.Count() != 0 || nilB.NoteFailure(0, 0) {
+	if nilB.Set().Has(0) || nilB.Set().Len() != 0 || nilB.NoteFailure(0, 0) {
 		t.Fatal("nil breaker misbehaved")
 	}
 }
@@ -374,7 +374,7 @@ func TestSweepReferenceRandomized(t *testing.T) {
 			sw.Advance(now)
 			for s := 0; s < n; s++ {
 				sid := gpu.ServerID(s)
-				if sw.Down(sid) != tl.DownAt(sid, now) {
+				if sw.Down().Has(sid) != tl.DownAt(sid, now) {
 					t.Fatalf("trial %d t=%v server %d down mismatch", trial, now, s)
 				}
 				if sw.Factor(sid) != tl.FactorAt(sid, now) {

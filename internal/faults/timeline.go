@@ -168,7 +168,7 @@ type Sweep struct {
 	tl       *Timeline
 	downIdx  []int
 	slowIdx  []int
-	isDown   []bool
+	down     gpu.ServerSet
 	factor   []float64
 	lastTime simclock.Time
 	started  bool
@@ -194,7 +194,6 @@ func NewSweep(tl *Timeline) *Sweep {
 		tl:      tl,
 		downIdx: make([]int, n),
 		slowIdx: make([]int, n),
-		isDown:  make([]bool, n),
 		factor:  make([]float64, n),
 	}
 	for i := range sw.factor {
@@ -263,15 +262,19 @@ func (sw *Sweep) Advance(t simclock.Time) []Transition {
 		}
 		last = s32
 		s := int(s32)
-		down := sw.seekDown(s, t)
-		if down != sw.isDown[s] {
-			sw.isDown[s] = down
-			out = append(out, Transition{Server: gpu.ServerID(s), Down: down})
+		sid := gpu.ServerID(s)
+		if down := sw.seekDown(s, t); down != sw.down.Has(sid) {
+			if down {
+				sw.down.Add(sid)
+			} else {
+				sw.down.Remove(sid)
+			}
+			out = append(out, Transition{Server: sid, Down: down})
 		}
 		f := sw.seekSlow(s, t)
 		if f != sw.factor[s] {
 			sw.factor[s] = f
-			out = append(out, Transition{Server: gpu.ServerID(s), Slow: true, Factor: f})
+			out = append(out, Transition{Server: sid, Slow: true, Factor: f})
 		}
 	}
 	return out
@@ -298,14 +301,11 @@ func (sw *Sweep) seekSlow(s int, t simclock.Time) float64 {
 	return 1
 }
 
-// Down reports the sampled down state of server sid at the last
-// Advance time.
-func (sw *Sweep) Down(sid gpu.ServerID) bool {
-	if int(sid) < 0 || int(sid) >= len(sw.isDown) {
-		return false
-	}
-	return sw.isDown[sid]
-}
+// Down is the set of servers down at the last Advance time: the sweep's
+// own, which Advance updates in place.
+//
+//gflint:noretain
+func (sw *Sweep) Down() *gpu.ServerSet { return &sw.down }
 
 // Factor reports the sampled degradation factor of server sid at the
 // last Advance time (1 = healthy).

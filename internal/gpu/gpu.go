@@ -8,7 +8,10 @@
 // without synchronization.
 package gpu
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Generation identifies a GPU hardware generation. Order matters:
 // higher values are newer/faster generations, which the trading
@@ -87,6 +90,105 @@ type DeviceID int32
 
 // ServerID names a server, unique cluster-wide.
 type ServerID int32
+
+// ServerSet is a set of servers, one bit per ServerID, and the one form
+// of every server set: failed, unreachable, quarantined, unavailable,
+// the placement index's buckets. The zero value is empty and grows on
+// Add; Has is false beyond it, and a nil *ServerSet reads as empty.
+// Walks go in ascending ID order. Assigning a ServerSet shares its
+// bits: copy one with CopyFrom.
+type ServerSet struct {
+	words []uint64
+}
+
+// Grow makes room for the IDs below n, so adding them does not allocate.
+func (s *ServerSet) Grow(n int) {
+	if w := (n + 63) >> 6; w > len(s.words) {
+		s.words = append(s.words, make([]uint64, w-len(s.words))...)
+	}
+}
+
+// Add puts id in the set.
+func (s *ServerSet) Add(id ServerID) {
+	s.Grow(int(id) + 1)
+	s.words[id>>6] |= 1 << (id & 63)
+}
+
+// Remove takes id out of the set.
+func (s *ServerSet) Remove(id ServerID) {
+	if s.Has(id) {
+		s.words[id>>6] &^= 1 << (id & 63)
+	}
+}
+
+// Has reports whether id is in the set.
+func (s *ServerSet) Has(id ServerID) bool {
+	return s != nil && id >= 0 && int(id>>6) < len(s.words) && s.words[id>>6]&(1<<(id&63)) != 0
+}
+
+// Len returns the number of servers in the set.
+func (s *ServerSet) Len() (n int) {
+	if s != nil {
+		for _, w := range s.words {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// Clear empties the set, keeping its room.
+func (s *ServerSet) Clear() { clear(s.words) }
+
+// CopyFrom makes s hold exactly the servers of o.
+func (s *ServerSet) CopyFrom(o *ServerSet) {
+	s.Clear()
+	s.Union(o)
+}
+
+// Union adds the servers of o to s.
+func (s *ServerSet) Union(o *ServerSet) {
+	if o != nil {
+		s.Grow(len(o.words) << 6)
+		for i, w := range o.words {
+			s.words[i] |= w
+		}
+	}
+}
+
+// ForEach calls fn on the servers of the set in ascending ID order until
+// fn returns false; fn may remove the server it is given.
+func (s *ServerSet) ForEach(fn func(ServerID) bool) {
+	if s == nil {
+		return
+	}
+	for i, w := range s.words {
+		for ; w != 0; w &= w - 1 {
+			if !fn(ServerID(i<<6 + bits.TrailingZeros64(w))) {
+				return
+			}
+		}
+	}
+}
+
+// ForEachDiff calls fn, in ascending ID order, on every server in
+// exactly one of s and o. It may grow s to o's room; fn may add or
+// remove the server it is given.
+func (s *ServerSet) ForEachDiff(o *ServerSet, fn func(ServerID)) {
+	var other []uint64
+	if o != nil {
+		other = o.words
+		s.Grow(len(other) << 6)
+	}
+	for i := range s.words {
+		d := s.words[i]
+		if i < len(other) {
+			d ^= other[i]
+		}
+		for ; d != 0; d &= d - 1 {
+			fn(ServerID(i<<6 + bits.TrailingZeros64(d)))
+		}
+	}
+}
 
 // Device is one physical GPU.
 type Device struct {

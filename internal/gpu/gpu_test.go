@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -181,5 +183,119 @@ func TestPropertyCapacity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerSetMatchesMapModel drives ServerSets through random adds,
+// removes, unions, copies and clears, the same operations on a map
+// model beside them, and after each compares membership (word edges
+// 0, 63, 64, 127, IDs past the set and negative ones included), the
+// count, the ascending walk, an early-stopped walk, a walk that removes
+// what it visits and the difference walk against another set.
+func TestServerSetMatchesMapModel(t *testing.T) {
+	var zero ServerSet
+	var none *ServerSet
+	for _, id := range []ServerID{-1, 0, 63, 64, 1 << 20} {
+		if zero.Has(id) || none.Has(id) {
+			t.Fatalf("an empty set has %d", id)
+		}
+	}
+	if zero.Len() != 0 || none.Len() != 0 {
+		t.Fatal("an empty set is not empty")
+	}
+	none.ForEach(func(ServerID) bool { t.Fatal("nil set walked"); return true })
+	zero.Remove(5) // beyond the set: a no-op
+	zero.Clear()
+
+	members := func(m map[ServerID]bool) []ServerID {
+		var out []ServerID
+		for id, in := range m {
+			if in {
+				out = append(out, id)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	probe := []ServerID{-1, 0, 1, 62, 63, 64, 65, 126, 127, 128, 191, 192, 255, 256, 1000}
+	rng := rand.New(rand.NewSource(11))
+	sets := [2]ServerSet{}
+	models := [2]map[ServerID]bool{{}, {}}
+	for step := 0; step < 5000; step++ {
+		a, b := rng.Intn(2), rng.Intn(2)
+		id := probe[1+rng.Intn(len(probe)-1)]
+		if rng.Intn(4) == 0 {
+			id = ServerID(rng.Intn(300))
+		}
+		switch op := rng.Intn(20); {
+		case op < 9:
+			sets[a].Add(id)
+			models[a][id] = true
+		case op < 16:
+			sets[a].Remove(id)
+			delete(models[a], id)
+		case op < 18:
+			sets[a].Union(&sets[b])
+			for id := range models[b] {
+				models[a][id] = true
+			}
+		case op < 19:
+			sets[a].CopyFrom(&sets[b])
+			models[a] = map[ServerID]bool{}
+			for id := range models[b] {
+				models[a][id] = true
+			}
+		default:
+			sets[a].Clear()
+			models[a] = map[ServerID]bool{}
+		}
+
+		for k := range sets {
+			s, m := &sets[k], models[k]
+			for _, id := range probe {
+				if s.Has(id) != m[id] {
+					t.Fatalf("step %d set %d: Has(%d) = %v, model %v", step, k, id, s.Has(id), m[id])
+				}
+			}
+			want := members(m)
+			if s.Len() != len(want) {
+				t.Fatalf("step %d set %d: Len %d, model %d", step, k, s.Len(), len(want))
+			}
+			var got []ServerID
+			s.ForEach(func(id ServerID) bool { got = append(got, id); return true })
+			if !slices.Equal(got, want) { // want is sorted and unique: the walk is strictly ascending
+				t.Fatalf("step %d set %d: walk %v, model %v", step, k, got, want)
+			}
+			if len(want) > 1 {
+				var first []ServerID
+				s.ForEach(func(id ServerID) bool { first = append(first, id); return len(first) < 2 })
+				if !slices.Equal(first, want[:2]) {
+					t.Fatalf("step %d set %d: walk stopped after two at %v, want %v", step, k, first, want[:2])
+				}
+			}
+		}
+		var diff, wantDiff []ServerID
+		sets[0].ForEachDiff(&sets[1], func(id ServerID) { diff = append(diff, id) })
+		for _, id := range members(models[0]) {
+			if !models[1][id] {
+				wantDiff = append(wantDiff, id)
+			}
+		}
+		for _, id := range members(models[1]) {
+			if !models[0][id] {
+				wantDiff = append(wantDiff, id)
+			}
+		}
+		slices.Sort(wantDiff)
+		if !slices.Equal(diff, wantDiff) {
+			t.Fatalf("step %d: difference walk %v, model %v", step, diff, wantDiff)
+		}
+		var drained ServerSet // a walk that removes what it is given
+		drained.CopyFrom(&sets[0])
+		var walked []ServerID
+		drained.ForEach(func(id ServerID) bool { walked = append(walked, id); drained.Remove(id); return true })
+		if !slices.Equal(walked, members(models[0])) || drained.Len() != 0 {
+			t.Fatalf("step %d: draining walk %v left %d, model %v", step, walked, drained.Len(), members(models[0]))
+		}
 	}
 }

@@ -25,49 +25,11 @@ package placement
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
 )
-
-// serverBitset is a fixed-size bitset over ServerIDs supporting O(1)
-// add/remove and ascending-ID iteration via 64-bit words.
-type serverBitset struct {
-	words []uint64
-}
-
-func newServerBitset(n int) *serverBitset {
-	return &serverBitset{words: make([]uint64, (n+63)/64)}
-}
-
-func (b *serverBitset) add(id gpu.ServerID)    { b.words[int(id)>>6] |= 1 << (uint(id) & 63) }
-func (b *serverBitset) remove(id gpu.ServerID) { b.words[int(id)>>6] &^= 1 << (uint(id) & 63) }
-
-// min returns the smallest ServerID present, or ok=false when empty.
-func (b *serverBitset) min() (gpu.ServerID, bool) {
-	for w, word := range b.words {
-		if word != 0 {
-			return gpu.ServerID(w<<6 + bits.TrailingZeros64(word)), true
-		}
-	}
-	return 0, false
-}
-
-// forEach visits members in ascending ServerID order until fn returns
-// false.
-func (b *serverBitset) forEach(fn func(gpu.ServerID) bool) {
-	for w, word := range b.words {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			if !fn(gpu.ServerID(w<<6 + bit)) {
-				return
-			}
-			word &^= 1 << uint(bit)
-		}
-	}
-}
 
 // Mark says what a round did with one request.
 type Mark uint8
@@ -139,22 +101,18 @@ type pend struct {
 // concurrent use.
 type Index struct {
 	c       *gpu.Cluster
-	freeDev []bool     // by DeviceID: free right now
-	holder  []*job.Job // by DeviceID: who has it taken; nil for a free device and on an unavailable server
-	freeCnt []int16    // by ServerID: number of free devices
-	avail   []bool     // by ServerID: not down, not quarantined
-	maxCnt  int        // largest GPUs-per-server in the cluster
+	freeDev []bool        // by DeviceID: free right now
+	holder  []*job.Job    // by DeviceID: who has it taken; nil for a free device and on an unavailable server
+	freeCnt []int16       // by ServerID: number of free devices
+	unavail gpu.ServerSet // down or quarantined: the last SyncUnavail set
+	maxCnt  int           // largest GPUs-per-server in the cluster
 
 	// buckets[gen][cnt] holds the available servers of gen with
 	// exactly cnt free devices, cnt in 1..maxCnt (servers with zero
 	// free devices live in no bucket). totalFree[gen] is the number
 	// of free devices on available servers of gen.
-	buckets   [gpu.NumGenerations][]*serverBitset
+	buckets   [gpu.NumGenerations][]gpu.ServerSet
 	totalFree [gpu.NumGenerations]int
-
-	// unavail lists the servers currently marked unavailable, so
-	// SyncUnavail finds the ones to bring back without a server scan.
-	unavail []gpu.ServerID
 
 	held  []holding // the holders, and entries released since the last round
 	calls int32     // rounds placed
@@ -179,7 +137,6 @@ func NewIndex(c *gpu.Cluster) *Index {
 		freeDev: make([]bool, c.NumDevices()),
 		holder:  make([]*job.Job, c.NumDevices()),
 		freeCnt: make([]int16, c.NumServers()),
-		avail:   make([]bool, c.NumServers()),
 	}
 	for _, srv := range c.Servers() {
 		if n := len(srv.Devices); n > idx.maxCnt {
@@ -190,49 +147,32 @@ func NewIndex(c *gpu.Cluster) *Index {
 		if len(c.DevicesOf(gpu.Generation(g))) == 0 {
 			continue
 		}
-		idx.buckets[g] = make([]*serverBitset, idx.maxCnt+1)
+		idx.buckets[g] = make([]gpu.ServerSet, idx.maxCnt+1)
 		for cnt := 1; cnt <= idx.maxCnt; cnt++ {
-			idx.buckets[g][cnt] = newServerBitset(c.NumServers())
+			idx.buckets[g][cnt].Grow(c.NumServers())
 		}
 	}
 	for i := range idx.freeDev {
 		idx.freeDev[i] = true
 	}
 	for _, srv := range c.Servers() {
-		idx.avail[srv.ID] = true
 		idx.freeCnt[srv.ID] = int16(len(srv.Devices))
-		idx.buckets[srv.Gen][len(srv.Devices)].add(srv.ID)
+		idx.buckets[srv.Gen][len(srv.Devices)].Add(srv.ID)
 		idx.totalFree[srv.Gen] += len(srv.Devices)
 	}
 	return idx
 }
 
-// SyncUnavail makes the servers marked true in set the index's
-// unavailable servers — what Options.Down is to Place — flipping only
-// those whose state differs from the last call. A job holding a device
-// of a server that goes away loses its hold on all of its devices; they
-// stay where it last ran. Call between rounds. Cost is O(previous set +
-// new set + what the evicted held); an empty set on a fully available
-// index costs nothing.
-func (idx *Index) SyncUnavail(set map[gpu.ServerID]bool) {
-	kept := idx.unavail[:0]
-	for _, sid := range idx.unavail {
-		if set[sid] {
-			kept = append(kept, sid)
-		} else {
-			idx.setAvail(sid, true)
-		}
-	}
-	idx.unavail = kept
-	for sid, un := range set {
-		if un && idx.avail[sid] {
-			idx.setAvail(sid, false)
-			idx.unavail = append(idx.unavail, sid)
-		}
-	}
-	if len(idx.unavail) > len(kept) {
-		slices.Sort(idx.unavail) // map order must not leak into the index's state
-	}
+// SyncUnavail makes set the index's unavailable servers — what
+// Options.Down is to Place — flipping, in ID order, only those whose
+// state differs from the last call. A job holding a device of a server
+// that goes away loses its hold on all of its devices; they stay where
+// it last ran. Call between rounds. Cost is O(servers / 64 + flipped
+// servers + what the evicted held).
+func (idx *Index) SyncUnavail(set *gpu.ServerSet) {
+	idx.unavail.ForEachDiff(set, func(sid gpu.ServerID) {
+		idx.setAvail(sid, idx.unavail.Has(sid))
+	})
 }
 
 // setAvail flips one server's availability. Nobody holds a device of an
@@ -241,15 +181,16 @@ func (idx *Index) SyncUnavail(set map[gpu.ServerID]bool) {
 func (idx *Index) setAvail(id gpu.ServerID, avail bool) {
 	srv := idx.c.Server(id)
 	n := len(srv.Devices)
-	idx.avail[id] = avail
 	if avail {
+		idx.unavail.Remove(id)
 		for _, d := range srv.Devices {
 			idx.freeDev[d] = true
 		}
 		idx.freeCnt[id] = int16(n)
-		idx.buckets[srv.Gen][n].add(id)
+		idx.buckets[srv.Gen][n].Add(id)
 		idx.totalFree[srv.Gen] += n
 	} else {
+		idx.unavail.Add(id)
 		for _, d := range srv.Devices {
 			if h := idx.holder[d]; h != nil {
 				idx.Release(h)
@@ -259,7 +200,7 @@ func (idx *Index) setAvail(id gpu.ServerID, avail bool) {
 			idx.freeDev[d] = false
 		}
 		idx.freeCnt[id] = 0
-		idx.buckets[srv.Gen][n].remove(id)
+		idx.buckets[srv.Gen][n].Remove(id)
 		idx.totalFree[srv.Gen] -= n
 	}
 }
@@ -272,9 +213,9 @@ func (idx *Index) take(d gpu.DeviceID, j *job.Job) {
 	srv := idx.c.Device(d).Server
 	g := idx.c.Server(srv).Gen
 	cnt := int(idx.freeCnt[srv])
-	idx.buckets[g][cnt].remove(srv)
+	idx.buckets[g][cnt].Remove(srv)
 	if cnt > 1 {
-		idx.buckets[g][cnt-1].add(srv)
+		idx.buckets[g][cnt-1].Add(srv)
 	}
 	idx.freeCnt[srv]--
 	idx.totalFree[g]--
@@ -289,9 +230,9 @@ func (idx *Index) release(d gpu.DeviceID) {
 	g := idx.c.Server(srv).Gen
 	cnt := int(idx.freeCnt[srv])
 	if cnt > 0 {
-		idx.buckets[g][cnt].remove(srv)
+		idx.buckets[g][cnt].Remove(srv)
 	}
-	idx.buckets[g][cnt+1].add(srv)
+	idx.buckets[g][cnt+1].Add(srv)
 	idx.freeCnt[srv]++
 	idx.totalFree[g]++
 	idx.releases++
@@ -519,7 +460,7 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 	best := gpu.ServerID(-1)
 	bestCnt := 0
 	for _, sid := range prevSrvs {
-		if !idx.avail[sid] {
+		if idx.unavail.Has(sid) {
 			continue
 		}
 		srv := c.Server(sid)
@@ -534,11 +475,11 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 	if best < 0 {
 		// No previous server fits: best fit over all servers is the
 		// lowest-ID member of the smallest sufficient bucket.
-		for cnt := gang; cnt <= idx.maxCnt; cnt++ {
-			if sid, ok := idx.buckets[g][cnt].min(); ok {
+		for cnt := gang; cnt <= idx.maxCnt && best < 0; cnt++ {
+			idx.buckets[g][cnt].ForEach(func(sid gpu.ServerID) bool {
 				best = sid
-				break
-			}
+				return false
+			})
 		}
 	}
 	if best >= 0 {
@@ -552,7 +493,7 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 	out := idx.spanOut[:0]
 	need := gang
 	for cnt := idx.maxCnt; cnt >= 1 && need > 0; cnt-- {
-		idx.buckets[g][cnt].forEach(func(sid gpu.ServerID) bool {
+		idx.buckets[g][cnt].ForEach(func(sid gpu.ServerID) bool {
 			n := cnt
 			if n > need {
 				n = need

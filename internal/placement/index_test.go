@@ -40,13 +40,12 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 		}
 
 		prev := Assignment{}
-		var unavail map[gpu.ServerID]bool
 		for round := 1; round <= 8; round++ {
 			// Churn availability; the index diffs against last round.
-			unavail = map[gpu.ServerID]bool{}
+			unavail := &gpu.ServerSet{}
 			for _, srv := range c.Servers() {
 				if rng.Float64() < 0.15 {
-					unavail[srv.ID] = true
+					unavail.Add(srv.ID)
 				}
 			}
 			idx.SyncUnavail(unavail)
@@ -80,7 +79,7 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 			// fully free.
 			for _, srv := range c.Servers() {
 				wantCnt := len(srv.Devices)
-				if unavail[srv.ID] {
+				if unavail.Has(srv.ID) {
 					wantCnt = 0
 				}
 				if int(idx.freeCnt[srv.ID]) != wantCnt {
@@ -103,10 +102,10 @@ func TestPlaceIndexedDifferential(t *testing.T) {
 // TestSyncUnavailMatchesPlaceDown: SyncUnavail is to PlaceIndexed what
 // Options.Down is to Place. Random sequences of down-sets on a
 // mixed-generation cluster — servers going down, staying down, coming
-// back, the set handed over nil, empty, repeated, or with explicit
-// false entries — must place exactly as the rescan does, with prev fed
+// back, the set handed over nil, empty, repeated, or holding words with
+// no member left — must place exactly as the rescan does, with prev fed
 // forward unchurned so jobs are pushed off dying servers and the
-// index's own list of unavailable servers never drifts from the set.
+// index's own set of unavailable servers never drifts from the set.
 func TestSyncUnavailMatchesPlaceDown(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
@@ -126,51 +125,46 @@ func TestSyncUnavailMatchesPlaceDown(t *testing.T) {
 			reqs = append(reqs, Request{Job: j, Gen: gens[rng.Intn(len(gens))]})
 		}
 		prev := Assignment{}
-		var set map[gpu.ServerID]bool
+		var set *gpu.ServerSet
 		for round := 0; round < 12; round++ {
 			switch rng.Intn(5) {
 			case 0: // everything back; nil and empty must mean the same
 				set = nil
 				if rng.Intn(2) == 0 {
-					set = map[gpu.ServerID]bool{}
+					set = &gpu.ServerSet{}
 				}
 			case 1: // same set again: a no-op for the index
 			default:
-				next := map[gpu.ServerID]bool{}
+				next := &gpu.ServerSet{}
 				for _, srv := range c.Servers() {
 					switch {
-					case set[srv.ID] && rng.Float64() < 0.5: // stays down
-						next[srv.ID] = true
+					case set.Has(srv.ID) && rng.Float64() < 0.5: // stays down
+						next.Add(srv.ID)
 					case rng.Float64() < 0.2: // goes down
-						next[srv.ID] = true
+						next.Add(srv.ID)
 					case rng.Float64() < 0.1: // named, but up
-						next[srv.ID] = false
+						next.Add(srv.ID)
+						next.Remove(srv.ID)
 					}
 				}
 				set = next
 			}
 			idx.SyncUnavail(set)
-			down := 0
-			for _, un := range set {
-				if un {
-					down++
-				}
-			}
-			if len(idx.unavail) != down {
-				t.Fatalf("trial %d round %d: index lists %v unavailable, set is %v", trial, round, idx.unavail, set)
-			}
+			idx.unavail.ForEachDiff(set, func(sid gpu.ServerID) {
+				t.Fatalf("trial %d round %d: server %d is unavailable in one of the index and the set only", trial, round, sid)
+			})
 
 			opt := Options{AllowMigration: true, Down: set}
 			want := Place(c, prev, reqs, opt)
 			got := PlaceIndexed(idx, prev, reqs, opt)
 			if !assignEqual(want.Assignment, got.Assignment) ||
 				!idsEqual(want.Migrated, got.Migrated) || !idsEqual(want.Unplaced, got.Unplaced) {
-				t.Fatalf("trial %d round %d (down %v): indexed placement diverged\nscan: %v\nidx:  %v",
-					trial, round, set, render(want), render(got))
+				t.Fatalf("trial %d round %d (%d down): indexed placement diverged\nscan: %v\nidx:  %v",
+					trial, round, set.Len(), render(want), render(got))
 			}
 			for id, devs := range got.Assignment {
 				for _, d := range devs {
-					if set[c.Device(d).Server] {
+					if set.Has(c.Device(d).Server) {
 						t.Fatalf("trial %d round %d: job %d placed on down server %d", trial, round, id, c.Device(d).Server)
 					}
 				}

@@ -52,8 +52,9 @@ type Options struct {
 
 	// Down marks failed servers; their devices are unplaceable this
 	// round. A job whose previous devices are down is treated like
-	// any displaced job: migrated if allowed, stranded otherwise.
-	Down map[gpu.ServerID]bool
+	// any displaced job: migrated if allowed, stranded otherwise. Nil
+	// marks none.
+	Down *gpu.ServerSet
 }
 
 // Result reports the round's placement.
@@ -74,7 +75,7 @@ func Place(c *gpu.Cluster, prev Assignment, reqs []Request, opt Options) Result 
 	res := Result{Assignment: make(Assignment, len(reqs))}
 	free := make([]bool, c.NumDevices()) // by DeviceID
 	for _, srv := range c.Servers() {
-		if opt.Down[srv.ID] {
+		if opt.Down.Has(srv.ID) {
 			continue
 		}
 		for _, d := range srv.Devices {

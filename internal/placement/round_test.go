@@ -52,15 +52,15 @@ func TestPlaceRoundDifferential(t *testing.T) {
 		}
 		wantGen := map[job.ID]gpu.Generation{} // a job mostly asks for where it was
 		prev := Assignment{}
-		unavail := map[gpu.ServerID]bool{}
+		unavail := &gpu.ServerSet{}
 
 		for round := 1; round <= 14; round++ {
 			// Servers go away — under holders too — stay away, come back.
-			next := map[gpu.ServerID]bool{}
+			next := &gpu.ServerSet{}
 			for _, srv := range c.Servers() {
-				if (unavail[srv.ID] && rng.Float64() < 0.5) || rng.Float64() < 0.08 {
-					next[srv.ID] = true
-					if !unavail[srv.ID] {
+				if (unavail.Has(srv.ID) && rng.Float64() < 0.5) || rng.Float64() < 0.08 {
+					next.Add(srv.ID)
+					if !unavail.Has(srv.ID) {
 						for _, d := range srv.Devices {
 							if idx.holder[d] != nil {
 								tookHeld++
@@ -192,7 +192,7 @@ func TestPlaceRoundDifferential(t *testing.T) {
 				for _, j := range jobs {
 					j.SetDevices(j.Devices(), 0)
 				}
-				unavail = map[gpu.ServerID]bool{}
+				unavail = &gpu.ServerSet{}
 			}
 			for _, j := range jobs {
 				if !slices.Equal(j.Devices(), prev[j.ID]) {
@@ -212,7 +212,7 @@ func TestPlaceRoundDifferential(t *testing.T) {
 // recount rebuilds the index's derived state from first principles — a
 // device is free unless its server is unavailable or a job of jobs
 // holds it — and compares every table.
-func recount(t *testing.T, idx *Index, jobs []*job.Job, unavail map[gpu.ServerID]bool) {
+func recount(t *testing.T, idx *Index, jobs []*job.Job, unavail *gpu.ServerSet) {
 	t.Helper()
 	c := idx.c
 	holder := make([]*job.Job, c.NumDevices())
@@ -248,8 +248,8 @@ func recount(t *testing.T, idx *Index, jobs []*job.Job, unavail map[gpu.ServerID
 	for _, srv := range c.Servers() {
 		free := 0
 		for _, d := range srv.Devices {
-			wantFree := !unavail[srv.ID] && holder[d] == nil
-			if unavail[srv.ID] && holder[d] != nil {
+			wantFree := !unavail.Has(srv.ID) && holder[d] == nil
+			if unavail.Has(srv.ID) && holder[d] != nil {
 				t.Fatalf("job %d holds device %d of unavailable server %d", holder[d].ID, d, srv.ID)
 			}
 			if idx.freeDev[d] != wantFree || idx.holder[d] != holder[d] {
@@ -259,13 +259,13 @@ func recount(t *testing.T, idx *Index, jobs []*job.Job, unavail map[gpu.ServerID
 				free++
 			}
 		}
-		if int(idx.freeCnt[srv.ID]) != free || idx.avail[srv.ID] == unavail[srv.ID] {
-			t.Fatalf("server %d: freeCnt %d avail %v, recount says %d free, unavailable %v",
-				srv.ID, idx.freeCnt[srv.ID], idx.avail[srv.ID], free, unavail[srv.ID])
+		if int(idx.freeCnt[srv.ID]) != free || idx.unavail.Has(srv.ID) != unavail.Has(srv.ID) {
+			t.Fatalf("server %d: freeCnt %d unavailable %v, recount says %d free, unavailable %v",
+				srv.ID, idx.freeCnt[srv.ID], idx.unavail.Has(srv.ID), free, unavail.Has(srv.ID))
 		}
 		totalFree[srv.Gen] += free
 		for cnt := 1; cnt <= idx.maxCnt; cnt++ {
-			in := idx.buckets[srv.Gen][cnt].words[int(srv.ID)>>6]&(1<<(uint(srv.ID)&63)) != 0
+			in := idx.buckets[srv.Gen][cnt].Has(srv.ID)
 			if in != (cnt == free) {
 				t.Fatalf("server %d with %d free: in bucket %d = %v", srv.ID, free, cnt, in)
 			}
