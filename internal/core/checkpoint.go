@@ -18,10 +18,11 @@ import (
 // where jobs last ran, tickets, and the usage books. Job records carry
 // the same checkpoint the wire protocol ships to agents, so a restored
 // engine re-dispatches from exactly the progress it had acknowledged.
-// What is rebuilt instead of saved: the policy's round-to-round credit,
-// the profiler's estimates (jobs are probed again), the trace log,
-// timeline and audit report (they restart empty), and the fault model's
-// books (no caller that checkpoints runs with Config.Faults yet).
+// What is rebuilt instead of saved: the policy's round-to-round books
+// (unless the same policy is handed to Restore, see there), the
+// profiler's estimates (jobs are probed again), the trace log, timeline
+// and audit report (they restart empty), and the fault model's books
+// (no caller that checkpoints runs with Config.Faults yet).
 type Checkpoint struct {
 	Now           simclock.Time             `json:"now"`
 	Rounds        int                       `json:"rounds"`
@@ -79,6 +80,15 @@ func (s *Sim) Checkpoint() *Checkpoint {
 // the checkpoint's, and the whole is validated as New validates it (a
 // job listed twice, or one the cluster cannot place, is an error), and
 // so are the usage books (see checkBooks).
+//
+// The restored engine's jobs are new records with the checkpoint's IDs.
+// A fresh policy starts its books over. A FairPolicy that ran under the
+// checkpointed engine may be handed in instead: at its first round it
+// rebinds its record of each job to the new one, and the users' credit,
+// the jobs' stride passes and migration cooldowns carry over. The
+// restored jobs start unprofiled whichever profiler is handed in: a
+// profiler finds a job's estimates through the job's record
+// (job.Job.ProfileAt), and these records are new.
 func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, cp *Checkpoint) (*Sim, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")

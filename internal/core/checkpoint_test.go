@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/fairshare"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/profiler"
@@ -100,5 +101,55 @@ func TestRestoreReportsLowestBadJob(t *testing.T) {
 		if s != nil || err == nil || err.Error() != want {
 			t.Fatalf("call %d: Restore returned engine %v, error %v; want no engine and %q", i, s != nil, err, want)
 		}
+	}
+}
+
+// TestFairPolicyCarriesAcrossRestore hands the policy an engine ran
+// under to Restore with that engine's checkpoint. The restored engine's
+// jobs are new records with the old IDs; the policy rebinds its books to
+// them — the users' credit is what it was — and the next rounds schedule
+// the restored engine's own records, clean under the strict auditor. A
+// policy that kept the old records would schedule jobs the engine does
+// not know.
+func TestFairPolicyCarriesAcrossRestore(t *testing.T) {
+	specs := append(workload.BatchJobs("a", zoo.MustGet("vae"), 3, 1, 1e4),
+		workload.BatchJobs("b", zoo.MustGet("lstm"), 3, 2, 1e4)...)
+	specs, _ = workload.AssignIDs(specs)
+	cluster := gpu.MustNew(gpu.Spec{Gen: gpu.K80, Servers: 1, GPUsPerSrv: 4}, gpu.Spec{Gen: gpu.V100, Servers: 1, GPUsPerSrv: 4})
+	cfg := Config{Cluster: cluster, Specs: specs, Seed: 5, Audit: AuditStrict}
+	policy := MustNewFairPolicy(FairConfig{EnableTrading: true})
+	s, err := New(cfg, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(s *Sim, rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			if ran, err := s.Step(simclock.Time(simclock.Day)); err != nil || !ran {
+				t.Fatalf("round %d: ran %v, %v", s.Rounds()+1, ran, err)
+			}
+		}
+	}
+	step(s, 4)
+	users := []job.UserID{"a", "b"}
+	var credit []fairshare.Entitlement
+	for _, u := range users {
+		credit = append(credit, policy.Credit(u))
+	}
+	if credit[0] == (fairshare.Entitlement{}) && credit[1] == (fairshare.Entitlement{}) {
+		t.Fatal("fixture: no credit to carry")
+	}
+	s, err = Restore(cfg, policy, LocalExecutor{}, profiler.MustNew(0.25, 0, 1), s.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, u := range users {
+		if got := policy.Credit(u); got != credit[i] {
+			t.Errorf("user %s: credit %v after Restore, %v before", u, got, credit[i])
+		}
+	}
+	step(s, 3)
+	if res := s.Result(); !res.Audit.Clean() {
+		t.Fatalf("restored engine under the carried policy: %s", res.Audit.Summary())
 	}
 }

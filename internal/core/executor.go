@@ -167,11 +167,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 			}
 		}
 		j.NoteFirstRun(now)
-		if s.prof.Samples(j.ID, gen) == 0 {
-			s.prof.ProbeAll(j)
-		} else {
-			s.prof.Observe(j, gen)
-		}
+		s.prof.Measure(j, gen)
 	}
 	if s.faultsOn && q.Migrated {
 		// Migration serializes a checkpoint of the pre-move progress;

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/fairshare"
 	"repro/internal/gpu"
@@ -81,27 +80,32 @@ type FairPolicy struct {
 	cfg FairConfig
 
 	// users holds one record per user with runnable jobs, in user-ID
-	// order, and jobs one per runnable job. Decide groups the round's
-	// jobs into them; a user's record is inserted at first sight and
-	// dropped there when idle, a finished job's by JobFinished. Every
-	// per-user computation of a round walks users by position.
+	// order, and all one per runnable job, in job-ID order. Decide's
+	// group merges the round's jobs into them: a record is made at a
+	// job's first sight and dropped once the job is no longer runnable,
+	// a user's when they have no runnable job left. During a round all[i]
+	// is the record of RoundState.Jobs[i], and every per-user and per-job
+	// computation walks records by position.
 	users    []*userState
-	jobs     map[job.ID]*jobState
+	all      []*jobState
 	jobBlock []jobState // records not yet handed out (see jobState)
-	backfill *stride.Scheduler
 
 	round     int
 	noMigrate bool // engine refuses migrations this run
 
 	// Decide's scratch, kept across rounds and cleared, never rebuilt.
 	// fill and parties are by position in users.
-	active  []*userState       //gflint:noretain the round's users in pass 1's serve order
-	fill    waterFill          //gflint:noretain the round's water-fill
-	parties []trade.Party      //gflint:noretain the round's entitlements, value vectors and demands, as trade.Market takes them
-	granted []*jobState        //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
-	ranAt   []int32            //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
-	candBuf []stride.Candidate //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
-	prefBuf []gpu.Generation   //gflint:noretain one user's generation preference
+	spare   []*jobState                        // all's other half: group merges into it, then the two swap
+	active  []*userState                       //gflint:noretain the round's users in pass 1's serve order
+	fill    waterFill                          //gflint:noretain the round's water-fill
+	parties []trade.Party                      //gflint:noretain the round's entitlements, value vectors and demands, as trade.Market takes them
+	granted []*jobState                        //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
+	ranAt   []int32                            //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
+	cands   []stride.Candidate                 //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
+	recs    []*jobState                        //gflint:noretain the records of cands, by position (pass 2), or one user's new stride order (pass 1)
+	order   []int32                            //gflint:noretain the stride kernel's positions in cands
+	gensBuf [gpu.NumGenerations]gpu.Generation // the round's generations, newest first
+	prefBuf []gpu.Generation                   //gflint:noretain one user's generation preference
 }
 
 // waterFill holds the fairshare kernels' inputs and outputs, one
@@ -125,7 +129,12 @@ func (f *waterFill) resize(n int) {
 type userState struct {
 	id     job.UserID
 	credit fairshare.Entitlement // per-generation deficit credit
-	sched  *stride.Scheduler     // pass order among the user's own jobs
+
+	// order is the user's jobs in last round's stride order, each new job
+	// appended at first sight: what pass 1 offers the stride kernel, so
+	// the sort sees nearly sorted input. Only the order of offer, never
+	// the outcome, depends on it.
+	order []*jobState
 
 	// The round's, set by Decide.
 	round      int                         // the round jobs was grouped in
@@ -143,7 +152,14 @@ type userState struct {
 type jobState struct {
 	user    *userState
 	job     *job.Job
+	round   int // the last round group found the job runnable in
 	lastMig int // round of the job's last generation change
+
+	// The job's stride passes among its user's jobs (pass 1) and in the
+	// global backfill (pass 2); known once it has joined, at its first
+	// candidacy.
+	userPass, fillPass   float64
+	userKnown, fillKnown bool
 
 	// The round's grant, read back by Executed.
 	gen       gpu.Generation
@@ -176,11 +192,7 @@ func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
 	if err := cfg.Trade.Validate(); err != nil {
 		return nil, err
 	}
-	return &FairPolicy{
-		cfg:      cfg,
-		jobs:     make(map[job.ID]*jobState),
-		backfill: stride.New(stride.GangAware),
-	}, nil
+	return &FairPolicy{cfg: cfg}, nil
 }
 
 // MustNewFairPolicy is NewFairPolicy but panics on bad config.
@@ -348,19 +360,25 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 			return cmp.Compare(a.at, b.at)
 		}
 	})
-	gens := gensDesc(caps)
+	gens := p.gensDesc(caps)
 	for _, us := range p.active {
 		pref := p.genPreference(gens, us.vals)
-		cands := p.candBuf[:0]
-		for _, js := range us.jobs {
-			cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets})
-		}
-		p.candBuf = cands
-		for _, id := range us.sched.Order(cands) {
-			js := p.jobs[id]
+		order := p.userOrder(us)
+		for _, at := range order {
+			js := us.order[at]
 			if g, ok := p.pickGen(js, pref, &remaining); ok {
 				schedule(js, g, true)
 			}
+		}
+		// Offer this order next round: by then only the jobs charged for
+		// running have moved. (A user without tickets orders nothing.)
+		if len(order) == len(us.order) {
+			recs := p.recs[:0]
+			for _, at := range order {
+				recs = append(recs, us.order[at])
+			}
+			copy(us.order, recs)
+			p.recs = recs
 		}
 	}
 
@@ -373,47 +391,75 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		if remaining[g] <= 0 {
 			continue
 		}
-		cands := p.candBuf[:0]
-		for _, us := range p.active {
-			for _, js := range us.jobs {
-				// Backfill uses a short cooldown: moving an otherwise
-				// idle job onto idle capacity is a one-way move, not
-				// thrash, so only back-to-back flapping is blocked.
-				if js.granted || !js.job.Perf.FitsOn(g) || !p.genAllowed(js, g, backfillCooldown) {
-					continue
-				}
-				cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets})
+		cands, recs := p.cands[:0], p.recs[:0]
+		for _, js := range p.all {
+			// Backfill uses a short cooldown: moving an otherwise idle job
+			// onto idle capacity is a one-way move, not thrash, so only
+			// back-to-back flapping is blocked.
+			if js.granted || !js.job.Perf.FitsOn(g) || !p.genAllowed(js, g, backfillCooldown) {
+				continue
 			}
+			cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: js.user.jobTickets,
+				Pass: js.fillPass, Joins: !js.fillKnown})
+			recs = append(recs, js)
 		}
-		p.candBuf = cands
+		p.cands, p.recs = cands, recs
 		if len(cands) == 0 {
 			continue
 		}
-		for _, id := range p.backfill.Select(cands, remaining[g]) {
-			schedule(p.jobs[id], g, false)
+		p.order = stride.Select(stride.GangAware, cands, remaining[g], p.order)
+		for i := range cands {
+			if cands[i].Joins {
+				recs[i].fillPass, recs[i].fillKnown = cands[i].Pass, true
+			}
+		}
+		for _, at := range p.order {
+			schedule(recs[at], g, false)
 		}
 	}
 
 	return Decision{Run: run, Trades: trades, Repaid: repaid}
 }
 
-// group sorts the round's runnable jobs into their records, made on
-// first sight, and their users' job lists; p.users is then exactly the
-// users that have any. A user left with none loses their books.
+// group merges the round's runnable jobs, which are in job-ID order,
+// into p.all: a job keeps its record, one new to the policy gets a fresh
+// one, and the record of a job no longer runnable drops out. It also
+// lists each user's jobs; p.users is then exactly the users that have
+// any, and a user left with none loses their books.
+//
+// A record whose job is another *job.Job of the same ID and user — the
+// engine was rebuilt from a checkpoint (Restore) with this policy — is
+// rebound to the new one and keeps its books: the user's credit, the
+// stride passes and the last generation change.
 func (p *FairPolicy) group(jobs []*job.Job) {
+	prev, next := p.all, p.spare[:0]
+	k := 0
 	for _, j := range jobs {
-		js := p.jobs[j.ID]
+		for k < len(prev) && prev[k].job.ID < j.ID {
+			k++
+		}
+		var js *jobState
+		if k < len(prev) && prev[k].job.ID == j.ID {
+			if old := prev[k]; old.user.id == j.User {
+				js, old.job = old, j
+			}
+			k++
+		}
 		if js == nil {
 			js = p.newJobState(j)
 		}
-		js.granted = false
+		js.round, js.granted = p.round, false
 		us := js.user
 		if us.round != p.round {
 			us.round = p.round
 			us.jobs = us.jobs[:0]
 		}
 		us.jobs = append(us.jobs, js)
+		next = append(next, js)
 	}
+	clear(prev) // the dropped records go with their blocks
+	//gflint:ignore scratchalias all and spare are one double buffer: each round's merge reads one and fills the other
+	p.all, p.spare = next, prev[:0]
 	p.users = slices.DeleteFunc(p.users, func(us *userState) bool { return us.round != p.round })
 }
 
@@ -425,11 +471,38 @@ func (p *FairPolicy) newJobState(j *job.Job) *jobState {
 	p.jobBlock = p.jobBlock[1:]
 	i, ok := p.userAt(j.User)
 	if !ok {
-		p.users = slices.Insert(p.users, i, &userState{id: j.User, sched: stride.New(stride.GangAware)})
+		p.users = slices.Insert(p.users, i, &userState{id: j.User})
 	}
-	js.user, js.job = p.users[i], j
-	p.jobs[j.ID] = js
+	us := p.users[i]
+	js.user, js.job = us, j
+	us.order = append(us.order, js)
 	return js
+}
+
+// userOrder is pass 1's stride order among one user's jobs, as
+// positions in us.order, which it first compacts to the round's
+// runnable jobs. A job new to the policy joins here.
+//
+//gflint:noretain
+func (p *FairPolicy) userOrder(us *userState) []int32 {
+	live, cands := us.order[:0], p.cands[:0]
+	for _, js := range us.order {
+		if js.round != p.round {
+			continue // no longer runnable
+		}
+		live = append(live, js)
+		cands = append(cands, stride.Candidate{ID: js.job.ID, Gang: js.job.Gang, Tickets: us.jobTickets,
+			Pass: js.userPass, Joins: !js.userKnown})
+	}
+	clear(us.order[len(live):])
+	us.order, p.cands = live, cands
+	p.order = stride.Order(cands, p.order)
+	for i := range cands {
+		if cands[i].Joins {
+			live[i].userPass, live[i].userKnown = cands[i].Pass, true
+		}
+	}
+	return p.order
 }
 
 // userAt finds a user's record by binary search: its position in
@@ -504,26 +577,25 @@ func (p *FairPolicy) Executed(rep *ExecReport) {
 			continue
 		}
 		if us.jobTickets > 0 {
+			// Every granted job joined its user's order in pass 1; not
+			// every one has joined the backfill.
 			res := gang * rep.Ran[ranAt[i]-1].OccupiedSecs
-			if us.sched.Has(id) {
-				us.sched.Charge(id, res, us.jobTickets)
-			}
-			if p.backfill.Has(id) {
-				p.backfill.Charge(id, res, us.jobTickets)
+			js.userPass = stride.Charge(id, js.userPass, res, us.jobTickets)
+			if js.fillKnown {
+				js.fillPass = stride.Charge(id, js.fillPass, res, us.jobTickets)
 			}
 		}
 	}
 	p.granted = p.granted[:0]
 }
 
-// JobFinished implements Policy.
+// JobFinished implements Policy: Executed skips the grant of the job,
+// found by binary search, and the next round's group drops its record
+// with the job.
 func (p *FairPolicy) JobFinished(id job.ID) {
-	if js := p.jobs[id]; js != nil {
-		js.user.sched.Remove(id)
-		js.granted = false
-		delete(p.jobs, id)
+	if i, ok := slices.BinarySearchFunc(p.all, id, func(js *jobState, id job.ID) int { return cmp.Compare(js.job.ID, id) }); ok {
+		p.all[i].granted = false
 	}
-	p.backfill.Remove(id)
 }
 
 // Credit exposes a user's current deficit credits (for tests and
@@ -542,11 +614,14 @@ func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
 func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64) {
 	var num, den [gpu.NumGenerations]float64
 	for _, js := range jobs {
-		j := js.job
+		est := prof.Estimates(js.job)
+		if est == nil {
+			continue
+		}
 		base := gpu.Generation(-1)
 		var baseRate float64
 		for _, g := range gens {
-			if r, ok := prof.Rate(j.ID, g); ok && prof.Samples(j.ID, g) >= p.cfg.MinSamples {
+			if r, ok := est.Rate(g); ok && est.Samples(g) >= p.cfg.MinSamples {
 				base, baseRate = g, r
 				break
 			}
@@ -554,9 +629,9 @@ func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, 
 		if base < 0 || baseRate <= 0 {
 			continue
 		}
-		w := float64(j.Gang)
+		w := float64(js.job.Gang)
 		for _, g := range gens {
-			if r, ok := prof.Rate(j.ID, g); ok && prof.Samples(j.ID, g) >= p.cfg.MinSamples {
+			if r, ok := est.Rate(g); ok && est.Samples(g) >= p.cfg.MinSamples {
 				num[g] += w * r / baseRate
 				den[g] += w
 			}
@@ -591,12 +666,16 @@ func (p *FairPolicy) genPreference(gens []gpu.Generation, v [gpu.NumGenerations]
 	return pref
 }
 
-// gensDesc returns the present generations newest first.
-func gensDesc(caps map[gpu.Generation]int) []gpu.Generation {
-	gens := make([]gpu.Generation, 0, len(caps))
-	for g := range caps {
-		gens = append(gens, g)
+// gensDesc returns the round's generations — the keys of caps — newest
+// first, in the policy's scratch.
+//
+//gflint:noretain
+func (p *FairPolicy) gensDesc(caps map[gpu.Generation]int) []gpu.Generation {
+	gens := p.gensBuf[:0]
+	for g := gpu.Generation(gpu.NumGenerations - 1); g >= 0; g-- {
+		if _, ok := caps[g]; ok {
+			gens = append(gens, g)
+		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
 	return gens
 }

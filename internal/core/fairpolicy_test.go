@@ -40,7 +40,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		})
 		// Equal pass, so the wider gang is granted first; the user's whole
 		// share (their demand, 10 GPUs) funds both from credit.
-		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.jobs[1].viaCredit || !p.jobs[2].viaCredit {
+		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.all[0].viaCredit || !p.all[1].viaCredit {
 			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
 		}
 		p.users[0].credit[gpu.K80] = credit // "u", the only user

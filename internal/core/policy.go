@@ -41,7 +41,11 @@ type RoundState struct {
 	// Tickets are the per-user fair-share weights.
 	Tickets map[job.UserID]float64
 
-	// Prof exposes profiled throughput estimates.
+	// Prof is the engine's profiler. Estimates(j) reads a job's profiled
+	// throughput through the position the profiler wrote on the job at
+	// its first observation (job.Job.ProfileAt), with no lookup by ID;
+	// Rate and Samples by ID go through an index over the same records,
+	// built on first use after a change.
 	Prof *profiler.Profiler
 
 	// MigrationDisabled tells policies the engine will refuse to move

@@ -382,7 +382,7 @@ func (s *Sim) retireJob(j *job.Job) {
 	s.emit(trace.Record{At: j.FinishTime(), Kind: trace.KindFinish, Job: id, User: j.User,
 		X: j.JCT(), N: int32(j.Migrations())})
 	s.policy.JobFinished(id)
-	s.prof.Remove(id)
+	s.prof.Remove(j)
 	s.demand[j.UserAt()] -= float64(j.Gang)
 	if s.faultsOn {
 		s.comp[j.UserAt()].jobs--

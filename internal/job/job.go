@@ -193,10 +193,13 @@ type Job struct {
 	// The engine's marks: for the running round (see BeginRound), where
 	// the job is in the round's list of runnable jobs and one past its
 	// position in the round's Decision.Run, 0 while it has none; and
-	// where its user is in the engine's user list (see NoteUser).
+	// where its user is in the engine's user list (see NoteUser). The
+	// profiler's: one past where it keeps the job's estimates, 0 until
+	// the job's first observation (see NoteProfile).
 	listAt int32
 	reqAt  int32
 	userAt int32
+	profAt int32
 
 	state State
 
@@ -404,6 +407,15 @@ func (j *Job) NoteUser(at int) { j.userAt = int32(at) }
 
 // UserAt returns the position NoteUser recorded.
 func (j *Job) UserAt() int { return int(j.userAt) }
+
+// NoteProfile records where the profiler keeps the job's estimates. The
+// profiler sets it at the job's first observation.
+func (j *Job) NoteProfile(at int) { j.profAt = int32(at) + 1 }
+
+// ProfileAt returns the position NoteProfile recorded; ok is false
+// before the job's first observation. Like ListAt it says where to look:
+// the profiler knows its own record by finding this very job there.
+func (j *Job) ProfileAt() (at int, ok bool) { return int(j.profAt) - 1, j.profAt > 0 }
 
 // NoteRequest records the job's position in the running round's
 // Decision.Run.

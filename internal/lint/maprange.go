@@ -41,7 +41,7 @@ var emissionPkgs = map[string]bool{
 // like math/rand draws: calling them in map order changes which
 // iteration gets which sample.
 var rngConsumers = map[string]map[string]bool{
-	"repro/internal/profiler": {"Observe": true, "ProbeAll": true},
+	"repro/internal/profiler": {"Observe": true, "ProbeAll": true, "Measure": true},
 }
 
 func runMapRange(pass *Pass) {

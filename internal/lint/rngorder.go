@@ -18,7 +18,7 @@ import (
 //
 // Scope: method calls on math/rand types (a seeded stream; the global
 // top-level funcs are globalrand's department) and the module-internal
-// shared-RNG consumers (profiler.Observe/ProbeAll). The analysis is
+// shared-RNG consumers (profiler.Observe/ProbeAll/Measure). The analysis is
 // lexical and intra-procedural: a named function launched with go is
 // not followed into.
 var RngOrderAnalyzer = &Analyzer{

@@ -20,16 +20,46 @@ import (
 
 // Profiler accumulates per-job, per-generation rate estimates. Not
 // safe for concurrent use (single simulation goroutine).
+//
+// A job's estimates are a record in a dense slice, found through the
+// position the profiler writes on the job at its first observation
+// (job.Job.ProfileAt) — the way the engine writes a job's user position
+// at admission — so observing and reading a job hashes nothing. A
+// finished job's record is recycled. Rate and Samples by job ID go
+// through an index over the same records, built when first asked for
+// after a change.
 type Profiler struct {
 	alpha    float64 // EWMA weight of the newest sample, in (0,1]
 	noiseStd float64 // relative std-dev of one measurement
 	rng      *rand.Rand
-	recs     map[job.ID]*record
+	recs     []Estimates
+	free     []int32               // positions of removed records, reused first
+	byID     map[job.ID]*Estimates // Rate and Samples' index; nil when stale
 }
 
-type record struct {
+// Estimates is one job's profile: a rate estimate and the observation
+// count behind it, per generation.
+type Estimates struct {
+	job     *job.Job                    // whose; nil while the record is free
 	rate    [gpu.NumGenerations]float64 // per-GPU minibatches/sec estimates
 	samples [gpu.NumGenerations]int
+}
+
+// Rate returns the estimated per-GPU rate on g and whether any
+// observation exists. A nil Estimates has none.
+func (e *Estimates) Rate(g gpu.Generation) (float64, bool) {
+	if e == nil || !g.Valid() || e.samples[g] == 0 {
+		return 0, false
+	}
+	return e.rate[g], true
+}
+
+// Samples returns the observation count on g.
+func (e *Estimates) Samples(g gpu.Generation) int {
+	if e == nil || !g.Valid() {
+		return 0
+	}
+	return e.samples[g]
 }
 
 // New returns a profiler. alpha is the EWMA weight for new samples;
@@ -47,7 +77,6 @@ func New(alpha, noiseStd float64, seed int64) (*Profiler, error) {
 		alpha:    alpha,
 		noiseStd: noiseStd,
 		rng:      rand.New(rand.NewSource(seed)),
-		recs:     make(map[job.ID]*record),
 	}, nil
 }
 
@@ -58,6 +87,39 @@ func MustNew(alpha, noiseStd float64, seed int64) *Profiler {
 		panic(err)
 	}
 	return p
+}
+
+// Estimates returns j's estimates, nil before its first observation. The
+// pointer is the profiler's own record: read it before the next
+// observation of a job the profiler has not seen, which may move it.
+//
+//gflint:noretain
+func (p *Profiler) Estimates(j *job.Job) *Estimates {
+	if at, ok := j.ProfileAt(); ok && at < len(p.recs) && p.recs[at].job == j {
+		return &p.recs[at]
+	}
+	return nil
+}
+
+// record is Estimates, making the record — and telling the job where it
+// is — at the job's first observation.
+//
+//gflint:noretain
+func (p *Profiler) record(j *job.Job) *Estimates {
+	if e := p.Estimates(j); e != nil {
+		return e
+	}
+	var at int
+	if n := len(p.free); n > 0 {
+		at, p.free = int(p.free[n-1]), p.free[:n-1]
+	} else {
+		at = len(p.recs)
+		p.recs = append(p.recs, Estimates{})
+	}
+	p.recs[at] = Estimates{job: j}
+	j.NoteProfile(at)
+	p.byID = nil
+	return &p.recs[at]
 }
 
 // Observe records one noisy measurement of j's per-GPU rate on
@@ -73,17 +135,13 @@ func (p *Profiler) Observe(j *job.Job, g gpu.Generation) {
 	if measured <= 0 {
 		measured = truth * 0.01 // measurement noise cannot produce a nonpositive rate
 	}
-	r := p.recs[j.ID]
-	if r == nil {
-		r = &record{}
-		p.recs[j.ID] = r
-	}
-	if r.samples[g] == 0 {
-		r.rate[g] = measured
+	e := p.record(j)
+	if e.samples[g] == 0 {
+		e.rate[g] = measured
 	} else {
-		r.rate[g] = (1-p.alpha)*r.rate[g] + p.alpha*measured
+		e.rate[g] = (1-p.alpha)*e.rate[g] + p.alpha*measured
 	}
-	r.samples[g]++
+	e.samples[g]++
 }
 
 // ProbeAll takes one measurement on every generation the job fits,
@@ -97,23 +155,40 @@ func (p *Profiler) ProbeAll(j *job.Job) {
 	}
 }
 
+// Measure is what one quantum on generation g tells the profiler: the
+// job's first quantum there is its micro-profiling pass (ProbeAll),
+// every later one a single sample of g (Observe).
+func (p *Profiler) Measure(j *job.Job, g gpu.Generation) {
+	if p.Estimates(j).Samples(g) == 0 {
+		p.ProbeAll(j)
+	} else {
+		p.Observe(j, g)
+	}
+}
+
+// index returns the job-ID index over the records, building it when a
+// record was made or removed since the last call.
+func (p *Profiler) index() map[job.ID]*Estimates {
+	if p.byID == nil {
+		p.byID = make(map[job.ID]*Estimates, p.Len())
+		for i := range p.recs {
+			if e := &p.recs[i]; e.job != nil {
+				p.byID[e.job.ID] = e
+			}
+		}
+	}
+	return p.byID
+}
+
 // Rate returns the estimated per-GPU rate of job id on g and whether
 // any observation exists.
 func (p *Profiler) Rate(id job.ID, g gpu.Generation) (float64, bool) {
-	r := p.recs[id]
-	if r == nil || !g.Valid() || r.samples[g] == 0 {
-		return 0, false
-	}
-	return r.rate[g], true
+	return p.index()[id].Rate(g)
 }
 
 // Samples returns the observation count for (id, g).
 func (p *Profiler) Samples(id job.ID, g gpu.Generation) int {
-	r := p.recs[id]
-	if r == nil || !g.Valid() {
-		return 0
-	}
-	return r.samples[g]
+	return p.index()[id].Samples(g)
 }
 
 // Speedup returns the estimated fast/slow per-GPU rate ratio for a
@@ -127,8 +202,15 @@ func (p *Profiler) Speedup(id job.ID, fast, slow gpu.Generation) (float64, bool)
 	return rf / rs, true
 }
 
-// Remove forgets a finished job.
-func (p *Profiler) Remove(id job.ID) { delete(p.recs, id) }
+// Remove forgets a finished job; its record is reused.
+func (p *Profiler) Remove(j *job.Job) {
+	if e := p.Estimates(j); e != nil {
+		at, _ := j.ProfileAt()
+		*e = Estimates{}
+		p.free = append(p.free, int32(at))
+		p.byID = nil
+	}
+}
 
 // Len returns the number of tracked jobs.
-func (p *Profiler) Len() int { return len(p.recs) }
+func (p *Profiler) Len() int { return len(p.recs) - len(p.free) }

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gpu"
@@ -130,11 +131,89 @@ func TestRemove(t *testing.T) {
 	if p.Len() != 1 {
 		t.Fatalf("Len = %d", p.Len())
 	}
-	p.Remove(8)
-	if p.Len() != 0 || p.Samples(8, gpu.K80) != 0 {
+	p.Remove(j)
+	if p.Len() != 0 || p.Samples(8, gpu.K80) != 0 || p.Estimates(j) != nil {
 		t.Error("Remove did not clear the record")
 	}
-	p.Remove(8) // no-op
+	p.Remove(j) // no-op
+}
+
+// TestRecordsByPosition: a job's estimates are found through the
+// position written on the job, agree with the ID index, and a removed
+// job's record is reused by the next new job without the removed job —
+// whose position still points there — finding it.
+func TestRecordsByPosition(t *testing.T) {
+	p := MustNew(0.3, 0, 1)
+	a, b, c := testJob("vae", 1), testJob("gru", 2), testJob("lstm", 3)
+	if p.Estimates(a) != nil {
+		t.Fatal("estimates before the first observation")
+	}
+	p.Observe(a, gpu.K80)
+	p.Observe(b, gpu.K80)
+	p.Observe(b, gpu.K80)
+	if e := p.Estimates(b); e == nil || e.Samples(gpu.K80) != 2 || p.Samples(2, gpu.K80) != 2 {
+		t.Fatalf("b's estimates %+v, by ID %d samples", e, p.Samples(2, gpu.K80))
+	}
+	atA, _ := a.ProfileAt()
+	p.Remove(a)
+	p.Observe(c, gpu.P100)
+	if atC, _ := c.ProfileAt(); atC != atA || p.Len() != 2 {
+		t.Fatalf("c at %d, a was at %d; %d records", atC, atA, p.Len())
+	}
+	if p.Estimates(a) != nil || p.Samples(1, gpu.K80) != 0 {
+		t.Error("a removed job finds the record its slot was reused for")
+	}
+	if r, ok := p.Rate(3, gpu.P100); !ok || r != c.Perf.RatePerGPU[gpu.P100] {
+		t.Errorf("c's rate by ID %v %v", r, ok)
+	}
+}
+
+// TestMeasureIsSamplesThenObserve holds Measure to what the engine did
+// before it: ProbeAll when the job has no sample on the generation it
+// ran on, Observe otherwise, decided by ID. Over a random run of jobs
+// arriving, running on random generations and finishing, two profilers
+// of one seed hold bit-identical estimates.
+func TestMeasureIsSamplesThenObserve(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	got, want := MustNew(0.25, 0.1, 9), MustNew(0.25, 0.1, 9)
+	models := workload.DefaultZoo().Names()
+	var live []*job.Job
+	for step, next := 0, job.ID(1); step < 3000; step++ {
+		switch r := rng.Intn(10); {
+		case r == 0 || len(live) == 0:
+			live = append(live, testJob(models[rng.Intn(len(models))], next))
+			next++
+		case r == 1:
+			i := rng.Intn(len(live))
+			got.Remove(live[i])
+			want.Remove(live[i])
+			live = append(live[:i], live[i+1:]...)
+		default:
+			j := live[rng.Intn(len(live))]
+			g := gpu.Generation(rng.Intn(gpu.NumGenerations))
+			if !j.Perf.FitsOn(g) {
+				continue
+			}
+			got.Measure(j, g)
+			if want.Samples(j.ID, g) == 0 {
+				want.ProbeAll(j)
+			} else {
+				want.Observe(j, g)
+			}
+		}
+	}
+	if got.Len() != want.Len() || got.Len() != len(live) {
+		t.Fatalf("%d and %d records, %d live jobs", got.Len(), want.Len(), len(live))
+	}
+	for _, j := range live {
+		for _, g := range gpu.Generations() {
+			r1, ok1 := got.Estimates(j).Rate(g)
+			r2, ok2 := want.Rate(j.ID, g)
+			if ok1 != ok2 || math.Float64bits(r1) != math.Float64bits(r2) || got.Samples(j.ID, g) != want.Samples(j.ID, g) {
+				t.Fatalf("job %d on %v: Measure %v %v, Samples-then-Observe %v %v", j.ID, g, r1, ok1, r2, ok2)
+			}
+		}
+	}
 }
 
 func TestDeterminism(t *testing.T) {

@@ -23,6 +23,11 @@
 // The ablation mode NaiveBlocking implements strict stride semantics
 // (stop filling the pool when the minimum-pass job does not fit),
 // which the E4 ablation shows wastes capacity.
+//
+// Order, Select and Charge are the one implementation, over a caller's
+// slice of candidates that carry their passes (core's FairPolicy keeps
+// them on its per-job records). Scheduler wraps the same functions with
+// the passes kept in a map by job ID, for callers that keep none.
 package stride
 
 import (
@@ -56,30 +61,133 @@ func (m Mode) String() string {
 	}
 }
 
-// Candidate is one runnable job presented to a selection round.
+// Candidate is one runnable job presented to a selection round: the
+// job, its gang and tickets, and its pass. The pass is the caller's to
+// keep — Order and Select read it, Charge advances it — and Joins marks
+// a job that has none yet: Order and Select give it the minimum pass
+// among the candidates that have one (0 if none), the standard stride
+// join rule that keeps a new job from either monopolizing the pool or
+// being starved, and leave Joins set so the caller knows to store it.
+// A Scheduler keeps the passes itself: it ignores the Pass and Joins its
+// callers set.
 type Candidate struct {
 	ID      job.ID
 	Gang    int     // GPUs needed, all-or-nothing
 	Tickets float64 // share weight for this job (user tickets / user's job count)
+	Pass    float64
+	Joins   bool
 }
 
-// Scheduler holds per-job pass state across rounds. It is not safe
-// for concurrent use; the simulation core drives it from one
-// goroutine.
+// Order applies the join rule to cands and builds in order[:0] the
+// positions in cands of the schedulable ones — positive gang and
+// tickets — in scheduling priority order: increasing pass, ties broken
+// by larger gang, then lower ID. The order is total, so the positions
+// cands are offered in change nothing but how much sorting there is to
+// do: offering last round's order makes the sort's input nearly sorted.
+// Callers that interleave per-candidate constraints (e.g. per-generation
+// budgets) walk this order themselves and charge what ran.
+//
+//gflint:noretain
+func Order(cands []Candidate, order []int32) []int32 {
+	minPass, found := 0.0, false
+	for i := range cands {
+		if c := &cands[i]; !c.Joins && (!found || c.Pass < minPass) {
+			minPass, found = c.Pass, true
+		}
+	}
+	order = order[:0]
+	for i := range cands {
+		c := &cands[i]
+		if c.Joins {
+			c.Pass = minPass
+		}
+		if c.Gang > 0 && c.Tickets > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ca, cb := &cands[a], &cands[b]
+		switch {
+		case ca.Pass != cb.Pass:
+			if ca.Pass < cb.Pass {
+				return -1
+			}
+			return 1
+		case ca.Gang != cb.Gang:
+			return cmp.Compare(cb.Gang, ca.Gang)
+		default:
+			return cmp.Compare(ca.ID, cb.ID)
+		}
+	})
+	return order
+}
+
+// Select chooses the candidates to run for one round on a pool of
+// capacity identical GPUs and builds their positions in cands in
+// order[:0]. Candidates are considered in Order's order; in GangAware
+// mode one whose gang does not fit the remaining capacity is skipped, in
+// NaiveBlocking mode it ends the round. The selection is listed in
+// placement-priority order: big gangs first, then lower ID. With no
+// capacity or no candidates nothing is selected and nobody joins.
+//
+// Select does not advance passes — Charge the resources each selected
+// job actually consumed.
+//
+//gflint:noretain
+func Select(mode Mode, cands []Candidate, capacity int, order []int32) []int32 {
+	if capacity <= 0 || len(cands) == 0 {
+		return order[:0]
+	}
+	order = Order(cands, order)
+	n, remaining := 0, capacity
+	for _, at := range order {
+		if remaining == 0 {
+			break
+		}
+		g := cands[at].Gang
+		if g > remaining {
+			if mode == NaiveBlocking {
+				break
+			}
+			continue
+		}
+		order[n] = at
+		n++
+		remaining -= g
+	}
+	selected := order[:n]
+	slices.SortFunc(selected, func(a, b int32) int {
+		ca, cb := &cands[a], &cands[b]
+		if ca.Gang != cb.Gang {
+			return cmp.Compare(cb.Gang, ca.Gang)
+		}
+		return cmp.Compare(ca.ID, cb.ID)
+	})
+	return selected
+}
+
+// Charge returns a job's pass advanced by the resources it consumed this
+// round: gang-GPU-seconds divided by its tickets. Non-positive tickets
+// or negative resources panic — those are core bugs, not runtime
+// conditions; id names the job in the message.
+func Charge(id job.ID, pass, gpuSeconds, tickets float64) float64 {
+	if tickets <= 0 {
+		panic(fmt.Sprintf("stride: Charge job %d with tickets %v", id, tickets))
+	}
+	if gpuSeconds < 0 {
+		panic(fmt.Sprintf("stride: Charge job %d with negative resources", id))
+	}
+	return pass + gpuSeconds/tickets
+}
+
+// Scheduler is the kernel with the passes kept for its callers, in a
+// map by job ID: Order, Select and Charge over candidates that carry no
+// pass. It is not safe for concurrent use.
 type Scheduler struct {
-	mode Mode
-	pass map[job.ID]float64
-	keys []ranked //gflint:noretain scratch of rank, overwritten by the next Order or Select
-}
-
-// ranked is one candidate's sort key. The pass value is snapshotted
-// when the candidate registers, so ordering compares plain fields and
-// looks nothing up.
-type ranked struct {
-	pass  float64
-	gang  int
-	id    job.ID
-	joins bool // unknown until this call: joins at the minimum pass
+	mode  Mode
+	pass  map[job.ID]float64
+	cands []Candidate //gflint:noretain the last call's candidates with their passes
+	order []int32     //gflint:noretain the last call's positions in cands
 }
 
 // New returns an empty scheduler in the given mode.
@@ -93,140 +201,76 @@ func (s *Scheduler) Mode() Mode { return s.mode }
 // Pass returns a job's current pass value (0 for unknown jobs).
 func (s *Scheduler) Pass(id job.ID) float64 { return s.pass[id] }
 
-// Has reports whether the scheduler tracks the job.
-func (s *Scheduler) Has(id job.ID) bool {
-	_, ok := s.pass[id]
-	return ok
-}
-
 // Len returns the number of tracked jobs.
 func (s *Scheduler) Len() int { return len(s.pass) }
 
-// Select chooses the jobs to run for one round on a pool of capacity
-// identical GPUs. Jobs are considered in increasing pass order (ties:
-// larger gang first, then lower ID, so rounds are deterministic).
-// Newly seen candidates join at the current minimum pass among the
-// candidate set, the standard stride join rule that prevents a new
-// job from either monopolizing the pool or being starved.
-//
-// Select does not advance pass values — call Charge with the
-// resources each selected job actually consumed. The returned slice
-// lists selected IDs in placement-priority order (big gangs first).
+// Select is the package's Select with the scheduler's mode and passes;
+// it returns the selected IDs, nil when there are none.
 func (s *Scheduler) Select(cands []Candidate, capacity int) []job.ID {
 	if capacity <= 0 || len(cands) == 0 {
 		return nil
 	}
-	keys := s.rank(cands)
-	n := 0
-	remaining := capacity
-	for _, k := range keys {
-		if remaining == 0 {
-			break
-		}
-		if k.gang > remaining {
-			if s.mode == NaiveBlocking {
-				break
-			}
-			continue
-		}
-		keys[n] = k
-		n++
-		remaining -= k.gang
-	}
-	if n == 0 {
+	buf := s.load(cands)
+	s.order = Select(s.mode, buf, capacity, s.order)
+	s.store(buf)
+	if len(s.order) == 0 {
 		return nil
 	}
-	selected := keys[:n]
-	slices.SortFunc(selected, func(a, b ranked) int {
-		if a.gang != b.gang {
-			return cmp.Compare(b.gang, a.gang)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	return rankedIDs(selected)
+	return s.ids(buf)
 }
 
-// Order registers candidates (applying the same join rule as Select)
-// and returns their IDs in scheduling priority order: increasing
-// pass, ties broken by larger gang then lower ID. Callers that need
-// to interleave per-candidate constraints (e.g. per-generation
-// budgets) iterate this order themselves and Charge what ran.
+// Order is the package's Order with the scheduler's passes; it returns
+// the IDs in priority order.
 func (s *Scheduler) Order(cands []Candidate) []job.ID {
 	if len(cands) == 0 {
 		return nil
 	}
-	return rankedIDs(s.rank(cands))
+	buf := s.load(cands)
+	s.order = Order(buf, s.order)
+	s.store(buf)
+	return s.ids(buf)
 }
 
-// rank registers the candidates — unknown ones join at the minimum
-// pass among the known — and returns the schedulable ones (positive
-// gang and tickets) in priority order. The result is the scheduler's
-// scratch, overwritten by the next call.
+// load copies the candidates into the scheduler's scratch with their
+// passes: a job the scheduler does not know joins.
 //
 //gflint:noretain
-func (s *Scheduler) rank(cands []Candidate) []ranked {
-	keys := s.keys[:0]
-	minPass, found := 0.0, false
-	for _, c := range cands {
-		p, ok := s.pass[c.ID]
-		if ok && (!found || p < minPass) {
-			minPass, found = p, true
-		}
-		keys = append(keys, ranked{pass: p, gang: c.Gang, id: c.ID, joins: !ok})
+func (s *Scheduler) load(cands []Candidate) []Candidate {
+	buf := append(s.cands[:0], cands...)
+	for i := range buf {
+		p, ok := s.pass[buf[i].ID]
+		buf[i].Pass, buf[i].Joins = p, !ok
 	}
-	n := 0
-	for i, c := range cands {
-		k := keys[i]
-		if k.joins {
-			k.pass = minPass
-			s.pass[k.id] = minPass
-		}
-		if c.Gang > 0 && c.Tickets > 0 {
-			keys[n] = k
-			n++
-		}
-	}
-	s.keys = keys
-	keys = keys[:n]
-	slices.SortFunc(keys, func(a, b ranked) int {
-		switch {
-		case a.pass != b.pass:
-			if a.pass < b.pass {
-				return -1
-			}
-			return 1
-		case a.gang != b.gang:
-			return cmp.Compare(b.gang, a.gang)
-		default:
-			return cmp.Compare(a.id, b.id)
-		}
-	})
-	return keys
+	s.cands = buf
+	return buf
 }
 
-func rankedIDs(keys []ranked) []job.ID {
-	ids := make([]job.ID, len(keys))
-	for i, k := range keys {
-		ids[i] = k.id
+// store keeps the passes the joiners were given.
+func (s *Scheduler) store(cands []Candidate) {
+	for i := range cands {
+		if c := &cands[i]; c.Joins {
+			s.pass[c.ID] = c.Pass
+		}
+	}
+}
+
+// ids lists the IDs at the last call's positions.
+func (s *Scheduler) ids(cands []Candidate) []job.ID {
+	ids := make([]job.ID, len(s.order))
+	for i, at := range s.order {
+		ids[i] = cands[at].ID
 	}
 	return ids
 }
 
-// Charge advances a job's pass by the resources it consumed this
-// round: gang-GPU-seconds divided by its tickets. Charging an unknown
-// job, non-positive tickets, or negative resources panics — those are
-// core bugs, not runtime conditions.
+// Charge advances a job's pass (see the package's Charge). Charging an
+// unknown job panics too.
 func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
-	if _, ok := s.pass[id]; !ok {
+	p, ok := s.pass[id]
+	if !ok {
 		panic(fmt.Sprintf("stride: Charge for unknown job %d", id))
 	}
-	if tickets <= 0 {
-		panic(fmt.Sprintf("stride: Charge job %d with tickets %v", id, tickets))
-	}
-	if gpuSeconds < 0 {
-		panic(fmt.Sprintf("stride: Charge job %d with negative resources", id))
-	}
-	s.pass[id] += gpuSeconds / tickets
+	s.pass[id] = Charge(id, p, gpuSeconds, tickets)
 }
 
 // Remove forgets a job (finished or cancelled). Removing an unknown
