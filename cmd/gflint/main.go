@@ -5,7 +5,7 @@
 //
 //	gflint ./...                 # all packages, text output
 //	gflint -json ./internal/...  # JSON diagnostics
-//	gflint -checks maprange,wallclock ./internal/core
+//	gflint -checks order,wallclock ./internal/core
 //	gflint -list                 # available analyzers
 //
 // Exit status: 0 clean, 1 findings, 2 errors. CI runs `gflint ./...`

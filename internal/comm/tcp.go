@@ -151,7 +151,7 @@ func (s *TCPServer) Close() error {
 	s.closed = true
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
-		//gflint:ignore maprange live sockets have no order; close order is immaterial
+		//gflint:ignore order live sockets have no order; close order is immaterial
 		conns = append(conns, c)
 	}
 	s.conns = map[net.Conn]bool{}

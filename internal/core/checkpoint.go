@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 
 	"repro/internal/gpu"
@@ -190,7 +189,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 // is restored, and reports the first bad entry in user and generation
 // order.
 func (s *Sim) checkBooks(cp *Checkpoint) error {
-	bad := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
+	bad := func(v float64) bool { return v < 0 || !finite(v) }
 	for _, u := range job.SortedUsers(cp.Usage) {
 		if s.userAt(u) < 0 {
 			return fmt.Errorf("core: checkpoint usage for unknown user %q", u)

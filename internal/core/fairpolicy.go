@@ -458,7 +458,7 @@ func (p *FairPolicy) group(jobs []*job.Job) {
 		next = append(next, js)
 	}
 	clear(prev) // the dropped records go with their blocks
-	//gflint:ignore scratchalias all and spare are one double buffer: each round's merge reads one and fills the other
+	//gflint:ignore retain all and spare are one double buffer: each round's merge reads one and fills the other
 	p.all, p.spare = next, prev[:0]
 	p.users = slices.DeleteFunc(p.users, func(us *userState) bool { return us.round != p.round })
 }

@@ -220,7 +220,7 @@ func (p *holdPolicy) Decide(st *RoundState) Decision {
 	for _, j := range st.Jobs {
 		p.run = append(p.run, placement.Request{Job: j, Gen: gpu.K80})
 	}
-	//gflint:ignore scratchalias the engine is done with a round's requests when the round ends
+	//gflint:ignore retain the engine is done with a round's requests when the round ends
 	return Decision{Run: p.run}
 }
 

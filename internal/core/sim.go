@@ -181,27 +181,33 @@ func (c Config) Validate() error {
 				c.Specs[i].ID, c.Specs[i].Gang)
 		}
 	}
-	if c.Quantum <= 0 {
-		return fmt.Errorf("core: non-positive quantum")
+	if !finite(c.Quantum) || c.Quantum <= 0 {
+		return fmt.Errorf("core: quantum %v is not a positive finite duration", c.Quantum)
+	}
+	if !finite(c.TimelineWindow) || c.TimelineWindow <= 0 {
+		return fmt.Errorf("core: timeline window %v is not a positive finite duration", c.TimelineWindow)
+	}
+	if err := profiler.CheckParams(c.ProfilerAlpha, c.ProfilerNoise); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if err := c.Costs.Validate(); err != nil {
 		return err
 	}
 	for u, t := range c.Tickets {
-		if t < 0 {
-			return fmt.Errorf("core: user %s has negative tickets", u)
+		if !finite(t) || t < 0 {
+			return fmt.Errorf("core: user %s has tickets %v, want finite and non-negative", u, t)
 		}
 	}
 	for _, f := range c.Failures {
 		if int(f.Server) < 0 || int(f.Server) >= c.Cluster.NumServers() {
 			return fmt.Errorf("core: failure names unknown server %d", f.Server)
 		}
-		if f.At < 0 || f.Duration <= 0 {
+		if !finite(float64(f.At)) || !finite(f.Duration) || f.At < 0 || f.Duration <= 0 {
 			return fmt.Errorf("core: failure on server %d has invalid window", f.Server)
 		}
 	}
 	for _, tc := range c.TicketChanges {
-		if tc.User == "" || tc.Tickets < 0 || tc.At < 0 {
+		if tc.User == "" || !finite(tc.Tickets) || tc.Tickets < 0 || !finite(float64(tc.At)) || tc.At < 0 {
 			return fmt.Errorf("core: invalid ticket change %+v", tc)
 		}
 	}
@@ -221,6 +227,9 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Result collects a finished simulation's outputs.
 type Result struct {
@@ -509,8 +518,8 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 // NewWithExecutor builds the engine around an executor and a profiler
 // of the caller's (the distributed central passes its dispatch/collect
 // protocol and a noiseless profiler: its agents report true rates). The
-// config is validated; ProfilerNoise, ProfilerAlpha and Seed's profiling
-// role are the profiler's own here.
+// config is validated (ProfilerNoise and ProfilerAlpha included), but
+// the estimates follow the given profiler's parameters and seed.
 func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler) (*Sim, error) {
 	if policy == nil || exec == nil || prof == nil {
 		return nil, fmt.Errorf("core: nil policy, executor or profiler")

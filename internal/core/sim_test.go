@@ -73,6 +73,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidateIsTotal holds Validate to every value New or Run
+// cannot use: each row passed Validate once and then hung Run, panicked
+// in New, failed only in New, or silently finished no job.
+func TestConfigValidateIsTotal(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	specs, _ := workload.AssignIDs(workload.BatchJobs("u", zoo.MustGet("vae"), 2, 1, 1))
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"quantum NaN", func(c *Config) { c.Quantum = nan }},
+		{"quantum +Inf", func(c *Config) { c.Quantum = inf }},
+		{"timeline window -1", func(c *Config) { c.TimelineWindow = -1 }},
+		{"timeline window NaN", func(c *Config) { c.TimelineWindow = nan }},
+		{"tickets NaN", func(c *Config) { c.Tickets = map[job.UserID]float64{"u": nan} }},
+		{"tickets +Inf", func(c *Config) { c.Tickets = map[job.UserID]float64{"u": inf} }},
+		{"ticket change NaN", func(c *Config) { c.TicketChanges = []TicketChange{{At: 0, User: "u", Tickets: nan}} }},
+		{"ticket change at NaN", func(c *Config) { c.TicketChanges = []TicketChange{{At: simclock.Time(nan), User: "u", Tickets: 1}} }},
+		{"failure duration NaN", func(c *Config) { c.Failures = []Failure{{Server: 0, At: 0, Duration: nan}} }},
+		{"profiler noise -1", func(c *Config) { c.ProfilerNoise = -1 }},
+		{"profiler noise NaN", func(c *Config) { c.ProfilerNoise = nan }},
+		{"profiler alpha 5", func(c *Config) { c.ProfilerAlpha = 5 }},
+		{"profiler alpha NaN", func(c *Config) { c.ProfilerAlpha = nan }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs}
+			tc.edit(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted it")
+			}
+			if _, err := New(cfg, MustNewFairPolicy(FairConfig{})); err == nil {
+				t.Fatal("New accepted it")
+			}
+		})
+	}
+}
+
 func TestSingleJobRunsToCompletion(t *testing.T) {
 	specs := workload.BatchJobs("alice", zoo.MustGet("resnet50"), 1, 2, 1.0) // 1h standalone on K80
 	specs, _ = workload.AssignIDs(specs)

@@ -515,7 +515,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 	// Guard against a degenerate comparison (nothing ran at all).
 	var total float64
 	for _, v := range faulted.UsageByUser {
-		//gflint:ignore maprange sum of nonnegatives feeds only a >0 sanity check
+		//gflint:ignore order sum of nonnegatives feeds only a >0 sanity check
 		total += v
 	}
 	if total <= 0 || math.IsNaN(total) {

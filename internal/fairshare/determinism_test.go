@@ -13,7 +13,7 @@ import (
 // of magnitude, so any summation whose order follows Go's randomized
 // map iteration rounds differently between calls. Repeating a
 // computation many times over such a map is the regression harness for
-// the gflint maprange fixes: each call sees a fresh iteration order.
+// the gflint order fixes: each call sees a fresh iteration order.
 func adversarialByUser(n int) map[job.UserID]float64 {
 	out := make(map[job.UserID]float64, n)
 	for i := 0; i < n; i++ {

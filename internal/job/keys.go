@@ -4,7 +4,7 @@ import "sort"
 
 // SortedUsers returns m's user keys in ascending order. Iterating a
 // per-user map through it keeps float sums, appends, and event
-// emission independent of Go's randomized map order (gflint maprange).
+// emission independent of Go's randomized map order (gflint order).
 func SortedUsers[V any](m map[UserID]V) []UserID {
 	out := make([]UserID, 0, len(m))
 	for u := range m {

@@ -27,8 +27,7 @@ import (
 // roots and intra-module dependencies alike — into one loader-wide
 // registry, so an analyzer checking package B sees the annotations
 // declared on package A's types (e.g. core.RoundState.Jobs read from
-// internal/baselines). The retain and scratchalias analyzers consume
-// the registry.
+// internal/baselines). The retain analyzer consumes the registry.
 const noRetainPrefix = "//gflint:noretain"
 
 // annotations is the loader-wide fact registry (lint's first analysis
@@ -50,7 +49,12 @@ type Annotation struct {
 	Desc string
 	// Pos is where the annotation's comment sits.
 	Pos token.Pos
+	// note labels Pos in a finding's related position.
+	note string
 }
+
+// contractNote labels a //gflint:noretain declaration.
+const contractNote = "noretain contract declared here"
 
 func newAnnotations() *annotations {
 	return &annotations{
@@ -109,7 +113,7 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 
 	register := func(obj types.Object, desc string, pos token.Pos) {
 		if _, dup := a.noRetain[obj]; !dup {
-			a.noRetain[obj] = &Annotation{Desc: desc, Pos: pos}
+			a.noRetain[obj] = &Annotation{Desc: desc, Pos: pos, note: contractNote}
 		}
 	}
 
@@ -173,6 +177,7 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 							a.noRetainFn[fn] = &Annotation{
 								Desc: pkg.Types.Name() + "." + fn.Name() + " result",
 								Pos:  c.Pos(),
+								note: contractNote,
 							}
 						}
 						continue

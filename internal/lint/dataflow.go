@@ -7,14 +7,14 @@ import (
 	"go/types"
 )
 
-// taintEngine is the intra-procedural escape analysis shared by the
-// retain and scratchalias analyzers. It is flow-insensitive: a local
-// that ever aliases a protected value is treated as aliasing it for
-// the whole function (reassignment does not clear taint — cheap, and
-// safe in the conservative direction).
+// taintEngine is the retain analyzer's intra-procedural escape
+// analysis over one function. It is flow-insensitive: a local that ever
+// aliases a protected value is treated as aliasing it for the whole
+// function (reassignment does not clear taint — cheap, and safe in the
+// conservative direction).
 //
-// Taint enters through the analyzer's source classifier (annotated
-// fields/params, noretain-result calls, scratch reslices) and
+// Taint enters through source (annotated fields, noretain-result calls,
+// the function's scratch storage) and annotated parameters, and
 // propagates through assignments, reslices, address-of, conversions,
 // append-to-tainted, composite literals, and closure captures. It does
 // NOT propagate through element reads (x[i]) — the contracts protect
@@ -30,33 +30,38 @@ import (
 type taintEngine struct {
 	pass *Pass
 	decl *ast.FuncDecl
-	// source classifies an expression as directly tainted, nil when
-	// not. Called on every sub-expression the engine evaluates.
-	source func(ast.Expr) *Annotation
-	// exemptStore reports whether a store of a tainted value into
-	// target is the owner's refresh pattern (e.g. s.buf = buf) and
-	// therefore not an escape.
-	exemptStore func(target ast.Expr) bool
+	// scratch holds the storage this function reuses with [:0].
+	scratch map[types.Object]*Annotation
 	// allowReturn permits returning tainted values — set when the
-	// enclosing function's own //gflint:noretain result annotation
-	// passes the contract on to its callers.
+	// function's own //gflint:noretain result annotation passes the
+	// contract on to its callers.
 	allowReturn bool
-	// sink receives each escape: the position, a past-tense action
-	// ("stored in ...", "returned to the caller"), and the origin.
-	sink func(pos token.Pos, action string, a *Annotation)
 
 	tainted map[types.Object]*Annotation
 }
 
-func (t *taintEngine) run() {
-	if t.decl == nil || t.decl.Body == nil {
-		return
+// source classifies an expression as directly tainted, nil when not.
+func (t *taintEngine) source(e ast.Expr) *Annotation {
+	switch v := e.(type) {
+	case *ast.SelectorExpr:
+		obj := t.pass.ObjectOf(v.Sel)
+		if a := t.pass.Pkg.NoRetain(obj); a != nil {
+			return a
+		}
+		return t.scratch[obj]
+	case *ast.Ident:
+		return t.scratch[t.pass.ObjectOf(v)]
+	case *ast.CallExpr:
+		return t.pass.Pkg.NoRetainResult(t.pass.CalleeFunc(v))
 	}
-	if t.tainted == nil {
-		t.tainted = make(map[types.Object]*Annotation)
-	}
-	t.propagate()
-	t.findSinks()
+	return nil
+}
+
+// sink reports one escape: the position, a past-tense action ("stored
+// in ...", "returned to the caller"), and the origin.
+func (t *taintEngine) sink(pos token.Pos, action string, a *Annotation) {
+	t.pass.ReportRelated(pos, []Related{t.pass.Note(a.Pos, "%s", a.note)},
+		"%s must not be retained, but is %s — copy it first", a.Desc, action)
 }
 
 // taintOf resolves the origin an expression's value aliases, nil when
@@ -277,8 +282,8 @@ func (t *taintEngine) assignSinks(st *ast.AssignStmt) {
 			return
 		}
 		lhs = ast.Unparen(lhs)
-		if t.exemptStore != nil && t.exemptStore(lhs) {
-			return
+		if t.source(lhs) != nil {
+			return // a store into storage under contract: the owner's refresh
 		}
 		if id, ok := lhs.(*ast.Ident); ok {
 			if obj := t.pass.ObjectOf(id); obj != nil && isPackageLevel(obj) {

@@ -8,22 +8,18 @@
 // this codebase, plus the aliasing and concurrency contracts the
 // incremental engine depends on:
 //
-//   - maprange: map-iteration-order nondeterminism in float sums,
-//     appends, trace/obs emission and RNG draws;
+//   - order: order-sensitive work where execution order is not program
+//     order — float sums, appends, trace/obs emission and seeded RNG
+//     draws inside map ranges, float sums over slices filled in map
+//     order, and RNG draws in goroutines and sort comparators;
 //   - wallclock: wall-clock reads in simulation logic that must run
 //     on virtual time;
 //   - globalrand: use of the shared global math/rand RNG;
 //   - errdrop: silently discarded error returns;
-//   - retain: values covered by a //gflint:noretain contract escaping
-//     into fields, globals, closures, channels, or returns;
-//   - floatsum: float accumulation over slices whose element order
-//     came from map iteration (the maprange bug class, one assignment
-//     removed);
-//   - rngorder: seeded RNG draws from goroutines, sort comparators,
-//     or map-range bodies, which reorder the shared stream;
-//   - lockhold: locks held across blocking channel operations;
-//   - scratchalias: functions that reuse a scratch slice ([:0] on a
-//     field or global) and let an alias of it escape.
+//   - retain: reused backing storage escaping into fields, globals,
+//     closures, channels, or returns — values under a //gflint:noretain
+//     contract, and scratch slices a function reuses with [:0];
+//   - lockhold: locks held across blocking channel operations.
 //
 // Findings can be suppressed with a directive comment on the flagged
 // line or the line directly above it:
@@ -48,7 +44,7 @@ import (
 // the Pass and reports findings with Pass.Report.
 type Analyzer struct {
 	// Name identifies the check in output and in suppression
-	// directives (e.g. "maprange").
+	// directives (e.g. "order").
 	Name string
 	// Doc is a one-line description shown by gflint -list.
 	Doc string
@@ -59,15 +55,12 @@ type Analyzer struct {
 // Analyzers returns the built-in analyzer registry in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MapRangeAnalyzer,
+		OrderAnalyzer,
 		WallClockAnalyzer,
 		GlobalRandAnalyzer,
 		ErrDropAnalyzer,
 		RetainAnalyzer,
-		FloatSumAnalyzer,
-		RngOrderAnalyzer,
 		LockHoldAnalyzer,
-		ScratchAliasAnalyzer,
 	}
 }
 
@@ -237,8 +230,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	seen := make(map[diagKey]bool, len(diags))
 	used := make(map[directiveKey]bool)
 	for _, d := range diags {
-		// Nested map ranges can charge one statement to two loops;
-		// identical diagnostics collapse to one.
+		// A package loaded both as a dependency and as a root with
+		// tests reports its annotation problems twice; identical
+		// diagnostics collapse to one.
 		if seen[d.key()] {
 			continue
 		}

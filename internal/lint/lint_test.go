@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -103,12 +104,51 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, d := range diags {
 		checks[d.Check] = true
 	}
-	for _, want := range []string{
-		"maprange", "wallclock", "globalrand", "errdrop", "directive",
-		"retain", "floatsum", "rngorder", "lockhold", "scratchalias",
-	} {
-		if !checks[want] {
-			t.Errorf("corpus exercises no %s finding", want)
+	for _, a := range Analyzers() {
+		if !checks[a.Name] {
+			t.Errorf("corpus exercises no %s finding", a.Name)
+		}
+	}
+	if !checks["directive"] {
+		t.Error("corpus exercises no directive finding")
+	}
+
+	// One hazard, one check: no position is reported by two of them.
+	type pos struct {
+		file      string
+		line, col int
+	}
+	first := make(map[pos]string)
+	for _, d := range diags {
+		p := pos{d.File, d.Line, d.Col}
+		if c, ok := first[p]; ok && c != d.Check {
+			t.Errorf("%s:%d:%d reported by both %s and %s", d.File, d.Line, d.Col, c, d.Check)
+		}
+		first[p] = d.Check
+	}
+}
+
+// TestConcurrentLoaders loads packages through separate Loaders at
+// once: they share the file set and the standard library's importer.
+func TestConcurrentLoaders(t *testing.T) {
+	root := fixtureDir(t)
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			loader, err := NewLoader(LoadConfig{Dir: root})
+			if err == nil {
+				_, err = loader.Load("./internal/cleanfix", "./internal/lockfix")
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -153,7 +193,7 @@ func TestCLI(t *testing.T) {
 	if code := Main([]string{"-C", root, "./..."}, &out, &errb); code != ExitFindings {
 		t.Fatalf("exit %d over corpus, want %d (stderr: %s)", code, ExitFindings, errb.String())
 	}
-	if !strings.Contains(out.String(), "maprange") || !strings.Contains(out.String(), "finding(s)") {
+	if !strings.Contains(out.String(), "order:") || !strings.Contains(out.String(), "finding(s)") {
 		t.Fatalf("text output missing findings summary:\n%s", out.String())
 	}
 
@@ -218,6 +258,7 @@ func TestChecksSubset(t *testing.T) {
 // the real source in memory, then require a diagnostic of the named
 // check at the exact line of the now-unguarded statement.
 type mutation struct {
+	name    string // the hazard, which names the subtest with the file
 	file    string // repo-relative source file
 	pkg     string // pattern to load
 	check   string // analyzer that must catch the mutation
@@ -236,36 +277,40 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 	muts := []mutation{
 		{
 			// TotalByGen summing users in map order instead of sorted.
+			name:    "maprange",
 			file:    "internal/fairshare/fairshare.go",
 			pkg:     "./internal/fairshare",
-			check:   "maprange",
+			check:   "order",
 			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {",
 			new:     "for _, e := range a {\n\t\tfor g, v := range e {",
 			flagged: "out[g] += v",
 		},
 		{
 			// Compute's users collected in map order instead of sorted.
+			name:    "maprange",
 			file:    "internal/fairshare/fairshare.go",
 			pkg:     "./internal/fairshare",
-			check:   "maprange",
+			check:   "order",
 			old:     "users := job.SortedUsers(demand)\n",
 			new:     "users := make([]job.UserID, 0, len(demand))\n\tfor u := range demand {\n\t\tusers = append(users, u)\n\t}\n",
 			flagged: "users = append(users, u)",
 		},
 		{
+			name:    "maprange",
 			file:    "internal/stride/classed.go",
 			pkg:     "./internal/stride",
-			check:   "maprange",
+			check:   "order",
 			old:     "\tsort.Sort(sort.Reverse(sort.IntSlice(gangs)))\n",
 			new:     "\t_ = sort.Sort // keep the import\n",
 			flagged: "gangs = append(gangs, g)",
 		},
 		{
 			// Collect-then-sum one step removed from the map range:
-			// out of maprange's sight, floatsum's whole point.
+			// the sum ranges over a slice, not the map.
+			name:    "floatsum",
 			file:    "internal/fairshare/fairshare.go",
 			pkg:     "./internal/fairshare",
-			check:   "floatsum",
+			check:   "order",
 			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {\n\t\t\tout[g] += v\n\t\t}\n\t}",
 			new:     "var coll []float64\n\tfor _, e := range a {\n\t\tcoll = append(coll, e[0])\n\t}\n\tfor _, cv := range coll {\n\t\tout[0] += cv\n\t}",
 			flagged: "out[0] += cv",
@@ -274,6 +319,7 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			// trade.Run writing the traded shares back into the caller's
 			// allocation instead of a fresh one returns the annotated
 			// parameter — the noretain param contract.
+			name:    "retain",
 			file:    "internal/trade/trade.go",
 			pkg:     "./internal/trade",
 			check:   "retain",
@@ -284,6 +330,7 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 		{
 			// Retaining the reused share-sample buffer beyond the round
 			// — the noretain result contract on shareSamples.
+			name:    "retain",
 			file:    "internal/core/round.go",
 			pkg:     "./internal/core",
 			check:   "retain",
@@ -293,15 +340,17 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 		},
 		{
 			// A crash draw moved onto the scheduler's clock.
+			name:    "rngorder",
 			file:    "internal/faults/faults.go",
 			pkg:     "./internal/faults",
-			check:   "rngorder",
+			check:   "order",
 			old:     "return in.rng.Float64() < in.crashProb",
 			new:     "go func() { _ = in.rng.Float64() }()\n\treturn in.rng.Float64() < in.crashProb",
 			flagged: "go func() { _ = in.rng.Float64() }()",
 		},
 		{
 			// Parking on a channel with the registry lock held.
+			name:    "lockhold",
 			file:    "internal/obs/registry.go",
 			pkg:     "./internal/obs",
 			check:   "lockhold",
@@ -312,16 +361,17 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 		{
 			// Deleting the placement span copy returns a view of the
 			// index's reused scratch buffer.
+			name:    "scratchalias",
 			file:    "internal/placement/index.go",
 			pkg:     "./internal/placement",
-			check:   "scratchalias",
+			check:   "retain",
 			old:     "idx.spanOut = out[:0]\n\treturn sortedCopy(out)",
 			new:     "idx.spanOut = out[:0]\n\tslices.Sort(out)\n\treturn out",
 			flagged: "\treturn out",
 		},
 	}
 	for _, m := range muts {
-		t.Run(m.check+"/"+m.file, func(t *testing.T) {
+		t.Run(m.name+"/"+m.file, func(t *testing.T) {
 			full := filepath.Join(root, filepath.FromSlash(m.file))
 			src, err := os.ReadFile(full)
 			if err != nil {

@@ -12,6 +12,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+)
+
+// The standard library is type-checked from source once per process:
+// every Loader parses into sharedFset and imports non-module packages
+// through std, whose cache the source importer keeps. stdMu serializes
+// std, which is not safe for concurrent use; sharedFset is.
+var (
+	sharedFset = token.NewFileSet()
+	std        = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+	stdMu      sync.Mutex
 )
 
 // Package is one parsed and typechecked package, ready for analysis.
@@ -41,14 +52,13 @@ type LoadConfig struct {
 }
 
 // Loader parses and typechecks packages of one module, resolving
-// intra-module imports itself and delegating the rest (stdlib) to a
-// go/types source importer. It is not safe for concurrent use.
+// intra-module imports itself and delegating the rest (stdlib) to the
+// process-wide source importer. A Loader is not safe for concurrent
+// use; separate Loaders are.
 type Loader struct {
 	cfg     LoadConfig
-	fset    *token.FileSet
 	modPath string
 	modDir  string
-	std     types.ImporterFrom
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // import-cycle guard
 	annot   *annotations        // //gflint:noretain facts across all loads
@@ -71,17 +81,10 @@ func NewLoader(cfg LoadConfig) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		return nil, fmt.Errorf("lint: source importer is not an ImporterFrom")
-	}
 	return &Loader{
 		cfg:     cfg,
-		fset:    fset,
 		modPath: modPath,
 		modDir:  abs,
-		std:     std,
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 		annot:   newAnnotations(),
@@ -266,7 +269,7 @@ func (l *Loader) load(path string, asRoot bool) (*Package, error) {
 		Importer: moduleImporter{l},
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(path, l.fset, files, info)
+	tpkg, _ := conf.Check(path, sharedFset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: typecheck %s: %v", path, typeErrs[0])
 	}
@@ -274,11 +277,11 @@ func (l *Loader) load(path string, asRoot bool) (*Package, error) {
 	pkg := &Package{
 		Path:       path,
 		Dir:        dir,
-		Fset:       l.fset,
+		Fset:       sharedFset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-		directives: collectDirectives(l.fset, files),
+		directives: collectDirectives(sharedFset, files),
 		annot:      l.annot,
 	}
 	// Annotations are collected for dependencies too, so analyzers on
@@ -328,7 +331,7 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 		if data, ok := l.cfg.Overlay[full]; ok {
 			src = data
 		}
-		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(sharedFset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
@@ -364,5 +367,7 @@ func (m moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 		}
 		return pkg.Types, nil
 	}
-	return m.l.std.ImportFrom(path, dir, mode)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return std.ImportFrom(path, dir, mode)
 }

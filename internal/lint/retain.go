@@ -2,33 +2,40 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// RetainAnalyzer enforces //gflint:noretain contracts: values whose
-// backing storage the producer reuses (RoundState.Jobs, the engine's
-// scratch buffers, the fairshare solvers' cached maps) must not flow
-// into anything that outlives the call — a struct field, package-level
-// variable, closure, channel, or return value — without an explicit
-// copy.
+// RetainAnalyzer flags reused backing storage escaping the call: into a
+// struct field, package-level variable, closure, channel, or return
+// value, without an explicit copy. The next reuse silently rewrites
+// whatever the escaped slice points at. Storage counts as reused in two
+// ways:
 //
-// Taint enters through reads of annotated struct fields, uses of
-// annotated parameters, and calls to functions whose result carries
-// the annotation; it propagates through local assignments, reslices,
-// composite literals, and conversions (see taintEngine). Copies break
-// it: append into a fresh slice, the x[:0:0] idiom, or any ordinary
-// call result.
+//   - under a //gflint:noretain contract (RoundState.Jobs, the engine's
+//     scratch buffers, trade.Run's input allocation): taint enters
+//     through reads of annotated struct fields, uses of annotated
+//     parameters, and calls to functions whose result carries the
+//     annotation;
+//   - as scratch: a zero-length reslice (buf[:0]) of a struct field
+//     (reached through a receiver or parameter) or a package-level
+//     variable marks that storage as reused for the whole function that
+//     reslices it, annotated or not.
+//
+// Taint propagates through local assignments, reslices, composite
+// literals, and conversions (see taintEngine). Copies break it: append
+// into a fresh slice, the x[:0:0] idiom (which also never marks
+// scratch: its appends must reallocate), or any ordinary call result.
 //
 // Two flows are contracts rather than violations and are exempt: a
-// store INTO an annotated field (the owner refreshing its own buffer,
-// or a producer handing the buffer to its consumers), and a return
-// from a function whose own doc comment declares //gflint:noretain —
-// that passes the obligation to its callers, where this analyzer picks
+// store INTO storage that is itself under contract — an annotated
+// field, or the function's own scratch home (the owner refreshing its
+// buffer, or a producer handing it to its consumers) — and a return
+// from a function whose own doc comment declares //gflint:noretain,
+// which passes the obligation to its callers, where this analyzer picks
 // it up again.
 var RetainAnalyzer = &Analyzer{
 	Name: "retain",
-	Doc:  "values under a //gflint:noretain contract escaping into fields, globals, closures, channels, or returns without a copy",
+	Doc:  "reused storage (a //gflint:noretain contract, or a [:0] scratch reslice of a field or global) escaping into fields, globals, closures, channels, or returns without a copy",
 	Run:  runRetain,
 }
 
@@ -39,50 +46,88 @@ func runRetain(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkRetainFunc(pass, fd)
+			fnObj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+			t := &taintEngine{
+				pass:        pass,
+				decl:        fd,
+				tainted:     make(map[types.Object]*Annotation),
+				allowReturn: fnObj != nil && pass.Pkg.NoRetainResult(fnObj) != nil,
+			}
+			// Annotated parameters of this function are tainted from entry.
+			if fnObj != nil {
+				params := fnObj.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len(); i++ {
+					if a := pass.Pkg.NoRetain(params.At(i)); a != nil {
+						t.tainted[params.At(i)] = a
+					}
+				}
+			}
+			t.findScratch()
+			t.propagate()
+			t.findSinks()
 		}
 	}
 }
 
-func checkRetainFunc(pass *Pass, fd *ast.FuncDecl) {
-	fnObj, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-
-	t := &taintEngine{
-		pass:    pass,
-		decl:    fd,
-		tainted: make(map[types.Object]*Annotation),
-		source: func(e ast.Expr) *Annotation {
-			switch v := e.(type) {
-			case *ast.SelectorExpr:
-				return pass.Pkg.NoRetain(pass.ObjectOf(v.Sel))
-			case *ast.CallExpr:
-				return pass.Pkg.NoRetainResult(pass.CalleeFunc(v))
+// findScratch records the function's scratch reslices: zero-length
+// reslices of storage that outlives the call, keyed by the storage
+// object (field or package-level variable), each annotated at its first
+// reslice site.
+func (t *taintEngine) findScratch() {
+	ast.Inspect(t.decl.Body, func(n ast.Node) bool {
+		se, ok := n.(*ast.SliceExpr)
+		if !ok || !isZeroLenReslice(t.pass, se) || isZeroCapReslice(t.pass, se) {
+			return true
+		}
+		if obj := t.scratchStorage(se.X); obj != nil && t.scratch[obj] == nil {
+			if t.scratch == nil {
+				t.scratch = make(map[types.Object]*Annotation)
 			}
-			return nil
-		},
-		exemptStore: func(target ast.Expr) bool {
-			sel, ok := ast.Unparen(target).(*ast.SelectorExpr)
-			return ok && pass.Pkg.NoRetain(pass.ObjectOf(sel.Sel)) != nil
-		},
-		allowReturn: fnObj != nil && pass.Pkg.NoRetainResult(fnObj) != nil,
-	}
-
-	// Annotated parameters of this function are tainted from entry.
-	if fnObj != nil {
-		sig := fnObj.Type().(*types.Signature)
-		params := sig.Params()
-		for i := 0; i < params.Len(); i++ {
-			if a := pass.Pkg.NoRetain(params.At(i)); a != nil {
-				t.tainted[params.At(i)] = a
+			t.scratch[obj] = &Annotation{
+				Desc: "scratch slice " + destName(se.X) + ", reused by this function,",
+				Pos:  se.Pos(),
+				note: "backing array reused here ([:0])",
 			}
 		}
-	}
+		return true
+	})
+}
 
-	t.sink = func(pos token.Pos, action string, a *Annotation) {
-		pass.ReportRelated(pos,
-			[]Related{pass.Note(a.Pos, "noretain contract declared here")},
-			"%s must not be retained, but is %s — copy it first",
-			a.Desc, action)
+// isZeroLenReslice reports v[:0] / v[0:0]: the truncation that makes
+// later appends overwrite the previous contents in place.
+func isZeroLenReslice(pass *Pass, se *ast.SliceExpr) bool {
+	isZero := func(e ast.Expr) bool {
+		tv, ok := pass.Pkg.Info.Types[e]
+		if !ok || tv.Value == nil {
+			return false
+		}
+		v, exact := intConstVal(tv)
+		return exact && v == 0
 	}
-	t.run()
+	return se.High != nil && isZero(se.High) && (se.Low == nil || isZero(se.Low))
+}
+
+// scratchStorage resolves the resliced expression to storage that
+// outlives the call: the field object for x.f rooted at a receiver or
+// parameter (or anything unresolvable — conservatively long-lived), or
+// a package-level variable. Locals return nil — reslicing a local is
+// the caller-owned-buffer pattern (fairshare.Compute's `active[:0]`)
+// and the local's escape is its own function's concern.
+func (t *taintEngine) scratchStorage(x ast.Expr) types.Object {
+	switch v := ast.Unparen(x).(type) {
+	case *ast.SelectorExpr:
+		field, ok := t.pass.ObjectOf(v.Sel).(*types.Var)
+		if !ok || !field.IsField() {
+			return nil
+		}
+		if root := rootObjThroughSlices(t.pass, v.X); root != nil && t.isBodyLocal(root) {
+			return nil
+		}
+		return field
+	case *ast.Ident:
+		if obj := t.pass.ObjectOf(v); isPackageLevel(obj) {
+			return obj
+		}
+	}
+	return nil
 }

@@ -22,23 +22,23 @@ func retainIgnored(st *state) {
 	hold = st.items
 }
 
-func floatsumIgnored(m map[string]float64) float64 {
+func orderedSumIgnored(m map[string]float64) float64 {
 	var vals []float64
 	for _, v := range m {
-		//gflint:ignore maprange order documented as irrelevant here
+		//gflint:ignore order order documented as irrelevant here
 		vals = append(vals, v)
 	}
 	var total float64
 	for _, v := range vals {
-		//gflint:ignore floatsum tolerance below accepts any rounding
+		//gflint:ignore order tolerance below accepts any rounding
 		total += v
 	}
 	return total
 }
 
-func rngorderIgnored(rng *rand.Rand, done chan struct{}) {
+func goroutineDrawIgnored(rng *rand.Rand, done chan struct{}) {
 	go func() {
-		//gflint:ignore rngorder single goroutine in this fixture, order fixed
+		//gflint:ignore order single goroutine in this fixture, order fixed
 		_ = rng.Float64()
 		close(done)
 	}()
@@ -62,6 +62,6 @@ func scratchIgnored(xs []int) []int {
 	s := buf[:0]
 	s = append(s, xs...)
 	buf = s
-	//gflint:ignore scratchalias caller consumes before the next call
+	//gflint:ignore retain caller consumes before the next call
 	return s
 }

@@ -1,7 +1,7 @@
-// Package floatsumfix exercises floatsum: float accumulation over
+// Package floatsumfix exercises order on map-ordered slices: sums over
 // slices whose element order was set by a map iteration one dataflow
-// step earlier. The filling appends are maprange's findings; the
-// downstream sums are floatsum's.
+// step earlier. The filling appends are reported in the map range;
+// the downstream sums where they range over the slice.
 package floatsumfix
 
 import "sort"
@@ -50,8 +50,8 @@ func sum(vs []float64) float64 {
 	return t
 }
 
-// SortedOK sorts between collecting and summing; clean for both
-// maprange and floatsum.
+// SortedOK sorts between collecting and summing; clean in both
+// the map range and the sum.
 func SortedOK(m map[string]float64) float64 {
 	var vals []float64
 	for _, v := range m {
@@ -66,7 +66,7 @@ func SortedOK(m map[string]float64) float64 {
 }
 
 // IntSumOK accumulates ints over a map-ordered slice — exact, so
-// order-insensitive and exempt from floatsum.
+// order-insensitive and exempt.
 func IntSumOK(m map[string]int) int {
 	var vals []int
 	for _, v := range m {

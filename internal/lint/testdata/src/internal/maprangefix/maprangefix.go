@@ -1,5 +1,5 @@
-// Package maprangefix exercises every maprange trigger and every
-// exemption. Functions prefixed Bad produce findings; the rest are
+// Package maprangefix exercises every order trigger in a map range and
+// every exemption. Functions prefixed Bad produce findings; the rest are
 // clean.
 package maprangefix
 

@@ -1,4 +1,4 @@
-// Package rngorderfix exercises rngorder: draws from a seeded RNG
+// Package rngorderfix exercises order's RNG rule: draws from a seeded
 // stream inside contexts whose execution order is not the program
 // order, which silently reassigns samples between runs.
 package rngorderfix

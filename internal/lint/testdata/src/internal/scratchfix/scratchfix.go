@@ -1,4 +1,4 @@
-// Package scratchfix exercises scratchalias: functions that reuse a
+// Package scratchfix exercises retain's scratch rule: functions reusing a
 // long-lived backing array via buf[:0] while also letting an alias of
 // it escape the call.
 package scratchfix
@@ -60,7 +60,7 @@ func (p *Pool) View(xs []int) []int {
 var kept []int
 
 // BadViewCaller retains View's contracted result (a retain finding,
-// proving the handoff from scratchalias to retain).
+// proving the handoff from View to its callers).
 func BadViewCaller(p *Pool) {
 	kept = p.View(nil)
 }

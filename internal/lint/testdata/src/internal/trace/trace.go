@@ -1,4 +1,4 @@
-// Package trace is a stub of the real trace package: maprange matches
+// Package trace is a stub of the real trace package: order matches
 // emission calls by import path, so the fixture module mirrors it.
 package trace
 

@@ -12,6 +12,7 @@ package profiler
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/gpu"
@@ -67,17 +68,26 @@ func (e *Estimates) Samples(g gpu.Generation) int {
 // measurement (the paper's minibatch timings are stable, so a few
 // percent is realistic).
 func New(alpha, noiseStd float64, seed int64) (*Profiler, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("profiler: alpha %v outside (0,1]", alpha)
-	}
-	if noiseStd < 0 {
-		return nil, fmt.Errorf("profiler: negative noiseStd %v", noiseStd)
+	if err := CheckParams(alpha, noiseStd); err != nil {
+		return nil, err
 	}
 	return &Profiler{
 		alpha:    alpha,
 		noiseStd: noiseStd,
 		rng:      rand.New(rand.NewSource(seed)),
 	}, nil
+}
+
+// CheckParams is New's parameter rule: alpha in (0,1], noiseStd finite
+// and non-negative. NaN fails both.
+func CheckParams(alpha, noiseStd float64) error {
+	if !(alpha > 0 && alpha <= 1) {
+		return fmt.Errorf("profiler: alpha %v outside (0,1]", alpha)
+	}
+	if !(noiseStd >= 0 && !math.IsInf(noiseStd, 1)) {
+		return fmt.Errorf("profiler: noiseStd %v not finite and non-negative", noiseStd)
+	}
+	return nil
 }
 
 // MustNew is New but panics on bad parameters; for fixtures.
