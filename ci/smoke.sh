@@ -105,10 +105,10 @@ smoke_flight() {
 }
 
 # chaos: the fault-tolerant distributed runtime. Run the in-process
-# fault-injection harness (agent kill + rejoin, dropped plans, delayed
-# reports, central crash + snapshot restore) on two fixed seeds and
-# require byte-identical per-user usage accounting versus the
-# undisturbed baseline. gfdist chaos exits nonzero on any divergence,
+# fault-injection harness (agent kill + rejoin, the central's sends
+# dropped through netchaos, central crash + snapshot restore) on two
+# fixed seeds and require byte-identical per-user usage accounting
+# versus the undisturbed baseline. gfdist chaos exits nonzero on any divergence,
 # lost job, or audit violation.
 smoke_chaos() {
   local SNAPDIR="$TMP/snap-chaos"
@@ -119,7 +119,7 @@ smoke_chaos() {
       -seed "$SEED" \
       -kill-at 1 -restart-after 2 \
       -snapshot-at 2 -snapshot-dir "$SNAPDIR" \
-      -drop-prob 0.3 -max-drops 2 -max-delay-ms 5
+      -drop-prob 0.3 -max-drops 2
     # The restore path must have actually written and consumed a snapshot.
     [ -f "$SNAPDIR/central.snap.json" ] || { echo "no snapshot written"; exit 1; }
   done

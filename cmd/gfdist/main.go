@@ -30,8 +30,9 @@
 //
 // The chaos subcommand runs the fault-injection harness in-process
 // (in-memory transport): an undisturbed baseline and a faulted run
-// with agent kill/rejoin, plan drops, report delays, and a central
-// snapshot/restore, exiting nonzero if per-user usage diverges:
+// with agent kill/rejoin, dropped central sends (from round 1 on, so
+// registration acks always arrive), and a central snapshot/restore,
+// exiting nonzero if per-user usage diverges:
 //
 //	gfdist chaos -seed 42 -kill-at 1 -snapshot-at 2 -snapshot-dir /tmp/snap
 //
@@ -47,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -54,6 +56,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/netchaos"
@@ -318,9 +321,8 @@ func runChaos(args []string) {
 		restartAfter = fs.Int("restart-after", 2, "rounds between kill and restart")
 		snapAt       = fs.Int("snapshot-at", 0, "crash+restore the central after this round (0 = never)")
 		snapDir      = fs.String("snapshot-dir", "", "snapshot directory (required with -snapshot-at)")
-		dropProb     = fs.Float64("drop-prob", 0.3, "per-plan drop probability")
-		maxDrops     = fs.Int("max-drops", 2, "cap on dropped plans")
-		delayMS      = fs.Int("max-delay-ms", 5, "report delay upper bound, milliseconds")
+		dropProb     = fs.Float64("drop-prob", 0.3, "probability the central's sends from round 1 on are dropped (0 = none)")
+		maxDrops     = fs.Int("max-drops", 2, "cap on dropped sends (0 = no cap)")
 		netMatrix    = fs.Bool("netchaos", false, "run the deterministic network fault matrix (dup, reorder, corrupt, drop, delay, one-way and full partitions, central crash+restore) instead of the legacy script")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -342,21 +344,25 @@ func runChaos(args []string) {
 	} else {
 		cfg = distrib.ChaosConfig{
 			Seed:               *seed,
-			DropProb:           *dropProb,
-			MaxDrops:           *maxDrops,
-			MaxDelay:           time.Duration(*delayMS) * time.Millisecond,
 			KillAtRound:        *killAt,
 			RestartAfterRounds: *restartAfter,
 			SnapshotAtRound:    *snapAt,
 			SnapshotDir:        *snapDir,
+		}
+		if *dropProb > 0 {
+			cfg.Net = &netchaos.Config{Seed: *seed, Faults: []netchaos.Fault{{
+				Kind: netchaos.Drop, From: "central", To: "*",
+				Rounds: faults.RoundInterval{From: 1, To: math.MaxInt},
+				Prob:   *dropProb, Max: *maxDrops,
+			}}}
 		}
 	}
 	sum, err := distrib.RunChaos(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("chaos run survived: %d baseline rounds, %d faulted rounds, %d plans dropped\n",
-		sum.Baseline.Rounds, sum.Faulted.Rounds, sum.DroppedPlans)
+	fmt.Printf("chaos run survived: %d baseline rounds, %d faulted rounds, %d central sends dropped\n",
+		sum.Baseline.Rounds, sum.Faulted.Rounds, sum.NetStats[netchaos.Drop])
 	for _, e := range sum.Events {
 		fmt.Println("  fault:", e)
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -30,11 +28,10 @@ import (
 // Faults injected (all on a fixed seed):
 //   - one agent is killed after KillAtRound and restarted
 //     RestartAfterRounds later; it rejoins via re-registration;
-//   - round plans are dropped with probability DropProb (at most
-//     MaxDrops total), exercising the report-timeout path;
-//   - agent reports are delayed by up to MaxDelay;
 //   - the central scheduler is "crashed" after SnapshotAtRound and
-//     rebuilt from its on-disk snapshot.
+//     rebuilt from its on-disk snapshot;
+//   - the network misbehaves as Net scripts (plan drops, duplication,
+//     reordering, delay, corruption, partitions).
 type ChaosConfig struct {
 	Seed int64
 
@@ -59,10 +56,6 @@ type ChaosConfig struct {
 	Quantum       simclock.Duration // default 360
 	MaxRounds     int               // faulted-run round budget (default 60)
 	ReportTimeout time.Duration     // default 300ms
-
-	DropProb float64       // per-plan drop probability (default 0)
-	MaxDrops int           // cap on dropped plans (default 2)
-	MaxDelay time.Duration // report delay upper bound (default 0)
 
 	KillAtRound        int // kill a busy agent after this round (0 = no kill)
 	RestartAfterRounds int // rejoin delay in rounds (default 2)
@@ -119,9 +112,6 @@ func (cfg ChaosConfig) withDefaults() ChaosConfig {
 	if cfg.ReportTimeout == 0 {
 		cfg.ReportTimeout = 300 * time.Millisecond
 	}
-	if cfg.MaxDrops == 0 {
-		cfg.MaxDrops = 2
-	}
 	if cfg.RestartAfterRounds <= 0 {
 		cfg.RestartAfterRounds = 2
 	}
@@ -134,8 +124,6 @@ type ChaosSummary struct {
 	Faulted  *Summary
 	// Events chronicles the injected faults ("kill agent-1", ...).
 	Events []string
-	// DroppedPlans is how many round plans the chaos layer swallowed.
-	DroppedPlans int
 	// NetStats counts how often each network fault kind fired (empty
 	// when no netchaos schedule was configured).
 	NetStats map[netchaos.Kind]int
@@ -176,52 +164,6 @@ func (s *ChaosSummary) UsageIdentical() bool {
 		}
 	}
 	return true
-}
-
-// chaosSend wraps the central's transport, dropping outbound round
-// plans with a seeded probability (up to a cap).
-type chaosSend struct {
-	comm.Transport
-	mu       sync.Mutex
-	rng      *rand.Rand
-	dropProb float64
-	maxDrops int
-	dropped  int
-}
-
-func (t *chaosSend) Send(to string, e comm.Envelope) error {
-	if _, isPlan := e.Msg.(comm.RoundPlan); isPlan && t.dropProb > 0 {
-		t.mu.Lock()
-		drop := t.dropped < t.maxDrops && t.rng.Float64() < t.dropProb
-		if drop {
-			t.dropped++
-		}
-		t.mu.Unlock()
-		if drop {
-			return nil // swallowed by the "network"
-		}
-	}
-	return t.Transport.Send(to, e)
-}
-
-// delaySend wraps an agent's transport, delaying outbound reports by
-// a seeded random fraction of maxDelay.
-type delaySend struct {
-	comm.Transport
-	mu       sync.Mutex
-	rng      *rand.Rand
-	maxDelay time.Duration
-}
-
-func (t *delaySend) Send(to string, e comm.Envelope) error {
-	if _, isRep := e.Msg.(comm.RoundReport); isRep && t.maxDelay > 0 {
-		t.mu.Lock()
-		d := time.Duration(t.rng.Float64() * float64(t.maxDelay))
-		t.mu.Unlock()
-		//gflint:ignore wallclock chaos harness injects real wire delay into a real transport
-		time.Sleep(d)
-	}
-	return t.Transport.Send(to, e)
 }
 
 // chaosSpecs builds the shared workload: identical single-GPU jobs
@@ -268,15 +210,12 @@ type chaosAgent struct {
 	done chan error
 }
 
-func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, maxDelay time.Duration, inj *netchaos.Injector, o *obs.Observer) (*chaosAgent, error) {
+func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, inj *netchaos.Injector, o *obs.Observer) (*chaosAgent, error) {
 	tr, err := hub.Attach(name)
 	if err != nil {
 		return nil, err
 	}
 	var wire comm.Transport = tr
-	if maxDelay > 0 {
-		wire = &delaySend{Transport: tr, rng: rand.New(rand.NewSource(seed)), maxDelay: maxDelay}
-	}
 	if inj != nil {
 		wire = inj.Wrap(wire)
 	}
@@ -292,25 +231,38 @@ func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, maxDelay 
 	return ca, nil
 }
 
-// runUndisturbed executes the baseline: same workload, cluster and
-// central configuration, no faults.
-func runUndisturbed(cfg ChaosConfig, ccfg CentralConfig) (*Summary, error) {
+// deploy starts one run's hub, agents and central, registered and
+// ready to schedule; the agents share the central's observer. inj, when
+// set, disturbs every endpoint's sends.
+func deploy(cfg ChaosConfig, ccfg CentralConfig, inj *netchaos.Injector) (*comm.Hub, *Central, map[string]*chaosAgent, error) {
 	hub := comm.NewHub()
 	ctr, err := hub.Attach("central")
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	agents := make([]*chaosAgent, cfg.Agents)
-	for i := range agents {
-		if agents[i], err = startChaosAgent(hub, fmt.Sprintf("agent-%d", i), cfg.GPUsPerAgent, cfg.Seed+int64(i), 0, nil, nil); err != nil {
-			return nil, err
+	var wire comm.Transport = ctr
+	if inj != nil {
+		wire = inj.Wrap(ctr)
+	}
+	agents := make(map[string]*chaosAgent, cfg.Agents)
+	for i := 0; i < cfg.Agents; i++ {
+		name := fmt.Sprintf("agent-%d", i)
+		if agents[name], err = startChaosAgent(hub, name, cfg.GPUsPerAgent, cfg.Seed+int64(i), inj, ccfg.Obs); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
-	if err != nil {
-		return nil, err
+	central, err := NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
+	if err == nil {
+		err = central.WaitForAgents(cfg.Agents, 10*time.Second)
 	}
-	if err := central.WaitForAgents(cfg.Agents, 10*time.Second); err != nil {
+	return hub, central, agents, err
+}
+
+// runUndisturbed executes the baseline: same workload, cluster and
+// central configuration, no faults.
+func runUndisturbed(cfg ChaosConfig, ccfg CentralConfig) (*Summary, error) {
+	_, central, agents, err := deploy(cfg, ccfg, nil)
+	if err != nil {
 		return nil, err
 	}
 	sum, err := central.Run(cfg.MaxRounds)
@@ -371,18 +323,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 
 	out := &ChaosSummary{Baseline: baseline}
 
-	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
-	if err != nil {
-		return nil, err
-	}
-	dropWire := &chaosSend{
-		Transport: ctr,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		dropProb:  cfg.DropProb,
-		maxDrops:  cfg.MaxDrops,
-	}
-	var wire comm.Transport = dropWire
 	var inj *netchaos.Injector
 	if cfg.Net != nil {
 		net := *cfg.Net
@@ -390,24 +330,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 			net.Obs = cfg.Obs
 		}
 		inj = netchaos.New(net)
-		wire = inj.Wrap(wire)
 	}
-	agents := make(map[string]*chaosAgent, cfg.Agents)
-	for i := 0; i < cfg.Agents; i++ {
-		name := fmt.Sprintf("agent-%d", i)
-		a, err := startChaosAgent(hub, name, cfg.GPUsPerAgent, cfg.Seed+int64(i), cfg.MaxDelay, inj, cfg.Obs)
-		if err != nil {
-			return nil, err
-		}
-		agents[name] = a
-	}
-	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
+	hub, central, agents, err := deploy(cfg, ccfg, inj)
 	if err != nil {
-		return nil, err
-	}
-	// The central speaks through the fault-injecting wire.
-	central.tr = wire
-	if err := central.WaitForAgents(cfg.Agents, 10*time.Second); err != nil {
 		return nil, err
 	}
 
@@ -447,7 +372,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 			}
 		}
 		if killed && !restarted && round >= cfg.KillAtRound+cfg.RestartAfterRounds {
-			a, err := startChaosAgent(hub, victim, cfg.GPUsPerAgent, cfg.Seed+100, cfg.MaxDelay, inj, cfg.Obs)
+			a, err := startChaosAgent(hub, victim, cfg.GPUsPerAgent, cfg.Seed+100, inj, cfg.Obs)
 			if err != nil {
 				return nil, fmt.Errorf("distrib: restarting %s: %w", victim, err)
 			}
@@ -460,7 +385,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 			if err != nil {
 				return nil, fmt.Errorf("distrib: loading snapshot: %w", err)
 			}
-			central, err = RestoreCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), ccfg, st)
+			// The new incarnation speaks through its predecessor's wire.
+			central, err = RestoreCentral(central.tr, core.MustNewFairPolicy(core.FairConfig{}), ccfg, st)
 			if err != nil {
 				return nil, fmt.Errorf("distrib: restoring central: %w", err)
 			}
@@ -480,7 +406,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 		}
 	}
 	out.Faulted = faulted
-	out.DroppedPlans = dropWire.dropped
 
 	// Invariants.
 	if faulted == nil || faulted.Unfinished != 0 {

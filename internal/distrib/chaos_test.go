@@ -1,24 +1,34 @@
 package distrib
 
 import (
+	"math"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/faults"
+	"repro/internal/netchaos"
 	"repro/internal/obs"
 )
 
+// centralDrops is gfdist chaos's -drop-prob/-max-drops schedule: the
+// central's sends from round 1 on (plans, and any rejoin ack) dropped
+// with probability prob, at most max times.
+func centralDrops(seed int64, prob float64, max int) *netchaos.Config {
+	return &netchaos.Config{Seed: seed, Faults: []netchaos.Fault{{
+		Kind: netchaos.Drop, From: "central", To: "*",
+		Rounds: faults.RoundInterval{From: 1, To: math.MaxInt}, Prob: prob, Max: max,
+	}}}
+}
+
 // The acceptance run: one agent killed mid-run and rejoining, the
-// central crashed and restored from a snapshot, plans dropped and
-// reports delayed — and per-user usage must still come out
-// byte-identical to the undisturbed baseline.
+// central crashed and restored from a snapshot, plans dropped — and
+// per-user usage must still come out byte-identical to the undisturbed
+// baseline.
 func TestChaosKillRejoinSnapshotRestore(t *testing.T) {
 	ob := obs.New()
 	sum, err := RunChaos(ChaosConfig{
 		Seed:               42,
-		DropProb:           0.3,
-		MaxDrops:           2,
-		MaxDelay:           5 * time.Millisecond,
+		Net:                centralDrops(42, 0.3, 2),
 		KillAtRound:        1,
 		RestartAfterRounds: 2,
 		SnapshotAtRound:    2,
@@ -51,15 +61,14 @@ func TestChaosKillRejoinSnapshotRestore(t *testing.T) {
 		t.Errorf("missing chaos events (kill=%v rejoin=%v restore=%v): %v",
 			sawKill, sawRejoin, sawRestore, sum.Events)
 	}
-	t.Logf("events: %v; dropped plans: %d", sum.Events, sum.DroppedPlans)
+	t.Logf("events: %v; dropped sends: %d", sum.Events, sum.NetStats[netchaos.Drop])
 }
 
 // Same seed twice must produce the same fault script and outcome.
 func TestChaosDeterministic(t *testing.T) {
 	cfg := ChaosConfig{
 		Seed:               7,
-		DropProb:           0.5,
-		MaxDrops:           2,
+		Net:                centralDrops(7, 0.5, 2),
 		KillAtRound:        2,
 		RestartAfterRounds: 1,
 	}
@@ -71,9 +80,9 @@ func TestChaosDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.DroppedPlans != b.DroppedPlans {
-		t.Errorf("dropped plans differ across identical seeds: %d vs %d",
-			a.DroppedPlans, b.DroppedPlans)
+	if a.NetStats[netchaos.Drop] != b.NetStats[netchaos.Drop] {
+		t.Errorf("dropped sends differ across identical seeds: %d vs %d",
+			a.NetStats[netchaos.Drop], b.NetStats[netchaos.Drop])
 	}
 	if len(a.Events) != len(b.Events) {
 		t.Fatalf("event logs differ: %v vs %v", a.Events, b.Events)
@@ -95,19 +104,18 @@ func TestChaosDeterministic(t *testing.T) {
 // ever double-counted.
 func TestChaosPlanDropsOnly(t *testing.T) {
 	sum, err := RunChaos(ChaosConfig{
-		Seed:     3,
-		DropProb: 1.0, // drop the first MaxDrops plans outright
-		MaxDrops: 2,
+		Seed: 3,
+		Net:  centralDrops(3, 1, 2), // drop the first two plans outright
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.DroppedPlans == 0 {
-		t.Fatal("chaos layer dropped nothing despite DropProb=1")
+	if sum.NetStats[netchaos.Drop] == 0 {
+		t.Fatal("chaos layer dropped nothing despite probability 1")
 	}
 	if !sum.UsageIdentical() {
 		t.Errorf("usage diverged after %d dropped plans:\nbaseline %v\nfaulted  %v",
-			sum.DroppedPlans, sum.Baseline.UsageByUser, sum.Faulted.UsageByUser)
+			sum.NetStats[netchaos.Drop], sum.Baseline.UsageByUser, sum.Faulted.UsageByUser)
 	}
 	// Dropped plans cost wall-clock rounds, never accounting.
 	if sum.Faulted.Rounds < sum.Baseline.Rounds {

@@ -11,8 +11,10 @@
 package distrib
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,14 +58,36 @@ type Agent struct {
 	dedup     *comm.Dedup
 	epoch     int // newest central epoch seen (0 until the first fenced plan)
 	lastRound int // newest round executed within the current epoch
-	// local carries per-job progress while a lease is active, so a
-	// degraded agent keeps training past a stale plan's checkpoint
-	// instead of redoing work the central never heard about.
-	local map[int64]float64
+	// local carries whole jobs' progress, sorted by job ID, while a
+	// lease is active, so a degraded agent keeps training past a stale
+	// plan's checkpoint instead of redoing work the central never heard
+	// about. spare is the array the next rebuild of local writes into.
+	local []localJob //gflint:noretain swapped with spare and rebuilt in place
+	spare []localJob //gflint:noretain
 	// backlog holds executed-but-unacknowledged reports, oldest
 	// first; it is resent ahead of each new report and pruned by the
 	// plans' cumulative AckRound.
 	backlog []comm.RoundReport
+}
+
+// localJob is one whole job's progress as the agent last computed it.
+type localJob struct {
+	id   int64
+	done float64
+}
+
+// findLocal binary-searches local (sorted by job ID) for id.
+func findLocal(local []localJob, id int64) (int, bool) {
+	return slices.BinarySearchFunc(local, id, func(l localJob, id int64) int { return cmp.Compare(l.id, id) })
+}
+
+// setLocal records job id's progress in local, in job-ID order.
+func (a *Agent) setLocal(id int64, done float64) {
+	if i, ok := findLocal(a.local, id); ok {
+		a.local[i].done = done
+	} else {
+		a.local = slices.Insert(a.local, i, localJob{id: id, done: done})
+	}
 }
 
 // SetObserver attaches instrumentation (nil is fine and is the
@@ -194,17 +218,20 @@ func (a *Agent) Run() error {
 }
 
 // pruneAcked drops backlog entries the central has applied (AckRound
-// is a cumulative ack).
+// is a cumulative ack). The array is kept: a steady lease holds one
+// entry, pruned and refilled every round.
 func (a *Agent) pruneAcked(ackRound int) {
-	for len(a.backlog) > 0 && a.backlog[0].Round <= ackRound {
-		a.backlog = a.backlog[1:]
+	n := 0
+	for n < len(a.backlog) && a.backlog[n].Round <= ackRound {
+		n++
 	}
+	a.backlog = append(a.backlog[:0], a.backlog[n:]...)
 }
 
 // sendBacklog ships the unacknowledged window oldest-first (the
 // current round's report is its newest entry). Replayed entries are
-// idempotent at the central: its per-(agent, round) applied set
-// drops rounds it already counted.
+// idempotent at the central: its per-agent window drops rounds it
+// already counted.
 func (a *Agent) sendBacklog() error {
 	for _, r := range a.backlog {
 		if err := a.retry.Send(a.tr, a.central, comm.Envelope{From: a.tr.Name(), Msg: r}); err != nil {
@@ -231,6 +258,16 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 		a.tracer.BeginRemote(plan.Trace, plan.Round, 0, "agent-round", span.ID(plan.Span))
 		execSpan = a.tracer.Start(string(obs.PhaseExecute))
 	}
+	known := &a.local // where earlier rounds' progress is looked up
+	if plan.Lease > 0 && len(a.backlog) == 0 {
+		// Nothing awaits reconciliation, so local state for jobs no
+		// longer assigned here is stale (they migrated or finished;
+		// their truth lives centrally), and keeping it could skip work
+		// if a job ever returns after the central discarded progress:
+		// local becomes exactly this plan's whole-job progress.
+		a.local, a.spare = a.spare[:0], a.local
+		known = &a.spare
+	}
 	for _, as := range plan.Jobs {
 		useful := plan.Quantum - as.Overhead
 		if useful < 0 {
@@ -242,42 +279,17 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 		// while our reports were cut off carries a stale base, and
 		// redoing that work would both waste the quantum and
 		// double-charge usage once the backlog reconciles.
-		wholeJob := as.Shard == 0 || as.Shard >= 1
-		if plan.Lease > 0 && wholeJob {
-			if ld, ok := a.local[as.JobID]; ok && ld > done {
-				done = ld
-			}
+		leased := plan.Lease > 0 && (as.Shard == 0 || as.Shard >= 1)
+		if i, ok := findLocal(*known, as.JobID); leased && ok && (*known)[i].done > done {
+			done = (*known)[i].done
 		}
 		done, used, finished := job.Progress(done, as.TotalMB, as.GangRate, useful)
-		if plan.Lease > 0 && wholeJob {
-			if a.local == nil {
-				a.local = make(map[int64]float64)
-			}
-			a.local[as.JobID] = done
+		if leased {
+			a.setLocal(as.JobID, done)
 		}
 		rep.Jobs = append(rep.Jobs, comm.JobProgress{
 			JobID: as.JobID, DoneMB: done, Finished: finished, UsedSecs: used,
 		})
-	}
-	if plan.Lease > 0 && len(a.backlog) == 0 && len(a.local) > 0 {
-		// Nothing awaits reconciliation, so local state for jobs no
-		// longer assigned here is stale (they migrated or finished;
-		// their truth lives centrally). Keeping it could skip work if
-		// a job ever returns after the central discarded progress.
-		inPlan := make(map[int64]bool, len(plan.Jobs))
-		for _, as := range plan.Jobs {
-			inPlan[as.JobID] = true
-		}
-		ids := make([]int64, 0, len(a.local))
-		for id := range a.local {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, k int) bool { return ids[i] < ids[k] })
-		for _, id := range ids {
-			if !inPlan[id] {
-				delete(a.local, id)
-			}
-		}
 	}
 	if traced {
 		a.tracer.End(execSpan)
@@ -309,6 +321,9 @@ type CentralConfig struct {
 	// the collect phase proceeds without agents that have not reported
 	// by then, charges their jobs as misses, and (with LeaseRounds > 0)
 	// reconciles their late reports idempotently in a following round.
+	// A silent agent's jobs make no progress that quantum and are
+	// replaced elsewhere once it is suspected (their state lives in the
+	// engine, so nothing is lost).
 	ReportTimeout time.Duration
 
 	// LeaseRounds enables lease-based degraded mode: every plan
@@ -322,13 +337,6 @@ type CentralConfig struct {
 	// late-report reconciliation window. Zero disables degraded mode
 	// and reconciliation — exactly the legacy protocol.
 	LeaseRounds int
-
-	// StrictReports makes a missing agent report a fatal error. By
-	// default the round proceeds without the silent agent's progress:
-	// its jobs simply make no progress this quantum and are replaced
-	// elsewhere next round (their state lives in the central
-	// scheduler's records, so nothing is lost).
-	StrictReports bool
 
 	// MaxAgentTimeouts aborts the run after this many total missed
 	// reports (guard against a permanently dead deployment). Zero
@@ -371,44 +379,63 @@ type Central struct {
 	ecfg core.Config
 	eng  *core.Sim
 
-	// agents is sorted by name and fixed after WaitForAgents. Every
-	// agent contributes one server and gpu.New numbers servers in spec
-	// order, so agent i's server is ServerID(i): per-agent state below
-	// is a slice by that index, agentIdx resolves a name off the wire
-	// (while agents register it holds their arrival positions).
-	agents   []agentInfo
+	// agents holds one record per agent, sorted by name and fixed after
+	// WaitForAgents. Every agent contributes one server and gpu.New
+	// numbers servers in spec order, so agent i's server is ServerID(i);
+	// agentIdx resolves a name off the wire to that position (while
+	// agents register it holds their arrival positions).
+	agents   []agent
 	agentIdx map[string]int
 
 	retry *comm.Retrier
 
 	timeouts int
-	missed   []int // by agent index: consecutive missed reports (write through setMissed)
-	nMissed  int   // agents with missed > 0; zero lets a round skip all failure bookkeeping
+	nMissed  int // agents with missed > 0; zero lets a round skip all failure bookkeeping
 
 	// Per-round tables, kept and cleared so a zero-fault round
-	// allocates only what it hands away (the plan payloads,
-	// lease-window entries).
-	down    gpu.ServerSet  //gflint:noretain suspected-dead servers, the engine's unreachable set
-	quanta  []core.Quantum //gflint:noretain the engine's quanta while Execute runs
-	byAgent [][]shard      //gflint:noretain by agent index: the slices of the quanta its plan carries
-	want    []bool         //gflint:noretain by agent index: report still awaited
+	// allocates only what it hands away (the plan payloads).
+	down   gpu.ServerSet  //gflint:noretain suspected-dead servers, the engine's unreachable set
+	quanta []core.Quantum //gflint:noretain the engine's quanta while Execute runs
+	nWant  int            // reports still awaited this round
 
 	// Partition-tolerance state. epoch fences central incarnations
 	// (fresh = 1, restored = snapshot+1); dedup drops duplicate
-	// envelope deliveries; the rest implements idempotent late-report
-	// reconciliation: lastApplied is the newest round counted per
-	// unfinished job, appliedRound the newest round counted per agent
-	// (the plans' cumulative AckRound), appliedSet the per-(agent,
-	// round) idempotency record, plannedWin the retained window of what
-	// each agent was asked to run (what a late report may be charged
-	// against), and lateQ the late reports awaiting reconciliation.
-	epoch        int
-	dedup        *comm.Dedup
-	lastApplied  map[job.ID]int
-	appliedRound map[string]int
-	appliedSet   map[string]map[int]bool
-	plannedWin   map[int]map[string]map[job.ID]plannedEntry
-	lateQ        []comm.RoundReport
+	// envelope deliveries; lateQ holds the late reports awaiting
+	// reconciliation. lastApplied is the newest round counted per
+	// unfinished job, kept only under a lease (reconcileLate, its one
+	// reader, charges nothing without one). It is the coordinator's one
+	// table keyed by job: the jobs are the engine's, and a late report
+	// names them by ID after the round that placed them has closed.
+	epoch       int
+	dedup       *comm.Dedup
+	lastApplied map[job.ID]int
+	lateQ       []comm.RoundReport
+}
+
+// agent is everything the central keeps about one agent, at the
+// agent's position.
+type agent struct {
+	name string
+	gen  gpu.Generation
+	gpus int
+
+	missed int     // consecutive missed reports (write through setMissed)
+	shards []shard //gflint:noretain this round's slices of the quanta its plan carries
+	want   bool    // this round's report still awaited
+	acked  int     // newest round counted: the plans' cumulative AckRound
+	// window is the lease's reconciliation window, LeaseRounds+1 slots
+	// with round r in slot r % len (nil without a lease): what the agent
+	// was asked to run in each recent round, which is what a late report
+	// may be charged against, and whether that round was counted.
+	window []slot
+}
+
+// slot is one round of an agent's reconciliation window. It is
+// overwritten in place when its round falls out of the window.
+type slot struct {
+	round   int
+	applied bool           // the agent's report for round has been counted
+	planned []plannedEntry //gflint:noretain the round's assignments, in plan (job-ID) order
 }
 
 // plannedEntry is what the central retains about one job's assignment
@@ -430,10 +457,76 @@ type shard struct {
 	got    bool    // the agent reported it
 }
 
-type agentInfo struct {
-	name string
-	gen  gpu.Generation
-	gpus int
+// at is the window slot round r maps to.
+func (a *agent) at(r int) *slot { return &a.window[r%len(a.window)] }
+
+// open starts round's slot for the plan being built. It held round −
+// LeaseRounds − 1, which no report can be charged against any more.
+//
+//gflint:noretain
+func (a *agent) open(round int) *slot {
+	s := a.at(round)
+	s.round, s.applied, s.planned = round, false, s.planned[:0]
+	return s
+}
+
+// settleLate decides a late report against the agent's window when
+// round is the next to settle, and names the protocol event that
+// records the decision. The window holds rounds round−LeaseRounds …
+// round−1; a report outside it (always, without a lease) or for a round
+// the agent was not asked to run charges nothing and names none. A
+// round's report is counted once: apply is offered each whole-job
+// assignment of that round's plan the report answers, and says whether
+// it charged the answer.
+func (a *agent) settleLate(rep comm.RoundReport, round int, apply func(pe *plannedEntry, p comm.JobProgress, r int) bool) string {
+	r := rep.Round
+	if r <= 0 || r >= round || r < round-(len(a.window)-1) {
+		return ""
+	}
+	s := a.at(r)
+	switch {
+	case s.round != r:
+		return ""
+	case s.applied:
+		// Backlog replay of a round already counted: the window absorbs it.
+		return "late_report_dropped"
+	}
+	applied := false
+	for _, p := range rep.Jobs {
+		pe := s.entry(job.ID(p.JobID))
+		if pe == nil || pe.frac < 1 {
+			// Not planned here, or a cross-server shard: a shard's
+			// progress only means something together with its siblings
+			// in the same round, which is gone.
+			continue
+		}
+		applied = apply(pe, p, r) || applied
+	}
+	a.counted(s)
+	if applied {
+		return "late_report_applied"
+	}
+	return "late_report_dropped"
+}
+
+// counted records that the agent's report for s's round has been
+// counted: a backlog replay of it is never applied again, and the
+// agent's cumulative ack advances.
+func (a *agent) counted(s *slot) {
+	s.applied = true
+	a.acked = max(a.acked, s.round)
+}
+
+// entry finds job id among the slot's planned assignments, nil when
+// the plan did not carry it.
+//
+//gflint:noretain
+func (s *slot) entry(id job.ID) *plannedEntry {
+	i, ok := slices.BinarySearchFunc(s.planned, id, func(pe plannedEntry, id job.ID) int { return cmp.Compare(pe.q.Job.ID, id) })
+	if !ok {
+		return nil
+	}
+	return &s.planned[i]
 }
 
 // NewCentral builds the coordinator. Call WaitForAgents before Run: the
@@ -465,17 +558,16 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 		cfg.MaxAgentTimeouts = 50
 	}
 	c := &Central{
-		cfg:          cfg,
-		tr:           tr,
-		policy:       policy,
-		ecfg:         core.Config{Quantum: cfg.Quantum, Costs: cfg.Costs, Obs: cfg.Obs, TraceCap: traceCap},
-		agentIdx:     make(map[string]int),
-		epoch:        epoch,
-		dedup:        comm.NewDedup(),
-		lastApplied:  make(map[job.ID]int),
-		appliedRound: make(map[string]int),
-		appliedSet:   make(map[string]map[int]bool),
-		plannedWin:   make(map[int]map[string]map[job.ID]plannedEntry),
+		cfg:      cfg,
+		tr:       tr,
+		policy:   policy,
+		ecfg:     core.Config{Quantum: cfg.Quantum, Costs: cfg.Costs, Obs: cfg.Obs, TraceCap: traceCap},
+		agentIdx: make(map[string]int),
+		epoch:    epoch,
+		dedup:    comm.NewDedup(),
+	}
+	if cfg.LeaseRounds > 0 {
+		c.lastApplied = make(map[job.ID]int)
 	}
 	c.emit(trace.Record{Kind: trace.KindEpoch, N: int32(epoch)})
 	c.retry = c.newRetrier()
@@ -521,12 +613,50 @@ func (c *Central) newRetrier() *comm.Retrier {
 	return comm.NewRetrier(pol)
 }
 
-// accept runs the protocol's receive-side defenses on one envelope:
-// checksum verification (corruption is detected and counted, never
-// applied) and duplicate-delivery suppression. Register messages are
-// exempt from dedup — a legitimately restarted agent restarts its
-// sequence space, so an accepted Register instead resets its peer's
-// history (registration itself is idempotent upstream).
+// inbound takes one received envelope through the coordinator's one
+// receive path, in order: verify the checksum, drop duplicate
+// deliveries, fence dead epochs, and act on what is left — a
+// registration (before the engine exists), a rejoin (after), the report
+// of the round being collected, a late report (queued for
+// reconcileLate), or proof of life (a probe answer, or a replayed copy
+// of a report already accepted). round is the round being collected,
+// 0 between rounds, when every report is late. It returns the position
+// of the agent whose rejoin it accepted, or -1.
+func (c *Central) inbound(env comm.Envelope, round int) int {
+	if !c.accept(env) {
+		return -1
+	}
+	switch m := env.Msg.(type) {
+	case comm.Register:
+		if c.eng == nil {
+			c.register(m)
+		} else if c.handleRejoin(m) {
+			return c.agentIdx[m.Agent]
+		}
+	case comm.RoundReport:
+		switch ai, known := c.agentIdx[m.Agent]; {
+		case c.fenced(m) || c.eng == nil:
+			// A dead incarnation's, or sent before there was a round.
+		case round == 0 || m.Round < round:
+			// A straggler's earlier round or a healed agent's backlog:
+			// queued for idempotent reconciliation.
+			c.lateQ = append(c.lateQ, m)
+		case known:
+			c.noteAlive(ai)
+			if m.Round == round && c.agents[ai].want {
+				c.report(ai, m, round)
+			}
+		}
+	}
+	return -1
+}
+
+// accept runs the receive-side defenses on one envelope: checksum
+// verification (corruption is detected and counted, never applied) and
+// duplicate-delivery suppression. Register messages are exempt from
+// dedup — a legitimately restarted agent restarts its sequence space,
+// so an accepted Register instead resets its peer's history
+// (registration itself is idempotent upstream).
 func (c *Central) accept(env comm.Envelope) bool {
 	if !comm.Verify(env) {
 		c.note("corrupt_detected")
@@ -553,23 +683,52 @@ func (c *Central) fenced(rep comm.RoundReport) bool {
 	return true
 }
 
+// report takes agent ai's report for the round being collected: the
+// report is counted on time, and each shard it answers records the
+// answer (the gang's first server answers for the whole gang; progress
+// for a job the plan did not carry has nothing to be charged against
+// and is dropped).
+func (c *Central) report(ai int, rep comm.RoundReport, round int) {
+	a := &c.agents[ai]
+	a.want = false
+	c.nWant--
+	c.note("report_received")
+	if a.window != nil {
+		a.counted(a.at(round))
+	}
+	if len(rep.Spans) > 0 {
+		c.cfg.Obs.Tracer().Inject(rep.Spans)
+	}
+	for _, p := range rep.Jobs {
+		sh := c.shardOf(ai, p.JobID)
+		if sh == nil || sh.got {
+			continue
+		}
+		sh.got = true
+		if sh.lo == 0 {
+			q := &c.quanta[sh.rec]
+			q.DoneMB, q.UsedSecs, q.Finished = p.DoneMB, p.UsedSecs, p.Finished
+		}
+	}
+}
+
 // setMissed writes agent ai's consecutive-miss counter, keeping
 // nMissed in step.
 func (c *Central) setMissed(ai, n int) {
-	switch was := c.missed[ai]; {
+	switch was := c.agents[ai].missed; {
 	case was == 0 && n > 0:
 		c.nMissed++
 	case was > 0 && n == 0:
 		c.nMissed--
 	}
-	c.missed[ai] = n
+	c.agents[ai].missed = n
 }
 
 // noteAlive records proof of life from agent ai: its miss counter
 // resets, and if it had been cut off long enough to be suspected the
 // recovery is a partition heal.
 func (c *Central) noteAlive(ai int) {
-	if c.missed[ai] >= suspectThreshold {
+	if c.agents[ai].missed >= suspectThreshold {
 		c.emit(trace.Record{Kind: trace.KindPartitionHeal, Name: c.agents[ai].name})
 	}
 	c.setMissed(ai, 0)
@@ -580,10 +739,7 @@ func (c *Central) noteAlive(ai int) {
 // the engine on it, and acks each. The engine validates the workload
 // against the inventory as core.New does — duplicate job IDs, a job
 // that fits no registered generation, a gang larger than every one —
-// and that error is returned. A retried registration for an
-// already-known name is idempotent when the inventory matches and
-// rejected when it does not, so duplicate Register messages cannot
-// corrupt the inventory.
+// and that error is returned.
 func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	//gflint:ignore wallclock registration deadline on a real transport, not simulated time
 	deadline := time.After(timeout)
@@ -593,32 +749,7 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 			if !ok {
 				return fmt.Errorf("distrib: transport closed during registration")
 			}
-			if !c.accept(env) {
-				continue
-			}
-			reg, isReg := env.Msg.(comm.Register)
-			if !isReg {
-				continue
-			}
-			g := gpu.Generation(reg.Gen)
-			if !g.Valid() || reg.GPUs <= 0 {
-				c.ackRegister(reg.Agent, false, "invalid inventory")
-				continue
-			}
-			if i, known := c.agentIdx[reg.Agent]; known {
-				if c.agents[i].gen == g && c.agents[i].gpus == reg.GPUs {
-					// Retried registration: already recorded, one ack
-					// below covers it.
-					c.note("register_duplicate")
-				} else {
-					c.ackRegister(reg.Agent, false, fmt.Sprintf(
-						"agent %q already registered with %d× %v", reg.Agent, c.agents[i].gpus, c.agents[i].gen))
-				}
-				continue
-			}
-			c.agentIdx[reg.Agent] = len(c.agents)
-			c.agents = append(c.agents, agentInfo{name: reg.Agent, gen: g, gpus: reg.GPUs})
-			c.note("register_received")
+			c.inbound(env, 0)
 		case <-deadline:
 			return fmt.Errorf("distrib: only %d of %d agents registered", len(c.agents), n)
 		}
@@ -634,26 +765,51 @@ func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	return nil
 }
 
+// register records one agent's announcement while the inventory is
+// open. A retried registration for an already-known name is idempotent
+// when the inventory matches and rejected when it does not, so
+// duplicate Register messages cannot corrupt the inventory.
+func (c *Central) register(reg comm.Register) {
+	g := gpu.Generation(reg.Gen)
+	i, known := c.agentIdx[reg.Agent]
+	switch {
+	case !g.Valid() || reg.GPUs <= 0:
+		c.ackRegister(reg.Agent, false, "invalid inventory")
+	case !known:
+		c.agentIdx[reg.Agent] = len(c.agents)
+		c.agents = append(c.agents, agent{name: reg.Agent, gen: g, gpus: reg.GPUs})
+		c.note("register_received")
+	case c.agents[i].gen == g && c.agents[i].gpus == reg.GPUs:
+		// Retried registration: already recorded, the one ack
+		// WaitForAgents sends covers it.
+		c.note("register_duplicate")
+	default:
+		c.ackRegister(reg.Agent, false, fmt.Sprintf(
+			"agent %q already registered with %d× %v", reg.Agent, c.agents[i].gpus, c.agents[i].gen))
+	}
+}
+
 // buildEngine derives deterministic server IDs from the registered
 // agents — sort by name, one server each, so agent i's server is
-// ServerID(i) — sizes everything indexed by agent, and builds the
-// engine on that cluster: fresh, or from a checkpoint when restoring.
-// The engine's profiler is noiseless: agents report true rates.
+// ServerID(i) — sizes each agent's lease window, and builds the engine
+// on that cluster: fresh, or from a checkpoint when restoring. The
+// engine's profiler is noiseless: agents report true rates.
 func (c *Central) buildEngine(cp *core.Checkpoint) error {
 	sort.Slice(c.agents, func(i, j int) bool { return c.agents[i].name < c.agents[j].name })
 	specs := make([]gpu.Spec, len(c.agents))
-	for i, a := range c.agents {
+	for i := range c.agents {
+		a := &c.agents[i]
 		specs[i] = gpu.Spec{Gen: a.gen, Servers: 1, GPUsPerSrv: a.gpus}
 		c.agentIdx[a.name] = i
+		if c.cfg.LeaseRounds > 0 {
+			a.window = make([]slot, c.cfg.LeaseRounds+1)
+		}
 	}
 	cluster, err := gpu.New(specs...)
 	if err != nil {
 		return err
 	}
 	c.ecfg.Cluster = cluster
-	c.missed = make([]int, len(c.agents))
-	c.byAgent = make([][]shard, len(c.agents))
-	c.want = make([]bool, len(c.agents))
 	prof, err := profiler.New(0.25, 0, 1)
 	if err != nil {
 		return err
@@ -668,8 +824,8 @@ func (c *Central) buildEngine(cp *core.Checkpoint) error {
 
 // ackRegister answers a Register best-effort (the agent re-registers
 // if the ack is lost, so a failed ack send is not fatal).
-func (c *Central) ackRegister(agent string, ok bool, reason string) {
-	_ = c.retry.Send(c.tr, agent, comm.Envelope{From: c.tr.Name(),
+func (c *Central) ackRegister(name string, ok bool, reason string) {
+	_ = c.retry.Send(c.tr, name, comm.Envelope{From: c.tr.Name(),
 		Msg: comm.RegisterAck{OK: ok, Reason: reason}})
 }
 
@@ -699,12 +855,12 @@ func (c *Central) handleRejoin(reg comm.Register) bool {
 	return false
 }
 
-// drainControl processes queued control messages (rejoin
-// registrations) without blocking. Round reports found here arrived
-// after their round's collect phase closed — straggler or
-// partition-buffered traffic — and are queued for idempotent
-// reconciliation instead of dropped, so a healed agent's degraded-mode
-// work is credited.
+// drainControl takes what arrived between rounds through the inbound
+// path without blocking: rejoin registrations, and round reports that
+// arrived after their round's collect phase closed — straggler or
+// partition-buffered traffic — which queue for idempotent
+// reconciliation instead of being dropped, so a healed agent's
+// degraded-mode work is credited.
 func (c *Central) drainControl() {
 	for {
 		select {
@@ -712,32 +868,21 @@ func (c *Central) drainControl() {
 			if !ok {
 				return
 			}
-			if !c.accept(env) {
-				continue
-			}
-			switch m := env.Msg.(type) {
-			case comm.Register:
-				c.handleRejoin(m)
-			case comm.RoundReport:
-				if !c.fenced(m) {
-					c.lateQ = append(c.lateQ, m)
-				}
-			}
+			c.inbound(env, 0)
 		default:
 			return
 		}
 	}
 }
 
-// reconcileLate replays queued late reports against the retained
-// planning window before round `round` plans. Each (agent, round)
-// report is applied at most once, only for whole-job assignments the
-// central actually planned on that agent, and only when it advances
-// the job — so duplicated, reordered, and replayed backlog deliveries
-// are all safe. Any late report is proof of life and heals the
-// agent's failure detector even when its usage was already charged.
-// With LeaseRounds disabled the queue is drained without applying:
-// the legacy protocol has no reconciliation window.
+// reconcileLate replays queued late reports against the agents'
+// windows before round `round` plans. Each (agent, round) report is
+// applied at most once, only for whole-job assignments the central
+// actually planned on that agent, and only when it advances the job —
+// so duplicated, reordered, and replayed backlog deliveries are all
+// safe. Any late report is proof of life and heals the agent's failure
+// detector even when its usage was already charged. Without a lease
+// there is no window, and the queue is drained without applying.
 func (c *Central) reconcileLate(round int) {
 	if len(c.lateQ) == 0 {
 		return
@@ -755,71 +900,32 @@ func (c *Central) reconcileLate(round int) {
 	for _, rep := range reps {
 		if ai, known := c.agentIdx[rep.Agent]; known {
 			c.noteAlive(ai)
-		}
-		if c.cfg.LeaseRounds <= 0 {
-			continue
-		}
-		if rep.Round >= round || rep.Round <= round-1-c.cfg.LeaseRounds {
-			continue // outside the reconciliation window
-		}
-		if c.appliedSet[rep.Agent][rep.Round] {
-			// Backlog replay of a round already counted: the
-			// idempotency record absorbs it.
-			c.note("late_report_dropped")
-			continue
-		}
-		planned := c.plannedWin[rep.Round][rep.Agent]
-		if planned == nil {
-			continue // never asked this agent to run that round
-		}
-		applied := false
-		for _, p := range rep.Jobs {
-			id := job.ID(p.JobID)
-			pe, ok := planned[id]
-			if !ok || pe.frac < 1 {
-				// Not planned here, or a cross-server shard: a shard's
-				// progress only means something together with its
-				// siblings in the same round, which is gone.
-				continue
+			if event := c.agents[ai].settleLate(rep, round, c.applyLate); event != "" {
+				c.note(event)
 			}
-			j := pe.q.Job
-			if j.Finished() {
-				continue
-			}
-			if c.lastApplied[id] >= rep.Round {
-				continue // a newer round already counted this job
-			}
-			if p.DoneMB < j.DoneMB()-1e-6 {
-				continue // stale progress; applying would move the job backwards
-			}
-			// Settled by the engine exactly as the on-time answer would
-			// have been: the quantum is the one it granted that round.
-			q := pe.q
-			q.Answered, q.DoneMB, q.UsedSecs, q.Finished = true, p.DoneMB, p.UsedSecs, p.Finished
-			c.eng.ApplyLate(&q)
-			c.noteApplied(id, rep.Round, j.Finished())
-			applied = true
-		}
-		c.markApplied(rep.Agent, rep.Round)
-		if applied {
-			c.note("late_report_applied")
-		} else {
-			c.note("late_report_dropped")
 		}
 	}
 }
 
-// markApplied records that agent's report for round has been counted,
-// so backlog replays of the same round are never applied again, and
-// advances the agent's cumulative ack.
-func (c *Central) markApplied(agent string, round int) {
-	if c.appliedSet[agent] == nil {
-		c.appliedSet[agent] = make(map[int]bool)
+// applyLate settles a late answer for one whole-job assignment of round
+// r when it advances the job, and reports whether it did.
+func (c *Central) applyLate(pe *plannedEntry, p comm.JobProgress, r int) bool {
+	j := pe.q.Job
+	switch {
+	case j.Finished():
+		return false
+	case c.lastApplied[j.ID] >= r:
+		return false // a newer round already counted this job
+	case p.DoneMB < j.DoneMB()-1e-6:
+		return false // stale progress; applying would move the job backwards
 	}
-	c.appliedSet[agent][round] = true
-	if round > c.appliedRound[agent] {
-		c.appliedRound[agent] = round
-	}
+	// Settled by the engine exactly as the on-time answer would have
+	// been: the quantum is the one it granted that round.
+	q := pe.q
+	q.Answered, q.DoneMB, q.UsedSecs, q.Finished = true, p.DoneMB, p.UsedSecs, p.Finished
+	c.eng.ApplyLate(&q)
+	c.noteApplied(j.ID, r, j.Finished())
+	return true
 }
 
 // noteApplied records that round's answer for job id goes to the
@@ -944,9 +1050,9 @@ func (c *Central) downThreshold() int { return suspectThreshold + c.cfg.LeaseRou
 // central's point of view: the agent (if alive) parks at its next
 // plan, and its jobs become placeable elsewhere.
 func (c *Central) noteMiss(ai int) {
-	c.setMissed(ai, c.missed[ai]+1)
+	c.setMissed(ai, c.agents[ai].missed+1)
 	c.timeouts++
-	if c.cfg.LeaseRounds > 0 && c.missed[ai] == c.downThreshold() {
+	if c.cfg.LeaseRounds > 0 && c.agents[ai].missed == c.downThreshold() {
 		c.emit(trace.Record{Kind: trace.KindLeaseExpire, Name: c.agents[ai].name})
 	}
 }
@@ -961,8 +1067,8 @@ func (c *Central) downServers() *gpu.ServerSet {
 	c.down.Clear()
 	if c.nMissed > 0 {
 		thr := c.downThreshold()
-		for ai, m := range c.missed {
-			if m >= thr {
+		for ai := range c.agents {
+			if c.agents[ai].missed >= thr {
 				c.down.Add(gpu.ServerID(ai))
 			}
 		}
@@ -976,8 +1082,8 @@ func (c *Central) degradedAgents() int {
 	deg := 0
 	if c.cfg.LeaseRounds > 0 && c.nMissed > 0 {
 		thr := c.downThreshold()
-		for _, m := range c.missed {
-			if m > 0 && m < thr {
+		for ai := range c.agents {
+			if m := c.agents[ai].missed; m > 0 && m < thr {
 				deg++
 			}
 		}
@@ -989,8 +1095,9 @@ func (c *Central) degradedAgents() int {
 // nil when the plan did not carry it. An agent hosts at most one shard
 // per local GPU, so it is a short scan.
 func (c *Central) shardOf(ai int, id int64) *shard {
-	for k := range c.byAgent[ai] {
-		if sh := &c.byAgent[ai][k]; int64(c.quanta[sh.rec].Job.ID) == id {
+	shards := c.agents[ai].shards
+	for k := range shards {
+		if sh := &shards[k]; int64(c.quanta[sh.rec].Job.ID) == id {
 			return sh
 		}
 	}
@@ -1009,8 +1116,8 @@ func (c *Central) mergeShards(round int) {
 		// left to charge.
 		qs[i].Answered = !qs[i].Job.Finished()
 	}
-	for _, shards := range c.byAgent {
-		for _, sh := range shards {
+	for ai := range c.agents {
+		for _, sh := range c.agents[ai].shards {
 			if !sh.got {
 				qs[sh.rec].Answered = false
 			}
@@ -1022,7 +1129,9 @@ func (c *Central) mergeShards(round int) {
 			// built from a stale base). The round still ran and is still
 			// charged; progress just never moves backwards.
 			q.DoneMB = max(q.DoneMB, q.Job.DoneMB())
-			c.noteApplied(q.Job.ID, round, q.Finished)
+			if c.lastApplied != nil {
+				c.noteApplied(q.Job.ID, round, q.Finished)
+			}
 		}
 	}
 }
@@ -1064,8 +1173,8 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	// is charged as a missed report immediately and the round proceeds
 	// without it.
 	o.PhaseStart(obs.PhaseDispatch)
-	for ai := range c.byAgent {
-		c.byAgent[ai] = c.byAgent[ai][:0]
+	for ai := range c.agents {
+		c.agents[ai].shards = c.agents[ai].shards[:0]
 	}
 	nShards, nDevs := 0, 0
 	for i := range qs {
@@ -1076,7 +1185,8 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			for hi < len(devs) && cluster.Device(devs[hi]).Server == sid {
 				hi++
 			}
-			c.byAgent[sid] = append(c.byAgent[sid], shard{
+			a := &c.agents[sid]
+			a.shards = append(a.shards, shard{
 				rec: int32(i), lo: int32(lo), hi: int32(hi),
 				frac: float64(hi-lo) / float64(len(devs)),
 			})
@@ -1087,21 +1197,28 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	}
 	assignBuf := make([]comm.JobAssignment, nShards)
 	localBuf := make([]int, nDevs)
-	clear(c.want)
-	nWant := 0
-	for ai, shards := range c.byAgent {
-		if len(shards) == 0 {
+	c.nWant = 0
+	for ai := range c.agents {
+		a := &c.agents[ai]
+		a.want = false
+		if len(a.shards) == 0 {
 			continue
 		}
-		name := c.agents[ai].name
 		first := cluster.Server(gpu.ServerID(ai)).Devices[0]
 		plan := comm.RoundPlan{
 			Round: round, Quantum: c.cfg.Quantum, Trace: ctrace, Span: croot,
-			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[name],
-			Jobs: assignBuf[:len(shards):len(shards)],
+			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: a.acked,
+			Jobs: assignBuf[:len(a.shards):len(a.shards)],
 		}
-		assignBuf = assignBuf[len(shards):]
-		for k, sh := range shards {
+		assignBuf = assignBuf[len(a.shards):]
+		var s *slot
+		if a.window != nil {
+			// Retain what this agent was asked to run so a report
+			// arriving after the collect deadline can still be verified
+			// and charged (see reconcileLate).
+			s = a.open(round)
+		}
+		for k, sh := range a.shards {
 			q := &qs[sh.rec]
 			j := q.Job
 			devs := q.Devs[sh.lo:sh.hi]
@@ -1110,17 +1227,8 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			for i, d := range devs {
 				locals[i] = int(d - first)
 			}
-			if c.cfg.LeaseRounds > 0 {
-				// Retain what this agent was asked to run so a report
-				// arriving after the collect deadline can still be
-				// verified and charged (see reconcileLate).
-				if c.plannedWin[round] == nil {
-					c.plannedWin[round] = make(map[string]map[job.ID]plannedEntry)
-				}
-				if c.plannedWin[round][name] == nil {
-					c.plannedWin[round][name] = make(map[job.ID]plannedEntry)
-				}
-				c.plannedWin[round][name][j.ID] = plannedEntry{q: *q, frac: sh.frac}
+			if s != nil {
+				s.planned = append(s.planned, plannedEntry{q: *q, frac: sh.frac})
 			}
 			plan.Jobs[k] = comm.JobAssignment{
 				JobID: int64(j.ID), User: string(j.User), Model: j.Perf.Model,
@@ -1130,100 +1238,45 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 				Overhead: c.cfg.Quantum - q.Avail,
 			}
 		}
-		if err := c.retry.Send(c.tr, name, comm.Envelope{From: c.tr.Name(), Msg: plan}); err != nil {
-			if c.cfg.StrictReports {
-				return fmt.Errorf("distrib: round %d: plan for %q undeliverable: %w", round, name, err)
-			}
+		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: plan}); err != nil {
 			c.note("plan_send_failed")
 			c.noteMiss(ai)
 			continue
 		}
 		c.note("plan_sent")
-		c.want[ai] = true
-		nWant++
+		a.want = true
+		c.nWant++
 	}
 	if c.timeouts > c.cfg.MaxAgentTimeouts {
 		return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 	}
 	if c.cfg.LeaseRounds > 0 {
-		c.probeAndSlide(round)
+		c.probe(round)
 	}
 	o.PhaseEnd(obs.PhaseDispatch)
 
 	o.PhaseStart(obs.PhaseCollect)
 	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
 	deadline := time.After(c.cfg.ReportTimeout)
-	for nWant > 0 {
+	for c.nWant > 0 {
 		select {
 		case env, ok := <-c.tr.Recv():
 			if !ok {
 				return fmt.Errorf("distrib: transport closed mid-round")
 			}
-			if !c.accept(env) {
-				continue
-			}
-			if reg, isReg := env.Msg.(comm.Register); isReg {
-				// A crashed agent restarting mid-round; reconcile it
-				// now so its server is schedulable next round.
-				c.handleRejoin(reg)
-				continue
-			}
-			rep, isRep := env.Msg.(comm.RoundReport)
-			if !isRep || c.fenced(rep) {
-				continue
-			}
-			if rep.Round < round {
-				// A straggler's earlier round or a healed agent's
-				// backlog: queue for idempotent reconciliation.
-				c.lateQ = append(c.lateQ, rep)
-				continue
-			}
-			ai, known := c.agentIdx[rep.Agent]
-			if !known {
-				continue // not in the inventory
-			}
-			c.noteAlive(ai)
-			if rep.Round != round || !c.want[ai] {
-				// Same-round traffic outside the want set — a probe
-				// answer or a replayed copy of a report already
-				// accepted. Proof of life, nothing to apply.
-				continue
-			}
-			c.want[ai] = false
-			nWant--
-			c.note("report_received")
-			if c.cfg.LeaseRounds > 0 {
-				c.markApplied(rep.Agent, round) // counted on time
-			}
-			ctr.Inject(rep.Spans)
-			for _, p := range rep.Jobs {
-				// Progress for a job this agent's plan did not carry
-				// has nothing to be charged against and is dropped.
-				sh := c.shardOf(ai, p.JobID)
-				if sh == nil || sh.got {
-					continue
-				}
-				sh.got = true
-				if sh.lo == 0 { // the gang's first server answers for it
-					q := &qs[sh.rec]
-					q.DoneMB, q.UsedSecs, q.Finished = p.DoneMB, p.UsedSecs, p.Finished
-				}
-			}
+			c.inbound(env, round)
 		case <-deadline:
-			if c.cfg.StrictReports {
-				return fmt.Errorf("distrib: round %d: %d agents did not report", round, nWant)
-			}
 			// Straggler cutoff: the round proceeds without the late
 			// agents. Their jobs are charged as misses now; with
 			// leases their reports reconcile idempotently when they
 			// arrive.
-			for ai, waiting := range c.want { // agent order is name order
-				if waiting {
+			for ai := range c.agents { // agent order is name order
+				if c.agents[ai].want {
 					c.note("report_timeout")
 					c.noteMiss(ai)
 				}
 			}
-			nWant = 0
+			c.nWant = 0
 			if c.timeouts > c.cfg.MaxAgentTimeouts {
 				return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 			}
@@ -1243,41 +1296,26 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	return nil
 }
 
-// probeAndSlide is the lease protocol's share of dispatch: it probes
-// degraded agents that got no assignment and slides the reconciliation
-// window.
-func (c *Central) probeAndSlide(round int) {
-	// An empty plan paces a cut-off agent's protocol (ack, lease
-	// bookkeeping) and gives a healed report path something to answer,
-	// so recovery does not depend on the agent still hosting work.
-	// Probes are best-effort: no reply expected, failures charge nothing.
-	for i, a := range c.agents {
-		if c.missed[i] == 0 || len(c.byAgent[i]) > 0 {
+// probe is the lease protocol's share of dispatch: an empty plan to
+// each degraded agent that got no assignment paces a cut-off agent's
+// protocol (ack, lease bookkeeping) and gives a healed report path
+// something to answer, so recovery does not depend on the agent still
+// hosting work. Probes are best-effort: no reply expected, failures
+// charge nothing.
+func (c *Central) probe(round int) {
+	for i := range c.agents {
+		a := &c.agents[i]
+		if a.missed == 0 || len(a.shards) > 0 {
 			continue
 		}
 		probe := comm.RoundPlan{
 			Round: round, Quantum: c.cfg.Quantum,
-			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: c.appliedRound[a.name],
+			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: a.acked,
 		}
 		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: probe}); err != nil {
 			c.note("probe_send_failed")
 			continue
 		}
 		c.note("probe_sent")
-	}
-	// The reconciliation window slides: plans and applied-round
-	// records older than the lease can never be charged again.
-	floor := round - 1 - c.cfg.LeaseRounds
-	for r := range c.plannedWin {
-		if r <= floor {
-			delete(c.plannedWin, r)
-		}
-	}
-	for _, rounds := range c.appliedSet {
-		for r := range rounds {
-			if r <= floor {
-				delete(rounds, r)
-			}
-		}
 	}
 }

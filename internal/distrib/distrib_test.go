@@ -266,29 +266,6 @@ func TestSilentAgentTolerated(t *testing.T) {
 	}
 }
 
-func TestSilentAgentStrictModeFails(t *testing.T) {
-	hub := comm.NewHub()
-	central, _ := hub.Attach("central")
-	blackHoleAgent(t, hub, "agent-z", gpu.K80, 4)
-
-	specs := workload.BatchJobs("u", zoo.MustGet("lstm"), 2, 1, 0.3)
-	specs, _ = workload.AssignIDs(specs)
-	c, err := NewCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
-		Specs:         specs,
-		ReportTimeout: 100 * time.Millisecond,
-		StrictReports: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WaitForAgents(1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(10); err == nil {
-		t.Fatal("strict mode did not fail on a silent agent")
-	}
-}
-
 func TestTimeoutBudgetExhausted(t *testing.T) {
 	hub := comm.NewHub()
 	central, _ := hub.Attach("central")

@@ -224,9 +224,9 @@ func TestRejoinReconciliation(t *testing.T) {
 	if !c.handleRejoin(comm.Register{Agent: "agent-0", Gen: int(gpu.K80), GPUs: 4}) {
 		t.Error("matching rejoin rejected")
 	}
-	if c.missed[0] != 0 || c.nMissed != 0 || c.downServers().Len() != 0 {
+	if c.agents[0].missed != 0 || c.nMissed != 0 || c.downServers().Len() != 0 {
 		t.Errorf("rejoin did not reset failure state: missed=%d (%d agents) down=%d",
-			c.missed[0], c.nMissed, c.downServers().Len())
+			c.agents[0].missed, c.nMissed, c.downServers().Len())
 	}
 	if ack := recvAck(t, agentTr); !ack.OK {
 		t.Errorf("matching rejoin acked with %+v", ack)
@@ -257,6 +257,70 @@ func TestRejoinReconciliation(t *testing.T) {
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %s", want)
+		}
+	}
+}
+
+// TestWaitForRejoinDropsCorruptRegistration: a restored central waiting
+// for rejoins takes every envelope through the one inbound path, so a
+// registration corrupted after sealing is counted as corrupt_detected
+// and dropped — no ack, least of all the "inventory mismatch" rejection
+// that would end the genuine agent's Run — and a clean registration
+// sent afterwards rejoins.
+func TestWaitForRejoinDropsCorruptRegistration(t *testing.T) {
+	hub := comm.NewHub()
+	central, err := hub.Attach("central")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agentTr, err := hub.Attach("agent-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, _ := workload.AssignIDs(workload.BatchJobs("alice", zoo.MustGet("lstm"), 2, 1, 0.45))
+	o := obs.New()
+	c, err := RestoreCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{Quantum: 360, Obs: o}, &State{
+		Epoch:  1,
+		Agents: []AgentState{{Name: "agent-0", Gen: int(gpu.K80), GPUs: 2}},
+		Engine: &core.Checkpoint{Pending: specs},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := comm.Register{Agent: "agent-0", Gen: int(gpu.K80), GPUs: 2}
+	clean, err := comm.Seal(comm.Envelope{From: "agent-0", Seq: 1, Msg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := clean
+	reg.GPUs += 1 << 20 // what netchaos's Corrupt does to a Register
+	corrupt.Msg = reg
+	if comm.Verify(corrupt) {
+		t.Fatal("the mutated registration still verifies")
+	}
+	for _, env := range []comm.Envelope{corrupt, clean} {
+		if err := agentTr.Send("central", env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitForRejoin(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ack := recvAck(t, agentTr); !ack.OK {
+		t.Errorf("first ack to agent-0 is %+v, want the clean rejoin's OK", ack)
+	}
+	select {
+	case env := <-agentTr.Recv():
+		t.Errorf("agent-0 got a second message %+v: the corrupted registration was acted on", env.Msg)
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.summary() // no round ran: reading the result flushes the engine's stream to the observer
+	for _, ev := range []struct {
+		name string
+		want float64
+	}{{"corrupt_detected", 1}, {"rejoin_accepted", 1}, {"rejoin_rejected", 0}} {
+		if n := o.Registry().Value("gf_protocol_events_total", ev.name); n != ev.want {
+			t.Errorf("%s = %v, want %v", ev.name, n, ev.want)
 		}
 	}
 }

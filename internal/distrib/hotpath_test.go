@@ -16,8 +16,9 @@ import (
 // hubDeployment is the gfperf dist-hub shape in-package: a central and
 // `agents` in-process 4-GPU agents (K80/P100/V100 in turn) on one hub,
 // `users` users × `jobsPerUser` jobs far longer than any run here, all
-// arrived at time zero, trading on. stop closes every endpoint.
-func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, ran *ranGPUs, stop func()) {
+// arrived at time zero, trading on, plans granting a lease of `lease`
+// rounds. stop closes every endpoint.
+func hubDeployment(tb testing.TB, agents, users, jobsPerUser, lease int) (c *Central, ran *ranGPUs, stop func()) {
 	tb.Helper()
 	names := zoo.Names()
 	var us []workload.UserSpec
@@ -42,7 +43,7 @@ func hubDeployment(tb testing.TB, agents, users, jobsPerUser int) (c *Central, r
 	}
 	waits := startAgents(tb, hub, gens, 4)
 	ran = &ranGPUs{Policy: core.MustNewFairPolicy(core.FairConfig{EnableTrading: true})}
-	c, err = NewCentral(ctr, ran, CentralConfig{Specs: specs, Quantum: 360})
+	c, err = NewCentral(ctr, ran, CentralConfig{Specs: specs, Quantum: 360, LeaseRounds: lease})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -75,16 +76,24 @@ func (p *ranGPUs) Executed(rep *core.ExecReport) {
 
 // TestCentralSteadyStateAllocCeiling pins the dense-scratch rule
 // (DESIGN.md §8) on the distributed round: 64 agents, 256 GPUs all
-// busy, no faults. What a round may allocate is what it hands away —
-// two payload arrays, one boxed plan, one boxed report and its job list
-// per agent — plus the policy's per-job decision. That measures 295
-// mallocs a round, the same on every run
-// (central and agents together: the count is process-wide). The
-// gob-backed checksum (≈140 mallocs a message) and the per-round map
-// set this replaced cost 12,750 a round at this shape, so the ceiling
-// has 2× headroom and still sits 20× below either coming back.
+// busy, no faults, without a lease and with one. What a round may
+// allocate is what it hands away — two payload arrays, one boxed plan,
+// one boxed report and its job list per agent — plus the policy's
+// per-job decision: 260 mallocs a round without a lease and 262 with
+// one, the same on every run (central and agents together: the count
+// is process-wide). A lease keeps its reconciliation window in slots
+// reused in place on both sides; the per-round maps it used to rebuild
+// cost 852. The gob-backed checksum (≈140 mallocs a message) and the
+// per-round map set of the zero-lease round cost 12,750 a round at this
+// shape, so the ceiling still sits 20× below either coming back.
 func TestCentralSteadyStateAllocCeiling(t *testing.T) {
-	c, ran, stop := hubDeployment(t, 64, 4, 128)
+	for _, lease := range []int{0, 4} {
+		t.Run(fmt.Sprintf("LeaseRounds=%d", lease), func(t *testing.T) { steadyStateAllocs(t, lease) })
+	}
+}
+
+func steadyStateAllocs(t *testing.T, lease int) {
+	c, ran, stop := hubDeployment(t, 64, 4, 128, lease)
 	defer stop()
 	// Scratch tables reach their size and the profiler has probed
 	// every job within a few rounds.
@@ -99,12 +108,13 @@ func TestCentralSteadyStateAllocCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRound := float64(after.Mallocs-before.Mallocs) / rounds
+	kib := float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1024
 
 	if ran.n != 256 || c.timeouts != 0 {
 		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", ran.n, c.timeouts)
 	}
 	const ceiling = 600
-	t.Logf("steady-state distributed round: %.0f mallocs", perRound)
+	t.Logf("steady-state distributed round, lease %d: %.1f mallocs, %.1f KiB", lease, perRound, kib)
 	if perRound > ceiling {
 		t.Errorf("steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
 	}
@@ -117,7 +127,7 @@ func BenchmarkDistHubRound(b *testing.B) {
 	const rounds = 120
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, _, stop := hubDeployment(b, 256, 8, 256)
+		c, _, stop := hubDeployment(b, 256, 8, 256, 0)
 		b.StartTimer()
 		if _, err := c.Steps(rounds); err != nil {
 			b.Fatal(err)

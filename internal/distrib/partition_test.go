@@ -39,8 +39,8 @@ func oneJobSpecs(t *testing.T, user string, quanta float64) []job.Spec {
 // same seq) and additionally replays an old round's report under a
 // fresh sequence number must still be charged exactly once per round.
 // The duplicate copy dies at the dedup layer; the cross-round replay
-// reaches the reconciliation queue and dies against the per-(agent,
-// round) applied set.
+// reaches the reconciliation queue and dies against the agent's
+// window, which has that round counted.
 func TestReplayedReportCountedOnce(t *testing.T) {
 	hub := comm.NewHub()
 	central, err := hub.Attach("central")

@@ -150,8 +150,8 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 			}
 		}
 	}
-	if !sawDown || c.missed[victimIdx] < suspectThreshold {
-		t.Fatalf("victim never suspected (missed %d)", c.missed[victimIdx])
+	if !sawDown || c.agents[victimIdx].missed < suspectThreshold {
+		t.Fatalf("victim never suspected (missed %d)", c.agents[victimIdx].missed)
 	}
 
 	// Rejoin under the same name: a fresh endpoint and agent process.
@@ -168,10 +168,10 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	back := false
 	for i := 0; i < 50 && !back; i++ {
 		usedNow := step()
-		back = c.missed[victimIdx] == 0 && tap.down.Len() == 0 && usedNow
+		back = c.agents[victimIdx].missed == 0 && tap.down.Len() == 0 && usedNow
 	}
 	if !back {
-		t.Fatalf("rejoined agent's server not back in use (missed %d, %d servers down)", c.missed[victimIdx], tap.down.Len())
+		t.Fatalf("rejoined agent's server not back in use (missed %d, %d servers down)", c.agents[victimIdx].missed, tap.down.Len())
 	}
 	c.ShutdownAgents()
 	if err := <-done; err != nil {

@@ -47,10 +47,10 @@ func (c *Central) Snapshot() *State {
 		Missed:   make(map[string]int, c.nMissed),
 		Engine:   c.eng.Checkpoint(),
 	}
-	for i, a := range c.agents {
+	for _, a := range c.agents {
 		st.Agents = append(st.Agents, AgentState{Name: a.name, Gen: int(a.gen), GPUs: a.gpus})
-		if c.missed[i] > 0 {
-			st.Missed[a.name] = c.missed[i]
+		if a.missed > 0 {
+			st.Missed[a.name] = a.missed
 		}
 	}
 	return st
@@ -157,7 +157,7 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 			return nil, fmt.Errorf("distrib: snapshot agent %q duplicated", a.Name)
 		}
 		c.agentIdx[a.Name] = len(c.agents)
-		c.agents = append(c.agents, agentInfo{name: a.Name, gen: g, gpus: a.GPUs})
+		c.agents = append(c.agents, agent{name: a.Name, gen: g, gpus: a.GPUs})
 	}
 	if err := c.buildEngine(st.Engine); err != nil {
 		return nil, fmt.Errorf("distrib: snapshot: %w", err)
@@ -175,7 +175,9 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 
 // WaitForRejoin blocks until n of the restored inventory's agents
 // re-register (TCP agents reconnect after a central restart), acking
-// each through the rejoin reconciliation.
+// each through the rejoin reconciliation. Everything received meanwhile
+// takes the one inbound path: a corrupted registration is dropped, and
+// a report is fenced or queued as late.
 func (c *Central) WaitForRejoin(n int, timeout time.Duration) error {
 	if c.eng == nil {
 		return fmt.Errorf("distrib: no inventory to rejoin")
@@ -185,22 +187,19 @@ func (c *Central) WaitForRejoin(n int, timeout time.Duration) error {
 	}
 	//gflint:ignore wallclock rejoin deadline on a real transport, not simulated time
 	deadline := time.After(timeout)
-	seen := make(map[string]bool)
-	for len(seen) < n {
+	seen, nSeen := make([]bool, len(c.agents)), 0
+	for nSeen < n {
 		select {
 		case env, ok := <-c.tr.Recv():
 			if !ok {
 				return fmt.Errorf("distrib: transport closed during rejoin")
 			}
-			reg, isReg := env.Msg.(comm.Register)
-			if !isReg {
-				continue
-			}
-			if c.handleRejoin(reg) {
-				seen[reg.Agent] = true
+			if ai := c.inbound(env, 0); ai >= 0 && !seen[ai] {
+				seen[ai] = true
+				nSeen++
 			}
 		case <-deadline:
-			return fmt.Errorf("distrib: only %d of %d agents rejoined", len(seen), n)
+			return fmt.Errorf("distrib: only %d of %d agents rejoined", nSeen, n)
 		}
 	}
 	return nil
