@@ -116,7 +116,7 @@ func runCentral(args []string) {
 		snapDir   = fs.String("snapshot-dir", "", "persist scheduler state to this directory after rounds")
 		snapEvery = fs.Int("snapshot-every", 1, "snapshot every N rounds (with -snapshot-dir)")
 		restore   = fs.Bool("restore", false, "resume from the snapshot in -snapshot-dir instead of a fresh workload")
-		leaseR    = fs.Int("lease-rounds", 0, "degraded-mode lease in rounds: cut-off agents keep executing and buffer reports for this long before parking (0 = legacy protocol)")
+		leaseR    = fs.Int("lease-rounds", 0, "degraded-mode lease in rounds: cut-off agents keep executing and buffer reports for this long before parking (0 = no lease)")
 		collectD  = fs.Duration("collect-deadline", 0, "straggler cutoff: proceed without agents that have not reported by this wall deadline (0 = 5s)")
 	)
 	if err := fs.Parse(args); err != nil {

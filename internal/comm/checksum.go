@@ -112,7 +112,8 @@ func Checksum(m Message) (uint64, error) {
 	return uint64(h), nil
 }
 
-// nonzero maps a zero hash to one: Sum 0 is reserved for "unsealed".
+// nonzero maps a zero hash to one: Sum 0 is what an unsealed envelope
+// carries, so no seal may produce it and Verify refuses it unasked.
 func nonzero(sum uint64) uint64 {
 	if sum == 0 {
 		return 1
@@ -142,14 +143,10 @@ func Seal(e Envelope) (Envelope, error) {
 }
 
 // Verify reports whether the envelope's payload matches its checksum.
-// Unsealed envelopes (Sum 0) pass: sealing is opt-in, so raw
-// Transport.Send callers and old peers keep working. A sealed
-// envelope whose payload no longer hashes to Sum — corruption in
-// flight — fails, as does one whose payload is no protocol message.
+// An envelope whose payload no longer hashes to Sum — corruption in
+// flight — fails, as do an unsealed one (Sum 0, which no seal
+// produces) and one whose payload is no protocol message.
 func Verify(e Envelope) bool {
-	if e.Sum == 0 {
-		return true
-	}
 	sum, err := sealSum(e.Msg)
 	return err == nil && sum == e.Sum
 }
@@ -236,11 +233,8 @@ func NewDedup() *Dedup {
 }
 
 // Duplicate records (from, seq) and reports whether it was already
-// seen. Unsequenced envelopes (seq 0) are never duplicates.
+// seen. A sender numbers from 1, so 0 is below every window: seen.
 func (d *Dedup) Duplicate(from string, seq uint64) bool {
-	if seq == 0 {
-		return false
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p := d.peers[from]
@@ -266,4 +260,25 @@ func (d *Dedup) Reset(from string) {
 	d.mu.Lock()
 	delete(d.peers, from)
 	d.mu.Unlock()
+}
+
+// Admit is the receive check both protocol ends run on every envelope
+// before acting on it. It names the event to count when it refuses the
+// envelope — "corrupt_detected" for one that fails Verify or carries no
+// sequence number, "dup_dropped" for a redelivery — and returns "" to
+// admit it. A Register is never a duplicate: it resets its sender's
+// window instead, because a restarted agent restarts its numbering
+// (registration itself is idempotent at the central).
+func (d *Dedup) Admit(e Envelope) string {
+	if e.Seq == 0 || !Verify(e) {
+		return "corrupt_detected"
+	}
+	if _, isReg := e.Msg.(Register); isReg {
+		d.Reset(e.From)
+		return ""
+	}
+	if d.Duplicate(e.From, e.Seq) {
+		return "dup_dropped"
+	}
+	return ""
 }

@@ -170,8 +170,9 @@ func TestChecksumRejectsOtherTypes(t *testing.T) {
 	}
 }
 
-// TestSealSumNeverZero: Sum 0 means unsealed, so a sealed envelope
-// never carries it; a payload other than a protocol message has no sum.
+// TestSealSumNeverZero: Sum 0 is what an unsealed envelope carries, so
+// a sealed envelope never does; a payload other than a protocol message
+// has no sum.
 func TestSealSumNeverZero(t *testing.T) {
 	for _, m := range fullMessages() {
 		raw, _ := Checksum(m)
@@ -210,11 +211,10 @@ func TestChecksumDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestSealSurvivesTCP: the sum is taken over field values, so it must
-// still verify after gob rebuilt the payload on the far side — where
-// empty slices come back nil and zero fields were never sent. The TCP
-// frame carries only From and Msg, so the sender's Sum is put back on
-// the received payload before verifying.
+// TestSealSurvivesTCP: the TCP frame is the whole envelope, so Seq and
+// Sum arrive as sent, and the sum is taken over field values, so it
+// still verifies after gob rebuilt the payload on the far side — where
+// empty slices come back nil and zero fields were never sent.
 func TestSealSurvivesTCP(t *testing.T) {
 	srv, err := ListenTCP("central", "127.0.0.1:0")
 	if err != nil {
@@ -244,8 +244,8 @@ func TestSealSurvivesTCP(t *testing.T) {
 		if err := srv.Send("agent-1", env); err != nil {
 			t.Fatal(err)
 		}
-		if got := recvOne(t, cli); !Verify(Envelope{Sum: env.Sum, Msg: got.Msg}) {
-			t.Errorf("plan %d does not verify after TCP: %+v", i, got)
+		if got := recvOne(t, cli); !Verify(got) || got.Seq != env.Seq || got.From != "central" {
+			t.Errorf("plan %d after TCP: %+v, want it verified with seq %d from central", i, got, env.Seq)
 		}
 	}
 	up := []Message{
@@ -260,8 +260,8 @@ func TestSealSurvivesTCP(t *testing.T) {
 		if err := cli.Send("central", env); err != nil {
 			t.Fatal(err)
 		}
-		if got := recvOne(t, srv); !Verify(Envelope{Sum: env.Sum, Msg: got.Msg}) {
-			t.Errorf("report %d does not verify after TCP: %+v", i, got)
+		if got := recvOne(t, srv); !Verify(got) || got.Seq != env.Seq || got.From != "agent-1" {
+			t.Errorf("report %d after TCP: %+v, want it verified with seq %d from agent-1", i, got, env.Seq)
 		}
 	}
 }
@@ -314,11 +314,60 @@ func TestVerifyDetectsMutation(t *testing.T) {
 	}
 }
 
-func TestVerifyUnsealedPasses(t *testing.T) {
-	// Sum 0 means "not sealed" (legacy senders, unencodable payloads):
-	// verification must not reject it.
-	if !Verify(Envelope{From: "a", Seq: 1, Msg: Shutdown{}}) {
-		t.Error("unsealed envelope rejected")
+// TestVerifyRefusesUnsealed: an envelope nobody sealed carries Sum 0,
+// which no seal produces, so it never verifies, whatever its payload
+// and without one.
+func TestVerifyRefusesUnsealed(t *testing.T) {
+	for _, m := range append(fullMessages(), nil) {
+		if Verify(Envelope{From: "a", Seq: 1, Msg: m}) {
+			t.Errorf("unsealed %T verified", m)
+		}
+	}
+}
+
+// TestAdmitIsTheReceiveCheck: what each envelope a protocol end can
+// receive is counted as, in order — corruption, then redelivery — and
+// that a Register resets its sender's window instead of being dropped.
+func TestAdmitIsTheReceiveCheck(t *testing.T) {
+	seal := func(from string, seq uint64, m Message) Envelope {
+		t.Helper()
+		e, err := Seal(Envelope{From: from, Seq: seq, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	rep := func(round int) Message { return RoundReport{Agent: "a", Round: round} }
+	corrupt := seal("a", 3, rep(1))
+	corrupt.Msg = rep(2)
+	unsequenced := seal("a", 0, rep(1))
+	unsealed := seal("a", 4, rep(1))
+	unsealed.Sum = 0
+	noPayload := seal("a", 5, rep(1))
+	noPayload.Msg = nil
+	reg := seal("a", 1, Register{Agent: "a", GPUs: 1})
+
+	d := NewDedup()
+	for i, step := range []struct {
+		e    Envelope
+		want string
+	}{
+		{seal("a", 1, rep(1)), ""},
+		{seal("a", 1, rep(1)), "dup_dropped"},
+		{corrupt, "corrupt_detected"},
+		{unsequenced, "corrupt_detected"},
+		{unsealed, "corrupt_detected"},
+		{noPayload, "corrupt_detected"},
+		{seal("b", 1, rep(1)), ""}, // peers are independent
+		{seal("a", 2, rep(2)), ""},
+		{reg, ""}, // a restarted agent: its numbering starts over
+		{reg, ""}, // and a Register is never a duplicate
+		{seal("a", 1, rep(1)), ""},
+		{seal("a", 1, rep(1)), "dup_dropped"},
+	} {
+		if got := d.Admit(step.e); got != step.want {
+			t.Errorf("step %d (%T seq %d): Admit = %q, want %q", i, step.e.Msg, step.e.Seq, got, step.want)
+		}
 	}
 }
 
@@ -336,9 +385,10 @@ func TestDedupDropsReplays(t *testing.T) {
 	if !d.Duplicate("a", 4) {
 		t.Error("out-of-order replay not flagged")
 	}
-	// Seq 0 opts out of dedup entirely (legacy raw sends).
-	if d.Duplicate("a", 0) || d.Duplicate("a", 0) {
-		t.Error("seq-0 envelopes must never be flagged")
+	// Senders number from 1: seq 0 is below every window, for a known
+	// peer and a new one alike.
+	if !d.Duplicate("a", 0) || !d.Duplicate("c", 0) {
+		t.Error("seq 0 not flagged")
 	}
 	// Peers are independent.
 	if d.Duplicate("b", 5) {
@@ -387,9 +437,6 @@ type setDedup struct {
 }
 
 func (d *setDedup) duplicate(seq uint64) bool {
-	if seq == 0 {
-		return false
-	}
 	if seq <= d.floor || d.seen[seq] {
 		return true
 	}

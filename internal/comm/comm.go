@@ -20,18 +20,20 @@ import (
 type Message interface{}
 
 // Envelope wraps a message with its sender plus the two fields the
-// partition-tolerant protocol rides on:
+// partition-tolerant protocol rides on. Every transport carries all
+// four fields; the protocol's endpoints send through a Retrier, which
+// sets Seq and Sum, and admit nothing without them (Dedup.Admit):
 //
 //   - Seq is a per-sender (strictly: per Retrier, per destination)
-//     monotone sequence number. Receivers feed it to Dedup so a
-//     duplicated or replayed delivery is detected and dropped. Zero
-//     means "unsequenced" — raw Transport.Send callers and old peers
-//     keep working, they just opt out of duplicate detection.
+//     monotone sequence number, starting at 1. Receivers feed it to
+//     Dedup so a duplicated or replayed delivery is detected and
+//     dropped.
 //   - Sum is a checksum over the fields of Msg (see Checksum and
-//     Seal), independent of the wire encoding. Receivers call Verify
-//     before acting on a message, so payload corruption on the wire is
-//     detected and counted, never applied. Zero means "unsealed" and
-//     passes verification for the same backward-compatibility reason.
+//     Seal), independent of the wire encoding, and never 0. Receivers
+//     Verify it before acting on a message, so payload corruption on
+//     the wire is detected and counted, never applied.
+//
+// A raw Transport.Send carries whatever it is given.
 type Envelope struct {
 	From string
 	Seq  uint64
@@ -83,10 +85,10 @@ type JobAssignment struct {
 	GangRate        float64 // whole-gang minibatches/sec on this agent's generation (every shard of a gang is sent the whole gang's)
 	Overhead        float64 // seconds of the quantum without progress: resume or migration cost, cross-server span penalty, a degraded server
 
-	// Shard is the fraction of the job's gang running on this agent
-	// (1 for single-server jobs). Degraded-mode agents only trust
-	// their local progress for whole jobs, never cross-server shards.
-	// Zero (a plan from an old central) is read as 1.
+	// Shard is the fraction of the job's gang running on this agent,
+	// in (0, 1]: 1 for a job wholly on this server. Degraded-mode
+	// agents only trust their local progress for whole jobs, never
+	// cross-server shards.
 	Shard float64
 }
 
@@ -96,18 +98,18 @@ type RoundPlan struct {
 	Quantum float64 // seconds of training time this round
 	Jobs    []JobAssignment
 
-	// Epoch fences central incarnations: it increases monotonically
-	// across central restarts (persisted in the snapshot), agents
-	// reject plans older than the newest epoch they have seen, and the
-	// central rejects reports from older epochs — a restarted or
-	// partitioned-then-healed central can never split-brain the
-	// cluster. Zero means an unfenced (legacy/test) plan.
+	// Epoch fences central incarnations: a fresh central is epoch 1
+	// and every restart increases it (persisted in the snapshot).
+	// Agents reject plans older than the newest epoch they have seen,
+	// and the central rejects reports from any epoch but its own — a
+	// restarted or partitioned-then-healed central can never
+	// split-brain the cluster.
 	Epoch int
 
 	// Lease is the degraded-mode budget in rounds: an agent cut off
 	// from the central keeps its local job state and buffers unacked
 	// reports for up to Lease rounds before parking (discarding) them.
-	// Zero disables degraded mode (exactly the pre-lease protocol).
+	// Zero grants no lease: no degraded mode.
 	Lease int
 
 	// AckRound is the highest round of this agent's reports the
@@ -118,9 +120,8 @@ type RoundPlan struct {
 	// Trace/Span propagate the central scheduler's trace context so
 	// one logical round forms a single cross-process trace: Trace is
 	// the round's trace ID, Span the central round-root span the
-	// agent's spans parent under. Zero when tracing is off (old
-	// centrals still speak the protocol — gob treats absent fields as
-	// zero).
+	// agent's spans parent under. Both are zero when the central's
+	// tracing is off, and then the agent records no spans.
 	Trace uint64
 	Span  uint64
 }
@@ -140,7 +141,7 @@ type RoundReport struct {
 	Jobs  []JobProgress
 
 	// Epoch echoes the plan's epoch so the central can fence reports
-	// produced under a previous incarnation (zero = unfenced).
+	// produced under another incarnation: it accepts only its own.
 	Epoch int
 
 	// Spans are the agent's spans for this round (present only when

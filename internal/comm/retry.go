@@ -95,26 +95,21 @@ func (r *Retrier) delay(n int) time.Duration {
 // Send attempts tr.Send up to MaxAttempts times, backing off between
 // attempts. It returns the last error when every attempt fails.
 //
-// Unless the caller pre-stamped them, Send assigns the envelope a
-// per-destination sequence number and seals it with the payload
-// checksum. Both happen once, before the first attempt, so every
-// retry of one logical send carries the same Seq — a retry that races
-// a slow first delivery is detected as a duplicate at the receiver,
-// never applied twice. Payloads that are not protocol messages (no
-// Checksum) travel unsealed (Sum 0), exactly like a raw Transport.Send.
+// Send seals the envelope with the payload checksum and stamps it with
+// the next per-destination sequence number. Both happen once, before
+// the first attempt, so every retry of one logical send carries the
+// same Seq — a retry that races a slow first delivery is detected as a
+// duplicate at the receiver, never applied twice. A payload Checksum
+// does not cover is refused before anything is sent.
 func (r *Retrier) Send(tr Transport, to string, e Envelope) error {
-	if e.Seq == 0 {
-		r.mu.Lock()
-		r.seq[to]++
-		e.Seq = r.pol.SeqBase + r.seq[to]
-		r.mu.Unlock()
+	e, err := Seal(e)
+	if err != nil {
+		return fmt.Errorf("comm: send to %q: %w", to, err)
 	}
-	if e.Sum == 0 {
-		if sealed, err := Seal(e); err == nil {
-			e = sealed
-		}
-	}
-	var err error
+	r.mu.Lock()
+	r.seq[to]++
+	e.Seq = r.pol.SeqBase + r.seq[to]
+	r.mu.Unlock()
 	for attempt := 1; ; attempt++ {
 		if err = tr.Send(to, e); err == nil {
 			return nil

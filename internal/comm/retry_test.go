@@ -60,12 +60,39 @@ func TestRetrierGivesUpAfterMaxAttempts(t *testing.T) {
 	a, _ := hub.Attach("a")
 	fl := &flakyTransport{Transport: a, failures: 1 << 30}
 	r := NewRetrier(RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}})
-	err := r.Send(fl, "nobody", Envelope{})
+	err := r.Send(fl, "nobody", Envelope{From: "a", Msg: Shutdown{}})
 	if err == nil {
 		t.Fatal("send to permanently failing transport succeeded")
 	}
 	if fl.sends != 3 {
 		t.Errorf("made %d attempts, want 3", fl.sends)
+	}
+}
+
+// TestRetrierRefusesUnsealable: every envelope a Retrier sends is sealed
+// and sequenced, so a payload Checksum does not cover is a send error
+// and nothing reaches the wire — not even a first attempt.
+func TestRetrierRefusesUnsealable(t *testing.T) {
+	hub := NewHub()
+	a, _ := hub.Attach("a")
+	b, _ := hub.Attach("b")
+	fl := &flakyTransport{Transport: a}
+	r := NewRetrier(RetryPolicy{Sleep: func(time.Duration) {}})
+	for _, m := range []Message{nil, "text", &RoundPlan{}, struct{ X int }{1}} {
+		if err := r.Send(fl, "b", Envelope{From: "a", Msg: m}); err == nil {
+			t.Errorf("Retrier sent an unsealable %T", m)
+		}
+	}
+	if fl.sends != 0 {
+		t.Errorf("%d attempts reached the transport, want 0", fl.sends)
+	}
+	// The refused sends burnt no sequence number: the next one is the
+	// first.
+	if err := r.Send(fl, "b", Envelope{From: "a", Msg: Shutdown{}}); err != nil {
+		t.Fatal(err)
+	}
+	if env := <-b.Recv(); env.Seq != 1 || !Verify(env) {
+		t.Errorf("first sealed send arrived as %+v, want seq 1 and sealed", env)
 	}
 }
 

@@ -7,19 +7,14 @@ import (
 	"sync"
 )
 
-// wireFrame is the on-wire unit for the TCP transport.
-type wireFrame struct {
-	From string
-	To   string
-	Msg  Message
-}
-
 // ---------------------------------------------------------------------------
 // Server side (central scheduler)
 
 // TCPServer is the listening end of the TCP transport: agents dial
-// in, announce their name with their first frame, and are then
-// addressable by it.
+// in, announce their name with their first frame's From, and are then
+// addressable by it. A frame in either direction is one gob-encoded
+// Envelope, so Seq and Sum cross the wire as they cross the hub. A
+// peer whose bytes do not decode as an Envelope is disconnected.
 type TCPServer struct {
 	name string
 	ln   net.Listener
@@ -37,10 +32,10 @@ type peerConn struct {
 	mu   sync.Mutex
 }
 
-func (p *peerConn) send(f wireFrame) error {
+func (p *peerConn) send(e Envelope) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.enc.Encode(f)
+	return p.enc.Encode(&e)
 }
 
 // ListenTCP starts a transport server on addr (e.g. "127.0.0.1:0").
@@ -86,12 +81,12 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	pc := &peerConn{conn: conn, enc: gob.NewEncoder(conn)}
 	var peer string
 	for {
-		var f wireFrame
-		if err := dec.Decode(&f); err != nil {
+		var e Envelope
+		if err := dec.Decode(&e); err != nil {
 			break
 		}
 		if peer == "" {
-			peer = f.From
+			peer = e.From
 			s.mu.Lock()
 			if s.closed {
 				s.mu.Unlock()
@@ -100,7 +95,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			s.peers[peer] = pc
 			s.mu.Unlock()
 		}
-		s.deliver(Envelope{From: f.From, Msg: f.Msg})
+		s.deliver(e)
 	}
 	_ = conn.Close()
 	s.mu.Lock()
@@ -132,7 +127,7 @@ func (s *TCPServer) Send(to string, e Envelope) error {
 	if !ok {
 		return fmt.Errorf("comm: no connected peer %q", to)
 	}
-	return pc.send(wireFrame{From: e.From, To: to, Msg: e.Msg})
+	return pc.send(e)
 }
 
 // Recv implements Transport.
@@ -183,8 +178,7 @@ type TCPClient struct {
 }
 
 // DialTCP connects an agent endpoint to a TCPServer. The first Send
-// (or an explicit Hello) announces the name; DialTCP sends a hello
-// frame immediately so the server can address the agent right away.
+// announces the name; the server cannot address the agent before it.
 func DialTCP(name, addr string) (*TCPClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -203,14 +197,14 @@ func DialTCP(name, addr string) (*TCPClient, error) {
 func (c *TCPClient) recvLoop() {
 	dec := gob.NewDecoder(c.conn)
 	for {
-		var f wireFrame
-		if err := dec.Decode(&f); err != nil {
+		var e Envelope
+		if err := dec.Decode(&e); err != nil {
 			break
 		}
 		c.cmu.Lock()
 		if !c.closed {
 			select {
-			case c.inbox <- Envelope{From: f.From, Msg: f.Msg}:
+			case c.inbox <- e:
 			default:
 			}
 		}
@@ -219,11 +213,13 @@ func (c *TCPClient) recvLoop() {
 	_ = c.Close()
 }
 
-// Send implements Transport.
+// Send implements Transport. The envelope goes out whole, stamped
+// with this endpoint's name as its From.
 func (c *TCPClient) Send(to string, e Envelope) error {
+	e.From = c.name
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.enc.Encode(wireFrame{From: c.name, To: to, Msg: e.Msg})
+	return c.enc.Encode(&e)
 }
 
 // Recv implements Transport.

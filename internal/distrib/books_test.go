@@ -124,7 +124,7 @@ func leasedCentral(t *testing.T, lease, n int) *Central {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &State{Engine: &core.Checkpoint{Pending: specs}}
+	st := &State{Epoch: 1, Engine: &core.Checkpoint{Pending: specs}}
 	for i := 0; i < n; i++ {
 		st.Agents = append(st.Agents, AgentState{Name: fmt.Sprintf("agent-%d", i), Gen: int(gpu.K80), GPUs: 1})
 	}

@@ -70,7 +70,7 @@ type ChaosConfig struct {
 	Net *netchaos.Config
 
 	// LeaseRounds configures the partition-tolerant protocol on both
-	// runs (see CentralConfig); zero keeps the legacy protocol.
+	// runs (see CentralConfig); zero runs both without a lease.
 	LeaseRounds int
 
 	// AllowUsageDrift tolerates per-user usage exceeding the baseline
@@ -210,8 +210,14 @@ type chaosAgent struct {
 	done chan error
 }
 
-func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, inj *netchaos.Injector, o *obs.Observer) (*chaosAgent, error) {
-	tr, err := hub.Attach(name)
+// attachFunc attaches one endpoint of a chaos run by name, the
+// central's first. RunChaos attaches to a fresh in-memory hub per run
+// (comm.Hub.Attach); any transport whose endpoints address each other
+// by name fits.
+type attachFunc func(name string) (comm.Transport, error)
+
+func startChaosAgent(attach attachFunc, name string, gpus int, seed int64, inj *netchaos.Injector, o *obs.Observer) (*chaosAgent, error) {
+	tr, err := attach(name)
 	if err != nil {
 		return nil, err
 	}
@@ -231,37 +237,35 @@ func startChaosAgent(hub *comm.Hub, name string, gpus int, seed int64, inj *netc
 	return ca, nil
 }
 
-// deploy starts one run's hub, agents and central, registered and
-// ready to schedule; the agents share the central's observer. inj, when
-// set, disturbs every endpoint's sends.
-func deploy(cfg ChaosConfig, ccfg CentralConfig, inj *netchaos.Injector) (*comm.Hub, *Central, map[string]*chaosAgent, error) {
-	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
+// deploy starts one run's agents and central on endpoints from attach,
+// registered and ready to schedule; the agents share the central's
+// observer. inj, when set, disturbs every endpoint's sends.
+func deploy(cfg ChaosConfig, ccfg CentralConfig, attach attachFunc, inj *netchaos.Injector) (*Central, map[string]*chaosAgent, error) {
+	ctr, err := attach("central")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	var wire comm.Transport = ctr
 	if inj != nil {
-		wire = inj.Wrap(ctr)
+		ctr = inj.Wrap(ctr)
 	}
 	agents := make(map[string]*chaosAgent, cfg.Agents)
 	for i := 0; i < cfg.Agents; i++ {
 		name := fmt.Sprintf("agent-%d", i)
-		if agents[name], err = startChaosAgent(hub, name, cfg.GPUsPerAgent, cfg.Seed+int64(i), inj, ccfg.Obs); err != nil {
-			return nil, nil, nil, err
+		if agents[name], err = startChaosAgent(attach, name, cfg.GPUsPerAgent, cfg.Seed+int64(i), inj, ccfg.Obs); err != nil {
+			return nil, nil, err
 		}
 	}
-	central, err := NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
+	central, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), ccfg)
 	if err == nil {
 		err = central.WaitForAgents(cfg.Agents, 10*time.Second)
 	}
-	return hub, central, agents, err
+	return central, agents, err
 }
 
-// runUndisturbed executes the baseline: same workload, cluster and
-// central configuration, no faults.
+// runUndisturbed executes the baseline on the hub: same workload,
+// cluster and central configuration, no faults.
 func runUndisturbed(cfg ChaosConfig, ccfg CentralConfig) (*Summary, error) {
-	_, central, agents, err := deploy(cfg, ccfg, nil)
+	central, agents, err := deploy(cfg, ccfg, comm.NewHub().Attach, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -295,6 +299,12 @@ func waitAgent(a *chaosAgent) error {
 // credited — per-user occupied usage is byte-identical to the
 // undisturbed run's.
 func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
+	return runChaos(cfg, comm.NewHub().Attach)
+}
+
+// runChaos is RunChaos with the faulted run's endpoints from attach; the
+// baseline always runs on a hub.
+func runChaos(cfg ChaosConfig, attach attachFunc) (*ChaosSummary, error) {
 	cfg = cfg.withDefaults()
 	if cfg.SnapshotAtRound > 0 && cfg.SnapshotDir == "" {
 		return nil, fmt.Errorf("distrib: SnapshotAtRound needs SnapshotDir")
@@ -331,7 +341,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 		}
 		inj = netchaos.New(net)
 	}
-	hub, central, agents, err := deploy(cfg, ccfg, inj)
+	central, agents, err := deploy(cfg, ccfg, attach, inj)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +382,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosSummary, error) {
 			}
 		}
 		if killed && !restarted && round >= cfg.KillAtRound+cfg.RestartAfterRounds {
-			a, err := startChaosAgent(hub, victim, cfg.GPUsPerAgent, cfg.Seed+100, inj, cfg.Obs)
+			a, err := startChaosAgent(attach, victim, cfg.GPUsPerAgent, cfg.Seed+100, inj, cfg.Obs)
 			if err != nil {
 				return nil, fmt.Errorf("distrib: restarting %s: %w", victim, err)
 			}

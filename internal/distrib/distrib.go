@@ -56,7 +56,7 @@ type Agent struct {
 	tracer  *span.Tracer // lazily created on the first traced plan
 
 	dedup     *comm.Dedup
-	epoch     int // newest central epoch seen (0 until the first fenced plan)
+	epoch     int // newest central epoch seen (0 until the first plan)
 	lastRound int // newest round executed within the current epoch
 	// local carries whole jobs' progress, sorted by job ID, while a
 	// lease is active, so a degraded agent keeps training past a stale
@@ -142,12 +142,8 @@ func (a *Agent) Run() error {
 	}
 	a.note("register_sent")
 	for env := range a.tr.Recv() {
-		if !comm.Verify(env) {
-			a.note("corrupt_detected")
-			continue
-		}
-		if a.dedup.Duplicate(env.From, env.Seq) {
-			a.note("dup_dropped")
+		if event := a.dedup.Admit(env); event != "" {
+			a.note(event)
 			continue
 		}
 		switch m := env.Msg.(type) {
@@ -156,28 +152,26 @@ func (a *Agent) Run() error {
 				return fmt.Errorf("distrib: registration rejected: %s", m.Reason)
 			}
 		case comm.RoundPlan:
-			if m.Epoch > 0 {
-				if m.Epoch < a.epoch {
-					// A plan from a dead central incarnation: acting on
-					// it would split-brain the cluster.
-					a.note("fence_reject")
-					continue
-				}
-				if m.Epoch > a.epoch {
-					// New central incarnation: everything local belongs
-					// to an epoch whose books are closed. The plan's
-					// checkpoint is the authoritative restart point.
-					a.epoch = m.Epoch
-					a.lastRound = 0
-					a.local = nil
-					a.backlog = nil
-				}
-				if m.Round <= a.lastRound {
-					// Duplicate or reordered plan for a round already
-					// executed; running it again would double work.
-					a.note("stale_plan_dropped")
-					continue
-				}
+			if m.Epoch < a.epoch {
+				// A plan from a dead central incarnation: acting on it
+				// would split-brain the cluster.
+				a.note("fence_reject")
+				continue
+			}
+			if m.Epoch > a.epoch {
+				// New central incarnation: everything local belongs to
+				// an epoch whose books are closed. The plan's checkpoint
+				// is the authoritative restart point.
+				a.epoch = m.Epoch
+				a.lastRound = 0
+				a.local = nil
+				a.backlog = nil
+			}
+			if m.Round <= a.lastRound {
+				// Duplicate or reordered plan for a round already
+				// executed; running it again would double work.
+				a.note("stale_plan_dropped")
+				continue
 			}
 			a.note("plan_received")
 			a.pruneAcked(m.AckRound)
@@ -279,7 +273,7 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 		// while our reports were cut off carries a stale base, and
 		// redoing that work would both waste the quantum and
 		// double-charge usage once the backlog reconciles.
-		leased := plan.Lease > 0 && (as.Shard == 0 || as.Shard >= 1)
+		leased := plan.Lease > 0 && as.Shard >= 1
 		if i, ok := findLocal(*known, as.JobID); leased && ok && (*known)[i].done > done {
 			done = (*known)[i].done
 		}
@@ -334,8 +328,8 @@ type CentralConfig struct {
 	// the agent's placement sticky for suspectThreshold+LeaseRounds
 	// missed rounds and reconciles the buffered reports when the
 	// partition heals, so fairness books balance. It also bounds the
-	// late-report reconciliation window. Zero disables degraded mode
-	// and reconciliation — exactly the legacy protocol.
+	// late-report reconciliation window. Zero, the default, runs the
+	// protocol without a lease: no degraded mode and no reconciliation.
 	LeaseRounds int
 
 	// MaxAgentTimeouts aborts the run after this many total missed
@@ -614,16 +608,18 @@ func (c *Central) newRetrier() *comm.Retrier {
 }
 
 // inbound takes one received envelope through the coordinator's one
-// receive path, in order: verify the checksum, drop duplicate
-// deliveries, fence dead epochs, and act on what is left — a
-// registration (before the engine exists), a rejoin (after), the report
-// of the round being collected, a late report (queued for
-// reconcileLate), or proof of life (a probe answer, or a replayed copy
-// of a report already accepted). round is the round being collected,
-// 0 between rounds, when every report is late. It returns the position
-// of the agent whose rejoin it accepted, or -1.
+// receive path, in order: the receive check (comm.Dedup.Admit: verify
+// the checksum, drop duplicate deliveries; corruption is counted, never
+// applied), fence dead epochs, and act on what is left — a registration
+// (before the engine exists), a rejoin (after), the report of the round
+// being collected, a late report (queued for reconcileLate), or proof
+// of life (a probe answer, or a replayed copy of a report already
+// accepted). round is the round being collected, 0 between rounds, when
+// every report is late. It returns the position of the agent whose
+// rejoin it accepted, or -1.
 func (c *Central) inbound(env comm.Envelope, round int) int {
-	if !c.accept(env) {
+	if event := c.dedup.Admit(env); event != "" {
+		c.note(event)
 		return -1
 	}
 	switch m := env.Msg.(type) {
@@ -651,32 +647,10 @@ func (c *Central) inbound(env comm.Envelope, round int) int {
 	return -1
 }
 
-// accept runs the receive-side defenses on one envelope: checksum
-// verification (corruption is detected and counted, never applied) and
-// duplicate-delivery suppression. Register messages are exempt from
-// dedup — a legitimately restarted agent restarts its sequence space,
-// so an accepted Register instead resets its peer's history
-// (registration itself is idempotent upstream).
-func (c *Central) accept(env comm.Envelope) bool {
-	if !comm.Verify(env) {
-		c.note("corrupt_detected")
-		return false
-	}
-	if _, isReg := env.Msg.(comm.Register); isReg {
-		c.dedup.Reset(env.From)
-		return true
-	}
-	if c.dedup.Duplicate(env.From, env.Seq) {
-		c.note("dup_dropped")
-		return false
-	}
-	return true
-}
-
-// fenced reports whether a round report belongs to a dead epoch.
-// Unfenced (epoch-0) reports from legacy peers pass.
+// fenced reports whether a round report belongs to an epoch other than
+// the central's own.
 func (c *Central) fenced(rep comm.RoundReport) bool {
-	if rep.Epoch == 0 || rep.Epoch == c.epoch {
+	if rep.Epoch == c.epoch {
 		return false
 	}
 	c.emit(trace.Record{Kind: trace.KindFenceReject, Name: rep.Agent, N: int32(rep.Round), M: int32(rep.Epoch)})

@@ -212,15 +212,16 @@ func TestAgentValidation(t *testing.T) {
 	}
 }
 
-// blackHoleAgent registers like a real agent but never answers round
-// plans — a hung or partitioned server.
+// blackHoleAgent registers like a real agent — sealed and sequenced,
+// through a Retrier — but never answers round plans: a hung or
+// partitioned server.
 func blackHoleAgent(t *testing.T, hub *comm.Hub, name string, gen gpu.Generation, gpus int) {
 	t.Helper()
 	tr, err := hub.Attach(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send("central", comm.Envelope{From: name, Msg: comm.Register{
+	if err := comm.NewRetrier(comm.RetryPolicy{}).Send(tr, "central", comm.Envelope{From: name, Msg: comm.Register{
 		Agent: name, Gen: int(gen), GPUs: gpus,
 	}}); err != nil {
 		t.Fatal(err)

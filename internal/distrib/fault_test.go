@@ -61,23 +61,27 @@ func TestGangSpanningServersNoDoubleCount(t *testing.T) {
 func TestDuplicateRegistrationIdempotent(t *testing.T) {
 	hub := comm.NewHub()
 	central, _ := hub.Attach("central")
-	waits := startAgents(t, hub, []gpu.Generation{gpu.K80}, 2) // agent-0
-
 	dup, err := hub.Attach("dup")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The fake agent seals and sequences what it sends, like a real one.
+	retry := comm.NewRetrier(comm.RetryPolicy{})
 	reg := comm.Envelope{From: "dup", Msg: comm.Register{Agent: "dup", Gen: int(gpu.K80), GPUs: 2}}
 	for i := 0; i < 3; i++ { // original + two retries
-		if err := dup.Send("central", reg); err != nil {
+		if err := retry.Send(dup, "central", reg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A mismatched "duplicate" claiming different inventory.
-	if err := dup.Send("central", comm.Envelope{From: "dup",
+	if err := retry.Send(dup, "central", comm.Envelope{From: "dup",
 		Msg: comm.Register{Agent: "dup", Gen: int(gpu.V100), GPUs: 8}}); err != nil {
 		t.Fatal(err)
 	}
+	// agent-0 starts after dup's four are queued, so all of them are read
+	// while the inventory is open: WaitForAgents stops reading at the
+	// second agent, and a later one would be taken as a rejoin.
+	waits := startAgents(t, hub, []gpu.Generation{gpu.K80}, 2)
 
 	specs := workload.BatchJobs("u", zoo.MustGet("lstm"), 2, 1, 0.3)
 	specs, _ = workload.AssignIDs(specs)
@@ -129,7 +133,7 @@ func TestDuplicateRegistrationIdempotent(t *testing.T) {
 		for env := range dup.Recv() { // serve dup's shard like a real agent
 			if plan, ok := env.Msg.(comm.RoundPlan); ok {
 				a := &Agent{tr: dup, central: "central"}
-				_ = dup.Send("central", comm.Envelope{From: "dup", Msg: a.execute(plan)})
+				_ = retry.Send(dup, "central", comm.Envelope{From: "dup", Msg: a.execute(plan)})
 			}
 			if _, ok := env.Msg.(comm.Shutdown); ok {
 				return
@@ -197,7 +201,7 @@ func TestRejoinReconciliation(t *testing.T) {
 	agentTr, _ := hub.Attach("agent-0")
 	stranger, _ := hub.Attach("stranger")
 
-	if err := agentTr.Send("central", comm.Envelope{From: "agent-0",
+	if err := comm.NewRetrier(comm.RetryPolicy{}).Send(agentTr, "central", comm.Envelope{From: "agent-0",
 		Msg: comm.Register{Agent: "agent-0", Gen: int(gpu.K80), GPUs: 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +440,7 @@ func TestFailureDetectorSuspectRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := zTr.Send("central", comm.Envelope{From: "agent-z",
+	if err := comm.NewRetrier(comm.RetryPolicy{}).Send(zTr, "central", comm.Envelope{From: "agent-z",
 		Msg: comm.Register{Agent: "agent-z", Gen: int(gpu.K80), GPUs: 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +500,8 @@ func TestFailureDetectorSuspectRecover(t *testing.T) {
 }
 
 // TestRestoreCentralRefusesHostileSnapshot: snapshot values no central
-// writes — a negative epoch (the restored central would run unfenced),
+// writes — an epoch below 1 (a fresh central is epoch 1, so the
+// restored one would share or undercut a live incarnation's epoch),
 // negative timeouts (a larger MaxAgentTimeouts budget) or a negative
 // miss count (a slower failure detector) — are refused with an error
 // and no central, where the unspoilt snapshot restores.
@@ -525,6 +530,7 @@ func TestRestoreCentralRefusesHostileSnapshot(t *testing.T) {
 		spoil func(st *State)
 	}{
 		{"negative epoch", func(st *State) { st.Epoch = -1 }},
+		{"epoch 0", func(st *State) { st.Epoch = 0 }},
 		{"negative timeouts", func(st *State) { st.Timeouts = -7 }},
 		{"negative missed", func(st *State) { st.Missed["agent-1"] = -1 }},
 	} {

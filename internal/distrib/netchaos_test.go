@@ -20,6 +20,15 @@ func TestNetChaosMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkNetChaosMatrix(t, sum, ob)
+	t.Logf("events: %v; net: %v; digest %s", sum.Events, sum.NetStats, UsageDigest(sum.Faulted))
+}
+
+// checkNetChaosMatrix asserts what a NetChaosConfig run observed by ob
+// must show: identical digests, every fault kind fired, every protocol
+// defence engaged, and one restore.
+func checkNetChaosMatrix(t *testing.T, sum *ChaosSummary, ob *obs.Observer) {
+	t.Helper()
 	base, faulted := sum.Digests()
 	if base != faulted {
 		t.Errorf("usage digest diverged:\nbaseline %s %v\nfaulted  %s %v",
@@ -51,7 +60,6 @@ func TestNetChaosMatrix(t *testing.T) {
 	if got := ob.Registry().Value("gf_epoch"); got != 2 {
 		t.Errorf("epoch gauge = %v, want 2 after one restore", got)
 	}
-	t.Logf("events: %v; net: %v; digest %s", sum.Events, sum.NetStats, faulted)
 }
 
 // Same seed, same schedule: the matrix must reproduce its outcome

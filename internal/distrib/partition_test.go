@@ -235,7 +235,7 @@ func TestAgentFencesStaleEpochPlan(t *testing.T) {
 
 // TestCentralFencesStaleEpochReport exercises the central half of the
 // fence directly: reports from any epoch other than the central's own
-// are rejected; unfenced (epoch-0, legacy) reports pass.
+// are rejected, epoch 0 (which no central stamps) included.
 func TestCentralFencesStaleEpochReport(t *testing.T) {
 	hub := comm.NewHub()
 	ctr, err := hub.Attach("central")
@@ -252,8 +252,8 @@ func TestCentralFencesStaleEpochReport(t *testing.T) {
 	if c.epoch != 1 {
 		t.Fatalf("fresh central epoch = %d, want 1", c.epoch)
 	}
-	if c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 0}) {
-		t.Error("legacy epoch-0 report fenced")
+	if !c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 0}) {
+		t.Error("epoch-0 report not fenced")
 	}
 	if c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 1}) {
 		t.Error("current-epoch report fenced")
@@ -265,8 +265,8 @@ func TestCentralFencesStaleEpochReport(t *testing.T) {
 	if !c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 2}) {
 		t.Error("pre-restore epoch report not fenced")
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 2 {
-		t.Errorf("fence_reject = %v, want 2", n)
+	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 3 {
+		t.Errorf("fence_reject = %v, want 3", n)
 	}
 }
 

@@ -28,10 +28,10 @@ type AgentState struct {
 // checkpoint (jobs, placement, tickets, usage books), which only the
 // engine reads and writes.
 type State struct {
-	// Epoch is the central incarnation that wrote the snapshot; a
-	// restore resumes at Epoch+1 so agents can fence the dead
-	// incarnation's straggling messages.
-	Epoch    int              `json:"epoch,omitempty"`
+	// Epoch is the central incarnation that wrote the snapshot (at
+	// least 1); a restore resumes at Epoch+1 so agents can fence the
+	// dead incarnation's straggling messages.
+	Epoch    int              `json:"epoch"`
 	Timeouts int              `json:"timeouts"`
 	Agents   []AgentState     `json:"agents"`
 	Missed   map[string]int   `json:"missed,omitempty"`
@@ -136,15 +136,14 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 	}
 	// No central writes these, and each would weaken a guard: fencing,
 	// the timeout budget, the failure detector.
-	bad := st.Epoch < 0 || st.Timeouts < 0
+	bad := st.Epoch < 1 || st.Timeouts < 0
 	for _, n := range st.Missed {
 		bad = bad || n < 0
 	}
 	if bad {
-		return nil, fmt.Errorf("distrib: snapshot has a negative epoch (%d), timeout count (%d) or miss count", st.Epoch, st.Timeouts)
+		return nil, fmt.Errorf("distrib: snapshot has an epoch below 1 (%d), a negative timeout count (%d) or a negative miss count", st.Epoch, st.Timeouts)
 	}
-	// A legacy snapshot (Epoch 0) restores as epoch 1, same as a fresh
-	// central; any newer snapshot bumps past its writer so the dead
+	// The restored central bumps past the snapshot's writer so the dead
 	// incarnation's traffic is fenced on both sides.
 	c := newCentral(tr, policy, cfg, st.Epoch+1)
 	c.timeouts = st.Timeouts

@@ -163,7 +163,10 @@ func TestCorruptAlwaysDetectable(t *testing.T) {
 		}
 	}
 	// Shutdown is exempt: harness teardown is out of the fault model.
-	sd := comm.Envelope{From: "central", Msg: comm.Shutdown{}}
+	sd, err := comm.Seal(comm.Envelope{From: "central", Seq: uint64(len(msgs) + 1), Msg: comm.Shutdown{}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Send("agent-0", sd); err != nil {
 		t.Fatal(err)
 	}
