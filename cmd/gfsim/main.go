@@ -82,7 +82,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report(res, users)
+		report(res, users, cfg.Faults != nil || len(cfg.Failures) > 0)
 		reportPhases(res)
 		if *traceOut != "" {
 			if err := writeTrace(res, *traceOut); err != nil {
@@ -304,7 +304,9 @@ func makePolicy(name string, trading bool, users []job.UserID) (core.Policy, err
 	}
 }
 
-func report(res *core.Result, users []job.UserID) {
+// report prints the run's summary; faulty adds the fault-model and
+// compensation lines, for a run that modelled or declared faults.
+func report(res *core.Result, users []job.UserID, faulty bool) {
 	fmt.Printf("policy      : %s\n", res.Policy)
 	fmt.Printf("rounds      : %d (simulated %.1f h)\n", res.Rounds, float64(res.End)/3600)
 	fmt.Printf("jobs        : %d finished, %d unfinished\n", len(res.Finished), res.Unfinished)
@@ -321,10 +323,7 @@ func report(res *core.Result, users []job.UserID) {
 	}
 	fmt.Printf("migrations  : %d\n", res.Migrations)
 	fmt.Printf("trades      : %d\n", res.TradeCount)
-	// Fault-model lines appear only when the probabilistic model was
-	// on (CompDeficitByUser is nil otherwise), keeping legacy output
-	// byte-identical.
-	if res.CompDeficitByUser != nil {
+	if faulty {
 		fmt.Printf("faults      : %d job crashes, %d failed migrations, %d quarantines\n",
 			res.Crashes, res.MigrationFailures, res.Quarantines)
 		debtors := make([]job.UserID, 0, len(res.CompDeficitByUser))

@@ -14,14 +14,16 @@ import (
 
 // Checkpoint is the engine state a restarted coordinator resumes from:
 // the clock, the event streams not yet consumed, every job's record,
-// where jobs last ran, tickets, and the usage books. Job records carry
-// the same checkpoint the wire protocol ships to agents, so a restored
-// engine re-dispatches from exactly the progress it had acknowledged.
-// What is rebuilt instead of saved: the policy's round-to-round books
-// (unless the same policy is handed to Restore, see there), the
-// profiler's estimates (jobs are probed again), the trace log, timeline
-// and audit report (they restart empty), and the fault model's books
-// (no caller that checkpoints runs with Config.Faults yet).
+// where jobs last ran, tickets, the usage books and the compensation
+// debt each user still owes. Job records carry the same checkpoint the
+// wire protocol ships to agents, so a restored engine re-dispatches from
+// exactly the progress it had acknowledged. What is rebuilt instead of
+// saved: the policy's round-to-round books (unless the same policy is
+// handed to Restore, see there), the profiler's estimates (jobs are
+// probed again), the trace log, timeline and audit report (they restart
+// empty), the fault counters and total repaid (they restart at zero),
+// and the breaker's and injector's state (they restart as New builds
+// them).
 type Checkpoint struct {
 	Now           simclock.Time             `json:"now"`
 	Rounds        int                       `json:"rounds"`
@@ -40,6 +42,10 @@ type Checkpoint struct {
 	Capacity   [gpu.NumGenerations]float64               `json:"capacity"`
 	Migrations int                                       `json:"migrations,omitempty"`
 	Trades     int                                       `json:"trades,omitempty"`
+
+	// CompDebt is each debtor's outstanding failure-compensation debt in
+	// occupied GPU-seconds (Result.CompDeficitByUser).
+	CompDebt map[job.UserID]float64 `json:"comp_debt,omitempty"`
 }
 
 // Checkpoint captures the engine's state. Call between rounds.
@@ -60,6 +66,7 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		Capacity:      s.capByGen,
 		Migrations:    s.recorded[trace.KindMigration],
 		Trades:        s.recorded[trace.KindTrade],
+		CompDebt:      s.resultDeficit(),
 	}
 	for _, j := range s.jobs { // job-ID order: deterministic file contents
 		cp.Active = append(cp.Active, j.Checkpoint())
@@ -78,7 +85,7 @@ func (s *Sim) Checkpoint() *Checkpoint {
 // instrumentation; its Specs, Tickets and TicketChanges are replaced by
 // the checkpoint's, and the whole is validated as New validates it (a
 // job listed twice, or one the cluster cannot place, is an error), and
-// so are the usage books (see checkBooks).
+// so are the usage and debt books (see checkBooks).
 //
 // The restored engine's jobs are new records with the checkpoint's IDs.
 // A fresh policy starts its books over. A FairPolicy that ran under the
@@ -132,9 +139,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 			return nil, fmt.Errorf("core: checkpoint lists unfinished job %d as done", j.ID)
 		}
 		s.finished = append(s.finished, j)
-		if s.faultsOn {
-			s.comp[s.userAt(j.User)].jobs-- // New counted its spec as still to run
-		}
+		s.comp[s.userAt(j.User)].jobs-- // New counted its spec as still to run
 	}
 	// In job-ID order, so several bad entries report the lowest job's; an
 	// entry for a job no longer active (finished or lost) is ignored.
@@ -178,16 +183,24 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		b.mb = v
 		b.wrote |= wroteMB
 	}
+	// A debt whose user has no job left is forgiven at the next round's
+	// settlement, as the engine would have done; until then it is open.
+	for u, v := range cp.CompDebt {
+		if v > 0 {
+			s.comp[s.userAt(u)].debt = v
+			s.compOpen++
+		}
+	}
 	s.busyByGen, s.capByGen = cp.Busy, cp.Capacity
 	s.recorded[trace.KindMigration], s.recorded[trace.KindTrade] = cp.Migrations, cp.Trades
 	return s, nil
 }
 
-// checkBooks refuses usage books no engine writes: an entry for a user
-// the checkpoint's jobs do not name, for a generation outside the model,
-// or a value that is negative, NaN or infinite. It runs before anything
-// is restored, and reports the first bad entry in user and generation
-// order.
+// checkBooks refuses usage and debt books no engine writes: an entry
+// for a user the checkpoint's jobs do not name, for a generation outside
+// the model, or a value that is negative, NaN or infinite. It runs
+// before anything is restored, and reports the first bad entry in user
+// and generation order.
 func (s *Sim) checkBooks(cp *Checkpoint) error {
 	bad := func(v float64) bool { return v < 0 || !finite(v) }
 	for _, u := range job.SortedUsers(cp.Usage) {
@@ -209,7 +222,7 @@ func (s *Sim) checkBooks(cp *Checkpoint) error {
 	for _, book := range []struct {
 		name string
 		m    map[job.UserID]float64
-	}{{"useful", cp.Useful}, {"fair usage", cp.FairUsage}, {"throughput", cp.Throughput}} {
+	}{{"useful", cp.Useful}, {"fair usage", cp.FairUsage}, {"throughput", cp.Throughput}, {"compensation debt", cp.CompDebt}} {
 		for _, u := range job.SortedUsers(book.m) {
 			if s.userAt(u) < 0 {
 				return fmt.Errorf("core: checkpoint %s for unknown user %q", book.name, u)

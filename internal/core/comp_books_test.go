@@ -1,23 +1,25 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/job"
+	"repro/internal/profiler"
 	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
 // strandScenario is a deterministic two-user debt generator: alice and
 // bob each pin one gang-2 job to their own 2-GPU server (migration
-// disabled), and declared outages strand them. The zero-valued fault
-// config enables compensation bookkeeping without any probabilistic
-// fault; DisableCompensation on the policy freezes the books so the
-// accrual itself can be asserted exactly.
+// disabled), and declared outages strand them. There is no fault model
+// (Faults nil, the zero model): the engine keeps the compensation books
+// regardless. DisableCompensation on the policy freezes the books so
+// the accrual itself can be asserted exactly.
 func strandScenario(aliceHours float64, failures []Failure) Config {
 	specs := workload.BatchJobs("alice", zoo.MustGet("lstm"), 1, 2, aliceHours)
 	specs = append(specs, workload.BatchJobs("bob", zoo.MustGet("gru"), 1, 2, 1e6)...)
@@ -27,7 +29,6 @@ func strandScenario(aliceHours float64, failures []Failure) Config {
 		Specs:            specs,
 		Seed:             3,
 		DisableMigration: true,
-		Faults:           &faults.Config{},
 		Failures:         failures,
 	}
 }
@@ -140,7 +141,6 @@ func TestCompensationRoundBytesIndependentOfJobs(t *testing.T) {
 		s, err := New(Config{
 			Cluster: k80Cluster(20, 4), Specs: specs, Seed: 3,
 			DisableMigration: true,
-			Faults:           &faults.Config{},
 			Failures:         []Failure{{Server: 0, At: simclock.Time(simclock.Hour), Duration: 1e9}},
 		}, MustNewFairPolicy(FairConfig{DisableCompensation: true}))
 		if err != nil {
@@ -173,5 +173,125 @@ func TestCompensationRoundBytesIndependentOfJobs(t *testing.T) {
 	t.Logf("faulty round with a debt open: %.0f B at 100 jobs, %.0f B at 1,000: %.1f B per additional job", few, many, perJob)
 	if perJob > 64 {
 		t.Errorf("a waiting job costs %.1f B a round, ceiling 64", perJob)
+	}
+}
+
+// TestUnreachableChargesLikeDeclaredFailure holds the compensation books
+// to one rule for capacity that disappears: server 0 unreachable over
+// rounds [a, b) — what distrib.Central reports for an agent that stopped
+// answering — must strand alice exactly as a declared failure over the
+// same window does: the same usage, fair usage, outstanding debt and
+// repayment, bit for bit.
+func TestUnreachableChargesLikeDeclaredFailure(t *testing.T) {
+	const a, b, rounds = 10, 20, 40
+	q := Config{}.withDefaults().Quantum
+	outage := []Failure{{Server: 0, At: simclock.Time((a - 1) * q), Duration: (b - a) * q}}
+	run := func(cfg Config, unreachable bool) *Result {
+		t.Helper()
+		s, err := New(cfg, MustNewFairPolicy(FairConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s.Rounds() < rounds {
+			if unreachable {
+				switch s.Rounds() + 1 {
+				case a:
+					s.SetUnreachable(servers(0))
+				case b:
+					s.SetUnreachable(nil)
+				}
+			}
+			if ran, err := s.Step(simclock.Time(simclock.Day)); err != nil || !ran {
+				t.Fatalf("round %d: ran %v, %v", s.Rounds()+1, ran, err)
+			}
+		}
+		res := s.Result()
+		if !res.Audit.Clean() {
+			t.Fatalf("audit (unreachable=%v): %s", unreachable, res.Audit.Summary())
+		}
+		return res
+	}
+	want := run(strandScenario(1e6, outage), false)
+	got := run(strandScenario(1e6, nil), true)
+	if want.CompDeficitByUser["alice"] <= 0 {
+		t.Fatalf("fixture: the declared outage charged alice nothing (deficit %v)", want.CompDeficitByUser)
+	}
+	if w, g := want.TotalUsageByUser(), got.TotalUsageByUser(); !maps.Equal(w, g) {
+		t.Errorf("usage: unreachable %v, declared %v", g, w)
+	}
+	if !maps.Equal(want.FairUsageByUser, got.FairUsageByUser) {
+		t.Errorf("fair usage: unreachable %v, declared %v", got.FairUsageByUser, want.FairUsageByUser)
+	}
+	if !maps.Equal(want.CompDeficitByUser, got.CompDeficitByUser) {
+		t.Errorf("deficit: unreachable %v, declared %v", got.CompDeficitByUser, want.CompDeficitByUser)
+	}
+	if want.CompRepaidGPUSeconds != got.CompRepaidGPUSeconds {
+		t.Errorf("repaid: unreachable %v, declared %v", got.CompRepaidGPUSeconds, want.CompRepaidGPUSeconds)
+	}
+}
+
+// TestCheckpointCarriesCompensationDebt strands alice until she owes,
+// checkpoints the engine, sends the checkpoint through JSON and restores
+// it: the restored engine owes what the original did and settles its
+// next round clean under the strict auditor. A debt book no engine
+// writes — an unknown user, a negative, NaN or infinite debt — is
+// refused with no engine.
+func TestCheckpointCarriesCompensationDebt(t *testing.T) {
+	cfg := strandScenario(1e6, []Failure{{Server: 0, At: simclock.Time(simclock.Hour), Duration: simclock.Day}})
+	fc := FairConfig{DisableCompensation: true}
+	s, err := New(cfg, MustNewFairPolicy(fc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.Rounds() < 15 {
+		if _, err := s.Step(simclock.Time(simclock.Day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Result().CompDeficitByUser
+	if want["alice"] <= 0 {
+		t.Fatalf("fixture: alice owes nothing after the outage started (%v)", want)
+	}
+	buf, err := json.Marshal(s.Checkpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	if err := json.Unmarshal(buf, &cp); err != nil {
+		t.Fatal(err)
+	}
+	restore := func(cp *Checkpoint) (*Sim, error) {
+		return Restore(cfg, MustNewFairPolicy(fc), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+	}
+	r, err := restore(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Result().CompDeficitByUser; !maps.Equal(got, want) {
+		t.Fatalf("restored deficit %v, checkpointed %v", got, want)
+	}
+	if _, err := r.Step(simclock.Time(simclock.Day)); err != nil {
+		t.Fatalf("first round after Restore: %v", err)
+	}
+	if d := r.Result().CompDeficitByUser["alice"]; d < want["alice"] {
+		t.Errorf("alice's debt fell from %v to %v with compensation off", want["alice"], d)
+	}
+
+	for _, tc := range []struct {
+		name string
+		user job.UserID
+		debt float64
+	}{
+		{"debt of an unknown user", "ghost", 1},
+		{"negative debt", "alice", -1},
+		{"NaN debt", "bob", math.NaN()},
+		{"infinite debt", "alice", math.Inf(1)},
+	} {
+		bad := cp
+		bad.CompDebt = maps.Clone(cp.CompDebt)
+		bad.CompDebt[tc.user] = tc.debt
+		if s, err := restore(&bad); err == nil || s != nil {
+			t.Errorf("%s: Restore returned engine %v, error %v; want an error and no engine", tc.name, s != nil, err)
+		}
 	}
 }

@@ -95,9 +95,7 @@ func (s *Sim) execute(rd *round, qs []Quantum) error {
 		}
 		info := s.settle(q, false)
 		rep.Ran = append(rep.Ran, info)
-		if s.faultsOn {
-			s.comp[q.Job.UserAt()].occ += float64(info.Gang) * info.OccupiedSecs
-		}
+		s.comp[q.Job.UserAt()].occ += float64(info.Gang) * info.OccupiedSecs
 	}
 	s.obs.PhaseEnd(obs.PhaseExecute)
 	return nil
@@ -169,7 +167,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 		j.NoteFirstRun(now)
 		s.prof.Measure(j, gen)
 	}
-	if s.faultsOn && q.Migrated {
+	if q.Migrated {
 		// Migration serializes a checkpoint of the pre-move progress;
 		// note it before advancing so a later crash rolls back to here.
 		j.NoteCheckpoint(now)
@@ -189,7 +187,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 		}
 	}
 
-	if s.faultsOn && !finished {
+	if !finished {
 		// Periodic checkpointing: crash-restart loses at most
 		// CheckpointSecs of progress once the first interval elapses.
 		j.PeriodicCheckpoint(now, now.Add(quantum), s.fcfg.CheckpointSecs)

@@ -43,7 +43,8 @@ type FairConfig struct {
 
 	// DisableCompensation turns off failure compensation: deficits in
 	// RoundState.Deficit are ignored and Decision.Repaid stays nil
-	// (the compensation ablation).
+	// (the compensation ablation). It is the one way to run without
+	// repayment: the engine keeps the books whatever Config.Faults is.
 	DisableCompensation bool
 
 	// CompMaxShare caps per-round failure repayment at this fraction

@@ -318,9 +318,10 @@ func TestAuditCorpus(t *testing.T) {
 func FuzzEngineAudit(f *testing.F) {
 	// Seed corpus: bytes are (seed, servers, gpusPerSrv, jobsA, jobsB,
 	// failureCount, ticketChangeCount, faultBits, trading). faultBits
-	// 0 keeps the legacy nil-Faults path in the corpus; bits 0..4
-	// enable transient crashes, flaky+quarantine, migration failures,
-	// job crashes and degradation respectively.
+	// 0 is the zero fault model, run both as a nil Faults and as
+	// &faults.Config{} — the two must give one digest; bits 0..4 enable
+	// transient crashes, flaky+quarantine, migration failures, job
+	// crashes and degradation respectively.
 	f.Add(uint8(1), uint8(2), uint8(4), uint8(6), uint8(6), uint8(2), uint8(2), uint8(0), false)
 	f.Add(uint8(7), uint8(1), uint8(2), uint8(3), uint8(0), uint8(0), uint8(1), uint8(0), true)
 	f.Add(uint8(42), uint8(3), uint8(1), uint8(8), uint8(8), uint8(4), uint8(3), uint8(0x1f), true)
@@ -333,6 +334,10 @@ func FuzzEngineAudit(f *testing.F) {
 	// keeps — three of them evict the holder — besides losing servers
 	// from under holders and taking failed movers back.
 	f.Add(uint8(21), uint8(1), uint8(2), uint8(11), uint8(11), uint8(4), uint8(0), uint8(0x07), true)
+	// Two 1-GPU servers, sixteen jobs and one declared outage, no fault
+	// model: a job is stranded on the failed server, and its loss is
+	// charged whether Faults is nil or the zero config.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(10), uint8(6), uint8(1), uint8(2), uint8(0), false)
 	f.Fuzz(func(t *testing.T, seed, servers, gpus, jobsA, jobsB, nFail, nChange, faultBits uint8, trading bool) {
 		servers = 1 + servers%3
 		gpus = 1 + gpus%4
@@ -435,6 +440,23 @@ func FuzzEngineAudit(f *testing.F) {
 		}
 		if digests[0] != digests[1] {
 			t.Fatalf("digests diverge:\n  engine    %s\n  reference %s", digests[0], digests[1])
+		}
+		if fc != nil {
+			return
+		}
+		// A nil Faults is the zero fault model, declared failures and their
+		// compensation included.
+		cfg.Faults = &faults.Config{}
+		sim, err := New(cfg, MustNewFairPolicy(FairConfig{EnableTrading: trading}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(simclock.Time(16 * simclock.Hour))
+		if err != nil {
+			t.Fatalf("strict audit failed (zero fault model): %v", err)
+		}
+		if d := CanonicalDigest(res); d != digests[0] {
+			t.Fatalf("nil Faults and the zero fault model diverge:\n  nil  %s\n  zero %s", digests[0], d)
 		}
 	})
 }

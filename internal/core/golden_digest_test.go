@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -131,6 +132,39 @@ func TestGoldenDigestFaulty(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		if got := runGolden(t, goldenFaultyConfig(t), false, reference); got != goldenFaultyDigest {
 			t.Errorf("reference=%v faulty digest = %s, want %s", reference, got, goldenFaultyDigest)
+		}
+	}
+}
+
+// TestTicketScalingInvariant: fairness reads tickets only as ratios, so
+// scaling every user's tickets and every ticket change by k must leave
+// the run unchanged. Each k is a power of two, under which every product
+// and quotient of tickets scales exactly in floating point, so the
+// digests must be equal, not merely close.
+func TestTicketScalingInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     func(*testing.T) Config
+		trading bool
+	}{{"churn", goldenChurnConfig, true}, {"faulty", goldenFaultyConfig, false}} {
+		want := runGolden(t, tc.cfg(t), tc.trading, false)
+		for _, k := range []float64{2, 1.0 / 8, 1024} {
+			cfg := tc.cfg(t)
+			tickets := make(map[job.UserID]float64)
+			for _, sp := range cfg.Specs {
+				tickets[sp.User] = k
+			}
+			for u, v := range cfg.Tickets {
+				tickets[u] = k * v
+			}
+			cfg.Tickets = tickets
+			cfg.TicketChanges = slices.Clone(cfg.TicketChanges)
+			for i := range cfg.TicketChanges {
+				cfg.TicketChanges[i].Tickets *= k
+			}
+			if got := runGolden(t, cfg, tc.trading, false); got != want {
+				t.Errorf("%s: tickets ×%v give digest %s, unscaled %s", tc.name, k, got, want)
+			}
 		}
 	}
 }

@@ -60,8 +60,9 @@ type RoundState struct {
 
 	// Quarantined holds the healthy servers the quarantine circuit
 	// breaker has excluded from placement and backfill (flaky-server
-	// cool-off); nil without a fault model. Disjoint concern from Down —
-	// a server can be in either or both; CapacityByGen subtracts the
+	// cool-off): the breaker's own set, never nil from the engine, and
+	// empty while no threshold is configured. Disjoint concern from Down
+	// — a server can be in either or both; CapacityByGen subtracts the
 	// union once.
 	//gflint:noretain the breaker's set, updated in place every round
 	Quarantined *gpu.ServerSet

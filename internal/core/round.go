@@ -76,9 +76,7 @@ func (s *Sim) runPhases(rd *round) error {
 	}
 	s.retire(rd, qs)
 	s.policy.Executed(&s.execRep)
-	if s.faultsOn {
-		s.settleCompensation(rd)
-	}
+	s.settleCompensation(rd)
 	s.obs.PhaseStart(obs.PhaseAudit)
 	err = s.aud.endRound()
 	s.obs.PhaseEnd(obs.PhaseAudit)
@@ -109,16 +107,13 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	rd.unavail.Union(rd.quar)
 
 	// Every runnable job is told where in the list it is this round,
-	// which is how checkDecision knows the engine's own records. With the
-	// fault model on, the same walk makes the job crash-restart draws, in
-	// job-ID order — the injector consumes one draw per job that held
-	// GPUs last quantum, so the visiting order is part of the seed
-	// contract — and lapses the migration-failure pins that have run out.
+	// which is how checkDecision knows the engine's own records. The same
+	// walk makes the job crash-restart draws, in job-ID order — with job
+	// crashes on, the injector consumes one draw per job that held GPUs
+	// last quantum, so the visiting order is part of the seed contract —
+	// and lapses the migration-failure pins that have run out.
 	for i, j := range s.jobs {
 		j.BeginRound(i)
-		if !s.faultsOn {
-			continue
-		}
 		j.RefreshPin(s.rounds)
 		if j.Finished() || !j.RanLastQuantum() {
 			continue
@@ -129,19 +124,17 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 				X: lost, N: int32(j.Crashes())})
 		}
 	}
-	if s.faultsOn {
-		// The books open on a new round. The policy sees the debt as of
-		// the round start; losses accrued this round become visible (and
-		// repayable) next round.
-		if s.compOpen > 0 {
-			rd.deficit = make(map[job.UserID]float64, s.compOpen)
-		}
-		for i := range s.comp {
-			c := &s.comp[i]
-			c.loss, c.occ = 0, 0
-			if c.debt > 0 {
-				rd.deficit[c.user] = c.debt
-			}
+	// The books open on a new round. The policy sees the debt as of the
+	// round start; losses accrued this round become visible (and
+	// repayable) next round.
+	if s.compOpen > 0 {
+		rd.deficit = make(map[job.UserID]float64, s.compOpen)
+	}
+	for i := range s.comp {
+		c := &s.comp[i]
+		c.loss, c.occ = 0, 0
+		if c.debt > 0 {
+			rd.deficit[c.user] = c.debt
 		}
 	}
 
@@ -187,9 +180,6 @@ func (s *Sim) fairReference(rd *round) {
 		b := &s.books[i]
 		b.fair += sh * s.cfg.Quantum
 		b.wrote |= wroteFair
-	}
-	for i := range s.comp {
-		s.comp[i].fair = s.shares[i] * s.cfg.Quantum
 	}
 	s.obs.PhaseEnd(obs.PhaseWaterfill)
 }
@@ -267,47 +257,45 @@ func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 func (s *Sim) failMigrations(rd *round) {
 	s.obs.PhaseStart(obs.PhaseMigrate)
 	migFailed := s.migFailedBuf[:0]
-	if s.finj != nil {
-		for _, m := range rd.placed.Moved {
-			j := m.Job
-			if !s.finj.MigrationFails() {
-				j.ClearMigrationFailures()
-				continue
-			}
-			gen := s.cfg.Cluster.Device(j.Devices()[0]).Gen
-			gang := float64(j.Gang)
-			cost := s.cfg.Costs.MigrationCost(j.Perf)
-			if cost > s.cfg.Quantum {
-				cost = s.cfg.Quantum
-			}
-			// The attempt held its reserved target devices for the
-			// checkpoint copy: occupied time is charged, no progress made,
-			// and the rest of the quantum is lost to the fault.
-			j.AddOverhead(cost)
-			s.books[j.UserAt()].addUsage(gen, gang*cost)
-			s.busyByGen[gen] += gang * cost
-			s.tl.Add(rd.now, j.User, gang*cost)
-			s.aud.noteBusy(gen, gang*cost)
-			books := &s.comp[j.UserAt()]
-			books.occ += gang * cost
-			books.loss += gang * (s.cfg.Quantum - cost)
-			fails := j.MigrationFailures() + 1
-			backoff := faults.Backoff(s.fcfg, fails)
-			j.NoteMigrationFailed(s.rounds + backoff)
-			migFailed = append(migFailed, j.ID)
-			s.pidx.Release(j)
-			j.SetDevices(m.From, 0)
-			s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: j.ID, User: j.User,
-				N: int32(fails), M: int32(backoff), X: cost})
+	for _, m := range rd.placed.Moved {
+		j := m.Job
+		if !s.finj.MigrationFails() {
+			j.ClearMigrationFailures()
+			continue
 		}
-		if len(migFailed) > 0 {
-			s.unplacedBuf = append(s.unplacedBuf, migFailed...)
-			slices.Sort(s.unplacedBuf)
-			s.quanta = slices.DeleteFunc(s.quanta, func(q Quantum) bool { // the failed movers do not run
-				_, failed := slices.BinarySearch(migFailed, q.Job.ID)
-				return failed
-			})
+		gen := s.cfg.Cluster.Device(j.Devices()[0]).Gen
+		gang := float64(j.Gang)
+		cost := s.cfg.Costs.MigrationCost(j.Perf)
+		if cost > s.cfg.Quantum {
+			cost = s.cfg.Quantum
 		}
+		// The attempt held its reserved target devices for the
+		// checkpoint copy: occupied time is charged, no progress made,
+		// and the rest of the quantum is lost to the fault.
+		j.AddOverhead(cost)
+		s.books[j.UserAt()].addUsage(gen, gang*cost)
+		s.busyByGen[gen] += gang * cost
+		s.tl.Add(rd.now, j.User, gang*cost)
+		s.aud.noteBusy(gen, gang*cost)
+		books := &s.comp[j.UserAt()]
+		books.occ += gang * cost
+		books.loss += gang * (s.cfg.Quantum - cost)
+		fails := j.MigrationFailures() + 1
+		backoff := faults.Backoff(s.fcfg, fails)
+		j.NoteMigrationFailed(s.rounds + backoff)
+		migFailed = append(migFailed, j.ID)
+		s.pidx.Release(j)
+		j.SetDevices(m.From, 0)
+		s.emit(trace.Record{At: rd.now, Kind: trace.KindMigFail, Job: j.ID, User: j.User,
+			N: int32(fails), M: int32(backoff), X: cost})
+	}
+	if len(migFailed) > 0 {
+		s.unplacedBuf = append(s.unplacedBuf, migFailed...)
+		slices.Sort(s.unplacedBuf)
+		s.quanta = slices.DeleteFunc(s.quanta, func(q Quantum) bool { // the failed movers do not run
+			_, failed := slices.BinarySearch(migFailed, q.Job.ID)
+			return failed
+		})
 	}
 	s.migFailedBuf = migFailed
 	s.obs.PhaseEnd(obs.PhaseMigrate)
@@ -330,6 +318,7 @@ func (s *Sim) failMigrations(rd *round) {
 func (s *Sim) retire(rd *round, qs []Quantum) {
 	live := s.jobs[:0]
 	next := 0
+	serversOut := rd.unavail.Len() > 0 // else no job is stranded
 	for i, j := range s.jobs {
 		var q *Quantum
 		if next < len(qs) && qs[next].pos == i {
@@ -348,16 +337,14 @@ func (s *Sim) retire(rd *round, qs []Quantum) {
 		ran := q != nil && q.Answered
 		if j.State() == job.Running && !ran {
 			j.SetRunning(false)
-			if s.faultsOn {
-				// Suspension serializes the job (Gandiva's suspend is
-				// checkpoint-based), so its progress becomes durable.
-				j.NoteCheckpoint(rd.now)
-			}
+			// Suspension serializes the job (Gandiva's suspend is
+			// checkpoint-based), so its progress becomes durable.
+			j.NoteCheckpoint(rd.now)
 		}
-		if s.faultsOn && !ran {
-			// A job stranded because its servers are down or quarantined
-			// loses the whole quantum of occupied share to the fault —
-			// that shortfall becomes its user's compensation debt.
+		if !ran && serversOut {
+			// A job stranded because its servers are down, unreachable or
+			// quarantined loses the whole quantum of occupied share to the
+			// fault — that shortfall becomes its user's compensation debt.
 			// (Failed migrations were already charged above.)
 			if _, migFailedNow := slices.BinarySearch(s.migFailedBuf, j.ID); !migFailedNow {
 				for _, d := range j.Devices() {
@@ -384,9 +371,7 @@ func (s *Sim) retireJob(j *job.Job) {
 	s.policy.JobFinished(id)
 	s.prof.Remove(j)
 	s.demand[j.UserAt()] -= float64(j.Gang)
-	if s.faultsOn {
-		s.comp[j.UserAt()].jobs--
-	}
+	s.comp[j.UserAt()].jobs--
 }
 
 // settleCompensation closes the round's failure-compensation books, one
@@ -412,8 +397,10 @@ func (s *Sim) settleCompensation(rd *round) {
 		// round (fair entitlement minus occupied time). A user whose
 		// other jobs soaked up their full water-filled share lost nothing
 		// in the fairness currency, and compensating the per-job loss
-		// anyway would push them above the reference.
-		lost := min(c.loss, max(c.fair-c.occ, 0))
+		// anyway would push them above the reference. s.shares is still
+		// the round's water-fill.
+		fair := s.shares[i] * s.cfg.Quantum
+		lost := min(c.loss, max(fair-c.occ, 0))
 		_, declared := rd.repaid[c.user]
 		if c.debt == 0 && lost == 0 && !declared {
 			continue // nothing on this user's books this round
@@ -421,7 +408,7 @@ func (s *Sim) settleCompensation(rd *round) {
 		before := c.debt
 		var r float64
 		if rd.repaid != nil && before > 0 {
-			r = min(max(c.occ-c.fair, 0), before)
+			r = min(max(c.occ-fair, 0), before)
 		}
 		c.debt = before + lost - r
 		if c.debt <= 1e-9 {

@@ -56,13 +56,15 @@ type Config struct {
 	// is allowed, waiting for the server otherwise.
 	Failures []Failure
 
-	// Faults enables the probabilistic fault model (generated server
+	// Faults tunes the probabilistic fault model (generated server
 	// crashes, flaky servers, GPU degradation, job crash-restart,
-	// migration failure) plus the quarantine circuit breaker and
-	// failure compensation. Declared Failures above are compiled into
-	// the same schedule. Nil — the default — keeps the engine's
-	// legacy behavior byte-identical; a non-nil zero Config enables
-	// only the compensation accounting for declared failures.
+	// migration failure) and the quarantine circuit breaker. Declared
+	// Failures above are compiled into the same schedule. Nil is the
+	// zero faults.Config: every probabilistic mechanism off, no breaker
+	// trip. Whatever the model, the engine keeps the failure
+	// compensation books — a job stranded on a down, quarantined or
+	// unreachable server is charged to its user's debt; a policy
+	// declines repayment with FairConfig.DisableCompensation.
 	Faults *faults.Config
 
 	// TicketChanges reconfigures a user's tickets at runtime (an
@@ -137,6 +139,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimelineWindow == 0 {
 		c.TimelineWindow = simclock.Hour
+	}
+	if c.Faults == nil {
+		c.Faults = &faults.Config{}
 	}
 	return c
 }
@@ -214,10 +219,8 @@ func (c Config) Validate() error {
 	if c.Audit != AuditStrict && c.Audit != AuditCount && c.Audit != AuditOff {
 		return fmt.Errorf("core: invalid audit mode %d", int(c.Audit))
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
+	if err := c.Faults.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	if c.TraceCap < 0 {
 		return fmt.Errorf("core: negative TraceCap %d", c.TraceCap)
@@ -264,15 +267,15 @@ type Result struct {
 	Migrations int
 	TradeCount int
 
-	// Fault-model outcomes (all zero when Config.Faults was nil).
+	// Fault-model outcomes (all zero under the zero fault model).
 	Crashes           int // job crash-restart events
 	MigrationFailures int // failed migration attempts
 	Quarantines       int // quarantine circuit-breaker trips
 
 	// CompDeficitByUser is the failure-compensation debt still
-	// outstanding at the horizon, in occupied GPU-seconds (nil when
-	// the fault model was off; empty when every loss was repaid or
-	// forgiven on departure).
+	// outstanding at the horizon, in occupied GPU-seconds, for every
+	// user who owes any (empty, never nil, when no loss was charged or
+	// every loss was repaid or forgiven on departure).
 	CompDeficitByUser map[job.UserID]float64
 
 	// CompRepaidGPUSeconds is the total failure-compensation debt
@@ -447,15 +450,14 @@ type Sim struct {
 	robs      *RoundObs         // the policy's handle on obs; nil with it
 	shareBuf  []obs.ShareSample //gflint:noretain shareSamples' result, reused every round
 
-	// Fault-model state. The timeline/sweep pair always exists (the
-	// declared Failures list is compiled into it at New); everything
-	// else is live only when cfg.Faults is non-nil. unreachable is the
-	// executor's contribution: servers it cannot carry a quantum out on.
+	// Fault-model state: the timeline/sweep pair (the declared Failures
+	// list is compiled into it at New, the generated schedule at Run),
+	// the injector and the breaker. unreachable is the executor's
+	// contribution: servers it cannot carry a quantum out on.
 	ftl         *faults.Timeline
 	fsweep      *faults.Sweep
 	unreachable *gpu.ServerSet
-	faultsOn    bool
-	fcfg        faults.Config // defaults applied; valid when faultsOn
+	fcfg        faults.Config // cfg.Faults with defaults applied
 	finj        *faults.Injector
 	breaker     *faults.Breaker
 
@@ -472,9 +474,9 @@ type compBooks struct {
 	debt float64 // occupied GPU-seconds owed
 	jobs int     // jobs not yet finished, arrived or not; at zero the debt is forgiven
 
-	// The running round's: the fairness reference's share, the raw fault
-	// loss and the occupied time, all in GPU-seconds.
-	fair, loss, occ float64
+	// The running round's raw fault loss and occupied time, in
+	// GPU-seconds.
+	loss, occ float64
 }
 
 // userBooks is one user's usage books: occupied GPU-seconds per
@@ -550,12 +552,9 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	// rescanned every quantum (see faults.Timeline).
 	s.ftl = faults.Compile(declaredOutages(cfg.Failures), nil, cfg.Cluster.NumServers())
 	s.fsweep = faults.NewSweep(s.ftl)
-	if cfg.Faults != nil {
-		s.faultsOn = true
-		s.fcfg = cfg.Faults.WithDefaults()
-		s.finj = faults.NewInjector(*cfg.Faults, cfg.Quantum, cfg.Seed)
-		s.breaker = faults.NewBreaker(*cfg.Faults)
-	}
+	s.fcfg = cfg.Faults.WithDefaults()
+	s.finj = faults.NewInjector(s.fcfg, cfg.Quantum, cfg.Seed)
+	s.breaker = faults.NewBreaker(s.fcfg)
 	if cfg.TraceCap > 0 {
 		s.log.SetCap(cfg.TraceCap)
 	}
@@ -568,8 +567,11 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		cfg.Obs.SetSink(cfg.Flight)
 	}
 	s.evq = newEventCursor(cfg.Specs, cfg.TicketChanges)
+	jobsOf := make(map[job.UserID]int) // the workload's users and their job counts
 	for i := range cfg.Specs {
-		u := cfg.Specs[i].User
+		jobsOf[cfg.Specs[i].User]++
+	}
+	for u := range jobsOf {
 		if t, ok := cfg.Tickets[u]; ok {
 			s.tickets[u] = t
 		} else {
@@ -580,18 +582,11 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	n := len(s.users)
 	perUser := make([]float64, 3*n)
 	s.userTickets, s.demand, s.shares = perUser[:n], perUser[n:2*n], perUser[2*n:]
+	s.books = make([]userBooks, n)
+	s.comp = make([]compBooks, n)
 	for i, u := range s.users {
 		s.userTickets[i] = s.tickets[u]
-	}
-	s.books = make([]userBooks, n)
-	if s.faultsOn {
-		s.comp = make([]compBooks, n)
-		for i, u := range s.users {
-			s.comp[i].user = u
-		}
-		for i := range cfg.Specs {
-			s.comp[s.userAt(cfg.Specs[i].User)].jobs++
-		}
+		s.comp[i] = compBooks{user: u, jobs: jobsOf[u]}
 	}
 	return s, nil
 }
@@ -721,9 +716,6 @@ func declaredOutages(fs []Failure) []faults.Outage {
 // run's horizon (if configured) and recompiles the timeline with the
 // declared failures merged in. Called once at the top of Run.
 func (s *Sim) materializeFaults(until simclock.Time) error {
-	if !s.faultsOn {
-		return nil
-	}
 	if s.fcfg.ServerMTBFHours == 0 && s.fcfg.FlakyServers == 0 && s.fcfg.DegradeMTBFHours == 0 {
 		return nil // nothing probabilistic on the server timeline
 	}
@@ -733,7 +725,7 @@ func (s *Sim) materializeFaults(until simclock.Time) error {
 	if max := simclock.Time(365 * simclock.Day); horizon > max {
 		horizon = max
 	}
-	sched, err := faults.Generate(*s.cfg.Faults, s.cfg.Cluster.NumServers(), horizon, s.cfg.Seed)
+	sched, err := faults.Generate(s.fcfg, s.cfg.Cluster.NumServers(), horizon, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
@@ -743,12 +735,8 @@ func (s *Sim) materializeFaults(until simclock.Time) error {
 	return nil
 }
 
-// resultDeficit snapshots the outstanding compensation debt (nil when
-// the fault model is off, so legacy results are unchanged).
+// resultDeficit snapshots the outstanding compensation debt by user.
 func (s *Sim) resultDeficit() map[job.UserID]float64 {
-	if !s.faultsOn {
-		return nil
-	}
 	out := make(map[job.UserID]float64, s.compOpen)
 	for i := range s.comp {
 		if c := &s.comp[i]; c.debt > 0 {

@@ -25,7 +25,6 @@ type Breaker struct {
 	history map[gpu.ServerID][]simclock.Time // recent failure times, ascending
 	until   map[gpu.ServerID]simclock.Time   // quarantined until, if present
 	quar    gpu.ServerSet                    // until's servers
-	trips   int
 }
 
 // NewBreaker builds a breaker from the config (defaults applied).
@@ -45,7 +44,7 @@ func NewBreaker(cfg Config) *Breaker {
 // already quarantined extend nothing and are dropped (the server is
 // not placeable anyway).
 func (b *Breaker) NoteFailure(sid gpu.ServerID, now simclock.Time) bool {
-	if b == nil || b.k <= 0 {
+	if b.k <= 0 {
 		return false
 	}
 	if _, q := b.until[sid]; q {
@@ -64,7 +63,6 @@ func (b *Breaker) NoteFailure(sid gpu.ServerID, now simclock.Time) bool {
 	delete(b.history, sid)
 	b.until[sid] = now.Add(b.cooloff)
 	b.quar.Add(sid)
-	b.trips++
 	return true
 }
 
@@ -72,7 +70,7 @@ func (b *Breaker) NoteFailure(sid gpu.ServerID, now simclock.Time) bool {
 // returns them in ascending server-ID order. Call once per round
 // before noting new failures.
 func (b *Breaker) ExpireStep(now simclock.Time) []gpu.ServerID {
-	if b == nil || len(b.until) == 0 {
+	if len(b.until) == 0 {
 		return nil
 	}
 	var freed []gpu.ServerID
@@ -88,20 +86,7 @@ func (b *Breaker) ExpireStep(now simclock.Time) []gpu.ServerID {
 }
 
 // Set returns the quarantined servers: the breaker's own set, updated in
-// place by NoteFailure and ExpireStep (nil for a nil breaker).
+// place by NoteFailure and ExpireStep.
 //
 //gflint:noretain
-func (b *Breaker) Set() *gpu.ServerSet {
-	if b == nil {
-		return nil
-	}
-	return &b.quar
-}
-
-// Trips returns the cumulative number of quarantine trips.
-func (b *Breaker) Trips() int {
-	if b == nil {
-		return 0
-	}
-	return b.trips
-}
+func (b *Breaker) Set() *gpu.ServerSet { return &b.quar }

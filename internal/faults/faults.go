@@ -170,14 +170,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Active reports whether any probabilistic mechanism is enabled (the
-// engine creates fault state only when true or when a quarantine
-// threshold is set).
-func (c Config) Active() bool {
-	return c.ServerMTBFHours > 0 || c.FlakyServers > 0 || c.DegradeMTBFHours > 0 ||
-		c.JobCrashMTBFHours > 0 || c.MigrationFailProb > 0 || c.QuarantineFailures > 0
-}
-
 // Outage kinds as recorded in generated schedules.
 const (
 	OutageDeclared = "declared" // from core.Config.Failures
@@ -332,7 +324,7 @@ func NewInjector(cfg Config, quantum simclock.Duration, seed int64) *Injector {
 // CrashNow draws whether one running job crashes this round. No draw
 // is consumed when job crashes are disabled.
 func (in *Injector) CrashNow() bool {
-	if in == nil || in.crashProb <= 0 {
+	if in.crashProb <= 0 {
 		return false
 	}
 	return in.rng.Float64() < in.crashProb
@@ -341,7 +333,7 @@ func (in *Injector) CrashNow() bool {
 // MigrationFails draws whether one migration attempt fails. No draw
 // is consumed when migration failures are disabled.
 func (in *Injector) MigrationFails() bool {
-	if in == nil || in.migFailPro <= 0 {
+	if in.migFailPro <= 0 {
 		return false
 	}
 	return in.rng.Float64() < in.migFailPro

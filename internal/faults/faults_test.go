@@ -173,7 +173,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.NoteFailure(5, now.Add(120)) {
 		t.Fatal("did not trip on k-th failure within window")
 	}
-	if !b.Set().Has(5) || b.Set().Len() != 1 || b.Trips() != 1 {
+	if !b.Set().Has(5) || b.Set().Len() != 1 {
 		t.Fatal("quarantine state wrong after trip")
 	}
 	// Failures while quarantined are dropped.
@@ -222,10 +222,6 @@ func TestBreakerDisabled(t *testing.T) {
 	if b.Set().Len() != 0 {
 		t.Fatal("disabled breaker has quarantine set")
 	}
-	var nilB *Breaker
-	if nilB.Set().Has(0) || nilB.Set().Len() != 0 || nilB.NoteFailure(0, 0) {
-		t.Fatal("nil breaker misbehaved")
-	}
 }
 
 func TestInjectorDeterministicAndDisabled(t *testing.T) {
@@ -242,10 +238,6 @@ func TestInjectorDeterministicAndDisabled(t *testing.T) {
 		if off.CrashNow() || off.MigrationFails() {
 			t.Fatal("disabled injector fired")
 		}
-	}
-	var nilIn *Injector
-	if nilIn.CrashNow() || nilIn.MigrationFails() {
-		t.Fatal("nil injector fired")
 	}
 }
 
@@ -275,20 +267,6 @@ func TestBackoff(t *testing.T) {
 	}
 	if Backoff(cfg, 0) != 0 {
 		t.Fatal("Backoff(0) should be 0")
-	}
-}
-
-func TestConfigActive(t *testing.T) {
-	if (Config{}).Active() {
-		t.Fatal("zero config active")
-	}
-	for _, c := range []Config{
-		{ServerMTBFHours: 1}, {FlakyServers: 1}, {DegradeMTBFHours: 1},
-		{JobCrashMTBFHours: 1}, {MigrationFailProb: 0.1}, {QuarantineFailures: 3},
-	} {
-		if !c.Active() {
-			t.Fatalf("config %+v should be active", c)
-		}
 	}
 }
 

@@ -214,8 +214,8 @@ func TestFaultModelScenario(t *testing.T) {
 		t.Errorf("declared failures dropped: %+v", cfg.Failures)
 	}
 
-	// Omitting the faults block must leave the legacy path (nil
-	// Faults — byte-identical engine behavior).
+	// Omitting the faults block leaves Faults nil: the zero fault model
+	// (see TestNilFaultsIsZeroModel).
 	s2, err := Load(strings.NewReader(`{
 	  "users": [{"name": "u", "jobs": 2, "models": ["vae"]}],
 	  "horizon_hours": 4
