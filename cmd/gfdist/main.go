@@ -21,9 +21,10 @@
 // waits for the known agents to re-register instead of admitting a
 // fresh workload.
 //
-// The central speaks the partition-tolerant protocol when asked:
+// The central speaks the partition-tolerant protocol:
 // -lease-rounds N lets cut-off agents keep executing in degraded mode
-// for N rounds (their buffered reports reconcile on heal), and
+// for N rounds (their buffered reports reconcile on heal; 0, the
+// default, is a lease of zero rounds), and
 // -collect-deadline D is the straggler cutoff — the round proceeds
 // without agents that miss it and their late reports are charged
 // idempotently.
@@ -116,7 +117,7 @@ func runCentral(args []string) {
 		snapDir   = fs.String("snapshot-dir", "", "persist scheduler state to this directory after rounds")
 		snapEvery = fs.Int("snapshot-every", 1, "snapshot every N rounds (with -snapshot-dir)")
 		restore   = fs.Bool("restore", false, "resume from the snapshot in -snapshot-dir instead of a fresh workload")
-		leaseR    = fs.Int("lease-rounds", 0, "degraded-mode lease in rounds: cut-off agents keep executing and buffer reports for this long before parking (0 = no lease)")
+		leaseR    = fs.Int("lease-rounds", 0, "degraded-mode lease in rounds: cut-off agents keep executing and buffer reports for this long before parking (0 = a lease of zero rounds: nothing late is reconciled)")
 		collectD  = fs.Duration("collect-deadline", 0, "straggler cutoff: proceed without agents that have not reported by this wall deadline (0 = 5s)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -109,7 +109,8 @@ type RoundPlan struct {
 	// Lease is the degraded-mode budget in rounds: an agent cut off
 	// from the central keeps its local job state and buffers unacked
 	// reports for up to Lease rounds before parking (discarding) them.
-	// Zero grants no lease: no degraded mode.
+	// Zero is a lease of zero rounds: a report the central has not
+	// acknowledged by the next plan is parked.
 	Lease int
 
 	// AckRound is the highest round of this agent's reports the

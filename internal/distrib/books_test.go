@@ -3,6 +3,7 @@ package distrib
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -103,9 +104,10 @@ func (b *mapBooks) late(rep comm.RoundReport, round int, apply func(pe *plannedE
 	return "late_report_dropped"
 }
 
-// lastRound is the engine-side half of a late report's fate, modelled
-// for the books: a job's answer is charged when no newer round of it
-// has been. Each side of the comparison keeps its own.
+// lastRound is the job-keyed half of a late report's fate as it was
+// before the window kept it, kept as the oracle for answeredSince: the
+// newest round counted per job, and a job's answer is charged when no
+// round of it that new or newer has been.
 type lastRound map[job.ID]int
 
 func (m lastRound) apply(pe *plannedEntry, _ comm.JobProgress, r int) bool {
@@ -141,19 +143,40 @@ func leasedCentral(t *testing.T, lease, n int) *Central {
 
 // TestWindowMatchesMapBooks drives the per-agent window and the map
 // books through the same random rounds — plans (some jobs cross-server
-// shards), on-time reports, withheld reports, duplicated and reordered
-// replays, and reports at, inside and past the window's edge (rounds
-// down to zero and below) — and requires the same AckRound for every
-// plan and the same event for every late report.
+// shards, jobs moving between agents), on-time reports, withheld
+// reports, duplicated and reordered replays, and reports at, inside
+// and past the window's edge (rounds down to zero and below) — and
+// requires the same AckRound for every plan, the same event for every
+// late report and the same answers charged, at every lease length from
+// zero rounds (a one-slot window) up.
 func TestWindowMatchesMapBooks(t *testing.T) {
 	const nAgents, nRounds = 3, 40
 	seen := map[string]int{}
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		lease := []int{1, 2, 3, 4, 6}[seed%5]
+		lease := []int{0, 1, 2, 3, 4, 6}[seed%6]
 		agents := leasedCentral(t, lease, nAgents).agents
 		oracle := newMapBooks(lease)
-		got, want := lastRound{}, lastRound{}
+		// Each side lists the jobs it charges: the window's side what
+		// answeredSince finds unanswered, marking the entry as applyLate
+		// does; the map side what the job-keyed map finds newer.
+		var charged, wantCharged []job.ID
+		got := func(pe *plannedEntry, _ comm.JobProgress, r int) bool {
+			if answeredSince(agents, pe.q.Job.ID, r) {
+				return false
+			}
+			pe.q.Answered = true
+			charged = append(charged, pe.q.Job.ID)
+			return true
+		}
+		want := lastRound{}
+		wantApply := func(pe *plannedEntry, p comm.JobProgress, r int) bool {
+			ok := want.apply(pe, p, r)
+			if ok {
+				wantCharged = append(wantCharged, pe.q.Job.ID)
+			}
+			return ok
+		}
 		// arrivals[2r] reach reconcileLate before round r plans (Steps),
 		// arrivals[2r+1] after round r's collect (Execute).
 		arrivals := map[int][]comm.RoundReport{}
@@ -165,13 +188,23 @@ func TestWindowMatchesMapBooks(t *testing.T) {
 			}
 			return jobs[id]
 		}
+		// The jobs come in nAgents groups of six, job 10g+k; round r
+		// plans group (i+shift[r]) mod nAgents on agent i, so a job
+		// moves between agents whenever the shift changes.
+		shift := map[int]int{}
+		group := func(i, r int) int { return (i + shift[r]) % nAgents }
 		// lateReport carries agent i's progress for round r on a random
-		// set of its job IDs, planned or not.
+		// set of job IDs, mostly of the group it was planned, planned
+		// or not.
 		lateReport := func(i, r int) comm.RoundReport {
 			rep := comm.RoundReport{Agent: agents[i].name, Round: r}
+			g := group(i, r)
+			if rng.Intn(4) == 0 {
+				g = rng.Intn(nAgents)
+			}
 			for k := 1; k <= 6; k++ {
 				if rng.Intn(2) == 0 {
-					rep.Jobs = append(rep.Jobs, comm.JobProgress{JobID: int64(10*i + k)})
+					rep.Jobs = append(rep.Jobs, comm.JobProgress{JobID: int64(10*g + k)})
 				}
 			}
 			return rep
@@ -187,17 +220,22 @@ func TestWindowMatchesMapBooks(t *testing.T) {
 			})
 			for _, rep := range queue {
 				i := int(rep.Agent[len(rep.Agent)-1] - '0')
-				g := agents[i].settleLate(rep, round, got.apply)
-				w := oracle.late(rep, round, want.apply)
-				if g != w {
-					t.Fatalf("seed %d lease %d: round %d settling %s's report for round %d: window says %q, map books %q",
-						seed, lease, round, rep.Agent, rep.Round, g, w)
+				charged, wantCharged = charged[:0], wantCharged[:0]
+				g := agents[i].settleLate(rep, round, got)
+				w := oracle.late(rep, round, wantApply)
+				if g != w || !slices.Equal(charged, wantCharged) {
+					t.Fatalf("seed %d lease %d: round %d settling %s's report for round %d: window says %q charging %v, map books %q charging %v",
+						seed, lease, round, rep.Agent, rep.Round, g, charged, w, wantCharged)
 				}
 				seen[w]++
 			}
 		}
 		for round := 1; round <= nRounds; round++ {
 			reconcile(round, 2*round) // Steps, before the engine plans
+			shift[round] = shift[round-1]
+			if rng.Intn(3) == 0 {
+				shift[round] = rng.Intn(nAgents)
+			}
 			planned := make([]bool, nAgents)
 			for i := range agents {
 				a := &agents[i]
@@ -214,7 +252,7 @@ func TestWindowMatchesMapBooks(t *testing.T) {
 					if k > 1 && rng.Intn(2) == 0 {
 						continue
 					}
-					pe := plannedEntry{q: core.Quantum{Job: jobOf(job.ID(10*i + k))}, frac: 1}
+					pe := plannedEntry{q: core.Quantum{Job: jobOf(job.ID(10*group(i, round) + k))}, frac: 1}
 					if rng.Intn(5) == 0 {
 						pe.frac = 0.5
 					}
@@ -233,9 +271,10 @@ func TestWindowMatchesMapBooks(t *testing.T) {
 				case planned[i] && rng.Intn(3) > 0:
 					a.counted(a.at(round))
 					oracle.markApplied(a.name, round)
-					for _, pe := range a.at(round).planned {
-						if pe.frac >= 1 {
-							got[pe.q.Job.ID], want[pe.q.Job.ID] = round, round
+					planned := a.at(round).planned
+					for k := range planned {
+						if pe := &planned[k]; pe.frac >= 1 {
+							pe.q.Answered, want[pe.q.Job.ID] = true, round
 						}
 					}
 				case planned[i]:
@@ -257,4 +296,56 @@ func TestWindowMatchesMapBooks(t *testing.T) {
 		}
 	}
 	t.Logf("late reports settled: %v", seen)
+}
+
+// TestOnTimeAnswerFencesOlderLateReport: a job's round-4 report from
+// agent-1 arrives late, after the job moved to agent-0 and was answered
+// on time there in round 5 without progress. The late answer would
+// charge round 4 on top of round 5, so it is dropped: mergeShards
+// records round 5's answer in agent-0's window, and applyLate finds it
+// there.
+func TestOnTimeAnswerFencesOlderLateReport(t *testing.T) {
+	c := leasedCentral(t, 2, 2)
+	j := &job.Job{Spec: job.Spec{ID: 7}}
+	old := c.agents[1].open(4)
+	old.planned = append(old.planned, plannedEntry{q: core.Quantum{Job: j}, frac: 1})
+
+	a := &c.agents[0]
+	a.shards = []shard{{rec: 0, lo: 0, hi: 1, frac: 1, got: true}}
+	now := a.open(5)
+	now.planned = append(now.planned, plannedEntry{q: core.Quantum{Job: j}, frac: 1})
+	c.quanta = []core.Quantum{{Job: j}}
+	c.mergeShards(5)
+	if !c.quanta[0].Answered || !now.planned[0].q.Answered {
+		t.Fatalf("round 5's on-time answer: quantum answered %v, window entry answered %v; want both",
+			c.quanta[0].Answered, now.planned[0].q.Answered)
+	}
+
+	late := comm.RoundReport{Agent: "agent-1", Round: 4, Jobs: []comm.JobProgress{{JobID: 7}}}
+	if event := c.agents[1].settleLate(late, 6, c.applyLate); event != "late_report_dropped" {
+		t.Errorf("round-4 report after round 5 answered the job: %q, want late_report_dropped", event)
+	}
+}
+
+// TestNegativeLeaseRefused: a lease is a number of rounds, zero or
+// more; a negative one would size the window below one slot, so both
+// ways to build a central refuse it.
+func TestNegativeLeaseRefused(t *testing.T) {
+	specs, err := workload.AssignIDs(workload.BatchJobs("alice", zoo.MustGet("lstm"), 1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := comm.NewHub().Attach("central")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CentralConfig{Specs: specs, LeaseRounds: -1}
+	if c, err := NewCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg); err == nil || c != nil {
+		t.Errorf("NewCentral with lease -1: central %v, error %v; want an error", c != nil, err)
+	}
+	st := &State{Epoch: 1, Engine: &core.Checkpoint{Pending: specs},
+		Agents: []AgentState{{Name: "agent-0", Gen: int(gpu.K80), GPUs: 1}}}
+	if c, err := RestoreCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg, st); err == nil || c != nil {
+		t.Errorf("RestoreCentral with lease -1: central %v, error %v; want an error", c != nil, err)
+	}
 }

@@ -69,8 +69,8 @@ type ChaosConfig struct {
 	// nothing.
 	Net *netchaos.Config
 
-	// LeaseRounds configures the partition-tolerant protocol on both
-	// runs (see CentralConfig); zero runs both without a lease.
+	// LeaseRounds is the lease both runs' plans grant (see
+	// CentralConfig); zero is a lease of zero rounds.
 	LeaseRounds int
 
 	// AllowUsageDrift tolerates per-user usage exceeding the baseline

@@ -40,12 +40,13 @@ var ErrTransportClosed = errors.New("distrib: transport closed before shutdown")
 //
 // Beyond plain execution the agent speaks the partition-tolerant
 // protocol: it verifies envelope checksums, drops duplicate
-// deliveries, fences plans from stale central epochs, and — when
-// plans carry a lease — keeps local job state and a backlog of
-// unacknowledged reports so a report-path partition degrades service
-// instead of losing work (the central reconciles the backlog on
-// heal). All of that state is plan-paced: the agent never speculates
-// on wall-clock time, so runs stay deterministic.
+// deliveries, fences plans from stale central epochs, and keeps local
+// job state and a backlog of unacknowledged reports for as long as the
+// plans' lease, so a report-path partition degrades service instead of
+// losing work (the central reconciles the backlog on heal; a lease of
+// zero rounds covers nothing past the next plan). All of that state is
+// plan-paced: the agent never speculates on wall-clock time, so runs
+// stay deterministic.
 type Agent struct {
 	tr      comm.Transport
 	central string
@@ -58,10 +59,10 @@ type Agent struct {
 	dedup     *comm.Dedup
 	epoch     int // newest central epoch seen (0 until the first plan)
 	lastRound int // newest round executed within the current epoch
-	// local carries whole jobs' progress, sorted by job ID, while a
-	// lease is active, so a degraded agent keeps training past a stale
-	// plan's checkpoint instead of redoing work the central never heard
-	// about. spare is the array the next rebuild of local writes into.
+	// local carries whole jobs' progress, sorted by job ID, so a
+	// degraded agent keeps training past a stale plan's checkpoint
+	// instead of redoing work the central never heard about. spare is
+	// the array the next rebuild of local writes into.
 	local []localJob //gflint:noretain swapped with spare and rebuilt in place
 	spare []localJob //gflint:noretain
 	// backlog holds executed-but-unacknowledged reports, oldest
@@ -175,35 +176,29 @@ func (a *Agent) Run() error {
 			}
 			a.note("plan_received")
 			a.pruneAcked(m.AckRound)
-			if m.Lease > 0 && len(a.backlog) > 0 && a.backlog[0].Round <= m.Round-m.Lease {
+			if len(a.backlog) > 0 && a.backlog[0].Round <= m.Round-m.Lease {
 				// Lease expired: the oldest unacknowledged round has
 				// aged out of the central's reconciliation window, so
 				// that work can never be credited. Park at the plan's
 				// checkpoint: drop local state and resync to the
-				// central's view.
+				// central's view. Under a lease of zero rounds that is
+				// any report the central had not counted by this plan.
 				a.local = nil
 				a.backlog = nil
 				a.note("lease_expired")
 			}
 			rep := a.execute(m)
 			a.lastRound = m.Round
-			if m.Lease > 0 {
-				a.backlog = append(a.backlog, rep)
-				if err := a.sendBacklog(); err != nil {
-					// The report path is down. The lease covers us:
-					// keep executing plans (they may still arrive on an
-					// asymmetric partition) and keep buffering; the
-					// central reconciles the backlog on heal.
-					a.note("report_send_failed")
-					continue
-				}
-				a.note("report_sent")
-			} else {
-				if err := a.retry.Send(a.tr, a.central, comm.Envelope{From: a.tr.Name(), Msg: rep}); err != nil {
-					return err
-				}
-				a.note("report_sent")
+			a.backlog = append(a.backlog, rep)
+			if err := a.sendBacklog(); err != nil {
+				// The report path is down. Keep executing plans (they
+				// may still arrive on an asymmetric partition) and keep
+				// buffering: the central reconciles what the lease
+				// covers on heal, and a later plan parks the rest.
+				a.note("report_send_failed")
+				continue
 			}
+			a.note("report_sent")
 		case comm.Shutdown:
 			return nil
 		}
@@ -253,13 +248,13 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 		execSpan = a.tracer.Start(string(obs.PhaseExecute))
 	}
 	known := &a.local // where earlier rounds' progress is looked up
-	if plan.Lease > 0 && len(a.backlog) == 0 {
+	if len(a.backlog) == 0 {
 		// Nothing awaits reconciliation, so local state for jobs no
 		// longer assigned here is stale (they migrated or finished;
 		// their truth lives centrally), and keeping it could skip work
 		// if a job ever returns after the central discarded progress:
 		// local becomes exactly this plan's whole-job progress.
-		a.local, a.spare = a.spare[:0], a.local
+		a.local, a.spare = slices.Grow(a.spare[:0], a.gpus), a.local
 		known = &a.spare
 	}
 	for _, as := range plan.Jobs {
@@ -268,17 +263,17 @@ func (a *Agent) execute(plan comm.RoundPlan) comm.RoundReport {
 			useful = 0
 		}
 		done := as.DoneMB
-		// Whole jobs (never cross-server shards) under a lease trust
-		// local progress over the plan's checkpoint: a plan built
-		// while our reports were cut off carries a stale base, and
-		// redoing that work would both waste the quantum and
-		// double-charge usage once the backlog reconciles.
-		leased := plan.Lease > 0 && as.Shard >= 1
-		if i, ok := findLocal(*known, as.JobID); leased && ok && (*known)[i].done > done {
+		// Whole jobs (never cross-server shards) trust local progress
+		// over the plan's checkpoint: a plan built while our reports
+		// were cut off carries a stale base, and redoing that work
+		// would both waste the quantum and double-charge usage once the
+		// backlog reconciles.
+		whole := as.Shard >= 1
+		if i, ok := findLocal(*known, as.JobID); whole && ok && (*known)[i].done > done {
 			done = (*known)[i].done
 		}
 		done, used, finished := job.Progress(done, as.TotalMB, as.GangRate, useful)
-		if leased {
+		if whole {
 			a.setLocal(as.JobID, done)
 		}
 		rep.Jobs = append(rep.Jobs, comm.JobProgress{
@@ -313,23 +308,25 @@ type CentralConfig struct {
 
 	// ReportTimeout is the straggler cutoff (default 5 s of wall time):
 	// the collect phase proceeds without agents that have not reported
-	// by then, charges their jobs as misses, and (with LeaseRounds > 0)
-	// reconciles their late reports idempotently in a following round.
+	// by then, charges their jobs as misses, and reconciles their late
+	// reports idempotently in a following round when the lease covers
+	// them.
 	// A silent agent's jobs make no progress that quantum and are
 	// replaced elsewhere once it is suspected (their state lives in the
 	// engine, so nothing is lost).
 	ReportTimeout time.Duration
 
-	// LeaseRounds enables lease-based degraded mode: every plan
-	// grants the agent a lease of this many rounds. An agent cut off
-	// from the central keeps executing its latest plans on local
-	// state and buffers unacknowledged reports until the lease
-	// expires, then parks at the plan checkpoint; the central keeps
-	// the agent's placement sticky for suspectThreshold+LeaseRounds
-	// missed rounds and reconciles the buffered reports when the
-	// partition heals, so fairness books balance. It also bounds the
-	// late-report reconciliation window. Zero, the default, runs the
-	// protocol without a lease: no degraded mode and no reconciliation.
+	// LeaseRounds is the length of the lease every plan grants its
+	// agent. An agent cut off from the central keeps executing its
+	// latest plans on local state and buffers unacknowledged reports
+	// until the lease expires, then parks at the plan checkpoint; the
+	// central keeps the agent's placement sticky for
+	// suspectThreshold+LeaseRounds missed rounds, probes it while it is
+	// unheard from, and reconciles the buffered reports that are at most
+	// LeaseRounds rounds old when the partition heals, so fairness books
+	// balance. Zero, the default, is a lease of zero rounds: the same
+	// protocol with a one-round window, so nothing late is reconciled and
+	// a report not counted by the next plan is parked.
 	LeaseRounds int
 
 	// MaxAgentTimeouts aborts the run after this many total missed
@@ -395,15 +392,10 @@ type Central struct {
 	// Partition-tolerance state. epoch fences central incarnations
 	// (fresh = 1, restored = snapshot+1); dedup drops duplicate
 	// envelope deliveries; lateQ holds the late reports awaiting
-	// reconciliation. lastApplied is the newest round counted per
-	// unfinished job, kept only under a lease (reconcileLate, its one
-	// reader, charges nothing without one). It is the coordinator's one
-	// table keyed by job: the jobs are the engine's, and a late report
-	// names them by ID after the round that placed them has closed.
-	epoch       int
-	dedup       *comm.Dedup
-	lastApplied map[job.ID]int
-	lateQ       []comm.RoundReport
+	// reconciliation.
+	epoch int
+	dedup *comm.Dedup
+	lateQ []comm.RoundReport
 }
 
 // agent is everything the central keeps about one agent, at the
@@ -418,9 +410,9 @@ type agent struct {
 	want   bool    // this round's report still awaited
 	acked  int     // newest round counted: the plans' cumulative AckRound
 	// window is the lease's reconciliation window, LeaseRounds+1 slots
-	// with round r in slot r % len (nil without a lease): what the agent
-	// was asked to run in each recent round, which is what a late report
-	// may be charged against, and whether that round was counted.
+	// with round r in slot r % len: what the agent was asked to run in
+	// each recent round, which is what a late report may be charged
+	// against, and whether that round was counted.
 	window []slot
 }
 
@@ -436,7 +428,8 @@ type slot struct {
 // to one agent in one round, for LeaseRounds rounds: the engine's
 // granted quantum, so a late report can be verified and settled exactly
 // as the on-time report would have been, and the agent's share of the
-// gang.
+// gang. q.Answered records whether the engine settled an answer for the
+// job's round, on time (mergeShards) or late (applyLate).
 type plannedEntry struct {
 	q    core.Quantum
 	frac float64
@@ -454,24 +447,25 @@ type shard struct {
 // at is the window slot round r maps to.
 func (a *agent) at(r int) *slot { return &a.window[r%len(a.window)] }
 
-// open starts round's slot for the plan being built. It held round −
+// open starts round's slot for the plan being built, with room for the
+// most assignments a plan can carry: one per GPU. It held round −
 // LeaseRounds − 1, which no report can be charged against any more.
 //
 //gflint:noretain
 func (a *agent) open(round int) *slot {
 	s := a.at(round)
-	s.round, s.applied, s.planned = round, false, s.planned[:0]
+	s.round, s.applied, s.planned = round, false, slices.Grow(s.planned[:0], a.gpus)
 	return s
 }
 
 // settleLate decides a late report against the agent's window when
 // round is the next to settle, and names the protocol event that
 // records the decision. The window holds rounds round−LeaseRounds …
-// round−1; a report outside it (always, without a lease) or for a round
-// the agent was not asked to run charges nothing and names none. A
-// round's report is counted once: apply is offered each whole-job
-// assignment of that round's plan the report answers, and says whether
-// it charged the answer.
+// round−1; a report outside it (always, under a lease of zero rounds) or
+// for a round the agent was not asked to run charges nothing and names
+// none. A round's report is counted once: apply is offered each
+// whole-job assignment of that round's plan the report answers, and
+// says whether it charged the answer.
 func (a *agent) settleLate(rep comm.RoundReport, round int, apply func(pe *plannedEntry, p comm.JobProgress, r int) bool) string {
 	r := rep.Round
 	if r <= 0 || r >= round || r < round-(len(a.window)-1) {
@@ -523,6 +517,24 @@ func (s *slot) entry(id job.ID) *plannedEntry {
 	return &s.planned[i]
 }
 
+// answeredSince reports whether the engine has settled an answer for job
+// id's quantum of round r or of a newer round, on any agent. When a
+// report for round r is reconcilable every such round is still in the
+// agents' windows: r is at most LeaseRounds old, and the slots of r and
+// of every round since are not yet overwritten.
+func answeredSince(agents []agent, id job.ID, r int) bool {
+	for ai := range agents {
+		for k := range agents[ai].window {
+			if s := &agents[ai].window[k]; s.round >= r {
+				if pe := s.entry(id); pe != nil && pe.q.Answered {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // NewCentral builds the coordinator. Call WaitForAgents before Run: the
 // engine, and with it the validation of the workload against the
 // inventory, comes into being when the agents have registered.
@@ -533,7 +545,10 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("distrib: no jobs")
 	}
-	c := newCentral(tr, policy, cfg, 1)
+	c, err := newCentral(tr, policy, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
 	c.ecfg.Specs, c.ecfg.Tickets = cfg.Specs, cfg.Tickets
 	return c, nil
 }
@@ -541,7 +556,10 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 // newCentral is the part of construction a fresh and a restored central
 // share: operational defaults, the engine configuration less its
 // workload and cluster, and the protocol state of incarnation epoch.
-func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch int) *Central {
+func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch int) (*Central, error) {
+	if cfg.LeaseRounds < 0 {
+		return nil, fmt.Errorf("distrib: negative lease of %d rounds", cfg.LeaseRounds)
+	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 360 // the engine's default; plans carry it
 	}
@@ -560,12 +578,9 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 		epoch:    epoch,
 		dedup:    comm.NewDedup(),
 	}
-	if cfg.LeaseRounds > 0 {
-		c.lastApplied = make(map[job.ID]int)
-	}
 	c.emit(trace.Record{Kind: trace.KindEpoch, N: int32(epoch)})
 	c.retry = c.newRetrier()
-	return c
+	return c, nil
 }
 
 // emit records one occurrence of the protocol's in the engine's event
@@ -667,9 +682,7 @@ func (c *Central) report(ai int, rep comm.RoundReport, round int) {
 	a.want = false
 	c.nWant--
 	c.note("report_received")
-	if a.window != nil {
-		a.counted(a.at(round))
-	}
+	a.counted(a.at(round))
 	if len(rep.Spans) > 0 {
 		c.cfg.Obs.Tracer().Inject(rep.Spans)
 	}
@@ -775,9 +788,7 @@ func (c *Central) buildEngine(cp *core.Checkpoint) error {
 		a := &c.agents[i]
 		specs[i] = gpu.Spec{Gen: a.gen, Servers: 1, GPUsPerSrv: a.gpus}
 		c.agentIdx[a.name] = i
-		if c.cfg.LeaseRounds > 0 {
-			a.window = make([]slot, c.cfg.LeaseRounds+1)
-		}
+		a.window = make([]slot, c.cfg.LeaseRounds+1)
 	}
 	cluster, err := gpu.New(specs...)
 	if err != nil {
@@ -855,8 +866,9 @@ func (c *Central) drainControl() {
 // actually planned on that agent, and only when it advances the job —
 // so duplicated, reordered, and replayed backlog deliveries are all
 // safe. Any late report is proof of life and heals the agent's failure
-// detector even when its usage was already charged. Without a lease
-// there is no window, and the queue is drained without applying.
+// detector even when its usage was already charged. Under a lease of
+// zero rounds no late report is inside the window, and the queue is
+// drained without applying.
 func (c *Central) reconcileLate(round int) {
 	if len(c.lateQ) == 0 {
 		return
@@ -888,29 +900,17 @@ func (c *Central) applyLate(pe *plannedEntry, p comm.JobProgress, r int) bool {
 	switch {
 	case j.Finished():
 		return false
-	case c.lastApplied[j.ID] >= r:
-		return false // a newer round already counted this job
+	case answeredSince(c.agents, j.ID, r):
+		return false // this or a newer round already counted this job
 	case p.DoneMB < j.DoneMB()-1e-6:
 		return false // stale progress; applying would move the job backwards
 	}
 	// Settled by the engine exactly as the on-time answer would have
 	// been: the quantum is the one it granted that round.
-	q := pe.q
+	q := &pe.q
 	q.Answered, q.DoneMB, q.UsedSecs, q.Finished = true, p.DoneMB, p.UsedSecs, p.Finished
-	c.eng.ApplyLate(&q)
-	c.noteApplied(j.ID, r, j.Finished())
+	c.eng.ApplyLate(q)
 	return true
-}
-
-// noteApplied records that round's answer for job id goes to the
-// engine: no older round may be counted for it again. A finished job
-// needs no record — nothing is ever applied to it.
-func (c *Central) noteApplied(id job.ID, round int, finished bool) {
-	if finished {
-		delete(c.lastApplied, id)
-	} else {
-		c.lastApplied[id] = round
-	}
 }
 
 // Summary reports the distributed run's outcome.
@@ -1014,19 +1014,19 @@ func (c *Central) BusyAgents() []string {
 const suspectThreshold = 2
 
 // downThreshold is the miss count at which an agent's server is
-// treated as down. Leases extend the base threshold: a leased agent
-// may legitimately be executing in degraded mode for LeaseRounds
-// rounds, so its placement stays sticky that much longer.
+// treated as down. The lease extends the base threshold: an agent may
+// legitimately be executing in degraded mode for LeaseRounds rounds, so
+// its placement stays sticky that much longer.
 func (c *Central) downThreshold() int { return suspectThreshold + c.cfg.LeaseRounds }
 
-// noteMiss charges one missed report against an agent. When a leased
-// agent crosses the down threshold its lease has expired from the
-// central's point of view: the agent (if alive) parks at its next
-// plan, and its jobs become placeable elsewhere.
+// noteMiss charges one missed report against an agent. When the agent
+// crosses the down threshold its lease has expired from the central's
+// point of view: the agent (if alive) parks at its next plan, and its
+// jobs become placeable elsewhere.
 func (c *Central) noteMiss(ai int) {
 	c.setMissed(ai, c.agents[ai].missed+1)
 	c.timeouts++
-	if c.cfg.LeaseRounds > 0 && c.agents[ai].missed == c.downThreshold() {
+	if c.agents[ai].missed == c.downThreshold() {
 		c.emit(trace.Record{Kind: trace.KindLeaseExpire, Name: c.agents[ai].name})
 	}
 }
@@ -1054,7 +1054,7 @@ func (c *Central) downServers() *gpu.ServerSet {
 // lease.
 func (c *Central) degradedAgents() int {
 	deg := 0
-	if c.cfg.LeaseRounds > 0 && c.nMissed > 0 {
+	if c.nMissed > 0 {
 		thr := c.downThreshold()
 		for ai := range c.agents {
 			if m := c.agents[ai].missed; m > 0 && m < thr {
@@ -1103,9 +1103,19 @@ func (c *Central) mergeShards(round int) {
 			// built from a stale base). The round still ran and is still
 			// charged; progress just never moves backwards.
 			q.DoneMB = max(q.DoneMB, q.Job.DoneMB())
-			if c.lastApplied != nil {
-				c.noteApplied(q.Job.ID, round, q.Finished)
-			}
+		}
+	}
+	// The window keeps which of the round's grants the engine settles
+	// (see answeredSince): a slot's entries are its agent's shards, in
+	// plan order.
+	for ai := range c.agents {
+		a := &c.agents[ai]
+		if len(a.shards) == 0 {
+			continue
+		}
+		planned := a.at(round).planned
+		for k, sh := range a.shards {
+			planned[k].q.Answered = qs[sh.rec].Answered
 		}
 	}
 }
@@ -1185,13 +1195,10 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			Jobs: assignBuf[:len(a.shards):len(a.shards)],
 		}
 		assignBuf = assignBuf[len(a.shards):]
-		var s *slot
-		if a.window != nil {
-			// Retain what this agent was asked to run so a report
-			// arriving after the collect deadline can still be verified
-			// and charged (see reconcileLate).
-			s = a.open(round)
-		}
+		// Retain what this agent was asked to run so a report arriving
+		// after the collect deadline can still be verified and charged
+		// (see reconcileLate).
+		s := a.open(round)
 		for k, sh := range a.shards {
 			q := &qs[sh.rec]
 			j := q.Job
@@ -1201,9 +1208,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			for i, d := range devs {
 				locals[i] = int(d - first)
 			}
-			if s != nil {
-				s.planned = append(s.planned, plannedEntry{q: *q, frac: sh.frac})
-			}
+			s.planned = append(s.planned, plannedEntry{q: *q, frac: sh.frac})
 			plan.Jobs[k] = comm.JobAssignment{
 				JobID: int64(j.ID), User: string(j.User), Model: j.Perf.Model,
 				Gang: len(devs), LocalGPUs: locals, Shard: sh.frac,
@@ -1224,9 +1229,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	if c.timeouts > c.cfg.MaxAgentTimeouts {
 		return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 	}
-	if c.cfg.LeaseRounds > 0 {
-		c.probe(round)
-	}
+	c.probe(round)
 	o.PhaseEnd(obs.PhaseDispatch)
 
 	o.PhaseStart(obs.PhaseCollect)
@@ -1241,9 +1244,9 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 			c.inbound(env, round)
 		case <-deadline:
 			// Straggler cutoff: the round proceeds without the late
-			// agents. Their jobs are charged as misses now; with
-			// leases their reports reconcile idempotently when they
-			// arrive.
+			// agents. Their jobs are charged as misses now; their
+			// reports reconcile idempotently when they arrive inside
+			// the lease.
 			for ai := range c.agents { // agent order is name order
 				if c.agents[ai].want {
 					c.note("report_timeout")
@@ -1271,11 +1274,11 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 }
 
 // probe is the lease protocol's share of dispatch: an empty plan to
-// each degraded agent that got no assignment paces a cut-off agent's
-// protocol (ack, lease bookkeeping) and gives a healed report path
-// something to answer, so recovery does not depend on the agent still
-// hosting work. Probes are best-effort: no reply expected, failures
-// charge nothing.
+// each unheard-from agent that got no assignment paces a cut-off
+// agent's protocol (ack, lease bookkeeping) and gives a healed report
+// path something to answer, so recovery does not depend on the agent
+// still hosting work — a down server hosts none. Probes are
+// best-effort: no reply expected, failures charge nothing.
 func (c *Central) probe(round int) {
 	for i := range c.agents {
 		a := &c.agents[i]

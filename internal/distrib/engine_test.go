@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"path/filepath"
 	"strings"
@@ -45,8 +46,16 @@ func seamSpecs(t *testing.T) []job.Spec {
 // noiseless profiler, lands on the same core.CanonicalDigest — rounds,
 // trace events, finishes, migrations, and every user's occupied, fair
 // and useful GPU-seconds. Nothing about a quantum is decided outside
-// the engine, so who carried it out cannot show.
+// the engine, so who carried it out cannot show — nor how long a lease
+// the plans grant: a lease of zero rounds and one of four run the one
+// protocol.
 func TestRemoteMatchesLocal(t *testing.T) {
+	for _, lease := range []int{0, 4} {
+		t.Run(fmt.Sprintf("LeaseRounds=%d", lease), func(t *testing.T) { remoteMatchesLocal(t, lease) })
+	}
+}
+
+func remoteMatchesLocal(t *testing.T, lease int) {
 	hub := comm.NewHub()
 	ep, err := hub.Attach("central")
 	if err != nil {
@@ -56,9 +65,10 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	waits := startAgents(t, hub, gens, 2)
 	newPolicy := func() core.Policy { return core.MustNewFairPolicy(core.FairConfig{EnableTrading: true}) }
 	c, err := NewCentral(ep, newPolicy(), CentralConfig{
-		Specs:   seamSpecs(t),
-		Tickets: map[job.UserID]float64{"alice": 2},
-		Quantum: 360,
+		Specs:       seamSpecs(t),
+		Tickets:     map[job.UserID]float64{"alice": 2},
+		Quantum:     360,
+		LeaseRounds: lease,
 	})
 	if err != nil {
 		t.Fatal(err)

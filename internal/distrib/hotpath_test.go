@@ -76,16 +76,18 @@ func (p *ranGPUs) Executed(rep *core.ExecReport) {
 
 // TestCentralSteadyStateAllocCeiling pins the dense-scratch rule
 // (DESIGN.md §8) on the distributed round: 64 agents, 256 GPUs all
-// busy, no faults, without a lease and with one. What a round may
+// busy, no faults, plans granting a lease of zero rounds and of four —
+// one protocol, whose window has one slot or five. What a round may
 // allocate is what it hands away — two payload arrays, one boxed plan,
 // one boxed report and its job list per agent — plus the policy's
-// per-job decision: 260 mallocs a round without a lease and 262 with
-// one, the same on every run (central and agents together: the count
-// is process-wide). A lease keeps its reconciliation window in slots
-// reused in place on both sides; the per-round maps it used to rebuild
-// cost 852. The gob-backed checksum (≈140 mallocs a message) and the
-// per-round map set of the zero-lease round cost 12,750 a round at this
-// shape, so the ceiling still sits 20× below either coming back.
+// per-job decision: 260 mallocs a round at a lease of zero rounds and
+// 262 at four, the same on every run (central and agents together: the
+// count is process-wide). Both sides keep the window in slots reused in
+// place, the agent its backlog and local progress in arrays kept across
+// rounds, and the central no table keyed by job; the per-round maps the
+// window replaced cost 852. The gob-backed checksum (≈140 mallocs a
+// message) and a per-round map set cost 12,750 a round at this shape,
+// so the ceiling still sits 20× below either coming back.
 func TestCentralSteadyStateAllocCeiling(t *testing.T) {
 	for _, lease := range []int{0, 4} {
 		t.Run(fmt.Sprintf("LeaseRounds=%d", lease), func(t *testing.T) { steadyStateAllocs(t, lease) })

@@ -491,11 +491,34 @@ func (w *planWire) Send(to string, e comm.Envelope) error {
 	return w.Transport.Send(to, e) // the wire duplicates everything it carries
 }
 
+// lostReports wraps an agent's transport: the first `lost` round
+// reports it carries vanish on the way (the send succeeds, nothing
+// arrives), so the central waits out its collect deadline for each.
+type lostReports struct {
+	comm.Transport
+	lost int // the agent sends from its Run goroutine only
+}
+
+func (w *lostReports) Send(to string, e comm.Envelope) error {
+	if _, isReport := e.Msg.(comm.RoundReport); isReport && w.lost > 0 {
+		w.lost--
+		return nil
+	}
+	return w.Transport.Send(to, e)
+}
+
 // startBehindPlanWire registers two one-GPU agents, a job of the given
 // length each, with a central whose planWire fails the first `fails`
 // plan sends to agent-1. The returned wait is for after the agents are
 // shut down.
 func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Central, hub *comm.Hub, ob *obs.Observer, wait func()) {
+	t.Helper()
+	return startPair(t, quanta, lease, fails, 0, 2*time.Second)
+}
+
+// startPair is startBehindPlanWire whose agent-1 also loses its first
+// `lost` reports, against a collect deadline of timeout.
+func startPair(t *testing.T, quanta float64, lease, fails, lost int, timeout time.Duration) (c *Central, hub *comm.Hub, ob *obs.Observer, wait func()) {
 	t.Helper()
 	hub = comm.NewHub()
 	central, err := hub.Attach("central")
@@ -508,6 +531,9 @@ func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Cen
 		tr, err := hub.Attach(fmt.Sprintf("agent-%d", i))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 {
+			tr = &lostReports{Transport: tr, lost: lost}
 		}
 		a, err := NewAgent(tr, "central", gpu.K80, 1)
 		if err != nil {
@@ -527,7 +553,7 @@ func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Cen
 	wire := &planWire{Transport: central, failTo: "agent-1", fails: fails}
 	c, err = NewCentral(wire, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: specs, Quantum: 360,
-		LeaseRounds: lease, ReportTimeout: 2 * time.Second, Obs: ob,
+		LeaseRounds: lease, ReportTimeout: timeout, Obs: ob,
 		Retry: comm.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 7},
 	})
 	if err != nil {
@@ -543,6 +569,58 @@ func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Cen
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestZeroLeaseServerRecovers: under a lease of zero rounds, agent-1
+// misses two reports in a row, so its server is down: it hosts no work
+// and gets no plan. The probe every lease sends an unheard-from agent
+// is what it answers, which heals the partition and puts its GPU back
+// to work — one of the two jobs would otherwise wait behind the other
+// for good. Two causes of the misses: plans the wire cannot deliver
+// (each round's three attempts fail, twice), and reports lost on the
+// way back that the collect deadline cuts off.
+func TestZeroLeaseServerRecovers(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		fails, lost int
+	}{
+		{"undeliverable plans", 6, 0},
+		{"collect deadline", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _, ob, wait := startPair(t, 1e6, 0, tc.fails, tc.lost, 200*time.Millisecond)
+			// Rounds run as fast as agent-0 answers, so the answer to a
+			// probe may land any number of rounds later: step until the
+			// heal, then one round more, which places work on agent-1.
+			log := c.eng.Result().Log
+			for deadline := time.Now().Add(5 * time.Second); len(log.Filter(trace.KindPartitionHeal)) == 0; {
+				if time.Now().After(deadline) {
+					t.Errorf("agent-1 never healed (missed=%d)", c.agents[1].missed)
+					break
+				}
+				if _, err := c.Steps(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.Steps(1); err != nil {
+				t.Fatal(err)
+			}
+			busy := c.BusyAgents()
+			c.ShutdownAgents()
+			wait()
+			for _, ev := range log.Filter(trace.KindPartitionHeal) {
+				if ev.Detail != "agent=agent-1" {
+					t.Errorf("partition heal %+v: only agent-1 was cut off", ev)
+				}
+			}
+			if len(busy) != 2 {
+				t.Errorf("busy agents after the heal %v, want both", busy)
+			}
+			if n := ob.Registry().Value("gf_protocol_events_total", "probe_sent"); n < 1 {
+				t.Errorf("probe_sent = %v, want >= 1", n)
+			}
+		})
 	}
 }
 

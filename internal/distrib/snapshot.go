@@ -145,7 +145,10 @@ func RestoreCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, st
 	}
 	// The restored central bumps past the snapshot's writer so the dead
 	// incarnation's traffic is fenced on both sides.
-	c := newCentral(tr, policy, cfg, st.Epoch+1)
+	c, err := newCentral(tr, policy, cfg, st.Epoch+1)
+	if err != nil {
+		return nil, err
+	}
 	c.timeouts = st.Timeouts
 	for _, a := range st.Agents {
 		g := gpu.Generation(a.Gen)
