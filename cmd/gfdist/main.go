@@ -110,7 +110,7 @@ func runCentral(args []string) {
 		waitSecs  = fs.Int("wait", 60, "seconds to wait for agent registration")
 		httpAddr  = fs.String("http", "", "serve /metrics, /healthz, /debug/sched on this address (e.g. :9090)")
 		pprofOn   = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http address")
-		flightOut = fs.String("flight", "", "arm the flight recorder; dumps the last rounds to this file on SIGUSR1 or /debug/flight?save=1")
+		flightOut = fs.String("flight", "", "arm the flight recorder; dumps the last rounds to this file on SIGUSR1, /debug/flight?save=1 or a failed round")
 		flightN   = fs.Int("flight-rounds", 0, "flight recorder window in rounds (0 = default 64)")
 		spansOut  = fs.String("spans-out", "", "write the final rounds' spans (central + agents) as Chrome trace_event JSON for Perfetto")
 		spansCap  = fs.Int("spans-cap", 0, "span ring capacity (0 = default 8192)")
@@ -177,6 +177,7 @@ func runCentral(args []string) {
 		SnapshotEvery: *snapEvery,
 		LeaseRounds:   *leaseR,
 		ReportTimeout: *collectD,
+		Flight:        rec,
 	}
 	wait := time.Duration(*waitSecs) * time.Second
 

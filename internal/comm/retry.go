@@ -69,24 +69,29 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 type Retrier struct {
 	pol RetryPolicy
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng *rand.Rand        // the jitter stream, seeded at the first retry
 	seq map[string]uint64 // per-destination sequence counters
 }
 
 // NewRetrier builds a Retrier; zero-value fields of pol take the
 // documented defaults.
 func NewRetrier(pol RetryPolicy) *Retrier {
-	pol = pol.withDefaults()
-	return &Retrier{pol: pol, rng: rand.New(rand.NewSource(pol.Seed)), seq: make(map[string]uint64)}
+	return &Retrier{pol: pol.withDefaults(), seq: make(map[string]uint64)}
 }
 
 // delay returns the jittered backoff before retry number n (1-based).
+// The jitter stream is seeded from the policy on first use, so a
+// Retrier that never retries never pays for it, and one that does
+// draws the same sequence as one seeded at construction.
 func (r *Retrier) delay(n int) time.Duration {
 	d := r.pol.BaseDelay << uint(n-1)
 	if d > r.pol.MaxDelay || d <= 0 { // <=0 guards shift overflow
 		d = r.pol.MaxDelay
 	}
 	r.mu.Lock()
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.pol.Seed))
+	}
 	f := 1 + r.pol.JitterFrac*(2*r.rng.Float64()-1)
 	r.mu.Unlock()
 	return time.Duration(float64(d) * f)

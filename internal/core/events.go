@@ -34,16 +34,20 @@ type eventCursor struct {
 	nextChange int
 }
 
-// newEventCursor copies and stably sorts both streams (stability
-// preserves config order among equal timestamps — part of the seed
-// contract, since admission order decides job processing order).
+// newEventCursor copies and stably sorts both streams. Among equal
+// timestamps config order stands — for jobs, the order of specs (user
+// order, then each user's own draw order, for a generated workload) —
+// which is part of the seed contract, since admission order decides
+// job processing order. The specs go through job.SortByArrival; a
+// generated workload arrives in order already, which costs that sort
+// one scan.
 func newEventCursor(specs []job.Spec, changes []TicketChange) *eventCursor {
 	e := &eventCursor{
 		specs:   make([]job.Spec, len(specs)),
 		changes: make([]TicketChange, len(changes)),
 	}
 	copy(e.specs, specs)
-	slices.SortStableFunc(e.specs, func(a, b job.Spec) int { return a.Arrival.Compare(b.Arrival) })
+	job.SortByArrival(e.specs)
 	copy(e.changes, changes)
 	slices.SortStableFunc(e.changes, func(a, b TicketChange) int { return a.At.Compare(b.At) })
 	return e

@@ -155,15 +155,12 @@ func (c Config) Validate() error {
 	if len(c.Specs) == 0 {
 		return fmt.Errorf("core: no jobs")
 	}
-	seen := make(map[job.ID]bool, len(c.Specs))
+	ids := make([]job.ID, len(c.Specs))
 	for i := range c.Specs {
 		if err := c.Specs[i].Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		if seen[c.Specs[i].ID] {
-			return fmt.Errorf("core: duplicate job ID %d", c.Specs[i].ID)
-		}
-		seen[c.Specs[i].ID] = true
+		ids[i] = c.Specs[i].ID
 		// A gang runs on devices of a single generation, so it must
 		// fit within some one generation it can use — total cluster
 		// size is not enough.
@@ -184,6 +181,12 @@ func (c Config) Validate() error {
 		if !placeable {
 			return fmt.Errorf("core: job %d gang %d exceeds every usable generation's capacity",
 				c.Specs[i].ID, c.Specs[i].Gang)
+		}
+	}
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("core: duplicate job ID %d", ids[i])
 		}
 	}
 	if !finite(c.Quantum) || c.Quantum <= 0 {

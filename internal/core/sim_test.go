@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gpu"
@@ -73,6 +74,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateNamesSmallestDuplicate: Validate finds duplicate job IDs
+// by sorting them, so the error names the smallest duplicated ID
+// wherever its copies sit, and distinct IDs in any order pass.
+func TestValidateNamesSmallestDuplicate(t *testing.T) {
+	specs, _ := workload.AssignIDs(workload.BatchJobs("u", zoo.MustGet("vae"), 6, 1, 1))
+	cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs}
+	slices.Reverse(cfg.Specs)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("distinct IDs in reverse order: %v", err)
+	}
+	cfg.Specs[0].ID, cfg.Specs[5].ID = 4, 2 // IDs 4, 5, 4, 3, 2, 2
+	err := cfg.Validate()
+	if err == nil || err.Error() != "core: duplicate job ID 2" {
+		t.Fatalf("Validate = %v, want the smallest duplicate, job 2", err)
+	}
+}
+
 // TestConfigValidateIsTotal holds Validate to every value New or Run
 // cannot use: each row passed Validate once and then hung Run, panicked
 // in New, failed only in New, or silently finished no job.
@@ -96,6 +114,8 @@ func TestConfigValidateIsTotal(t *testing.T) {
 		{"profiler noise NaN", func(c *Config) { c.ProfilerNoise = nan }},
 		{"profiler alpha 5", func(c *Config) { c.ProfilerAlpha = 5 }},
 		{"profiler alpha NaN", func(c *Config) { c.ProfilerAlpha = nan }},
+		{"arrival NaN", func(c *Config) { c.Specs = slices.Clone(c.Specs); c.Specs[0].Arrival = simclock.Time(nan) }},
+		{"arrival +Inf", func(c *Config) { c.Specs = slices.Clone(c.Specs); c.Specs[1].Arrival = simclock.Time(inf) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Cluster: k80Cluster(1, 4), Specs: specs}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/job"
 	"repro/internal/migrate"
 	"repro/internal/obs"
+	"repro/internal/obs/flight"
 	"repro/internal/obs/span"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
@@ -352,6 +353,12 @@ type CentralConfig struct {
 	// for the central scheduler. Nil disables instrumentation at zero
 	// cost (all observer methods are nil-safe).
 	Obs *obs.Observer
+
+	// Flight attaches a flight recorder to the engine, as
+	// core.Config.Flight does: the observer feeds it one snapshot per
+	// round, and Run dumps it on an audit violation, any other
+	// round-loop error, or a panic.
+	Flight *flight.Recorder
 }
 
 // Central is the coordinator: the round engine (core.Sim — admission,
@@ -573,7 +580,7 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 		cfg:      cfg,
 		tr:       tr,
 		policy:   policy,
-		ecfg:     core.Config{Quantum: cfg.Quantum, Costs: cfg.Costs, Obs: cfg.Obs, TraceCap: traceCap},
+		ecfg:     core.Config{Quantum: cfg.Quantum, Costs: cfg.Costs, Obs: cfg.Obs, Flight: cfg.Flight, TraceCap: traceCap},
 		agentIdx: make(map[string]int),
 		epoch:    epoch,
 		dedup:    comm.NewDedup(),

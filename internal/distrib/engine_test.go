@@ -129,13 +129,12 @@ func TestCentralAuditDrillDumpsFlight(t *testing.T) {
 	specs, _ := workload.AssignIDs(workload.BatchJobs("u", zoo.MustGet("vae"), 4, 1, 20))
 	path := filepath.Join(t.TempDir(), "flight.json")
 	c, err := NewCentral(ep, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
-		Specs: specs, Quantum: 360, Obs: obs.New(),
+		Specs: specs, Quantum: 360, Obs: obs.New(), Flight: flight.New(8, path),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.ecfg.AuditDrillRound = 2
-	c.ecfg.Flight = flight.New(8, path)
 	if err := c.WaitForAgents(1, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}

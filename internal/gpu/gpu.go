@@ -10,6 +10,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -226,9 +227,13 @@ type Cluster struct {
 
 // New builds a cluster from server specs. Device and server IDs are
 // assigned densely in spec order, so a given spec list always produces
-// the same inventory (determinism).
+// the same inventory (determinism). It counts first and then fills
+// every table at its final size: the servers share one backing array,
+// and so do their device lists, each cut to its own capacity so that
+// appending to one never writes into the next.
 func New(specs ...Spec) (*Cluster, error) {
-	c := &Cluster{}
+	var nDev, nSrv int
+	var devsOf, srvsOf [numGenerations]int
 	for _, sp := range specs {
 		if !sp.Gen.Valid() {
 			return nil, fmt.Errorf("gpu: invalid generation %d in spec", int(sp.Gen))
@@ -236,24 +241,46 @@ func New(specs ...Spec) (*Cluster, error) {
 		if sp.Servers <= 0 || sp.GPUsPerSrv <= 0 {
 			return nil, fmt.Errorf("gpu: spec %v must have positive servers and GPUs", sp.Gen)
 		}
-		for i := 0; i < sp.Servers; i++ {
-			srv := &Server{ID: ServerID(len(c.servers)), Gen: sp.Gen}
-			for j := 0; j < sp.GPUsPerSrv; j++ {
-				id := DeviceID(len(c.devices))
-				c.devices = append(c.devices, Device{ID: id, Server: srv.ID, Gen: sp.Gen})
-				srv.Devices = append(srv.Devices, id)
-				c.byGen[sp.Gen] = append(c.byGen[sp.Gen], id)
-			}
-			c.servers = append(c.servers, srv)
-			c.srvGen[sp.Gen] = append(c.srvGen[sp.Gen], srv.ID)
+		if sp.GPUsPerSrv > (math.MaxInt32-nDev)/sp.Servers {
+			return nil, fmt.Errorf("gpu: cluster exceeds %d GPUs", math.MaxInt32)
 		}
+		nDev += sp.Servers * sp.GPUsPerSrv
+		nSrv += sp.Servers
+		devsOf[sp.Gen] += sp.Servers * sp.GPUsPerSrv
+		srvsOf[sp.Gen] += sp.Servers
 	}
-	if len(c.devices) == 0 {
+	if nDev == 0 {
 		return nil, fmt.Errorf("gpu: empty cluster")
 	}
-	for g, devs := range c.byGen {
-		if len(devs) > 0 {
+	c := &Cluster{
+		servers: make([]*Server, nSrv),
+		devices: make([]Device, nDev),
+		present: make([]Generation, 0, numGenerations),
+	}
+	for g := range c.byGen {
+		if devsOf[g] > 0 {
+			c.byGen[g] = make([]DeviceID, 0, devsOf[g])
+			c.srvGen[g] = make([]ServerID, 0, srvsOf[g])
 			c.present = append(c.present, Generation(g))
+		}
+	}
+	srvs := make([]Server, nSrv)
+	ids := make([]DeviceID, nDev)
+	var d, s int
+	for _, sp := range specs {
+		for i := 0; i < sp.Servers; i++ {
+			srv := &srvs[s]
+			*srv = Server{ID: ServerID(s), Gen: sp.Gen, Devices: ids[d : d+sp.GPUsPerSrv : d+sp.GPUsPerSrv]}
+			for j := range srv.Devices {
+				id := DeviceID(d)
+				c.devices[d] = Device{ID: id, Server: srv.ID, Gen: sp.Gen}
+				srv.Devices[j] = id
+				c.byGen[sp.Gen] = append(c.byGen[sp.Gen], id)
+				d++
+			}
+			c.servers[s] = srv
+			c.srvGen[sp.Gen] = append(c.srvGen[sp.Gen], srv.ID)
+			s++
 		}
 	}
 	return c, nil

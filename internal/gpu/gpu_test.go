@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -60,6 +61,14 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := New(Spec{Gen: Generation(50), Servers: 1, GPUsPerSrv: 1}); err == nil {
 		t.Error("invalid generation accepted")
+	}
+	// New sizes its tables before filling them: more GPUs than a
+	// DeviceID can name is an error, not a huge or negative allocation.
+	if _, err := New(Spec{Gen: K80, Servers: 1 << 40, GPUsPerSrv: 1 << 40}); err == nil {
+		t.Error("2^80 GPUs accepted")
+	}
+	if _, err := New(Spec{Gen: K80, Servers: 1 << 30, GPUsPerSrv: 1}, Spec{Gen: V100, Servers: 1 << 30, GPUsPerSrv: 2}); err == nil {
+		t.Error("3·2^30 GPUs accepted")
 	}
 }
 
@@ -296,6 +305,122 @@ func TestServerSetMatchesMapModel(t *testing.T) {
 		drained.ForEach(func(id ServerID) bool { walked = append(walked, id); drained.Remove(id); return true })
 		if !slices.Equal(walked, members(models[0])) || drained.Len() != 0 {
 			t.Fatalf("step %d: draining walk %v left %d, model %v", step, walked, drained.Len(), members(models[0]))
+		}
+	}
+}
+
+// newAppend is New as it was before it counted first: every table
+// grown by append, one allocation per server. It is the oracle New's
+// inventory is held to.
+func newAppend(specs ...Spec) (*Cluster, error) {
+	c := &Cluster{}
+	for _, sp := range specs {
+		if !sp.Gen.Valid() {
+			return nil, fmt.Errorf("gpu: invalid generation %d in spec", int(sp.Gen))
+		}
+		if sp.Servers <= 0 || sp.GPUsPerSrv <= 0 {
+			return nil, fmt.Errorf("gpu: spec %v must have positive servers and GPUs", sp.Gen)
+		}
+		for i := 0; i < sp.Servers; i++ {
+			srv := &Server{ID: ServerID(len(c.servers)), Gen: sp.Gen}
+			for j := 0; j < sp.GPUsPerSrv; j++ {
+				id := DeviceID(len(c.devices))
+				c.devices = append(c.devices, Device{ID: id, Server: srv.ID, Gen: sp.Gen})
+				srv.Devices = append(srv.Devices, id)
+				c.byGen[sp.Gen] = append(c.byGen[sp.Gen], id)
+			}
+			c.servers = append(c.servers, srv)
+			c.srvGen[sp.Gen] = append(c.srvGen[sp.Gen], srv.ID)
+		}
+	}
+	if len(c.devices) == 0 {
+		return nil, fmt.Errorf("gpu: empty cluster")
+	}
+	for g, devs := range c.byGen {
+		if len(devs) > 0 {
+			c.present = append(c.present, Generation(g))
+		}
+	}
+	return c, nil
+}
+
+// TestNewMatchesAppendBuild holds New to newAppend on random spec
+// lists — generations repeated and interleaved, invalid specs among
+// them — for the same error or the same inventory, table by table.
+func TestNewMatchesAppendBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		specs := make([]Spec, rng.Intn(6))
+		for i := range specs {
+			specs[i] = Spec{Gen: Generation(rng.Intn(NumGenerations)), Servers: 1 + rng.Intn(5), GPUsPerSrv: 1 + rng.Intn(8)}
+			switch rng.Intn(20) {
+			case 0:
+				specs[i].Gen = Generation(NumGenerations + rng.Intn(3))
+			case 1:
+				specs[i].Servers = -rng.Intn(2)
+			case 2:
+				specs[i].GPUsPerSrv = 0
+			}
+		}
+		got, gerr := New(specs...)
+		want, werr := newAppend(specs...)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("specs %v: New error %v, the oracle's %v", specs, gerr, werr)
+		}
+		if werr != nil {
+			continue
+		}
+		if !slices.Equal(got.devices, want.devices) || !slices.Equal(got.present, want.present) {
+			t.Fatalf("specs %v: devices or generations differ from the oracle's", specs)
+		}
+		for g := range want.byGen {
+			if !slices.Equal(got.byGen[g], want.byGen[g]) || !slices.Equal(got.srvGen[g], want.srvGen[g]) {
+				t.Fatalf("specs %v: generation %v's devices or servers differ from the oracle's", specs, Generation(g))
+			}
+		}
+		if len(got.servers) != len(want.servers) {
+			t.Fatalf("specs %v: %d servers, the oracle %d", specs, len(got.servers), len(want.servers))
+		}
+		for i, s := range want.servers {
+			if g := got.servers[i]; g.ID != s.ID || g.Gen != s.Gen || !slices.Equal(g.Devices, s.Devices) {
+				t.Fatalf("specs %v: server %d is %+v, the oracle's %+v", specs, i, *g, *s)
+			}
+		}
+	}
+}
+
+// TestNewAllocsIndependentOfServers: New counts before it allocates,
+// so building a cluster costs the same number of allocations at 1 and
+// at 8,333 servers a generation.
+func TestNewAllocsIndependentOfServers(t *testing.T) {
+	allocs := func(servers int) float64 {
+		specs := make([]Spec, NumGenerations)
+		for g := range specs {
+			specs[g] = Spec{Gen: Generation(g), Servers: servers, GPUsPerSrv: 3}
+		}
+		return testing.AllocsPerRun(5, func() { MustNew(specs...) })
+	}
+	one, many := allocs(1), allocs(8333)
+	t.Logf("New, 4 generations × 3 GPUs a server: %.0f allocations at 1 server each, %.0f at 8,333", one, many)
+	if one != many {
+		t.Errorf("allocations grow with servers: %.0f at 1 a generation, %.0f at 8,333", one, many)
+	}
+}
+
+// TestServerDevicesCappedAtOwnLength: the servers' device lists share
+// one array, each cut to its own capacity, so appending to one server's
+// list copies it away and leaves the next server's devices alone.
+func TestServerDevicesCappedAtOwnLength(t *testing.T) {
+	c := MustNew(Spec{Gen: K80, Servers: 3, GPUsPerSrv: 4}, Spec{Gen: V100, Servers: 2, GPUsPerSrv: 2})
+	for i, srv := range c.Servers()[:c.NumServers()-1] {
+		next := c.Server(ServerID(i + 1))
+		before := slices.Clone(next.Devices)
+		if cap(srv.Devices) != len(srv.Devices) {
+			t.Fatalf("server %d: Devices has capacity %d beyond its %d GPUs", i, cap(srv.Devices), len(srv.Devices))
+		}
+		_ = append(srv.Devices, -1)
+		if !slices.Equal(next.Devices, before) {
+			t.Fatalf("appending to server %d's devices changed server %d's: %v → %v", i, i+1, before, next.Devices)
 		}
 	}
 }

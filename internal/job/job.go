@@ -157,6 +157,9 @@ func (s *Spec) Validate() error {
 	if s.Arrival < 0 {
 		return fmt.Errorf("job %d: negative arrival", s.ID)
 	}
+	if a := float64(s.Arrival); math.IsNaN(a) || math.IsInf(a, 0) {
+		return fmt.Errorf("job %d: arrival %v is not finite", s.ID, a)
+	}
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"repro/internal/job"
 	"repro/internal/simclock"
@@ -73,10 +72,16 @@ type Config struct {
 const (
 	defaultMeanK80Hours = 2.0
 	defaultSigmaLog     = 1.2
+
+	// maxJobs bounds a trace far past what memory holds, so that
+	// summing the users' job counts cannot overflow.
+	maxJobs = math.MaxInt32
 )
 
 // Generate produces a deterministic job trace for the config, sorted
-// by arrival time with IDs assigned in arrival order.
+// by arrival time with IDs assigned in arrival order. Jobs that arrive
+// together (a batch user's, all at time zero) stay in config order:
+// user order, then each user's own draw order.
 func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 	if z == nil || z.Len() == 0 {
 		return nil, fmt.Errorf("workload: nil or empty zoo")
@@ -96,8 +101,15 @@ func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 		return nil, fmt.Errorf("workload: MaxK80Hours %v < MinK80Hours %v", maxH, minH)
 	}
 
+	n := 0 // the trace's length, so specs is sized once
+	for _, u := range cfg.Users {
+		if u.NumJobs > maxJobs-n {
+			return nil, fmt.Errorf("workload: more than %d jobs", maxJobs)
+		}
+		n += max(u.NumJobs, 0)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var specs []job.Spec
+	specs := make([]job.Spec, 0, n)
 	for _, u := range cfg.Users {
 		if u.User == "" {
 			return nil, fmt.Errorf("workload: user with empty name")
@@ -150,7 +162,7 @@ func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 		}
 	}
 
-	slices.SortStableFunc(specs, func(a, b job.Spec) int { return a.Arrival.Compare(b.Arrival) })
+	job.SortByArrival(specs)
 	for i := range specs {
 		specs[i].ID = job.ID(i + 1)
 		if err := specs[i].Validate(); err != nil {

@@ -220,6 +220,8 @@ func TestGenerateErrors(t *testing.T) {
 		{Users: []UserSpec{{User: "u", NumJobs: 1, GangDist: []GangWeight{{Gang: 0, Weight: 1}}}}},
 		{Users: []UserSpec{{User: "u", NumJobs: 1, GangDist: []GangWeight{{Gang: 1, Weight: 0}}}}},
 		{Users: []UserSpec{{User: "u", NumJobs: 1}}, MinK80Hours: 10, MaxK80Hours: 1},
+		{Users: []UserSpec{{User: "u", NumJobs: math.MaxInt}}},
+		{Users: []UserSpec{{User: "u", NumJobs: 1 << 30}, {User: "v", NumJobs: 1 << 30}}},
 	}
 	for i, cfg := range cases {
 		if _, err := Generate(z, cfg); err == nil {
