@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/placement"
 	"repro/internal/simclock"
+	"repro/internal/trade"
 )
 
 // AuditMode selects how the engine's runtime invariant auditor reacts
@@ -69,6 +71,7 @@ const (
 	InvUsefulBound  = "useful-bound" // useful seconds ≤ occupied seconds ≤ quantum, per job
 	InvQuarantine   = "quarantine"   // no placed device sits on a quarantined server
 	InvCompensation = "compensation" // per-user fault deficit drains monotonically while the user is active
+	InvTradePrice   = "trade-price"  // every trade is between two users of unequal speedups, priced strictly between them, paid at its price
 	InvDrill        = "drill"        // synthetic violation injected by Config.AuditDrillRound
 )
 
@@ -263,6 +266,35 @@ func (a *auditor) checkAssignment(placed []Quantum, down, quarantined *gpu.Serve
 		a.rep.Checks++
 		if gen := gpu.Generation(g); w > a.caps[gen] {
 			a.violate(InvCapacity, "%d GPUs placed on %v, capacity %d", w, gen, a.caps[gen])
+		}
+	}
+}
+
+// checkTrades audits the policy's trades: each moves a positive amount
+// of fast capacity from one user to another whose speedups differ, at a
+// price strictly between the two speedups, and the slow capacity paid
+// back is that price times the fast. A NaN anywhere fails its check.
+func (a *auditor) checkTrades(trades []trade.Trade) {
+	if !a.on() {
+		return
+	}
+	const tol = 1e-9
+	for i := range trades {
+		tr := &trades[i]
+		a.rep.Checks++
+		switch {
+		case tr.Buyer == tr.Seller:
+			a.violate(InvTradePrice, "trade %d: %s is both buyer and seller", i, tr.Buyer)
+		case tr.BuyerSpeedup == tr.SellerSpeedup:
+			a.violate(InvTradePrice, "trade %d: %s buys from %s at equal speedups %v", i, tr.Buyer, tr.Seller, tr.BuyerSpeedup)
+		case !(tr.SellerSpeedup < tr.Price && tr.Price < tr.BuyerSpeedup):
+			a.violate(InvTradePrice, "trade %d: %s buys from %s at price %v, outside (%v, %v)",
+				i, tr.Buyer, tr.Seller, tr.Price, tr.SellerSpeedup, tr.BuyerSpeedup)
+		case !(tr.FastGPUs > 0):
+			a.violate(InvTradePrice, "trade %d: %s buys %v fast GPUs from %s", i, tr.Buyer, tr.FastGPUs, tr.Seller)
+		case !(math.Abs(tr.SlowGPUs-tr.Price*tr.FastGPUs) <= tol*(1+math.Abs(tr.SlowGPUs))):
+			a.violate(InvTradePrice, "trade %d: %s pays %v slow GPUs for %v fast at price %v",
+				i, tr.Buyer, tr.SlowGPUs, tr.FastGPUs, tr.Price)
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/placement"
+	"repro/internal/simclock"
+	"repro/internal/trade"
 	"repro/internal/workload"
 )
 
@@ -129,5 +133,93 @@ func TestAuditFirstViolationIsDeterministic(t *testing.T) {
 	}
 	if seen := firstOf(map[job.UserID]float64{"zed": -1, "amy": -2, "bob": 1, "kim": -3}); len(seen) != 1 {
 		t.Errorf("tickets: the aborting violation varies between runs: %v", seen)
+	}
+}
+
+// TestAuditTradePrice holds every trade to the market's contract: two
+// distinct users of unequal speedups, a price strictly between them, a
+// positive amount of fast capacity paid for at that price. Each broken
+// clause is one violation; a NaN fails its clause.
+func TestAuditTradePrice(t *testing.T) {
+	good := trade.Trade{Buyer: "dense", Seller: "mem", Fast: gpu.V100, Slow: gpu.K80,
+		FastGPUs: 1.5, SlowGPUs: 1.5 * 2.5, Price: 2.5, BuyerSpeedup: 4.4, SellerSpeedup: 1.2}
+	cases := map[string]func(*trade.Trade){
+		"good":            func(*trade.Trade) {},
+		"self":            func(tr *trade.Trade) { tr.Seller = tr.Buyer },
+		"equal speedups":  func(tr *trade.Trade) { tr.SellerSpeedup, tr.BuyerSpeedup, tr.Price = 2.5, 2.5, 2.5 },
+		"at seller":       func(tr *trade.Trade) { tr.Price, tr.SlowGPUs = 1.2, 1.2*1.5 },
+		"below seller":    func(tr *trade.Trade) { tr.Price, tr.SlowGPUs = 1, 1.5 },
+		"at buyer":        func(tr *trade.Trade) { tr.Price, tr.SlowGPUs = 4.4, 4.4*1.5 },
+		"NaN price":       func(tr *trade.Trade) { tr.Price = math.NaN() },
+		"zero fast":       func(tr *trade.Trade) { tr.FastGPUs, tr.SlowGPUs = 0, 0 },
+		"negative fast":   func(tr *trade.Trade) { tr.FastGPUs, tr.SlowGPUs = -1, -2.5 },
+		"underpaid":       func(tr *trade.Trade) { tr.SlowGPUs = 1.5*2.5 - 1e-6 },
+		"overpaid":        func(tr *trade.Trade) { tr.SlowGPUs = 1.5*2.5 + 1e-6 },
+		"NaN slow":        func(tr *trade.Trade) { tr.SlowGPUs = math.NaN() },
+		"rounding within": func(tr *trade.Trade) { tr.SlowGPUs = math.Nextafter(1.5*2.5, 4) },
+	}
+	for name, mutate := range cases {
+		a, _, _ := mkAuditor(t)
+		tr := good
+		mutate(&tr)
+		a.checkTrades([]trade.Trade{good, tr})
+		want := 1
+		if name == "good" || name == "rounding within" {
+			want = 0
+		}
+		if got := a.rep.Counts[InvTradePrice]; got != want || a.rep.Checks != 2 {
+			t.Errorf("%s: %d violations over %d checks, want %d over 2: %v", name, got, a.rep.Checks, want, a.rep.Violations)
+		}
+	}
+}
+
+// tradePlanter is a trading FairPolicy that adds one broken trade to its
+// decision in a chosen round.
+type tradePlanter struct {
+	*FairPolicy
+	round, at int
+	bad       trade.Trade
+}
+
+func (p *tradePlanter) Decide(st *RoundState) Decision {
+	dec := p.FairPolicy.Decide(st)
+	if p.round++; p.round == p.at {
+		dec.Trades = append(dec.Trades, p.bad)
+	}
+	return dec
+}
+
+// TestAuditCatchesPlantedTrade runs a trading policy that makes real
+// trades under the strict auditor: clean as it is, and aborted with an
+// InvTradePrice error once a trade priced at the seller's speedup is
+// planted among them.
+func TestAuditCatchesPlantedTrade(t *testing.T) {
+	build := func() Config {
+		var specs []job.Spec
+		specs = append(specs, workload.BatchJobs("mem", zoo.MustGet("vae"), 12, 1, 300)...)
+		specs = append(specs, workload.BatchJobs("dense", zoo.MustGet("resnext50"), 12, 1, 300)...)
+		specs, _ = workload.AssignIDs(specs)
+		return Config{Cluster: mixedCluster(), Specs: specs, Seed: 7}
+	}
+	bad := trade.Trade{Buyer: "dense", Seller: "mem", Fast: gpu.V100, Slow: gpu.K80,
+		FastGPUs: 1, SlowGPUs: 1.2, Price: 1.2, BuyerSpeedup: 4.4, SellerSpeedup: 1.2}
+	horizon := simclock.Time(24 * simclock.Hour)
+	for _, at := range []int{0, 5} { // round 0 never comes: the clean run
+		sim, err := New(build(), &tradePlanter{FairPolicy: MustNewFairPolicy(FairConfig{EnableTrading: true}), at: at, bad: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(horizon)
+		var ae *AuditError
+		switch {
+		case at == 0 && err != nil:
+			t.Fatalf("clean trading run: %v", err)
+		case at == 0 && res.TradeCount == 0:
+			t.Fatal("no trades executed: the clean run checks nothing")
+		case at > 0 && !errors.As(err, &ae):
+			t.Fatalf("planted trade at round %d: got %v, want an audit error", at, err)
+		case at > 0 && (ae.Violation.Invariant != InvTradePrice || ae.Violation.Round != at):
+			t.Fatalf("planted trade at round %d: got %v", at, ae.Violation)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/placement"
+	"repro/internal/stride"
 )
 
 // UseFromScratchReference swaps the round's maintained mechanism for
@@ -51,4 +52,12 @@ func servers(ids ...gpu.ServerID) *gpu.ServerSet {
 		set.Add(id)
 	}
 	return &set
+}
+
+// countStrideCompares adds the priority comparisons every stride.Order
+// call makes to *n — the policy's per-job ordering work — until the
+// returned stop is called. Tests that use it must not run in parallel.
+func countStrideCompares(n *int) (stop func()) {
+	stride.OnOrder = func(compares int) { *n += compares }
+	return func() { stride.OnOrder = nil }
 }

@@ -101,6 +101,7 @@ type FairPolicy struct {
 	fill    waterFill                          //gflint:noretain the round's water-fill
 	parties []trade.Party                      //gflint:noretain the round's entitlements, value vectors and demands, as trade.Market takes them
 	granted []*jobState                        //gflint:noretain the round's grants in grant order (grant i is Decision.Run[i]), consumed by Executed
+	run     []placement.Request                // the round's Decision.Run, rebuilt in place by the next Decide
 	ranAt   []int32                            //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
 	cands   []stride.Candidate                 //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
 	recs    []*jobState                        //gflint:noretain the records of cands, by position (pass 2), or one user's new stride order (pass 1)
@@ -132,8 +133,8 @@ type userState struct {
 	credit fairshare.Entitlement // per-generation deficit credit
 
 	// order is the user's jobs in last round's stride order, each new job
-	// appended at first sight: what pass 1 offers the stride kernel, so
-	// the sort sees nearly sorted input. Only the order of offer, never
+	// appended at first sight: what pass 1 offers the stride kernel, which
+	// finds it a few sorted runs to merge. Only the order of offer, never
 	// the outcome, depends on it.
 	order []*jobState
 
@@ -318,7 +319,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 
 	// 4. Selection.
 	p.granted = p.granted[:0]
-	run := make([]placement.Request, 0, len(st.Jobs))
+	run := p.run[:0]
 	schedule := func(js *jobState, g gpu.Generation, viaCredit bool) {
 		j, us := js.job, js.user
 		js.granted, js.gen, js.viaCredit = true, g, viaCredit
@@ -419,6 +420,8 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		}
 	}
 
+	p.run = run
+	//gflint:ignore retain Decision.Run is good until the next Decide, which rebuilds it in place
 	return Decision{Run: run, Trades: trades, Repaid: repaid}
 }
 

@@ -114,7 +114,9 @@ func (st *RoundState) CapacityByGen() map[gpu.Generation]int {
 type Decision struct {
 	// Run lists the jobs to execute this quantum and the generation
 	// each should run on. Total gang width per generation must not
-	// exceed cluster capacity; the engine validates this.
+	// exceed cluster capacity; the engine validates this. The slice may
+	// be the policy's own buffer: it is good until the policy's next
+	// Decide, so a caller that keeps it longer copies it.
 	Run []placement.Request
 
 	// Trades logs the resource trades behind this decision (empty

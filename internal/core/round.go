@@ -193,6 +193,7 @@ func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
 		return nil, err
 	}
 	s.obs.PhaseEnd(obs.PhaseDecide)
+	s.aud.checkTrades(dec.Trades)
 	rd.repaid = dec.Repaid
 	for _, tr := range dec.Trades {
 		s.emit(trace.Record{At: rd.now, Kind: trace.KindTrade, User: tr.Buyer, Name: string(tr.Seller),

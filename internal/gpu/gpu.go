@@ -158,11 +158,20 @@ func (s *ServerSet) Union(o *ServerSet) {
 
 // ForEach calls fn on the servers of the set in ascending ID order until
 // fn returns false; fn may remove the server it is given.
-func (s *ServerSet) ForEach(fn func(ServerID) bool) {
+func (s *ServerSet) ForEach(fn func(ServerID) bool) { s.ForEachFrom(0, fn) }
+
+// ForEachFrom is ForEach over the servers with ID at least from: the
+// walk starts at from's word, so the servers below it cost nothing.
+func (s *ServerSet) ForEachFrom(from ServerID, fn func(ServerID) bool) {
 	if s == nil {
 		return
 	}
-	for i, w := range s.words {
+	from = max(from, 0)
+	for i := int(from >> 6); i < len(s.words); i++ {
+		w := s.words[i]
+		if i == int(from>>6) {
+			w &^= 1<<(from&63) - 1
+		}
 		for ; w != 0; w &= w - 1 {
 			if !fn(ServerID(i<<6 + bits.TrailingZeros64(w))) {
 				return

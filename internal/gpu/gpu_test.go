@@ -199,8 +199,10 @@ func TestPropertyCapacity(t *testing.T) {
 // removes, unions, copies and clears, the same operations on a map
 // model beside them, and after each compares membership (word edges
 // 0, 63, 64, 127, IDs past the set and negative ones included), the
-// count, the ascending walk, an early-stopped walk, a walk that removes
-// what it visits and the difference walk against another set.
+// count, the ascending walk, an early-stopped walk, the walk from an ID
+// (word edges, negative and past the set, early stop included), a walk
+// that removes what it visits and the difference walk against another
+// set.
 func TestServerSetMatchesMapModel(t *testing.T) {
 	var zero ServerSet
 	var none *ServerSet
@@ -213,6 +215,7 @@ func TestServerSetMatchesMapModel(t *testing.T) {
 		t.Fatal("an empty set is not empty")
 	}
 	none.ForEach(func(ServerID) bool { t.Fatal("nil set walked"); return true })
+	none.ForEachFrom(3, func(ServerID) bool { t.Fatal("nil set walked"); return true })
 	zero.Remove(5) // beyond the set: a no-op
 	zero.Clear()
 
@@ -280,6 +283,27 @@ func TestServerSetMatchesMapModel(t *testing.T) {
 				s.ForEach(func(id ServerID) bool { first = append(first, id); return len(first) < 2 })
 				if !slices.Equal(first, want[:2]) {
 					t.Fatalf("step %d set %d: walk stopped after two at %v, want %v", step, k, first, want[:2])
+				}
+			}
+			from := probe[rng.Intn(len(probe))]
+			if rng.Intn(4) == 0 {
+				from = ServerID(rng.Intn(300))
+			}
+			var tail, wantTail []ServerID
+			s.ForEachFrom(from, func(id ServerID) bool { tail = append(tail, id); return true })
+			for _, id := range want {
+				if id >= from {
+					wantTail = append(wantTail, id)
+				}
+			}
+			if !slices.Equal(tail, wantTail) {
+				t.Fatalf("step %d set %d: walk from %d %v, model %v", step, k, from, tail, wantTail)
+			}
+			if len(wantTail) > 1 {
+				var first []ServerID
+				s.ForEachFrom(from, func(id ServerID) bool { first = append(first, id); return len(first) < 2 })
+				if !slices.Equal(first, wantTail[:2]) {
+					t.Fatalf("step %d set %d: walk from %d stopped after two at %v, want %v", step, k, from, first, wantTail[:2])
 				}
 			}
 		}

@@ -359,13 +359,13 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "<-waitCh",
 		},
 		{
-			// Deleting the placement span copy returns a view of the
-			// index's reused scratch buffer.
+			// Deleting the placement span's copy out into the slab
+			// returns a view of the index's reused scratch buffer.
 			name:    "scratchalias",
 			file:    "internal/placement/index.go",
 			pkg:     "./internal/placement",
 			check:   "retain",
-			old:     "idx.spanOut = out[:0]\n\treturn sortedCopy(out)",
+			old:     "idx.spanOut = out[:0]\n\tdevs := append(idx.cut(len(out)), out...)\n\tslices.Sort(devs)\n\treturn devs",
 			new:     "idx.spanOut = out[:0]\n\tslices.Sort(out)\n\treturn out",
 			flagged: "\treturn out",
 		},

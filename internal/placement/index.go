@@ -121,6 +121,10 @@ type Index struct {
 	// signal that a round costs its churn (see DeviceOps).
 	takes, releases int
 
+	// slab is what new device lists are cut from: a chunk of slabLen
+	// IDs, each list capped at its own length (see cut).
+	slab []gpu.DeviceID
+
 	// Scratch reused across rounds.
 	round    Round          //gflint:noretain the last round's result
 	cand     []pend         //gflint:noretain per-round scratch
@@ -128,6 +132,11 @@ type Index struct {
 	prevSrvs []gpu.ServerID //gflint:noretain per-call scratch
 	spanOut  []gpu.DeviceID //gflint:noretain per-call scratch
 }
+
+// slabLen is the length of one slab chunk: a round that places a
+// thousand gangs anew makes tens of allocations for their device lists,
+// not a thousand.
+const slabLen = 1024
 
 // NewIndex builds the index with all servers available, all devices
 // free and nothing held.
@@ -457,6 +466,7 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 	// non-previous one; among previous servers it is fewest-free then
 	// lowest ID — exactly the rescan comparison, restricted here to
 	// the (tiny) prev set plus one bucket probe.
+	first := c.ServersOf(g)[0] // a bucket of g holds no server below it
 	best := gpu.ServerID(-1)
 	bestCnt := 0
 	for _, sid := range prevSrvs {
@@ -476,14 +486,14 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 		// No previous server fits: best fit over all servers is the
 		// lowest-ID member of the smallest sufficient bucket.
 		for cnt := gang; cnt <= idx.maxCnt && best < 0; cnt++ {
-			idx.buckets[g][cnt].ForEach(func(sid gpu.ServerID) bool {
+			idx.buckets[g][cnt].ForEachFrom(first, func(sid gpu.ServerID) bool {
 				best = sid
 				return false
 			})
 		}
 	}
 	if best >= 0 {
-		return idx.takeFrom(best, gang, nil)
+		return idx.takeFrom(best, gang, idx.cut(gang))
 	}
 
 	// Spanning: most-free servers first (free count descending, then
@@ -493,7 +503,7 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 	out := idx.spanOut[:0]
 	need := gang
 	for cnt := idx.maxCnt; cnt >= 1 && need > 0; cnt-- {
-		idx.buckets[g][cnt].ForEach(func(sid gpu.ServerID) bool {
+		idx.buckets[g][cnt].ForEachFrom(first, func(sid gpu.ServerID) bool {
 			n := cnt
 			if n > need {
 				n = need
@@ -504,18 +514,30 @@ func (idx *Index) findDevices(r Request, prevDevs []gpu.DeviceID) []gpu.DeviceID
 		})
 	}
 	idx.spanOut = out[:0]
-	return sortedCopy(out)
+	devs := append(idx.cut(len(out)), out...)
+	slices.Sort(devs)
+	return devs
 }
 
-// takeFrom collects server sid's n lowest-ID free devices. With a nil
-// dst it returns a fresh sorted slice (the single-server result);
-// otherwise it appends to dst for the spanning path. Devices are NOT
-// taken here — PlaceIndexed takes the returned set.
+// cut returns an empty list with room for exactly n devices, cut from
+// the slab: appending n fills it in place and appending more copies it
+// out. A list handed out is never written again — it stays some job's
+// record of where it ran — and the slab moves past it for good.
+func (idx *Index) cut(n int) []gpu.DeviceID {
+	if cap(idx.slab)-len(idx.slab) < n {
+		idx.slab = make([]gpu.DeviceID, 0, max(slabLen, n))
+	}
+	lo := len(idx.slab)
+	idx.slab = idx.slab[:lo+n]
+	return idx.slab[lo : lo : lo+n]
+}
+
+// takeFrom appends server sid's n lowest-ID free devices to dst, which
+// for the single-server result is a fresh list from cut and for the
+// spanning path the scratch it collects in. Devices are NOT taken
+// here — PlaceRound takes the returned set.
 func (idx *Index) takeFrom(sid gpu.ServerID, n int, dst []gpu.DeviceID) []gpu.DeviceID {
 	srv := idx.c.Server(sid)
-	if dst == nil {
-		dst = make([]gpu.DeviceID, 0, n)
-	}
 	for _, d := range srv.Devices {
 		if n == 0 {
 			break

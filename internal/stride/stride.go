@@ -82,10 +82,15 @@ type Candidate struct {
 // positions in cands of the schedulable ones — positive gang and
 // tickets — in scheduling priority order: increasing pass, ties broken
 // by larger gang, then lower ID. The order is total, so the positions
-// cands are offered in change nothing but how much sorting there is to
-// do: offering last round's order makes the sort's input nearly sorted.
-// Callers that interleave per-candidate constraints (e.g. per-generation
-// budgets) walk this order themselves and charge what ran.
+// cands are offered in change nothing but how much work there is to do.
+// Order deals the positions, as offered, first-fit onto at most
+// maxPiles piles that each stay in priority order and merges the piles;
+// only an offer that needs more piles is sorted. Last round's order,
+// after charging, is a few sorted runs interleaved, so offering it
+// costs a few comparisons per candidate. Callers that interleave
+// per-candidate constraints (e.g. per-generation budgets) walk this
+// order themselves and charge what ran. The returned slice keeps room
+// for 2·len(cands) positions: hand it back as the next call's order.
 //
 //gflint:noretain
 func Order(cands []Candidate, order []int32) []int32 {
@@ -95,31 +100,106 @@ func Order(cands []Candidate, order []int32) []int32 {
 			minPass, found = c.Pass, true
 		}
 	}
-	order = order[:0]
 	for i := range cands {
-		c := &cands[i]
-		if c.Joins {
+		if c := &cands[i]; c.Joins {
 			c.Pass = minPass
 		}
-		if c.Gang > 0 && c.Tickets > 0 {
-			order = append(order, int32(i))
+	}
+	n := len(cands)
+	buf := slices.Grow(order[:0], 2*n)[:2*n]
+	order, compares, ok := merged(cands, buf[:0], buf[n:])
+	if !ok {
+		order = buf[:0]
+		for i := range cands {
+			if c := &cands[i]; c.Gang > 0 && c.Tickets > 0 {
+				order = append(order, int32(i))
+			}
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			compares++
+			return compare(&cands[a], &cands[b])
+		})
+	}
+	if OnOrder != nil {
+		OnOrder(compares)
+	}
+	return order
+}
+
+// maxPiles is how many sorted piles Order deals an offer into before it
+// sorts instead.
+const maxPiles = 8
+
+// OnOrder, when set, is told how many priority comparisons each Order
+// call made. Tests set it to bind a round's ordering work to its jobs;
+// programs leave it nil.
+var OnOrder func(compares int)
+
+// compare is Order's priority: increasing pass, then larger gang, then
+// lower ID.
+func compare(a, b *Candidate) int {
+	switch {
+	case a.Pass != b.Pass:
+		if a.Pass < b.Pass {
+			return -1
+		}
+		return 1
+	case a.Gang != b.Gang:
+		return cmp.Compare(b.Gang, a.Gang)
+	default:
+		return cmp.Compare(a.ID, b.ID)
+	}
+}
+
+// merged appends the schedulable positions of cands to out in priority
+// order by patience: each is dealt, in the order offered, onto the first
+// pile whose last card it sorts after, and the piles' heads are then
+// merged. next (len(cands) long) links each pile's cards. Every pile's
+// last card sorts after the next pile's, so first fit uses the fewest
+// piles any split of the offer into sorted subsequences needs. With more
+// than maxPiles it reports false, having appended nothing.
+func merged(cands []Candidate, out, next []int32) (order []int32, compares int, ok bool) {
+	var head, tail [maxPiles]int32
+	piles := 0
+	for i := range cands {
+		c := &cands[i]
+		if c.Gang <= 0 || c.Tickets <= 0 {
+			continue
+		}
+		p := 0
+		for ; p < piles; p++ {
+			compares++
+			if compare(&cands[tail[p]], c) < 0 {
+				break
+			}
+		}
+		switch {
+		case p < piles:
+			next[tail[p]] = int32(i)
+		case piles == maxPiles:
+			return out, compares, false
+		default:
+			head[p] = int32(i)
+			piles++
+		}
+		tail[p], next[i] = int32(i), -1
+	}
+	for piles > 0 {
+		best := 0
+		for p := 1; p < piles; p++ {
+			compares++
+			if compare(&cands[head[p]], &cands[head[best]]) < 0 {
+				best = p
+			}
+		}
+		at := head[best]
+		out = append(out, at)
+		if head[best] = next[at]; head[best] < 0 {
+			piles--
+			head[best] = head[piles]
 		}
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ca, cb := &cands[a], &cands[b]
-		switch {
-		case ca.Pass != cb.Pass:
-			if ca.Pass < cb.Pass {
-				return -1
-			}
-			return 1
-		case ca.Gang != cb.Gang:
-			return cmp.Compare(cb.Gang, ca.Gang)
-		default:
-			return cmp.Compare(ca.ID, cb.ID)
-		}
-	})
-	return order
+	return out, compares, true
 }
 
 // Select chooses the candidates to run for one round on a pool of
