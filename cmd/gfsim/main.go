@@ -292,7 +292,7 @@ func makePolicy(name string, trading bool, users []job.UserID) (core.Policy, err
 	case "gandiva-fair":
 		return core.NewFairPolicy(core.FairConfig{EnableTrading: trading})
 	case "tiresias":
-		return baselines.NewTiresias(baselines.TiresiasConfig{}), nil
+		return baselines.NewTiresias(), nil
 	case "gandiva-rr":
 		return baselines.NewGandivaRR(), nil
 	case "static":

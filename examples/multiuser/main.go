@@ -65,7 +65,7 @@ func run(name string, p gf.Policy) *gf.Result {
 
 func main() {
 	fair := run("gandiva-fair", gf.MustNewScheduler(gf.SchedulerConfig{EnableTrading: true}))
-	tir := run("tiresias", gf.NewTiresias(gf.TiresiasConfig{}))
+	tir := run("tiresias", gf.NewTiresias())
 
 	fmt.Printf("%-14s %10s %10s %12s %14s\n", "policy", "finished", "util", "migrations", "max share err")
 	for _, res := range []*gf.Result{fair, tir} {

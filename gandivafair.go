@@ -141,7 +141,6 @@ type (
 	Decision        = core.Decision
 	TradeConfig     = trade.Config
 	PricePolicy     = trade.PricePolicy
-	TiresiasConfig  = baselines.TiresiasConfig
 )
 
 // Trade price policies.
@@ -169,10 +168,10 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) { return core.NewFair
 func MustNewScheduler(cfg SchedulerConfig) *Scheduler { return core.MustNewFairPolicy(cfg) }
 
 // Baseline schedulers the paper compares against.
-func NewTiresias(cfg TiresiasConfig) Policy { return baselines.NewTiresias(cfg) }
-func NewGandivaRR() Policy                  { return baselines.NewGandivaRR() }
-func NewStaticQuota(users []UserID) Policy  { return baselines.NewStaticQuota(users) }
-func NewFIFO() Policy                       { return baselines.NewFIFO() }
+func NewTiresias() Policy                  { return baselines.NewTiresias() }
+func NewGandivaRR() Policy                 { return baselines.NewGandivaRR() }
+func NewStaticQuota(users []UserID) Policy { return baselines.NewStaticQuota(users) }
+func NewFIFO() Policy                      { return baselines.NewFIFO() }
 
 // Timeline is the windowed share-over-time accumulator carried in
 // Result.Timeline.

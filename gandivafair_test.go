@@ -49,7 +49,7 @@ func TestPublicBaselinesRun(t *testing.T) {
 	zoo := DefaultZoo()
 	specs, _ := AssignIDs(BatchJobs("u", zoo.MustGet("gru"), 6, 1, 1.0))
 	for _, p := range []Policy{
-		NewTiresias(TiresiasConfig{}),
+		NewTiresias(),
 		NewGandivaRR(),
 		NewStaticQuota([]UserID{"u"}),
 		NewFIFO(),

@@ -70,44 +70,31 @@ func pickGen(j *job.Job, gens []gpu.Generation, remaining map[gpu.Generation]int
 // ---------------------------------------------------------------------------
 // Tiresias-L
 
-// TiresiasConfig tunes the discretized 2D-LAS queues.
-type TiresiasConfig struct {
-	// QueueThresholds are attained-service boundaries in
-	// gang-GPU-seconds; a job with attained service below
-	// Thresholds[i] sits in queue i (lower queue = higher priority).
-	// Nil means the defaults {1, 4, 16} GPU-hours.
-	QueueThresholds []float64
-}
+// queueThresholds are Tiresias' attained-service boundaries in
+// gang-GPU-seconds, ascending: a job with attained service below
+// queueThresholds[i] sits in queue i (lower queue = higher priority).
+var queueThresholds = [...]float64{1 * 3600, 4 * 3600, 16 * 3600}
 
 // Tiresias implements Tiresias-L: jobs are prioritized by discretized
 // least attained service (gang × time), FIFO within a queue. It is
 // preemptive at quantum boundaries and entirely job-centric: a user
 // who submits more jobs simply owns more of the cluster, which is
 // exactly the unfairness Gandiva_fair's evaluation demonstrates.
-type Tiresias struct {
-	thresholds []float64
-}
+type Tiresias struct{}
 
 // NewTiresias constructs the baseline.
-func NewTiresias(cfg TiresiasConfig) *Tiresias {
-	th := cfg.QueueThresholds
-	if th == nil {
-		th = []float64{1 * 3600, 4 * 3600, 16 * 3600}
-	}
-	sort.Float64s(th)
-	return &Tiresias{thresholds: th}
-}
+func NewTiresias() *Tiresias { return &Tiresias{} }
 
 // Name implements core.Policy.
 func (t *Tiresias) Name() string { return "tiresias-l" }
 
-func (t *Tiresias) queueOf(attained float64) int {
-	for i, th := range t.thresholds {
+func queueOf(attained float64) int {
+	for i, th := range queueThresholds {
 		if attained < th {
 			return i
 		}
 	}
-	return len(t.thresholds)
+	return len(queueThresholds)
 }
 
 // Decide implements core.Policy.
@@ -115,7 +102,7 @@ func (t *Tiresias) Decide(st *core.RoundState) core.Decision {
 	ordered := make([]*job.Job, len(st.Jobs))
 	copy(ordered, st.Jobs)
 	sort.SliceStable(ordered, func(i, k int) bool {
-		qi, qk := t.queueOf(ordered[i].AttainedService()), t.queueOf(ordered[k].AttainedService())
+		qi, qk := queueOf(ordered[i].AttainedService()), queueOf(ordered[k].AttainedService())
 		if qi != qk {
 			return qi < qk
 		}

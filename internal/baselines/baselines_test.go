@@ -47,7 +47,7 @@ func TestTiresiasJobLevelNotUserLevel(t *testing.T) {
 	// the user with 3× the jobs gets ≈3× the GPU time — the paper's
 	// core unfairness demonstration.
 	res := run(t, core.Config{Cluster: k80Cluster(2, 4), Specs: skewedSpecs(), Seed: 1},
-		NewTiresias(TiresiasConfig{}), simclock.Time(12*simclock.Hour))
+		NewTiresias(), simclock.Time(12*simclock.Hour))
 	sh := metrics.ShareFractions(res.TotalUsageByUser())
 	// Job-count proportionality predicts ≈0.75; within-queue FIFO tie
 	// breaking skews it further toward the flooder. Either way, far
@@ -69,7 +69,7 @@ func TestTiresiasPrioritizesYoungJobs(t *testing.T) {
 	specs = append(specs, late...)
 	specs, _ = workload.AssignIDs(specs)
 	res := run(t, core.Config{Cluster: k80Cluster(1, 2), Specs: specs, Seed: 2},
-		NewTiresias(TiresiasConfig{}), simclock.Time(12*simclock.Hour))
+		NewTiresias(), simclock.Time(12*simclock.Hour))
 	var lateJCT float64 = -1
 	for _, j := range res.Finished {
 		if j.TotalMB < 1000*3600 { // the short one
@@ -202,7 +202,7 @@ func TestAllBaselinesRunOnHeterogeneousCluster(t *testing.T) {
 		MaxK80Hours: 4,
 	})
 	policies := []core.Policy{
-		NewTiresias(TiresiasConfig{}),
+		NewTiresias(),
 		NewGandivaRR(),
 		NewStaticQuota([]job.UserID{"a", "b"}),
 		NewFIFO(),
@@ -255,7 +255,7 @@ func TestFuzzBaselineInvariants(t *testing.T) {
 			}}
 		}
 		policies := []core.Policy{
-			NewTiresias(TiresiasConfig{}),
+			NewTiresias(),
 			NewGandivaRR(),
 			NewStaticQuota(users),
 			NewFIFO(),
@@ -282,7 +282,7 @@ func TestFuzzBaselineInvariants(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]core.Policy{
-		"tiresias-l":   NewTiresias(TiresiasConfig{}),
+		"tiresias-l":   NewTiresias(),
 		"gandiva-rr":   NewGandivaRR(),
 		"static-quota": NewStaticQuota(nil),
 		"fifo":         NewFIFO(),
@@ -295,10 +295,10 @@ func TestPolicyNames(t *testing.T) {
 }
 
 func TestTiresiasQueueOf(t *testing.T) {
-	tr := NewTiresias(TiresiasConfig{QueueThresholds: []float64{10, 100}})
-	cases := map[float64]int{0: 0, 9.9: 0, 10: 1, 99: 1, 100: 2, 1e9: 2}
+	const h = 3600
+	cases := map[float64]int{0: 0, h - 1: 0, h: 1, 4*h - 1: 1, 4 * h: 2, 16*h - 1: 2, 16 * h: 3, 1e9: 3}
 	for att, want := range cases {
-		if got := tr.queueOf(att); got != want {
+		if got := queueOf(att); got != want {
 			t.Errorf("queueOf(%v) = %d, want %d", att, got, want)
 		}
 	}

@@ -18,11 +18,10 @@ type RetryPolicy struct {
 	// it doubles per retry up to MaxDelay (default 500ms).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// JitterFrac perturbs each delay by ±JitterFrac of itself
-	// (default 0.2) from a stream seeded with Seed, so retry storms
-	// decorrelate but tests stay reproducible.
-	JitterFrac float64
-	Seed       int64
+	// Seed seeds the jitter stream (default 1): each delay is
+	// perturbed by ±jitterFrac of itself, so retry storms decorrelate
+	// but tests stay reproducible.
+	Seed int64
 
 	// SeqBase offsets the per-destination sequence numbers this
 	// Retrier stamps onto outbound envelopes (the first send to a
@@ -39,6 +38,9 @@ type RetryPolicy struct {
 	OnRetry func(attempt int, err error)
 }
 
+// jitterFrac is the relative half-width of each delay's jitter.
+const jitterFrac = 0.2
+
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -48,12 +50,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 500 * time.Millisecond
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = 0.2
 	}
 	if p.Seed == 0 {
 		p.Seed = 1
@@ -92,7 +88,7 @@ func (r *Retrier) delay(n int) time.Duration {
 	if r.rng == nil {
 		r.rng = rand.New(rand.NewSource(r.pol.Seed))
 	}
-	f := 1 + r.pol.JitterFrac*(2*r.rng.Float64()-1)
+	f := 1 + jitterFrac*(2*r.rng.Float64()-1)
 	r.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }

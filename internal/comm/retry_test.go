@@ -101,22 +101,20 @@ func TestRetrierRefusesUnsealable(t *testing.T) {
 
 func TestRetrierBackoffCappedAndJittered(t *testing.T) {
 	r := NewRetrier(RetryPolicy{
-		BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
-		JitterFrac: 0.2, Seed: 7,
+		BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Seed: 7,
 	})
 	for n := 1; n <= 10; n++ {
 		d := r.delay(n)
 		if d <= 0 {
 			t.Fatalf("retry %d: non-positive delay %v", n, d)
 		}
-		if max := time.Duration(float64(40*time.Millisecond) * 1.2); d > max {
+		if max := time.Duration(float64(40*time.Millisecond) * (1 + jitterFrac)); d > max {
 			t.Errorf("retry %d: delay %v above jittered cap %v", n, d, max)
 		}
 	}
 	// Same seed, same jitter stream.
 	r2 := NewRetrier(RetryPolicy{
-		BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond,
-		JitterFrac: 0.2, Seed: 7,
+		BaseDelay: 10 * time.Millisecond, MaxDelay: 40 * time.Millisecond, Seed: 7,
 	})
 	for n := 1; n <= 5; n++ {
 		if a, b := r2.delay(n), r2.delay(n); a == b {
@@ -135,7 +133,7 @@ func jitteredDelays(pol RetryPolicy, seed int64, n int) []time.Duration {
 	out := make([]time.Duration, n)
 	for i := range out {
 		d := min(pol.BaseDelay<<uint(i), pol.MaxDelay)
-		out[i] = time.Duration(float64(d) * (1 + pol.JitterFrac*(2*ref.Float64()-1)))
+		out[i] = time.Duration(float64(d) * (1 + jitterFrac*(2*ref.Float64()-1)))
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 
 	"repro/internal/gpu"
@@ -85,7 +86,8 @@ func (s *Sim) Checkpoint() *Checkpoint {
 // instrumentation; its Specs, Tickets and TicketChanges are replaced by
 // the checkpoint's, and the whole is validated as New validates it (a
 // job listed twice, or one the cluster cannot place, is an error), and
-// so are the usage and debt books (see checkBooks).
+// so are the clock, the books and where the jobs last ran (see
+// checkClock and checkBooks).
 //
 // The restored engine's jobs are new records with the checkpoint's IDs.
 // A fresh policy starts its books over. A FairPolicy that ran under the
@@ -111,8 +113,14 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	if cp.Now < 0 || cp.Rounds < 0 {
-		return nil, fmt.Errorf("core: checkpoint at round %d, t=%v", cp.Rounds, cp.Now)
+	// A job's migration backoff holds round numbers as int32; half that
+	// range is left for the rounds ahead.
+	if !finite(float64(cp.Now)) || cp.Now < 0 || cp.Rounds < 0 || cp.Rounds > math.MaxInt32/2 || cp.Migrations < 0 || cp.Trades < 0 {
+		return nil, fmt.Errorf("core: checkpoint at round %d, t=%v with %d migrations and %d trades",
+			cp.Rounds, cp.Now, cp.Migrations, cp.Trades)
+	}
+	if err := s.checkClock(cp); err != nil {
+		return nil, err
 	}
 	if err := s.checkBooks(cp); err != nil {
 		return nil, err
@@ -156,11 +164,20 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		// Sorted, as placement leaves them, and held by nobody: the new
 		// engine's index starts empty, so every job contends for its old
 		// place as Place's phase 1 would have it. The generation a job last
-		// ran on is its devices'.
+		// ran on is its devices'. Placement leaves a job on its gang of
+		// distinct devices of one generation its model fits, nowhere else.
 		last := slices.Clone(devs)
 		slices.Sort(last)
+		g := cfg.Cluster.Device(last[0]).Gen
+		ok := len(last) == j.Gang && j.Perf.FitsOn(g)
+		for i := 1; ok && i < len(last); i++ {
+			ok = last[i] != last[i-1] && cfg.Cluster.Device(last[i]).Gen == g
+		}
+		if !ok {
+			return nil, fmt.Errorf("core: checkpoint places job %d (gang %d, model %s) on devices %v", j.ID, j.Gang, j.Perf.Model, devs)
+		}
 		j.SetDevices(last, 0)
-		j.NoteDispatch(cfg.Cluster.Device(devs[0]).Gen)
+		j.NoteDispatch(g)
 	}
 	for u, byGen := range cp.Usage {
 		b := &s.books[s.userAt(u)]
@@ -196,13 +213,37 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	return s, nil
 }
 
-// checkBooks refuses usage and debt books no engine writes: an entry
-// for a user the checkpoint's jobs do not name, for a generation outside
-// the model, or a value that is negative, NaN or infinite. It runs
+// checkClock refuses a clock no run of cp.Rounds rounds reaches. Time
+// moves a quantum per round, and an idle engine jumps to the next
+// arrival, which it then admits, at most a quantum later; so the clock
+// is at most the latest admitted job's arrival plus a quantum per round
+// and one more. One further quantum absorbs the rounding of the sum.
+func (s *Sim) checkClock(cp *Checkpoint) error {
+	var last simclock.Time
+	for _, jcs := range [][]job.Checkpoint{cp.Active, cp.Done} {
+		for i := range jcs {
+			last = max(last, jcs[i].Spec.Arrival)
+		}
+	}
+	if reach := last.Add(float64(cp.Rounds+2) * s.cfg.Quantum); cp.Now > reach {
+		return fmt.Errorf("core: checkpoint clock %v is past %v, where %d rounds after the last arrival reach", cp.Now, reach, cp.Rounds)
+	}
+	return nil
+}
+
+// checkBooks refuses books no engine writes: a usage or debt entry for
+// a user the checkpoint's jobs do not name or for a generation outside
+// the model, or a value in any book — the per-generation busy and
+// capacity totals included — that is negative, NaN or infinite. It runs
 // before anything is restored, and reports the first bad entry in user
 // and generation order.
 func (s *Sim) checkBooks(cp *Checkpoint) error {
 	bad := func(v float64) bool { return v < 0 || !finite(v) }
+	for g := range cp.Busy {
+		if bad(cp.Busy[g]) || bad(cp.Capacity[g]) {
+			return fmt.Errorf("core: checkpoint has %v busy of %v capacity on %v", cp.Busy[g], cp.Capacity[g], gpu.Generation(g))
+		}
+	}
 	for _, u := range job.SortedUsers(cp.Usage) {
 		if s.userAt(u) < 0 {
 			return fmt.Errorf("core: checkpoint usage for unknown user %q", u)

@@ -14,11 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRestoreRefusesHostileBooks feeds Restore checkpoints whose usage
-// books no engine writes — a user the checkpoint's jobs do not name, a
+// TestRestoreRefusesHostileBooks feeds Restore checkpoints whose books
+// no engine writes — a user the checkpoint's jobs do not name, a
 // generation outside the model, a negative, NaN or infinite value, in
-// each of the four books — and wants an error and no engine, where the
-// unspoilt checkpoint restores.
+// each of the four usage books and the busy and capacity totals, a
+// negative event count or a NaN clock — and wants an error and no
+// engine, where the unspoilt checkpoint restores. (JSON carries no NaN
+// or infinity, so FuzzRestore cannot reach those rows.)
 func TestRestoreRefusesHostileBooks(t *testing.T) {
 	specs := append(workload.BatchJobs("a", zoo.MustGet("vae"), 2, 1, 1e3),
 		workload.BatchJobs("b", zoo.MustGet("lstm"), 2, 2, 1e3)...)
@@ -38,7 +40,7 @@ func TestRestoreRefusesHostileBooks(t *testing.T) {
 		t.Fatalf("fixture: books not written for both users: %+v", cp)
 	}
 	restore := func(cp *Checkpoint) (*Sim, error) {
-		return Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+		return Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0, 1), cp)
 	}
 	if _, err := restore(cp); err != nil {
 		t.Fatalf("the unspoilt checkpoint: %v", err)
@@ -62,6 +64,15 @@ func TestRestoreRefusesHostileBooks(t *testing.T) {
 		{"throughput of an unknown user", func(cp *Checkpoint) { cp.Throughput["ghost"] = 1 }},
 		{"NaN throughput", func(cp *Checkpoint) { cp.Throughput["a"] = nan }},
 		{"negative throughput", func(cp *Checkpoint) { cp.Throughput["b"] = -0.5 }},
+		{"negative busy", func(cp *Checkpoint) { cp.Busy[gpu.K80] = -1 }},
+		{"NaN busy", func(cp *Checkpoint) { cp.Busy[gpu.K80] = nan }},
+		{"infinite busy", func(cp *Checkpoint) { cp.Busy[gpu.V100] = inf }},
+		{"negative capacity", func(cp *Checkpoint) { cp.Capacity[gpu.K80] = -360 }},
+		{"NaN capacity", func(cp *Checkpoint) { cp.Capacity[gpu.P40] = nan }},
+		{"infinite capacity", func(cp *Checkpoint) { cp.Capacity[gpu.K80] = inf }},
+		{"negative migrations", func(cp *Checkpoint) { cp.Migrations = -1 }},
+		{"negative trades", func(cp *Checkpoint) { cp.Trades = -1 }},
+		{"NaN clock", func(cp *Checkpoint) { cp.Now = simclock.Time(nan) }},
 	}
 	for _, tc := range cases {
 		bad := *cp
@@ -97,7 +108,7 @@ func TestRestoreReportsLowestBadJob(t *testing.T) {
 	cp.Prev[lo] = []gpu.DeviceID{0, 901}
 	want := fmt.Sprintf("core: checkpoint places job %d on unknown device 901", lo)
 	for i := 0; i < 50; i++ {
-		s, err := Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+		s, err := Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0, 1), cp)
 		if s != nil || err == nil || err.Error() != want {
 			t.Fatalf("call %d: Restore returned engine %v, error %v; want no engine and %q", i, s != nil, err, want)
 		}
@@ -139,7 +150,7 @@ func TestFairPolicyCarriesAcrossRestore(t *testing.T) {
 	if credit[0] == (fairshare.Entitlement{}) && credit[1] == (fairshare.Entitlement{}) {
 		t.Fatal("fixture: no credit to carry")
 	}
-	s, err = Restore(cfg, policy, LocalExecutor{}, profiler.MustNew(0.25, 0, 1), s.Checkpoint())
+	s, err = Restore(cfg, policy, LocalExecutor{}, profiler.MustNew(0, 1), s.Checkpoint())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func TestCheckpointCarriesCompensationDebt(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore := func(cp *Checkpoint) (*Sim, error) {
-		return Restore(cfg, MustNewFairPolicy(fc), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+		return Restore(cfg, MustNewFairPolicy(fc), LocalExecutor{}, profiler.MustNew(0, 1), cp)
 	}
 	r, err := restore(&cp)
 	if err != nil {

@@ -102,7 +102,7 @@ func TestEventCursorOrdersCheckpointPending(t *testing.T) {
 	rng.Shuffle(len(cp.Pending), func(i, j int) { cp.Pending[i], cp.Pending[j] = cp.Pending[j], cp.Pending[i] })
 	checkCursorOrder(t, "shuffled", cp.Pending)
 
-	r, err := Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0.25, 0, 1), cp)
+	r, err := Restore(cfg, MustNewFairPolicy(FairConfig{}), LocalExecutor{}, profiler.MustNew(0, 1), cp)
 	if err != nil {
 		t.Fatal(err)
 	}

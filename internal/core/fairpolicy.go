@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/fairshare"
@@ -26,15 +25,6 @@ type FairConfig struct {
 	// Trade configures the trading loop when enabled.
 	Trade trade.Config
 
-	// MinSamples is how many profiler observations a job needs on a
-	// generation before its estimate feeds trading. Zero means 1.
-	MinSamples int
-
-	// MigrationCooldown is the minimum number of rounds between
-	// generation changes for one job, damping migration thrash when a
-	// user's entitlement straddles generations. Zero means 10.
-	MigrationCooldown int
-
 	// Hierarchy, when set, replaces the flat per-user tickets with
 	// two-level org → user fairness: each round the orgs' tickets are
 	// flattened over the currently active users (see
@@ -46,12 +36,11 @@ type FairConfig struct {
 	// (the compensation ablation). It is the one way to run without
 	// repayment: the engine keeps the books whatever Config.Faults is.
 	DisableCompensation bool
-
-	// CompMaxShare caps per-round failure repayment at this fraction
-	// of total capacity, so catch-up cannot crowd out live shares.
-	// Zero means 0.25.
-	CompMaxShare float64
 }
+
+// compMaxShare caps per-round failure repayment at this fraction of
+// total capacity, so catch-up cannot crowd out live shares.
+const compMaxShare = 0.25
 
 // FairPolicy implements Gandiva_fair: ticket fair share with
 // water-filling, per-user gang-aware stride scheduling realized
@@ -171,29 +160,9 @@ type jobState struct {
 
 const jobBlockSize = 64
 
-// NewFairPolicy constructs the policy.
+// NewFairPolicy constructs the policy. No FairConfig is invalid, so the
+// error is always nil.
 func NewFairPolicy(cfg FairConfig) (*FairPolicy, error) {
-	if cfg.MinSamples == 0 {
-		cfg.MinSamples = 1
-	}
-	if cfg.MinSamples < 0 {
-		return nil, fmt.Errorf("core: negative MinSamples")
-	}
-	if cfg.MigrationCooldown == 0 {
-		cfg.MigrationCooldown = 10
-	}
-	if cfg.MigrationCooldown < 0 {
-		return nil, fmt.Errorf("core: negative MigrationCooldown")
-	}
-	if cfg.CompMaxShare == 0 {
-		cfg.CompMaxShare = 0.25
-	}
-	if cfg.CompMaxShare < 0 || cfg.CompMaxShare > 1 {
-		return nil, fmt.Errorf("core: CompMaxShare %v outside (0,1]", cfg.CompMaxShare)
-	}
-	if err := cfg.Trade.Validate(); err != nil {
-		return nil, err
-	}
 	return &FairPolicy{cfg: cfg}, nil
 }
 
@@ -262,7 +231,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		// policy is compensating, so materialized catch-up may drain the
 		// deficit (see Sim.settleCompensation).
 		repaid = make(map[job.UserID]float64)
-		fairshare.WaterFillWithDebt(f.tickets, f.demand, f.debt, capacity.Total(), p.cfg.CompMaxShare, f.shares, f.granted)
+		fairshare.WaterFillWithDebt(f.tickets, f.demand, f.debt, capacity.Total(), compMaxShare, f.shares, f.granted)
 		for i, g := range f.granted {
 			if g > 0 {
 				repaid[p.users[i].id] = g * st.Quantum
@@ -279,7 +248,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	p.parties = slices.Grow(p.parties[:0], len(p.users))[:len(p.users)]
 	present := st.Cluster.GensPresent()
 	for i, us := range p.users {
-		us.vals = p.userValues(st.Prof, present, us.jobs)
+		us.vals = userValues(st.Prof, present, us.jobs)
 		p.parties[i] = trade.Party{User: us.id, Values: us.vals, Demand: f.demand[i]}
 		if sh := f.shares[i]; sh != fairshare.Unreached {
 			p.parties[i].Share = capacity.Split(sh)
@@ -288,9 +257,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	var trades []trade.Trade
 	if p.cfg.EnableTrading {
 		st.Obs.PhaseStart(obs.PhaseTrade)
-		if log, err := trade.Market(p.parties, p.cfg.Trade); err == nil {
-			trades = log
-		}
+		trades = trade.Market(p.parties, p.cfg.Trade)
 		st.Obs.PhaseEnd(obs.PhaseTrade)
 	}
 
@@ -525,7 +492,7 @@ func (p *FairPolicy) pickGen(js *jobState, pref []gpu.Generation, remaining *[gp
 	try := func(g gpu.Generation) bool {
 		return j.Perf.FitsOn(g) && remaining[g] >= j.Gang &&
 			js.user.credit[g] >= float64(j.Gang)-1e-9 &&
-			p.genAllowed(js, g, p.cfg.MigrationCooldown)
+			p.genAllowed(js, g, migrationCooldown)
 	}
 	if prev, ok := j.LastGen(); ok && try(prev) {
 		return prev, true
@@ -538,9 +505,14 @@ func (p *FairPolicy) pickGen(js *jobState, pref []gpu.Generation, remaining *[gp
 	return 0, false
 }
 
-// backfillCooldown is the reduced generation-change cooldown used in
-// the backfill pass (see Decide).
-const backfillCooldown = 2
+// migrationCooldown is the minimum number of rounds between generation
+// changes for one job, damping migration thrash when a user's
+// entitlement straddles generations; backfillCooldown is the reduced
+// cooldown used in the backfill pass (see Decide).
+const (
+	migrationCooldown = 10
+	backfillCooldown  = 2
+)
 
 // genAllowed enforces the migration cooldown: a job may change
 // generation only if it has not changed within the last cooldown
@@ -615,7 +587,7 @@ func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
 // speedup of each generation over the oldest generation the job has an
 // estimate on, across the user's runnable jobs; all zero while no job
 // has an estimate, which trades nothing.
-func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64) {
+func userValues(prof *profiler.Profiler, gens []gpu.Generation, jobs []*jobState) (v [gpu.NumGenerations]float64) {
 	var num, den [gpu.NumGenerations]float64
 	for _, js := range jobs {
 		est := prof.Estimates(js.job)
@@ -625,7 +597,7 @@ func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, 
 		base := gpu.Generation(-1)
 		var baseRate float64
 		for _, g := range gens {
-			if r, ok := est.Rate(g); ok && est.Samples(g) >= p.cfg.MinSamples {
+			if r, ok := est.Rate(g); ok {
 				base, baseRate = g, r
 				break
 			}
@@ -635,7 +607,7 @@ func (p *FairPolicy) userValues(prof *profiler.Profiler, gens []gpu.Generation, 
 		}
 		w := float64(js.job.Gang)
 		for _, g := range gens {
-			if r, ok := est.Rate(g); ok && est.Samples(g) >= p.cfg.MinSamples {
+			if r, ok := est.Rate(g); ok {
 				num[g] += w * r / baseRate
 				den[g] += w
 			}

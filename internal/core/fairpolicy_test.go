@@ -36,7 +36,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		}
 		dec := p.Decide(&RoundState{
 			Quantum: 360, Cluster: cluster, Jobs: jobs,
-			Tickets: map[job.UserID]float64{"u": 1}, Prof: profiler.MustNew(0.25, 0, 1),
+			Tickets: map[job.UserID]float64{"u": 1}, Prof: profiler.MustNew(0, 1),
 		})
 		// Equal pass, so the wider gang is granted first; the user's whole
 		// share (their demand, 10 GPUs) funds both from credit.

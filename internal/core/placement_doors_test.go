@@ -181,7 +181,7 @@ func TestEngineDoorsMatchPlace(t *testing.T) {
 		}
 		policy := &scriptPolicy{rng: rng}
 		exec := &lossyExecutor{rng: rng}
-		prof, err := profiler.New(0.25, 0.03, cfg.Seed)
+		prof, err := profiler.New(0.03, cfg.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,10 +41,9 @@ type Config struct {
 	// no-migration ablation).
 	DisableMigration bool
 
-	// ProfilerNoise is the relative std-dev of one rate measurement;
-	// ProfilerAlpha the EWMA weight. Zeros mean 0.03 and 0.25.
+	// ProfilerNoise is the relative std-dev of one rate measurement.
+	// Zero means 0.03.
 	ProfilerNoise float64
-	ProfilerAlpha float64
 
 	// TimelineWindow is the share-timeline bucket width; zero means
 	// one hour.
@@ -134,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.ProfilerNoise == 0 {
 		c.ProfilerNoise = 0.03
 	}
-	if c.ProfilerAlpha == 0 {
-		c.ProfilerAlpha = 0.25
-	}
 	if c.TimelineWindow == 0 {
 		c.TimelineWindow = simclock.Hour
 	}
@@ -195,16 +191,21 @@ func (c Config) Validate() error {
 	if !finite(c.TimelineWindow) || c.TimelineWindow <= 0 {
 		return fmt.Errorf("core: timeline window %v is not a positive finite duration", c.TimelineWindow)
 	}
-	if err := profiler.CheckParams(c.ProfilerAlpha, c.ProfilerNoise); err != nil {
+	if err := profiler.CheckParams(c.ProfilerNoise); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	if err := c.Costs.Validate(); err != nil {
 		return err
 	}
+	// A round's water-fill divides by its ticket total, so no total may
+	// overflow: every ticket value the run can hold, summed, bounds them.
+	var total float64
 	for u, t := range c.Tickets {
 		if !finite(t) || t < 0 {
 			return fmt.Errorf("core: user %s has tickets %v, want finite and non-negative", u, t)
 		}
+		//gflint:ignore order sum of non-negatives feeds only an overflow check
+		total += t
 	}
 	for _, f := range c.Failures {
 		if int(f.Server) < 0 || int(f.Server) >= c.Cluster.NumServers() {
@@ -218,6 +219,10 @@ func (c Config) Validate() error {
 		if tc.User == "" || !finite(tc.Tickets) || tc.Tickets < 0 || !finite(float64(tc.At)) || tc.At < 0 {
 			return fmt.Errorf("core: invalid ticket change %+v", tc)
 		}
+		total += tc.Tickets
+	}
+	if !finite(total) {
+		return fmt.Errorf("core: tickets and ticket changes sum to %v, overflowing a round's total", total)
 	}
 	if c.Audit != AuditStrict && c.Audit != AuditCount && c.Audit != AuditOff {
 		return fmt.Errorf("core: invalid audit mode %d", int(c.Audit))
@@ -513,7 +518,7 @@ func (b *userBooks) addUsage(g gpu.Generation, amount float64) {
 // validated.
 func New(cfg Config, policy Policy) (*Sim, error) {
 	cfg = cfg.withDefaults()
-	prof, err := profiler.New(cfg.ProfilerAlpha, cfg.ProfilerNoise, cfg.Seed)
+	prof, err := profiler.New(cfg.ProfilerNoise, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +528,7 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 // NewWithExecutor builds the engine around an executor and a profiler
 // of the caller's (the distributed central passes its dispatch/collect
 // protocol and a noiseless profiler: its agents report true rates). The
-// config is validated (ProfilerNoise and ProfilerAlpha included), but
+// config is validated (ProfilerNoise included), but
 // the estimates follow the given profiler's parameters and seed.
 func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler) (*Sim, error) {
 	if policy == nil || exec == nil || prof == nil {

@@ -107,13 +107,16 @@ func TestConfigValidateIsTotal(t *testing.T) {
 		{"timeline window NaN", func(c *Config) { c.TimelineWindow = nan }},
 		{"tickets NaN", func(c *Config) { c.Tickets = map[job.UserID]float64{"u": nan} }},
 		{"tickets +Inf", func(c *Config) { c.Tickets = map[job.UserID]float64{"u": inf} }},
+		{"tickets overflowing their sum", func(c *Config) { c.Tickets = map[job.UserID]float64{"u": 1e308, "v": 1e308} }},
+		{"ticket change overflowing the sum", func(c *Config) {
+			c.Tickets = map[job.UserID]float64{"u": 1e308}
+			c.TicketChanges = []TicketChange{{At: 0, User: "v", Tickets: 1e308}}
+		}},
 		{"ticket change NaN", func(c *Config) { c.TicketChanges = []TicketChange{{At: 0, User: "u", Tickets: nan}} }},
 		{"ticket change at NaN", func(c *Config) { c.TicketChanges = []TicketChange{{At: simclock.Time(nan), User: "u", Tickets: 1}} }},
 		{"failure duration NaN", func(c *Config) { c.Failures = []Failure{{Server: 0, At: 0, Duration: nan}} }},
 		{"profiler noise -1", func(c *Config) { c.ProfilerNoise = -1 }},
 		{"profiler noise NaN", func(c *Config) { c.ProfilerNoise = nan }},
-		{"profiler alpha 5", func(c *Config) { c.ProfilerAlpha = 5 }},
-		{"profiler alpha NaN", func(c *Config) { c.ProfilerAlpha = nan }},
 		{"arrival NaN", func(c *Config) { c.Specs = slices.Clone(c.Specs); c.Specs[0].Arrival = simclock.Time(nan) }},
 		{"arrival +Inf", func(c *Config) { c.Specs = slices.Clone(c.Specs); c.Specs[1].Arrival = simclock.Time(inf) }},
 	} {

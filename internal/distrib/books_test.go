@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -327,10 +328,11 @@ func TestOnTimeAnswerFencesOlderLateReport(t *testing.T) {
 	}
 }
 
-// TestNegativeLeaseRefused: a lease is a number of rounds, zero or
-// more; a negative one would size the window below one slot, so both
-// ways to build a central refuse it.
-func TestNegativeLeaseRefused(t *testing.T) {
+// TestNegativeSettingsRefused: the central's operational settings are
+// counts and spans, zero or more (zero takes the default), so both ways
+// to build a central refuse a negative lease, report timeout, snapshot
+// period or timeout budget.
+func TestNegativeSettingsRefused(t *testing.T) {
 	specs, err := workload.AssignIDs(workload.BatchJobs("alice", zoo.MustGet("lstm"), 1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -339,13 +341,31 @@ func TestNegativeLeaseRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := CentralConfig{Specs: specs, LeaseRounds: -1}
-	if c, err := NewCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg); err == nil || c != nil {
-		t.Errorf("NewCentral with lease -1: central %v, error %v; want an error", c != nil, err)
-	}
 	st := &State{Epoch: 1, Engine: &core.Checkpoint{Pending: specs},
 		Agents: []AgentState{{Name: "agent-0", Gen: int(gpu.K80), GPUs: 1}}}
-	if c, err := RestoreCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg, st); err == nil || c != nil {
-		t.Errorf("RestoreCentral with lease -1: central %v, error %v; want an error", c != nil, err)
+	for _, tc := range []struct {
+		name string
+		cfg  CentralConfig
+	}{
+		{"LeaseRounds", CentralConfig{LeaseRounds: -1}},
+		{"ReportTimeout", CentralConfig{ReportTimeout: -time.Second}},
+		{"SnapshotEvery", CentralConfig{SnapshotEvery: -3}},
+		{"MaxAgentTimeouts", CentralConfig{MaxAgentTimeouts: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Specs = specs
+			if c, err := NewCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg); err == nil || c != nil {
+				t.Errorf("NewCentral: central %v, error %v; want an error", c != nil, err)
+			}
+			if c, err := RestoreCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), cfg, st); err == nil || c != nil {
+				t.Errorf("RestoreCentral: central %v, error %v; want an error", c != nil, err)
+			}
+		})
+	}
+	// The same snapshot restores under the zero settings, so the refusals
+	// above are the settings'.
+	if _, err := RestoreCentral(tr, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{}, st); err != nil {
+		t.Errorf("RestoreCentral with zero settings: %v", err)
 	}
 }

@@ -564,8 +564,13 @@ func NewCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig) (*Cent
 // share: operational defaults, the engine configuration less its
 // workload and cluster, and the protocol state of incarnation epoch.
 func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch int) (*Central, error) {
-	if cfg.LeaseRounds < 0 {
-		return nil, fmt.Errorf("distrib: negative lease of %d rounds", cfg.LeaseRounds)
+	// Each is a count or a span: a negative lease would size the window
+	// below one slot, a negative report timeout start every collect past
+	// its deadline, a negative timeout budget abort the first round and a
+	// negative snapshot period pass for the default.
+	if cfg.LeaseRounds < 0 || cfg.ReportTimeout < 0 || cfg.SnapshotEvery < 0 || cfg.MaxAgentTimeouts < 0 {
+		return nil, fmt.Errorf("distrib: negative setting: lease %d rounds, report timeout %v, snapshot every %d rounds, %d agent timeouts",
+			cfg.LeaseRounds, cfg.ReportTimeout, cfg.SnapshotEvery, cfg.MaxAgentTimeouts)
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = 360 // the engine's default; plans carry it
@@ -575,6 +580,9 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 	}
 	if cfg.MaxAgentTimeouts == 0 {
 		cfg.MaxAgentTimeouts = 50
+	}
+	if cfg.SnapshotEvery == 0 {
+		cfg.SnapshotEvery = 1
 	}
 	c := &Central{
 		cfg:      cfg,
@@ -802,10 +810,7 @@ func (c *Central) buildEngine(cp *core.Checkpoint) error {
 		return err
 	}
 	c.ecfg.Cluster = cluster
-	prof, err := profiler.New(0.25, 0, 1)
-	if err != nil {
-		return err
-	}
+	prof := profiler.MustNew(0, 1)
 	if cp != nil {
 		c.eng, err = core.Restore(c.ecfg, c.policy, (*remoteExecutor)(c), prof, cp)
 	} else {

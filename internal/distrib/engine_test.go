@@ -90,7 +90,7 @@ func remoteMatchesLocal(t *testing.T, lease int) {
 
 	// The same engine configuration — the cluster the agents defined
 	// included — with the local executor.
-	sim, err := core.NewWithExecutor(c.ecfg, newPolicy(), core.LocalExecutor{}, profiler.MustNew(0.25, 0, 1))
+	sim, err := core.NewWithExecutor(c.ecfg, newPolicy(), core.LocalExecutor{}, profiler.MustNew(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

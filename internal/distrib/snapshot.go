@@ -88,11 +88,7 @@ func (c *Central) maybeSnapshot() error {
 	if c.cfg.SnapshotDir == "" {
 		return nil
 	}
-	every := c.cfg.SnapshotEvery
-	if every <= 0 {
-		every = 1
-	}
-	if c.eng.Rounds()%every != 0 {
+	if c.eng.Rounds()%c.cfg.SnapshotEvery != 0 {
 		return nil
 	}
 	if err := c.SaveSnapshot(c.cfg.SnapshotDir); err != nil {

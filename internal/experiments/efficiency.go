@@ -40,7 +40,7 @@ func meanSlowdown(res *core.Result) float64 {
 	return sum / float64(n)
 }
 
-func tiresias() core.Policy  { return baselines.NewTiresias(baselines.TiresiasConfig{}) }
+func tiresias() core.Policy  { return baselines.NewTiresias() }
 func gandivaRR() core.Policy { return baselines.NewGandivaRR() }
 func fifo() core.Policy      { return baselines.NewFIFO() }
 

@@ -30,7 +30,6 @@ import (
 // through an index over the same records, built when first asked for
 // after a change.
 type Profiler struct {
-	alpha    float64 // EWMA weight of the newest sample, in (0,1]
 	noiseStd float64 // relative std-dev of one measurement
 	rng      *rand.Rand
 	recs     []Estimates
@@ -63,36 +62,35 @@ func (e *Estimates) Samples(g gpu.Generation) int {
 	return e.samples[g]
 }
 
-// New returns a profiler. alpha is the EWMA weight for new samples;
-// noiseStd is the relative standard deviation of a single rate
-// measurement (the paper's minibatch timings are stable, so a few
-// percent is realistic).
-func New(alpha, noiseStd float64, seed int64) (*Profiler, error) {
-	if err := CheckParams(alpha, noiseStd); err != nil {
+// alpha is the EWMA weight of the newest sample.
+const alpha = 0.25
+
+// New returns a profiler. noiseStd is the relative standard deviation
+// of a single rate measurement (the paper's minibatch timings are
+// stable, so a few percent is realistic).
+func New(noiseStd float64, seed int64) (*Profiler, error) {
+	if err := CheckParams(noiseStd); err != nil {
 		return nil, err
 	}
 	return &Profiler{
-		alpha:    alpha,
 		noiseStd: noiseStd,
 		rng:      rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
-// CheckParams is New's parameter rule: alpha in (0,1], noiseStd finite
-// and non-negative. NaN fails both.
-func CheckParams(alpha, noiseStd float64) error {
-	if !(alpha > 0 && alpha <= 1) {
-		return fmt.Errorf("profiler: alpha %v outside (0,1]", alpha)
-	}
+// CheckParams is New's parameter rule: noiseStd finite and
+// non-negative. NaN fails.
+func CheckParams(noiseStd float64) error {
 	if !(noiseStd >= 0 && !math.IsInf(noiseStd, 1)) {
 		return fmt.Errorf("profiler: noiseStd %v not finite and non-negative", noiseStd)
 	}
 	return nil
 }
 
-// MustNew is New but panics on bad parameters; for fixtures.
-func MustNew(alpha, noiseStd float64, seed int64) *Profiler {
-	p, err := New(alpha, noiseStd, seed)
+// MustNew is New but panics on bad parameters; for fixtures and
+// constant parameters.
+func MustNew(noiseStd float64, seed int64) *Profiler {
+	p, err := New(noiseStd, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -149,7 +147,7 @@ func (p *Profiler) Observe(j *job.Job, g gpu.Generation) {
 	if e.samples[g] == 0 {
 		e.rate[g] = measured
 	} else {
-		e.rate[g] = (1-p.alpha)*e.rate[g] + p.alpha*measured
+		e.rate[g] = (1-alpha)*e.rate[g] + alpha*measured
 	}
 	e.samples[g]++
 }

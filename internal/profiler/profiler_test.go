@@ -18,18 +18,18 @@ func testJob(model string, id job.ID) *job.Job {
 }
 
 func TestNewValidation(t *testing.T) {
-	for _, bad := range []struct{ a, n float64 }{{0, 0.1}, {-1, 0.1}, {1.5, 0.1}, {0.3, -0.1}} {
-		if _, err := New(bad.a, bad.n, 1); err == nil {
-			t.Errorf("New(%v, %v) accepted", bad.a, bad.n)
+	for _, bad := range []float64{-0.1, math.Inf(1), math.NaN()} {
+		if _, err := New(bad, 1); err == nil {
+			t.Errorf("New(%v) accepted", bad)
 		}
 	}
-	if _, err := New(0.3, 0.05, 1); err != nil {
+	if _, err := New(0.05, 1); err != nil {
 		t.Fatalf("valid params rejected: %v", err)
 	}
 }
 
 func TestObserveNoiseless(t *testing.T) {
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	j := testJob("resnet50", 1)
 	p.Observe(j, gpu.V100)
 	r, ok := p.Rate(1, gpu.V100)
@@ -45,7 +45,7 @@ func TestObserveNoiseless(t *testing.T) {
 }
 
 func TestUnknownQueries(t *testing.T) {
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	if _, ok := p.Rate(99, gpu.K80); ok {
 		t.Error("Rate for unknown job ok=true")
 	}
@@ -66,7 +66,7 @@ func TestUnknownQueries(t *testing.T) {
 }
 
 func TestEWMAConvergesUnderNoise(t *testing.T) {
-	p := MustNew(0.2, 0.05, 7)
+	p := MustNew(0.05, 7)
 	j := testJob("transformer", 3)
 	for i := 0; i < 300; i++ {
 		p.Observe(j, gpu.V100)
@@ -79,7 +79,7 @@ func TestEWMAConvergesUnderNoise(t *testing.T) {
 }
 
 func TestProbeAllAndSpeedup(t *testing.T) {
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	j := testJob("resnext50", 5)
 	p.ProbeAll(j)
 	for _, g := range gpu.Generations() {
@@ -101,7 +101,7 @@ func TestProbeAllSkipsUnusableGenerations(t *testing.T) {
 	perf := &job.Perf{Model: "bigmem", ScalingEff: 0.9, MemGBPerGPU: 20, CheckpointMB: 10}
 	perf.RatePerGPU = [gpu.NumGenerations]float64{1, 1, 1, 1} // but only P40 has 24 GB
 	j := job.MustNew(job.Spec{ID: 6, User: "u", Perf: perf, Gang: 1, TotalMB: 10})
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	p.ProbeAll(j)
 	if p.Samples(6, gpu.P40) == 0 {
 		t.Error("P40 not probed")
@@ -115,7 +115,7 @@ func TestObserveUnusablePanics(t *testing.T) {
 	perf := &job.Perf{Model: "k80only", ScalingEff: 1, CheckpointMB: 1}
 	perf.RatePerGPU[gpu.K80] = 5
 	j := job.MustNew(job.Spec{ID: 7, User: "u", Perf: perf, Gang: 1, TotalMB: 10})
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("Observe on unusable generation did not panic")
@@ -125,7 +125,7 @@ func TestObserveUnusablePanics(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	j := testJob("gru", 8)
 	p.Observe(j, gpu.K80)
 	if p.Len() != 1 {
@@ -143,7 +143,7 @@ func TestRemove(t *testing.T) {
 // job's record is reused by the next new job without the removed job —
 // whose position still points there — finding it.
 func TestRecordsByPosition(t *testing.T) {
-	p := MustNew(0.3, 0, 1)
+	p := MustNew(0, 1)
 	a, b, c := testJob("vae", 1), testJob("gru", 2), testJob("lstm", 3)
 	if p.Estimates(a) != nil {
 		t.Fatal("estimates before the first observation")
@@ -175,7 +175,7 @@ func TestRecordsByPosition(t *testing.T) {
 // of one seed hold bit-identical estimates.
 func TestMeasureIsSamplesThenObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	got, want := MustNew(0.25, 0.1, 9), MustNew(0.25, 0.1, 9)
+	got, want := MustNew(0.1, 9), MustNew(0.1, 9)
 	models := workload.DefaultZoo().Names()
 	var live []*job.Job
 	for step, next := 0, job.ID(1); step < 3000; step++ {
@@ -218,7 +218,7 @@ func TestMeasureIsSamplesThenObserve(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() float64 {
-		p := MustNew(0.2, 0.1, 99)
+		p := MustNew(0.1, 99)
 		j := testJob("dcgan", 4)
 		for i := 0; i < 50; i++ {
 			p.Observe(j, gpu.P100)

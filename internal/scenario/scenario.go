@@ -309,7 +309,7 @@ func (s *Scenario) buildPolicy() (core.Policy, error) {
 		}
 		return core.NewFairPolicy(fc)
 	case "tiresias":
-		return baselines.NewTiresias(baselines.TiresiasConfig{}), nil
+		return baselines.NewTiresias(), nil
 	case "gandiva-rr":
 		return baselines.NewGandivaRR(), nil
 	case "static":

@@ -16,9 +16,10 @@ import (
 // runMap is the map-based trading loop Market replaced, kept as the
 // oracle its bits are held to: the allocation cloned, each pair's buyer
 // and seller picked in one pass over the map under the (speedup, user
-// ID) order, a nil demands map meaning no bound.
-func runMap(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, cfg Config) (fairshare.Allocation, []Trade) {
-	cfg = cfg.withDefaults()
+// ID) order, a nil demands map meaning no bound. margin counts the
+// picked pairs whose speedup ratio exceeds 1: [0] those the minRatio
+// margin refuses, [1] those it lets through.
+func runMap(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, cfg Config, margin *[2]int) (fairshare.Allocation, []Trade) {
 	out := maps.Clone(alloc)
 	var log []Trade
 	type mcand struct {
@@ -77,9 +78,13 @@ func runMap(alloc fairshare.Allocation, vals Values, demands map[job.UserID]floa
 				return Trade{}, false
 			}
 		}
-		if b.s/s.s < cfg.MinRatio {
+		if r := b.s / s.s; r < minRatio {
+			if r > 1 {
+				margin[0]++
+			}
 			return Trade{}, false
 		}
+		margin[1]++
 		alpha := price(cfg.Policy, b.s, s.s)
 		if alpha <= s.s+eps || alpha >= b.s-eps {
 			return Trade{}, false
@@ -105,7 +110,7 @@ func runMap(alloc fairshare.Allocation, vals Values, demands map[job.UserID]floa
 			FastGPUs: delta, SlowGPUs: alpha * delta, Price: alpha,
 			BuyerSpeedup: b.s, SellerSpeedup: s.s}, true
 	}
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		traded := false
 		for _, pr := range genPairs() {
 			for {
@@ -142,12 +147,14 @@ func runMap(alloc fairshare.Allocation, vals Values, demands map[job.UserID]floa
 // the same shares after — on allocations where ties in speedup decide
 // most picks, with and without demand bounds (a nil map, users missing
 // from it, demands below the current holding), unprofiled users, every
-// price policy and non-monotone valuations.
+// price policy and non-monotone valuations. The picked pairs' speedup
+// ratios fall on both sides of the minRatio margin.
 func TestMarketMatchesMapRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	values := []float64{0, 0.8, 1, 1.2, 1.5, 2, 2, 3, 4.5}
 	gpusOf := []float64{0, 0, 0.5, 1, 2.25, 3, 7}
 	trades := 0
+	var margin [2]int
 	for trial := 0; trial < 3000; trial++ {
 		alloc, vals := fairshare.Allocation{}, Values{}
 		var demands map[job.UserID]float64
@@ -170,8 +177,8 @@ func TestMarketMatchesMapRun(t *testing.T) {
 				demands[u] = e.Total() + float64(rng.Intn(12)) - 2
 			}
 		}
-		cfg := Config{Policy: PricePolicy(rng.Intn(4)), MinRatio: []float64{0, 1.05, 1.5}[rng.Intn(3)]}
-		wantAlloc, wantLog := runMap(alloc, vals, demands, cfg)
+		cfg := Config{Policy: PricePolicy(rng.Intn(4))}
+		wantAlloc, wantLog := runMap(alloc, vals, demands, cfg, &margin)
 		gotAlloc, gotLog, err := Run(alloc, vals, demands, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -194,5 +201,8 @@ func TestMarketMatchesMapRun(t *testing.T) {
 	}
 	if trades < 3000 {
 		t.Errorf("inputs too tame: %d trades in 3000 trials", trades)
+	}
+	if margin[0] < 100 || margin[1] < 100 {
+		t.Errorf("inputs too tame: %d pairs refused by the %v margin, %d passed", margin[0], minRatio, margin[1])
 	}
 }

@@ -63,38 +63,16 @@ func (p PricePolicy) String() string {
 // Config tunes the trading loop.
 type Config struct {
 	Policy PricePolicy
-
-	// MinRatio is the minimum s_buyer/s_seller ratio required to
-	// trade; the conservative margin that keeps profiling noise from
-	// triggering value-destroying trades. Zero means the default 1.10.
-	MinRatio float64
-
-	// MaxPasses bounds the outer fixpoint loop over generation
-	// pairs. Zero means the default 8.
-	MaxPasses int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MinRatio == 0 {
-		c.MinRatio = 1.10
-	}
-	if c.MaxPasses == 0 {
-		c.MaxPasses = 8
-	}
-	return c
-}
-
-// Validate checks the config.
-func (c Config) Validate() error {
-	c = c.withDefaults()
-	if c.MinRatio <= 1 {
-		return fmt.Errorf("trade: MinRatio %v must exceed 1", c.MinRatio)
-	}
-	if c.MaxPasses < 1 {
-		return fmt.Errorf("trade: MaxPasses %d must be positive", c.MaxPasses)
-	}
-	return nil
-}
+const (
+	// minRatio is the minimum s_buyer/s_seller ratio required to
+	// trade: the conservative margin that keeps profiling noise from
+	// triggering value-destroying trades.
+	minRatio = 1.10
+	// maxPasses bounds the outer fixpoint loop over generation pairs.
+	maxPasses = 8
+)
 
 // Values holds each user's profiled per-generation value: the
 // gang-weighted speedup of generation g over the oldest generation,
@@ -136,13 +114,9 @@ const eps = 1e-9
 // order: where two users' speedups tie, the one placed first is picked.
 // It allocates nothing but the log, and nothing at all when no trade is
 // made.
-func Market(parties []Party, cfg Config) ([]Trade, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
+func Market(parties []Party, cfg Config) []Trade {
 	var log []Trade
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		traded := false
 		for _, pr := range pairs {
 			for {
@@ -159,14 +133,15 @@ func Market(parties []Party, cfg Config) ([]Trade, error) {
 			break
 		}
 	}
-	return log, nil
+	return log
 }
 
 // Run is Market over maps: it applies trading to a fair-share
 // allocation and returns the adjusted allocation plus the trade log.
 // The input allocation is not modified. Users outside vals do not
 // trade; users outside a non-nil demands map have demand zero, and a
-// nil demands map disables the bound.
+// nil demands map disables the bound. The error is always nil: no
+// Config is invalid, and the benchmark harness calls Run in this form.
 //
 //gflint:noretain alloc
 func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64, cfg Config) (fairshare.Allocation, []Trade, error) {
@@ -179,10 +154,7 @@ func Run(alloc fairshare.Allocation, vals Values, demands map[job.UserID]float64
 		}
 		parties[i] = Party{User: u, Share: alloc[u], Values: vals[u], Demand: demand}
 	}
-	log, err := Market(parties, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	log := Market(parties, cfg)
 	out := make(fairshare.Allocation, len(parties))
 	for _, p := range parties {
 		out[p.User] = p.Share
@@ -321,7 +293,7 @@ func bestTrade(parties []Party, fast, slow gpu.Generation, cfg Config) (found, b
 	if !ok {
 		return found{}, false
 	}
-	if b.s/s.s < cfg.MinRatio {
+	if b.s/s.s < minRatio {
 		return found{}, false
 	}
 	alpha := price(cfg.Policy, b.s, s.s)

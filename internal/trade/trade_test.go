@@ -39,18 +39,6 @@ func genTotals(a fairshare.Allocation) fairshare.Entitlement {
 	return a.TotalByGen()
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
-	}
-	if err := (Config{MinRatio: 0.9}).Validate(); err == nil {
-		t.Error("MinRatio < 1 accepted")
-	}
-	if err := (Config{MaxPasses: -1}).Validate(); err == nil {
-		t.Error("negative MaxPasses accepted")
-	}
-}
-
 func TestTwoUserWinWin(t *testing.T) {
 	alloc, vals := twoUserFixture()
 	out, log, err := Run(alloc, vals, nil, Config{})
@@ -99,7 +87,7 @@ func TestNoTradeWithinMargin(t *testing.T) {
 	}
 	vals := Values{
 		"a": valueVec(1, 0, 0, 2.0),
-		"b": valueVec(1, 0, 0, 1.95), // ratio 1.026 < default MinRatio 1.10
+		"b": valueVec(1, 0, 0, 1.95), // ratio 1.026 < minRatio 1.10
 	}
 	out, log, err := Run(alloc, vals, nil, Config{})
 	if err != nil {
