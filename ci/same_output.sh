@@ -6,8 +6,10 @@
 #   ci/same_output.sh <parent-tree>     # e.g. a `git clone` of the parent commit
 #
 # Compared: gfsim stdout and its -trace-out CSV and JSON on the three
-# committed scenarios; the digest of one untraced gfperf rep per workload
-# for seeds 42 and 7; the gfdist chaos, netchaos and gfsoak digests. Any
+# committed scenarios; the share timeline as examples/workconservation
+# renders it and as gfbench's E7 tabulates it (its timing line dropped);
+# the digest of one untraced gfperf rep per workload for seeds 42 and 7;
+# the gfdist chaos, netchaos and gfsoak digests. Any
 # difference there exits non-zero. gfperf's two deterministic counters
 # (allocs_per_round, alloc_kb_per_round) are printed side by side and not
 # gated: a refactor may move them, and the table is where that shows.
@@ -22,7 +24,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 for side in parent change; do
   mkdir -p "$TMP/$side"
-  (cd "${!side}" && go build -o "$TMP/$side/" ./cmd/gfsim ./cmd/gfdist ./cmd/gfsoak)
+  (cd "${!side}" && go build -o "$TMP/$side/" ./cmd/gfsim ./cmd/gfdist ./cmd/gfsoak ./cmd/gfbench ./examples/workconservation)
   bash "${!side}/bench/run.sh" -manifest >/dev/null # builds <tree>/.bench_build/gfperf
 done
 
@@ -50,6 +52,14 @@ for sc in trading failover faulty; do
     row "gfsim $sc trace.$ext" "$(sum <"$TMP/parent/trace.$sc.$ext")" "$(sum <"$TMP/change/trace.$sc.$ext")" 1
   done
 done
+
+# The share timeline: the one program that renders it, and E7's table.
+for side in parent change; do
+  "$TMP/$side/workconservation" >"$TMP/$side/wc.out"
+  "$TMP/$side/gfbench" -exp E7 | grep -v '^(E7 ·' >"$TMP/$side/e7.out"
+done
+row "workconservation stdout" "$(sum <"$TMP/parent/wc.out")" "$(sum <"$TMP/change/wc.out")" 1
+row "gfbench E7 stdout (no timing line)" "$(sum <"$TMP/parent/e7.out")" "$(sum <"$TMP/change/e7.out")" 1
 
 # gfperf: one untraced rep per workload and seed, run from its own tree.
 field() { sed -n "s/.*\"$1\":\"\{0,1\}\([^,\"}]*\).*/\1/p" "$2"; }

@@ -32,13 +32,12 @@ func TestTicketChangeFlipsShares(t *testing.T) {
 	if len(ws) < 4 {
 		t.Fatalf("windows = %d", len(ws))
 	}
-	before := metrics.ShareFractions(ws[0].ByUser)
-	after := metrics.ShareFractions(ws[3].ByUser)
-	if math.Abs(before["a"]-0.5) > 0.05 {
-		t.Errorf("before change: a=%v, want 0.5", before["a"])
+	before, after := ws[0].Fractions(), ws[3].Fractions() // a at 0, b at 1
+	if math.Abs(before[0]-0.5) > 0.05 {
+		t.Errorf("before change: a=%v, want 0.5", before[0])
 	}
-	if math.Abs(after["b"]-0.75) > 0.06 {
-		t.Errorf("after change: b=%v, want 0.75", after["b"])
+	if math.Abs(after[1]-0.75) > 0.06 {
+		t.Errorf("after change: b=%v, want 0.75", after[1])
 	}
 }
 

@@ -199,7 +199,7 @@ func (s *Sim) settle(q *Quantum, late bool) RanInfo {
 	b.mb += j.GangRate(gen) * used
 	b.wrote |= wroteUseful | wroteMB
 	s.busyByGen[gen] += gang * occupied
-	s.tl.Add(now, j.User, gang*occupied)
+	s.tl.Add(now, j.UserAt(), gang*occupied)
 
 	info := RanInfo{
 		Job: j.ID, Req: q.req, User: j.User, Gen: gen, Gang: j.Gang,

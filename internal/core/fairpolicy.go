@@ -32,7 +32,7 @@ type FairConfig struct {
 	Hierarchy *fairshare.Hierarchy
 
 	// DisableCompensation turns off failure compensation: deficits in
-	// RoundState.Deficit are ignored and Decision.Repaid stays nil
+	// RoundState.Deficit are ignored and Decision.Repays stays false
 	// (the compensation ablation). It is the one way to run without
 	// repayment: the engine keeps the books whatever Config.Faults is.
 	DisableCompensation bool
@@ -103,14 +103,13 @@ type FairPolicy struct {
 // element per user.
 type waterFill struct {
 	tickets, demand, shares []float64
-	debt, granted           []float64 // the repayment round's
+	debt                    []float64 // GPUs owed this round
 }
 
 // resize makes every slice n long, keeping the storage; debt is zeroed.
 func (f *waterFill) resize(n int) {
 	grow := func(s []float64) []float64 { return slices.Grow(s[:0], n)[:n] }
-	f.tickets, f.demand, f.shares = grow(f.tickets), grow(f.demand), grow(f.shares)
-	f.debt, f.granted = grow(f.debt), grow(f.granted)
+	f.tickets, f.demand, f.shares, f.debt = grow(f.tickets), grow(f.demand), grow(f.shares), grow(f.debt)
 	clear(f.debt)
 }
 
@@ -202,6 +201,12 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		}
 		tickets = p.cfg.Hierarchy.Flatten(ids)
 	}
+	// Failure compensation: repay users' fault deficits off the top
+	// of the water-fill, before surplus redistribution, so GPU time
+	// lost to faults is restored instead of diluted away. A user's debt
+	// is read through their first runnable job.
+	compensate := !p.cfg.DisableCompensation && st.Deficit != nil && st.Quantum > 0
+	owed := false
 	f := &p.fill
 	f.resize(len(p.users))
 	for i, us := range p.users {
@@ -212,31 +217,18 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		us.at = i
 		f.tickets[i], f.demand[i] = tickets[us.id], float64(gpus)
 		us.jobTickets = fairshare.PerJobTickets(f.tickets[i], len(us.jobs))
-	}
-	// Failure compensation: repay users' fault deficits off the top
-	// of the water-fill, before surplus redistribution, so GPU time
-	// lost to faults is restored instead of diluted away.
-	owed := false
-	if !p.cfg.DisableCompensation && len(st.Deficit) > 0 && st.Quantum > 0 {
-		for u, d := range st.Deficit {
-			if i, ok := p.userAt(u); ok && d > 0 && f.demand[i] > 0 {
+		if compensate {
+			if d := st.Deficit[us.jobs[0].job.UserAt()]; d > 0 {
 				f.debt[i] = d / st.Quantum // GPU-seconds owed → GPUs this round
 				owed = true
 			}
 		}
 	}
-	var repaid map[job.UserID]float64
 	if owed {
-		// A non-nil map — even with zero grants — tells the engine the
-		// policy is compensating, so materialized catch-up may drain the
-		// deficit (see Sim.settleCompensation).
-		repaid = make(map[job.UserID]float64)
-		fairshare.WaterFillWithDebt(f.tickets, f.demand, f.debt, capacity.Total(), compMaxShare, f.shares, f.granted)
-		for i, g := range f.granted {
-			if g > 0 {
-				repaid[p.users[i].id] = g * st.Quantum
-			}
-		}
+		// Repays — even when the budget grants nothing — tells the engine
+		// the policy is compensating, so materialized catch-up may drain
+		// the deficit (see Sim.settleCompensation).
+		fairshare.WaterFillWithDebt(f.tickets, f.demand, f.debt, capacity.Total(), compMaxShare, f.shares)
 	} else {
 		fairshare.WaterFill(f.tickets, f.demand, capacity.Total(), f.shares)
 	}
@@ -389,7 +381,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 
 	p.run = run
 	//gflint:ignore retain Decision.Run is good until the next Decide, which rebuilds it in place
-	return Decision{Run: run, Trades: trades, Repaid: repaid}
+	return Decision{Run: run, Trades: trades, Repays: owed}
 }
 
 // group merges the round's runnable jobs, which are in job-ID order,

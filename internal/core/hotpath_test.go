@@ -129,24 +129,7 @@ func TestFairRoundAllocsPerUser(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 21.6k-GPU cluster")
 	}
-	const few, many, jobsPerUser = 20, 200, 4
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
-	perRound := func(users int) (allocs, bytes float64) {
-		_, step := steadySim(t, saturatedConfig(t, users*9, users, jobsPerUser))
-		const rounds = 8
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			step()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds
-	}
-	a, aBytes := perRound(few)
-	b, bBytes := perRound(many)
-	perUser, bytesPerUser := (b-a)/(many-few), (bBytes-aBytes)/(many-few)
-	t.Logf("per round: %.0f allocations, %.0f B at %d users; %.0f, %.0f B at %d: %.2f allocations, %.0f B per additional user",
-		a, aBytes, few, b, bBytes, many, perUser, bytesPerUser)
+	perUser, bytesPerUser := fairRoundCostPerUser(t, false)
 	const allocsCeiling, bytesCeiling = 0.01, 7
 	if perUser > allocsCeiling {
 		t.Errorf("a user costs %.2f allocations per round, ceiling %v", perUser, allocsCeiling)
@@ -154,6 +137,69 @@ func TestFairRoundAllocsPerUser(t *testing.T) {
 	if bytesPerUser > bytesCeiling {
 		t.Errorf("a user costs %.0f B per round, ceiling %d B", bytesPerUser, bytesCeiling)
 	}
+}
+
+// TestFairRoundAllocsPerDebtor is TestFairRoundAllocsPerUser with every
+// user owing failure compensation and the policy repaying it, steady
+// state: the engine shows the policy the debt in a slice it keeps, by
+// user position, the policy answers with a flag, and the debt
+// water-fill runs one fill over two scratch slices. It measures 0.00
+// allocations and 29 B per additional debtor, 16 B of them the fill's
+// scratch; a map of the debt made every round and the policy's map of
+// its grants, with a second fill that only fed them, cost 0.01
+// allocations and 75 B. The counts are deterministic; the ceilings are
+// the measured values and a tenth, the allocation one rounded up to a
+// hundredth.
+func TestFairRoundAllocsPerDebtor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 21.6k-GPU cluster")
+	}
+	perUser, bytesPerUser := fairRoundCostPerUser(t, true)
+	const allocsCeiling, bytesCeiling = 0.01, 32
+	if perUser > allocsCeiling {
+		t.Errorf("a debtor costs %.2f allocations per round, ceiling %v", perUser, allocsCeiling)
+	}
+	if bytesPerUser > bytesCeiling {
+		t.Errorf("a debtor costs %.0f B per round, ceiling %d B", bytesPerUser, bytesCeiling)
+	}
+}
+
+// fairRoundCostPerUser is what an additional user costs a steady-state
+// round, in allocations and bytes: ten times the users on ten times the
+// cluster, four never-finishing jobs each, trading on. With owe, every
+// user owes a debt the rounds cannot repay, and the policy repays.
+func fairRoundCostPerUser(t *testing.T, owe bool) (allocs, bytes float64) {
+	const few, many, jobsPerUser = 20, 200, 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
+	perRound := func(users int) (allocs, bytes float64) {
+		s, step := steadySim(t, saturatedConfig(t, users*9, users, jobsPerUser))
+		if owe {
+			for i := range s.comp {
+				s.comp[i].debt = 1e15
+			}
+			s.compOpen = len(s.comp)
+			for i := 0; i < 12; i++ { // into the repaying rounds' steady state
+				step()
+			}
+		}
+		const rounds = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if owe && (s.compOpen != len(s.comp) || !s.rd.repays) {
+			t.Fatalf("%d of %d users owe, repaying %v: want every user owing and the policy repaying", s.compOpen, len(s.comp), s.rd.repays)
+		}
+		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	}
+	a, aBytes := perRound(few)
+	b, bBytes := perRound(many)
+	allocs, bytes = (b-a)/(many-few), (bBytes-aBytes)/(many-few)
+	t.Logf("per round: %.0f allocations, %.0f B at %d users; %.0f, %.0f B at %d: %.2f allocations, %.0f B per additional user",
+		a, aBytes, few, b, bBytes, many, allocs, bytes)
+	return allocs, bytes
 }
 
 // TestRoundAllocCeilingAt100kGPUs caps what a round allocates on a

@@ -68,10 +68,11 @@ type RoundState struct {
 	Quarantined *gpu.ServerSet
 
 	// Deficit is each user's outstanding failure-compensation debt in
-	// occupied GPU-seconds (GPU time lost to faults, not yet repaid).
-	// Policies that honor it should report repayments via
-	// Decision.Repaid.
-	Deficit map[job.UserID]float64
+	// occupied GPU-seconds (GPU time lost to faults, not yet repaid), by
+	// user position: a job's user is at Deficit[j.UserAt()]. Nil when no
+	// one owes. Policies that honor it say so with Decision.Repays.
+	//gflint:noretain the engine's buffer, rewritten every round
+	Deficit []float64
 
 	// Obs is the round's instrumentation — nil when uninstrumented. All
 	// its methods are nil-safe, so policies may call it unconditionally
@@ -123,15 +124,13 @@ type Decision struct {
 	// for policies without trading).
 	Trades []trade.Trade
 
-	// Repaid, when non-nil, declares the policy is honoring
-	// RoundState.Deficit this round; its values are the per-user
-	// entitlement granted beyond the no-debt water-fill share, in
-	// occupied GPU-seconds. The engine drains each participating
-	// debtor's deficit by the catch-up that actually materializes
-	// (occupied time beyond the fair reference, capped at the debt) —
-	// grants surface as excess occupancy via the policy's own credit
-	// accounting. Nil for policies without compensation.
-	Repaid map[job.UserID]float64
+	// Repays declares the policy is honoring RoundState.Deficit this
+	// round. The engine then drains each debtor's deficit by the
+	// catch-up that actually materializes (occupied time beyond the fair
+	// reference, capped at the debt) — grants surface as excess
+	// occupancy via the policy's own credit accounting. False for
+	// policies without compensation.
+	Repays bool
 }
 
 // RanInfo describes one job's execution during a round.

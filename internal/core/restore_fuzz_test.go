@@ -64,10 +64,9 @@ func restoreAndStep(cfg Config, cp *Checkpoint) (*Sim, error) {
 // rounds under the strict auditor. Each input must come back as an
 // error and no engine, or as an engine that runs its rounds clean and
 // whose own checkpoint restores again; none may panic. Checkpoints of
-// more than 4096 jobs, or with a clock past ten years, are skipped —
-// the target hunts for crashes, not for allocation limits: the share
-// timeline is dense from time zero, an hour a window, so a restored
-// engine holds as many windows as the one that wrote the checkpoint.
+// more than 4096 jobs are skipped — the target hunts for crashes, not
+// for allocation limits. A late clock is fair game: the share timeline
+// starts at the restored engine's first round.
 //
 // Run with: go test -run '^$' -fuzz FuzzRestore -fuzztime 60s -parallel 2 ./internal/core
 func FuzzRestore(f *testing.F) {
@@ -132,9 +131,39 @@ func FuzzRestore(f *testing.F) {
 	} {
 		f.Add([]byte(src))
 	}
+	// Late clocks: the round-30 checkpoint with every time in it moved on
+	// by ten years, and by 1e12 s.
+	for _, off := range []simclock.Duration{10 * 365 * simclock.Day, 1e12} {
+		var cp Checkpoint
+		if err := json.Unmarshal(real, &cp); err != nil {
+			f.Fatal(err)
+		}
+		cp.Now = cp.Now.Add(off)
+		for i := range cp.Pending {
+			cp.Pending[i].Arrival = cp.Pending[i].Arrival.Add(off)
+		}
+		for i := range cp.TicketChanges {
+			cp.TicketChanges[i].At = cp.TicketChanges[i].At.Add(off)
+		}
+		for _, jcs := range [][]job.Checkpoint{cp.Active, cp.Done} {
+			for i := range jcs {
+				jc := &jcs[i]
+				jc.Spec.Arrival, jc.Finish = jc.Spec.Arrival.Add(off), jc.Finish.Add(off)
+				jc.FirstRun, jc.CkptAt = jc.FirstRun.Add(off), jc.CkptAt.Add(off)
+			}
+		}
+		raw, err := json.Marshal(&cp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := restoreAndStep(cfg, &cp); err != nil {
+			f.Fatalf("the checkpoint %v s on: %v", off, err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cp Checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil || len(cp.Pending)+len(cp.Active)+len(cp.Done) > 4096 || cp.Now > simclock.Time(10*365*simclock.Day) {
+		if err := json.Unmarshal(data, &cp); err != nil || len(cp.Pending)+len(cp.Active)+len(cp.Done) > 4096 {
 			return
 		}
 		s, err := restoreAndStep(cfg, &cp)

@@ -23,10 +23,10 @@ type round struct {
 	// quar quarantined, unavail their union (what placement excludes).
 	down, unavail gpu.ServerSet
 	quar          *gpu.ServerSet         //gflint:noretain the breaker's own set
-	deficit       map[job.UserID]float64 // compensation debt as of the round start
+	deficit       []float64              //gflint:noretain s.deficit while anyone owes (debt at the round start, by user position), else nil
 	caps          map[gpu.Generation]int // capacity net of unavail
 	placed        *placement.Round       // this round's placement, by request position
-	repaid        map[job.UserID]float64 // the decision's declared repayments
+	repays        bool                   // the decision honors the deficit
 }
 
 // runRound executes one scheduling quantum and closes it on every path:
@@ -38,6 +38,7 @@ func (s *Sim) runRound() error {
 	rd := &s.rd
 	*rd = round{now: s.clock.Now(), down: rd.down, unavail: rd.unavail} // the sets keep their room
 	s.obs.BeginRound(s.rounds, float64(rd.now))
+	s.tl.Begin(rd.now)
 	s.robs.begin()
 	err := s.runPhases(rd)
 	s.obs.EndRound(obs.Round{
@@ -128,13 +129,13 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	// round start; losses accrued this round become visible (and
 	// repayable) next round.
 	if s.compOpen > 0 {
-		rd.deficit = make(map[job.UserID]float64, s.compOpen)
+		rd.deficit = s.deficit
 	}
 	for i := range s.comp {
 		c := &s.comp[i]
 		c.loss, c.occ = 0, 0
-		if c.debt > 0 {
-			rd.deficit[c.user] = c.debt
+		if rd.deficit != nil {
+			rd.deficit[i] = c.debt
 		}
 	}
 
@@ -194,7 +195,7 @@ func (s *Sim) decide(rd *round, st *RoundState) ([]placement.Request, error) {
 	}
 	s.obs.PhaseEnd(obs.PhaseDecide)
 	s.aud.checkTrades(dec.Trades)
-	rd.repaid = dec.Repaid
+	rd.repays = dec.Repays
 	for _, tr := range dec.Trades {
 		s.emit(trace.Record{At: rd.now, Kind: trace.KindTrade, User: tr.Buyer, Name: string(tr.Seller),
 			Gen: tr.Fast, From: tr.Slow, X: tr.FastGPUs, Y: tr.SlowGPUs, Z: tr.Price})
@@ -276,7 +277,7 @@ func (s *Sim) failMigrations(rd *round) {
 		j.AddOverhead(cost)
 		s.books[j.UserAt()].addUsage(gen, gang*cost)
 		s.busyByGen[gen] += gang * cost
-		s.tl.Add(rd.now, j.User, gang*cost)
+		s.tl.Add(rd.now, j.UserAt(), gang*cost)
 		s.aud.noteBusy(gen, gang*cost)
 		books := &s.comp[j.UserAt()]
 		books.occ += gang * cost
@@ -379,11 +380,11 @@ func (s *Sim) retireJob(j *job.Job) {
 // pass over the records in user order: each user's raw fault loss is
 // capped at their share shortfall, repayments drain the debt, this
 // round's fault losses add to it, the auditor checks the arithmetic, and
-// users who have fully departed are forgiven. A user with no debt, no
-// loss and no declared repayment is not on the round's books at all.
+// users who have fully departed are forgiven. A user with no debt and no
+// loss is not on the round's books at all.
 //
 // Repayment is recognized by materialization, not by grant: when the
-// policy participates in compensation (Decision.Repaid non-nil), a
+// policy participates in compensation (Decision.Repays), a
 // debtor's occupied time beyond their fair reference this round drains
 // the debt, capped at what is owed. Grants flow through the policy's
 // credit accounting and surface as excess occupancy over the following
@@ -402,13 +403,12 @@ func (s *Sim) settleCompensation(rd *round) {
 		// the round's water-fill.
 		fair := s.shares[i] * s.cfg.Quantum
 		lost := min(c.loss, max(fair-c.occ, 0))
-		_, declared := rd.repaid[c.user]
-		if c.debt == 0 && lost == 0 && !declared {
+		if c.debt == 0 && lost == 0 {
 			continue // nothing on this user's books this round
 		}
 		before := c.debt
 		var r float64
-		if rd.repaid != nil && before > 0 {
+		if rd.repays && before > 0 {
 			r = min(max(c.occ-fair, 0), before)
 		}
 		c.debt = before + lost - r

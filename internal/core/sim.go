@@ -470,10 +470,12 @@ type Sim struct {
 	breaker     *faults.Breaker
 
 	// The failure-compensation books: one record per user of the
-	// workload, by position.
+	// workload, by position, and the debt they show the policy (the
+	// round's RoundState.Deficit while anyone owes).
 	comp       []compBooks
-	compOpen   int     // records with debt on them
-	compRepaid float64 // total GPU-seconds repaid
+	deficit    []float64 //gflint:noretain rewritten every round
+	compOpen   int       // records with debt on them
+	compRepaid float64   // total GPU-seconds repaid
 }
 
 // compBooks is one user's failure-compensation record.
@@ -546,7 +548,6 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		exec:     exec,
 		prof:     prof,
 		log:      &trace.Log{},
-		tl:       metrics.NewTimeline(cfg.TimelineWindow),
 		tickets:  make(map[job.UserID]float64),
 		pidx:     placement.NewIndex(cfg.Cluster),
 		recorded: make(map[trace.Kind]int),
@@ -587,9 +588,10 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		}
 	}
 	s.users = job.SortedUsers(s.tickets)
+	s.tl = metrics.NewTimeline(cfg.TimelineWindow, s.users)
 	n := len(s.users)
-	perUser := make([]float64, 3*n)
-	s.userTickets, s.demand, s.shares = perUser[:n], perUser[n:2*n], perUser[2*n:]
+	perUser := make([]float64, 4*n)
+	s.userTickets, s.demand, s.shares, s.deficit = perUser[:n], perUser[n:2*n], perUser[2*n:3*n], perUser[3*n:]
 	s.books = make([]userBooks, n)
 	s.comp = make([]compBooks, n)
 	for i, u := range s.users {

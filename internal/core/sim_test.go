@@ -234,19 +234,41 @@ func TestShareReclaimedOnDeparture(t *testing.T) {
 		t.Fatalf("only %d timeline windows", len(ws))
 	}
 	last := ws[len(ws)-1]
-	fr := metrics.ShareFractions(last.ByUser)
-	if fr["b"] < 0.99 {
-		t.Fatalf("after a departed, b's share = %v, want ≈1", fr["b"])
+	if fr := last.Fractions(); fr[1] < 0.99 { // a at 0, b at 1
+		t.Fatalf("after a departed, b's share = %v, want ≈1", fr[1])
 	}
-	var busy float64
-	for _, u := range job.SortedUsers(last.ByUser) {
-		busy += last.ByUser[u]
-	}
-	if busy < 0.95*4*simclock.Hour {
+	if busy := last.Total(); busy < 0.95*4*simclock.Hour {
 		t.Fatalf("cluster not fully used after departure: %v GPU-s in last window", busy)
 	}
 	if len(res.Finished) < 2 {
 		t.Fatalf("a's jobs did not finish")
+	}
+}
+
+// TestTimelineStartsAtFirstRound: the share timeline's windows start at
+// the engine's first round, not at time zero — an engine whose only job
+// arrives ten years in holds the window of its first rounds and
+// perhaps the next, not 87,600 empty hours before them.
+func TestTimelineStartsAtFirstRound(t *testing.T) {
+	const tenYears = simclock.Time(10 * 365 * simclock.Day)
+	specs := workload.BatchJobs("a", zoo.MustGet("vae"), 1, 1, 100)
+	specs[0].Arrival = tenYears
+	specs, _ = workload.AssignIDs(specs)
+	s, err := New(Config{Cluster: k80Cluster(1, 4), Specs: specs}, MustNewFairPolicy(FairConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := s.Step(tenYears.Add(simclock.Day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := s.Result().Timeline.Windows()
+	if len(ws) < 1 || len(ws) > 2 {
+		t.Fatalf("%d windows after 12 rounds from %v s, want 1 or 2", len(ws), tenYears)
+	}
+	if ws[0].Start > tenYears || ws[0].End <= tenYears || ws[0].ByUser[0] <= 0 {
+		t.Errorf("first window [%v, %v) holds %v; want the arrival's window, charged", ws[0].Start, ws[0].End, ws[0].ByUser)
 	}
 }
 

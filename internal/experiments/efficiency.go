@@ -97,11 +97,11 @@ func e07WorkConservation(opt Options) (*Table, error) {
 		Columns: []string{"window", "a", "b", "c"},
 		Notes:   "c's share is carved out on arrival and redistributed to a,b on departure — work conservation both ways",
 	}
-	users := []job.UserID{"a", "b", "c"}
+	// The timeline's users are the workload's in ID order: a, b, c.
 	for i, w := range res.Timeline.Windows() {
-		fr := metrics.ShareFractions(w.ByUser)
+		fr := w.Fractions()
 		t.AddRow(fmt.Sprintf("[%dh,%dh)", int(float64(w.Start)/3600), int(float64(w.End)/3600)),
-			pct(fr[users[0]]), pct(fr[users[1]]), pct(fr[users[2]]))
+			pct(fr[0]), pct(fr[1]), pct(fr[2]))
 		if i >= 5 {
 			break
 		}

@@ -158,13 +158,6 @@ func (c *Capacity) Split(total float64) Entitlement {
 	return out
 }
 
-// SplitByGen is Capacity.Split over a map: capacities maps each present
-// generation to its GPU count.
-func SplitByGen(total float64, capacities map[gpu.Generation]int) Entitlement {
-	c := CapacityOf(capacities)
-	return c.Split(total)
-}
-
 // Allocation is the full per-user entitlement map for one round.
 // Entitlements are values: maps.Clone copies an Allocation whole.
 type Allocation map[job.UserID]Entitlement
@@ -204,19 +197,15 @@ func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gp
 // surplus redistribution cannot starve a user's catch-up. Repayment per
 // round is bounded by maxRepayFrac × capacity (≤ 0 disables repayment),
 // and by each debtor's own demand: a user cannot consume more than they
-// ask for. shares is written as WaterFill writes it.
+// ask for. shares is written as WaterFill writes it, a debtor's share
+// including their repayment. The four slices are equally long.
 //
-// granted[i] is set to the GPUs user i was granted beyond their no-debt
-// water-fill share, 0 if none — the marginal repayment the caller should
-// drain from the debt. Marginal accounting matters: capacity a debtor
-// would have received anyway is their ordinary share, not a repayment,
-// so counting it would drain debt without restoring the user's
-// cumulative position. All five slices are equally long.
-func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, shares, granted []float64) {
+// What the grant adds to a debtor's share is not reported: the engine
+// drains debt by the catch-up that materializes, not by the grant.
+func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, shares []float64) {
 	n := len(demand)
-	scratch := make([]float64, 3*n)
-	base, target, reduced := scratch[:n], scratch[n:2*n], scratch[2*n:]
-	WaterFill(tickets, demand, capacity, base)
+	scratch := make([]float64, 2*n)
+	target, reduced := scratch[:n], scratch[n:]
 
 	// Demand-capped repayment targets, scaled down to the budget if the
 	// round's total debt exceeds it.
@@ -251,52 +240,14 @@ func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac f
 	}
 	WaterFill(tickets, reduced, capacity-want, shares)
 	for i, t := range target {
-		granted[i] = 0
 		if t <= eps {
 			continue
 		}
-		shares[i] = reachedShare(shares[i]) + t
-		// Never drain more debt than the grant itself, even if the two
-		// water-fills round apart.
-		if extra := math.Min(shares[i]-reachedShare(base[i]), t); extra > eps {
-			granted[i] = extra
+		if shares[i] == Unreached {
+			shares[i] = 0
 		}
+		shares[i] += t
 	}
-}
-
-// reachedShare reads a WaterFill share as GPUs: none for Unreached.
-func reachedShare(s float64) float64 {
-	if s == Unreached {
-		return 0
-	}
-	return s
-}
-
-// ComputeAllocationWithDebt is WaterFillWithDebt over maps, split
-// across generations as ComputeAllocation splits: it returns the
-// allocation of every user the fill reached or repaid, and the grant of
-// every user granted anything.
-func ComputeAllocationWithDebt(tickets, demand map[job.UserID]float64, capacities map[gpu.Generation]int, debt map[job.UserID]float64, maxRepayFrac float64) (Allocation, map[job.UserID]float64) {
-	c := CapacityOf(capacities)
-	users := job.SortedUsers(demand)
-	n := len(users)
-	buf := make([]float64, 5*n)
-	t, d, db, sh, gr := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n], buf[4*n:]
-	for i, u := range users {
-		t[i], d[i], db[i] = tickets[u], demand[u], debt[u]
-	}
-	WaterFillWithDebt(t, d, db, c.Total(), maxRepayFrac, sh, gr)
-	alloc := make(Allocation, n)
-	granted := make(map[job.UserID]float64)
-	for i, u := range users {
-		if sh[i] != Unreached {
-			alloc[u] = c.Split(sh[i])
-		}
-		if gr[i] > 0 {
-			granted[u] = gr[i]
-		}
-	}
-	return alloc, granted
 }
 
 // Validate checks allocation invariants against capacity and demand:

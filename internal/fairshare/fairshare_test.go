@@ -142,15 +142,15 @@ func TestPropertyWaterFilling(t *testing.T) {
 }
 
 func TestSplitByGen(t *testing.T) {
-	caps := map[gpu.Generation]int{gpu.K80: 40, gpu.V100: 10}
-	e := SplitByGen(10, caps)
+	caps := CapacityOf(map[gpu.Generation]int{gpu.K80: 40, gpu.V100: 10})
+	e := caps.Split(10)
 	if !almost(e[gpu.K80], 8) || !almost(e[gpu.V100], 2) {
 		t.Errorf("split = %v, want K80:8 V100:2", e)
 	}
-	if SplitByGen(0, caps) != (Entitlement{}) {
+	if caps.Split(0) != (Entitlement{}) {
 		t.Error("zero total split nonzero")
 	}
-	if SplitByGen(5, nil) != (Entitlement{}) {
+	if none := CapacityOf(nil); none.Split(5) != (Entitlement{}) {
 		t.Error("nil capacities split nonzero")
 	}
 }
@@ -241,62 +241,66 @@ func TestMaxShareError(t *testing.T) {
 	}
 }
 
-func TestComputeAllocationWithDebt(t *testing.T) {
-	caps := map[gpu.Generation]int{gpu.K80: 12}
-	tickets := map[job.UserID]float64{"a": 1, "b": 1, "c": 1}
-	demand := map[job.UserID]float64{"a": 12, "b": 12, "c": 12}
-
-	// No debt behaves exactly like ComputeAllocation.
-	alloc, granted := ComputeAllocationWithDebt(tickets, demand, caps, nil, 0.25)
-	if len(granted) != 0 {
-		t.Errorf("grants without debt: %v", granted)
+// TestWaterFillWithDebt holds the debt fill's shares to the plain
+// fill's on three users of 12 GPUs each over a 12-GPU cluster.
+func TestWaterFillWithDebt(t *testing.T) {
+	const capacity, budget = 12.0, 0.25
+	tickets := []float64{1, 1, 1}
+	demand := []float64{12, 12, 12}
+	fill := func(demand, debt []float64, maxRepayFrac float64) (plain, shares []float64) {
+		t.Helper()
+		plain, shares = make([]float64, len(demand)), make([]float64, len(demand))
+		WaterFill(tickets, demand, capacity, plain)
+		WaterFillWithDebt(tickets, demand, debt, capacity, maxRepayFrac, shares)
+		var sum float64
+		for i, sh := range shares {
+			if sh == Unreached {
+				continue
+			}
+			if sh < 0 || sh > demand[i]+1e-9 {
+				t.Errorf("user %d: share %v outside [0, demand %v]", i, sh, demand[i])
+			}
+			sum += sh
+		}
+		if sum > capacity+1e-6 {
+			t.Errorf("shares %v sum to %v, over capacity %v", shares, sum, capacity)
+		}
+		return plain, shares
 	}
-	plain := ComputeAllocation(tickets, demand, caps)
-	for u := range tickets {
-		if !almost(alloc[u].Total(), plain[u].Total()) {
-			t.Errorf("user %s: debt-free %v != plain %v", u, alloc[u].Total(), plain[u].Total())
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: shares %v, want the plain fill's %v bit for bit", what, got, want)
+				return
+			}
 		}
 	}
 
-	// A debtor is repaid off the top: a gets its equal share PLUS the
-	// marginal grant, and the grant equals the reported repayment.
-	debt := map[job.UserID]float64{"a": 2}
-	alloc, granted = ComputeAllocationWithDebt(tickets, demand, caps, debt, 0.25)
-	if err := alloc.Validate(demand, caps); err != nil {
-		t.Fatal(err)
-	}
-	if granted["a"] <= 0 {
-		t.Fatalf("debtor granted nothing: %v", granted)
-	}
-	if got := alloc["a"].Total(); !almost(got, plain["a"].Total()+granted["a"]) {
-		t.Errorf("debtor share %v != base %v + grant %v", got, plain["a"].Total(), granted["a"])
+	// No debt gives no extra: the plain fill, bit for bit.
+	plain, shares := fill(demand, []float64{0, 0, 0}, budget)
+	same("no debt", shares, plain)
+
+	// A debtor is repaid off the top: a gains beyond its equal share,
+	// by no more than it is owed.
+	debt := []float64{2, 0, 0}
+	plain, shares = fill(demand, debt, budget)
+	if extra := shares[0] - plain[0]; extra <= 1e-9 || extra > debt[0]+1e-9 {
+		t.Errorf("debtor gains %v over its plain share %v, want (0, %v]", extra, plain[0], debt[0])
 	}
 
-	// The repayment budget caps the round's total grants.
-	hugeDebt := map[job.UserID]float64{"a": 100, "b": 100}
-	_, granted = ComputeAllocationWithDebt(tickets, demand, caps, hugeDebt, 0.25)
-	var sum float64
-	for _, u := range []job.UserID{"a", "b"} {
-		sum += granted[u]
-	}
-	if sum > 0.25*12+1e-6 {
-		t.Errorf("grants %v exceed 25%% budget", sum)
+	// The repayment budget caps what the debtors gain together.
+	plain, shares = fill(demand, []float64{100, 100, 0}, budget)
+	if extra := shares[0] - plain[0] + shares[1] - plain[1]; extra <= 1e-9 || extra > budget*capacity+1e-6 {
+		t.Errorf("debtors gain %v together, want (0, %v]", extra, budget*capacity)
 	}
 
-	// maxRepayFrac <= 0 disables repayment entirely.
-	_, granted = ComputeAllocationWithDebt(tickets, demand, caps, debt, 0)
-	if len(granted) != 0 {
-		t.Errorf("grants despite zero budget: %v", granted)
-	}
+	// A zero budget disables repayment: the plain fill, bit for bit.
+	plain, shares = fill(demand, debt, 0)
+	same("zero budget", shares, plain)
 
-	// Repayment is demand-capped: a debtor with no runnable work
-	// cannot be granted catch-up capacity.
-	idleDemand := map[job.UserID]float64{"a": 0, "b": 12, "c": 12}
-	alloc, granted = ComputeAllocationWithDebt(tickets, idleDemand, caps, debt, 0.25)
-	if len(granted) != 0 {
-		t.Errorf("idle debtor granted %v", granted)
-	}
-	if err := alloc.Validate(idleDemand, caps); err != nil {
-		t.Fatal(err)
-	}
+	// Repayment is demand-capped: a debtor with no runnable work gains
+	// nothing, and the others are filled as without the debt.
+	plain, shares = fill([]float64{0, 12, 12}, debt, budget)
+	same("idle debtor", shares, plain)
 }

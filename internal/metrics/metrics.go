@@ -93,41 +93,82 @@ func ShareFractions(byUser map[job.UserID]float64) map[job.UserID]float64 {
 }
 
 // Window is one timeline bucket: usage per user accumulated over
-// [Start, End).
+// [Start, End), by position in the timeline's users.
 type Window struct {
 	Start, End simclock.Time
-	ByUser     map[job.UserID]float64
+	ByUser     []float64
+}
+
+// Total sums the window's usage in user order.
+func (w *Window) Total() float64 {
+	var total float64
+	for _, v := range w.ByUser {
+		total += v
+	}
+	return total
+}
+
+// Fractions returns each user's fraction of the window's usage, by
+// position; all zero for an idle window.
+func (w *Window) Fractions() []float64 {
+	out := make([]float64, len(w.ByUser))
+	if total := w.Total(); total > 0 {
+		for i, v := range w.ByUser {
+			out[i] = v / total
+		}
+	}
+	return out
 }
 
 // Timeline accumulates per-user usage into fixed-width windows for
-// share-over-time figures. Add times must be non-decreasing (the
-// simulation clock guarantees this).
+// share-over-time figures. Windows are aligned to multiples of the width
+// and run from the first one Begin or Add names, with empty windows
+// between active periods; none before it. Times must not precede that
+// first window.
 type Timeline struct {
 	width   simclock.Duration
+	users   []job.UserID
+	begun   bool
+	first   float64 // the first window's start over width, once begun
 	windows []Window
 }
 
 // NewTimeline creates a timeline with the given window width in
-// seconds; non-positive widths panic.
-func NewTimeline(width simclock.Duration) *Timeline {
+// seconds over users, whose positions index every Window's ByUser;
+// non-positive widths panic.
+func NewTimeline(width simclock.Duration, users []job.UserID) *Timeline {
 	if width <= 0 {
 		panic("metrics: non-positive timeline width")
 	}
-	return &Timeline{width: width}
+	return &Timeline{width: width, users: users}
 }
 
-// Add accumulates amount for user u at virtual time at.
-func (t *Timeline) Add(at simclock.Time, u job.UserID, amount float64) {
-	idx := int(float64(at) / t.width)
-	for len(t.windows) <= idx {
-		start := simclock.Time(float64(len(t.windows)) * t.width)
+// Users returns the users whose positions index Window.ByUser. Callers
+// must not mutate.
+func (t *Timeline) Users() []job.UserID { return t.users }
+
+// Begin makes the window holding at the first, unless one is already.
+func (t *Timeline) Begin(at simclock.Time) {
+	if !t.begun {
+		t.begun, t.first = true, math.Floor(float64(at)/t.width)
+	}
+}
+
+// Add accumulates amount for the user at position u at virtual time at.
+// The window is counted from the first, so a late clock allocates no
+// prefix.
+func (t *Timeline) Add(at simclock.Time, u int, amount float64) {
+	t.Begin(at)
+	k := math.Floor(float64(at)/t.width) - t.first
+	for float64(len(t.windows)) <= k {
+		start := simclock.Time((t.first + float64(len(t.windows))) * t.width)
 		t.windows = append(t.windows, Window{
 			Start:  start,
 			End:    start.Add(t.width),
-			ByUser: make(map[job.UserID]float64),
+			ByUser: make([]float64, len(t.users)),
 		})
 	}
-	t.windows[idx].ByUser[u] += amount
+	t.windows[int(k)].ByUser[u] += amount
 }
 
 // Windows returns the accumulated windows (possibly with empty

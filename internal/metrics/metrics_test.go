@@ -83,23 +83,58 @@ func TestShareFractions(t *testing.T) {
 }
 
 func TestTimeline(t *testing.T) {
-	tl := NewTimeline(3600)
-	tl.Add(0, "a", 10)
-	tl.Add(1800, "b", 10)
-	tl.Add(3600, "a", 20)
-	tl.Add(7300, "b", 5)
+	tl := NewTimeline(3600, []job.UserID{"a", "b"})
+	tl.Add(0, 0, 10)
+	tl.Add(1800, 1, 10)
+	tl.Add(3600, 0, 20)
+	tl.Add(7300, 1, 5)
 	ws := tl.Windows()
 	if len(ws) != 3 {
 		t.Fatalf("%d windows, want 3", len(ws))
 	}
-	if !almost(ws[0].ByUser["a"], 10) || !almost(ws[0].ByUser["b"], 10) {
+	if !almost(ws[0].ByUser[0], 10) || !almost(ws[0].ByUser[1], 10) {
 		t.Errorf("window 0 = %v", ws[0].ByUser)
 	}
-	if !almost(ws[1].ByUser["a"], 20) || ws[1].ByUser["b"] != 0 {
+	if !almost(ws[1].ByUser[0], 20) || ws[1].ByUser[1] != 0 {
 		t.Errorf("window 1 = %v", ws[1].ByUser)
 	}
 	if ws[2].Start != 7200 || ws[2].End != 10800 {
 		t.Errorf("window 2 bounds [%v, %v)", ws[2].Start, ws[2].End)
+	}
+}
+
+// TestTimelineStartsAtFirstWindow: windows run from the one Begin names,
+// with no empty prefix back to time zero, and a charge 3.6e22 s in —
+// 1e19 hour-wide windows, past the largest int — lands in one window.
+func TestTimelineStartsAtFirstWindow(t *testing.T) {
+	tl := NewTimeline(3600, []job.UserID{"a"})
+	tl.Begin(5*3600 + 10)
+	tl.Add(6*3600, 0, 1)
+	tl.Add(5*3600+20, 0, 2) // an older charge, as a late answer makes
+	ws := tl.Windows()
+	if len(ws) != 2 || ws[0].Start != 5*3600 || ws[1].End != 7*3600 {
+		t.Fatalf("windows %+v, want [5h, 6h) and [6h, 7h)", ws)
+	}
+	if ws[0].ByUser[0] != 2 || ws[1].ByUser[0] != 1 {
+		t.Errorf("windows hold %v and %v, want 2 and 1", ws[0].ByUser, ws[1].ByUser)
+	}
+
+	far := NewTimeline(3600, []job.UserID{"a"})
+	const at = 3.6e22
+	far.Add(at, 0, 3)
+	if ws := far.Windows(); len(ws) != 1 || ws[0].Start != at || ws[0].ByUser[0] != 3 {
+		t.Errorf("a charge at %v s: windows %+v, want one starting there holding 3", at, ws)
+	}
+}
+
+func TestTimelineFractions(t *testing.T) {
+	w := Window{ByUser: []float64{30, 0, 10}}
+	if fr := w.Fractions(); !almost(fr[0], 0.75) || fr[1] != 0 || !almost(fr[2], 0.25) {
+		t.Errorf("Fractions = %v, want [0.75 0 0.25]", fr)
+	}
+	idle := Window{ByUser: []float64{0, 0}}
+	if fr := idle.Fractions(); fr[0] != 0 || fr[1] != 0 {
+		t.Errorf("idle Fractions = %v, want zeros", fr)
 	}
 }
 
@@ -109,7 +144,7 @@ func TestTimelinePanicsOnBadWidth(t *testing.T) {
 			t.Error("zero width did not panic")
 		}
 	}()
-	NewTimeline(0)
+	NewTimeline(0, nil)
 }
 
 func TestUtilization(t *testing.T) {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/job"
@@ -22,8 +23,10 @@ func RenderTimeline(w io.Writer, tl *Timeline, users []job.UserID, width int, ca
 		width = 40
 	}
 	letters := make(map[job.UserID]byte, len(users))
+	at := make([]int, len(users)) // users[i]'s position in the timeline, -1 if it has none
 	for i, u := range users {
 		letters[u] = byte('a' + i%26)
+		at[i] = slices.Index(tl.Users(), u)
 	}
 
 	var b strings.Builder
@@ -35,19 +38,22 @@ func RenderTimeline(w io.Writer, tl *Timeline, users []job.UserID, width int, ca
 
 	for _, win := range tl.Windows() {
 		capGPUSecs := float64(capacityGPUs) * win.End.Sub(win.Start)
-		var total float64
-		for _, u := range job.SortedUsers(win.ByUser) {
-			total += win.ByUser[u]
-		}
+		total := win.Total()
 		denom := total
 		if capacityGPUs > 0 {
 			denom = capGPUSecs
 		}
+		usage := func(i int) float64 {
+			if at[i] < 0 {
+				return 0
+			}
+			return win.ByUser[at[i]]
+		}
 		fmt.Fprintf(&b, "[%4s–%4s) ", shortTime(win.Start), shortTime(win.End))
 		used := 0
 		if denom > 0 {
-			for _, u := range users {
-				n := int(win.ByUser[u] / denom * float64(width))
+			for i, u := range users {
+				n := int(usage(i) / denom * float64(width))
 				b.WriteString(strings.Repeat(string(letters[u]), n))
 				used += n
 			}
@@ -56,10 +62,9 @@ func RenderTimeline(w io.Writer, tl *Timeline, users []job.UserID, width int, ca
 			b.WriteString(strings.Repeat("·", width-used))
 		}
 		if total > 0 {
-			fr := ShareFractions(win.ByUser)
-			for _, u := range users {
-				if fr[u] > 0.005 {
-					fmt.Fprintf(&b, " %c:%.0f%%", letters[u], 100*fr[u])
+			for i, u := range users {
+				if fr := usage(i) / total; fr > 0.005 {
+					fmt.Fprintf(&b, " %c:%.0f%%", letters[u], 100*fr)
 				}
 			}
 		} else {

@@ -9,15 +9,15 @@ import (
 )
 
 func vizFixture() *Timeline {
-	tl := NewTimeline(3600)
+	tl := NewTimeline(3600, []job.UserID{"a", "b"})
 	// Window 0: a and b split evenly, half the 4-GPU capacity busy.
-	tl.Add(0, "a", 3600)
-	tl.Add(0, "b", 3600)
+	tl.Add(0, 0, 3600)
+	tl.Add(0, 1, 3600)
 	// Window 1: a alone at full capacity.
-	tl.Add(3600, "a", 4*3600)
+	tl.Add(3600, 0, 4*3600)
 	// Window 2: idle (forced into existence by window 3).
 	// Window 3: b only.
-	tl.Add(3*3600+10, "b", 1800)
+	tl.Add(3*3600+10, 1, 1800)
 	return tl
 }
 
