@@ -65,8 +65,8 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		Throughput:    mb,
 		Busy:          s.busyByGen,
 		Capacity:      s.capByGen,
-		Migrations:    s.recorded[trace.KindMigration],
-		Trades:        s.recorded[trace.KindTrade],
+		Migrations:    s.recorded[trace.KindMigration.LogIndex()],
+		Trades:        s.recorded[trace.KindTrade.LogIndex()],
 		CompDebt:      s.resultDeficit(),
 	}
 	for _, j := range s.jobs { // job-ID order: deterministic file contents
@@ -209,7 +209,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		}
 	}
 	s.busyByGen, s.capByGen = cp.Busy, cp.Capacity
-	s.recorded[trace.KindMigration], s.recorded[trace.KindTrade] = cp.Migrations, cp.Trades
+	s.recorded[trace.KindMigration.LogIndex()], s.recorded[trace.KindTrade.LogIndex()] = cp.Migrations, cp.Trades
 	return s, nil
 }
 

@@ -50,7 +50,8 @@ const compMaxShare = 0.25
 // Fairness mechanics per round:
 //
 //  1. Water-filling splits cluster capacity among active users by
-//     tickets, capped by demand (fairshare.ComputeAllocation), then
+//     tickets, capped by demand (fairshare.WaterFill, or
+//     fairshare.WaterFillWithDebt while a user owes), then
 //     trading (optionally) exchanges entitlement between generations
 //     at Pareto prices.
 //  2. Each user's per-generation entitlement accrues into a credit

@@ -451,7 +451,7 @@ type Sim struct {
 
 	busyByGen [gpu.NumGenerations]float64
 	capByGen  [gpu.NumGenerations]float64
-	recorded  map[trace.Kind]int // how often each kind was emitted
+	recorded  [trace.NumLogged]int // how often each logged kind was emitted, by its LogIndex
 	rounds    int
 	aud       *auditor
 	obs       *obs.Observer     // nil when uninstrumented
@@ -542,18 +542,17 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	cfg = cfg.withDefaults()
 	owners := placement.NewOwners(cfg.Cluster)
 	s := &Sim{
-		cfg:      cfg,
-		clock:    simclock.New(),
-		policy:   policy,
-		exec:     exec,
-		prof:     prof,
-		log:      &trace.Log{},
-		tickets:  make(map[job.UserID]float64),
-		pidx:     placement.NewIndex(cfg.Cluster),
-		recorded: make(map[trace.Kind]int),
-		owners:   owners,
-		aud:      newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
-		obs:      cfg.Obs,
+		cfg:     cfg,
+		clock:   simclock.New(),
+		policy:  policy,
+		exec:    exec,
+		prof:    prof,
+		log:     &trace.Log{},
+		tickets: make(map[job.UserID]float64),
+		pidx:    placement.NewIndex(cfg.Cluster),
+		owners:  owners,
+		aud:     newAuditor(cfg.Audit, cfg.Cluster, cfg.Quantum, owners),
+		obs:     cfg.Obs,
 	}
 	s.place = s.placeIndexed
 	// Satellite of the fault model: the declared failure list is
@@ -822,11 +821,11 @@ func (s *Sim) Result() *Result {
 		ThroughputByUser:     mb,
 		Utilization:          metrics.Utilization{BusyGPUSeconds: busy, CapacityGPUSeconds: capTotal},
 		UtilByGen:            utilByGen,
-		Migrations:           s.recorded[trace.KindMigration],
-		TradeCount:           s.recorded[trace.KindTrade],
-		Crashes:              s.recorded[trace.KindJobCrash],
-		MigrationFailures:    s.recorded[trace.KindMigFail],
-		Quarantines:          s.recorded[trace.KindQuarantine],
+		Migrations:           s.recorded[trace.KindMigration.LogIndex()],
+		TradeCount:           s.recorded[trace.KindTrade.LogIndex()],
+		Crashes:              s.recorded[trace.KindJobCrash.LogIndex()],
+		MigrationFailures:    s.recorded[trace.KindMigFail.LogIndex()],
+		Quarantines:          s.recorded[trace.KindQuarantine.LogIndex()],
 		CompDeficitByUser:    s.resultDeficit(),
 		CompRepaidGPUSeconds: s.compRepaid,
 		Timeline:             s.tl,

@@ -22,8 +22,8 @@ import (
 // arrivals then never sizes the buffer — and kinds only an observer
 // consumes are dropped.
 func (s *Sim) emit(r trace.Record) {
-	if r.Kind.Logged() {
-		s.recorded[r.Kind]++
+	if k := r.Kind.LogIndex(); k >= 0 {
+		s.recorded[k]++
 	}
 	if s.obs == nil {
 		s.log.Append(r)

@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/workload"
 )
 
@@ -19,6 +21,13 @@ import (
 // arrived at time zero, trading on, plans granting a lease of `lease`
 // rounds. stop closes every endpoint.
 func hubDeployment(tb testing.TB, agents, users, jobsPerUser, lease int) (c *Central, ran *ranGPUs, stop func()) {
+	tb.Helper()
+	return hubDeploymentWith(tb, agents, users, jobsPerUser, CentralConfig{LeaseRounds: lease})
+}
+
+// hubDeploymentWith is hubDeployment with the central configured by
+// cfg, whose specs and quantum it sets.
+func hubDeploymentWith(tb testing.TB, agents, users, jobsPerUser int, cfg CentralConfig) (c *Central, ran *ranGPUs, stop func()) {
 	tb.Helper()
 	names := zoo.Names()
 	var us []workload.UserSpec
@@ -43,7 +52,8 @@ func hubDeployment(tb testing.TB, agents, users, jobsPerUser, lease int) (c *Cen
 	}
 	waits := startAgents(tb, hub, gens, 4)
 	ran = &ranGPUs{Policy: core.MustNewFairPolicy(core.FairConfig{EnableTrading: true})}
-	c, err = NewCentral(ctr, ran, CentralConfig{Specs: specs, Quantum: 360, LeaseRounds: lease})
+	cfg.Specs, cfg.Quantum = specs, 360
+	c, err = NewCentral(ctr, ran, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -119,6 +129,48 @@ func steadyStateAllocs(t *testing.T, lease int) {
 	t.Logf("steady-state distributed round, lease %d: %.1f mallocs, %.1f KiB", lease, perRound, kib)
 	if perRound > ceiling {
 		t.Errorf("steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
+	}
+}
+
+// TestObservedCentralAllocCeiling pins the steady distributed round of
+// TestCentralSteadyStateAllocCeiling's shape (lease of zero rounds)
+// observed and traced as gfperf's obs-on dist-hub rep sets the central
+// up — an observer with a "central" span tracer — so every plan carries
+// a trace and every agent answers with its round's spans. With the
+// observer's per-phase maps and RoundSpans grown by appends it made
+// 342.9 mallocs a round on go1.24 (race detector on or off); with the
+// phase table and RoundSpans sized by a count it makes 274.8: one
+// fewer per agent, four fewer at the central. The ceiling is that plus
+// a tenth.
+func TestObservedCentralAllocCeiling(t *testing.T) {
+	o := obs.New()
+	o.SetTracer(span.New("central", 0))
+	c, ran, stop := hubDeploymentWith(t, 64, 4, 128, CentralConfig{Obs: o})
+	defer stop()
+	if _, err := c.Steps(12); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := c.Steps(rounds); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRound := float64(after.Mallocs-before.Mallocs) / rounds
+
+	if ran.n != 256 || c.timeouts != 0 {
+		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", ran.n, c.timeouts)
+	}
+	all := o.Tracer().Spans()
+	round := int(all[len(all)-1].Trace) - 1
+	if spans := o.Tracer().RoundSpans(round); len(spans) < 1+64*2 {
+		t.Fatalf("round %d holds %d spans, want the central's and two from each of 64 agents", round, len(spans))
+	}
+	const ceiling = 302
+	t.Logf("observed steady-state distributed round: %.1f mallocs", perRound)
+	if perRound > ceiling {
+		t.Errorf("observed steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
 	}
 }
 

@@ -38,11 +38,28 @@ const (
 
 // AllPhases lists every phase; the Observer pre-registers each so
 // /metrics exposes the full histogram family from the first scrape.
-var AllPhases = []Phase{
+var AllPhases = allPhases[:]
+
+var allPhases = [...]Phase{
 	PhaseArrivals, PhaseWaterfill, PhaseDecide, PhaseTrade,
 	PhasePlacement, PhaseMigrate, PhaseExecute, PhaseAudit,
 	PhaseDispatch, PhaseCollect, PhaseApply, PhaseFaultSweep,
 }
+
+// phaseRec is one phase's row of the profiler table. A phase is
+// touched in a round when a segment of it closed; the histogram series
+// observes each touched round, so its count and sum cover all rounds.
+type phaseRec struct {
+	hist          *Histogram
+	start         time.Time     // the open segment's start; zero when none is open
+	span          span.ID       // the open segment's span; zero when none
+	cur, last     time.Duration // this round so far, the last closed round
+	inCur, inLast bool          // touched this round, in the last closed round
+}
+
+// Columns of the phase table as its exported views render them.
+func lastCol(r *phaseRec) (float64, bool)  { return r.last.Seconds(), r.inLast }
+func totalCol(r *phaseRec) (float64, bool) { return r.hist.Sum(), r.hist.Count() > 0 }
 
 // phaseBuckets spans sub-microsecond to multi-second phase times.
 var phaseBuckets = []float64{
@@ -176,7 +193,6 @@ type Observer struct {
 	jobsActive     *Gauge
 	jobsPending    *Gauge
 	simTime        *Gauge
-	phaseHist      map[Phase]*Histogram
 	protoEvents    *CounterVec
 	faultEvents    *CounterVec
 	netFaults      map[string]*Counter
@@ -189,20 +205,16 @@ type Observer struct {
 	sloJCT         *GaugeVec
 	sloMakespan    *Gauge
 
-	mu          sync.Mutex
-	curRound    int
-	curAt       float64
-	phaseStarts map[Phase]time.Time
-	building    map[Phase]float64 // this round's per-phase seconds
-	lastRound   map[Phase]float64
-	totals      map[Phase]float64
+	mu       sync.Mutex
+	curRound int
+	curAt    float64
+	phases   [len(allPhases)]phaseRec // by position in AllPhases
 
 	// Span tracing and the per-round sink (flight recorder). The
 	// tracer pointer is set once before the run starts and read-only
-	// afterwards; phaseSpans maps open phases to their span IDs.
-	tracer     *span.Tracer
-	sink       RoundSink
-	phaseSpans map[Phase]span.ID
+	// afterwards.
+	tracer *span.Tracer
+	sink   RoundSink
 
 	decisions ring.Ring[Decision]
 	trades    ring.Ring[TradeEvent]
@@ -215,16 +227,7 @@ type Observer struct {
 // New builds an Observer.
 func New() *Observer {
 	reg := NewRegistry()
-	o := &Observer{
-		reg:         reg,
-		now:         time.Now,
-		phaseHist:   make(map[Phase]*Histogram, len(AllPhases)),
-		phaseStarts: make(map[Phase]time.Time),
-		building:    make(map[Phase]float64),
-		lastRound:   make(map[Phase]float64),
-		totals:      make(map[Phase]float64),
-		phaseSpans:  make(map[Phase]span.ID),
-	}
+	o := &Observer{reg: reg, now: time.Now}
 	o.decisions.SetCap(DefaultRingSize)
 	o.trades.SetCap(DefaultRingSize)
 	o.roundsTotal = reg.Counter("gf_rounds_total", "Scheduling rounds completed.").With()
@@ -239,8 +242,8 @@ func New() *Observer {
 	o.simTime = reg.Gauge("gf_sim_time_seconds", "Simulated (virtual) time.").With()
 	hist := reg.Histogram("gf_round_phase_seconds",
 		"Wall-clock time spent in each scheduler phase per round.", phaseBuckets, "phase")
-	for _, p := range AllPhases {
-		o.phaseHist[p] = hist.With(string(p))
+	for i, p := range allPhases {
+		o.phases[i].hist = hist.With(string(p))
 	}
 	reg.SampledGauge("gf_user_usage_fraction",
 		"User's fraction of total occupied GPU-seconds so far.", "user",
@@ -382,70 +385,77 @@ func (o *Observer) BeginRound(round int, simNow float64) {
 		return
 	}
 	o.mu.Lock()
-	o.curRound = round
-	o.curAt = simNow
+	o.curRound, o.curAt = round, simNow
 	tracer := o.tracer
 	o.mu.Unlock()
 	tracer.BeginRound(round, simNow)
 	o.simTime.Set(simNow)
 }
 
-// PhaseStart marks the beginning of a phase span. Spans of one phase
-// may be split; their durations accumulate within the round.
+// row returns p's row of the phase table, nil (ignored) off AllPhases.
+func (o *Observer) row(p Phase) *phaseRec {
+	if i := slices.Index(allPhases[:], p); i >= 0 {
+		return &o.phases[i]
+	}
+	return nil
+}
+
+// PhaseStart opens a segment of a phase, timed by the profiler and a
+// span from one clock reading. Segments accumulate within the round.
 func (o *Observer) PhaseStart(p Phase) {
 	if o == nil {
 		return
 	}
 	t := o.now()
 	o.mu.Lock()
-	o.phaseStarts[p] = t
-	if o.tracer != nil {
-		o.phaseSpans[p] = o.tracer.Start(string(p))
+	if r := o.row(p); r != nil {
+		r.start, r.span = t, o.tracer.StartAt(string(p), t)
 	}
 	o.mu.Unlock()
 }
 
-// PhaseEnd closes the current span of a phase.
+// PhaseEnd closes the current segment of a phase.
 func (o *Observer) PhaseEnd(p Phase) {
 	if o == nil {
 		return
 	}
 	t := o.now()
 	o.mu.Lock()
-	o.endPhase(p, t)
+	if r := o.row(p); r != nil {
+		o.endPhase(r, t)
+	}
 	o.mu.Unlock()
 }
 
-func (o *Observer) endPhase(p Phase, t time.Time) {
-	if start, ok := o.phaseStarts[p]; ok {
-		o.building[p] += t.Sub(start).Seconds()
-		delete(o.phaseStarts, p)
+// endPhase closes r's open segment, if any, and its span at t.
+func (o *Observer) endPhase(r *phaseRec, t time.Time) {
+	if !r.start.IsZero() {
+		r.cur += t.Sub(r.start)
+		r.start, r.inCur = time.Time{}, true
 	}
-	if id, ok := o.phaseSpans[p]; ok {
-		o.tracer.End(id)
-		delete(o.phaseSpans, p)
-	}
+	o.tracer.EndAt(r.span, t)
+	r.span = 0
 }
 
 // EndRound closes the round: its events reach every sink in one pass
-// under one lock, each phase touched gets one histogram observation,
-// totals roll up, and the gauges refresh. A phase still open — the
-// round failed inside it — is ended here, so the failing round's
-// snapshot is complete.
+// under one lock, and each phase touched gets one histogram
+// observation as the round rolls into the phase table in place. A
+// phase still open — the round failed inside it — is ended here, with
+// the round's span, so the failing round's snapshot is complete.
 func (o *Observer) EndRound(r Round) {
 	if o == nil {
 		return
 	}
 	t := o.now()
 	o.mu.Lock()
-	for _, p := range AllPhases { // a no-op for all but a failed round's open ones
-		o.endPhase(p, t)
-	}
-	built := o.building
-	o.building = make(map[Phase]float64, len(built))
-	o.lastRound = built
-	for p, secs := range built {
-		o.totals[p] += secs
+	for i := range o.phases {
+		p := &o.phases[i]
+		o.endPhase(p, t) // a no-op for all but a failed round's open ones
+		if p.inCur {
+			p.hist.Observe(p.cur.Seconds())
+		}
+		p.last, p.inLast = p.cur, p.inCur
+		p.cur, p.inCur = 0, false
 	}
 	o.consume(r.Events)
 	o.shares = append(o.shares[:0], r.Shares...)
@@ -454,16 +464,11 @@ func (o *Observer) EndRound(r Round) {
 	o.next = RoundSnapshot{}
 	if sink != nil {
 		snap.Round, snap.SimAt = o.curRound, o.curAt
-		snap.Phases = seconds(built)
+		snap.Phases = o.seconds(lastCol)
 		snap.Shares = append([]ShareSample(nil), r.Shares...)
 	}
 	o.mu.Unlock()
-	tracer.EndRound()
-	for _, p := range AllPhases {
-		if secs, touched := built[p]; touched {
-			o.phaseHist[p].Observe(secs)
-		}
-	}
+	tracer.EndRoundAt(t)
 	o.roundsTotal.Inc()
 	o.jobsActive.Set(float64(r.Active))
 	o.jobsPending.Set(float64(r.Pending))
@@ -620,14 +625,17 @@ func (o *Observer) PhaseTotals() map[string]float64 {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return seconds(o.totals)
+	return o.seconds(totalCol)
 }
 
-// seconds copies a per-phase table under its exported key type.
-func seconds(m map[Phase]float64) map[string]float64 {
-	out := make(map[string]float64, len(m))
-	for p, s := range m {
-		out[string(p)] = s
+// seconds renders one column of the phase table under its exported
+// key type, keeping the phases the column marks touched.
+func (o *Observer) seconds(col func(*phaseRec) (float64, bool)) map[string]float64 {
+	out := make(map[string]float64, len(allPhases))
+	for i := range o.phases {
+		if secs, ok := col(&o.phases[i]); ok {
+			out[string(allPhases[i])] = secs
+		}
 	}
 	return out
 }
@@ -644,8 +652,8 @@ func (o *Observer) Snapshot() Snapshot {
 		Round:             o.curRound,
 		SimTimeSeconds:    o.curAt,
 		Rounds:            o.roundsTotal.Value(),
-		PhaseTotals:       seconds(o.totals),
-		LastRound:         seconds(o.lastRound),
+		PhaseTotals:       o.seconds(totalCol),
+		LastRound:         o.seconds(lastCol),
 		Decisions:         o.decisions.Slice(),
 		Trades:            o.trades.Slice(),
 		DecisionsRecorded: uint64(o.decisionsTotal.Value()),

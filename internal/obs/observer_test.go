@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/obs/span"
 	"repro/internal/trace"
 )
 
@@ -63,10 +64,10 @@ func TestPhaseProfiling(t *testing.T) {
 		t.Errorf("audit total = %v, want ~2ms (split spans accumulate)", d)
 	}
 	// One histogram observation per touched phase per round.
-	if n := o.phaseHist[PhaseAudit].Count(); n != 1 {
+	if n := o.row(PhaseAudit).hist.Count(); n != 1 {
 		t.Errorf("audit observations = %d, want 1", n)
 	}
-	if n := o.phaseHist[PhaseExecute].Count(); n != 0 {
+	if n := o.row(PhaseExecute).hist.Count(); n != 0 {
 		t.Errorf("untouched phase observed %d times", n)
 	}
 
@@ -183,8 +184,83 @@ func TestEndRoundClosesOpenPhases(t *testing.T) {
 	if _, ok := o.PhaseTotals()[string(PhaseDecide)]; !ok {
 		t.Error("open phase lost at EndRound")
 	}
-	if len(o.phaseStarts) != 0 {
-		t.Errorf("phases still open after EndRound: %v", o.phaseStarts)
+	for i, r := range o.phases {
+		if !r.start.IsZero() {
+			t.Errorf("phase %s still open after EndRound", allPhases[i])
+		}
+	}
+}
+
+// TestSteadyRoundAllocatesNothing: with no sink attached, an observed
+// round — a phase split in two segments, one nested in another —
+// allocates nothing, because the round rolls into the phase table in
+// place.
+func TestSteadyRoundAllocatesNothing(t *testing.T) {
+	o := New()
+	round := 0
+	step := func() {
+		round++
+		o.BeginRound(round, float64(round))
+		o.PhaseStart(PhaseAudit)
+		o.PhaseEnd(PhaseAudit)
+		o.PhaseStart(PhaseDecide)
+		o.PhaseStart(PhaseTrade)
+		o.PhaseEnd(PhaseTrade)
+		o.PhaseEnd(PhaseDecide)
+		o.PhaseStart(PhaseAudit)
+		o.PhaseEnd(PhaseAudit)
+		o.EndRound(Round{Active: 1})
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("an observed round allocates %v times, want 0", n)
+	}
+}
+
+// TestPhaseSpansReadTheProfilersClock: the profiler and the tracer share
+// one clock reading per phase boundary, so a phase's spans of a round
+// last exactly the time the profiler recorded for it — for a phase
+// split in two segments, a nested one, and one a failed round left open
+// for EndRound to close.
+func TestPhaseSpansReadTheProfilersClock(t *testing.T) {
+	o := New()
+	var tick int64
+	o.now = func() time.Time {
+		tick++
+		return time.Unix(0, tick*int64(time.Millisecond))
+	}
+	tr := span.New("t", 0)
+	o.SetTracer(tr)
+	o.BeginRound(1, 0)
+	o.PhaseStart(PhaseDecide)
+	o.PhaseStart(PhaseTrade)
+	o.PhaseEnd(PhaseTrade)
+	o.PhaseEnd(PhaseDecide)
+	o.PhaseStart(PhaseAudit)
+	o.PhaseEnd(PhaseAudit)
+	o.PhaseStart(PhaseAudit)
+	o.PhaseEnd(PhaseAudit)
+	o.PhaseStart(PhaseExecute) // the round fails inside execute
+	o.EndRound(Round{})
+
+	spans := map[string]time.Duration{}
+	for _, s := range tr.RoundSpans(1) {
+		if s.Parent == 0 {
+			continue // the round root
+		}
+		if s.DurNs < 0 {
+			t.Errorf("%s span left open", s.Name)
+		}
+		spans[s.Name] += time.Duration(s.DurNs)
+	}
+	recorded := o.Snapshot().LastRound
+	if len(spans) != 4 || len(recorded) != 4 {
+		t.Fatalf("spans %v, recorded %v: want decide, trade, audit and execute in both", spans, recorded)
+	}
+	for name, d := range spans {
+		if secs, ok := recorded[name]; !ok || secs != d.Seconds() {
+			t.Errorf("%s: spans last %v, profiler recorded %vs", name, d, secs)
+		}
 	}
 }
 

@@ -274,14 +274,14 @@ func (h *Histogram) Observe(v float64) {
 	h.s.mu.Unlock()
 }
 
-// Count returns the number of observations (for tests).
+// Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()
 	return h.s.n
 }
 
-// Sum returns the sum of observations (for tests).
+// Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 {
 	h.s.mu.Lock()
 	defer h.s.mu.Unlock()

@@ -73,8 +73,7 @@ type Tracer struct {
 	proc   string
 	procID uint32
 	seq    uint32
-	spans  ring.Ring[Span]
-	open   map[ID]uint64 // open span ID → how many spans were pushed before it
+	spans  ring.Ring[Span] // this tracer's own spans in ID order, injected ones among them
 
 	// Current round context.
 	trace uint64
@@ -82,8 +81,7 @@ type Tracer struct {
 	simAt float64
 	root  ID
 
-	epoch     time.Time // wall anchor
-	epochMono time.Time // monotonic anchor (same instant)
+	epoch time.Time // wall and monotonic anchor
 }
 
 // DefaultCap bounds the span ring when the caller passes cap <= 0:
@@ -96,14 +94,7 @@ func New(proc string, cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultCap
 	}
-	now := time.Now()
-	t := &Tracer{
-		proc:      proc,
-		procID:    hashProc(proc),
-		open:      make(map[ID]uint64),
-		epoch:     now,
-		epochMono: now,
-	}
+	t := &Tracer{proc: proc, procID: hashProc(proc), epoch: time.Now()}
 	t.spans.SetCap(cap)
 	return t
 }
@@ -127,26 +118,21 @@ func (t *Tracer) Proc() string {
 	return t.proc
 }
 
-// nowNs returns wall-anchored monotonic nanoseconds since the Unix
+// ns returns at as wall-anchored monotonic nanoseconds since the Unix
 // epoch: the wall epoch captured at construction plus the monotonic
 // time elapsed since, immune to wall-clock steps.
-func (t *Tracer) nowNs() int64 {
-	return t.epoch.UnixNano() + int64(time.Since(t.epochMono))
+func (t *Tracer) ns(at time.Time) int64 {
+	return t.epoch.UnixNano() + int64(at.Sub(t.epoch))
 }
 
-func (t *Tracer) nextID() ID {
+// begin opens a span at instant at under the lock and returns its ID.
+func (t *Tracer) begin(trace uint64, name string, parent ID, round int, simAt float64, at time.Time) ID {
 	t.seq++
-	return ID(uint64(t.procID)<<32 | uint64(t.seq))
-}
-
-// begin opens a span under the lock and returns its ID.
-func (t *Tracer) begin(trace uint64, name string, parent ID, round int, simAt float64) ID {
-	id := t.nextID()
-	t.open[id] = uint64(t.spans.Len()) + t.spans.Dropped()
+	id := ID(uint64(t.procID)<<32 | uint64(t.seq))
 	t.spans.Push(Span{
 		Trace: trace, ID: id, Parent: parent, Name: name,
 		Proc: t.proc, Round: round, SimAt: simAt,
-		StartNs: t.nowNs(), DurNs: -1,
+		StartNs: t.ns(at), DurNs: -1,
 	})
 	return id
 }
@@ -158,16 +144,7 @@ const rootName = "round"
 // trace ID is round+1 in every process, which is what stitches the
 // central and agent halves of one round into a single trace.
 func (t *Tracer) BeginRound(round int, simAt float64) ID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.trace = uint64(round) + 1
-	t.round = round
-	t.simAt = simAt
-	t.root = t.begin(t.trace, rootName, 0, round, simAt)
-	return t.root
+	return t.BeginRemote(uint64(round)+1, round, simAt, rootName, 0)
 }
 
 // BeginRemote opens a span whose parent lives in another process:
@@ -179,21 +156,22 @@ func (t *Tracer) BeginRemote(trace uint64, round int, simAt float64, name string
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.trace = trace
-	t.round = round
-	t.simAt = simAt
-	t.root = t.begin(trace, name, parent, round, simAt)
+	t.trace, t.round, t.simAt = trace, round, simAt
+	t.root = t.begin(trace, name, parent, round, simAt, time.Now())
 	return t.root
 }
 
-// Start opens a child span of the current round root.
-func (t *Tracer) Start(name string) ID {
+// Start opens a child span of the current round root now.
+func (t *Tracer) Start(name string) ID { return t.StartAt(name, time.Now()) }
+
+// StartAt is Start at an instant the caller already read.
+func (t *Tracer) StartAt(name string, at time.Time) ID {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.begin(t.trace, name, t.root, t.round, t.simAt)
+	return t.begin(t.trace, name, t.root, t.round, t.simAt, at)
 }
 
 // StartUnder opens a child span of an explicit parent.
@@ -203,28 +181,36 @@ func (t *Tracer) StartUnder(name string, parent ID) ID {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.begin(t.trace, name, parent, t.round, t.simAt)
+	return t.begin(t.trace, name, parent, t.round, t.simAt, time.Now())
 }
 
-// End closes an open span. Ending an unknown (or already-evicted)
-// span is a no-op.
-func (t *Tracer) End(id ID) {
+// End closes an open span now.
+func (t *Tracer) End(id ID) { t.EndAt(id, time.Now()) }
+
+// EndAt closes an open span at the given instant. Ending an unknown,
+// closed or already-evicted span is a no-op.
+func (t *Tracer) EndAt(id ID, at time.Time) {
 	if t == nil || id == 0 {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, ok := t.open[id]
-	delete(t.open, id)
-	if !ok || n < t.spans.Dropped() {
-		return // unknown, or evicted while open
+	for i := t.spans.Len() - 1; i >= 0; i-- {
+		s := t.spans.At(i)
+		if s.ID == id && s.DurNs < 0 {
+			s.DurNs = t.ns(at) - s.StartNs
+		}
+		if s.ID>>32 == id>>32 && s.ID <= id {
+			return // id's own span, or one older: look no further back
+		}
 	}
-	s := t.spans.At(int(n - t.spans.Dropped()))
-	s.DurNs = t.nowNs() - s.StartNs
 }
 
-// EndRound closes the current round root span.
-func (t *Tracer) EndRound() {
+// EndRound closes the current round root span now.
+func (t *Tracer) EndRound() { t.EndRoundAt(time.Now()) }
+
+// EndRoundAt closes the current round root span at the given instant.
+func (t *Tracer) EndRoundAt(at time.Time) {
 	if t == nil {
 		return
 	}
@@ -232,7 +218,7 @@ func (t *Tracer) EndRound() {
 	root := t.root
 	t.root = 0
 	t.mu.Unlock()
-	t.End(root)
+	t.EndAt(root, at)
 }
 
 // Root returns the current round-root span ID (0 when no round is
@@ -290,7 +276,7 @@ func (t *Tracer) Spans() []Span {
 }
 
 // RoundSpans returns the retained spans belonging to one round
-// (trace == round+1), oldest-first.
+// (trace == round+1), oldest-first, in one exactly sized slice.
 func (t *Tracer) RoundSpans(round int) []Span {
 	if t == nil {
 		return nil
@@ -298,16 +284,18 @@ func (t *Tracer) RoundSpans(round int) []Span {
 	want := uint64(round) + 1
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Nothing of a round precedes its root span: look no further back
+	// Nothing of a round precedes its root span: count back no further
 	// (a closed round's spans are the ring's newest few, not all of it).
-	from := t.spans.Len()
+	n, from := 0, t.spans.Len()
 	for from > 0 {
 		from--
-		if s := t.spans.At(from); s.Trace == want && s.Parent == 0 && s.Name == rootName {
-			break
+		if s := t.spans.At(from); s.Trace == want {
+			if n++; s.Parent == 0 && s.Name == rootName {
+				break
+			}
 		}
 	}
-	var out []Span
+	out := make([]Span, 0, n)
 	for i := from; i < t.spans.Len(); i++ {
 		if s := t.spans.At(i); s.Trace == want {
 			out = append(out, *s)

@@ -46,7 +46,7 @@ const (
 )
 
 // Kinds only a live observer consumes: recorded in the same stream when
-// one is attached, never logged (see Kind.Logged).
+// one is attached, never logged (see Kind.LogIndex).
 const (
 	KindDecision Kind = "decision" // one job placed: where, and how the policy funded it
 	KindUnplaced Kind = "unplaced" // scheduled jobs the round's placement could not fit
@@ -65,8 +65,12 @@ var logged = [...]Kind{
 	KindLeaseExpire, KindPartitionHeal, KindFenceReject,
 }
 
-// Logged reports whether the kind belongs to a run's exported trace.
-func (k Kind) Logged() bool { return slices.Index(logged[:], k) >= 0 }
+// NumLogged is how many kinds a run's exported trace holds.
+const NumLogged = len(logged)
+
+// LogIndex returns the kind's position among those of a run's exported
+// trace, -1 for a kind only an observer consumes.
+func (k Kind) LogIndex() int { return slices.Index(logged[:], k) }
 
 // Record is one occurrence as it is recorded: a fixed-size value whose
 // strings and device list alias their sources, so writing one allocates
@@ -188,7 +192,7 @@ func (l *Log) Len() int { return l.recs.Len() }
 func (l *Log) Append(rs ...Record) {
 	for i := range rs {
 		r := &rs[i]
-		if k := slices.Index(logged[:], r.Kind); k >= 0 {
+		if k := r.Kind.LogIndex(); k >= 0 {
 			l.recs.Push(entry{at: r.At, job: r.Job, user: r.User, name: r.Name, x: r.X, y: r.Y, z: r.Z,
 				n: r.N, m: r.M, kind: uint8(k), gen: int8(r.Gen), from: int8(r.From)})
 		}
