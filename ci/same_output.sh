@@ -6,8 +6,10 @@
 #   ci/same_output.sh <parent-tree>     # e.g. a `git clone` of the parent commit
 #
 # Compared: gfsim stdout and its -trace-out CSV and JSON on the three
-# committed scenarios; the share timeline as examples/workconservation
-# renders it and as gfbench's E7 tabulates it (its timing line dropped);
+# committed scenarios; gfsim stdout and trace CSV of each baseline policy
+# on a backlogged 72-GPU cluster; the share timeline as
+# examples/workconservation renders it and as gfbench's E7 tabulates
+# it, and gfbench's E6 and E12 tables (timing lines dropped);
 # the digest of one untraced gfperf rep per workload for seeds 42 and 7;
 # the gfdist chaos, netchaos and gfsoak digests. Any
 # difference there exits non-zero. gfperf's two deterministic counters
@@ -53,13 +55,29 @@ for sc in trading failover faulty; do
   done
 done
 
-# The share timeline: the one program that renders it, and E7's table.
+# The baselines, on a cluster they keep backlogged (on the default 200
+# GPUs static quota idles at 13 % utilization): stdout and trace CSV.
+for pol in tiresias gandiva-rr static fifo; do
+  for side in parent change; do
+    (cd "$TMP/$side" && ./gfsim -policy "$pol" -cluster k80=6x4,p100=6x4,v100=6x4 -trace-out t.csv >"out.$pol")
+    cp "$TMP/$side/t.csv" "$TMP/$side/trace.$pol.csv"
+  done
+  row "gfsim -policy $pol stdout" "$(sum <"$TMP/parent/out.$pol")" "$(sum <"$TMP/change/out.$pol")" 1
+  row "gfsim -policy $pol trace.csv" "$(sum <"$TMP/parent/trace.$pol.csv")" "$(sum <"$TMP/change/trace.$pol.csv")" 1
+done
+
+# The share timeline: the one program that renders it, and E7's table;
+# E6 and E12, the experiments that run the baselines.
 for side in parent change; do
   "$TMP/$side/workconservation" >"$TMP/$side/wc.out"
-  "$TMP/$side/gfbench" -exp E7 | grep -v '^(E7 ·' >"$TMP/$side/e7.out"
+  for e in E6 E7 E12; do
+    "$TMP/$side/gfbench" -exp "$e" | grep -v "^($e ·" >"$TMP/$side/$e.out"
+  done
 done
 row "workconservation stdout" "$(sum <"$TMP/parent/wc.out")" "$(sum <"$TMP/change/wc.out")" 1
-row "gfbench E7 stdout (no timing line)" "$(sum <"$TMP/parent/e7.out")" "$(sum <"$TMP/change/e7.out")" 1
+for e in E6 E7 E12; do
+  row "gfbench $e stdout (no timing line)" "$(sum <"$TMP/parent/$e.out")" "$(sum <"$TMP/change/$e.out")" 1
+done
 
 # gfperf: one untraced rep per workload and seed, run from its own tree.
 field() { sed -n "s/.*\"$1\":\"\{0,1\}\([^,\"}]*\).*/\1/p" "$2"; }

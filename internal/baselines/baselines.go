@@ -21,7 +21,8 @@
 package baselines
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -29,42 +30,96 @@ import (
 	"repro/internal/placement"
 )
 
-// fill assigns jobs, in the given priority order, to generations with
-// remaining capacity: the job's previous generation first (no
-// migration), then newest to oldest. Jobs that fit nowhere are
-// skipped (gang-aware backfill).
-func fill(ordered []*job.Job, st *core.RoundState) []placement.Request {
-	caps := st.CapacityByGen()
-	remaining := make(map[gpu.Generation]int, len(caps))
-	gens := make([]gpu.Generation, 0, len(caps))
-	for g, c := range caps {
-		remaining[g] = c
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
+// capacity is free GPUs by generation.
+type capacity [gpu.NumGenerations]int
 
-	var run []placement.Request
-	for _, j := range ordered {
-		g, ok := pickGen(j, gens, remaining)
+// capacityOf is the round's net capacity (RoundState.CapacityByGen).
+func capacityOf(st *core.RoundState) capacity {
+	caps := st.CapacityByGen()
+	var c capacity
+	for g := range c {
+		c[g] = caps[gpu.Generation(g)]
+	}
+	return c
+}
+
+// rank is a runnable job's place in a policy's priority order: its
+// keys, computed once a round, and its position in RoundState.Jobs.
+// Ties end at the unique job ID, so the order is total and any sort
+// gives the same one.
+type rank struct {
+	major, minor float64
+	id           job.ID
+	at           int32
+}
+
+func byRank(a, b rank) int {
+	if c := compareKey(a.major, b.major); c != 0 {
+		return c
+	}
+	if c := compareKey(a.minor, b.minor); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// compareKey is cmp.Compare without its NaN cases: no key is NaN.
+func compareKey(x, y float64) int {
+	if x < y {
+		return -1
+	}
+	if x > y {
+		return 1
+	}
+	return 0
+}
+
+// plan is what every baseline keeps across rounds: the round's ranks
+// and the decision built from them. Decision.Run is run, good until
+// the next Decide rebuilds it.
+type plan struct {
+	ranks []rank              //gflint:noretain the round's runnable jobs, in priority order once sorted
+	run   []placement.Request // the round's Decision.Run, rebuilt in place by the next Decide
+	at    []int32             //gflint:noretain each request's position in RoundState.Jobs
+}
+
+// fill sorts ranks and requests their jobs, in that order, on
+// generations with free capacity: the job's previous generation first
+// (no migration), then newest to oldest. Jobs that fit nowhere are
+// skipped (gang-aware backfill).
+func (p *plan) fill(jobs []*job.Job, ranks []rank, free *capacity) {
+	slices.SortFunc(ranks, byRank)
+	for _, r := range ranks {
+		j := jobs[r.at]
+		g, ok := pickGen(j, free)
 		if !ok {
 			continue
 		}
-		remaining[g] -= j.Gang
-		run = append(run, placement.Request{Job: j, Gen: g})
+		free[g] -= j.Gang
+		p.run = append(p.run, placement.Request{Job: j, Gen: g})
+		p.at = append(p.at, r.at)
 	}
-	return run
 }
 
-func pickGen(j *job.Job, gens []gpu.Generation, remaining map[gpu.Generation]int) (gpu.Generation, bool) {
-	if prev, ok := j.LastGen(); ok && j.Perf.FitsOn(prev) && remaining[prev] >= j.Gang {
+func pickGen(j *job.Job, free *capacity) (gpu.Generation, bool) {
+	if prev, ok := j.LastGen(); ok && j.Perf.FitsOn(prev) && free[prev] >= j.Gang {
 		return prev, true
 	}
-	for _, g := range gens {
-		if j.Perf.FitsOn(g) && remaining[g] >= j.Gang {
+	for g := gpu.Generation(gpu.NumGenerations - 1); g >= 0; g-- {
+		if j.Perf.FitsOn(g) && free[g] >= j.Gang {
 			return g, true
 		}
 	}
 	return 0, false
+}
+
+// fillAll decides the round: p.ranks fill the whole cluster.
+func (p *plan) fillAll(st *core.RoundState) core.Decision {
+	p.run, p.at = p.run[:0], p.at[:0]
+	free := capacityOf(st)
+	p.fill(st.Jobs, p.ranks, &free)
+	//gflint:ignore retain Decision.Run is good until the next Decide, which rebuilds it in place
+	return core.Decision{Run: p.run}
 }
 
 // ---------------------------------------------------------------------------
@@ -80,7 +135,7 @@ var queueThresholds = [...]float64{1 * 3600, 4 * 3600, 16 * 3600}
 // preemptive at quantum boundaries and entirely job-centric: a user
 // who submits more jobs simply owns more of the cluster, which is
 // exactly the unfairness Gandiva_fair's evaluation demonstrates.
-type Tiresias struct{}
+type Tiresias struct{ plan }
 
 // NewTiresias constructs the baseline.
 func NewTiresias() *Tiresias { return &Tiresias{} }
@@ -97,21 +152,14 @@ func queueOf(attained float64) int {
 	return len(queueThresholds)
 }
 
-// Decide implements core.Policy.
+// Decide implements core.Policy: queue, then arrival, then ID.
 func (t *Tiresias) Decide(st *core.RoundState) core.Decision {
-	ordered := make([]*job.Job, len(st.Jobs))
-	copy(ordered, st.Jobs)
-	sort.SliceStable(ordered, func(i, k int) bool {
-		qi, qk := queueOf(ordered[i].AttainedService()), queueOf(ordered[k].AttainedService())
-		if qi != qk {
-			return qi < qk
-		}
-		if ordered[i].Arrival != ordered[k].Arrival {
-			return ordered[i].Arrival < ordered[k].Arrival
-		}
-		return ordered[i].ID < ordered[k].ID
-	})
-	return core.Decision{Run: fill(ordered, st)}
+	t.ranks = t.ranks[:0]
+	for i, j := range st.Jobs {
+		q := queueOf(j.AttainedService())
+		t.ranks = append(t.ranks, rank{major: float64(q), minor: float64(j.Arrival), id: j.ID, at: int32(i)})
+	}
+	return t.fillAll(st)
 }
 
 // Executed implements core.Policy (Tiresias reads attained service
@@ -130,54 +178,77 @@ func (t *Tiresias) JobFinished(job.ID) {}
 // utilization and time-slicing overhead amortization but providing no
 // user-level guarantee at all.
 type GandivaRR struct {
-	served map[job.ID]int
+	plan
+	// recs holds one record per runnable job of the last Decide, in job-ID
+	// order: record i is RoundState.Jobs[i] of that round. Each Decide
+	// merges it with the round's jobs into spare, then the two swap.
+	recs, spare []served
+}
+
+// served is one job's rounds-served count.
+type served struct {
+	id   job.ID
+	n    int
+	done bool // finished since the last Decide: Executed drops it
 }
 
 // NewGandivaRR constructs the baseline.
-func NewGandivaRR() *GandivaRR {
-	return &GandivaRR{served: make(map[job.ID]int)}
-}
+func NewGandivaRR() *GandivaRR { return &GandivaRR{} }
 
 // Name implements core.Policy.
 func (g *GandivaRR) Name() string { return "gandiva-rr" }
 
-// Decide implements core.Policy.
+// Decide implements core.Policy: fewest rounds served, then ID.
 func (g *GandivaRR) Decide(st *core.RoundState) core.Decision {
 	// Join rule mirrors stride: newcomers start at the current
 	// minimum so they neither monopolize nor starve.
-	min := 0
-	found := false
+	prev, next := g.recs, g.spare[:0]
+	min, found := 0, false
+	k := 0
 	for _, j := range st.Jobs {
-		if n, ok := g.served[j.ID]; ok && (!found || n < min) {
-			min, found = n, true
+		for k < len(prev) && prev[k].id < j.ID {
+			k++
 		}
+		rec := served{id: j.ID, n: -1}
+		if k < len(prev) && prev[k].id == j.ID {
+			rec = prev[k]
+			if !found || rec.n < min {
+				min, found = rec.n, true
+			}
+			k++
+		}
+		next = append(next, rec)
 	}
-	for _, j := range st.Jobs {
-		if _, ok := g.served[j.ID]; !ok {
-			g.served[j.ID] = min
+	g.ranks = g.ranks[:0]
+	for i := range next {
+		if next[i].n < 0 {
+			next[i].n = min
 		}
+		g.ranks = append(g.ranks, rank{major: float64(next[i].n), id: next[i].id, at: int32(i)})
 	}
-	ordered := make([]*job.Job, len(st.Jobs))
-	copy(ordered, st.Jobs)
-	sort.SliceStable(ordered, func(i, k int) bool {
-		ni, nk := g.served[ordered[i].ID], g.served[ordered[k].ID]
-		if ni != nk {
-			return ni < nk
-		}
-		return ordered[i].ID < ordered[k].ID
-	})
-	return core.Decision{Run: fill(ordered, st)}
+	//gflint:ignore retain recs and spare are one double buffer: each round's merge reads one and fills the other
+	g.recs, g.spare = next, prev[:0]
+	return g.fillAll(st)
 }
 
-// Executed implements core.Policy.
+// Executed implements core.Policy: each job that ran has served one
+// more round. A request's record sits where its job sat in the round's
+// jobs.
 func (g *GandivaRR) Executed(rep *core.ExecReport) {
 	for _, info := range rep.Ran {
-		g.served[info.Job]++
+		g.recs[g.at[info.Req]].n++
 	}
+	g.recs = slices.DeleteFunc(g.recs, func(r served) bool { return r.done })
 }
 
-// JobFinished implements core.Policy.
-func (g *GandivaRR) JobFinished(id job.ID) { delete(g.served, id) }
+// JobFinished implements core.Policy. The engine retires a round's
+// finished jobs before it reports the round, so the record is marked
+// here and dropped once Executed has counted it.
+func (g *GandivaRR) JobFinished(id job.ID) {
+	if i, ok := slices.BinarySearchFunc(g.recs, id, func(r served, id job.ID) int { return cmp.Compare(r.id, id) }); ok {
+		g.recs[i].done = true
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Static quota
@@ -189,101 +260,141 @@ func (g *GandivaRR) JobFinished(id job.ID) { delete(g.served, id) }
 // efficiency collapses when demand is uneven — the paper's motivation
 // for sharing.
 type StaticQuota struct {
-	users []job.UserID // fixed at construction: quota holders
+	plan
+	holders []job.UserID // fixed at construction: the quota holders, distinct and sorted
+
+	// By holder position, rebuilt every round.
+	tickets []float64
+	quota   []capacity
+	frac    []float64 // one generation's split: what each holder's share leaves over its whole GPUs
+	order   []int32   // holder positions, largest remainder first
+	next    []int32   // one longer: where the holder's next job goes in ranks
+
+	// byUser caches each job's holder by its user's position in the
+	// engine's users (job.UserAt).
+	byUser []userHolder
+}
+
+// userHolder is one user's holder: its position in holders, -1 for a
+// user who holds no quota. The zero value matches no job: a job's user
+// is never empty.
+type userHolder struct {
+	user   job.UserID
+	holder int32
 }
 
 // NewStaticQuota constructs the baseline for a fixed user population
-// (static partitioning cannot react to arrivals by design).
+// (static partitioning cannot react to arrivals by design). A user
+// listed twice holds one quota.
 func NewStaticQuota(users []job.UserID) *StaticQuota {
-	us := make([]job.UserID, len(users))
-	copy(us, users)
-	sort.Slice(us, func(i, j int) bool { return us[i] < us[j] })
-	return &StaticQuota{users: us}
+	us := slices.Clone(users)
+	slices.Sort(us)
+	us = slices.Compact(us)
+	n := len(us)
+	return &StaticQuota{
+		holders: us,
+		tickets: make([]float64, n),
+		quota:   make([]capacity, n),
+		frac:    make([]float64, n),
+		order:   make([]int32, n),
+		next:    make([]int32, n+1),
+	}
 }
 
 // Name implements core.Policy.
 func (s *StaticQuota) Name() string { return "static-quota" }
 
-// Decide implements core.Policy.
+// Decide implements core.Policy: holder by holder, each inside its
+// quota, least attained service first, then ID.
 func (s *StaticQuota) Decide(st *core.RoundState) core.Decision {
-	if len(s.users) == 0 {
+	if len(s.holders) == 0 {
 		return core.Decision{}
 	}
-	// Per-generation quota: largest-remainder split of capacity by
-	// tickets over the fixed user set.
-	caps := st.CapacityByGen()
-	quota := make(map[job.UserID]map[gpu.Generation]int, len(s.users))
-	for _, u := range s.users {
-		quota[u] = make(map[gpu.Generation]int, len(caps))
+	s.split(st)
+	// Bucket the jobs by holder (a counting sort): count them, turn the
+	// counts into each bucket's start, then place each job at its
+	// bucket's next slot, which leaves next[h] at the end of bucket h.
+	next := s.next
+	clear(next)
+	for _, j := range st.Jobs {
+		if h := s.holderOf(j); h >= 0 {
+			next[h+1]++
+		}
 	}
-	var ticketSum float64
-	for _, u := range s.users {
+	for h := 1; h < len(next); h++ {
+		next[h] += next[h-1]
+	}
+	total := int(next[len(next)-1])
+	s.ranks = slices.Grow(s.ranks[:0], total)[:total]
+	for i, j := range st.Jobs {
+		if h := s.holderOf(j); h >= 0 {
+			s.ranks[next[h]] = rank{major: j.AttainedService(), id: j.ID, at: int32(i)}
+			next[h]++
+		}
+	}
+	s.run, s.at = s.run[:0], s.at[:0]
+	lo := int32(0)
+	for h, hi := range next[:len(s.holders)] {
+		s.fill(st.Jobs, s.ranks[lo:hi], &s.quota[h])
+		lo = hi
+	}
+	//gflint:ignore retain Decision.Run is good until the next Decide, which rebuilds it in place
+	return core.Decision{Run: s.run}
+}
+
+// split sets every holder's quota: each generation's capacity split by
+// tickets, its leftover GPUs to the largest remainders (ties to the
+// smaller user).
+func (s *StaticQuota) split(st *core.RoundState) {
+	var sum float64
+	for i, u := range s.holders {
 		tk := st.Tickets[u]
 		if tk <= 0 {
 			tk = 1
 		}
-		ticketSum += tk
+		s.tickets[i] = tk
+		sum += tk
 	}
-	for g, c := range caps {
-		type rem struct {
-			u    job.UserID
-			frac float64
-		}
-		var rems []rem
+	for g, c := range capacityOf(st) {
 		assigned := 0
-		for _, u := range s.users {
-			tk := st.Tickets[u]
-			if tk <= 0 {
-				tk = 1
-			}
-			exact := float64(c) * tk / ticketSum
+		for i, tk := range s.tickets {
+			exact := float64(c) * tk / sum
 			n := int(exact)
-			quota[u][g] = n
+			s.quota[i][g] = n
 			assigned += n
-			rems = append(rems, rem{u, exact - float64(n)})
+			s.frac[i] = exact - float64(n)
+			s.order[i] = int32(i)
 		}
-		sort.SliceStable(rems, func(i, j int) bool {
-			if rems[i].frac != rems[j].frac {
-				return rems[i].frac > rems[j].frac
+		slices.SortFunc(s.order, func(a, b int32) int {
+			if c := compareKey(s.frac[b], s.frac[a]); c != 0 {
+				return c
 			}
-			return rems[i].u < rems[j].u
+			return cmp.Compare(a, b)
 		})
-		for i := 0; assigned < c && i < len(rems); i++ {
-			quota[rems[i].u][g]++
+		for i := 0; assigned < c && i < len(s.order); i++ {
+			s.quota[s.order[i]][g]++
 			assigned++
 		}
 	}
+}
 
-	byUser := make(map[job.UserID][]*job.Job)
-	for _, j := range st.Jobs {
-		byUser[j.User] = append(byUser[j.User], j)
+// holderOf returns the position of j's user among the holders, or -1.
+// A cache entry is checked against the job's user, so a position in
+// another engine's users is looked up afresh.
+func (s *StaticQuota) holderOf(j *job.Job) int32 {
+	u := j.UserAt()
+	if u >= len(s.byUser) {
+		s.byUser = append(s.byUser, make([]userHolder, u+1-len(s.byUser))...)
 	}
-	var run []placement.Request
-	gens := make([]gpu.Generation, 0, len(caps))
-	for g := range caps {
-		gens = append(gens, g)
-	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] > gens[j] })
-	for _, u := range s.users {
-		js := byUser[u]
-		sort.SliceStable(js, func(i, k int) bool {
-			ai, ak := js[i].AttainedService(), js[k].AttainedService()
-			if ai != ak {
-				return ai < ak
-			}
-			return js[i].ID < js[k].ID
-		})
-		remaining := quota[u]
-		for _, j := range js {
-			g, ok := pickGen(j, gens, remaining)
-			if !ok {
-				continue
-			}
-			remaining[g] -= j.Gang
-			run = append(run, placement.Request{Job: j, Gen: g})
+	c := &s.byUser[u]
+	if c.user != j.User {
+		i, ok := slices.BinarySearch(s.holders, j.User)
+		c.user, c.holder = j.User, -1
+		if ok {
+			c.holder = int32(i)
 		}
 	}
-	return core.Decision{Run: run}
+	return c.holder
 }
 
 // Executed implements core.Policy.
@@ -298,7 +409,7 @@ func (s *StaticQuota) JobFinished(job.ID) {}
 // FIFO runs jobs in arrival order with gang-aware backfill and no
 // preemption pressure: once running, a job keeps its GPUs until it
 // finishes (it always sorts ahead of anything that arrived later).
-type FIFO struct{}
+type FIFO struct{ plan }
 
 // NewFIFO constructs the baseline.
 func NewFIFO() *FIFO { return &FIFO{} }
@@ -306,17 +417,13 @@ func NewFIFO() *FIFO { return &FIFO{} }
 // Name implements core.Policy.
 func (f *FIFO) Name() string { return "fifo" }
 
-// Decide implements core.Policy.
+// Decide implements core.Policy: arrival, then ID.
 func (f *FIFO) Decide(st *core.RoundState) core.Decision {
-	ordered := make([]*job.Job, len(st.Jobs))
-	copy(ordered, st.Jobs)
-	sort.SliceStable(ordered, func(i, k int) bool {
-		if ordered[i].Arrival != ordered[k].Arrival {
-			return ordered[i].Arrival < ordered[k].Arrival
-		}
-		return ordered[i].ID < ordered[k].ID
-	})
-	return core.Decision{Run: fill(ordered, st)}
+	f.ranks = f.ranks[:0]
+	for i, j := range st.Jobs {
+		f.ranks = append(f.ranks, rank{major: float64(j.Arrival), id: j.ID, at: int32(i)})
+	}
+	return f.fillAll(st)
 }
 
 // Executed implements core.Policy.
