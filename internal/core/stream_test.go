@@ -88,7 +88,7 @@ func TestEveryKindReachesEachSinkOnce(t *testing.T) {
 	if dropped := len(rec.Rounds()) - res.Rounds; dropped != 0 {
 		t.Fatalf("flight window holds %d of %d rounds", len(rec.Rounds()), res.Rounds)
 	}
-	metric := func(name string, labels ...string) int { return int(o.Registry().Value(name, labels...)) }
+	metric := func(name string, labels ...string) int { return int(o.Value(name, labels...)) }
 
 	for _, tc := range []struct {
 		kind    trace.Kind
@@ -132,7 +132,7 @@ func TestEveryKindReachesEachSinkOnce(t *testing.T) {
 	if metric("gf_unplaced_total") == 0 {
 		t.Error("unplaced: the scenario never fired it")
 	}
-	if got := o.Registry().Value("gf_comp_repaid_gpu_seconds_total"); got == 0 || got != res.CompRepaidGPUSeconds {
+	if got := o.Value("gf_comp_repaid_gpu_seconds_total"); got == 0 || got != res.CompRepaidGPUSeconds {
 		t.Errorf("comp: counter %v, result %v", got, res.CompRepaidGPUSeconds)
 	}
 	for _, k := range []trace.Kind{trace.KindDecision, trace.KindUnplaced, trace.KindComp} {
@@ -157,7 +157,7 @@ func TestMetricsSeriesGolden(t *testing.T) {
 	cfg.Flight = flight.New(0, filepath.Join(t.TempDir(), "flight.json"))
 	runFair(t, cfg, FairConfig{EnableTrading: true}, simclock.Time(2*simclock.Day))
 	var b strings.Builder
-	if err := o.Registry().WritePrometheus(&b); err != nil {
+	if err := o.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	var series []string

@@ -122,7 +122,7 @@ func TestDuplicateRegistrationIdempotent(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	_ = o.Registry().WritePrometheus(&sb) // strings.Builder writes cannot fail
+	_ = o.WritePrometheus(&sb) // strings.Builder writes cannot fail
 	if !strings.Contains(sb.String(), `gf_protocol_events_total{event="register_duplicate"} 2`) {
 		t.Error("duplicate registrations not counted")
 	}
@@ -254,7 +254,7 @@ func TestRejoinReconciliation(t *testing.T) {
 
 	c.summary() // no round ran: reading the result flushes the engine's stream to the observer
 	var sb strings.Builder
-	_ = o.Registry().WritePrometheus(&sb) // strings.Builder writes cannot fail
+	_ = o.WritePrometheus(&sb) // strings.Builder writes cannot fail
 	for _, want := range []string{
 		`gf_protocol_events_total{event="rejoin_accepted"} 1`,
 		`gf_protocol_events_total{event="rejoin_rejected"} 2`,
@@ -323,7 +323,7 @@ func TestWaitForRejoinDropsCorruptRegistration(t *testing.T) {
 		name string
 		want float64
 	}{{"corrupt_detected", 1}, {"rejoin_accepted", 1}, {"rejoin_rejected", 0}} {
-		if n := o.Registry().Value("gf_protocol_events_total", ev.name); n != ev.want {
+		if n := o.Value("gf_protocol_events_total", ev.name); n != ev.want {
 			t.Errorf("%s = %v, want %v", ev.name, n, ev.want)
 		}
 	}
@@ -493,7 +493,7 @@ func TestFailureDetectorSuspectRecover(t *testing.T) {
 		t.Errorf("only %d missed reports; the agent was never suspected", sum.MissedReports)
 	}
 	var sb strings.Builder
-	_ = o.Registry().WritePrometheus(&sb) // strings.Builder writes cannot fail
+	_ = o.WritePrometheus(&sb) // strings.Builder writes cannot fail
 	if !strings.Contains(sb.String(), `gf_protocol_events_total{event="rejoin_accepted"}`) {
 		t.Error("recovered agent's re-registration was not reconciled as a rejoin")
 	}

@@ -45,19 +45,19 @@ func checkNetChaosMatrix(t *testing.T, sum *ChaosSummary, ob *obs.Observer) {
 	}
 	// Corruption is always detected (by either side's checksum) and
 	// never applied: one detection per injected corruption.
-	if det, inj := ob.Registry().Value("gf_protocol_events_total", "corrupt_detected"), ob.Registry().Value("gf_net_corrupted_total"); det != inj {
+	if det, inj := ob.Value("gf_protocol_events_total", "corrupt_detected"), ob.Value("gf_net_corrupted_total"); det != inj {
 		t.Errorf("corrupt: injected %v, detected %v", inj, det)
 	}
 	// Duplicate deliveries were dropped by dedup, the dead epoch's
 	// straggler was fenced after the restore, and degraded-mode
 	// backlogs reconciled on heal.
 	for _, ev := range []string{"dup_dropped", "fence_reject", "late_report_applied", "partition_heal"} {
-		if ob.Registry().Value("gf_protocol_events_total", ev) == 0 {
+		if ob.Value("gf_protocol_events_total", ev) == 0 {
 			t.Errorf("protocol event %q never happened", ev)
 		}
 	}
 	// The restored central runs one epoch ahead of the crashed one.
-	if got := ob.Registry().Value("gf_epoch"); got != 2 {
+	if got := ob.Value("gf_epoch"); got != 2 {
 		t.Errorf("epoch gauge = %v, want 2 after one restore", got)
 	}
 }

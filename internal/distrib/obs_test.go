@@ -68,7 +68,7 @@ func TestCentralObservability(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := o.Registry().WritePrometheus(&sb); err != nil {
+	if err := o.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -125,7 +125,7 @@ func TestAgentObservability(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := ao.Registry().WritePrometheus(&sb); err != nil {
+	if err := ao.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()

@@ -145,13 +145,13 @@ func TestReplayedReportCountedOnce(t *testing.T) {
 	// Duplicates of rounds 1 and 2 are drained (and dropped) at the
 	// next round's start; the final round's duplicate arrives after
 	// the run is over, so only two are observable.
-	if n := ob.Registry().Value("gf_protocol_events_total", "dup_dropped"); n < 2 {
+	if n := ob.Value("gf_protocol_events_total", "dup_dropped"); n < 2 {
 		t.Errorf("dup_dropped = %v, want one per drained duplicate delivery (>= 2)", n)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_dropped"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "late_report_dropped"); n != 1 {
 		t.Errorf("late_report_dropped = %v, want exactly 1 (the cross-round replay)", n)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_applied"); n != 0 {
+	if n := ob.Value("gf_protocol_events_total", "late_report_applied"); n != 0 {
 		t.Errorf("late_report_applied = %v, want 0 (the replayed round was already counted)", n)
 	}
 }
@@ -225,10 +225,10 @@ func TestAgentFencesStaleEpochPlan(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "fence_reject"); n != 1 {
 		t.Errorf("fence_reject = %v, want 1", n)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "stale_plan_dropped"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "stale_plan_dropped"); n != 1 {
 		t.Errorf("stale_plan_dropped = %v, want 1", n)
 	}
 }
@@ -265,7 +265,7 @@ func TestCentralFencesStaleEpochReport(t *testing.T) {
 	if !c.fenced(comm.RoundReport{Agent: "a", Round: 1, Epoch: 2}) {
 		t.Error("pre-restore epoch report not fenced")
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "fence_reject"); n != 3 {
+	if n := ob.Value("gf_protocol_events_total", "fence_reject"); n != 3 {
 		t.Errorf("fence_reject = %v, want 3", n)
 	}
 }
@@ -342,7 +342,7 @@ func TestLeaseExpiryParksAtCheckpoint(t *testing.T) {
 		t.Errorf("post-park DoneMB = %v, want %v (resynced to the plan checkpoint)",
 			r5.Jobs[0].DoneMB, r1.Jobs[0].DoneMB)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "lease_expired"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "lease_expired"); n != 1 {
 		t.Errorf("lease_expired = %v, want 1", n)
 	}
 
@@ -455,10 +455,10 @@ func TestStragglerCutoffReconcilesLateReport(t *testing.T) {
 	if got, want := sum.UsageByUser["alice"], 2.2*360+2*resumeSecs; math.Abs(got-want) > 1e-6 {
 		t.Errorf("usage %v, want %v", got, want)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "report_timeout"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "report_timeout"); n != 1 {
 		t.Errorf("report_timeout = %v, want 1 (the straggler cutoff)", n)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "late_report_applied"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "late_report_applied"); n != 1 {
 		t.Errorf("late_report_applied = %v, want 1", n)
 	}
 }
@@ -617,7 +617,7 @@ func TestZeroLeaseServerRecovers(t *testing.T) {
 			if len(busy) != 2 {
 				t.Errorf("busy agents after the heal %v, want both", busy)
 			}
-			if n := ob.Registry().Value("gf_protocol_events_total", "probe_sent"); n < 1 {
+			if n := ob.Value("gf_protocol_events_total", "probe_sent"); n < 1 {
 				t.Errorf("probe_sent = %v, want >= 1", n)
 			}
 		})
@@ -650,22 +650,22 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 			t.Errorf("usage[%s] = %v, want %v", u, got, want)
 		}
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "plan_send_failed"); n != 1 {
+	if n := ob.Value("gf_protocol_events_total", "plan_send_failed"); n != 1 {
 		t.Errorf("plan_send_failed = %v, want 1", n)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "send_retry"); n < 2 {
+	if n := ob.Value("gf_protocol_events_total", "send_retry"); n < 2 {
 		t.Errorf("send_retry = %v, want >= 2 (the failed plan's retries)", n)
 	}
 	// The miss was immediate: no collect deadline was burned waiting
 	// for the unreachable agent (the deadline is 2 s per round; the
 	// whole run must finish well under one such wait).
-	if n := ob.Registry().Value("gf_protocol_events_total", "report_timeout"); n != 0 {
+	if n := ob.Value("gf_protocol_events_total", "report_timeout"); n != 0 {
 		t.Errorf("report_timeout = %v, want 0 (miss charged at send time)", n)
 	}
 	if elapsed > time.Second {
 		t.Errorf("run took %v; an undeliverable plan must not wait out the collect deadline", elapsed)
 	}
-	if n := ob.Registry().Value("gf_protocol_events_total", "dup_dropped"); n == 0 {
+	if n := ob.Value("gf_protocol_events_total", "dup_dropped"); n == 0 {
 		t.Error("dup_dropped = 0, want > 0 (every delivery was duplicated)")
 	}
 }
@@ -714,7 +714,7 @@ func TestPartitionLifecycleReachesTheTrace(t *testing.T) {
 	// One record, every sink: the same occurrences are on the counters
 	// (which the agents share: a parked agent counts its own expiry).
 	for _, ev := range []string{"lease_expired", "partition_heal", "fence_reject"} {
-		if n := ob.Registry().Value("gf_protocol_events_total", ev); n < 1 {
+		if n := ob.Value("gf_protocol_events_total", ev); n < 1 {
 			t.Errorf("gf_protocol_events_total{event=%q} = %v, want >= 1", ev, n)
 		}
 	}

@@ -57,8 +57,8 @@ func (c *Central) Snapshot() *State {
 }
 
 // SaveSnapshot atomically writes the current state into
-// dir/central.snap.json (write to a temp file, then rename, so a
-// crash mid-write never leaves a truncated snapshot).
+// dir/central.snap.json (write to a temp file, sync it, then rename,
+// so a crash mid-write never leaves a truncated snapshot).
 func (c *Central) SaveSnapshot(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -72,6 +72,11 @@ func (c *Central) SaveSnapshot(dir string) error {
 		return err
 	}
 	if _, err := tmp.Write(raw); err != nil {
+		_ = tmp.Close()
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
 		_ = tmp.Close()
 		_ = os.Remove(tmp.Name())
 		return err

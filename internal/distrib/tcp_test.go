@@ -132,7 +132,7 @@ func TestCorruptPlanOverTCPIsDropped(t *testing.T) {
 		name string
 		want float64
 	}{{"corrupt_detected", 1}, {"plan_received", 1}, {"report_sent", 1}, {"stale_plan_dropped", 0}} {
-		if n := ob.Registry().Value("gf_protocol_events_total", ev.name); n != ev.want {
+		if n := ob.Value("gf_protocol_events_total", ev.name); n != ev.want {
 			t.Errorf("%s = %v, want %v", ev.name, n, ev.want)
 		}
 	}
@@ -239,7 +239,7 @@ func TestHostileTCPFrames(t *testing.T) {
 		name string
 		want float64
 	}{{"corrupt_detected", 3}, {"register_received", 1}, {"register_duplicate", 0}} {
-		if n := ob.Registry().Value("gf_protocol_events_total", ev.name); n != ev.want {
+		if n := ob.Value("gf_protocol_events_total", ev.name); n != ev.want {
 			t.Errorf("%s = %v, want %v", ev.name, n, ev.want)
 		}
 	}

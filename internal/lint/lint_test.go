@@ -349,13 +349,13 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "go func() { _ = in.rng.Float64() }()",
 		},
 		{
-			// Parking on a channel with the registry lock held.
+			// Parking on a channel with the observer's lock held.
 			name:    "lockhold",
-			file:    "internal/obs/registry.go",
+			file:    "internal/obs/observer.go",
 			pkg:     "./internal/obs",
 			check:   "lockhold",
-			old:     "r.mu.Lock()\n\tdefer r.mu.Unlock()",
-			new:     "r.mu.Lock()\n\tdefer r.mu.Unlock()\n\twaitCh := make(chan struct{})\n\t<-waitCh",
+			old:     "o.mu.Lock()\n\tdefer o.mu.Unlock()",
+			new:     "o.mu.Lock()\n\tdefer o.mu.Unlock()\n\twaitCh := make(chan struct{})\n\t<-waitCh",
 			flagged: "<-waitCh",
 		},
 		{

@@ -44,14 +44,13 @@ func Handler(o *Observer, opt MuxOptions) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		reg := o.Registry()
-		if reg == nil {
+		if o == nil {
 			http.Error(w, "observability disabled", http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		//gflint:ignore errdrop a client that hung up mid-response has no remedy
-		reg.WritePrometheus(w)
+		o.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/sched", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

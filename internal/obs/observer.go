@@ -1,10 +1,22 @@
+// Package obs is the live-observability core: the Observer — the sink
+// that turns the engine's event stream (internal/trace) into the gf_*
+// metrics, the /debug/sched view of recent decisions and the flight
+// recorder's snapshots — a per-round phase profiler, and an opt-in
+// HTTP introspection surface (/metrics in Prometheus text exposition,
+// /healthz, /debug/sched).
+//
+// The package imports only the stream's record type and its leaf
+// dependencies, so it sits below every instrumented layer without
+// cycles. All Observer methods are nil-receiver safe: an
+// uninstrumented run passes a nil *Observer and pays only a nil check
+// per call site, and instrumentation never feeds back into simulation
+// state, so a fixed-seed run is byte-identical with observability on
+// or off.
 package obs
 
 import (
-	"runtime"
-	"runtime/debug"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -36,8 +48,8 @@ const (
 	PhaseFaultSweep Phase = "faultsweep" // injected-fault state sweep (crash, quarantine, repair)
 )
 
-// AllPhases lists every phase; the Observer pre-registers each so
-// /metrics exposes the full histogram family from the first scrape.
+// AllPhases lists every phase; /metrics exposes each one's histogram
+// series from the first scrape.
 var AllPhases = allPhases[:]
 
 var allPhases = [...]Phase{
@@ -47,10 +59,13 @@ var allPhases = [...]Phase{
 }
 
 // phaseRec is one phase's row of the profiler table. A phase is
-// touched in a round when a segment of it closed; the histogram series
-// observes each touched round, so its count and sum cover all rounds.
+// touched in a round when a segment of it closed; its histogram series
+// (counts, sum, n) observes each touched round, so its count and sum
+// cover all rounds.
 type phaseRec struct {
-	hist          *Histogram
+	counts        [len(phaseBuckets)]uint64 // observations ≤ each bucket's bound
+	sum           float64
+	n             uint64
 	start         time.Time     // the open segment's start; zero when none is open
 	span          span.ID       // the open segment's span; zero when none
 	cur, last     time.Duration // this round so far, the last closed round
@@ -59,10 +74,21 @@ type phaseRec struct {
 
 // Columns of the phase table as its exported views render them.
 func lastCol(r *phaseRec) (float64, bool)  { return r.last.Seconds(), r.inLast }
-func totalCol(r *phaseRec) (float64, bool) { return r.hist.Sum(), r.hist.Count() > 0 }
+func totalCol(r *phaseRec) (float64, bool) { return r.sum, r.n > 0 }
+
+// observe records one round's time in the phase's histogram series.
+func (r *phaseRec) observe(secs float64) {
+	for i, ub := range phaseBuckets {
+		if secs <= ub {
+			r.counts[i]++
+		}
+	}
+	r.sum += secs
+	r.n++
+}
 
 // phaseBuckets spans sub-microsecond to multi-second phase times.
-var phaseBuckets = []float64{
+var phaseBuckets = [...]float64{
 	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5,
 }
@@ -180,35 +206,22 @@ const DefaultRingSize = 256
 // usable; use New. A nil *Observer is valid everywhere and does
 // nothing, so instrumented code needs no flag checks.
 type Observer struct {
-	reg *Registry
 	now func() time.Time
-
-	roundsTotal    *Counter
-	admittedTotal  *Counter
-	decisionsTotal *Counter
-	migrationsTot  *Counter
-	tradesTotal    *Counter
-	finishedTotal  *Counter
-	unplacedTotal  *Counter
-	jobsActive     *Gauge
-	jobsPending    *Gauge
-	simTime        *Gauge
-	protoEvents    *CounterVec
-	faultEvents    *CounterVec
-	netFaults      map[string]*Counter
-	epochGauge     *Gauge
-	agentsDegraded *Gauge
-	quarServers    *Gauge
-	compDeficit    *GaugeVec
-	compRepaid     *Counter
-	sloRho         *GaugeVec
-	sloJCT         *GaugeVec
-	sloMakespan    *Gauge
 
 	mu       sync.Mutex
 	curRound int
 	curAt    float64
 	phases   [len(allPhases)]phaseRec // by position in AllPhases
+
+	// The gf_* series (the families table renders them): counters and
+	// gauges, and the labelled families by label value — an entry is
+	// added or updated, never removed.
+	rounds, admitted, decided, migrated, traded, finished, unplaced float64
+	active, pending, simTime, epoch, degraded, quarantined          float64
+	netDropped, netDuplicated, netReordered, netDelayed             float64
+	netCorrupted, netOneway, netPartition                           float64
+	compRepaid, makespan                                            float64
+	protocol, faults, compDeficit, rho, jct                         map[string]float64
 
 	// Span tracing and the per-round sink (flight recorder). The
 	// tracer pointer is set once before the run starts and read-only
@@ -226,90 +239,12 @@ type Observer struct {
 
 // New builds an Observer.
 func New() *Observer {
-	reg := NewRegistry()
-	o := &Observer{reg: reg, now: time.Now}
+	o := &Observer{now: time.Now}
 	o.decisions.SetCap(DefaultRingSize)
 	o.trades.SetCap(DefaultRingSize)
-	o.roundsTotal = reg.Counter("gf_rounds_total", "Scheduling rounds completed.").With()
-	o.admittedTotal = reg.Counter("gf_jobs_admitted_total", "Jobs admitted into the active set.").With()
-	o.decisionsTotal = reg.Counter("gf_decisions_total", "Job placement decisions recorded.").With()
-	o.migrationsTot = reg.Counter("gf_migrations_total", "Job migrations executed.").With()
-	o.tradesTotal = reg.Counter("gf_trades_total", "Resource trades executed.").With()
-	o.finishedTotal = reg.Counter("gf_jobs_finished_total", "Jobs that reached completion.").With()
-	o.unplacedTotal = reg.Counter("gf_unplaced_total", "Scheduled jobs fragmentation left unplaced.").With()
-	o.jobsActive = reg.Gauge("gf_jobs_active", "Admitted, unfinished jobs.").With()
-	o.jobsPending = reg.Gauge("gf_jobs_pending", "Jobs not yet arrived.").With()
-	o.simTime = reg.Gauge("gf_sim_time_seconds", "Simulated (virtual) time.").With()
-	hist := reg.Histogram("gf_round_phase_seconds",
-		"Wall-clock time spent in each scheduler phase per round.", phaseBuckets, "phase")
-	for i, p := range allPhases {
-		o.phases[i].hist = hist.With(string(p))
-	}
-	reg.SampledGauge("gf_user_usage_fraction",
-		"User's fraction of total occupied GPU-seconds so far.", "user",
-		o.sampleShares(func(s ShareSample) float64 { return s.Usage }))
-	reg.SampledGauge("gf_user_fair_fraction",
-		"User's fraction under the water-filled fair reference.", "user",
-		o.sampleShares(func(s ShareSample) float64 { return s.Fair }))
-	o.protoEvents = reg.Counter("gf_protocol_events_total",
-		"Distributed-protocol events by type.", "event")
-	o.faultEvents = reg.Counter("gf_faults_injected_total",
-		"Injected fault events by kind (server-down, job-crash, migration-fail, quarantine, degrade).", "kind")
-	o.netFaults = map[string]*Counter{
-		"drop":      reg.Counter("gf_net_dropped_total", "Messages the network fault injector silently dropped.").With(),
-		"dup":       reg.Counter("gf_net_duplicated_total", "Messages the network fault injector delivered twice.").With(),
-		"reorder":   reg.Counter("gf_net_reordered_total", "Messages the network fault injector reordered.").With(),
-		"delay":     reg.Counter("gf_net_delayed_total", "Messages the network fault injector delayed one round.").With(),
-		"corrupt":   reg.Counter("gf_net_corrupted_total", "Messages the network fault injector corrupted in flight.").With(),
-		"oneway":    reg.Counter("gf_net_oneway_refused_total", "Sends refused by an injected one-way partition.").With(),
-		"partition": reg.Counter("gf_net_partition_refused_total", "Sends refused by an injected full partition.").With(),
-	}
-	o.epochGauge = reg.Gauge("gf_epoch",
-		"Central scheduler epoch; increases across restarts and fences stale protocol traffic.").With()
-	o.agentsDegraded = reg.Gauge("gf_agents_degraded",
-		"Agents currently unheard-from but still inside their degraded-mode lease.").With()
-	o.quarServers = reg.Gauge("gf_servers_quarantined",
-		"Servers currently excluded by the quarantine circuit breaker.").With()
-	o.compDeficit = reg.Gauge("gf_user_comp_deficit_seconds",
-		"Outstanding failure-compensation debt per user, in occupied GPU-seconds.", "user")
-	o.compRepaid = reg.Counter("gf_comp_repaid_gpu_seconds_total",
-		"Cumulative failure-compensation repaid, in occupied GPU-seconds.").With()
-	o.sloRho = reg.Gauge("gf_finish_time_fairness_rho",
-		"Finish-time fairness ρ per user (Themis): mean JCT over standalone-time × active users; ≤ 1 is fair.", "user")
-	o.sloJCT = reg.Gauge("gf_jct_seconds",
-		"Job completion time quantiles over finished jobs, in simulated seconds.", "q")
-	o.sloMakespan = reg.Gauge("gf_makespan_seconds",
-		"Simulated time at which the last job finished.").With()
-	bi := reg.Gauge("gf_build_info",
-		"Build metadata; value is always 1.", "goversion", "revision")
-	bi.With(runtime.Version(), vcsRevision()).Set(1)
+	o.protocol, o.faults = map[string]float64{}, map[string]float64{}
+	o.compDeficit, o.rho, o.jct = map[string]float64{}, map[string]float64{}, map[string]float64{}
 	return o
-}
-
-// sampleShares is a share gauge family's scrape-time source: the last
-// round's samples, one value of each.
-func (o *Observer) sampleShares(val func(ShareSample) float64) func(emit func(string, float64)) {
-	return func(emit func(string, float64)) {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		for _, s := range o.shares {
-			emit(s.User, val(s))
-		}
-	}
-}
-
-// vcsRevision extracts the VCS commit the binary was built from
-// ("unknown" when build info is absent, e.g. under `go test` before
-// Go stamps test binaries).
-func vcsRevision() string {
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" {
-				return s.Value
-			}
-		}
-	}
-	return "unknown"
 }
 
 // SetTracer attaches a span tracer; phase starts/ends and round
@@ -352,31 +287,13 @@ func (o *Observer) SetSLO(rhoByUser map[string]float64, jctByQ map[string]float6
 	if o == nil {
 		return
 	}
-	setAll(o.sloRho, rhoByUser)
-	setAll(o.sloJCT, jctByQ)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	maps.Copy(o.rho, rhoByUser)
+	maps.Copy(o.jct, jctByQ)
 	if makespan >= 0 {
-		o.sloMakespan.Set(makespan)
+		o.makespan = makespan
 	}
-}
-
-// setAll sets one series of v per entry of m, in label order.
-func setAll(v *GaugeVec, m map[string]float64) {
-	labels := make([]string, 0, len(m))
-	for l := range m {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		v.With(l).Set(m[l])
-	}
-}
-
-// Registry exposes the underlying registry (nil for a nil Observer).
-func (o *Observer) Registry() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.reg
 }
 
 // BeginRound opens a round at the given simulated time.
@@ -385,11 +302,10 @@ func (o *Observer) BeginRound(round int, simNow float64) {
 		return
 	}
 	o.mu.Lock()
-	o.curRound, o.curAt = round, simNow
+	o.curRound, o.curAt, o.simTime = round, simNow, simNow
 	tracer := o.tracer
 	o.mu.Unlock()
 	tracer.BeginRound(round, simNow)
-	o.simTime.Set(simNow)
 }
 
 // row returns p's row of the phase table, nil (ignored) off AllPhases.
@@ -452,13 +368,15 @@ func (o *Observer) EndRound(r Round) {
 		p := &o.phases[i]
 		o.endPhase(p, t) // a no-op for all but a failed round's open ones
 		if p.inCur {
-			p.hist.Observe(p.cur.Seconds())
+			p.observe(p.cur.Seconds())
 		}
 		p.last, p.inLast = p.cur, p.inCur
 		p.cur, p.inCur = 0, false
 	}
 	o.consume(r.Events)
 	o.shares = append(o.shares[:0], r.Shares...)
+	o.rounds++
+	o.active, o.pending = float64(r.Active), float64(r.Pending)
 	tracer, sink := o.tracer, o.sink
 	snap := o.next
 	o.next = RoundSnapshot{}
@@ -469,9 +387,6 @@ func (o *Observer) EndRound(r Round) {
 	}
 	o.mu.Unlock()
 	tracer.EndRoundAt(t)
-	o.roundsTotal.Inc()
-	o.jobsActive.Set(float64(r.Active))
-	o.jobsPending.Set(float64(r.Pending))
 	if sink != nil {
 		if tracer != nil {
 			snap.Spans = tracer.RoundSpans(snap.Round)
@@ -528,15 +443,15 @@ func (o *Observer) consume(recs []trace.Record) {
 		var class, name string
 		switch e.Kind {
 		case trace.KindArrival:
-			o.admittedTotal.Inc()
+			o.admitted++
 		case trace.KindFinish:
-			o.finishedTotal.Inc()
+			o.finished++
 		case trace.KindMigration:
-			o.migrationsTot.Inc()
+			o.migrated++
 		case trace.KindUnplaced:
-			o.unplacedTotal.Add(float64(e.N))
+			add(&o.unplaced, float64(e.N))
 		case trace.KindDecision:
-			o.decisionsTotal.Inc()
+			o.decided++
 			if skip > 0 {
 				skip--
 				break
@@ -559,7 +474,7 @@ func (o *Observer) consume(recs []trace.Record) {
 				o.next.Decisions = append(o.next.Decisions, d)
 			}
 		case trace.KindTrade:
-			o.tradesTotal.Inc()
+			o.traded++
 			t := TradeEvent{
 				Round: o.curRound, At: float64(e.At),
 				Buyer: string(e.User), Seller: e.Name, Fast: e.Gen.String(), Slow: e.From.String(),
@@ -579,12 +494,12 @@ func (o *Observer) consume(recs []trace.Record) {
 			class, name = "fault", "degrade"
 		case trace.KindQuarantine:
 			class, name = "fault", "quarantine"
-			o.quarServers.Add(1)
+			o.quarantined++
 		case trace.KindUnquarantine:
-			o.quarServers.Add(-1)
+			o.quarantined--
 		case trace.KindComp:
-			o.compDeficit.With(string(e.User)).Set(e.X)
-			o.compRepaid.Add(e.Y)
+			o.compDeficit[string(e.User)] = e.X
+			add(&o.compRepaid, e.Y)
 		case trace.KindLeaseExpire:
 			class, name = "protocol", "lease_expired"
 		case trace.KindPartitionHeal:
@@ -594,27 +509,58 @@ func (o *Observer) consume(recs []trace.Record) {
 		case trace.KindProtocol:
 			class, name = "protocol", e.Name
 		case trace.KindNet:
-			if c := o.netFaults[e.Name]; c != nil { // unknown kinds are ignored
+			if c := o.netCounter(e.Name); c != nil { // unknown kinds are ignored
 				class, name = "net", e.Name
-				c.Inc()
+				*c++
 			}
 		case trace.KindEpoch:
-			o.epochGauge.Set(float64(e.N))
+			o.epoch = float64(e.N)
 		case trace.KindDegraded:
-			o.agentsDegraded.Set(float64(e.N))
+			o.degraded = float64(e.N)
 		}
 		switch class {
 		case "":
 			continue
 		case "fault":
-			o.faultEvents.With(name).Inc()
+			o.faults[name]++
 		case "protocol":
-			o.protoEvents.With(name).Inc()
+			o.protocol[name]++
 		}
 		if o.sink != nil {
 			o.next.Events = append(o.next.Events, RoundEvent{Kind: class, Name: name})
 		}
 	}
+}
+
+// add grows a counter by d; counters are monotone, so a negative d is
+// ignored.
+func add(c *float64, d float64) {
+	if d < 0 {
+		return
+	}
+	*c += d
+}
+
+// netCounter is the counter of an injected network fault by its kind,
+// nil for a kind no injector has.
+func (o *Observer) netCounter(kind string) *float64 {
+	switch kind {
+	case "drop":
+		return &o.netDropped
+	case "dup":
+		return &o.netDuplicated
+	case "reorder":
+		return &o.netReordered
+	case "delay":
+		return &o.netDelayed
+	case "corrupt":
+		return &o.netCorrupted
+	case "oneway":
+		return &o.netOneway
+	case "partition":
+		return &o.netPartition
+	}
+	return nil
 }
 
 // PhaseTotals returns cumulative seconds per phase (phases never
@@ -651,12 +597,12 @@ func (o *Observer) Snapshot() Snapshot {
 	return Snapshot{
 		Round:             o.curRound,
 		SimTimeSeconds:    o.curAt,
-		Rounds:            o.roundsTotal.Value(),
+		Rounds:            o.rounds,
 		PhaseTotals:       o.seconds(totalCol),
 		LastRound:         o.seconds(lastCol),
 		Decisions:         o.decisions.Slice(),
 		Trades:            o.trades.Slice(),
-		DecisionsRecorded: uint64(o.decisionsTotal.Value()),
-		TradesRecorded:    uint64(o.tradesTotal.Value()),
+		DecisionsRecorded: uint64(o.decided),
+		TradesRecorded:    uint64(o.traded),
 	}
 }

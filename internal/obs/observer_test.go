@@ -27,8 +27,9 @@ func TestNilObserverIsSafe(t *testing.T) {
 	o.PhaseEnd(PhaseDecide)
 	o.Emit(trace.Record{Kind: trace.KindProtocol, Name: "plan_sent"})
 	o.EndRound(Round{Events: []trace.Record{decision(1, "u", gpu.V100, 0)}})
-	if o.Registry() != nil {
-		t.Error("nil observer returned a registry")
+	var b strings.Builder
+	if err := o.WritePrometheus(&b); err != nil || b.Len() != 0 || o.Value("gf_rounds_total") != 0 {
+		t.Error("nil observer exposed metrics")
 	}
 	if o.PhaseTotals() != nil {
 		t.Error("nil observer returned phase totals")
@@ -64,10 +65,10 @@ func TestPhaseProfiling(t *testing.T) {
 		t.Errorf("audit total = %v, want ~2ms (split spans accumulate)", d)
 	}
 	// One histogram observation per touched phase per round.
-	if n := o.row(PhaseAudit).hist.Count(); n != 1 {
+	if n := o.row(PhaseAudit).n; n != 1 {
 		t.Errorf("audit observations = %d, want 1", n)
 	}
-	if n := o.row(PhaseExecute).hist.Count(); n != 0 {
+	if n := o.row(PhaseExecute).n; n != 0 {
 		t.Errorf("untouched phase observed %d times", n)
 	}
 
@@ -85,11 +86,7 @@ func TestPhaseProfiling(t *testing.T) {
 
 func TestPhaseHistogramsPreRegistered(t *testing.T) {
 	o := New()
-	var b strings.Builder
-	if err := o.Registry().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := scrape(t, o)
 	for _, p := range AllPhases {
 		if !strings.Contains(out, `gf_round_phase_seconds_bucket{phase="`+string(p)+`"`) {
 			t.Errorf("phase %s not pre-registered in /metrics output", p)
@@ -155,9 +152,7 @@ func TestTradeViewAndCounters(t *testing.T) {
 		snap.Trades[0].Price != 1.55 || snap.TradesRecorded != 1 {
 		t.Errorf("trades = %+v", snap.Trades)
 	}
-	var b strings.Builder
-	_ = o.Registry().WritePrometheus(&b) // strings.Builder writes cannot fail
-	out := b.String()
+	out := scrape(t, o)
 	for _, want := range []string{
 		"gf_trades_total 1",
 		"gf_jobs_finished_total 1",
@@ -169,7 +164,7 @@ func TestTradeViewAndCounters(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if v := o.Registry().Value("gf_unplaced_total"); v != 2 {
+	if v := o.Value("gf_unplaced_total"); v != 2 {
 		t.Errorf("Value(gf_unplaced_total) = %v, want 2", v)
 	}
 }
@@ -295,11 +290,7 @@ func TestConcurrentScrape(t *testing.T) {
 	}()
 	var last string
 	for i := 0; i < 50; i++ {
-		var b strings.Builder
-		if err := o.Registry().WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		last = b.String()
+		last = scrape(t, o)
 		o.Snapshot()
 	}
 	close(stop)

@@ -174,16 +174,6 @@ func (t *Tracer) StartAt(name string, at time.Time) ID {
 	return t.begin(t.trace, name, t.root, t.round, t.simAt, at)
 }
 
-// StartUnder opens a child span of an explicit parent.
-func (t *Tracer) StartUnder(name string, parent ID) ID {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.begin(t.trace, name, parent, t.round, t.simAt, time.Now())
-}
-
 // End closes an open span now.
 func (t *Tracer) End(id ID) { t.EndAt(id, time.Now()) }
 

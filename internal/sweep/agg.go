@@ -4,11 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -21,40 +20,8 @@ type Dist struct {
 // DistOf computes a Dist over xs (not modified). Empty input returns
 // the zero Dist.
 func DistOf(xs []float64) Dist {
-	if len(xs) == 0 {
-		return Dist{}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var sum float64
-	for _, x := range s {
-		sum += x
-	}
-	return Dist{
-		N:    len(s),
-		Mean: sum / float64(len(s)),
-		P50:  quantile(s, 0.5),
-		P95:  quantile(s, 0.95),
-		P99:  quantile(s, 0.99),
-		Min:  s[0],
-		Max:  s[len(s)-1],
-	}
-}
-
-// quantile interpolates the q-quantile of sorted data.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	s := metrics.Summarize(xs)
+	return Dist{N: s.N, Mean: s.Mean, P50: s.Median, P95: s.P95, P99: s.P99, Min: s.Min, Max: s.Max}
 }
 
 // GroupSummary aggregates every successful run of one group (usually:

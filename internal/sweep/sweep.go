@@ -162,7 +162,7 @@ func runOne(ctx context.Context, i int, p Point, profile bool) (rr RunResult) {
 		return rr
 	}
 	if profile && p.Config.Obs == nil {
-		p.Config.Obs = obs.New() // per-run: registries are cheap and unshared
+		p.Config.Obs = obs.New() // per-run: observers are cheap and unshared
 	}
 	sim, err := core.New(p.Config, policy)
 	if err != nil {

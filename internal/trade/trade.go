@@ -373,15 +373,3 @@ func ValueOf(e fairshare.Entitlement, v [gpu.NumGenerations]float64) float64 {
 	}
 	return sum
 }
-
-// GainSummary aggregates a trade log into per-user value deltas for
-// reporting: positive for every participant by construction.
-func GainSummary(log []Trade, vals Values) map[job.UserID]float64 {
-	gains := make(map[job.UserID]float64)
-	for _, t := range log {
-		vb, vs := vals[t.Buyer], vals[t.Seller]
-		gains[t.Buyer] += t.FastGPUs*vb[t.Fast] - t.SlowGPUs*vb[t.Slow]
-		gains[t.Seller] += t.SlowGPUs*vs[t.Slow] - t.FastGPUs*vs[t.Fast]
-	}
-	return gains
-}

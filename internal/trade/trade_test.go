@@ -192,23 +192,6 @@ func TestPriceOrdering(t *testing.T) {
 	}
 }
 
-func TestGainSummaryPositive(t *testing.T) {
-	alloc, vals := twoUserFixture()
-	_, log, err := Run(alloc, vals, nil, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gains := GainSummary(log, vals)
-	for u, g := range gains {
-		if g <= 0 {
-			t.Errorf("user %s gain %v, want positive", u, g)
-		}
-	}
-	if len(gains) != 2 {
-		t.Errorf("gains for %d users, want 2", len(gains))
-	}
-}
-
 func TestMultiGenerationCascade(t *testing.T) {
 	// Three users, three generations with data; trades should flow
 	// V100→compute user, K80→memory-bound user.
