@@ -9,11 +9,23 @@ import (
 	"repro/internal/obs/span"
 )
 
-// sum64 is an inlined FNV-64a state (hash/fnv's New64a allocates). The
-// methods feed it the canonical field encoding Checksum is defined
-// over: integers and float bits as eight little-endian bytes, strings
-// and slices prefixed with their length so adjacent fields cannot
-// trade bytes.
+// sum64 is the running state of Checksum. The methods feed it the
+// canonical field encoding Checksum is defined over: every integer and
+// float's bits as one 64-bit word, strings and slices prefixed with
+// their length so adjacent fields cannot trade bytes, and a string's
+// bytes as little-endian words (the last one zero-padded; the length
+// prefix keeps padding unambiguous).
+//
+// Each word enters in one step: xor it in, multiply by the odd 64-bit
+// FNV prime, then xor the high half into the low half. All three are
+// bijections of the state (xor with a fixed word, multiplication by an
+// odd number mod 2^64, and h ^ h>>32), and the xor is one in the word
+// too, so a step maps distinct states to distinct states and distinct
+// words to distinct states. Every later step is again a bijection of
+// the state, so changing any one field of a message always changes
+// its sum. The multiply alone carries only low bits upward; the shift
+// carries the high bits back down, so a word's high bits reach every
+// bit of the sum within a few steps.
 type sum64 uint64
 
 const (
@@ -22,11 +34,8 @@ const (
 )
 
 func (h sum64) u64(v uint64) sum64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ sum64(byte(v))) * fnvPrime64
-		v >>= 8
-	}
-	return h
+	h = (h ^ sum64(v)) * fnvPrime64
+	return h ^ h>>32
 }
 
 func (h sum64) int(v int) sum64 { return h.u64(uint64(int64(v))) }
@@ -49,10 +58,18 @@ func (h sum64) f64(v float64) sum64 {
 
 func (h sum64) str(s string) sum64 {
 	h = h.int(len(s))
-	for i := 0; i < len(s); i++ {
-		h = (h ^ sum64(s[i])) * fnvPrime64
+	for ; len(s) >= 8; s = s[8:] {
+		h = h.u64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
 	}
-	return h
+	if len(s) == 0 {
+		return h
+	}
+	var w uint64
+	for i := len(s) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(s[i])
+	}
+	return h.u64(w)
 }
 
 func (h sum64) assignment(a *JobAssignment) sum64 {
@@ -72,16 +89,17 @@ func (h sum64) span(s *span.Span) sum64 {
 		int(s.Round).f64(s.SimAt).u64(uint64(s.StartNs)).u64(uint64(s.DurNs))
 }
 
-// Checksum returns a canonical FNV-64a hash over the fields of a
-// protocol message: a type tag, then every field in declaration order
-// (see sum64 for the encoding). It allocates nothing, and it is
-// invariant under a gob/TCP round trip — a nil slice and an empty one
-// hash alike, as do -0 and +0. Sender and receiver compute identical
-// sums for identical payloads as long as both run the same build; a
-// field added to a message must be added here (the reflection test in
-// checksum_test.go fails otherwise). Any other payload type
-// (unregistered test doubles, nil) returns an error; callers treat it
-// as unsealable.
+// Checksum returns a canonical 64-bit hash over the fields of a
+// protocol message: a type tag, then every field in declaration order,
+// one multiply-xorshift step per 64-bit word (see sum64 for the
+// encoding and why a change to any one field changes the sum). It
+// allocates nothing, and it is invariant under a gob/TCP round trip —
+// a nil slice and an empty one hash alike, as do -0 and +0. Sender and
+// receiver compute identical sums for identical payloads as long as
+// both run the same build; a field added to a message must be added
+// here (the reflection test in checksum_test.go fails otherwise). Any
+// other payload type (unregistered test doubles, nil) returns an
+// error; callers treat it as unsealable.
 func Checksum(m Message) (uint64, error) {
 	h := fnvOffset64
 	switch m := m.(type) {

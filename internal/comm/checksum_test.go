@@ -108,6 +108,91 @@ func TestChecksumCoversEveryField(t *testing.T) {
 	}
 }
 
+// numericLeaves calls visit on every integer, uint64 and float leaf
+// under v, struct fields and slice elements included.
+func numericLeaves(v reflect.Value, path string, visit func(v reflect.Value, path string)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			numericLeaves(v.Field(i), path+"."+v.Type().Field(i).Name, visit)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			numericLeaves(v.Index(i), fmt.Sprintf("%s[%d]", path, i), visit)
+		}
+	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64:
+		visit(v, path)
+	}
+}
+
+// TestChecksumDetectsEveryBitFlip flips each of the 64 bits of every
+// numeric leaf, one at a time, in every full message and in a copy of
+// it whose numbers are all zero, and requires a different sum. A mix
+// that dropped or cancelled some bits of a word passes
+// TestChecksumCoversEveryField, which only adds one, and fails here.
+// The one flip that must keep the sum turns a float +0 into -0, which
+// Checksum folds together (see TestChecksumCanonicalForms).
+func TestChecksumDetectsEveryBitFlip(t *testing.T) {
+	var samples []reflect.Value
+	for _, zero := range []bool{false, true} {
+		for _, m := range fullMessages() { // each call builds its own slices
+			v := reflect.New(reflect.TypeOf(m)).Elem()
+			v.Set(reflect.ValueOf(m))
+			if zero {
+				numericLeaves(v, "", func(leaf reflect.Value, _ string) { leaf.SetZero() })
+			}
+			samples = append(samples, v)
+		}
+	}
+	flips, signedZeros := 0, 0
+	for _, v := range samples {
+		want, err := Checksum(v.Interface())
+		if err != nil {
+			t.Fatalf("%s: %v", v.Type(), err)
+		}
+		numericLeaves(v, v.Type().String(), func(leaf reflect.Value, path string) {
+			for bit := 0; bit < 64; bit++ {
+				mask := uint64(1) << bit
+				old := reflect.New(leaf.Type()).Elem()
+				old.Set(leaf)
+				keep := false
+				switch leaf.Kind() {
+				case reflect.Int, reflect.Int64:
+					leaf.SetInt(int64(uint64(leaf.Int()) ^ mask))
+				case reflect.Uint64:
+					leaf.SetUint(leaf.Uint() ^ mask)
+				case reflect.Float64:
+					f := math.Float64frombits(math.Float64bits(leaf.Float()) ^ mask)
+					keep = f == 0 && leaf.Float() == 0
+					leaf.SetFloat(f)
+				}
+				got, err := Checksum(v.Interface())
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				switch {
+				case keep:
+					signedZeros++
+					if got != want {
+						t.Errorf("%s: flipping the sign of zero changed the sum", path)
+					}
+				case got == want:
+					t.Errorf("%s: flipping bit %d left the sum unchanged", path, bit)
+				}
+				flips++
+				leaf.Set(old)
+			}
+		})
+		if again, _ := Checksum(v.Interface()); again != want {
+			t.Fatalf("%s: walk did not restore the value", v.Type())
+		}
+	}
+	if signedZeros == 0 {
+		t.Fatal("no sample flipped a zero float's sign: the canonical fold went unchecked")
+	}
+	t.Logf("%d single-bit flips, %d of them a zero's sign", flips, signedZeros)
+}
+
 // TestChecksumFieldBoundaries: moving bytes or elements across a field
 // boundary must change the sum (length prefixes, not concatenation).
 func TestChecksumFieldBoundaries(t *testing.T) {

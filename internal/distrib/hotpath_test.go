@@ -88,24 +88,52 @@ func (p *ranGPUs) Executed(rep *core.ExecReport) {
 // (DESIGN.md §8) on the distributed round: 64 agents, 256 GPUs all
 // busy, no faults, plans granting a lease of zero rounds and of four —
 // one protocol, whose window has one slot or five. What a round may
-// allocate is what it hands away — two payload arrays, one boxed plan,
-// one boxed report and its job list per agent — plus the policy's
-// per-job decision: 260 mallocs a round at a lease of zero rounds and
-// 262 at four, the same on every run (central and agents together: the
-// count is process-wide). Both sides keep the window in slots reused in
-// place, the agent its backlog and local progress in arrays kept across
-// rounds, and the central no table keyed by job; the per-round maps the
-// window replaced cost 852. The gob-backed checksum (≈140 mallocs a
-// message) and a per-round map set cost 12,750 a round at this shape,
-// so the ceiling still sits 20× below either coming back.
+// allocate is what it hands away — two payload arrays, and per agent
+// one boxed plan, one boxed report and its job list, carved from a
+// 64-entry block the agent replaces every 16 or more rounds — plus the
+// policy's per-job decision: 145.1 mallocs a round at either lease,
+// the same on every run (central and agents together: the count is
+// process-wide). With a fresh job list per report it made 205.2. Both
+// sides keep the window in slots reused in place, the agent its
+// backlog and local progress in arrays kept across rounds, and the
+// central no table keyed by job; the per-round maps the window
+// replaced cost 852. The ceiling is the count plus a tenth.
+//
+// Agents=256 runs the same shape four times wider (256 agents, 1,024
+// GPUs, four times the jobs) at a lease of zero rounds and bounds what
+// each added agent costs a round, (n₂₅₆ − n₆₄)/192: 2.07, the two boxes
+// and a sixteenth of a block. A fresh job list per report made it
+// 3.00. The boxes go when the messages become pointers.
 func TestCentralSteadyStateAllocCeiling(t *testing.T) {
+	const ceiling = 160
 	for _, lease := range []int{0, 4} {
-		t.Run(fmt.Sprintf("LeaseRounds=%d", lease), func(t *testing.T) { steadyStateAllocs(t, lease) })
+		t.Run(fmt.Sprintf("LeaseRounds=%d", lease), func(t *testing.T) {
+			perRound, kib := steadyStateAllocs(t, 64, 128, lease)
+			t.Logf("steady-state distributed round, lease %d: %.1f mallocs, %.1f KiB", lease, perRound, kib)
+			if perRound > ceiling {
+				t.Errorf("steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
+			}
+		})
 	}
+	t.Run("Agents=256", func(t *testing.T) {
+		const perAgentCeiling = 2.25
+		n64, _ := steadyStateAllocs(t, 64, 128, 0)
+		n256, kib := steadyStateAllocs(t, 256, 512, 0)
+		perAgent := (n256 - n64) / 192
+		t.Logf("steady-state distributed round: %.1f mallocs at 64 agents, %.1f (%.1f KiB) at 256: %.2f per added agent",
+			n64, n256, kib, perAgent)
+		if perAgent > perAgentCeiling {
+			t.Errorf("each added agent costs the steady round %.2f mallocs, ceiling %.2f", perAgent, perAgentCeiling)
+		}
+	})
 }
 
-func steadyStateAllocs(t *testing.T, lease int) {
-	c, ran, stop := hubDeployment(t, 64, 4, 128, lease)
+// steadyStateAllocs builds hubDeployment's shape with `agents` agents,
+// 4 users × jobsPerUser jobs and a lease of `lease` rounds, and returns
+// a steady zero-fault round's mallocs and KiB allocated, central and
+// agents together.
+func steadyStateAllocs(t *testing.T, agents, jobsPerUser, lease int) (perRound, kib float64) {
+	c, ran, stop := hubDeployment(t, agents, 4, jobsPerUser, lease)
 	defer stop()
 	// Scratch tables reach their size and the profiler has probed
 	// every job within a few rounds.
@@ -119,17 +147,10 @@ func steadyStateAllocs(t *testing.T, lease int) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	perRound := float64(after.Mallocs-before.Mallocs) / rounds
-	kib := float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1024
-
-	if ran.n != 256 || c.timeouts != 0 {
-		t.Fatalf("%d of 256 GPUs hold jobs, %d missed reports: not the zero-fault saturated round", ran.n, c.timeouts)
+	if ran.n != 4*agents || c.timeouts != 0 {
+		t.Fatalf("%d of %d GPUs hold jobs, %d missed reports: not the zero-fault saturated round", ran.n, 4*agents, c.timeouts)
 	}
-	const ceiling = 600
-	t.Logf("steady-state distributed round, lease %d: %.1f mallocs, %.1f KiB", lease, perRound, kib)
-	if perRound > ceiling {
-		t.Errorf("steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
-	}
+	return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds / 1024
 }
 
 // TestObservedCentralAllocCeiling pins the steady distributed round of
@@ -139,9 +160,10 @@ func steadyStateAllocs(t *testing.T, lease int) {
 // a trace and every agent answers with its round's spans. With the
 // observer's per-phase maps and RoundSpans grown by appends it made
 // 342.9 mallocs a round on go1.24 (race detector on or off); with the
-// phase table and RoundSpans sized by a count it makes 274.8: one
-// fewer per agent, four fewer at the central. The ceiling is that plus
-// a tenth.
+// phase table and RoundSpans sized by a count it made 274.8: one fewer
+// per agent, four fewer at the central. With the reports' job lists
+// carved from the agents' blocks it makes 214.4, the same saving per
+// agent as the unobserved round's. The ceiling is that plus a tenth.
 func TestObservedCentralAllocCeiling(t *testing.T) {
 	o := obs.New()
 	o.SetTracer(span.New("central", 0))
@@ -167,7 +189,7 @@ func TestObservedCentralAllocCeiling(t *testing.T) {
 	if spans := o.Tracer().RoundSpans(round); len(spans) < 1+64*2 {
 		t.Fatalf("round %d holds %d spans, want the central's and two from each of 64 agents", round, len(spans))
 	}
-	const ceiling = 302
+	const ceiling = 236
 	t.Logf("observed steady-state distributed round: %.1f mallocs", perRound)
 	if perRound > ceiling {
 		t.Errorf("observed steady-state distributed round makes %.0f mallocs, ceiling %d", perRound, ceiling)
