@@ -65,18 +65,24 @@ func BenchmarkAblation_SchedulerScalability(b *testing.B) { benchExperiment(b, "
 // Component micro-benchmarks: the per-round hot paths whose cost
 // bounds how large a cluster one central scheduler can drive.
 
+// BenchmarkStrideSelect1000Jobs runs the engine's stride path:
+// stride.Select and stride.Charge over candidates that keep their
+// passes by position, as FairPolicy.Decide calls them.
 func BenchmarkStrideSelect1000Jobs(b *testing.B) {
-	s := stride.New(stride.GangAware)
 	cands := make([]stride.Candidate, 1000)
 	for i := range cands {
-		cands[i] = stride.Candidate{ID: job.ID(i + 1), Gang: 1 << (i % 4), Tickets: 1}
+		cands[i] = stride.Candidate{ID: job.ID(i + 1), Gang: 1 << (i % 4), Tickets: 1, Joins: true}
 	}
-	s.Select(cands, 200) // warm the pass table
+	order := stride.Select(stride.GangAware, cands, 200, nil) // every job joins
+	for i := range cands {
+		cands[i].Joins = false
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel := s.Select(cands, 200)
-		for _, id := range sel {
-			s.Charge(id, 60, 1)
+		order = stride.Select(stride.GangAware, cands, 200, order)
+		for _, at := range order {
+			c := &cands[at]
+			c.Pass = stride.Charge(c.ID, c.Pass, 60, 1)
 		}
 	}
 }

@@ -55,9 +55,14 @@ const compMaxShare = 0.25
 //     trading (optionally) exchanges entitlement between generations
 //     at Pareto prices.
 //  2. Each user's per-generation entitlement accrues into a credit
-//     counter. A gang is scheduled against credits, so a user whose
-//     big gang does not fit this round keeps accumulating credit and
-//     catches up later — gang granularity cannot cause starvation.
+//     counter, capped at the generation's capacity. A gang is
+//     scheduled against credits, so a user whose big gang does not fit
+//     this round keeps accumulating credit — but only up to the cap.
+//     Once every user sits at it, users are served in position order
+//     (the most-credit-first tie), and a gang whose user sorts after
+//     enough small jobs to leave it no room never fits again: gang
+//     granularity can starve a big gang (experiment E4's engine rows;
+//     ROADMAP item 2).
 //  3. Within a user, jobs are picked in gang-aware stride pass
 //     order, so a user cannot bias their own jobs' shares by
 //     splitting or merging work. Jobs stick to the generation they
@@ -305,9 +310,10 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// by the migration cooldown).
 	//
 	// Users are served most-credit-first: when capacity is scarce the
-	// user who has been shorted longest wins, so synchronized credit
-	// cycles cannot starve whoever happens to sort last. Ties go by
-	// position, which is user-ID order.
+	// user who has been shorted longest wins. Ties go by position,
+	// which is user-ID order — and once every credit sits at its cap
+	// every user ties, so a big gang sorting last can starve (see the
+	// type's comment).
 	p.active = append(p.active[:0], p.users...)
 	for _, us := range p.active {
 		us.serveKey = us.credit.Total()

@@ -44,6 +44,18 @@ func cell(t *testing.T, tab *Table, row, col int) float64 {
 	return v
 }
 
+// rowOf returns the position of the row whose first cell is name.
+func rowOf(t *testing.T, tab *Table, name string) int {
+	t.Helper()
+	for i, r := range tab.Rows {
+		if r[0] == name {
+			return i
+		}
+	}
+	t.Fatalf("%s has no row %q", tab.ID, name)
+	return -1
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "A1", "A2", "A3", "A4", "A5"}
 	all := All()
@@ -117,8 +129,9 @@ func TestE3SingleServerFairness(t *testing.T) {
 
 func TestE4GangAware(t *testing.T) {
 	tab := runQuick(t, "E4")
-	gaUtil := cell(t, tab, 0, 1)
-	naiveUtil := cell(t, tab, 1, 1)
+	greedy, naive := rowOf(t, tab, "gang-aware (greedy)"), rowOf(t, tab, "naive-blocking")
+	gaUtil := cell(t, tab, greedy, 1)
+	naiveUtil := cell(t, tab, naive, 1)
 	// Greedy pass-order packing of {8,4,2,1,1,1} onto 8 GPUs tops out
 	// around ~75% (rounds where the 4-gang is skipped leave gaps);
 	// naive blocking drops another ≥10 points by idling on the 8-gang.
@@ -128,24 +141,17 @@ func TestE4GangAware(t *testing.T) {
 	if naiveUtil > gaUtil-8 {
 		t.Errorf("naive utilization %v%% not clearly worse than %v%%", naiveUtil, gaUtil)
 	}
-	if bigShare := cell(t, tab, 0, 2); bigShare < 12 {
+	if bigShare := cell(t, tab, greedy, 2); bigShare < 12 {
 		t.Errorf("gang-aware big-job share %v%%, want no starvation (ideal 16.7%%)", bigShare)
 	}
-	if jain := cell(t, tab, 0, 3); jain < 0.95 {
+	if jain := cell(t, tab, greedy, 3); jain < 0.95 {
 		t.Errorf("gang-aware Jain %v, want ≥0.95", jain)
 	}
-	// Class-budgeted: better utilization than naive AND a fairer
-	// big-gang share than greedy.
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 modes", len(tab.Rows))
-	}
-	classedUtil := cell(t, tab, 2, 1)
-	classedBig := cell(t, tab, 2, 2)
-	if classedUtil < naiveUtil+10 {
-		t.Errorf("classed utilization %v%% not clearly above naive %v%%", classedUtil, naiveUtil)
-	}
-	if classedBig < cell(t, tab, 0, 2)+4 {
-		t.Errorf("classed big-gang share %v%% not clearly above greedy %v%%", classedBig, cell(t, tab, 0, 2))
+	// The engine rows are reported, not judged: FairPolicy starves the
+	// 8-gang when its user sorts last (ROADMAP item 2), and the bar its
+	// fix must meet is asserted with that fix.
+	for _, mode := range []string{"engine, u8 sorts last", "engine, a8 sorts first"} {
+		rowOf(t, tab, mode)
 	}
 }
 

@@ -146,66 +146,90 @@ func e03SingleServerFairness(opt Options) (*Table, error) {
 }
 
 // e04GangAwareStride compares gang-aware and naive-blocking stride on
-// one shared pool with mixed gang sizes, using the stride scheduler
-// directly.
+// one 8-GPU pool with mixed gang sizes, driving the engine's stride
+// kernel (stride.Select and stride.Charge over candidates carrying
+// their passes, as FairPolicy keeps them), and then runs FairPolicy
+// itself on the same gangs, one user each, through the engine. The
+// engine rows differ only in whether the 8-gang's user ID sorts last
+// or first among the users.
 func e04GangAwareStride(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	rounds := 20000
 	if opt.Quick {
 		rounds = 4000
 	}
-	cands := []stride.Candidate{
-		{ID: 1, Gang: 8, Tickets: 1},
-		{ID: 2, Gang: 4, Tickets: 1},
-		{ID: 3, Gang: 2, Tickets: 1},
-		{ID: 4, Gang: 1, Tickets: 1},
-		{ID: 5, Gang: 1, Tickets: 1},
-		{ID: 6, Gang: 1, Tickets: 1},
-	}
+	gangs := []int{8, 4, 2, 1, 1, 1}
 	const capacity = 8
-	type selector interface {
-		Select(cands []stride.Candidate, capacity int) []job.ID
-		Charge(id job.ID, gpuSeconds, tickets float64)
-	}
-	measure := func(s selector) (util float64, bigShare float64, jain float64) {
-		acc := make(map[job.ID]float64)
-		var used float64
-		gang := map[job.ID]int{1: 8, 2: 4, 3: 2, 4: 1, 5: 1, 6: 1}
-		for r := 0; r < rounds; r++ {
-			for _, id := range s.Select(cands, capacity) {
-				res := float64(gang[id])
-				acc[id] += res
-				used += res
-				s.Charge(id, res*60, 1)
-			}
-		}
-		var total float64
-		var shares []float64
-		for id := job.ID(1); id <= 6; id++ {
-			total += acc[id]
-		}
-		for id := job.ID(1); id <= 6; id++ {
-			shares = append(shares, acc[id]/total)
-		}
-		return used / float64(rounds*capacity), acc[1] / total, metrics.Jain(shares)
-	}
 	t := &Table{
 		ID: "E4", Title: "Mixed gangs (8,4,2,1,1,1) on an 8-GPU pool, equal tickets",
 		Columns: []string{"mode", "utilization", "8-GPU job share", "Jain over jobs"},
 		Notes: "naive strict stride head-of-line blocks; greedy pass-order fills the pool but shorts the big " +
-			"gang; class-budgeted stride (the split-stride variant) gets close to both ideals at once",
+			"gang; the engine (FairPolicy, one user per job, 360 s rounds) starves the 8-gang when its user " +
+			"sorts last and shorts the 4-gang when it sorts first; the water-fill ideal gives the 8-, 4- and " +
+			"2-gang 20.8% each",
 	}
-	modes := []struct {
+	row := func(mode string, occupied []float64, pool float64) {
+		var used float64
+		for _, o := range occupied {
+			used += o
+		}
+		shares := make([]float64, len(occupied))
+		for i, o := range occupied {
+			shares[i] = o / used
+		}
+		t.AddRow(mode, pct(used/pool), pct(shares[0]), f2(metrics.Jain(shares)))
+	}
+	for _, m := range []struct {
 		name string
-		s    selector
-	}{
-		{"gang-aware (greedy)", stride.New(stride.GangAware)},
-		{"naive-blocking", stride.New(stride.NaiveBlocking)},
-		{"class-budgeted", stride.NewClassed()},
+		mode stride.Mode
+	}{{"gang-aware (greedy)", stride.GangAware}, {"naive-blocking", stride.NaiveBlocking}} {
+		cands := make([]stride.Candidate, len(gangs))
+		for i, g := range gangs {
+			cands[i] = stride.Candidate{ID: job.ID(i + 1), Gang: g, Tickets: 1, Joins: true}
+		}
+		occupied := make([]float64, len(gangs))
+		var order []int32
+		for r := 0; r < rounds; r++ {
+			order = stride.Select(m.mode, cands, capacity, order)
+			for i := range cands {
+				cands[i].Joins = false
+			}
+			for _, at := range order {
+				c := &cands[at]
+				res := float64(c.Gang)
+				occupied[at] += res
+				c.Pass = stride.Charge(c.ID, c.Pass, res*60, 1)
+			}
+		}
+		row(m.name, occupied, float64(rounds*capacity))
 	}
-	for _, m := range modes {
-		u, big, j := measure(m.s)
-		t.AddRow(m.name, pct(u), pct(big), f2(j))
+
+	cluster := gpu.MustNew(gpu.Spec{Gen: gpu.K80, Servers: 1, GPUsPerSrv: capacity})
+	for _, big := range []struct {
+		user  job.UserID
+		sorts string
+	}{{"u8", "last"}, {"a8", "first"}} {
+		users := []job.UserID{big.user, "u4", "u2", "u1a", "u1b", "u1c"}
+		var specs []job.Spec
+		for i, u := range users {
+			specs = append(specs, workload.BatchJobs(u, zoo.MustGet("resnet50"), 1, gangs[i], 1e6)...)
+		}
+		specs, err := workload.AssignIDs(specs)
+		if err != nil {
+			return nil, err
+		}
+		const quantum = 360
+		res, err := runSim(core.Config{Cluster: cluster, Specs: specs, Seed: opt.Seed, Quantum: quantum},
+			core.MustNewFairPolicy(core.FairConfig{}), simclock.Time(rounds*quantum))
+		if err != nil {
+			return nil, err
+		}
+		usage := res.TotalUsageByUser()
+		occupied := make([]float64, len(users))
+		for i, u := range users {
+			occupied[i] = usage[u]
+		}
+		row(fmt.Sprintf("engine, %s sorts %s", big.user, big.sorts), occupied, res.Utilization.CapacityGPUSeconds)
 	}
 	return t, nil
 }

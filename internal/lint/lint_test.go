@@ -296,13 +296,14 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "users = append(users, u)",
 		},
 		{
+			// SortedUsers returning its keys in map order, unsorted.
 			name:    "maprange",
-			file:    "internal/stride/classed.go",
-			pkg:     "./internal/stride",
+			file:    "internal/job/keys.go",
+			pkg:     "./internal/job",
 			check:   "order",
-			old:     "\tsort.Sort(sort.Reverse(sort.IntSlice(gangs)))\n",
-			new:     "\t_ = sort.Sort // keep the import\n",
-			flagged: "gangs = append(gangs, g)",
+			old:     "\tsort.Slice(out, func(i, j int) bool { return out[i] < out[j] })\n",
+			new:     "",
+			flagged: "out = append(out, u)",
 		},
 		{
 			// Collect-then-sum one step removed from the map range:

@@ -134,14 +134,17 @@ func (s *mapScheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
 
 // TestKernelMatchesMapScheduler drives three implementations with the
 // same rounds and wants the same answers bit for bit: the map-based
-// oracle above, Scheduler, and the kernel itself (Order, Select, Charge)
-// over candidates carrying passes the test keeps, the way FairPolicy
-// keeps them on its records. Each round offers a random candidate set —
-// jobs joining, gang 0 and tickets 0 among them, passes and gangs equal
-// often, capacity 0 now and then — in a different shuffled order to each
-// implementation, orders or selects in either mode, charges what came
-// out and sometimes forgets a job. After every round the orders or
-// selections and every pass must agree.
+// oracle above, the kernel itself (Order, Select, Charge) over
+// candidates carrying passes the test keeps, the way FairPolicy keeps
+// them on its records, and Scheduler (Select and Charge). Each round
+// offers a random candidate set — jobs joining, gang 0 and tickets 0
+// among them, passes and gangs equal often, capacity 0 now and then — in
+// a different shuffled order to each implementation, orders or selects
+// in either mode, charges what came out and sometimes forgets a job.
+// After every round the orders or selections and every pass must agree.
+// Scheduler has neither Order nor a way to forget a job: on a round that
+// orders it is handed the passes the kernel's joiners took, and the test
+// forgets a job by deleting it from Scheduler's map.
 func TestKernelMatchesMapScheduler(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -190,20 +193,19 @@ func TestKernelMatchesMapScheduler(t *testing.T) {
 				order = Select(mode, cands, capacity, order)
 			} else {
 				want = oracle.Order(shuffle())
-				wrapped = sched.Order(shuffle())
 				order = Order(cands, order)
 			}
 			for _, c := range cands {
 				if c.Joins && !math.IsNaN(c.Pass) {
 					passes[c.ID] = c.Pass
+					if !selecting {
+						sched.pass[c.ID] = c.Pass
+					}
 				}
 			}
-			got := make([]job.ID, len(order))
-			for i, at := range order {
-				got[i] = cands[at].ID
-			}
+			got := ids(cands, order)
 			what := fmt.Sprintf("trial %d (%v) round %d, select %v capacity %d", trial, mode, round, selecting, capacity)
-			if !slices.Equal(got, want) || !slices.Equal(wrapped, want) {
+			if !slices.Equal(got, want) || selecting && !slices.Equal(wrapped, want) {
 				t.Fatalf("%s: kernel %v, Scheduler %v, map oracle %v", what, got, wrapped, want)
 			}
 			// Charge what came out, in amounts that keep passes equal often.
@@ -218,15 +220,15 @@ func TestKernelMatchesMapScheduler(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				id := job.ID(1 + rng.Intn(pool))
 				delete(oracle.pass, id)
-				sched.Remove(id)
+				delete(sched.pass, id)
 				delete(passes, id)
 			}
-			if len(oracle.pass) != len(passes) || sched.Len() != len(passes) {
-				t.Fatalf("%s: %d passes in the oracle, %d in Scheduler, %d kept", what, len(oracle.pass), sched.Len(), len(passes))
+			if len(oracle.pass) != len(passes) || len(sched.pass) != len(passes) {
+				t.Fatalf("%s: %d passes in the oracle, %d in Scheduler, %d kept", what, len(oracle.pass), len(sched.pass), len(passes))
 			}
 			for id, p := range oracle.pass {
-				if kp, ok := passes[id]; !ok || kp != p || sched.Pass(id) != p {
-					t.Fatalf("%s: job %d pass: oracle %v, Scheduler %v, kernel %v (%v)", what, id, p, sched.Pass(id), kp, ok)
+				if kp, ok := passes[id]; !ok || kp != p || sched.pass[id] != p {
+					t.Fatalf("%s: job %d pass: oracle %v, Scheduler %v, kernel %v (%v)", what, id, p, sched.pass[id], kp, ok)
 				}
 			}
 		}

@@ -26,8 +26,8 @@
 //
 // Order, Select and Charge are the one implementation, over a caller's
 // slice of candidates that carry their passes (core's FairPolicy keeps
-// them on its per-job records). Scheduler wraps the same functions with
-// the passes kept in a map by job ID, for callers that keep none.
+// them on its per-job records). Scheduler wraps Select and Charge with
+// the passes kept in a map by job ID; only a benchmark probe calls it.
 package stride
 
 import (
@@ -261,8 +261,9 @@ func Charge(id job.ID, pass, gpuSeconds, tickets float64) float64 {
 }
 
 // Scheduler is the kernel with the passes kept for its callers, in a
-// map by job ID: Order, Select and Charge over candidates that carry no
-// pass. It is not safe for concurrent use.
+// map by job ID: Select and Charge over candidates that carry no pass.
+// A job stays in the map once it has joined. It is not safe for
+// concurrent use.
 type Scheduler struct {
 	mode  Mode
 	pass  map[job.ID]float64
@@ -275,70 +276,31 @@ func New(mode Mode) *Scheduler {
 	return &Scheduler{mode: mode, pass: make(map[job.ID]float64)}
 }
 
-// Mode returns the selection discipline.
-func (s *Scheduler) Mode() Mode { return s.mode }
-
-// Pass returns a job's current pass value (0 for unknown jobs).
-func (s *Scheduler) Pass(id job.ID) float64 { return s.pass[id] }
-
-// Len returns the number of tracked jobs.
-func (s *Scheduler) Len() int { return len(s.pass) }
-
 // Select is the package's Select with the scheduler's mode and passes;
-// it returns the selected IDs, nil when there are none.
+// it returns the selected IDs, nil when there are none. A candidate the
+// scheduler does not know joins, and keeps the pass it joined at.
 func (s *Scheduler) Select(cands []Candidate, capacity int) []job.ID {
 	if capacity <= 0 || len(cands) == 0 {
 		return nil
 	}
-	buf := s.load(cands)
-	s.order = Select(s.mode, buf, capacity, s.order)
-	s.store(buf)
-	if len(s.order) == 0 {
-		return nil
-	}
-	return s.ids(buf)
-}
-
-// Order is the package's Order with the scheduler's passes; it returns
-// the IDs in priority order.
-func (s *Scheduler) Order(cands []Candidate) []job.ID {
-	if len(cands) == 0 {
-		return nil
-	}
-	buf := s.load(cands)
-	s.order = Order(buf, s.order)
-	s.store(buf)
-	return s.ids(buf)
-}
-
-// load copies the candidates into the scheduler's scratch with their
-// passes: a job the scheduler does not know joins.
-//
-//gflint:noretain
-func (s *Scheduler) load(cands []Candidate) []Candidate {
 	buf := append(s.cands[:0], cands...)
 	for i := range buf {
 		p, ok := s.pass[buf[i].ID]
 		buf[i].Pass, buf[i].Joins = p, !ok
 	}
 	s.cands = buf
-	return buf
-}
-
-// store keeps the passes the joiners were given.
-func (s *Scheduler) store(cands []Candidate) {
-	for i := range cands {
-		if c := &cands[i]; c.Joins {
+	s.order = Select(s.mode, buf, capacity, s.order)
+	for i := range buf {
+		if c := &buf[i]; c.Joins {
 			s.pass[c.ID] = c.Pass
 		}
 	}
-}
-
-// ids lists the IDs at the last call's positions.
-func (s *Scheduler) ids(cands []Candidate) []job.ID {
+	if len(s.order) == 0 {
+		return nil
+	}
 	ids := make([]job.ID, len(s.order))
 	for i, at := range s.order {
-		ids[i] = cands[at].ID
+		ids[i] = buf[at].ID
 	}
 	return ids
 }
@@ -352,7 +314,3 @@ func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
 	}
 	s.pass[id] = Charge(id, p, gpuSeconds, tickets)
 }
-
-// Remove forgets a job (finished or cancelled). Removing an unknown
-// job is a no-op.
-func (s *Scheduler) Remove(id job.ID) { delete(s.pass, id) }

@@ -3,109 +3,109 @@ package stride
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/job"
 )
 
+// ids lists the IDs at the positions Order or Select built.
+func ids(cands []Candidate, order []int32) []job.ID {
+	out := make([]job.ID, len(order))
+	for i, at := range order {
+		out[i] = cands[at].ID
+	}
+	return out
+}
+
 func TestSelectEmpty(t *testing.T) {
-	s := New(GangAware)
-	if got := s.Select(nil, 4); got != nil {
+	if got := Select(GangAware, nil, 4, nil); len(got) != 0 {
 		t.Errorf("Select(nil) = %v", got)
 	}
-	if got := s.Select([]Candidate{{ID: 1, Gang: 1, Tickets: 1}}, 0); got != nil {
+	// With no capacity nothing is selected and nobody joins: the
+	// joiner's pass is left as offered.
+	cands := []Candidate{{ID: 1, Gang: 1, Tickets: 1, Pass: math.NaN(), Joins: true}}
+	if got := Select(GangAware, cands, 0, nil); len(got) != 0 {
 		t.Errorf("Select with zero capacity = %v", got)
+	}
+	if !math.IsNaN(cands[0].Pass) {
+		t.Errorf("zero-capacity Select joined the candidate at pass %v", cands[0].Pass)
 	}
 }
 
 func TestSelectSkipsInvalidCandidates(t *testing.T) {
-	s := New(GangAware)
-	got := s.Select([]Candidate{
+	cands := []Candidate{
 		{ID: 1, Gang: 0, Tickets: 1},
 		{ID: 2, Gang: 1, Tickets: 0},
 		{ID: 3, Gang: 1, Tickets: 1},
-	}, 4)
-	if len(got) != 1 || got[0] != 3 {
+	}
+	if got := ids(cands, Select(GangAware, cands, 4, nil)); !slices.Equal(got, []job.ID{3}) {
 		t.Errorf("Select = %v, want [3]", got)
 	}
 }
 
 func TestSelectFillsCapacity(t *testing.T) {
-	s := New(GangAware)
 	cands := []Candidate{
 		{ID: 1, Gang: 2, Tickets: 1},
 		{ID: 2, Gang: 1, Tickets: 1},
 		{ID: 3, Gang: 1, Tickets: 1},
 	}
-	got := s.Select(cands, 4)
-	if len(got) != 3 {
-		t.Errorf("Select = %v, want all three jobs (capacity 4)", got)
+	if got := Select(GangAware, cands, 4, nil); len(got) != 3 {
+		t.Errorf("Select = %v, want all three jobs (capacity 4)", ids(cands, got))
 	}
 }
 
 func TestSelectGangSkip(t *testing.T) {
 	// Capacity 3: a 4-GPU job at min pass cannot fit; gang-aware mode
 	// must keep going and schedule the 1-GPU jobs.
-	s := New(GangAware)
-	s.pass[10] = 0 // big job, min pass
-	s.pass[11] = 5
-	s.pass[12] = 5
 	cands := []Candidate{
-		{ID: 10, Gang: 4, Tickets: 1},
-		{ID: 11, Gang: 1, Tickets: 1},
-		{ID: 12, Gang: 1, Tickets: 1},
+		{ID: 10, Gang: 4, Tickets: 1, Pass: 0}, // big job, min pass
+		{ID: 11, Gang: 1, Tickets: 1, Pass: 5},
+		{ID: 12, Gang: 1, Tickets: 1, Pass: 5},
 	}
-	got := s.Select(cands, 3)
-	if len(got) != 2 {
+	got := ids(cands, Select(GangAware, cands, 3, nil))
+	if !slices.Equal(got, []job.ID{11, 12}) {
 		t.Fatalf("Select = %v, want the two 1-GPU jobs", got)
-	}
-	for _, id := range got {
-		if id == 10 {
-			t.Fatalf("4-GPU job selected into capacity 3")
-		}
 	}
 }
 
 func TestNaiveBlockingStopsAtBigJob(t *testing.T) {
-	s := New(NaiveBlocking)
-	s.pass[10] = 0
-	s.pass[11] = 5
 	cands := []Candidate{
-		{ID: 10, Gang: 4, Tickets: 1},
-		{ID: 11, Gang: 1, Tickets: 1},
+		{ID: 10, Gang: 4, Tickets: 1, Pass: 0},
+		{ID: 11, Gang: 1, Tickets: 1, Pass: 5},
 	}
-	got := s.Select(cands, 3)
-	if len(got) != 0 {
-		t.Fatalf("naive mode selected %v, want head-of-line block", got)
+	if got := Select(NaiveBlocking, cands, 3, nil); len(got) != 0 {
+		t.Fatalf("naive mode selected %v, want head-of-line block", ids(cands, got))
 	}
 }
 
 func TestJoinRule(t *testing.T) {
-	s := New(GangAware)
-	s.pass[1] = 100
-	s.pass[2] = 150
-	s.Select([]Candidate{
-		{ID: 1, Gang: 1, Tickets: 1},
-		{ID: 2, Gang: 1, Tickets: 1},
-		{ID: 3, Gang: 1, Tickets: 1}, // newcomer
-	}, 1)
-	if p := s.Pass(3); p != 100 {
-		t.Errorf("newcomer joined at pass %v, want current min 100", p)
+	cands := []Candidate{
+		{ID: 1, Gang: 1, Tickets: 1, Pass: 100},
+		{ID: 2, Gang: 1, Tickets: 1, Pass: 150},
+		{ID: 3, Gang: 1, Tickets: 1, Joins: true}, // newcomer
+	}
+	Select(GangAware, cands, 1, nil)
+	if c := cands[2]; c.Pass != 100 || !c.Joins {
+		t.Errorf("newcomer joined at pass %v (Joins %v), want current min 100 and Joins left set", c.Pass, c.Joins)
 	}
 }
 
 func TestChargeAndRemove(t *testing.T) {
-	s := New(GangAware)
-	s.Select([]Candidate{{ID: 1, Gang: 2, Tickets: 4}}, 2)
-	s.Charge(1, 120, 4) // 2 GPUs × 60s / 4 tickets
-	if p := s.Pass(1); p != 30 {
+	if p := Charge(1, 0, 120, 4); p != 30 { // 2 GPUs × 60s / 4 tickets
 		t.Errorf("pass = %v, want 30", p)
 	}
-	s.Remove(1)
-	if s.Len() != 0 {
-		t.Errorf("Len = %d after Remove", s.Len())
+	// A caller forgets a job by dropping its candidate; offered again,
+	// it is a joiner and takes the current minimum, not its old pass.
+	cands := []Candidate{
+		{ID: 2, Gang: 1, Tickets: 1, Pass: 50},
+		{ID: 3, Gang: 1, Tickets: 1, Pass: 70},
+		{ID: 1, Gang: 2, Tickets: 4, Pass: 30, Joins: true},
 	}
-	s.Remove(99) // no-op
+	Order(cands, nil)
+	if p := cands[2].Pass; p != 50 {
+		t.Errorf("re-offered job rejoined at pass %v, want current min 50", p)
+	}
 }
 
 func TestChargePanics(t *testing.T) {
@@ -118,65 +118,68 @@ func TestChargePanics(t *testing.T) {
 		}()
 		f()
 	}
-	s := New(GangAware)
-	mustPanic("unknown job", func() { s.Charge(9, 1, 1) })
-	s.Select([]Candidate{{ID: 1, Gang: 1, Tickets: 1}}, 1)
-	mustPanic("zero tickets", func() { s.Charge(1, 1, 0) })
-	mustPanic("negative resources", func() { s.Charge(1, -1, 1) })
+	mustPanic("unknown job", func() { New(GangAware).Charge(9, 1, 1) })
+	mustPanic("zero tickets", func() { Charge(1, 0, 1, 0) })
+	mustPanic("negative resources", func() { Charge(1, 0, -1, 1) })
 }
 
 func TestDeterministicTieBreak(t *testing.T) {
 	// Equal pass: larger gang first, then lower ID.
-	s := New(GangAware)
 	cands := []Candidate{
 		{ID: 3, Gang: 1, Tickets: 1},
 		{ID: 1, Gang: 2, Tickets: 1},
 		{ID: 2, Gang: 2, Tickets: 1},
 	}
-	got := s.Select(cands, 2)
-	if len(got) != 1 || got[0] != 1 {
+	if got := ids(cands, Select(GangAware, cands, 2, nil)); !slices.Equal(got, []job.ID{1}) {
 		t.Errorf("Select = %v, want [1] (bigger gang, lower ID wins tie)", got)
 	}
 }
 
-// simulate runs many rounds over a fixed job set and returns
-// accumulated GPU-seconds per job.
-func simulate(t *testing.T, s *Scheduler, cands []Candidate, capacity, rounds int, quantum float64) map[job.ID]float64 {
-	t.Helper()
-	acc := make(map[job.ID]float64)
-	gang := make(map[job.ID]int)
-	tickets := make(map[job.ID]float64)
-	for _, c := range cands {
-		gang[c.ID] = c.Gang
-		tickets[c.ID] = c.Tickets
+// simulate runs many rounds of the kernel over a fixed job set, every
+// job joining in the first, and returns accumulated GPU-seconds by
+// position.
+func simulate(mode Mode, cands []Candidate, capacity, rounds int, quantum float64) []float64 {
+	acc := make([]float64, len(cands))
+	for i := range cands {
+		cands[i].Joins = true
 	}
+	var order []int32
 	for r := 0; r < rounds; r++ {
-		sel := s.Select(cands, capacity)
-		for _, id := range sel {
-			res := float64(gang[id]) * quantum
-			acc[id] += res
-			s.Charge(id, res, tickets[id])
+		order = Select(mode, cands, capacity, order)
+		for i := range cands {
+			cands[i].Joins = false
+		}
+		for _, at := range order {
+			c := &cands[at]
+			res := float64(c.Gang) * quantum
+			acc[at] += res
+			c.Pass = Charge(c.ID, c.Pass, res, c.Tickets)
 		}
 	}
 	return acc
 }
 
+func sum(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
+}
+
 func TestLongRunProportionality(t *testing.T) {
 	// 3 jobs with tickets 1:2:3 on 2 GPUs — GPU time must converge to
 	// ticket proportion.
-	s := New(GangAware)
 	cands := []Candidate{
 		{ID: 1, Gang: 1, Tickets: 1},
 		{ID: 2, Gang: 1, Tickets: 2},
 		{ID: 3, Gang: 1, Tickets: 3},
 	}
-	acc := simulate(t, s, cands, 2, 6000, 60)
-	total := acc[1] + acc[2] + acc[3]
-	wants := map[job.ID]float64{1: 1.0 / 6, 2: 2.0 / 6, 3: 3.0 / 6}
-	for id, want := range wants {
-		got := acc[id] / total
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("job %d share %v, want %v", id, got, want)
+	acc := simulate(GangAware, cands, 2, 6000, 60)
+	total := sum(acc)
+	for i, want := range []float64{1.0 / 6, 2.0 / 6, 3.0 / 6} {
+		if got := acc[i] / total; math.Abs(got-want) > 0.01 {
+			t.Errorf("job %d share %v, want %v", cands[i].ID, got, want)
 		}
 	}
 }
@@ -188,18 +191,16 @@ func TestMixedGangShares(t *testing.T) {
 	// core provide that guarantee); here we assert the invariants that
 	// do hold: nobody starves, the 4-GPU job keeps a substantial
 	// share, and the pool stays busy.
-	s := New(GangAware)
 	cands := []Candidate{
 		{ID: 1, Gang: 1, Tickets: 1},
 		{ID: 2, Gang: 2, Tickets: 1},
 		{ID: 3, Gang: 4, Tickets: 1},
 	}
-	acc := simulate(t, s, cands, 4, 9000, 60)
-	total := acc[1] + acc[2] + acc[3]
-	for id := job.ID(1); id <= 3; id++ {
-		got := acc[id] / total
-		if got < 0.15 {
-			t.Errorf("job %d GPU-time share %v, want ≥0.15 (no starvation)", id, got)
+	acc := simulate(GangAware, cands, 4, 9000, 60)
+	total := sum(acc)
+	for i := range cands {
+		if got := acc[i] / total; got < 0.15 {
+			t.Errorf("job %d GPU-time share %v, want ≥0.15 (no starvation)", cands[i].ID, got)
 		}
 	}
 	// Any round without the 4-GPU job can use at most 3 of 4 GPUs
@@ -213,18 +214,12 @@ func TestMixedGangShares(t *testing.T) {
 func TestBigGangNoStarvation(t *testing.T) {
 	// A 4-GPU job among six 1-GPU jobs on 4 GPUs: gang-aware stride
 	// must give the big job its proportional share.
-	s := New(GangAware)
 	cands := []Candidate{{ID: 100, Gang: 4, Tickets: 1}}
 	for i := 1; i <= 6; i++ {
 		cands = append(cands, Candidate{ID: job.ID(i), Gang: 1, Tickets: 1})
 	}
-	acc := simulate(t, s, cands, 4, 14000, 60)
-	var total float64
-	for _, id := range job.SortedIDs(acc) {
-		total += acc[id]
-	}
-	got := acc[100] / total
-	if math.Abs(got-1.0/7) > 0.02 {
+	acc := simulate(GangAware, cands, 4, 14000, 60)
+	if got := acc[0] / sum(acc); math.Abs(got-1.0/7) > 0.02 {
 		t.Errorf("big gang share %v, want ≈1/7", got)
 	}
 }
@@ -233,27 +228,14 @@ func TestGangAwareBeatsNaiveUtilization(t *testing.T) {
 	// Capacity 3 with a 4-GPU job present: naive blocks whenever the
 	// big job reaches min pass and never schedules it (it can't fit),
 	// repeatedly wasting the round; gang-aware keeps the pool busy.
-	cands := []Candidate{
-		{ID: 1, Gang: 4, Tickets: 1},
-		{ID: 2, Gang: 1, Tickets: 1},
-		{ID: 3, Gang: 1, Tickets: 1},
-		{ID: 4, Gang: 1, Tickets: 1},
-	}
 	use := func(mode Mode) float64 {
-		s := New(mode)
-		var used float64
-		for r := 0; r < 1000; r++ {
-			sel := s.Select(cands, 3)
-			for _, id := range sel {
-				g := 1
-				if id == 1 {
-					g = 4
-				}
-				used += float64(g)
-				s.Charge(id, float64(g)*60, 1)
-			}
+		cands := []Candidate{
+			{ID: 1, Gang: 4, Tickets: 1},
+			{ID: 2, Gang: 1, Tickets: 1},
+			{ID: 3, Gang: 1, Tickets: 1},
+			{ID: 4, Gang: 1, Tickets: 1},
 		}
-		return used / (1000 * 3)
+		return sum(simulate(mode, cands, 3, 1000, 60)) / (1000 * 3 * 60)
 	}
 	ga, naive := use(GangAware), use(NaiveBlocking)
 	if ga < 0.99 {
@@ -265,45 +247,51 @@ func TestGangAwareBeatsNaiveUtilization(t *testing.T) {
 }
 
 func TestChurnFairness(t *testing.T) {
-	// Jobs arrive and leave; the survivors' shares stay proportional.
+	// Jobs arrive and leave, each leaving by being dropped from the
+	// caller's candidates. Every newcomer must join at the minimum pass
+	// of the jobs still live, whoever has left, and no round may run a
+	// job twice or overfill the pool.
 	rng := rand.New(rand.NewSource(3))
-	s := New(GangAware)
-	type jb struct {
-		c      Candidate
-		joined int
-	}
-	var jobs []jb
-	acc := make(map[job.ID]float64)
-	rounds := 4000
+	var cands []Candidate
+	var order []int32
 	nextID := job.ID(1)
-	for r := 0; r < rounds; r++ {
-		if len(jobs) < 6 && rng.Intn(10) == 0 {
-			jobs = append(jobs, jb{Candidate{ID: nextID, Gang: 1 + rng.Intn(2), Tickets: 1 + float64(rng.Intn(3))}, r})
+	for r := 0; r < 4000; r++ {
+		if len(cands) < 6 && rng.Intn(10) == 0 {
+			cands = append(cands, Candidate{ID: nextID, Gang: 1 + rng.Intn(2), Tickets: 1 + float64(rng.Intn(3)), Joins: true})
 			nextID++
 		}
-		if len(jobs) > 2 && rng.Intn(40) == 0 {
-			i := rng.Intn(len(jobs))
-			s.Remove(jobs[i].c.ID)
-			jobs = append(jobs[:i], jobs[i+1:]...)
+		if len(cands) > 2 && rng.Intn(40) == 0 {
+			i := rng.Intn(len(cands))
+			cands = slices.Delete(cands, i, i+1)
 		}
-		cands := make([]Candidate, len(jobs))
-		for i, j := range jobs {
-			cands[i] = j.c
-		}
-		for _, id := range s.Select(cands, 4) {
-			for _, j := range jobs {
-				if j.c.ID == id {
-					res := float64(j.c.Gang) * 60
-					acc[id] += res
-					s.Charge(id, res, j.c.Tickets)
-				}
+		minPass, found := 0.0, false
+		for _, c := range cands {
+			if !c.Joins && (!found || c.Pass < minPass) {
+				minPass, found = c.Pass, true
 			}
 		}
-	}
-	// Smoke invariants: no negative accumulation, scheduler tracked
-	// set matches live jobs.
-	if s.Len() != len(jobs) {
-		t.Errorf("scheduler tracks %d jobs, %d live", s.Len(), len(jobs))
+		order = Select(GangAware, cands, 4, order)
+		for i := range cands {
+			if c := &cands[i]; c.Joins {
+				if c.Pass != minPass {
+					t.Fatalf("round %d: job %d joined at pass %v, want the live minimum %v", r, c.ID, c.Pass, minPass)
+				}
+				c.Joins = false
+			}
+		}
+		used, ran := 0, map[int32]bool{}
+		for _, at := range order {
+			c := &cands[at]
+			if ran[at] {
+				t.Fatalf("round %d: job %d selected twice", r, c.ID)
+			}
+			ran[at] = true
+			used += c.Gang
+			c.Pass = Charge(c.ID, c.Pass, float64(c.Gang)*60, c.Tickets)
+		}
+		if used > 4 {
+			t.Fatalf("round %d: selected %d GPUs into 4", r, used)
+		}
 	}
 }
 
@@ -356,31 +344,18 @@ func TestPropertyTicketConvergence(t *testing.T) {
 			capacity = n - 1
 		}
 		cands := make([]Candidate, n)
-		var ticketSum float64
 		for i := range cands {
 			cands[i] = Candidate{ID: job.ID(i + 1), Gang: 1, Tickets: float64(1 + rng.Intn(9))}
-			ticketSum += cands[i].Tickets
 		}
-		s := New(GangAware)
-		acc := make(map[job.ID]float64)
 		rounds := 8000
-		for r := 0; r < rounds; r++ {
-			for _, id := range s.Select(cands, capacity) {
-				acc[id] += 1
-				for _, c := range cands {
-					if c.ID == id {
-						s.Charge(id, 60, c.Tickets)
-					}
-				}
-			}
-		}
+		acc := simulate(GangAware, cands, capacity, rounds, 60)
 		// Expected shares are the water-filled entitlements: a 1-GPU
 		// job is capped at one GPU-round per round, and its surplus
 		// redistributes by tickets.
 		want := waterfillPerRound(cands, capacity)
 		total := float64(rounds * capacity)
-		for _, c := range cands {
-			got := acc[c.ID] / total
+		for i, c := range cands {
+			got := acc[i] / 60 / total
 			if math.Abs(got-want[c.ID]/float64(capacity)) > 0.02 {
 				t.Fatalf("trial %d (n=%d cap=%d): job %d share %.4f, want %.4f",
 					trial, n, capacity, c.ID, got, want[c.ID]/float64(capacity))
@@ -395,7 +370,6 @@ func TestPropertyTicketConvergence(t *testing.T) {
 func TestPropertySelectValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
-		s := New(GangAware)
 		n := 1 + rng.Intn(10)
 		cands := make([]Candidate, n)
 		for i := range cands {
@@ -403,30 +377,25 @@ func TestPropertySelectValid(t *testing.T) {
 				ID:      job.ID(i + 1),
 				Gang:    1 << rng.Intn(4),
 				Tickets: 1 + float64(rng.Intn(4)),
+				Pass:    float64(rng.Intn(100)),
 			}
-			s.pass[cands[i].ID] = float64(rng.Intn(100))
 		}
 		capacity := 1 + rng.Intn(16)
-		sel := s.Select(cands, capacity)
 		used := 0
-		seen := map[job.ID]bool{}
-		gangOf := map[job.ID]int{}
-		for _, c := range cands {
-			gangOf[c.ID] = c.Gang
-		}
-		for _, id := range sel {
-			if seen[id] {
-				t.Fatalf("job %d selected twice", id)
+		seen := make([]bool, n)
+		for _, at := range Select(GangAware, cands, capacity, nil) {
+			if seen[at] {
+				t.Fatalf("job %d selected twice", cands[at].ID)
 			}
-			seen[id] = true
-			used += gangOf[id]
+			seen[at] = true
+			used += cands[at].Gang
 		}
 		if used > capacity {
 			t.Fatalf("selected %d GPUs into capacity %d", used, capacity)
 		}
 		// Maximality: no unselected candidate fits in the remainder.
-		for _, c := range cands {
-			if !seen[c.ID] && c.Gang <= capacity-used {
+		for i, c := range cands {
+			if !seen[i] && c.Gang <= capacity-used {
 				t.Fatalf("job %d (gang %d) fits in remaining %d but was skipped",
 					c.ID, c.Gang, capacity-used)
 			}
