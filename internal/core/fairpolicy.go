@@ -82,9 +82,12 @@ type FairPolicy struct {
 	// a user's when they have no runnable job left. During a round all[i]
 	// is the record of RoundState.Jobs[i], and every per-user and per-job
 	// computation walks records by position.
-	users    []*userState
-	all      []*jobState
-	jobBlock []jobState // records not yet handed out (see jobState)
+	users     []*userState
+	all       []*jobState
+	jobBlock  []jobState   // records not yet handed out (see jobState)
+	userBlock []userState  // user records not yet handed out (see userState)
+	listBlock []*jobState  // room not yet carved into new users' lists
+	idle      []*userState // the records of users who have left, reset, handed out first
 
 	round     int
 	noMigrate bool // engine refuses migrations this run
@@ -121,7 +124,13 @@ func (f *waterFill) resize(n int) {
 
 // userState is what the policy holds for one user with runnable jobs:
 // the books that live as long as the user stays active, and the
-// round's view of their jobs.
+// round's view of their jobs. Records are handed out of blocks of
+// userBlockSize, and a user's order and jobs lists start in room carved
+// from a block beside them, listCarve entries each. A user who leaves
+// loses their books, but not the record: it is reset to a fresh one,
+// its lists emptied and cleared, and handed to the next user the policy
+// meets, so users who come and go cost no allocation once the policy
+// has met as many at once as it will.
 type userState struct {
 	id     job.UserID
 	credit fairshare.Entitlement // per-generation deficit credit
@@ -144,7 +153,8 @@ type userState struct {
 // jobState is what the policy holds for one runnable job. Records are
 // handed out of blocks of jobBlockSize — a first round that meets ten
 // thousand jobs makes a few hundred allocations, not ten thousand — and
-// a block is collected once every job in it has finished.
+// a block is collected once every job in it has finished and no user's
+// list holds its records (a departed user's lists are cleared).
 type jobState struct {
 	user    *userState
 	job     *job.Job
@@ -163,7 +173,11 @@ type jobState struct {
 	viaCredit bool // funded from credit (refundable), not backfilled
 }
 
-const jobBlockSize = 64
+const (
+	jobBlockSize  = 64
+	userBlockSize = 64
+	listCarve     = 4 // entries of a new user's order and jobs lists carved from listBlock
+)
 
 // NewFairPolicy constructs the policy. No FairConfig is invalid, so the
 // error is always nil.
@@ -424,13 +438,23 @@ func (p *FairPolicy) group(jobs []*job.Job) {
 			us.round = p.round
 			us.jobs = us.jobs[:0]
 		}
-		us.jobs = append(us.jobs, js)
+		us.jobs = appendList(us.jobs, js)
 		next = append(next, js)
 	}
 	clear(prev) // the dropped records go with their blocks
 	//gflint:ignore retain all and spare are one double buffer: each round's merge reads one and fills the other
 	p.all, p.spare = next, prev[:0]
-	p.users = slices.DeleteFunc(p.users, func(us *userState) bool { return us.round != p.round })
+	users := p.users[:0]
+	for _, us := range p.users {
+		if us.round == p.round {
+			users = append(users, us)
+			continue
+		}
+		us.vacate()
+		p.idle = append(p.idle, us)
+	}
+	clear(p.users[len(users):])
+	p.users = users
 }
 
 func (p *FairPolicy) newJobState(j *job.Job) *jobState {
@@ -441,12 +465,59 @@ func (p *FairPolicy) newJobState(j *job.Job) *jobState {
 	p.jobBlock = p.jobBlock[1:]
 	i, ok := p.userAt(j.User)
 	if !ok {
-		p.users = slices.Insert(p.users, i, &userState{id: j.User})
+		p.users = slices.Insert(p.users, i, p.newUserState(j.User))
 	}
 	us := p.users[i]
 	js.user, js.job = us, j
-	us.order = append(us.order, js)
+	us.order = appendList(us.order, js)
 	return js
+}
+
+// newUserState hands out a fresh record for user u: a departed user's,
+// reset, or one cut from a block, its lists carved from the list block.
+func (p *FairPolicy) newUserState(u job.UserID) *userState {
+	var us *userState
+	if n := len(p.idle); n > 0 {
+		us = p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+	} else {
+		if len(p.userBlock) == 0 {
+			p.userBlock = make([]userState, userBlockSize)
+			p.listBlock = make([]*jobState, 2*listCarve*userBlockSize)
+		}
+		us = &p.userBlock[0]
+		p.userBlock = p.userBlock[1:]
+		// Full slice expressions: an append past the carve moves the list,
+		// it never writes into the next one.
+		blk := p.listBlock
+		us.order, us.jobs = blk[0:0:listCarve], blk[listCarve:listCarve:2*listCarve]
+		p.listBlock = blk[2*listCarve:]
+	}
+	us.id = u
+	return us
+}
+
+// vacate resets the record of a user who has left to a fresh
+// userState{}, keeping only the storage of its lists, emptied and
+// cleared so that they hold no record of a finished job.
+func (us *userState) vacate() {
+	order, jobs := us.order[:cap(us.order)], us.jobs[:cap(us.jobs)]
+	clear(order)
+	clear(jobs)
+	*us = userState{order: order[:0], jobs: jobs[:0]}
+}
+
+// appendList appends js to one of a user's lists. A list that outgrows
+// its room moves to the heap; the room it leaves, which may be a carve
+// of the list block, is cleared.
+func appendList(list []*jobState, js *jobState) []*jobState {
+	if len(list) < cap(list) {
+		return append(list, js)
+	}
+	grown := append(list, js)
+	clear(list)
+	return grown
 }
 
 // userOrder is pass 1's stride order among one user's jobs, as

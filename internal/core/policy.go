@@ -22,6 +22,9 @@ import (
 )
 
 // RoundState is the snapshot a policy sees at the start of a round.
+// The engine keeps one and refills it in place every round, so it is
+// good until the next Decide: a policy that needs any of it later
+// copies what it needs.
 type RoundState struct {
 	Now     simclock.Time
 	Quantum simclock.Duration
@@ -167,7 +170,8 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 
-	// Decide picks this round's job→generation assignments.
+	// Decide picks this round's job→generation assignments. st is the
+	// engine's, good until the next Decide; it must not be retained.
 	Decide(st *RoundState) Decision
 
 	// Executed reports the round's actual outcome for accounting.

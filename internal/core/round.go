@@ -27,6 +27,7 @@ type round struct {
 	caps          map[gpu.Generation]int // capacity net of unavail
 	placed        *placement.Round       // this round's placement, by request position
 	repays        bool                   // the decision honors the deficit
+	st            RoundState             //gflint:noretain what the policy sees (see beginRound), refilled in place every round
 }
 
 // runRound executes one scheduling quantum and closes it on every path:
@@ -86,7 +87,7 @@ func (s *Sim) runPhases(rd *round) error {
 
 // beginRound applies the events due — ticket changes, fault
 // transitions, backoff expiry, job crashes — and assembles what the
-// policy sees.
+// policy sees in rd.st, the one RoundState of the run.
 //
 //gflint:noretain
 func (s *Sim) beginRound(rd *round) *RoundState {
@@ -139,7 +140,7 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		}
 	}
 
-	st := &RoundState{
+	rd.st = RoundState{
 		Now:     now,
 		Quantum: s.cfg.Quantum,
 		Cluster: s.cfg.Cluster,
@@ -153,6 +154,7 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 		Deficit:           rd.deficit,
 		Obs:               s.robs,
 	}
+	st := &rd.st
 	rd.caps = st.CapacityByGen()
 	st.caps = rd.caps // the policy's CapacityByGen call reuses it
 	s.aud.beginRound(s.rounds, now, rd.caps, s.tickets)

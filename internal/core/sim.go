@@ -397,6 +397,7 @@ type Sim struct {
 	tickets map[job.UserID]float64
 
 	evq      *eventCursor // arrivals and ticket changes, time-ordered
+	admitted job.Block    // where admission cuts each arrival's record
 	finished []*job.Job   // in retirement order; Result sorts by finish time
 
 	// jobs is the active jobs in job-ID order, inserted on admission
@@ -689,7 +690,7 @@ func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
 
 func (s *Sim) admitArrivals() {
 	s.evq.popArrivalsDue(s.clock.Now(), func(spec job.Spec) {
-		j, err := job.New(spec)
+		j, err := s.admitted.New(spec)
 		if err != nil {
 			panic(fmt.Sprintf("core: validated spec rejected: %v", err)) // unreachable
 		}
@@ -842,10 +843,11 @@ func (s *Sim) Result() *Result {
 // carry: a user, or a user and generation, has a key iff the engine ever
 // wrote that entry.
 func (s *Sim) bookMaps() (usage map[job.UserID]map[gpu.Generation]float64, useful, fair, mb map[job.UserID]float64) {
-	usage = make(map[job.UserID]map[gpu.Generation]float64)
-	useful = make(map[job.UserID]float64)
-	fair = make(map[job.UserID]float64)
-	mb = make(map[job.UserID]float64)
+	n := len(s.users)
+	usage = make(map[job.UserID]map[gpu.Generation]float64, n)
+	useful = make(map[job.UserID]float64, n)
+	fair = make(map[job.UserID]float64, n)
+	mb = make(map[job.UserID]float64, n)
 	for i, u := range s.users {
 		b := &s.books[i]
 		if b.wrote&wroteUsage != 0 {
