@@ -51,7 +51,7 @@ type Checkpoint struct {
 
 // Checkpoint captures the engine's state. Call between rounds.
 func (s *Sim) Checkpoint() *Checkpoint {
-	usage, useful, fair, mb := s.bookMaps()
+	useful, fair, mb := s.scalarBooks()
 	cp := &Checkpoint{
 		Now:           s.clock.Now(),
 		Rounds:        s.rounds,
@@ -59,7 +59,7 @@ func (s *Sim) Checkpoint() *Checkpoint {
 		TicketChanges: slices.Clone(s.evq.changes[s.evq.nextChange:]),
 		Prev:          make(map[job.ID][]gpu.DeviceID, len(s.jobs)),
 		Tickets:       maps.Clone(s.tickets),
-		Usage:         usage,
+		Usage:         s.checkpointUsage(),
 		Useful:        useful,
 		FairUsage:     fair,
 		Throughput:    mb,

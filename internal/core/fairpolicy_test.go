@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/profiler"
+	"repro/internal/simclock"
 	"repro/internal/workload"
 )
 
@@ -49,5 +51,57 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		if got := p.Credit("u")[gpu.K80]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("policy %d: credit after refunds %.17g, want grant order's %.17g", i, got, want)
 		}
+	}
+}
+
+// TestGroupKeepsNoDroppedJob pins that an active user's jobs list holds
+// no record past its length: group clears the list before regrouping
+// it, so a user whose runnable set shrank does not pin the dropped
+// jobs' records, and with them their blocks, for as long as the user
+// stays active. 200 users × 25 jobs arrive and finish over 150 rounds,
+// trading on; after every round each active user's jobs[len:cap] must
+// be all nil. Emptying the list without clearing it left 6,974 such
+// pointers, summed over the rounds.
+func TestGroupKeepsNoDroppedJob(t *testing.T) {
+	const users, jobsPerUser, rounds = 200, 25, 150
+	cluster := gpu.MustNew(
+		gpu.Spec{Gen: gpu.K80, Servers: 50, GPUsPerSrv: 4},
+		gpu.Spec{Gen: gpu.P100, Servers: 50, GPUsPerSrv: 4},
+		gpu.Spec{Gen: gpu.V100, Servers: 50, GPUsPerSrv: 4},
+	)
+	zoo := workload.DefaultZoo()
+	specs := make([]workload.UserSpec, users)
+	for i := range specs {
+		specs[i] = workload.UserSpec{User: job.UserID(fmt.Sprintf("user%03d", i)), NumJobs: jobsPerUser, ArrivalRatePerHour: 0.7, MeanK80Hours: 2}
+	}
+	jobs, err := workload.Generate(zoo, workload.Config{Seed: 42, Users: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := MustNewFairPolicy(FairConfig{EnableTrading: true})
+	s, err := New(Config{Cluster: cluster, Specs: jobs, Quantum: 360, Seed: 42, Audit: AuditStrict}, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for r := 0; r < rounds; r++ {
+		if ran, err := s.Step(simclock.Forever); !ran || err != nil {
+			t.Fatalf("round %d: ran=%v err=%v", r, ran, err)
+		}
+		for _, us := range policy.users {
+			for _, js := range us.jobs[len(us.jobs):cap(us.jobs)] {
+				if js != nil {
+					stale++
+				}
+			}
+		}
+	}
+	finished := len(s.Result().Finished)
+	t.Logf("%d jobs finished in %d rounds; %d records held past a jobs list's length", finished, rounds, stale)
+	if finished < users {
+		t.Fatalf("only %d jobs finished: the runnable sets do not shrink", finished)
+	}
+	if stale != 0 {
+		t.Errorf("active users' jobs lists hold %d records past their length", stale)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
@@ -253,8 +252,10 @@ type Result struct {
 
 	// UsageByUserGen is occupied GPU-seconds per user per generation
 	// (the fairness currency: time GPUs were held, including
-	// overheads).
-	UsageByUserGen map[job.UserID]map[gpu.Generation]float64
+	// overheads), indexed by gpu.Generation. A user has a key iff the
+	// engine ever charged them usage; a generation never charged reads
+	// 0. The map is the only allocation: its values are arrays.
+	UsageByUserGen map[job.UserID][gpu.NumGenerations]float64
 
 	// UsefulByUser is minibatch-productive gang-GPU-seconds.
 	UsefulByUser map[job.UserID]float64
@@ -313,8 +314,8 @@ type Result struct {
 func (r *Result) TotalUsageByUser() map[job.UserID]float64 {
 	out := make(map[job.UserID]float64, len(r.UsageByUserGen))
 	for u, byGen := range r.UsageByUserGen {
-		for _, g := range gpu.Generations() {
-			out[u] += byGen[g]
+		for _, v := range byGen {
+			out[u] += v
 		}
 	}
 	return out
@@ -325,9 +326,8 @@ func (r *Result) TotalUsageByUser() map[job.UserID]float64 {
 func (r *Result) TotalOccupied() float64 {
 	var t float64
 	for _, u := range job.SortedUsers(r.UsageByUserGen) {
-		byGen := r.UsageByUserGen[u]
-		for _, g := range gpu.Generations() {
-			t += byGen[g]
+		for _, v := range r.UsageByUserGen[u] {
+			t += v
 		}
 	}
 	return t
@@ -783,16 +783,17 @@ func (s *Sim) computeSLO() metrics.SLO {
 
 // Result reports the outcome so far: what Run returns at the horizon,
 // and what a caller driving Step reads between rounds. Its per-user maps
-// are built for the call from the engine's books.
+// are built for the call from the engine's books, one map per book and
+// none per user.
 func (s *Sim) Result() *Result {
 	s.obs.Emit(s.flush()...) // what was recorded since the last round closed
 	// Completion order: nothing else reads s.finished's order, so it is
 	// sorted here, not after every round's retirements.
-	sort.Slice(s.finished, func(i, j int) bool {
-		if s.finished[i].FinishTime() != s.finished[j].FinishTime() {
-			return s.finished[i].FinishTime() < s.finished[j].FinishTime()
+	slices.SortFunc(s.finished, func(a, b *job.Job) int {
+		if c := cmp.Compare(a.FinishTime(), b.FinishTime()); c != 0 {
+			return c
 		}
-		return s.finished[i].ID < s.finished[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	var busy, capTotal float64
 	utilByGen := make(map[gpu.Generation]metrics.Utilization, gpu.NumGenerations)
@@ -805,7 +806,7 @@ func (s *Sim) Result() *Result {
 		busy += b
 		capTotal += c
 	}
-	usage, useful, fair, mb := s.bookMaps()
+	useful, fair, mb := s.scalarBooks()
 	slo := s.computeSLO()
 	if s.obs != nil {
 		s.obs.SetSLO(slo.RhoByUser, map[string]float64{
@@ -816,7 +817,7 @@ func (s *Sim) Result() *Result {
 		Policy:               s.policy.Name(),
 		Finished:             s.finished,
 		Unfinished:           len(s.jobs) + s.evq.pendingCount(),
-		UsageByUserGen:       usage,
+		UsageByUserGen:       s.usageRows(),
 		UsefulByUser:         useful,
 		FairUsageByUser:      fair,
 		ThroughputByUser:     mb,
@@ -839,26 +840,29 @@ func (s *Sim) Result() *Result {
 	}
 }
 
-// bookMaps renders the usage books as the maps Result and Checkpoint
-// carry: a user, or a user and generation, has a key iff the engine ever
-// wrote that entry.
-func (s *Sim) bookMaps() (usage map[job.UserID]map[gpu.Generation]float64, useful, fair, mb map[job.UserID]float64) {
+// usageRows renders the usage books as Result carries them: a user has
+// a row iff the engine ever charged them usage, and a generation never
+// charged reads 0 — it was never written. The map is the one allocation.
+func (s *Sim) usageRows() map[job.UserID][gpu.NumGenerations]float64 {
+	usage := make(map[job.UserID][gpu.NumGenerations]float64, len(s.users))
+	for i, u := range s.users {
+		if b := &s.books[i]; b.wrote&wroteUsage != 0 {
+			usage[u] = b.usage
+		}
+	}
+	return usage
+}
+
+// scalarBooks renders the useful, fair-reference and throughput books
+// as the maps Result and Checkpoint carry: a user has a key iff the
+// engine ever wrote that entry.
+func (s *Sim) scalarBooks() (useful, fair, mb map[job.UserID]float64) {
 	n := len(s.users)
-	usage = make(map[job.UserID]map[gpu.Generation]float64, n)
 	useful = make(map[job.UserID]float64, n)
 	fair = make(map[job.UserID]float64, n)
 	mb = make(map[job.UserID]float64, n)
 	for i, u := range s.users {
 		b := &s.books[i]
-		if b.wrote&wroteUsage != 0 {
-			byGen := make(map[gpu.Generation]float64)
-			for g, v := range b.usage {
-				if b.wrote&(1<<g) != 0 {
-					byGen[gpu.Generation(g)] = v
-				}
-			}
-			usage[u] = byGen
-		}
 		if b.wrote&wroteUseful != 0 {
 			useful[u] = b.useful
 		}
@@ -869,5 +873,26 @@ func (s *Sim) bookMaps() (usage map[job.UserID]map[gpu.Generation]float64, usefu
 			mb[u] = b.mb
 		}
 	}
-	return usage, useful, fair, mb
+	return useful, fair, mb
+}
+
+// checkpointUsage renders the usage books as Checkpoint's JSON carries
+// them: a user and generation have a key iff the engine ever charged
+// that generation, which Restore reads back as written bits.
+func (s *Sim) checkpointUsage() map[job.UserID]map[gpu.Generation]float64 {
+	usage := make(map[job.UserID]map[gpu.Generation]float64, len(s.users))
+	for i, u := range s.users {
+		b := &s.books[i]
+		if b.wrote&wroteUsage == 0 {
+			continue
+		}
+		byGen := make(map[gpu.Generation]float64)
+		for g, v := range b.usage {
+			if b.wrote&(1<<g) != 0 {
+				byGen[gpu.Generation(g)] = v
+			}
+		}
+		usage[u] = byGen
+	}
+	return usage
 }

@@ -198,14 +198,14 @@ func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gp
 // round is bounded by maxRepayFrac × capacity (≤ 0 disables repayment),
 // and by each debtor's own demand: a user cannot consume more than they
 // ask for. shares is written as WaterFill writes it, a debtor's share
-// including their repayment. The four slices are equally long.
+// including their repayment. target and reduced are the caller's
+// scratch, overwritten: each debtor's repayment and demand less it. The
+// six slices are equally long.
 //
 // What the grant adds to a debtor's share is not reported: the engine
 // drains debt by the catch-up that materializes, not by the grant.
-func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, shares []float64) {
-	n := len(demand)
-	scratch := make([]float64, 2*n)
-	target, reduced := scratch[:n], scratch[n:]
+func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, target, reduced, shares []float64) {
+	clear(target)
 
 	// Demand-capped repayment targets, scaled down to the budget if the
 	// round's total debt exceeds it.

@@ -250,8 +250,12 @@ func TestWaterFillWithDebt(t *testing.T) {
 	fill := func(demand, debt []float64, maxRepayFrac float64) (plain, shares []float64) {
 		t.Helper()
 		plain, shares = make([]float64, len(demand)), make([]float64, len(demand))
+		target, reduced := make([]float64, len(demand)), make([]float64, len(demand))
+		for i := range target { // stale scratch: the fill must overwrite it
+			target[i], reduced[i] = 99, 99
+		}
 		WaterFill(tickets, demand, capacity, plain)
-		WaterFillWithDebt(tickets, demand, debt, capacity, maxRepayFrac, shares)
+		WaterFillWithDebt(tickets, demand, debt, capacity, maxRepayFrac, target, reduced, shares)
 		var sum float64
 		for i, sh := range shares {
 			if sh == Unreached {

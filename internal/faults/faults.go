@@ -13,10 +13,11 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/simclock"
@@ -243,7 +244,7 @@ func Generate(cfg Config, numServers int, horizon simclock.Time, seed int64) (*S
 			n = numServers
 		}
 		flaky := rng.Perm(numServers)[:n]
-		sort.Ints(flaky)
+		slices.Sort(flaky)
 		mtbf := cfg.FlakyMTBFHours * simclock.Hour
 		mean := cfg.FlakyOutageMinutes * 60
 		for _, s := range flaky {
@@ -279,20 +280,20 @@ func Generate(cfg Config, numServers int, horizon simclock.Time, seed int64) (*S
 }
 
 func sortOutages(o []Outage) {
-	sort.Slice(o, func(i, j int) bool {
-		if o[i].At != o[j].At {
-			return o[i].At < o[j].At
+	slices.SortFunc(o, func(a, b Outage) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return o[i].Server < o[j].Server
+		return cmp.Compare(a.Server, b.Server)
 	})
 }
 
 func sortDegradations(d []Degradation) {
-	sort.Slice(d, func(i, j int) bool {
-		if d[i].At != d[j].At {
-			return d[i].At < d[j].At
+	slices.SortFunc(d, func(a, b Degradation) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return d[i].Server < d[j].Server
+		return cmp.Compare(a.Server, b.Server)
 	})
 }
 

@@ -1,6 +1,10 @@
 package faults
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // RoundInterval is a half-open range of scheduling rounds [From, To).
 // The zero value is empty.
@@ -33,7 +37,7 @@ func CompileRounds(ivs []RoundInterval) *RoundSet {
 	if len(spans) == 0 {
 		return &RoundSet{}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].From < spans[j].From })
+	slices.SortFunc(spans, func(a, b RoundInterval) int { return cmp.Compare(a.From, b.From) })
 	out := spans[:1]
 	for _, iv := range spans[1:] {
 		last := &out[len(out)-1]

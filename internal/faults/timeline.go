@@ -1,67 +1,108 @@
 package faults
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/simclock"
 )
 
-// span is one half-open interval [From, To) on the simulated clock.
+// span is one half-open interval [From, To) on the simulated clock, on
+// one server.
 type span struct {
 	From, To simclock.Time
 	Factor   float64 // degradation factor; unused (0) for down spans
+	srv      gpu.ServerID
 }
 
 // Timeline is the compiled form of a fault schedule: per-server sorted,
 // merged interval lists. Compiling once at simulation start replaces
 // the old per-round rescan of the raw failure list (see
 // BenchmarkDownRescan vs BenchmarkTimelineSweep) and gives the engine
-// O(1)-amortized queries through a Sweep cursor.
+// O(1)-amortized queries through a Sweep cursor. Each server's list is a
+// window, capped by a full slice expression, into one array of down
+// spans or one of flattened degradations, so a timeline costs the same
+// few allocations whatever its servers and spans.
 type Timeline struct {
-	down [][]span // indexed by server ID
-	slow [][]span
+	down  [][]span // indexed by server ID; nil for a server without spans
+	slow  [][]span
+	edges int // span edges over both, what NewSweep's boundary list holds
 }
 
 // Compile builds a Timeline for servers 0..numServers-1. Outages on
 // unknown servers are ignored (declared schedules are validated
 // upstream). Overlapping or adjacent down spans per server are merged;
 // overlapping degradations are flattened to disjoint spans keeping the
-// minimum (worst) factor.
+// minimum (worst) factor. The spans are sorted by server, then start,
+// into one array; each server's run is merged in place, or flattened
+// onto a second array, and becomes that server's window. Only the two
+// tables of windows are as long as the cluster.
 func Compile(outages []Outage, degradations []Degradation, numServers int) *Timeline {
 	tl := &Timeline{
 		down: make([][]span, numServers),
 		slow: make([][]span, numServers),
 	}
+	known := func(s gpu.ServerID) bool { return s >= 0 && int(s) < numServers }
+
+	down := make([]span, 0, len(outages))
 	for _, o := range outages {
-		s := int(o.Server)
-		if s < 0 || s >= numServers || o.Duration <= 0 {
-			continue
+		if known(o.Server) && o.Duration > 0 {
+			down = append(down, span{From: o.At, To: o.At.Add(o.Duration), srv: o.Server})
 		}
-		tl.down[s] = append(tl.down[s], span{From: o.At, To: o.At.Add(o.Duration)})
 	}
-	for s := range tl.down {
-		tl.down[s] = mergeSpans(tl.down[s])
-	}
+	eachServer(down, func(run []span) {
+		merged := mergeSpans(run)
+		tl.down[run[0].srv] = merged[:len(merged):len(merged)]
+		tl.edges += 2 * len(merged)
+	})
+
+	in := make([]span, 0, len(degradations))
 	for _, d := range degradations {
-		s := int(d.Server)
-		if s < 0 || s >= numServers || d.Duration <= 0 || d.Factor <= 0 || d.Factor >= 1 {
-			continue
+		if known(d.Server) && d.Duration > 0 && d.Factor > 0 && d.Factor < 1 {
+			in = append(in, span{From: d.At, To: d.At.Add(d.Duration), Factor: d.Factor, srv: d.Server})
 		}
-		tl.slow[s] = append(tl.slow[s], span{From: d.At, To: d.At.Add(d.Duration), Factor: d.Factor})
 	}
-	for s := range tl.slow {
-		tl.slow[s] = flattenDegradations(tl.slow[s])
-	}
+	// k spans have at most 2k boundary points, so they flatten to at
+	// most 2k−1 spans: slow never outgrows its array.
+	slow := make([]span, 0, 2*len(in))
+	pts := make([]simclock.Time, 0, 2*len(in))
+	eachServer(in, func(run []span) {
+		lo := len(slow)
+		slow, pts = flattenDegradations(slow, run, pts)
+		if hi := len(slow); hi > lo {
+			tl.slow[run[0].srv] = slow[lo:hi:hi]
+			tl.edges += 2 * (hi - lo)
+		}
+	})
 	return tl
 }
 
-// mergeSpans sorts and merges overlapping/adjacent spans.
-func mergeSpans(in []span) []span {
-	if len(in) == 0 {
-		return nil
+// eachServer sorts spans by server, then start, and calls f with each
+// server's run.
+func eachServer(spans []span, f func(run []span)) {
+	slices.SortFunc(spans, func(a, b span) int {
+		if c := cmp.Compare(a.srv, b.srv); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.From, b.From)
+	})
+	for lo := 0; lo < len(spans); {
+		hi := lo + 1
+		for hi < len(spans) && spans[hi].srv == spans[lo].srv {
+			hi++
+		}
+		f(spans[lo:hi])
+		lo = hi
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].From < in[j].From })
+}
+
+// mergeSpans merges overlapping/adjacent spans, sorted by start, in
+// place and returns the merged prefix of in, which is not empty. The
+// merge is the spans' union, so the order the sort left equal starts in
+// does not show.
+func mergeSpans(in []span) []span {
 	out := in[:1]
 	for _, sp := range in[1:] {
 		last := &out[len(out)-1]
@@ -76,22 +117,21 @@ func mergeSpans(in []span) []span {
 	return out
 }
 
-// flattenDegradations converts possibly overlapping factored spans into
-// disjoint sorted spans carrying the minimum factor over the overlap.
-func flattenDegradations(in []span) []span {
-	if len(in) == 0 {
-		return nil
-	}
+// flattenDegradations appends to out the disjoint sorted spans that in,
+// one server's possibly overlapping factored spans, flatten to, each
+// carrying the minimum factor over it. pts is the boundary points'
+// scratch, returned for the next call.
+func flattenDegradations(out, in []span, pts []simclock.Time) ([]span, []simclock.Time) {
 	// Collect boundary points, then for each elementary interval take
 	// the min factor over covering spans. Span counts per server are
 	// small; the O(n²) scan keeps the code simple and is compile-time
 	// only.
-	pts := make([]simclock.Time, 0, 2*len(in))
+	pts = pts[:0]
 	for _, sp := range in {
 		pts = append(pts, sp.From, sp.To)
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
-	var out []span
+	slices.Sort(pts)
+	first := len(out)
 	for i := 0; i+1 < len(pts); i++ {
 		from, to := pts[i], pts[i+1]
 		if to <= from {
@@ -106,13 +146,13 @@ func flattenDegradations(in []span) []span {
 		if factor >= 1 {
 			continue
 		}
-		if n := len(out); n > 0 && out[n-1].To == from && out[n-1].Factor == factor {
+		if n := len(out); n > first && out[n-1].To == from && out[n-1].Factor == factor {
 			out[n-1].To = to
 			continue
 		}
-		out = append(out, span{From: from, To: to, Factor: factor})
+		out = append(out, span{From: from, To: to, Factor: factor, srv: in[0].srv})
 	}
-	return out
+	return out, pts
 }
 
 // DownAt reports whether server sid is down at time t (binary search;
@@ -174,10 +214,12 @@ type Sweep struct {
 	started  bool
 
 	// boundaries is the merged, time-sorted list of every span edge;
-	// evIdx is the pop cursor. touched is scratch for one Advance.
+	// evIdx is the pop cursor. touched and out are scratch for one
+	// Advance, out the transitions it returns.
 	boundaries []boundary
 	evIdx      int
 	touched    []int32
+	out        []Transition
 }
 
 // boundary is one span edge: at this time, this server may change
@@ -199,6 +241,7 @@ func NewSweep(tl *Timeline) *Sweep {
 	for i := range sw.factor {
 		sw.factor[i] = 1
 	}
+	sw.boundaries = make([]boundary, 0, tl.edges)
 	for s := 0; s < n; s++ {
 		for _, sp := range tl.down[s] {
 			sw.boundaries = append(sw.boundaries, boundary{sp.From, int32(s)}, boundary{sp.To, int32(s)})
@@ -207,11 +250,11 @@ func NewSweep(tl *Timeline) *Sweep {
 			sw.boundaries = append(sw.boundaries, boundary{sp.From, int32(s)}, boundary{sp.To, int32(s)})
 		}
 	}
-	sort.Slice(sw.boundaries, func(i, j int) bool {
-		if sw.boundaries[i].at != sw.boundaries[j].at {
-			return sw.boundaries[i].at < sw.boundaries[j].at
+	slices.SortFunc(sw.boundaries, func(a, b boundary) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return sw.boundaries[i].srv < sw.boundaries[j].srv
+		return cmp.Compare(a.srv, b.srv)
 	})
 	return sw
 }
@@ -228,7 +271,10 @@ type Transition struct {
 // and returns the state transitions since the last sample, in server-ID
 // order with down transitions before degradation transitions per
 // server. The first call reports every server that is already down or
-// degraded at t.
+// degraded at t. The slice is the sweep's own, good until the next
+// Advance; nil when nothing changed.
+//
+//gflint:noretain
 func (sw *Sweep) Advance(t simclock.Time) []Transition {
 	if sw.started && t < sw.lastTime {
 		panic("faults: Sweep.Advance called with decreasing time")
@@ -249,12 +295,12 @@ func (sw *Sweep) Advance(t simclock.Time) []Transition {
 	if len(touched) == 0 {
 		return nil
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	slices.Sort(touched)
 
 	// Re-examine touched servers in ascending ID order, emitting the
 	// down transition before the degradation transition per server —
 	// exactly the order of the old all-server scan.
-	var out []Transition
+	out := sw.out[:0]
 	var last int32 = -1
 	for _, s32 := range touched {
 		if s32 == last {
@@ -276,6 +322,10 @@ func (sw *Sweep) Advance(t simclock.Time) []Transition {
 			sw.factor[s] = f
 			out = append(out, Transition{Server: sid, Slow: true, Factor: f})
 		}
+	}
+	sw.out = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
