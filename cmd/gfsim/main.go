@@ -18,7 +18,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -287,21 +286,10 @@ func parseCluster(s string) (*gpu.Cluster, error) {
 	return gpu.New(specs...)
 }
 
+// makePolicy builds the named policy through the scenarios' one
+// constructor; users is the static quota's holder order.
 func makePolicy(name string, trading bool, users []job.UserID) (core.Policy, error) {
-	switch name {
-	case "gandiva-fair":
-		return core.NewFairPolicy(core.FairConfig{EnableTrading: trading})
-	case "tiresias":
-		return baselines.NewTiresias(), nil
-	case "gandiva-rr":
-		return baselines.NewGandivaRR(), nil
-	case "static":
-		return baselines.NewStaticQuota(users), nil
-	case "fifo":
-		return baselines.NewFIFO(), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
-	}
+	return scenario.NewPolicy(name, core.FairConfig{EnableTrading: trading}, users)
 }
 
 // report prints the run's summary; faulty adds the fault-model and

@@ -109,7 +109,7 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 		cfg.Specs = append(cfg.Specs, jc.Spec)
 	}
 	cfg.Tickets, cfg.TicketChanges = cp.Tickets, cp.TicketChanges
-	s, err := NewWithExecutor(cfg, policy, exec, prof)
+	s, err := newEngine(cfg, policy, exec, prof, cp.Pending)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
@@ -127,7 +127,6 @@ func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, 
 	}
 	s.clock.RunUntil(cp.Now)
 	s.rounds = cp.Rounds
-	s.evq = newEventCursor(cp.Pending, cp.TicketChanges)
 	for _, jc := range cp.Active {
 		j, err := job.FromCheckpoint(jc)
 		if err != nil {

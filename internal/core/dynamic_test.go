@@ -89,12 +89,12 @@ func TestQueueDelays(t *testing.T) {
 
 func TestQueueDelayNeverRan(t *testing.T) {
 	j := job.MustNew(job.Spec{ID: 1, User: "u", Perf: zoo.MustGet("vae"), Gang: 1, TotalMB: 10})
-	if _, ok := j.QueueDelay(); ok {
+	if _, ok := queueDelay(j); ok {
 		t.Error("QueueDelay ok for a job that never ran")
 	}
 	j.NoteFirstRun(500)
 	j.NoteFirstRun(900) // second call must not move it
-	if d, ok := j.QueueDelay(); !ok || d != 500 {
+	if d, ok := queueDelay(j); !ok || d != 500 {
 		t.Errorf("QueueDelay = %v, %v; want 500, true", d, ok)
 	}
 }

@@ -240,9 +240,6 @@ func (s *Sim) SetUnreachable(set *gpu.ServerSet) { s.unreachable = set }
 // Rounds returns how many scheduling rounds have run.
 func (s *Sim) Rounds() int { return s.rounds }
 
-// Now returns the engine's virtual time.
-func (s *Sim) Now() simclock.Time { return s.clock.Now() }
-
 // Placement returns where each unfinished job last held devices, as a
 // map built for the call from the jobs' records (job.Job.Devices): the
 // engine keeps no such table. The device slices are the records' own —

@@ -4,8 +4,11 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/fairshare"
 	"repro/internal/gpu"
+	"repro/internal/job"
 	"repro/internal/placement"
+	"repro/internal/simclock"
 	"repro/internal/stride"
 )
 
@@ -60,4 +63,34 @@ func servers(ids ...gpu.ServerID) *gpu.ServerSet {
 func countStrideCompares(n *int) (stop func()) {
 	stride.OnOrder = func(compares int) { *n += compares }
 	return func() { stride.OnOrder = nil }
+}
+
+// Credit is a user's current deficit credits.
+func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
+	if i, ok := p.userAt(u); ok {
+		return p.users[i].credit
+	}
+	return fairshare.Entitlement{}
+}
+
+// QueueDelays returns, for each finished job, the wait from arrival
+// to its first quantum in seconds.
+func (r *Result) QueueDelays() []float64 {
+	out := make([]float64, 0, len(r.Finished))
+	for _, j := range r.Finished {
+		if d, ok := queueDelay(j); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// queueDelay is the wait from a job's arrival to its first quantum,
+// read off the job's checkpoint record; ok is false if it never ran.
+func queueDelay(j *job.Job) (simclock.Duration, bool) {
+	cp := j.Checkpoint()
+	if !cp.EverRan {
+		return 0, false
+	}
+	return cp.FirstRun.Sub(j.Arrival), true
 }

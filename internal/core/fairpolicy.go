@@ -656,15 +656,6 @@ func (p *FairPolicy) JobFinished(id job.ID) {
 	}
 }
 
-// Credit exposes a user's current deficit credits (for tests and
-// debugging).
-func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	if i, ok := p.userAt(u); ok {
-		return p.users[i].credit
-	}
-	return fairshare.Entitlement{}
-}
-
 // userValues builds one user's trading value vector: gang-weighted
 // speedup of each generation over the oldest generation the job has an
 // estimate on, across the user's runnable jobs; all zero while no job

@@ -150,7 +150,7 @@ func TestCrashRestartKeepsJobsFinishing(t *testing.T) {
 		t.Errorf("%d jobcrash events logged, counter says %d", got, res.Crashes)
 	}
 	for _, j := range res.Finished {
-		if j.Crashes() > 0 && j.CheckpointedMB() == 0 {
+		if j.Crashes() > 0 && j.Checkpoint().CkptMB == 0 {
 			t.Errorf("job %d crashed %d times yet never checkpointed", j.ID, j.Crashes())
 		}
 	}
@@ -235,7 +235,7 @@ func TestMidMigrationSourceServerDeath(t *testing.T) {
 		t.Errorf("JCT %v — checkpointed progress was lost in the migration", jct)
 	}
 	// The migration serialized a checkpoint while the source was down.
-	if j.CheckpointedMB() == 0 {
+	if j.Checkpoint().CkptMB == 0 {
 		t.Errorf("no durable checkpoint recorded across the migration")
 	}
 	if res.Crashes != 0 {

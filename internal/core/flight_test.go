@@ -87,7 +87,7 @@ func TestSpansAndFlightDoNotPerturb(t *testing.T) {
 	if len(tr.Spans()) == 0 {
 		t.Fatal("tracer retained no spans")
 	}
-	rounds := rec.Rounds()
+	rounds := flightWindow(t, rec)
 	if len(rounds) == 0 {
 		t.Fatal("flight recorder saw no rounds")
 	}
@@ -153,4 +153,18 @@ func TestAuditViolationDumpsFlight(t *testing.T) {
 	if n := len(d.Rounds); n == 0 || d.Rounds[n-1].Round != 2 {
 		t.Errorf("dump window does not end at the drill round: %d rounds", n)
 	}
+}
+
+// flightWindow dumps the recorder and reads the window back, as a
+// dump's reader sees it.
+func flightWindow(t *testing.T, rec *flight.Recorder) []obs.RoundSnapshot {
+	t.Helper()
+	if err := rec.Dump("manual", ""); err != nil {
+		t.Fatal(err)
+	}
+	d, err := flight.ReadDump(rec.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Rounds
 }

@@ -10,11 +10,21 @@ import (
 	"repro/internal/workload"
 )
 
+// mustHierarchy builds a hierarchy the test knows is valid.
+func mustHierarchy(t *testing.T, orgs map[string]*fairshare.Org) *fairshare.Hierarchy {
+	t.Helper()
+	h, err := fairshare.NewHierarchy(orgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestHierarchicalFairnessEndToEnd(t *testing.T) {
 	// Org "research" (3 users) and org "prod" (1 user) hold equal org
 	// tickets. Flat fairness would give prod's single user 25%;
 	// hierarchical fairness must give each ORG half the cluster.
-	h := fairshare.MustNewHierarchy(map[string]*fairshare.Org{
+	h := mustHierarchy(t, map[string]*fairshare.Org{
 		"research": {Tickets: 1, Weights: map[job.UserID]float64{"r1": 1, "r2": 1, "r3": 1}},
 		"prod":     {Tickets: 1, Weights: map[job.UserID]float64{"p1": 1}},
 	})
@@ -43,7 +53,7 @@ func TestHierarchicalFairnessEndToEnd(t *testing.T) {
 func TestHierarchyWorkConservationAcrossOrgs(t *testing.T) {
 	// prod's user departs (short jobs); research must inherit the
 	// whole cluster afterwards.
-	h := fairshare.MustNewHierarchy(map[string]*fairshare.Org{
+	h := mustHierarchy(t, map[string]*fairshare.Org{
 		"research": {Tickets: 1, Weights: map[job.UserID]float64{"r1": 1}},
 		"prod":     {Tickets: 1, Weights: map[job.UserID]float64{"p1": 1}},
 	})

@@ -130,12 +130,13 @@ func TestTraceCapBoundsSimLog(t *testing.T) {
 	if res.Log.Len() != 5 {
 		t.Errorf("log length = %d, want capped at 5", res.Log.Len())
 	}
-	if res.Log.Dropped() == 0 {
-		t.Error("cap dropped nothing on a run with > 5 events")
-	}
-	// The kept events are the newest: the last one must be a finish
-	// at the end of the run.
+	// The kept events are the newest: the uncapped run's last five.
+	cfg.TraceCap = 0
+	full := runFair(t, cfg, FairConfig{}, simclock.Time(48*simclock.Hour)).Log.Events()
 	evs := res.Log.Events()
+	if len(full) <= 5 || !reflect.DeepEqual(evs, full[len(full)-5:]) {
+		t.Errorf("capped log %v, want the last 5 of the uncapped run's %d events", evs, len(full))
+	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Errorf("ring order broken: %v after %v", evs[i].At, evs[i-1].At)

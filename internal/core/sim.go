@@ -367,24 +367,13 @@ func (r *Result) JCTs() []float64 {
 	return out
 }
 
-// QueueDelays returns, for each finished job, the wait from arrival
-// to its first quantum in seconds.
-func (r *Result) QueueDelays() []float64 {
-	out := make([]float64, 0, len(r.Finished))
-	for _, j := range r.Finished {
-		if d, ok := j.QueueDelay(); ok {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Sim is the round engine: it owns everything a scheduling quantum
 // means — admission, the fairness reference, the policy's decision and
 // its validation, placement, the per-job cost arithmetic, the usage
 // books, retirement, compensation, the auditor — and hands only the
 // carrying-out of the placed quanta to its Executor. Create with New
-// (simulated execution) or NewWithExecutor, run with Run or Step.
+// (simulated execution), NewWithExecutor or Restore, which all build
+// it through newEngine; run with Run or Step.
 type Sim struct {
 	cfg     Config
 	clock   *simclock.Clock
@@ -459,11 +448,10 @@ type Sim struct {
 	robs      *RoundObs         // the policy's handle on obs; nil with it
 	shareBuf  []obs.ShareSample //gflint:noretain shareSamples' result, reused every round
 
-	// Fault-model state: the timeline/sweep pair (the declared Failures
-	// list is compiled into it at New, the generated schedule at Run),
-	// the injector and the breaker. unreachable is the executor's
-	// contribution: servers it cannot carry a quantum out on.
-	ftl         *faults.Timeline
+	// Fault-model state: the sweep over the compiled fault timeline
+	// (built once, by buildFaults), the injector and the breaker.
+	// unreachable is the executor's contribution: servers it cannot
+	// carry a quantum out on.
 	fsweep      *faults.Sweep
 	unreachable *gpu.ServerSet
 	fcfg        faults.Config // cfg.Faults with defaults applied
@@ -534,6 +522,16 @@ func New(cfg Config, policy Policy) (*Sim, error) {
 // config is validated (ProfilerNoise included), but
 // the estimates follow the given profiler's parameters and seed.
 func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler) (*Sim, error) {
+	return newEngine(cfg, policy, exec, prof, cfg.Specs)
+}
+
+// newEngine is the one construction path behind New, NewWithExecutor
+// and Restore. It validates the config, whose Specs are the whole
+// workload (they fix the users and their tables), and builds the event
+// cursor once, over arrivals: the workload itself for a fresh engine,
+// a checkpoint's pending specs for a restored one. When the fault
+// model draws nothing it also builds the fault sweep (see buildFaults).
+func newEngine(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, arrivals []job.Spec) (*Sim, error) {
 	if policy == nil || exec == nil || prof == nil {
 		return nil, fmt.Errorf("core: nil policy, executor or profiler")
 	}
@@ -556,12 +554,10 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 		obs:     cfg.Obs,
 	}
 	s.place = s.placeIndexed
-	// Satellite of the fault model: the declared failure list is
-	// compiled once into sorted per-server intervals instead of being
-	// rescanned every quantum (see faults.Timeline).
-	s.ftl = faults.Compile(declaredOutages(cfg.Failures), nil, cfg.Cluster.NumServers())
-	s.fsweep = faults.NewSweep(s.ftl)
 	s.fcfg = cfg.Faults.WithDefaults()
+	if !s.drawsFaults() {
+		s.buildFaults(nil)
+	}
 	s.finj = faults.NewInjector(s.fcfg, cfg.Quantum, cfg.Seed)
 	s.breaker = faults.NewBreaker(s.fcfg)
 	if cfg.TraceCap > 0 {
@@ -575,7 +571,7 @@ func NewWithExecutor(cfg Config, policy Policy, exec Executor, prof *profiler.Pr
 	if cfg.Flight != nil {
 		cfg.Obs.SetSink(cfg.Flight)
 	}
-	s.evq = newEventCursor(cfg.Specs, cfg.TicketChanges)
+	s.evq = newEventCursor(arrivals, cfg.TicketChanges)
 	jobsOf := make(map[job.UserID]int) // the workload's users and their job counts
 	for i := range cfg.Specs {
 		jobsOf[cfg.Specs[i].User]++
@@ -618,8 +614,10 @@ func (s *Sim) Run(until simclock.Time) (*Result, error) {
 	if until <= 0 {
 		return nil, fmt.Errorf("core: non-positive horizon")
 	}
-	if err := s.materializeFaults(until); err != nil {
-		return nil, err
+	if s.fsweep == nil {
+		if err := s.materializeFaults(until); err != nil {
+			return nil, err
+		}
 	}
 	for {
 		more, err := s.Step(until)
@@ -638,6 +636,9 @@ func (s *Sim) Run(until simclock.Time) (*Result, error) {
 // body, exported for callers that interleave rounds with work of their
 // own (the distributed central: control traffic, snapshots).
 func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
+	if s.fsweep == nil {
+		s.buildFaults(nil) // not driven by Run: the declared failures alone
+	}
 	if s.cfg.Flight != nil {
 		defer func() {
 			if p := recover(); p != nil {
@@ -722,27 +723,42 @@ func declaredOutages(fs []Failure) []faults.Outage {
 	return out
 }
 
-// materializeFaults generates the probabilistic fault schedule for the
-// run's horizon (if configured) and recompiles the timeline with the
-// declared failures merged in. Called once at the top of Run.
+// drawsFaults reports whether the fault model draws a server
+// schedule: crashes, flaky servers or degradation.
+func (s *Sim) drawsFaults() bool {
+	return s.fcfg.ServerMTBFHours != 0 || s.fcfg.FlakyServers != 0 || s.fcfg.DegradeMTBFHours != 0
+}
+
+// materializeFaults draws the fault model's server schedule up to the
+// horizon and builds the sweep over it with the declared failures.
+// Run calls it before its first round when the model draws.
 func (s *Sim) materializeFaults(until simclock.Time) error {
-	if s.fcfg.ServerMTBFHours == 0 && s.fcfg.FlakyServers == 0 && s.fcfg.DegradeMTBFHours == 0 {
-		return nil // nothing probabilistic on the server timeline
-	}
 	// Exponential schedules are generated eagerly, so bound the horizon
 	// against pathological callers (e.g. near-Forever).
-	horizon := until
-	if max := simclock.Time(365 * simclock.Day); horizon > max {
-		horizon = max
-	}
+	horizon := min(until, simclock.Time(365*simclock.Day))
 	sched, err := faults.Generate(s.fcfg, s.cfg.Cluster.NumServers(), horizon, s.cfg.Seed)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	outages := append(declaredOutages(s.cfg.Failures), sched.Outages...)
-	s.ftl = faults.Compile(outages, sched.Degradations, s.cfg.Cluster.NumServers())
-	s.fsweep = faults.NewSweep(s.ftl)
+	s.buildFaults(sched)
 	return nil
+}
+
+// buildFaults compiles the fault timeline — the declared failures
+// plus what sched drew, if anything — into sorted per-server intervals
+// and builds the sweep that walks it, so no round rescans a failure
+// list. Each engine calls it once: at construction when the model
+// draws nothing, else from Run with the schedule drawn for Run's
+// horizon, or from the first Step of an engine Run does not drive,
+// which keeps the declared failures alone.
+func (s *Sim) buildFaults(sched *faults.Schedule) {
+	outages := declaredOutages(s.cfg.Failures)
+	var degradations []faults.Degradation
+	if sched != nil {
+		outages = append(outages, sched.Outages...)
+		degradations = sched.Degradations
+	}
+	s.fsweep = faults.NewSweep(faults.Compile(outages, degradations, s.cfg.Cluster.NumServers()))
 }
 
 // resultDeficit snapshots the outstanding compensation debt by user.

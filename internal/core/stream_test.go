@@ -73,7 +73,8 @@ func TestEveryKindReachesEachSinkOnce(t *testing.T) {
 		csvRows[r[1]]++
 	}
 	inFlight := map[string]int{}
-	for _, snap := range rec.Rounds() {
+	window := flightWindow(t, rec)
+	for _, snap := range window {
 		inFlight["decision"] += len(snap.Decisions)
 		inFlight["trade"] += len(snap.Trades)
 		for _, d := range snap.Decisions {
@@ -85,8 +86,8 @@ func TestEveryKindReachesEachSinkOnce(t *testing.T) {
 			inFlight[e.Kind+"/"+e.Name]++
 		}
 	}
-	if dropped := len(rec.Rounds()) - res.Rounds; dropped != 0 {
-		t.Fatalf("flight window holds %d of %d rounds", len(rec.Rounds()), res.Rounds)
+	if dropped := len(window) - res.Rounds; dropped != 0 {
+		t.Fatalf("flight window holds %d of %d rounds", len(window), res.Rounds)
 	}
 	metric := func(name string, labels ...string) int { return int(o.Value(name, labels...)) }
 

@@ -87,7 +87,10 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	cluster := c.ecfg.Cluster
 	step := func() (usedVictim bool) {
 		t.Helper()
-		prev := c.eng.Placement().Clone()
+		prev := c.eng.Placement()
+		for id, devs := range prev {
+			prev[id] = slices.Clone(devs)
+		}
 		before := c.eng.Rounds()
 		if _, err := c.Steps(1); err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@
 package fairshare
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/gpu"
@@ -164,7 +163,9 @@ type Allocation map[job.UserID]Entitlement
 
 // TotalByGen sums entitlements per generation across users. Users are
 // visited in sorted order so the float rounding is identical across
-// processes regardless of map layout.
+// processes regardless of map layout. It is test support: the fairshare
+// and trade tests check capacity with it, and no production code calls
+// it.
 func (a Allocation) TotalByGen() Entitlement {
 	var out Entitlement
 	for _, u := range job.SortedUsers(a) {
@@ -248,31 +249,6 @@ func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac f
 		}
 		shares[i] += t
 	}
-}
-
-// Validate checks allocation invariants against capacity and demand:
-// per-generation totals within capacity and per-user totals within
-// demand (both up to floating-point slack). It returns the first
-// violation found, generations oldest first, then users in ID order.
-func (a Allocation) Validate(demand map[job.UserID]float64, capacities map[gpu.Generation]int) error {
-	const slack = 1e-6
-	for g, tot := range a.TotalByGen() {
-		if gen := gpu.Generation(g); tot > float64(capacities[gen])+slack {
-			return fmt.Errorf("fairshare: generation %v over-allocated: %v > %d", gen, tot, capacities[gen])
-		}
-	}
-	for _, u := range job.SortedUsers(a) {
-		e := a[u]
-		if t := e.Total(); t > demand[u]+slack {
-			return fmt.Errorf("fairshare: user %s over demand: %v > %v", u, t, demand[u])
-		}
-		for g, v := range e {
-			if v < -slack {
-				return fmt.Errorf("fairshare: user %s negative share on %v: %v", u, gpu.Generation(g), v)
-			}
-		}
-	}
-	return nil
 }
 
 // PerJobTickets splits a user's tickets equally among their n runnable

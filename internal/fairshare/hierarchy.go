@@ -2,7 +2,6 @@ package fairshare
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/job"
 )
@@ -52,27 +51,6 @@ func NewHierarchy(orgs map[string]*Org) (*Hierarchy, error) {
 		}
 	}
 	return &Hierarchy{orgs: orgs}, nil
-}
-
-// MustNewHierarchy is NewHierarchy but panics on invalid input.
-func MustNewHierarchy(orgs map[string]*Org) *Hierarchy {
-	h, err := NewHierarchy(orgs)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Users returns all member users, sorted.
-func (h *Hierarchy) Users() []job.UserID {
-	var out []job.UserID
-	for _, o := range h.orgs {
-		for u := range o.Weights {
-			out = append(out, u)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Flatten converts the hierarchy into per-user tickets for one round

@@ -21,8 +21,6 @@ type AllocationSolver struct {
 
 	alloc Allocation //gflint:noretain solver cache, rewritten on re-solve
 	valid bool
-
-	solves, reuses int
 }
 
 // NewAllocationSolver returns an empty solver.
@@ -43,20 +41,15 @@ func (s *AllocationSolver) Solve(tickets, demand map[job.UserID]float64, capacit
 		floatMapEqual(s.tickets, tickets) &&
 		floatMapEqual(s.demand, demand) &&
 		intMapEqual(s.caps, capacities) {
-		s.reuses++
 		return s.alloc
 	}
 	s.alloc = ComputeAllocation(tickets, demand, capacities)
 	s.valid = true
-	s.solves++
 	s.tickets = copyFloatMap(s.tickets, tickets)
 	s.demand = copyFloatMap(s.demand, demand)
 	s.caps = copyIntMap(s.caps, capacities)
 	return s.alloc
 }
-
-// Stats reports (full solves, cache reuses) since construction.
-func (s *AllocationSolver) Stats() (solves, reuses int) { return s.solves, s.reuses }
 
 func floatMapEqual[K comparable](a, b map[K]float64) bool {
 	if len(a) != len(b) {

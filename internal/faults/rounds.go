@@ -57,6 +57,3 @@ func (s *RoundSet) Active(r int) bool {
 	i := sort.Search(len(s.spans), func(i int) bool { return s.spans[i].To > r })
 	return i < len(s.spans) && s.spans[i].From <= r
 }
-
-// Empty reports whether no round is covered.
-func (s *RoundSet) Empty() bool { return len(s.spans) == 0 }

@@ -3,7 +3,6 @@ package faults
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/gpu"
 	"repro/internal/simclock"
@@ -153,43 +152,6 @@ func flattenDegradations(out, in []span, pts []simclock.Time) ([]span, []simcloc
 		out = append(out, span{From: from, To: to, Factor: factor, srv: in[0].srv})
 	}
 	return out, pts
-}
-
-// DownAt reports whether server sid is down at time t (binary search;
-// used off the hot path and in tests as the reference for Sweep).
-func (tl *Timeline) DownAt(sid gpu.ServerID, t simclock.Time) bool {
-	return lookup(tl.spansDown(sid), t) != nil
-}
-
-// FactorAt returns the degradation factor of server sid at time t
-// (1 when healthy).
-func (tl *Timeline) FactorAt(sid gpu.ServerID, t simclock.Time) float64 {
-	if sp := lookup(tl.spansSlow(sid), t); sp != nil {
-		return sp.Factor
-	}
-	return 1
-}
-
-func (tl *Timeline) spansDown(sid gpu.ServerID) []span {
-	if int(sid) < 0 || int(sid) >= len(tl.down) {
-		return nil
-	}
-	return tl.down[sid]
-}
-
-func (tl *Timeline) spansSlow(sid gpu.ServerID) []span {
-	if int(sid) < 0 || int(sid) >= len(tl.slow) {
-		return nil
-	}
-	return tl.slow[sid]
-}
-
-func lookup(spans []span, t simclock.Time) *span {
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].To > t })
-	if i < len(spans) && spans[i].From <= t {
-		return &spans[i]
-	}
-	return nil
 }
 
 // Sweep is a monotone cursor over a Timeline. The engine samples server

@@ -259,7 +259,9 @@ func (b *Block) New(spec Spec) (*Job, error) {
 	return j, err
 }
 
-// MustNew is New but panics on invalid specs; for tests and fixtures.
+// MustNew is New but panics on invalid specs. It is test support: the
+// tests and fixtures of several packages build jobs with it, and no
+// production code calls it.
 func MustNew(spec Spec) *Job {
 	j, err := New(spec)
 	if err != nil {
@@ -296,15 +298,6 @@ func (j *Job) NoteFirstRun(at simclock.Time) {
 	}
 }
 
-// QueueDelay returns the time the job waited from arrival to its
-// first quantum; ok is false if it never ran.
-func (j *Job) QueueDelay() (simclock.Duration, bool) {
-	if !j.everRan {
-		return 0, false
-	}
-	return j.firstRun.Sub(j.Arrival), true
-}
-
 // RanLastQuantum reports whether the job held GPUs in the previous
 // quantum; the core uses it to decide whether resume overhead applies.
 func (j *Job) RanLastQuantum() bool { return j.lastRan }
@@ -336,28 +329,6 @@ func Progress(doneMB, totalMB, rate float64, dur simclock.Duration) (float64, si
 		return totalMB, need, true
 	}
 	return doneMB + rate*dur, dur, false
-}
-
-// Advance runs the gang on generation g for up to dur seconds of
-// useful compute: Progress, applied to the job. It returns the duration
-// actually consumed and whether the job finished. now is the virtual
-// time at the start of the useful period, used to stamp the finish
-// time. Calling Advance on a generation the job does not fit panics:
-// the placement layer must never do that.
-func (j *Job) Advance(g gpu.Generation, dur simclock.Duration, now simclock.Time) (used simclock.Duration, finished bool) {
-	if j.state == Done {
-		panic(fmt.Sprintf("job %d: Advance on done job", j.ID))
-	}
-	if dur < 0 {
-		panic(fmt.Sprintf("job %d: negative duration %v", j.ID, dur))
-	}
-	rate := j.GangRate(g)
-	if rate <= 0 {
-		panic(fmt.Sprintf("job %d (%s): advanced on unusable generation %v", j.ID, j.Perf.Model, g))
-	}
-	doneMB, used, finished := Progress(j.doneMB, j.TotalMB, rate, dur)
-	j.ApplyReport(doneMB, g, float64(j.Gang)*used, finished, now.Add(used))
-	return used, finished
 }
 
 // ApplyReport overwrites progress with what an executor reported for a
@@ -504,9 +475,6 @@ func (j *Job) PeriodicCheckpoint(start, end simclock.Time, every simclock.Durati
 	}
 }
 
-// CheckpointedMB returns progress as of the last durable checkpoint.
-func (j *Job) CheckpointedMB() float64 { return j.ckptMB }
-
 // Crash models a job crash: progress rolls back to the last durable
 // checkpoint, the job drops to Runnable, and its next quantum pays
 // resume overhead (restart from checkpoint). It returns the minibatches
@@ -571,23 +539,11 @@ func (j *Job) AttainedService() float64 {
 	return s
 }
 
-// GPUSeconds returns useful gang-GPU-seconds on one generation.
-func (j *Job) GPUSeconds(g gpu.Generation) float64 {
-	if !g.Valid() {
-		return 0
-	}
-	return j.gpuSecs[g]
-}
-
 // OverheadSeconds returns accumulated overhead (resume+migration).
 func (j *Job) OverheadSeconds() float64 { return j.overheadS }
 
 // Migrations returns how many times the job was migrated.
 func (j *Job) Migrations() int { return int(j.migrations) }
-
-// Preemptions returns how many times the job was suspended after
-// running.
-func (j *Job) Preemptions() int { return int(j.preempts) }
 
 func (j *Job) String() string {
 	return fmt.Sprintf("job %d[user=%s model=%s gang=%d %.0f%% %v]",

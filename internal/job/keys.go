@@ -20,7 +20,9 @@ func SortedUsers[V any](m map[UserID]V) []UserID {
 	return out
 }
 
-// SortedIDs is SortedUsers for per-job maps.
+// SortedIDs is SortedUsers for per-job maps. It is test support: the
+// tests of several packages walk per-job maps with it, and no
+// production code calls it.
 func SortedIDs[V any](m map[ID]V) []ID {
 	out := make([]ID, 0, len(m))
 	for id := range m {

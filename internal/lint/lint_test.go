@@ -3,8 +3,12 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -409,19 +413,209 @@ func lineOf(t *testing.T, src []byte, substr string) int {
 	return 1 + bytes.Count(src[:idx], []byte("\n"))
 }
 
+// realModule is the repository loaded as CI lints it (./..., test
+// files included), type-checked once and shared by the tests that
+// read the whole module.
+var realModule struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+func loadRealModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("typechecks the whole module; skipped in -short")
+	}
+	realModule.once.Do(func() {
+		loader, err := NewLoader(LoadConfig{Dir: repoRoot(t), Tests: true})
+		if err != nil {
+			realModule.err = err
+			return
+		}
+		realModule.pkgs, realModule.err = loader.Load("./...")
+	})
+	if realModule.err != nil {
+		t.Fatal(realModule.err)
+	}
+	return realModule.pkgs
+}
+
 // TestRealModuleClean is the CI contract run in-process: the
 // repository itself — test files included, exactly as CI invokes
 // gflint — must stay free of findings.
 func TestRealModuleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module; skipped in -short")
-	}
-	if diags := runOver(t, LoadConfig{Dir: repoRoot(t), Tests: true}, "./..."); len(diags) != 0 {
+	if diags := Run(loadRealModule(t), Analyzers()); len(diags) != 0 {
 		var b strings.Builder
 		for _, d := range diags {
 			b.WriteString(d.String())
 			b.WriteString("\n")
 		}
 		t.Fatalf("gflint findings in the repository:\n%s", b.String())
+	}
+}
+
+// callerAllowlist names the exported functions in internal/ that no
+// non-test file calls and that stay anyway, each with its reason: test
+// support that the tests of several packages share. Keys are
+// "import/path.Name" or "import/path.Type.Method".
+var callerAllowlist = map[string]string{
+	"repro/internal/job.MustNew":                     "fixture constructor for the tests of seven packages",
+	"repro/internal/job.SortedIDs":                   "sorted walk of per-job maps in the core, job, placement and stride tests",
+	"repro/internal/obs.Observer.Value":              "reads one metric series for the obs, core and distrib tests",
+	"repro/internal/placement.Index.DeviceOps":       "the operation gate's device counters, which only the core tests bind",
+	"repro/internal/fairshare.Allocation.TotalByGen": "capacity sums for the fairshare and trade tests; its sorted sum anchors the lint mutation tests",
+}
+
+// TestEveryExportHasACaller holds internal/ (this package aside) to
+// "one concept, one implementation, one call site": every exported
+// function and method must be used by a non-test file somewhere in
+// the load, cmd/gfperf included, or be reachable through an interface
+// some loaded type declares. A name only tests call belongs in a
+// _test.go file. Declarations are keyed by package path, receiver type
+// and name, because the loader checks a package both as a dependency
+// and as a root with its tests, and the two object sets differ.
+func TestEveryExportHasACaller(t *testing.T) {
+	pkgs := loadRealModule(t)
+	const scope = "repro/internal/"
+
+	key := func(fn *types.Func) string {
+		fn = fn.Origin()
+		if fn.Pkg() == nil {
+			return ""
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return fn.Pkg().Path() + "." + fn.Name()
+		}
+		rt := recv.Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		named, ok := rt.(*types.Named)
+		if !ok {
+			return "" // an interface's own method
+		}
+		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	inTest := func(pkg *Package, pos token.Pos) bool {
+		return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
+	}
+
+	// Declarations under scope, and every use from a non-test file.
+	decls := make(map[string]*types.Func)
+	used := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok && !inTest(pkg, id.Pos()) {
+				used[key(fn)] = true
+			}
+		}
+		if !strings.HasPrefix(pkg.Path, scope) || strings.HasPrefix(pkg.Path, scope+"lint") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			if inTest(pkg, f.Package) {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					if k := key(fn); k != "" {
+						decls[k] = fn
+					}
+				}
+			}
+		}
+	}
+
+	// Interfaces the load can call a method through, by method name:
+	// every interface type the module's code mentions, and every
+	// named interface of every package it imports.
+	ifaces := make(map[string][]*types.Interface)
+	seenIface := make(map[*types.Interface]bool)
+	addIface := func(it *types.Interface) {
+		if seenIface[it] {
+			return
+		}
+		seenIface[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			ifaces[name] = append(ifaces[name], it)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seenPkg := make(map[*types.Package]bool)
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seenPkg[p] {
+			return
+		}
+		seenPkg[p] = true
+		sc := p.Scope()
+		for _, name := range sc.Names() {
+			if tn, ok := sc.Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					addIface(it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, pkg := range pkgs {
+		walk(pkg.Types)
+		for _, tv := range pkg.Info.Types {
+			if tv.Type == nil {
+				continue
+			}
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+				addIface(it)
+			}
+		}
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil {
+			return false
+		}
+		rt := recv.Type()
+		if _, ok := rt.(*types.Pointer); !ok {
+			rt = types.NewPointer(rt) // the pointer's method set holds both
+		}
+		for _, it := range ifaces[fn.Name()] {
+			if types.Implements(rt, it) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var orphans []string
+	for k, fn := range decls {
+		if used[k] || viaInterface(fn) {
+			continue
+		}
+		if _, ok := callerAllowlist[k]; ok {
+			continue
+		}
+		orphans = append(orphans, k)
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("%d exported names in internal/ have no caller outside tests; move each to its package's _test.go or delete it:\n\t%s",
+			len(orphans), strings.Join(orphans, "\n\t"))
+	}
+	for k := range callerAllowlist {
+		if fn, ok := decls[k]; !ok || used[k] || viaInterface(fn) {
+			t.Errorf("allowlisted %s is gone or has a caller now; drop it from callerAllowlist", k)
+		}
+	}
+	if len(callerAllowlist) > 6 {
+		t.Errorf("callerAllowlist has %d entries, at most 6 allowed", len(callerAllowlist))
 	}
 }

@@ -181,7 +181,8 @@ func (o *Observer) WritePrometheus(w io.Writer) error {
 
 // Value reads one counter or gauge series — by family name and, for a
 // labelled family, its label value — off the family's exposition; 0
-// when absent. It is for tests and harness assertions.
+// when absent. It is test support: the obs, core and distrib tests
+// read series through it, and no production code does.
 func (o *Observer) Value(name string, labelVals ...string) float64 {
 	i, ok := slices.BinarySearchFunc(families[:], name, func(f family, name string) int {
 		return strings.Compare(f.name, name)

@@ -86,16 +86,6 @@ func (r *Recorder) RecordRound(s obs.RoundSnapshot) {
 	r.mu.Unlock()
 }
 
-// Rounds returns the retained snapshots oldest-first.
-func (r *Recorder) Rounds() []obs.RoundSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rounds.Slice()
-}
-
 // Dump writes the current window to the recorder's path atomically
 // (tmp + rename), overwriting any previous dump. A nil Recorder
 // dumps nothing and returns nil, so failure paths can call it

@@ -14,6 +14,16 @@ import (
 	"repro/internal/trace"
 )
 
+// Rounds returns the retained snapshots oldest-first.
+func (r *Recorder) Rounds() []obs.RoundSnapshot {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rounds.Slice()
+}
+
 func snap(round int) obs.RoundSnapshot {
 	return obs.RoundSnapshot{
 		Round: round, SimAt: float64(round) * 360,

@@ -110,14 +110,6 @@ func hashProc(proc string) uint32 {
 	return v
 }
 
-// Proc returns the tracer's process name ("" for nil).
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
-}
-
 // ns returns at as wall-anchored monotonic nanoseconds since the Unix
 // epoch: the wall epoch captured at construction plus the monotonic
 // time elapsed since, immune to wall-clock steps.
@@ -292,18 +284,6 @@ func (t *Tracer) RoundSpans(round int) []Span {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the retained spans as an indented JSON array
-// (oldest-first; `[]` when empty).
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	spans := t.Spans()
-	if spans == nil {
-		spans = []Span{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(spans)
 }
 
 // WriteChromeTrace renders spans in Chrome trace_event JSON (the

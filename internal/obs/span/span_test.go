@@ -138,37 +138,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Spans() != nil || tr.Root() != 0 || tr.Trace() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer leaked state")
 	}
-	if tr.Proc() != "" {
-		t.Fatal("nil tracer proc")
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := New("sim", 16)
-	tr.BeginRound(0, 0)
-	tr.End(tr.Start("decide"))
-	tr.EndRound()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var got []Span
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("round-tripped %d spans, want 2", len(got))
-	}
-
-	// Empty tracer renders [] not null.
-	var empty bytes.Buffer
-	if err := New("x", 4).WriteJSON(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if string(bytes.TrimSpace(empty.Bytes())) != "[]" {
-		t.Fatalf("empty export = %q, want []", empty.String())
-	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {

@@ -273,8 +273,9 @@ func (idx *Index) Release(j *job.Job) {
 }
 
 // DeviceOps returns how many devices the index has taken and released
-// since it was built. The counts are deterministic; tests and the
-// gpu-scale benchmark bind them to a round's churn.
+// since it was built. The counts are deterministic. It is test
+// support: the engine's operation-gate tests bind them to a round's
+// churn, and no production code reads them.
 func (idx *Index) DeviceOps() (takes, releases int) { return idx.takes, idx.releases }
 
 // PlaceRound computes the round's assignment, identical to what Place

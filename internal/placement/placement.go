@@ -21,17 +21,6 @@ import (
 // slices are sorted ascending.
 type Assignment map[job.ID][]gpu.DeviceID
 
-// Clone deep-copies the assignment.
-func (a Assignment) Clone() Assignment {
-	out := make(Assignment, len(a))
-	for id, devs := range a {
-		cp := make([]gpu.DeviceID, len(devs))
-		copy(cp, devs)
-		out[id] = cp
-	}
-	return out
-}
-
 // Request asks for one job to run this round on one generation.
 type Request struct {
 	Job *job.Job

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gpu"
@@ -10,6 +11,15 @@ import (
 )
 
 var zoo = workload.DefaultZoo()
+
+// Clone deep-copies the assignment.
+func (a Assignment) Clone() Assignment {
+	out := make(Assignment, len(a))
+	for id, devs := range a {
+		out[id] = slices.Clone(devs)
+	}
+	return out
+}
 
 func mkJob(id job.ID, gang int) *job.Job {
 	return job.MustNew(job.Spec{

@@ -199,17 +199,6 @@ func (p *Profiler) Samples(id job.ID, g gpu.Generation) int {
 	return p.index()[id].Samples(g)
 }
 
-// Speedup returns the estimated fast/slow per-GPU rate ratio for a
-// job, and whether both estimates exist.
-func (p *Profiler) Speedup(id job.ID, fast, slow gpu.Generation) (float64, bool) {
-	rf, okf := p.Rate(id, fast)
-	rs, oks := p.Rate(id, slow)
-	if !okf || !oks || rs <= 0 {
-		return 0, false
-	}
-	return rf / rs, true
-}
-
 // Remove forgets a finished job; its record is reused.
 func (p *Profiler) Remove(j *job.Job) {
 	if e := p.Estimates(j); e != nil {

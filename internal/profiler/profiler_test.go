@@ -10,6 +10,17 @@ import (
 	"repro/internal/workload"
 )
 
+// Speedup returns the estimated fast/slow per-GPU rate ratio for a
+// job, and whether both estimates exist.
+func (p *Profiler) Speedup(id job.ID, fast, slow gpu.Generation) (float64, bool) {
+	rf, okf := p.Rate(id, fast)
+	rs, oks := p.Rate(id, slow)
+	if !okf || !oks || rs <= 0 {
+		return 0, false
+	}
+	return rf / rs, true
+}
+
 func testJob(model string, id job.ID) *job.Job {
 	z := workload.DefaultZoo()
 	return job.MustNew(job.Spec{

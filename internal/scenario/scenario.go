@@ -273,13 +273,16 @@ func (s *Scenario) buildWorkload(zoo *workload.Zoo) ([]job.Spec, error) {
 	return workload.Generate(zoo, workload.Config{Seed: s.Seed, Users: users})
 }
 
+// buildPolicy builds the scenario's policy through NewPolicy: for
+// gandiva-fair the trading, compensation, price policy and hierarchy it
+// describes, and for a static quota its users, in their listed order,
+// as the holders.
 func (s *Scenario) buildPolicy() (core.Policy, error) {
-	switch s.Policy {
-	case "", "gandiva-fair":
-		fc := core.FairConfig{
-			EnableTrading:       s.Trading,
-			DisableCompensation: s.DisableCompensation,
-		}
+	fc := core.FairConfig{
+		EnableTrading:       s.Trading,
+		DisableCompensation: s.DisableCompensation,
+	}
+	if s.Policy == "" || s.Policy == "gandiva-fair" {
 		switch s.PricePolicy {
 		case "", "geometric":
 			fc.Trade.Policy = trade.Geometric
@@ -307,20 +310,30 @@ func (s *Scenario) buildPolicy() (core.Policy, error) {
 			}
 			fc.Hierarchy = h
 		}
+	}
+	users := make([]job.UserID, len(s.Users))
+	for i, u := range s.Users {
+		users[i] = job.UserID(u.Name)
+	}
+	return NewPolicy(s.Policy, fc, users)
+}
+
+// NewPolicy builds a policy by name: gandiva-fair ("" too) from fc, or
+// one of the baselines tiresias, gandiva-rr, static and fifo. users is
+// the static quota's holder order, which each caller keeps its own.
+func NewPolicy(name string, fc core.FairConfig, users []job.UserID) (core.Policy, error) {
+	switch name {
+	case "", "gandiva-fair":
 		return core.NewFairPolicy(fc)
 	case "tiresias":
 		return baselines.NewTiresias(), nil
 	case "gandiva-rr":
 		return baselines.NewGandivaRR(), nil
 	case "static":
-		var users []job.UserID
-		for _, u := range s.Users {
-			users = append(users, job.UserID(u.Name))
-		}
 		return baselines.NewStaticQuota(users), nil
 	case "fifo":
 		return baselines.NewFIFO(), nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown policy %q", s.Policy)
+		return nil, fmt.Errorf("scenario: unknown policy %q", name)
 	}
 }

@@ -304,13 +304,3 @@ func (s *Scheduler) Select(cands []Candidate, capacity int) []job.ID {
 	}
 	return ids
 }
-
-// Charge advances a job's pass (see the package's Charge). Charging an
-// unknown job panics too.
-func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
-	p, ok := s.pass[id]
-	if !ok {
-		panic(fmt.Sprintf("stride: Charge for unknown job %d", id))
-	}
-	s.pass[id] = Charge(id, p, gpuSeconds, tickets)
-}

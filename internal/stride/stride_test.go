@@ -1,6 +1,7 @@
 package stride
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,6 +9,16 @@ import (
 
 	"repro/internal/job"
 )
+
+// Charge advances a job's pass (see the package's Charge). Charging an
+// unknown job panics too.
+func (s *Scheduler) Charge(id job.ID, gpuSeconds, tickets float64) {
+	p, ok := s.pass[id]
+	if !ok {
+		panic(fmt.Sprintf("stride: Charge for unknown job %d", id))
+	}
+	s.pass[id] = Charge(id, p, gpuSeconds, tickets)
+}
 
 // ids lists the IDs at the positions Order or Select built.
 func ids(cands []Candidate, order []int32) []job.ID {

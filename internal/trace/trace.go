@@ -152,7 +152,7 @@ type Event struct {
 //
 // By default the log grows without bound. SetCap turns it into a ring
 // over the most recent events so unbounded-horizon runs and long sweeps
-// keep memory flat; Dropped reports how many events the ring discarded.
+// keep memory flat.
 type Log struct{ recs ring.Ring[entry] }
 
 // entry is a logged Record as the log holds it — most of what a long
@@ -178,9 +178,6 @@ func (e *entry) event() Event {
 // SetCap bounds the log to the most recent n events (n <= 0 removes
 // the bound), dropping the oldest at once if more are held.
 func (l *Log) SetCap(n int) { l.recs.SetCap(n) }
-
-// Dropped returns how many events the cap has discarded.
-func (l *Log) Dropped() int { return int(l.recs.Dropped()) }
 
 // Len returns the event count.
 func (l *Log) Len() int { return l.recs.Len() }

@@ -15,6 +15,9 @@ import (
 	"repro/internal/simclock"
 )
 
+// Dropped returns how many events the cap has discarded.
+func (l *Log) Dropped() int { return int(l.recs.Dropped()) }
+
 func fixture() *Log {
 	l := &Log{}
 	l.Append(

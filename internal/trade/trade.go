@@ -362,14 +362,3 @@ func apply(parties []Party, t found) {
 		}
 	}
 }
-
-// ValueOf computes a user's throughput-valued allocation Σ_g E(g)·v(g)
-// under their own value vector — the quantity trading must strictly
-// increase for both parties.
-func ValueOf(e fairshare.Entitlement, v [gpu.NumGenerations]float64) float64 {
-	var sum float64
-	for g := range e {
-		sum += e[g] * v[g]
-	}
-	return sum
-}

@@ -12,6 +12,17 @@ import (
 	"repro/internal/job"
 )
 
+// ValueOf computes a user's throughput-valued allocation Σ_g E(g)·v(g)
+// under their own value vector — the quantity trading must strictly
+// increase for both parties.
+func ValueOf(e fairshare.Entitlement, v [gpu.NumGenerations]float64) float64 {
+	var sum float64
+	for g := range e {
+		sum += e[g] * v[g]
+	}
+	return sum
+}
+
 // twoUserFixture: blind fair share on 40 K80 + 8 V100, equal split.
 // fastUser values V100 at 4× K80; slowUser at 1.2×.
 func twoUserFixture() (fairshare.Allocation, Values) {

@@ -110,6 +110,7 @@ func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	specs := make([]job.Spec, 0, n)
+	var named []*job.Perf // the models a user names, resolved; reused user to user
 	for _, u := range cfg.Users {
 		if u.User == "" {
 			return nil, fmt.Errorf("workload: user with empty name")
@@ -117,9 +118,13 @@ func Generate(z *Zoo, cfg Config) ([]job.Spec, error) {
 		if u.NumJobs <= 0 {
 			return nil, fmt.Errorf("workload: user %s: NumJobs must be positive", u.User)
 		}
-		models, err := resolveModels(z, u.Models)
-		if err != nil {
-			return nil, fmt.Errorf("workload: user %s: %w", u.User, err)
+		models := z.Models()
+		if len(u.Models) > 0 {
+			var err error
+			if named, err = resolveModels(z, u.Models, named[:0]); err != nil {
+				return nil, fmt.Errorf("workload: user %s: %w", u.User, err)
+			}
+			models = named
 		}
 		gangs := u.GangDist
 		if gangs == nil {
@@ -181,11 +186,8 @@ func MustGenerate(z *Zoo, cfg Config) []job.Spec {
 	return specs
 }
 
-func resolveModels(z *Zoo, names []string) ([]*job.Perf, error) {
-	if len(names) == 0 {
-		return z.Models(), nil
-	}
-	out := make([]*job.Perf, 0, len(names))
+// resolveModels appends the named models to out.
+func resolveModels(z *Zoo, names []string, out []*job.Perf) ([]*job.Perf, error) {
 	for _, n := range names {
 		p, err := z.Get(n)
 		if err != nil {

@@ -42,9 +42,12 @@ func generateStable(z *Zoo, cfg Config) ([]job.Spec, error) {
 		if u.NumJobs <= 0 {
 			return nil, fmt.Errorf("workload: user %s: NumJobs must be positive", u.User)
 		}
-		models, err := resolveModels(z, u.Models)
-		if err != nil {
-			return nil, fmt.Errorf("workload: user %s: %w", u.User, err)
+		models := z.Models()
+		if len(u.Models) > 0 {
+			var err error
+			if models, err = resolveModels(z, u.Models, nil); err != nil {
+				return nil, fmt.Errorf("workload: user %s: %w", u.User, err)
+			}
 		}
 		gangs := u.GangDist
 		if gangs == nil {
@@ -187,21 +190,29 @@ func TestGenerateMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocsIndependentOfJobs: Generate sizes its output once
-// and orders it with one key array, so its allocation count depends on
-// the users, not on how many jobs each has.
+// TestGenerateAllocsIndependentOfJobs: Generate sizes its output once,
+// orders it with one key array and resolves the models users name into
+// one buffer, so its allocation count depends neither on how many jobs
+// each user has nor on how many users name models.
 func TestGenerateAllocsIndependentOfJobs(t *testing.T) {
 	z := DefaultZoo()
-	allocs := func(jobs int) float64 {
-		cfg := Config{Seed: 42, Users: randomUsers(rand.New(rand.NewSource(42)), 20)}
+	allocs := func(users, jobs int, models []string) float64 {
+		cfg := Config{Seed: 42, Users: randomUsers(rand.New(rand.NewSource(42)), users)}
 		for i := range cfg.Users {
 			cfg.Users[i].NumJobs = jobs
+			cfg.Users[i].Models = models
 		}
 		return testing.AllocsPerRun(5, func() { MustGenerate(z, cfg) })
 	}
-	small, large := allocs(25), allocs(2500)
+	small, large := allocs(20, 25, nil), allocs(20, 2500, nil)
 	t.Logf("Generate, 20 users: %.0f allocations at 25 jobs each, %.0f at 2,500", small, large)
 	if small != large {
 		t.Errorf("allocations grow with jobs per user: %.0f at 25, %.0f at 2,500", small, large)
+	}
+	named := []string{"vae", "lstm", "resnet50"}
+	few, many := allocs(20, 25, named), allocs(2000, 25, named)
+	t.Logf("Generate, users naming models, 25 jobs each: %.0f allocations at 20 users, %.0f at 2,000", few, many)
+	if few != many {
+		t.Errorf("allocations grow with users naming models: %.0f at 20, %.0f at 2,000", few, many)
 	}
 }
