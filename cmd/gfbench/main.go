@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gfbench                 # run every experiment (E1..E12, A1..A3)
+//	gfbench                 # run every experiment (E1..E13, A1..A5)
 //	gfbench -exp E10,E11    # run selected experiments
 //	gfbench -quick          # ~5× shorter horizons (wider error bars)
 //	gfbench -seed 7         # change the deterministic seed

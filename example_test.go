@@ -6,7 +6,6 @@ package gandivafair_test
 
 import (
 	"fmt"
-	"sort"
 
 	gf "repro"
 )
@@ -69,14 +68,9 @@ func ExampleNewHierarchy() {
 		"research": {Tickets: 1, Weights: map[gf.UserID]float64{"r1": 1, "r2": 1}},
 		"prod":     {Tickets: 1, Weights: map[gf.UserID]float64{"p1": 1}},
 	})
-	tickets := h.Flatten([]gf.UserID{"r1", "r2", "p1"})
-	var users []gf.UserID
-	for u := range tickets {
-		users = append(users, u)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, u := range users {
-		fmt.Printf("%s: %.1f\n", u, tickets[u])
+	users := []gf.UserID{"p1", "r1", "r2"} // the active users, in ID order
+	for i, t := range h.FlattenInto(users, nil) {
+		fmt.Printf("%s: %.1f\n", users[i], t)
 	}
 	// Output:
 	// p1: 1.0

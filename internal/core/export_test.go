@@ -67,7 +67,7 @@ func countStrideCompares(n *int) (stop func()) {
 
 // Credit is a user's current deficit credits.
 func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	if i, ok := p.userAt(u); ok {
+	if i, ok := slices.BinarySearchFunc(p.users, u, func(us userRow, u job.UserID) int { return cmp.Compare(us.id, u) }); ok {
 		return p.users[i].credit
 	}
 	return fairshare.Entitlement{}

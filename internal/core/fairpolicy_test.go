@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/gpu"
@@ -42,7 +43,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		})
 		// Equal pass, so the wider gang is granted first; the user's whole
 		// share (their demand, 10 GPUs) funds both from credit.
-		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.all[0].viaCredit || !p.all[1].viaCredit {
+		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.jobs[0].viaCredit || !p.jobs[1].viaCredit {
 			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
 		}
 		p.users[0].credit[gpu.K80] = credit // "u", the only user
@@ -54,14 +55,16 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 	}
 }
 
-// TestGroupKeepsNoDroppedJob pins that an active user's jobs list holds
-// no record past its length: group clears the list before regrouping
-// it, so a user whose runnable set shrank does not pin the dropped
-// jobs' records, and with them their blocks, for as long as the user
-// stays active. 200 users × 25 jobs arrive and finish over 150 rounds,
-// trading on; after every round each active user's jobs[len:cap] must
-// be all nil. Emptying the list without clearing it left 6,974 such
-// pointers, summed over the rounds.
+// TestGroupKeepsNoDroppedJob pins that no table of the policy holds a
+// job past its length. A job or user row holds no pointer (its job is
+// RoundState.Jobs[at]), so a table of rows cannot pin one; the one table
+// of jobs, the Decision.Run buffer, is cleared by Decide past a shorter
+// round's requests, so a runnable set that shrank does not pin the
+// dropped jobs for as long as the policy keeps the storage. 200 users ×
+// 25 jobs arrive and finish over 150 rounds, trading on; after every
+// round the buffer past the round's requests must hold no job. Leaving
+// a longer round's requests there left 2,540 such pointers, summed
+// over the rounds.
 func TestGroupKeepsNoDroppedJob(t *testing.T) {
 	const users, jobsPerUser, rounds = 200, 25, 150
 	cluster := gpu.MustNew(
@@ -83,25 +86,30 @@ func TestGroupKeepsNoDroppedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, row := range []reflect.Type{reflect.TypeFor[jobRow](), reflect.TypeFor[userRow]()} {
+		for i := range row.NumField() {
+			if f := row.Field(i); f.Type.Kind() == reflect.Pointer {
+				t.Fatalf("%v.%s is a pointer: a table of rows past its length could pin what it points to", row, f.Name)
+			}
+		}
+	}
 	stale := 0
 	for r := 0; r < rounds; r++ {
 		if ran, err := s.Step(simclock.Forever); !ran || err != nil {
 			t.Fatalf("round %d: ran=%v err=%v", r, ran, err)
 		}
-		for _, us := range policy.users {
-			for _, js := range us.jobs[len(us.jobs):cap(us.jobs)] {
-				if js != nil {
-					stale++
-				}
+		for _, req := range policy.run[len(policy.run):cap(policy.run)] {
+			if req.Job != nil {
+				stale++
 			}
 		}
 	}
 	finished := len(s.Result().Finished)
-	t.Logf("%d jobs finished in %d rounds; %d records held past a jobs list's length", finished, rounds, stale)
+	t.Logf("%d jobs finished in %d rounds; %d jobs held past a table's length", finished, rounds, stale)
 	if finished < users {
 		t.Fatalf("only %d jobs finished: the runnable sets do not shrink", finished)
 	}
 	if stale != 0 {
-		t.Errorf("active users' jobs lists hold %d records past their length", stale)
+		t.Errorf("the policy's tables hold %d jobs past their length", stale)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
@@ -112,7 +113,7 @@ func TestSteadyStateRoundAllocCeiling(t *testing.T) {
 // TestFairRoundAllocsPerUser pins what a user costs the fairness
 // pipeline per round — water-fill, trade, credit, stride pick — at a
 // fraction of an allocation and a fixed number of bytes: the policy
-// keeps one record per user and per job and merges them in place, the
+// lays its rows per user and per job out into tables it keeps, the
 // water-fill and the trade walk users by position over slices kept
 // between rounds, the stride kernel orders positions in a slice the
 // policy keeps, and the Decision's requests are built in a buffer it
@@ -318,13 +319,11 @@ func (p *policyMallocs) JobFinished(id job.ID)    { p.count(func() { p.Policy.Jo
 // TestReturningUserAllocsNothing pins what a user who comes back costs
 // the policy: nothing. 64 users each run one short job every fourth
 // round, so every round a quarter of them arrive and the quarter whose
-// jobs finished leave. A user who leaves hands their record, reset and
-// with its lists emptied, to the next user the policy meets; a record
-// cut from a block is a user the policy had never held so many of at
-// once. The job records are cut before the measured rounds, so only the
-// users' cost is counted. It measures 0.00 allocations per returning
-// user; a record and two lists made for each cost 3.00. The count is
-// deterministic.
+// jobs finished leave. The policy lays each round out into tables it
+// keeps, which the warm-up brings to their high-water mark, so a user
+// who leaves frees a row the next one fills. It measures 0.00
+// allocations per returning user; a record and two lists made for each
+// cost 3.00. The count is deterministic.
 func TestReturningUserAllocsNothing(t *testing.T) {
 	const users, period, rounds = 64, 4, 60
 	perf := zoo.MustGet("vae")
@@ -352,7 +351,6 @@ func TestReturningUserAllocsNothing(t *testing.T) {
 	for i := 0; i < 3*period; i++ { // every user has left and come back
 		step()
 	}
-	policy.jobBlock = make([]jobState, len(specs))
 	probe.mallocs, probe.returns = 0, 0
 	for i := 0; i < rounds-4*period; i++ {
 		step()
@@ -634,4 +632,82 @@ func BenchmarkRoundGPUScale(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*rounds), "ms/round")
 	b.ReportMetric(float64(deviceOps)/float64(b.N*rounds), "takes+releases/round")
+}
+
+// tenantScaleConfig is the gfperf tenant-scale shape: 833 servers of 4
+// GPUs per generation, 2,000 users of 25 jobs with the Philly gang mix
+// and two zoo models each, 2 jobs at t=0 and the rest arriving at 0.7
+// an hour, a mean of 6 K80-hours, tickets 1/2/3 by user index, strict
+// audit.
+func tenantScaleConfig(tb testing.TB) Config {
+	tb.Helper()
+	const users, jobsPerUser, batch = 2000, 25, 2
+	cluster := gpu.MustNew(
+		gpu.Spec{Gen: gpu.K80, Servers: 833, GPUsPerSrv: 4},
+		gpu.Spec{Gen: gpu.P100, Servers: 833, GPUsPerSrv: 4},
+		gpu.Spec{Gen: gpu.V100, Servers: 833, GPUsPerSrv: 4},
+	)
+	zoo := workload.DefaultZoo()
+	names := zoo.Names()
+	specs := make([]workload.UserSpec, 0, 2*users)
+	tickets := make(map[job.UserID]float64, users)
+	for i := 0; i < users; i++ {
+		u := workload.UserSpec{
+			User:               job.UserID(fmt.Sprintf("user%04d", i+1)),
+			NumJobs:            jobsPerUser - batch,
+			ArrivalRatePerHour: 0.7,
+			MeanK80Hours:       6,
+			Models:             []string{names[i%len(names)], names[(i+3)%len(names)]},
+		}
+		specs = append(specs, u)
+		u.NumJobs, u.ArrivalRatePerHour = batch, 0
+		specs = append(specs, u)
+		tickets[u.User] = float64(1 + i%3)
+	}
+	jobs, err := workload.Generate(zoo, workload.Config{Seed: 42, Users: specs})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Config{Cluster: cluster, Specs: jobs, Tickets: tickets, Quantum: 360, Seed: 42, Audit: AuditStrict}
+}
+
+// decideTimer wraps a policy and adds the wall time of its Decide calls
+// to *spent.
+type decideTimer struct {
+	Policy
+	spent *time.Duration
+}
+
+func (p decideTimer) Decide(st *RoundState) Decision {
+	t := time.Now()
+	dec := p.Policy.Decide(st)
+	*p.spent += time.Since(t)
+	return dec
+}
+
+// BenchmarkRoundTenantScale is the gfperf tenant-scale workload (9,996
+// GPUs, 2,000 users × 25 jobs, trading on, 70 rounds) as a `go test
+// -bench` target for profiling the users × jobs axis. Beside the time a
+// round takes it reports the time FairPolicy.Decide takes and the
+// stride comparisons a round makes, which are deterministic.
+func BenchmarkRoundTenantScale(b *testing.B) {
+	cfg := tenantScaleConfig(b)
+	const rounds = 70
+	var decide time.Duration
+	compares := 0
+	defer countStrideCompares(&compares)()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg, decideTimer{MustNewFairPolicy(FairConfig{EnableTrading: true}), &decide})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Run(simclock.Time(rounds * 360)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N * rounds)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/n, "ms/round")
+	b.ReportMetric(float64(decide.Microseconds())/1e3/n, "decide-ms/round")
+	b.ReportMetric(float64(compares)/n, "compares/round")
 }

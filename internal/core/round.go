@@ -174,7 +174,7 @@ func (s *Sim) fairReference(rd *round) {
 	for g := range gpu.NumGenerations {
 		availTotal += float64(rd.caps[gpu.Generation(g)])
 	}
-	fairshare.WaterFill(s.userTickets, s.demand, availTotal, s.shares)
+	fairshare.WaterFill(s.userTickets, s.demand, availTotal, s.shares, s.pending)
 	for i, sh := range s.shares {
 		if sh == fairshare.Unreached {
 			s.shares[i] = 0

@@ -414,11 +414,12 @@ type Sim struct {
 	// width (+= at admission, −= at retirement; gang widths are
 	// integers, so the sums are exact and a departed user's is exactly
 	// zero) and the round's water-filled share, 0 for a user the fill did
-	// not reach.
+	// not reach; pending is the fill's scratch.
 	users       []job.UserID
 	userTickets []float64
 	demand      []float64
 	shares      []float64 //gflint:noretain fairReference's result, rewritten every round
+	pending     []int32   //gflint:noretain fairReference's water-fill scratch
 
 	// books is each user's usage, by position (see userBooks).
 	books []userBooks
@@ -588,6 +589,7 @@ func newEngine(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler
 	n := len(s.users)
 	perUser := make([]float64, 4*n)
 	s.userTickets, s.demand, s.shares, s.deficit = perUser[:n], perUser[n:2*n], perUser[2*n:3*n], perUser[3*n:]
+	s.pending = make([]int32, n)
 	s.books = make([]userBooks, n)
 	s.comp = make([]compBooks, n)
 	for i, u := range s.users {

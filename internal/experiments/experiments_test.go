@@ -57,7 +57,7 @@ func rowOf(t *testing.T, tab *Table, name string) int {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "A1", "A2", "A3", "A4", "A5"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "A1", "A2", "A3", "A4", "A5"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
@@ -366,4 +366,36 @@ func TestTableAddRowPanicsOnMismatch(t *testing.T) {
 	}()
 	tab := &Table{ID: "X", Columns: []string{"a", "b"}}
 	tab.AddRow("only-one")
+}
+
+// TestE13Deterministic runs the small-world sweep twice, its worlds
+// spread over the sweep's workers, and wants the same table: it asserts
+// nothing about the policy, whose bars a fix of its serve order will
+// turn into assertions (ROADMAP item 18), only that the measurement is
+// repeatable and covers every world.
+func TestE13Deterministic(t *testing.T) {
+	a, b := runQuick(t, "E13"), runQuick(t, "E13")
+	var ra, rb strings.Builder
+	if err := a.Render(&ra); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Render(&rb); err != nil {
+		t.Fatal(err)
+	}
+	if ra.String() != rb.String() {
+		t.Fatalf("two runs differ:\n%s\n%s", ra.String(), rb.String())
+	}
+	t.Logf("\n%s", ra.String())
+	if len(gangMixes()) != 205 {
+		t.Errorf("%d gang mixes, want the 205 multisets of 2–6 gangs from {8,4,2,1}", len(gangMixes()))
+	}
+	for _, r := range a.Rows {
+		want := "of 820" // 205 mixes × 2 ticket splits × 2 labellings
+		if r[1] == "share moved by relabelling" {
+			want = "of 410"
+		}
+		if !strings.HasSuffix(r[3], want) {
+			t.Errorf("%s, %s: %s worlds, want %s", r[0], r[1], r[3], want)
+		}
+	}
 }

@@ -55,3 +55,32 @@ func (h *Hierarchy) Users() []job.UserID {
 	slices.Sort(out)
 	return out
 }
+
+// Flatten is the map form FlattenInto replaced, kept as the oracle its
+// bits are held to: for any order of active users, a map of the tickets
+// of those in an org. Each org's active weights are summed in user-ID
+// order.
+func (h *Hierarchy) Flatten(active []job.UserID) map[job.UserID]float64 {
+	activeSet := make(map[job.UserID]bool, len(active))
+	for _, u := range active {
+		activeSet[u] = true
+	}
+	out := make(map[job.UserID]float64)
+	for _, o := range h.orgs {
+		var wsum float64
+		for _, u := range job.SortedUsers(o.Weights) {
+			if activeSet[u] {
+				wsum += o.Weights[u]
+			}
+		}
+		if wsum <= 0 {
+			continue
+		}
+		for u, w := range o.Weights {
+			if activeSet[u] {
+				out[u] = o.Tickets * w / wsum
+			}
+		}
+	}
+	return out
+}

@@ -26,59 +26,57 @@ const Unreached = -1.0
 // their share to shares[i], or Unreached. It divides capacity GPUs in
 // proportion to tickets, caps each user at their demand and
 // redistributes the surplus until either all capacity is assigned or
-// all demand is met. The three slices are equally long; it allocates
-// nothing.
+// all demand is met. pending is the caller's scratch, overwritten; the
+// four slices are equally long, and it allocates nothing.
 //
 // Every sum runs in position order, so the order is part of the result's
 // bits: callers keep their users in ID order, the order Compute sorts
 // them into. Invariants: 0 ≤ shares[i] ≤ demand[i] for a reached
 // user; Σ shares = min(capacity, Σ demand of users holding tickets).
-func WaterFill(tickets, demand []float64, capacity float64, shares []float64) {
+func WaterFill(tickets, demand []float64, capacity float64, shares []float64, pending []int32) {
 	for i := range shares {
 		shares[i] = Unreached
 	}
 	if capacity <= eps {
 		return
 	}
-	// A user is pending while they have tickets and demand and the fill
-	// has not reached them.
-	pending := func(i int) bool { return shares[i] == Unreached && demand[i] > eps && tickets[i] > eps }
+	// The users the fill has not reached who have tickets and demand, in
+	// position order: each pass walks only them.
+	pending = pending[:0]
+	for i, t := range tickets {
+		if demand[i] > eps && t > eps {
+			pending = append(pending, int32(i))
+		}
+	}
 	remaining := capacity
 	used := 0.0
-	for remaining > eps {
+	for remaining > eps && len(pending) > 0 {
 		var ticketSum float64
-		n := 0
-		for i, t := range tickets {
-			if pending(i) {
-				ticketSum += t
-				n++
-			}
-		}
-		if n == 0 {
-			return
+		for _, i := range pending {
+			ticketSum += tickets[i]
 		}
 		// Tentatively split remaining capacity by tickets; users whose
 		// demand caps below their slice are finalized at demand.
-		capped := false
-		for i, t := range tickets {
-			if pending(i) && demand[i] <= remaining*t/ticketSum+eps {
-				shares[i] = demand[i]
-				used += demand[i]
-				capped = true
+		left := pending[:0]
+		for _, i := range pending {
+			if d := demand[i]; d <= remaining*tickets[i]/ticketSum+eps {
+				shares[i] = d
+				used += d
+			} else {
+				left = append(left, i)
 			}
 		}
-		if !capped {
+		if len(left) == len(pending) {
 			// No one capped: everyone takes their proportional slice.
-			for i, t := range tickets {
-				if pending(i) {
-					shares[i] = remaining * t / ticketSum
-				}
+			for _, i := range pending {
+				shares[i] = remaining * tickets[i] / ticketSum
 			}
 			return
 		}
 		// used is accumulated in finalization order, which is position
 		// order: summing the shares in any other order would round
 		// differently, and the whole simulation trajectory with it.
+		pending = left
 		remaining = capacity - used
 	}
 }
@@ -93,7 +91,7 @@ func Compute(tickets, demand map[job.UserID]float64, capacity float64) map[job.U
 	for i, u := range users {
 		t[i], d[i] = tickets[u], demand[u]
 	}
-	WaterFill(t, d, capacity, sh)
+	WaterFill(t, d, capacity, sh, make([]int32, n))
 	shares := make(map[job.UserID]float64, n)
 	for i, u := range users {
 		if sh[i] != Unreached {
@@ -200,12 +198,12 @@ func ComputeAllocation(tickets, demand map[job.UserID]float64, capacities map[gp
 // and by each debtor's own demand: a user cannot consume more than they
 // ask for. shares is written as WaterFill writes it, a debtor's share
 // including their repayment. target and reduced are the caller's
-// scratch, overwritten: each debtor's repayment and demand less it. The
-// six slices are equally long.
+// scratch, overwritten: each debtor's repayment and demand less it, and
+// pending is WaterFill's. The seven slices are equally long.
 //
 // What the grant adds to a debtor's share is not reported: the engine
 // drains debt by the catch-up that materializes, not by the grant.
-func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, target, reduced, shares []float64) {
+func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac float64, target, reduced, shares []float64, pending []int32) {
 	clear(target)
 
 	// Demand-capped repayment targets, scaled down to the budget if the
@@ -239,7 +237,7 @@ func WaterFillWithDebt(tickets, demand, debt []float64, capacity, maxRepayFrac f
 	for i, d := range demand {
 		reduced[i] = d - target[i]
 	}
-	WaterFill(tickets, reduced, capacity-want, shares)
+	WaterFill(tickets, reduced, capacity-want, shares, pending)
 	for i, t := range target {
 		if t <= eps {
 			continue

@@ -254,8 +254,9 @@ func TestWaterFillWithDebt(t *testing.T) {
 		for i := range target { // stale scratch: the fill must overwrite it
 			target[i], reduced[i] = 99, 99
 		}
-		WaterFill(tickets, demand, capacity, plain)
-		WaterFillWithDebt(tickets, demand, debt, capacity, maxRepayFrac, target, reduced, shares)
+		pending := make([]int32, len(demand))
+		WaterFill(tickets, demand, capacity, plain, pending)
+		WaterFillWithDebt(tickets, demand, debt, capacity, maxRepayFrac, target, reduced, shares, pending)
 		var sum float64
 		for i, sh := range shares {
 			if sh == Unreached {

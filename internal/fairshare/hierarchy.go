@@ -1,7 +1,9 @@
 package fairshare
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -17,6 +19,19 @@ import (
 // principle the flat scheme gets from water-filling).
 type Hierarchy struct {
 	orgs map[string]*Org
+
+	// The orgs by position, in name order, and every member, in user-ID
+	// order: what FlattenInto walks.
+	orgTickets []float64
+	members    []member
+}
+
+// member is one user of an org: the org's position and the user's
+// weight in it.
+type member struct {
+	user   job.UserID
+	org    int
+	weight float64
 }
 
 // Org is one organization's ticket pool and membership.
@@ -50,36 +65,56 @@ func NewHierarchy(orgs map[string]*Org) (*Hierarchy, error) {
 			seen[u] = name
 		}
 	}
-	return &Hierarchy{orgs: orgs}, nil
+	h := &Hierarchy{orgs: orgs}
+	names := make([]string, 0, len(orgs))
+	for name := range orgs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for k, name := range names {
+		o := orgs[name]
+		h.orgTickets = append(h.orgTickets, o.Tickets)
+		for u, w := range o.Weights {
+			h.members = append(h.members, member{user: u, org: k, weight: w})
+		}
+	}
+	slices.SortFunc(h.members, func(a, b member) int { return cmp.Compare(a.user, b.user) })
+	return h, nil
 }
 
-// Flatten converts the hierarchy into per-user tickets for one round
-// given the currently active users: each org's tickets divide among
-// its active members by weight; orgs with no active member contribute
-// nothing (their share is implicitly redistributed by the outer
-// water-filling, which only sees active users' demand). Users not in
-// any org get no tickets.
-func (h *Hierarchy) Flatten(active []job.UserID) map[job.UserID]float64 {
-	activeSet := make(map[job.UserID]bool, len(active))
-	for _, u := range active {
-		activeSet[u] = true
-	}
-	out := make(map[job.UserID]float64)
-	for _, o := range h.orgs {
-		var wsum float64
-		for _, u := range job.SortedUsers(o.Weights) {
-			if activeSet[u] {
-				wsum += o.Weights[u]
-			}
-		}
-		if wsum <= 0 {
-			continue
-		}
-		for u, w := range o.Weights {
-			if activeSet[u] {
-				out[u] = o.Tickets * w / wsum
-			}
-		}
-	}
+// FlattenInto converts the hierarchy into per-user tickets for one round
+// given the currently active users, sorted by ID and distinct: each
+// org's tickets divide among its active members by weight, the weights
+// summed in user-ID order; orgs with no active member contribute nothing
+// (their share is implicitly redistributed by the outer water-filling,
+// which only sees active users' demand). Users not in any org get no
+// tickets. It writes active[i]'s tickets to the result's element i, in
+// the storage of tickets, whose room past the result's length is its
+// scratch: hand the result back as the next call's tickets and a call
+// allocates nothing.
+//
+//gflint:noretain
+func (h *Hierarchy) FlattenInto(active []job.UserID, tickets []float64) []float64 {
+	n, orgs := len(active), len(h.orgTickets)
+	buf := slices.Grow(tickets[:0], n+orgs)[:n+orgs]
+	out, wsum := buf[:n], buf[n:]
+	clear(wsum)
+	h.merge(active, func(_ int, m *member) { wsum[m.org] += m.weight })
+	clear(out)
+	h.merge(active, func(i int, m *member) { out[i] = h.orgTickets[m.org] * m.weight / wsum[m.org] })
 	return out
+}
+
+// merge calls visit for every active user who is a member, walking
+// active and the members together in user-ID order.
+func (h *Hierarchy) merge(active []job.UserID, visit func(i int, m *member)) {
+	k := 0
+	for i, u := range active {
+		for k < len(h.members) && h.members[k].user < u {
+			k++
+		}
+		if k < len(h.members) && h.members[k].user == u {
+			visit(i, &h.members[k])
+		}
+	}
 }

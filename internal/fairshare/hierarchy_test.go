@@ -1,7 +1,10 @@
 package fairshare
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/job"
@@ -104,5 +107,53 @@ func TestHierarchyOrgLevelShares(t *testing.T) {
 	// Intra-org: r3 has weight 2 ⇒ twice r1's share.
 	if math.Abs(shares["r3"]-2*shares["r1"]) > 1e-9 {
 		t.Errorf("intra-org weights not honored: %v", shares)
+	}
+}
+
+// TestFlattenIntoMatchesFlatten holds FlattenInto, bit for bit, to the
+// map Flatten it replaced (export_test.go) over random hierarchies —
+// 1 to 8 orgs of 1 to 12 members with random tickets and weights — and
+// random active sets, which name users of no org too; and a call that is
+// handed back its last result allocates nothing.
+func TestFlattenIntoMatchesFlatten(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tickets []float64
+	for trial := 0; trial < 500; trial++ {
+		orgs := make(map[string]*Org)
+		var all []job.UserID
+		for k := range 1 + rng.Intn(8) {
+			o := &Org{Tickets: 0.1 + 10*rng.Float64(), Weights: make(map[job.UserID]float64)}
+			for range 1 + rng.Intn(12) {
+				u := job.UserID(fmt.Sprintf("u%03d-%d", rng.Intn(400), len(all))) // distinct, in random order
+				all = append(all, u)
+				o.Weights[u] = 0.01 + 5*rng.Float64()
+			}
+			orgs[fmt.Sprintf("org%d", k)] = o
+		}
+		h, err := NewHierarchy(orgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var active []job.UserID
+		for _, u := range all {
+			if rng.Intn(3) > 0 {
+				active = append(active, u)
+			}
+		}
+		for range rng.Intn(4) {
+			active = append(active, job.UserID(fmt.Sprintf("x%03d", rng.Intn(50)))) // in no org
+		}
+		slices.Sort(active)
+		active = slices.Compact(active)
+		want := h.Flatten(active)
+		tickets = h.FlattenInto(active, tickets)
+		for i, u := range active {
+			if math.Float64bits(tickets[i]) != math.Float64bits(want[u]) {
+				t.Fatalf("trial %d: %s gets %v tickets, the map form %v", trial, u, tickets[i], want[u])
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, func() { tickets = h.FlattenInto(active, tickets) }); allocs != 0 {
+			t.Fatalf("trial %d: FlattenInto handed its last result makes %v allocations", trial, allocs)
+		}
 	}
 }

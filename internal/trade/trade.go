@@ -114,19 +114,31 @@ const eps = 1e-9
 // order: where two users' speedups tie, the one placed first is picked.
 // It allocates nothing but the log, and nothing at all when no trade is
 // made.
+//
+// One scan over the parties finds every generation pair's partners; a
+// pair looks again only at what a trade changed, so a round that trades
+// nothing reads each party once a pass.
 func Market(parties []Party, cfg Config) []Trade {
 	var log []Trade
+	var pts [len(pairs)]partners
 	for pass := 0; pass < maxPasses; pass++ {
-		traded := false
-		for _, pr := range pairs {
+		// scanned: pts holds every later pair's partners over the shares
+		// as they are now.
+		traded, scanned := false, false
+		for k, pr := range pairs {
+			if !scanned {
+				scan(parties, pairs[k:], pts[k:])
+				scanned = true
+			}
 			for {
-				tr, ok := bestTrade(parties, pr.fast, pr.slow, cfg)
+				tr, ok := bestTrade(parties, pr, &pts[k], cfg)
 				if !ok {
 					break
 				}
 				apply(parties, tr)
 				log = append(log, tr.Trade)
-				traded = true
+				traded, scanned = true, false
+				scan(parties, pairs[k:k+1], pts[k:k+1])
 			}
 		}
 		if !traded {
@@ -169,17 +181,18 @@ type pair struct{ fast, slow gpu.Generation }
 // entitlements are consumed by lesser ones.
 var pairs = genPairs()
 
-func genPairs() []pair {
+func genPairs() (out [gpu.NumGenerations * (gpu.NumGenerations - 1) / 2]pair) {
 	gens := gpu.Generations()
-	var out []pair
+	n := 0
 	for _, f := range gens {
 		for _, s := range gens {
 			if f > s {
-				out = append(out, pair{f, s})
+				out[n] = pair{f, s}
+				n++
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.Slice(out[:], func(i, j int) bool {
 		di := int(out[i].fast) - int(out[i].slow)
 		dj := int(out[j].fast) - int(out[j].slow)
 		if di != dj {
@@ -191,16 +204,6 @@ func genPairs() []pair {
 		return out[i].slow > out[j].slow
 	})
 	return out
-}
-
-// speedupOn returns the party's value ratio fast/slow, or ok=false if
-// either side lacks an estimate.
-func (p *Party) speedupOn(fast, slow gpu.Generation) (float64, bool) {
-	v := &p.Values
-	if v[fast] <= eps || v[slow] <= eps {
-		return 0, false
-	}
-	return v[fast] / v[slow], true
 }
 
 // cand is one party's speedup on a generation pair; at is the party's
@@ -227,40 +230,69 @@ type best2 struct {
 	n int
 }
 
-func (b *best2) offer(c cand, sign float64) {
-	switch {
-	case b.n < 2:
+// keep puts c among the first two under before, c having been found to
+// sort before the second (or there being fewer than two).
+func (b *best2) keep(c cand, sign float64) {
+	if b.n < 2 {
 		b.c[b.n] = c
 		b.n++
-	case c.before(b.c[1], sign):
+	} else {
 		b.c[1] = c
-	default:
-		return
 	}
 	if b.n == 2 && b.c[1].before(b.c[0], sign) {
 		b.c[0], b.c[1] = b.c[1], b.c[0]
 	}
 }
 
-// pickPair finds one generation pair's trading partners: buyer = the
-// max-speedup party holding slow currency, seller = the min-speedup
-// party holding fast entitlement. One pass keeps each side's best two,
-// the runner-up for when the extreme buyer and seller are one party.
-func pickPair(parties []Party, fast, slow gpu.Generation) (b, s cand, ok bool) {
-	var buyers, sellers best2
+// partners is one generation pair's trading candidates: the best two
+// buyers, the max-speedup parties holding slow currency, and the best
+// two sellers, the min-speedup parties holding fast entitlement — the
+// runners-up for when the extreme buyer and seller are one party.
+type partners struct{ buyers, sellers best2 }
+
+// scan finds each pair of prs its partners, in the matching element of
+// out, in one pass over the parties.
+func scan(parties []Party, prs []pair, out []partners) {
+	clear(out)
 	for i := range parties {
 		p := &parties[i]
-		sp, ok := p.speedupOn(fast, slow)
-		if !ok {
+		// The generations the party has a value on and holds a share of:
+		// its speedup on a pair is the ratio of its two values, and it
+		// trades on the pair if it has both and holds either side.
+		var valued, holds uint
+		for g := range p.Values {
+			if p.Values[g] > eps {
+				valued |= 1 << g
+			}
+			if p.Share[g] > eps {
+				holds |= 1 << g
+			}
+		}
+		if holds == 0 || valued&(valued-1) == 0 {
 			continue
 		}
-		if p.Share[slow] > eps {
-			buyers.offer(cand{i, sp}, +1)
-		}
-		if p.Share[fast] > eps {
-			sellers.offer(cand{i, sp}, -1)
+		for k, pr := range prs {
+			fast, slow := uint(1)<<pr.fast, uint(1)<<pr.slow
+			if valued&fast == 0 || valued&slow == 0 || holds&(fast|slow) == 0 {
+				continue
+			}
+			// Parties come in position order, so one that ties the second
+			// best sorts after it: only a strictly better speedup is kept.
+			sp := p.Values[pr.fast] / p.Values[pr.slow]
+			if bs := &out[k].buyers; holds&slow != 0 && (bs.n < 2 || sp > bs.c[1].s) {
+				bs.keep(cand{i, sp}, +1)
+			}
+			if ss := &out[k].sellers; holds&fast != 0 && (ss.n < 2 || sp < ss.c[1].s) {
+				ss.keep(cand{i, sp}, -1)
+			}
 		}
 	}
+}
+
+// pick chooses one pair's trading partners: the extreme buyer and
+// seller, or a runner-up on one side when those are one party.
+func (pt *partners) pick() (b, s cand, ok bool) {
+	buyers, sellers := &pt.buyers, &pt.sellers
 	if buyers.n == 0 || sellers.n == 0 {
 		return b, s, false
 	}
@@ -286,10 +318,11 @@ type found struct {
 }
 
 // bestTrade finds the most profitable single trade on one generation
-// pair: pickPair's partners, at a price strictly between their
-// speedups, sized by what each holds and can use.
-func bestTrade(parties []Party, fast, slow gpu.Generation, cfg Config) (found, bool) {
-	b, s, ok := pickPair(parties, fast, slow)
+// pair: its partners' pick, at a price strictly between their speedups,
+// sized by what each holds and can use.
+func bestTrade(parties []Party, pr pair, pt *partners, cfg Config) (found, bool) {
+	fast, slow := pr.fast, pr.slow
+	b, s, ok := pt.pick()
 	if !ok {
 		return found{}, false
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -383,7 +384,7 @@ func TestPropertyParetoAndConservation(t *testing.T) {
 	}
 }
 
-// pickPairSorted is the specification pickPair's one pass must match:
+// pickPairSorted is the specification scan's one pass must match:
 // every candidate collected, each side fully sorted (speedup, then
 // user ID), the heads taken, the runners-up when the heads are one
 // user. how names the branch taken; "none" means no pair.
@@ -432,8 +433,9 @@ func pickPairSorted(parties []Party, fast, slow gpu.Generation) (b, s cand, how 
 
 // Property: with many users sharing a few distinct speedups — so ties
 // decide nearly every comparison and the best buyer is often the best
-// seller too — pickPair's one pass over the parties in user-ID order
-// returns exactly the pair the lists sorted by speedup and user ID would.
+// seller too — scan's one pass over the parties in user-ID order, for
+// every generation pair at once, picks exactly the pair the lists sorted
+// by speedup and user ID would.
 func TestPickPairMatchesSortedSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	speedups := []float64{1.5, 2, 2, 3} // few distinct values, one doubled
@@ -461,7 +463,9 @@ func TestPickPairMatchesSortedSelection(t *testing.T) {
 		}
 		wb, ws, how := pickPairSorted(parties, gpu.V100, gpu.K80)
 		branches[how]++
-		b, s, ok := pickPair(parties, gpu.V100, gpu.K80)
+		var found [len(pairs)]partners
+		scan(parties, pairs[:], found[:])
+		b, s, ok := found[slices.Index(pairs[:], pair{gpu.V100, gpu.K80})].pick()
 		if ok != (how != "none") || (ok && (b != wb || s != ws)) {
 			t.Fatalf("trial %d: one pass picked %+v/%+v ok=%v, sorted lists (%s) %+v/%+v\nalloc %v\nvals %v",
 				trial, b, s, ok, how, wb, ws, alloc, vals)
@@ -472,4 +476,14 @@ func TestPickPairMatchesSortedSelection(t *testing.T) {
 			t.Errorf("inputs too tame: branch %q taken %d times of 2000 (%v)", how, branches[how], branches)
 		}
 	}
+}
+
+// speedupOn returns the party's value ratio fast/slow, or ok=false if
+// either side lacks an estimate.
+func (p *Party) speedupOn(fast, slow gpu.Generation) (float64, bool) {
+	v := &p.Values
+	if v[fast] <= eps || v[slow] <= eps {
+		return 0, false
+	}
+	return v[fast] / v[slow], true
 }
