@@ -26,7 +26,7 @@
 //
 // Order, Select and Charge are the one implementation, over a caller's
 // slice of candidates that carry their passes (core's FairPolicy keeps
-// them on its per-job records). Scheduler wraps Select and Charge with
+// them on its job rows). Scheduler wraps Select and Charge with
 // the passes kept in a map by job ID; only a benchmark probe calls it.
 package stride
 
