@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -30,6 +31,18 @@ import (
 // internal/baselines). The retain analyzer consumes the registry.
 const noRetainPrefix = "//gflint:noretain"
 
+// reusesPrefix introduces a storage-passing annotation, in a function's
+// doc comment:
+//
+//	//gflint:reuses <param>
+//
+// The function's result may be the storage of parameter <param>,
+// emptied or resliced (a buffer helper such as grow-or-truncate). For
+// the retain analyzer a call to it is then what <param>[:0] is: the
+// result aliases the argument, and an argument that is a field or a
+// package-level variable becomes the calling function's scratch.
+const reusesPrefix = "//gflint:reuses"
+
 // annotations is the loader-wide fact registry (lint's first analysis
 // pass, built during loading, before any analyzer runs).
 type annotations struct {
@@ -37,6 +50,9 @@ type annotations struct {
 	noRetain map[types.Object]*Annotation
 	// noRetainFn holds functions whose result is annotated.
 	noRetainFn map[*types.Func]*Annotation
+	// reuses holds, per //gflint:reuses function, the position of the
+	// parameter whose storage its result may be.
+	reuses map[*types.Func]int
 	// problems are malformed annotations, reported under check
 	// "directive" for the package that declares them.
 	problems map[string][]Diagnostic // by package import path
@@ -60,6 +76,7 @@ func newAnnotations() *annotations {
 	return &annotations{
 		noRetain:   make(map[types.Object]*Annotation),
 		noRetainFn: make(map[*types.Func]*Annotation),
+		reuses:     make(map[*types.Func]int),
 		problems:   make(map[string][]Diagnostic),
 	}
 }
@@ -80,6 +97,33 @@ func (p *Package) NoRetainResult(fn *types.Func) *Annotation {
 		return nil
 	}
 	return p.annot.noRetainFn[fn]
+}
+
+// ReusedArg reports the argument of a call whose storage the call's
+// result may be (a //gflint:reuses function), nil for other calls.
+func (p *Pass) ReusedArg(call *ast.CallExpr) ast.Expr {
+	fn := p.CalleeFunc(call)
+	if fn == nil || p.Pkg.annot == nil {
+		return nil
+	}
+	if i, ok := p.Pkg.annot.reuses[fn.Origin()]; ok && i < len(call.Args) {
+		return call.Args[i]
+	}
+	return nil
+}
+
+// reusesComment extracts the argument list of a reuses comment, or
+// ok=false for other comments.
+func reusesComment(c *ast.Comment) (args []string, ok bool) {
+	text := strings.TrimSpace(c.Text)
+	if !strings.HasPrefix(text, reusesPrefix) {
+		return nil, false
+	}
+	rest := text[len(reusesPrefix):]
+	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		return nil, false
+	}
+	return strings.Fields(rest), true
 }
 
 // noRetainComment extracts the argument list of a noretain comment, or
@@ -159,6 +203,11 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 					return true
 				}
 				for _, c := range v.Doc.List {
+					if args, ok := reusesComment(c); ok {
+						consumed[c] = true
+						a.collectReuses(pkg, v, args, func(msg string) { problem(c.Pos(), msg) })
+						continue
+					}
 					args, ok := noRetainComment(c)
 					if !ok {
 						continue
@@ -209,9 +258,37 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 				if _, ok := noRetainComment(c); ok && !consumed[c] {
 					problem(c.Pos(), "gflint:noretain attaches to nothing; put it on a struct field or in a function's doc comment")
 				}
+				if _, ok := reusesComment(c); ok && !consumed[c] {
+					problem(c.Pos(), "gflint:reuses attaches to nothing; put it in a function's doc comment")
+				}
 			}
 		}
 	}
+}
+
+// collectReuses registers a //gflint:reuses comment on fd: one
+// argument, naming a parameter of the same type as fd's one result.
+func (a *annotations) collectReuses(pkg *Package, fd *ast.FuncDecl, args []string, problem func(string)) {
+	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	if fn == nil {
+		return
+	}
+	if len(args) != 1 {
+		problem("gflint:reuses names one parameter, not " + strconv.Itoa(len(args)))
+		return
+	}
+	sig := fn.Type().(*types.Signature)
+	for i := 0; i < sig.Params().Len(); i++ {
+		if pv := sig.Params().At(i); pv.Name() == args[0] {
+			if sig.Results().Len() != 1 || !types.Identical(sig.Results().At(0).Type(), pv.Type()) {
+				problem("gflint:reuses on " + fn.Name() + ", whose one result is not of " + args[0] + "'s type")
+				return
+			}
+			a.reuses[fn] = i
+			return
+		}
+	}
+	problem("gflint:reuses names " + args[0] + ", not a parameter of " + fn.Name())
 }
 
 // qualifiedField renders a field object as Pkg.Type.Field when the

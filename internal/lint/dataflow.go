@@ -97,6 +97,9 @@ func (t *taintEngine) taintOf(e ast.Expr) *Annotation {
 	case *ast.IndexExpr:
 		return nil // element access: the contract covers the backing array
 	case *ast.CallExpr:
+		if arg := t.pass.ReusedArg(v); arg != nil {
+			return t.taintOf(arg) // the result may be the argument's storage
+		}
 		if t.pass.IsBuiltin(v, "append") && len(v.Args) > 0 {
 			// The result shares the destination's backing array. A
 			// tainted source spread into a clean destination copies

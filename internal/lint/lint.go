@@ -18,7 +18,8 @@
 //   - errdrop: silently discarded error returns;
 //   - retain: reused backing storage escaping into fields, globals,
 //     closures, channels, or returns — values under a //gflint:noretain
-//     contract, and scratch slices a function reuses with [:0];
+//     contract, and scratch slices a function reuses with [:0] or
+//     through a //gflint:reuses buffer helper;
 //   - lockhold: locks held across blocking channel operations.
 //
 // Findings can be suppressed with a directive comment on the flagged

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -19,7 +20,9 @@ import (
 //   - as scratch: a zero-length reslice (buf[:0]) of a struct field
 //     (reached through a receiver or parameter) or a package-level
 //     variable marks that storage as reused for the whole function that
-//     reslices it, annotated or not.
+//     reslices it, annotated or not; so does passing it to a buffer
+//     helper whose doc comment declares //gflint:reuses (its result may
+//     be the argument's storage).
 //
 // Taint propagates through local assignments, reslices, composite
 // literals, and conversions (see taintEngine). Copies break it: append
@@ -35,7 +38,7 @@ import (
 // it up again.
 var RetainAnalyzer = &Analyzer{
 	Name: "retain",
-	Doc:  "reused storage (a //gflint:noretain contract, or a [:0] scratch reslice of a field or global) escaping into fields, globals, closures, channels, or returns without a copy",
+	Doc:  "reused storage (a //gflint:noretain contract, or a [:0] scratch reslice of a field or global, or one handed to a //gflint:reuses helper) escaping into fields, globals, closures, channels, or returns without a copy",
 	Run:  runRetain,
 }
 
@@ -70,27 +73,40 @@ func runRetain(pass *Pass) {
 }
 
 // findScratch records the function's scratch reslices: zero-length
-// reslices of storage that outlives the call, keyed by the storage
-// object (field or package-level variable), each annotated at its first
-// reslice site.
+// reslices of storage that outlives the call, and such storage handed
+// to a //gflint:reuses helper, keyed by the storage object (field or
+// package-level variable), each annotated at its first reuse site.
 func (t *taintEngine) findScratch() {
 	ast.Inspect(t.decl.Body, func(n ast.Node) bool {
-		se, ok := n.(*ast.SliceExpr)
-		if !ok || !isZeroLenReslice(t.pass, se) || isZeroCapReslice(t.pass, se) {
-			return true
-		}
-		if obj := t.scratchStorage(se.X); obj != nil && t.scratch[obj] == nil {
-			if t.scratch == nil {
-				t.scratch = make(map[types.Object]*Annotation)
+		switch v := n.(type) {
+		case *ast.SliceExpr:
+			if isZeroLenReslice(t.pass, v) && !isZeroCapReslice(t.pass, v) {
+				t.markScratch(v.X, v.Pos(), "[:0]")
 			}
-			t.scratch[obj] = &Annotation{
-				Desc: "scratch slice " + destName(se.X) + ", reused by this function,",
-				Pos:  se.Pos(),
-				note: "backing array reused here ([:0])",
+		case *ast.CallExpr:
+			if arg := t.pass.ReusedArg(v); arg != nil {
+				t.markScratch(arg, v.Pos(), t.pass.CalleeFunc(v).Name())
 			}
 		}
 		return true
 	})
+}
+
+// markScratch records x's storage, reused at pos by how, as scratch if
+// it outlives the call and is not recorded yet.
+func (t *taintEngine) markScratch(x ast.Expr, pos token.Pos, how string) {
+	obj := t.scratchStorage(x)
+	if obj == nil || t.scratch[obj] != nil {
+		return
+	}
+	if t.scratch == nil {
+		t.scratch = make(map[types.Object]*Annotation)
+	}
+	t.scratch[obj] = &Annotation{
+		Desc: "scratch slice " + destName(x) + ", reused by this function,",
+		Pos:  pos,
+		note: "backing array reused here (" + how + ")",
+	}
 }
 
 // isZeroLenReslice reports v[:0] / v[0:0]: the truncation that makes

@@ -24,3 +24,22 @@ func WrongName(buf []int) []int { return buf }
 
 //gflint:noretain a var declaration is neither a field nor a function
 var Floating int
+
+// ReusesTwo names more than the one parameter a reuses helper passes on.
+//
+//gflint:reuses a b
+func ReusesTwo(a, b []int) []int { return a[:0] }
+
+// ReusesWrongType returns something other than the named parameter's
+// type.
+//
+//gflint:reuses buf
+func ReusesWrongType(buf []int) int { return len(buf) }
+
+// ReusesWrongName names a parameter that does not exist.
+//
+//gflint:reuses nosuchparam
+func ReusesWrongName(buf []int) []int { return buf[:0] }
+
+//gflint:reuses buf a var declaration is not a function
+var FloatingReuse int

@@ -35,6 +35,33 @@ func (p *Pool) CopyOK(xs []int) []int {
 	return res
 }
 
+// grow returns buf emptied, with room for n: in its storage if it has
+// room, else fresh.
+//
+//gflint:reuses buf
+func grow(buf []int, n int) []int {
+	if n > cap(buf) {
+		return make([]int, 0, n)
+	}
+	return buf[:0]
+}
+
+// BadReturnGrown reuses p.buf through grow and returns a view of it.
+func (p *Pool) BadReturnGrown(xs []int) []int {
+	out := grow(p.buf, len(xs))
+	out = append(out, xs...)
+	p.buf = out
+	return out
+}
+
+// GrowCopyOK reuses p.buf through grow but returns a fresh copy.
+func (p *Pool) GrowCopyOK(xs []int) []int {
+	out := grow(p.buf, len(xs))
+	out = append(out, xs...)
+	p.buf = out
+	return append([]int(nil), out...)
+}
+
 var scratch []int
 
 // BadGlobalScratch reuses package-level scratch and sends an alias
