@@ -5,14 +5,10 @@ import (
 	"go/token"
 	"go/types"
 	"strconv"
-	"strings"
 )
 
-// noRetainPrefix introduces a retention-contract annotation:
-//
-//	//gflint:noretain [note | param names]
-//
-// Placement decides what it annotates:
+// A //gflint:noretain [note | param names] comment declares a
+// retention contract. Placement decides what it annotates:
 //
 //   - On a struct field (doc comment or trailing line comment): the
 //     field's value is not retainable by readers — the owner reuses
@@ -29,20 +25,14 @@ import (
 // registry, so an analyzer checking package B sees the annotations
 // declared on package A's types (e.g. core.RoundState.Jobs read from
 // internal/baselines). The retain analyzer consumes the registry.
-const noRetainPrefix = "//gflint:noretain"
-
-// reusesPrefix introduces a storage-passing annotation, in a function's
-// doc comment:
 //
-//	//gflint:reuses <param>
-//
-// The function's result may be the storage of parameter <param>,
-// emptied or resliced (a buffer helper such as grow-or-truncate). For
-// the retain analyzer a call to it is then what <param>[:0] is: the
+// A //gflint:reuses <param> comment, in a function's doc comment,
+// passes storage on: the function's result may be the storage of
+// parameter <param>, emptied or resliced (a buffer helper such as
+// grow-or-truncate). For the retain analyzer a call to it is then what <param>[:0] is: the
 // result aliases the argument, and an argument that is a field or a
 // package-level variable becomes the calling function's scratch.
-const reusesPrefix = "//gflint:reuses"
-
+//
 // annotations is the loader-wide fact registry (lint's first analysis
 // pass, built during loading, before any analyzer runs).
 type annotations struct {
@@ -53,9 +43,6 @@ type annotations struct {
 	// reuses holds, per //gflint:reuses function, the position of the
 	// parameter whose storage its result may be.
 	reuses map[*types.Func]int
-	// problems are malformed annotations, reported under check
-	// "directive" for the package that declares them.
-	problems map[string][]Diagnostic // by package import path
 }
 
 // Annotation is one resolved //gflint:noretain declaration.
@@ -77,7 +64,6 @@ func newAnnotations() *annotations {
 		noRetain:   make(map[types.Object]*Annotation),
 		noRetainFn: make(map[*types.Func]*Annotation),
 		reuses:     make(map[*types.Func]int),
-		problems:   make(map[string][]Diagnostic),
 	}
 }
 
@@ -112,63 +98,33 @@ func (p *Pass) ReusedArg(call *ast.CallExpr) ast.Expr {
 	return nil
 }
 
-// reusesComment extracts the argument list of a reuses comment, or
-// ok=false for other comments.
-func reusesComment(c *ast.Comment) (args []string, ok bool) {
-	text := strings.TrimSpace(c.Text)
-	if !strings.HasPrefix(text, reusesPrefix) {
-		return nil, false
+// collectAnnotations resolves the package's noretain and reuses
+// directives against its typechecked objects, registers them in the
+// loader-wide registry and marks them attached; a malformed one is a
+// problem of the package.
+func (a *annotations) collectAnnotations(pkg *Package, dirs []*directive) {
+	at := make(map[*ast.Comment]*directive, len(dirs))
+	for _, d := range dirs {
+		if d.verb == "noretain" || d.verb == "reuses" {
+			at[d.c] = d
+		}
 	}
-	rest := text[len(reusesPrefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false
+	if len(at) == 0 {
+		return
 	}
-	return strings.Fields(rest), true
-}
-
-// noRetainComment extracts the argument list of a noretain comment, or
-// ok=false for other comments.
-func noRetainComment(c *ast.Comment) (args []string, ok bool) {
-	text := strings.TrimSpace(c.Text)
-	if !strings.HasPrefix(text, noRetainPrefix) {
-		return nil, false
-	}
-	rest := text[len(noRetainPrefix):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. //gflint:noretainx
-	}
-	return strings.Fields(rest), true
-}
-
-// collectAnnotations resolves every //gflint:noretain comment in the
-// package's files against its typechecked objects and registers the
-// results in the loader-wide registry. Malformed annotations become
-// "directive" problems attached to the package.
-func (a *annotations) collectAnnotations(pkg *Package) {
-	fset := pkg.Fset
-	consumed := make(map[*ast.Comment]bool)
-	problem := func(pos token.Pos, msg string) {
-		position := fset.Position(pos)
-		a.problems[pkg.Path] = append(a.problems[pkg.Path], Diagnostic{
-			Check: "directive", File: position.Filename,
-			Line: position.Line, Col: position.Column, Message: msg,
-		})
-	}
-
 	register := func(obj types.Object, desc string, pos token.Pos) {
 		if _, dup := a.noRetain[obj]; !dup {
 			a.noRetain[obj] = &Annotation{Desc: desc, Pos: pos, note: contractNote}
 		}
 	}
-
-	fieldComment := func(f *ast.Field) *ast.Comment {
+	fieldDirective := func(f *ast.Field) *directive {
 		for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
 			if cg == nil {
 				continue
 			}
 			for _, c := range cg.List {
-				if _, ok := noRetainComment(c); ok {
-					return c
+				if d := at[c]; d != nil && d.verb == "noretain" {
+					return d
 				}
 			}
 		}
@@ -180,22 +136,19 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 			switch v := n.(type) {
 			case *ast.StructType:
 				for _, f := range v.Fields.List {
-					c := fieldComment(f)
-					if c == nil {
+					d := fieldDirective(f)
+					if d == nil {
 						continue
 					}
-					consumed[c] = true
-					names := f.Names
-					if len(names) == 0 {
-						problem(c.Pos(), "gflint:noretain on an embedded field; name the field explicitly")
+					d.attached = true
+					if len(f.Names) == 0 {
+						pkg.problem(d.c.Pos(), "gflint:noretain on an embedded field; name the field explicitly")
 						continue
 					}
-					for _, name := range names {
-						obj := pkg.Info.Defs[name]
-						if obj == nil {
-							continue
+					for _, name := range f.Names {
+						if obj := pkg.Info.Defs[name]; obj != nil {
+							register(obj, qualifiedField(pkg, obj), d.c.Pos())
 						}
-						register(obj, qualifiedField(pkg, obj), c.Pos())
 					}
 				}
 			case *ast.FuncDecl:
@@ -203,23 +156,23 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 					return true
 				}
 				for _, c := range v.Doc.List {
-					if args, ok := reusesComment(c); ok {
-						consumed[c] = true
-						a.collectReuses(pkg, v, args, func(msg string) { problem(c.Pos(), msg) })
+					d := at[c]
+					if d == nil {
 						continue
 					}
-					args, ok := noRetainComment(c)
-					if !ok {
-						continue
-					}
-					consumed[c] = true
+					d.attached = true
 					fn, _ := pkg.Info.Defs[v.Name].(*types.Func)
 					if fn == nil {
 						continue
 					}
-					if len(args) == 0 {
+					problem := func(msg string) { pkg.problem(c.Pos(), msg) }
+					if d.verb == "reuses" {
+						a.collectReuses(fn, d.args, problem)
+						continue
+					}
+					if len(d.args) == 0 {
 						if fn.Type().(*types.Signature).Results().Len() == 0 {
-							problem(c.Pos(), "gflint:noretain on "+fn.Name()+", which returns nothing; name the parameters instead")
+							problem("gflint:noretain on " + fn.Name() + ", which returns nothing; name the parameters instead")
 							continue
 						}
 						if _, dup := a.noRetainFn[fn]; !dup {
@@ -236,10 +189,10 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 					for i := 0; i < params.Len(); i++ {
 						byName[params.At(i).Name()] = params.At(i)
 					}
-					for _, arg := range args {
+					for _, arg := range d.args {
 						pv, ok := byName[arg]
 						if !ok {
-							problem(c.Pos(), "gflint:noretain names "+arg+", not a parameter of "+fn.Name())
+							problem("gflint:noretain names " + arg + ", not a parameter of " + fn.Name())
 							continue
 						}
 						register(pv, "parameter "+arg+" of "+pkg.Types.Name()+"."+fn.Name(), c.Pos())
@@ -249,30 +202,11 @@ func (a *annotations) collectAnnotations(pkg *Package) {
 			return true
 		})
 	}
-
-	// A noretain comment that attached to neither a struct field nor a
-	// function doc silently does nothing; make that loud.
-	for _, file := range pkg.Files {
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if _, ok := noRetainComment(c); ok && !consumed[c] {
-					problem(c.Pos(), "gflint:noretain attaches to nothing; put it on a struct field or in a function's doc comment")
-				}
-				if _, ok := reusesComment(c); ok && !consumed[c] {
-					problem(c.Pos(), "gflint:reuses attaches to nothing; put it in a function's doc comment")
-				}
-			}
-		}
-	}
 }
 
-// collectReuses registers a //gflint:reuses comment on fd: one
-// argument, naming a parameter of the same type as fd's one result.
-func (a *annotations) collectReuses(pkg *Package, fd *ast.FuncDecl, args []string, problem func(string)) {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return
-	}
+// collectReuses registers a //gflint:reuses comment on fn: one
+// argument, naming a parameter of the same type as fn's one result.
+func (a *annotations) collectReuses(fn *types.Func, args []string, problem func(string)) {
 	if len(args) != 1 {
 		problem("gflint:reuses names one parameter, not " + strconv.Itoa(len(args)))
 		return

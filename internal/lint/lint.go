@@ -1,8 +1,10 @@
 // Package lint is a stdlib-only static-analysis framework for this
-// repository's determinism and correctness rules. It parses and
-// typechecks packages with go/parser and go/types (no external
-// dependencies, matching the module's zero-dependency style), runs a
-// registry of analyzers over them, and reports file/line diagnostics.
+// repository's determinism and correctness rules. It picks each
+// package's files with go/build, parses and typechecks them with
+// go/parser and go/types, reading the standard library from compiler
+// export data (no external dependencies, matching the module's
+// zero-dependency style), runs a registry of analyzers over them, and
+// reports file/line diagnostics.
 //
 // The analyzers encode the failure modes that have actually bitten
 // this codebase, plus the aliasing and concurrency contracts the
@@ -29,7 +31,9 @@
 //
 // A directive must name the check and carry a justification; malformed
 // directives are themselves reported (check "directive"), as are stale
-// directives whose check ran but matched nothing on the covered lines.
+// directives whose check ran but matched nothing on the covered lines,
+// and any //gflint: comment whose verb is not ignore, noretain or
+// reuses.
 package lint
 
 import (
@@ -199,55 +203,68 @@ func (p *Pass) IsBuiltin(call *ast.CallExpr, name string) bool {
 
 // Run executes the given analyzers over the packages in passes:
 //
-//  1. every analyzer over every package (annotation facts were already
-//     collected at load time, before any analyzer ran);
-//  2. malformed suppression directives and malformed //gflint:noretain
-//     annotations, as check "directive";
-//  3. deduplication, then suppression — recording which directives
-//     actually matched a finding;
-//  4. stale-directive reporting: a well-formed directive whose check
-//     was among the analyzers that ran but suppressed nothing.
+//  1. every analyzer over every package (annotation facts and
+//     malformed //gflint: directives were already collected at load
+//     time, before any analyzer ran);
+//  2. deduplication, then suppression — recording which ignore
+//     directives actually matched a finding;
+//  3. stale-directive reporting: a well-formed ignore whose check was
+//     among the analyzers that ran but suppressed nothing.
 //
-// Surviving diagnostics come back in stable (file, line, col, check)
-// order.
+// Surviving diagnostics come back in stable (file, line, col, check,
+// message) order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	type fileLine struct {
+		file string
+		line int
+	}
 	var diags []Diagnostic
+	ignores := make(map[fileLine][]directive)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &diags})
 		}
-		diags = append(diags, directiveProblems(pkg, Analyzers())...)
-		if pkg.annot != nil {
-			diags = append(diags, pkg.annot.problems[pkg.Path]...)
+		diags = append(diags, pkg.problems...)
+		for _, d := range pkg.ignores {
+			k := fileLine{d.pos.Filename, d.pos.Line}
+			ignores[k] = append(ignores[k], d)
 		}
-	}
-
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
 	}
 
 	var out []Diagnostic
 	seen := make(map[diagKey]bool, len(diags))
-	used := make(map[directiveKey]bool)
+	used := make(map[*ast.Comment]bool)
+next:
 	for _, d := range diags {
-		// A package loaded both as a dependency and as a root with
-		// tests reports its annotation problems twice; identical
-		// diagnostics collapse to one.
 		if seen[d.key()] {
 			continue
 		}
 		seen[d.key()] = true
-		if d.Check != "directive" {
-			if dir, ok := suppressedBy(pkgsByFile(pkgs, d.File), d); ok {
-				used[dir] = true
-				continue
+		for _, line := range []int{d.Line, d.Line - 1} {
+			for _, dir := range ignores[fileLine{d.File, line}] {
+				if dir.args[0] == d.Check {
+					used[dir.c] = true
+					continue next
+				}
 			}
 		}
 		out = append(out, d)
 	}
+	// A directive whose check did not run (a -checks subset) is never
+	// stale.
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range pkgs {
-		out = append(out, staleDirectives(pkg, ran, used)...)
+		for _, dir := range pkg.ignores {
+			if ran[dir.args[0]] && !used[dir.c] {
+				out = append(out, Diagnostic{
+					Check: "directive", File: dir.pos.Filename, Line: dir.pos.Line, Col: dir.pos.Column,
+					Message: "stale suppression: " + dir.args[0] + " reports nothing here; delete the directive",
+				})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -266,13 +283,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return a.Message < b.Message
 	})
 	return out
-}
-
-func pkgsByFile(pkgs []*Package, file string) *Package {
-	for _, pkg := range pkgs {
-		if _, ok := pkg.directivesByFile(file); ok {
-			return pkg
-		}
-	}
-	return nil
 }

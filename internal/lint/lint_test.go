@@ -6,8 +6,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -133,7 +135,8 @@ func TestGoldenCorpus(t *testing.T) {
 }
 
 // TestConcurrentLoaders loads packages through separate Loaders at
-// once: they share the file set and the standard library's importer.
+// once: each has its own file set and importer, and they share only
+// what the standard library's export-data importer caches.
 func TestConcurrentLoaders(t *testing.T) {
 	root := fixtureDir(t)
 	var wg sync.WaitGroup
@@ -280,24 +283,25 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 	root := repoRoot(t)
 	muts := []mutation{
 		{
-			// TotalByGen summing users in map order instead of sorted.
+			// TotalOccupied summing users in map order instead of sorted.
 			name:    "maprange",
-			file:    "internal/fairshare/fairshare.go",
-			pkg:     "./internal/fairshare",
+			file:    "internal/core/sim.go",
+			pkg:     "./internal/core",
 			check:   "order",
-			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {",
-			new:     "for _, e := range a {\n\t\tfor g, v := range e {",
-			flagged: "out[g] += v",
+			old:     "for _, u := range job.SortedUsers(r.UsageByUserGen) {\n\t\tfor _, v := range r.UsageByUserGen[u] {",
+			new:     "for _, byGen := range r.UsageByUserGen {\n\t\tfor _, v := range byGen {",
+			flagged: "\tt += v\n",
 		},
 		{
-			// Compute's users collected in map order instead of sorted.
+			// The engine's user positions taken in map order instead of
+			// sorted.
 			name:    "maprange",
-			file:    "internal/fairshare/fairshare.go",
-			pkg:     "./internal/fairshare",
+			file:    "internal/core/sim.go",
+			pkg:     "./internal/core",
 			check:   "order",
-			old:     "users := job.SortedUsers(demand)\n",
-			new:     "users := make([]job.UserID, 0, len(demand))\n\tfor u := range demand {\n\t\tusers = append(users, u)\n\t}\n",
-			flagged: "users = append(users, u)",
+			old:     "s.users = job.SortedUsers(s.tickets)\n",
+			new:     "for u := range s.tickets {\n\t\ts.users = append(s.users, u)\n\t}\n",
+			flagged: "s.users = append(s.users, u)",
 		},
 		{
 			// SortedUsers returning its keys in map order, unsorted.
@@ -313,24 +317,24 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			// Collect-then-sum one step removed from the map range:
 			// the sum ranges over a slice, not the map.
 			name:    "floatsum",
-			file:    "internal/fairshare/fairshare.go",
-			pkg:     "./internal/fairshare",
+			file:    "internal/core/sim.go",
+			pkg:     "./internal/core",
 			check:   "order",
-			old:     "for _, u := range job.SortedUsers(a) {\n\t\tfor g, v := range a[u] {\n\t\t\tout[g] += v\n\t\t}\n\t}",
-			new:     "var coll []float64\n\tfor _, e := range a {\n\t\tcoll = append(coll, e[0])\n\t}\n\tfor _, cv := range coll {\n\t\tout[0] += cv\n\t}",
-			flagged: "out[0] += cv",
+			old:     "for _, u := range job.SortedUsers(r.UsageByUserGen) {\n\t\tfor _, v := range r.UsageByUserGen[u] {\n\t\t\tt += v\n\t\t}\n\t}",
+			new:     "var coll []float64\n\tfor _, byGen := range r.UsageByUserGen {\n\t\tcoll = append(coll, byGen[0])\n\t}\n\tfor _, cv := range coll {\n\t\tt += cv\n\t}",
+			flagged: "t += cv",
 		},
 		{
-			// trade.Run writing the traded shares back into the caller's
-			// allocation instead of a fresh one returns the annotated
+			// Emit handing the caller's records to a goroutine that
+			// consumes them after Emit returns keeps the annotated
 			// parameter — the noretain param contract.
 			name:    "retain",
-			file:    "internal/trade/trade.go",
-			pkg:     "./internal/trade",
+			file:    "internal/obs/observer.go",
+			pkg:     "./internal/obs",
 			check:   "retain",
-			old:     "out := make(fairshare.Allocation, len(parties))",
-			new:     "out := alloc",
-			flagged: "return out, log, nil",
+			old:     "o.mu.Lock()\n\to.consume(recs)\n\to.mu.Unlock()",
+			new:     "go func() {\n\t\to.mu.Lock()\n\t\to.consume(recs)\n\t\to.mu.Unlock()\n\t}()",
+			flagged: "go func() {\n\t\to.mu.Lock()",
 		},
 		{
 			// Retaining the reused share-sample buffer beyond the round
@@ -388,10 +392,12 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			mutated := bytes.Replace(src, []byte(m.old), []byte(m.new), 1)
 			wantLine := lineOf(t, mutated, m.flagged)
 
-			diags := runOver(t, LoadConfig{
-				Dir:     root,
-				Overlay: map[string][]byte{full: mutated},
-			}, m.pkg)
+			loader := forkRealModule(t, "repro/"+strings.TrimPrefix(m.pkg, "./"), map[string][]byte{full: mutated})
+			pkgs, err := loader.Load(m.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags := Run(pkgs, Analyzers())
 
 			for _, d := range diags {
 				if d.Check == m.check && strings.HasSuffix(filepath.ToSlash(d.File), m.file) && d.Line == wantLine {
@@ -415,11 +421,13 @@ func lineOf(t *testing.T, src []byte, substr string) int {
 
 // realModule is the repository loaded as CI lints it (./..., test
 // files included), type-checked once and shared by the tests that
-// read the whole module.
+// read the whole module and, through forkRealModule, by the mutation
+// tests.
 var realModule struct {
-	once sync.Once
-	pkgs []*Package
-	err  error
+	once   sync.Once
+	loader *Loader
+	pkgs   []*Package
+	err    error
 }
 
 func loadRealModule(t *testing.T) []*Package {
@@ -433,6 +441,7 @@ func loadRealModule(t *testing.T) []*Package {
 			realModule.err = err
 			return
 		}
+		realModule.loader = loader
 		realModule.pkgs, realModule.err = loader.Load("./...")
 	})
 	if realModule.err != nil {
@@ -441,11 +450,44 @@ func loadRealModule(t *testing.T) []*Package {
 	return realModule.pkgs
 }
 
+// forkRealModule returns a Loader over the real module, without test
+// files, that reads overlay and starts from the shared load's package
+// table with the package at path dropped, so only that package is
+// type-checked again. The fork shares the load's file set and
+// importer, and registers annotations into a copy of its registry, so
+// the objects of one mutated package reach neither the next fork nor
+// the shared load.
+func forkRealModule(t *testing.T, path string, overlay map[string][]byte) *Loader {
+	t.Helper()
+	loadRealModule(t)
+	base := realModule.loader
+	fork := *base
+	fork.cfg = LoadConfig{Dir: base.modDir, Overlay: overlay}
+	fork.pkgs = make(map[string]*Package, len(base.pkgs))
+	for key, pkg := range base.pkgs {
+		if pkg.Path != path {
+			fork.pkgs[key] = pkg
+		}
+	}
+	fork.loading = make(map[string]bool)
+	fork.annot = &annotations{
+		noRetain:   maps.Clone(base.annot.noRetain),
+		noRetainFn: maps.Clone(base.annot.noRetainFn),
+		reuses:     maps.Clone(base.annot.reuses),
+	}
+	return &fork
+}
+
 // TestRealModuleClean is the CI contract run in-process: the
 // repository itself — test files included, exactly as CI invokes
-// gflint — must stay free of findings.
+// gflint — must stay free of findings. The load must reach the nested
+// cmd/gfperf module, which CI lints through the same ./... run.
 func TestRealModuleClean(t *testing.T) {
-	if diags := Run(loadRealModule(t), Analyzers()); len(diags) != 0 {
+	pkgs := loadRealModule(t)
+	if !slices.ContainsFunc(pkgs, func(p *Package) bool { return p.Path == "repro/cmd/gfperf" }) {
+		t.Error("./... loaded no repro/cmd/gfperf package")
+	}
+	if diags := Run(pkgs, Analyzers()); len(diags) != 0 {
 		var b strings.Builder
 		for _, d := range diags {
 			b.WriteString(d.String())
@@ -464,7 +506,7 @@ var callerAllowlist = map[string]string{
 	"repro/internal/job.SortedIDs":                   "sorted walk of per-job maps in the core, job, placement and stride tests",
 	"repro/internal/obs.Observer.Value":              "reads one metric series for the obs, core and distrib tests",
 	"repro/internal/placement.Index.DeviceOps":       "the operation gate's device counters, which only the core tests bind",
-	"repro/internal/fairshare.Allocation.TotalByGen": "capacity sums for the fairshare and trade tests; its sorted sum anchors the lint mutation tests",
+	"repro/internal/fairshare.Allocation.TotalByGen": "capacity sums for the fairshare and trade tests",
 }
 
 // TestEveryExportHasACaller holds internal/ (this package aside) to

@@ -12,17 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-)
-
-// The standard library is type-checked from source once per process:
-// every Loader parses into sharedFset and imports non-module packages
-// through std, whose cache the source importer keeps. stdMu serializes
-// std, which is not safe for concurrent use; sharedFset is.
-var (
-	sharedFset = token.NewFileSet()
-	std        = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
-	stdMu      sync.Mutex
 )
 
 // Package is one parsed and typechecked package, ready for analysis.
@@ -34,8 +23,9 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	directives map[string]map[int][]Directive // file → line → directives
-	annot      *annotations                   // loader-wide annotation registry
+	ignores  []directive  // well-formed //gflint:ignore comments
+	problems []Diagnostic // malformed //gflint: comments, as check "directive"
+	annot    *annotations // loader-wide annotation registry
 }
 
 // LoadConfig controls package loading.
@@ -47,18 +37,21 @@ type LoadConfig struct {
 	// packages (package foo_test) are never loaded.
 	Tests bool
 	// Overlay substitutes file contents by absolute path, used by
-	// tests to analyze modified sources without touching disk.
+	// tests to analyze modified sources without touching disk. Which
+	// files a package builds is still decided from disk.
 	Overlay map[string][]byte
 }
 
 // Loader parses and typechecks packages of one module, resolving
-// intra-module imports itself and delegating the rest (stdlib) to the
-// process-wide source importer. A Loader is not safe for concurrent
-// use; separate Loaders are.
+// intra-module imports itself and the rest (the standard library)
+// from compiler export data. A Loader is not safe for concurrent use;
+// separate Loaders are, as each has its own file set and importer.
 type Loader struct {
 	cfg     LoadConfig
 	modPath string
 	modDir  string
+	fset    *token.FileSet
+	std     types.ImporterFrom  // the standard library, from export data
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // import-cycle guard
 	annot   *annotations        // //gflint:noretain facts across all loads
@@ -81,10 +74,13 @@ func NewLoader(cfg LoadConfig) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	fset := token.NewFileSet()
 	return &Loader{
 		cfg:     cfg,
 		modPath: modPath,
 		modDir:  abs,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 		annot:   newAnnotations(),
@@ -115,7 +111,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	var out []*Package
 	for _, dir := range dirs {
-		pkg, err := l.loadDir(dir)
+		path, err := l.importPathFor(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := l.load(path, true) // with test files when configured
 		if err != nil {
 			return nil, err
 		}
@@ -210,22 +210,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	return l.modPath + "/" + filepath.ToSlash(rel), nil
 }
 
-// loadDir loads the package in dir for analysis (with test files when
-// configured). Returns nil for directories with no buildable files.
-func (l *Loader) loadDir(dir string) (*Package, error) {
-	path, err := l.importPathFor(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.load(path, true)
-}
-
-// importPkg satisfies intra-module imports during typechecking;
-// dependencies never include test files.
-func (l *Loader) importPkg(path string) (*Package, error) {
-	return l.load(path, false)
-}
-
+// load parses and typechecks the package at an import path of the
+// module, as a root of the analysis (with in-package test files when
+// configured) or as a dependency (never with them). It returns nil for
+// a directory with no buildable files.
 func (l *Loader) load(path string, asRoot bool) (*Package, error) {
 	key := path
 	if asRoot && l.cfg.Tests {
@@ -269,79 +257,46 @@ func (l *Loader) load(path string, asRoot bool) (*Package, error) {
 		Importer: moduleImporter{l},
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(path, sharedFset, files, info)
+	tpkg, _ := conf.Check(path, l.fset, files, info)
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("lint: typecheck %s: %v", path, typeErrs[0])
 	}
 
-	pkg := &Package{
-		Path:       path,
-		Dir:        dir,
-		Fset:       sharedFset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		directives: collectDirectives(sharedFset, files),
-		annot:      l.annot,
-	}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, annot: l.annot}
 	// Annotations are collected for dependencies too, so analyzers on
 	// root packages see contracts declared by the packages they import.
 	// A package loaded both as dep and as root-with-tests contributes
-	// twice (two object sets); duplicate problems collapse in Run.
-	l.annot.collectAnnotations(pkg)
+	// twice (two object sets).
+	pkg.readDirectives()
 	l.pkgs[key] = pkg
 	return pkg, nil
 }
 
-// parseDir parses the directory's buildable files: the package's own
-// files plus, when withTests, its in-package _test.go files. External
-// test packages (package foo_test) are skipped, as are files excluded
-// from the current build context by //go:build constraints or _GOOS
-// filename suffixes (otherwise e.g. a signal_unix.go/signal_other.go
-// pair typechecks as a duplicate declaration).
+// parseDir parses the files go/build selects in dir for the current
+// build context: the package's own files plus, when withTests, its
+// in-package _test.go files.
 func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	bp, err := build.ImportDir(dir, 0)
+	if _, ok := err.(*build.NoGoError); ok {
+		return nil, nil
+	} else if err != nil {
 		return nil, fmt.Errorf("lint: %w", err)
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !withTests {
-			continue
-		}
-		if match, err := build.Default.MatchFile(dir, name); err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", filepath.Join(dir, name), err)
-		} else if !match {
-			continue
-		}
-		names = append(names, name)
+	names := bp.GoFiles
+	if withTests {
+		names = append(names, bp.TestGoFiles...)
+		sort.Strings(names)
 	}
-	sort.Strings(names)
-
 	var files []*ast.File
-	pkgName := ""
 	for _, name := range names {
 		full := filepath.Join(dir, name)
 		var src any
 		if data, ok := l.cfg.Overlay[full]; ok {
 			src = data
 		}
-		f, err := parser.ParseFile(sharedFset, full, src, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
-		}
-		if strings.HasSuffix(name, "_test.go") && strings.HasSuffix(f.Name.Name, "_test") {
-			continue // external test package
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName && !strings.HasSuffix(f.Name.Name, "_test") {
-			return nil, fmt.Errorf("lint: %s: package %s conflicts with %s", full, f.Name.Name, pkgName)
 		}
 		files = append(files, f)
 	}
@@ -349,7 +304,7 @@ func (l *Loader) parseDir(dir string, withTests bool) ([]*ast.File, error) {
 }
 
 // moduleImporter resolves intra-module imports through the Loader and
-// everything else (stdlib) through the source importer.
+// everything else (stdlib) through its export-data importer.
 type moduleImporter struct{ l *Loader }
 
 func (m moduleImporter) Import(path string) (*types.Package, error) {
@@ -358,7 +313,7 @@ func (m moduleImporter) Import(path string) (*types.Package, error) {
 
 func (m moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == m.l.modPath || strings.HasPrefix(path, m.l.modPath+"/") {
-		pkg, err := m.l.importPkg(path)
+		pkg, err := m.l.load(path, false)
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +322,5 @@ func (m moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 		}
 		return pkg.Types, nil
 	}
-	stdMu.Lock()
-	defer stdMu.Unlock()
-	return std.ImportFrom(path, dir, mode)
+	return m.l.std.ImportFrom(path, dir, mode)
 }

@@ -43,3 +43,9 @@ func ReusesWrongName(buf []int) []int { return buf[:0] }
 
 //gflint:reuses buf a var declaration is not a function
 var FloatingReuse int
+
+// Misspelled carries a misspelled verb, which binds no contract.
+type Misspelled struct {
+	//gflint:noretian the verb is misspelled
+	Buf []int
+}
