@@ -220,9 +220,14 @@ func (e *hubEndpoint) Send(to string, env Envelope) error {
 func (e *hubEndpoint) Recv() <-chan Envelope { return e.inbox }
 func (e *hubEndpoint) Name() string          { return e.name }
 
+// Close detaches the endpoint. The name is freed only while it still
+// names this endpoint: a stale endpoint closed again after the name was
+// attached anew leaves its successor attached.
 func (e *hubEndpoint) Close() error {
 	e.hub.mu.Lock()
-	delete(e.hub.endpoints, e.name)
+	if e.hub.endpoints[e.name] == e {
+		delete(e.hub.endpoints, e.name)
+	}
 	e.hub.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -261,4 +262,60 @@ func TestServerNameAndDoubleClientClose(t *testing.T) {
 	}
 	_ = cli.Close()
 	_ = cli.Close() // idempotent
+}
+
+// TestHubStaleCloseKeepsSuccessor: closing an endpoint a second time
+// after its name was attached again must not detach the new endpoint.
+func TestHubStaleCloseKeepsSuccessor(t *testing.T) {
+	hub := NewHub()
+	sender, _ := hub.Attach("central")
+	old, _ := hub.Attach("a")
+	_ = old.Close()
+	live, err := hub.Attach("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = old.Close()
+	if err := sender.Send("a", Envelope{From: "central", Msg: Shutdown{}}); err != nil {
+		t.Fatalf("send to the live successor: %v", err)
+	}
+	if _, ok := recvOne(t, live).Msg.(Shutdown); !ok {
+		t.Fatal("live successor did not get the envelope")
+	}
+}
+
+// TestTCPServerCloseRacesDelivery closes a server while four clients
+// are still sending to it, for up to 2 s. A delivery that lands after
+// Close closed the inbox panics the test binary.
+func TestTCPServerCloseRacesDelivery(t *testing.T) {
+	stop := time.Now().Add(2 * time.Second)
+	for i := 0; time.Now().Before(stop); i++ {
+		srv, err := ListenTCP("central", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		clients := make([]*TCPClient, 4)
+		for k := range clients {
+			name := fmt.Sprintf("agent-%d", k)
+			if clients[k], err = DialTCP(name, srv.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(c *TCPClient) {
+				defer wg.Done()
+				for n := 0; n < 200; n++ {
+					if c.Send("central", Envelope{From: name, Msg: Shutdown{}}) != nil {
+						return
+					}
+				}
+			}(clients[k])
+		}
+		time.Sleep(time.Duration(i%151) * time.Microsecond)
+		_ = srv.Close()
+		for _, c := range clients {
+			_ = c.Close()
+		}
+		wg.Wait()
+	}
 }

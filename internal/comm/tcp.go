@@ -106,11 +106,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	s.mu.Unlock()
 }
 
+// deliver queues e without blocking. The send is made under mu, where
+// Close closes the inbox, so a delivery racing Close lands or is
+// dropped, and never sends on a closed channel.
 func (s *TCPServer) deliver(e Envelope) {
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	defer s.mu.Unlock()
+	if s.closed {
 		return
 	}
 	select {
@@ -151,13 +153,12 @@ func (s *TCPServer) Close() error {
 	}
 	s.conns = map[net.Conn]bool{}
 	s.peers = map[string]*peerConn{}
+	close(s.inbox)
 	s.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}
-	err := s.ln.Close()
-	close(s.inbox)
-	return err
+	return s.ln.Close()
 }
 
 // ---------------------------------------------------------------------------

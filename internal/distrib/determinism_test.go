@@ -20,10 +20,7 @@ import (
 func TestDistributedCrossRunDeterminism(t *testing.T) {
 	run := func() *Summary {
 		hub := comm.NewHub()
-		central, err := hub.Attach("central")
-		if err != nil {
-			t.Fatal(err)
-		}
+		central := attach(t, hub, "central")
 		waits := startAgents(t, hub, []gpu.Generation{gpu.K80, gpu.V100}, 4)
 
 		var specs []job.Spec
@@ -101,10 +98,7 @@ func (p *planRecorder) Send(to string, e comm.Envelope) error {
 func TestPlanBytesDeterministic(t *testing.T) {
 	run := func() *planRecorder {
 		hub := comm.NewHub()
-		ep, err := hub.Attach("central")
-		if err != nil {
-			t.Fatal(err)
-		}
+		ep := attach(t, hub, "central")
 		rec := &planRecorder{Transport: ep}
 		// 2-GPU servers: every gang-4 job spans two of them.
 		waits := startAgents(t, hub, []gpu.Generation{gpu.K80, gpu.K80, gpu.K80, gpu.V100, gpu.V100}, 2)

@@ -131,12 +131,14 @@ func (a *Agent) note(event string) {
 }
 
 // SetRetry replaces the default send retry/backoff policy.
-func (a *Agent) SetRetry(pol comm.RetryPolicy) { a.retry = a.newRetrier(pol) }
+func (a *Agent) SetRetry(pol comm.RetryPolicy) { a.retry = newRetrier(pol, a.note) }
 
-func (a *Agent) newRetrier(pol comm.RetryPolicy) *comm.Retrier {
+// newRetrier builds a send retrier that notes every retry as a
+// send_retry event before calling the policy's own OnRetry.
+func newRetrier(pol comm.RetryPolicy, note func(event string)) *comm.Retrier {
 	user := pol.OnRetry
 	pol.OnRetry = func(n int, err error) {
-		a.note("send_retry")
+		note("send_retry")
 		if user != nil {
 			user(n, err)
 		}
@@ -154,15 +156,17 @@ func NewAgent(tr comm.Transport, central string, gen gpu.Generation, gpus int) (
 		return nil, fmt.Errorf("distrib: invalid server inventory")
 	}
 	a := &Agent{tr: tr, central: central, gen: gen, gpus: gpus, dedup: comm.NewDedup()}
-	a.retry = a.newRetrier(comm.RetryPolicy{})
+	a.retry = newRetrier(comm.RetryPolicy{}, a.note)
 	return a, nil
 }
 
 // Run registers with the central scheduler and serves round plans
-// until shut down. Sends go through the retry/backoff policy, so a
-// transient wire failure does not kill the agent. Returns
-// ErrTransportClosed when the connection dies before Shutdown, so
-// supervisors can distinguish a crash from a clean exit.
+// until shut down. It is the agent's one loop over its transport: step
+// decides what each envelope means, and Run sends the reports step
+// returns. Sends go through the retry/backoff policy, so a transient
+// wire failure does not kill the agent. Returns ErrTransportClosed when
+// the connection dies before Shutdown, so supervisors can distinguish a
+// crash from a clean exit.
 func (a *Agent) Run() error {
 	err := a.retry.Send(a.tr, a.central, comm.Envelope{From: a.tr.Name(), Msg: comm.Register{
 		Agent: a.tr.Name(), Gen: int(a.gen), GPUs: a.gpus,
@@ -172,67 +176,76 @@ func (a *Agent) Run() error {
 	}
 	a.note("register_sent")
 	for env := range a.tr.Recv() {
-		if event := a.dedup.Admit(env); event != "" {
-			a.note(event)
-			continue
+		reps, exit, err := a.step(env)
+		if exit {
+			return err
 		}
-		switch m := env.Msg.(type) {
-		case comm.RegisterAck:
-			if !m.OK {
-				return fmt.Errorf("distrib: registration rejected: %s", m.Reason)
-			}
-		case comm.RoundPlan:
-			if m.Epoch < a.epoch {
-				// A plan from a dead central incarnation: acting on it
-				// would split-brain the cluster.
-				a.note("fence_reject")
-				continue
-			}
-			if m.Epoch > a.epoch {
-				// New central incarnation: everything local belongs to
-				// an epoch whose books are closed. The plan's checkpoint
-				// is the authoritative restart point.
-				a.epoch = m.Epoch
-				a.lastRound = 0
-				a.local = nil
-				a.backlog = nil
-			}
-			if m.Round <= a.lastRound {
-				// Duplicate or reordered plan for a round already
-				// executed; running it again would double work.
-				a.note("stale_plan_dropped")
-				continue
-			}
-			a.note("plan_received")
-			a.pruneAcked(m.AckRound)
-			if len(a.backlog) > 0 && a.backlog[0].Round <= m.Round-m.Lease {
-				// Lease expired: the oldest unacknowledged round has
-				// aged out of the central's reconciliation window, so
-				// that work can never be credited. Park at the plan's
-				// checkpoint: drop local state and resync to the
-				// central's view. Under a lease of zero rounds that is
-				// any report the central had not counted by this plan.
-				a.local = nil
-				a.backlog = nil
-				a.note("lease_expired")
-			}
-			rep := a.execute(m)
-			a.lastRound = m.Round
-			a.backlog = append(a.backlog, rep)
-			if err := a.sendBacklog(); err != nil {
-				// The report path is down. Keep executing plans (they
-				// may still arrive on an asymmetric partition) and keep
-				// buffering: the central reconciles what the lease
-				// covers on heal, and a later plan parks the rest.
-				a.note("report_send_failed")
-				continue
-			}
-			a.note("report_sent")
-		case comm.Shutdown:
-			return nil
-		}
+		a.send(reps)
 	}
 	return ErrTransportClosed
+}
+
+// step takes one received envelope through the agent's protocol and
+// sends nothing: the receive check (comm.Dedup.Admit: verify the
+// checksum, drop duplicate deliveries), the registration ack, and for a
+// plan epoch fencing, the backlog's cumulative ack, the lease and
+// execution. It returns the reports to send — after a plan it runs, the
+// whole backlog, oldest first and its newest entry the plan's report,
+// valid until the next step — and whether Run exits, with the error it
+// exits with: a rejected registration, or nil on Shutdown.
+func (a *Agent) step(env comm.Envelope) (reps []comm.RoundReport, exit bool, err error) {
+	if event := a.dedup.Admit(env); event != "" {
+		a.note(event)
+		return nil, false, nil
+	}
+	switch m := env.Msg.(type) {
+	case comm.RegisterAck:
+		if !m.OK {
+			return nil, true, fmt.Errorf("distrib: registration rejected: %s", m.Reason)
+		}
+	case comm.RoundPlan:
+		if m.Epoch < a.epoch {
+			// A plan from a dead central incarnation: acting on it would
+			// split-brain the cluster.
+			a.note("fence_reject")
+			return nil, false, nil
+		}
+		if m.Epoch > a.epoch {
+			// New central incarnation: everything local belongs to an
+			// epoch whose books are closed. The plan's checkpoint is the
+			// authoritative restart point.
+			a.epoch = m.Epoch
+			a.lastRound = 0
+			a.local = nil
+			a.backlog = nil
+		}
+		if m.Round <= a.lastRound {
+			// Duplicate or reordered plan for a round already executed;
+			// running it again would double work.
+			a.note("stale_plan_dropped")
+			return nil, false, nil
+		}
+		a.note("plan_received")
+		a.pruneAcked(m.AckRound)
+		if len(a.backlog) > 0 && a.backlog[0].Round <= m.Round-m.Lease {
+			// Lease expired: the oldest unacknowledged round has aged out
+			// of the central's reconciliation window, so that work can
+			// never be credited. Park at the plan's checkpoint: drop
+			// local state and resync to the central's view. Under a lease
+			// of zero rounds that is any report the central had not
+			// counted by this plan.
+			a.local = nil
+			a.backlog = nil
+			a.note("lease_expired")
+		}
+		rep := a.execute(m)
+		a.lastRound = m.Round
+		a.backlog = append(a.backlog, rep)
+		return a.backlog, false, nil
+	case comm.Shutdown:
+		return nil, true, nil
+	}
+	return nil, false, nil
 }
 
 // pruneAcked drops backlog entries the central has applied (AckRound
@@ -246,17 +259,23 @@ func (a *Agent) pruneAcked(ackRound int) {
 	a.backlog = append(a.backlog[:0], a.backlog[n:]...)
 }
 
-// sendBacklog ships the unacknowledged window oldest-first (the
-// current round's report is its newest entry). Replayed entries are
-// idempotent at the central: its per-agent window drops rounds it
-// already counted.
-func (a *Agent) sendBacklog() error {
-	for _, r := range a.backlog {
+// send ships the reports step returned, oldest first. Replayed entries
+// are idempotent at the central: its per-agent window drops rounds it
+// already counted. When the report path is down the agent keeps
+// executing plans (they may still arrive on an asymmetric partition)
+// and keeps buffering: the central reconciles what the lease covers on
+// heal, and a later plan parks the rest.
+func (a *Agent) send(reps []comm.RoundReport) {
+	if len(reps) == 0 {
+		return
+	}
+	for _, r := range reps {
 		if err := a.retry.Send(a.tr, a.central, comm.Envelope{From: a.tr.Name(), Msg: r}); err != nil {
-			return err
+			a.note("report_send_failed")
+			return
 		}
 	}
-	return nil
+	a.note("report_sent")
 }
 
 // execute runs one quantum's worth of training for the assigned jobs.
@@ -415,8 +434,9 @@ type Central struct {
 
 	retry *comm.Retrier
 
-	timeouts int
-	nMissed  int // agents with missed > 0; zero lets a round skip all failure bookkeeping
+	timeouts  int
+	nMissed   int // agents with missed > 0; zero lets a round skip all failure bookkeeping
+	nRejoined int // agents with an accepted rejoin, what WaitForRejoin waits on
 
 	// Per-round tables, kept and cleared so a zero-fault round
 	// allocates only what it hands away (the plan payloads).
@@ -450,6 +470,12 @@ type agent struct {
 	// each recent round, which is what a late report may be charged
 	// against, and whether that round was counted.
 	window []slot
+	// plan is this round's message to the agent, built by plans and
+	// shipped by dispatch: a work plan when it hosts shards, a probe
+	// when probe is set, else nothing.
+	plan     comm.RoundPlan
+	probe    bool
+	rejoined bool // a rejoin of it was accepted (counted in nRejoined)
 }
 
 // slot is one round of an agent's reconciliation window. It is
@@ -623,7 +649,12 @@ func newCentral(tr comm.Transport, policy core.Policy, cfg CentralConfig, epoch 
 		dedup:    comm.NewDedup(),
 	}
 	c.emit(trace.Record{Kind: trace.KindEpoch, N: int32(epoch)})
-	c.retry = c.newRetrier()
+	// The sequence space is epoch-salted so a restarted central's
+	// envelopes are never mistaken for replays of its predecessor's (or
+	// vice versa) by agents that kept dedup history.
+	pol := cfg.Retry
+	pol.SeqBase = uint64(epoch) << 32
+	c.retry = newRetrier(pol, c.note)
 	return c, nil
 }
 
@@ -649,23 +680,6 @@ func (c *Central) note(event string) {
 // migrations a round.
 const traceCap = 1 << 13
 
-// newRetrier builds the central's send retrier, instrumenting every
-// retry through the observer. The sequence space is epoch-salted so a
-// restarted central's envelopes are never mistaken for replays of its
-// predecessor's (or vice versa) by agents that kept dedup history.
-func (c *Central) newRetrier() *comm.Retrier {
-	pol := c.cfg.Retry
-	pol.SeqBase = uint64(c.epoch) << 32
-	user := pol.OnRetry
-	pol.OnRetry = func(n int, err error) {
-		c.note("send_retry")
-		if user != nil {
-			user(n, err)
-		}
-	}
-	return comm.NewRetrier(pol)
-}
-
 // inbound takes one received envelope through the coordinator's one
 // receive path, in order: the receive check (comm.Dedup.Admit: verify
 // the checksum, drop duplicate deliveries; corruption is counted, never
@@ -674,19 +688,18 @@ func (c *Central) newRetrier() *comm.Retrier {
 // being collected, a late report (queued for reconcileLate), or proof
 // of life (a probe answer, or a replayed copy of a report already
 // accepted). round is the round being collected, 0 between rounds, when
-// every report is late. It returns the position of the agent whose
-// rejoin it accepted, or -1.
-func (c *Central) inbound(env comm.Envelope, round int) int {
+// every report is late.
+func (c *Central) inbound(env comm.Envelope, round int) {
 	if event := c.dedup.Admit(env); event != "" {
 		c.note(event)
-		return -1
+		return
 	}
 	switch m := env.Msg.(type) {
 	case comm.Register:
 		if c.eng == nil {
 			c.register(m)
-		} else if c.handleRejoin(m) {
-			return c.agentIdx[m.Agent]
+		} else {
+			c.handleRejoin(m)
 		}
 	case comm.RoundReport:
 		switch ai, known := c.agentIdx[m.Agent]; {
@@ -703,7 +716,35 @@ func (c *Central) inbound(env comm.Envelope, round int) int {
 			}
 		}
 	}
-	return -1
+}
+
+// expired is a deadline that has passed.
+var expired = make(chan time.Time)
+
+func init() { close(expired) }
+
+// receive is the coordinator's one loop over its transport: it takes
+// envelopes through inbound, collecting round (0 between rounds), until
+// done holds or the deadline passes. Once the deadline has passed it
+// still takes what the inbox already holds, so an expired deadline
+// drains the inbox without waiting. It returns false when the transport
+// closed first.
+func (c *Central) receive(round int, deadline <-chan time.Time, done func() bool) bool {
+	for !done() {
+		select {
+		case env, ok := <-c.tr.Recv():
+			if !ok {
+				return false
+			}
+			c.inbound(env, round)
+		case <-deadline:
+			if len(c.tr.Recv()) == 0 {
+				return true
+			}
+			deadline = expired
+		}
+	}
+	return true
 }
 
 // fenced reports whether a round report belongs to an epoch other than
@@ -773,17 +814,11 @@ func (c *Central) noteAlive(ai int) {
 // and that error is returned.
 func (c *Central) WaitForAgents(n int, timeout time.Duration) error {
 	//gflint:ignore wallclock registration deadline on a real transport, not simulated time
-	deadline := time.After(timeout)
-	for len(c.agents) < n {
-		select {
-		case env, ok := <-c.tr.Recv():
-			if !ok {
-				return fmt.Errorf("distrib: transport closed during registration")
-			}
-			c.inbound(env, 0)
-		case <-deadline:
-			return fmt.Errorf("distrib: only %d of %d agents registered", len(c.agents), n)
-		}
+	if !c.receive(0, time.After(timeout), func() bool { return len(c.agents) >= n }) {
+		return fmt.Errorf("distrib: transport closed during registration")
+	}
+	if len(c.agents) < n {
+		return fmt.Errorf("distrib: only %d of %d agents registered", len(c.agents), n)
 	}
 	if err := c.buildEngine(nil); err != nil {
 		return err
@@ -858,8 +893,8 @@ func (c *Central) ackRegister(name string, ok bool, reason string) {
 // handleRejoin reconciles a mid-run re-registration against the
 // fixed inventory: a known agent announcing its original inventory
 // is welcomed back (its server is marked up and its failure counter
-// reset); anything else is rejected with a reason. Returns whether
-// the rejoin was accepted.
+// reset, and it counts towards nRejoined once); anything else is
+// rejected with a reason. Returns whether the rejoin was accepted.
 func (c *Central) handleRejoin(reg comm.Register) bool {
 	g := gpu.Generation(reg.Gen)
 	i, known := c.agentIdx[reg.Agent]
@@ -873,32 +908,16 @@ func (c *Central) handleRejoin(reg comm.Register) bool {
 			reg.Agent, c.agents[i].gpus, c.agents[i].gen, reg.GPUs, g))
 	default:
 		c.setMissed(i, 0)
+		if !c.agents[i].rejoined {
+			c.agents[i].rejoined = true
+			c.nRejoined++
+		}
 		c.ackRegister(reg.Agent, true, "")
 		c.note("rejoin_accepted")
 		return true
 	}
 	c.note("rejoin_rejected")
 	return false
-}
-
-// drainControl takes what arrived between rounds through the inbound
-// path without blocking: rejoin registrations, and round reports that
-// arrived after their round's collect phase closed — straggler or
-// partition-buffered traffic — which queue for idempotent
-// reconciliation instead of being dropped, so a healed agent's
-// degraded-mode work is credited.
-func (c *Central) drainControl() {
-	for {
-		select {
-		case env, ok := <-c.tr.Recv():
-			if !ok {
-				return
-			}
-			c.inbound(env, 0)
-		default:
-			return
-		}
-	}
 }
 
 // reconcileLate replays queued late reports against the agents'
@@ -992,7 +1011,12 @@ func (c *Central) Steps(maxSteps int) (*Summary, error) {
 		return nil, fmt.Errorf("distrib: WaitForAgents first")
 	}
 	for step := 0; step < maxSteps; step++ {
-		c.drainControl()
+		// What arrived between rounds takes the inbound path first:
+		// rejoins, and reports whose collect phase had closed —
+		// straggler or partition-buffered traffic, queued for
+		// reconciliation so a healed agent's degraded-mode work is
+		// credited.
+		c.receive(0, expired, func() bool { return false })
 		// Reconcile before the engine plans so plans carry the freshest
 		// checkpoint (a healed agent's backlog may have advanced jobs
 		// past what the central charged so far).
@@ -1174,31 +1198,71 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	o := c.cfg.Obs
 	c.quanta = qs
 	defer func() { c.quanta = nil }()
-	// Trace context shipped in every plan so agent spans join this
-	// round's trace (both zero when tracing is off).
-	ctr := o.Tracer()
-	ctrace := ctr.Trace()
-	croot := uint64(ctr.Root())
-	cluster := c.ecfg.Cluster
 
-	// Build and ship per-agent plans, in agent order with each plan's
-	// jobs in ID order, so one seed puts the same bytes on the wire
-	// every run (and drops/retries reproduce). Each quantum is split
-	// into one shard per server it touches: device IDs are dense per
-	// server and Devs ascending, so a server's devices are one run. The
-	// payloads are handed to the transport, so they are fresh every
-	// round: two arrays, carved per plan and per shard. Every shard of a
-	// gang is sent the whole gang's rate and checkpoint, and the time
-	// the engine granted: Overhead is the quantum less Avail, so resume
-	// or migration cost, span penalty and degradation all reach the
-	// agent as seconds without progress.
-	//
-	// A plan that cannot be delivered even after retries means the
-	// agent is unreachable right now: rather than aborting the run (or
-	// stalling the round on a timeout the agent can never answer), it
-	// is charged as a missed report immediately and the round proceeds
-	// without it.
 	o.PhaseStart(obs.PhaseDispatch)
+	c.plans(round, qs)
+	if err := c.dispatch(); err != nil {
+		return err
+	}
+	o.PhaseEnd(obs.PhaseDispatch)
+
+	o.PhaseStart(obs.PhaseCollect)
+	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
+	if !c.receive(round, time.After(c.cfg.ReportTimeout), func() bool { return c.nWant == 0 }) {
+		return fmt.Errorf("distrib: transport closed mid-round")
+	}
+	if c.nWant > 0 {
+		// Straggler cutoff: the round proceeds without the late agents.
+		// Their jobs are charged as misses now; their reports reconcile
+		// idempotently when they arrive inside the lease.
+		for ai := range c.agents { // agent order is name order
+			if c.agents[ai].want {
+				c.note("report_timeout")
+				c.noteMiss(ai)
+			}
+		}
+		c.nWant = 0
+		if c.timeouts > c.cfg.MaxAgentTimeouts {
+			return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
+		}
+	}
+	o.PhaseEnd(obs.PhaseCollect)
+
+	// Backlog that rode in with this round's reports reconciles before
+	// the answers go back: an agent whose round-r report was delayed
+	// sends rounds r and r+1 together, and r must be settled first so
+	// r+1's answer sees monotone progress and both rounds count exactly
+	// once.
+	o.PhaseStart(obs.PhaseApply)
+	c.reconcileLate(round)
+	c.mergeShards(round)
+	o.PhaseEnd(obs.PhaseApply)
+	return nil
+}
+
+// plans builds every agent's message for round into its record and
+// sends nothing. Each quantum is split into one shard per server it
+// touches: device IDs are dense per server and Devs ascending, so a
+// server's devices are one run. An agent hosting shards gets a work
+// plan, its jobs in ID order, and its window slot for round is opened
+// with what it was asked to run, so a report arriving after the collect
+// deadline can still be verified and charged (see reconcileLate). The
+// payloads are handed to the transport, so they are fresh every round:
+// two arrays, carved per plan and per shard. Every shard of a gang is
+// sent the whole gang's rate and checkpoint, and the time the engine
+// granted: Overhead is the quantum less Avail, so resume or migration
+// cost, span penalty and degradation all reach the agent as seconds
+// without progress. Work plans carry the round's trace context (zero
+// when tracing is off) so agent spans join the round's trace.
+//
+// An unheard-from agent with no shard gets a probe instead: an empty
+// plan that paces a cut-off agent's protocol (ack, lease bookkeeping)
+// and gives a healed report path something to answer, so recovery does
+// not depend on the agent still hosting work — a down server hosts
+// none. A probe opens no window slot.
+func (c *Central) plans(round int, qs []core.Quantum) {
+	cluster := c.ecfg.Cluster
+	ctr := c.cfg.Obs.Tracer()
 	for ai := range c.agents {
 		c.agents[ai].shards = c.agents[ai].shards[:0]
 	}
@@ -1223,23 +1287,20 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	}
 	assignBuf := make([]comm.JobAssignment, nShards)
 	localBuf := make([]int, nDevs)
-	c.nWant = 0
 	for ai := range c.agents {
 		a := &c.agents[ai]
-		a.want = false
+		a.plan = comm.RoundPlan{
+			Round: round, Quantum: c.cfg.Quantum,
+			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: a.acked,
+		}
+		a.probe = len(a.shards) == 0 && a.missed > 0
 		if len(a.shards) == 0 {
 			continue
 		}
-		first := cluster.Server(gpu.ServerID(ai)).Devices[0]
-		plan := comm.RoundPlan{
-			Round: round, Quantum: c.cfg.Quantum, Trace: ctrace, Span: croot,
-			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: a.acked,
-			Jobs: assignBuf[:len(a.shards):len(a.shards)],
-		}
+		a.plan.Trace, a.plan.Span = ctr.Trace(), uint64(ctr.Root())
+		a.plan.Jobs = assignBuf[:len(a.shards):len(a.shards)]
 		assignBuf = assignBuf[len(a.shards):]
-		// Retain what this agent was asked to run so a report arriving
-		// after the collect deadline can still be verified and charged
-		// (see reconcileLate).
+		first := cluster.Server(gpu.ServerID(ai)).Devices[0]
 		s := a.open(round)
 		for k, sh := range a.shards {
 			q := &qs[sh.rec]
@@ -1251,7 +1312,7 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 				locals[i] = int(d - first)
 			}
 			s.planned = append(s.planned, plannedEntry{q: *q, frac: sh.frac})
-			plan.Jobs[k] = comm.JobAssignment{
+			a.plan.Jobs[k] = comm.JobAssignment{
 				JobID: int64(j.ID), User: string(j.User), Model: j.Perf.Model,
 				Gang: len(devs), LocalGPUs: locals, Shard: sh.frac,
 				DoneMB: j.DoneMB(), TotalMB: j.TotalMB,
@@ -1259,7 +1320,27 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 				Overhead: c.cfg.Quantum - q.Avail,
 			}
 		}
-		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: plan}); err != nil {
+	}
+}
+
+// dispatch is the coordinator's one send pass over the table plans
+// built: the work plans in agent order, then the timeout budget, then
+// the probes in agent order, so one seed puts the same envelopes on the
+// wire in the same order every run (and drops and retries reproduce).
+// A plan that cannot be delivered even after retries means the agent is
+// unreachable right now: rather than aborting the run (or stalling the
+// round on a timeout the agent can never answer), it is charged as a
+// missed report immediately and the round proceeds without it. Probes
+// are best-effort: no reply expected, failures charge nothing.
+func (c *Central) dispatch() error {
+	c.nWant = 0
+	for ai := range c.agents {
+		a := &c.agents[ai]
+		a.want = false
+		if len(a.shards) == 0 {
+			continue
+		}
+		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: a.plan}); err != nil {
 			c.note("plan_send_failed")
 			c.noteMiss(ai)
 			continue
@@ -1271,70 +1352,16 @@ func (r *remoteExecutor) Execute(round int, qs []core.Quantum) error {
 	if c.timeouts > c.cfg.MaxAgentTimeouts {
 		return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
 	}
-	c.probe(round)
-	o.PhaseEnd(obs.PhaseDispatch)
-
-	o.PhaseStart(obs.PhaseCollect)
-	//gflint:ignore wallclock straggler-cutoff deadline on a real transport, not simulated time
-	deadline := time.After(c.cfg.ReportTimeout)
-	for c.nWant > 0 {
-		select {
-		case env, ok := <-c.tr.Recv():
-			if !ok {
-				return fmt.Errorf("distrib: transport closed mid-round")
-			}
-			c.inbound(env, round)
-		case <-deadline:
-			// Straggler cutoff: the round proceeds without the late
-			// agents. Their jobs are charged as misses now; their
-			// reports reconcile idempotently when they arrive inside
-			// the lease.
-			for ai := range c.agents { // agent order is name order
-				if c.agents[ai].want {
-					c.note("report_timeout")
-					c.noteMiss(ai)
-				}
-			}
-			c.nWant = 0
-			if c.timeouts > c.cfg.MaxAgentTimeouts {
-				return fmt.Errorf("distrib: %d missed agent reports, giving up", c.timeouts)
-			}
-		}
-	}
-	o.PhaseEnd(obs.PhaseCollect)
-
-	// Backlog that rode in with this round's reports reconciles before
-	// the answers go back: an agent whose round-r report was delayed
-	// sends rounds r and r+1 together, and r must be settled first so
-	// r+1's answer sees monotone progress and both rounds count exactly
-	// once.
-	o.PhaseStart(obs.PhaseApply)
-	c.reconcileLate(round)
-	c.mergeShards(round)
-	o.PhaseEnd(obs.PhaseApply)
-	return nil
-}
-
-// probe is the lease protocol's share of dispatch: an empty plan to
-// each unheard-from agent that got no assignment paces a cut-off
-// agent's protocol (ack, lease bookkeeping) and gives a healed report
-// path something to answer, so recovery does not depend on the agent
-// still hosting work — a down server hosts none. Probes are
-// best-effort: no reply expected, failures charge nothing.
-func (c *Central) probe(round int) {
-	for i := range c.agents {
-		a := &c.agents[i]
-		if a.missed == 0 || len(a.shards) > 0 {
+	for ai := range c.agents {
+		a := &c.agents[ai]
+		if !a.probe {
 			continue
 		}
-		probe := comm.RoundPlan{
-			Round: round, Quantum: c.cfg.Quantum,
-			Epoch: c.epoch, Lease: c.cfg.LeaseRounds, AckRound: a.acked,
-		}
-		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: probe}); err != nil {
+		if err := c.retry.Send(c.tr, a.name, comm.Envelope{From: c.tr.Name(), Msg: a.plan}); err != nil {
 			c.note("probe_send_failed")
 			continue
 		}
 		c.note("probe_sent")
 	}
+	return nil
 }

@@ -3,6 +3,7 @@ package distrib
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,21 +11,29 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/obs/span"
 	"repro/internal/workload"
 )
 
 var zoo = workload.DefaultZoo()
+
+// attach attaches name to the hub, failing the test if it cannot.
+func attach(t testing.TB, hub *comm.Hub, name string) comm.Transport {
+	t.Helper()
+	tr, err := hub.Attach(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
 // startAgents launches n agents of the given generations on the hub.
 func startAgents(t testing.TB, hub *comm.Hub, gens []gpu.Generation, gpus int) []chan error {
 	t.Helper()
 	var waits []chan error
 	for i, g := range gens {
-		tr, err := hub.Attach(fmt.Sprintf("agent-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := NewAgent(tr, "central", g, gpus)
+		a, err := NewAgent(attach(t, hub, fmt.Sprintf("agent-%d", i)), "central", g, gpus)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,10 +46,7 @@ func startAgents(t testing.TB, hub *comm.Hub, gens []gpu.Generation, gpus int) [
 
 func TestDistributedEndToEndHub(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
 	waits := startAgents(t, hub, []gpu.Generation{gpu.K80, gpu.K80}, 4)
 
 	var specs []job.Spec
@@ -217,10 +223,7 @@ func TestAgentValidation(t *testing.T) {
 // partitioned server.
 func blackHoleAgent(t *testing.T, hub *comm.Hub, name string, gen gpu.Generation, gpus int) {
 	t.Helper()
-	tr, err := hub.Attach(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := attach(t, hub, name)
 	if err := comm.NewRetrier(comm.RetryPolicy{}).Send(tr, "central", comm.Envelope{From: name, Msg: comm.Register{
 		Agent: name, Gen: int(gen), GPUs: gpus,
 	}}); err != nil {
@@ -313,5 +316,68 @@ func TestAgentExecuteSemantics(t *testing.T) {
 	}
 	if p := rep.Jobs[2]; p.DoneMB != 0 || p.UsedSecs != 0 {
 		t.Errorf("job 3 progress %+v", p)
+	}
+}
+
+// TestCentralPlans builds one round's plans on four registered 2-GPU
+// agents, with nothing on the wire: a 2-gang across agent-0 and agent-1,
+// a whole job on agent-1, and no shard on agent-2, unheard-from, or on
+// agent-3. Only agent-2 is probed.
+func TestCentralPlans(t *testing.T) {
+	hub := comm.NewHub()
+	o := obs.New()
+	o.SetTracer(span.New("central", 0))
+	o.Tracer().BeginRound(5, 0)
+	specs, _ := workload.AssignIDs(append(workload.BatchJobs("alice", zoo.MustGet("lstm"), 1, 2, 1),
+		workload.BatchJobs("bob", zoo.MustGet("gru"), 1, 1, 1)...))
+	c, err := NewCentral(attach(t, hub, "central"), core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
+		Specs: specs, Quantum: 360, LeaseRounds: 2, Obs: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps []comm.Transport
+	for i := 0; i < 4; i++ {
+		eps = append(eps, attach(t, hub, fmt.Sprintf("agent-%d", i)))
+		c.register(comm.Register{Agent: eps[i].Name(), Gen: int(gpu.K80), GPUs: 2})
+	}
+	if err := c.buildEngine(nil); err != nil {
+		t.Fatal(err)
+	}
+	gang, whole := job.MustNew(specs[0]), job.MustNew(specs[1])
+	gang.ApplyReport(1000, gpu.K80, 10, false, 0)
+	c.agents[0].acked = 4
+	c.setMissed(1, 1) // unheard-from, but it hosts a shard: no probe
+	c.setMissed(2, 1)
+	c.plans(5, []core.Quantum{
+		{Job: gang, Devs: []gpu.DeviceID{1, 2}, Gen: gpu.K80, Avail: 300},
+		{Job: whole, Devs: []gpu.DeviceID{3}, Gen: gpu.K80, Avail: 360},
+	})
+
+	for i := range c.agents {
+		a, work := &c.agents[i], i < 2
+		if p := a.plan; p.Round != 5 || p.Epoch != 1 || p.Lease != 2 || p.Quantum != 360 || p.AckRound != []int{4, 0, 0, 0}[i] ||
+			(p.Trace != 0) != work || (p.Span != 0) != work || (len(p.Jobs) > 0) != work || a.probe != (i == 2) {
+			t.Errorf("agent-%d: probe %v, plan %+v", i, a.probe, p)
+		}
+		if s := a.at(5); (s.round == 5) != work || len(s.planned) != len(a.plan.Jobs) {
+			t.Errorf("agent-%d: window slot of round %d with %d entries", i, s.round, len(s.planned))
+		}
+		if len(eps[i].Recv()) != 0 {
+			t.Errorf("plans sent agent-%d an envelope", i)
+		}
+	}
+	for k, want := range []struct {
+		local         int
+		shard, doneMB float64
+		of            *job.Job
+		overhead      float64
+	}{{1, 0.5, 1000, gang, 60}, {0, 0.5, 1000, gang, 60}, {1, 1, 0, whole, 0}} {
+		g := append(c.agents[0].plan.Jobs, c.agents[1].plan.Jobs...)[k]
+		if !slices.Equal(g.LocalGPUs, []int{want.local}) || g.Gang != 1 || g.Shard != want.shard || g.DoneMB != want.doneMB ||
+			g.JobID != int64(want.of.ID) || g.GangRate != want.of.GangRate(gpu.K80) || g.Overhead != want.overhead {
+			t.Errorf("assignment %d = %+v, want local GPU %d, shard %v, DoneMB %v, the whole gang's rate, overhead %v",
+				k, g, want.local, want.shard, want.doneMB, want.overhead)
+		}
 	}
 }

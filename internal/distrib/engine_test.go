@@ -57,10 +57,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 
 func remoteMatchesLocal(t *testing.T, lease int) {
 	hub := comm.NewHub()
-	ep, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := attach(t, hub, "central")
 	gens := []gpu.Generation{gpu.K80, gpu.K80, gpu.K80, gpu.V100, gpu.V100}
 	waits := startAgents(t, hub, gens, 2)
 	newPolicy := func() core.Policy { return core.MustNewFairPolicy(core.FairConfig{EnableTrading: true}) }

@@ -61,10 +61,7 @@ func TestGangSpanningServersNoDoubleCount(t *testing.T) {
 func TestDuplicateRegistrationIdempotent(t *testing.T) {
 	hub := comm.NewHub()
 	central, _ := hub.Attach("central")
-	dup, err := hub.Attach("dup")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dup := attach(t, hub, "dup")
 	// The fake agent seals and sequences what it sends, like a real one.
 	retry := comm.NewRetrier(comm.RetryPolicy{})
 	reg := comm.Envelope{From: "dup", Msg: comm.Register{Agent: "dup", Gen: int(gpu.K80), GPUs: 2}}
@@ -273,14 +270,8 @@ func TestRejoinReconciliation(t *testing.T) {
 // sent afterwards rejoins.
 func TestWaitForRejoinDropsCorruptRegistration(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agentTr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
+	agentTr := attach(t, hub, "agent-0")
 	specs, _ := workload.AssignIDs(workload.BatchJobs("alice", zoo.MustGet("lstm"), 2, 1, 0.45))
 	o := obs.New()
 	c, err := RestoreCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{Quantum: 360, Obs: o}, &State{
@@ -436,10 +427,7 @@ func TestFailureDetectorSuspectRecover(t *testing.T) {
 	startAgents(t, hub, []gpu.Generation{gpu.K80}, 4) // healthy agent-0
 
 	// agent-z registers, then ignores everything for two rounds.
-	zTr, err := hub.Attach("agent-z")
-	if err != nil {
-		t.Fatal(err)
-	}
+	zTr := attach(t, hub, "agent-z")
 	if err := comm.NewRetrier(comm.RetryPolicy{}).Send(zTr, "central", comm.Envelope{From: "agent-z",
 		Msg: comm.Register{Agent: "agent-z", Gen: int(gpu.K80), GPUs: 4}}); err != nil {
 		t.Fatal(err)

@@ -42,10 +42,7 @@ func hubDeploymentWith(tb testing.TB, agents, users, jobsPerUser int, cfg Centra
 		tb.Fatal(err)
 	}
 	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
-	if err != nil {
-		tb.Fatal(err)
-	}
+	ctr := attach(tb, hub, "central")
 	gens := make([]gpu.Generation, agents)
 	for i := range gens {
 		gens[i] = []gpu.Generation{gpu.K80, gpu.P100, gpu.V100}[i%3]

@@ -19,10 +19,7 @@ import (
 // counters, explained placements, and share gauges in /metrics form.
 func TestCentralObservability(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
 	waits := startAgents(t, hub, []gpu.Generation{gpu.K80, gpu.V100}, 4)
 
 	var specs []job.Spec
@@ -90,14 +87,8 @@ func TestCentralObservability(t *testing.T) {
 // TestAgentObservability checks the agent-side protocol counters.
 func TestAgentObservability(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
+	tr := attach(t, hub, "agent-0")
 	a, err := NewAgent(tr, "central", gpu.K80, 4)
 	if err != nil {
 		t.Fatal(err)

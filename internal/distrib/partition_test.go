@@ -3,6 +3,7 @@ package distrib
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,14 +44,8 @@ func oneJobSpecs(t *testing.T, user string, quanta float64) []job.Spec {
 // window, which has that round counted.
 func TestReplayedReportCountedOnce(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
+	tr := attach(t, hub, "agent-0")
 	a, err := NewAgent(tr, "central", gpu.K80, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -156,74 +151,128 @@ func TestReplayedReportCountedOnce(t *testing.T) {
 	}
 }
 
-// fencePlan builds a minimal sealed plan for the agent-side fencing
-// tests: one endless job so every plan produces a report.
-func fencePlan(round, epoch int) comm.Envelope {
-	return comm.Envelope{From: "central", Msg: comm.RoundPlan{
-		Round: round, Epoch: epoch, Quantum: 360, Lease: 2,
+// fencePlan builds a minimal plan for the agent-side protocol tests:
+// one endless job at rate 1 from checkpoint 0, so every plan produces a
+// report, under a lease of 2 rounds.
+func fencePlan(round, epoch, ack int) comm.RoundPlan {
+	return comm.RoundPlan{
+		Round: round, Epoch: epoch, Quantum: 360, Lease: 2, AckRound: ack,
 		Jobs: []comm.JobAssignment{{
 			JobID: 1, User: "u", Gang: 1, LocalGPUs: []int{0},
 			TotalMB: 1e9, GangRate: 1, Shard: 1,
 		}},
-	}}
+	}
 }
 
-// TestAgentFencesStaleEpochPlan drives a real agent from a
-// hand-rolled central: plans from an older epoch are rejected without
-// execution, duplicate rounds within an epoch are dropped, and a
-// newer epoch resets the agent's round horizon.
-func TestAgentFencesStaleEpochPlan(t *testing.T) {
+// stepAgent builds a one-GPU agent on a hub endpoint nothing reads and
+// returns its observer and step, which seals msg as the central's next
+// envelope, takes it through the agent's step and fails the test if
+// step sent anything.
+func stepAgent(t *testing.T) (*obs.Observer, func(msg comm.Message) ([]comm.RoundReport, bool, error)) {
+	t.Helper()
 	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAgent(tr, "central", gpu.K80, 1)
+	ctr := attach(t, hub, "central")
+	a, err := NewAgent(attach(t, hub, "agent-0"), "central", gpu.K80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ob := obs.New()
 	a.SetObserver(ob)
-	done := make(chan error, 1)
-	go func() { done <- a.Run() }()
-
-	// Drain the agent's registration.
-	if _, ok := (<-ctr.Recv()).Msg.(comm.Register); !ok {
-		t.Fatal("expected Register first")
-	}
-	retry := comm.NewRetrier(comm.RetryPolicy{})
-	sendPlan := func(round, epoch int) {
+	seq := uint64(0)
+	return ob, func(msg comm.Message) ([]comm.RoundReport, bool, error) {
 		t.Helper()
-		if err := retry.Send(ctr, "agent-0", fencePlan(round, epoch)); err != nil {
+		seq++
+		env, err := comm.Seal(comm.Envelope{From: "central", Seq: seq, Msg: msg})
+		if err != nil {
 			t.Fatal(err)
 		}
+		reps, exit, err := a.step(env)
+		if len(ctr.Recv()) != 0 {
+			t.Fatal("step sent an envelope")
+		}
+		return reps, exit, err
 	}
+}
+
+// TestAgentStep takes a fresh agent through a sequence of envelopes and
+// checks what the last one's step returns: the rounds of the reports to
+// send, the newest report's progress, the protocol event it records,
+// and whether the agent exits.
+func TestAgentStep(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		msgs   []comm.Message
+		rounds []int   // the rounds of the returned reports, oldest first
+		done   float64 // the newest report's DoneMB
+		event  string
+		exit   bool
+		err    bool
+	}{
+		{name: "older epoch fenced", msgs: []comm.Message{fencePlan(1, 2, 0), fencePlan(2, 1, 0)}, event: "fence_reject"},
+		{name: "newer epoch resets", msgs: []comm.Message{fencePlan(1, 1, 0), fencePlan(2, 1, 0), fencePlan(1, 2, 0)}, rounds: []int{1}, done: 360},
+		{name: "stale round dropped", msgs: []comm.Message{fencePlan(1, 1, 0), fencePlan(1, 1, 0)}, event: "stale_plan_dropped"},
+		{name: "unacked backlog resent", msgs: []comm.Message{fencePlan(1, 1, 0), fencePlan(2, 1, 0)}, rounds: []int{1, 2}, done: 720},
+		{name: "AckRound prunes", msgs: []comm.Message{fencePlan(1, 1, 0), fencePlan(2, 1, 1)}, rounds: []int{2}, done: 720},
+		{name: "lease expiry parks at the checkpoint", msgs: []comm.Message{fencePlan(1, 1, 0), fencePlan(2, 1, 0), fencePlan(4, 1, 0)},
+			rounds: []int{4}, done: 360, event: "lease_expired"},
+		{name: "registration rejected", msgs: []comm.Message{comm.RegisterAck{Reason: "no"}}, exit: true, err: true},
+		{name: "shutdown", msgs: []comm.Message{comm.Shutdown{}}, exit: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ob, step := stepAgent(t)
+			var reps []comm.RoundReport
+			var exit bool
+			var err error
+			for _, m := range tc.msgs {
+				reps, exit, err = step(m)
+			}
+			var rounds []int
+			for _, r := range reps {
+				rounds = append(rounds, r.Round)
+			}
+			if !slices.Equal(rounds, tc.rounds) || exit != tc.exit || (err != nil) != tc.err {
+				t.Fatalf("reports for rounds %v, exit %v, err %v; want rounds %v, exit %v", rounds, exit, err, tc.rounds, tc.exit)
+			}
+			if len(reps) > 0 && reps[len(reps)-1].Jobs[0].DoneMB != tc.done {
+				t.Errorf("newest report's DoneMB = %v, want %v", reps[len(reps)-1].Jobs[0].DoneMB, tc.done)
+			}
+			if tc.event != "" && ob.Value("gf_protocol_events_total", tc.event) < 1 {
+				t.Errorf("no %s event", tc.event)
+			}
+		})
+	}
+}
+
+// TestAgentFencesStaleEpochPlan drives an agent's step as a hand-rolled
+// central would: plans from an older epoch are rejected without
+// execution, duplicate rounds within an epoch are dropped, and a newer
+// epoch resets the agent's round horizon.
+func TestAgentFencesStaleEpochPlan(t *testing.T) {
+	ob, step := stepAgent(t)
+	// wantReport checks that the first report step returns — the next
+	// message Run would send — is the plan's own.
 	wantReport := func(round, epoch int) {
 		t.Helper()
-		rep, ok := (<-ctr.Recv()).Msg.(comm.RoundReport)
-		if !ok || rep.Round != round || rep.Epoch != epoch {
-			t.Fatalf("got %+v, want report for round %d epoch %d", rep, round, epoch)
+		reps, _, _ := step(fencePlan(round, epoch, 0))
+		if len(reps) == 0 || reps[0].Round != round || reps[0].Epoch != epoch {
+			t.Fatalf("got %+v, want report for round %d epoch %d", reps, round, epoch)
+		}
+	}
+	wantNone := func(round, epoch int) {
+		t.Helper()
+		if reps, _, _ := step(fencePlan(round, epoch, 0)); len(reps) != 0 {
+			t.Fatalf("plan for round %d epoch %d answered with %+v", round, epoch, reps)
 		}
 	}
 
-	sendPlan(1, 2) // current incarnation
-	wantReport(1, 2)
-	sendPlan(2, 1) // stale epoch: a dead central's plan — fenced, no report
-	sendPlan(3, 2) // next live plan; its report must be the next message
-	wantReport(3, 2)
-	sendPlan(3, 2) // duplicated round within the epoch — dropped
-	sendPlan(1, 3) // new incarnation: round horizon resets, round 1 runs again
-	wantReport(1, 3)
+	wantReport(1, 2) // current incarnation
+	wantNone(2, 1)   // stale epoch: a dead central's plan — fenced, no report
+	wantReport(3, 2) // next live plan; its report must be the next message
+	wantNone(3, 2)   // duplicated round within the epoch — dropped
+	wantReport(1, 3) // new incarnation: round horizon resets, round 1 runs again
 
-	if err := retry.Send(ctr, "agent-0", comm.Envelope{From: "central", Msg: comm.Shutdown{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if _, exit, err := step(comm.Shutdown{}); !exit || err != nil {
+		t.Fatalf("Shutdown: exit %v, err %v", exit, err)
 	}
 	if n := ob.Value("gf_protocol_events_total", "fence_reject"); n != 1 {
 		t.Errorf("fence_reject = %v, want 1", n)
@@ -238,10 +287,7 @@ func TestAgentFencesStaleEpochPlan(t *testing.T) {
 // are rejected, epoch 0 (which no central stamps) included.
 func TestCentralFencesStaleEpochReport(t *testing.T) {
 	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctr := attach(t, hub, "central")
 	ob := obs.New()
 	c, err := NewCentral(ctr, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
 		Specs: oneJobSpecs(t, "alice", 2), Obs: ob,
@@ -273,68 +319,39 @@ func TestCentralFencesStaleEpochReport(t *testing.T) {
 // TestLeaseExpiryParksAtCheckpoint: an agent whose reports are never
 // acknowledged keeps training on local state for the lease duration,
 // then parks — discarding local progress and resyncing to the plan's
-// checkpoint — once the oldest unacknowledged round ages out.
+// checkpoint — once the oldest unacknowledged round ages out. Every
+// plan carries the same stale checkpoint (DoneMB 0) and acks nothing —
+// the central never heard a report — and step returns what Run sends,
+// in order.
 func TestLeaseExpiryParksAtCheckpoint(t *testing.T) {
-	hub := comm.NewHub()
-	ctr, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAgent(tr, "central", gpu.K80, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob := obs.New()
-	a.SetObserver(ob)
-	done := make(chan error, 1)
-	go func() { done <- a.Run() }()
-	if _, ok := (<-ctr.Recv()).Msg.(comm.Register); !ok {
-		t.Fatal("expected Register first")
-	}
-
-	retry := comm.NewRetrier(comm.RetryPolicy{})
-	// Every plan carries the same stale checkpoint (DoneMB 0) and acks
-	// nothing — the central never heard a report.
-	sendPlan := func(round int) {
+	ob, step := stepAgent(t)
+	reports := func(round int) []comm.RoundReport {
 		t.Helper()
-		if err := retry.Send(ctr, "agent-0", fencePlan(round, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recvReport := func() comm.RoundReport {
-		t.Helper()
-		rep, ok := (<-ctr.Recv()).Msg.(comm.RoundReport)
-		if !ok {
+		reps, _, _ := step(fencePlan(round, 1, 0))
+		if len(reps) == 0 {
 			t.Fatal("expected RoundReport")
 		}
-		return rep
+		return reps
 	}
 
-	sendPlan(1)
-	r1 := recvReport() // round 1, fresh start: one quantum of progress
+	r1 := reports(1)[0] // round 1, fresh start: one quantum of progress
 	if r1.Jobs[0].DoneMB != 360 {
 		t.Fatalf("round 1 DoneMB = %v, want 360 (quantum at rate 1)", r1.Jobs[0].DoneMB)
 	}
-	sendPlan(2)
+	reps := reports(2)
 	// The backlog resends round 1's report ahead of round 2's.
-	if rep := recvReport(); rep.Round != 1 {
-		t.Fatalf("expected backlog resend of round 1, got round %d", rep.Round)
+	if reps[0].Round != 1 || len(reps) != 2 {
+		t.Fatalf("expected backlog resend of round 1, got round %d", reps[0].Round)
 	}
-	r2 := recvReport()
 	// Degraded mode: round 2 continued from local progress (720),
 	// not the plan's stale checkpoint (0 + 360).
-	if r2.Jobs[0].DoneMB != 720 {
+	if r2 := reps[1]; r2.Jobs[0].DoneMB != 720 {
 		t.Errorf("round 2 DoneMB = %v, want 720 (local progress trusted under lease)", r2.Jobs[0].DoneMB)
 	}
 	// Round 5 with lease 2: the oldest unacked round (1) is <= 5-2, so
 	// the lease is spent. The agent parks: local state and backlog are
 	// dropped, and execution restarts from the plan's checkpoint.
-	sendPlan(5)
-	r5 := recvReport()
+	r5 := reports(5)[0]
 	if r5.Round != 5 {
 		t.Fatalf("expected round 5 report (backlog discarded on park), got round %d", r5.Round)
 	}
@@ -345,86 +362,26 @@ func TestLeaseExpiryParksAtCheckpoint(t *testing.T) {
 	if n := ob.Value("gf_protocol_events_total", "lease_expired"); n != 1 {
 		t.Errorf("lease_expired = %v, want 1", n)
 	}
-
-	if err := retry.Send(ctr, "agent-0", comm.Envelope{From: "central", Msg: comm.Shutdown{}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if _, exit, err := step(comm.Shutdown{}); !exit || err != nil {
+		t.Fatalf("Shutdown: exit %v, err %v", exit, err)
 	}
 }
 
-// TestStragglerCutoffReconcilesLateReport: an agent that withholds
-// its round-1 report is cut off at the collect deadline (the round
-// proceeds, charging a miss), then delivers the late report alongside
-// round 2's — the central reconciles it idempotently before applying
-// round 2, so every executed round is charged exactly once.
+// TestStragglerCutoffReconcilesLateReport: an agent whose round-1
+// report is lost on the way is cut off at the collect deadline (the
+// round proceeds, charging a miss); round 2's plan acknowledges nothing,
+// so the agent's backlog delivers the late report alongside round 2's —
+// the central reconciles it idempotently before applying round 2, so
+// every executed round is charged exactly once.
 func TestStragglerCutoffReconcilesLateReport(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
+	central := attach(t, hub, "central")
+	a, err := NewAgent(&lostReports{Transport: attach(t, hub, "agent-0"), lost: 1}, "central", gpu.K80, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := hub.Attach("agent-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAgent(tr, "central", gpu.K80, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	agentDone := make(chan error, 1)
-	go func() {
-		seq := uint64(1)
-		send := func(rep comm.RoundReport) error {
-			seq++
-			e, err := comm.Seal(comm.Envelope{From: "agent-0", Seq: seq, Msg: rep})
-			if err != nil {
-				return err
-			}
-			return tr.Send("central", e)
-		}
-		reg, err := comm.Seal(comm.Envelope{From: "agent-0", Seq: seq, Msg: comm.Register{
-			Agent: "agent-0", Gen: int(gpu.K80), GPUs: 1,
-		}})
-		if err != nil {
-			agentDone <- err
-			return
-		}
-		if err := tr.Send("central", reg); err != nil {
-			agentDone <- err
-			return
-		}
-		var withheld *comm.RoundReport
-		for env := range tr.Recv() {
-			switch m := env.Msg.(type) {
-			case comm.RoundPlan:
-				rep := a.execute(m)
-				if m.Round == 1 {
-					// Straggle: execute but stay silent past the
-					// deadline. Local state keeps the progress.
-					withheld = &rep
-					continue
-				}
-				if withheld != nil {
-					if err := send(*withheld); err != nil {
-						agentDone <- err
-						return
-					}
-					withheld = nil
-				}
-				if err := send(rep); err != nil {
-					agentDone <- err
-					return
-				}
-			case comm.Shutdown:
-				agentDone <- nil
-				return
-			}
-		}
-		agentDone <- nil
-	}()
+	go func() { agentDone <- a.Run() }()
 
 	ob := obs.New()
 	c, err := NewCentral(central, core.MustNewFairPolicy(core.FairConfig{}), CentralConfig{
@@ -521,17 +478,11 @@ func startBehindPlanWire(t *testing.T, quanta float64, fails, lease int) (c *Cen
 func startPair(t *testing.T, quanta float64, lease, fails, lost int, timeout time.Duration) (c *Central, hub *comm.Hub, ob *obs.Observer, wait func()) {
 	t.Helper()
 	hub = comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
 	ob = obs.New()
 	var waits []chan error
 	for i := 0; i < 2; i++ {
-		tr, err := hub.Attach(fmt.Sprintf("agent-%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := attach(t, hub, fmt.Sprintf("agent-%d", i))
 		if i == 1 {
 			tr = &lostReports{Transport: tr, lost: lost}
 		}
@@ -546,7 +497,7 @@ func startPair(t *testing.T, quanta float64, lease, fails, lost int, timeout tim
 	}
 
 	specs := append(oneJobSpecs(t, "alice", quanta), oneJobSpecs(t, "bob", quanta)...)
-	specs, err = workload.AssignIDs(specs)
+	specs, err := workload.AssignIDs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,10 +629,7 @@ func TestUndeliverablePlanImmediateMiss(t *testing.T) {
 // whichever round it arrives in, heals the partition.
 func TestPartitionLifecycleReachesTheTrace(t *testing.T) {
 	c, hub, ob, wait := startBehindPlanWire(t, 1e6, 9, 1)
-	ghost, err := hub.Attach("ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ghost := attach(t, hub, "ghost")
 	stale, err := comm.Seal(comm.Envelope{From: "ghost", Seq: 1,
 		Msg: comm.RoundReport{Agent: "agent-0", Round: 1, Epoch: 7}})
 	if err != nil {

@@ -47,17 +47,11 @@ func (p *decisionTap) Executed(rep *core.ExecReport) {
 // after the round, and the policy's view of the round either side.
 func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	hub := comm.NewHub()
-	ep, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep := attach(t, hub, "central")
 	gens := []gpu.Generation{gpu.K80, gpu.K80, gpu.V100, gpu.V100}
 	startAgents(t, hub, gens[:3], 2) // agent-0..2
 	// agent-3 is the victim: the test keeps its endpoint.
-	victimTr, err := hub.Attach("agent-3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	victimTr := attach(t, hub, "agent-3")
 	victim, err := NewAgent(victimTr, "central", gpu.V100, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +152,7 @@ func TestCentralPlacementMatchesPlaceReference(t *testing.T) {
 	}
 
 	// Rejoin under the same name: a fresh endpoint and agent process.
-	tr2, err := hub.Attach("agent-3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr2 := attach(t, hub, "agent-3")
 	reborn, err := NewAgent(tr2, "central", gpu.V100, 2)
 	if err != nil {
 		t.Fatal(err)

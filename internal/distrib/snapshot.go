@@ -189,21 +189,11 @@ func (c *Central) WaitForRejoin(n int, timeout time.Duration) error {
 		return fmt.Errorf("distrib: waiting for %d rejoins with only %d known agents", n, len(c.agents))
 	}
 	//gflint:ignore wallclock rejoin deadline on a real transport, not simulated time
-	deadline := time.After(timeout)
-	seen, nSeen := make([]bool, len(c.agents)), 0
-	for nSeen < n {
-		select {
-		case env, ok := <-c.tr.Recv():
-			if !ok {
-				return fmt.Errorf("distrib: transport closed during rejoin")
-			}
-			if ai := c.inbound(env, 0); ai >= 0 && !seen[ai] {
-				seen[ai] = true
-				nSeen++
-			}
-		case <-deadline:
-			return fmt.Errorf("distrib: only %d of %d agents rejoined", nSeen, n)
-		}
+	if !c.receive(0, time.After(timeout), func() bool { return c.nRejoined >= n }) {
+		return fmt.Errorf("distrib: transport closed during rejoin")
+	}
+	if c.nRejoined < n {
+		return fmt.Errorf("distrib: only %d of %d agents rejoined", c.nRejoined, n)
 	}
 	return nil
 }

@@ -89,15 +89,12 @@ func FuzzRestoreCentral(f *testing.F) {
 func hubSnapshot(tb testing.TB) []byte {
 	tb.Helper()
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		tb.Fatal(err)
-	}
+	central := attach(tb, hub, "central")
 	waits := startAgents(tb, hub, []gpu.Generation{gpu.K80, gpu.V100}, 2)
 	var specs []job.Spec
 	specs = append(specs, workload.BatchJobs("alice", zoo.MustGet("lstm"), 2, 1, 0.45)...)
 	specs = append(specs, workload.BatchJobs("bob", zoo.MustGet("gru"), 3, 2, 2)...)
-	specs, err = workload.AssignIDs(specs)
+	specs, err := workload.AssignIDs(specs)
 	if err != nil {
 		tb.Fatal(err)
 	}

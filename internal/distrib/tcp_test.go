@@ -115,7 +115,7 @@ func TestCorruptPlanOverTCPIsDropped(t *testing.T) {
 	wire := in.Wrap(srv)
 	retry := comm.NewRetrier(comm.RetryPolicy{})
 	for i := 0; i < 2; i++ { // the first goes out corrupted
-		if err := retry.Send(wire, "agent-0", fencePlan(1, 1)); err != nil {
+		if err := retry.Send(wire, "agent-0", comm.Envelope{From: "central", Msg: fencePlan(1, 1, 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,10 +23,7 @@ import (
 // one process row per endpoint.
 func TestDistributedTraceIsConnected(t *testing.T) {
 	hub := comm.NewHub()
-	central, err := hub.Attach("central")
-	if err != nil {
-		t.Fatal(err)
-	}
+	central := attach(t, hub, "central")
 	waits := startAgents(t, hub, []gpu.Generation{gpu.K80, gpu.K80}, 4)
 
 	var specs []job.Spec
