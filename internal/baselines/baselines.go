@@ -80,7 +80,6 @@ func compareKey(x, y float64) int {
 type plan struct {
 	ranks []rank              //gflint:noretain the round's runnable jobs, in priority order once sorted
 	run   []placement.Request // the round's Decision.Run, rebuilt in place by the next Decide
-	at    []int32             //gflint:noretain each request's position in RoundState.Jobs
 }
 
 // fill sorts ranks and requests their jobs, in that order, on
@@ -97,7 +96,6 @@ func (p *plan) fill(jobs []*job.Job, ranks []rank, free *capacity) {
 		}
 		free[g] -= j.Gang
 		p.run = append(p.run, placement.Request{Job: j, Gen: g})
-		p.at = append(p.at, r.at)
 	}
 }
 
@@ -115,7 +113,7 @@ func pickGen(j *job.Job, free *capacity) (gpu.Generation, bool) {
 
 // fillAll decides the round: p.ranks fill the whole cluster.
 func (p *plan) fillAll(st *core.RoundState) core.Decision {
-	p.run, p.at = p.run[:0], p.at[:0]
+	p.run = p.run[:0]
 	free := capacityOf(st)
 	p.fill(st.Jobs, p.ranks, &free)
 	//gflint:ignore retain Decision.Run is good until the next Decide, which rebuilds it in place
@@ -179,17 +177,17 @@ func (t *Tiresias) JobFinished(job.ID) {}
 // user-level guarantee at all.
 type GandivaRR struct {
 	plan
-	// recs holds one record per runnable job of the last Decide, in job-ID
-	// order: record i is RoundState.Jobs[i] of that round. Each Decide
-	// merges it with the round's jobs into spare, then the two swap.
-	recs, spare []served
+	// recs holds a job's record at its slot (job.Job.Slot). A record is
+	// its job's while the job is runnable; the slot's next job finds
+	// another ID there and starts afresh.
+	recs []served
 }
 
 // served is one job's rounds-served count.
 type served struct {
-	id   job.ID
-	n    int
-	done bool // finished since the last Decide: Executed drops it
+	id  job.ID
+	n   int32
+	set bool // the record is some job's: a slot never used has none
 }
 
 // NewGandivaRR constructs the baseline.
@@ -202,53 +200,41 @@ func (g *GandivaRR) Name() string { return "gandiva-rr" }
 func (g *GandivaRR) Decide(st *core.RoundState) core.Decision {
 	// Join rule mirrors stride: newcomers start at the current
 	// minimum so they neither monopolize nor starve.
-	prev, next := g.recs, g.spare[:0]
-	min, found := 0, false
-	k := 0
-	for _, j := range st.Jobs {
-		for k < len(prev) && prev[k].id < j.ID {
-			k++
-		}
-		rec := served{id: j.ID, n: -1}
-		if k < len(prev) && prev[k].id == j.ID {
-			rec = prev[k]
-			if !found || rec.n < min {
-				min, found = rec.n, true
-			}
-			k++
-		}
-		next = append(next, rec)
-	}
+	min, found := int32(0), false
 	g.ranks = g.ranks[:0]
-	for i := range next {
-		if next[i].n < 0 {
-			next[i].n = min
+	for i, j := range st.Jobs {
+		at := j.Slot()
+		if at >= len(g.recs) { // recs never shrinks, so what it grows into is zero
+			g.recs = slices.Grow(g.recs, at+1-len(g.recs))[:at+1]
 		}
-		g.ranks = append(g.ranks, rank{major: float64(next[i].n), id: next[i].id, at: int32(i)})
+		rec := &g.recs[at]
+		if !rec.set || rec.id != j.ID {
+			*rec = served{id: j.ID, n: -1, set: true}
+		} else if !found || rec.n < min {
+			min, found = rec.n, true
+		}
+		g.ranks = append(g.ranks, rank{major: float64(rec.n), id: j.ID, at: int32(i)})
 	}
-	//gflint:ignore retain recs and spare are one double buffer: each round's merge reads one and fills the other
-	g.recs, g.spare = next, prev[:0]
+	for i := range g.ranks {
+		if r := &g.ranks[i]; r.major < 0 {
+			r.major = float64(min)
+			g.recs[st.Jobs[r.at].Slot()].n = min
+		}
+	}
 	return g.fillAll(st)
 }
 
 // Executed implements core.Policy: each job that ran has served one
-// more round. A request's record sits where its job sat in the round's
-// jobs.
+// more round.
 func (g *GandivaRR) Executed(rep *core.ExecReport) {
 	for _, info := range rep.Ran {
-		g.recs[g.at[info.Req]].n++
+		g.recs[g.run[info.Req].Job.Slot()].n++
 	}
-	g.recs = slices.DeleteFunc(g.recs, func(r served) bool { return r.done })
 }
 
-// JobFinished implements core.Policy. The engine retires a round's
-// finished jobs before it reports the round, so the record is marked
-// here and dropped once Executed has counted it.
-func (g *GandivaRR) JobFinished(id job.ID) {
-	if i, ok := slices.BinarySearchFunc(g.recs, id, func(r served, id job.ID) int { return cmp.Compare(r.id, id) }); ok {
-		g.recs[i].done = true
-	}
-}
+// JobFinished implements core.Policy: a finished job's record stays in
+// its slot until the slot's next job replaces it.
+func (g *GandivaRR) JobFinished(job.ID) {}
 
 // ---------------------------------------------------------------------------
 // Static quota
@@ -332,7 +318,7 @@ func (s *StaticQuota) Decide(st *core.RoundState) core.Decision {
 			next[h]++
 		}
 	}
-	s.run, s.at = s.run[:0], s.at[:0]
+	s.run = s.run[:0]
 	lo := int32(0)
 	for h, hi := range next[:len(s.holders)] {
 		s.fill(st.Jobs, s.ranks[lo:hi], &s.quota[h])

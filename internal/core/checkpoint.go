@@ -89,14 +89,15 @@ func (s *Sim) Checkpoint() *Checkpoint {
 // so are the clock, the books and where the jobs last ran (see
 // checkClock and checkBooks).
 //
-// The restored engine's jobs are new records with the checkpoint's IDs.
-// A fresh policy starts its books over. A FairPolicy that ran under the
-// checkpointed engine may be handed in instead: at its first round it
-// rebinds its record of each job to the new one, and the users' credit,
-// the jobs' stride passes and migration cooldowns carry over. The
-// restored jobs start unprofiled whichever profiler is handed in: a
-// profiler finds a job's estimates through the job's record
-// (job.Job.ProfileAt), and these records are new.
+// The restored engine's jobs are new records with the checkpoint's IDs,
+// admitted in ID order, so each takes the next slot (job.Job.Slot), not
+// necessarily the one it had. A fresh policy starts its books over. A
+// FairPolicy that ran under the checkpointed engine may be handed in
+// instead: the users' credit carries over, and a job's stride passes and
+// migration cooldown carry over if the job is in the slot it had, while
+// a job in another slot starts them afresh. The restored jobs start
+// unprofiled whichever profiler is handed in: a profiler knows a job's
+// estimates by the very job record, and these records are new.
 func Restore(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler, cp *Checkpoint) (*Sim, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")

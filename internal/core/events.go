@@ -61,13 +61,15 @@ func (e *eventCursor) nextArrival() (simclock.Time, bool) {
 	return e.specs[e.nextSpec].Arrival, true
 }
 
-// popArrivalsDue hands every spec with Arrival ≤ now to fn, in
-// arrival order, advancing the cursor past them.
-func (e *eventCursor) popArrivalsDue(now simclock.Time, fn func(job.Spec)) {
+// popArrivalsDue returns every spec with Arrival ≤ now, in arrival
+// order — a view of the cursor's sorted specs — advancing the cursor
+// past them.
+func (e *eventCursor) popArrivalsDue(now simclock.Time) []job.Spec {
+	from := e.nextSpec
 	for e.nextSpec < len(e.specs) && e.specs[e.nextSpec].Arrival <= now {
-		fn(e.specs[e.nextSpec])
 		e.nextSpec++
 	}
+	return e.specs[from:e.nextSpec]
 }
 
 // popTicketsDue hands every ticket change with At ≤ now to fn, in

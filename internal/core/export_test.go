@@ -65,10 +65,13 @@ func countStrideCompares(n *int) (stop func()) {
 	return func() { stride.OnOrder = nil }
 }
 
-// Credit is a user's current deficit credits.
+// Credit is a user's current deficit credits: zero unless they had a
+// runnable job at the last Decide.
 func (p *FairPolicy) Credit(u job.UserID) fairshare.Entitlement {
-	if i, ok := slices.BinarySearchFunc(p.users, u, func(us userRow, u job.UserID) int { return cmp.Compare(us.id, u) }); ok {
-		return p.users[i].credit
+	for _, at := range p.active {
+		if p.users[at].id == u {
+			return p.users[at].credit
+		}
 	}
 	return fairshare.Entitlement{}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -74,64 +73,56 @@ const compMaxShare = 0.25
 //     deprioritized) — work conservation without violating anyone's
 //     guarantee.
 //
-// The policy's state is a few dense tables by position (the layout of
-// Gavel's jobs × accelerator-type matrix): a row per active user and
-// one per runnable job, laid out afresh each round by one walk over
-// RoundState.Jobs (group), after which Decide reads rows, never a
-// *job.Job. Each table and its spare half grow to their high-water
-// mark and are reused, so users and jobs that come and go cost no
-// allocation once the policy has held as many at once as it will.
+// The policy's state is two dense tables (the layout of Gavel's jobs ×
+// accelerator-type matrix): a row per user at the engine's position for
+// them (job.Job.UserAt) and a row per job at its slot (job.Job.Slot).
+// One walk over RoundState.Jobs a round (group) brings them up to date
+// and lays the round out, after which Decide reads rows, never a
+// *job.Job. The tables grow to the engine's user count and slot table,
+// and every scratch slice to its high-water mark, so users and jobs that
+// come and go cost no allocation once the policy has held as many at
+// once as it will.
+//
+// A row lives as long as its user or job stays runnable: a user with no
+// runnable job at the previous Decide starts afresh, and so does a job
+// whose slot's row is another job's. Handed to Restore with its engine's
+// checkpoint, the policy therefore keeps each user's credit, but a job's
+// stride passes and migration cooldown only if the restored engine gives
+// the job the slot it had.
 type FairPolicy struct {
 	cfg FairConfig
 
-	// The round's tables, laid out by group. users holds one row per
-	// user with runnable jobs, in user-ID order; jobs one row per
-	// runnable job, user-major: user u's rows are
-	// jobs[users[u].lo:users[u].hi], in the stride order last round's
-	// pass 1 left them in (next), each job new to the policy after them
-	// in ID order. byID[k] is RoundState.Jobs[k]'s entry: the jobs in
-	// job-ID order, for the next round's walk to merge with and the
-	// backfill to walk. A row is made at a job's first sight and dropped
-	// once the job is no longer runnable, a user's once they have no
-	// runnable job left: a user who returns starts afresh.
+	// The tables, by user position and by slot.
 	users []userRow
 	jobs  []jobRow
-	byID  []idEntry
-	next  []int32 // pass 1's order of each user's rows, as rows: what the next round lays them out in
+
+	// The round's layout, laid out by group. active holds the positions of
+	// the users with runnable jobs, in user-ID order; lay the slots of
+	// their jobs, user-major: user u's are lay[users[u].lo:users[u].hi],
+	// in the stride order last round's pass 1 left them in (next), each
+	// job new to the policy after them in ID order.
+	active []int32 //gflint:noretain rewritten by every group
+	lay    []int32 //gflint:noretain rewritten by every group
+	next   []int32 // pass 1's order of each user's slots, by position in lay: what the next round lays them out in
+	added  []int32 //gflint:noretain the positions in RoundState.Jobs of jobs new to the policy
 
 	round     int
 	noMigrate bool
 
-	// The tables' spare halves: group lays the round out into them from
-	// the live ones and swaps the two.
-	spareUsers []userRow
-	spareJobs  []jobRow
-	spareByID  []idEntry
-
-	// group's scratch. A user is known to the walk by a key: their row's
-	// position last round, or, for a user new to the policy, one past
-	// the last row's in order of first sight.
-	sums  []userSums  //gflint:noretain what the walk adds up per user key
-	keys  []int32     //gflint:noretain the user key of RoundState.Jobs[k]
-	newAt []int32     //gflint:noretain by last round's row: where in RoundState.Jobs its job is, -1 if it is not runnable
-	added []int32     //gflint:noretain the positions in RoundState.Jobs of jobs new to the policy
-	fresh []freshUser //gflint:noretain the round's users new to the policy, in ID order
-	remap []int32     //gflint:noretain a user key's row
-
 	// Decide's scratch, kept across rounds and rewritten, never rebuilt.
-	// fill, parties and tickets are by position in users.
+	// fill, parties and tickets are by position in active.
 	fill     waterFill                          //gflint:noretain the round's water-fill
 	tickets  []float64                          //gflint:noretain the round's hierarchical tickets
 	userIDs  []job.UserID                       //gflint:noretain the round's users' IDs, for the hierarchy
 	parties  []trade.Party                      //gflint:noretain the round's entitlements, value vectors and demands, as trade.Market takes them
 	serve    []keyed                            //gflint:noretain pass 1's serve order, and room as long for its sort
-	granted  []int32                            //gflint:noretain the round's grants as rows, in grant order (grant i is Decision.Run[i]), consumed by Executed
+	granted  []int32                            //gflint:noretain the round's grants as slots, in grant order (grant i is Decision.Run[i]), consumed by Executed
 	run      []placement.Request                // the round's Decision.Run, rebuilt in place by the next Decide
 	ranAt    []int32                            //gflint:noretain Executed's: one past where in ExecReport.Ran grant i's answer is, 0 if it did not run
 	cands    []stride.Candidate                 //gflint:noretain one user's (pass 1) or one generation's (pass 2) candidates
-	recs     []int32                            //gflint:noretain the rows of cands, by position
+	recs     []int32                            //gflint:noretain the slots of cands, by position
 	order    []int32                            //gflint:noretain the stride kernel's positions in cands
-	fillAt   []int32                            //gflint:noretain pass 2's candidate rows, by backfill pass
+	fillAt   []int32                            //gflint:noretain pass 2's candidate slots, by backfill pass
 	fillKeys []keyed                            //gflint:noretain orderBackfill's sort, and room as long for its scratch
 	gensBuf  [gpu.NumGenerations]gpu.Generation // the round's generations, newest first
 }
@@ -172,19 +163,33 @@ func room[S ~[]E, E any](s S, n int) S {
 //gflint:reuses s
 func resize[S ~[]E, E any](s S, n int) S { return room(s, n)[:n] }
 
-// userRow is what the policy holds for one user with runnable jobs: the
-// credit that lives as long as the user stays active, and the round's
-// view of their jobs, which group adds up.
+// grow returns s at least n long, keeping what it holds. The tables it
+// grows never shrink, so what they grow into is zero.
+//
+//gflint:reuses s
+func grow[S ~[]E, E any](s S, n int) S {
+	if n <= len(s) {
+		return s
+	}
+	return slices.Grow(s, n-len(s))[:n]
+}
+
+// userRow is what the policy holds for one user: the credit that lives
+// as long as the user stays active, and the round's view of their jobs,
+// which group adds up.
 type userRow struct {
 	id     job.UserID
 	credit fairshare.Entitlement // per-generation deficit credit
-	lo, hi int32                 // the user's rows in FairPolicy.jobs
+	seen   int32                 // the last Decide the user had a runnable job at
+	fresh  bool                  // the user starts afresh this round: no job row of theirs is kept
+	n      int32                 // runnable jobs
+	lo, hi int32                 // the user's slots in FairPolicy.lay; last round's in next until group lays them out
 
 	// The round's, set by group and Decide.
 	gpus       int                         // runnable gang width: the user's demand
-	userAt     int32                       // where RoundState.Deficit holds the user's debt, read off their first runnable job
 	jobTickets float64                     // the user's tickets split over their jobs; 0 without tickets
-	vals       [gpu.NumGenerations]float64 // profiled value per GPU (userSums.values); zero when unprofiled
+	vals       [gpu.NumGenerations]float64 // profiled value per GPU (values); zero when unprofiled
+	num, den   [gpu.NumGenerations]float64 // the sums behind vals (addValues)
 }
 
 // jobRow is what the policy holds for one runnable job: what Decide
@@ -198,6 +203,7 @@ type jobRow struct {
 	// joined, at its first candidacy.
 	userPass, fillPass float64
 
+	seen    int32 // the last Decide the job was runnable at
 	user    int32 // the user's row
 	at      int32 // position in RoundState.Jobs
 	gang    int32
@@ -217,31 +223,6 @@ type jobRow struct {
 
 // fitsOn reports whether the job's model fits generation g.
 func (r *jobRow) fitsOn(g gpu.Generation) bool { return r.fits&(1<<g) != 0 }
-
-// idEntry is one runnable job in job-ID order: what the next round's
-// walk merges the runnable jobs with, and where the job's rows are.
-type idEntry struct {
-	id      job.ID
-	row     int32 // the job's row
-	user    int32 // its user's row
-	lastGen int8  // as the walk read it off the job, for the layout
-	pinned  bool
-}
-
-// userSums is what group's walk adds up for one user, in job-ID order:
-// their runnable jobs and gang width, where their first job says they
-// are, and the sums behind their value vector (values).
-type userSums struct {
-	n, gpus  int
-	userAt   int32
-	num, den [gpu.NumGenerations]float64
-}
-
-// freshUser is a user new to the policy this round and their key.
-type freshUser struct {
-	id  job.UserID
-	key int32
-}
 
 // keyed is a position sorted by a key: sortKeyed orders them by key
 // ascending, ties in the order given.
@@ -329,18 +310,18 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	p.round++
 	p.noMigrate = st.MigrationDisabled
 	p.group(st)
-	users := p.users
+	users, active := p.users, p.active
 	caps := st.CapacityByGen()
 	capacity := fairshare.CapacityOf(caps)
 
-	// 1. Fair share, by position in users: user-ID order, the order
+	// 1. Fair share, by position in active: user-ID order, the order
 	// every float of it is summed in.
 	st.Obs.PhaseStart(obs.PhaseWaterfill)
 	var hier []float64
 	if h := p.cfg.Hierarchy; h != nil {
 		ids := p.userIDs[:0]
-		for i := range users {
-			ids = append(ids, users[i].id)
+		for _, u := range active {
+			ids = append(ids, users[u].id)
 		}
 		p.userIDs = ids
 		p.tickets = h.FlattenInto(ids, p.tickets)
@@ -352,9 +333,9 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	compensate := !p.cfg.DisableCompensation && st.Deficit != nil && st.Quantum > 0
 	owed := false
 	f := &p.fill
-	f.resize(len(users))
-	for i := range users {
-		u := &users[i]
+	f.resize(len(active))
+	for i, at := range active {
+		u := &users[at]
 		t := 0.0
 		if hier != nil {
 			t = hier[i]
@@ -364,7 +345,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 		f.tickets[i], f.demand[i] = t, float64(u.gpus)
 		u.jobTickets = fairshare.PerJobTickets(t, int(u.hi-u.lo))
 		if compensate {
-			if d := st.Deficit[u.userAt]; d > 0 {
+			if d := st.Deficit[at]; d > 0 {
 				f.debt[i] = d / st.Quantum // GPU-seconds owed → GPUs this round
 				owed = true
 			}
@@ -383,9 +364,9 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// 2. Trading. The value vectors, which group added up, also order
 	// each user's generation preference in pass 1. A user the
 	// water-fill did not reach holds nothing, so trades nothing.
-	p.parties = resize(p.parties, len(users))
-	for i := range users {
-		p.parties[i] = trade.Party{User: users[i].id, Values: users[i].vals, Demand: f.demand[i]}
+	p.parties = resize(p.parties, len(active))
+	for i, at := range active {
+		p.parties[i] = trade.Party{User: users[at].id, Values: users[at].vals, Demand: f.demand[i]}
 		if sh := f.shares[i]; sh != fairshare.Unreached {
 			p.parties[i].Share = capacity.Split(sh)
 		}
@@ -404,11 +385,11 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	for g, c := range caps {
 		remaining[g] = c
 	}
-	for i := range users {
+	for i, at := range active {
 		if f.shares[i] == fairshare.Unreached {
 			continue
 		}
-		e, credit := &p.parties[i].Share, &users[i].credit
+		e, credit := &p.parties[i].Share, &users[at].credit
 		for g, c := range remaining {
 			if c == 0 {
 				continue
@@ -421,8 +402,8 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	}
 
 	// 4. Selection.
-	p.granted = room(p.granted, len(p.jobs))
-	run := room(p.run, len(p.jobs))
+	p.granted = room(p.granted, len(p.lay))
+	run := room(p.run, len(p.lay))
 	schedule := func(r int32, g gpu.Generation, viaCredit bool) {
 		js := &p.jobs[r]
 		credit := &users[js.user].credit
@@ -454,35 +435,34 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	// which is user-ID order — and once every credit sits at its cap
 	// every user ties, so a big gang sorting last can starve (see the
 	// type's comment).
-	serve := resize(p.serve, 2*len(users))
-	for i := range users {
-		serve[i] = keyed{^floatKey(users[i].credit.Total()), int32(i)} // most credit first
+	n := len(active)
+	serve := resize(p.serve, 2*n)
+	for i, at := range active {
+		serve[i] = keyed{^floatKey(users[at].credit.Total()), int32(i)} // most credit first
 	}
-	serve = serve[:len(users)]
-	sortKeyed(serve, serve[len(users):2*len(users)])
+	serve = serve[:n]
+	sortKeyed(serve, serve[n:2*n])
 	p.serve = serve
 	gens := p.gensDesc(caps)
-	p.next = resize(p.next, len(p.jobs))
+	p.next = resize(p.next, len(p.lay))
 	for _, k := range serve {
-		u := &users[k.at]
+		u := &users[active[k.at]]
 		var prefBuf [gpu.NumGenerations]gpu.Generation
 		pref := genPreference(&prefBuf, gens, &u.vals)
+		slots := p.lay[u.lo:u.hi]
 		order := p.userOrder(u)
 		for _, at := range order {
-			r := u.lo + at
-			if g, ok := p.pickGen(&p.jobs[r], &u.credit, pref, &remaining); ok {
-				schedule(r, g, true)
+			if g, ok := p.pickGen(&p.jobs[slots[at]], &u.credit, pref, &remaining); ok {
+				schedule(slots[at], g, true)
 			}
 		}
 		// Lay this order out next round: by then only the jobs charged
 		// for running have moved. (A user without tickets orders nothing.)
 		next := p.next[u.lo:u.hi]
-		for i := range next {
-			next[i] = u.lo + int32(i)
-		}
+		copy(next, slots)
 		if len(order) == len(next) {
 			for i, at := range order {
-				next[i] = u.lo + at
+				next[i] = slots[at]
 			}
 		}
 	}
@@ -496,7 +476,7 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 			continue
 		}
 		if !ordered {
-			p.orderBackfill()
+			p.orderBackfill(st.Jobs)
 			ordered = true
 		}
 		cands, recs := room(p.cands, len(p.fillAt)), room(p.recs, len(p.fillAt))
@@ -536,18 +516,18 @@ func (p *FairPolicy) Decide(st *RoundState) Decision {
 	return Decision{Run: run, Trades: trades, Repays: owed}
 }
 
-// orderBackfill lays out in p.fillAt the rows pass 1 left ungranted,
-// for every generation's backfill to filter, by backfill pass — a job
-// yet to join first, as it joins at the least pass — ties in job-ID
-// order. A generation's candidates then reach stride.Select as its
-// filter of this order, nearly the kernel's own priority order, which
-// its join rule and pile merge finish with a few comparisons a
-// candidate; the selection does not depend on the order they are
-// offered in.
-func (p *FairPolicy) orderBackfill() {
-	keys := room(p.fillKeys, 2*(len(p.jobs)-len(p.granted)))
-	for k := range p.byID {
-		r := p.byID[k].row
+// orderBackfill lays out in p.fillAt the slots of the jobs pass 1 left
+// ungranted, for every generation's backfill to filter, by backfill pass
+// — a job yet to join first, as it joins at the least pass — ties in
+// job-ID order, the order of jobs, the round's runnable jobs. A
+// generation's candidates then reach stride.Select as its filter of this
+// order, nearly the kernel's own priority order, which its join rule and
+// pile merge finish with a few comparisons a candidate; the selection
+// does not depend on the order they are offered in.
+func (p *FairPolicy) orderBackfill(jobs []*job.Job) {
+	keys := room(p.fillKeys, 2*(len(jobs)-len(p.granted)))
+	for _, j := range jobs {
+		r := int32(j.Slot())
 		if js := &p.jobs[r]; !js.granted {
 			key := uint64(0)
 			if js.fillKnown {
@@ -566,146 +546,92 @@ func (p *FairPolicy) orderBackfill() {
 	p.fillAt = fill
 }
 
-// group lays the round out: one walk over the round's runnable jobs,
-// which are in job-ID order, merges them with last round's rows by ID
-// (a job keeps its row and its books, one new to the policy gets a fresh
-// row) and adds up each user's jobs, gang width and value sums in that
-// order; the users table is then exactly the users that have any, and
-// the jobs table their rows, user-major. A user left with none loses
-// their books.
-//
-// A row whose job is another *job.Job of the same ID and user — the
-// engine was rebuilt from a checkpoint (Restore) with this policy — keeps
-// its books: the user's credit, the stride passes and the last
-// generation change.
+// group brings the tables up to date with the round's runnable jobs and
+// lays the round out. One walk over RoundState.Jobs, in job-ID order,
+// finds each user's row and each job's: a user with no runnable job at
+// the previous Decide, or whose row is another user's, starts afresh,
+// and so does a job whose slot's row is not its own from the previous
+// Decide; the walk adds up each user's jobs, gang width and value sums
+// in that order. The active users are then laid out in user-ID order,
+// each user's kept jobs in last round's pass 1 order (next), then the
+// jobs new to the policy in ID order.
 func (p *FairPolicy) group(st *RoundState) {
-	jobs := st.Jobs
-	prevUsers, prevRows, prev := p.users, p.jobs, p.byID
-	byID := resize(p.spareByID, len(jobs))
-	// The tables are sized up front to what the round can need (room),
-	// but for sums and fresh, which userKey extends, doubling them when
-	// full.
-	p.keys, p.newAt = resize(p.keys, len(jobs)), resize(p.newAt, len(prevRows))
-	p.added, p.fresh = room(p.added, len(jobs)), p.fresh[:0]
-	p.sums = resize(p.sums, len(prevUsers))
-	clear(p.sums)
-	for r := range p.newAt {
-		p.newAt[r] = -1
-	}
+	jobs, now := st.Jobs, int32(p.round)
 	gens := st.Cluster.GensPresent()
-	q := 0
+	// Room for the slots of this many jobs, and the positions of every
+	// user with tickets, which the engine's users all have, at once; the
+	// walk grows the tables further only for a slot past them.
+	p.jobs, p.users = grow(p.jobs, len(jobs)), grow(p.users, len(st.Tickets))
+	p.added = room(p.added, len(jobs))
 	for k, j := range jobs {
-		e := &byID[k]
-		*e = idEntry{id: j.ID, lastGen: lastGenOf(j), pinned: j.Pinned()}
-		for q < len(prev) && prev[q].id < j.ID {
-			q++
+		u := j.UserAt()
+		if u >= len(p.users) {
+			p.users = grow(p.users, u+1)
 		}
-		key := int32(-1)
-		if q < len(prev) && prev[q].id == j.ID {
-			if prevUsers[prev[q].user].id == j.User {
-				key = prev[q].user
-				p.newAt[prev[q].row] = int32(k)
+		us := &p.users[u]
+		if us.seen != now { // the user's first job this round
+			if us.seen != now-1 || us.id != j.User {
+				*us = userRow{id: j.User, fresh: true}
+			} else {
+				us.fresh = false
 			}
-			q++
+			us.seen, us.n, us.gpus = now, 0, 0
+			us.num, us.den = [gpu.NumGenerations]float64{}, [gpu.NumGenerations]float64{}
 		}
-		if key < 0 {
-			key = p.userKey(j)
-			p.added = append(p.added, int32(k))
-		}
-		p.keys[k] = key
-		s := &p.sums[key]
-		if s.n == 0 {
-			s.userAt = int32(j.UserAt())
-		}
-		s.n++
-		s.gpus += j.Gang
-		s.addValues(st.Prof.Estimates(j), gens, j.Gang)
-	}
+		us.n++
+		us.gpus += j.Gang
+		us.addValues(st.Prof.Estimates(j), gens, j.Gang)
 
-	// The users, last round's and the fresh ones merged by ID, each
-	// given room for their rows.
-	users := room(p.spareUsers, len(prevUsers)+len(p.fresh))
-	p.remap = resize(p.remap, len(p.sums))
-	lo := int32(0)
-	for i, f := 0, 0; i < len(prevUsers) || f < len(p.fresh); {
-		var key int32
-		var credit fairshare.Entitlement
-		var id job.UserID
-		if f == len(p.fresh) || i < len(prevUsers) && prevUsers[i].id < p.fresh[f].id {
-			key, id, credit = int32(i), prevUsers[i].id, prevUsers[i].credit
-			i++
-		} else {
-			key, id = p.fresh[f].key, p.fresh[f].id
-			f++
+		at := j.Slot()
+		if at >= len(p.jobs) {
+			p.jobs = grow(p.jobs, at+1)
 		}
-		s := &p.sums[key]
-		if s.n == 0 {
-			continue // left: their books go
-		}
-		p.remap[key] = int32(len(users))
-		users = append(users, userRow{id: id, credit: credit, lo: lo, hi: lo, gpus: s.gpus, userAt: s.userAt, vals: s.values()})
-		lo += int32(s.n)
-	}
-
-	// The rows: a staying user's in last round's stride order, then each
-	// job new to the policy in ID order.
-	rows := resize(p.spareJobs, len(jobs))
-	place := func(js *jobRow, k, key int32) {
-		u := p.remap[key]
-		at := users[u].hi
-		users[u].hi++
-		e := &byID[k]
-		rows[at] = *js
-		r := &rows[at]
-		r.user, r.at, r.lastGen, r.pinned, r.granted = u, k, e.lastGen, e.pinned, false
-		e.row, e.user = at, u
-	}
-	for key := range prevUsers {
-		if p.sums[key].n == 0 {
+		r := &p.jobs[at]
+		if us.fresh || r.seen != now-1 || r.id != j.ID || r.user != int32(u) {
+			p.added = append(p.added, int32(k)) // its row is made once the kept ones are laid out
 			continue
 		}
-		for _, r := range p.next[prevUsers[key].lo:prevUsers[key].hi] {
-			if k := p.newAt[r]; k >= 0 {
-				place(&prevRows[r], k, int32(key))
+		r.seen, r.at, r.lastGen, r.pinned, r.granted = now, int32(k), lastGenOf(j), j.Pinned(), false
+	}
+
+	// The active users, each given room for their rows and their kept
+	// rows laid out: a slot of last round's order whose row the walk did
+	// not stamp holds a job that is gone.
+	active := room(p.active, len(p.users))
+	lay := resize(p.lay, len(jobs))
+	lo := int32(0)
+	for u := range p.users {
+		us := &p.users[u]
+		if us.seen != now {
+			continue
+		}
+		active = append(active, int32(u))
+		last := p.next[us.lo:us.hi]
+		us.lo, us.hi = lo, lo
+		for _, at := range last {
+			if p.jobs[at].seen == now {
+				lay[us.hi] = at
+				us.hi++
 			}
 		}
+		us.vals = us.values()
+		lo += us.n
 	}
 	for _, k := range p.added {
 		j := jobs[k]
-		js := jobRow{id: j.ID, gang: int32(j.Gang)}
+		u := j.UserAt()
+		us := &p.users[u]
+		r := &p.jobs[j.Slot()]
+		*r = jobRow{id: j.ID, seen: now, user: int32(u), at: k, gang: int32(j.Gang), lastGen: lastGenOf(j), pinned: j.Pinned()}
 		for g := range gpu.NumGenerations {
 			if j.Perf.FitsOn(gpu.Generation(g)) {
-				js.fits |= 1 << g
+				r.fits |= 1 << g
 			}
 		}
-		place(&js, k, p.keys[k])
+		lay[us.hi] = int32(j.Slot())
+		us.hi++
 	}
-
-	//gflint:ignore retain each table and its spare half are one double buffer: each round's layout reads one and fills the other
-	p.users, p.jobs, p.byID = users, rows, byID
-	p.spareUsers, p.spareJobs, p.spareByID = prevUsers[:0], prevRows[:0], prev[:0]
-}
-
-// userKey is the walk's key for the user of a job that has no row:
-// their row's position last round if they had one, else their fresh
-// key, made at first sight.
-func (p *FairPolicy) userKey(j *job.Job) int32 {
-	u := j.User
-	if i, ok := slices.BinarySearchFunc(p.users, u, func(us userRow, u job.UserID) int { return cmp.Compare(us.id, u) }); ok {
-		return int32(i)
-	}
-	i, ok := slices.BinarySearchFunc(p.fresh, u, func(f freshUser, u job.UserID) int { return cmp.Compare(f.id, u) })
-	if !ok {
-		if len(p.fresh) == cap(p.fresh) { // doubled, not by append's quarter
-			p.fresh = slices.Grow(p.fresh, max(len(p.fresh), 8))
-		}
-		if len(p.sums) == cap(p.sums) {
-			p.sums = slices.Grow(p.sums, max(len(p.sums), 8))
-		}
-		p.fresh = slices.Insert(p.fresh, i, freshUser{id: u, key: int32(len(p.sums))})
-		p.sums = append(p.sums, userSums{})
-	}
-	return p.fresh[i].key
+	p.active, p.lay = active, lay
 }
 
 // lastGenOf is the generation j last ran on, -1 before it first has.
@@ -716,15 +642,15 @@ func lastGenOf(j *job.Job) int8 {
 	return -1
 }
 
-// userOrder is pass 1's stride order among a user's rows, as positions
-// from u.lo. A job new to the policy joins here.
+// userOrder is pass 1's stride order among a user's jobs, as positions
+// from u.lo in lay. A job new to the policy joins here.
 //
 //gflint:noretain
 func (p *FairPolicy) userOrder(u *userRow) []int32 {
-	rows := p.jobs[u.lo:u.hi]
+	slots := p.lay[u.lo:u.hi]
 	cands := p.cands[:0]
-	for i := range rows {
-		js := &rows[i]
+	for _, at := range slots {
+		js := &p.jobs[at]
 		cands = append(cands, stride.Candidate{ID: js.id, Gang: int(js.gang), Tickets: u.jobTickets,
 			Pass: js.userPass, Joins: !js.userKnown})
 	}
@@ -732,7 +658,8 @@ func (p *FairPolicy) userOrder(u *userRow) []int32 {
 	p.order = stride.Order(cands, p.order)
 	for i := range cands {
 		if cands[i].Joins {
-			rows[i].userPass, rows[i].userKnown = cands[i].Pass, true
+			js := &p.jobs[slots[i]]
+			js.userPass, js.userKnown = cands[i].Pass, true
 		}
 	}
 	return p.order
@@ -787,7 +714,7 @@ func (p *FairPolicy) genAllowed(js *jobRow, g gpu.Generation, cooldown int) bool
 // ran and refund credits for capacity not consumed (unplaced jobs,
 // early finishers). Grants are settled in the order Decide made them:
 // two refunds into one credit are a float sum, and its order must not
-// vary between runs.
+// vary between runs. A job that finished is settled no further.
 func (p *FairPolicy) Executed(rep *ExecReport) {
 	ranAt := resize(p.ranAt, len(p.granted))
 	clear(ranAt)
@@ -796,10 +723,10 @@ func (p *FairPolicy) Executed(rep *ExecReport) {
 	}
 	p.ranAt = ranAt
 	for i, r := range p.granted {
-		js := &p.jobs[r]
-		if !js.granted {
-			continue // finished since Decide: its books are gone
+		if p.run[i].Job.Finished() {
+			continue
 		}
+		js := &p.jobs[r]
 		u := &p.users[js.user]
 		gang := float64(js.gang)
 		if ranAt[i] == 0 {
@@ -822,20 +749,15 @@ func (p *FairPolicy) Executed(rep *ExecReport) {
 	p.granted = p.granted[:0]
 }
 
-// JobFinished implements Policy: Executed skips the grant of the job,
-// found by binary search over the rows in ID order, and the next round's
-// group drops its row with the job.
-func (p *FairPolicy) JobFinished(id job.ID) {
-	if k, ok := slices.BinarySearchFunc(p.byID, id, func(e idEntry, id job.ID) int { return cmp.Compare(e.id, id) }); ok {
-		p.jobs[p.byID[k].row].granted = false
-	}
-}
+// JobFinished implements Policy: Executed skips a finished job's grant,
+// and the next round's group no longer finds its row.
+func (p *FairPolicy) JobFinished(job.ID) {}
 
 // addValues adds one job to the sums behind its user's trading value
 // vector (values): gang-weighted speedup of each generation over the
 // oldest generation the job has an estimate on. A job without estimates
 // adds nothing.
-func (s *userSums) addValues(est *profiler.Estimates, gens []gpu.Generation, gang int) {
+func (s *userRow) addValues(est *profiler.Estimates, gens []gpu.Generation, gang int) {
 	if est == nil {
 		return
 	}
@@ -863,7 +785,7 @@ func (s *userSums) addValues(est *profiler.Estimates, gens []gpu.Generation, gan
 // speedup per generation across the user's runnable
 // jobs, summed in job-ID order; all zero while no job has an estimate,
 // which trades nothing.
-func (s *userSums) values() (v [gpu.NumGenerations]float64) {
+func (s *userRow) values() (v [gpu.NumGenerations]float64) {
 	for g := range v {
 		if s.den[g] > 0 {
 			v[g] = s.num[g] / s.den[g]

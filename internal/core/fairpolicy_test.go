@@ -37,6 +37,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 			job.MustNew(job.Spec{ID: 1, User: "u", Perf: perf, Gang: narrow, TotalMB: 1e9}),
 			job.MustNew(job.Spec{ID: 2, User: "u", Perf: perf, Gang: wide, TotalMB: 1e9}),
 		}
+		jobs[1].NoteSlot(1) // as an engine would admit them, in slots of their own
 		dec := p.Decide(&RoundState{
 			Quantum: 360, Cluster: cluster, Jobs: jobs,
 			Tickets: map[job.UserID]float64{"u": 1}, Prof: profiler.MustNew(0, 1),
@@ -46,7 +47,7 @@ func TestRefundOrderIsGrantOrder(t *testing.T) {
 		if len(dec.Run) != 2 || dec.Run[0].Job.ID != 2 || !p.jobs[0].viaCredit || !p.jobs[1].viaCredit {
 			t.Fatalf("want both jobs credit-funded, wide first; got %+v", dec.Run)
 		}
-		p.users[0].credit[gpu.K80] = credit // "u", the only user
+		p.users[0].credit[gpu.K80] = credit // "u", the only user, at position 0
 		p.Executed(&ExecReport{})           // fragmentation placed neither
 		want := (credit + wide) + narrow
 		if got := p.Credit("u")[gpu.K80]; math.Float64bits(got) != math.Float64bits(want) {

@@ -37,7 +37,10 @@ type RoundState struct {
 	// decision needs to know about a job is on the job: LastGen is the
 	// generation it last ran on, and while Pinned (migration-failure
 	// backoff) the engine will refuse to move it, so policies should
-	// only fund it there.
+	// only fund it there. A policy that keeps books per job may key them
+	// by the job's slot (job.Job.Slot), which the job holds from
+	// admission to retirement and then hands on to a later job; it knows
+	// its own record by the job ID it finds there.
 	//gflint:noretain the engine's live list, compacted in place every round
 	Jobs []*job.Job
 
@@ -45,10 +48,10 @@ type RoundState struct {
 	Tickets map[job.UserID]float64
 
 	// Prof is the engine's profiler. Estimates(j) reads a job's profiled
-	// throughput through the position the profiler wrote on the job at
-	// its first observation (job.Job.ProfileAt), with no lookup by ID;
-	// Rate and Samples by ID go through an index over the same records,
-	// built on first use after a change.
+	// throughput from the profiler's record at the job's slot
+	// (job.Job.Slot), with no lookup by ID; Rate and Samples by ID go
+	// through an index over the same records, built on first use after a
+	// change.
 	Prof *profiler.Profiler
 
 	// MigrationDisabled tells policies the engine will refuse to move

@@ -108,14 +108,11 @@ func (s *Sim) beginRound(rd *round) *RoundState {
 	rd.unavail.CopyFrom(&rd.down)
 	rd.unavail.Union(rd.quar)
 
-	// Every runnable job is told where in the list it is this round,
-	// which is how checkDecision knows the engine's own records. The same
-	// walk makes the job crash-restart draws, in job-ID order — with job
-	// crashes on, the injector consumes one draw per job that held GPUs
-	// last quantum, so the visiting order is part of the seed contract —
-	// and lapses the migration-failure pins that have run out.
-	for i, j := range s.jobs {
-		j.BeginRound(i)
+	// The job crash-restart draws, in job-ID order — with job crashes on,
+	// the injector consumes one draw per job that held GPUs last quantum,
+	// so the visiting order is part of the seed contract. The same walk
+	// lapses the migration-failure pins that have run out.
+	for _, j := range s.jobs {
 		j.RefreshPin(s.rounds)
 		if j.Finished() || !j.RanLastQuantum() {
 			continue
@@ -219,8 +216,8 @@ func (s *Sim) placeIndexed(unavail *gpu.ServerSet, reqs []placement.Request, opt
 // s.quanta, in job-ID order, not request order: settling a quantum
 // consumes draws from the shared profiling RNG, so the processing order
 // decides which job sees which noise sample. s.jobs is already sorted,
-// and each of its jobs knows its request's position, so filtering it
-// against the round's marks yields the order a sort would — for the
+// and the request column says where each job's request is, so filtering
+// it against the round's marks yields the order a sort would — for the
 // requests that do not run, s.unplacedBuf, too. Each job's devices are
 // validated on the way, so the first violation reported is the lowest
 // job ID's.
@@ -232,8 +229,8 @@ func (s *Sim) placeRound(rd *round, reqs []placement.Request) error {
 	qs, unplaced := slices.Grow(s.quanta[:0], len(reqs)), s.unplacedBuf[:0]
 	s.owners.Begin()
 	for i, j := range s.jobs {
-		at, ok := j.RequestAt()
-		if !ok {
+		at := int(s.reqAt[j.Slot()]) - 1
+		if at < 0 {
 			continue
 		}
 		if marks[at] == placement.Unplaced {
@@ -374,6 +371,8 @@ func (s *Sim) retireJob(j *job.Job) {
 		X: j.JCT(), N: int32(j.Migrations())})
 	s.policy.JobFinished(id)
 	s.prof.Remove(j)
+	s.slots[j.Slot()] = nil
+	s.free = append(s.free, int32(j.Slot()))
 	s.demand[j.UserAt()] -= float64(j.Gang)
 	s.comp[j.UserAt()].jobs--
 }
@@ -507,23 +506,26 @@ func (s *Sim) updateFaultState(now simclock.Time) {
 // checkDecision enforces the policy contract: known runnable jobs,
 // no duplicates, per-generation gang totals within capacity, and
 // every job placed on a generation it fits. Known is the very record
-// the round's job list has where the record says it is — a copy, another
-// engine's record or a retired one is not — and each accepted job is
-// told its position in dec.Run, which is also how a second request for
-// it shows.
+// the slot table has where the record says it is — a copy, another
+// engine's record or a retired one is not — and each accepted job's
+// position in dec.Run goes into the request column, which is also how a
+// second request for it shows.
 func (s *Sim) checkDecision(dec Decision, caps map[gpu.Generation]int) error {
 	var width [gpu.NumGenerations]int
+	s.reqAt = resize(s.reqAt, len(s.slots))
+	clear(s.reqAt)
 	for i, r := range dec.Run {
 		if r.Job == nil {
 			return fmt.Errorf("core: policy returned nil job")
 		}
-		if at := r.Job.ListAt(); at >= len(s.jobs) || s.jobs[at] != r.Job {
+		at := r.Job.Slot()
+		if at >= len(s.slots) || s.slots[at] != r.Job {
 			return fmt.Errorf("core: policy scheduled unknown job %d", r.Job.ID)
 		}
-		if _, again := r.Job.RequestAt(); again {
+		if s.reqAt[at] != 0 {
 			return fmt.Errorf("core: policy scheduled job %d twice", r.Job.ID)
 		}
-		r.Job.NoteRequest(i)
+		s.reqAt[at] = int32(i) + 1
 		if !r.Job.Perf.FitsOn(r.Gen) {
 			return fmt.Errorf("core: policy put job %d on unusable generation %v", r.Job.ID, r.Gen)
 		}

@@ -392,9 +392,20 @@ type Sim struct {
 	// jobs is the active jobs in job-ID order, inserted on admission
 	// and compacted by the retirement sweep. It is the round's
 	// RoundState.Jobs, and every ID-ordered walk in the round loop
-	// (crash draws, the execute order, the retirement sweep) reads it;
-	// a job's per-round state is its index here, not a map entry.
+	// (crash draws, the execute order, the retirement sweep) reads it.
 	jobs []*job.Job //gflint:noretain compacted in place every round
+
+	// slots is the table of live jobs: admission hands each job a slot
+	// (job.Job.Slot), the last one freed first, and retirement takes it
+	// back, so the table is as long as the most jobs ever live at once.
+	// Every layer that keeps per-job state keys it by slot; a slot is
+	// reused, so nothing that must not depend on history (a float sum, an
+	// RNG draw, a trace record) walks in slot order. reqAt is the round's
+	// request column, by slot: one past the job's position in the round's
+	// Decision.Run, 0 when the round does not run it (see checkDecision).
+	slots []*job.Job
+	free  []int32
+	reqAt []int32 //gflint:noretain rewritten every round
 
 	// pidx is the persistent placement index: free capacity, and the
 	// devices of every job last round dispatched, still taken in its name.
@@ -691,23 +702,38 @@ func (s *Sim) Step(until simclock.Time) (ran bool, err error) {
 	return false, nil
 }
 
+// admitArrivals admits the arrivals due, growing the job list and the
+// slot table once for the whole burst.
 func (s *Sim) admitArrivals() {
-	s.evq.popArrivalsDue(s.clock.Now(), func(spec job.Spec) {
-		j, err := s.admitted.New(spec)
+	due := s.evq.popArrivalsDue(s.clock.Now())
+	s.jobs = slices.Grow(s.jobs, len(due))
+	s.slots = slices.Grow(s.slots, max(len(due)-len(s.free), 0))
+	for i := range due {
+		spec := &due[i]
+		j, err := s.admitted.New(*spec)
 		if err != nil {
 			panic(fmt.Sprintf("core: validated spec rejected: %v", err)) // unreachable
 		}
 		s.admit(j)
 		s.emit(trace.Record{At: spec.Arrival, Kind: trace.KindArrival, Job: j.ID, User: j.User,
 			Name: spec.Perf.Model, N: int32(spec.Gang)})
-	})
+	}
 }
 
-// admit enters a job into the active set, the sorted job list and the
-// fairness reference's demand, and tells it where its user is.
+// admit enters a job into the active set, the sorted job list, the slot
+// table and the fairness reference's demand, and tells it its slot and
+// where its user is.
 func (s *Sim) admit(j *job.Job) {
 	at, _ := slices.BinarySearchFunc(s.jobs, j.ID, func(a *job.Job, id job.ID) int { return cmp.Compare(a.ID, id) })
 	s.jobs = slices.Insert(s.jobs, at, j)
+	if n := len(s.free); n > 0 {
+		j.NoteSlot(int(s.free[n-1]))
+		s.free = s.free[:n-1]
+		s.slots[j.Slot()] = j
+	} else {
+		j.NoteSlot(len(s.slots))
+		s.slots = append(s.slots, j)
+	}
 	j.NoteUser(s.userAt(j.User))
 	s.demand[j.UserAt()] += float64(j.Gang)
 }

@@ -193,16 +193,12 @@ type Job struct {
 	devs     []gpu.DeviceID
 	holdSlot int32
 
-	// The engine's marks: for the running round (see BeginRound), where
-	// the job is in the round's list of runnable jobs and one past its
-	// position in the round's Decision.Run, 0 while it has none; and
-	// where its user is in the engine's user list (see NoteUser). The
-	// profiler's: one past where it keeps the job's estimates, 0 until
-	// the job's first observation (see NoteProfile).
-	listAt int32
-	reqAt  int32
+	// The engine's marks, set at admission: the job's slot in the
+	// engine's table of live jobs (see NoteSlot), by which every layer
+	// keeps per-job state, and where its user is in the engine's user
+	// list (see NoteUser).
+	slot   int32
 	userAt int32
-	profAt int32
 
 	state State
 
@@ -396,16 +392,15 @@ func (j *Job) HoldSlot() int32 { return j.holdSlot }
 // when it restores a checkpoint or takes back a failed migration.
 func (j *Job) SetDevices(devs []gpu.DeviceID, slot int32) { j.devs, j.holdSlot = devs, slot }
 
-// BeginRound opens a round on the job: it is at position at of the
-// engine's list of runnable jobs (RoundState.Jobs), and not requested
-// yet.
-func (j *Job) BeginRound(at int) { j.listAt, j.reqAt = int32(at), 0 }
+// NoteSlot records the job's slot in the engine's table of live jobs.
+// The engine sets it at admission and hands the slot to a later job once
+// this one retires, so a slot says where to look, not that the job is
+// there: a layer that keeps per-job state by slot knows its own record by
+// the job (or job ID) it finds there.
+func (j *Job) NoteSlot(at int) { j.slot = int32(at) }
 
-// ListAt returns the position BeginRound last recorded. It says where to
-// look, not that the job is there: the engine knows its own record by
-// finding this very pointer at that position — a copy, a record of
-// another engine or one it has retired is not.
-func (j *Job) ListAt() int { return int(j.listAt) }
+// Slot returns the slot NoteSlot recorded, 0 for a job no engine admitted.
+func (j *Job) Slot() int { return int(j.slot) }
 
 // NoteUser records where the job's user is in the engine's sorted list
 // of users, which is the index of the user's entry in every per-user
@@ -414,23 +409,6 @@ func (j *Job) NoteUser(at int) { j.userAt = int32(at) }
 
 // UserAt returns the position NoteUser recorded.
 func (j *Job) UserAt() int { return int(j.userAt) }
-
-// NoteProfile records where the profiler keeps the job's estimates. The
-// profiler sets it at the job's first observation.
-func (j *Job) NoteProfile(at int) { j.profAt = int32(at) + 1 }
-
-// ProfileAt returns the position NoteProfile recorded; ok is false
-// before the job's first observation. Like ListAt it says where to look:
-// the profiler knows its own record by finding this very job there.
-func (j *Job) ProfileAt() (at int, ok bool) { return int(j.profAt) - 1, j.profAt > 0 }
-
-// NoteRequest records the job's position in the running round's
-// Decision.Run.
-func (j *Job) NoteRequest(at int) { j.reqAt = int32(at) + 1 }
-
-// RequestAt returns the job's position in the running round's
-// Decision.Run; ok is false when the round does not run it.
-func (j *Job) RequestAt() (at int, ok bool) { return int(j.reqAt) - 1, j.reqAt > 0 }
 
 // NoteMigrationFailed counts one more consecutive failed migration
 // attempt and pins the job through round until (its backoff).

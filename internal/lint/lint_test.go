@@ -272,6 +272,7 @@ type mutation struct {
 	old     string // guard text to replace
 	new     string // replacement without the guard
 	flagged string // statement that must be flagged, located by text
+	doc     string // when set, the document whose names are checked (check "docname"), where flagged is located
 }
 
 // TestMutationDeletedGuardsAreCaught is the acceptance criterion for
@@ -368,6 +369,19 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			flagged: "<-waitCh",
 		},
 		{
+			// An exported function renamed under a document that names
+			// it: the document's backticked name must be reported at its
+			// line.
+			name:    "docname",
+			file:    "internal/fairshare/fairshare.go",
+			pkg:     "./internal/fairshare",
+			check:   "docname",
+			old:     "func WaterFillWithDebt(",
+			new:     "func WaterFillOwed(",
+			flagged: "`fairshare.WaterFillWithDebt`",
+			doc:     "DESIGN.md",
+		},
+		{
 			// Deleting the placement span's copy out into the slab
 			// returns a view of the index's reused scratch buffer.
 			name:    "scratchalias",
@@ -390,21 +404,33 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 				t.Fatalf("guard text not found in %s; keep this test in sync with the source:\n%s", m.file, m.old)
 			}
 			mutated := bytes.Replace(src, []byte(m.old), []byte(m.new), 1)
-			wantLine := lineOf(t, mutated, m.flagged)
+			flaggedIn, wantFile := mutated, m.file
+			if m.doc != "" {
+				if flaggedIn, err = os.ReadFile(filepath.Join(root, m.doc)); err != nil {
+					t.Fatal(err)
+				}
+				wantFile = m.doc
+			}
+			wantLine := lineOf(t, flaggedIn, m.flagged)
 
 			loader := forkRealModule(t, "repro/"+strings.TrimPrefix(m.pkg, "./"), map[string][]byte{full: mutated})
 			pkgs, err := loader.Load(m.pkg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags := Run(pkgs, Analyzers())
+			var diags []Diagnostic
+			if m.doc != "" {
+				diags = unresolvedDocNames(t, loader, m.doc)
+			} else {
+				diags = Run(pkgs, Analyzers())
+			}
 
 			for _, d := range diags {
-				if d.Check == m.check && strings.HasSuffix(filepath.ToSlash(d.File), m.file) && d.Line == wantLine {
+				if d.Check == m.check && strings.HasSuffix(filepath.ToSlash(d.File), wantFile) && d.Line == wantLine {
 					return // caught at the exact line
 				}
 			}
-			t.Fatalf("deleting the guard produced no %s diagnostic at %s:%d; got %v", m.check, m.file, wantLine, diags)
+			t.Fatalf("deleting the guard produced no %s diagnostic at %s:%d; got %v", m.check, wantFile, wantLine, diags)
 		})
 	}
 }

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,7 +10,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -52,6 +56,7 @@ type Loader struct {
 	modDir  string
 	fset    *token.FileSet
 	std     types.ImporterFrom  // the standard library, from export data
+	exports map[string]string   // std's export data files, by import path (listExports)
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // import-cycle guard
 	annot   *annotations        // //gflint:noretain facts across all loads
@@ -75,16 +80,28 @@ func NewLoader(cfg LoadConfig) (*Loader, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	return &Loader{
+	l := &Loader{
 		cfg:     cfg,
 		modPath: modPath,
 		modDir:  abs,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
+		exports: make(map[string]string),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 		annot:   newAnnotations(),
-	}, nil
+	}
+	l.std = importer.ForCompiler(fset, "gc", l.openExport).(types.ImporterFrom)
+	return l, nil
+}
+
+// openExport is the std importer's lookup: the export data listExports
+// found for path. An import it did not list is an error, not a search.
+func (l *Loader) openExport(path string) (io.ReadCloser, error) {
+	file, ok := l.exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %s: go/build reported no package importing it", path)
+	}
+	return os.Open(file)
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -107,6 +124,9 @@ func modulePath(gomod string) (string, error) {
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.expand(patterns)
 	if err != nil {
+		return nil, err
+	}
+	if err := l.listExports(dirs); err != nil {
 		return nil, err
 	}
 	var out []*Package
@@ -198,6 +218,84 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
+// listExports finds the export data of every standard-library package
+// the load can import: the imports go/build reports for the packages in
+// dirs (their in-package test files' too when configured) and for the
+// module's packages those import, transitively, that are not the
+// module's. One `go list -export -deps` over those not yet listed finds
+// them and what they import, compiling into the build cache what is not
+// there yet.
+func (l *Loader) listExports(dirs []string) error {
+	var paths []string
+	seen := make(map[string]bool)
+	var walk func(dir string, withTests bool) error
+	walk = func(dir string, withTests bool) error {
+		bp, err := build.ImportDir(dir, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("lint: %w", err)
+		}
+		imports := bp.Imports
+		if withTests {
+			imports = append(imports, bp.TestImports...)
+		}
+		for _, path := range imports {
+			if seen[path] {
+				continue
+			}
+			seen[path] = true
+			if dep, ok := l.dirOf(path); ok {
+				if err := walk(dep, false); err != nil {
+					return err
+				}
+			} else if _, listed := l.exports[path]; !listed && path != "unsafe" {
+				paths = append(paths, path)
+			}
+		}
+		return nil
+	}
+	for _, dir := range dirs {
+		if err := walk(dir, l.cfg.Tests); err != nil {
+			return err
+		}
+	}
+	if len(paths) == 0 {
+		return nil
+	}
+	sort.Strings(paths)
+	goroot := build.Default.GOROOT
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"), append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)...)
+	cmd.Dir = goroot
+	cmd.Env = append(os.Environ(), "PWD="+goroot, "GOROOT="+goroot)
+	out, err := cmd.Output()
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) && len(ee.Stderr) > 0 {
+		err = errors.New(string(bytes.TrimSpace(ee.Stderr)))
+	}
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %w", err)
+	}
+	for _, line := range strings.Split(string(bytes.TrimSpace(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			l.exports[path] = file
+		}
+	}
+	return nil
+}
+
+// dirOf returns the directory of a module package's import path; ok is
+// false for a path outside the module.
+func (l *Loader) dirOf(path string) (dir string, ok bool) {
+	if path == l.modPath {
+		return l.modDir, true
+	}
+	rel, ok := strings.CutPrefix(path, l.modPath+"/")
+	if !ok {
+		return "", false
+	}
+	return filepath.Join(l.modDir, filepath.FromSlash(rel)), true
+}
+
 // importPathFor maps a module-internal directory to its import path.
 func (l *Loader) importPathFor(dir string) (string, error) {
 	rel, err := filepath.Rel(l.modDir, dir)
@@ -228,13 +326,9 @@ func (l *Loader) load(path string, asRoot bool) (*Package, error) {
 	l.loading[key] = true
 	defer delete(l.loading, key)
 
-	dir := l.modDir
-	if path != l.modPath {
-		rel, ok := strings.CutPrefix(path, l.modPath+"/")
-		if !ok {
-			return nil, fmt.Errorf("lint: %s is outside module %s", path, l.modPath)
-		}
-		dir = filepath.Join(l.modDir, filepath.FromSlash(rel))
+	dir, ok := l.dirOf(path)
+	if !ok {
+		return nil, fmt.Errorf("lint: %s is outside module %s", path, l.modPath)
 	}
 
 	files, err := l.parseDir(dir, asRoot && l.cfg.Tests)

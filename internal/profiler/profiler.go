@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -22,25 +23,22 @@ import (
 // Profiler accumulates per-job, per-generation rate estimates. Not
 // safe for concurrent use (single simulation goroutine).
 //
-// A job's estimates are a record in a dense slice, found through the
-// position the profiler writes on the job at its first observation
-// (job.Job.ProfileAt) — the way the engine writes a job's user position
-// at admission — so observing and reading a job hashes nothing. A
-// finished job's record is recycled. Rate and Samples by job ID go
-// through an index over the same records, built when first asked for
-// after a change.
+// A job's estimates are a record in a dense slice at the job's slot in
+// the engine's table of live jobs (job.Job.Slot), so observing and
+// reading a job hashes nothing; a slot's next job starts a record of its
+// own there. Rate and Samples by job ID go through an index over the
+// same records, built when first asked for after a change.
 type Profiler struct {
 	noiseStd float64 // relative std-dev of one measurement
 	rng      *rand.Rand
-	recs     []Estimates
-	free     []int32               // positions of removed records, reused first
+	recs     []Estimates           // by slot
 	byID     map[job.ID]*Estimates // Rate and Samples' index; nil when stale
 }
 
 // Estimates is one job's profile: a rate estimate and the observation
 // count behind it, per generation.
 type Estimates struct {
-	job     *job.Job                    // whose; nil while the record is free
+	job     *job.Job                    // whose; nil while the slot's record is free
 	rate    [gpu.NumGenerations]float64 // per-GPU minibatches/sec estimates
 	samples [gpu.NumGenerations]int
 }
@@ -103,29 +101,25 @@ func MustNew(noiseStd float64, seed int64) *Profiler {
 //
 //gflint:noretain
 func (p *Profiler) Estimates(j *job.Job) *Estimates {
-	if at, ok := j.ProfileAt(); ok && at < len(p.recs) && p.recs[at].job == j {
+	if at := j.Slot(); at < len(p.recs) && p.recs[at].job == j {
 		return &p.recs[at]
 	}
 	return nil
 }
 
-// record is Estimates, making the record — and telling the job where it
-// is — at the job's first observation.
+// record is Estimates, making the record at the job's slot at its first
+// observation.
 //
 //gflint:noretain
 func (p *Profiler) record(j *job.Job) *Estimates {
 	if e := p.Estimates(j); e != nil {
 		return e
 	}
-	var at int
-	if n := len(p.free); n > 0 {
-		at, p.free = int(p.free[n-1]), p.free[:n-1]
-	} else {
-		at = len(p.recs)
-		p.recs = append(p.recs, Estimates{})
+	at := j.Slot()
+	if at >= len(p.recs) { // recs never shrinks, so what it grows into is zero
+		p.recs = slices.Grow(p.recs, at+1-len(p.recs))[:at+1]
 	}
 	p.recs[at] = Estimates{job: j}
-	j.NoteProfile(at)
 	p.byID = nil
 	return &p.recs[at]
 }
@@ -178,7 +172,7 @@ func (p *Profiler) Measure(j *job.Job, g gpu.Generation) {
 // record was made or removed since the last call.
 func (p *Profiler) index() map[job.ID]*Estimates {
 	if p.byID == nil {
-		p.byID = make(map[job.ID]*Estimates, p.Len())
+		p.byID = make(map[job.ID]*Estimates, len(p.recs))
 		for i := range p.recs {
 			if e := &p.recs[i]; e.job != nil {
 				p.byID[e.job.ID] = e
@@ -199,15 +193,10 @@ func (p *Profiler) Samples(id job.ID, g gpu.Generation) int {
 	return p.index()[id].Samples(g)
 }
 
-// Remove forgets a finished job; its record is reused.
+// Remove forgets a finished job, freeing its slot's record.
 func (p *Profiler) Remove(j *job.Job) {
 	if e := p.Estimates(j); e != nil {
-		at, _ := j.ProfileAt()
 		*e = Estimates{}
-		p.free = append(p.free, int32(at))
 		p.byID = nil
 	}
 }
-
-// Len returns the number of tracked jobs.
-func (p *Profiler) Len() int { return len(p.recs) - len(p.free) }

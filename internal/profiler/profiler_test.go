@@ -21,11 +21,26 @@ func (p *Profiler) Speedup(id job.ID, fast, slow gpu.Generation) (float64, bool)
 	return rf / rs, true
 }
 
+// Len returns the number of tracked jobs.
+func (p *Profiler) Len() int {
+	n := 0
+	for i := range p.recs {
+		if p.recs[i].job != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// testJob is a job of the given model and ID in slot id, as if an engine
+// had admitted it there.
 func testJob(model string, id job.ID) *job.Job {
 	z := workload.DefaultZoo()
-	return job.MustNew(job.Spec{
+	j := job.MustNew(job.Spec{
 		ID: id, User: "u", Perf: z.MustGet(model), Gang: 2, TotalMB: 1e6,
 	})
+	j.NoteSlot(int(id))
+	return j
 }
 
 func TestNewValidation(t *testing.T) {
@@ -150,12 +165,13 @@ func TestRemove(t *testing.T) {
 }
 
 // TestRecordsByPosition: a job's estimates are found through the
-// position written on the job, agree with the ID index, and a removed
-// job's record is reused by the next new job without the removed job —
-// whose position still points there — finding it.
+// job's slot, agree with the ID index, and a removed job's record is
+// reused by the next job in its slot without the removed job — whose
+// slot still points there — finding it.
 func TestRecordsByPosition(t *testing.T) {
 	p := MustNew(0, 1)
 	a, b, c := testJob("vae", 1), testJob("gru", 2), testJob("lstm", 3)
+	c.NoteSlot(a.Slot()) // the engine hands a's slot on once a retires
 	if p.Estimates(a) != nil {
 		t.Fatal("estimates before the first observation")
 	}
@@ -165,11 +181,10 @@ func TestRecordsByPosition(t *testing.T) {
 	if e := p.Estimates(b); e == nil || e.Samples(gpu.K80) != 2 || p.Samples(2, gpu.K80) != 2 {
 		t.Fatalf("b's estimates %+v, by ID %d samples", e, p.Samples(2, gpu.K80))
 	}
-	atA, _ := a.ProfileAt()
 	p.Remove(a)
 	p.Observe(c, gpu.P100)
-	if atC, _ := c.ProfileAt(); atC != atA || p.Len() != 2 {
-		t.Fatalf("c at %d, a was at %d; %d records", atC, atA, p.Len())
+	if p.Estimates(c) != &p.recs[a.Slot()] || p.Len() != 2 {
+		t.Fatalf("c's record is not a's slot's; %d records", p.Len())
 	}
 	if p.Estimates(a) != nil || p.Samples(1, gpu.K80) != 0 {
 		t.Error("a removed job finds the record its slot was reused for")
@@ -182,22 +197,34 @@ func TestRecordsByPosition(t *testing.T) {
 // TestMeasureIsSamplesThenObserve holds Measure to what the engine did
 // before it: ProbeAll when the job has no sample on the generation it
 // ran on, Observe otherwise, decided by ID. Over a random run of jobs
-// arriving, running on random generations and finishing, two profilers
-// of one seed hold bit-identical estimates.
+// arriving, running on random generations and finishing, each arrival in
+// the slot last freed as an engine hands them out, two profilers of one
+// seed hold bit-identical estimates.
 func TestMeasureIsSamplesThenObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	got, want := MustNew(0.1, 9), MustNew(0.1, 9)
 	models := workload.DefaultZoo().Names()
 	var live []*job.Job
+	var free []int // freed slots, last freed first
+	slots := 0
 	for step, next := 0, job.ID(1); step < 3000; step++ {
 		switch r := rng.Intn(10); {
 		case r == 0 || len(live) == 0:
-			live = append(live, testJob(models[rng.Intn(len(models))], next))
+			j := testJob(models[rng.Intn(len(models))], next)
+			if n := len(free); n > 0 {
+				j.NoteSlot(free[n-1])
+				free = free[:n-1]
+			} else {
+				j.NoteSlot(slots)
+				slots++
+			}
+			live = append(live, j)
 			next++
 		case r == 1:
 			i := rng.Intn(len(live))
 			got.Remove(live[i])
 			want.Remove(live[i])
+			free = append(free, live[i].Slot())
 			live = append(live[:i], live[i+1:]...)
 		default:
 			j := live[rng.Intn(len(live))]
