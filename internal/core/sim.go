@@ -596,6 +596,7 @@ func newEngine(cfg Config, policy Policy, exec Executor, prof *profiler.Profiler
 		}
 	}
 	s.users = job.SortedUsers(s.tickets)
+	s.log.Intern(s.users)
 	s.tl = metrics.NewTimeline(cfg.TimelineWindow, s.users)
 	n := len(s.users)
 	perUser := make([]float64, 4*n)

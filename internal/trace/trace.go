@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 
@@ -75,7 +76,10 @@ func (k Kind) LogIndex() int { return slices.Index(logged[:], k) }
 // Record is one occurrence as it is recorded: a fixed-size value whose
 // strings and device list alias their sources, so writing one allocates
 // nothing. Text is rendered from it on export (Detail), not before.
-// Which payload fields a kind fills:
+// The event log keeps a logged record's payload in three words: a
+// trade's X, Y and Z, any other kind's Job, X, N and M. So a trade
+// carries no Job, N or M (Log.Append panics on one), and no logged kind
+// but a trade has a Y or Z. Which payload fields a kind fills:
 //
 //	arrival        Name model, N gang
 //	start          Gen
@@ -150,28 +154,86 @@ type Event struct {
 // Log is a run's event trace: the logged kinds of the stream, in
 // order. Not safe for concurrent use.
 //
+// It keeps each record as a 48-byte entry with no pointer in it, so the
+// garbage collector never scans what a run has logged, and each name a
+// record carries (its user, a model, an agent) once, in a table of the
+// names it has met. The engine enters its users at the start of a run
+// (Intern); a model or agent name is entered the first time it is
+// logged.
+//
 // By default the log grows without bound. SetCap turns it into a ring
 // over the most recent events so unbounded-horizon runs and long sweeps
-// keep memory flat.
-type Log struct{ recs ring.Ring[entry] }
+// keep memory flat: the name table grows only with the distinct names.
+type Log struct {
+	recs  ring.Ring[entry]
+	strs  []string          // the names by position; strs[0] is "", nil until the first name
+	strAt map[string]uint32 // a name's position in strs
+}
 
 // entry is a logged Record as the log holds it — most of what a long
 // run or a sweep's worth of results retains: no Devs (no logged kind
-// has any), the kind as an index into logged, the small fields narrow.
+// has any), the kind as an index into logged, the user and the name as
+// positions in the log's name table, and the payload in three words
+// laid out by kind. A trade fills X, Y and Z; every other logged kind
+// fills Job, X and N<<32|M (none has a Y or Z, and only a trade renders
+// none of Job, N and M).
 type entry struct {
-	at        simclock.Time
-	job       job.ID
-	user      job.UserID
-	name      string
-	x, y, z   float64
-	n, m      int32
-	kind      uint8
-	gen, from int8
+	at         simclock.Time
+	w          [3]uint64
+	user, name uint32
+	kind       uint8
+	gen, from  int8
 }
 
-func (e *entry) event() Event {
-	r := Record{At: e.at, Kind: logged[e.kind], Job: e.job, User: e.user, Name: e.name,
-		Gen: gpu.Generation(e.gen), From: gpu.Generation(e.from), N: e.n, M: e.m, X: e.x, Y: e.y, Z: e.z}
+// namesSlack is the room Intern leaves beside the users for the model
+// and agent names a run logs.
+const namesSlack = 32
+
+// Intern enters users in the name table, sized for them at once, so
+// that Append never grows it for one of them.
+func (l *Log) Intern(users []job.UserID) {
+	if l.strs == nil {
+		l.strs = make([]string, 1, 1+len(users)+namesSlack)
+		l.strAt = make(map[string]uint32, len(users)+namesSlack)
+	}
+	for _, u := range users {
+		l.intern(string(u))
+	}
+}
+
+// intern returns s's position in the name table, entering it if new.
+func (l *Log) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if i, ok := l.strAt[s]; ok {
+		return i
+	}
+	if l.strs == nil {
+		l.strs, l.strAt = []string{""}, make(map[string]uint32)
+	}
+	i := uint32(len(l.strs))
+	l.strs = append(l.strs, s)
+	l.strAt[s] = i
+	return i
+}
+
+// str returns the name at position i of the table.
+func (l *Log) str(i uint32) string {
+	if i == 0 {
+		return ""
+	}
+	return l.strs[i]
+}
+
+func (l *Log) event(e *entry) Event {
+	r := Record{At: e.at, Kind: logged[e.kind], User: job.UserID(l.str(e.user)), Name: l.str(e.name),
+		Gen: gpu.Generation(e.gen), From: gpu.Generation(e.from)}
+	if r.Kind == KindTrade {
+		r.X, r.Y, r.Z = math.Float64frombits(e.w[0]), math.Float64frombits(e.w[1]), math.Float64frombits(e.w[2])
+	} else {
+		r.Job, r.X, r.N, r.M = job.ID(e.w[0]), math.Float64frombits(e.w[1]), int32(e.w[2]>>32), int32(e.w[2])
+	}
 	return Event{At: r.At, Kind: r.Kind, Job: r.Job, User: r.User, Detail: r.Detail()}
 }
 
@@ -183,16 +245,28 @@ func (l *Log) SetCap(n int) { l.recs.SetCap(n) }
 func (l *Log) Len() int { return l.recs.Len() }
 
 // Append copies the logged kinds among rs into the log, evicting the
-// oldest when capped and full.
+// oldest when capped and full. It panics on a trade that carries a Job,
+// N or M: a trade's payload words hold X, Y and Z.
 //
 //gflint:noretain rs
 func (l *Log) Append(rs ...Record) {
 	for i := range rs {
 		r := &rs[i]
-		if k := r.Kind.LogIndex(); k >= 0 {
-			l.recs.Push(entry{at: r.At, job: r.Job, user: r.User, name: r.Name, x: r.X, y: r.Y, z: r.Z,
-				n: r.N, m: r.M, kind: uint8(k), gen: int8(r.Gen), from: int8(r.From)})
+		k := r.Kind.LogIndex()
+		if k < 0 {
+			continue
 		}
+		e := entry{at: r.At, user: l.intern(string(r.User)), name: l.intern(r.Name),
+			kind: uint8(k), gen: int8(r.Gen), from: int8(r.From)}
+		if r.Kind == KindTrade {
+			if r.Job != 0 || r.N != 0 || r.M != 0 {
+				panic(fmt.Sprintf("trace: trade with job %d, N %d, M %d: a trade logs none of them", r.Job, r.N, r.M))
+			}
+			e.w = [3]uint64{math.Float64bits(r.X), math.Float64bits(r.Y), math.Float64bits(r.Z)}
+		} else {
+			e.w = [3]uint64{uint64(r.Job), math.Float64bits(r.X), uint64(uint32(r.N))<<32 | uint64(uint32(r.M))}
+		}
+		l.recs.Push(e)
 	}
 }
 
@@ -204,7 +278,7 @@ func (l *Log) Filter(kind Kind) []Event {
 	out := []Event{}
 	for i := 0; i < l.recs.Len(); i++ {
 		if e := l.recs.At(i); kind == "" || logged[e.kind] == kind {
-			out = append(out, e.event())
+			out = append(out, l.event(e))
 		}
 	}
 	return out

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gpu"
 	"repro/internal/job"
@@ -363,4 +365,87 @@ func FuzzReadTrace(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLogEntryIsCompact pins what a logged event costs: a 48-byte entry
+// with no pointer in it, so the ring's chunks are never scanned, and
+// once its names are in the table nothing but the ring's own chunks —
+// 48 B a record and their bookkeeping. The 88-byte entry that held its
+// user and name strings cost 88 B a record and was scanned.
+func TestLogEntryIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 48 {
+		t.Errorf("entry is %d bytes, want 48", n)
+	}
+	if path := pointerPath(reflect.TypeOf(entry{}), "entry"); path != "" {
+		t.Errorf("entry holds a pointer at %s", path)
+	}
+
+	users := []job.UserID{"alice", "bob", "carol", "пользователь"}
+	const n = 100_000
+	recs := make([]Record, n)
+	for i := range recs {
+		u, v := users[i%len(users)], users[(i+1)%len(users)]
+		switch i % 3 {
+		case 0:
+			recs[i] = Record{At: simclock.Time(i), Kind: KindStart, Job: job.ID(i), User: u, Gen: gpu.V100}
+		case 1:
+			recs[i] = Record{At: simclock.Time(i), Kind: KindFinish, Job: job.ID(i), User: u, X: 3600, N: 2}
+		default:
+			recs[i] = Record{At: simclock.Time(i), Kind: KindTrade, User: u, Name: string(v), X: 1, Y: 2, Z: 2}
+		}
+	}
+	var l Log
+	l.Intern(users)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range recs {
+		l.Append(recs[i])
+	}
+	runtime.ReadMemStats(&after)
+	perRec := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("%d records: %.2f B allocated each", n, perRec)
+	if l.Len() != n {
+		t.Fatalf("logged %d of %d", l.Len(), n)
+	}
+	if perRec > 49 {
+		t.Errorf("a logged record allocates %.2f B, ceiling 49 B", perRec)
+	}
+}
+
+// pointerPath returns the path to the first field of t the garbage
+// collector would scan — a string, slice, pointer, map, interface,
+// channel or function — or "" when there is none.
+func pointerPath(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.String, reflect.Slice, reflect.Pointer, reflect.UnsafePointer, reflect.Map,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return path + " (" + t.Kind().String() + ")"
+	case reflect.Array:
+		return pointerPath(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
+}
+
+// TestTradeWithJobOrCountsPanics: a trade's payload words hold its X, Y
+// and Z, so one that carries a Job, N or M is refused, not logged with
+// them lost. The policy's trades carry none.
+func TestTradeWithJobOrCountsPanics(t *testing.T) {
+	for _, r := range []Record{{Job: 1}, {Job: -1}, {N: 3}, {M: -1}} {
+		r.Kind, r.User, r.Name, r.X, r.Y, r.Z = KindTrade, "buyer", "seller", 1, 2, 2
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a trade with Job %d, N %d, M %d was logged", r.Job, r.N, r.M)
+				}
+			}()
+			var l Log
+			l.Append(r)
+		}()
+	}
 }
