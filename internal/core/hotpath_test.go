@@ -174,27 +174,32 @@ func fairRoundCostPerUser(t *testing.T, owe bool) (allocs, bytes float64) {
 	const few, many, jobsPerUser = 20, 200, 4
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	perRound := func(users int) (allocs, bytes float64) {
-		s, step := steadySim(t, saturatedConfig(t, users*9, users, jobsPerUser))
-		if owe {
-			for i := range s.comp {
-				s.comp[i].debt = 1e15
+		allocs, bytes = math.Inf(1), math.Inf(1)
+		for rep := 0; rep < 3; rep++ { // the minimum of one window: everything above the floor is the runtime's own
+			s, step := steadySim(t, saturatedConfig(t, users*9, users, jobsPerUser))
+			if owe {
+				for i := range s.comp {
+					s.comp[i].debt = 1e15
+				}
+				s.compOpen = len(s.comp)
+				for i := 0; i < 12; i++ { // into the repaying rounds' steady state
+					step()
+				}
 			}
-			s.compOpen = len(s.comp)
-			for i := 0; i < 12; i++ { // into the repaying rounds' steady state
+			const rounds = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
 				step()
 			}
+			runtime.ReadMemStats(&after)
+			if owe && (s.compOpen != len(s.comp) || !s.rd.repays) {
+				t.Fatalf("%d of %d users owe, repaying %v: want every user owing and the policy repaying", s.compOpen, len(s.comp), s.rd.repays)
+			}
+			allocs = math.Min(allocs, float64(after.Mallocs-before.Mallocs)/rounds)
+			bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/rounds)
 		}
-		const rounds = 8
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			step()
-		}
-		runtime.ReadMemStats(&after)
-		if owe && (s.compOpen != len(s.comp) || !s.rd.repays) {
-			t.Fatalf("%d of %d users owe, repaying %v: want every user owing and the policy repaying", s.compOpen, len(s.comp), s.rd.repays)
-		}
-		return float64(after.Mallocs-before.Mallocs) / rounds, float64(after.TotalAlloc-before.TotalAlloc) / rounds
+		return allocs, bytes
 	}
 	a, aBytes := perRound(few)
 	b, bBytes := perRound(many)
@@ -237,7 +242,11 @@ func TestResultAllocsIndependentOfUsers(t *testing.T) {
 		if res := s.Result(); len(res.UsageByUserGen) != users || len(res.ThroughputByUser) != users {
 			t.Fatalf("%d of %d users charged usage, %d throughput", len(res.UsageByUserGen), users, len(res.ThroughputByUser))
 		}
-		return testing.AllocsPerRun(10, func() { s.Result() })
+		best := math.Inf(1)
+		for rep := 0; rep < 3; rep++ { // the minimum: everything above the floor is the runtime's own
+			best = math.Min(best, testing.AllocsPerRun(10, func() { s.Result() }))
+		}
+		return best
 	}
 	a, b := resultAllocs(few), resultAllocs(many)
 	perUser := (b - a) / (many - few)
@@ -252,28 +261,35 @@ func TestResultAllocsIndependentOfUsers(t *testing.T) {
 // engine cuts each arrival's record from a block of 64 it owns, so a
 // thousand arrivals make a few dozen allocations, not a thousand. It
 // admits the t=0 arrivals of two saturated workloads, 2,000 and 8,000
-// jobs, and takes the difference: 0.0188 allocations per additional
-// job, 1/64 (0.0156) for the records and the rest the growth of the
-// event log (the job list and the slot table grow once for the whole
-// burst); a job in its own allocation cost 1.00, and growing the job
-// list an arrival at a time 0.0198. The count is
-// deterministic; the ceiling is an earlier measured value and a tenth.
+// jobs, and takes the difference of the minimum of three reps each:
+// 0.0178 allocations per additional job, 1/64 (0.0156) for the records
+// and the rest the growth of the event log, a chunk of 512 pointer-free
+// 48-byte entries at a time (the job list and the slot table grow once
+// for the whole burst; the log's name table was sized for the users
+// when the engine was built). A single rep read up to 0.0188. A job in
+// its own allocation cost 1.00, and growing the job list an arrival at
+// a time 0.0198. The ceiling is an earlier measured value and a tenth.
 func TestAdmissionAllocsPerJob(t *testing.T) {
 	const few, many, users = 2000, 8000, 16
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun
 	admit := func(jobs int) float64 {
-		s, err := New(saturatedConfig(t, 10, users, jobs/users), MustNewFairPolicy(FairConfig{}))
-		if err != nil {
-			t.Fatal(err)
+		cfg := saturatedConfig(t, 10, users, jobs/users)
+		best := math.Inf(1)
+		for rep := 0; rep < 3; rep++ { // the minimum: everything above the floor is the runtime's own
+			s, err := New(cfg, MustNewFairPolicy(FairConfig{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.admitArrivals()
+			runtime.ReadMemStats(&after)
+			if len(s.jobs) != jobs {
+				t.Fatalf("admitted %d jobs at t=0, want %d", len(s.jobs), jobs)
+			}
+			best = math.Min(best, float64(after.Mallocs-before.Mallocs))
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s.admitArrivals()
-		runtime.ReadMemStats(&after)
-		if len(s.jobs) != jobs {
-			t.Fatalf("admitted %d jobs at t=0, want %d", len(s.jobs), jobs)
-		}
-		return float64(after.Mallocs - before.Mallocs)
+		return best
 	}
 	a, b := admit(few), admit(many)
 	perJob := (b - a) / (many - few)

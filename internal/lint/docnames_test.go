@@ -20,9 +20,10 @@ var docFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 // never there.
 const deletedMarker = "(deleted)"
 
-// docName is a backticked `pkg.Name` or `Type.Member`, a call's
-// parentheses allowed.
-var docName = regexp.MustCompile("`([A-Za-z][A-Za-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\(\\))?`")
+// docName is a backticked `pkg.Name` or `Type.Member`, or a three-part
+// `pkg.Type.Member` or `Type.Field.Member`, a call's parentheses
+// allowed.
+var docName = regexp.MustCompile("`([A-Za-z][A-Za-z0-9]*)\\.([A-Za-z][A-Za-z0-9]*)(?:\\.([A-Za-z][A-Za-z0-9]*))?(?:\\(\\))?`")
 
 // fileExts are the second halves of backticked file names, which
 // docName matches too.
@@ -66,25 +67,39 @@ func newNameIndex(l *Loader) *nameIndex {
 	return ix
 }
 
-// resolve reports whether qual.member names something: a package-level
-// name of a package named qual, or a field or method of a type named
-// qual. checked is false for a lowercase qual that is neither — a
-// variable, which the index cannot see; a capitalized one has to be a
-// type.
-func (ix *nameIndex) resolve(qual, member string) (ok, checked bool) {
+// resolve reports whether qual.members names something: a
+// package-level name of a package named qual, or a field or method of a
+// type named qual, and each further member a field or method of the
+// type of the one before (`pkg.Type.Member`, `Type.Field.Member`).
+// checked is false for a lowercase qual that is neither — a variable,
+// which the index cannot see; a capitalized one has to be a type.
+func (ix *nameIndex) resolve(qual string, members ...string) (ok, checked bool) {
 	for _, p := range ix.pkgs[qual] {
 		checked = true
-		if p.Scope().Lookup(member) != nil {
+		if obj := p.Scope().Lookup(members[0]); obj != nil && memberChain(obj.Type(), p, members[1:]) {
 			return true, true
 		}
 	}
 	for _, tn := range ix.types[qual] {
 		checked = true
-		if obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), member); obj != nil {
+		if memberChain(tn.Type(), tn.Pkg(), members) {
 			return true, true
 		}
 	}
 	return false, checked || unicode.IsUpper(rune(qual[0]))
+}
+
+// memberChain reports whether each of members is a field or method of
+// the type of the one before, the first of t.
+func memberChain(t types.Type, pkg *types.Package, members []string) bool {
+	for _, m := range members {
+		obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, m)
+		if obj == nil {
+			return false
+		}
+		t, pkg = obj.Type(), obj.Pkg()
+	}
+	return true
 }
 
 // unresolvedDocNames checks every backticked name of the documents, by
@@ -102,11 +117,14 @@ func unresolvedDocNames(t *testing.T, l *Loader, docs ...string) []Diagnostic {
 			t.Fatal(err)
 		}
 		for _, m := range docName.FindAllSubmatchIndex(src, -1) {
-			qual, member := string(src[m[2]:m[3]]), string(src[m[4]:m[5]])
-			if fileExts[member] {
+			qual, members := string(src[m[2]:m[3]]), []string{string(src[m[4]:m[5]])}
+			if m[6] >= 0 {
+				members = append(members, string(src[m[6]:m[7]]))
+			}
+			if fileExts[members[len(members)-1]] {
 				continue
 			}
-			if ok, checked := ix.resolve(qual, member); ok || !checked {
+			if ok, checked := ix.resolve(qual, members...); ok || !checked {
 				continue
 			}
 			if bytes.Contains(sentence(src, m[0], m[1]), []byte(deletedMarker)) {
@@ -147,9 +165,10 @@ func sentence(src []byte, lo, hi int) []byte {
 }
 
 // TestDocNamesResolve holds the documents to the code: every backticked
-// `pkg.Name` and `Type.Member` in README.md, DESIGN.md and
-// EXPERIMENTS.md must name a package-level name, field or method of the
-// module or of the standard library it imports, or its sentence must
+// `pkg.Name`, `Type.Member`, `pkg.Type.Member` and `Type.Field.Member`
+// in README.md, DESIGN.md and EXPERIMENTS.md must name a package-level
+// name, field or method of the module or of the standard library it
+// imports, or its sentence must
 // say it is gone on purpose with deletedMarker. (A lowercase qualifier
 // that is neither a package nor a type is a variable and is not
 // checked.) TestMutationDeletedGuardsAreCaught's docname row renames an

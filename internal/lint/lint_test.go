@@ -382,6 +382,18 @@ func TestMutationDeletedGuardsAreCaught(t *testing.T) {
 			doc:     "DESIGN.md",
 		},
 		{
+			// A method renamed under a document that names it by
+			// package, type and method.
+			name:    "docname",
+			file:    "internal/trace/trace.go",
+			pkg:     "./internal/trace",
+			check:   "docname",
+			old:     "func (l *Log) Append(",
+			new:     "func (l *Log) Push(",
+			flagged: "`trace.Log.Append`",
+			doc:     "DESIGN.md",
+		},
+		{
 			// Deleting the placement span's copy out into the slab
 			// returns a view of the index's reused scratch buffer.
 			name:    "scratchalias",
