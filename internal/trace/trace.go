@@ -166,7 +166,7 @@ type Event struct {
 // keep memory flat: the name table grows only with the distinct names.
 type Log struct {
 	recs  ring.Ring[entry]
-	strs  []string          // the names by position; strs[0] is "", nil until the first name
+	strs  []string          // the names by position; strs[0] is "", nil until the first Intern or Append
 	strAt map[string]uint32 // a name's position in strs
 }
 
@@ -194,7 +194,8 @@ const namesSlack = 32
 func (l *Log) Intern(users []job.UserID) {
 	if l.strs == nil {
 		l.strs = make([]string, 1, 1+len(users)+namesSlack)
-		l.strAt = make(map[string]uint32, len(users)+namesSlack)
+		l.strAt = make(map[string]uint32, 1+len(users)+namesSlack)
+		l.strAt[""] = 0
 	}
 	for _, u := range users {
 		l.intern(string(u))
@@ -203,31 +204,20 @@ func (l *Log) Intern(users []job.UserID) {
 
 // intern returns s's position in the name table, entering it if new.
 func (l *Log) intern(s string) uint32 {
-	if s == "" {
-		return 0
-	}
-	if i, ok := l.strAt[s]; ok {
-		return i
-	}
 	if l.strs == nil {
-		l.strs, l.strAt = []string{""}, make(map[string]uint32)
+		l.Intern(nil)
 	}
-	i := uint32(len(l.strs))
-	l.strs = append(l.strs, s)
-	l.strAt[s] = i
+	i, ok := l.strAt[s]
+	if !ok {
+		i = uint32(len(l.strs))
+		l.strs = append(l.strs, s)
+		l.strAt[s] = i
+	}
 	return i
 }
 
-// str returns the name at position i of the table.
-func (l *Log) str(i uint32) string {
-	if i == 0 {
-		return ""
-	}
-	return l.strs[i]
-}
-
 func (l *Log) event(e *entry) Event {
-	r := Record{At: e.at, Kind: logged[e.kind], User: job.UserID(l.str(e.user)), Name: l.str(e.name),
+	r := Record{At: e.at, Kind: logged[e.kind], User: job.UserID(l.strs[e.user]), Name: l.strs[e.name],
 		Gen: gpu.Generation(e.gen), From: gpu.Generation(e.from)}
 	if r.Kind == KindTrade {
 		r.X, r.Y, r.Z = math.Float64frombits(e.w[0]), math.Float64frombits(e.w[1]), math.Float64frombits(e.w[2])
