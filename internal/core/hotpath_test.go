@@ -340,8 +340,9 @@ func (p *policyMallocs) JobFinished(id job.ID)    { p.count(func() { p.Policy.Jo
 // jobs finished leave. The policy lays each round out into tables it
 // keeps, which the warm-up brings to their high-water mark, so a user
 // who leaves frees a row the next one fills. It measures 0.00
-// allocations per returning user; a record and two lists made for each
-// cost 3.00. The count is deterministic.
+// allocations per returning user, the minimum of three reps of the
+// window on fresh engines (one rep alone once read 4 in a full test
+// run); a record and two lists made for each cost 3.00.
 func TestReturningUserAllocsNothing(t *testing.T) {
 	const users, period, rounds = 64, 4, 60
 	perf := zoo.MustGet("vae")
@@ -354,35 +355,49 @@ func TestReturningUserAllocsNothing(t *testing.T) {
 			})
 		}
 	}
-	policy := MustNewFairPolicy(FairConfig{})
-	probe := &policyMallocs{Policy: policy, last: map[job.UserID]bool{}, users: map[job.UserID]bool{}}
-	s, err := New(Config{Cluster: k80Cluster(8, 4), Specs: specs, Quantum: 360, Seed: 1, Audit: AuditStrict}, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	step := func() {
-		if ran, err := s.Step(simclock.Forever); !ran || err != nil {
-			t.Fatalf("step: ran=%v err=%v", ran, err)
+	// window runs the measured rounds on a fresh engine and returns the
+	// policy's mallocs in them and the users who returned.
+	window := func() (uint64, int) {
+		probe := &policyMallocs{Policy: MustNewFairPolicy(FairConfig{}), last: map[job.UserID]bool{}, users: map[job.UserID]bool{}}
+		s, err := New(Config{Cluster: k80Cluster(8, 4), Specs: specs, Quantum: 360, Seed: 1, Audit: AuditStrict}, probe)
+		if err != nil {
+			t.Fatal(err)
 		}
+		step := func() {
+			if ran, err := s.Step(simclock.Forever); !ran || err != nil {
+				t.Fatalf("step: ran=%v err=%v", ran, err)
+			}
+		}
+		for i := 0; i < 3*period; i++ { // every user has left and come back
+			step()
+		}
+		probe.mallocs, probe.returns = 0, 0
+		for i := 0; i < rounds-4*period; i++ {
+			step()
+		}
+		if s.Result().Unfinished > users {
+			t.Fatalf("%d jobs unfinished: the users do not leave", s.Result().Unfinished)
+		}
+		return probe.mallocs, probe.returns
 	}
-	for i := 0; i < 3*period; i++ { // every user has left and come back
-		step()
+	// The minimum of three reps of the same window, as the other window
+	// gates take: a malloc above it is the runtime's own.
+	mallocs, returns := window()
+	for rep := 1; rep < 3; rep++ {
+		m, r := window()
+		if r != returns {
+			t.Fatalf("rep %d met %d returning users, rep 0 %d", rep, r, returns)
+		}
+		mallocs = min(mallocs, m)
 	}
-	probe.mallocs, probe.returns = 0, 0
-	for i := 0; i < rounds-4*period; i++ {
-		step()
+	perReturn := float64(mallocs) / float64(returns)
+	t.Logf("%d allocations in the policy over %d returning users: %.2f each", mallocs, returns, perReturn)
+	if returns < 500 {
+		t.Fatalf("only %d users returned", returns)
 	}
-	if s.Result().Unfinished > users {
-		t.Fatalf("%d jobs unfinished: the users do not leave", s.Result().Unfinished)
-	}
-	perReturn := float64(probe.mallocs) / float64(probe.returns)
-	t.Logf("%d allocations in the policy over %d returning users: %.2f each", probe.mallocs, probe.returns, perReturn)
-	if probe.returns < 500 {
-		t.Fatalf("only %d users returned", probe.returns)
-	}
-	if probe.mallocs != 0 {
-		t.Errorf("returning users cost the policy %d allocations, %.2f each", probe.mallocs, perReturn)
+	if mallocs != 0 {
+		t.Errorf("returning users cost the policy %d allocations, %.2f each", mallocs, perReturn)
 	}
 }
 

@@ -1,11 +1,8 @@
 package job
 
 import (
-	"cmp"
-	"slices"
+	"math"
 	"sort"
-
-	"repro/internal/simclock"
 )
 
 // SortedUsers returns m's user keys in ascending order. Iterating a
@@ -33,14 +30,17 @@ func SortedIDs[V any](m map[ID]V) []ID {
 }
 
 // SortByArrival orders specs by arrival time in place; specs that
-// arrive together keep their input order. That is the order
-// slices.SortStableFunc by Arrival gives, reached by one unstable sort
-// of 16-byte (Arrival, input position) keys — a total order, since a
-// valid spec's arrival is never NaN — and one pass that moves each spec
-// to its slot. Input already in order, which a stable sort leaves as it
-// is, costs one scan: a generated workload reaches the engine's event
-// cursor in order, and there the key array would cost as much as the
-// stable sort did.
+// arrive together keep their input order, and +0 ties −0. That is the
+// order slices.SortStableFunc by Arrival gives, reached in linear time.
+// Each arrival maps to a uint64 whose unsigned order is its float
+// order: −0 becomes +0, a negative has all its bits flipped and a
+// positive its sign bit set (a valid spec's arrival is never NaN). A
+// stable LSD radix sort orders those keys beside their input
+// positions, a byte a pass, skipping each pass in which every key has
+// the same byte, and one walk moves each spec to its slot. Input
+// already in order, which a stable sort leaves as it is, costs one
+// scan: a generated workload reaches the engine's event cursor in
+// order, and so does any trace whose jobs all arrive at once.
 func SortByArrival(specs []Spec) {
 	i := 1
 	for i < len(specs) && specs[i].Arrival >= specs[i-1].Arrival {
@@ -50,19 +50,45 @@ func SortByArrival(specs []Spec) {
 		return
 	}
 	type key struct {
-		at  simclock.Time
+		k   uint64
 		pos int
 	}
-	keys := make([]key, len(specs))
+	keys := make([]key, 2*len(specs))
+	keys, spare := keys[:len(specs)], keys[len(specs):]
+	var counts [8][256]int
 	for i := range specs {
-		keys[i] = key{specs[i].Arrival, i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := a.at.Compare(b.at); c != 0 {
-			return c
+		a := float64(specs[i].Arrival)
+		if a == 0 {
+			a = 0 // −0 ties +0
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+		k := math.Float64bits(a)
+		if k>>63 != 0 {
+			k = ^k
+		} else {
+			k |= 1 << 63
+		}
+		keys[i] = key{k, i}
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0].k>>(8*d))] == len(keys) {
+			continue // every key has this byte: the pass would move nothing
+		}
+		at := 0
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, e := range keys {
+			b := byte(e.k >> (8 * d))
+			spare[c[b]] = e
+			c[b]++
+		}
+		keys, spare = spare, keys
+	}
 	// Slot i takes the spec from keys[i].pos: walk each cycle of that
 	// permutation once, marking a slot done by pointing it at itself.
 	for i := range keys {

@@ -181,19 +181,28 @@ func Load(r io.Reader) (*Scenario, error) {
 }
 
 // Build materializes the scenario: a validated engine config, the
-// selected policy, and the horizon.
+// selected policy, and the horizon. It is BuildWith on the scenario's
+// freshly generated Workload.
 func (s *Scenario) Build() (core.Config, core.Policy, simclock.Time, error) {
+	specs, err := s.Workload()
+	if err != nil {
+		return core.Config{}, nil, 0, err
+	}
+	return s.BuildWith(specs)
+}
+
+// BuildWith is Build on a workload the caller generated: the
+// scenario's Workload, for its users and seed. The config's Specs is
+// specs itself, not a copy, and nothing writes it — core.New copies
+// the specs into its event cursor and Config.Validate only reads them
+// — so one trace can back the configs of every policy run on it.
+func (s *Scenario) BuildWith(specs []job.Spec) (core.Config, core.Policy, simclock.Time, error) {
 	var zero core.Config
 	if s.HorizonHours <= 0 {
 		return zero, nil, 0, fmt.Errorf("scenario: horizon_hours must be positive")
 	}
 
 	cluster, err := s.buildCluster()
-	if err != nil {
-		return zero, nil, 0, err
-	}
-	zoo := workload.DefaultZoo()
-	specs, err := s.buildWorkload(zoo)
 	if err != nil {
 		return zero, nil, 0, err
 	}
@@ -252,7 +261,9 @@ func (s *Scenario) buildCluster() (*gpu.Cluster, error) {
 	return gpu.New(specs...)
 }
 
-func (s *Scenario) buildWorkload(zoo *workload.Zoo) ([]job.Spec, error) {
+// Workload generates the scenario's job trace from its users and
+// seed, sorted by arrival with IDs in arrival order.
+func (s *Scenario) Workload() ([]job.Spec, error) {
 	if len(s.Users) == 0 {
 		return nil, fmt.Errorf("scenario: no users")
 	}
@@ -270,7 +281,7 @@ func (s *Scenario) buildWorkload(zoo *workload.Zoo) ([]job.Spec, error) {
 		}
 		users = append(users, us)
 	}
-	return workload.Generate(zoo, workload.Config{Seed: s.Seed, Users: users})
+	return workload.Generate(workload.DefaultZoo(), workload.Config{Seed: s.Seed, Users: users})
 }
 
 // buildPolicy builds the scenario's policy through NewPolicy: for

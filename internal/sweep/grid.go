@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/scenario"
 )
 
@@ -41,9 +42,11 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 }
 
 // Points expands the grid into runnable points (policy-major, then
-// seed order). Each point carries its own freshly built config and
-// policy instance, so points share no mutable state. audit overrides
-// every point's audit mode.
+// seed order). Each seed's workload is generated once: the points of
+// one seed share its specs, which nothing writes (core.New copies them
+// into its event cursor and Config.Validate only reads them). Every
+// point carries its own cluster, policy instance and config, so points
+// share no mutable state. audit overrides every point's audit mode.
 func (g *Grid) Points(audit core.AuditMode) ([]Point, error) {
 	policies := g.Policies
 	if len(policies) == 0 {
@@ -53,13 +56,23 @@ func (g *Grid) Points(audit core.AuditMode) ([]Point, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{g.Scenario.Seed}
 	}
+	traces := make([][]job.Spec, len(seeds))
+	for i, seed := range seeds {
+		sc := g.Scenario // shallow copy; nothing here mutates shared slices
+		sc.Seed = seed
+		specs, err := sc.Workload()
+		if err != nil {
+			return nil, fmt.Errorf("sweep: seed %d: %w", seed, err)
+		}
+		traces[i] = specs
+	}
 	points := make([]Point, 0, len(policies)*len(seeds))
 	for _, pname := range policies {
-		for _, seed := range seeds {
-			sc := g.Scenario // shallow copy; Build does not mutate shared slices
+		for i, seed := range seeds {
+			sc := g.Scenario
 			sc.Policy = pname
 			sc.Seed = seed
-			cfg, policy, horizon, err := sc.Build()
+			cfg, policy, horizon, err := sc.BuildWith(traces[i])
 			if err != nil {
 				return nil, fmt.Errorf("sweep: policy %q seed %d: %w", pname, seed, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -218,6 +219,100 @@ func TestGridPoints(t *testing.T) {
 	for _, g := range sum.Groups {
 		if g.Runs != 5 {
 			t.Errorf("group %s runs = %d, want 5", g.Group, g.Runs)
+		}
+	}
+}
+
+// specValue is a spec with its profile by value: two generations of
+// one trace draw from two zoos, so their Perf pointers differ.
+type specValue struct {
+	spec job.Spec
+	perf job.Perf
+}
+
+func specValues(specs []job.Spec) []specValue {
+	out := make([]specValue, len(specs))
+	for i, s := range specs {
+		out[i] = specValue{s, *s.Perf}
+		out[i].spec.Perf = nil
+	}
+	return out
+}
+
+// TestPointsShareEachSeedsTrace checks that Points generates each
+// seed's workload once: the points of one seed, one per policy, share
+// one backing array, equal to what a fresh Build of that point
+// generates. A sweep over them with 2 workers leaves the shared specs
+// as they were and gives every point the digest of an unshared build.
+func TestPointsShareEachSeedsTrace(t *testing.T) {
+	grid, err := LoadGrid(strings.NewReader(`{
+		"scenario": {
+			"cluster": [{"gen": "K80", "servers": 1, "gpus_per_server": 4},
+			            {"gen": "V100", "servers": 1, "gpus_per_server": 4}],
+			"users": [
+				{"name": "a", "jobs": 6, "arrivals_per_hour": 2, "mean_k80_hours": 1, "gangs": [{"gang": 1, "weight": 2}, {"gang": 2, "weight": 1}]},
+				{"name": "b", "jobs": 6, "mean_k80_hours": 1, "gangs": [{"gang": 1, "weight": 1}]}
+			],
+			"trading": true,
+			"horizon_hours": 6
+		},
+		"policies": ["gandiva-fair", "tiresias", "static"],
+		"seeds": [3, 4]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	points, err := grid.Points(core.AuditStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 2
+	if len(points) != 3*seeds {
+		t.Fatalf("points = %d, want 3 policies × 2 seeds", len(points))
+	}
+	var unshared []Point
+	before := make([][]specValue, seeds)
+	for i, p := range points {
+		seed := i % seeds
+		specs := p.Config.Specs
+		if &specs[0] != &points[seed].Config.Specs[0] || len(specs) != len(points[seed].Config.Specs) {
+			t.Errorf("%s: specs not shared with %s", p.Label, points[seed].Label)
+		}
+		if i < seeds {
+			before[seed] = specValues(specs)
+			if i > 0 && &specs[0] == &points[0].Config.Specs[0] {
+				t.Errorf("%s shares %s's specs", p.Label, points[0].Label)
+			}
+		}
+		sc := grid.Scenario
+		sc.Policy, sc.Seed = grid.Policies[i/seeds], grid.Seeds[seed]
+		cfg, policy, horizon, err := sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(specValues(cfg.Specs), specValues(specs)) {
+			t.Errorf("%s: shared specs differ from a fresh Build's", p.Label)
+		}
+		cfg.Audit = core.AuditStrict
+		unshared = append(unshared, Point{
+			Label: p.Label, Config: cfg, Horizon: horizon,
+			Policy: func() (core.Policy, error) { return policy, nil },
+		})
+	}
+
+	got := Run(context.Background(), points, Options{Workers: 2})
+	want := Run(context.Background(), unshared, Options{Workers: 1})
+	for i := range points {
+		if got[i].Err != nil || want[i].Err != nil {
+			t.Fatalf("%s: %v / %v", points[i].Label, got[i].Err, want[i].Err)
+		}
+		if g, w := core.CanonicalDigest(got[i].Result), core.CanonicalDigest(want[i].Result); g != w {
+			t.Errorf("%s: digest %s, unshared build %s", points[i].Label, g, w)
+		}
+	}
+	for seed := range before {
+		if !slices.Equal(specValues(points[seed].Config.Specs), before[seed]) {
+			t.Errorf("seed %d: the sweep wrote its shared specs", grid.Seeds[seed])
 		}
 	}
 }
